@@ -385,14 +385,19 @@ impl FdbEngine {
         }
     }
 
-    /// Runs the configured optimiser on the equality conditions.
+    /// Runs the configured optimiser on the equality conditions.  The
+    /// exhaustive search honours the context's deadline and cancellation
+    /// flag; the greedy heuristic is polynomial and runs to completion.
     fn optimise_equalities(
         &self,
         tree: &fdb_ftree::FTree,
         equalities: &[(AttrId, AttrId)],
+        ctx: &ExecCtx,
     ) -> Result<fdb_plan::OptimizedPlan> {
         match self.optimizer {
-            OptimizerKind::Exhaustive => ExhaustiveOptimizer::new().optimize(tree, equalities),
+            OptimizerKind::Exhaustive => {
+                ExhaustiveOptimizer::new().optimize_ctx(tree, equalities, ctx)
+            }
             OptimizerKind::Greedy => GreedyOptimizer::new().optimize(tree, equalities),
         }
     }
@@ -403,7 +408,8 @@ impl FdbEngine {
     /// the query-shape key (constants abstracted — see
     /// [`crate::serving::PlanCache`]).  The key covers the request's head —
     /// `aggregate` and `order_by` — so requests with the same structural
-    /// body but different heads never share an entry.
+    /// body but different heads never share an entry.  An optimisation the
+    /// context interrupts publishes nothing.
     fn resolve_factorised_plan(
         &self,
         input: &FRep,
@@ -411,12 +417,13 @@ impl FdbEngine {
         cache: Option<&PlanCache>,
         aggregate: Option<&AggregateHead>,
         order_by: &[AttrId],
+        ctx: &ExecCtx,
     ) -> Result<ResolvedPlan> {
         use std::sync::Arc;
         let opt_start = Instant::now();
         let (plan, cache_hits, cache_misses, cache_evictions) = match cache {
             None => (
-                Arc::new(self.optimise_equalities(input.tree(), &query.equalities)?),
+                Arc::new(self.optimise_equalities(input.tree(), &query.equalities, ctx)?),
                 0,
                 0,
                 0,
@@ -426,8 +433,11 @@ impl FdbEngine {
                 match cache.lookup(&key) {
                     Some(plan) => (plan, 1, 0, 0),
                     None => {
-                        let plan =
-                            Arc::new(self.optimise_equalities(input.tree(), &query.equalities)?);
+                        let plan = Arc::new(self.optimise_equalities(
+                            input.tree(),
+                            &query.equalities,
+                            ctx,
+                        )?);
                         let evicted = cache.insert(key, Arc::clone(&plan));
                         (plan, 0, 1, evicted)
                     }
@@ -550,7 +560,7 @@ impl FdbEngine {
     ) -> Result<EvalOutput> {
         // Optimise the equality conditions on the input f-tree (or reuse a
         // cached plan for the same query shape).
-        let resolved = self.resolve_factorised_plan(input, query, cache, None, &[])?;
+        let resolved = self.resolve_factorised_plan(input, query, cache, None, &[], ctx)?;
         let optimisation_time = resolved.optimisation_time;
         let optimised = &resolved.plan;
 
@@ -847,7 +857,7 @@ impl FdbEngine {
         ctx: &ExecCtx,
     ) -> Result<AggregateOutput> {
         let kind = aggregate_kind(head)?;
-        let resolved = self.resolve_factorised_plan(input, query, cache, Some(head), &[])?;
+        let resolved = self.resolve_factorised_plan(input, query, cache, Some(head), &[], ctx)?;
         let optimisation_time = resolved.optimisation_time;
         let optimised = &resolved.plan;
 
@@ -1051,7 +1061,7 @@ impl FdbEngine {
                 detail: "evaluate_factorised_ordered: empty ORDER BY head".into(),
             });
         }
-        let resolved = self.resolve_factorised_plan(input, query, cache, None, order_by)?;
+        let resolved = self.resolve_factorised_plan(input, query, cache, None, order_by, ctx)?;
         let optimisation_time = resolved.optimisation_time;
         let optimised = &resolved.plan;
 

@@ -1074,6 +1074,44 @@ mod tests {
     }
 
     #[test]
+    fn an_interrupted_optimisation_publishes_no_plan() {
+        use std::time::Duration;
+        let (rep, a, _) = base_rep();
+        let c = *rep.visible_attrs().last().unwrap();
+        let engine = FdbEngine::new();
+        let cache = PlanCache::new();
+        // A cold shape: `a = c` needs restructuring, so the request enters
+        // the exhaustive search.
+        let query = FactorisedQuery::equalities(vec![(a, c)]);
+
+        let expired = QueryLimits::unlimited().with_deadline(Duration::ZERO);
+        let flag = Arc::new(AtomicBool::new(true));
+        let cancelled = QueryLimits::unlimited().with_cancel(flag);
+        for limits in [expired, cancelled] {
+            let ctx = ExecCtx::new(&limits);
+            std::thread::sleep(Duration::from_millis(1));
+            let err = engine
+                .evaluate_factorised_ctx(&rep, &query, Some(&cache), &ctx)
+                .unwrap_err();
+            assert_eq!(err, FdbError::DeadlineExceeded { limit_ms: 0 });
+            // The search stopped before it had a plan: before the optimiser
+            // took the context it ran to the end, cached its plan, and only
+            // the executor noticed the limit.
+            assert!(cache.is_empty(), "an interrupted search caches nothing");
+        }
+
+        // The same shape still optimises and evaluates afterwards.
+        let out = engine
+            .evaluate_factorised_ctx(&rep, &query, Some(&cache), &ExecCtx::unlimited())
+            .unwrap();
+        assert_eq!(out.stats.plan_cache_misses, 1);
+        assert!(out.stats.explored_states > 0);
+        assert_eq!(cache.len(), 1);
+        let flat = engine.evaluate_factorised(&rep, &query).unwrap();
+        assert!(out.result.store_identical(&flat.result));
+    }
+
+    #[test]
     fn plan_keys_distinguish_heads_over_the_same_query_body() {
         // Regression: the cache key once covered only the query body, so a
         // plain evaluation, a grouped aggregate and an ordered evaluation of

@@ -15,9 +15,11 @@
 //! bound to a constant by an equality selection are ignored (the only
 //! f-representation over such a node is a single singleton).
 
+use crate::edgeset::EdgeSet;
 use crate::ftree::{FTree, NodeId};
 use fdb_common::Result;
 use fdb_lp::{fractional_edge_cover, CoverInstance};
+use std::collections::HashMap;
 
 /// Cost details of one root-to-leaf path.
 #[derive(Clone, Debug)]
@@ -36,17 +38,27 @@ pub struct PathCost {
 /// is added for every dependency edge that has at least one attribute in one
 /// of those nodes, covering the vertices whose classes it intersects.
 pub fn path_cover_instance(tree: &FTree, path_nodes: &[NodeId]) -> CoverInstance {
-    let mut instance = CoverInstance::new(path_nodes.len());
-    for edge in tree.edges() {
-        let covered: Vec<usize> = path_nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| edge.attrs.iter().any(|a| tree.class(n).contains(a)))
-            .map(|(i, _)| i)
+    let path: Vec<EdgeSet> = path_nodes
+        .iter()
+        .map(|&n| tree.incidence(n).clone())
+        .collect();
+    cover_instance(&path)
+}
+
+/// The edge-cover instance of a path given as its root-first incidence sets:
+/// one instance edge per dependency edge on the path, in edge order, covering
+/// the path positions it is incident to.
+fn cover_instance(path: &[EdgeSet]) -> CoverInstance {
+    let mut on_path = EdgeSet::default();
+    for set in path {
+        on_path.union_with(set);
+    }
+    let mut instance = CoverInstance::new(path.len());
+    for edge in on_path.iter() {
+        let covered = (0..path.len())
+            .filter(|&i| path[i].contains(edge))
             .collect();
-        if !covered.is_empty() {
-            instance.add_edge(covered);
-        }
+        instance.add_edge(covered);
     }
     instance
 }
@@ -79,11 +91,61 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
     Ok(out)
 }
 
-/// Computes `s(T)`: the maximum fractional edge cover number over all
-/// root-to-leaf paths.  An empty forest has cost 0.
+/// `s(T)` with the path covers remembered between calls.
+///
+/// A path's covering LP is fixed by the root-first sequence of its nodes'
+/// incidence sets, and an optimiser costs thousands of trees that share
+/// most of their paths: the memo solves one LP per distinct sequence and
+/// hands every later occurrence the same `f64`.  A memo serves any number of
+/// trees, over the same edge list or not.
+#[derive(Debug, Default)]
+pub struct SCostMemo {
+    covers: HashMap<Vec<EdgeSet>, f64>,
+    /// The path being looked up (kept for its allocation).
+    path: Vec<EdgeSet>,
+}
+
+impl SCostMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        SCostMemo::default()
+    }
+
+    /// Computes `s(T)`: the maximum fractional edge cover number over all
+    /// root-to-leaf paths.  An empty forest has cost 0.
+    pub fn s_cost(&mut self, tree: &FTree) -> Result<f64> {
+        let mut max = 0.0_f64;
+        for leaf in tree.leaf_ids() {
+            // Constant-bound nodes do not contribute to the size bound: the
+            // only f-representation over them is a single singleton.
+            self.path.clear();
+            let mut cur = Some(leaf);
+            while let Some(n) = cur {
+                if tree.constant(n).is_none() {
+                    self.path.push(tree.incidence(n).clone());
+                }
+                cur = tree.parent(n);
+            }
+            self.path.reverse();
+            let cost = match self.covers.get(self.path.as_slice()) {
+                Some(&cost) => cost,
+                None if self.path.is_empty() => 0.0,
+                None => {
+                    let cost = fractional_edge_cover(&cover_instance(&self.path))?;
+                    self.covers.insert(self.path.clone(), cost);
+                    cost
+                }
+            };
+            max = max.max(cost);
+        }
+        Ok(max)
+    }
+}
+
+/// Computes `s(T)` of one tree (see [`SCostMemo::s_cost`], which callers
+/// costing many trees should hold on to instead).
 pub fn s_cost(tree: &FTree) -> Result<f64> {
-    let details = s_cost_details(tree)?;
-    Ok(details.into_iter().map(|p| p.cost).fold(0.0, f64::max))
+    SCostMemo::new().s_cost(tree)
 }
 
 #[cfg(test)]

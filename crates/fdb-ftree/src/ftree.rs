@@ -6,10 +6,14 @@
 //! relation (or per merged group of relations once projections have removed
 //! shared join attributes).  Dependency edges are what give meaning to the
 //! path constraint, node dependency, normalisation and the `s(T)` cost.
+//! Each node also carries the indices of the edges that touch its class (its
+//! incidence set, see the crate docs), which is what those queries read.
 
+use crate::edgeset::EdgeSet;
 use fdb_common::{AttrId, FdbError, Result, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node inside one [`FTree`].  Ids are stable across the
 /// schema transformations (a removed node's id is simply never reused).
@@ -55,9 +59,15 @@ impl DepEdge {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub(crate) struct Node {
-    pub(crate) class: BTreeSet<AttrId>,
+    /// Shared between clones of the tree: only merge and absorb relabel a
+    /// node, and they install a new set.
+    pub(crate) class: Arc<BTreeSet<AttrId>>,
+    /// The dependency edges with an attribute in `class` — derived state,
+    /// kept current by every edit of a class or of the edge list (see the
+    /// crate docs).
+    pub(crate) incidence: EdgeSet,
     pub(crate) parent: Option<NodeId>,
     pub(crate) children: Vec<NodeId>,
     /// Attributes of the class that have been projected away (kept while the
@@ -74,7 +84,9 @@ pub(crate) struct Node {
 pub struct FTree {
     nodes: Vec<Option<Node>>,
     roots: Vec<NodeId>,
-    edges: Vec<DepEdge>,
+    /// Shared between clones: the transformations edit nodes, and only a
+    /// projection that removes a shared leaf (or a product) edits edges.
+    edges: Arc<Vec<DepEdge>>,
 }
 
 impl FTree {
@@ -83,7 +95,7 @@ impl FTree {
         FTree {
             nodes: Vec::new(),
             roots: Vec::new(),
-            edges,
+            edges: Arc::new(edges),
         }
     }
 
@@ -108,7 +120,8 @@ impl FTree {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Node {
-            class,
+            incidence: self.incidence_of(&class),
+            class: Arc::new(class),
             parent,
             children: Vec::new(),
             projected: BTreeSet::new(),
@@ -126,8 +139,42 @@ impl FTree {
 
     /// Adds a dependency edge; returns its index.
     pub fn add_edge(&mut self, edge: DepEdge) -> usize {
-        self.edges.push(edge);
-        self.edges.len() - 1
+        let index = self.edges.len();
+        for &attr in &edge.attrs {
+            if let Some(node) = self.node_of_attr(attr) {
+                self.node_mut(node).incidence.insert(index);
+            }
+        }
+        self.edges_mut().push(edge);
+        index
+    }
+
+    /// The edges with an attribute in `class`, by the set-scan definition.
+    fn incidence_of(&self, class: &BTreeSet<AttrId>) -> EdgeSet {
+        let mut set = EdgeSet::default();
+        for (index, edge) in self.edges.iter().enumerate() {
+            if edge.attrs.iter().any(|a| class.contains(a)) {
+                set.insert(index);
+            }
+        }
+        set
+    }
+
+    /// Recomputes every node's incidence set from the classes and the edge
+    /// list — for edits that renumber edges.
+    pub(crate) fn rebuild_incidence(&mut self) {
+        let node_of = self.attr_to_node();
+        for node in self.nodes.iter_mut().flatten() {
+            node.incidence = EdgeSet::default();
+        }
+        let edges = Arc::clone(&self.edges);
+        for (index, edge) in edges.iter().enumerate() {
+            for attr in &edge.attrs {
+                if let Some(&node) = node_of.get(attr) {
+                    self.node_mut(node).incidence.insert(index);
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -164,10 +211,15 @@ impl FTree {
 
     /// Live nodes, in id order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|&id| self.contains(id))
-            .collect()
+        self.live().map(|(id, _)| id).collect()
+    }
+
+    /// Live node slots, in id order.
+    fn live(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((NodeId(i as u32), slot.as_ref()?)))
     }
 
     /// Number of live nodes.
@@ -227,10 +279,10 @@ impl FTree {
         &self.edges
     }
 
-    /// Mutable access to the dependency edges (used when projections merge
-    /// edges).
-    pub fn edges_mut(&mut self) -> &mut Vec<DepEdge> {
-        &mut self.edges
+    /// Mutable access to the dependency edges, unsharing them from other
+    /// clones first.  The caller restores the incidence sets.
+    pub(crate) fn edges_mut(&mut self) -> &mut Vec<DepEdge> {
+        Arc::make_mut(&mut self.edges)
     }
 
     /// All attributes labelling nodes of the forest.
@@ -243,9 +295,9 @@ impl FTree {
 
     /// The node labelled by the given attribute, if any.
     pub fn node_of_attr(&self, attr: AttrId) -> Option<NodeId> {
-        self.node_ids()
-            .into_iter()
-            .find(|&id| self.node(id).class.contains(&attr))
+        self.live()
+            .find(|(_, node)| node.class.contains(&attr))
+            .map(|(id, _)| id)
     }
 
     /// Ancestors of a node, nearest first (excluding the node itself).
@@ -261,7 +313,14 @@ impl FTree {
 
     /// Returns `true` if `anc` is a strict ancestor of `desc`.
     pub fn is_ancestor(&self, anc: NodeId, desc: NodeId) -> bool {
-        self.ancestors(desc).contains(&anc)
+        let mut cur = self.parent(desc);
+        while let Some(p) = cur {
+            if p == anc {
+                return true;
+            }
+            cur = self.parent(p);
+        }
+        false
     }
 
     /// Nodes of the subtree rooted at `id` (including `id`), pre-order.
@@ -279,15 +338,25 @@ impl FTree {
 
     /// Leaves of the forest.
     pub fn leaves(&self) -> Vec<NodeId> {
-        self.node_ids()
-            .into_iter()
-            .filter(|&id| self.is_leaf(id))
-            .collect()
+        self.leaf_ids().collect()
+    }
+
+    /// Leaves of the forest, in id order.
+    pub(crate) fn leaf_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.live()
+            .filter(|(_, node)| node.children.is_empty())
+            .map(|(id, _)| id)
     }
 
     /// Depth of a node (roots have depth 0).
     pub fn depth(&self, id: NodeId) -> usize {
-        self.ancestors(id).len()
+        let mut depth = 0;
+        let mut cur = self.parent(id);
+        while let Some(p) = cur {
+            depth += 1;
+            cur = self.parent(p);
+        }
+        depth
     }
 
     /// Nodes in bottom-up order (every node appears after all of its
@@ -305,38 +374,40 @@ impl FTree {
     /// The dependency edges that have at least one attribute in the node's
     /// class.
     pub fn edges_of_node(&self, id: NodeId) -> Vec<usize> {
-        let class = &self.node(id).class;
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.attrs.iter().any(|a| class.contains(a)))
-            .map(|(i, _)| i)
-            .collect()
+        self.node(id).incidence.iter().collect()
+    }
+
+    /// The node's incidence set itself, for the cost module.
+    pub(crate) fn incidence(&self, id: NodeId) -> &EdgeSet {
+        &self.node(id).incidence
     }
 
     /// Two nodes are *dependent* when some dependency edge has attributes in
     /// both of their classes.
     pub fn nodes_dependent(&self, a: NodeId, b: NodeId) -> bool {
-        let ca = &self.node(a).class;
-        let cb = &self.node(b).class;
-        self.edges.iter().any(|e| {
-            e.attrs.iter().any(|x| ca.contains(x)) && e.attrs.iter().any(|x| cb.contains(x))
-        })
+        self.node(a).incidence.intersects(&self.node(b).incidence)
     }
 
     /// Returns `true` if node `a` is dependent on node `b` or on any
     /// descendant of `b` — the condition under which `b` may *not* be pushed
     /// above `a`.
     pub fn depends_on_subtree(&self, a: NodeId, b: NodeId) -> bool {
-        self.subtree(b)
-            .into_iter()
-            .any(|n| self.nodes_dependent(a, n))
+        self.subtree_touches(b, &self.node(a).incidence)
+    }
+
+    fn subtree_touches(&self, id: NodeId, edges: &EdgeSet) -> bool {
+        let node = self.node(id);
+        node.incidence.intersects(edges)
+            || node
+                .children
+                .iter()
+                .any(|&c| self.subtree_touches(c, edges))
     }
 
     /// Checks the path constraint: every dependency edge's attributes label
     /// nodes that all lie on a single root-to-leaf path.
     pub fn check_path_constraint(&self) -> Result<()> {
-        for edge in &self.edges {
+        for edge in self.edges.iter() {
             let mut nodes: Vec<NodeId> = Vec::new();
             for &attr in &edge.attrs {
                 if let Some(n) = self.node_of_attr(attr) {
@@ -363,12 +434,32 @@ impl FTree {
     }
 
     /// Checks internal structural invariants (parent/child symmetry, roots
-    /// list, class disjointness).  Intended for tests and debug assertions.
+    /// list, class disjointness, incidence sets).  Intended for tests and
+    /// debug assertions.
     pub fn check_structure(&self) -> Result<()> {
+        self.check_links()?;
+        for (id, node) in self.live() {
+            if node.incidence != self.incidence_of(&node.class) {
+                return Err(FdbError::InvalidInput {
+                    detail: format!("node {id} carries a stale incidence set"),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The checks of [`FTree::check_structure`] that do not read derived
+    /// state.
+    fn check_links(&self) -> Result<()> {
         let mut seen_attrs: BTreeSet<AttrId> = BTreeSet::new();
         for id in self.node_ids() {
             let node = self.node(id);
-            for attr in &node.class {
+            if node.class.is_empty() {
+                return Err(FdbError::InvalidInput {
+                    detail: format!("node {id} has an empty class"),
+                });
+            }
+            for attr in node.class.iter() {
                 if !seen_attrs.insert(*attr) {
                     return Err(FdbError::InvalidInput {
                         detail: format!("attribute {attr} labels two nodes"),
@@ -422,35 +513,46 @@ impl FTree {
     /// labels.  Two f-trees over the same attributes get the same key iff
     /// they are equal up to reordering of children/roots — exactly the
     /// equivalence the optimiser's search space is defined over.
-    pub fn canonical_key(&self) -> String {
-        let mut root_keys: Vec<String> = self
-            .roots
-            .iter()
-            .map(|&r| self.canonical_subtree_key(r))
-            .collect();
-        root_keys.sort();
-        root_keys.join("+")
+    ///
+    /// The key is the pre-order walk of the forest with siblings visited by
+    /// ascending smallest class attribute (classes are disjoint, so that
+    /// order is total and does not depend on the stored child order).  Each
+    /// node writes its class, its constant and its child count as
+    /// self-delimiting varints, so distinct forests never share a key.
+    pub fn canonical_key(&self) -> Vec<u8> {
+        let mut key = Vec::with_capacity(4 * self.nodes.len() + 1);
+        self.write_sibling_keys(&self.roots, &mut key);
+        key
     }
 
-    fn canonical_subtree_key(&self, id: NodeId) -> String {
-        let node = self.node(id);
-        let attrs: Vec<String> = node.class.iter().map(|a| a.0.to_string()).collect();
-        let mut child_keys: Vec<String> = node
-            .children
-            .iter()
-            .map(|&c| self.canonical_subtree_key(c))
-            .collect();
-        child_keys.sort();
-        let constant = match node.constant {
-            Some(v) => format!("={v}"),
-            None => String::new(),
-        };
-        format!(
-            "({}{}[{}])",
-            attrs.join(","),
-            constant,
-            child_keys.join(",")
-        )
+    fn write_sibling_keys(&self, siblings: &[NodeId], key: &mut Vec<u8>) {
+        let first_attr = |id: NodeId| self.node(id).class.first().copied();
+        write_varint(siblings.len() as u64, key);
+        // Selection by "next larger first attribute": sibling lists are
+        // short and this needs no sorted copy.
+        let mut last = None;
+        for _ in siblings {
+            let next = siblings
+                .iter()
+                .copied()
+                .filter(|&id| first_attr(id) > last)
+                .min_by_key(|&id| first_attr(id))
+                .expect("sibling classes are disjoint and non-empty");
+            last = first_attr(next);
+            let node = self.node(next);
+            write_varint(node.class.len() as u64, key);
+            for attr in node.class.iter() {
+                write_varint(u64::from(attr.0), key);
+            }
+            match node.constant {
+                Some(v) => {
+                    key.push(1);
+                    write_varint(v.raw(), key);
+                }
+                None => key.push(0),
+            }
+            self.write_sibling_keys(&node.children, key);
+        }
     }
 
     /// Renders the forest as indented ASCII, resolving attribute names via
@@ -523,7 +625,10 @@ impl FTree {
     /// Replaces the class of a node (used by merge/absorb), together with its
     /// projected subset and constant marker.
     pub(crate) fn set_class(&mut self, id: NodeId, class: BTreeSet<AttrId>) {
-        self.node_mut(id).class = class;
+        let incidence = self.incidence_of(&class);
+        let node = self.node_mut(id);
+        node.class = Arc::new(class);
+        node.incidence = incidence;
     }
 
     /// Adds attributes to the projected-away set of a node.
@@ -615,7 +720,7 @@ impl FTree {
             .iter()
             .map(|slot| {
                 slot.as_ref().map(|n| NodeSnapshot {
-                    class: n.class.clone(),
+                    class: BTreeSet::clone(&n.class),
                     parent: n.parent,
                     children: n.children.clone(),
                     projected: n.projected.clone(),
@@ -636,12 +741,13 @@ impl FTree {
         nodes: Vec<Option<NodeSnapshot>>,
         roots: Vec<NodeId>,
     ) -> Result<FTree> {
-        let tree = FTree {
+        let mut tree = FTree {
             nodes: nodes
                 .into_iter()
                 .map(|slot| {
                     slot.map(|s| Node {
-                        class: s.class,
+                        class: Arc::new(s.class),
+                        incidence: EdgeSet::default(),
                         parent: s.parent,
                         children: s.children,
                         projected: s.projected,
@@ -650,11 +756,21 @@ impl FTree {
                 })
                 .collect(),
             roots,
-            edges,
+            edges: Arc::new(edges),
         };
-        tree.check_structure()?;
+        tree.check_links()?;
+        tree.rebuild_incidence();
         Ok(tree)
     }
+}
+
+/// Appends `value` as a little-endian base-128 varint.
+fn write_varint(mut value: u64, out: &mut Vec<u8>) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
 }
 
 /// One node slot of an f-tree in loss-free snapshot form (see

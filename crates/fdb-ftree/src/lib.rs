@@ -22,18 +22,53 @@
 //! * constructors of valid f-trees for a query ([`builder`]), including the
 //!   single-path fallback and the recursive enumeration of normalised
 //!   f-trees used by the optimiser.
+//!
+//! # Incidence sets
+//!
+//! Node dependency, the path constraint and `s(T)` all ask the same
+//! question — *which dependency edges have an attribute in this node's
+//! class?* — so every node carries the answer as a small bitset of edge
+//! indices (one inline word; edge lists beyond 64 spill to a boxed slice,
+//! there is no cap).  The contract:
+//!
+//! * **Definition.**  Edge `i` is in node `n`'s set iff
+//!   `edges()[i].attrs` intersects `class(n)`.
+//!   [`FTree::check_structure`] verifies exactly that by scanning.
+//! * **Who maintains it.**  The `FTree` methods that change a class or the
+//!   edge list, and nobody else: `add_node` and the class replacement behind
+//!   merge/absorb compute the new node's set; `add_edge` (and so
+//!   `import_forest`) adds the new index to the nodes it touches; the edge
+//!   merge behind `remove_projected_leaf`, which renumbers edges, and
+//!   `from_snapshot` rebuild every set.  Swap, push-up and normalisation
+//!   move nodes and change no class, so they leave the sets alone.  Direct
+//!   mutable access to the edge list is crate-private for this reason.
+//! * **Who reads it.**  `nodes_dependent`, `depends_on_subtree`,
+//!   `edges_of_node`, [`path_cover_instance`] and [`SCostMemo`], whose
+//!   memo key is a path's root-first sequence of sets.
+//! * **Derived state.**  The sets are a function of classes and edges: they
+//!   are not part of [`FTree::snapshot_nodes`] (a decoded tree recomputes
+//!   them), not part of [`FTree::canonical_key`], and `FTree` has no
+//!   `PartialEq` for them to leak into.
+//!
+//! The edge list sits behind an `Arc` and is copied only by the two edits
+//! above, and class labels are shared the same way, so cloning a tree — what
+//! the plan search does for every neighbour it generates — copies the
+//! parent/child links and little else.
 
 #![warn(missing_docs)]
 
 pub mod builder;
 pub mod cost;
+mod edgeset;
 pub mod ftree;
+#[cfg(test)]
+mod invariant_tests;
 pub mod transform;
 
 pub use builder::{
     dep_edges_for_query, flat_database_ftree, ftree_from_query_classes, single_path_ftree,
 };
-pub use cost::{path_cover_instance, s_cost, s_cost_details, PathCost};
+pub use cost::{path_cover_instance, s_cost, s_cost_details, PathCost, SCostMemo};
 #[doc(hidden)]
 pub use ftree::NodeSnapshot;
 pub use ftree::{DepEdge, FTree, NodeId};

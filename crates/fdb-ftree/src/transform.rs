@@ -261,24 +261,17 @@ impl FTree {
                 detail: format!("projection: {leaf} still has visible attributes"),
             });
         }
-        let class = self.class(leaf).clone();
-        self.merge_edges_touching(&class);
+        self.merge_edges_touching(leaf);
         self.remove_childless(leaf);
         Ok(())
     }
 
-    /// Merges all dependency edges that have at least one attribute in
-    /// `attrs` into a single edge (the union of their attribute sets).  The
-    /// merged edge's cardinality is the product of the constituents'
+    /// Merges all dependency edges that have at least one attribute in the
+    /// node's class into a single edge (the union of their attribute sets).
+    /// The merged edge's cardinality is the product of the constituents'
     /// cardinalities — an upper bound on the size of their join.
-    fn merge_edges_touching(&mut self, attrs: &BTreeSet<AttrId>) {
-        let touching: Vec<usize> = self
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.attrs.iter().any(|a| attrs.contains(a)))
-            .map(|(i, _)| i)
-            .collect();
+    fn merge_edges_touching(&mut self, node: NodeId) {
+        let touching = self.edges_of_node(node);
         if touching.len() <= 1 {
             return;
         }
@@ -297,6 +290,8 @@ impl FTree {
             edges.remove(i);
         }
         edges.push(DepEdge::new(labels.join("⋈"), merged_attrs, cardinality));
+        // Removing edges renumbered the ones behind them.
+        self.rebuild_incidence();
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::fplan::FPlan;
 use fdb_common::Result;
-use fdb_ftree::{s_cost, FTree, NodeId};
+use fdb_ftree::{FTree, NodeId, SCostMemo};
 
 /// The cost of an f-plan under the asymptotic measure.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,6 +30,15 @@ pub struct FPlanCost {
 }
 
 impl FPlanCost {
+    /// The cost of a plan whose trees cost `steps`, input first.
+    pub(crate) fn from_steps(steps: Vec<f64>) -> FPlanCost {
+        FPlanCost {
+            max_intermediate: steps.iter().copied().fold(0.0, f64::max),
+            final_cost: *steps.last().expect("at least the input tree"),
+            steps,
+        }
+    }
+
     /// Lexicographic comparison used by the optimisers: smaller
     /// `max_intermediate` first, then smaller `final_cost`, then fewer
     /// steps.
@@ -53,18 +62,24 @@ impl FPlanCost {
 
 /// Computes the asymptotic cost of a plan on the given input f-tree.
 pub fn plan_cost(plan: &FPlan, input: &FTree) -> Result<FPlanCost> {
-    let trees = plan.simulate(input)?;
-    let mut steps = Vec::with_capacity(trees.len());
-    for t in &trees {
-        steps.push(s_cost(t)?);
+    plan_cost_memo(plan, input, &mut SCostMemo::new())
+}
+
+/// [`plan_cost`] against a caller-held memo, for callers that cost several
+/// plans over related trees.
+pub(crate) fn plan_cost_memo(
+    plan: &FPlan,
+    input: &FTree,
+    memo: &mut SCostMemo,
+) -> Result<FPlanCost> {
+    let mut steps = Vec::with_capacity(plan.len() + 1);
+    let mut tree = input.clone();
+    steps.push(memo.s_cost(&tree)?);
+    for op in &plan.ops {
+        op.apply_to_tree(&mut tree)?;
+        steps.push(memo.s_cost(&tree)?);
     }
-    let max_intermediate = steps.iter().copied().fold(0.0, f64::max);
-    let final_cost = *steps.last().expect("at least the input tree");
-    Ok(FPlanCost {
-        max_intermediate,
-        final_cost,
-        steps,
-    })
+    Ok(FPlanCost::from_steps(steps))
 }
 
 /// The cost model used by the optimisers.
@@ -135,7 +150,7 @@ mod tests {
     use super::*;
     use crate::fplan::FPlanOp;
     use fdb_common::AttrId;
-    use fdb_ftree::DepEdge;
+    use fdb_ftree::{s_cost, DepEdge};
     use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {

@@ -9,13 +9,25 @@
 //! satisfy all equalities and are reachable at the minimum bottleneck cost,
 //! the one with the smallest own cost `s(T_final)` (then the shortest plan)
 //! is chosen — the lexicographic order `<_max × <_{s(T)}` of the paper.
+//!
+//! A cache-missing request spends nearly all of its time here, so the loop
+//! keeps its per-neighbour work to one tree copy (links only: edges and
+//! class labels are shared), one byte key and one map probe: a tree seen
+//! before brings its `s(T)` with it, a new one is costed through a
+//! per-search [`SCostMemo`] that solves each distinct path's LP once.
+//! States live in an arena and point at their predecessor, so plan and cost
+//! are read off the chosen goal's chain once, at the end.  Which states are
+//! pushed, popped and replaced, and in what order, is exactly what the
+//! textbook loop does (`exhaustive_reference.rs`, the test oracle) — the
+//! heap is not stable, so the plan returned depends on that sequence.
 
 use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
 use crate::optimizer::OptimizedPlan;
-use fdb_common::{AttrId, FdbError, Result};
-use fdb_ftree::{s_cost, FTree};
+use fdb_common::{AttrId, ExecCtx, FdbError, Result};
+use fdb_ftree::{FTree, SCostMemo};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Configuration of the exhaustive search.
@@ -41,6 +53,10 @@ pub struct ExhaustiveOptimizer {
     pub config: ExhaustiveConfig,
 }
 
+/// How many states the search settles between two looks at the deadline and
+/// the cancellation flag.
+const CHECK_EVERY: usize = 64;
+
 /// An `f64` wrapper with a total order (no NaNs are ever produced here).
 #[derive(Clone, Copy, PartialEq, Debug)]
 struct OrdF64(f64);
@@ -57,17 +73,28 @@ impl Ord for OrdF64 {
     }
 }
 
-#[derive(Clone)]
+/// The best known way to reach one f-tree (up to child order).  States live
+/// in an arena and name their predecessor by index, so the plan of a state
+/// is the chain of `via` operators back to the input tree.
 struct State {
     tree: FTree,
-    plan: Vec<FPlanOp>,
+    /// The state this one was reached from and the operator that did it
+    /// (`None` for the input tree).
+    via: Option<(usize, FPlanOp)>,
+    plan_len: usize,
+    /// `s(T)` of this tree.
+    own_cost: f64,
+    /// The largest `s(T)` along the plan, this tree included.
     bottleneck: f64,
+    /// Set when the state is first popped: its neighbours now point at it,
+    /// so it may no longer change.
+    settled: bool,
 }
 
 struct QueueItem {
     bottleneck: OrdF64,
     plan_len: usize,
-    key: String,
+    state: usize,
 }
 
 impl PartialEq for QueueItem {
@@ -108,6 +135,20 @@ impl ExhaustiveOptimizer {
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
     ) -> Result<OptimizedPlan> {
+        self.optimize_ctx(input_tree, equalities, &ExecCtx::unlimited())
+    }
+
+    /// [`ExhaustiveOptimizer::optimize`] under a governance context: the
+    /// search looks at the deadline and the cancellation flag before its
+    /// first state and after every 64 it settles.  It charges no work
+    /// budget — the budget counts arena records, and the search touches
+    /// none.
+    pub fn optimize_ctx(
+        &self,
+        input_tree: &FTree,
+        equalities: &[(AttrId, AttrId)],
+        ctx: &ExecCtx,
+    ) -> Result<OptimizedPlan> {
         for (a, b) in equalities {
             if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
                 return Err(FdbError::AttributeNotInQuery {
@@ -116,41 +157,46 @@ impl ExhaustiveOptimizer {
             }
         }
 
-        let initial_cost = s_cost(input_tree)?;
-        let initial = State {
+        let mut memo = SCostMemo::new();
+        let initial_cost = memo.s_cost(input_tree)?;
+        let mut states = vec![State {
             tree: input_tree.clone(),
-            plan: Vec::new(),
+            via: None,
+            plan_len: 0,
+            own_cost: initial_cost,
             bottleneck: initial_cost,
-        };
-        let initial_key = input_tree.canonical_key();
-
-        let mut best: HashMap<String, State> = HashMap::new();
+            settled: false,
+        }];
+        // Every tree seen so far (by canonical key) and its state.
+        let mut best: HashMap<Vec<u8>, usize> = HashMap::new();
+        best.insert(input_tree.canonical_key(), 0);
         let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
         heap.push(QueueItem {
-            bottleneck: OrdF64(initial.bottleneck),
+            bottleneck: OrdF64(initial_cost),
             plan_len: 0,
-            key: initial_key.clone(),
+            state: 0,
         });
-        best.insert(initial_key, initial);
 
         let mut explored = 0usize;
-        let mut goals: Vec<State> = Vec::new();
+        let mut goals: Vec<usize> = Vec::new();
         let mut goal_bottleneck: Option<f64> = None;
 
         while let Some(item) = heap.pop() {
-            let Some(state) = best.get(&item.key).cloned() else {
-                continue;
-            };
+            let current = item.state;
+            let bottleneck = states[current].bottleneck;
             // Skip stale queue entries.
-            if item.bottleneck.0 > state.bottleneck + 1e-9 {
+            if item.bottleneck.0 > bottleneck + 1e-9 {
                 continue;
             }
             // Once a goal has been found, only states with the same bottleneck
             // can still yield a better (lexicographically smaller) goal.
             if let Some(gb) = goal_bottleneck {
-                if state.bottleneck > gb + 1e-9 {
+                if bottleneck > gb + 1e-9 {
                     break;
                 }
+            }
+            if explored.is_multiple_of(CHECK_EVERY) {
+                ctx.check_now()?;
             }
             explored += 1;
             if explored > self.config.max_states {
@@ -161,71 +207,111 @@ impl ExhaustiveOptimizer {
                     ),
                 });
             }
+            states[current].settled = true;
 
-            if Self::is_goal(&state.tree, equalities) {
-                goal_bottleneck.get_or_insert(state.bottleneck);
-                goals.push(state);
+            if Self::is_goal(&states[current].tree, equalities) {
+                goal_bottleneck.get_or_insert(bottleneck);
+                goals.push(current);
                 continue;
             }
 
-            for (op, next_tree) in Self::neighbours(&state.tree, equalities)? {
-                let next_cost = s_cost(&next_tree)?;
-                let bottleneck = state.bottleneck.max(next_cost);
-                let key = next_tree.canonical_key();
-                let mut plan = state.plan.clone();
-                plan.push(op);
-                let candidate = State {
-                    tree: next_tree,
-                    plan,
-                    bottleneck,
-                };
-                let replace = match best.get(&key) {
-                    None => true,
-                    Some(existing) => {
-                        bottleneck + 1e-9 < existing.bottleneck
-                            || (bottleneck < existing.bottleneck + 1e-9
-                                && candidate.plan.len() < existing.plan.len())
+            let plan_len = states[current].plan_len + 1;
+            for op in Self::moves(&states[current].tree, equalities) {
+                let mut tree = states[current].tree.clone();
+                op.apply_to_tree(&mut tree)?;
+                match best.entry(tree.canonical_key()) {
+                    Entry::Vacant(slot) => {
+                        let own_cost = memo.s_cost(&tree)?;
+                        let bottleneck = bottleneck.max(own_cost);
+                        slot.insert(states.len());
+                        heap.push(QueueItem {
+                            bottleneck: OrdF64(bottleneck),
+                            plan_len,
+                            state: states.len(),
+                        });
+                        states.push(State {
+                            tree,
+                            via: Some((current, op)),
+                            plan_len,
+                            own_cost,
+                            bottleneck,
+                            settled: false,
+                        });
                     }
-                };
-                if replace {
-                    heap.push(QueueItem {
-                        bottleneck: OrdF64(candidate.bottleneck),
-                        plan_len: candidate.plan.len(),
-                        key: key.clone(),
-                    });
-                    best.insert(key, candidate);
+                    Entry::Occupied(slot) => {
+                        // Equal keys mean equal paths, hence equal `s(T)`.
+                        let existing = &mut states[*slot.get()];
+                        let bottleneck = bottleneck.max(existing.own_cost);
+                        let better = bottleneck + 1e-9 < existing.bottleneck
+                            || (bottleneck < existing.bottleneck + 1e-9
+                                && plan_len < existing.plan_len);
+                        // A settled state has handed its index to its
+                        // neighbours.  The queue order rules out a better way
+                        // to a settled state (every later candidate has at
+                        // least its bottleneck, and a longer plan when equal);
+                        // should float noise ever produce one, it is dropped
+                        // rather than rewriting plans that run through here.
+                        debug_assert!(!(better && existing.settled));
+                        if better && !existing.settled {
+                            // Equal keys do not mean equal node ids: the tree
+                            // goes with the operators that built it.
+                            existing.tree = tree;
+                            existing.via = Some((current, op));
+                            existing.plan_len = plan_len;
+                            existing.bottleneck = bottleneck;
+                            heap.push(QueueItem {
+                                bottleneck: OrdF64(bottleneck),
+                                plan_len,
+                                state: *slot.get(),
+                            });
+                        }
+                    }
                 }
             }
         }
 
-        let Some(_) = goal_bottleneck else {
+        // Among the minimum-bottleneck goals pick the one with the smallest
+        // final cost, then the shortest plan.
+        let mut chosen: Option<usize> = None;
+        for goal in goals {
+            let better = match chosen {
+                None => true,
+                Some(existing) => {
+                    let (goal, existing) = (&states[goal], &states[existing]);
+                    goal.own_cost + 1e-9 < existing.own_cost
+                        || (goal.own_cost < existing.own_cost + 1e-9
+                            && goal.plan_len < existing.plan_len)
+                }
+            };
+            if better {
+                chosen = Some(goal);
+            }
+        }
+        let Some(goal) = chosen else {
             return Err(FdbError::NoPlanFound {
                 detail: "no sequence of operators satisfies all equality conditions".into(),
             });
         };
-        // Among the minimum-bottleneck goals pick the one with the smallest
-        // final cost, then the shortest plan.
-        let mut chosen: Option<(State, f64)> = None;
-        for goal in goals {
-            let final_cost = s_cost(&goal.tree)?;
-            let better = match &chosen {
-                None => true,
-                Some((existing, existing_final)) => {
-                    final_cost + 1e-9 < *existing_final
-                        || (final_cost < existing_final + 1e-9
-                            && goal.plan.len() < existing.plan.len())
+
+        // Walk the links back to the input: operators and per-tree costs.
+        let mut ops = Vec::with_capacity(states[goal].plan_len);
+        let mut steps = Vec::with_capacity(states[goal].plan_len + 1);
+        let mut cursor = goal;
+        loop {
+            steps.push(states[cursor].own_cost);
+            match states[cursor].via.take() {
+                Some((previous, op)) => {
+                    ops.push(op);
+                    cursor = previous;
                 }
-            };
-            if better {
-                chosen = Some((goal, final_cost));
+                None => break,
             }
         }
-        let (goal, _) = chosen.expect("at least one goal collected");
-        let plan = FPlan::new(goal.plan);
-        let cost = crate::cost::plan_cost(&plan, input_tree)?;
+        ops.reverse();
+        steps.reverse();
         Ok(OptimizedPlan {
-            plan,
-            cost,
+            plan: FPlan::new(ops),
+            cost: FPlanCost::from_steps(steps),
             explored_states: explored,
         })
     }
@@ -236,18 +322,15 @@ impl ExhaustiveOptimizer {
             .all(|(a, b)| tree.node_of_attr(*a) == tree.node_of_attr(*b))
     }
 
-    /// Enumerates the operator applications available from a state.
-    fn neighbours(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> Result<Vec<(FPlanOp, FTree)>> {
-        let mut out = Vec::new();
-        // All swaps.
-        for node in tree.node_ids() {
-            if tree.parent(node).is_some() {
-                let mut next = tree.clone();
-                next.swap_with_parent(node)?;
-                out.push((FPlanOp::Swap(node), next));
-            }
-        }
-        // Merges and absorbs demanded by the remaining equalities.
+    /// Enumerates the operator applications available from a state: every
+    /// swap, then the merge or absorb each unmet equality asks for.
+    fn moves(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> Vec<FPlanOp> {
+        let mut out: Vec<FPlanOp> = tree
+            .node_ids()
+            .into_iter()
+            .filter(|&node| tree.parent(node).is_some())
+            .map(FPlanOp::Swap)
+            .collect();
         for (a_attr, b_attr) in equalities {
             let (Some(na), Some(nb)) = (tree.node_of_attr(*a_attr), tree.node_of_attr(*b_attr))
             else {
@@ -257,22 +340,14 @@ impl ExhaustiveOptimizer {
                 continue;
             }
             if tree.are_siblings(na, nb) {
-                let mut next = tree.clone();
-                next.merge_siblings(na, nb)?;
-                out.push((FPlanOp::Merge(na, nb), next));
+                out.push(FPlanOp::Merge(na, nb));
             } else if tree.is_ancestor(na, nb) {
-                let mut next = tree.clone();
-                next.absorb_into_ancestor(na, nb)?;
-                next.normalise();
-                out.push((FPlanOp::Absorb(na, nb), next));
+                out.push(FPlanOp::Absorb(na, nb));
             } else if tree.is_ancestor(nb, na) {
-                let mut next = tree.clone();
-                next.absorb_into_ancestor(nb, na)?;
-                next.normalise();
-                out.push((FPlanOp::Absorb(nb, na), next));
+                out.push(FPlanOp::Absorb(nb, na));
             }
         }
-        Ok(out)
+        out
     }
 }
 
@@ -383,6 +458,33 @@ mod tests {
         assert!(ExhaustiveOptimizer::new()
             .optimize(&tree, &[(AttrId(1), AttrId(77))])
             .is_err());
+    }
+
+    #[test]
+    fn cancellation_stops_the_search_and_budgets_do_not() {
+        use fdb_common::QueryLimits;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let tree = example11_tree();
+        let conditions = [(AttrId(1), AttrId(5))];
+        let cancelled = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+        assert_eq!(
+            ExhaustiveOptimizer::new()
+                .optimize_ctx(&tree, &conditions, &ExecCtx::new(&cancelled))
+                .unwrap_err(),
+            FdbError::DeadlineExceeded { limit_ms: 0 }
+        );
+        // A budget is not the search's to spend: an exhausted one changes
+        // nothing here.
+        let broke = ExecCtx::new(&QueryLimits::unlimited().with_budget(0));
+        let governed = ExhaustiveOptimizer::new()
+            .optimize_ctx(&tree, &conditions, &broke)
+            .unwrap();
+        let free = ExhaustiveOptimizer::new()
+            .optimize(&tree, &conditions)
+            .unwrap();
+        assert_eq!(governed.plan, free.plan);
+        assert_eq!(broke.budget_remaining(), 0);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! running time is polynomial in the size of the input f-tree, in contrast
 //! to the exponential exhaustive search.
 
-use crate::cost::{plan_cost, FPlanCost};
+use crate::cost::{plan_cost_memo, FPlanCost};
 use crate::fplan::{FPlan, FPlanOp};
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, FdbError, Result};
-use fdb_ftree::{FTree, NodeId};
+use fdb_ftree::{FTree, NodeId, SCostMemo};
 
 /// The greedy f-plan optimiser.
 #[derive(Clone, Copy, Debug, Default)]
@@ -49,6 +49,8 @@ impl GreedyOptimizer {
         let mut overall = FPlan::empty();
         let mut remaining: Vec<(AttrId, AttrId)> = equalities.to_vec();
         let mut explored = 0usize;
+        // One memo for every scenario costed below: they share most paths.
+        let mut memo = SCostMemo::new();
 
         loop {
             // Conditions already satisfied (their attributes label the same
@@ -61,11 +63,10 @@ impl GreedyOptimizer {
             // current tree.
             let mut best: Option<(usize, FPlan, FPlanCost)> = None;
             for (idx, &(a, b)) in remaining.iter().enumerate() {
-                let Some(candidate) = cheapest_scenario(&tree, a, b)? else {
+                let Some((candidate, cost)) = cheapest_scenario(&tree, a, b, &mut memo)? else {
                     continue;
                 };
                 explored += 3;
-                let cost = plan_cost(&candidate, &tree)?;
                 let better = match &best {
                     None => true,
                     Some((_, _, best_cost)) => cost.better_than(best_cost),
@@ -91,7 +92,7 @@ impl GreedyOptimizer {
             remaining.retain(|&(a, b)| tree.node_of_attr(a) != tree.node_of_attr(b));
         }
 
-        let cost = plan_cost(&overall, input_tree)?;
+        let cost = plan_cost_memo(&overall, input_tree, &mut memo)?;
         Ok(OptimizedPlan {
             plan: overall,
             cost,
@@ -101,8 +102,13 @@ impl GreedyOptimizer {
 }
 
 /// Builds the cheapest of the three restructuring scenarios for one equality
-/// condition, or `None` if the condition is already satisfied.
-fn cheapest_scenario(tree: &FTree, a_attr: AttrId, b_attr: AttrId) -> Result<Option<FPlan>> {
+/// condition, with its cost, or `None` if the condition is already satisfied.
+fn cheapest_scenario(
+    tree: &FTree,
+    a_attr: AttrId,
+    b_attr: AttrId,
+    memo: &mut SCostMemo,
+) -> Result<Option<(FPlan, FPlanCost)>> {
     let na = tree.node_of_attr(a_attr).expect("checked by caller");
     let nb = tree.node_of_attr(b_attr).expect("checked by caller");
     if na == nb {
@@ -115,7 +121,7 @@ fn cheapest_scenario(tree: &FTree, a_attr: AttrId, b_attr: AttrId) -> Result<Opt
     ];
     let mut best: Option<(FPlan, FPlanCost)> = None;
     for scenario in scenarios.into_iter().flatten() {
-        let cost = plan_cost(&scenario, tree)?;
+        let cost = plan_cost_memo(&scenario, tree, memo)?;
         let better = match &best {
             None => true,
             Some((_, best_cost)) => cost.better_than(best_cost),
@@ -125,7 +131,7 @@ fn cheapest_scenario(tree: &FTree, a_attr: AttrId, b_attr: AttrId) -> Result<Opt
         }
     }
     match best {
-        Some((plan, _)) => Ok(Some(plan)),
+        Some(found) => Ok(Some(found)),
         None => Err(FdbError::NoPlanFound {
             detail: "no restructuring scenario applies to the condition".into(),
         }),

@@ -11,6 +11,8 @@
 //!   by the cost of their individual plans (Section 4.3).
 
 pub mod exhaustive;
+#[cfg(test)]
+mod exhaustive_reference;
 pub mod ftree_search;
 pub mod greedy;
 

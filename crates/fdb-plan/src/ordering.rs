@@ -32,9 +32,9 @@
 
 use fdb_common::{AttrId, FdbError, Result};
 use fdb_frep::order_chain;
-use fdb_ftree::{s_cost, FTree};
+use fdb_ftree::{FTree, SCostMemo};
 
-use crate::cost::{plan_cost, FPlanCost};
+use crate::cost::{plan_cost_memo, FPlanCost};
 use crate::fplan::{FPlan, FPlanOp};
 
 /// Tolerance for the cost comparison (matches the optimiser's tie-break
@@ -104,7 +104,8 @@ impl ChainDecision {
 /// dragged off the path — so the chain property is re-verified on the
 /// simulated final tree rather than assumed.
 pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDecision> {
-    let input_cost = s_cost(tree)?;
+    let mut memo = SCostMemo::new();
+    let input_cost = memo.s_cost(tree)?;
     for &attr in attrs {
         let node = tree
             .node_of_attr(attr)
@@ -154,7 +155,7 @@ pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDec
     }
 
     let plan = FPlan::new(ops);
-    let cost = plan_cost(&plan, tree)?;
+    let cost = plan_cost_memo(&plan, tree, &mut memo)?;
     if cost.max_intermediate <= input_cost + EPS {
         Ok(ChainDecision {
             strategy: ChainStrategy::Restructure,
