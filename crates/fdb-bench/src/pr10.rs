@@ -102,8 +102,6 @@ struct Dims {
     tiny_blocks: usize,
     /// Probes per timed repetition.
     probes: usize,
-    /// Average run length of the grouped stream.
-    run_len: u64,
     /// Timed measurements (best one reported).
     measurements: usize,
     /// Executions per measurement.
@@ -119,7 +117,6 @@ impl Pr10Scale {
                 filter_len: 256,
                 tiny_blocks: 1 << 10,
                 probes: 1 << 10,
-                run_len: 8,
                 measurements: 2,
                 reps: 2,
             },
@@ -129,7 +126,6 @@ impl Pr10Scale {
                 filter_len: 4096,
                 tiny_blocks: 1 << 16,
                 probes: 1 << 15,
-                run_len: 16,
                 measurements: 5,
                 reps: 10,
             },
@@ -154,19 +150,6 @@ fn best_seconds(d: Dims, mut work: impl FnMut()) -> f64 {
 /// interleaved-record twin.
 fn sorted_block(len: usize) -> (Vec<Value>, Vec<AosEntry>) {
     let values: Vec<Value> = (0..len as u64).map(|i| Value::new(i * 3 + 1)).collect();
-    let aos = values
-        .iter()
-        .map(|&value| AosEntry {
-            value,
-            kids_start: 0,
-        })
-        .collect();
-    (values, aos)
-}
-
-/// A non-decreasing grouped stream (contiguous equal runs) and its twin.
-fn grouped_block(len: usize, run_len: u64) -> (Vec<Value>, Vec<AosEntry>) {
-    let values: Vec<Value> = (0..len as u64).map(|i| Value::new(i / run_len)).collect();
     let aos = values
         .iter()
         .map(|&value| AosEntry {
@@ -361,58 +344,6 @@ fn bench_probes(d: Dims) -> Pr10Row {
     )
 }
 
-/// The priority cursor's run-boundary detection over a grouped stream.
-fn bench_run_boundaries(d: Dims) -> Pr10Row {
-    let (values, aos) = grouped_block(d.block, d.run_len);
-    // Correctness pin: boundaries agree with a linear scan.
-    let mut start = 0;
-    while start < values.len() {
-        let end = kernel::run_end(&values, start);
-        assert_eq!(end, kernel::run_end_scalar(&values, start));
-        start = end;
-    }
-    let aos_s = best_seconds(d, || {
-        let mut s = 0;
-        let mut runs = 0u64;
-        while s < aos.len() {
-            let target = aos[s].value;
-            let mut e = s + 1;
-            while e < aos.len() && aos[e].value == target {
-                e += 1;
-            }
-            runs += 1;
-            s = e;
-        }
-        std::hint::black_box(runs);
-    });
-    let soa_s = best_seconds(d, || {
-        let mut s = 0;
-        let mut runs = 0u64;
-        while s < values.len() {
-            s = kernel::run_end_scalar(&values, s);
-            runs += 1;
-        }
-        std::hint::black_box(runs);
-    });
-    let simd_s = best_seconds(d, || {
-        let mut s = 0;
-        let mut runs = 0u64;
-        while s < values.len() {
-            s = kernel::run_end(&values, s);
-            runs += 1;
-        }
-        std::hint::black_box(runs);
-    });
-    row(
-        "cursor_run_boundaries",
-        "scan",
-        d.block as u64,
-        aos_s,
-        soa_s,
-        simd_s,
-    )
-}
-
 /// The aggregate fold's value read: a sum over one entry block.  No
 /// dedicated kernel — the row prices the pure layout effect (the compiler
 /// autovectorises both dense loops), so simd-vs-soa sits at ~1.0.
@@ -449,7 +380,6 @@ pub fn run(scale: Pr10Scale) -> Pr10Report {
     let d = scale.dims();
     let rows = vec![
         bench_scan_sorted(d),
-        bench_run_boundaries(d),
         bench_filter_masks(d),
         bench_tiny_filter(d),
         bench_probes(d),
@@ -541,7 +471,7 @@ mod tests {
     #[test]
     fn smoke_scale_runs_and_serialises() {
         let report = run(Pr10Scale::Smoke);
-        assert_eq!(report.rows.len(), 6);
+        assert_eq!(report.rows.len(), 5);
         let categories: Vec<&str> = report.rows.iter().map(|r| r.category.as_str()).collect();
         for want in ["scan", "filter", "probe", "aggregate"] {
             assert!(categories.contains(&want), "missing category {want}");

@@ -6,7 +6,7 @@
 //! strategies against their materialising baselines:
 //!
 //! * **ordered enumeration** — `evaluate_factorised_ordered` (chain swaps
-//!   fused into the main plan, priority cursor, per-run tie-breaks)
+//!   fused into the main plan, priority cursor emitting in final order)
 //!   versus evaluate-then-`materialize_then_sort` (full flat sort of the
 //!   output).  The workload set includes a shape where lifting the
 //!   ordering attribute would blow up the f-tree's cost, so the planner
@@ -349,9 +349,8 @@ pub fn run(scale: Pr9Scale) -> Pr9Report {
     let ordered = vec![
         // The headline row: the ordering attribute sits mid-path in a rep
         // whose output is `branch²` times larger than its arena.  The
-        // planner lifts `b` with swaps (free within one relation), the
-        // priority cursor emits runs already grouped by the sort key, and
-        // only those short runs need tie-break sorting — while the
+        // planner lifts `b` with swaps (free within one relation) and the
+        // priority cursor emits the rows in their final order — while the
         // baseline pays one global sort over the whole enumerated output.
         measure_ordered(
             "nested_order_by_mid",

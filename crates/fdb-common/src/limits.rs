@@ -29,7 +29,7 @@
 //!
 //! # Fault injection (`fault-injection` feature)
 //!
-//! With the `fault-injection` cargo feature enabled, a [`FaultPlan`] can be
+//! With the `fault-injection` cargo feature enabled, a `FaultPlan` can be
 //! attached to [`QueryLimits`]: a deterministic list of `(site, action)`
 //! pairs consumed by the `failpoint!` sites inside the governed loops.  An
 //! action fires on the first hit of its site and injects a panic, a delay,

@@ -714,7 +714,7 @@ impl FdbEngine {
     /// Root-attribute grouping is an evaluator precondition, not a caller
     /// one: the f-tree search is cost-driven and may put the group attribute
     /// anywhere, so the engine appends the swaps that lift its node to a
-    /// root ([`lift_group_to_root`]) — a structural tail the aggregate sink
+    /// root ([`plan_chain_restructure`]) — a structural tail the aggregate sink
     /// consumes on the fused overlay without emitting an arena.
     pub fn evaluate_flat_aggregate(&self, db: &Database, query: &Query) -> Result<AggregateOutput> {
         let Some(head) = &query.aggregate else {
@@ -801,7 +801,7 @@ impl FdbEngine {
     /// [`EvalStats::arenas_skipped`] counts the passes avoided.  When the
     /// head groups by an attribute that the plan's final tree does not put
     /// at a root, the engine appends the lifting swaps
-    /// ([`lift_group_to_root`]) so root-attribute grouping works on any
+    /// ([`plan_chain_restructure`]) so root-attribute grouping works on any
     /// input shape.
     pub fn evaluate_factorised_aggregate(
         &self,
@@ -940,8 +940,9 @@ impl FdbEngine {
     /// (see [`OrderedOutput`]).  When the ordering attributes sit on — or
     /// can be swapped onto, at no asymptotic cost — a root path of the
     /// result's f-tree, the ordered rows come straight off the priority
-    /// cursor with per-run tie-break sorts; otherwise the result is
-    /// materialised and sorted flat.  The query must carry a non-empty
+    /// cursor (already in their final order whenever its slot layout is
+    /// canonical, see `fdb_frep::enumerate`); otherwise the result is
+    /// enumerated and sorted flat.  The query must carry a non-empty
     /// `order_by` and no aggregate head ([`Query::validate`] rejects the
     /// combination).
     pub fn evaluate_flat_ordered(&self, db: &Database, query: &Query) -> Result<OrderedOutput> {

@@ -15,7 +15,7 @@
 //!   slot plus a `MANIFEST.fdbs` mapping registration names to files, in
 //!   the same checksummed section format (header kind
 //!   [`fdb_frep::snapshot::KIND_MANIFEST`]).  Loading rebuilds the database
-//!   with identical [`RepId`]s, names and name-index semantics.
+//!   with identical [`crate::RepId`]s, names and name-index semantics.
 //!
 //! Failure vocabulary: OS-level failures (missing file, permissions, disk
 //! full) report [`FdbError::SnapshotIo`]; bytes that were read but fail

@@ -8,33 +8,62 @@
 //!
 //! * setup computes one *slot* per f-tree node (parents before descendants),
 //!   each knowing its parent slot, its position in the parent's fixed child
-//!   order, and the positions in the output buffer its value feeds
-//!   (precomputed once, replacing the old per-singleton `BTreeMap` lookup);
+//!   order, and the positions in the output buffer its value feeds;
 //! * every slot holds a current union (an arena index) and a current entry;
 //!   advancing to the next tuple bumps the deepest slot with another entry
 //!   and refills the slots after it — the classic odometer, with child
 //!   unions fetched by O(1) index thanks to the arena's fixed child order.
 //!
-//! [`for_each_tuple`] drives the cursor in callback form; [`materialize`]
-//! collects the tuples into a flat [`Relation`] (mainly for tests, examples
-//! and the RDB comparisons).
+//! [`for_each_tuple`] drives the cursor in callback form.  Every
+//! materialiser ([`materialize_ctx`], [`materialize_ordered_ctx`] and their
+//! parallel twins) goes through one emission routine that writes rows
+//! straight into the row-major `Vec<Value>` that becomes the [`Relation`]:
+//! the buffer is sized once from [`FRep::tuple_count`], and the innermost
+//! wheel — a leaf union — is drained in a tight loop, one governance charge
+//! per union instead of one per row (the units charged stay one per tuple).
+//!
+//! # Emission order and ORDER BY
+//!
+//! Three facts decide how ordered output is produced:
+//!
+//! 1. **Emission order is lexicographic in slot order.**  Every union is
+//!    value-sorted with distinct values and slot order is the odometer's
+//!    significance order, so tuples come out sorted by slot 0's value, then
+//!    slot 1's, and so on.
+//! 2. **The canonical ordered-output order is lexicographic in the ORDER BY
+//!    columns, then in the full row by ascending attribute id.**  A class
+//!    writes one value to all of its columns, so among the columns of one
+//!    slot only the smallest attribute ever decides: the canonical order is
+//!    "ORDER BY slots first, then the remaining slots by smallest visible
+//!    attribute".  [`CursorConfig::with_priority`] lays the slots out in
+//!    exactly that sequence whenever the f-tree allows it, and then fact 1
+//!    makes the emitted rows the final answer — no sort of any kind runs.
+//! 3. **The fallback fires when the tree forbids that sequence**: a
+//!    non-chain node whose smallest visible attribute is below its parent's
+//!    (parents must precede children), a node with no visible attribute (its
+//!    wheel turns without showing in the row), or no root-path chain at all
+//!    ([`OrderStrategy::FlatSort`]).  The one fallback is an
+//!    index-permutation sort over the same flat buffer — per run of equal
+//!    ORDER BY values after a chain emission, over the whole buffer
+//!    otherwise — and produces bit-identical rows.
 //!
 //! # Parallel enumeration
 //!
-//! Because slot 0 is the **first root union** — the outermost wheel of the
-//! odometer — restricting it to an entry sub-range yields a contiguous,
-//! in-order chunk of the output: concatenating the chunks of a partition of
-//! that range in partition order reproduces the sequential enumeration
-//! bit for bit.  [`par_materialize`] exploits this: it splits the first
-//! root's entries across a [`workpool::ThreadPool`], hands every worker a
-//! clone of the one precomputed [`CursorConfig`] (the slot tables are the
-//! only setup that walks the f-tree), and merges the chunks sequentially.
+//! Because slot 0 is the outermost wheel of the odometer, restricting it to
+//! an entry sub-range yields a contiguous, in-order chunk of the output:
+//! concatenating the chunks of a partition of that range in partition order
+//! reproduces the sequential enumeration bit for bit.  [`par_materialize`]
+//! exploits this: it splits slot 0's entries across a
+//! [`workpool::ThreadPool`], hands every worker the one precomputed
+//! [`CursorConfig`] (the slot tables are the only setup that walks the
+//! f-tree), and concatenates the workers' flat chunks in partition order.
 
 use crate::frep::FRep;
-use crate::kernel;
 use fdb_common::{failpoint, AttrId, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use fdb_relation::Relation;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{mpsc, Arc};
 use workpool::ThreadPool;
 
@@ -70,62 +99,101 @@ pub struct CursorConfig {
     val_positions: Vec<u32>,
     /// Width of the tuple buffer (number of visible attributes).
     width: usize,
+    /// Whether this layout's emission order is the canonical ordered-output
+    /// order for the chain it was built around (module docs, fact 2); only
+    /// [`CursorConfig::with_priority`] can establish it.
+    canonical: bool,
+}
+
+/// A heap entry of [`CursorConfig::with_priority`]: a node whose parent has
+/// a slot (with that slot and the node's kid index), keyed by its smallest
+/// visible attribute — `None`, an invisible class, sorts before every
+/// attribute; the node id only separates two invisible classes.
+fn ready_node(
+    tree: &FTree,
+    node: NodeId,
+    parent: u32,
+    kid_index: u32,
+) -> Reverse<(Option<AttrId>, NodeId, u32, u32)> {
+    let key = tree.visible_attrs(node).first().copied();
+    Reverse((key, node, parent, kid_index))
 }
 
 impl CursorConfig {
-    /// Computes the slot layout of `rep` (the `O(nodes + |S|)` setup).
+    /// A layout with no slots yet, for `width` visible attributes.
+    fn empty(width: usize) -> Self {
+        CursorConfig {
+            slots: Vec::new(),
+            val_positions: Vec::new(),
+            width,
+            canonical: false,
+        }
+    }
+
+    /// Appends `node`'s slot and returns its index.  `attrs` are the
+    /// representation's visible attributes (the ascending buffer layout).
+    fn push_slot(
+        &mut self,
+        tree: &FTree,
+        attrs: &[AttrId],
+        node: NodeId,
+        parent: u32,
+        kid_index: u32,
+    ) -> u32 {
+        let slot_index = self.slots.len() as u32;
+        let vals_start = self.val_positions.len() as u32;
+        for attr in tree.visible_attrs(node) {
+            let position = attrs.binary_search(&attr).expect("visible attribute");
+            self.val_positions.push(position as u32);
+        }
+        self.slots.push(Slot {
+            parent,
+            kid_index,
+            vals_start,
+            vals_len: self.val_positions.len() as u32 - vals_start,
+        });
+        slot_index
+    }
+
+    /// Computes the slot layout of `rep` (the `O(nodes + |S|)` setup): the
+    /// roots in store order, each subtree depth-first in f-tree child order.
     pub fn new(rep: &FRep) -> Self {
         let attrs = rep.visible_attrs();
         let tree = rep.tree();
-
-        // Buffer position of every visible attribute, in ascending order.
-        let position_of = |attr| attrs.binary_search(&attr).expect("visible attribute") as u32;
-
-        let mut slots = Vec::new();
-        let mut val_positions = Vec::new();
-        // Depth-first over each root's subtree, parents pushed before
-        // children so refilling a suffix of slots always finds the parent's
-        // current entry already set.
+        let mut config = CursorConfig::empty(attrs.len());
+        // Parents are pushed before children so refilling a suffix of slots
+        // always finds the parent's current entry already set.
         for (root_index, root) in rep.roots().enumerate() {
-            let mut stack: Vec<(fdb_ftree::NodeId, u32, u32)> =
-                vec![(root.node(), NO_PARENT, root_index as u32)];
+            let mut stack = vec![(root.node(), NO_PARENT, root_index as u32)];
             while let Some((node, parent, kid_index)) = stack.pop() {
-                let slot_index = slots.len() as u32;
-                let vals_start = val_positions.len() as u32;
-                for attr in tree.visible_attrs(node) {
-                    val_positions.push(position_of(attr));
-                }
-                slots.push(Slot {
-                    parent,
-                    kid_index,
-                    vals_start,
-                    vals_len: val_positions.len() as u32 - vals_start,
-                });
+                let slot_index = config.push_slot(tree, &attrs, node, parent, kid_index);
                 // Push children in reverse so they pop in child order.
-                let children = tree.children(node);
-                for (k, &child) in children.iter().enumerate().rev() {
+                for (k, &child) in tree.children(node).iter().enumerate().rev() {
                     stack.push((child, slot_index, k as u32));
                 }
             }
         }
-
-        CursorConfig {
-            slots,
-            val_positions,
-            width: attrs.len(),
-        }
+        config
     }
 
-    /// Computes a slot layout whose **outermost odometer wheels are the
-    /// given root-path chain**: `chain[0]` (which must label a root) becomes
-    /// slot 0, `chain[1]` (a child of `chain[0]`) slot 1, and so on; the
-    /// remaining nodes follow in plain DFS order.  Slot order is exactly the
-    /// odometer's significance order, so a cursor over this layout emits
-    /// tuples sorted by the chain nodes' values first — ordered enumeration
-    /// is free once the ordering attributes sit on the root path (the 2013
-    /// follow-up paper's observation).  Any parents-before-children slot
-    /// order is valid for the odometer, so correctness does not depend on
-    /// the chain: only the emission order changes.
+    /// Computes the slot layout for ordered enumeration along a root-path
+    /// chain: `chain[0]` (which must label a root) becomes slot 0, `chain[1]`
+    /// (a child of `chain[0]`) slot 1, and so on, so a cursor over this
+    /// layout emits tuples sorted by the chain nodes' values first — ordered
+    /// enumeration is free once the ordering attributes sit on the root path
+    /// (the 2013 follow-up paper's observation).
+    ///
+    /// The remaining nodes follow **smallest visible attribute first among
+    /// the nodes whose parent already has a slot**.  Emission order is
+    /// lexicographic in slot order, and a class writes one value to all its
+    /// columns, so when that sequence comes out ascending — no node sits
+    /// below a parent with a larger smallest attribute — and every node has
+    /// a visible attribute, rows with equal chain values are emitted in
+    /// ascending full-row order: the cursor's output *is* the canonical
+    /// ordered output and the ordered materialisers skip their sort.
+    /// Otherwise the layout is still a valid odometer (any
+    /// parents-before-children order is) and the materialisers sort each
+    /// run of equal chain values.
     ///
     /// An empty chain degenerates to [`CursorConfig::new`].
     pub fn with_priority(rep: &FRep, chain: &[NodeId]) -> Result<CursorConfig> {
@@ -134,16 +202,18 @@ impl CursorConfig {
         };
         let attrs = rep.visible_attrs();
         let tree = rep.tree();
-        let position_of = |attr| attrs.binary_search(&attr).expect("visible attribute") as u32;
         let Some(root_pos) = rep.roots().position(|r| r.node() == chain_root) else {
             return Err(FdbError::InvalidOperator {
                 detail: format!("ordering chain starts at non-root node {chain_root}"),
             });
         };
+        let mut config = CursorConfig::empty(attrs.len());
 
-        let mut slots: Vec<Slot> = Vec::new();
-        let mut val_positions: Vec<u32> = Vec::new();
-        // 1. The chain itself: slots 0..chain.len(), outermost first.
+        // Nodes whose parent has a slot, smallest visible attribute first.
+        let mut ready = BinaryHeap::new();
+
+        // 1. The chain itself: slots 0..chain.len(), outermost first; every
+        //    child hanging off it becomes ready.
         for (i, &node) in chain.iter().enumerate() {
             let (parent, kid_index) = if i == 0 {
                 (NO_PARENT, root_pos as u32)
@@ -159,58 +229,34 @@ impl CursorConfig {
                 };
                 ((i - 1) as u32, k as u32)
             };
-            let vals_start = val_positions.len() as u32;
-            for attr in tree.visible_attrs(node) {
-                val_positions.push(position_of(attr));
-            }
-            slots.push(Slot {
-                parent,
-                kid_index,
-                vals_start,
-                vals_len: val_positions.len() as u32 - vals_start,
-            });
-        }
-
-        // 2. The remainder in plain DFS: the other roots and every hanging
-        //    (non-chain) child of a chain node.  Their relative order only
-        //    affects tie order among equal chain prefixes, which the ordered
-        //    materialisers re-sort canonically anyway.
-        let mut stack: Vec<(fdb_ftree::NodeId, u32, u32)> = Vec::new();
-        for (root_index, root) in rep.roots().enumerate() {
-            if root_index != root_pos {
-                stack.push((root.node(), NO_PARENT, root_index as u32));
-            }
-        }
-        for (i, &node) in chain.iter().enumerate() {
-            let skip = chain.get(i + 1).copied();
+            let slot_index = config.push_slot(tree, &attrs, node, parent, kid_index);
             for (k, &child) in tree.children(node).iter().enumerate() {
-                if Some(child) != skip {
-                    stack.push((child, i as u32, k as u32));
+                if chain.get(i + 1) != Some(&child) {
+                    ready.push(ready_node(tree, child, slot_index, k as u32));
                 }
             }
         }
-        while let Some((node, parent, kid_index)) = stack.pop() {
-            let slot_index = slots.len() as u32;
-            let vals_start = val_positions.len() as u32;
-            for attr in tree.visible_attrs(node) {
-                val_positions.push(position_of(attr));
-            }
-            slots.push(Slot {
-                parent,
-                kid_index,
-                vals_start,
-                vals_len: val_positions.len() as u32 - vals_start,
-            });
-            for (k, &child) in tree.children(node).iter().enumerate().rev() {
-                stack.push((child, slot_index, k as u32));
+        for (root_index, root) in rep.roots().enumerate() {
+            if root_index != root_pos {
+                ready.push(ready_node(tree, root.node(), NO_PARENT, root_index as u32));
             }
         }
 
-        Ok(CursorConfig {
-            slots,
-            val_positions,
-            width: attrs.len(),
-        })
+        // 2. The remainder, always taking the ready node with the smallest
+        //    visible attribute.  `key > last` fails both for a descending
+        //    step and for an invisible class (`None` exceeds nothing).
+        let mut ascending = true;
+        let mut last = None;
+        while let Some(Reverse((key, node, parent, kid_index))) = ready.pop() {
+            ascending &= key > last;
+            last = key;
+            let slot_index = config.push_slot(tree, &attrs, node, parent, kid_index);
+            for (k, &child) in tree.children(node).iter().enumerate() {
+                ready.push(ready_node(tree, child, slot_index, k as u32));
+            }
+        }
+        config.canonical = ascending;
+        Ok(config)
     }
 
     /// Number of entries of **slot 0's** root union (the partitionable range
@@ -229,9 +275,9 @@ impl CursorConfig {
 
 /// An iterative, allocation-free (after setup) cursor over the tuples of an
 /// f-representation.  Tuples are produced in the lexicographic order induced
-/// by the f-tree (each union is value-sorted); the buffer lists the values
-/// of the representation's *visible* attributes in ascending attribute-id
-/// order.
+/// by the slot layout (each union is value-sorted); the buffer lists the
+/// values of the representation's *visible* attributes in ascending
+/// attribute-id order.
 pub struct TupleCursor<'a> {
     rep: &'a FRep,
     slots: Vec<Slot>,
@@ -417,6 +463,54 @@ impl<'a> TupleCursor<'a> {
     pub fn tuple(&self) -> &[Value] {
         &self.buffer
     }
+
+    /// Appends every remaining tuple to `out` (row-major), charging `ctx`
+    /// one unit per tuple — the emission routine behind every materialiser.
+    ///
+    /// The last slot is a leaf of the f-tree and the odometer's innermost
+    /// wheel: whenever [`TupleCursor::advance`] lands on a tuple, the rest
+    /// of that leaf union is drained right here — one charge and one
+    /// reservation for the whole union, then one row write per entry —
+    /// and the wheel is parked on its last entry so the next `advance`
+    /// carries into the slot above.  A tripped deadline or cancellation is
+    /// therefore noticed within [`fdb_common::limits::CHECK_INTERVAL`]
+    /// tuples plus one leaf union.
+    fn emit_into(&mut self, out: &mut Vec<Value>, ctx: &ExecCtx) -> Result<()> {
+        let Some(last) = self.slots.len().checked_sub(1) else {
+            // Nullary: at most one tuple, and it has no columns to write.
+            while self.advance() {
+                ctx.charge(1)?;
+            }
+            return Ok(());
+        };
+        let width = self.buffer.len();
+        let slot = self.slots[last];
+        // Copied out (a handful of indices) because `advance` borrows `self`.
+        let positions: Vec<u32> = self.val_positions
+            [slot.vals_start as usize..(slot.vals_start + slot.vals_len) as usize]
+            .to_vec();
+        while self.advance() {
+            let values = self.rep.store().value_slice(self.cur_union[last]);
+            // A single-slot cursor's innermost wheel is the root range.
+            let end = if last == 0 {
+                self.root_hi as usize
+            } else {
+                values.len()
+            };
+            let values = &values[self.cur_entry[last] as usize..end];
+            ctx.charge(values.len() as u64)?;
+            out.try_reserve(values.len().saturating_mul(width))
+                .map_err(|e| output_too_large(&e))?;
+            for &value in values {
+                for &p in &positions {
+                    self.buffer[p as usize] = value;
+                }
+                out.extend_from_slice(&self.buffer);
+            }
+            self.cur_entry[last] = end as u32 - 1;
+        }
+        Ok(())
+    }
 }
 
 /// Calls `f` once per tuple of the represented relation.  The buffer handed
@@ -429,38 +523,53 @@ pub fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, mut f: F) {
     }
 }
 
+/// The structured error for an output that cannot be held in memory.
+fn output_too_large(why: &dyn std::fmt::Display) -> FdbError {
+    FdbError::LimitExceeded {
+        detail: format!("materialised output too large: {why}"),
+    }
+}
+
+/// Emits every tuple of `rep` in `config`'s slot order into one row-major
+/// buffer, under `ctx`.  The tuple count is known without enumerating
+/// ([`FRep::tuple_count`]), so an output the budget cannot cover is refused
+/// before anything is allocated, and the buffer is sized exactly once.
+fn emit_all(rep: &FRep, config: &CursorConfig, ctx: &ExecCtx) -> Result<Vec<Value>> {
+    let tuples = rep.tuple_count();
+    let tuples =
+        u64::try_from(tuples).map_err(|_| output_too_large(&format_args!("{tuples} tuples")))?;
+    if tuples > ctx.budget_remaining() {
+        // Fails with the structured `BudgetExceeded`, consuming nothing.
+        ctx.charge(tuples)?;
+    }
+    let cells = usize::try_from(tuples)
+        .ok()
+        .and_then(|t| t.checked_mul(config.width))
+        .ok_or_else(|| {
+            output_too_large(&format_args!("{tuples} tuples of {} values", config.width))
+        })?;
+    let mut out = Vec::new();
+    out.try_reserve_exact(cells)
+        .map_err(|e| output_too_large(&e))?;
+    let full = config.root_entries(rep);
+    TupleCursor::with_root_range(rep, config, 0, full).emit_into(&mut out, ctx)?;
+    Ok(out)
+}
+
 /// Materialises the represented relation as a flat [`Relation`] over the
 /// visible attributes (ascending id order).
 pub fn materialize(rep: &FRep) -> Result<Relation> {
-    let attrs = rep.visible_attrs();
-    let mut out = Relation::new(attrs);
-    let mut error = None;
-    for_each_tuple(rep, |tuple| {
-        if error.is_none() {
-            if let Err(e) = out.push_row(tuple) {
-                error = Some(e);
-            }
-        }
-    });
-    match error {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+    materialize_ctx(rep, &ExecCtx::unlimited())
 }
 
 /// [`materialize`] under a governance context: charges one unit per
 /// enumerated tuple, so a deadline, budget or cancellation flag interrupts
-/// the constant-delay scan between tuples.  Enumeration never mutates the
-/// representation, so an abort just drops the partially built output.
+/// the constant-delay scan.  Enumeration never mutates the representation,
+/// so an abort just drops the partially built output.
 pub fn materialize_ctx(rep: &FRep, ctx: &ExecCtx) -> Result<Relation> {
     failpoint!(ctx, "enumerate.cursor");
-    let mut out = Relation::new(rep.visible_attrs());
-    let mut cursor = TupleCursor::new(rep);
-    while cursor.advance() {
-        ctx.charge(1)?;
-        out.push_row(cursor.tuple())?;
-    }
-    Ok(out)
+    let data = emit_all(rep, &CursorConfig::new(rep), ctx)?;
+    Relation::from_flat(rep.visible_attrs(), data)
 }
 
 /// How many partitions to cut the first root's entry range into per worker;
@@ -477,57 +586,60 @@ fn partition_bounds(n: u32, parts: u32) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Materialises the represented relation on a thread pool by partitioning
-/// the first root union's entry range across workers (see the module docs).
-/// Each worker enumerates its range with a clone of one shared
-/// [`CursorConfig`] and the chunks are merged **sequentially in partition
-/// order**, so the output — row order included — is bit-for-bit identical
-/// to [`materialize`].
+/// [`emit_all`] on a thread pool: slot 0's entry range is partitioned across
+/// workers, each emits its range into a flat chunk, and the chunks are
+/// concatenated **in partition order**, so the buffer — row order included —
+/// is bit-for-bit the sequential one.
 ///
-/// Representations whose first root has fewer than two entries (and nullary
-/// ones) fall back to the sequential path, as does a single-worker pool.
-pub fn par_materialize(rep: &Arc<FRep>, pool: &ThreadPool) -> Result<Relation> {
-    let config = CursorConfig::new(rep);
+/// Layouts whose slot 0 has fewer than two entries (and nullary or
+/// zero-width ones) take the sequential path, as does a single-worker pool.
+fn par_emit_all(rep: &Arc<FRep>, config: CursorConfig, pool: &ThreadPool) -> Result<Vec<Value>> {
     let bounds = partition_bounds(
         config.root_entries(rep),
         pool.threads() as u32 * PARTS_PER_WORKER,
     );
-    if pool.threads() <= 1 || bounds.len() <= 1 || config.slots.is_empty() || config.width == 0 {
-        return materialize(rep);
+    if pool.threads() <= 1 || bounds.len() <= 1 || config.width == 0 {
+        return emit_all(rep, &config, &ExecCtx::unlimited());
     }
 
     let config = Arc::new(config);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<Value>)>();
+    let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Value>>)>();
     for (part, &(lo, hi)) in bounds.iter().enumerate() {
         let rep = Arc::clone(rep);
         let config = Arc::clone(&config);
         let tx = tx.clone();
         pool.spawn(move || {
-            let mut cursor = TupleCursor::with_root_range(&rep, &config, lo, hi);
-            let mut rows = Vec::new();
-            while cursor.advance() {
-                rows.extend_from_slice(cursor.tuple());
-            }
+            let mut chunk = Vec::new();
+            let emitted = TupleCursor::with_root_range(&rep, &config, lo, hi)
+                .emit_into(&mut chunk, &ExecCtx::unlimited());
             // A closed receiver only means the caller bailed out early.
-            let _ = tx.send((part, rows));
+            let _ = tx.send((part, emitted.map(|()| chunk)));
         });
     }
     drop(tx);
 
     let mut chunks: Vec<Option<Vec<Value>>> = vec![None; bounds.len()];
-    for (part, rows) in rx {
-        chunks[part] = Some(rows);
+    for (part, chunk) in rx {
+        chunks[part] = Some(chunk?);
     }
-    let mut out = Relation::new(rep.visible_attrs());
+    let mut out = Vec::new();
+    out.try_reserve_exact(chunks.iter().flatten().map(Vec::len).sum())
+        .map_err(|e| output_too_large(&e))?;
     for (part, chunk) in chunks.into_iter().enumerate() {
-        let rows = chunk.ok_or_else(|| FdbError::InvalidInput {
+        out.extend(chunk.ok_or_else(|| FdbError::InvalidInput {
             detail: format!("parallel enumeration lost partition {part} (worker panicked)"),
-        })?;
-        for row in rows.chunks_exact(config.width) {
-            out.push_row(row)?;
-        }
+        })?);
     }
     Ok(out)
+}
+
+/// Materialises the represented relation on a thread pool by partitioning
+/// the first root union's entry range across workers (see the module docs);
+/// the output — row order included — is bit-for-bit identical to
+/// [`materialize`].
+pub fn par_materialize(rep: &Arc<FRep>, pool: &ThreadPool) -> Result<Relation> {
+    let data = par_emit_all(rep, CursorConfig::new(rep), pool)?;
+    Relation::from_flat(rep.visible_attrs(), data)
 }
 
 // ---------------------------------------------------------------------
@@ -546,8 +658,8 @@ pub fn par_materialize(rep: &Arc<FRep>, pool: &ThreadPool) -> Result<Relation> {
 pub enum OrderStrategy {
     /// The ordering attributes' nodes form a root-path chain of the f-tree:
     /// a [`CursorConfig::with_priority`] cursor emitted the rows already
-    /// grouped and sorted by the ordering prefix, and only runs of equal
-    /// prefix were sorted locally for the canonical tie-break.
+    /// sorted by the ordering prefix — and, on a canonical layout, already
+    /// in their final order.
     Chain,
     /// No chain: enumerate in plain f-tree order, then sort the flat
     /// output.
@@ -604,8 +716,16 @@ fn order_cols(attrs: &[AttrId], order_by: &[AttrId]) -> Result<Vec<usize>> {
         .collect()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Row comparisons made by this thread's ordered materialisations.
+    static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The canonical ordered-output comparator (see the section comment).
 fn canonical_cmp(a: &[Value], b: &[Value], order_cols: &[usize]) -> std::cmp::Ordering {
+    #[cfg(test)]
+    COMPARISONS.with(|c| c.set(c.get() + 1));
     for &c in order_cols {
         match a[c].cmp(&b[c]) {
             std::cmp::Ordering::Equal => {}
@@ -615,51 +735,76 @@ fn canonical_cmp(a: &[Value], b: &[Value], order_cols: &[usize]) -> std::cmp::Or
     a.cmp(b)
 }
 
-/// Sorts each maximal run of rows with equal ordering-column values by the
-/// full row — the canonical tie-break on top of an already prefix-sorted
-/// stream.  Runs are tiny compared to the output whenever the ordering
-/// prefix discriminates, which is what makes the chain strategy cheaper
-/// than a full sort.
-fn sort_runs(rows: &mut [Vec<Value>], order_cols: &[usize]) {
-    let Some((&c0, rest)) = order_cols.split_first() else {
-        rows.sort_unstable();
+/// The one fallback behind every non-canonical emission: sorts the rows of
+/// a row-major buffer into the canonical order by sorting row *indices* and
+/// gathering once.  With `prefix_sorted` (a chain emission) the rows arrive
+/// sorted on the ordering columns, so only each maximal run of equal
+/// ordering values is sorted, by the full row; otherwise the whole buffer
+/// is one run under the full comparator.
+fn sort_rows(data: &mut [Value], width: usize, order_cols: &[usize], prefix_sorted: bool) {
+    if width == 0 {
         return;
-    };
-    // The stream arrives sorted on the ordering prefix, so the primary
-    // column is non-decreasing and every equal value forms one contiguous
-    // run — exactly [`kernel::run_end`]'s precondition.  Copy that column
-    // into one dense buffer and let the vectorised boundary scan find the
-    // coarse runs; the remaining ordering columns sub-split them.
-    let col0: Vec<Value> = rows.iter().map(|r| r[c0]).collect();
+    }
+    let rows = data.len() / width;
+    let tie_cols = if prefix_sorted { &[] } else { order_cols };
+    let mut order: Vec<usize> = Vec::new();
+    let mut sorted: Vec<Value> = Vec::new();
     let mut start = 0;
-    while start < rows.len() {
-        let coarse_end = kernel::run_end(&col0, start);
-        let mut s = start;
-        for i in s + 1..=coarse_end {
-            if i == coarse_end || rest.iter().any(|&c| rows[i][c] != rows[s][c]) {
-                rows[s..i].sort_unstable();
-                s = i;
+    while start < rows {
+        let row = |i: usize| &data[i * width..(i + 1) * width];
+        let end = if prefix_sorted {
+            (start + 1..rows)
+                .find(|&i| order_cols.iter().any(|&c| row(i)[c] != row(start)[c]))
+                .unwrap_or(rows)
+        } else {
+            rows
+        };
+        if end - start > 1 {
+            order.clear();
+            order.extend(start..end);
+            order.sort_unstable_by(|&i, &j| canonical_cmp(row(i), row(j), tie_cols));
+            sorted.clear();
+            for &i in &order {
+                sorted.extend_from_slice(row(i));
             }
+            data[start * width..end * width].copy_from_slice(&sorted);
         }
-        start = coarse_end;
+        start = end;
     }
 }
 
-fn rows_into_relation(attrs: Vec<AttrId>, rows: &[Vec<Value>]) -> Result<Relation> {
-    let mut out = Relation::new(attrs);
-    for row in rows {
-        out.push_row(row)?;
+/// The shared body of the ordered materialisers: picks the layout, lets
+/// `emit` fill the flat buffer in that layout's order, and runs the
+/// fallback sort only when the layout is not canonical.
+fn materialize_ordered_with(
+    rep: &FRep,
+    order_by: &[AttrId],
+    emit: impl FnOnce(CursorConfig) -> Result<Vec<Value>>,
+) -> Result<(Relation, OrderStrategy)> {
+    let attrs = rep.visible_attrs();
+    let cols = order_cols(&attrs, order_by)?;
+    let (config, strategy) = match order_chain(rep.tree(), order_by) {
+        Some(chain) => (
+            CursorConfig::with_priority(rep, &chain)?,
+            OrderStrategy::Chain,
+        ),
+        None => (CursorConfig::new(rep), OrderStrategy::FlatSort),
+    };
+    let canonical = config.canonical;
+    let mut data = emit(config)?;
+    if !canonical {
+        let prefix_sorted = strategy == OrderStrategy::Chain;
+        sort_rows(&mut data, attrs.len(), &cols, prefix_sorted);
     }
-    Ok(out)
+    Ok((Relation::from_flat(attrs, data)?, strategy))
 }
 
 /// Materialises the represented relation **in the canonical ordered-output
 /// order** for the given `ORDER BY` attributes.  Picks the chain strategy
-/// (free ordered enumeration via [`CursorConfig::with_priority`] plus
-/// run-local tie sorting) when [`order_chain`] finds a root-path chain, and
-/// the materialise-then-sort fallback otherwise; both produce bit-for-bit
-/// identical rows, so the returned [`OrderStrategy`] is observability, not
-/// semantics.
+/// (ordered enumeration via [`CursorConfig::with_priority`]) when
+/// [`order_chain`] finds a root-path chain and the enumerate-then-sort
+/// fallback otherwise; both produce bit-for-bit identical rows, so the
+/// returned [`OrderStrategy`] is observability, not semantics.
 pub fn materialize_ordered(rep: &FRep, order_by: &[AttrId]) -> Result<(Relation, OrderStrategy)> {
     materialize_ordered_ctx(rep, order_by, &ExecCtx::unlimited())
 }
@@ -672,111 +817,34 @@ pub fn materialize_ordered_ctx(
     ctx: &ExecCtx,
 ) -> Result<(Relation, OrderStrategy)> {
     failpoint!(ctx, "enumerate.cursor");
-    let attrs = rep.visible_attrs();
-    let cols = order_cols(&attrs, order_by)?;
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let strategy = match order_chain(rep.tree(), order_by) {
-        Some(chain) => {
-            let config = CursorConfig::with_priority(rep, &chain)?;
-            let full = config.root_entries(rep);
-            let mut cursor = TupleCursor::with_root_range(rep, &config, 0, full);
-            while cursor.advance() {
-                ctx.charge(1)?;
-                rows.push(cursor.tuple().to_vec());
-            }
-            sort_runs(&mut rows, &cols);
-            OrderStrategy::Chain
-        }
-        None => {
-            let mut cursor = TupleCursor::new(rep);
-            while cursor.advance() {
-                ctx.charge(1)?;
-                rows.push(cursor.tuple().to_vec());
-            }
-            rows.sort_unstable_by(|a, b| canonical_cmp(a, b, &cols));
-            OrderStrategy::FlatSort
-        }
-    };
-    Ok((rows_into_relation(attrs, &rows)?, strategy))
+    materialize_ordered_with(rep, order_by, |config| emit_all(rep, &config, ctx))
 }
 
-/// The materialise-then-sort reference: enumerates in plain f-tree order
-/// and sorts the flat output with the canonical comparator.  The ordered
-/// paths are pinned bit-for-bit against this oracle, and the benchmarks
-/// time it as the flat-engine baseline.
+/// The materialise-then-sort reference: enumerates tuple by tuple in plain
+/// f-tree order and sorts owned rows with the canonical comparator — on
+/// purpose none of the machinery above (no block emission, no priority
+/// layout, no flat buffer).  The ordered paths are pinned bit-for-bit
+/// against this oracle, and the benchmarks time it as the flat-engine
+/// baseline.
 pub fn materialize_then_sort(rep: &FRep, order_by: &[AttrId]) -> Result<Relation> {
     let attrs = rep.visible_attrs();
     let cols = order_cols(&attrs, order_by)?;
-    let rel = materialize(rep)?;
-    let mut rows: Vec<Vec<Value>> = rel.rows().map(|r| r.to_vec()).collect();
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    for_each_tuple(rep, |tuple| rows.push(tuple.to_vec()));
     rows.sort_unstable_by(|a, b| canonical_cmp(a, b, &cols));
-    rows_into_relation(attrs, &rows)
+    Relation::from_rows(attrs, rows)
 }
 
-/// [`materialize_ordered`] on a thread pool.  The chain strategy partitions
-/// slot 0 — the chain root — exactly like [`par_materialize`]; because the
-/// entries of one union carry **distinct** values, a run of equal ordering
-/// prefix never spans a slot-0 entry (hence never a partition), so
-/// per-worker run sorting plus an in-order merge reproduces the sequential
-/// canonical order bit for bit.  The fallback runs [`par_materialize`] and
-/// sorts the merged output.
+/// [`materialize_ordered`] on a thread pool: the same layout, emitted by
+/// partitioning slot 0 — the chain root — exactly like [`par_materialize`],
+/// so the merged buffer equals the sequential emission and the rest (the
+/// fallback sort, when the layout needs it) is shared.
 pub fn par_materialize_ordered(
     rep: &Arc<FRep>,
     order_by: &[AttrId],
     pool: &ThreadPool,
 ) -> Result<(Relation, OrderStrategy)> {
-    let attrs = rep.visible_attrs();
-    let cols = order_cols(&attrs, order_by)?;
-    let Some(chain) = order_chain(rep.tree(), order_by) else {
-        let rel = par_materialize(rep, pool)?;
-        let mut rows: Vec<Vec<Value>> = rel.rows().map(|r| r.to_vec()).collect();
-        rows.sort_unstable_by(|a, b| canonical_cmp(a, b, &cols));
-        return Ok((rows_into_relation(attrs, &rows)?, OrderStrategy::FlatSort));
-    };
-    let config = CursorConfig::with_priority(rep, &chain)?;
-    let bounds = partition_bounds(
-        config.root_entries(rep),
-        pool.threads() as u32 * PARTS_PER_WORKER,
-    );
-    if pool.threads() <= 1 || bounds.len() <= 1 || config.slots.is_empty() || config.width == 0 {
-        return materialize_ordered(rep, order_by);
-    }
-
-    let config = Arc::new(config);
-    let cols = Arc::new(cols);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<Value>>)>();
-    for (part, &(lo, hi)) in bounds.iter().enumerate() {
-        let rep = Arc::clone(rep);
-        let config = Arc::clone(&config);
-        let cols = Arc::clone(&cols);
-        let tx = tx.clone();
-        pool.spawn(move || {
-            let mut cursor = TupleCursor::with_root_range(&rep, &config, lo, hi);
-            let mut rows = Vec::new();
-            while cursor.advance() {
-                rows.push(cursor.tuple().to_vec());
-            }
-            sort_runs(&mut rows, &cols);
-            // A closed receiver only means the caller bailed out early.
-            let _ = tx.send((part, rows));
-        });
-    }
-    drop(tx);
-
-    let mut chunks: Vec<Option<Vec<Vec<Value>>>> = vec![None; bounds.len()];
-    for (part, rows) in rx {
-        chunks[part] = Some(rows);
-    }
-    let mut out = Relation::new(attrs);
-    for (part, chunk) in chunks.into_iter().enumerate() {
-        let rows = chunk.ok_or_else(|| FdbError::InvalidInput {
-            detail: format!("parallel enumeration lost partition {part} (worker panicked)"),
-        })?;
-        for row in &rows {
-            out.push_row(row)?;
-        }
-    }
-    Ok((out, OrderStrategy::Chain))
+    materialize_ordered_with(rep, order_by, |config| par_emit_all(rep, config, pool))
 }
 
 /// Counts tuples by enumeration (used by tests to cross-check
@@ -1136,6 +1204,293 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A forest from `(class, parent index)` specs (parents first) with
+    /// uniform data: every union over node `i` holds `vals[i]`, whatever its
+    /// ancestors' entries.  One dependency edge per root-to-leaf path;
+    /// `invisible` attributes are marked projected away.
+    fn uniform_rep(specs: &[(&[u32], Option<usize>)], vals: &[&[u64]], invisible: &[u32]) -> FRep {
+        fn union_of(tree: &FTree, ids: &[NodeId], vals: &[&[u64]], i: usize) -> Union {
+            let entries = vals[i].iter().map(|&v| Entry {
+                value: Value::new(v),
+                children: tree
+                    .children(ids[i])
+                    .iter()
+                    .map(|c| union_of(tree, ids, vals, ids.iter().position(|n| n == c).unwrap()))
+                    .collect(),
+            });
+            Union::new(ids[i], entries.collect())
+        }
+        let path_attrs = |mut i: usize| {
+            let mut on_path = attrs(specs[i].0);
+            while let Some(p) = specs[i].1 {
+                on_path.extend(attrs(specs[p].0));
+                i = p;
+            }
+            on_path
+        };
+        let leaves = (0..specs.len()).filter(|&i| specs.iter().all(|s| s.1 != Some(i)));
+        let edges = leaves
+            .map(|i| DepEdge::new(format!("R{i}"), path_attrs(i), 1))
+            .collect();
+        let mut tree = FTree::new(edges);
+        let mut ids: Vec<NodeId> = Vec::new();
+        for &(class, parent) in specs {
+            let id = tree.add_node(attrs(class), parent.map(|p| ids[p])).unwrap();
+            ids.push(id);
+        }
+        tree.mark_attrs_projected(&attrs(invisible));
+        let roots = (0..specs.len())
+            .filter(|&i| specs[i].1.is_none())
+            .map(|i| union_of(&tree, &ids, vals, i))
+            .collect();
+        FRep::from_parts(tree, roots).unwrap()
+    }
+
+    /// Runs the ordered materialiser and reports how many row comparisons
+    /// it made, after checking the rows against the sort oracle.
+    fn ordered_comparisons(rep: &FRep, order: &[u32]) -> (OrderStrategy, u64) {
+        let order: Vec<AttrId> = order.iter().map(|&a| AttrId(a)).collect();
+        COMPARISONS.with(|c| c.set(0));
+        let (got, strategy) = materialize_ordered(rep, &order).unwrap();
+        let comparisons = COMPARISONS.with(|c| c.get());
+        assert_eq!(got, materialize_then_sort(rep, &order).unwrap());
+        (strategy, comparisons)
+    }
+
+    #[test]
+    fn canonical_layouts_never_compare_and_every_other_tree_falls_back() {
+        use OrderStrategy::{Chain, FlatSort};
+        const V: &[u64] = &[1, 2, 3];
+        // (what, forest, invisible attributes, ORDER BY, strategy, sort-free)
+        type Case<'a> = (
+            &'a str,
+            &'a [(&'a [u32], Option<usize>)],
+            &'a [u32],
+            &'a [u32],
+            OrderStrategy,
+            bool,
+        );
+        let cases: &[Case] = &[
+            // The standing benchmark's shapes as the planner's swap leaves
+            // them: b → a → c, the same beside two unary roots, and the
+            // fork {a, a2} → (e, b → c) ordered by its far branch.
+            (
+                "path",
+                &[(&[1], None), (&[0], Some(0)), (&[2], Some(1))],
+                &[],
+                &[1],
+                Chain,
+                true,
+            ),
+            (
+                "nested",
+                &[
+                    (&[4], None),
+                    (&[3], None),
+                    (&[1], None),
+                    (&[0], Some(2)),
+                    (&[2], Some(3)),
+                ],
+                &[],
+                &[1],
+                Chain,
+                true,
+            ),
+            (
+                "fork",
+                &[
+                    (&[0, 3], None),
+                    (&[4], Some(0)),
+                    (&[1], Some(0)),
+                    (&[2], Some(2)),
+                ],
+                &[],
+                &[4],
+                FlatSort,
+                false,
+            ),
+            // A chain node's children may sit below it: equal chain values
+            // make the chain's own columns irrelevant to the tie-break.
+            (
+                "two-level chain",
+                &[
+                    (&[3], None),
+                    (&[2], Some(0)),
+                    (&[0], Some(1)),
+                    (&[1], Some(1)),
+                ],
+                &[],
+                &[3, 2],
+                Chain,
+                true,
+            ),
+            // Interleaved classes: {1,5} above {3} is decided by 1 < 3.
+            (
+                "interleaved",
+                &[(&[4], None), (&[1, 5], None), (&[3], Some(1))],
+                &[],
+                &[4],
+                Chain,
+                true,
+            ),
+            // Other roots on both sides of the chain's ids.
+            (
+                "roots around",
+                &[(&[2], None), (&[0], None), (&[5], None)],
+                &[],
+                &[2],
+                Chain,
+                true,
+            ),
+            // A non-chain child below its parent must wait for it.
+            (
+                "child below parent",
+                &[(&[2], None), (&[3], None), (&[0], Some(1))],
+                &[],
+                &[2],
+                Chain,
+                false,
+            ),
+            // With 1 projected away {1,5} is decided by 5 > 3.
+            (
+                "partly invisible",
+                &[(&[4], None), (&[1, 5], None), (&[3], Some(1))],
+                &[1],
+                &[4],
+                Chain,
+                false,
+            ),
+            // A class with nothing visible turns its wheel unseen.
+            (
+                "invisible class",
+                &[(&[2], None), (&[3], None), (&[4], Some(1))],
+                &[3],
+                &[2],
+                Chain,
+                false,
+            ),
+        ];
+        for &(what, specs, invisible, order, strategy, sort_free) in cases {
+            let vals = vec![V; specs.len()];
+            let rep = uniform_rep(specs, &vals, invisible);
+            let (got, comparisons) = ordered_comparisons(&rep, order);
+            assert_eq!(got, strategy, "{what}: strategy");
+            assert_eq!(
+                comparisons == 0,
+                sort_free,
+                "{what}: {comparisons} comparisons"
+            );
+            let order: Vec<AttrId> = order.iter().map(|&a| AttrId(a)).collect();
+            if let Some(chain) = order_chain(rep.tree(), &order) {
+                let config = CursorConfig::with_priority(&rep, &chain).unwrap();
+                assert_eq!(config.canonical, sort_free, "{what}: layout flag");
+            }
+        }
+    }
+
+    /// 12 × 12 × 12 = 1728 tuples — more than one `CHECK_INTERVAL` — over
+    /// x{2}, p{3} → q{0} and a lone root r{5}, leaf unions of 12.
+    fn governed_rep() -> FRep {
+        const V: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
+        uniform_rep(
+            &[(&[2], None), (&[3], None), (&[0], Some(1)), (&[5], None)],
+            &[V, &[7], V, V],
+            &[],
+        )
+    }
+
+    type Governed = Box<dyn Fn(&FRep, &ExecCtx) -> Result<Relation>>;
+
+    /// Every governed materialiser: plain, canonical chain (ORDER BY q's
+    /// parent), chain with the run-sort fallback (ORDER BY x: q sits below
+    /// p), and the flat sort (ORDER BY the non-root q).
+    fn governed_paths() -> Vec<(&'static str, Governed)> {
+        fn ordered(order: u32, want: OrderStrategy) -> Governed {
+            Box::new(move |rep, ctx| {
+                let (rows, strategy) = materialize_ordered_ctx(rep, &[AttrId(order)], ctx)?;
+                assert_eq!(strategy, want);
+                Ok(rows)
+            })
+        }
+        vec![
+            ("plain", Box::new(materialize_ctx)),
+            ("canonical chain", ordered(3, OrderStrategy::Chain)),
+            ("chain fallback", ordered(2, OrderStrategy::Chain)),
+            ("flat sort", ordered(0, OrderStrategy::FlatSort)),
+        ]
+    }
+
+    #[test]
+    fn budgets_are_charged_one_unit_per_tuple_and_refused_up_front() {
+        use fdb_common::QueryLimits;
+        let rep = governed_rep();
+        let tuples = u64::try_from(rep.tuple_count()).unwrap();
+        assert_eq!(tuples, 1728);
+        for (what, run) in governed_paths() {
+            // Exactly enough: every unit is spent, none more.
+            let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(tuples));
+            assert_eq!(run(&rep, &ctx).unwrap().len() as u64, tuples, "{what}");
+            assert_eq!(ctx.budget_remaining(), 0, "{what}: units charged");
+            // One short: refused before a single unit is charged.
+            let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(tuples - 1));
+            assert_eq!(
+                run(&rep, &ctx).unwrap_err(),
+                FdbError::BudgetExceeded { limit: tuples - 1 },
+                "{what}"
+            );
+            assert_eq!(
+                ctx.budget_remaining(),
+                tuples - 1,
+                "{what}: nothing consumed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_the_scan_within_one_interval_and_one_leaf_union() {
+        use fdb_common::{limits::CHECK_INTERVAL, QueryLimits};
+        use std::sync::atomic::AtomicBool;
+        let rep = governed_rep();
+        for (what, run) in governed_paths() {
+            let budget = 1 << 20;
+            let limits = QueryLimits::unlimited()
+                .with_budget(budget)
+                .with_cancel(Arc::new(AtomicBool::new(true)));
+            let ctx = ExecCtx::new(&limits);
+            assert_eq!(
+                run(&rep, &ctx).unwrap_err(),
+                FdbError::DeadlineExceeded { limit_ms: 0 },
+                "{what}"
+            );
+            let charged = budget - ctx.budget_remaining();
+            assert!(
+                (1..=CHECK_INTERVAL + 12).contains(&charged),
+                "{what}: {charged} units charged before the flag was honoured"
+            );
+        }
+    }
+
+    #[test]
+    fn an_output_too_large_to_address_is_a_structured_error() {
+        // Roots of 4 values each: 4^40 tuples do not fit the tuple counter's
+        // u64, and 4^31 tuples of 31 values overflow the cell count.
+        for roots in [40u32, 31] {
+            let classes: Vec<[u32; 1]> = (0..roots).map(|i| [i]).collect();
+            let specs: Vec<(&[u32], Option<usize>)> =
+                classes.iter().map(|c| (c.as_slice(), None)).collect();
+            let vals: Vec<&[u64]> = vec![&[1, 2, 3, 4]; specs.len()];
+            let rep = uniform_rep(&specs, &vals, &[]);
+            assert!(matches!(
+                materialize(&rep),
+                Err(FdbError::LimitExceeded { .. })
+            ));
+            assert!(matches!(
+                materialize_ordered(&rep, &[AttrId(0)]),
+                Err(FdbError::LimitExceeded { .. })
+            ));
         }
     }
 

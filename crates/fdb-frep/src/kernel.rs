@@ -4,9 +4,9 @@
 //! The [`crate::store`] arenas keep entry values in a dense `&[Value]` array
 //! per union (see the store docs for the SoA layout contract), so the hot
 //! scans of the engine — predicate evaluation in the overlay's entry
-//! filters and `retain_and_prune`, `find_value` probes, the priority
-//! cursor's run boundaries, and the sortedness check in `validate` — all
-//! reduce to a handful of kernels over a flat slice of 8-byte values.  This
+//! filters and `retain_and_prune`, `find_value` probes, and the sortedness
+//! check in `validate` — all reduce to a handful of kernels over a flat
+//! slice of 8-byte values.  This
 //! module is the **single home** for those kernels and for the
 //! binary-search probe contract ([`find_by_key`]) that the builder-form
 //! [`crate::node::Union`] shares with the arena probes.
@@ -32,11 +32,10 @@
 //! Dispatch is also gated on input *size*: `#[target_feature]` functions
 //! cannot be inlined into their callers, so every AVX2 call pays a real
 //! function-call (and dispatch-check) overhead.  On the tiny blocks the
-//! engine sees constantly — three-entry unions, runs a handful of values
-//! long — that overhead exceeds the whole scalar loop, so the dispatched
-//! entry points fall through to scalar below per-kernel length thresholds
-//! (`SIMD_MASK_MIN_LEN`, `SIMD_RUN_MIN_WINDOW`) chosen from the bench-pr10
-//! crossover measurements.  One kernel is *never* dispatched: point probes
+//! engine sees constantly — three-entry unions — that overhead exceeds the
+//! whole scalar loop, so the dispatched entry points fall through to scalar
+//! below a per-kernel length threshold (`SIMD_MASK_MIN_LEN`) chosen from the
+//! bench-pr10 crossover measurements.  One kernel is *never* dispatched: point probes
 //! ([`lower_bound`], [`find_value`]) measured slower vectorised at every
 //! slice length, so the engine keeps the scalar binary search and the
 //! vector variant survives only as [`lower_bound_vector`] /
@@ -50,12 +49,6 @@ use fdb_common::{ComparisonOp, Value};
 /// wide); measured crossover on the bench-pr10 filter shapes.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 const SIMD_MASK_MIN_LEN: usize = 16;
-
-/// Smallest gallop window for which [`run_end`] resolves with AVX2.  The
-/// priority cursor's typical runs are short, leaving a window of a few
-/// values where the linear scalar scan wins against the call overhead.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const SIMD_RUN_MIN_WINDOW: usize = 32;
 
 /// Reinterprets a value slice as its raw `u64` backing.  Sound because
 /// [`Value`] is `repr(transparent)` over `u64`.
@@ -190,7 +183,7 @@ pub fn fill_keep_mask_scalar(values: &[Value], op: ComparisonOp, rhs: Value, out
 }
 
 // ---------------------------------------------------------------------
-// Sortedness (validate) and run boundaries (priority cursor)
+// Sortedness (validate)
 // ---------------------------------------------------------------------
 
 /// First index `i` with `values[i + 1] <= values[i]` — the strict-increase
@@ -210,63 +203,6 @@ pub fn first_unsorted(values: &[Value]) -> Option<usize> {
 #[inline]
 pub fn first_unsorted_scalar(values: &[Value]) -> Option<usize> {
     values.windows(2).position(|w| w[1] <= w[0])
-}
-
-/// End of the run of values equal to `values[start]`: the first index
-/// `>= start` holding a different value (`values.len()` when the run reaches
-/// the end).  **Precondition:** the values equal to `values[start]` form one
-/// contiguous run beginning at `start` — true for the grouped streams the
-/// priority cursor emits — which is what licenses the galloping probe.
-/// Runtime-dispatched.
-#[inline]
-pub fn run_end(values: &[Value], start: usize) -> usize {
-    if start >= values.len() {
-        return values.len();
-    }
-    let (gallop_lo, gallop_hi) = gallop_run(values, start);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if gallop_hi - gallop_lo >= SIMD_RUN_MIN_WINDOW && simd_active() {
-        // SAFETY: AVX2 support was just detected.
-        return unsafe { avx2::run_end(raw(values), gallop_lo, gallop_hi) };
-    }
-    run_end_linear(values, gallop_lo, gallop_hi)
-}
-
-/// Scalar [`run_end`] (same gallop, linear final window).
-#[inline]
-pub fn run_end_scalar(values: &[Value], start: usize) -> usize {
-    if start >= values.len() {
-        return values.len();
-    }
-    let (gallop_lo, gallop_hi) = gallop_run(values, start);
-    run_end_linear(values, gallop_lo, gallop_hi)
-}
-
-/// Exponential (galloping) narrowing shared by both [`run_end`] paths:
-/// doubles a step while the probed value still equals `values[start]`,
-/// returning a window `[lo, hi)` known to contain the run's end (with
-/// `values[lo - 1..]` still in the run).
-#[inline]
-fn gallop_run(values: &[Value], start: usize) -> (usize, usize) {
-    let target = values[start];
-    let n = values.len();
-    let mut lo = start;
-    let mut step = 1usize;
-    loop {
-        let probe = lo + step;
-        if probe >= n || values[probe] != target {
-            return (lo + 1, probe.min(n));
-        }
-        lo = probe;
-        step *= 2;
-    }
-}
-
-/// Linear resolution of the final gallop window.
-#[inline]
-fn run_end_linear(values: &[Value], lo: usize, hi: usize) -> usize {
-    let target = values[lo - 1];
-    (lo..hi).find(|&i| values[i] != target).unwrap_or(hi)
 }
 
 // ---------------------------------------------------------------------
@@ -433,32 +369,6 @@ mod avx2 {
         }
         None
     }
-
-    /// AVX2 resolution of [`super::run_end`]'s final gallop window.
-    ///
-    /// # Safety
-    /// Requires AVX2; `1 <= lo <= hi <= values.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_end(values: &[u64], lo: usize, hi: usize) -> usize {
-        let target = _mm256_set1_epi64x(*values.get_unchecked(lo - 1) as i64);
-        let mut i = lo;
-        while i + 4 <= hi {
-            let x = _mm256_loadu_si256(values.as_ptr().add(i) as *const __m256i);
-            let eq = lane_mask(_mm256_cmpeq_epi64(x, target));
-            if eq != 0xF {
-                return i + (!eq & 0xF).trailing_zeros() as usize;
-            }
-            i += 4;
-        }
-        let target = *values.get_unchecked(lo - 1);
-        while i < hi {
-            if *values.get_unchecked(i) != target {
-                return i;
-            }
-            i += 1;
-        }
-        hi
-    }
 }
 
 #[cfg(test)]
@@ -570,42 +480,15 @@ mod tests {
     }
 
     #[test]
-    fn run_end_stops_at_the_first_differing_value() {
-        let mut rng = StdRng::seed_from_u64(0x10_05);
-        for _ in 0..500 {
-            // Grouped data: a few runs of random lengths.
-            let mut values = Vec::new();
-            let mut v = 0u64;
-            for _ in 0..rng.gen_range(1..6usize) {
-                let len = rng.gen_range(1..40usize);
-                values.extend(std::iter::repeat_n(Value::new(v), len));
-                v += rng.gen_range(1..4u64);
-            }
-            let mut start = 0;
-            while start < values.len() {
-                let expect = (start..values.len())
-                    .find(|&i| values[i] != values[start])
-                    .unwrap_or(values.len());
-                assert_eq!(run_end_scalar(&values, start), expect);
-                assert_eq!(run_end(&values, start), expect);
-                start = expect;
-            }
-            assert_eq!(run_end(&values, values.len()), values.len());
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_slices_are_handled() {
         let empty: Vec<Value> = Vec::new();
         assert_eq!(lower_bound(&empty, Value::new(5)), 0);
         assert_eq!(find_value(&empty, Value::new(5)), None);
         assert_eq!(first_unsorted(&empty), None);
-        assert_eq!(run_end(&empty, 0), 0);
         let one = vals(&[7]);
         assert_eq!(lower_bound(&one, Value::new(7)), 0);
         assert_eq!(lower_bound(&one, Value::new(8)), 1);
         assert_eq!(find_value(&one, Value::new(7)), Some(0));
         assert_eq!(first_unsorted(&one), None);
-        assert_eq!(run_end(&one, 0), 1);
     }
 }

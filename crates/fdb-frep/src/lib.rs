@@ -39,7 +39,7 @@
 //! contiguous run per entry, in the f-tree's child order) and a root list.
 //! Values and kid offsets are split into parallel arrays rather than
 //! interleaved records so that the value-only scans — predicate masks,
-//! probes, sortedness checks, run boundaries — read a dense `&[Value]`
+//! probes, sortedness checks — read a dense `&[Value]`
 //! slice the vectorised kernels in [`kernel`] can stream through (the
 //! MonetDB/X100 argument: the hot loops touch half the bytes and take SIMD
 //! lanes).  The two entry arrays are sealed behind [`store`]'s accessor

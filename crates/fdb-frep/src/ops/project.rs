@@ -17,7 +17,7 @@
 //! Every step is **arena-native**: the marking touches only the f-tree, each
 //! leaf removal is one [`Rewriter`] pass that drops the leaf's unions and
 //! kid slots, and the swap-down steps reuse the arena-native
-//! [`crate::ops::swap`].  The old thaw-once/freeze-once implementation
+//! [`crate::ops::swap()`].  The old thaw-once/freeze-once implementation
 //! survives as [`crate::ops::oracle`].
 //!
 //! The represented relation afterwards is the projection (with set

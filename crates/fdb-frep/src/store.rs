@@ -21,8 +21,8 @@
 //!   consumer a dense `&[Value]` and `find_value` is a cache-friendly
 //!   search over it.
 //! * Splitting values from kid offsets is what feeds the vectorised scan
-//!   kernels ([`crate::kernel`]): predicate masks, probes, sortedness
-//!   checks and run boundaries stream over the value array alone — half
+//!   kernels ([`crate::kernel`]): predicate masks, probes and sortedness
+//!   checks stream over the value array alone — half
 //!   the bytes of the old interleaved `(value, kids_start)` records, in
 //!   SIMD-lane-ready form.  The two arrays always have the same length;
 //!   they are **sealed** (private to this module) and mutated only through

@@ -43,6 +43,24 @@ impl Relation {
         Ok(rel)
     }
 
+    /// Creates a relation that takes over an already row-major buffer
+    /// (`arity` values per row, rows back to back) without copying it.  The
+    /// buffer must hold whole rows: a trailing partial row is an
+    /// [`FdbError::ArityMismatch`] reporting its length.
+    pub fn from_flat(attrs: Vec<AttrId>, data: Vec<Value>) -> Result<Self> {
+        let trailing = match attrs.len() {
+            0 => data.len(),
+            arity => data.len() % arity,
+        };
+        if trailing != 0 {
+            return Err(FdbError::ArityMismatch {
+                expected: attrs.len(),
+                actual: trailing,
+            });
+        }
+        Ok(Relation { attrs, data })
+    }
+
     /// Creates a relation from rows of raw integers (convenient in tests and
     /// generators), validating arity.
     pub fn from_raw_rows(attrs: Vec<AttrId>, rows: &[Vec<u64>]) -> Result<Self> {
@@ -314,6 +332,23 @@ mod tests {
                 actual: 1
             }
         );
+    }
+
+    #[test]
+    fn from_flat_adopts_whole_rows_and_rejects_a_partial_one() {
+        let data: Vec<Value> = (1..=6).map(Value::new).collect();
+        let r = Relation::from_flat(attrs(&[0, 1]), data.clone()).unwrap();
+        assert_eq!(r, rel(&[0, 1], &[vec![1, 2], vec![3, 4], vec![5, 6]]));
+        assert_eq!(
+            Relation::from_flat(attrs(&[0, 1]), data[..5].to_vec()),
+            Err(FdbError::ArityMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+        // No columns, no data: any value would be a partial row.
+        assert!(Relation::from_flat(vec![], vec![]).unwrap().is_empty());
+        assert!(Relation::from_flat(vec![], data).is_err());
     }
 
     #[test]

@@ -256,6 +256,54 @@ fn budget_pressure_trips_budgets_without_smearing_onto_neighbours() {
 }
 
 #[test]
+fn the_enumerate_cursor_failpoint_fires_in_plain_and_ordered_materialisation() {
+    use fdb::common::ExecCtx;
+    use fdb::frep::{materialize_ctx, materialize_ordered_ctx};
+
+    let rep = seeded_rep(7);
+    let order_by = [rep.visible_attrs()[0]];
+    let tuples = u64::try_from(rep.tuple_count()).expect("a small result");
+    let pressured = QueryLimits::unlimited()
+        .with_budget(tuples)
+        .with_faults(FaultPlan::new().on("enumerate.cursor", FaultAction::BudgetPressure(1)));
+    // The budget covers the scan exactly, so only the armed site can trip it.
+    let healthy = QueryLimits::unlimited().with_budget(tuples);
+    assert!(materialize_ctx(&rep, &ExecCtx::new(&healthy)).is_ok());
+    assert!(materialize_ordered_ctx(&rep, &order_by, &ExecCtx::new(&healthy)).is_ok());
+    assert_eq!(
+        materialize_ctx(&rep, &ExecCtx::new(&pressured)).unwrap_err(),
+        FdbError::BudgetExceeded { limit: tuples }
+    );
+    assert_eq!(
+        materialize_ordered_ctx(&rep, &order_by, &ExecCtx::new(&pressured)).unwrap_err(),
+        FdbError::BudgetExceeded { limit: tuples }
+    );
+
+    // And through the server: an ordered request panicking at the site is
+    // attributed to itself, and the worker serves the next one.
+    for threads in THREAD_COUNTS {
+        let (server, id, query) = setup(threads);
+        let ordered = ServeRequest::new(id, query, None).with_order_by(order_by.to_vec());
+        let faulted = ordered
+            .clone()
+            .with_limits(QueryLimits::unlimited().with_faults(
+                FaultPlan::new().on("enumerate.cursor", FaultAction::Panic("chaos".into())),
+            ));
+        assert!(
+            matches!(
+                server.serve_one(&faulted),
+                Err(FdbError::WorkerPanicked { .. })
+            ),
+            "{threads} workers: the armed site must fire"
+        );
+        assert!(
+            matches!(server.serve_one(&ordered), Ok(ServeOutcome::Ordered(_))),
+            "{threads} workers: the server keeps serving"
+        );
+    }
+}
+
+#[test]
 fn a_pre_set_cancellation_flag_aborts_cooperatively() {
     for threads in THREAD_COUNTS {
         let (server, id, query) = setup(threads);

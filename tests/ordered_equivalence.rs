@@ -18,14 +18,23 @@
 //! Both ordering strategies produce the same canonical total order, so the
 //! suite also asserts the *strategy split is real*: across the random sweep
 //! both `Chain` and `FlatSort` decisions must occur.
+//!
+//! 4. The ordered cursor's **layout rule** — sort-free emission when the
+//!    slots can follow ascending smallest-visible-attribute order, a run
+//!    sort otherwise — on hand-rolled forests whose attribute ids are
+//!    unrelated to tree position, sequentially and on pools of 1/2/4.
 
 use fdb::common::{AggregateFunc, AggregateHead, ComparisonOp, ConstSelection, RelId};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::{
-    FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase,
+    FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase, ThreadPool,
 };
 use fdb::frep::aggregate::{self, AggregateKind, AggregateResult, AggregateValue, AvgValue};
-use fdb::frep::{materialize, materialize_then_sort, FRep, OrderStrategy};
+use fdb::frep::{
+    materialize, materialize_ordered, materialize_then_sort, par_materialize_ordered, Entry, FRep,
+    OrderStrategy, Union,
+};
+use fdb::ftree::{DepEdge, FTree, NodeId};
 use fdb::{AttrId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,6 +215,149 @@ fn a_request_cannot_order_an_aggregate() {
     assert!(
         server.serve_one(&request).is_err(),
         "aggregate + ORDER BY must be a structured error"
+    );
+}
+
+// ---------------------------------------------------------------------
+// 4. The layout rule, on forests built to land on both of its sides
+// ---------------------------------------------------------------------
+
+/// A random forest of 2–6 nodes whose classes draw one or two ids from a
+/// shuffled pool — so children land below and above their parents, classes
+/// interleave, and roots sit on both sides of any chain — with random
+/// attributes projected away (sometimes a whole class) and random data
+/// under every entry.  Values come from `1..=4`, so ties are everywhere.
+fn random_layout_rep(rng: &mut StdRng) -> FRep {
+    let nodes = rng.gen_range(2..=6usize);
+    let mut pool: Vec<u32> = (0..2 * nodes as u32).collect();
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, rng.gen_range(0..=i));
+    }
+    let classes: Vec<BTreeSet<AttrId>> = (0..nodes)
+        .map(|_| {
+            let size = if rng.gen_bool(0.3) { 2 } else { 1 };
+            (0..size).filter_map(|_| pool.pop()).map(AttrId).collect()
+        })
+        .collect();
+    let parents: Vec<Option<usize>> = (0..nodes)
+        .map(|i| (i > 0 && rng.gen_bool(0.7)).then(|| rng.gen_range(0..i)))
+        .collect();
+
+    // One dependency edge per root-to-leaf path keeps the path constraint.
+    let edges = (0..nodes)
+        .filter(|&i| !parents.contains(&Some(i)))
+        .map(|leaf| {
+            let mut on_path = classes[leaf].clone();
+            let mut at = leaf;
+            while let Some(p) = parents[at] {
+                on_path.extend(&classes[p]);
+                at = p;
+            }
+            DepEdge::new(format!("R{leaf}"), on_path, 1)
+        })
+        .collect();
+    let mut tree = FTree::new(edges);
+    let mut ids: Vec<NodeId> = Vec::new();
+    for (class, parent) in classes.iter().zip(&parents) {
+        let id = tree
+            .add_node(class.clone(), parent.map(|p| ids[p]))
+            .expect("fresh class");
+        ids.push(id);
+    }
+    let hidden: BTreeSet<AttrId> = classes
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|_| rng.gen_bool(0.15))
+        .collect();
+    tree.mark_attrs_projected(&hidden);
+
+    fn random_union(rng: &mut StdRng, tree: &FTree, node: NodeId) -> Union {
+        let values: BTreeSet<u64> = (0..rng.gen_range(1..=3usize))
+            .map(|_| rng.gen_range(1..=4u64))
+            .collect();
+        let entries = values
+            .into_iter()
+            .map(|v| Entry {
+                value: Value::new(v),
+                children: tree
+                    .children(node)
+                    .iter()
+                    .map(|&c| random_union(rng, tree, c))
+                    .collect(),
+            })
+            .collect();
+        Union::new(node, entries)
+    }
+    let roots: Vec<NodeId> = tree.roots().to_vec();
+    let unions = roots
+        .into_iter()
+        .map(|root| random_union(rng, &tree, root))
+        .collect();
+    FRep::from_parts(tree, unions).expect("a valid forest")
+}
+
+/// ORDER BY lists for `rep`: every root path taken one visible attribute
+/// per node (multi-attribute chains), the same with a class's second
+/// attribute or a repeated attribute spliced in, and a shuffled prefix of
+/// the visible attributes (mostly no chain at all).
+fn layout_order_bys(rng: &mut StdRng, rep: &FRep) -> Vec<Vec<AttrId>> {
+    let tree = rep.tree();
+    let mut orders = vec![random_order_by(rng, rep)];
+    for &root in tree.roots() {
+        let mut order: Vec<AttrId> = Vec::new();
+        let mut node = Some(root);
+        while let Some(n) = node {
+            let visible: Vec<AttrId> = tree.visible_attrs(n).into_iter().collect();
+            if visible.is_empty() {
+                break;
+            }
+            order.push(visible[rng.gen_range(0..visible.len())]);
+            if rng.gen_bool(0.3) {
+                // The class's other attribute, or the same one again.
+                order.push(visible[rng.gen_range(0..visible.len())]);
+            }
+            orders.push(order.clone());
+            let children = tree.children(n);
+            node = (!children.is_empty()).then(|| children[rng.gen_range(0..children.len())]);
+        }
+    }
+    orders
+}
+
+#[test]
+fn randomized_layouts_match_the_sort_oracle_sequentially_and_on_every_pool() {
+    let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+    let mut strategies = BTreeSet::new();
+    for seed in 24..224u64 {
+        let mut rng = StdRng::seed_from_u64(0x1A_7007 ^ seed);
+        let rep = Arc::new(random_layout_rep(&mut rng));
+        if rep.visible_attrs().is_empty() {
+            continue;
+        }
+        for order_by in layout_order_bys(&mut rng, &rep) {
+            let oracle = materialize_then_sort(&rep, &order_by).unwrap();
+            let (rows, strategy) = materialize_ordered(&rep, &order_by).unwrap();
+            assert_eq!(
+                rows, oracle,
+                "seed {seed}: ORDER BY {order_by:?} diverged ({strategy:?})"
+            );
+            strategies.insert(format!("{strategy:?}"));
+            for pool in &pools {
+                let (par_rows, par_strategy) =
+                    par_materialize_ordered(&rep, &order_by, pool).unwrap();
+                let threads = pool.threads();
+                assert_eq!(par_strategy, strategy, "seed {seed}, {threads} threads");
+                assert_eq!(
+                    par_rows, oracle,
+                    "seed {seed}, {threads} threads: ORDER BY {order_by:?} diverged"
+                );
+            }
+        }
+    }
+    assert!(
+        strategies.len() == 2,
+        "the sweep must exercise both Chain and FlatSort, saw {strategies:?}"
     );
 }
 

@@ -162,37 +162,6 @@ fn first_unsorted_matches_scalar_with_planted_violations() {
 }
 
 #[test]
-fn run_end_matches_scalar_on_grouped_streams() {
-    let mut rng = StdRng::seed_from_u64(0xF4);
-    for _ in 0..200 {
-        // A non-decreasing stream of runs with random lengths, as the
-        // priority cursor emits (equal values contiguous).
-        let mut values: Vec<Value> = Vec::new();
-        let mut v = rng.gen_range(0..10u64);
-        for _ in 0..rng.gen_range(1..8usize) {
-            let run = rng.gen_range(1..30usize);
-            values.extend(std::iter::repeat_n(Value::new(v), run));
-            v += rng.gen_range(1..5u64);
-        }
-        let mut start = 0;
-        while start < values.len() {
-            let end = kernel::run_end(&values, start);
-            assert_eq!(end, kernel::run_end_scalar(&values, start));
-            // Independent oracle: linear scan from start.
-            let want = (start..values.len())
-                .find(|&i| values[i] != values[start])
-                .unwrap_or(values.len());
-            assert_eq!(end, want, "start {start} of {values:?}");
-            start = end;
-        }
-        // Past-the-end and empty-slice edges.
-        assert_eq!(kernel::run_end(&values, values.len()), values.len());
-    }
-    assert_eq!(kernel::run_end(&[], 0), 0);
-    assert_eq!(kernel::run_end(&[Value::new(3)], 0), 1);
-}
-
-#[test]
 fn dispatch_reports_the_compiled_configuration() {
     // Without the feature the dispatched paths must be scalar; with it,
     // activation depends on the CPU, so only the implication is pinned.
