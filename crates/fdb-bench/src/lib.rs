@@ -24,16 +24,6 @@ pub mod exp1;
 pub mod exp2;
 pub mod exp3;
 pub mod exp4;
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
 pub mod report;
 
 /// Scale of an experiment run.

@@ -11,104 +11,6 @@ use crate::{POSTGRES_FACTOR, SQLITE_FACTOR};
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Line-oriented JSON builder shared by the per-PR bench reports
-/// (`BENCH_PR1.json`..`BENCH_PR6.json` all have the same shape: a
-/// `benchmark` name, arrays of one-line row objects, trailing scalar
-/// summaries).  Each `render_json` keeps only its row formatting; the
-/// brace/comma/indent plumbing lives here once.
-pub struct BenchJson {
-    out: String,
-}
-
-impl BenchJson {
-    /// Starts a report: `{"benchmark": <name>, "host": {...}, ...`.
-    ///
-    /// Every report opens with a `host` object (CPU model, core count,
-    /// `FDB_THREADS`, compiled feature flags) so that committed
-    /// `BENCH_*.json` files are comparable across machines: a regression
-    /// that is really a hardware or configuration difference is visible in
-    /// the report itself instead of needing provenance archaeology.
-    pub fn new(benchmark: &str) -> Self {
-        let mut out = format!("{{\n  \"benchmark\": \"{benchmark}\"");
-        let _ = write!(out, ",\n  \"host\": {}", host_json());
-        BenchJson { out }
-    }
-
-    /// Appends an array field; `render_row` produces one row object
-    /// (braces included, no indentation, no trailing comma).
-    pub fn array<T>(mut self, key: &str, rows: &[T], render_row: impl Fn(&T) -> String) -> Self {
-        let _ = write!(self.out, ",\n  \"{key}\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(self.out, "    {}{}", render_row(row), comma);
-        }
-        self.out.push_str("  ]");
-        self
-    }
-
-    /// Appends a scalar field; `value` is inserted verbatim (pre-format
-    /// numbers with the precision the report wants).
-    pub fn field(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        let _ = write!(self.out, ",\n  \"{key}\": {value}");
-        self
-    }
-
-    /// Closes the report.
-    pub fn finish(mut self) -> String {
-        self.out.push_str("\n}\n");
-        self.out
-    }
-}
-
-/// CPU model name from `/proc/cpuinfo`, or `"unknown"` anywhere the file is
-/// missing or shaped differently.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// The `host` metadata object embedded in every report (see
-/// [`BenchJson::new`]): CPU model, logical core count, the `FDB_THREADS`
-/// override if set, and the cargo features that change measured code paths.
-fn host_json() -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let fdb_threads = match std::env::var("FDB_THREADS") {
-        Ok(v) => format!("\"{}\"", v.escape_default()),
-        Err(_) => "null".into(),
-    };
-    let mut features: Vec<&str> = Vec::new();
-    if cfg!(feature = "simd") {
-        features.push("\"simd\"");
-    }
-    format!(
-        "{{\"cpu\": \"{}\", \"cores\": {}, \"fdb_threads\": {}, \"features\": [{}]}}",
-        cpu_model().escape_default(),
-        cores,
-        fdb_threads,
-        features.join(", ")
-    )
-}
-
-/// Writes a benchmark's JSON report (or reports the smoke-scale skip) — the
-/// shared tail of every `bench-prN` subcommand.
-pub fn write_bench_file(path: &str, json: &str, smoke: bool) {
-    if smoke {
-        println!("\n(smoke scale: no file written)");
-    } else {
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-}
-
 fn fmt_duration(d: Duration) -> String {
     if d.as_secs_f64() >= 1.0 {
         format!("{:.2} s", d.as_secs_f64())
@@ -284,18 +186,6 @@ pub fn render_exp4(rows: &[Exp4Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reports_open_with_host_metadata() {
-        let json = BenchJson::new("bench-test")
-            .field("elapsed_ms", 12)
-            .finish();
-        assert!(json.starts_with("{\n  \"benchmark\": \"bench-test\""));
-        assert!(json.contains("\"host\": {\"cpu\": \""));
-        assert!(json.contains("\"cores\": "));
-        assert!(json.contains("\"fdb_threads\": "));
-        assert!(json.contains("\"features\": ["));
-    }
 
     #[test]
     fn duration_formatting_picks_sensible_units() {

@@ -46,8 +46,8 @@ use std::time::{Duration, Instant};
 
 /// How many work units pass between two slow checks (clock read +
 /// cancellation load).  Chosen so the amortised governance cost stays well
-/// under the 3% overhead bound pinned by `bench-pr7` while a tripped
-/// deadline is still noticed within microseconds of work.
+/// under the 3% overhead bound (`BENCH_PR7.json`: 0.98 geometric mean)
+/// while a tripped deadline is still noticed within microseconds of work.
 pub const CHECK_INTERVAL: u64 = 1024;
 
 /// The resource allowance of one query evaluation.
@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn charge_overhead_is_amortised() {
-        // Not a benchmark (bench-pr7 measures the real overhead); this only
+        // Not a benchmark (BENCH_PR7.json holds the measured overhead); this only
         // pins that tiny charges do not run the slow check every time, by
         // observing that a distant deadline context accepts a long run of
         // sub-interval charges quickly and correctly.

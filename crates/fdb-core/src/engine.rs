@@ -1,17 +1,54 @@
-//! The FDB engine: optimisation plus evaluation, on flat or factorised input.
+//! The FDB engine: one evaluation pipeline, on flat or factorised input.
+//!
+//! The paper's engine is a single pipeline — optimise an f-plan, run it
+//! (constant selections first, restructuring and equality selections next,
+//! projection last; Section 4), read the result — and the follow-up paper's
+//! aggregation and ordering heads are extra restructuring appended to the
+//! *same* plan with a different consumer at the end.  [`FdbEngine::run`] is
+//! that pipeline, and the only way a query executes.  Its five stages each
+//! exist once:
+//!
+//! 1. **Source** — the only stage that differs by input ([`Source`]).  Flat
+//!    input: find an f-tree of minimum `s(T)` (`fdb_plan::optimal_ftree`) and
+//!    build the factorised result directly over it; the body plan is the
+//!    projection.  Factorised input: obtain the optimised plan for the
+//!    equality conditions — through the [`PlanCache`] when one is supplied —
+//!    and wrap it as constant selections + optimised plan + projection.
+//! 2. **Head planning** — a grouping or ordering head ([`Head`]) needs its
+//!    attributes on a root path of the body plan's final f-tree; the costed
+//!    chain planner (`fdb_plan::plan_chain_restructure`) either appends the
+//!    lifting swaps to the plan or refuses, and the head falls back to a
+//!    flat strategy.
+//! 3. **Simplify** — one peephole pass ([`FPlan::simplified`]); the fusion
+//!    counters are read off the list that actually executes.
+//! 4. **Sink** — emit one arena (the whole plan runs as one fused overlay
+//!    program), fold an aggregate on the overlay without emitting anything
+//!    (or hash-group over the enumerated tuples when the chain was refused),
+//!    or enumerate the emitted result in the canonical order.
+//! 5. **Stats** — one [`EvalStats`] record for every kind of outcome.
+//!
+//! Every stage runs under the caller's [`ExecCtx`], so deadlines, budgets and
+//! cancellation bound flat and factorised requests alike.
+//! [`FdbEngine::evaluate_flat`], [`FdbEngine::evaluate_factorised`] and
+//! [`FdbEngine::evaluate_flat_via_operators`] are thin typed wrappers for
+//! headless, ungoverned requests.
 
 use crate::serving::PlanCache;
 use fdb_common::{
     AggregateFunc, AggregateHead, AttrId, ConstSelection, ExecCtx, FdbError, Query, Result,
 };
-use fdb_frep::{build_frep, ops, AggregateKind, AggregateResult, FRep, OrderStrategy};
+use fdb_frep::{
+    build_frep, build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy,
+};
 use fdb_ftree::s_cost;
 use fdb_plan::{
     plan_chain_restructure, ChainStrategy, ExhaustiveOptimizer, FPlan, FPlanOp, GreedyOptimizer,
+    OptimizedPlan,
 };
 use fdb_relation::{Database, Relation};
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which f-plan optimiser the engine uses for queries over factorised input.
@@ -66,7 +103,9 @@ pub struct EvalStats {
     pub optimisation_time: Duration,
     /// Time spent building or transforming the factorised representation.
     pub execution_time: Duration,
-    /// The cost `s(T)` of the result's f-tree.
+    /// The cost `s(T)` of the result's f-tree.  An aggregate builds no
+    /// result; it reports the tree its body plan ends on, before any
+    /// grouping lift.
     pub result_tree_cost: f64,
     /// The f-plan cost `s(f)` (maximum intermediate cost); equals the result
     /// tree cost for evaluation on flat input.
@@ -90,12 +129,12 @@ pub struct EvalStats {
     pub aggregates_on_overlay: usize,
     /// Former fusion barriers (constant selections, projections) executed
     /// *inside* a fused overlay program instead of as standalone arena
-    /// passes — the PR 5 whole-plan fusion win.
+    /// passes — the whole-plan fusion win.
     pub barriers_fused: usize,
     /// Intermediate arenas fused execution skipped relative to the
     /// step-wise path (a lower bound: one per plan operator beyond the
-    /// single emission; for aggregate sinks every operator's arena,
-    /// including the final one, is skipped).
+    /// single emission; for an aggregate folded on the overlay every
+    /// operator's arena, including the final one, is skipped).
     pub arenas_skipped: usize,
     /// Queries this statistics record covers: 1 for a single evaluation;
     /// serving-layer reports that aggregate a batch sum the records and
@@ -125,8 +164,8 @@ pub struct EvalStats {
 impl EvalStats {
     /// The execution counters as aligned `name value` rows, with the
     /// fused-segment/overlay-aggregate and barrier/arena counters on shared
-    /// rows.  Reports that show per-evaluation statistics (e.g. the
-    /// `bench-pr4` table) print this instead of improvising their own lines.
+    /// rows.  Reports that show per-evaluation statistics print this
+    /// instead of improvising their own lines.
     pub fn counters_table(&self) -> String {
         let rows: [(&str, String); 10] = [
             ("optimisation time", format!("{:?}", self.optimisation_time)),
@@ -229,78 +268,93 @@ pub struct OrderedOutput {
     pub stats: EvalStats,
 }
 
-/// How an ordering or grouping head will be satisfied: the (possibly empty)
-/// swap chain to append to the plan, and whether the head runs on a root
-/// path or falls back to the flat strategy (sort / hash-group).
-struct HeadDecision {
-    /// Swaps bringing the head attributes onto a root path; empty when they
-    /// are already there — or when the head falls back to flat.
-    plan: FPlan,
-    /// The head's attributes form a root path after `plan` runs.
-    on_chain: bool,
+/// The result of an evaluation: the factorised representation plus
+/// statistics.
+#[derive(Clone, Debug)]
+pub struct EvalOutput {
+    /// The factorised query result.
+    pub result: FRep,
+    /// Evaluation statistics.
+    pub stats: EvalStats,
 }
 
-/// Plans a root path for a grouping or ordering head via
-/// [`plan_chain_restructure`]: path grouping and ordered enumeration both
-/// need the head attributes on a root-to-node chain, the restructuring is
-/// the same costed swap lifting for both, and both fall back to a flat
-/// strategy when no chain exists at acceptable cost (`s(f) ≤ s(T_in)`).
-fn plan_head_chain(tree: &fdb_ftree::FTree, attrs: &[AttrId]) -> Result<HeadDecision> {
-    let decision = plan_chain_restructure(tree, attrs)?;
-    Ok(match decision.strategy {
-        ChainStrategy::AlreadyChain => HeadDecision {
-            plan: FPlan::empty(),
-            on_chain: true,
-        },
-        ChainStrategy::Restructure => HeadDecision {
-            plan: decision.plan,
-            on_chain: true,
-        },
-        ChainStrategy::FlatSort => HeadDecision {
-            plan: FPlan::empty(),
-            on_chain: false,
-        },
-    })
-}
-
-/// Fusion counters `(fused_segments, barriers_fused, arenas_skipped)` of a
-/// simplified plan about to execute through `FPlan::execute_presimplified`:
-/// when the plan fuses, the whole op list runs as one overlay program, its
-/// barriers included, and every intermediate arena but the single emission
-/// is skipped.
-fn fusion_counters(plan: &FPlan) -> (usize, usize, usize) {
-    let fused = plan.fuses();
-    (
-        usize::from(fused),
-        if fused { plan.barrier_count() } else { 0 },
-        plan.arenas_skipped(),
-    )
-}
-
-/// Fusion counters of a simplified plan consumed by the aggregate sink.
-/// When the sink ran on the overlay (`on_overlay`), the whole plan —
-/// however short — executed as one fused overlay program and **every**
-/// operator's output arena was skipped: the sink folds the aggregate over
-/// the overlay and never emits, so even a single-operator plan counts one
-/// fused program and one skipped arena.
-fn aggregate_fusion_counters(plan: &FPlan, on_overlay: bool) -> (usize, usize, usize) {
-    if !on_overlay {
-        return (0, 0, 0);
+impl EvalOutput {
+    /// Streams the result tuples with the constant-delay arena cursor
+    /// (columns in ascending attribute-id order) without materialising the
+    /// flat relation.
+    pub fn tuples(&self) -> fdb_frep::TupleCursor<'_> {
+        fdb_frep::TupleCursor::new(&self.result)
     }
-    (1, plan.barrier_count(), plan.len())
 }
 
-/// `(chain_heads, flat_head_fallbacks)` counter values for a grouped
-/// aggregate evaluation: a grouped head counts under exactly one of the
-/// two, a scalar head under neither.
-fn head_strategy_counters(head: &AggregateHead, on_chain: bool) -> (u64, u64) {
-    if head.group_by.is_empty() {
-        (0, 0)
-    } else if on_chain {
-        (1, 0)
-    } else {
-        (0, 1)
+/// What one request evaluated to — the kind follows the request's [`Head`].
+#[derive(Clone, Debug)]
+pub enum ServeOutcome {
+    /// A factorised result representation (no head).
+    Rep(EvalOutput),
+    /// An aggregate value (aggregate head).
+    Aggregate(AggregateOutput),
+    /// Flat rows in the canonical order (`ORDER BY` head).
+    Ordered(OrderedOutput),
+}
+
+impl ServeOutcome {
+    /// The evaluation statistics of any outcome kind.
+    pub fn stats(&self) -> &EvalStats {
+        match self {
+            ServeOutcome::Rep(out) => &out.stats,
+            ServeOutcome::Aggregate(out) => &out.stats,
+            ServeOutcome::Ordered(out) => &out.stats,
+        }
     }
+}
+
+/// Where a request's input comes from — stage 1 of [`FdbEngine::run`], the
+/// only stage that differs between the two.
+#[derive(Clone, Copy, Debug)]
+pub enum Source<'a> {
+    /// A select-project-join query over a flat relational database: the
+    /// optimiser finds an f-tree of the query with minimum `s(T)` and the
+    /// factorised result is built directly over it, without ever
+    /// materialising the flat result.  The head is [`FdbEngine::run`]'s
+    /// `head` argument; the query's own `aggregate`/`order_by` fields are
+    /// not consulted.
+    Flat {
+        /// The database to read.
+        db: &'a Database,
+        /// The query (relations, equalities, constant selections,
+        /// projection).
+        query: &'a Query,
+    },
+    /// A query over a factorised input (typically the result of a previous
+    /// query): the optimiser — exhaustive or greedy, per
+    /// [`FdbEngine::optimizer`] — produces the restructuring plan for the
+    /// equality conditions.
+    Factorised {
+        /// The frozen input representation; never mutated.
+        input: &'a FRep,
+        /// The query.
+        query: &'a FactorisedQuery,
+        /// When supplied, the optimised plan is looked up by query shape
+        /// (f-tree + operator skeleton + head, constants abstracted) and the
+        /// optimiser is skipped on a hit; a miss publishes the fresh plan.
+        /// An optimisation the context interrupts publishes nothing.
+        cache: Option<&'a PlanCache>,
+    },
+}
+
+/// The head of a request: nothing (return the representation), an aggregate
+/// (return a value or one row per group), or an `ORDER BY` list (return the
+/// flat rows in the canonical order).  The fields mirror
+/// [`crate::ServeRequest`] and [`Query`]; setting both is rejected by
+/// [`FdbEngine::run`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Head<'a> {
+    /// Evaluate as an aggregate instead of returning a representation.
+    pub aggregate: Option<&'a AggregateHead>,
+    /// Return the result rows ordered by these attributes; empty means
+    /// unordered.
+    pub order_by: &'a [AttrId],
 }
 
 /// Translates a query-level aggregate head into the evaluator's kind.
@@ -335,23 +389,78 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
     }
 }
 
-/// The result of an evaluation: the factorised representation plus
-/// statistics.
-#[derive(Clone, Debug)]
-pub struct EvalOutput {
-    /// The factorised query result.
-    pub result: FRep,
-    /// Evaluation statistics.
-    pub stats: EvalStats,
+/// Plans a root path for a grouping or ordering head: path grouping and
+/// ordered enumeration both need the head attributes on a root-to-node
+/// chain, the restructuring is the same costed swap lifting for both
+/// ([`plan_chain_restructure`]), and both fall back to a flat strategy when
+/// no chain exists at acceptable cost (`s(f) ≤ s(T_in)`).  Returns the
+/// swaps to append to the plan (empty when the attributes already form a
+/// chain, or when the lift is refused) and whether the head runs on a chain.
+fn plan_head_chain(tree: &fdb_ftree::FTree, attrs: &[AttrId]) -> Result<(FPlan, bool)> {
+    let decision = plan_chain_restructure(tree, attrs)?;
+    Ok((decision.plan, decision.strategy != ChainStrategy::FlatSort))
 }
 
-impl EvalOutput {
-    /// Streams the result tuples with the constant-delay arena cursor
-    /// (columns in ascending attribute-id order) without materialising the
-    /// flat relation.
-    pub fn tuples(&self) -> fdb_frep::TupleCursor<'_> {
-        fdb_frep::TupleCursor::new(&self.result)
+/// The body plan of a request: constant selections first (they are cheap
+/// and only shrink the representation), then the restructuring and equality
+/// selections, and the projection last — the operator ordering FDB uses
+/// (Section 4).
+fn body_plan(
+    const_selections: &[ConstSelection],
+    structural: FPlan,
+    projection: Option<&[AttrId]>,
+) -> FPlan {
+    let mut plan = FPlan::empty();
+    for sel in const_selections {
+        plan.push(FPlanOp::SelectConst {
+            attr: sel.attr,
+            op: sel.op,
+            value: sel.value,
+        });
     }
+    plan.extend(structural);
+    if let Some(projection) = projection {
+        plan.push(FPlanOp::Project(projection.iter().copied().collect()));
+    }
+    plan
+}
+
+/// What stage 1 hands the rest of the pipeline.
+struct Sourced<'a> {
+    /// The representation the plan runs on: built and owned (flat input) or
+    /// borrowed from the caller (factorised input; cloned only by sinks that
+    /// emit).
+    rep: Cow<'a, FRep>,
+    /// The body plan (see [`body_plan`]).
+    plan: FPlan,
+    /// F-tree search (flat) or f-plan search / cache lookup (factorised).
+    optimisation_time: Duration,
+    /// Building the representation from flat input; zero otherwise.
+    build_time: Duration,
+    /// `s(T)` of the chosen f-tree (flat) or `s(f)` of the optimised plan.
+    plan_cost: f64,
+    explored_states: usize,
+    cache: CacheCounters,
+}
+
+/// Which way a plan-cache lookup went, for the stats; all zero without a
+/// cache.
+#[derive(Clone, Copy, Default)]
+struct CacheCounters {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+/// What stage 4 produced, before the stats are attached.
+enum Sunk {
+    Rep(FRep),
+    Aggregate(AggregateResult),
+    Ordered {
+        rows: Relation,
+        strategy: OrderStrategy,
+        result: FRep,
+    },
 }
 
 /// The FDB query engine.
@@ -359,17 +468,6 @@ impl EvalOutput {
 pub struct FdbEngine {
     /// Which optimiser to use for queries over factorised input.
     pub optimizer: OptimizerKind,
-}
-
-/// How a factorised evaluation obtained its plan: either fresh from the
-/// optimiser, or through a [`PlanCache`] (with the hit/miss recorded for
-/// the stats).
-struct ResolvedPlan {
-    plan: std::sync::Arc<fdb_plan::OptimizedPlan>,
-    optimisation_time: Duration,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
 }
 
 impl FdbEngine {
@@ -393,7 +491,7 @@ impl FdbEngine {
         tree: &fdb_ftree::FTree,
         equalities: &[(AttrId, AttrId)],
         ctx: &ExecCtx,
-    ) -> Result<fdb_plan::OptimizedPlan> {
+    ) -> Result<OptimizedPlan> {
         match self.optimizer {
             OptimizerKind::Exhaustive => {
                 ExhaustiveOptimizer::new().optimize_ctx(tree, equalities, ctx)
@@ -406,713 +504,310 @@ impl FdbEngine {
     /// cache when one is supplied.  On a hit the optimiser is skipped
     /// entirely; on a miss the freshly optimised plan is published under
     /// the query-shape key (constants abstracted — see
-    /// [`crate::serving::PlanCache`]).  The key covers the request's head —
-    /// `aggregate` and `order_by` — so requests with the same structural
-    /// body but different heads never share an entry.  An optimisation the
-    /// context interrupts publishes nothing.
+    /// [`crate::serving::PlanCache`]).  The key covers the request's head,
+    /// so requests with the same structural body but different heads never
+    /// share an entry.  An optimisation the context interrupts publishes
+    /// nothing.
     fn resolve_factorised_plan(
         &self,
         input: &FRep,
         query: &FactorisedQuery,
         cache: Option<&PlanCache>,
-        aggregate: Option<&AggregateHead>,
-        order_by: &[AttrId],
+        head: Head<'_>,
         ctx: &ExecCtx,
-    ) -> Result<ResolvedPlan> {
-        use std::sync::Arc;
+    ) -> Result<(Arc<OptimizedPlan>, CacheCounters)> {
+        let optimise = || {
+            self.optimise_equalities(input.tree(), &query.equalities, ctx)
+                .map(Arc::new)
+        };
+        let Some(cache) = cache else {
+            return Ok((optimise()?, CacheCounters::default()));
+        };
+        let key = crate::serving::plan_key(self, input.tree(), query, head);
+        if let Some(plan) = cache.lookup(&key) {
+            let hit = CacheCounters {
+                hits: 1,
+                ..Default::default()
+            };
+            return Ok((plan, hit));
+        }
+        let plan = optimise()?;
+        let miss = CacheCounters {
+            misses: 1,
+            evictions: cache.insert(key, Arc::clone(&plan)),
+            ..Default::default()
+        };
+        Ok((plan, miss))
+    }
+
+    /// Stage 1 of [`FdbEngine::run`]: the representation to run on and the
+    /// body plan for it.
+    fn resolve_source<'a>(
+        &self,
+        source: Source<'a>,
+        head: Head<'_>,
+        ctx: &ExecCtx,
+    ) -> Result<Sourced<'a>> {
         let opt_start = Instant::now();
-        let (plan, cache_hits, cache_misses, cache_evictions) = match cache {
-            None => (
-                Arc::new(self.optimise_equalities(input.tree(), &query.equalities, ctx)?),
-                0,
-                0,
-                0,
-            ),
-            Some(cache) => {
-                let key = crate::serving::plan_key(self, input.tree(), query, aggregate, order_by);
-                match cache.lookup(&key) {
-                    Some(plan) => (plan, 1, 0, 0),
-                    None => {
-                        let plan = Arc::new(self.optimise_equalities(
-                            input.tree(),
-                            &query.equalities,
-                            ctx,
-                        )?);
-                        let evicted = cache.insert(key, Arc::clone(&plan));
-                        (plan, 0, 1, evicted)
+        match source {
+            Source::Flat { db, query } => {
+                let search =
+                    fdb_plan::optimal_ftree(db.catalog(), query, |r| db.rel_len(r) as u64)?;
+                let optimisation_time = opt_start.elapsed();
+                let build_start = Instant::now();
+                let rep = build_frep_ctx(db, query, &search.tree, ctx)?;
+                Ok(Sourced {
+                    rep: Cow::Owned(rep),
+                    plan: body_plan(&[], FPlan::empty(), query.projection.as_deref()),
+                    optimisation_time,
+                    build_time: build_start.elapsed(),
+                    plan_cost: search.cost,
+                    explored_states: search.explored_states,
+                    cache: CacheCounters::default(),
+                })
+            }
+            Source::Factorised {
+                input,
+                query,
+                cache,
+            } => {
+                let (optimised, cache) =
+                    self.resolve_factorised_plan(input, query, cache, head, ctx)?;
+                Ok(Sourced {
+                    rep: Cow::Borrowed(input),
+                    plan: body_plan(
+                        &query.const_selections,
+                        optimised.plan.clone(),
+                        query.projection.as_deref(),
+                    ),
+                    optimisation_time: opt_start.elapsed(),
+                    build_time: Duration::ZERO,
+                    plan_cost: optimised.cost.max_intermediate,
+                    explored_states: optimised.explored_states,
+                    cache,
+                })
+            }
+        }
+    }
+
+    /// Evaluates one request: the single pipeline every query takes (see
+    /// the module docs for the five stages).
+    ///
+    /// Whatever the source and head, the plan — body, then any chain swaps
+    /// the head needs — is simplified once and executes as **one** fused
+    /// overlay program (`fdb_frep::ops::fuse`): a k-operator plan, barriers
+    /// included, pays one arena emission instead of k, and an aggregate head
+    /// on a chain pays none (it folds over the overlay, with the plan's
+    /// trailing selections folded into the accumulation as entry filters,
+    /// and reads a factorised input in place without cloning it).
+    /// [`EvalStats`] reports what happened: `fused_segments`,
+    /// `barriers_fused`, `arenas_skipped`, `aggregates_on_overlay`, and
+    /// `chain_heads` / `flat_head_fallbacks` for the head's strategy.
+    ///
+    /// Every data-dependent loop charges `ctx` — the flat build, the overlay
+    /// sweeps and emission, the aggregate fold, the hash-group fallback, the
+    /// ordered enumeration and sort — so a deadline, budget or cancellation
+    /// flag aborts the evaluation with a structured error and the input
+    /// untouched.
+    pub fn run(&self, source: Source<'_>, head: Head<'_>, ctx: &ExecCtx) -> Result<ServeOutcome> {
+        let kind = match head.aggregate {
+            Some(aggregate) if !head.order_by.is_empty() => {
+                return Err(FdbError::InvalidInput {
+                    detail: format!(
+                        "a request cannot carry both an aggregate head ({aggregate:?}) and ORDER BY"
+                    ),
+                });
+            }
+            Some(aggregate) => Some(aggregate_kind(aggregate)?),
+            None => None,
+        };
+
+        // (1) Source.
+        let Sourced {
+            rep,
+            mut plan,
+            optimisation_time,
+            build_time,
+            plan_cost,
+            explored_states,
+            cache,
+        } = self.resolve_source(source, head, ctx)?;
+
+        // (2) Head planning.  The head's result tree is known from
+        // simulation — and it tells us which swaps bring the grouping or
+        // ordering attributes onto a root path, or that no acceptable swap
+        // chain exists and the head must run flat.
+        let head_attrs = head.aggregate.map_or(head.order_by, |a| &a.group_by);
+        let body_tree = if kind.is_some() || !head_attrs.is_empty() {
+            Some(plan.final_tree(rep.tree())?)
+        } else {
+            None
+        };
+        let mut head_on_chain = None;
+        if let Some(tree) = body_tree.as_ref().filter(|_| !head_attrs.is_empty()) {
+            let (swaps, on_chain) = plan_head_chain(tree, head_attrs)?;
+            plan.extend(swaps);
+            head_on_chain = Some(on_chain);
+        }
+
+        // (3) Simplify once: the fusion counters are read off the same op
+        // list that actually executes, so the stats match what really fused.
+        let simplified = plan.simplified(rep.tree());
+        let folds = kind.is_some() && head_on_chain != Some(false);
+        // An empty plan folds as a plain pass over the input arena.
+        let folds_on_overlay = folds && !simplified.is_empty();
+        let (fused_segments, barriers_fused, arenas_skipped) = if folds_on_overlay {
+            // The fold never emits: the whole plan — however short — runs
+            // as one overlay program and every operator's arena, the final
+            // one included, is skipped.
+            (1, simplified.barrier_count(), simplified.len())
+        } else if kind.is_none() && simplified.fuses() {
+            (1, simplified.barrier_count(), simplified.arenas_skipped())
+        } else {
+            // Zero or one single-pass operator runs directly; the
+            // hash-group fallback reports no fusion.
+            (0, 0, 0)
+        };
+
+        // (4) Sink.
+        let exec_start = Instant::now();
+        let sunk = match kind {
+            Some(kind) if folds => {
+                let (result, _) =
+                    simplified.execute_aggregate_presimplified_ctx(&rep, kind, head_attrs, ctx)?;
+                Sunk::Aggregate(result)
+            }
+            _ => {
+                let mut result = rep.into_owned();
+                simplified.execute_presimplified_ctx(&mut result, ctx)?;
+                if let Some(kind) = kind {
+                    // No root path for the grouping head at acceptable
+                    // cost: hash-group over the enumerated tuples.
+                    Sunk::Aggregate(fdb_frep::aggregate::by_enumeration_ctx(
+                        &result, kind, head_attrs, ctx,
+                    )?)
+                } else if head.order_by.is_empty() {
+                    Sunk::Rep(result)
+                } else {
+                    // Off the priority cursor when the attributes sit on a
+                    // root path of the emitted tree, a flat sort otherwise;
+                    // the cursor's verdict is the one the stats report.
+                    let (rows, strategy) =
+                        fdb_frep::materialize_ordered_ctx(&result, head.order_by, ctx)?;
+                    head_on_chain = Some(strategy == OrderStrategy::Chain);
+                    Sunk::Ordered {
+                        rows,
+                        strategy,
+                        result,
                     }
                 }
             }
         };
-        Ok(ResolvedPlan {
+        let execution_time = build_time + exec_start.elapsed();
+
+        // (5) Stats.
+        let emitted = match &sunk {
+            Sunk::Rep(result) | Sunk::Ordered { result, .. } => Some(result),
+            Sunk::Aggregate(_) => None,
+        };
+        let result_tree = emitted
+            .map(FRep::tree)
+            .or(body_tree.as_ref())
+            .expect("an aggregate head simulates its body plan's tree");
+        let stats = EvalStats {
+            optimisation_time,
+            execution_time,
+            result_tree_cost: s_cost(result_tree)?,
+            plan_cost,
+            result_size: emitted.map_or(0, FRep::size),
+            result_tuples: emitted.map_or(0, FRep::tuple_count),
             plan,
-            optimisation_time: opt_start.elapsed(),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
+            explored_states,
+            fused_segments,
+            aggregates_on_overlay: usize::from(folds_on_overlay),
+            barriers_fused,
+            arenas_skipped,
+            queries_served: 1,
+            plan_cache_hits: cache.hits,
+            plan_cache_misses: cache.misses,
+            plan_cache_evictions: cache.evictions,
+            chain_heads: u64::from(head_on_chain == Some(true)),
+            flat_head_fallbacks: u64::from(head_on_chain == Some(false)),
+        };
+        Ok(match sunk {
+            Sunk::Rep(result) => ServeOutcome::Rep(EvalOutput { result, stats }),
+            Sunk::Aggregate(result) => ServeOutcome::Aggregate(AggregateOutput { result, stats }),
+            Sunk::Ordered { rows, strategy, .. } => ServeOutcome::Ordered(OrderedOutput {
+                rows,
+                strategy,
+                stats,
+            }),
         })
     }
 
-    /// Evaluates a select-project-join query on a flat relational database.
-    ///
-    /// The optimiser finds an f-tree of the query with minimum `s(T)`; the
-    /// factorised result is built directly over that tree and the projection
-    /// (if any) is applied at the end with the projection operator.
+    /// [`FdbEngine::run`] without a head or limits, unwrapped to the
+    /// representation outcome it is then certain to produce.
+    fn run_headless(&self, source: Source<'_>) -> Result<EvalOutput> {
+        match self.run(source, Head::default(), &ExecCtx::unlimited())? {
+            ServeOutcome::Rep(out) => Ok(out),
+            other => unreachable!("a headless request emits a representation, got {other:?}"),
+        }
+    }
+
+    /// Evaluates a select-project-join query on a flat relational database
+    /// ([`Source::Flat`], no head, no limits).
     pub fn evaluate_flat(&self, db: &Database, query: &Query) -> Result<EvalOutput> {
-        let opt_start = Instant::now();
-        let search = fdb_plan::optimal_ftree(db.catalog(), query, |r| db.rel_len(r) as u64)?;
-        let optimisation_time = opt_start.elapsed();
-
-        let exec_start = Instant::now();
-        let mut result = build_frep(db, query, &search.tree)?;
-        let mut plan = FPlan::empty();
-        if let Some(proj) = &query.projection {
-            let keep: BTreeSet<AttrId> = proj.iter().copied().collect();
-            plan.push(FPlanOp::Project(keep));
-        }
-        // The flat path's plan holds at most the final projection — which,
-        // being internally multi-pass (leaf removals, swap-downs), still
-        // compiles into one overlay program.
-        let simplified = plan.simplified(result.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
-        simplified.execute_presimplified(&mut result)?;
-        let execution_time = exec_start.elapsed();
-
-        let result_tree_cost = s_cost(result.tree())?;
-        Ok(EvalOutput {
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost,
-                plan_cost: search.cost,
-                result_size: result.size(),
-                result_tuples: result.tuple_count(),
-                plan,
-                explored_states: search.explored_states,
-                fused_segments,
-                aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                chain_heads: 0,
-                flat_head_fallbacks: 0,
-            },
-            result,
-        })
+        self.run_headless(Source::Flat { db, query })
     }
 
-    /// Evaluates a query over a factorised input.
-    ///
-    /// Selections with constants are applied first (they are cheap and only
-    /// shrink the representation), then the optimised restructuring/selection
-    /// plan for the equality conditions, and the projection last — the
-    /// operator ordering FDB uses (Section 4).  The plan does not execute
-    /// operator by operator, and since PR 5 it is not segmented at
-    /// selections or projections either: after peephole simplification the
-    /// **whole plan** compiles into one overlay program
-    /// (`fdb_frep::ops::fuse`) that emits a single arena, so a k-operator
-    /// plan — barriers included — pays one arena copy instead of k.
-    /// [`EvalStats::barriers_fused`] and [`EvalStats::arenas_skipped`]
-    /// report the win.
+    /// Evaluates a query over a factorised input ([`Source::Factorised`]
+    /// without a plan cache, no head, no limits).
     pub fn evaluate_factorised(&self, input: &FRep, query: &FactorisedQuery) -> Result<EvalOutput> {
-        self.evaluate_factorised_inner(input, query, None, &ExecCtx::unlimited())
-    }
-
-    /// [`FdbEngine::evaluate_factorised`] through a [`PlanCache`]: when the
-    /// query shape (f-tree + operator skeleton, constants abstracted) has
-    /// been optimised before, the cached plan is reused and the optimiser
-    /// is skipped — the serving layer's fast path for repeated traffic.
-    /// [`EvalStats::plan_cache_hits`]/[`EvalStats::plan_cache_misses`]
-    /// record which way this evaluation went.
-    pub fn evaluate_factorised_cached(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        cache: &PlanCache,
-    ) -> Result<EvalOutput> {
-        self.evaluate_factorised_inner(input, query, Some(cache), &ExecCtx::unlimited())
-    }
-
-    /// [`FdbEngine::evaluate_factorised`] under a governance context (an
-    /// optional [`PlanCache`] rides along): the plan's overlay sweeps,
-    /// emission and selection rebuilds charge the context per record, so a
-    /// deadline, budget or cancellation flag aborts the evaluation with a
-    /// structured error and the input representation untouched.
-    pub fn evaluate_factorised_ctx(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        cache: Option<&PlanCache>,
-        ctx: &ExecCtx,
-    ) -> Result<EvalOutput> {
-        self.evaluate_factorised_inner(input, query, cache, ctx)
-    }
-
-    fn evaluate_factorised_inner(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        cache: Option<&PlanCache>,
-        ctx: &ExecCtx,
-    ) -> Result<EvalOutput> {
-        // Optimise the equality conditions on the input f-tree (or reuse a
-        // cached plan for the same query shape).
-        let resolved = self.resolve_factorised_plan(input, query, cache, None, &[], ctx)?;
-        let optimisation_time = resolved.optimisation_time;
-        let optimised = &resolved.plan;
-
-        // Assemble the full plan: constant selections, restructuring and
-        // equality selections, projection.
-        let mut plan = FPlan::empty();
-        for sel in &query.const_selections {
-            plan.push(FPlanOp::SelectConst {
-                attr: sel.attr,
-                op: sel.op,
-                value: sel.value,
-            });
-        }
-        plan.extend(optimised.plan.clone());
-        if let Some(proj) = &query.projection {
-            plan.push(FPlanOp::Project(proj.iter().copied().collect()));
-        }
-
-        // Simplify once: the fusion counters are read off the same op list
-        // that actually executes, so the stats match what really fused.
-        let simplified = plan.simplified(input.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
-        let exec_start = Instant::now();
-        let mut result = input.clone();
-        simplified.execute_presimplified_ctx(&mut result, ctx)?;
-        let execution_time = exec_start.elapsed();
-
-        let result_tree_cost = s_cost(result.tree())?;
-        Ok(EvalOutput {
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost,
-                plan_cost: optimised.cost.max_intermediate,
-                result_size: result.size(),
-                result_tuples: result.tuple_count(),
-                plan,
-                explored_states: optimised.explored_states,
-                fused_segments,
-                aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: resolved.cache_hits,
-                plan_cache_misses: resolved.cache_misses,
-                plan_cache_evictions: resolved.cache_evictions,
-                chain_heads: 0,
-                flat_head_fallbacks: 0,
-            },
-            result,
+        self.run_headless(Source::Factorised {
+            input,
+            query,
+            cache: None,
         })
     }
 
     /// Evaluates a query on flat input purely with f-plan operators: every
     /// relation is loaded as a trivially factorised representation (a chain
     /// of its attributes), the representations are multiplied together, and
-    /// the query's conditions are evaluated as an f-plan on the product.
+    /// the query runs as a factorised request on the product.
     ///
     /// This is slower than [`FdbEngine::evaluate_flat`] (the intermediate
     /// product is large) but exercises the operator pipeline end to end; the
     /// integration tests use it to cross-check the direct construction.
     pub fn evaluate_flat_via_operators(&self, db: &Database, query: &Query) -> Result<EvalOutput> {
         query.validate(db.catalog())?;
-        if query.relations.is_empty() {
-            return Err(FdbError::InvalidInput {
-                detail: "query has no relations".into(),
-            });
-        }
-        let exec_start = Instant::now();
-        // Load each relation as a factorised representation over its own
-        // chain f-tree and multiply them together.
-        let mut combined: Option<FRep> = None;
+        let mut product: Option<FRep> = None;
         for &rel in &query.relations {
-            let single = Query::product(vec![rel]);
             let tree =
                 fdb_ftree::flat_database_ftree(db.catalog(), &[rel], |r| db.rel_len(r) as u64)?;
-            let rep = build_frep(db, &single, &tree)?;
-            combined = Some(match combined {
+            let rep = build_frep(db, &Query::product(vec![rel]), &tree)?;
+            product = Some(match product {
                 None => rep,
                 Some(acc) => ops::product(acc, rep)?,
             });
         }
-        let mut rep = combined.expect("at least one relation");
-
-        // Constant selections first.
-        let mut plan = FPlan::empty();
-        for sel in &query.const_selections {
-            plan.push(FPlanOp::SelectConst {
-                attr: sel.attr,
-                op: sel.op,
-                value: sel.value,
-            });
-        }
-
-        // Optimise and append the equality conditions.
-        let opt_start = Instant::now();
-        let equalities: Vec<(AttrId, AttrId)> = query
-            .equalities
-            .iter()
-            .map(|eq| (eq.left, eq.right))
-            .collect();
-        let optimised = match self.optimizer {
-            OptimizerKind::Exhaustive => {
-                ExhaustiveOptimizer::new().optimize(rep.tree(), &equalities)?
-            }
-            OptimizerKind::Greedy => GreedyOptimizer::new().optimize(rep.tree(), &equalities)?,
-        };
-        let optimisation_time = opt_start.elapsed();
-        plan.extend(optimised.plan.clone());
-        if let Some(proj) = &query.projection {
-            plan.push(FPlanOp::Project(proj.iter().copied().collect()));
-        }
-
-        let simplified = plan.simplified(rep.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
-        simplified.execute_presimplified(&mut rep)?;
-        let execution_time = exec_start.elapsed();
-
-        let result_tree_cost = s_cost(rep.tree())?;
-        Ok(EvalOutput {
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost,
-                plan_cost: optimised.cost.max_intermediate,
-                result_size: rep.size(),
-                result_tuples: rep.tuple_count(),
-                plan,
-                explored_states: optimised.explored_states,
-                fused_segments,
-                aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                chain_heads: 0,
-                flat_head_fallbacks: 0,
-            },
-            result: rep,
-        })
-    }
-
-    /// Evaluates an aggregate query on a flat relational database: the
-    /// factorised result is built over the optimal f-tree exactly like
-    /// [`FdbEngine::evaluate_flat`], then the aggregate head is folded over
-    /// the representation — the flat result is never enumerated.  The query
-    /// must carry an [`AggregateHead`].
-    ///
-    /// Root-attribute grouping is an evaluator precondition, not a caller
-    /// one: the f-tree search is cost-driven and may put the group attribute
-    /// anywhere, so the engine appends the swaps that lift its node to a
-    /// root ([`plan_chain_restructure`]) — a structural tail the aggregate sink
-    /// consumes on the fused overlay without emitting an arena.
-    pub fn evaluate_flat_aggregate(&self, db: &Database, query: &Query) -> Result<AggregateOutput> {
-        let Some(head) = &query.aggregate else {
+        let Some(product) = product else {
             return Err(FdbError::InvalidInput {
-                detail: "evaluate_flat_aggregate: query has no aggregate head".into(),
+                detail: "query has no relations".into(),
             });
         };
-        let kind = aggregate_kind(head)?;
-        let opt_start = Instant::now();
-        let search = fdb_plan::optimal_ftree(db.catalog(), query, |r| db.rel_len(r) as u64)?;
-        let optimisation_time = opt_start.elapsed();
-
-        let exec_start = Instant::now();
-        let rep = build_frep(db, query, &search.tree)?;
-        let mut plan = FPlan::empty();
-        if let Some(proj) = &query.projection {
-            plan.push(FPlanOp::Project(proj.iter().copied().collect()));
-        }
-        let pre_lift_tree = plan.final_tree(rep.tree())?;
-        let head_decision = if head.group_by.is_empty() {
-            None
-        } else {
-            Some(plan_head_chain(&pre_lift_tree, &head.group_by)?)
+        let body = FactorisedQuery {
+            equalities: query
+                .equalities
+                .iter()
+                .map(|eq| (eq.left, eq.right))
+                .collect(),
+            const_selections: query.const_selections.clone(),
+            projection: query.projection.clone(),
         };
-        let on_chain = head_decision.as_ref().is_none_or(|d| d.on_chain);
-        if let Some(d) = head_decision {
-            plan.extend(d.plan);
-        }
-        let simplified = plan.simplified(rep.tree());
-        let (result, on_overlay) = if on_chain {
-            simplified.execute_aggregate_presimplified(&rep, kind, &head.group_by)?
-        } else {
-            // No root path for the grouping head at acceptable cost: run the
-            // structural plan and hash-group over the enumerated tuples.
-            let mut grouped = rep.clone();
-            simplified.execute_presimplified(&mut grouped)?;
-            (
-                fdb_frep::aggregate::by_enumeration(&grouped, kind, &head.group_by)?,
-                false,
-            )
-        };
-        let execution_time = exec_start.elapsed();
-        let (fused_segments, barriers_fused, arenas_skipped) =
-            aggregate_fusion_counters(&simplified, on_overlay);
-        let (chain_heads, flat_head_fallbacks) = head_strategy_counters(head, on_chain);
-
-        Ok(AggregateOutput {
-            result,
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost: s_cost(&pre_lift_tree)?,
-                plan_cost: search.cost,
-                result_size: 0,
-                result_tuples: 0,
-                plan,
-                explored_states: search.explored_states,
-                fused_segments,
-                aggregates_on_overlay: usize::from(on_overlay),
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                chain_heads,
-                flat_head_fallbacks,
-            },
-        })
-    }
-
-    /// Evaluates an aggregate query over a factorised input.
-    ///
-    /// The restructuring plan for the equality conditions is assembled
-    /// exactly like [`FdbEngine::evaluate_factorised`], but it executes into
-    /// an **aggregate sink** ([`FPlan::execute_aggregate`]): the whole plan
-    /// — selections and projections included — is applied only to the fused
-    /// overlay and the aggregate folds over the overlay itself, with the
-    /// plan's trailing selections folded into the accumulation as entry
-    /// filters.  **No arena is emitted or cloned at any point**; a
-    /// selection-then-aggregate query reads the input arena in place.
-    /// [`EvalStats::aggregates_on_overlay`] reports whether that fast path
-    /// was taken (only the empty plan falls back to a plain arena pass) and
-    /// [`EvalStats::arenas_skipped`] counts the passes avoided.  When the
-    /// head groups by an attribute that the plan's final tree does not put
-    /// at a root, the engine appends the lifting swaps
-    /// ([`plan_chain_restructure`]) so root-attribute grouping works on any
-    /// input shape.
-    pub fn evaluate_factorised_aggregate(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        head: &AggregateHead,
-    ) -> Result<AggregateOutput> {
-        self.evaluate_factorised_aggregate_inner(input, query, head, None, &ExecCtx::unlimited())
-    }
-
-    /// [`FdbEngine::evaluate_factorised_aggregate`] through a [`PlanCache`]
-    /// (see [`FdbEngine::evaluate_factorised_cached`]).  The cache key
-    /// includes the full aggregate head (function, attribute, `DISTINCT`,
-    /// grouping attributes): the head steers the chain-restructuring swaps
-    /// appended after the cached body plan, so same-body requests with
-    /// different heads get distinct entries.
-    pub fn evaluate_factorised_aggregate_cached(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        head: &AggregateHead,
-        cache: &PlanCache,
-    ) -> Result<AggregateOutput> {
-        self.evaluate_factorised_aggregate_inner(
-            input,
-            query,
-            head,
-            Some(cache),
-            &ExecCtx::unlimited(),
-        )
-    }
-
-    /// [`FdbEngine::evaluate_factorised_aggregate`] under a governance
-    /// context (see [`FdbEngine::evaluate_factorised_ctx`]); the overlay
-    /// fold charges per record and the input is never mutated.
-    pub fn evaluate_factorised_aggregate_ctx(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        head: &AggregateHead,
-        cache: Option<&PlanCache>,
-        ctx: &ExecCtx,
-    ) -> Result<AggregateOutput> {
-        self.evaluate_factorised_aggregate_inner(input, query, head, cache, ctx)
-    }
-
-    fn evaluate_factorised_aggregate_inner(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        head: &AggregateHead,
-        cache: Option<&PlanCache>,
-        ctx: &ExecCtx,
-    ) -> Result<AggregateOutput> {
-        let kind = aggregate_kind(head)?;
-        let resolved = self.resolve_factorised_plan(input, query, cache, Some(head), &[], ctx)?;
-        let optimisation_time = resolved.optimisation_time;
-        let optimised = &resolved.plan;
-
-        let mut plan = FPlan::empty();
-        for sel in &query.const_selections {
-            plan.push(FPlanOp::SelectConst {
-                attr: sel.attr,
-                op: sel.op,
-                value: sel.value,
-            });
-        }
-        plan.extend(optimised.plan.clone());
-        if let Some(proj) = &query.projection {
-            plan.push(FPlanOp::Project(proj.iter().copied().collect()));
-        }
-        // The aggregate sink never builds the result representation, but its
-        // tree is known from simulation — and it tells us which swaps bring
-        // the grouping attributes onto a root path (or that no acceptable
-        // swap chain exists and the head must hash-group flat).
-        let pre_lift_tree = plan.final_tree(input.tree())?;
-        let head_decision = if head.group_by.is_empty() {
-            None
-        } else {
-            Some(plan_head_chain(&pre_lift_tree, &head.group_by)?)
-        };
-        let on_chain = head_decision.as_ref().is_none_or(|d| d.on_chain);
-        if let Some(d) = head_decision {
-            plan.extend(d.plan);
-        }
-
-        let simplified = plan.simplified(input.tree());
-        let exec_start = Instant::now();
-        let (result, on_overlay) = if on_chain {
-            simplified.execute_aggregate_presimplified_ctx(input, kind, &head.group_by, ctx)?
-        } else {
-            // No root path for the grouping head at acceptable cost: run the
-            // structural plan (fused, governed) and hash-group over the
-            // enumerated tuples instead.
-            let mut grouped = input.clone();
-            simplified.execute_presimplified_ctx(&mut grouped, ctx)?;
-            (
-                fdb_frep::aggregate::by_enumeration(&grouped, kind, &head.group_by)?,
-                false,
-            )
-        };
-        let execution_time = exec_start.elapsed();
-        let (fused_segments, barriers_fused, arenas_skipped) =
-            aggregate_fusion_counters(&simplified, on_overlay);
-        let (chain_heads, flat_head_fallbacks) = head_strategy_counters(head, on_chain);
-
-        let result_tree_cost = s_cost(&pre_lift_tree)?;
-        Ok(AggregateOutput {
-            result,
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost,
-                plan_cost: optimised.cost.max_intermediate,
-                result_size: 0,
-                result_tuples: 0,
-                plan,
-                explored_states: optimised.explored_states,
-                fused_segments,
-                aggregates_on_overlay: usize::from(on_overlay),
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: resolved.cache_hits,
-                plan_cache_misses: resolved.cache_misses,
-                plan_cache_evictions: resolved.cache_evictions,
-                chain_heads,
-                flat_head_fallbacks,
-            },
-        })
-    }
-
-    /// Evaluates an `ORDER BY` query on a flat relational database: the
-    /// factorised result is built over the optimal f-tree exactly like
-    /// [`FdbEngine::evaluate_flat`], then enumerated in the canonical order
-    /// (see [`OrderedOutput`]).  When the ordering attributes sit on — or
-    /// can be swapped onto, at no asymptotic cost — a root path of the
-    /// result's f-tree, the ordered rows come straight off the priority
-    /// cursor (already in their final order whenever its slot layout is
-    /// canonical, see `fdb_frep::enumerate`); otherwise the result is
-    /// enumerated and sorted flat.  The query must carry a non-empty
-    /// `order_by` and no aggregate head ([`Query::validate`] rejects the
-    /// combination).
-    pub fn evaluate_flat_ordered(&self, db: &Database, query: &Query) -> Result<OrderedOutput> {
-        if query.order_by.is_empty() {
-            return Err(FdbError::InvalidInput {
-                detail: "evaluate_flat_ordered: query has no ORDER BY head".into(),
-            });
-        }
-        let opt_start = Instant::now();
-        let search = fdb_plan::optimal_ftree(db.catalog(), query, |r| db.rel_len(r) as u64)?;
-        let optimisation_time = opt_start.elapsed();
-
-        let exec_start = Instant::now();
-        let mut result = build_frep(db, query, &search.tree)?;
-        let mut plan = FPlan::empty();
-        if let Some(proj) = &query.projection {
-            let keep: BTreeSet<AttrId> = proj.iter().copied().collect();
-            plan.push(FPlanOp::Project(keep));
-        }
-        let pre_order_tree = plan.final_tree(result.tree())?;
-        let decision = plan_head_chain(&pre_order_tree, &query.order_by)?;
-        plan.extend(decision.plan);
-        let simplified = plan.simplified(result.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
-        simplified.execute_presimplified(&mut result)?;
-        let (rows, strategy) = fdb_frep::materialize_ordered(&result, &query.order_by)?;
-        let execution_time = exec_start.elapsed();
-
-        Ok(OrderedOutput {
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost: s_cost(result.tree())?,
-                plan_cost: search.cost,
-                result_size: result.size(),
-                result_tuples: result.tuple_count(),
-                plan,
-                explored_states: search.explored_states,
-                fused_segments,
-                aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
-                plan_cache_evictions: 0,
-                chain_heads: u64::from(strategy == OrderStrategy::Chain),
-                flat_head_fallbacks: u64::from(strategy == OrderStrategy::FlatSort),
-            },
-            rows,
-            strategy,
-        })
-    }
-
-    /// Evaluates a query over a factorised input and returns the result
-    /// rows in the canonical `ORDER BY` order (see [`OrderedOutput`]).  The
-    /// restructuring plan for the equality conditions is assembled exactly
-    /// like [`FdbEngine::evaluate_factorised`]; the ordering chain swaps
-    /// (when the costed planner chooses them) are appended to the same plan
-    /// and execute inside the same fused overlay program, so bringing the
-    /// ordering attributes to the root path costs no extra arena pass.
-    pub fn evaluate_factorised_ordered(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        order_by: &[AttrId],
-    ) -> Result<OrderedOutput> {
-        self.evaluate_factorised_ordered_inner(input, query, order_by, None, &ExecCtx::unlimited())
-    }
-
-    /// [`FdbEngine::evaluate_factorised_ordered`] through a [`PlanCache`]
-    /// (see [`FdbEngine::evaluate_factorised_cached`]).  The cache key
-    /// includes the ordering head: the same structural query ordered
-    /// differently needs different chain swaps, so the shapes must not
-    /// share an entry.
-    pub fn evaluate_factorised_ordered_cached(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        order_by: &[AttrId],
-        cache: &PlanCache,
-    ) -> Result<OrderedOutput> {
-        self.evaluate_factorised_ordered_inner(
-            input,
-            query,
-            order_by,
-            Some(cache),
-            &ExecCtx::unlimited(),
-        )
-    }
-
-    /// [`FdbEngine::evaluate_factorised_ordered`] under a governance
-    /// context (see [`FdbEngine::evaluate_factorised_ctx`]): the plan
-    /// execution, the ordered enumeration and the sort all charge the
-    /// context per record.
-    pub fn evaluate_factorised_ordered_ctx(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        order_by: &[AttrId],
-        cache: Option<&PlanCache>,
-        ctx: &ExecCtx,
-    ) -> Result<OrderedOutput> {
-        self.evaluate_factorised_ordered_inner(input, query, order_by, cache, ctx)
-    }
-
-    fn evaluate_factorised_ordered_inner(
-        &self,
-        input: &FRep,
-        query: &FactorisedQuery,
-        order_by: &[AttrId],
-        cache: Option<&PlanCache>,
-        ctx: &ExecCtx,
-    ) -> Result<OrderedOutput> {
-        if order_by.is_empty() {
-            return Err(FdbError::InvalidInput {
-                detail: "evaluate_factorised_ordered: empty ORDER BY head".into(),
-            });
-        }
-        let resolved = self.resolve_factorised_plan(input, query, cache, None, order_by, ctx)?;
-        let optimisation_time = resolved.optimisation_time;
-        let optimised = &resolved.plan;
-
-        let mut plan = FPlan::empty();
-        for sel in &query.const_selections {
-            plan.push(FPlanOp::SelectConst {
-                attr: sel.attr,
-                op: sel.op,
-                value: sel.value,
-            });
-        }
-        plan.extend(optimised.plan.clone());
-        if let Some(proj) = &query.projection {
-            plan.push(FPlanOp::Project(proj.iter().copied().collect()));
-        }
-        let pre_order_tree = plan.final_tree(input.tree())?;
-        let decision = plan_head_chain(&pre_order_tree, order_by)?;
-        plan.extend(decision.plan);
-
-        let simplified = plan.simplified(input.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
-        let exec_start = Instant::now();
-        let mut result = input.clone();
-        simplified.execute_presimplified_ctx(&mut result, ctx)?;
-        let (rows, strategy) = fdb_frep::materialize_ordered_ctx(&result, order_by, ctx)?;
-        let execution_time = exec_start.elapsed();
-
-        Ok(OrderedOutput {
-            stats: EvalStats {
-                optimisation_time,
-                execution_time,
-                result_tree_cost: s_cost(result.tree())?,
-                plan_cost: optimised.cost.max_intermediate,
-                result_size: result.size(),
-                result_tuples: result.tuple_count(),
-                plan,
-                explored_states: optimised.explored_states,
-                fused_segments,
-                aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
-                queries_served: 1,
-                plan_cache_hits: resolved.cache_hits,
-                plan_cache_misses: resolved.cache_misses,
-                plan_cache_evictions: resolved.cache_evictions,
-                chain_heads: u64::from(strategy == OrderStrategy::Chain),
-                flat_head_fallbacks: u64::from(strategy == OrderStrategy::FlatSort),
-            },
-            rows,
-            strategy,
+        self.run_headless(Source::Factorised {
+            input: &product,
+            query: &body,
+            cache: None,
         })
     }
 }
@@ -1120,9 +815,10 @@ impl FdbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_common::{Catalog, ComparisonOp, RelId, Value};
-    use fdb_frep::materialize;
+    use fdb_common::{Catalog, ComparisonOp, QueryLimits, RelId, Value};
+    use fdb_frep::{materialize, materialize_then_sort};
     use fdb_relation::RdbEngine;
+    use std::sync::atomic::AtomicBool;
 
     /// The grocery database of Figure 1 (values encoded as small integers).
     fn grocery() -> (Database, Vec<RelId>) {
@@ -1180,6 +876,26 @@ mod tests {
         let mut sorted = result.attrs().to_vec();
         sorted.sort_unstable();
         result.reorder_columns(&sorted).unwrap().tuple_set()
+    }
+
+    /// An ungoverned, uncached aggregate request.
+    fn run_aggregate(source: Source<'_>, head: &AggregateHead) -> Result<AggregateOutput> {
+        let head = Head {
+            aggregate: Some(head),
+            ..Head::default()
+        };
+        match FdbEngine::new().run(source, head, &ExecCtx::unlimited())? {
+            ServeOutcome::Aggregate(out) => Ok(out),
+            other => panic!("an aggregate head yields an aggregate outcome, got {other:?}"),
+        }
+    }
+
+    fn factorised<'a>(input: &'a FRep, query: &'a FactorisedQuery) -> Source<'a> {
+        Source::Factorised {
+            input,
+            query,
+            cache: None,
+        }
     }
 
     #[test]
@@ -1331,33 +1047,24 @@ mod tests {
         let flat = materialize(&base.result).unwrap();
         let col = flat.attrs().iter().position(|&a| a == oid).unwrap();
 
-        let query = q1(&db, &rels).with_aggregate(fdb_common::AggregateHead::count());
-        let out = FdbEngine::new()
-            .evaluate_flat_aggregate(&db, &query)
-            .unwrap();
+        let query = q1(&db, &rels);
+        let source = Source::Flat {
+            db: &db,
+            query: &query,
+        };
+        let out = run_aggregate(source, &AggregateHead::count()).unwrap();
         assert_eq!(
             out.result,
             fdb_frep::AggregateResult::Scalar(AggregateValue::Count(flat.len() as u128))
         );
         assert_eq!(out.stats.aggregates_on_overlay, 0);
 
-        let query = q1(&db, &rels).with_aggregate(fdb_common::AggregateHead::over(
-            fdb_common::AggregateFunc::Sum,
-            oid,
-        ));
         let expected: u128 = flat.rows().map(|r| r[col].raw() as u128).sum();
-        let out = FdbEngine::new()
-            .evaluate_flat_aggregate(&db, &query)
-            .unwrap();
+        let out = run_aggregate(source, &AggregateHead::over(AggregateFunc::Sum, oid)).unwrap();
         assert_eq!(
             out.result,
             fdb_frep::AggregateResult::Scalar(AggregateValue::Sum(expected))
         );
-
-        // A query without an aggregate head is rejected.
-        assert!(FdbEngine::new()
-            .evaluate_flat_aggregate(&db, &q1(&db, &rels))
-            .is_err());
     }
 
     #[test]
@@ -1370,11 +1077,13 @@ mod tests {
         let base = FdbEngine::new()
             .evaluate_flat(&db, &q1(&db, &rels))
             .unwrap();
+        let query = q1(&db, &rels);
         for group in base.result.visible_attrs() {
-            let query =
-                q1(&db, &rels).with_aggregate(fdb_common::AggregateHead::count().grouped_by(group));
-            let out = FdbEngine::new()
-                .evaluate_flat_aggregate(&db, &query)
+            let source = Source::Flat {
+                db: &db,
+                query: &query,
+            };
+            let out = run_aggregate(source, &AggregateHead::count().grouped_by(group))
                 .unwrap_or_else(|e| panic!("group by {group} failed: {e:?}"));
             let expected = fdb_frep::aggregate::by_enumeration(
                 &base.result,
@@ -1399,10 +1108,7 @@ mod tests {
         )]);
         let engine = FdbEngine::new();
         let full = engine.evaluate_factorised(&base.result, &fq).unwrap();
-        let head = fdb_common::AggregateHead::count();
-        let agg = engine
-            .evaluate_factorised_aggregate(&base.result, &fq, &head)
-            .unwrap();
+        let agg = run_aggregate(factorised(&base.result, &fq), &AggregateHead::count()).unwrap();
         assert_eq!(
             agg.result,
             fdb_frep::AggregateResult::Scalar(fdb_frep::AggregateValue::Count(
@@ -1447,10 +1153,7 @@ mod tests {
             op: ComparisonOp::Ge,
             value: Value::new(2),
         });
-        let head = fdb_common::AggregateHead::count();
-        let agg = FdbEngine::new()
-            .evaluate_factorised_aggregate(&base.result, &fq, &head)
-            .unwrap();
+        let agg = run_aggregate(factorised(&base.result, &fq), &AggregateHead::count()).unwrap();
         // Reference: execute the selection, then count.
         let full = FdbEngine::new()
             .evaluate_factorised(&base.result, &fq)
@@ -1570,6 +1273,327 @@ mod tests {
         assert_eq!(
             materialize(&out.result).unwrap().tuple_set(),
             rdb_canonical(&db, &reference)
+        );
+    }
+
+    /// `R(a, b, c) ⋈ S(a2, b2, e)` on `a = a2, b = b2` — a fork at depth two,
+    /// f-tree `{a,a2} → {b,b2} → (c, e)` with `s(T) = 1`: lifting `b` over
+    /// `a` keeps every root path inside one relation (the chain planner
+    /// accepts), lifting `e` would put `c` and `e` — both relations — on one
+    /// path (it refuses).  6 · 4 · 6 · 8 = 1152 result tuples, more than one
+    /// `CHECK_INTERVAL`.
+    struct Fork {
+        db: Database,
+        /// The join, nothing else.
+        join: Query,
+        /// [a, b, c, e]
+        attrs: [AttrId; 4],
+    }
+
+    fn fork() -> Fork {
+        let mut catalog = Catalog::new();
+        let (r, _) = catalog.add_relation("R", &["a", "b", "c"]);
+        let (s, _) = catalog.add_relation("S", &["a2", "b2", "e"]);
+        let mut db = Database::new(catalog);
+        let (mut r_rows, mut s_rows) = (Vec::new(), Vec::new());
+        for a in 0..6u64 {
+            for j in 0..4u64 {
+                // `b` values repeat across `a` parents, so grouping by `b`
+                // regroups for real.
+                let b = (a + j) % 5;
+                r_rows.extend((0..6).map(|c| vec![a, b, c]));
+                s_rows.extend((0..8).map(|k| vec![a, b, k * 6 + a]));
+            }
+        }
+        db.insert_raw_rows(r, &r_rows).unwrap();
+        db.insert_raw_rows(s, &s_rows).unwrap();
+        let attr = |name: &str| db.catalog().find_attr(name).unwrap();
+        let attrs = [attr("R.a"), attr("R.b"), attr("R.c"), attr("S.e")];
+        let join = Query::product(vec![r, s])
+            .with_equality(attrs[0], attr("S.a2"))
+            .with_equality(attrs[1], attr("S.b2"));
+        Fork { db, join, attrs }
+    }
+
+    /// The `EvalStats` counters one table cell pins, in this order:
+    /// `fused_segments`, `aggregates_on_overlay`, `barriers_fused`,
+    /// `arenas_skipped`, `chain_heads`, `flat_head_fallbacks`.
+    fn head_counters(stats: &EvalStats) -> [u64; 6] {
+        [
+            stats.fused_segments as u64,
+            stats.aggregates_on_overlay as u64,
+            stats.barriers_fused as u64,
+            stats.arenas_skipped as u64,
+            stats.chain_heads,
+            stats.flat_head_fallbacks,
+        ]
+    }
+
+    /// Every head on every source through [`FdbEngine::run`]: 6 heads × {flat
+    /// source; factorised source without a cache, on a cache miss, on a cache
+    /// hit}.  Each cell must equal its flat oracle, the three factorised
+    /// columns must be identical, and the counters are pinned exactly (the
+    /// expectations were recorded from the per-method evaluators this
+    /// pipeline replaced).
+    #[test]
+    fn every_head_on_every_source_runs_the_one_pipeline() {
+        let Fork {
+            db,
+            join,
+            attrs: [a, b, c, e],
+        } = fork();
+        let engine = FdbEngine::new();
+        let ctx = ExecCtx::unlimited();
+
+        // The same logical request on both kinds of source:
+        // π_{a,b,c,e} σ_{c ≥ 1} of the join.
+        let keep = vec![a, b, c, e];
+        let flat_query = join
+            .clone()
+            .with_const_selection(c, ComparisonOp::Ge, Value::new(1))
+            .with_projection(keep.clone());
+        let input = engine.evaluate_flat(&db, &join).unwrap().result;
+        let body = FactorisedQuery::default()
+            .with_const_selection(ConstSelection {
+                attr: c,
+                op: ComparisonOp::Ge,
+                value: Value::new(1),
+            })
+            .with_projection(keep);
+        // Another shape, to fill each capacity-1 cache so every miss evicts.
+        let filler = FactorisedQuery::default().with_projection(vec![a]);
+
+        // The oracles: the flat engine for the tuples; enumeration and a flat
+        // sort over the (verified) headless result for the heads.
+        let reference = engine.evaluate_flat(&db, &flat_query).unwrap().result;
+        let tuples = rdb_canonical(&db, &flat_query);
+        assert_eq!(materialize(&reference).unwrap().tuple_set(), tuples);
+
+        let sum_c = AggregateHead::over(AggregateFunc::Sum, c);
+        let count_by_b = AggregateHead::count().grouped_by(b);
+        let count_by_e = AggregateHead::count().grouped_by(e);
+        let aggregate = |head| Head {
+            aggregate: Some(head),
+            ..Head::default()
+        };
+        let (by_b, by_e) = ([b], [e]);
+        let ordered = |order_by| Head {
+            order_by,
+            ..Head::default()
+        };
+        // (head, counters on the flat source, counters on the factorised source)
+        let heads: [(&str, Head<'_>, [u64; 6], [u64; 6]); 6] = [
+            (
+                "no head",
+                Head::default(),
+                [1, 0, 1, 0, 0, 0],
+                [1, 0, 2, 1, 0, 0],
+            ),
+            (
+                "scalar aggregate",
+                aggregate(&sum_c),
+                [1, 1, 1, 1, 0, 0],
+                [1, 1, 2, 2, 0, 0],
+            ),
+            (
+                "chain GROUP BY",
+                aggregate(&count_by_b),
+                [1, 1, 1, 2, 1, 0],
+                [1, 1, 2, 3, 1, 0],
+            ),
+            (
+                "fallback GROUP BY",
+                aggregate(&count_by_e),
+                [0, 0, 0, 0, 0, 1],
+                [0, 0, 0, 0, 0, 1],
+            ),
+            (
+                "chain ORDER BY",
+                ordered(&by_b),
+                [1, 0, 1, 1, 1, 0],
+                [1, 0, 2, 2, 1, 0],
+            ),
+            (
+                "flat-sort ORDER BY",
+                ordered(&by_e),
+                [1, 0, 1, 0, 0, 1],
+                [1, 0, 2, 1, 0, 1],
+            ),
+        ];
+
+        // `result_tree_cost` of the headless cell, per source kind: what an
+        // aggregate over the same body reports (it builds no result of its
+        // own).
+        let mut body_tree_cost = [f64::NAN; 2];
+        for (label, head, on_flat, on_factorised) in heads {
+            let cache = PlanCache::with_capacity(1);
+            let cached = |query| Source::Factorised {
+                input: &input,
+                query,
+                cache: Some(&cache),
+            };
+            engine.run(cached(&filler), Head::default(), &ctx).unwrap();
+            let flat = Source::Flat {
+                db: &db,
+                query: &flat_query,
+            };
+            // (column, source, cache hits / misses / evictions)
+            let columns = [
+                ("flat", flat, [0, 0, 0]),
+                ("factorised", factorised(&input, &body), [0, 0, 0]),
+                ("cache miss", cached(&body), [0, 1, 1]),
+                ("cache hit", cached(&body), [1, 0, 0]),
+            ];
+            let mut first_factorised: Option<ServeOutcome> = None;
+            for (column, source, cache_counters) in columns {
+                let cell = format!("{label} × {column}");
+                let is_flat = matches!(source, Source::Flat { .. });
+                let outcome = engine
+                    .run(source, head, &ctx)
+                    .unwrap_or_else(|e| panic!("{cell}: {e:?}"));
+                let stats = outcome.stats();
+                assert_eq!(
+                    head_counters(stats),
+                    if is_flat { on_flat } else { on_factorised },
+                    "{cell}: head counters"
+                );
+                assert_eq!(
+                    [
+                        stats.plan_cache_hits,
+                        stats.plan_cache_misses,
+                        stats.plan_cache_evictions
+                    ],
+                    cache_counters,
+                    "{cell}: cache counters"
+                );
+                assert_eq!(stats.queries_served, 1, "{cell}");
+
+                match &outcome {
+                    ServeOutcome::Rep(out) => {
+                        out.result.validate().unwrap();
+                        assert_eq!(
+                            materialize(&out.result).unwrap().tuple_set(),
+                            tuples,
+                            "{cell}"
+                        );
+                        assert_eq!(stats.result_size, out.result.size(), "{cell}");
+                        assert_eq!(stats.result_tuples, out.result.tuple_count(), "{cell}");
+                        body_tree_cost[usize::from(is_flat)] = stats.result_tree_cost;
+                    }
+                    ServeOutcome::Aggregate(out) => {
+                        let head = head.aggregate.expect("aggregate cell");
+                        let kind = aggregate_kind(head).unwrap();
+                        let oracle =
+                            fdb_frep::aggregate::by_enumeration(&reference, kind, &head.group_by);
+                        assert_eq!(out.result, oracle.unwrap(), "{cell}");
+                        assert_eq!((stats.result_size, stats.result_tuples), (0, 0), "{cell}");
+                        assert_eq!(
+                            stats.result_tree_cost,
+                            body_tree_cost[usize::from(is_flat)],
+                            "{cell}: an aggregate reports its body plan's tree"
+                        );
+                    }
+                    ServeOutcome::Ordered(out) => {
+                        let oracle = materialize_then_sort(&reference, head.order_by).unwrap();
+                        assert_eq!(out.rows, oracle, "{cell}");
+                        assert_eq!(
+                            out.strategy == OrderStrategy::Chain,
+                            stats.chain_heads == 1,
+                            "{cell}"
+                        );
+                        assert_eq!(stats.result_tuples, oracle.len() as u128, "{cell}");
+                    }
+                }
+
+                // The three factorised columns are the same evaluation.
+                if is_flat {
+                    continue;
+                }
+                let Some(first) = &first_factorised else {
+                    first_factorised = Some(outcome);
+                    continue;
+                };
+                assert_eq!(stats.plan, first.stats().plan, "{cell}");
+                assert_eq!(stats.plan_cost, first.stats().plan_cost, "{cell}");
+                assert_eq!(
+                    stats.result_tree_cost,
+                    first.stats().result_tree_cost,
+                    "{cell}"
+                );
+                assert_eq!(stats.result_size, first.stats().result_size, "{cell}");
+                match (&outcome, first) {
+                    (ServeOutcome::Rep(out), ServeOutcome::Rep(first)) => {
+                        assert!(out.result.store_identical(&first.result), "{cell}")
+                    }
+                    (ServeOutcome::Aggregate(out), ServeOutcome::Aggregate(first)) => {
+                        assert_eq!(out.result, first.result, "{cell}")
+                    }
+                    (ServeOutcome::Ordered(out), ServeOutcome::Ordered(first)) => {
+                        assert_eq!((&out.rows, out.strategy), (&first.rows, first.strategy))
+                    }
+                    (outcome, first) => panic!("{cell}: {outcome:?} vs {first:?}"),
+                }
+            }
+        }
+    }
+
+    /// `COUNT(*) GROUP BY e` over the unfiltered fork under `limits`: the
+    /// chain planner refuses the lift; with no equalities, selections or
+    /// projection the structural plan is empty, and a warm plan cache skips
+    /// the optimiser (which checks the context on entry) — nothing but the
+    /// hash-group fallback's enumeration charges the context.
+    fn fallback_group_by_under(limits: QueryLimits) -> (Result<ServeOutcome>, u64) {
+        let Fork { db, join, attrs } = fork();
+        let engine = FdbEngine::new();
+        let input = engine.evaluate_flat(&db, &join).unwrap().result;
+        let tuples = u64::try_from(input.tuple_count()).unwrap();
+        let head = AggregateHead::count().grouped_by(attrs[3]);
+        let head = Head {
+            aggregate: Some(&head),
+            ..Head::default()
+        };
+        let body = FactorisedQuery::default();
+        let cache = PlanCache::new();
+        let source = Source::Factorised {
+            input: &input,
+            query: &body,
+            cache: Some(&cache),
+        };
+        engine.run(source, head, &ExecCtx::unlimited()).unwrap();
+        (engine.run(source, head, &ExecCtx::new(&limits)), tuples)
+    }
+
+    #[test]
+    fn the_group_by_fallback_charges_one_unit_per_tuple() {
+        let (_, tuples) = fallback_group_by_under(QueryLimits::unlimited());
+        let (exact, _) = fallback_group_by_under(QueryLimits::unlimited().with_budget(tuples));
+        let exact = exact.expect("a budget of one unit per tuple suffices");
+        assert_eq!(exact.stats().flat_head_fallbacks, 1, "the head fell back");
+        assert_eq!(
+            exact.stats().plan_cache_hits,
+            1,
+            "the optimiser was skipped"
+        );
+        assert!(exact.stats().plan.is_empty(), "no operator ran");
+        let (short, _) = fallback_group_by_under(QueryLimits::unlimited().with_budget(tuples - 1));
+        assert_eq!(
+            short.unwrap_err(),
+            FdbError::BudgetExceeded { limit: tuples - 1 }
+        );
+    }
+
+    #[test]
+    fn the_group_by_fallback_notices_a_raised_cancel_flag() {
+        let raised = Arc::new(AtomicBool::new(true));
+        let (outcome, tuples) =
+            fallback_group_by_under(QueryLimits::unlimited().with_cancel(raised));
+        assert!(
+            tuples >= fdb_common::limits::CHECK_INTERVAL,
+            "the walk must reach a flag check"
+        );
+        assert_eq!(
+            outcome.unwrap_err(),
+            FdbError::DeadlineExceeded { limit_ms: 0 }
         );
     }
 }

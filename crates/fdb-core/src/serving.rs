@@ -7,8 +7,8 @@
 //! * [`SharedDatabase`] holds the frozen representations behind `Arc`s and
 //!   hands out stable [`RepId`]s — workers read the same arenas in place;
 //! * [`FdbServer`] executes batches of [`ServeRequest`]s on a vendored
-//!   work-stealing [`ThreadPool`], each request running the existing fused
-//!   single-pass pipeline untouched;
+//!   work-stealing [`ThreadPool`], each request being one
+//!   [`FdbEngine::run`] call;
 //! * [`PlanCache`] memoises the optimiser's output per **query shape** —
 //!   the input f-tree plus the operator skeleton with selection constants
 //!   abstracted away — so repeated traffic (the common case under a skewed
@@ -34,9 +34,7 @@
 //! chaos suite (`tests/snapshot_recovery.rs`) swaps under concurrent load
 //! at 1–8 workers and panics mid-swap through the `db.swap` failpoint.
 
-use crate::engine::{
-    AggregateOutput, EvalOutput, EvalStats, FactorisedQuery, FdbEngine, OrderedOutput,
-};
+use crate::engine::{FactorisedQuery, FdbEngine, Head, ServeOutcome, Source};
 use fdb_common::{failpoint, AggregateHead, AttrId, ExecCtx, FdbError, QueryLimits, Result};
 use fdb_frep::FRep;
 use fdb_ftree::FTree;
@@ -254,8 +252,7 @@ pub(crate) fn plan_key(
     engine: &FdbEngine,
     tree: &FTree,
     query: &FactorisedQuery,
-    aggregate: Option<&AggregateHead>,
-    order_by: &[AttrId],
+    head: Head<'_>,
 ) -> String {
     let mut key = String::new();
     let _ = write!(key, "opt:{:?}|", engine.optimizer);
@@ -276,21 +273,21 @@ pub(crate) fn plan_key(
         }
     }
     key.push('|');
-    if let Some(head) = aggregate {
-        let _ = write!(key, "a{:?}", head.func);
-        if let Some(attr) = head.attr {
+    if let Some(aggregate) = head.aggregate {
+        let _ = write!(key, "a{:?}", aggregate.func);
+        if let Some(attr) = aggregate.attr {
             let _ = write!(key, ":{}", attr.0);
         }
-        if head.distinct {
+        if aggregate.distinct {
             key.push('d');
         }
         key.push('g');
-        for attr in &head.group_by {
+        for attr in &aggregate.group_by {
             let _ = write!(key, "{},", attr.0);
         }
     }
     key.push('|');
-    for attr in order_by {
+    for attr in head.order_by {
         let _ = write!(key, "o{},", attr.0);
     }
     key
@@ -518,7 +515,8 @@ impl PlanCache {
 /// One query to serve: which representation to read, the query, and an
 /// optional head — an aggregate head (folds on the fused overlay, returns
 /// no representation) or an `ORDER BY` list (returns the flat rows in the
-/// canonical order).  The two heads are mutually exclusive, mirroring
+/// canonical order).  The two heads are mutually exclusive
+/// ([`FdbEngine::run`] rejects a request carrying both), mirroring
 /// `Query::validate`.
 #[derive(Clone, Debug)]
 pub struct ServeRequest {
@@ -529,8 +527,8 @@ pub struct ServeRequest {
     /// Evaluate as an aggregate instead of returning a representation.
     pub aggregate: Option<AggregateHead>,
     /// Return the result rows ordered by these attributes (see
-    /// `FdbEngine::evaluate_factorised_ordered`).  Empty means unordered;
-    /// must be empty when `aggregate` is set.
+    /// [`crate::engine::OrderedOutput`]).  Empty means unordered; must be
+    /// empty when `aggregate` is set.
     pub order_by: Vec<AttrId>,
     /// Per-request resource allowance (deadline, budget, cancellation).
     /// [`QueryLimits::unlimited`] — the `Default` — governs nothing.
@@ -559,28 +557,6 @@ impl ServeRequest {
     pub fn with_limits(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
         self
-    }
-}
-
-/// The result of one served request.
-#[derive(Clone, Debug)]
-pub enum ServeOutcome {
-    /// A factorised result representation (non-aggregate request).
-    Rep(EvalOutput),
-    /// An aggregate value (aggregate request).
-    Aggregate(AggregateOutput),
-    /// Flat rows in the canonical order (`ORDER BY` request).
-    Ordered(OrderedOutput),
-}
-
-impl ServeOutcome {
-    /// The evaluation statistics of any outcome kind.
-    pub fn stats(&self) -> &EvalStats {
-        match self {
-            ServeOutcome::Rep(out) => &out.stats,
-            ServeOutcome::Aggregate(out) => &out.stats,
-            ServeOutcome::Ordered(out) => &out.stats,
-        }
     }
 }
 
@@ -657,9 +633,9 @@ pub const DEFAULT_IN_FLIGHT_PER_THREAD: usize = 128;
 
 /// A multi-threaded query server over a [`SharedDatabase`].
 ///
-/// Every request runs the existing fused single-pass pipeline untouched —
-/// concurrency comes purely from running independent requests on the
-/// work-stealing pool, reading the shared frozen arenas in place.
+/// Every request is one [`FdbEngine::run`] call — concurrency comes purely
+/// from running independent requests on the work-stealing pool, reading the
+/// shared frozen arenas in place.
 ///
 /// # Robustness
 ///
@@ -935,9 +911,9 @@ fn serve_request_guarded(
     })
 }
 
-/// The per-request pipeline shared by [`FdbServer::serve_one`] and the pool
-/// workers: resolve the representation, then run the (plan-cached) fused
-/// pipeline under the request's [`QueryLimits`].
+/// What [`FdbServer::serve_one`] and the pool workers do per request:
+/// resolve the representation, then [`FdbEngine::run`] it through the plan
+/// cache under the request's [`QueryLimits`].
 fn serve_request(
     engine: FdbEngine,
     db: &SharedDatabase,
@@ -949,28 +925,18 @@ fn serve_request(
     let rep = db.get(request.rep).ok_or_else(|| FdbError::InvalidInput {
         detail: format!("unknown representation id {:?}", request.rep),
     })?;
-    match &request.aggregate {
-        Some(head) if !request.order_by.is_empty() => Err(FdbError::InvalidInput {
-            detail: format!(
-                "a request cannot carry both an aggregate head ({head:?}) and ORDER BY"
-            ),
-        }),
-        Some(head) => engine
-            .evaluate_factorised_aggregate_ctx(&rep, &request.query, head, Some(cache), &ctx)
-            .map(ServeOutcome::Aggregate),
-        None if !request.order_by.is_empty() => engine
-            .evaluate_factorised_ordered_ctx(
-                &rep,
-                &request.query,
-                &request.order_by,
-                Some(cache),
-                &ctx,
-            )
-            .map(ServeOutcome::Ordered),
-        None => engine
-            .evaluate_factorised_ctx(&rep, &request.query, Some(cache), &ctx)
-            .map(ServeOutcome::Rep),
-    }
+    engine.run(
+        Source::Factorised {
+            input: &rep,
+            query: &request.query,
+            cache: Some(cache),
+        },
+        Head {
+            aggregate: request.aggregate.as_ref(),
+            order_by: &request.order_by,
+        },
+        &ctx,
+    )
 }
 
 /// Compile-time pin of the serving layer's own shareability: the server is
@@ -1013,6 +979,35 @@ mod tests {
         (out.result, a, b)
     }
 
+    /// One ungoverned evaluation through `cache`.
+    fn run_cached(
+        rep: &FRep,
+        query: &FactorisedQuery,
+        head: Head<'_>,
+        cache: &PlanCache,
+    ) -> ServeOutcome {
+        let source = Source::Factorised {
+            input: rep,
+            query,
+            cache: Some(cache),
+        };
+        FdbEngine::new()
+            .run(source, head, &ExecCtx::unlimited())
+            .unwrap()
+    }
+
+    /// [`run_cached`] for a headless request.
+    fn run_rep_cached(
+        rep: &FRep,
+        query: &FactorisedQuery,
+        cache: &PlanCache,
+    ) -> crate::engine::EvalOutput {
+        match run_cached(rep, query, Head::default(), cache) {
+            ServeOutcome::Rep(out) => out,
+            other => panic!("a headless request yields a representation, got {other:?}"),
+        }
+    }
+
     fn select_a(a: AttrId, value: u64) -> FactorisedQuery {
         FactorisedQuery::default().with_const_selection(ConstSelection {
             attr: a,
@@ -1029,17 +1024,13 @@ mod tests {
         let query1 = select_a(a, 1).with_projection(vec![a, b]);
         let query2 = select_a(a, 2).with_projection(vec![a, b]);
 
-        let miss = engine
-            .evaluate_factorised_cached(&rep, &query1, &cache)
-            .unwrap();
+        let miss = run_rep_cached(&rep, &query1, &cache);
         assert_eq!(
             (miss.stats.plan_cache_hits, miss.stats.plan_cache_misses),
             (0, 1)
         );
         // Same shape, different constant: a hit on one cached plan.
-        let hit = engine
-            .evaluate_factorised_cached(&rep, &query2, &cache)
-            .unwrap();
+        let hit = run_rep_cached(&rep, &query2, &cache);
         assert_eq!(
             (hit.stats.plan_cache_hits, hit.stats.plan_cache_misses),
             (1, 0)
@@ -1049,9 +1040,7 @@ mod tests {
 
         // Cached results are store-identical to the uncached pipeline.
         for query in [&query1, &query2] {
-            let cached = engine
-                .evaluate_factorised_cached(&rep, query, &cache)
-                .unwrap();
+            let cached = run_rep_cached(&rep, query, &cache);
             let plain = engine.evaluate_factorised(&rep, query).unwrap();
             assert!(cached.result.store_identical(&plain.result));
             assert_eq!(
@@ -1066,9 +1055,7 @@ mod tests {
             op: ComparisonOp::Ge,
             value: Value::new(1),
         });
-        let out = engine
-            .evaluate_factorised_cached(&rep, &other, &cache)
-            .unwrap();
+        let out = run_rep_cached(&rep, &other, &cache);
         assert_eq!(out.stats.plan_cache_misses, 1);
         assert_eq!(cache.len(), 2);
     }
@@ -1090,9 +1077,12 @@ mod tests {
         for limits in [expired, cancelled] {
             let ctx = ExecCtx::new(&limits);
             std::thread::sleep(Duration::from_millis(1));
-            let err = engine
-                .evaluate_factorised_ctx(&rep, &query, Some(&cache), &ctx)
-                .unwrap_err();
+            let source = Source::Factorised {
+                input: &rep,
+                query: &query,
+                cache: Some(&cache),
+            };
+            let err = engine.run(source, Head::default(), &ctx).unwrap_err();
             assert_eq!(err, FdbError::DeadlineExceeded { limit_ms: 0 });
             // The search stopped before it had a plan: before the optimiser
             // took the context it ran to the end, cached its plan, and only
@@ -1101,9 +1091,7 @@ mod tests {
         }
 
         // The same shape still optimises and evaluates afterwards.
-        let out = engine
-            .evaluate_factorised_ctx(&rep, &query, Some(&cache), &ExecCtx::unlimited())
-            .unwrap();
+        let out = run_rep_cached(&rep, &query, &cache);
         assert_eq!(out.stats.plan_cache_misses, 1);
         assert!(out.stats.explored_states > 0);
         assert_eq!(cache.len(), 1);
@@ -1119,34 +1107,29 @@ mod tests {
         // replayed a plan missing their restructure/ordering tail.  Each
         // head must mint its own entry.
         let (rep, a, b) = base_rep();
-        let engine = FdbEngine::new();
         let cache = PlanCache::new();
         let body = select_a(a, 1);
 
-        engine
-            .evaluate_factorised_cached(&rep, &body, &cache)
-            .unwrap();
+        run_cached(&rep, &body, Head::default(), &cache);
         assert_eq!(cache.len(), 1);
-        engine
-            .evaluate_factorised_aggregate_cached(&rep, &body, &AggregateHead::count(), &cache)
-            .unwrap();
+        let count = AggregateHead::count();
+        let aggregate = |head| Head {
+            aggregate: Some(head),
+            ..Head::default()
+        };
+        run_cached(&rep, &body, aggregate(&count), &cache);
         assert_eq!(cache.len(), 2, "an aggregate head is part of the key");
-        engine
-            .evaluate_factorised_aggregate_cached(
-                &rep,
-                &body,
-                &AggregateHead::count().grouped_by(b),
-                &cache,
-            )
-            .unwrap();
+        run_cached(&rep, &body, aggregate(&count.clone().grouped_by(b)), &cache);
         assert_eq!(
             cache.len(),
             3,
             "the grouping attributes are part of the key"
         );
-        engine
-            .evaluate_factorised_ordered_cached(&rep, &body, &[b], &cache)
-            .unwrap();
+        let ordered = Head {
+            order_by: &[b],
+            ..Head::default()
+        };
+        run_cached(&rep, &body, ordered, &cache);
         assert_eq!(
             cache.len(),
             4,
@@ -1154,11 +1137,9 @@ mod tests {
         );
 
         // Re-serving each head shape hits its own entry instead of missing.
-        let out = engine
-            .evaluate_factorised_ordered_cached(&rep, &body, &[b], &cache)
-            .unwrap();
+        let out = run_cached(&rep, &body, ordered, &cache);
         assert_eq!(
-            (out.stats.plan_cache_hits, out.stats.plan_cache_misses),
+            (out.stats().plan_cache_hits, out.stats().plan_cache_misses),
             (1, 0)
         );
         assert_eq!(cache.len(), 4);
@@ -1187,9 +1168,19 @@ mod tests {
         for (request, outcome) in requests.iter().zip(&outcomes) {
             match (outcome.as_ref().unwrap(), &request.aggregate) {
                 (ServeOutcome::Aggregate(out), Some(head)) => {
-                    let expected = engine
-                        .evaluate_factorised_aggregate(&rep, &request.query, head)
-                        .unwrap();
+                    let source = Source::Factorised {
+                        input: &rep,
+                        query: &request.query,
+                        cache: None,
+                    };
+                    let head = Head {
+                        aggregate: Some(head),
+                        ..Head::default()
+                    };
+                    let expected = engine.run(source, head, &ExecCtx::unlimited()).unwrap();
+                    let ServeOutcome::Aggregate(expected) = expected else {
+                        panic!("outcome kind mismatch: {expected:?}");
+                    };
                     assert_eq!(out.result, expected.result);
                 }
                 (ServeOutcome::Rep(out), None) => {

@@ -946,6 +946,21 @@ pub fn by_enumeration(
     kind: AggregateKind,
     group_by: &[AttrId],
 ) -> Result<AggregateResult> {
+    by_enumeration_ctx(rep, kind, group_by, &ExecCtx::unlimited())
+}
+
+/// [`by_enumeration`] under a governance context — the engine's hash-group
+/// fallback for grouping heads the chain planner refuses.  The tuple walk
+/// charges one unit per enumerated tuple (like
+/// [`crate::enumerate::materialize_ctx`]), so a request's deadline, budget
+/// or cancellation flag bounds the enumerate-and-hash phase too.
+pub fn by_enumeration_ctx(
+    rep: &FRep,
+    kind: AggregateKind,
+    group_by: &[AttrId],
+    ctx: &ExecCtx,
+) -> Result<AggregateResult> {
+    use crate::enumerate::for_each_tuple_ctx;
     use std::collections::{BTreeMap, BTreeSet};
     let visible = rep.visible_attrs();
     let col_of = |attr: AttrId| {
@@ -969,12 +984,12 @@ pub fn by_enumeration(
         // scalar case needs to distinguish "no tuples" for AVG).
         let dcol = col.expect("DISTINCT kinds always carry an attribute");
         let mut groups: BTreeMap<Vec<Value>, BTreeSet<Value>> = BTreeMap::new();
-        crate::enumerate::for_each_tuple(rep, |t| {
+        for_each_tuple_ctx(rep, ctx, |t| {
             groups
                 .entry(gcols.iter().map(|&c| t[c]).collect())
                 .or_default()
                 .insert(t[dcol]);
-        });
+        })?;
         let finish = |set: BTreeSet<Value>| {
             DistinctAcc {
                 values: set.into_iter().collect(),
@@ -1002,18 +1017,18 @@ pub fn by_enumeration(
     };
     if group_by.is_empty() {
         let mut acc = Acc::none();
-        crate::enumerate::for_each_tuple(rep, |t| fold(&mut acc, t));
+        for_each_tuple_ctx(rep, ctx, |t| fold(&mut acc, t))?;
         return Ok(AggregateResult::Scalar(acc.finish(kind)?));
     }
     let mut groups: BTreeMap<Vec<Value>, Acc> = BTreeMap::new();
-    crate::enumerate::for_each_tuple(rep, |t| {
+    for_each_tuple_ctx(rep, ctx, |t| {
         fold(
             groups
                 .entry(gcols.iter().map(|&c| t[c]).collect())
                 .or_insert_with(Acc::none),
             t,
         );
-    });
+    })?;
     Ok(AggregateResult::Groups(
         groups
             .into_iter()

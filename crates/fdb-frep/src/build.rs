@@ -36,9 +36,9 @@
 //! rows form a contiguous span — replacing the former per-node `BTreeMap`
 //! grouping, which dominated construction time with node allocations and
 //! pointer-chasing.  The old forest-building path survives as
-//! [`build_frep_via_forest`] for the equivalence tests and the `bench-pr2`
-//! construction benchmark (it keeps the `BTreeMap` grouping, so the
-//! `bench-pr2` build rows measure exactly this change plus direct emission).
+//! [`build_frep_via_forest`] for the equivalence tests (it keeps the
+//! `BTreeMap` grouping, so the build rows of `BENCH_PR2.json` measured
+//! exactly this change plus direct emission).
 //!
 //! The running time is `O(|Q| · |D|^{s(T̂)})` up to logarithmic factors — the
 //! tight bound of the paper — because the work done per node is proportional
@@ -359,8 +359,8 @@ impl Builder<'_> {
 
 /// The pre-PR-2 construction path: assemble an owned builder forest during
 /// the semi-join and freeze it into an arena once at the end.  Kept as the
-/// oracle for the equivalence tests and the `bench-pr2` construction
-/// benchmark; [`build_frep`] emits arena records directly instead.
+/// oracle for the equivalence tests; [`build_frep`] emits arena records
+/// directly instead (2.0× on the `BENCH_PR2.json` build rows).
 #[doc(hidden)]
 pub fn build_frep_via_forest(db: &Database, query: &Query, tree: &FTree) -> Result<FRep> {
     let (relations, node_cols) = prepare(db, query, tree)?;

@@ -516,11 +516,24 @@ impl<'a> TupleCursor<'a> {
 /// Calls `f` once per tuple of the represented relation.  The buffer handed
 /// to the callback lists the values of the representation's *visible*
 /// attributes in ascending attribute-id order.
-pub fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, mut f: F) {
+pub fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, f: F) {
+    for_each_tuple_ctx(rep, &ExecCtx::unlimited(), f).expect("an unlimited context never trips");
+}
+
+/// [`for_each_tuple`] under a governance context: charges one unit per
+/// tuple before handing it to the callback, so a deadline, budget or
+/// cancellation flag interrupts the walk between tuples.
+pub(crate) fn for_each_tuple_ctx<F: FnMut(&[Value])>(
+    rep: &FRep,
+    ctx: &ExecCtx,
+    mut f: F,
+) -> Result<()> {
     let mut cursor = TupleCursor::new(rep);
     while cursor.advance() {
+        ctx.charge(1)?;
         f(cursor.tuple());
     }
+    Ok(())
 }
 
 /// The structured error for an output that cannot be held in memory.

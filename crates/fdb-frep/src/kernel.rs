@@ -13,9 +13,10 @@
 //!
 //! # Dispatch
 //!
-//! Every kernel has a portable scalar implementation (`*_scalar`), compiled
-//! and tested unconditionally.  With the `simd` cargo feature on x86-64 the
-//! un-suffixed entry points dispatch at runtime to AVX2 implementations
+//! Every dispatched kernel has a portable scalar implementation
+//! (`*_scalar`), compiled and tested unconditionally.  With the `simd` cargo
+//! feature on x86-64 the un-suffixed entry points dispatch at runtime to
+//! AVX2 implementations
 //! (4 × u64 lanes, `std::arch` intrinsics behind
 //! `is_x86_feature_detected!`); anywhere else they fall through to the
 //! scalar code.  The paper's issue sketch names `std::simd`, but portable
@@ -35,18 +36,18 @@
 //! engine sees constantly — three-entry unions — that overhead exceeds the
 //! whole scalar loop, so the dispatched entry points fall through to scalar
 //! below a per-kernel length threshold (`SIMD_MASK_MIN_LEN`) chosen from the
-//! bench-pr10 crossover measurements.  One kernel is *never* dispatched: point probes
-//! ([`lower_bound`], [`find_value`]) measured slower vectorised at every
-//! slice length, so the engine keeps the scalar binary search and the
-//! vector variant survives only as [`lower_bound_vector`] /
-//! [`find_value_vector`] for pricing and equivalence pinning.
+//! crossover measurements recorded in `BENCH_PR10.json`.  Point probes
+//! ([`lower_bound`], [`find_value`]) have no vector form at all: a
+//! vectorised hybrid measured slower at every slice length
+//! (`BENCH_PR10.json`, 0.2–0.6×) and was deleted, so they are plain scalar
+//! binary searches under one name each.
 
 use fdb_common::{ComparisonOp, Value};
 
 /// Smallest block for which [`fill_keep_mask`] dispatches to AVX2.  Below
 /// this the non-inlinable `#[target_feature]` call costs more than the
 /// whole scalar loop (the engine's unions are often only a few entries
-/// wide); measured crossover on the bench-pr10 filter shapes.
+/// wide); measured crossover on the `BENCH_PR10.json` filter shapes.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 const SIMD_MASK_MIN_LEN: usize = 16;
 
@@ -94,40 +95,16 @@ pub fn find_by_key<T>(
 }
 
 /// First index whose value is `>= target` in a strictly increasing slice
-/// (`values.len()` when every value is smaller).
+/// (`values.len()` when every value is smaller): a plain binary search
+/// (`partition_point`).
 ///
-/// Deliberately **not** runtime-dispatched: the vectorised hybrid
-/// ([`lower_bound_vector`]) measured *slower* than `partition_point` at
-/// every slice length on the bench-pr10 probe shapes (0.2–0.6×) — a point
-/// probe is a dependent-load chain that branchless binary search already
-/// walks optimally, and the non-inlinable AVX2 call only adds overhead.
-/// The engine therefore probes with the scalar search; the vector variant
-/// stays available so the bench can keep pricing that negative result.
+/// Scalar only: a point probe is a dependent-load chain that branchless
+/// binary search already walks optimally, and a non-inlinable AVX2 call only
+/// adds overhead (the vectorised hybrid measured 0.2–0.6× on the
+/// `BENCH_PR10.json` probe shapes).
 #[inline]
 pub fn lower_bound(values: &[Value], target: Value) -> usize {
-    lower_bound_scalar(values, target)
-}
-
-/// Scalar [`lower_bound`]: a plain binary search (`partition_point`).
-#[inline]
-pub fn lower_bound_scalar(values: &[Value], target: Value) -> usize {
     values.partition_point(|&v| v < target)
-}
-
-/// The vectorised [`lower_bound`] *candidate*: binary search down to a
-/// small window, then an AVX2 population count of the lanes `< target`.
-/// Runtime-dispatched (scalar without the `simd` feature or AVX2).  Kept
-/// public, but **not** wired into the engine's probes — see
-/// [`lower_bound`] for the measurement that rejected it.  The equivalence
-/// suite still pins it bit-for-bit against the scalar oracle.
-#[inline]
-pub fn lower_bound_vector(values: &[Value], target: Value) -> usize {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: AVX2 support was just detected.
-        return unsafe { avx2::lower_bound(raw(values), target.raw()) };
-    }
-    lower_bound_scalar(values, target)
 }
 
 /// Index of `target` in a strictly increasing value slice, if present —
@@ -136,20 +113,6 @@ pub fn lower_bound_vector(values: &[Value], target: Value) -> usize {
 #[inline]
 pub fn find_value(values: &[Value], target: Value) -> Option<usize> {
     let i = lower_bound(values, target);
-    (i < values.len() && values[i] == target).then_some(i)
-}
-
-/// Scalar [`find_value`], routed through the shared probe contract.
-#[inline]
-pub fn find_value_scalar(values: &[Value], target: Value) -> Option<usize> {
-    find_by_key(values, |&v| v, target)
-}
-
-/// [`find_value`] on top of [`lower_bound_vector`] — the rejected
-/// vectorised probe, kept for pricing and equivalence pinning.
-#[inline]
-pub fn find_value_vector(values: &[Value], target: Value) -> Option<usize> {
-    let i = lower_bound_vector(values, target);
     (i < values.len() && values[i] == target).then_some(i)
 }
 
@@ -306,43 +269,6 @@ mod avx2 {
         }
     }
 
-    /// AVX2 [`super::lower_bound`]: binary search down to a window, then a
-    /// vectorised population count of the lanes `< target`.  The window is
-    /// deliberately small — the scalar binary search compiles to branchless
-    /// conditional moves, so the vector pass only pays off once it replaces
-    /// the last few (cache-missing) halving steps, not dozens of them.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lower_bound(values: &[u64], target: u64) -> usize {
-        const WINDOW: usize = 16;
-        let mut lo = 0usize;
-        let mut hi = values.len();
-        while hi - lo > WINDOW {
-            // Branchless halving (conditional moves, like `partition_point`
-            // compiles to) — random probe targets make this branch
-            // unpredictable, and a mispredict costs more than both moves.
-            let mid = lo + (hi - lo) / 2;
-            let less = *values.get_unchecked(mid) < target;
-            lo = if less { mid + 1 } else { lo };
-            hi = if less { hi } else { mid };
-        }
-        let target_biased = _mm256_set1_epi64x((target ^ BIAS) as i64);
-        let mut count = 0usize;
-        let mut i = lo;
-        while i + 4 <= hi {
-            let x = load_biased(values.as_ptr().add(i));
-            count += lane_mask(_mm256_cmpgt_epi64(target_biased, x)).count_ones() as usize;
-            i += 4;
-        }
-        while i < hi {
-            count += (*values.get_unchecked(i) < target) as usize;
-            i += 1;
-        }
-        lo + count
-    }
-
     /// AVX2 [`super::first_unsorted`]: compares each four-lane block against
     /// the block one position over.
     ///
@@ -408,7 +334,6 @@ mod tests {
             for _ in 0..8 {
                 let t = Value::new(rng.gen_range(0..1600u64));
                 let expect = values.partition_point(|&v| v < t);
-                assert_eq!(lower_bound_scalar(&values, t), expect);
                 assert_eq!(lower_bound(&values, t), expect);
             }
         }
@@ -423,7 +348,6 @@ mod tests {
                 let t = Value::new(rng.gen_range(0..1600u64));
                 let expect = values.binary_search(&t).ok();
                 assert_eq!(find_by_key(&values, |&v| v, t), expect);
-                assert_eq!(find_value_scalar(&values, t), expect);
                 assert_eq!(find_value(&values, t), expect);
             }
         }

@@ -120,7 +120,8 @@
 //! * **Cheap when armed, free when not.** The ungoverned public APIs
 //!   delegate to their `_ctx` twin with [`fdb_common::ExecCtx::unlimited`],
 //!   a single-branch short-circuit; armed-but-never-tripping limits cost
-//!   a few percent at worst (`bench-pr7` pins a ≤ 3% geometric mean).
+//!   a few percent at worst (`BENCH_PR7.json` records a 0.98 geometric
+//!   mean against a ≤ 1.03 bound).
 //!
 //! Checks are **cooperative**: a loop that never charges cannot be
 //! interrupted, so any new loop whose trip count depends on data size

@@ -4,12 +4,10 @@
 //! each one thawed the arena into the owned [`crate::node`] form, restructured
 //! the pointer tree, and froze the result back.  The production operators in
 //! the sibling modules now rewrite arena-to-arena and never thaw; this module
-//! keeps the original implementations verbatim so that
-//!
-//! * the randomized equivalence tests can assert the arena-native operators
-//!   produce bit-for-bit identical stores, and
-//! * the `bench-pr2` microbenchmarks can measure the arena-native operators
-//!   against the exact code they replaced.
+//! keeps the original implementations verbatim so that the randomized
+//! equivalence tests can assert the arena-native operators produce
+//! bit-for-bit identical stores (`BENCH_PR2.json` holds the last timing of
+//! the arena-native operators against this code: 10.2× geometric mean).
 //!
 //! Nothing here is API; the module is `#[doc(hidden)]` and must not be called
 //! from production paths.

@@ -35,9 +35,8 @@
 //! `Store::validate`).  Truncated, bit-flipped or version-skewed input
 //! yields a structured [`FdbError::SnapshotCorrupt`] /
 //! [`FdbError::SnapshotVersionMismatch`], never a panic and never a
-//! silently-wrong arena.  [`decode_frep_unverified`] skips only the final
-//! structural pass (checksums always run) and exists so the benchmark can
-//! price the verification overhead.
+//! silently-wrong arena.  There is no unverified load: the structural pass
+//! costs 5.7% of a load (`BENCH_PR8.json`).
 
 use crate::frep::FRep;
 use crate::store::{Store, UnionRec};
@@ -540,7 +539,17 @@ pub fn encode_frep_ctx(rep: &FRep, ctx: &ExecCtx) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-fn decode_frep_inner(bytes: &[u8], ctx: &ExecCtx, verify: bool) -> Result<FRep> {
+/// Deserialises and **fully verifies** a snapshot: header, per-section
+/// checksums, bounds of every decoded index, and the complete structural
+/// validator.  Any failure is a structured error; nothing is loaded.
+pub fn decode_frep(bytes: &[u8]) -> Result<FRep> {
+    decode_frep_ctx(bytes, &ExecCtx::unlimited())
+}
+
+/// [`decode_frep`] under a governance context: charges roughly one unit per
+/// arena record and honours the `snapshot.read` failpoint.
+pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
+    failpoint!(ctx, "snapshot.read");
     let sections = read_sections(bytes, KIND_FREP)?;
     if sections.len() != FREP_TAGS.len()
         || sections
@@ -572,38 +581,12 @@ fn decode_frep_inner(bytes: &[u8], ctx: &ExecCtx, verify: bool) -> Result<FRep> 
     let tree = FTree::from_snapshot(edges, nodes, tree_roots)
         .map_err(|e| corrupt(format!("f-tree validation failed on load: {e}")))?;
     let rep = FRep::from_store(tree, store);
-    if verify {
-        // The full structural validator is a mandatory load check — in
-        // release builds too.  A snapshot that decodes but fails it was
-        // written by (or corrupted into) something this engine must not
-        // serve from.
-        rep.validate()
-            .map_err(|e| corrupt(format!("structural validation failed on load: {e}")))?;
-    }
+    // The full structural validator is a mandatory load check — in release
+    // builds too.  A snapshot that decodes but fails it was written by (or
+    // corrupted into) something this engine must not serve from.
+    rep.validate()
+        .map_err(|e| corrupt(format!("structural validation failed on load: {e}")))?;
     Ok(rep)
-}
-
-/// Deserialises and **fully verifies** a snapshot: header, per-section
-/// checksums, bounds of every decoded index, and the complete structural
-/// validator.  Any failure is a structured error; nothing is loaded.
-pub fn decode_frep(bytes: &[u8]) -> Result<FRep> {
-    decode_frep_ctx(bytes, &ExecCtx::unlimited())
-}
-
-/// [`decode_frep`] under a governance context: charges roughly one unit per
-/// arena record and honours the `snapshot.read` failpoint.
-pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
-    failpoint!(ctx, "snapshot.read");
-    decode_frep_inner(bytes, ctx, true)
-}
-
-/// Deserialises a snapshot with framing and checksum verification but
-/// **without** the final structural validation pass.  Exists solely so the
-/// benchmark can price load-with-verify against unverified load; production
-/// paths must use [`decode_frep`].
-#[doc(hidden)]
-pub fn decode_frep_unverified(bytes: &[u8]) -> Result<FRep> {
-    decode_frep_inner(bytes, &ExecCtx::unlimited(), false)
 }
 
 #[cfg(test)]

@@ -6,32 +6,36 @@
 //! to cost candidate plans without touching data) or *executed* on an
 //! f-representation (which transforms both the data and its tree).
 //!
-//! # Whole-plan fused execution
+//! # Execution: simplify once, then one of two sinks
 //!
-//! [`FPlan::execute`] does not run the operators one at a time — and since
-//! PR 5 it no longer segments the op list either.  Selections with
-//! constants and projections, formerly *fusion barriers* that forced an
-//! arena materialisation on each side, are now overlay transforms like
-//! every structural step (`fdb_frep::ops::fuse`: a selection is a per-union
-//! entry filter composed with the liveness sweep, a projection replays as
-//! leaf removals plus swap-downs), so the **whole plan compiles into one
-//! overlay program** and pays a single arena emission no matter how many
-//! operators it chains.  Before compilation the plan is peephole-simplified
-//! against a simulated f-tree ([`FPlan::simplified`]): normalisations of an
-//! already-normalised tree (e.g. the `Normalise` after an `Absorb`, which
-//! normalises internally), identity projections, and selections made
-//! trivially total by an earlier equality selection are data no-ops and are
-//! dropped, and adjacent projections merge when the first only marks
-//! attributes.  Aggregate plans go further still:
-//! [`FPlan::execute_aggregate`] folds the aggregate — and the plan's
-//! trailing selections — directly over the overlay, emitting **no arena at
-//! all**.
+//! A plan reaches data in two steps, which is also how the engine's request
+//! pipeline (`fdb_core::FdbEngine::run`, stages 3 and 4) uses it:
 //!
-//! Two reference paths survive for oracles and benchmarks: the PR 2
-//! operator-at-a-time path as [`FPlan::execute_stepwise`] (the bit-for-bit
-//! oracle of the randomized equivalence suite) and the PR 3
-//! segment-at-barriers path as [`FPlan::execute_segmented`] (the baseline
-//! `bench-pr5` measures whole-plan fusion against).
+//! 1. [`FPlan::simplified`] peephole-simplifies the op list against a
+//!    simulated f-tree: normalisations of an already-normalised tree (e.g.
+//!    the `Normalise` after an `Absorb`, which normalises internally),
+//!    identity projections, and selections made trivially total by an
+//!    earlier equality selection are data no-ops and are dropped, and
+//!    adjacent projections merge when the first only marks attributes.  The
+//!    fusion counters ([`FPlan::fuses`], [`FPlan::barrier_count`],
+//!    [`FPlan::arenas_skipped`]) are read off this list, so they describe
+//!    what really executes.
+//! 2. The simplified list runs into one of two sinks.  The **emitting**
+//!    sink ([`FPlan::execute_presimplified_ctx`]) compiles the *whole* plan —
+//!    selections with constants and projections included; they are overlay
+//!    transforms like every structural step (`fdb_frep::ops::fuse`: a
+//!    selection is a per-union entry filter composed with the liveness
+//!    sweep, a projection replays as leaf removals plus swap-downs) — into
+//!    one overlay program that pays a single arena emission no matter how
+//!    many operators it chains.  The **aggregate** sink
+//!    ([`FPlan::execute_aggregate_presimplified_ctx`]) folds the aggregate —
+//!    and the plan's trailing selections — directly over the overlay and
+//!    emits **no arena at all**.
+//!
+//! [`FPlan::execute`] and [`FPlan::execute_aggregate`] are the two steps in
+//! one call, ungoverned.  One reference path survives as an oracle: the
+//! operator-at-a-time [`FPlan::execute_stepwise`], which the randomized
+//! equivalence suite compares the fused executor against bit for bit.
 
 use fdb_common::{AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_frep::ops::FusedOp;
@@ -164,10 +168,9 @@ impl FPlanOp {
     }
 
     /// Whether this operator was a *fusion barrier* before whole-plan fusion
-    /// (selections with constants and projections).  The PR 3 segmented
-    /// baseline [`FPlan::execute_segmented`] still splits at these, and the
-    /// engine counts how many of them execute inside a fused program
-    /// (`barriers_fused`).
+    /// (selections with constants and projections): step-wise each one is a
+    /// standalone arena pass.  The engine counts how many of them execute
+    /// inside a fused program (`barriers_fused`).
     pub fn is_barrier(&self) -> bool {
         matches!(self, FPlanOp::SelectConst { .. } | FPlanOp::Project(_))
     }
@@ -245,18 +248,14 @@ impl FPlan {
     /// error, where a failing program leaves the representation unmodified
     /// instead of stopped at the failing operator.
     pub fn execute(&self, rep: &mut FRep) -> Result<()> {
-        self.simplified(rep.tree()).execute_presimplified(rep)
+        self.simplified(rep.tree())
+            .execute_presimplified_ctx(rep, &ExecCtx::unlimited())
     }
 
     /// The compilation half of [`FPlan::execute`], without the peephole
     /// pass — for callers that already hold a simplified plan (the engine
     /// simplifies once, reads the fusion counters off it for its stats,
-    /// then executes it through this).
-    pub fn execute_presimplified(&self, rep: &mut FRep) -> Result<()> {
-        self.execute_presimplified_ctx(rep, &ExecCtx::unlimited())
-    }
-
-    /// [`FPlan::execute_presimplified`] under a governance context: the
+    /// then executes it through this) — under a governance context: the
     /// fused program threads the context through every overlay sweep and
     /// the final emission; the rare non-fused path (zero or one single-pass
     /// operator) checks the context between operators and governs the
@@ -293,26 +292,6 @@ impl FPlan {
         Ok(())
     }
 
-    /// Executes the plan the PR 3 way: the op list is split into segments at
-    /// the former fusion barriers (selections and projections), each
-    /// barrier runs as its own arena pass, and each multi-step structural
-    /// segment runs as one fused pass.  Kept as the measured baseline of
-    /// `bench-pr5` (whole-plan fusion vs segmented execution) and as an
-    /// additional oracle in the equivalence suite; output arenas are
-    /// bit-for-bit identical to both other paths.
-    pub fn execute_segmented(&self, rep: &mut FRep) -> Result<()> {
-        let mut segment: Vec<FusedOp> = Vec::new();
-        for op in &self.ops {
-            if op.is_barrier() {
-                flush_segment(rep, &mut segment)?;
-                op.execute(rep)?;
-            } else {
-                segment.push(op.to_fused());
-            }
-        }
-        flush_segment(rep, &mut segment)
-    }
-
     /// Executes the plan into an **aggregate sink**: the whole plan —
     /// barriers included — is applied only to the fused overlay and the
     /// aggregate is folded over the overlay itself
@@ -332,26 +311,15 @@ impl FPlan {
         group_by: &[AttrId],
     ) -> Result<(AggregateResult, bool)> {
         self.simplified(rep.tree())
-            .execute_aggregate_presimplified(rep, kind, group_by)
+            .execute_aggregate_presimplified_ctx(rep, kind, group_by, &ExecCtx::unlimited())
     }
 
     /// The sink half of [`FPlan::execute_aggregate`], without the peephole
     /// pass — for callers that already hold a simplified plan (the engine
     /// simplifies once, reads the fusion counters off it, then executes it
-    /// through this).
-    pub fn execute_aggregate_presimplified(
-        &self,
-        rep: &FRep,
-        kind: AggregateKind,
-        group_by: &[AttrId],
-    ) -> Result<(AggregateResult, bool)> {
-        self.execute_aggregate_presimplified_ctx(rep, kind, group_by, &ExecCtx::unlimited())
-    }
-
-    /// [`FPlan::execute_aggregate_presimplified`] under a governance
-    /// context: both the empty-plan flat fold and the overlay fold charge
-    /// per record, and the input is never mutated, so an abort has no
-    /// partial state to clean up.
+    /// through this) — under a governance context: both the empty-plan flat
+    /// fold and the overlay fold charge per record, and the input is never
+    /// mutated, so an abort has no partial state to clean up.
     pub fn execute_aggregate_presimplified_ctx(
         &self,
         rep: &FRep,
@@ -496,44 +464,6 @@ fn projection_only_marks(tree: &FTree, keep: &BTreeSet<AttrId>) -> bool {
         .node_ids()
         .into_iter()
         .all(|n| !probe.visible_attrs(n).is_empty())
-}
-
-/// The PR 3 segment-fusion criterion, used by [`FPlan::execute_segmented`]:
-/// a structural run executes as one fused pass when the step-wise path would
-/// pay more than one arena pass — two or more steps, or a single internally
-/// multi-pass normalise/absorb.
-fn segment_fuses(segment: &[FusedOp]) -> bool {
-    segment.len() >= 2
-        || matches!(
-            segment.first(),
-            Some(FusedOp::Normalise | FusedOp::Absorb(_, _))
-        )
-}
-
-/// Executes and clears a pending structural segment of the segmented
-/// baseline: fused when [`segment_fuses`] says so, as the single step-wise
-/// operator otherwise.
-fn flush_segment(rep: &mut FRep, segment: &mut Vec<FusedOp>) -> Result<()> {
-    if segment.is_empty() {
-        return Ok(());
-    }
-    let result = if segment_fuses(segment) {
-        ops::execute_fused(rep, segment)
-    } else {
-        match &segment[0] {
-            FusedOp::PushUp(n) => ops::push_up(rep, *n),
-            FusedOp::Swap(n) => ops::swap(rep, *n).map(|_| ()),
-            FusedOp::Merge(a, b) => ops::merge(rep, *a, *b).map(|_| ()),
-            FusedOp::Normalise
-            | FusedOp::Absorb(_, _)
-            | FusedOp::SelectConst { .. }
-            | FusedOp::Project(_) => {
-                unreachable!("multi-pass ops handled above; barriers never enter a segment")
-            }
-        }
-    };
-    segment.clear();
-    result
 }
 
 impl fmt::Display for FPlan {
@@ -801,30 +731,6 @@ mod tests {
         assert!(!on_overlay, "the empty plan aggregates on the arena");
         // The borrowed input is untouched.
         assert!(rep.store_identical(&sample_rep()));
-    }
-
-    #[test]
-    fn segmented_baseline_matches_the_other_paths() {
-        let rep = sample_rep();
-        let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
-        let plan = FPlan::new(vec![
-            FPlanOp::Swap(oid),
-            FPlanOp::Normalise,
-            FPlanOp::SelectConst {
-                attr: AttrId(3),
-                op: ComparisonOp::Ge,
-                value: Value::new(7),
-            },
-            FPlanOp::Project(attrs(&[1, 3])),
-        ]);
-        let mut fused = rep.clone();
-        let mut segmented = rep.clone();
-        let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
-        plan.execute_segmented(&mut segmented).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
-        assert!(fused.store_identical(&segmented));
-        assert!(segmented.store_identical(&stepwise));
     }
 
     #[test]

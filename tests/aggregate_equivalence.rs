@@ -16,6 +16,8 @@
 //! one-entry union) pin down the semantics documented on
 //! `fdb::frep::aggregate`.
 
+mod common;
+
 use fdb::common::{AggregateFunc, AggregateHead, AttrId, ComparisonOp, RelId, Value};
 use fdb::datagen::{
     populate, random_followup_equalities, random_query, random_schema, ValueDistribution,
@@ -292,7 +294,7 @@ fn selection_folded_aggregates_match_the_flat_oracle() {
 
 #[test]
 fn randomized_engine_aggregates_match_the_materialised_result() {
-    // End to end: `evaluate_factorised_aggregate` (overlay sink) against the
+    // End to end: an aggregate head through `FdbEngine::run` (overlay sink) against the
     // flat oracle over the full `evaluate_factorised` result.
     let engine = FdbEngine::new();
     for seed in 0..12u64 {
@@ -330,8 +332,7 @@ fn randomized_engine_aggregates_match_the_materialised_result() {
                     AggregateFunc::Max => AggregateKind::Max(attr),
                     AggregateFunc::Avg => AggregateKind::Avg(attr),
                 };
-                let out = engine
-                    .evaluate_factorised_aggregate(&base.result, &fq, &head)
+                let out = common::aggregate_serial(&engine, &base.result, &fq, &head)
                     .expect("aggregate evaluation succeeds");
                 assert_eq!(
                     out.result,
@@ -340,8 +341,7 @@ fn randomized_engine_aggregates_match_the_materialised_result() {
                 );
             }
         }
-        let count = engine
-            .evaluate_factorised_aggregate(&base.result, &fq, &AggregateHead::count())
+        let count = common::aggregate_serial(&engine, &base.result, &fq, &AggregateHead::count())
             .expect("count evaluates");
         assert_eq!(
             count.result,

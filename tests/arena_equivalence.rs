@@ -414,10 +414,10 @@ fn selections_preserve_the_equivalence() {
 }
 
 // ---------------------------------------------------------------------
-// PR 3/PR 5: fused plan execution vs the step-wise path — since PR 5 the
-// whole plan (selections and projections included) compiles into one
-// overlay program, so every randomized plan below exercises whole-plan
-// fusion, the PR 3 segmented baseline and the PR 2 step-wise oracle.
+// Fused plan execution vs the step-wise path: the whole plan (selections
+// and projections included) compiles into one overlay program, so every
+// randomized plan below exercises whole-plan fusion against the
+// operator-at-a-time oracle.
 // ---------------------------------------------------------------------
 
 use fdb::plan::{FPlan, FPlanOp};
@@ -482,26 +482,18 @@ fn random_plan(rng: &mut StdRng, tree: &fdb::ftree::FTree, steps: usize, barrier
     FPlan::new(ops)
 }
 
-/// Executes the plan all three ways — whole-plan fused, PR 3 segmented, and
-/// PR 2 step-wise — and asserts the arenas are bit-for-bit identical (store
-/// identity), the fused result validates, and the represented relations
-/// agree.
+/// Executes the plan both ways — whole-plan fused and operator by operator
+/// — and asserts the arenas are bit-for-bit identical (store identity), the
+/// fused result validates, and the represented relations agree.
 fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     let mut fused = rep.clone();
-    let mut segmented = rep.clone();
     let mut stepwise = rep.clone();
     let fused_result = plan.execute(&mut fused);
-    let segmented_result = plan.execute_segmented(&mut segmented);
     let stepwise_result = plan.execute_stepwise(&mut stepwise);
     assert_eq!(
         fused_result.is_ok(),
         stepwise_result.is_ok(),
         "{context}: paths disagree on plan validity ({fused_result:?} vs {stepwise_result:?})"
-    );
-    assert_eq!(
-        segmented_result.is_ok(),
-        stepwise_result.is_ok(),
-        "{context}: segmented baseline disagrees on plan validity"
     );
     if fused_result.is_err() {
         return;
@@ -514,10 +506,6 @@ fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
         "{context}: plan {plan} — fused and step-wise stores diverge\nfused:\n{}\nstep-wise:\n{}",
         fused.dump_store(),
         stepwise.dump_store()
-    );
-    assert!(
-        segmented.store_identical(&stepwise),
-        "{context}: plan {plan} — segmented baseline diverges from step-wise"
     );
     assert_eq!(
         fused.tree().canonical_key(),

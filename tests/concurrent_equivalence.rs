@@ -6,6 +6,8 @@
 //! the query.  The second half pins `par_materialize` bit-for-bit against
 //! the sequential cursor on randomized representations.
 
+mod common;
+
 use fdb::common::{AggregateHead, ComparisonOp, ConstSelection, RelId};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::{
@@ -105,7 +107,7 @@ fn check_served_batch_matches_serial(
             let rep = db.get(request.rep).expect("registered representation");
             match &request.aggregate {
                 Some(head) => {
-                    let serial = engine.evaluate_factorised_aggregate(&rep, &request.query, head);
+                    let serial = common::aggregate_serial(engine, &rep, &request.query, head);
                     match (outcome, serial) {
                         (Ok(ServeOutcome::Aggregate(got)), Ok(want)) => assert_eq!(
                             got.result, want.result,

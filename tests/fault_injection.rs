@@ -18,6 +18,8 @@
 //! vanish from production builds).
 #![cfg(feature = "fault-injection")]
 
+mod common;
+
 use fdb::common::{
     AggregateHead, ComparisonOp, ConstSelection, FaultAction, FaultPlan, FdbError, QueryLimits,
     RelId,
@@ -89,8 +91,7 @@ fn assert_slot_matches_serial(
         .expect("registered representation");
     match &request.aggregate {
         Some(head) => {
-            let want = FdbEngine::new()
-                .evaluate_factorised_aggregate(&rep, &request.query, head)
+            let want = common::aggregate_serial(&FdbEngine::new(), &rep, &request.query, head)
                 .expect("serial aggregate");
             match outcome {
                 Ok(ServeOutcome::Aggregate(got)) => {

@@ -3,7 +3,7 @@
 //! The 2013 follow-up paper's heads must be **bit-for-bit** equal to flat
 //! oracles that share nothing with the factorised evaluators:
 //!
-//! 1. `ORDER BY` — `evaluate_factorised_ordered` (restructure-to-root when
+//! 1. `ORDER BY` — an ordering head through `FdbEngine::run` (restructure-to-root when
 //!    the costed planner accepts it, flat sort otherwise) against
 //!    materialise-then-sort over the engine's own unordered result, on
 //!    randomized databases and queries, and served through `FdbServer`
@@ -23,6 +23,8 @@
 //!    slots can follow ascending smallest-visible-attribute order, a run
 //!    sort otherwise — on hand-rolled forests whose attribute ids are
 //!    unrelated to tree position, sequentially and on pools of 1/2/4.
+
+mod common;
 
 use fdb::common::{AggregateFunc, AggregateHead, ComparisonOp, ConstSelection, RelId};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
@@ -123,8 +125,7 @@ fn randomized_ordered_evaluation_matches_the_sort_oracle() {
         let body = random_body(&mut rng, &rep);
         let order_by = random_order_by(&mut rng, &rep);
 
-        let ordered = engine
-            .evaluate_factorised_ordered(&rep, &body, &order_by)
+        let ordered = common::ordered_serial(&engine, &rep, &body, &order_by)
             .unwrap_or_else(|e| panic!("seed {seed}: ordered evaluation failed: {e:?}"));
         strategies.insert(format!("{:?}", ordered.strategy));
 
@@ -181,9 +182,8 @@ fn ordered_serving_is_identical_across_pool_sizes() {
         assert_eq!(outcomes.len(), requests.len());
         for (i, (request, outcome)) in requests.iter().zip(&outcomes).enumerate() {
             let rep = db.get(request.rep).expect("registered representation");
-            let serial = engine
-                .evaluate_factorised_ordered(&rep, &request.query, &request.order_by)
-                .unwrap();
+            let serial =
+                common::ordered_serial(&engine, &rep, &request.query, &request.order_by).unwrap();
             match outcome.as_ref().unwrap() {
                 ServeOutcome::Ordered(got) => {
                     assert_eq!(
@@ -422,9 +422,7 @@ fn distinct_heads_run_end_to_end_through_the_engine() {
         let attr = rep.visible_attrs()[0];
         let body = FactorisedQuery::default();
         let head = AggregateHead::over(AggregateFunc::Count, attr).with_distinct();
-        let out = engine
-            .evaluate_factorised_aggregate(&rep, &body, &head)
-            .unwrap();
+        let out = common::aggregate_serial(&engine, &rep, &body, &head).unwrap();
         let values = distinct_values(&rep, attr);
         assert_eq!(
             out.result,
@@ -439,19 +437,17 @@ fn distinct_heads_run_end_to_end_through_the_engine() {
     for func in [AggregateFunc::Min, AggregateFunc::Max] {
         let head = AggregateHead::over(func, attr).with_distinct();
         assert!(
-            engine
-                .evaluate_factorised_aggregate(&rep, &FactorisedQuery::default(), &head)
-                .is_err(),
+            common::aggregate_serial(&engine, &rep, &FactorisedQuery::default(), &head).is_err(),
             "{func:?} DISTINCT must be rejected"
         );
     }
-    assert!(engine
-        .evaluate_factorised_aggregate(
-            &rep,
-            &FactorisedQuery::default(),
-            &AggregateHead::count().with_distinct(),
-        )
-        .is_err());
+    assert!(common::aggregate_serial(
+        &engine,
+        &rep,
+        &FactorisedQuery::default(),
+        &AggregateHead::count().with_distinct(),
+    )
+    .is_err());
 }
 
 // ---------------------------------------------------------------------
@@ -498,8 +494,7 @@ fn multi_attribute_group_by_matches_plain_iterator_grouping() {
             head = head.grouped_by(g);
         }
         let body = random_body(&mut rng, &rep);
-        let out = engine
-            .evaluate_factorised_aggregate(&rep, &body, &head)
+        let out = common::aggregate_serial(&engine, &rep, &body, &head)
             .unwrap_or_else(|e| panic!("seed {seed}: grouped head failed: {e:?}"));
 
         let evaluated = engine.evaluate_factorised(&rep, &body).unwrap();
@@ -525,13 +520,13 @@ fn non_root_grouping_exercises_both_chain_and_fallback_paths() {
             continue;
         }
         let g = attrs[rng.gen_range(0..attrs.len())];
-        let out = FdbEngine::new()
-            .evaluate_factorised_aggregate(
-                &rep,
-                &FactorisedQuery::default(),
-                &AggregateHead::count().grouped_by(g),
-            )
-            .unwrap();
+        let out = common::aggregate_serial(
+            &FdbEngine::new(),
+            &rep,
+            &FactorisedQuery::default(),
+            &AggregateHead::count().grouped_by(g),
+        )
+        .unwrap();
         if out.stats.chain_heads > 0 {
             saw.insert("chain");
         }

@@ -21,6 +21,8 @@
 //! Compiled only with `--features fault-injection`.
 #![cfg(feature = "fault-injection")]
 
+mod common;
+
 use fdb::common::{
     AggregateHead, ComparisonOp, ConstSelection, ExecCtx, FaultAction, FaultPlan, FdbError,
     QueryLimits, RelId,
@@ -262,12 +264,10 @@ fn epoch_of(
             }
         }
         (Ok(ServeOutcome::Aggregate(got)), Some(head)) => {
-            let want_old = engine
-                .evaluate_factorised_aggregate(&fixture.old, &request.query, head)
-                .unwrap();
-            let want_new = engine
-                .evaluate_factorised_aggregate(&fixture.new, &request.query, head)
-                .unwrap();
+            let want_old =
+                common::aggregate_serial(&engine, &fixture.old, &request.query, head).unwrap();
+            let want_new =
+                common::aggregate_serial(&engine, &fixture.new, &request.query, head).unwrap();
             assert_ne!(
                 want_old.result, want_new.result,
                 "{context}: the fixture must tell the epochs apart"
