@@ -16,7 +16,38 @@
 //! one root-to-leaf path, sibling subtrees never share a relation, so this
 //! local pruning yields exactly the join result.
 //!
-//! # Direct arena emission
+//! # Prepare: sort once
+//!
+//! The algorithm presupposes relations sorted along their root-to-leaf
+//! path, so that order is established once, before the recursion.  Each
+//! query relation is borrowed from the database; the f-tree nodes holding
+//! one of its attributes, top-down, are its **levels**.  Rows failing a
+//! constant selection or disagreeing on two columns of one class can never
+//! reach the result (both are decided by the row alone) and are dropped;
+//! the context is charged one unit per surviving row before anything is
+//! allocated for them.  The survivors are sorted lexicographically by
+//! their level values, top level first — an LSD byte-radix sort of a row
+//! permutation that skips every byte position on which all rows agree —
+//! and kept as one sorted key column per level.
+//!
+//! # Ranges and leapfrog
+//!
+//! Every level carries one row range: the rows agreeing with the values
+//! chosen at the relation's levels above, inside which the level's key
+//! column is sorted.  A relation's top level ranges over all its rows; a
+//! deeper level's range is written by the candidate of the level above,
+//! which is always an ancestor on the recursion stack — so a relation that
+//! has no attribute at some node in between is simply not touched there,
+//! and nothing has to be restored on the way out.  The candidates of a node
+//! are found by a leapfrog intersection of its levels' ranges: each cursor
+//! gallops (exponential, then binary search) to the largest value seen
+//! until all agree, the agreeing run of each level becomes the range of the
+//! level below it, and the cursors move past the run.  Candidates come out
+//! ascending and the context is charged one unit for each; the recursion
+//! allocates nothing beyond the amortised growth of the arena and of two
+//! watermarked scratch vectors.
+//!
+//! # Direct arena emission and rollback
 //!
 //! The semi-join emits [`crate::store`] arena records directly as it
 //! recurses — there is no intermediate builder forest and no final freeze
@@ -26,43 +57,49 @@
 //! candidate is retracted by **watermark rollback**: the three arena vectors
 //! are truncated back to their lengths from before the candidate, which
 //! removes every record its half-built subtrees emitted.  Surviving
-//! candidates park their value and kid indices in two watermarked scratch
-//! vectors; once all candidates of a union are decided, its entry block and
-//! kid runs are appended contiguously.  (Entry blocks therefore land
-//! *after* the blocks of their descendants — a valid layout the arena views
-//! never distinguish, just not the one [`crate::store::Store::freeze`]
-//! picks.)  Per-node grouping of the candidate rows is **sort-based**: one
-//! flat `(value, row)` sort per relevant relation, after which every value's
-//! rows form a contiguous span — replacing the former per-node `BTreeMap`
-//! grouping, which dominated construction time with node allocations and
-//! pointer-chasing.  The old forest-building path survives as
-//! [`build_frep_via_forest`] for the equivalence tests (it keeps the
-//! `BTreeMap` grouping, so the build rows of `BENCH_PR2.json` measured
-//! exactly this change plus direct emission).
+//! candidates park their value and kid indices in the scratch vectors; once
+//! all candidates of a union are decided, its entry block and kid runs are
+//! appended contiguously.  (Entry blocks therefore land *after* the blocks
+//! of their descendants — a valid layout the arena views never distinguish,
+//! just not the one [`crate::store::Store::freeze`] picks.)
 //!
 //! The running time is `O(|Q| · |D|^{s(T̂)})` up to logarithmic factors — the
 //! tight bound of the paper — because the work done per node is proportional
 //! to the number of value combinations of its ancestors (and those are
 //! bounded by the path cover).
 
-use crate::frep::{Entry, FRep, Union};
+use crate::frep::FRep;
 use crate::store::{Store, UnionRec};
 use fdb_common::{failpoint, AttrId, ExecCtx, FdbError, Query, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use fdb_relation::{Database, Relation};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Which relations have which columns in each f-tree node's class.
-type NodeCols = BTreeMap<NodeId, Vec<(usize, Vec<usize>)>>;
+/// One level of a query relation: an f-tree node holding some of its
+/// attributes.  The levels of a relation are consecutive, top-down.
+struct Level {
+    /// The relation's values of the node's class, in its sorted row order.
+    keys: Vec<Value>,
+    /// Whether the next level belongs to the same relation.
+    continues: bool,
+}
 
-/// Validates the query against the tree and prepares the base relations
-/// (constant selections applied) plus the per-node column map — shared
-/// between the arena path and the forest oracle.
-fn prepare(db: &Database, query: &Query, tree: &FTree) -> Result<(Vec<Relation>, NodeCols)> {
-    query.validate(db.catalog())?;
+/// The sorted input of the semi-join.
+struct Prepared {
+    levels: Vec<Level>,
+    /// The levels at each f-tree node, indexed by `NodeId::index`.
+    node_levels: Vec<Vec<usize>>,
+}
+
+/// Validates the query against the tree, filters and sorts every query
+/// relation along its path (see the module docs), charging `ctx` one unit
+/// per surviving row before allocating for it.
+fn prepare(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<Prepared> {
+    let catalog = db.catalog();
+    query.validate(catalog)?;
     tree.check_path_constraint()?;
 
-    let query_attrs: BTreeSet<AttrId> = query.all_attrs(db.catalog()).into_iter().collect();
+    let query_attrs: BTreeSet<AttrId> = query.all_attrs(catalog).into_iter().collect();
     let tree_attrs = tree.all_attrs();
     if query_attrs != tree_attrs {
         return Err(FdbError::InvalidInput {
@@ -72,55 +109,141 @@ fn prepare(db: &Database, query: &Query, tree: &FTree) -> Result<(Vec<Relation>,
         });
     }
 
-    // Base relations with constant selections applied.
-    let mut relations: Vec<Relation> = Vec::with_capacity(query.relations.len());
+    // Breadth-first: every node after its ancestors.
+    let mut top_down: Vec<NodeId> = tree.roots().to_vec();
+    let mut next = 0;
+    while next < top_down.len() {
+        top_down.extend_from_slice(tree.children(top_down[next]));
+        next += 1;
+    }
+    let node_slots = top_down.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+    let mut prepared = Prepared {
+        levels: Vec::new(),
+        node_levels: vec![Vec::new(); node_slots],
+    };
+
     for &rel_id in &query.relations {
-        let rel = db.relation(rel_id);
-        let applicable: Vec<_> = query
+        // Stored instances have exactly the catalog's columns, in order.
+        let attrs = catalog.rel_attrs(rel_id);
+        let col_of = |attr: AttrId| attrs.iter().position(|&a| a == attr);
+        let path: Vec<(NodeId, Vec<usize>)> = top_down
+            .iter()
+            .filter_map(|&node| {
+                let cols: Vec<usize> = tree.class(node).iter().filter_map(|&a| col_of(a)).collect();
+                (!cols.is_empty()).then_some((node, cols))
+            })
+            .collect();
+        let selections: Vec<_> = query
             .const_selections
             .iter()
-            .filter(|sel| rel.has_attr(sel.attr))
-            .copied()
+            .filter_map(|sel| col_of(sel.attr).map(|col| (col, *sel)))
             .collect();
-        let rel = if applicable.is_empty() {
-            rel
-        } else {
-            let cols: Vec<(usize, _)> = applicable
+        let survives = |row: &&[Value]| {
+            selections
                 .iter()
-                .map(|sel| (rel.col_index(sel.attr).expect("attr present"), *sel))
-                .collect();
-            rel.filter(|row| cols.iter().all(|(c, sel)| sel.op.eval(row[*c], sel.value)))
+                .all(|(col, sel)| sel.op.eval(row[*col], sel.value))
+                && path
+                    .iter()
+                    .all(|(_, cols)| cols.iter().all(|&c| row[c] == row[cols[0]]))
         };
-        relations.push(rel);
-    }
+        // An unpopulated relation is an empty one.
+        let rows = || {
+            db.relation_ref(rel_id)
+                .into_iter()
+                .flat_map(Relation::rows)
+                .filter(survives)
+        };
 
-    // For every f-tree node, which relations have which columns in its class.
-    let mut node_cols: NodeCols = BTreeMap::new();
-    for node in tree.node_ids() {
-        let class = tree.class(node);
-        let mut per_rel: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (idx, rel) in relations.iter().enumerate() {
-            let cols: Vec<usize> = class.iter().filter_map(|&a| rel.col_index(a)).collect();
-            if !cols.is_empty() {
-                per_rel.push((idx, cols));
-            }
-        }
-        if per_rel.is_empty() {
-            return Err(FdbError::InvalidInput {
-                detail: format!("f-tree node {node} has no attribute of any query relation"),
+        let survivors = rows().count();
+        if u32::try_from(survivors).is_err() {
+            return Err(FdbError::LimitExceeded {
+                detail: format!(
+                    "relation {} has {survivors} rows to join, more than the u32 row ids of the build can address",
+                    catalog.rel_name(rel_id)
+                ),
             });
         }
-        node_cols.insert(node, per_rel);
+        ctx.charge(survivors as u64)?;
+
+        let mut keys: Vec<Vec<Value>> = vec![Vec::with_capacity(survivors); path.len()];
+        for row in rows() {
+            for (column, (_, cols)) in keys.iter_mut().zip(&path) {
+                column.push(row[cols[0]]);
+            }
+        }
+        sort_rows(&mut keys);
+
+        for (depth, ((node, _), keys)) in path.iter().zip(keys).enumerate() {
+            prepared.node_levels[node.index()].push(prepared.levels.len());
+            prepared.levels.push(Level {
+                keys,
+                continues: depth + 1 < path.len(),
+            });
+        }
     }
-    Ok((relations, node_cols))
+
+    if let Some(node) = top_down
+        .iter()
+        .find(|n| prepared.node_levels[n.index()].is_empty())
+    {
+        return Err(FdbError::InvalidInput {
+            detail: format!("f-tree node {node} has no attribute of any query relation"),
+        });
+    }
+    Ok(prepared)
 }
 
-/// The identity row restriction: every row of every relation.
-fn full_restriction(relations: &[Relation]) -> Vec<Vec<u32>> {
-    relations
-        .iter()
-        .map(|r| (0..r.len() as u32).collect())
-        .collect()
+/// Sorts rows held column-wise (`columns[c][row]`) lexicographically, first
+/// column most significant: an LSD byte-radix sort of a row permutation, one
+/// stable counting pass per key byte, skipping the bytes on which all rows
+/// agree (values from a small domain differ in one or two of their eight).
+fn sort_rows(columns: &mut [Vec<Value>]) {
+    let rows = columns.first().map_or(0, Vec::len);
+    let mut perm: Vec<u32> =
+        (0..u32::try_from(rows).expect("prepare bounds the row count")).collect();
+    let mut scattered = vec![0u32; rows];
+    for keys in columns.iter().rev() {
+        let varying = keys
+            .iter()
+            .fold(0, |bits, key| bits | (key.raw() ^ keys[0].raw()));
+        for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+            let byte = |row: u32| (keys[row as usize].raw() >> shift) as usize & 0xff;
+            // `starts[b]` becomes the output position of the next row whose
+            // byte is `b`.
+            let mut starts = [0u32; 257];
+            for &row in &perm {
+                starts[byte(row) + 1] += 1;
+            }
+            for b in 1..256 {
+                starts[b] += starts[b - 1];
+            }
+            for &row in &perm {
+                let start = &mut starts[byte(row)];
+                scattered[*start as usize] = row;
+                *start += 1;
+            }
+            std::mem::swap(&mut perm, &mut scattered);
+        }
+    }
+    for keys in columns {
+        *keys = perm.iter().map(|&row| keys[row as usize]).collect();
+    }
+}
+
+/// First index at or after `from` whose key is not `below` the sought bound
+/// (`keys.len()` if there is none), for a `below` that holds on a prefix of
+/// `keys[from..]`: probes at doubling distances, then binary-searches the
+/// last gap — `O(log distance)`, so short runs cost a comparison or two.
+#[inline]
+fn gallop(keys: &[Value], from: usize, below: impl Fn(Value) -> bool) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    while lo + step <= keys.len() && below(keys[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = keys.len().min(lo + step - 1);
+    lo + keys[lo..hi].partition_point(|&key| below(key))
 }
 
 /// Builds the f-representation of `query`'s result over `tree` from the flat
@@ -134,28 +257,34 @@ pub fn build_frep(db: &Database, query: &Query, tree: &FTree) -> Result<FRep> {
     build_frep_ctx(db, query, tree, &ExecCtx::unlimited())
 }
 
-/// [`build_frep`] under a governance context: the semi-join charges the
-/// context per candidate value it decides, so a deadline, budget or
-/// cancellation aborts the construction cooperatively.  On abort the
-/// half-built arena is simply dropped — the watermark rollback already
-/// guarantees no candidate is ever half-recorded.
+/// [`build_frep`] under a governance context: the context is charged one
+/// unit per input row that passes the query's selections (before the rows
+/// are sorted) and one per candidate value the semi-join decides, so a
+/// deadline, budget or cancellation aborts the construction cooperatively.
+/// On abort the half-built arena is simply dropped — the watermark rollback
+/// already guarantees no candidate is ever half-recorded.
 pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<FRep> {
-    let (relations, node_cols) = prepare(db, query, tree)?;
+    let prepared = prepare(db, query, tree, ctx)?;
     failpoint!(ctx, "build.semi_join");
     let mut builder = Builder {
         tree,
-        relations: &relations,
-        node_cols: &node_cols,
+        levels: &prepared.levels,
+        node_levels: &prepared.node_levels,
         ctx,
+        ranges: prepared
+            .levels
+            .iter()
+            .map(|level| 0..level.keys.len())
+            .collect(),
+        cursors: vec![0; prepared.levels.len()],
         store: Store::default(),
         scratch_values: Vec::new(),
         scratch_kids: Vec::new(),
     };
-    let mut restriction = full_restriction(&relations);
     let roots: Vec<u32> = tree
         .roots()
         .iter()
-        .map(|&root| builder.build_union(root, &mut restriction))
+        .map(|&root| builder.build_union(root))
         .collect::<Result<_>>()?;
     let mut store = builder.store;
     store.roots = roots;
@@ -169,35 +298,18 @@ pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx)
     Ok(rep)
 }
 
-/// Sort-based grouping of one relation's surviving rows by class value: the
-/// `(value, row)` pairs sorted once, the distinct values, and the start
-/// offset of each value's contiguous row span.
-struct ValueGroups {
-    rel_idx: usize,
-    pairs: Vec<(Value, u32)>,
-    values: Vec<Value>,
-    starts: Vec<u32>,
-}
-
-impl ValueGroups {
-    /// The row ids grouped under `value` (ascending), empty if absent.
-    fn rows_of(&self, value: Value) -> Vec<u32> {
-        match crate::kernel::find_value(&self.values, value) {
-            Some(i) => {
-                let (start, end) = (self.starts[i] as usize, self.starts[i + 1] as usize);
-                self.pairs[start..end].iter().map(|&(_, row)| row).collect()
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
 struct Builder<'a> {
     tree: &'a FTree,
-    relations: &'a [Relation],
-    node_cols: &'a NodeCols,
+    levels: &'a [Level],
+    node_levels: &'a [Vec<usize>],
     /// Governance context: charged once per candidate value decided.
     ctx: &'a ExecCtx,
+    /// Per level, the rows agreeing with the values chosen at the relation's
+    /// levels above: all rows for a relation's top level, otherwise written
+    /// by the current candidate of the level above.
+    ranges: Vec<std::ops::Range<usize>>,
+    /// Per level, how far into its range its node has enumerated.
+    cursors: Vec<usize>,
     /// The output arena, appended to during the top-down semi-join and
     /// truncated back to the per-candidate watermarks on retraction.
     store: Store,
@@ -210,69 +322,37 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    /// Builds the union over `node` under the current per-relation row
-    /// restriction, emitting its records into the arena, and returns its
-    /// union index.  The restriction is temporarily narrowed for the
-    /// relations relevant to this node while recursing and restored before
-    /// returning.
-    fn build_union(&mut self, node: NodeId, restriction: &mut Vec<Vec<u32>>) -> Result<u32> {
-        let relevant = &self.node_cols[&node];
-
-        // Group the surviving rows of every relevant relation by their value
-        // of this node's class (rows whose class columns disagree are
-        // inconsistent with the intra-class equality and are dropped).
-        // Sort-based grouping: one flat `(value, row)` sort per relation,
-        // after which each value's rows are a contiguous span — no
-        // `BTreeMap`, no per-group allocation during grouping.  Restriction
-        // vectors are ascending (spans of ascending pairs), so the row order
-        // inside every span matches the old insertion-order grouping.
-        let mut groups: Vec<ValueGroups> = Vec::with_capacity(relevant.len());
-        for (rel_idx, cols) in relevant {
-            let rel = &self.relations[*rel_idx];
-            let mut pairs: Vec<(Value, u32)> = Vec::with_capacity(restriction[*rel_idx].len());
-            for &row_idx in &restriction[*rel_idx] {
-                let row = rel.row(row_idx as usize);
-                let v = row[cols[0]];
-                if cols.iter().all(|&c| row[c] == v) {
-                    pairs.push((v, row_idx));
-                }
+    /// Leapfrog step: moves the cursors of the levels at one node forward to
+    /// the smallest value all of them hold, `None` once one range runs out.
+    fn next_candidate(&mut self, here: &[usize]) -> Option<Value> {
+        let levels = self.levels;
+        let mut target = Value::MIN;
+        let mut agreeing = 0;
+        for &level in here.iter().cycle() {
+            let keys = &levels[level].keys[..self.ranges[level].end];
+            let cursor = gallop(keys, self.cursors[level], |key| key < target);
+            self.cursors[level] = cursor;
+            let &found = keys.get(cursor)?;
+            if found > target {
+                target = found;
+                agreeing = 0;
             }
-            pairs.sort_unstable();
-            let mut values: Vec<Value> = Vec::new();
-            let mut starts: Vec<u32> = Vec::new();
-            for (idx, p) in pairs.iter().enumerate() {
-                if idx == 0 || p.0 != pairs[idx - 1].0 {
-                    values.push(p.0);
-                    starts.push(idx as u32);
-                }
+            agreeing += 1;
+            if agreeing == here.len() {
+                return Some(target);
             }
-            starts.push(pairs.len() as u32);
-            groups.push(ValueGroups {
-                rel_idx: *rel_idx,
-                pairs,
-                values,
-                starts,
-            });
         }
+        None
+    }
 
-        // Candidate values: the intersection of the (sorted) value sets,
-        // driven by the smallest one.
-        let smallest_pos = groups
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, g)| g.values.len())
-            .map(|(i, _)| i)
-            .expect("node has at least one relevant relation");
-        let candidates: Vec<Value> = groups[smallest_pos]
-            .values
-            .iter()
-            .copied()
-            .filter(|&v| {
-                groups
-                    .iter()
-                    .all(|g| crate::kernel::find_value(&g.values, v).is_some())
-            })
-            .collect();
+    /// Builds the union over `node` inside the current ranges of its levels,
+    /// emitting its records into the arena, and returns its union index.
+    fn build_union(&mut self, node: NodeId) -> Result<u32> {
+        let (tree, levels, node_levels) = (self.tree, self.levels, self.node_levels);
+        let here: &[usize] = &node_levels[node.index()];
+        for &level in here {
+            self.cursors[level] = self.ranges[level].start;
+        }
 
         // Header first: the union's index must precede its subtrees'.
         let uid = self.store.unions.len() as u32;
@@ -282,26 +362,25 @@ impl Builder<'_> {
             entries_len: 0,
         });
 
-        let tree = self.tree;
         let children: &[NodeId] = tree.children(node);
         let values_mark = self.scratch_values.len();
         let kids_mark = self.scratch_kids.len();
-        for value in candidates {
+        while let Some(value) = self.next_candidate(here) {
             // One candidate = one unit of semi-join work; an abort here
             // leaves only whole, reachable candidates in the arena (the
             // rollback below retracts partial ones), and the caller drops
             // the arena anyway.
             self.ctx.charge(1)?;
-            // Narrow the restriction of the relevant relations to the rows
-            // matching `value` (a contiguous span of the sorted pairs),
-            // remembering what to restore.
-            let mut saved: Vec<(usize, Vec<u32>)> = Vec::with_capacity(groups.len());
-            for g in &groups {
-                let rows = g.rows_of(value);
-                saved.push((
-                    g.rel_idx,
-                    std::mem::replace(&mut restriction[g.rel_idx], rows),
-                ));
+            // Hand the candidate's run of every level to the level below it
+            // and step over it.
+            for &level in here {
+                let keys = &levels[level].keys[..self.ranges[level].end];
+                let start = self.cursors[level];
+                let end = gallop(keys, start, |key| key <= value);
+                if levels[level].continues {
+                    self.ranges[level + 1] = start..end;
+                }
+                self.cursors[level] = end;
             }
 
             // Watermarks for the rollback: everything the candidate's
@@ -312,7 +391,7 @@ impl Builder<'_> {
             let entry_kids_mark = self.scratch_kids.len();
             let mut alive = true;
             for &child in children {
-                let kid = self.build_union(child, restriction)?;
+                let kid = self.build_union(child)?;
                 if self.store.unions[kid as usize].entries_len == 0 {
                     alive = false;
                     break;
@@ -328,10 +407,6 @@ impl Builder<'_> {
                 self.store.truncate_entries(entries_mark);
                 self.store.kids.truncate(arena_kids_mark);
                 self.scratch_kids.truncate(entry_kids_mark);
-            }
-
-            for (rel_idx, rows) in saved {
-                restriction[rel_idx] = rows;
             }
         }
 
@@ -357,110 +432,11 @@ impl Builder<'_> {
     }
 }
 
-/// The pre-PR-2 construction path: assemble an owned builder forest during
-/// the semi-join and freeze it into an arena once at the end.  Kept as the
-/// oracle for the equivalence tests; [`build_frep`] emits arena records
-/// directly instead (2.0× on the `BENCH_PR2.json` build rows).
-#[doc(hidden)]
-pub fn build_frep_via_forest(db: &Database, query: &Query, tree: &FTree) -> Result<FRep> {
-    let (relations, node_cols) = prepare(db, query, tree)?;
-    let builder = ForestBuilder {
-        tree,
-        relations: &relations,
-        node_cols: &node_cols,
-    };
-    let mut restriction = full_restriction(&relations);
-    let roots: Vec<Union> = tree
-        .roots()
-        .iter()
-        .map(|&root| builder.build_union(root, &mut restriction))
-        .collect();
-    let mut rep = FRep::from_parts_unchecked(tree.clone(), roots);
-    if rep.represents_empty() {
-        rep = FRep::empty(tree.clone());
-    }
-    rep.validate()?;
-    Ok(rep)
-}
-
-struct ForestBuilder<'a> {
-    tree: &'a FTree,
-    relations: &'a [Relation],
-    node_cols: &'a NodeCols,
-}
-
-impl ForestBuilder<'_> {
-    fn build_union(&self, node: NodeId, restriction: &mut Vec<Vec<u32>>) -> Union {
-        let relevant = &self.node_cols[&node];
-        let mut groups: Vec<(usize, BTreeMap<Value, Vec<u32>>)> =
-            Vec::with_capacity(relevant.len());
-        for (rel_idx, cols) in relevant {
-            let rel = &self.relations[*rel_idx];
-            let mut map: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-            for &row_idx in &restriction[*rel_idx] {
-                let row = rel.row(row_idx as usize);
-                let v = row[cols[0]];
-                if cols.iter().all(|&c| row[c] == v) {
-                    map.entry(v).or_default().push(row_idx);
-                }
-            }
-            groups.push((*rel_idx, map));
-        }
-
-        let (smallest_pos, _) = groups
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, m))| m.len())
-            .expect("node has at least one relevant relation");
-        let candidates: Vec<Value> = groups[smallest_pos]
-            .1
-            .keys()
-            .copied()
-            .filter(|v| groups.iter().all(|(_, m)| m.contains_key(v)))
-            .collect();
-
-        let children: Vec<NodeId> = self.tree.children(node).to_vec();
-        let mut entries: Vec<Entry> = Vec::with_capacity(candidates.len());
-        for value in candidates {
-            let mut saved: Vec<(usize, Vec<u32>)> = Vec::with_capacity(groups.len());
-            for (rel_idx, map) in &groups {
-                let rows = map.get(&value).cloned().unwrap_or_default();
-                saved.push((
-                    *rel_idx,
-                    std::mem::replace(&mut restriction[*rel_idx], rows),
-                ));
-            }
-
-            let mut child_unions: Vec<Union> = Vec::with_capacity(children.len());
-            let mut alive = true;
-            for &child in &children {
-                let u = self.build_union(child, restriction);
-                if u.is_empty() {
-                    alive = false;
-                    break;
-                }
-                child_unions.push(u);
-            }
-            if alive {
-                entries.push(Entry {
-                    value,
-                    children: child_unions,
-                });
-            }
-
-            for (rel_idx, rows) in saved {
-                restriction[rel_idx] = rows;
-            }
-        }
-        Union::new(node, entries)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::materialize;
-    use fdb_common::{Catalog, ComparisonOp, RelId};
+    use fdb_common::{Catalog, ComparisonOp, QueryLimits, RelId};
     use fdb_ftree::{ftree_from_query_classes, DepEdge};
 
     /// The grocery database of Figure 1, with string values mapped to small
@@ -566,20 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_build_agrees_with_the_forest_oracle() {
-        let (db, rels) = grocery();
-        let query = q1(&db, &rels);
-        let tree = t1(&db, &query);
-        let direct = build_frep(&db, &query, &tree).unwrap();
-        let forest = build_frep_via_forest(&db, &query, &tree).unwrap();
-        // Same logical representation (the arena layouts differ: the direct
-        // build places entry blocks after the child subtrees).
-        assert_eq!(direct.to_forest(), forest.to_forest());
-        assert_eq!(direct.size(), forest.size());
-        assert_eq!(direct.tuple_count(), forest.tuple_count());
-    }
-
-    #[test]
     fn fallback_ftree_gives_the_same_relation() {
         let (db, rels) = grocery();
         let query = q1(&db, &rels);
@@ -654,10 +616,150 @@ mod tests {
             materialize(&rep).unwrap().tuple_set(),
             rdb_result(&db, &query)
         );
-        // The watermark rollback retracted the dangling candidates: what
-        // remains is what the forest path builds.
-        let forest = build_frep_via_forest(&db, &query, &tree).unwrap();
-        assert_eq!(rep.to_forest(), forest.to_forest());
+    }
+
+    /// R(A, C), S(A, B), T(B, C) joined in a triangle over the path
+    /// A → B → C: R has levels at A and C but none at B.
+    fn triangle() -> (Database, Query, FTree) {
+        let mut catalog = Catalog::new();
+        let (r, _) = catalog.add_relation("R", &["A", "C"]);
+        let (s, _) = catalog.add_relation("S", &["A", "B"]);
+        let (t, _) = catalog.add_relation("T", &["B", "C"]);
+        let mut db = Database::new(catalog);
+        db.insert_raw_rows(r, &[vec![1, 10], vec![1, 20], vec![2, 10]])
+            .unwrap();
+        db.insert_raw_rows(s, &[vec![1, 5], vec![1, 6], vec![2, 5]])
+            .unwrap();
+        db.insert_raw_rows(t, &[vec![5, 10], vec![5, 20], vec![6, 10], vec![6, 20]])
+            .unwrap();
+        let cat = db.catalog();
+        let attr = |name: &str| cat.find_attr(name).unwrap();
+        let query = Query::product(vec![r, s, t])
+            .with_equality(attr("R.A"), attr("S.A"))
+            .with_equality(attr("S.B"), attr("T.B"))
+            .with_equality(attr("T.C"), attr("R.C"));
+        let edges = fdb_ftree::dep_edges_for_query(cat, &query, |rel| db.rel_len(rel) as u64);
+        let mut tree = FTree::new(edges);
+        let a = tree
+            .add_node([attr("R.A"), attr("S.A")].into_iter().collect(), None)
+            .unwrap();
+        let b = tree
+            .add_node([attr("S.B"), attr("T.B")].into_iter().collect(), Some(a))
+            .unwrap();
+        tree.add_node([attr("T.C"), attr("R.C")].into_iter().collect(), Some(b))
+            .unwrap();
+        (db, query, tree)
+    }
+
+    #[test]
+    fn a_relation_skipping_a_level_sees_its_range_at_every_visit() {
+        // Under A = 1 the C node is entered once per B-candidate (5 and 6)
+        // and must find R's rows for A = 1 both times: a build that let the
+        // first visit consume or narrow R's range for good would lose the
+        // B = 6 branch.
+        let (db, query, tree) = triangle();
+        let rep = build_frep(&db, &query, &tree).unwrap();
+        assert_eq!(rep.tuple_count(), 5);
+        assert_eq!(
+            materialize(&rep).unwrap().tuple_set(),
+            rdb_result(&db, &query)
+        );
+    }
+
+    #[test]
+    fn the_budget_covers_surviving_rows_plus_candidates_exactly() {
+        // Grocery Q1 over T1: 5 + 6 + 4 input rows, and 3 item, 5 oid,
+        // 6 location and 9 dispatcher candidates, none retracted.
+        let (db, rels) = grocery();
+        let query = q1(&db, &rels);
+        let tree = t1(&db, &query);
+        let governed = |budget| {
+            let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(budget));
+            build_frep_ctx(&db, &query, &tree, &ctx).map(|rep| (rep, ctx.budget_remaining()))
+        };
+        let (rep, left) = governed(15 + 23).unwrap();
+        assert_eq!(left, 0);
+        assert!(rep.store_identical(&build_frep(&db, &query, &tree).unwrap()));
+        assert_eq!(
+            governed(15 + 23 - 1).unwrap_err(),
+            FdbError::BudgetExceeded { limit: 37 }
+        );
+        // Rows a constant selection drops are not charged: oid = 1 keeps two
+        // of the five orders, and the budget of the input rows alone is
+        // refused before any candidate is decided.
+        let oid = db.catalog().find_attr("Orders.oid").unwrap();
+        let selective = query.with_const_selection(oid, ComparisonOp::Eq, Value::new(1));
+        let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(2 + 6 + 4));
+        assert_eq!(
+            build_frep_ctx(&db, &selective, &tree, &ctx).unwrap_err(),
+            FdbError::BudgetExceeded { limit: 12 }
+        );
+        assert_eq!(ctx.budget_remaining(), 0);
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_aborts_before_the_rows_are_sorted() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        // One charge of a relation's rows crosses the check interval, so the
+        // flag is seen in prepare.
+        let mut catalog = Catalog::new();
+        let (r, _) = catalog.add_relation("R", &["A"]);
+        let mut db = Database::new(catalog);
+        let rows = fdb_common::limits::CHECK_INTERVAL;
+        db.insert_raw_rows(r, &(0..rows).map(|i| vec![i]).collect::<Vec<_>>())
+            .unwrap();
+        let query = Query::product(vec![r]);
+        let tree = fdb_ftree::flat_database_ftree(db.catalog(), &[r], |rel| db.rel_len(rel) as u64)
+            .unwrap();
+        let limits = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+        let ctx = ExecCtx::new(&limits.with_budget(rows));
+        assert_eq!(
+            build_frep_ctx(&db, &query, &tree, &ctx).unwrap_err(),
+            FdbError::DeadlineExceeded { limit_ms: 0 }
+        );
+        assert_eq!(ctx.budget_remaining(), 0, "only the rows were charged");
+    }
+
+    #[test]
+    fn sort_rows_is_lexicographic_on_every_byte() {
+        // Keys differing in low, high and several bytes at once, duplicate
+        // rows, and a column all rows agree on.
+        let pick = |i: u64, salt: u64| {
+            let x = (i * 0x9E37_79B9 + salt) % 7;
+            Value::new([0, 1, 255, 256, 1 << 32, (1 << 40) + 3, u64::MAX][x as usize])
+        };
+        let mut columns: Vec<Vec<Value>> = vec![
+            (0..200).map(|i| pick(i, 1)).collect(),
+            vec![Value::new(9); 200],
+            (0..200).map(|i| pick(i / 2, 5)).collect(),
+        ];
+        let mut expected: Vec<[Value; 3]> = (0..200)
+            .map(|row| [columns[0][row], columns[1][row], columns[2][row]])
+            .collect();
+        expected.sort_unstable();
+        sort_rows(&mut columns);
+        let sorted: Vec<[Value; 3]> = (0..200)
+            .map(|row| [columns[0][row], columns[1][row], columns[2][row]])
+            .collect();
+        assert_eq!(sorted, expected);
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point_from_any_start() {
+        let keys: Vec<Value> = [1, 1, 2, 4, 4, 4, 4, 7, 9, 9, 9, 9, 9, 9, 9, 12]
+            .map(Value::new)
+            .to_vec();
+        for bound in 0..14 {
+            let bound = Value::new(bound);
+            let lower = keys.partition_point(|&k| k < bound);
+            let upper = keys.partition_point(|&k| k <= bound);
+            for from in 0..=lower {
+                assert_eq!(gallop(&keys, from, |k| k < bound), lower);
+                assert_eq!(gallop(&keys, from, |k| k <= bound), upper);
+            }
+        }
+        assert_eq!(gallop(&[], 0, |_| true), 0);
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //!   hand-construct representations (and backing the thaw-path test oracle
 //!   in [`ops::oracle`]);
 //! * construction of the factorised result of a select-project-join query
-//!   over a given f-tree directly from a flat database ([`build`]): the
-//!   top-down semi-join emits arena records as it recurses, retracting dead
-//!   candidates by watermark rollback, without materialising the flat
-//!   result or an intermediate builder forest;
+//!   over a given f-tree directly from a flat database ([`build`]): every
+//!   relation is sorted once along its root-to-leaf path, then a top-down
+//!   semi-join narrows one row range per relation and path level, finds
+//!   each union's values by a leapfrog intersection of those ranges, and
+//!   emits arena records as it recurses, retracting dead candidates by
+//!   watermark rollback — without materialising the flat result or an
+//!   intermediate builder forest, and without sorting or allocating per
+//!   union;
 //! * enumeration of the represented relation ([`enumerate`]): an iterative,
 //!   allocation-free constant-delay cursor ([`TupleCursor`]) and
 //!   materialisation into a flat [`fdb_relation::Relation`];
@@ -141,11 +145,15 @@
 //! a panic and never a silently-wrong arena.
 
 #![warn(missing_docs)]
+// Unchecked indexing and intrinsics live in `kernel` alone: another
+// `unsafe` block anywhere else needs a visible edit to the `allow` below.
+#![deny(unsafe_code)]
 
 pub mod aggregate;
 pub mod build;
 pub mod enumerate;
 pub mod frep;
+#[allow(unsafe_code)]
 pub mod kernel;
 pub mod node;
 pub mod ops;

@@ -11,6 +11,8 @@
 //! `validate()`) to the thaw-path oracle in `fdb::frep::ops::oracle`,
 //! including empty-union and single-entry edge cases.
 
+mod common;
+
 use fdb::common::{AttrId, ComparisonOp, Query, RelId, Value};
 use fdb::datagen::{grocery_database, populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
@@ -354,39 +356,193 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
     check_structural_ops_against_oracle(&forest, &mut rng, "forest with an empty root");
 }
 
+/// Builds `query` over `tree` with the sorted-range build and checks it
+/// against the forest oracle (same logical representation — the layouts
+/// differ, direct emission places entry blocks post-order — same size and
+/// count) and against the flat engine (same tuple set).
+fn check_build_over(db: &Database, query: &Query, tree: &FTree, context: &str) {
+    let direct = fdb::frep::build_frep(db, query, tree)
+        .unwrap_or_else(|e| panic!("{context}: direct build: {e:?}"));
+    let forest = common::build_frep_via_forest(db, query, tree)
+        .unwrap_or_else(|e| panic!("{context}: forest oracle: {e:?}"));
+    direct
+        .validate()
+        .unwrap_or_else(|e| panic!("{context}: invalid build: {e:?}"));
+    assert_eq!(
+        direct.to_forest(),
+        forest.to_forest(),
+        "{context}: construction paths diverge"
+    );
+    assert_eq!(direct.size(), forest.size(), "{context}: size");
+    assert_eq!(
+        direct.tuple_count(),
+        forest.tuple_count(),
+        "{context}: tuple count"
+    );
+    let tuples: BTreeSet<Vec<Value>> = rdb_tuple_counts(db, query).into_keys().collect();
+    assert_eq!(
+        materialize(&direct).expect("enumerates").tuple_set(),
+        tuples,
+        "{context}: tuple set"
+    );
+}
+
+/// [`check_build_over`] on both f-trees the engine can hand the build: the
+/// optimiser's and the single-path fallback's.
+fn check_build(db: &Database, query: &Query, context: &str) {
+    let cardinality = |r| db.rel_len(r) as u64;
+    let optimal = fdb::plan::optimal_ftree(db.catalog(), query, cardinality)
+        .expect("an f-tree exists")
+        .tree;
+    check_build_over(db, query, &optimal, &format!("{context}, optimal f-tree"));
+    let fallback = fdb::ftree::ftree_from_query_classes(db.catalog(), query, cardinality)
+        .expect("the fallback f-tree exists");
+    check_build_over(db, query, &fallback, &format!("{context}, fallback f-tree"));
+}
+
+/// A copy of `db` with the rows of every relation rewritten by `rewrite`.
+fn rewrite_rows(
+    db: &Database,
+    rewrite: impl Fn(RelId, Vec<Vec<u64>>) -> Vec<Vec<u64>>,
+) -> Database {
+    let mut out = Database::new(db.catalog().clone());
+    for rel in db.catalog().rels() {
+        let rows = db
+            .relation(rel)
+            .rows()
+            .map(|row| row.iter().map(|v| v.raw()).collect())
+            .collect();
+        out.insert_raw_rows(rel, &rewrite(rel, rows))
+            .expect("same arity");
+    }
+    out
+}
+
 #[test]
 fn direct_arena_construction_agrees_with_the_forest_oracle() {
-    // The arena path (watermark rollback) and the forest path must build the
-    // same logical representation on randomized workloads.  The layouts
-    // differ (direct emission places entry blocks post-order), so the
-    // comparison is on the thawed forests, sizes and counts.
-    for seed in 0..10u64 {
+    // A differential sweep of the flat-input build.  `k = 0` queries give
+    // multi-root forests; `random_query` equates two columns of one relation
+    // now and then, and the second variant below forces it.
+    for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0x00A2_2E92 ^ seed);
         let relations = 1 + (seed as usize % 3);
         let attributes = relations + 1 + (seed as usize % 4);
         let catalog = random_schema(&mut rng, relations, attributes);
         let rels: Vec<RelId> = catalog.rels().collect();
-        let db = populate(&mut rng, &catalog, 30, 8, ValueDistribution::Uniform);
+        let db = populate(&mut rng, &catalog, 24, 6, ValueDistribution::Uniform);
         let k = (seed as usize) % attributes.min(3);
         let query = random_query(&mut rng, &catalog, &rels, k);
-        let search = fdb::plan::optimal_ftree(db.catalog(), &query, |r| db.rel_len(r) as u64)
-            .expect("an f-tree exists");
-        let direct = fdb::frep::build_frep(&db, &query, &search.tree).expect("direct build");
-        let forest =
-            fdb::frep::build::build_frep_via_forest(&db, &query, &search.tree).expect("oracle");
-        direct.validate().expect("direct build valid");
-        assert_eq!(
-            direct.to_forest(),
-            forest.to_forest(),
-            "seed {seed}: construction paths diverge"
+        check_build(&db, &query, &format!("seed {seed}"));
+
+        if let Some(attrs) = rels
+            .iter()
+            .map(|&r| catalog.rel_attrs(r))
+            .find(|attrs| attrs.len() >= 2)
+        {
+            let intra = query.clone().with_equality(attrs[0], attrs[1]);
+            check_build(
+                &db,
+                &intra,
+                &format!("seed {seed}, two columns in one class"),
+            );
+        }
+
+        let attrs = query.all_attrs(&catalog);
+        let attr = attrs[rng.gen_range(0..attrs.len())];
+        for (op, value) in [
+            (ComparisonOp::Ge, 3),
+            (ComparisonOp::Ne, 2),
+            (ComparisonOp::Eq, 4),
+            (ComparisonOp::Eq, 99), // selects nothing
+        ] {
+            let selected = query
+                .clone()
+                .with_const_selection(attr, op, Value::new(value));
+            check_build(
+                &db,
+                &selected,
+                &format!("seed {seed}, σ({attr:?} {op:?} {value})"),
+            );
+        }
+
+        let first = rels[0];
+        let doubled = rewrite_rows(&db, |rel, rows| match rel == first {
+            true => [rows.clone(), rows].concat(),
+            false => rows,
+        });
+        check_build(&doubled, &query, &format!("seed {seed}, duplicate rows"));
+        let emptied = rewrite_rows(&db, |rel, rows| match rel == first {
+            true => Vec::new(),
+            false => rows,
+        });
+        check_build(&emptied, &query, &format!("seed {seed}, empty relation"));
+        let mut unpopulated = Database::new(catalog.clone());
+        for &rel in &rels[1..] {
+            unpopulated
+                .insert_relation(rel, db.relation(rel))
+                .expect("same schema");
+        }
+        check_build(
+            &unpopulated,
+            &query,
+            &format!("seed {seed}, unpopulated relation"),
         );
-        assert_eq!(direct.size(), forest.size(), "seed {seed}: size");
-        assert_eq!(
-            direct.tuple_count(),
-            forest.tuple_count(),
-            "seed {seed}: tuple count"
-        );
+        // Values on both sides of 2³², so the sort sees high and low bytes.
+        let wide = rewrite_rows(&db, |_, rows| {
+            let widen = |v: u64| if v & 1 == 0 { v << 33 | 7 } else { v };
+            rows.iter()
+                .map(|row| row.iter().map(|&v| widen(v)).collect())
+                .collect()
+        });
+        check_build(&wide, &query, &format!("seed {seed}, values ≥ 2³²"));
     }
+}
+
+#[test]
+fn hand_built_joins_agree_with_the_forest_oracle() {
+    // Grocery Q1 over the T1 f-tree of Figure 2 (item → (oid, location →
+    // dispatcher)), built by hand so the tree is pinned.
+    let g = grocery_database();
+    let query = g.q1();
+    let class = |names: &[&str]| {
+        names
+            .iter()
+            .map(|n| g.attr(n))
+            .collect::<BTreeSet<AttrId>>()
+    };
+    let edges = fdb::ftree::dep_edges_for_query(g.db.catalog(), &query, |r| g.db.rel_len(r) as u64);
+    let mut t1 = FTree::new(edges);
+    let item = t1
+        .add_node(class(&["Orders.item", "Store.item"]), None)
+        .unwrap();
+    t1.add_node(class(&["Orders.oid"]), Some(item)).unwrap();
+    let location = t1
+        .add_node(class(&["Store.location", "Disp.location"]), Some(item))
+        .unwrap();
+    t1.add_node(class(&["Disp.dispatcher"]), Some(location))
+        .unwrap();
+    check_build_over(&g.db, &query, &t1, "grocery Q1 over T1");
+
+    // R(A,B), S(B,C) over B → (A, C): the B-value only R holds must not
+    // appear.
+    let mut catalog = fdb::Catalog::new();
+    let (r, _) = catalog.add_relation("R", &["A", "B"]);
+    let (s, _) = catalog.add_relation("S", &["B", "C"]);
+    let mut db = Database::new(catalog);
+    db.insert_raw_rows(r, &[vec![1, 10], vec![2, 20]]).unwrap();
+    db.insert_raw_rows(s, &[vec![10, 100]]).unwrap();
+    let attr = |name: &str| db.catalog().find_attr(name).unwrap();
+    let query = Query::product(vec![r, s]).with_equality(attr("R.B"), attr("S.B"));
+    let edges = fdb::ftree::dep_edges_for_query(db.catalog(), &query, |_| 2);
+    let mut tree = FTree::new(edges);
+    let b = tree
+        .add_node([attr("R.B"), attr("S.B")].into_iter().collect(), None)
+        .unwrap();
+    tree.add_node([attr("R.A")].into_iter().collect(), Some(b))
+        .unwrap();
+    tree.add_node([attr("S.C")].into_iter().collect(), Some(b))
+        .unwrap();
+    check_build_over(&db, &query, &tree, "dangling B-value");
 }
 
 #[test]

@@ -305,6 +305,44 @@ fn the_enumerate_cursor_failpoint_fires_in_plain_and_ordered_materialisation() {
 }
 
 #[test]
+fn the_build_failpoint_aborts_a_flat_evaluation_and_leaves_the_database_untouched() {
+    use fdb::common::ExecCtx;
+    use fdb::frep::build_frep_ctx;
+
+    let g = fdb::datagen::grocery_database();
+    let query = g.q1();
+    let tree = fdb::plan::optimal_ftree(g.db.catalog(), &query, |r| g.db.rel_len(r) as u64)
+        .expect("an f-tree exists")
+        .tree;
+    let before: Vec<_> = g.db.catalog().rels().map(|r| g.db.relation(r)).collect();
+    let healthy = build_frep_ctx(&g.db, &query, &tree, &ExecCtx::unlimited()).expect("builds");
+
+    // The site sits between prepare and the semi-join: pressure of one unit
+    // on a budget that covers exactly the input rows trips there, before any
+    // candidate is decided.
+    let rows = g.db.total_tuples() as u64;
+    let pressured = QueryLimits::unlimited()
+        .with_budget(rows)
+        .with_faults(FaultPlan::new().on("build.semi_join", FaultAction::BudgetPressure(1)));
+    assert_eq!(
+        build_frep_ctx(&g.db, &query, &tree, &ExecCtx::new(&pressured)).unwrap_err(),
+        FdbError::BudgetExceeded { limit: rows }
+    );
+    let panicking = QueryLimits::unlimited()
+        .with_faults(FaultPlan::new().on("build.semi_join", FaultAction::Panic("chaos".into())));
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        build_frep_ctx(&g.db, &query, &tree, &ExecCtx::new(&panicking))
+    }));
+    assert!(unwound.is_err(), "the armed site must fire");
+
+    // The build only ever borrowed the relations: same rows, same result.
+    let after: Vec<_> = g.db.catalog().rels().map(|r| g.db.relation(r)).collect();
+    assert_eq!(before, after);
+    let again = build_frep_ctx(&g.db, &query, &tree, &ExecCtx::unlimited()).expect("builds");
+    assert!(again.store_identical(&healthy));
+}
+
+#[test]
 fn a_pre_set_cancellation_flag_aborts_cooperatively() {
     for threads in THREAD_COUNTS {
         let (server, id, query) = setup(threads);
