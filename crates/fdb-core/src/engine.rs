@@ -112,7 +112,8 @@ pub struct EvalStats {
     pub plan_cost: f64,
     /// Number of singletons in the result representation.
     pub result_size: usize,
-    /// Number of tuples in the represented result.
+    /// Number of tuples in the represented result, modulo 2¹²⁸ — the value
+    /// `COUNT(*)` returns ([`FRep::tuple_count`]); sums of it wrap the same.
     pub result_tuples: u128,
     /// The executed f-plan (empty for direct construction on flat input).
     pub plan: FPlan,
@@ -213,7 +214,7 @@ impl EvalStats {
         self.optimisation_time += other.optimisation_time;
         self.execution_time += other.execution_time;
         self.result_size += other.result_size;
-        self.result_tuples += other.result_tuples;
+        self.result_tuples = self.result_tuples.wrapping_add(other.result_tuples);
         self.explored_states += other.explored_states;
         self.fused_segments += other.fused_segments;
         self.aggregates_on_overlay += other.aggregates_on_overlay;
@@ -428,8 +429,8 @@ fn body_plan(
 /// What stage 1 hands the rest of the pipeline.
 struct Sourced<'a> {
     /// The representation the plan runs on: built and owned (flat input) or
-    /// borrowed from the caller (factorised input; cloned only by sinks that
-    /// emit).
+    /// borrowed from the caller (factorised input; every sink reads it in
+    /// place, and only an empty plan's result is a copy of it).
     rep: Cow<'a, FRep>,
     /// The body plan (see [`body_plan`]).
     plan: FPlan,
@@ -598,8 +599,9 @@ impl FdbEngine {
     /// overlay program (`fdb_frep::ops::fuse`): a k-operator plan, barriers
     /// included, pays one arena emission instead of k, and an aggregate head
     /// on a chain pays none (it folds over the overlay, with the plan's
-    /// trailing selections folded into the accumulation as entry filters,
-    /// and reads a factorised input in place without cloning it).
+    /// trailing selections folded into the accumulation as entry filters).
+    /// Either way a factorised input is read in place, never cloned: the
+    /// overlay references it and the emission writes a fresh arena.
     /// [`EvalStats`] reports what happened: `fused_segments`,
     /// `barriers_fused`, `arenas_skipped`, `aggregates_on_overlay`, and
     /// `chain_heads` / `flat_head_fallbacks` for the head's strategy.
@@ -678,8 +680,13 @@ impl FdbEngine {
                 Sunk::Aggregate(result)
             }
             _ => {
-                let mut result = rep.into_owned();
-                simplified.execute_presimplified_ctx(&mut result, ctx)?;
+                // A built representation with nothing to run is the result;
+                // anything else reads its input in place.
+                let result = if simplified.is_empty() {
+                    rep.into_owned()
+                } else {
+                    simplified.emit_presimplified_ctx(&rep, ctx)?
+                };
                 if let Some(kind) = kind {
                     // No root path for the grouping head at acceptable
                     // cost: hash-group over the enumerated tuples.

@@ -30,7 +30,7 @@
 //! projected-away) attribute of `N`'s class.
 
 use crate::node;
-use crate::store::Store;
+use crate::store::{kid_count_table, node_table, Store};
 
 // Convenience re-exports: the builder types and arena views travel with the
 // representation they construct and read.
@@ -116,9 +116,10 @@ impl FRep {
         &self.store
     }
 
-    /// Replaces the arena store (crate-internal).
-    pub(crate) fn set_store(&mut self, store: Store) {
-        self.store = store;
+    /// Establishes the arena's layout fact after a snapshot load; call only
+    /// once [`FRep::validate`] passed (see [`Store::verify_layout`]).
+    pub(crate) fn verify_layout(&mut self) {
+        self.store.verify_layout(&self.tree);
     }
 
     /// Mutable access to the arena store (crate-internal).
@@ -202,40 +203,43 @@ impl FRep {
     /// attribute of `N`.  A flat loop over the union arena (every stored
     /// union is reachable).
     pub fn size(&self) -> usize {
-        let visible: std::collections::BTreeMap<NodeId, usize> = self
-            .tree
-            .node_ids()
-            .into_iter()
-            .map(|n| (n, self.tree.visible_attrs(n).len()))
-            .collect();
+        let visible = node_table(&self.tree, |n| self.tree.visible_attrs(n).len());
         self.store
             .unions
             .iter()
-            .map(|rec| visible.get(&rec.node).copied().unwrap_or(0) * rec.entries_len as usize)
+            .map(|rec| visible[rec.node.index()] * rec.entries_len as usize)
             .sum()
     }
 
     /// Number of tuples in the represented relation (without enumerating
-    /// them): products multiply, unions add.  A flat bottom-up loop thanks
-    /// to the arena's topological index order.
+    /// them): products multiply, unions add — **modulo 2¹²⁸**, the wrapping
+    /// ring [`crate::aggregate`] documents for `COUNT`, so this always
+    /// equals `COUNT(*)` and never panics on an astronomically large
+    /// product.  A flat bottom-up loop thanks to the arena's topological
+    /// index order; a leaf union's count is simply its length.
     pub fn tuple_count(&self) -> u128 {
         let store = &self.store;
+        let kid_counts = kid_count_table(&self.tree);
         let mut counts = vec![0u128; store.unions.len()];
         for uid in (0..store.unions.len()).rev() {
             let rec = store.unions[uid];
-            let kid_count = self.tree.children(rec.node).len();
-            let mut total = 0u128;
-            for e in rec.entries_start..rec.entries_start + rec.entries_len {
-                let kids_start = store.kids_start_at(e) as usize;
-                let mut product = 1u128;
-                for k in 0..kid_count {
-                    product *= counts[store.kids[kids_start + k] as usize];
-                }
-                total += product;
-            }
-            counts[uid] = total;
+            let kid_count = kid_counts[rec.node.index()] as usize;
+            counts[uid] = if kid_count == 0 {
+                rec.entries_len as u128
+            } else {
+                (rec.entries_start..rec.entries_start + rec.entries_len).fold(0, |total, e| {
+                    let kids_start = store.kids_start_at(e) as usize;
+                    let product = store.kids[kids_start..kids_start + kid_count]
+                        .iter()
+                        .fold(1u128, |p, &kid| p.wrapping_mul(counts[kid as usize]));
+                    total.wrapping_add(product)
+                })
+            };
         }
-        store.roots.iter().map(|&r| counts[r as usize]).product()
+        store
+            .roots
+            .iter()
+            .fold(1, |p, &r| p.wrapping_mul(counts[r as usize]))
     }
 
     /// Checks all structural invariants:
@@ -250,13 +254,6 @@ impl FRep {
         self.tree.check_structure()?;
         self.tree.check_path_constraint()?;
         self.store.validate(&self.tree)
-    }
-
-    /// Removes entries whose product has become empty (some child union with
-    /// no entries), propagating upwards.  Root unions are allowed to end up
-    /// empty — that simply means the represented relation is empty.
-    pub fn prune_empty(&mut self) {
-        self.store = self.store.retain_and_prune(&self.tree, |_, _| true);
     }
 
     /// Renders the representation as nested text (values only), useful in
@@ -347,6 +344,28 @@ mod tests {
         assert_eq!(rep.visible_attrs(), vec![AttrId(0), AttrId(1)]);
     }
 
+    /// 33²⁶ > 2¹²⁸: the count of a product of 26 one-attribute unions of 33
+    /// values wraps — it must neither panic (debug profile) nor disagree
+    /// with `COUNT(*)` (either profile).
+    #[test]
+    fn tuple_count_wraps_like_count_star() {
+        use crate::aggregate::{evaluate, AggregateKind, AggregateValue};
+        let factor = |attr: u32| {
+            let mut tree = FTree::new(vec![DepEdge::new(format!("R{attr}"), attrs(&[attr]), 33)]);
+            let node = tree.add_node(attrs(&[attr]), None).unwrap();
+            let entries = (0..33).map(|v| Entry::leaf(Value::new(v))).collect();
+            FRep::from_parts(tree, vec![Union::new(node, entries)]).unwrap()
+        };
+        let rep = (1..26).fold(factor(0), |acc, attr| {
+            crate::ops::product(acc, factor(attr)).unwrap()
+        });
+        assert_eq!(rep.size(), 26 * 33);
+        let wrapped = 307181632356614942603594048144429094721u128;
+        assert_eq!(rep.tuple_count(), wrapped);
+        let count = evaluate(&rep, AggregateKind::Count, &[]).unwrap();
+        assert_eq!(count.as_scalar().unwrap(), AggregateValue::Count(wrapped));
+    }
+
     #[test]
     fn empty_representation() {
         let edges = vec![DepEdge::new("R", attrs(&[0]), 0)];
@@ -421,7 +440,7 @@ mod tests {
         // Make the B-union under A=1 empty: the A=1 entry must disappear.
         roots[0].entries[0].children[0].entries.clear();
         let mut rep = FRep::from_parts_unchecked(tree, roots);
-        rep.prune_empty();
+        rep.store = rep.store.retain_and_prune(&rep.tree, |_, _| true);
         rep.validate().unwrap();
         assert_eq!(rep.tuple_count(), 1);
         assert_eq!(rep.root(0).len(), 1);

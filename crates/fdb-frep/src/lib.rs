@@ -107,7 +107,7 @@
 //!
 //! Every data-dependent loop in this crate has a `_ctx` variant
 //! ([`build_frep_ctx`], `Store::retain_and_prune_ctx`,
-//! [`ops::execute_fused_ctx`], [`aggregate::evaluate_ctx`],
+//! [`ops::emit_fused_ctx`], [`aggregate::evaluate_ctx`],
 //! [`enumerate::materialize_ctx`], …) threaded with an
 //! [`fdb_common::ExecCtx`]: the loop **charges** the context roughly one
 //! unit per arena record it processes or emits, and the context turns

@@ -51,18 +51,26 @@
 //!    overlay*: one flat bottom-up pass over the input arena (computed once
 //!    per program, cached) decides per-entry liveness of untouched regions,
 //!    and a cheap walk over the Mix nodes propagates emptiness — no
-//!    intermediate `retain_and_prune` re-emission.  Selections run the same
-//!    sweep with their comparison folded into the predicate.
+//!    intermediate `retain_and_prune` re-emission.  A selection runs the
+//!    same sweep ([`Fusion::compute_liveness`], the only one) with its
+//!    comparison evaluated per union block on the selected node.  A leaf
+//!    union has no kid to fold, so the sweep never loops over its entries:
+//!    it is clean and as empty as it was, or — on the selected node — its
+//!    keep mask alone decides.
 //! 4. Normalisation (and absorb's trailing normalisation) is replayed as
 //!    overlay push-ups: the push-up sequence is computable from the tree
 //!    alone, so the whole sequence collapses into pure header remaps on the
 //!    overlay — one emission applies all of them at once.
 //! 5. A single final [`Rewriter`] emission walks the overlay: `Mix` nodes
 //!    emit their own records, `Src` references emit through
-//!    [`Rewriter::copy_union`].  The output is the exact
-//!    [`crate::store::Store::freeze`] layout, so a fused program is
-//!    **bit-for-bit identical** to the PR 2 step-wise execution of the same
-//!    steps — the randomized equivalence suite asserts store identity.
+//!    [`Rewriter::copy_union`] — for an input in the freeze layout (every
+//!    operator result and loaded snapshot; see [`crate::store`]) a relocating
+//!    block copy of the whole subtree, not a walk over its records, so
+//!    emission costs what the program changed plus a `memcpy` of what it did
+//!    not.  The output is the exact [`crate::store::Store::freeze`] layout,
+//!    so a fused program is **bit-for-bit identical** to the PR 2 step-wise
+//!    execution of the same steps — the randomized equivalence suite asserts
+//!    store identity.
 //!
 //! Total data movement for a k-step program: the touched regions (which the
 //! step-wise path also rebuilds) plus **one** full copy, instead of k.
@@ -127,30 +135,32 @@ pub fn execute_fused(rep: &mut FRep, ops: &[FusedOp]) -> Result<()> {
     execute_fused_ctx(rep, ops, &ExecCtx::unlimited())
 }
 
-/// [`execute_fused`] under a governance context: the liveness sweeps, the
-/// overlay prunes and the final emission all charge the context per record,
-/// so a deadline, budget or cancellation aborts the program cooperatively.
-/// On abort the representation is left **unmodified** — the overlay only
-/// references the immutable input arena, and the output store is swapped in
-/// only after the whole emission succeeded.
+/// [`execute_fused`] under a governance context (see [`emit_fused_ctx`]);
+/// the output replaces `rep` only after the whole emission succeeded.
 pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<()> {
-    if ops.is_empty() {
-        return Ok(());
+    if !ops.is_empty() {
+        *rep = emit_fused_ctx(rep, ops, ctx)?;
     }
-    failpoint!(ctx, "fuse.execute");
-    let (tree, store) = {
-        let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
-        let mut cur = rep.tree().clone();
-        for op in ops {
-            ctx.check_now()?;
-            apply_op(&mut fusion, &mut cur, op)?;
-        }
-        let store = fusion.into_store(rep.tree())?;
-        (cur, store)
-    };
-    rep.replace_parts(tree, store);
-    debug_validate(rep, "fused plan segment");
     Ok(())
+}
+
+/// The fused executor proper: runs the program over the **borrowed** input
+/// and returns the emitted result.  The overlay only references the input
+/// arena and the [`Rewriter`] writes a fresh one, so nothing is cloned and an
+/// abort leaves nothing behind.  The liveness sweeps, the overlay prunes and
+/// the final emission all charge the context per record, so a deadline,
+/// budget or cancellation aborts the program cooperatively.
+pub fn emit_fused_ctx(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
+    failpoint!(ctx, "fuse.execute");
+    let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
+    let mut cur = rep.tree().clone();
+    for op in ops {
+        ctx.check_now()?;
+        apply_op(&mut fusion, &mut cur, op)?;
+    }
+    let out = FRep::from_store(cur, fusion.into_store(rep.tree())?);
+    debug_validate(&out, "fused plan segment");
+    Ok(out)
 }
 
 /// Executes a run of fusable steps on the overlay and evaluates an aggregate
@@ -502,54 +512,12 @@ impl<'a> Fusion<'a> {
     // -----------------------------------------------------------------
 
     /// One flat bottom-up pass over the input arena: per-entry liveness
-    /// under a retain-and-prune with predicate `keep`, per-union emptiness,
-    /// and a per-union "subtree contains a dead entry" flag.
-    fn compute_liveness<F: Fn(NodeId, Value) -> bool>(&self, keep: &F) -> Result<Liveness> {
-        let s = self.src;
-        let mut entry_alive = vec![true; s.entry_count()];
-        let mut union_empty = vec![false; s.unions.len()];
-        let mut subtree_dirty = vec![false; s.unions.len()];
-        for uid in (0..s.unions.len()).rev() {
-            let rec = s.unions[uid];
-            self.ctx.charge(1 + rec.entries_len as u64)?;
-            let kid_count = self.src_kid_counts[rec.node.index()];
-            let mut any_alive = false;
-            let mut dirty = false;
-            for e in rec.entries_start..rec.entries_start + rec.entries_len {
-                let mut alive = keep(rec.node, s.value_at(e));
-                let kids_start = s.kids_start_at(e);
-                for k in 0..kid_count {
-                    let kid = s.kids[(kids_start + k) as usize] as usize;
-                    if union_empty[kid] {
-                        alive = false;
-                    }
-                    dirty |= subtree_dirty[kid];
-                }
-                entry_alive[e as usize] = alive;
-                any_alive |= alive;
-                dirty |= !alive;
-            }
-            union_empty[uid] = !any_alive;
-            subtree_dirty[uid] = dirty;
-        }
-        Ok(Liveness {
-            entry_alive,
-            subtree_dirty,
-        })
-    }
-
-    /// The comparison-specialised liveness sweep backing [`Fusion::filter`]:
-    /// the same pass as [`Fusion::compute_liveness`], but the per-entry
-    /// predicate on the selected node's unions is evaluated **per block**
-    /// through the batched [`kernel::fill_keep_mask`] over the union's dense
-    /// value slice, instead of a closure call per entry.  Bit-for-bit
-    /// identical to the generic sweep with the equivalent closure.
-    fn compute_liveness_cmp(
-        &self,
-        node: NodeId,
-        cmp: ComparisonOp,
-        value: Value,
-    ) -> Result<Liveness> {
+    /// under a retain-and-prune that keeps everything (`select` = `None`,
+    /// the merge/absorb prune) or keeps `value cmp constant` on one node's
+    /// unions, per-union emptiness, and a per-union "subtree contains a dead
+    /// entry" flag.  The comparison runs **per block** through the batched
+    /// [`kernel::fill_keep_mask`] over the union's dense value slice.
+    fn compute_liveness(&self, select: Option<(NodeId, ComparisonOp, Value)>) -> Result<Liveness> {
         let s = self.src;
         let mut entry_alive = vec![true; s.entry_count()];
         let mut union_empty = vec![false; s.unions.len()];
@@ -558,34 +526,30 @@ impl<'a> Fusion<'a> {
             let rec = s.unions[uid];
             self.ctx.charge(1 + rec.entries_len as u64)?;
             let start = rec.entries_start as usize;
-            let end = start + rec.entries_len as usize;
-            if rec.node == node {
-                kernel::fill_keep_mask(
-                    s.value_slice(uid as u32),
-                    cmp,
-                    value,
-                    &mut entry_alive[start..end],
-                );
+            let alive = &mut entry_alive[start..start + rec.entries_len as usize];
+            let selected = select.filter(|&(node, ..)| node == rec.node);
+            if let Some((_, cmp, value)) = selected {
+                kernel::fill_keep_mask(s.value_slice(uid as u32), cmp, value, alive);
             }
-            let kid_count = self.src_kid_counts[rec.node.index()];
-            let mut any_alive = false;
+            let kid_count = self.src_kid_counts[rec.node.index()] as usize;
+            if kid_count == 0 && selected.is_none() {
+                // An untouched leaf: every entry alive, nothing dirty.
+                union_empty[uid] = alive.is_empty();
+                continue;
+            }
             let mut dirty = false;
-            for (e, alive_slot) in entry_alive.iter_mut().enumerate().take(end).skip(start) {
-                let mut alive = *alive_slot;
-                let kids_start = s.kids_start_at(e as u32);
-                for k in 0..kid_count {
-                    let kid = s.kids[kids_start as usize + k as usize] as usize;
-                    if union_empty[kid] {
-                        alive = false;
+            if kid_count > 0 {
+                for (e, alive_slot) in alive.iter_mut().enumerate() {
+                    let kids_start = s.kids_start_at((start + e) as u32) as usize;
+                    for &kid in &s.kids[kids_start..kids_start + kid_count] {
+                        *alive_slot &= !union_empty[kid as usize];
+                        dirty |= subtree_dirty[kid as usize];
                     }
-                    dirty |= subtree_dirty[kid];
                 }
-                *alive_slot = alive;
-                any_alive |= alive;
-                dirty |= !alive;
             }
-            union_empty[uid] = !any_alive;
-            subtree_dirty[uid] = dirty;
+            let survivors = alive.iter().filter(|&&a| a).count();
+            union_empty[uid] = survivors == 0;
+            subtree_dirty[uid] = dirty || survivors < alive.len();
         }
         Ok(Liveness {
             entry_alive,
@@ -599,7 +563,7 @@ impl<'a> Fusion<'a> {
     /// selection-clean subtree, which is keep-everything-clean a fortiori.
     fn ensure_liveness(&mut self) -> Result<()> {
         if self.liveness.is_none() {
-            self.liveness = Some(self.compute_liveness(&|_, _| true)?);
+            self.liveness = Some(self.compute_liveness(None)?);
         }
         Ok(())
     }
@@ -625,7 +589,7 @@ impl<'a> Fusion<'a> {
     /// the selection does not touch stay `Src` references.
     fn filter(&mut self, node: NodeId, cmp: ComparisonOp, value: Value) -> Result<()> {
         let keep = move |n: NodeId, v: Value| n != node || cmp.eval(v, value);
-        let live = self.compute_liveness_cmp(node, cmp, value)?;
+        let live = self.compute_liveness(Some((node, cmp, value)))?;
         self.apply_prune(&live, &keep)
     }
 
@@ -729,8 +693,9 @@ impl<'a> Fusion<'a> {
 
     /// The single output pass: walks the overlay in root order and emits the
     /// final arena in the exact `Store::freeze` layout through a
-    /// [`Rewriter`] — `Src` references become record-by-record copies,
-    /// `Mix` nodes emit their own headers, value blocks and kid runs.
+    /// [`Rewriter`] — `Src` references become whole-subtree copies
+    /// ([`Rewriter::copy_union`]), `Mix` nodes emit their own headers,
+    /// value blocks and kid runs.
     fn into_store(self, src_tree: &FTree) -> Result<Store> {
         let mut rw = Rewriter::new(self.src, src_tree);
         let roots: Vec<u32> = self
@@ -2013,6 +1978,46 @@ mod tests {
         ] {
             check(&rep, &steps, &format!("selection program {steps:?}"));
         }
+    }
+
+    /// A lone selection is governed end to end: its exact unit total
+    /// succeeds with nothing to spare, one unit less is a budget error, a
+    /// raised cancellation flag a deadline error — and whatever happens, the
+    /// borrowed input stays as it was.
+    #[test]
+    fn lone_selection_is_governed_and_leaves_the_input_untouched() {
+        use fdb_common::QueryLimits;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let (rep, _, _) = swap_shape();
+        let input = rep.clone();
+        let program = [select(3, ComparisonOp::Le, 7)];
+        let run = |limits: &QueryLimits| {
+            let ctx = ExecCtx::new(limits);
+            let result = emit_fused_ctx(&rep, &program, &ctx);
+            assert!(rep.store_identical(&input));
+            (result, ctx.budget_remaining())
+        };
+        let ample = 1 << 20;
+        let (ungoverned, left) = run(&QueryLimits::unlimited().with_budget(ample));
+        let expected = ungoverned.unwrap();
+        let units = ample - left;
+        // The sweep reads every input record, the emission writes every
+        // output record, and in between the dirty-region walk rebuilds the
+        // two unions above the one dead entry: the root (1 + 2 entries) and
+        // the B-union under A=1 (1 + 2).
+        let records = |r: &FRep| (r.store().unions.len() + r.store().entry_count()) as u64;
+        assert_eq!((records(&rep), records(&expected)), (20, 15));
+        assert_eq!(units, 20 + 6 + 15);
+
+        let (exact, left) = run(&QueryLimits::unlimited().with_budget(units));
+        assert!(exact.unwrap().store_identical(&expected));
+        assert_eq!(left, 0);
+        let (short, _) = run(&QueryLimits::unlimited().with_budget(units - 1));
+        assert!(matches!(short, Err(FdbError::BudgetExceeded { .. })));
+        let cancel = Arc::new(AtomicBool::new(true));
+        let (cancelled, _) = run(&QueryLimits::unlimited().with_cancel(cancel));
+        assert!(matches!(cancelled, Err(FdbError::DeadlineExceeded { .. })));
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //! # Every operator is arena-native
 //!
 //! Since the arena refactor ([`crate::store`]) the value-level operators —
-//! selection with a constant, Cartesian product, and pruning — run directly
-//! on the flat arenas (a filtered rebuild, respectively an index-offset
-//! concatenation).  As of PR 2 the *structural* operators (swap, merge,
-//! absorb, push-up, projection) are arena-native too: each one clones the
-//! f-tree, applies the schema-level transformation to the clone, and then
-//! emits the output arena in a single pass through a
-//! [`crate::store::Rewriter`] — union headers in depth-first preorder,
-//! unchanged subtrees copied record-by-record, and the regrouped region
-//! assembled directly in the *new* tree's child order.  The old
+//! Cartesian product and pruning — run directly on the flat arenas (an
+//! index-offset concatenation, respectively a filtered rebuild); selection
+//! with a constant is the one-operator [`fuse`] program.  As of PR 2 the
+//! *structural* operators (swap, merge, absorb, push-up, projection) are
+//! arena-native too: each one clones the f-tree, applies the schema-level
+//! transformation to the clone, and then emits the output arena in a single
+//! pass through a [`crate::store::Rewriter`] — union headers in depth-first
+//! preorder, unchanged subtrees copied whole (as relocated blocks when the
+//! input is in the freeze layout), and the regrouped region assembled
+//! directly in the *new* tree's child order.  The old
 //! thaw-once/freeze-once design (thaw the arena into the owned
 //! [`crate::node`] builder form, splice pointers, freeze back) paid two full
 //! linear copies plus a heap allocation per union and entry around every
@@ -64,13 +65,14 @@ pub mod swap;
 
 pub use absorb::absorb;
 pub use fuse::{
-    execute_fused, execute_fused_aggregate, execute_fused_aggregate_ctx, execute_fused_ctx, FusedOp,
+    emit_fused_ctx, execute_fused, execute_fused_aggregate, execute_fused_aggregate_ctx,
+    execute_fused_ctx, FusedOp,
 };
 pub use merge::merge;
 pub use product::product;
 pub use project::project;
 pub use restructure::{normalise, push_up};
-pub use select::{select_const, select_const_ctx};
+pub use select::select_const;
 pub use swap::swap;
 
 use crate::frep::FRep;

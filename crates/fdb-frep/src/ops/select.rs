@@ -1,49 +1,24 @@
 //! Selection with a constant, `σ_{A θ c}`.
 //!
 //! The operator keeps only the entries of the `A`-node's unions whose value
-//! satisfies the comparison.  It is **arena-native**: one filtered rebuild
-//! of the flat store ([`crate::store`]) applies the predicate and the
-//! subsequent pruning (entries whose product became empty disappear, empty
-//! unions propagate upwards) in three flat passes, with no pointer tree and
-//! no per-node allocation.  For an equality comparison the node is
-//! additionally marked as bound to the constant: every remaining `A`-value
-//! equals `c`, so the node no longer contributes to the size bound `s(T)`.
+//! satisfies the comparison, and prunes: entries whose product became empty
+//! disappear, empty unions propagate upwards.  It has no rebuild of its own —
+//! it **is** the one-operator overlay program `[FusedOp::SelectConst]`
+//! ([`crate::ops::fuse`]): one liveness sweep with the comparison evaluated
+//! per union block, a walk that rebuilds only the unions the selection
+//! dirtied, and an emission that copies every clean subtree whole.  For an
+//! equality comparison the node is additionally marked as bound to the
+//! constant: every remaining `A`-value equals `c`, so the node no longer
+//! contributes to the size bound `s(T)`.
 
 use crate::frep::FRep;
-use fdb_common::{AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
+use crate::ops::fuse::{execute_fused, FusedOp};
+use fdb_common::{AttrId, ComparisonOp, Result, Value};
 
-/// Selection with constant `σ_{attr θ value}` on the representation.
+/// Selection with constant `σ_{attr θ value}` on the representation.  On
+/// error the representation is left exactly as it was.
 pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value) -> Result<()> {
-    select_const_ctx(rep, attr, op, value, &ExecCtx::unlimited())
-}
-
-/// [`select_const`] under a governance context: the filtered rebuild
-/// charges per record, and on abort the representation is left exactly as
-/// it was (the rebuilt store is only installed on success).
-pub fn select_const_ctx(
-    rep: &mut FRep,
-    attr: AttrId,
-    op: ComparisonOp,
-    value: Value,
-    ctx: &ExecCtx,
-) -> Result<()> {
-    let Some(node) = rep.tree().node_of_attr(attr) else {
-        return Err(FdbError::AttributeNotInQuery {
-            attr: format!("{attr}"),
-        });
-    };
-    // The comparison-specialised rebuild: the predicate runs as one batched
-    // keep-mask sweep per union block (see `Store::retain_and_prune_cmp_ctx`)
-    // instead of a closure call per entry.
-    let filtered = rep
-        .store()
-        .retain_and_prune_cmp_ctx(rep.tree(), node, op, value, ctx)?;
-    rep.set_store(filtered);
-    if op == ComparisonOp::Eq {
-        rep.tree_mut().bind_constant(node, value)?;
-    }
-    crate::ops::debug_validate(rep, "select");
-    Ok(())
+    execute_fused(rep, &[FusedOp::SelectConst { attr, op, value }])
 }
 
 #[cfg(test)]

@@ -580,12 +580,15 @@ pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
     ctx.charge((store.unions.len() + store.entry_count() + store.kids.len()) as u64)?;
     let tree = FTree::from_snapshot(edges, nodes, tree_roots)
         .map_err(|e| corrupt(format!("f-tree validation failed on load: {e}")))?;
-    let rep = FRep::from_store(tree, store);
+    let mut rep = FRep::from_store(tree, store);
     // The full structural validator is a mandatory load check — in release
     // builds too.  A snapshot that decodes but fails it was written by (or
     // corrupted into) something this engine must not serve from.
     rep.validate()
         .map_err(|e| corrupt(format!("structural validation failed on load: {e}")))?;
+    // Whether the arena is in the freeze layout is not stored in the file:
+    // it is checked here, on the arena that was just validated.
+    rep.verify_layout();
     Ok(rep)
 }
 

@@ -46,10 +46,51 @@
 //! arena-native operators are bit-for-bit interchangeable with the
 //! thaw/rewrite/freeze oracle in [`crate::ops::oracle`] while skipping both
 //! linear copies and every per-node allocation.
+//!
+//! # The freeze layout, and what it buys
+//!
+//! [`Store::freeze`] (and every [`Rewriter`]) writes the arenas depth first,
+//! which fixes three properties beyond the invariants above:
+//!
+//! 1. **Headers in depth-first preorder.**  A union's header is pushed at
+//!    its visit, before any union below it, so the subtree of union `u` is
+//!    the contiguous index range `[u, last]`.
+//! 2. **Entry blocks in union order without gaps.**  A union's whole entry
+//!    block is pushed with its header: `entries_start(u + 1) =
+//!    entries_start(u) + entries_len(u)`, starting at 0.
+//! 3. **Kid runs in entry post-order without gaps.**  An entry's kid run is
+//!    pushed after the kid subtrees it points to; an entry of a leaf union
+//!    pushes nothing and carries the kid arena's length at that moment (the
+//!    *kid watermark*) as its offset.
+//!
+//! *Subtree extent.*  Under these properties the subtree of `u` is three
+//! contiguous ranges, found in O(depth): `last` by following last entry /
+//! last kid from `u` until a union without entries or kids; the entries
+//! `[entries_start(u), entries_start(last) + entries_len(last))`; and — one
+//! kid slot per union below `u`, all pushed during `u`'s visit — exactly
+//! `last − u` kid slots ending where the kid run of `u`'s last entry ends.
+//! [`Rewriter::copy_union`] therefore copies an untouched subtree as
+//! **relocated blocks**: each array extended once, a constant delta added to
+//! every `entries_start`, `kids_start` and kid index.  That is bit for bit
+//! what the record-by-record recursion writes, and the recursion remains the
+//! path for arenas not in this layout.
+//!
+//! *Who says so.*  A store carries the private fact `freeze_layout`.  It is
+//! set by construction by [`Store::freeze`], by [`Rewriter::finish`] (the
+//! rewriter emits in freeze order whatever the layout of its input), and by
+//! [`Store::append_remapped`] of two such stores (concatenating two freeze
+//! forests is the freeze of the joint forest).  [`crate::build`] emits
+//! headers first but entry blocks in post-order, so its results never carry
+//! it.  A decoded snapshot never *reads* it: the bytes are outside input,
+//! and a wrong claim would turn the block copy into a silently wrong result
+//! rather than an error — so [`Store::verify_layout`] re-derives it with one
+//! linear walk of the arena after [`Store::validate`] accepted it.  The fact
+//! is not part of a store's identity (`==` compares the five arrays), and in
+//! debug builds every [`Rewriter::new`] re-checks a set flag.
 
 use crate::kernel;
 use crate::node::{Entry, Union};
-use fdb_common::{failpoint, ComparisonOp, ExecCtx, FdbError, Result, Value};
+use fdb_common::{failpoint, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use std::collections::BTreeMap;
 
@@ -71,7 +112,7 @@ pub(crate) struct UnionRec {
 /// The two entry arrays (`values`, `kids_starts`) are private — the sealed
 /// accessor layer below is the only way in or out, which guarantees they
 /// stay parallel.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Store {
     pub(crate) unions: Vec<UnionRec>,
     /// Entry values, contiguous per union, strictly increasing within one.
@@ -80,6 +121,30 @@ pub(crate) struct Store {
     kids_starts: Vec<u32>,
     pub(crate) kids: Vec<u32>,
     pub(crate) roots: Vec<u32>,
+    /// The arenas are in the exact [`Store::freeze`] layout (see the module
+    /// docs): what lets [`Rewriter::copy_union`] copy subtrees as blocks.
+    freeze_layout: bool,
+}
+
+/// The next free index of each arena while [`Store::is_freeze_layout`]
+/// replays the order [`Store::freeze`] writes in.
+#[derive(Default)]
+struct LayoutCursor {
+    unions: u32,
+    entries: u32,
+    kids: u32,
+}
+
+/// Store identity is the five arrays; how a store came to be (and so
+/// whether its layout is known) is not part of it.
+impl PartialEq for Store {
+    fn eq(&self, other: &Store) -> bool {
+        self.unions == other.unions
+            && self.values == other.values
+            && self.kids_starts == other.kids_starts
+            && self.kids == other.kids
+            && self.roots == other.roots
+    }
 }
 
 impl Store {
@@ -139,7 +204,8 @@ impl Store {
 
     /// Reassembles a store from decoded arenas (the snapshot codec's
     /// constructor).  `values` and `kids_starts` must be the same length;
-    /// the caller is expected to follow with [`Store::validate`].
+    /// the caller is expected to follow with [`Store::validate`] and then
+    /// [`Store::verify_layout`].
     pub(crate) fn from_arena_parts(
         unions: Vec<UnionRec>,
         values: Vec<Value>,
@@ -154,6 +220,7 @@ impl Store {
             kids_starts,
             kids,
             roots,
+            freeze_layout: false,
         }
     }
 
@@ -169,6 +236,8 @@ impl Store {
         let mut store = Store::default();
         let root_ids: Vec<u32> = roots.iter().map(|u| store.freeze_union(tree, u)).collect();
         store.roots = root_ids;
+        // A malformed forest's missing kids break the subtree arithmetic.
+        store.freeze_layout = !store.kids.contains(&MISSING_KID);
         store
     }
 
@@ -351,6 +420,45 @@ impl Store {
         Ok(())
     }
 
+    /// Establishes the freeze-layout fact of a decoded arena by checking it
+    /// (see the module docs); call only after [`Store::validate`] accepted
+    /// the store, which is what keeps the walk in bounds.
+    pub(crate) fn verify_layout(&mut self, tree: &FTree) {
+        self.freeze_layout = self.is_freeze_layout(&kid_count_table(tree));
+    }
+
+    /// Re-walks a valid arena depth first, the way [`Store::freeze`] emits,
+    /// and compares every header index, entry-block offset and kid-run
+    /// offset with the position freeze would have written it at.  Linear: a
+    /// union reached a second time, or out of turn, fails on the spot.
+    fn is_freeze_layout(&self, kid_counts: &[u32]) -> bool {
+        let mut next = LayoutCursor::default();
+        self.roots
+            .iter()
+            .all(|&r| self.walk_layout(kid_counts, r, &mut next))
+            && next.unions as usize == self.unions.len()
+            && next.entries as usize == self.values.len()
+            && next.kids as usize == self.kids.len()
+    }
+
+    fn walk_layout(&self, kid_counts: &[u32], uid: u32, next: &mut LayoutCursor) -> bool {
+        let rec = self.unions[uid as usize];
+        if uid != next.unions || rec.entries_start != next.entries {
+            return false;
+        }
+        next.unions += 1;
+        next.entries += rec.entries_len;
+        let kid_count = kid_counts[rec.node.index()];
+        (rec.entries_start..rec.entries_start + rec.entries_len).all(|e| {
+            let kids_start = self.kids_starts[e as usize];
+            let below = (kids_start..kids_start + kid_count)
+                .all(|k| self.walk_layout(kid_counts, self.kids[k as usize], next));
+            let in_turn = below && kids_start == next.kids;
+            next.kids += kid_count;
+            in_turn
+        })
+    }
+
     /// The generic flat rebuild primitive: keeps the entries for which
     /// `keep(node, value)` holds, then removes entries whose product became
     /// empty (some kid union without entries), propagating upwards exactly
@@ -386,7 +494,7 @@ impl Store {
         F: FnMut(NodeId, Value) -> bool,
     {
         failpoint!(ctx, "store.rewrite");
-        let rw = Rewriter::new(self, tree);
+        let mut rw = Rewriter::new(self, tree);
 
         // Pass 1 (bottom-up, reverse index order): decide per entry whether
         // it survives, and per union whether it still has entries.
@@ -415,82 +523,12 @@ impl Store {
             union_empty[uid] = !any_alive;
         }
 
-        self.emit_survivors(rw, &entry_alive, ctx)
-    }
-
-    /// The comparison-specialised [`Store::retain_and_prune_ctx`]: the
-    /// constant-selection predicate `value θ c` on one node's unions.  Same
-    /// two passes and the same emission, but pass 1 evaluates the predicate
-    /// **per union block** through the batched
-    /// [`kernel::fill_keep_mask`] — the whole block's keep mask comes from
-    /// one vectorised sweep over the dense value slice instead of a
-    /// closure call per entry.  Bit-for-bit identical to the generic path
-    /// with the equivalent closure (the randomized identity tests pin it).
-    pub(crate) fn retain_and_prune_cmp_ctx(
-        &self,
-        tree: &FTree,
-        node: NodeId,
-        op: ComparisonOp,
-        value: Value,
-        ctx: &ExecCtx,
-    ) -> Result<Store> {
-        failpoint!(ctx, "store.rewrite");
-        let rw = Rewriter::new(self, tree);
-
-        let mut entry_alive = vec![false; self.values.len()];
-        let mut union_empty = vec![true; self.unions.len()];
-        for uid in (0..self.unions.len()).rev() {
-            let rec = self.unions[uid];
-            ctx.charge(1 + rec.entries_len as u64)?;
-            let start = rec.entries_start as usize;
-            let end = start + rec.entries_len as usize;
-            // Predicate first, batched over the union's dense value block.
-            if rec.node == node {
-                kernel::fill_keep_mask(
-                    &self.values[start..end],
-                    op,
-                    value,
-                    &mut entry_alive[start..end],
-                );
-            } else {
-                entry_alive[start..end].fill(true);
-            }
-            // Then the kid-emptiness fold over the surviving mask.
-            let kid_count = rw.src_kid_count(rec.node);
-            let mut any_alive = false;
-            for (e, alive_slot) in entry_alive.iter_mut().enumerate().take(end).skip(start) {
-                let mut alive = *alive_slot;
-                if alive && kid_count > 0 {
-                    let kids_start = self.kids_starts[e];
-                    for k in 0..kid_count {
-                        if union_empty[self.kids[(kids_start + k) as usize] as usize] {
-                            alive = false;
-                            break;
-                        }
-                    }
-                    *alive_slot = alive;
-                }
-                any_alive |= alive;
-            }
-            union_empty[uid] = !any_alive;
-        }
-
-        self.emit_survivors(rw, &entry_alive, ctx)
-    }
-
-    /// Pass 2 shared by both retain-and-prune variants (top-down): re-emit
-    /// the surviving structure.  Unions hanging off dead entries are never
-    /// visited, which drops them.
-    fn emit_survivors(
-        &self,
-        mut rw: Rewriter<'_>,
-        entry_alive: &[bool],
-        ctx: &ExecCtx,
-    ) -> Result<Store> {
+        // Pass 2 (top-down): re-emit the surviving structure.  Unions
+        // hanging off dead entries are never visited, which drops them.
         let roots: Vec<u32> = self
             .roots
             .iter()
-            .map(|&r| emit_pruned(&mut rw, entry_alive, r, ctx))
+            .map(|&r| emit_pruned(&mut rw, &entry_alive, r, ctx))
             .collect::<Result<_>>()?;
         Ok(rw.finish(roots))
     }
@@ -498,7 +536,9 @@ impl Store {
     /// Appends another store (over disjoint f-tree nodes) to this one,
     /// remapping its node identifiers through `node_map` — the data half of
     /// the Cartesian product operator.  Runs in time linear in `other`.
+    /// Two freeze-layout stores concatenate into the freeze of both forests.
     pub(crate) fn append_remapped(&mut self, other: &Store, node_map: &BTreeMap<NodeId, NodeId>) {
+        self.freeze_layout &= other.freeze_layout;
         let union_offset = self.unions.len() as u32;
         let entry_offset = self.values.len() as u32;
         let kid_offset = self.kids.len() as u32;
@@ -556,19 +596,24 @@ fn emit_pruned(
     Ok(out)
 }
 
-/// Child counts of every node of `tree`, indexed by node index — the flat
-/// lookup table both the [`Rewriter`] and the fused-execution overlay
-/// ([`crate::ops::fuse`]) walk instead of querying the tree per union.
-pub(crate) fn kid_count_table(tree: &FTree) -> Vec<u32> {
-    let mut kid_counts = Vec::new();
+/// One value per node of `tree`, indexed by node index — the flat lookup
+/// tables the per-union loops read instead of querying the tree.
+pub(crate) fn node_table<T: Clone + Default>(tree: &FTree, of: impl Fn(NodeId) -> T) -> Vec<T> {
+    let mut table = Vec::new();
     for node in tree.node_ids() {
         let idx = node.index();
-        if idx >= kid_counts.len() {
-            kid_counts.resize(idx + 1, 0);
+        if idx >= table.len() {
+            table.resize(idx + 1, T::default());
         }
-        kid_counts[idx] = tree.children(node).len() as u32;
+        table[idx] = of(node);
     }
-    kid_counts
+    table
+}
+
+/// Child counts of every node of `tree` — what both the [`Rewriter`] and the
+/// fused-execution overlay ([`crate::ops::fuse`]) walk.
+pub(crate) fn kid_count_table(tree: &FTree) -> Vec<u32> {
+    node_table(tree, |node| tree.children(node).len() as u32)
 }
 
 /// Emits a new arena from an existing one in the exact layout
@@ -602,6 +647,10 @@ impl<'a> Rewriter<'a> {
     /// grow the arena) and steady-state emission performs no re-allocation.
     pub(crate) fn new(src: &'a Store, src_tree: &FTree) -> Rewriter<'a> {
         let kid_counts = kid_count_table(src_tree);
+        debug_assert!(
+            !src.freeze_layout || src.is_freeze_layout(&kid_counts),
+            "a store claims the freeze layout without being in it"
+        );
         let mut out = Store::default();
         out.unions.reserve(src.unions.len());
         out.values.reserve(src.values.len());
@@ -693,8 +742,67 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Copies the subtree rooted at input union `uid` verbatim (the nodes
-    /// below it are unaffected by the rewrite in progress).
+    /// below it are unaffected by the rewrite in progress): as relocated
+    /// blocks when the input is in the freeze layout, record by record
+    /// otherwise — the same output either way (see the module docs).
     pub(crate) fn copy_union(&mut self, uid: u32) -> u32 {
+        if !self.src.freeze_layout {
+            return self.copy_union_recursive(uid);
+        }
+        let src = self.src;
+        let first = src.unions[uid as usize];
+        // The subtree's last union: follow last entry / last kid down.
+        let mut last = uid;
+        let mut last_rec = first;
+        loop {
+            let kid_count = self.src_kid_count(last_rec.node);
+            if last_rec.entries_len == 0 || kid_count == 0 {
+                break;
+            }
+            last = src.kid(last, last_rec.entries_len - 1, kid_count - 1);
+            last_rec = src.unions[last as usize];
+        }
+        let entries =
+            first.entries_start as usize..(last_rec.entries_start + last_rec.entries_len) as usize;
+        // One kid slot per union below `uid`, ending with the run of its
+        // last entry (an empty `uid` has no union below it).
+        let kids_end = match first.entries_len {
+            0 => 0,
+            len => {
+                src.kids_starts[entries.start + len as usize - 1] + self.src_kid_count(first.node)
+            }
+        };
+        let kids = (kids_end - (last - uid)) as usize..kids_end as usize;
+
+        let out = &mut self.out;
+        let out_uid = out.unions.len() as u32;
+        let union_delta = out_uid.wrapping_sub(uid);
+        let entry_delta = (out.values.len() as u32).wrapping_sub(first.entries_start);
+        let kid_delta = (out.kids.len() as u32).wrapping_sub(kids.start as u32);
+        out.unions.extend(
+            src.unions[uid as usize..=last as usize]
+                .iter()
+                .map(|rec| UnionRec {
+                    entries_start: rec.entries_start.wrapping_add(entry_delta),
+                    ..*rec
+                }),
+        );
+        out.values.extend_from_slice(&src.values[entries.clone()]);
+        out.kids_starts.extend(
+            src.kids_starts[entries]
+                .iter()
+                .map(|ks| ks.wrapping_add(kid_delta)),
+        );
+        out.kids.extend(
+            src.kids[kids]
+                .iter()
+                .map(|kid| kid.wrapping_add(union_delta)),
+        );
+        out_uid
+    }
+
+    /// [`Rewriter::copy_union`] record by record, for any input layout.
+    fn copy_union_recursive(&mut self, uid: u32) -> u32 {
         let src = self.src;
         let rec = src.unions[uid as usize];
         let out_uid = self.begin_union(rec.node, src.value_slice(uid).iter().copied());
@@ -702,7 +810,7 @@ impl<'a> Rewriter<'a> {
         for i in 0..rec.entries_len {
             let mark = self.mark();
             for k in 0..kid_count {
-                let copied = self.copy_union(src.kid(uid, i, k));
+                let copied = self.copy_union_recursive(src.kid(uid, i, k));
                 self.push_kid(copied);
             }
             self.end_entry(out_uid, i, mark);
@@ -710,11 +818,13 @@ impl<'a> Rewriter<'a> {
         out_uid
     }
 
-    /// Consumes the rewriter, attaching the given root list.
+    /// Consumes the rewriter, attaching the given root list.  Every emission
+    /// path above writes in freeze order, so the output carries the fact.
     pub(crate) fn finish(self, roots: Vec<u32>) -> Store {
         debug_assert!(self.scratch.is_empty(), "unfinished entry kid runs");
         let mut out = self.out;
         out.roots = roots;
+        out.freeze_layout = true;
         out
     }
 }
@@ -839,8 +949,12 @@ impl<'a> EntryRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_common::AttrId;
+    use crate::ops::{self, emit_fused_ctx, FusedOp};
+    use crate::snapshot::{decode_frep, encode_frep};
+    use crate::FRep;
+    use fdb_common::{AttrId, Catalog, ComparisonOp, Query};
     use fdb_ftree::DepEdge;
+    use fdb_relation::Database;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -919,46 +1033,71 @@ mod tests {
         assert_eq!(emptied.thaw(&tree)[0].len(), 0);
     }
 
+    const COMPARISONS: [ComparisonOp; 6] = [
+        ComparisonOp::Eq,
+        ComparisonOp::Ne,
+        ComparisonOp::Lt,
+        ComparisonOp::Le,
+        ComparisonOp::Gt,
+        ComparisonOp::Ge,
+    ];
+
+    /// The selection path — the one-operator overlay program behind
+    /// [`ops::select_const`] — against the generic closure rebuild with the
+    /// equivalent predicate: not merely equivalent, the exact same arena
+    /// records.
+    fn assert_selection_matches_the_closure(
+        tree: &FTree,
+        store: &Store,
+        attr: u32,
+        op: ComparisonOp,
+        c: Value,
+        context: &str,
+    ) {
+        let ctx = ExecCtx::unlimited();
+        let node = tree.node_of_attr(AttrId(attr)).unwrap();
+        let generic = store
+            .retain_and_prune_ctx(tree, |n, v| n != node || op.eval(v, c), &ctx)
+            .unwrap();
+        let program = [FusedOp::SelectConst {
+            attr: AttrId(attr),
+            op,
+            value: c,
+        }];
+        let rep = FRep::from_store(tree.clone(), store.clone());
+        let selected = emit_fused_ctx(&rep, &program, &ctx).unwrap();
+        assert_eq!(selected.store(), &generic, "{context}");
+        selected.store().validate(selected.tree()).unwrap();
+    }
+
     #[test]
     fn cmp_prune_is_bit_identical_to_the_generic_closure_path() {
         let (tree, roots) = sample();
         let store = Store::freeze(&tree, &roots);
-        let ctx = ExecCtx::unlimited();
-        let ops = [
-            ComparisonOp::Eq,
-            ComparisonOp::Ne,
-            ComparisonOp::Lt,
-            ComparisonOp::Le,
-            ComparisonOp::Gt,
-            ComparisonOp::Ge,
-        ];
-        for node in [
-            tree.node_of_attr(AttrId(0)).unwrap(),
-            tree.node_of_attr(AttrId(1)).unwrap(),
-        ] {
-            for op in ops {
+        for attr in [0, 1] {
+            for op in COMPARISONS {
                 for c in [0u64, 1, 2, 10, 15, 20, 25, 99] {
-                    let c = Value::new(c);
-                    let generic = store
-                        .retain_and_prune_ctx(&tree, |n, v| n != node || op.eval(v, c), &ctx)
-                        .unwrap();
-                    let batched = store
-                        .retain_and_prune_cmp_ctx(&tree, node, op, c, &ctx)
-                        .unwrap();
-                    // Not merely equivalent: the exact same arena records.
-                    assert_eq!(batched, generic, "node {node} op {op:?} c {c}");
+                    assert_selection_matches_the_closure(
+                        &tree,
+                        &store,
+                        attr,
+                        op,
+                        Value::new(c),
+                        &format!("attr {attr} op {op:?} c {c}"),
+                    );
                 }
             }
         }
     }
 
-    /// Randomized store-identity sweep of the batched selection path: a
-    /// three-level forest with random fan-outs (odd lengths exercise the
-    /// kernels' unaligned tails) must prune bit-for-bit like the closure.
+    /// Randomized store-identity sweep of the selection path: a three-level
+    /// forest with random fan-outs (odd lengths exercise the kernels'
+    /// unaligned tails; empty unions must take their parent entries with
+    /// them although no predicate touches them) must select bit-for-bit like
+    /// the closure — every node, all six comparisons.
     #[test]
     fn cmp_prune_matches_on_random_forests() {
         let mut rng = StdRng::seed_from_u64(0x50A);
-        let ctx = ExecCtx::unlimited();
         for round in 0..40 {
             let edges = vec![DepEdge::new("R", attrs(&[0, 1, 2]), 3)];
             let mut tree = FTree::new(edges);
@@ -971,11 +1110,11 @@ mod tests {
                 Value::new(next)
             };
             let leaf_union = |rng: &mut StdRng, next: &mut dyn FnMut(&mut StdRng) -> Value| {
-                let len = rng.gen_range(1..7usize);
+                let len = rng.gen_range(0..7usize);
                 Union::new(c, (0..len).map(|_| Entry::leaf(next(rng))).collect())
             };
             let b_union = |rng: &mut StdRng, next: &mut dyn FnMut(&mut StdRng) -> Value| {
-                let len = rng.gen_range(1..5usize);
+                let len = rng.gen_range(0..5usize);
                 Union::new(
                     b,
                     (0..len)
@@ -998,24 +1137,19 @@ mod tests {
             );
             let store = Store::freeze(&tree, &[root]);
             store.validate(&tree).unwrap();
-            let node = [a, b, c][round % 3];
-            let op = [
-                ComparisonOp::Eq,
-                ComparisonOp::Ne,
-                ComparisonOp::Lt,
-                ComparisonOp::Le,
-                ComparisonOp::Gt,
-                ComparisonOp::Ge,
-            ][round % 6];
             let cut = Value::new(rng.gen_range(0..next + 2));
-            let generic = store
-                .retain_and_prune_ctx(&tree, |n, v| n != node || op.eval(v, cut), &ctx)
-                .unwrap();
-            let batched = store
-                .retain_and_prune_cmp_ctx(&tree, node, op, cut, &ctx)
-                .unwrap();
-            assert_eq!(batched, generic, "round {round}");
-            batched.validate(&tree).unwrap();
+            for attr in 0..3 {
+                for op in COMPARISONS {
+                    assert_selection_matches_the_closure(
+                        &tree,
+                        &store,
+                        attr,
+                        op,
+                        cut,
+                        &format!("round {round} attr {attr} op {op:?}"),
+                    );
+                }
+            }
         }
     }
 
@@ -1047,6 +1181,184 @@ mod tests {
         let copy = rw.finish(new_roots);
         // Not merely equivalent: the exact same arena records.
         assert_eq!(copy, store);
+    }
+
+    /// A random forest over a random f-tree: up to three roots of depth 1–4,
+    /// fan-out 0–2 per node, 0–5 entries per union — so empty inner unions,
+    /// single-entry unions, leaf-only roots and odd lengths all occur.
+    fn random_forest(rng: &mut StdRng) -> (FTree, Vec<Union>) {
+        fn grow(tree: &mut FTree, rng: &mut StdRng, parent: Option<NodeId>, depth: u32) {
+            let attr = tree.node_ids().len() as u32;
+            let node = tree.add_node(attrs(&[attr]), parent).unwrap();
+            if depth > 1 {
+                for _ in 0..rng.gen_range(0..3u32) {
+                    grow(tree, rng, Some(node), depth - 1);
+                }
+            }
+        }
+        fn fill(tree: &FTree, rng: &mut StdRng, node: NodeId) -> Union {
+            let entries = (0..rng.gen_range(0..6u64))
+                .map(|i| Entry {
+                    value: Value::new(2 * i + rng.gen_range(0..2u64)),
+                    children: tree
+                        .children(node)
+                        .iter()
+                        .map(|&child| fill(tree, rng, child))
+                        .collect(),
+                })
+                .collect();
+            Union::new(node, entries)
+        }
+        let mut tree = FTree::new(Vec::new());
+        for _ in 0..rng.gen_range(1..4u32) {
+            let depth = rng.gen_range(1..5u32);
+            grow(&mut tree, rng, None, depth);
+        }
+        let roots = tree.roots().iter().map(|&r| fill(&tree, rng, r)).collect();
+        (tree, roots)
+    }
+
+    /// Copies every root of `store` through a [`Rewriter`].
+    fn copy_all(store: &Store, tree: &FTree) -> Store {
+        let mut rw = Rewriter::new(store, tree);
+        let roots = store.roots.iter().map(|&r| rw.copy_union(r)).collect();
+        rw.finish(roots)
+    }
+
+    #[test]
+    fn block_copy_equals_the_recursive_copy_on_random_freeze_forests() {
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let mut deepest = 0;
+        for round in 0..80 {
+            let (tree, roots) = random_forest(&mut rng);
+            deepest = deepest.max(
+                tree.node_ids()
+                    .iter()
+                    .map(|&n| tree.depth(n))
+                    .max()
+                    .unwrap(),
+            );
+            let store = Store::freeze(&tree, &roots);
+            store.validate(&tree).unwrap();
+            assert!(store.freeze_layout && store.is_freeze_layout(&kid_count_table(&tree)));
+            for uid in 0..store.unions.len() as u32 {
+                // Every other union is copied behind a first root copy, so
+                // the relocation deltas come out positive as well as negative.
+                let copy = |block: bool| {
+                    let mut rw = Rewriter::new(&store, &tree);
+                    let pad = (uid % 2 == 1).then(|| rw.copy_union_recursive(store.roots[0]));
+                    let out = if block {
+                        rw.copy_union(uid)
+                    } else {
+                        rw.copy_union_recursive(uid)
+                    };
+                    rw.finish(pad.into_iter().chain([out]).collect())
+                };
+                assert_eq!(copy(true), copy(false), "round {round}, union {uid}");
+            }
+            assert_eq!(copy_all(&store, &tree), store, "round {round}");
+        }
+        assert!(deepest >= 3, "the sweep reaches four-level trees");
+    }
+
+    /// `build_frep` of `R(names…) = rows` over the path f-tree of its columns.
+    fn flat_built(names: &[&str], rows: &[Vec<u64>]) -> FRep {
+        let mut catalog = Catalog::new();
+        let (r, columns) = catalog.add_relation("R", names);
+        let mut db = Database::new(catalog);
+        db.insert_raw_rows(r, rows).unwrap();
+        let query = Query::product(vec![r]);
+        let edges = fdb_ftree::dep_edges_for_query(db.catalog(), &query, |r| db.rel_len(r) as u64);
+        let mut tree = FTree::new(edges);
+        let mut parent = None;
+        for attr in columns {
+            parent = Some(tree.add_node([attr].into_iter().collect(), parent).unwrap());
+        }
+        crate::build_frep(&db, &query, &tree).unwrap()
+    }
+
+    #[test]
+    fn arenas_outside_the_freeze_layout_are_not_flagged_and_copy_by_recursion() {
+        // A depth-2 build result: entry blocks land after their descendants'.
+        let built = flat_built(&["a", "b"], &[vec![1, 10], vec![1, 20], vec![2, 20]]);
+        let (tree, store) = (built.tree(), built.store());
+        assert!(!store.freeze_layout && !store.is_freeze_layout(&kid_count_table(tree)));
+        assert_eq!(
+            copy_all(store, tree),
+            Store::freeze(tree, &store.thaw(tree))
+        );
+
+        // Three valid arenas, each breaking one property of the layout: two
+        // sibling B-unions in exchanged header order (emptied, so that their
+        // entry blocks cannot give the exchange away), their entry blocks in
+        // exchanged order, and a leaf entry not carrying the kid watermark.
+        let (tree, roots) = sample();
+        let frozen = Store::freeze(&tree, &roots);
+        let mut emptied = roots.clone();
+        for entry in &mut emptied[0].entries {
+            entry.children[0].entries.clear();
+        }
+        let emptied = Store::freeze(&tree, &emptied);
+        let mut headers = emptied.clone();
+        headers.kids.swap(0, 1);
+        let mut blocks = frozen.clone();
+        (
+            blocks.unions[1].entries_start,
+            blocks.unions[2].entries_start,
+        ) = (3, 2);
+        blocks.values = [1, 2, 20, 10, 20].map(Value::new).to_vec();
+        blocks.kids_starts = vec![0, 1, 1, 0, 0];
+        let mut watermark = frozen.clone();
+        assert_eq!(watermark.kids_starts[2..], [0, 0, 1]);
+        watermark.kids_starts[3] = 1;
+        for (what, store, same_forest) in [
+            ("headers", headers, &emptied),
+            ("blocks", blocks, &frozen),
+            ("watermark", watermark, &frozen),
+        ] {
+            let mut store = Store::from_arena_parts(
+                store.unions,
+                store.values,
+                store.kids_starts,
+                store.kids,
+                store.roots,
+            );
+            store.validate(&tree).unwrap();
+            store.verify_layout(&tree);
+            assert!(!store.freeze_layout, "{what}");
+            assert_ne!(&store, same_forest, "{what}");
+            assert_eq!(&copy_all(&store, &tree), same_forest, "{what}");
+        }
+    }
+
+    #[test]
+    fn layout_check_accepts_every_flagging_constructor_and_its_decoded_snapshot() {
+        let (tree, roots) = sample();
+        let frozen = FRep::from_parts(tree, roots).unwrap();
+        let mut rewritten = frozen.clone();
+        ops::select_const(&mut rewritten, AttrId(1), ComparisonOp::Gt, Value::new(15)).unwrap();
+        let mut other_tree = FTree::new(vec![DepEdge::new("S", attrs(&[2]), 1)]);
+        let c = other_tree.add_node(attrs(&[2]), None).unwrap();
+        let other = Union::new(c, vec![Entry::leaf(Value::new(9))]);
+        let other = FRep::from_parts(other_tree, vec![other]).unwrap();
+        let product = ops::product(frozen.clone(), other).unwrap();
+        for rep in [&frozen, &rewritten, &product] {
+            let store = rep.store();
+            assert!(store.freeze_layout && store.is_freeze_layout(&kid_count_table(rep.tree())));
+            let decoded = decode_frep(&encode_frep(rep)).unwrap();
+            assert!(decoded.store().freeze_layout);
+            assert_eq!(decoded.store(), store);
+        }
+    }
+
+    #[test]
+    fn store_identity_is_the_five_arrays_not_the_layout_fact() {
+        // A one-union build result is trivially in the freeze layout: its
+        // decoded copy finds that out, the original never claimed it.
+        let built = flat_built(&["a"], &[vec![3], vec![1], vec![2]]);
+        let decoded = decode_frep(&encode_frep(&built)).unwrap();
+        assert!(!built.store().freeze_layout && decoded.store().freeze_layout);
+        assert!(decoded.store_identical(&built));
     }
 
     #[test]

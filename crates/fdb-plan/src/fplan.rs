@@ -253,33 +253,45 @@ impl FPlan {
     }
 
     /// The compilation half of [`FPlan::execute`], without the peephole
-    /// pass — for callers that already hold a simplified plan (the engine
-    /// simplifies once, reads the fusion counters off it for its stats,
-    /// then executes it through this) — under a governance context: the
-    /// fused program threads the context through every overlay sweep and
-    /// the final emission; the rare non-fused path (zero or one single-pass
-    /// operator) checks the context between operators and governs the
-    /// selection rebuild.  An aborted plan leaves the representation
-    /// exactly as it was — the fused executor only installs its output
-    /// arena on success, and a single governed selection rebuilds into a
-    /// fresh store before swapping it in.
+    /// pass — for callers that already hold a simplified plan — under a
+    /// governance context: the `&mut` form of
+    /// [`FPlan::emit_presimplified_ctx`].  An aborted plan leaves the
+    /// representation exactly as it was: the fused executor installs its
+    /// output only on success.
     pub fn execute_presimplified_ctx(&self, rep: &mut FRep, ctx: &ExecCtx) -> Result<()> {
-        if !self.fuses() {
-            // Zero or one single-pass operator: the overlay machinery would
-            // only add overhead.
-            for op in &self.ops {
+        match self.program() {
+            Some(program) => ops::execute_fused_ctx(rep, &program, ctx),
+            None => self.ops.iter().try_for_each(|op| {
                 ctx.check_now()?;
-                match op {
-                    FPlanOp::SelectConst { attr, op, value } => {
-                        ops::select_const_ctx(rep, *attr, *op, *value, ctx)?;
-                    }
-                    _ => op.execute(rep)?,
-                }
-            }
-            return Ok(());
+                op.execute(rep)
+            }),
         }
-        let program: Vec<FusedOp> = self.ops.iter().map(FPlanOp::to_fused).collect();
-        ops::execute_fused_ctx(rep, &program, ctx)
+    }
+
+    /// Executes an already simplified plan on a **borrowed** input and
+    /// returns the result (the engine simplifies once, reads the fusion
+    /// counters off the plan for its stats, then executes it through this):
+    /// an overlay program reads the input in place, so nothing is cloned;
+    /// the context is threaded through every overlay sweep and the final
+    /// emission.  Only the rare plan without a program pays a copy of the
+    /// input for its direct rewriter to replace (with the context checked
+    /// before the operator), or to return as is.
+    pub fn emit_presimplified_ctx(&self, rep: &FRep, ctx: &ExecCtx) -> Result<FRep> {
+        if let Some(program) = self.program() {
+            return ops::emit_fused_ctx(rep, &program, ctx);
+        }
+        let mut out = rep.clone();
+        self.execute_presimplified_ctx(&mut out, ctx)?;
+        Ok(out)
+    }
+
+    /// The overlay program the plan executes as: every plan that fuses
+    /// ([`FPlan::fuses`]), and a lone selection — which has no rewriter of
+    /// its own, it *is* the one-operator program.  `None` for the empty plan
+    /// and a lone swap, push-up or merge, which run their direct rewriter.
+    fn program(&self) -> Option<Vec<FusedOp>> {
+        (self.fuses() || matches!(self.ops[..], [FPlanOp::SelectConst { .. }]))
+            .then(|| self.ops.iter().map(FPlanOp::to_fused).collect())
     }
 
     /// Executes the plan operator by operator — the pre-fusion PR 2 path,
@@ -420,9 +432,9 @@ impl FPlan {
     /// Whole-plan fusion criterion: the plan compiles into one overlay
     /// program when the step-wise path would pay more than one arena pass —
     /// two or more operators, or a single internally multi-pass operator
-    /// (normalise, absorb, projection).  A lone single-pass operator (swap,
-    /// push-up, merge, selection) runs directly; the overlay would only add
-    /// overhead.
+    /// (normalise, absorb, projection).  A lone single-pass operator is not
+    /// fusion: a swap, push-up or merge runs its direct rewriter, and a
+    /// selection — one pass either way — its one-operator program.
     pub fn fuses(&self) -> bool {
         self.ops.len() >= 2
             || matches!(
