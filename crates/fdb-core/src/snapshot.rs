@@ -1,8 +1,9 @@
 //! Durable snapshots of representations and whole serving databases.
 //!
-//! The byte format lives in `fdb-frep`'s [`fdb_frep::snapshot`] module —
-//! length-prefixed, per-section checksummed, structurally re-verified on
-//! every load.  This module adds the filesystem orchestration:
+//! The byte format lives in `fdb-frep`'s [`fdb_frep::snapshot`] module
+//! (format version 2) — framed sections, each padded to 8 bytes and sealed
+//! by a word-wise 64-bit checksum, structurally re-verified on every load.
+//! This module adds the filesystem orchestration:
 //!
 //! * [`save_rep`]/[`load_rep`] persist one frozen [`FRep`] to a file.
 //!   Writes are **atomic**: the bytes go to a `<name>.tmp` sibling, are
@@ -88,8 +89,10 @@ pub fn load_rep(path: &Path) -> Result<FRep> {
 }
 
 /// [`load_rep`] under an execution context (the `snapshot.read` failpoint
-/// plus decode work charging).
+/// plus decode work charging).  A load that is already cancelled or past
+/// its deadline does not touch the file.
 pub fn load_rep_ctx(path: &Path, ctx: &ExecCtx) -> Result<FRep> {
+    ctx.check_now()?;
     let bytes = fs::read(path).map_err(|e| io_err("read", path, e))?;
     decode_frep_ctx(&bytes, ctx)
 }
@@ -232,9 +235,10 @@ pub fn load_database_ctx(dir: &Path, ctx: &ExecCtx) -> Result<SharedDatabase> {
 mod tests {
     use super::*;
     use crate::engine::FdbEngine;
-    use fdb_common::{Catalog, Query};
+    use fdb_common::{Catalog, Query, QueryLimits};
     use fdb_relation::Database;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A unique scratch directory per test invocation, cleaned up by the
     /// caller (or the OS's temp reaper on a panicking test).
@@ -292,6 +296,53 @@ mod tests {
             load_rep(&path),
             Err(FdbError::SnapshotCorrupt { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cancelled_load_is_refused_before_the_file_is_read() {
+        // The path does not exist: reading it would be `SnapshotIo`.
+        let path = scratch_dir("cancelled").join("missing.fdbs");
+        let raised = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+        assert_eq!(
+            load_rep_ctx(&path, &ExecCtx::new(&raised)).err(),
+            Some(FdbError::DeadlineExceeded { limit_ms: 0 })
+        );
+        let lowered = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(false)));
+        assert!(matches!(
+            load_rep_ctx(&path, &ExecCtx::new(&lowered)),
+            Err(FdbError::SnapshotIo { .. })
+        ));
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn version_skew_is_a_structured_mismatch() {
+        // A version 1 file — the manifest, or a representation behind a
+        // good manifest — is a mismatch, not something a second codec reads.
+        let dir = scratch_dir("skew");
+        let mut db = SharedDatabase::new();
+        db.insert("base", sample_rep()).unwrap();
+        save_database(&db, &dir).unwrap();
+        for file in [rep_file_name(0), MANIFEST_FILE.to_string()] {
+            let path = dir.join(file);
+            let good = fs::read(&path).unwrap();
+            let mut skewed = good.clone();
+            assert_eq!(skewed[4..8], 2u32.to_le_bytes());
+            skewed[4..8].copy_from_slice(&1u32.to_le_bytes());
+            fs::write(&path, &skewed).unwrap();
+            assert_eq!(
+                load_database(&dir).err(),
+                Some(FdbError::SnapshotVersionMismatch {
+                    found: 1,
+                    expected: 2
+                }),
+                "{}",
+                path.display()
+            );
+            fs::write(&path, &good).unwrap();
+        }
+        assert!(load_database(&dir).is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 

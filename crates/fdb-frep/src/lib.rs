@@ -138,11 +138,12 @@
 //! # Durability
 //!
 //! The [`snapshot`] module serialises a frozen representation — its f-tree
-//! and all four arena arrays — into a length-prefixed, per-section
-//! checksummed byte format, and loading re-verifies everything: checksums
-//! first, then the full structural validator as a mandatory release-mode
-//! check.  Corrupt or version-skewed input yields structured errors, never
-//! a panic and never a silently-wrong arena.
+//! and the five arena arrays, each written as it lies in memory — into
+//! framed sections padded to 8 bytes and sealed by a word-wise 64-bit
+//! checksum (format version 2), and loading re-verifies everything:
+//! checksums and exact lengths first, then the full structural validator as
+//! a mandatory release-mode check.  Corrupt or version-skewed input yields
+//! structured errors, never a panic and never a silently-wrong arena.
 
 #![warn(missing_docs)]
 // Unchecked indexing and intrinsics live in `kernel` alone: another

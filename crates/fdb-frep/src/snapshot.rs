@@ -1,42 +1,97 @@
 //! Durable, self-verifying snapshots of frozen f-representations.
 //!
-//! # Format
+//! # Format (version 2)
 //!
 //! A snapshot is a little-endian byte stream: a fixed 16-byte header
-//! followed by length-prefixed, individually checksummed sections.
+//! followed by framed, individually checksummed sections.
 //!
 //! ```text
 //! header:   magic u32 | version u32 | kind u32 | section_count u32
-//! section:  tag u32 | payload_len u64 | payload … | checksum u64
+//! section:  tag u32 | reserved u32 = 0 | payload_len u64
+//!           | payload … | zero padding to the next multiple of 8
+//!           | checksum u64
 //! ```
 //!
-//! The checksum is FNV-1a (64-bit) over the section's tag, length prefix
-//! *and* payload, so a bit flip anywhere inside a section — including its
-//! framing — is detected.  An f-representation snapshot has exactly seven
-//! sections, one per constituent array:
+//! An f-representation snapshot has exactly seven sections, in this order.
+//! The first two are small and record-encoded (`u32` counts, read through a
+//! bounds-checked cursor); the other five are a `u64` count followed by the
+//! in-memory arrays as they are, so both directions are bulk copies:
 //!
-//! | tag    | contents                                              |
-//! |--------|-------------------------------------------------------|
-//! | `EDGE` | f-tree dependency edges (label, attrs, cardinality)   |
-//! | `NODE` | f-tree node slots, including removed-node holes       |
-//! | `TRTS` | f-tree root list, in order                            |
-//! | `UNIO` | arena union headers (`node, entries_start, len`)      |
-//! | `ENTR` | arena entry records (`value, kids_start`)             |
-//! | `KIDS` | arena kid-slot table                                  |
-//! | `SRTS` | arena root union indices                              |
+//! | tag    | payload                                                       |
+//! |--------|---------------------------------------------------------------|
+//! | `EDGE` | f-tree dependency edges, a record each (label, attrs, cardinality) |
+//! | `NODE` | f-tree node slots, a record each, removed-node holes included |
+//! | `TRTS` | `count`, `u32[count]`: the f-tree root list, in order         |
+//! | `UNIO` | `count`, `(node, entries_start, entries_len) u32×3 [count]`: union headers |
+//! | `ENTR` | `count`, `values u64[count]`, `kids_starts u32[count]`: the two parallel entry arrays, one behind the other |
+//! | `KIDS` | `count`, `u32[count]`: the kid-slot table                     |
+//! | `SRTS` | `count`, `u32[count]`: the arena root union indices           |
+//!
+//! *Alignment.*  The header and a frame are 16 bytes and every section is
+//! padded to a multiple of 8, so every payload — and, behind its `u64`
+//! count, every arena array — starts at a file offset divisible by 8.
+//! Nothing reads through that alignment today (the decoder copies); it is
+//! there so that a load which validates the arrays in place over one read or
+//! an `mmap` stays a format-compatible follow-up.  *Who pads:* the one
+//! section writer of this module, which [`write_section`] and the encoder
+//! both go through; the reader refuses a non-zero `reserved` word, a
+//! non-zero padding byte, and an arena payload whose length is not exactly
+//! `8 + count × width`, so a representation has exactly one byte form.
+//!
+//! # Checksum
+//!
+//! A section is sealed by a 64-bit, four-lane, word-wise multiply-rotate
+//! fold (XXH64's shape; safe Rust, no table, no instruction-set dispatch)
+//! over frame, payload and padding as one contiguous range — always a whole
+//! number of 8-byte words `w₀ w₁ …`, each at a file offset divisible by 8:
+//!
+//! ```text
+//! step(lane, w) = rotl(lane + w·P₂, 31) · P₁          (mod 2⁶⁴)
+//! lane[k] ← P₁, P₂, P₃, P₄                            for k = 0..4
+//! lane[i mod 4] ← step(lane[i mod 4], wᵢ)             for i = 0, 1, …
+//! h ← byte length;  h ← rotl(h ^ lane[k], 27)·P₁ + P₄  for k = 0..4
+//! checksum = avalanche(h)       (xor-shift 33, ·P₂, xor-shift 29, ·P₃, xor-shift 32)
+//! ```
+//!
+//! *Any corruption confined to one aligned 8-byte word of a section is
+//! detected with certainty.*  `P₁…P₄` are odd, so `w ↦ w·P₂`, `x ↦ x·P₁`,
+//! the rotation, an addition or xor of a fixed operand and an xor-shift are
+//! all bijections of the 64-bit words.  Let two ranges of the same length
+//! differ in word `i` only.  Lane `i mod 4` enters step `i` in the same state
+//! on both sides and `step` is a bijection of `w` for a fixed lane, so it
+//! leaves in two different states; every later step of that lane is a
+//! bijection of the lane for its (unchanged) word, so the lane ends
+//! different while the other three lanes end equal.  Each combining step is
+//! a bijection of `h` for a fixed lane and of the lane for a fixed `h`, so
+//! `h` differs from that lane's turn on, and the avalanche, a bijection,
+//! keeps it different.  The words outside a sealed range: a changed checksum
+//! word no longer equals the unchanged computed value; a header word is
+//! compared with the one value it may have or, the section count, contradicts
+//! the length of the file.  One case is outside the argument: a changed
+//! `payload_len` that moves the end of the sealed range makes the reader
+//! seal a *different* range (or run past the end of the file) and compare it
+//! with whatever word lies behind it — that, like accidental corruption
+//! spread over several words, slips through with probability about 2⁻⁶⁴.
+//! This is an integrity check against torn writes and decaying media, not
+//! an authenticator.  The tests flip every bit and exchange every pair of
+//! words of a 4 KB section, and every bit of a whole snapshot file.
 //!
 //! # Verification
 //!
 //! Loading **re-verifies everything**: the header (magic, version, kind,
-//! section count), every section's framing and checksum, the bounds of every
-//! decoded count and index, and finally — mandatorily, in release builds too
-//! — the full structural validator ([`crate::FRep::validate`], i.e. the
+//! section count), every section's framing, canonical form and checksum, the
+//! exact length of every array, and finally — mandatorily, in release builds
+//! too — the full structural validator ([`crate::FRep::validate`], i.e. the
 //! f-tree invariants, the path constraint and every arena invariant of
-//! `Store::validate`).  Truncated, bit-flipped or version-skewed input
-//! yields a structured [`FdbError::SnapshotCorrupt`] /
-//! [`FdbError::SnapshotVersionMismatch`], never a panic and never a
-//! silently-wrong arena.  There is no unverified load: the structural pass
-//! costs 5.7% of a load (`BENCH_PR8.json`).
+//! `Store::validate`) followed by the freeze-layout check.  Truncated,
+//! bit-flipped, non-canonical or version-skewed input — a version 1 file
+//! included: there is one codec — yields a structured
+//! [`FdbError::SnapshotCorrupt`] / [`FdbError::SnapshotVersionMismatch`],
+//! never a panic, an oversized allocation or a silently-wrong arena.  There
+//! is no unverified load.  With the byte work at memory speed the structural
+//! pass is now the largest single part of a load — about a third of it
+//! (`frep.validate_ms` 0.13 of `frep.snapshot_decode_ms` 0.36 on the
+//! standing `swap_reload` workload).
 
 use crate::frep::FRep;
 use crate::store::{Store, UnionRec};
@@ -48,7 +103,7 @@ use std::collections::BTreeSet;
 pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"FDBS");
 
 /// The snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header `kind` of an f-representation snapshot.
 pub const KIND_FREP: u32 = 1;
@@ -69,22 +124,65 @@ const FREP_TAGS: [u32; 7] = [
     TAG_EDGE, TAG_NODE, TAG_TRTS, TAG_UNIO, TAG_ENTR, TAG_KIDS, TAG_SRTS,
 ];
 
+/// Bytes of the file header, and of a section frame.
+const FRAME: usize = 16;
+
 fn corrupt(detail: impl Into<String>) -> FdbError {
     FdbError::SnapshotCorrupt {
         detail: detail.into(),
     }
 }
 
-/// FNV-1a, 64-bit: the offset basis and prime of the reference algorithm.
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &byte in *chunk {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("a 4-byte slice"))
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte slice"))
+}
+
+// ---------------------------------------------------------------------
+// Checksum (see the module docs for the definition and the argument)
+// ---------------------------------------------------------------------
+
+/// The odd 64-bit multipliers of XXH64.
+const PRIMES: [u64; 4] = [
+    0x9E37_79B1_85EB_CA87,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0x85EB_CA77_C2B2_AE63,
+];
+
+/// One word entering one lane: a bijection of either for a fixed other.
+fn lane_step(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(PRIMES[1]))
+        .rotate_left(31)
+        .wrapping_mul(PRIMES[0])
+}
+
+/// The section checksum over a whole number of 8-byte words.
+fn checksum(bytes: &[u8]) -> u64 {
+    debug_assert_eq!(bytes.len() % 8, 0, "sections are sealed in whole words");
+    let mut lanes = PRIMES;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane_step(*lane, le_u64(word));
         }
     }
-    hash
+    // The sub-32-byte tail: word i still enters lane i mod 4.
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks_exact(8)) {
+        *lane = lane_step(*lane, le_u64(word));
+    }
+    let mut hash = lanes.iter().fold(bytes.len() as u64, |hash, &lane| {
+        (hash ^ lane)
+            .rotate_left(27)
+            .wrapping_mul(PRIMES[0])
+            .wrapping_add(PRIMES[3])
+    });
+    hash = (hash ^ (hash >> 33)).wrapping_mul(PRIMES[1]);
+    hash = (hash ^ (hash >> 29)).wrapping_mul(PRIMES[2]);
+    hash ^ (hash >> 32)
 }
 
 // ---------------------------------------------------------------------
@@ -100,27 +198,36 @@ pub fn write_header(out: &mut Vec<u8>, kind: u32, section_count: u32) {
     out.extend_from_slice(&section_count.to_le_bytes());
 }
 
-/// Appends one framed section: tag, length prefix, payload, checksum.
-#[doc(hidden)]
-pub fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    let tag_bytes = tag.to_le_bytes();
-    let len_bytes = (payload.len() as u64).to_le_bytes();
-    let checksum = fnv1a(&[&tag_bytes, &len_bytes, payload]);
-    out.extend_from_slice(&tag_bytes);
-    out.extend_from_slice(&len_bytes);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
+/// Appends one framed section whose payload `fill` writes straight into
+/// `out`: the length is patched into the frame afterwards, then come the
+/// zero padding and the checksum over the range just written.
+fn write_section_with(out: &mut Vec<u8>, tag: u32, fill: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&[0; 12]);
+    fill(out);
+    let payload_len = out.len() - start - FRAME;
+    out[start + 8..start + FRAME].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    out.resize(start + FRAME + payload_len.next_multiple_of(8), 0);
+    let seal = checksum(&out[start..]);
+    out.extend_from_slice(&seal.to_le_bytes());
 }
 
-/// Verifies the header and returns `(kind, section_count, header_len)`.
-fn read_header(bytes: &[u8]) -> Result<(u32, u32, usize)> {
-    if bytes.len() < 16 {
+/// Appends one framed section: frame, payload, padding, checksum.
+#[doc(hidden)]
+pub fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+    write_section_with(out, tag, |out| out.extend_from_slice(payload));
+}
+
+/// Verifies the header and returns `(kind, section_count)`.
+fn read_header(bytes: &[u8]) -> Result<(u32, u32)> {
+    if bytes.len() < FRAME {
         return Err(corrupt(format!(
             "file too short for a snapshot header: {} bytes",
             bytes.len()
         )));
     }
-    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
+    let word = |i: usize| le_u32(&bytes[i..i + 4]);
     if word(0) != SNAPSHOT_MAGIC {
         return Err(corrupt(format!(
             "bad magic number {:#010x}: not a snapshot file",
@@ -134,53 +241,61 @@ fn read_header(bytes: &[u8]) -> Result<(u32, u32, usize)> {
             expected: SNAPSHOT_VERSION,
         });
     }
-    Ok((word(8), word(12), 16))
+    Ok((word(8), word(12)))
 }
 
 /// Splits a verified snapshot stream into its sections, checking the
-/// header's `kind`, every section's framing and checksum, and that no
-/// trailing bytes follow the last section.  Returns `(tag, payload)` pairs.
+/// header's `kind`, every section's framing, checksum and canonical form
+/// (zero `reserved` word, zero padding), and that no trailing bytes follow
+/// the last section.  Returns `(tag, payload)` pairs.
 #[doc(hidden)]
 pub fn read_sections(bytes: &[u8], expected_kind: u32) -> Result<Vec<(u32, &[u8])>> {
-    let (kind, section_count, header_len) = read_header(bytes)?;
+    let (kind, section_count) = read_header(bytes)?;
     if kind != expected_kind {
         return Err(corrupt(format!(
             "wrong snapshot kind {kind} (expected {expected_kind})"
         )));
     }
     let mut sections = Vec::with_capacity(section_count.min(64) as usize);
-    let mut pos = header_len;
+    let mut pos = FRAME;
     for i in 0..section_count {
-        if bytes.len() - pos < 12 {
+        // The smallest section is a frame and a checksum around nothing.
+        let Some(frame) = bytes.get(pos..pos + FRAME + 8) else {
             return Err(corrupt(format!("section {i} framing truncated")));
-        }
-        let tag_bytes: [u8; 4] = bytes[pos..pos + 4].try_into().unwrap();
-        let len_bytes: [u8; 8] = bytes[pos + 4..pos + 12].try_into().unwrap();
-        let payload_len = u64::from_le_bytes(len_bytes);
-        let payload_start = pos + 12;
-        let payload_end = (payload_start as u64)
-            .checked_add(payload_len)
-            .map(|e| e as usize);
-        let checksum_end = payload_end.and_then(|e| e.checked_add(8));
-        let (payload_end, checksum_end) = match (payload_end, checksum_end) {
-            (Some(p), Some(c)) if c <= bytes.len() => (p, c),
-            _ => {
-                return Err(corrupt(format!(
-                    "section {i} runs past the end of the file (torn write?)"
-                )))
-            }
         };
-        let payload = &bytes[payload_start..payload_end];
-        let stored = u64::from_le_bytes(bytes[payload_end..checksum_end].try_into().unwrap());
-        let computed = fnv1a(&[&tag_bytes, &len_bytes, payload]);
+        let tag = le_u32(&frame[..4]);
+        let reserved = le_u32(&frame[4..8]);
+        let payload_len = le_u64(&frame[8..FRAME]);
+        let payload_start = pos + FRAME;
+        // The length is outside input until the bytes actually behind the
+        // frame, less the checksum word, bound its padded form.
+        let room = (bytes.len() - payload_start - 8) as u64;
+        let Some(padded) = payload_len
+            .checked_next_multiple_of(8)
+            .filter(|&p| p <= room)
+        else {
+            return Err(corrupt(format!(
+                "section {i} runs past the end of the file (torn write?)"
+            )));
+        };
+        let payload_end = payload_start + payload_len as usize;
+        let sealed_end = payload_start + padded as usize;
+        let stored = le_u64(&bytes[sealed_end..sealed_end + 8]);
+        let computed = checksum(&bytes[pos..sealed_end]);
         if stored != computed {
             return Err(corrupt(format!(
                 "section {i} ({}) checksum mismatch: stored {stored:#018x}, computed {computed:#018x}",
-                tag_name(u32::from_le_bytes(tag_bytes))
+                tag_name(tag)
             )));
         }
-        sections.push((u32::from_le_bytes(tag_bytes), payload));
-        pos = checksum_end;
+        if reserved != 0 || bytes[payload_end..sealed_end].iter().any(|&b| b != 0) {
+            return Err(corrupt(format!(
+                "section {i} ({}) is not canonical: reserved word or padding not zero",
+                tag_name(tag)
+            )));
+        }
+        sections.push((tag, &bytes[payload_start..payload_end]));
+        pos = sealed_end + 8;
     }
     if pos != bytes.len() {
         return Err(corrupt(format!(
@@ -191,41 +306,13 @@ pub fn read_sections(bytes: &[u8], expected_kind: u32) -> Result<Vec<(u32, &[u8]
     Ok(sections)
 }
 
-/// The byte offsets of every section boundary of a well-framed snapshot:
-/// the end of the header and the end of each section.  Exposed so the
-/// recovery tests can truncate at exactly these boundaries.
-#[doc(hidden)]
-pub fn section_boundaries(bytes: &[u8]) -> Result<Vec<usize>> {
-    let (_, section_count, header_len) = read_header(bytes)?;
-    let mut boundaries = vec![header_len];
-    let mut pos = header_len;
-    for i in 0..section_count {
-        if bytes.len() - pos < 12 {
-            return Err(corrupt(format!("section {i} framing truncated")));
-        }
-        let payload_len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        pos = pos + 12 + payload_len + 8;
-        if pos > bytes.len() {
-            return Err(corrupt(format!(
-                "section {i} runs past the end of the file"
-            )));
-        }
-        boundaries.push(pos);
-    }
-    Ok(boundaries)
-}
-
+/// A tag as its four ASCII characters (anything else escaped).
 fn tag_name(tag: u32) -> String {
-    let b = tag.to_le_bytes();
-    if b.iter().all(|c| c.is_ascii_uppercase()) {
-        String::from_utf8_lossy(&b).into_owned()
-    } else {
-        format!("{tag:#010x}")
-    }
+    tag.to_le_bytes().escape_ascii().to_string()
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoding
+// Tree sections: record encoding through a bounds-checked cursor
 // ---------------------------------------------------------------------
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -248,33 +335,27 @@ fn put_attr_set(out: &mut Vec<u8>, attrs: &BTreeSet<AttrId>) {
 /// re-checks every id on load anyway).
 const NO_PARENT: u32 = u32::MAX;
 
-/// A bounds-checked little-endian reader over one section payload.
+/// A bounds-checked little-endian reader consuming one tree section's
+/// payload from the front.
 struct Cursor<'a> {
     bytes: &'a [u8],
-    pos: usize,
     section: &'static str,
 }
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8], section: &'static str) -> Self {
-        Cursor {
-            bytes,
-            pos: 0,
-            section,
-        }
-    }
-
-    fn truncated(&self) -> FdbError {
-        corrupt(format!("section {} payload truncated", self.section))
+        Cursor { bytes, section }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(self.truncated());
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        let Some((head, rest)) = self.bytes.split_at_checked(n) else {
+            return Err(corrupt(format!(
+                "section {} payload truncated",
+                self.section
+            )));
+        };
+        self.bytes = rest;
+        Ok(head)
     }
 
     fn take_u8(&mut self) -> Result<u8> {
@@ -282,11 +363,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn take_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(le_u32(self.take(4)?))
     }
 
     fn take_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(le_u64(self.take(8)?))
     }
 
     /// Reads a count prefix and guards it against the bytes actually
@@ -294,7 +375,7 @@ impl<'a> Cursor<'a> {
     /// a huge allocation.
     fn take_count(&mut self, per: usize) -> Result<usize> {
         let count = self.take_u32()? as usize;
-        if count.saturating_mul(per) > self.bytes.len() - self.pos {
+        if count.saturating_mul(per) > self.bytes.len() {
             return Err(corrupt(format!(
                 "section {} count {count} exceeds the payload",
                 self.section
@@ -313,31 +394,25 @@ impl<'a> Cursor<'a> {
     }
 
     fn finish(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
+        if !self.bytes.is_empty() {
             return Err(corrupt(format!(
                 "section {} has {} trailing payload bytes",
                 self.section,
-                self.bytes.len() - self.pos
+                self.bytes.len()
             )));
         }
         Ok(())
     }
 }
 
-// ---------------------------------------------------------------------
-// Section encoders/decoders
-// ---------------------------------------------------------------------
-
-fn encode_edges(edges: &[DepEdge]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, edges.len() as u32);
+fn put_edges(out: &mut Vec<u8>, edges: &[DepEdge]) {
+    put_u32(out, edges.len() as u32);
     for edge in edges {
-        put_u32(&mut out, edge.label.len() as u32);
+        put_u32(out, edge.label.len() as u32);
         out.extend_from_slice(edge.label.as_bytes());
-        put_attr_set(&mut out, &edge.attrs);
-        put_u64(&mut out, edge.cardinality);
+        put_attr_set(out, &edge.attrs);
+        put_u64(out, edge.cardinality);
     }
-    out
 }
 
 fn decode_edges(payload: &[u8]) -> Result<Vec<DepEdge>> {
@@ -356,32 +431,30 @@ fn decode_edges(payload: &[u8]) -> Result<Vec<DepEdge>> {
     Ok(edges)
 }
 
-fn encode_nodes(slots: &[Option<NodeSnapshot>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, slots.len() as u32);
+fn put_nodes(out: &mut Vec<u8>, slots: &[Option<NodeSnapshot>]) {
+    put_u32(out, slots.len() as u32);
     for slot in slots {
         match slot {
             None => out.push(0),
             Some(node) => {
                 out.push(1);
-                put_attr_set(&mut out, &node.class);
-                put_u32(&mut out, node.parent.map_or(NO_PARENT, |p| p.0));
-                put_u32(&mut out, node.children.len() as u32);
+                put_attr_set(out, &node.class);
+                put_u32(out, node.parent.map_or(NO_PARENT, |p| p.0));
+                put_u32(out, node.children.len() as u32);
                 for c in &node.children {
-                    put_u32(&mut out, c.0);
+                    put_u32(out, c.0);
                 }
-                put_attr_set(&mut out, &node.projected);
+                put_attr_set(out, &node.projected);
                 match node.constant {
                     None => out.push(0),
                     Some(v) => {
                         out.push(1);
-                        put_u64(&mut out, v.raw());
+                        put_u64(out, v.raw());
                     }
                 }
             }
         }
     }
-    out
 }
 
 fn decode_nodes(payload: &[u8]) -> Result<Vec<Option<NodeSnapshot>>> {
@@ -423,80 +496,76 @@ fn decode_nodes(payload: &[u8]) -> Result<Vec<Option<NodeSnapshot>>> {
     Ok(slots)
 }
 
-fn encode_u32_list(list: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + list.len() * 4);
-    put_u32(&mut out, list.len() as u32);
-    for v in list {
-        put_u32(&mut out, v);
-    }
-    out
+// ---------------------------------------------------------------------
+// Arena sections: a count, then whole arrays
+// ---------------------------------------------------------------------
+
+/// Bytes of one arena section holding `count` items of `width` bytes: frame,
+/// count, array, padding, checksum.
+fn arena_section_len(count: usize, width: usize) -> usize {
+    FRAME + (8 + count * width).next_multiple_of(8) + 8
 }
 
-fn decode_u32_list(payload: &[u8], section: &'static str) -> Result<Vec<u32>> {
-    let mut cur = Cursor::new(payload, section);
-    let count = cur.take_count(4)?;
-    let mut list = Vec::with_capacity(count);
-    for _ in 0..count {
-        list.push(cur.take_u32()?);
-    }
-    cur.finish()?;
-    Ok(list)
+/// Appends the payload of a one-array section: the count, then `items` as
+/// one little-endian array of `W` bytes per item.
+fn put_counted<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    items: &[T],
+    to_le: impl Fn(T) -> [u8; W],
+) {
+    put_u64(out, items.len() as u64);
+    out.extend(items.iter().flat_map(|&item| to_le(item)));
 }
 
-fn encode_unions(unions: &[UnionRec]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + unions.len() * 12);
-    put_u32(&mut out, unions.len() as u32);
-    for rec in unions {
-        put_u32(&mut out, rec.node.0);
-        put_u32(&mut out, rec.entries_start);
-        put_u32(&mut out, rec.entries_len);
-    }
-    out
+fn union_to_le(rec: UnionRec) -> [u8; 12] {
+    let mut bytes = [0; 12];
+    bytes[..4].copy_from_slice(&rec.node.0.to_le_bytes());
+    bytes[4..8].copy_from_slice(&rec.entries_start.to_le_bytes());
+    bytes[8..].copy_from_slice(&rec.entries_len.to_le_bytes());
+    bytes
 }
 
-fn decode_unions(payload: &[u8]) -> Result<Vec<UnionRec>> {
-    let mut cur = Cursor::new(payload, "UNIO");
-    let count = cur.take_count(12)?;
-    let mut unions = Vec::with_capacity(count);
-    for _ in 0..count {
-        unions.push(UnionRec {
-            node: NodeId(cur.take_u32()?),
-            entries_start: cur.take_u32()?,
-            entries_len: cur.take_u32()?,
-        });
+fn union_from_le(bytes: [u8; 12]) -> UnionRec {
+    UnionRec {
+        node: NodeId(le_u32(&bytes[..4])),
+        entries_start: le_u32(&bytes[4..8]),
+        entries_len: le_u32(&bytes[8..]),
     }
-    cur.finish()?;
-    Ok(unions)
 }
 
-/// Encodes the entry records in the interleaved on-disk layout (one u64
-/// value + u32 kid offset per record).  The in-memory arena keeps values and
-/// kid offsets in parallel SoA arrays; zipping them here keeps the byte
-/// format identical to what the old interleaved arena wrote, so snapshots
-/// stay readable across the layout change in either direction.
-fn encode_entries(store: &Store) -> Vec<u8> {
-    let count = store.entry_count();
-    let mut out = Vec::with_capacity(4 + count * 12);
-    put_u32(&mut out, count as u32);
-    for (value, kids_start) in store.entry_pairs() {
-        put_u64(&mut out, value.raw());
-        put_u32(&mut out, kids_start);
+/// Reads an arena section's count and returns it with the array bytes
+/// behind it, after checking that the payload is **exactly**
+/// `8 + count × width` bytes — a count that disagrees with the (verified)
+/// length is refused here, before anything is reserved for it.
+fn counted<'a>(payload: &'a [u8], section: &str, width: u64) -> Result<(usize, &'a [u8])> {
+    match payload.split_first_chunk::<8>() {
+        Some((count, array))
+            if u64::from_le_bytes(*count).checked_mul(width) == Some(array.len() as u64) =>
+        {
+            Ok((array.len() / width as usize, array))
+        }
+        _ => Err(corrupt(format!(
+            "section {section}: a payload of {} bytes is not 8 + count × {width}",
+            payload.len()
+        ))),
     }
-    out
 }
 
-/// Decodes the interleaved ENTR section back into the SoA arrays.
-fn decode_entries(payload: &[u8]) -> Result<(Vec<Value>, Vec<u32>)> {
-    let mut cur = Cursor::new(payload, "ENTR");
-    let count = cur.take_count(12)?;
-    let mut values = Vec::with_capacity(count);
-    let mut kids_starts = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(Value::new(cur.take_u64()?));
-        kids_starts.push(cur.take_u32()?);
-    }
-    cur.finish()?;
-    Ok((values, kids_starts))
+/// Builds one in-memory array from little-endian items of `W` bytes each:
+/// one exact reservation, one `extend`.
+fn get_array<T, const W: usize>(bytes: &[u8], from_le: impl Fn([u8; W]) -> T) -> Result<Vec<T>> {
+    let mut items = Vec::new();
+    items
+        .try_reserve_exact(bytes.len() / W)
+        .map_err(|e| FdbError::LimitExceeded {
+            detail: format!("snapshot array of {} bytes: {e}", bytes.len()),
+        })?;
+    items.extend(
+        bytes
+            .chunks_exact(W)
+            .map(|item| from_le(item.try_into().expect("chunks_exact yields W bytes"))),
+    );
+    Ok(items)
 }
 
 // ---------------------------------------------------------------------
@@ -508,78 +577,93 @@ pub fn encode_frep(rep: &FRep) -> Vec<u8> {
     encode_frep_ctx(rep, &ExecCtx::unlimited()).expect("unlimited encode cannot fail")
 }
 
-/// [`encode_frep`] under a governance context: charges roughly one unit per
-/// arena record and honours the `snapshot.write` failpoint.
+/// [`encode_frep`] under a governance context: charges one unit per union,
+/// entry and kid slot and honours the `snapshot.write` failpoint.
 pub fn encode_frep_ctx(rep: &FRep, ctx: &ExecCtx) -> Result<Vec<u8>> {
     failpoint!(ctx, "snapshot.write");
     let tree = rep.tree();
     let store = rep.store();
-    ctx.charge((store.unions.len() + store.entry_count() + store.kids.len()) as u64)?;
+    let (values, kids_starts) = store.entry_arrays();
+    ctx.charge((store.unions.len() + values.len() + store.kids.len()) as u64)?;
     let mut out = Vec::new();
     write_header(&mut out, KIND_FREP, FREP_TAGS.len() as u32);
-    write_section(&mut out, TAG_EDGE, &encode_edges(tree.edges()));
-    write_section(&mut out, TAG_NODE, &encode_nodes(&tree.snapshot_nodes()));
-    write_section(
-        &mut out,
-        TAG_TRTS,
-        &encode_u32_list(tree.roots().iter().map(|r| r.0)),
+    write_section_with(&mut out, TAG_EDGE, |out| put_edges(out, tree.edges()));
+    write_section_with(&mut out, TAG_NODE, |out| {
+        put_nodes(out, &tree.snapshot_nodes())
+    });
+    // The two tree sections above are a few hundred bytes.  The size of
+    // everything behind them follows from the counts, so the rest of the
+    // file is written in place into one exact reservation.
+    out.reserve_exact(
+        arena_section_len(tree.roots().len(), 4)
+            + arena_section_len(store.unions.len(), 12)
+            + arena_section_len(values.len(), 12)
+            + arena_section_len(store.kids.len(), 4)
+            + arena_section_len(store.roots.len(), 4),
     );
-    write_section(&mut out, TAG_UNIO, &encode_unions(&store.unions));
-    write_section(&mut out, TAG_ENTR, &encode_entries(store));
-    write_section(
-        &mut out,
-        TAG_KIDS,
-        &encode_u32_list(store.kids.iter().copied()),
-    );
-    write_section(
-        &mut out,
-        TAG_SRTS,
-        &encode_u32_list(store.roots.iter().copied()),
-    );
+    write_section_with(&mut out, TAG_TRTS, |out| {
+        put_counted(out, tree.roots(), |r| r.0.to_le_bytes())
+    });
+    write_section_with(&mut out, TAG_UNIO, |out| {
+        put_counted(out, &store.unions, union_to_le)
+    });
+    write_section_with(&mut out, TAG_ENTR, |out| {
+        put_counted(out, values, |v| v.raw().to_le_bytes());
+        out.extend(kids_starts.iter().flat_map(|k| k.to_le_bytes()));
+    });
+    write_section_with(&mut out, TAG_KIDS, |out| {
+        put_counted(out, &store.kids, u32::to_le_bytes)
+    });
+    write_section_with(&mut out, TAG_SRTS, |out| {
+        put_counted(out, &store.roots, u32::to_le_bytes)
+    });
     Ok(out)
 }
 
 /// Deserialises and **fully verifies** a snapshot: header, per-section
-/// checksums, bounds of every decoded index, and the complete structural
+/// checksums, the exact length of every array, and the complete structural
 /// validator.  Any failure is a structured error; nothing is loaded.
 pub fn decode_frep(bytes: &[u8]) -> Result<FRep> {
     decode_frep_ctx(bytes, &ExecCtx::unlimited())
 }
 
-/// [`decode_frep`] under a governance context: charges roughly one unit per
-/// arena record and honours the `snapshot.read` failpoint.
+/// [`decode_frep`] under a governance context: honours the `snapshot.read`
+/// failpoint and charges one unit per union, entry and kid slot — read from
+/// the verified sections and charged **before** any array is allocated, so
+/// a load the budget cannot cover, or a cancelled one, holds no memory.
 pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "snapshot.read");
     let sections = read_sections(bytes, KIND_FREP)?;
-    if sections.len() != FREP_TAGS.len()
-        || sections
-            .iter()
-            .map(|&(t, _)| t)
-            .ne(FREP_TAGS.iter().copied())
-    {
-        let tags: Vec<String> = sections.iter().map(|&(t, _)| tag_name(t)).collect();
+    let tags = sections.iter().map(|&(tag, _)| tag);
+    if tags.clone().ne(FREP_TAGS) {
+        let tags: Vec<String> = tags.map(tag_name).collect();
         return Err(corrupt(format!(
             "unexpected section layout [{}]",
             tags.join(", ")
         )));
     }
-    let edges = decode_edges(sections[0].1)?;
-    let nodes = decode_nodes(sections[1].1)?;
-    let tree_roots: Vec<NodeId> = decode_u32_list(sections[2].1, "TRTS")?
-        .into_iter()
-        .map(NodeId)
-        .collect();
-    let (values, kids_starts) = decode_entries(sections[4].1)?;
+    let (_, tree_roots) = counted(sections[2].1, "TRTS", 4)?;
+    let (union_count, unions) = counted(sections[3].1, "UNIO", 12)?;
+    let (entry_count, entries) = counted(sections[4].1, "ENTR", 12)?;
+    let (kid_count, kids) = counted(sections[5].1, "KIDS", 4)?;
+    let (_, roots) = counted(sections[6].1, "SRTS", 4)?;
+    ctx.check_now()?;
+    ctx.charge((union_count + entry_count + kid_count) as u64)?;
+
+    let (values, kids_starts) = entries.split_at(entry_count * 8);
     let store = Store::from_arena_parts(
-        decode_unions(sections[3].1)?,
-        values,
-        kids_starts,
-        decode_u32_list(sections[5].1, "KIDS")?,
-        decode_u32_list(sections[6].1, "SRTS")?,
+        get_array(unions, union_from_le)?,
+        get_array(values, |v| Value::new(u64::from_le_bytes(v)))?,
+        get_array(kids_starts, u32::from_le_bytes)?,
+        get_array(kids, u32::from_le_bytes)?,
+        get_array(roots, u32::from_le_bytes)?,
     );
-    ctx.charge((store.unions.len() + store.entry_count() + store.kids.len()) as u64)?;
-    let tree = FTree::from_snapshot(edges, nodes, tree_roots)
-        .map_err(|e| corrupt(format!("f-tree validation failed on load: {e}")))?;
+    let tree = FTree::from_snapshot(
+        decode_edges(sections[0].1)?,
+        decode_nodes(sections[1].1)?,
+        get_array(tree_roots, |r| NodeId(u32::from_le_bytes(r)))?,
+    )
+    .map_err(|e| corrupt(format!("f-tree validation failed on load: {e}")))?;
     let mut rep = FRep::from_store(tree, store);
     // The full structural validator is a mandatory load check — in release
     // builds too.  A snapshot that decodes but fails it was written by (or
@@ -596,7 +680,12 @@ pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
 mod tests {
     use super::*;
     use crate::node::{Entry, Union};
+    use fdb_common::QueryLimits;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
     use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
@@ -625,6 +714,43 @@ mod tests {
             ],
         );
         FRep::from_parts(tree, vec![union]).unwrap()
+    }
+
+    /// `(frame offset, payload length)` of every section of a valid
+    /// snapshot, derived from the checked reader.
+    fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut pos = FRAME;
+        let mut spans = Vec::new();
+        for (_, payload) in read_sections(bytes, KIND_FREP).unwrap() {
+            spans.push((pos, payload.len()));
+            pos += FRAME + payload.len().next_multiple_of(8) + 8;
+        }
+        spans
+    }
+
+    /// Re-frames a snapshot with one section's payload transformed and the
+    /// checksum recomputed, so the change reaches the decoder behind it.
+    fn reframe(bytes: &[u8], target: u32, mutate: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let sections = read_sections(bytes, KIND_FREP).unwrap();
+        let mut out = Vec::new();
+        write_header(&mut out, KIND_FREP, sections.len() as u32);
+        for (tag, payload) in sections {
+            let mut payload = payload.to_vec();
+            if tag == target {
+                mutate(&mut payload);
+            }
+            write_section(&mut out, tag, &payload);
+        }
+        out
+    }
+
+    fn assert_corrupt(bytes: &[u8], needle: &str, context: &str) {
+        match decode_frep(bytes) {
+            Err(FdbError::SnapshotCorrupt { detail }) => {
+                assert!(detail.contains(needle), "{context}: {detail}")
+            }
+            other => panic!("{context}: expected SnapshotCorrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -671,17 +797,19 @@ mod tests {
     fn every_flipped_byte_is_detected() {
         let rep = example3();
         let bytes = encode_frep(&rep);
-        for i in 0..bytes.len() {
+        for (i, bit) in (0..bytes.len()).flat_map(|i| (0..8).map(move |bit| (i, bit))) {
             let mut corrupted = bytes.clone();
-            corrupted[i] ^= 0x40;
+            corrupted[i] ^= 1 << bit;
             match decode_frep(&corrupted) {
                 Ok(loaded) => panic!(
-                    "flipping byte {i} went undetected (loaded {} unions)",
+                    "flipping bit {bit} of byte {i} went undetected (loaded {} unions)",
                     loaded.root_count()
                 ),
                 Err(FdbError::SnapshotCorrupt { .. })
                 | Err(FdbError::SnapshotVersionMismatch { .. }) => {}
-                Err(other) => panic!("flipping byte {i}: unstructured error {other:?}"),
+                Err(other) => {
+                    panic!("flipping bit {bit} of byte {i}: unstructured error {other:?}")
+                }
             }
         }
     }
@@ -702,15 +830,18 @@ mod tests {
 
     #[test]
     fn version_skew_is_a_structured_mismatch() {
-        let rep = example3();
-        let mut bytes = encode_frep(&rep);
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        match decode_frep(&bytes) {
-            Err(FdbError::SnapshotVersionMismatch { found, expected }) => {
-                assert_eq!(found, 99);
-                assert_eq!(expected, SNAPSHOT_VERSION);
-            }
-            other => panic!("expected a version mismatch, got {other:?}"),
+        // A newer build's file, and the previous format (there is one
+        // codec: version 1 is a mismatch like any other).
+        for skewed in [99u32, 1] {
+            let mut bytes = encode_frep(&example3());
+            bytes[4..8].copy_from_slice(&skewed.to_le_bytes());
+            assert_eq!(
+                decode_frep(&bytes).err(),
+                Some(FdbError::SnapshotVersionMismatch {
+                    found: skewed,
+                    expected: 2
+                })
+            );
         }
     }
 
@@ -718,8 +849,183 @@ mod tests {
     fn section_boundaries_cover_the_whole_file() {
         let rep = example3();
         let bytes = encode_frep(&rep);
-        let boundaries = section_boundaries(&bytes).unwrap();
+        let boundaries: Vec<usize> = std::iter::once(FRAME)
+            .chain(
+                section_spans(&bytes)
+                    .iter()
+                    .map(|&(frame, len)| frame + FRAME + len.next_multiple_of(8) + 8),
+            )
+            .collect();
         assert_eq!(boundaries.len(), 8); // header + 7 sections
         assert_eq!(*boundaries.last().unwrap(), bytes.len());
+        assert!(boundaries.iter().all(|b| b % 8 == 0));
+    }
+
+    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u32() as u8).collect()
+    }
+
+    /// A 4 KB section of random words, and its checksum.
+    fn random_section() -> (Vec<u8>, u64) {
+        let section = random_bytes(&mut StdRng::seed_from_u64(0xC4EC), 4096);
+        let sealed = checksum(&section);
+        (section, sealed)
+    }
+
+    #[test]
+    fn checksum_changes_with_every_single_bit() {
+        let (mut section, sealed) = random_section();
+        for bit in 0..section.len() * 8 {
+            section[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&section), sealed, "bit {bit}");
+            section[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn checksum_changes_with_every_exchange_of_two_words() {
+        let (section, sealed) = random_section();
+        let words: Vec<u64> = section.chunks_exact(8).map(le_u64).collect();
+        let mut exchanged = section.clone();
+        for i in 0..words.len() {
+            // Same lane (i ≡ j mod 4) and different lanes alike.
+            for j in i + 1..words.len() {
+                assert_ne!(words[i], words[j], "the fixture's words are distinct");
+                exchanged[i * 8..][..8].copy_from_slice(&words[j].to_le_bytes());
+                exchanged[j * 8..][..8].copy_from_slice(&words[i].to_le_bytes());
+                assert_ne!(checksum(&exchanged), sealed, "words {i} and {j}");
+                exchanged[j * 8..][..8].copy_from_slice(&words[j].to_le_bytes());
+            }
+            exchanged[i * 8..][..8].copy_from_slice(&words[i].to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn checksum_changes_with_a_trailing_zero_word() {
+        let (mut section, _) = random_section();
+        let len = section.len();
+        section[len - 8..].fill(0);
+        let sealed = checksum(&section);
+        assert_ne!(checksum(&section[..len - 8]), sealed, "one removed");
+        section.extend_from_slice(&[0; 8]);
+        assert_ne!(checksum(&section), sealed, "one appended");
+        // All-zero input of every length up to two blocks: no two agree.
+        let zeros: Vec<u64> = (0..=8).map(|n| checksum(&[0u8; 64][..n * 8])).collect();
+        let distinct: BTreeSet<u64> = zeros.iter().copied().collect();
+        assert_eq!(distinct.len(), zeros.len());
+    }
+
+    #[test]
+    fn every_payload_length_round_trips_through_the_framing() {
+        // 0..=80 covers every padding amount and every sub-32-byte tail.
+        let mut rng = StdRng::seed_from_u64(0xF4A3);
+        for len in 0..=80usize {
+            let payload = random_bytes(&mut rng, len);
+            let mut bytes = Vec::new();
+            write_header(&mut bytes, KIND_MANIFEST, 2);
+            write_section(&mut bytes, TAG_KIDS, &payload);
+            write_section(&mut bytes, TAG_SRTS, &payload);
+            assert_eq!(
+                bytes.len(),
+                FRAME + 2 * (FRAME + len.next_multiple_of(8) + 8)
+            );
+            let sections = read_sections(&bytes, KIND_MANIFEST).unwrap();
+            assert_eq!(
+                sections,
+                [(TAG_KIDS, &payload[..]), (TAG_SRTS, &payload[..])],
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_canonical_frames_are_corrupt_even_with_a_valid_checksum() {
+        let bytes = encode_frep(&example3());
+        // Patches one byte of a section and reseals it.
+        let resealed = |frame: usize, len: usize, at: usize| {
+            let mut bad = bytes.clone();
+            assert_eq!(bad[at], 0);
+            bad[at] = 1;
+            let sealed_end = frame + FRAME + len.next_multiple_of(8);
+            let seal = checksum(&bad[frame..sealed_end]);
+            bad[sealed_end..sealed_end + 8].copy_from_slice(&seal.to_le_bytes());
+            bad
+        };
+        let spans = section_spans(&bytes);
+        for &(frame, len) in &spans {
+            assert_corrupt(&resealed(frame, len, frame + 4), "canonical", "reserved");
+        }
+        let &(frame, len) = spans.iter().find(|(_, len)| len % 8 != 0).unwrap();
+        for pad in len..len.next_multiple_of(8) {
+            assert_corrupt(
+                &resealed(frame, len, frame + FRAME + pad),
+                "canonical",
+                "padding",
+            );
+        }
+        // The same patches without the reseal die one layer earlier.
+        let mut unsealed = bytes.clone();
+        unsealed[frame + 4] = 1;
+        assert_corrupt(&unsealed, "checksum mismatch", "reserved, unsealed");
+    }
+
+    #[test]
+    fn counts_must_match_the_payload_length_exactly() {
+        let bytes = encode_frep(&example3());
+        for (tag, name, width) in [
+            (TAG_TRTS, "TRTS", 4),
+            (TAG_UNIO, "UNIO", 12),
+            (TAG_ENTR, "ENTR", 12),
+            (TAG_KIDS, "KIDS", 4),
+            (TAG_SRTS, "SRTS", 4),
+        ] {
+            let with_count = |count: u64| {
+                reframe(&bytes, tag, |payload| {
+                    payload[..8].copy_from_slice(&count.to_le_bytes())
+                })
+            };
+            let count = {
+                let sections = read_sections(&bytes, KIND_FREP).unwrap();
+                let payload = sections.iter().find(|s| s.0 == tag).unwrap().1;
+                assert_eq!(payload.len() as u64, 8 + le_u64(&payload[..8]) * width);
+                le_u64(&payload[..8])
+            };
+            let longer = reframe(&bytes, tag, |payload| payload.extend_from_slice(&[0; 8]));
+            assert_corrupt(&longer, name, "a payload one word longer");
+            let empty = reframe(&bytes, tag, |payload| payload.clear());
+            assert_corrupt(&empty, name, "no count at all");
+            // A count beyond the payload is SnapshotCorrupt, not the
+            // `LimitExceeded` of a refused reservation: the exact-length
+            // check comes first, whether or not `count × width` overflows.
+            for bogus in [count + 1, u64::MAX / 16, u64::MAX] {
+                assert_corrupt(&with_count(bogus), name, "a count beyond the payload");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_charges_the_counts_before_it_allocates() {
+        let rep = example3();
+        let bytes = encode_frep(&rep);
+        // One unit per union, entry and kid slot: 3 + 5 + 2.
+        let units = 10;
+        let budgeted = |budget| ExecCtx::new(&QueryLimits::unlimited().with_budget(budget));
+        let ctx = budgeted(units);
+        let loaded = decode_frep_ctx(&bytes, &ctx).unwrap();
+        assert_eq!(ctx.budget_remaining(), 0);
+        assert!(loaded.store_identical(&decode_frep(&bytes).unwrap()));
+        assert_eq!(
+            decode_frep_ctx(&bytes, &budgeted(units - 1)).err(),
+            Some(FdbError::BudgetExceeded { limit: units - 1 })
+        );
+        let cancelled = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+        assert_eq!(
+            decode_frep_ctx(&bytes, &ExecCtx::new(&cancelled)).err(),
+            Some(FdbError::DeadlineExceeded { limit_ms: 0 })
+        );
+        // The encoder charges the same total.
+        let ctx = budgeted(units);
+        assert_eq!(encode_frep_ctx(&rep, &ctx).unwrap(), bytes);
+        assert_eq!(ctx.budget_remaining(), 0);
     }
 }

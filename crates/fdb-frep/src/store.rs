@@ -193,13 +193,10 @@ impl Store {
         self.kids_starts.truncate(len);
     }
 
-    /// Iterates the entry records as `(value, kids_start)` pairs — the
-    /// snapshot codec's view (the on-disk format stays interleaved).
-    pub(crate) fn entry_pairs(&self) -> impl ExactSizeIterator<Item = (Value, u32)> + '_ {
-        self.values
-            .iter()
-            .zip(&self.kids_starts)
-            .map(|(&v, &k)| (v, k))
+    /// The two parallel entry arrays, `(values, kids_starts)`, read-only —
+    /// the snapshot codec writes each out as it is.
+    pub(crate) fn entry_arrays(&self) -> (&[Value], &[u32]) {
+        (&self.values, &self.kids_starts)
     }
 
     /// Reassembles a store from decoded arenas (the snapshot codec's

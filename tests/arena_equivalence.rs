@@ -980,6 +980,10 @@ fn le_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
 #[test]
 fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
     use fdb::common::FdbError;
@@ -1004,8 +1008,12 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
     assert_eq!(reframed, bytes, "identity re-framing is byte-identical");
     assert!(decode_frep(&reframed).unwrap().store_identical(&rep));
 
-    // Locate a union with at least two entries (payload: count | per union
-    // node u32, entries_start u32, entries_len u32).
+    // The version 2 arena payloads are a u64 count and then whole arrays:
+    //   UNIO  count | (node, entries_start, entries_len) u32×3 per union
+    //   ENTR  count | values u64[count] | kids_starts u32[count]
+    //   KIDS  count | u32[count]          SRTS  count | u32[count]
+    // Every case asserts that its mutation changed the field it names, so a
+    // layout change cannot turn a case into a silent no-op.
     let unio_payload = {
         use fdb::frep::snapshot::{read_sections, KIND_FREP};
         let sections = read_sections(&bytes, KIND_FREP).unwrap();
@@ -1015,31 +1023,30 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
             .map(|(_, p)| p.to_vec())
             .expect("UNIO section present")
     };
-    let union_count = le_u32(&unio_payload, 0) as usize;
+    let union_count = le_u64(&unio_payload, 0) as usize;
+    assert_eq!(unio_payload.len(), 8 + union_count * 12);
+    // The first entry of a union with at least two entries.
     let wide = (0..union_count)
-        .map(|i| {
-            let base = 4 + i * 12;
-            (
-                le_u32(&unio_payload, base + 4),
-                le_u32(&unio_payload, base + 8),
-            )
-        })
-        .find(|&(_, len)| len >= 2)
+        .map(|i| 8 + i * 12)
+        .find(|&base| le_u32(&unio_payload, base + 8) >= 2)
+        .map(|base| le_u32(&unio_payload, base + 4) as usize)
         .expect("some union has two entries");
 
     let cases: Vec<(&str, Vec<u8>)> = vec![
         (
             "out-of-order entry values",
-            // Swap the value fields (u64 at +0 of each 12-byte entry record)
-            // of two adjacent entries of one union: strictly-increasing
-            // order is violated with checksums intact.
+            // Exchange the values of two adjacent entries of one union:
+            // strictly-increasing order is violated with checksums intact.
             reframe_section(&bytes, TAG_ENTR, |payload| {
-                let (start, _) = wide;
-                let a = 4 + start as usize * 12;
-                let b = a + 12;
+                let entry_count = le_u64(payload, 0) as usize;
+                assert_eq!(payload.len(), 8 + entry_count * 12);
+                let (a, b) = (8 + wide * 8, 8 + (wide + 1) * 8);
+                let (first, second) = (le_u64(payload, a), le_u64(payload, b));
+                assert!(first < second, "a valid union's values increase");
                 for i in 0..8 {
                     payload.swap(a + i, b + i);
                 }
+                assert_eq!((le_u64(payload, a), le_u64(payload, b)), (second, first));
             }),
         ),
         (
@@ -1047,33 +1054,43 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
             // Point a kid slot at union 0: a kid's union index must exceed
             // its parent's, so index 0 can never be a valid kid.
             reframe_section(&bytes, TAG_KIDS, |payload| {
-                let pos = (4..payload.len())
+                assert_eq!(payload.len(), 8 + le_u64(payload, 0) as usize * 4);
+                let pos = (8..payload.len())
                     .step_by(4)
                     .find(|&p| le_u32(payload, p) != MISSING_KID)
                     .expect("a present kid slot exists");
+                assert_ne!(le_u32(payload, pos), 0, "no valid kid is union 0");
                 payload[pos..pos + 4].copy_from_slice(&0u32.to_le_bytes());
             }),
         ),
         (
             "unreachable unions after dropping a root",
             reframe_section(&bytes, TAG_SRTS, |payload| {
-                let count = le_u32(payload, 0);
+                let count = le_u64(payload, 0);
                 assert!(count >= 1, "the representation has a root");
-                payload[0..4].copy_from_slice(&(count - 1).to_le_bytes());
+                assert_eq!(payload.len() as u64, 8 + count * 4);
+                payload[0..8].copy_from_slice(&(count - 1).to_le_bytes());
                 payload.truncate(payload.len() - 4);
+                // Still exactly `8 + count × 4`: the validator, not the
+                // length check, has to refuse it.
+                assert_eq!(payload.len() as u64, 8 + le_u64(payload, 0) * 4);
             }),
         ),
         (
             "union labelled by a node the tree does not have",
             reframe_section(&bytes, TAG_UNIO, |payload| {
-                payload[4..8].copy_from_slice(&9_999u32.to_le_bytes());
+                assert!(le_u32(payload, 8) < 9_999, "union 0's node is a real one");
+                payload[8..12].copy_from_slice(&9_999u32.to_le_bytes());
             }),
         ),
     ];
 
     for (context, corrupted) in cases {
         match decode_frep(&corrupted) {
-            Err(FdbError::SnapshotCorrupt { .. }) => {}
+            Err(FdbError::SnapshotCorrupt { detail }) => assert!(
+                detail.contains("structural validation failed"),
+                "{context}: refused before the validator: {detail}"
+            ),
             other => {
                 panic!("{context}: the snapshot validator must reject the arena, got {other:?}")
             }
@@ -1081,9 +1098,53 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
     }
 }
 
+/// The snapshot differential: `decode(encode(rep))` is store-identical,
+/// carries the layout fact the arena has, re-encodes byte-identically, and
+/// every array in the file starts at an offset divisible by 8.
+fn check_snapshot_round_trip(rep: &FRep, context: &str) {
+    use fdb::frep::snapshot::{read_sections, KIND_FREP};
+    use fdb::frep::{decode_frep, encode_frep};
+
+    let bytes = encode_frep(rep);
+    let loaded = decode_frep(&bytes).unwrap_or_else(|e| panic!("{context}: {e}"));
+    loaded
+        .validate()
+        .unwrap_or_else(|e| panic!("{context}: loaded rep invalid: {e:?}"));
+    assert!(
+        loaded.store_identical(rep),
+        "{context}: snapshot round trip must be store-identical"
+    );
+    assert_eq!(
+        encode_frep(&loaded),
+        bytes,
+        "{context}: re-encoding is byte-identical"
+    );
+
+    // The layout fact is not in the file: the decoder re-derives it.  Its
+    // definition is the oracle — the arena is the freeze of its own forest.
+    let refrozen = FRep::from_parts(rep.tree().clone(), rep.to_forest()).expect("a valid forest");
+    assert_eq!(
+        loaded.dump_store().contains("freeze_layout: true"),
+        refrozen.store_identical(rep),
+        "{context}: the decoded layout fact"
+    );
+
+    let sections = read_sections(&bytes, KIND_FREP).unwrap();
+    assert_eq!(sections.len(), 7, "{context}");
+    for (tag, payload) in sections {
+        let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        assert_eq!(offset % 8, 0, "{context}: payload of {tag:#010x}");
+        if tag == u32::from_le_bytes(*b"ENTR") {
+            // count | values | kids_starts: the second array's offset.
+            let count = le_u64(payload, 0) as usize;
+            assert_eq!(payload.len(), 8 + 8 * count + 4 * count, "{context}");
+            assert_eq!((offset + 8 + 8 * count) % 8, 0, "{context}: kids_starts");
+        }
+    }
+}
+
 #[test]
 fn randomized_representations_round_trip_through_snapshots() {
-    use fdb::frep::{decode_frep, encode_frep};
     for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(0x005A_AB5E ^ seed);
         let relations = 1 + (seed as usize % 3);
@@ -1096,19 +1157,33 @@ fn randomized_representations_round_trip_through_snapshots() {
             .evaluate_flat(&db, &query)
             .expect("FDB evaluates")
             .result;
-        let bytes = encode_frep(&rep);
-        let loaded = decode_frep(&bytes).expect("round trip verifies");
-        loaded
-            .validate()
-            .unwrap_or_else(|e| panic!("seed {seed}: loaded rep invalid: {e:?}"));
-        assert!(
-            loaded.store_identical(&rep),
-            "seed {seed}: snapshot round trip must be store-identical"
-        );
-        assert_eq!(
-            encode_frep(&loaded),
-            bytes,
-            "seed {seed}: re-encoding is byte-identical"
-        );
+        check_snapshot_round_trip(&rep, &format!("seed {seed}"));
     }
+
+    // A `build_frep` result outside the freeze layout (entry blocks land
+    // after their descendants'), its freeze, a multi-root forest, and ∅.
+    let g = grocery_database();
+    let built = FdbEngine::new()
+        .evaluate_flat(&g.db, &g.q1())
+        .expect("FDB evaluates")
+        .result;
+    let frozen = FRep::from_parts(built.tree().clone(), built.to_forest()).unwrap();
+    assert!(
+        !frozen.store_identical(&built),
+        "the build result is not in the freeze layout"
+    );
+    check_snapshot_round_trip(&built, "build_frep result");
+    check_snapshot_round_trip(&frozen, "frozen build result");
+
+    let mut other_tree = FTree::new(vec![DepEdge::new("Z", [AttrId(900)].into(), 2)]);
+    let z = other_tree.add_node([AttrId(900)].into(), None).unwrap();
+    let leaves = vec![Entry::leaf(Value::new(4)), Entry::leaf(Value::new(7))];
+    let other = FRep::from_parts(other_tree, vec![Union::new(z, leaves)]).unwrap();
+    let forest = ops::product(frozen.clone(), other).expect("disjoint attributes");
+    assert!(forest.root_count() >= 2, "a multi-root forest");
+    check_snapshot_round_trip(&forest, "multi-root forest");
+
+    let empty = FRep::empty(built.tree().clone());
+    assert!(empty.represents_empty());
+    check_snapshot_round_trip(&empty, "empty representation");
 }

@@ -32,7 +32,7 @@ use fdb::engine::snapshot::{load_rep, load_rep_ctx, save_rep, save_rep_ctx};
 use fdb::engine::{
     FactorisedQuery, FdbEngine, FdbServer, RepId, ServeOutcome, ServeRequest, SharedDatabase,
 };
-use fdb::frep::snapshot::section_boundaries;
+use fdb::frep::snapshot::{read_sections, KIND_FREP};
 use fdb::frep::FRep;
 use fdb::Value;
 use rand::rngs::StdRng;
@@ -107,7 +107,15 @@ fn every_section_survives_neither_flips_nor_boundary_truncation() {
 
     // Torn writes: truncation at every framing boundary (header end and
     // each section end), one byte before it, and one byte after it.
-    let boundaries = section_boundaries(&bytes).unwrap();
+    // The boundaries come from the checked reader: behind the 16-byte
+    // header every section is a 16-byte frame, its payload padded to a
+    // multiple of 8, and an 8-byte checksum.
+    let mut boundaries = vec![16];
+    for (_, payload) in read_sections(&bytes, KIND_FREP).unwrap() {
+        let section = 16 + payload.len().next_multiple_of(8) + 8;
+        boundaries.push(boundaries.last().unwrap() + section);
+    }
+    assert_eq!(boundaries.len(), 8, "header + 7 sections");
     assert_eq!(
         *boundaries.last().unwrap(),
         bytes.len(),
