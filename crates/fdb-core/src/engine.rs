@@ -119,23 +119,25 @@ pub struct EvalStats {
     pub plan: FPlan,
     /// Number of optimiser states explored.
     pub explored_states: usize,
-    /// Number of fused overlay programs the plan executed as (0 or 1 since
-    /// whole-plan fusion — the entire plan compiles into one program when it
-    /// would pay more than one arena pass step-wise; see
-    /// `fdb_frep::ops::fuse`).
+    /// Number of programs the plan executed as: 1 for every non-empty plan
+    /// that emits or folds on the overlay — one operator or twenty, the
+    /// whole plan is one program of `fdb_frep::ops::fuse` — and 0 for the
+    /// empty plan and for the hash-group fallback, which reports no fusion.
     pub fused_segments: usize,
     /// Number of aggregate evaluations folded directly over the fused
     /// overlay (no arena emission at all); 0 for non-aggregate queries and
     /// for empty-plan aggregates, which run as plain arena passes.
     pub aggregates_on_overlay: usize,
     /// Former fusion barriers (constant selections, projections) executed
-    /// *inside* a fused overlay program instead of as standalone arena
-    /// passes — the whole-plan fusion win.
+    /// *inside* the plan's program instead of as standalone arena passes —
+    /// the barrier count of every counted program, a lone selection's 1
+    /// included.
     pub barriers_fused: usize,
-    /// Intermediate arenas fused execution skipped relative to the
-    /// step-wise path (a lower bound: one per plan operator beyond the
-    /// single emission; for an aggregate folded on the overlay every
-    /// operator's arena, including the final one, is skipped).
+    /// Intermediate arenas one-program execution skipped relative to
+    /// running operator at a time (a lower bound: one per plan operator
+    /// beyond the single emission, so 0 for a one-operator plan; for an
+    /// aggregate folded on the overlay every operator's arena, including
+    /// the final one, is skipped).
     pub arenas_skipped: usize,
     /// Queries this statistics record covers: 1 for a single evaluation;
     /// serving-layer reports that aggregate a batch sum the records and
@@ -664,10 +666,12 @@ impl FdbEngine {
             // one included, is skipped.
             (1, simplified.barrier_count(), simplified.len())
         } else if kind.is_none() && simplified.fuses() {
+            // Every non-empty emitting plan is one program, a lone operator
+            // included (one emission, so no arena skipped).
             (1, simplified.barrier_count(), simplified.arenas_skipped())
         } else {
-            // Zero or one single-pass operator runs directly; the
-            // hash-group fallback reports no fusion.
+            // The empty plan executes nothing; the hash-group fallback
+            // reports no fusion.
             (0, 0, 0)
         };
 

@@ -14,9 +14,9 @@
 //!   and refills the slots after it — the classic odometer, with child
 //!   unions fetched by O(1) index thanks to the arena's fixed child order.
 //!
-//! [`for_each_tuple`] drives the cursor in callback form.  Every
-//! materialiser ([`materialize_ctx`], [`materialize_ordered_ctx`] and their
-//! parallel twins) goes through one emission routine that writes rows
+//! [`for_each_tuple`] drives the cursor in callback form.  Both
+//! materialisers ([`materialize_ctx`], [`materialize_ordered_ctx`]) go
+//! through one emission routine that writes rows
 //! straight into the row-major `Vec<Value>` that becomes the [`Relation`]:
 //! the buffer is sized once from [`FRep::tuple_count`], and the innermost
 //! wheel — a leaf union — is drained in a tight loop, one governance charge
@@ -46,17 +46,6 @@
 //!    index-permutation sort over the same flat buffer — per run of equal
 //!    ORDER BY values after a chain emission, over the whole buffer
 //!    otherwise — and produces bit-identical rows.
-//!
-//! # Parallel enumeration
-//!
-//! Because slot 0 is the outermost wheel of the odometer, restricting it to
-//! an entry sub-range yields a contiguous, in-order chunk of the output:
-//! concatenating the chunks of a partition of that range in partition order
-//! reproduces the sequential enumeration bit for bit.  [`par_materialize`]
-//! exploits this: it splits slot 0's entries across a
-//! [`workpool::ThreadPool`], hands every worker the one precomputed
-//! [`CursorConfig`] (the slot tables are the only setup that walks the
-//! f-tree), and concatenates the workers' flat chunks in partition order.
 
 use crate::frep::FRep;
 use fdb_common::{failpoint, AttrId, ExecCtx, FdbError, Result, Value};
@@ -64,8 +53,6 @@ use fdb_ftree::{FTree, NodeId};
 use fdb_relation::Relation;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{mpsc, Arc};
-use workpool::ThreadPool;
 
 /// Parent marker for slots whose union is a root union.
 const NO_PARENT: u32 = u32::MAX;
@@ -88,9 +75,8 @@ struct Slot {
 /// The frozen per-representation enumeration layout: one [`Slot`] per
 /// f-tree node (parents before descendants) plus the buffer positions each
 /// slot's value feeds.  Computing it is the only part of cursor setup that
-/// walks the f-tree, so parallel enumeration builds it **once** and hands
-/// every worker a clone — the tables are plain `Copy` data, so a clone is a
-/// memcpy and the hot loop stays indirection-free.
+/// walks the f-tree; the tables are plain `Copy` data, so the cursor's copy
+/// is a memcpy and the hot loop stays indirection-free.
 #[derive(Clone, Debug)]
 pub struct CursorConfig {
     slots: Vec<Slot>,
@@ -258,19 +244,6 @@ impl CursorConfig {
         config.canonical = ascending;
         Ok(config)
     }
-
-    /// Number of entries of **slot 0's** root union (the partitionable range
-    /// of [`TupleCursor::with_root_range`]); 0 for nullary representations.
-    /// Slot 0 is the first root for a plain layout and the chain root for a
-    /// priority layout.
-    pub fn root_entries(&self, rep: &FRep) -> u32 {
-        if self.slots.is_empty() {
-            0
-        } else {
-            rep.store()
-                .union_len(rep.store().roots[self.slots[0].kid_index as usize])
-        }
-    }
 }
 
 /// An iterative, allocation-free (after setup) cursor over the tuples of an
@@ -289,11 +262,6 @@ pub struct TupleCursor<'a> {
     cur_entry: Vec<u32>,
     buffer: Vec<Value>,
     state: CursorState,
-    /// Entry range `[root_lo, root_hi)` of the first root union this cursor
-    /// enumerates (slot 0, the outermost odometer wheel); the full union for
-    /// a plain cursor.
-    root_lo: u32,
-    root_hi: u32,
 }
 
 /// One step of the odometer loop (see [`TupleCursor::bump_and_fill`]).
@@ -318,24 +286,11 @@ enum CursorState {
 impl<'a> TupleCursor<'a> {
     /// Prepares a cursor (the `O(|E|)`-free, `O(nodes + |S|)` setup).
     pub fn new(rep: &'a FRep) -> Self {
-        let config = CursorConfig::new(rep);
-        let full = config.root_entries(rep);
-        TupleCursor::with_root_range(rep, &config, 0, full)
+        TupleCursor::with_config(rep, &CursorConfig::new(rep))
     }
 
-    /// Prepares a cursor from a precomputed slot layout, restricted to the
-    /// entry range `[lo, hi)` of the **first root union** (slot 0).  The
-    /// range is clamped to the union; `config` must have been computed for
-    /// `rep` (or a representation with the identical store and f-tree).
-    ///
-    /// Restricting the outermost odometer wheel partitions the enumeration:
-    /// the cursor produces exactly the tuples whose first-root entry falls
-    /// in the range, in the sequential order.  The range is ignored by
-    /// nullary representations (no slots, at most one empty tuple).
-    pub fn with_root_range(rep: &'a FRep, config: &CursorConfig, lo: u32, hi: u32) -> Self {
-        let full = config.root_entries(rep);
-        let root_hi = hi.min(full);
-        let root_lo = lo.min(root_hi);
+    /// Prepares a cursor from a slot layout computed for `rep`.
+    fn with_config(rep: &'a FRep, config: &CursorConfig) -> Self {
         let slot_count = config.slots.len();
         TupleCursor {
             rep,
@@ -345,8 +300,6 @@ impl<'a> TupleCursor<'a> {
             cur_entry: vec![0; slot_count],
             buffer: vec![Value::default(); config.width],
             state: CursorState::Fresh,
-            root_lo,
-            root_hi,
         }
     }
 
@@ -417,12 +370,7 @@ impl<'a> TupleCursor<'a> {
                             return false;
                         }
                         s -= 1;
-                        let entry_end = if s == 0 {
-                            // Slot 0 stops at the cursor's root range.
-                            self.root_hi
-                        } else {
-                            self.rep.store().union_len(self.cur_union[s])
-                        };
+                        let entry_end = self.rep.store().union_len(self.cur_union[s]);
                         if self.cur_entry[s] + 1 < entry_end {
                             self.cur_entry[s] += 1;
                             self.write_values(s);
@@ -434,19 +382,13 @@ impl<'a> TupleCursor<'a> {
                 Step::Fill(mut fill) => {
                     while fill < slot_count {
                         let union = self.union_of_slot(fill);
-                        let (first, entry_end) = if fill == 0 {
-                            // Slot 0 starts at the cursor's root range.
-                            (self.root_lo, self.root_hi)
-                        } else {
-                            (0, self.rep.store().union_len(union))
-                        };
-                        if first >= entry_end {
+                        if self.rep.store().union_len(union) == 0 {
                             // Nothing to choose here: only changing an
                             // earlier slot can help.
                             break;
                         }
                         self.cur_union[fill] = union;
-                        self.cur_entry[fill] = first;
+                        self.cur_entry[fill] = 0;
                         self.write_values(fill);
                         fill += 1;
                     }
@@ -491,13 +433,8 @@ impl<'a> TupleCursor<'a> {
             .to_vec();
         while self.advance() {
             let values = self.rep.store().value_slice(self.cur_union[last]);
-            // A single-slot cursor's innermost wheel is the root range.
-            let end = if last == 0 {
-                self.root_hi as usize
-            } else {
-                values.len()
-            };
-            let values = &values[self.cur_entry[last] as usize..end];
+            let end = values.len();
+            let values = &values[self.cur_entry[last] as usize..];
             ctx.charge(values.len() as u64)?;
             out.try_reserve(values.len().saturating_mul(width))
                 .map_err(|e| output_too_large(&e))?;
@@ -564,8 +501,7 @@ fn emit_all(rep: &FRep, config: &CursorConfig, ctx: &ExecCtx) -> Result<Vec<Valu
     let mut out = Vec::new();
     out.try_reserve_exact(cells)
         .map_err(|e| output_too_large(&e))?;
-    let full = config.root_entries(rep);
-    TupleCursor::with_root_range(rep, config, 0, full).emit_into(&mut out, ctx)?;
+    TupleCursor::with_config(rep, config).emit_into(&mut out, ctx)?;
     Ok(out)
 }
 
@@ -582,76 +518,6 @@ pub fn materialize(rep: &FRep) -> Result<Relation> {
 pub fn materialize_ctx(rep: &FRep, ctx: &ExecCtx) -> Result<Relation> {
     failpoint!(ctx, "enumerate.cursor");
     let data = emit_all(rep, &CursorConfig::new(rep), ctx)?;
-    Relation::from_flat(rep.visible_attrs(), data)
-}
-
-/// How many partitions to cut the first root's entry range into per worker;
-/// a few per worker smooths out skew between subtree sizes.
-const PARTS_PER_WORKER: u32 = 4;
-
-/// Splits `[0, n)` into at most `parts` non-empty contiguous ranges.
-fn partition_bounds(n: u32, parts: u32) -> Vec<(u32, u32)> {
-    let parts = parts.clamp(1, n.max(1));
-    let chunk = n.div_ceil(parts);
-    (0..parts)
-        .map(|i| ((i * chunk).min(n), ((i + 1) * chunk).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
-/// [`emit_all`] on a thread pool: slot 0's entry range is partitioned across
-/// workers, each emits its range into a flat chunk, and the chunks are
-/// concatenated **in partition order**, so the buffer — row order included —
-/// is bit-for-bit the sequential one.
-///
-/// Layouts whose slot 0 has fewer than two entries (and nullary or
-/// zero-width ones) take the sequential path, as does a single-worker pool.
-fn par_emit_all(rep: &Arc<FRep>, config: CursorConfig, pool: &ThreadPool) -> Result<Vec<Value>> {
-    let bounds = partition_bounds(
-        config.root_entries(rep),
-        pool.threads() as u32 * PARTS_PER_WORKER,
-    );
-    if pool.threads() <= 1 || bounds.len() <= 1 || config.width == 0 {
-        return emit_all(rep, &config, &ExecCtx::unlimited());
-    }
-
-    let config = Arc::new(config);
-    let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Value>>)>();
-    for (part, &(lo, hi)) in bounds.iter().enumerate() {
-        let rep = Arc::clone(rep);
-        let config = Arc::clone(&config);
-        let tx = tx.clone();
-        pool.spawn(move || {
-            let mut chunk = Vec::new();
-            let emitted = TupleCursor::with_root_range(&rep, &config, lo, hi)
-                .emit_into(&mut chunk, &ExecCtx::unlimited());
-            // A closed receiver only means the caller bailed out early.
-            let _ = tx.send((part, emitted.map(|()| chunk)));
-        });
-    }
-    drop(tx);
-
-    let mut chunks: Vec<Option<Vec<Value>>> = vec![None; bounds.len()];
-    for (part, chunk) in rx {
-        chunks[part] = Some(chunk?);
-    }
-    let mut out = Vec::new();
-    out.try_reserve_exact(chunks.iter().flatten().map(Vec::len).sum())
-        .map_err(|e| output_too_large(&e))?;
-    for (part, chunk) in chunks.into_iter().enumerate() {
-        out.extend(chunk.ok_or_else(|| FdbError::InvalidInput {
-            detail: format!("parallel enumeration lost partition {part} (worker panicked)"),
-        })?);
-    }
-    Ok(out)
-}
-
-/// Materialises the represented relation on a thread pool by partitioning
-/// the first root union's entry range across workers (see the module docs);
-/// the output — row order included — is bit-for-bit identical to
-/// [`materialize`].
-pub fn par_materialize(rep: &Arc<FRep>, pool: &ThreadPool) -> Result<Relation> {
-    let data = par_emit_all(rep, CursorConfig::new(rep), pool)?;
     Relation::from_flat(rep.visible_attrs(), data)
 }
 
@@ -848,18 +714,6 @@ pub fn materialize_then_sort(rep: &FRep, order_by: &[AttrId]) -> Result<Relation
     Relation::from_rows(attrs, rows)
 }
 
-/// [`materialize_ordered`] on a thread pool: the same layout, emitted by
-/// partitioning slot 0 — the chain root — exactly like [`par_materialize`],
-/// so the merged buffer equals the sequential emission and the rest (the
-/// fallback sort, when the layout needs it) is shared.
-pub fn par_materialize_ordered(
-    rep: &Arc<FRep>,
-    order_by: &[AttrId],
-    pool: &ThreadPool,
-) -> Result<(Relation, OrderStrategy)> {
-    materialize_ordered_with(rep, order_by, |config| par_emit_all(rep, config, pool))
-}
-
 /// Counts tuples by enumeration (used by tests to cross-check
 /// [`FRep::tuple_count`]).
 pub fn count_by_enumeration(rep: &FRep) -> u128 {
@@ -1025,81 +879,6 @@ mod tests {
         assert_eq!(rel.row(0), &[Value::new(2), Value::new(7)]);
     }
 
-    /// Collects all tuples of `rep` into one flat vector.
-    fn all_rows(rep: &FRep) -> Vec<Vec<Value>> {
-        let mut rows = Vec::new();
-        for_each_tuple(rep, |t| rows.push(t.to_vec()));
-        rows
-    }
-
-    #[test]
-    fn every_root_range_split_reproduces_the_sequential_order() {
-        for rep in [example3(), product_forest()] {
-            let expected = all_rows(&rep);
-            let config = CursorConfig::new(&rep);
-            let n = config.root_entries(&rep);
-            for split in 0..=n {
-                let mut rows = Vec::new();
-                for (lo, hi) in [(0, split), (split, n)] {
-                    let mut cursor = TupleCursor::with_root_range(&rep, &config, lo, hi);
-                    while cursor.advance() {
-                        rows.push(cursor.tuple().to_vec());
-                    }
-                }
-                assert_eq!(rows, expected, "split at {split}/{n}");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_bounds_cover_the_range_without_overlap() {
-        for n in 0..40u32 {
-            for parts in 1..10u32 {
-                let bounds = partition_bounds(n, parts);
-                let mut next = 0;
-                for (lo, hi) in bounds {
-                    assert_eq!(lo, next, "contiguous from {next}");
-                    assert!(lo < hi, "non-empty");
-                    next = hi;
-                }
-                assert_eq!(next, n, "covers [0, {n})");
-            }
-        }
-    }
-
-    #[test]
-    fn par_materialize_is_bit_for_bit_identical_to_materialize() {
-        let pool = workpool::ThreadPool::new(4);
-        for rep in [example3(), product_forest()] {
-            let rep = std::sync::Arc::new(rep);
-            let seq = materialize(&rep).unwrap();
-            let par = par_materialize(&rep, &pool).unwrap();
-            assert_eq!(par.attrs(), seq.attrs());
-            let seq_rows: Vec<_> = seq.rows().collect();
-            let par_rows: Vec<_> = par.rows().collect();
-            assert_eq!(par_rows, seq_rows, "row order is preserved");
-        }
-    }
-
-    #[test]
-    fn par_materialize_handles_empty_and_nullary_representations() {
-        let pool = workpool::ThreadPool::new(4);
-        let edges = vec![DepEdge::new("R", attrs(&[0]), 0)];
-        let mut tree = FTree::new(edges);
-        tree.add_node(attrs(&[0]), None).unwrap();
-        let empty = std::sync::Arc::new(FRep::empty(tree));
-        assert!(par_materialize(&empty, &pool).unwrap().is_empty());
-
-        // A nullary representation (one empty tuple) takes the sequential
-        // fallback; the result matches `materialize` exactly (a zero-arity
-        // `Relation` stores no data, so both report emptiness).
-        let nullary = std::sync::Arc::new(FRep::empty(FTree::new(vec![])));
-        let seq = materialize(&nullary).unwrap();
-        let par = par_materialize(&nullary, &pool).unwrap();
-        assert_eq!(par.len(), seq.len());
-        assert_eq!(par.arity(), seq.arity());
-    }
-
     /// A → B tree with a *repeating* child value so ordering by B has
     /// multi-tuple runs: tuples {(1,4), (1,9), (2,4), (3,4), (3,9)}.
     fn runs_shape() -> FRep {
@@ -1197,27 +976,6 @@ mod tests {
         let got: Vec<_> = rel.rows().collect();
         let want: Vec<_> = oracle.rows().collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_materialize_ordered_matches_sequential_at_every_pool_size() {
-        for threads in [1, 2, 4, 8] {
-            let pool = workpool::ThreadPool::new(threads);
-            for rep in [example3(), product_forest(), runs_shape()] {
-                let rep = std::sync::Arc::new(rep);
-                for order in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
-                    let (seq, seq_s) = materialize_ordered(&rep, &order).unwrap();
-                    let (par, par_s) = par_materialize_ordered(&rep, &order, &pool).unwrap();
-                    assert_eq!(par_s, seq_s, "{threads} threads, order {order:?}");
-                    let seq_rows: Vec<_> = seq.rows().collect();
-                    let par_rows: Vec<_> = par.rows().collect();
-                    assert_eq!(
-                        par_rows, seq_rows,
-                        "{threads} threads, order {order:?}: parallel order diverges"
-                    );
-                }
-            }
-        }
     }
 
     /// A forest from `(class, parent index)` specs (parents first) with
@@ -1466,6 +1224,7 @@ mod tests {
     fn a_raised_cancel_flag_stops_the_scan_within_one_interval_and_one_leaf_union() {
         use fdb_common::{limits::CHECK_INTERVAL, QueryLimits};
         use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
         let rep = governed_rep();
         for (what, run) in governed_paths() {
             let budget = 1 << 20;

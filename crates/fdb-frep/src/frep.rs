@@ -66,17 +66,10 @@ impl FRep {
     }
 
     /// Creates an f-representation directly from an arena store.  Used by
-    /// the arena-native operators and [`crate::build`], which maintain the
-    /// invariants themselves.
+    /// the plan executor and [`crate::build`], which maintain the invariants
+    /// themselves.
     pub(crate) fn from_store(tree: FTree, store: Store) -> Self {
         FRep { tree, store }
-    }
-
-    /// Replaces both parts at once — how an arena-native structural operator
-    /// installs its rewritten tree and arena.
-    pub(crate) fn replace_parts(&mut self, tree: FTree, store: Store) {
-        self.tree = tree;
-        self.store = store;
     }
 
     /// Returns `true` if the two representations have bit-for-bit identical
@@ -299,7 +292,7 @@ impl fmt::Display for FRep {
 mod tests {
     use super::*;
     use crate::node::Entry;
-    use fdb_common::{FdbError, Value};
+    use fdb_common::{ComparisonOp, FdbError, Value};
     use fdb_ftree::DepEdge;
     use std::collections::BTreeSet;
 
@@ -440,7 +433,8 @@ mod tests {
         // Make the B-union under A=1 empty: the A=1 entry must disappear.
         roots[0].entries[0].children[0].entries.clear();
         let mut rep = FRep::from_parts_unchecked(tree, roots);
-        rep.store = rep.store.retain_and_prune(&rep.tree, |_, _| true);
+        // A selection every value passes: what is left of it is the prune.
+        crate::ops::select_const(&mut rep, AttrId(0), ComparisonOp::Ge, Value::new(0)).unwrap();
         rep.validate().unwrap();
         assert_eq!(rep.tuple_count(), 1);
         assert_eq!(rep.root(0).len(), 1);

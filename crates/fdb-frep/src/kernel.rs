@@ -4,10 +4,9 @@
 //! The [`crate::store`] arenas keep entry values in a dense `&[Value]` array
 //! per union (see the store docs for the SoA layout contract), so the hot
 //! scans of the engine — predicate evaluation in the overlay's entry
-//! filters and `retain_and_prune`, `find_value` probes, and the sortedness
-//! check in `validate` — all reduce to a handful of kernels over a flat
-//! slice of 8-byte values.  This
-//! module is the **single home** for those kernels and for the
+//! filters, `find_value` probes, and the sortedness check in `validate` —
+//! all reduce to a handful of kernels over a flat slice of 8-byte values.
+//! This module is the **single home** for those kernels and for the
 //! binary-search probe contract ([`find_by_key`]) that the builder-form
 //! [`crate::node::Union`] shares with the arena probes.
 //!
@@ -122,8 +121,8 @@ pub fn find_value(values: &[Value], target: Value) -> Option<usize> {
 
 /// Evaluates `value θ rhs` for every value of a block, writing one `bool`
 /// per value — the batched form of the per-entry predicate in the overlay's
-/// entry filters and `retain_and_prune`.  `out.len()` must equal
-/// `values.len()`.  Runtime-dispatched.
+/// entry filters.  `out.len()` must equal `values.len()`.
+/// Runtime-dispatched.
 #[inline]
 pub fn fill_keep_mask(values: &[Value], op: ComparisonOp, rhs: Value, out: &mut [bool]) {
     assert_eq!(values.len(), out.len(), "mask length mismatch");

@@ -25,8 +25,9 @@
 //!   materialisation into a flat [`fdb_relation::Relation`];
 //! * the data-level f-plan operators ([`ops`]): Cartesian product, push-up
 //!   and normalisation, swap, merge, absorb, selection with a constant, and
-//!   projection — all arena-native, rewriting the flat store in single
-//!   passes with no pointer-tree round trip.  Each operator transforms both
+//!   projection — each defined once, as a pass over the overlay of
+//!   [`ops::fuse`], and a whole plan as one program with one arena emission
+//!   and no pointer-tree round trip.  Each operator transforms both
 //!   the representation and its f-tree, keeping the two consistent, and
 //!   runs in (quasi)linear time in the sizes of its input and output;
 //! * one-pass aggregation ([`aggregate`]): `COUNT`/`SUM`/`MIN`/`MAX`/`AVG`
@@ -60,15 +61,17 @@
 //!
 //! # The single-pass execution contract
 //!
-//! The fused executor ([`ops::fuse`]) compiles an entire f-plan — push-ups,
+//! The plan executor ([`ops::fuse`]) runs an entire f-plan — push-ups,
 //! normalisations, swaps, merges, absorbs, **and** constant selections and
-//! projections — into one overlay program over the input arena, emitting
-//! exactly one output arena in freeze layout, bit-for-bit identical to
-//! running the operators one at a time.  There are no fusion barriers: a
-//! selection is an entry filter folded into the liveness sweep (emptied
-//! subtrees retract exactly as the merge/absorb prune retracts them), and a
-//! projection replays its leaf removals and data-dependent swap-downs on
-//! the overlay.  `fdb-plan` routes every multi-pass plan through this path.
+//! projections; one operator or twenty — as one overlay program over the
+//! input arena, emitting exactly one output arena in freeze layout,
+//! bit-for-bit identical to running the operators one at a time.  There are
+//! no fusion barriers: a selection is an entry filter folded into the
+//! liveness sweep (emptied subtrees retract exactly as the merge/absorb
+//! prune retracts them), and a projection replays its leaf removals and
+//! data-dependent swap-downs on the overlay.  [`ops::emit_fused_ctx`] is the
+//! one place that decides how a program runs (a lone swap takes the direct
+//! rewriter of [`mod@ops::swap`]); `fdb-plan` hands it every non-empty plan.
 //!
 //! # The sharing contract
 //!
@@ -85,9 +88,9 @@
 //!
 //! What that licenses: a frozen `FRep` behind an `Arc` may be read by any
 //! number of threads concurrently with **no locking whatsoever** — shared
-//! scans, concurrent queries over one database (`fdb-core`'s serving
-//! layer), and partitioned parallel enumeration
-//! ([`enumerate::par_materialize`]) all read the same arena in place.
+//! scans and concurrent queries over one database (`fdb-core`'s serving
+//! layer, which parallelises across requests) all read the same arena in
+//! place.
 //! Mutation never happens in place, so there is nothing to synchronise;
 //! "updating" a shared database means publishing a new `Arc`.
 //!
@@ -106,8 +109,7 @@
 //! # The cancellation and budget contract
 //!
 //! Every data-dependent loop in this crate has a `_ctx` variant
-//! ([`build_frep_ctx`], `Store::retain_and_prune_ctx`,
-//! [`ops::emit_fused_ctx`], [`aggregate::evaluate_ctx`],
+//! ([`build_frep_ctx`], [`ops::emit_fused_ctx`], [`aggregate::evaluate_ctx`],
 //! [`enumerate::materialize_ctx`], …) threaded with an
 //! [`fdb_common::ExecCtx`]: the loop **charges** the context roughly one
 //! unit per arena record it processes or emits, and the context turns
@@ -117,8 +119,8 @@
 //!
 //! * **No partial state.** An interrupting `Err` propagates without
 //!   installing anything: the semi-join builder retracts to its
-//!   watermark, rewriters and the fused executor build *fresh* arenas
-//!   that are only swapped in on success, and aggregation/enumeration
+//!   watermark, the plan executor builds a *fresh* arena that is only
+//!   swapped in on success, and aggregation/enumeration
 //!   never mutate their input.  A representation that was readable before
 //!   an aborted operation is bit-for-bit unchanged after it.
 //! * **Cheap when armed, free when not.** The ungoverned public APIs
@@ -131,9 +133,9 @@
 //! interrupted, so any new loop whose trip count depends on data size
 //! must charge at least once per record batch.  With the
 //! `fault-injection` cargo feature the same contexts also drive the
-//! deterministic `failpoint!` sites (`build.semi_join`, `store.rewrite`,
-//! `fuse.execute`, `aggregate.fold`, `enumerate.cursor`, `snapshot.write`,
-//! `snapshot.read`) used by the chaos suite in the workspace root.
+//! deterministic `failpoint!` sites (`build.semi_join`, `fuse.execute`,
+//! `aggregate.fold`, `enumerate.cursor`, `snapshot.write`, `snapshot.read`)
+//! used by the chaos suite in the workspace root.
 //!
 //! # Durability
 //!
@@ -165,8 +167,8 @@ pub use aggregate::{AggregateKind, AggregateResult, AggregateValue, AvgValue};
 pub use build::{build_frep, build_frep_ctx};
 pub use enumerate::{
     count_by_enumeration, for_each_tuple, materialize, materialize_ctx, materialize_ordered,
-    materialize_ordered_ctx, materialize_then_sort, order_chain, par_materialize,
-    par_materialize_ordered, CursorConfig, OrderStrategy, TupleCursor,
+    materialize_ordered_ctx, materialize_then_sort, order_chain, CursorConfig, OrderStrategy,
+    TupleCursor,
 };
 pub use frep::FRep;
 pub use node::{Entry, Union};

@@ -1,183 +1,28 @@
 //! The absorb selection operator `α_{A,B}`.
 //!
 //! Absorb enforces an equality `A = B` when the node `B` is a *descendant*
-//! of the node `A`.  Inside the subtree of every `A`-value `a`, each union
-//! over `B` is restricted to the single entry with value `a` (or emptied if
-//! no such entry exists), the `B` level is spliced out (its children move up
-//! to `B`'s former parent), and `B`'s attributes join `A`'s class
-//! (Figure 3(d)).  As in the paper, the operator finishes with a
-//! normalisation step: removing `B` can make nodes below it independent of
-//! the nodes in between, so they may be pushed up.
-//!
-//! The operator is **arena-native**: one [`Rewriter`] pass walks the arena
-//! carrying the current `A`-value as context, binary-searches each `B`-union
-//! for it, and splices the matching entry's kid subtrees into `B`'s former
-//! parent; entries whose `B`-union misses the context value are dropped on
-//! the spot.  The subsequent [`Store::retain_and_prune`] pass cascades those
-//! removals upwards, exactly as the paper prescribes.  No thaw, no builder
-//! tree; the old implementation survives as [`crate::ops::oracle`].
+//! of the node `A`: inside the subtree of every `A`-value each `B`-union is
+//! restricted to that value and spliced out, emptied products are pruned
+//! away, and — as in the paper — the operator finishes with a normalisation
+//! step.  It has no rewriter of its own — it **is** the one-operator overlay
+//! program `[FusedOp::Absorb]`; the operator's definition is on `AbsorbPass`
+//! in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::kernel;
-use crate::ops::restructure::normalise;
-use crate::ops::{child_pos, debug_validate};
-use crate::store::{Rewriter, Store};
-use fdb_common::{FdbError, Result, Value};
-use fdb_ftree::{FTree, NodeId};
-use std::collections::BTreeSet;
+use crate::ops::fuse::{execute_fused, FusedOp};
+use fdb_common::Result;
+use fdb_ftree::NodeId;
 
 /// Absorb operator `α_{A,B}` where `a` is an ancestor of `b`: enforces
 /// `A = B`, fuses `b` into `a` and normalises.  Returns the nodes pushed up
-/// by the final normalisation step.
+/// by the final normalisation step (known from the tree alone).  On error
+/// the representation is left exactly as it was.
 pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
-    rep.tree().check_node(a)?;
-    rep.tree().check_node(b)?;
-    if !rep.tree().is_ancestor(a, b) {
-        return Err(FdbError::InvalidOperator {
-            detail: format!("absorb: {a} is not an ancestor of {b}"),
-        });
-    }
-    let b_parent = rep
-        .tree()
-        .parent(b)
-        .expect("b has an ancestor, so a parent");
-    let mut new_tree = rep.tree().clone();
-    new_tree.absorb_into_ancestor(a, b)?;
-    let restricted = absorb_rewrite(rep.store(), rep.tree(), &new_tree, a, b, b_parent);
-    // Entries whose B-union had no matching value (or whose product emptied
-    // transitively) disappear here.
-    let pruned = restricted.retain_and_prune(&new_tree, |_, _| true);
-    rep.replace_parts(new_tree, pruned);
-    debug_validate(rep, "absorb");
-    normalise(rep)
-}
-
-/// Emits the restricted-and-spliced (not yet pruned) arena.
-fn absorb_rewrite(
-    src: &Store,
-    old_tree: &FTree,
-    new_tree: &FTree,
-    a: NodeId,
-    b: NodeId,
-    b_parent: NodeId,
-) -> Store {
-    let old_b_children = old_tree.children(b);
-    let mut ab = AbsorbRewrite {
-        rw: Rewriter::new(src, old_tree),
-        a,
-        b_parent,
-        on_path: old_tree.ancestors(b).into_iter().collect(),
-        pos_b: child_pos(old_tree.children(b_parent), b),
-        spliced_slots: new_tree
-            .children(b_parent)
-            .iter()
-            .map(|&c| {
-                if old_b_children.contains(&c) {
-                    (true, child_pos(old_b_children, c))
-                } else {
-                    (false, child_pos(old_tree.children(b_parent), c))
-                }
-            })
-            .collect(),
-        matches: Vec::new(),
-    };
-    let roots: Vec<u32> = src.roots.iter().map(|&r| ab.emit(r, None)).collect();
-    ab.rw.finish(roots)
-}
-
-struct AbsorbRewrite<'a> {
-    rw: Rewriter<'a>,
-    a: NodeId,
-    b_parent: NodeId,
-    /// Ancestors of `b` in the old tree: the root-to-`B` path whose unions
-    /// must be re-emitted (everything else is copied verbatim).
-    on_path: BTreeSet<NodeId>,
-    /// Kid position of `b` in its parent's old child list.
-    pos_b: u32,
-    /// For each kid slot of the rewritten `B`-parent union: `(spliced from
-    /// the matched B-entry, old kid position)`.
-    spliced_slots: Vec<(bool, u32)>,
-    /// Scratch: `(entry index, B-union id, matched B-entry index)` of the
-    /// surviving entries of the `B`-parent union being rewritten.
-    matches: Vec<(u32, u32, u32)>,
-}
-
-impl AbsorbRewrite<'_> {
-    /// Emits union `uid`; `ctx` is the `A`-value of the enclosing `A`-entry,
-    /// if the walk has passed one.
-    fn emit(&mut self, uid: u32, ctx: Option<Value>) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        if rec.node == self.b_parent {
-            return self.emit_spliced(uid, ctx);
-        }
-        if rec.node != self.a && !self.on_path.contains(&rec.node) {
-            return self.rw.copy_union(uid);
-        }
-        // On the root-to-B path (possibly the A-union itself, which sets the
-        // context value for its subtree).
-        let sets_ctx = rec.node == self.a;
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let kid_count = self.rw.src_kid_count(rec.node);
-        for i in 0..rec.entries_len {
-            let entry_ctx = if sets_ctx {
-                Some(src.value_slice(uid)[i as usize])
-            } else {
-                ctx
-            };
-            let mark = self.rw.mark();
-            for k in 0..kid_count {
-                let kid = self.emit(src.kid(uid, i, k), entry_ctx);
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// The `B`-parent union: each entry's `B` slot is replaced by the kid
-    /// subtrees of the `B`-entry matching the context value (binary search
-    /// over the sorted entry slice); entries whose `B`-union misses the
-    /// value are dropped — the prune pass cascades the removals upwards.
-    fn emit_spliced(&mut self, uid: u32, ctx: Option<Value>) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        let sets_ctx = rec.node == self.a;
-        let values = src.value_slice(uid);
-        self.matches.clear();
-        for i in 0..rec.entries_len {
-            let value = if sets_ctx {
-                values[i as usize]
-            } else {
-                ctx.expect("the B-parent lies inside an A-entry subtree")
-            };
-            let b_uid = src.kid(uid, i, self.pos_b);
-            if let Some(j) = kernel::find_value(src.value_slice(b_uid), value) {
-                self.matches.push((i, b_uid, j as u32));
-            }
-        }
-        let out = self.rw.begin_union_raw(rec.node, self.matches.len() as u32);
-        for m in 0..self.matches.len() {
-            self.rw.push_value(values[self.matches[m].0 as usize]);
-        }
-        for m in 0..self.matches.len() {
-            let (i, b_uid, j) = self.matches[m];
-            let mark = self.rw.mark();
-            for s in 0..self.spliced_slots.len() {
-                let (from_b, pos) = self.spliced_slots[s];
-                let kid = if from_b {
-                    self.rw.copy_union(src.kid(b_uid, j, pos))
-                } else {
-                    self.rw.copy_union(src.kid(uid, i, pos))
-                };
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, m as u32, mark);
-        }
-        out
-    }
+    let mut tree = rep.tree().clone();
+    tree.absorb_into_ancestor(a, b)?;
+    let pushed = tree.normalise();
+    execute_fused(rep, &[FusedOp::Absorb(a, b)])?;
+    Ok(pushed)
 }
 
 #[cfg(test)]
@@ -186,8 +31,9 @@ mod tests {
     use crate::enumerate::materialize;
     use crate::frep::{Entry, Union};
     use crate::ops::oracle;
-    use fdb_common::AttrId;
-    use fdb_ftree::DepEdge;
+    use fdb_common::{AttrId, Value};
+    use fdb_ftree::{DepEdge, FTree};
+    use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()

@@ -1,21 +1,30 @@
-//! Fused f-plan execution: a run of structural operators in one arena pass.
+//! F-plan execution: every operator of the paper's Section 3 as a pass over
+//! one overlay, and a whole plan as one arena emission.
 //!
-//! # Why
+//! This module **is** the definition of the structural operators.  Each one
+//! exists once, as an overlay pass — [`PushUpPass`] (push-up `ψ`, and
+//! normalisation `η` as a replayed sequence of them), [`SwapPass`] (`χ`),
+//! [`MergePass`] (`µ`), [`AbsorbPass`] (`α`), [`RemoveLeafPass`] (the leaf
+//! removals of projection `π`), and [`Fusion::filter`] (selection with a
+//! constant `σ`); the paper formula and the cost bound of each operator are
+//! on its pass.  The public single-operator functions of [`crate::ops`] are
+//! one-operator programs, and the thaw-path [`crate::ops::oracle`] is the
+//! independent reference every pass is pinned against bit for bit.
 //!
-//! Since PR 2 every structural operator (swap, merge, absorb, push-up,
-//! projection) is a single arena-to-arena pass, but a k-step f-plan still
-//! materialises k−1 intermediate arenas that exist only to be consumed by
-//! the next step.  On optimiser-produced plans — which routinely chain
-//! swap → merge → normalise — most of the remaining wall-clock is spent
-//! copying untouched regions of the arena over and over, not performing the
-//! rewrites themselves.
+//! # Why an overlay
 //!
-//! # The whole-plan model (no barriers)
+//! A k-step f-plan executed operator at a time materialises k−1 intermediate
+//! arenas that exist only to be consumed by the next step.  On
+//! optimiser-produced plans — which routinely chain swap → merge → normalise
+//! — most of the wall-clock would go into copying untouched regions of the
+//! arena over and over, not into the rewrites themselves.  And a single
+//! operator gains too: what it does not touch is never walked, only
+//! referenced and block-copied at the end.
 //!
-//! Through PR 4, `fdb-plan` segmented an op list at *fusion barriers* —
-//! selections with constants and projections, whose data-level effect is
-//! value-dependent — and only the structural runs between barriers fused.
-//! Since PR 5 both barrier classes are overlay transforms too:
+//! # The whole-plan model
+//!
+//! Every operator is an overlay transform, the value-dependent ones
+//! included:
 //!
 //! * a **constant selection** is a per-union entry filter composed with the
 //!   cached liveness machinery ([`Fusion::filter`]): one fresh bottom-up
@@ -29,34 +38,26 @@
 //!   [`SwapPass`] that serves explicit swap steps, until they become
 //!   removable leaves.
 //!
-//! An entire f-plan — selections and projections included — therefore
-//! compiles into **one** [`FusedOp`] program and executes through
-//! [`execute_fused`] as one pass:
+//! An entire f-plan — one operator or twenty — therefore compiles into
+//! **one** [`FusedOp`] program and executes as one pass:
 //!
 //! 1. The f-tree transforms are simulated up front, step by step, on clones
-//!    of the tree — exactly the schema-level transforms the individual
-//!    operators would apply.  This also performs all operator validation
-//!    before any data is touched, so a failing segment leaves the
-//!    representation unmodified.
+//!    of the tree.  This also performs all operator validation before any
+//!    data is touched, so a failing program leaves its input unmodified.
 //! 2. Each step is applied to an **overlay**: a forest of virtual unions
 //!    where a [`VId`] either points at an untouched union of the *input*
 //!    arena (a `Src` reference — O(1) to create, nothing is copied) or at a
 //!    [`Mix`] node materialising just the regrouped/spliced/merged region.
-//!    The overlay passes mirror the PR 2 rewriters decision for decision
-//!    (same pair sort for swap, same sort-merge join for merge, same
-//!    binary-search restriction for absorb, same first-entry lift for
-//!    push-up), but where a rewriter would `copy_union` an unaffected
-//!    subtree the overlay stores a reference.
-//! 3. The merge/absorb prune is folded in as a *liveness sweep over the
-//!    overlay*: one flat bottom-up pass over the input arena (computed once
-//!    per program, cached) decides per-entry liveness of untouched regions,
-//!    and a cheap walk over the Mix nodes propagates emptiness — no
-//!    intermediate `retain_and_prune` re-emission.  A selection runs the
-//!    same sweep ([`Fusion::compute_liveness`], the only one) with its
-//!    comparison evaluated per union block on the selected node.  A leaf
-//!    union has no kid to fold, so the sweep never loops over its entries:
-//!    it is clean and as empty as it was, or — on the selected node — its
-//!    keep mask alone decides.
+//! 3. The merge/absorb prune is a *liveness sweep over the overlay*
+//!    ([`Fusion::prune`]): one flat bottom-up pass over the input arena
+//!    (computed once per program, cached) decides per-entry liveness of
+//!    untouched regions, and a cheap walk over the Mix nodes propagates
+//!    emptiness — no intermediate re-emission.  A selection runs the same
+//!    sweep ([`Fusion::compute_liveness`], the only one) with its comparison
+//!    evaluated per union block on the selected node.  A leaf union has no
+//!    kid to fold, so the sweep never loops over its entries: it is clean
+//!    and as empty as it was, or — on the selected node — its keep mask
+//!    alone decides.
 //! 4. Normalisation (and absorb's trailing normalisation) is replayed as
 //!    overlay push-ups: the push-up sequence is computable from the tree
 //!    alone, so the whole sequence collapses into pure header remaps on the
@@ -68,32 +69,41 @@
 //!    block copy of the whole subtree, not a walk over its records, so
 //!    emission costs what the program changed plus a `memcpy` of what it did
 //!    not.  The output is the exact [`crate::store::Store::freeze`] layout,
-//!    so a fused program is **bit-for-bit identical** to the PR 2 step-wise
-//!    execution of the same steps — the randomized equivalence suite asserts
-//!    store identity.
+//!    so a program is **bit-for-bit identical** to applying the oracle
+//!    operator by operator — the randomized equivalence suite asserts store
+//!    identity.
 //!
-//! Total data movement for a k-step program: the touched regions (which the
-//! step-wise path also rebuilds) plus **one** full copy, instead of k.
-//! Aggregate consumers skip even that one copy:
-//! [`execute_fused_aggregate`] folds the aggregate (and the program's
+//! Total data movement for a k-step program: the touched regions plus
+//! **one** full copy, instead of k.  Aggregate consumers skip even that one
+//! copy: [`execute_fused_aggregate`] folds the aggregate (and the program's
 //! trailing selections, as entry filters) directly over the overlay.
+//!
+//! # The one selection
+//!
+//! [`emit_fused_ctx`] is the only place that decides *how* a program runs,
+//! and it decides from the program alone: `[FusedOp::Swap(b)]` — one swap
+//! and nothing else — goes to the direct rewriter of [`mod@crate::ops::swap`]
+//! (whose module docs hold the measurement behind it), everything else, and
+//! every aggregate sink, runs the overlay.  Both arms read the borrowed
+//! input in place, sit below the `fuse.execute` failpoint, charge the
+//! context, and emit the same bits.
 
 use crate::aggregate::{
     self, Acc, Accumulator, AggFilter, AggTarget, AggregateKind, AggregateResult, DistinctAcc,
 };
 use crate::frep::FRep;
 use crate::kernel;
-use crate::ops::{child_pos, debug_validate};
+use crate::ops::{child_pos, debug_validate, swap};
 use crate::store::{kid_count_table, Rewriter, Store};
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId, SwapOutcome};
 use std::collections::BTreeSet;
 
-/// One fusable f-plan step.  Since PR 5 this covers **every** f-plan
-/// operator — constant selections become per-union entry filters composed
-/// with the liveness sweep, and projections replay as leaf removals plus the
-/// data-dependent swap-downs — so a whole plan compiles into one overlay
-/// program (see the module docs).
+/// One f-plan step.  This covers **every** f-plan operator — constant
+/// selections become per-union entry filters composed with the liveness
+/// sweep, and projections replay as leaf removals plus the data-dependent
+/// swap-downs — so a whole plan compiles into one overlay program (see the
+/// module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FusedOp {
     /// Push-up `ψ_B`: lift `node` above its parent.
@@ -124,19 +134,19 @@ pub enum FusedOp {
     Project(BTreeSet<AttrId>),
 }
 
-/// Executes a program of fused steps — structural operators, constant
-/// selections and projections alike — as one arena pass.
+/// Executes a program of f-plan steps — structural operators, constant
+/// selections and projections alike — as one arena pass, in place.
 ///
-/// Semantically identical — bit-for-bit on the output arena — to applying
-/// the corresponding [`crate::ops`] operators one at a time; on error the
-/// representation is left unmodified (the step-wise path would stop at the
-/// failing operator instead).
+/// Bit-for-bit on the output arena what applying the thaw-path
+/// [`crate::ops::oracle`] operator by operator produces; on error the
+/// representation is left unmodified.
 pub fn execute_fused(rep: &mut FRep, ops: &[FusedOp]) -> Result<()> {
     execute_fused_ctx(rep, ops, &ExecCtx::unlimited())
 }
 
 /// [`execute_fused`] under a governance context (see [`emit_fused_ctx`]);
-/// the output replaces `rep` only after the whole emission succeeded.
+/// the output replaces `rep` only after the whole emission succeeded, and
+/// the empty program leaves it as it is.
 pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<()> {
     if !ops.is_empty() {
         *rep = emit_fused_ctx(rep, ops, ctx)?;
@@ -144,14 +154,26 @@ pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Resu
     Ok(())
 }
 
-/// The fused executor proper: runs the program over the **borrowed** input
-/// and returns the emitted result.  The overlay only references the input
-/// arena and the [`Rewriter`] writes a fresh one, so nothing is cloned and an
-/// abort leaves nothing behind.  The liveness sweeps, the overlay prunes and
-/// the final emission all charge the context per record, so a deadline,
-/// budget or cancellation aborts the program cooperatively.
+/// The plan executor proper, and the one place that selects how a program
+/// runs: over the **borrowed** input, returning the emitted result.  Nothing
+/// is cloned and an abort leaves nothing behind; every program charges the
+/// context for the records it reads and writes, so a deadline, budget or
+/// cancellation aborts it cooperatively.
 pub fn emit_fused_ctx(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "fuse.execute");
+    match ops {
+        // A lone swap deep in a tree is the one program the overlay writes
+        // twice (into `Mix` nodes, then into the arena); the direct rewriter
+        // writes it once — see `ops/swap.rs` for the numbers.
+        [FusedOp::Swap(b)] => Ok(swap::emit_swap(rep, *b, ctx)?.0),
+        _ => emit_overlay(rep, ops, ctx),
+    }
+}
+
+/// Runs the program on the overlay and emits the result (the body of
+/// [`emit_fused_ctx`] for everything but a lone swap): the liveness sweeps,
+/// the overlay prunes and the final emission all charge per record.
+fn emit_overlay(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
     let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
     let mut cur = rep.tree().clone();
     for op in ops {
@@ -159,7 +181,7 @@ pub fn emit_fused_ctx(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep
         apply_op(&mut fusion, &mut cur, op)?;
     }
     let out = FRep::from_store(cur, fusion.into_store(rep.tree())?);
-    debug_validate(&out, "fused plan segment");
+    debug_validate(&out, "overlay program");
     Ok(out)
 }
 
@@ -234,8 +256,7 @@ pub fn execute_fused_aggregate_ctx(
     fusion.aggregate(&cur, kind, group_by, &filter)
 }
 
-/// Resolves a selection attribute against the current simulated tree,
-/// mirroring the step-wise operator's error.
+/// Resolves a selection attribute against the current simulated tree.
 fn select_node(cur: &FTree, attr: AttrId) -> Result<NodeId> {
     cur.node_of_attr(attr)
         .ok_or_else(|| FdbError::AttributeNotInQuery {
@@ -294,13 +315,27 @@ fn swap_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> 
     Ok(())
 }
 
-/// Replays the projection operator on the overlay, decision for decision the
-/// loop of [`crate::ops::project`]: mark the dropped attributes on the
-/// simulated tree, remove every fully-projected leaf (a [`RemoveLeafPass`]
-/// per leaf — pure header remaps, nothing is copied), and swap each
-/// fully-projected inner node downwards (the data-dependent swap-downs drive
-/// the same [`SwapPass`] as an explicit swap step) until it becomes a
-/// removable leaf.
+/// The projection operator `π_Ā` on the overlay.
+///
+/// Projection replaces the singletons of every attribute outside the
+/// projection list with the nullary singleton `⟨⟩`.  On the structure:
+///
+/// 1. the projected-away attributes are *marked* on their nodes of the
+///    simulated tree (nodes are not removed immediately — an inner node whose
+///    attributes are all projected away still carries the correlation between
+///    its ancestors and descendants, exactly the paper's `A — B — C` example);
+/// 2. leaves whose attributes are all marked are removed (their union of
+///    singletons collapses to `⟨⟩`; a [`RemoveLeafPass`] per leaf — pure
+///    header remaps, nothing is copied), merging the dependency edges that
+///    used to meet in them so transitive dependencies survive;
+/// 3. remaining marked inner nodes are swapped downwards (the data-dependent
+///    swap-downs drive the same [`SwapPass`] as an explicit swap step) until
+///    they become leaves, then removed as well.
+///
+/// The represented relation afterwards is the projection, with set
+/// semantics — a factorised representation never stores duplicate tuples.
+/// Attributes in `keep` that do not occur in the representation are
+/// ignored.
 fn project_steps(fusion: &mut Fusion<'_>, cur: &mut FTree, keep: &BTreeSet<AttrId>) -> Result<()> {
     let all = cur.all_attrs();
     let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
@@ -347,8 +382,11 @@ fn push_up_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<(
     Ok(())
 }
 
-/// Replays normalisation as overlay push-ups, in exactly the order the
-/// step-wise [`crate::ops::normalise`] applies them.
+/// The normalisation operator `η`: push-ups bottom-up until no node can be
+/// lifted any further — the same loop, in the same order, as
+/// [`FTree::normalise`], so the push-up sequence is known from the tree
+/// alone.  The result is the unique normalised f-tree reachable this way,
+/// and the representation only ever shrinks.
 fn normalise_steps(fusion: &mut Fusion<'_>, cur: &mut FTree) -> Result<()> {
     loop {
         let mut changed = false;
@@ -568,10 +606,11 @@ impl<'a> Fusion<'a> {
         Ok(())
     }
 
-    /// The overlay counterpart of `Store::retain_and_prune(keep = true)`:
-    /// drops entries whose product became empty, propagating upwards.  Clean
-    /// `Src` subtrees pass through untouched; only Mix nodes and dirty `Src`
-    /// regions are rebuilt.
+    /// The prune that follows a merge or an absorb: drops entries whose
+    /// product became empty (some kid union without entries), propagating
+    /// upwards; root unions may end up empty.  Clean `Src` subtrees pass
+    /// through untouched; only Mix nodes and dirty `Src` regions are
+    /// rebuilt.
     fn prune(&mut self) -> Result<()> {
         self.ensure_liveness()?;
         let live = self.liveness.take().expect("liveness just ensured");
@@ -580,13 +619,12 @@ impl<'a> Fusion<'a> {
         result
     }
 
-    /// The overlay counterpart of the constant-selection operator
-    /// (`Store::retain_and_prune` with the comparison as predicate): keeps
-    /// the entries of `node`'s unions whose value satisfies `cmp value`, and
-    /// prunes entries whose product became empty exactly as the merge/absorb
-    /// prune does.  One fresh liveness sweep (the predicate changes per
-    /// selection) plus a walk that rebuilds only dirty regions — subtrees
-    /// the selection does not touch stay `Src` references.
+    /// The selection operator `σ_{A θ c}`: keeps the entries of `node`'s
+    /// unions whose value satisfies `cmp value`, and prunes entries whose
+    /// product became empty exactly as the merge/absorb prune does.  One
+    /// fresh liveness sweep (the predicate changes per selection) plus a
+    /// walk that rebuilds only dirty regions — subtrees the selection does
+    /// not touch stay `Src` references.  Linear in the input.
     fn filter(&mut self, node: NodeId, cmp: ComparisonOp, value: Value) -> Result<()> {
         let keep = move |n: NodeId, v: Value| n != node || cmp.eval(v, value);
         let live = self.compute_liveness(Some((node, cmp, value)))?;
@@ -894,9 +932,22 @@ macro_rules! rebuild_entries {
 // Push-up (and normalisation) on the overlay
 // ---------------------------------------------------------------------
 
-/// Overlay counterpart of `restructure::PushUpRewrite`: the `A`-union loses
-/// its `B` slot, each grandparent entry gains the lifted `B`-union (the copy
-/// under the first `A`-entry) as a new last kid slot.
+/// The push-up operator `ψ_B`.
+///
+/// Push-up factors a common subexpression out of a union: when a node `B` is
+/// a child of `A` but `A` does not depend on `B` or its descendants, every
+/// copy of the `B`-union under the different `A`-values is identical, so one
+/// copy can be lifted out of the `A`-union and multiplied with it
+/// (Figure 3(a)):
+///
+/// ```text
+/// ⋃_a ⟨A:a⟩ × (⋃_b ⟨B:b⟩ × F_b) × E_a   ⇒   (⋃_b ⟨B:b⟩ × F_b) × ⋃_a ⟨A:a⟩ × E_a
+/// ```
+///
+/// On the overlay the `A`-union loses its `B` slot and each grandparent
+/// entry gains the lifted `B`-union (the copy under the first `A`-entry — all
+/// copies are equal by independence) as a new last kid slot: pure header
+/// remaps, linear in the unions on the root-to-`A` path.
 struct PushUpPass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     a: NodeId,
@@ -1016,9 +1067,12 @@ impl<'f, 'a> PushUpPass<'f, 'a> {
 // Swap on the overlay
 // ---------------------------------------------------------------------
 
-/// Overlay counterpart of `swap::SwapRewrite`: every `A`-union is regrouped
-/// by `B`-value with the same flat pair sort; kept children of `B` and the
-/// inner `A`-entries' subtrees become references.
+/// The swap operator `χ_{A,B}` on the overlay (the formula is on
+/// [`mod@crate::ops::swap`], whose direct rewriter serves the lone swap):
+/// every `A`-union is regrouped by `B`-value with one flat sort of its
+/// `(b, a)` pairs — the sort-merge equivalent of the paper's Figure 4
+/// priority-queue algorithm, the same `O(N log N)` bound; kept children of
+/// `B` and the inner `A`-entries' subtrees become references.
 struct SwapPass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     a: NodeId,
@@ -1117,8 +1171,7 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         })
     }
 
-    /// Regroups one `A`-union into the corresponding `B`-union with the same
-    /// pair sort as the step-wise operator.
+    /// Regroups one `A`-union into the corresponding `B`-union.
     fn regroup(&mut self, a_vid: VId) -> VId {
         let pos_b = child_pos(&self.old_a_children, self.b);
         let a_len = self.fu.len(a_vid);
@@ -1129,8 +1182,9 @@ impl<'f, 'a> SwapPass<'f, 'a> {
                 pairs.push((self.fu.value(b_vid, j), i, b_vid, j));
             }
         }
-        // (b value, a entry) is unique per pair, so this reproduces the
-        // step-wise full-tuple sort order exactly.
+        // (b value, a entry) is unique per pair: within one b value the
+        // pairing a values arrive in increasing order, as the paper's
+        // priority queue delivers them.
         pairs.sort_unstable_by_key(|p| (p.0, p.1));
 
         let mut values = Vec::new();
@@ -1209,9 +1263,22 @@ impl<'f, 'a> SwapPass<'f, 'a> {
 // Merge on the overlay
 // ---------------------------------------------------------------------
 
-/// Overlay counterpart of `merge::MergeRewrite`: in every product context
-/// the two sibling unions sort-merge join into one union over `a`; the
-/// folded prune afterwards removes entries whose product became empty.
+/// The merge selection operator `µ_{A,B}`.
+///
+/// Merge enforces an equality `A = B` between two *sibling* nodes of the
+/// f-tree: wherever the two sibling unions occur in a product, they are
+/// replaced by a single union over the merged node that keeps only the
+/// values present in both, combining their children (Figure 3(c)):
+///
+/// ```text
+/// (⋃_a ⟨A:a⟩ × E_a) × (⋃_b ⟨B:b⟩ × F_b)  ⇒  ⋃_{a=b} ⟨A:a⟩⟨B:b⟩ × E_a × F_b
+/// ```
+///
+/// In every product context holding the two sibling unions their sorted
+/// value lists are sort-merge joined (time linear in the inputs, as in the
+/// paper) and the common entries reference both sides' kid subtrees; the
+/// prune afterwards ([`Fusion::prune`]) removes the entries whose product
+/// became empty because some merged union lost all its values.
 struct MergePass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     a: NodeId,
@@ -1366,10 +1433,21 @@ impl<'f, 'a> MergePass<'f, 'a> {
 // Absorb on the overlay
 // ---------------------------------------------------------------------
 
-/// Overlay counterpart of `absorb::AbsorbRewrite`: the walk carries the
-/// enclosing `A`-value, each `B`-parent union keeps only the entries whose
-/// `B`-union has the context value (binary search) and splices the matched
-/// entry's kid subtrees in; the folded prune cascades the removals upwards.
+/// The absorb selection operator `α_{A,B}`.
+///
+/// Absorb enforces an equality `A = B` when the node `B` is a *descendant*
+/// of the node `A`.  Inside the subtree of every `A`-value `a`, each union
+/// over `B` is restricted to the single entry with value `a` (or emptied if
+/// no such entry exists), the `B` level is spliced out (its children move up
+/// to `B`'s former parent), and `B`'s attributes join `A`'s class
+/// (Figure 3(d)).  As in the paper, the operator finishes with a
+/// normalisation step: removing `B` can make nodes below it independent of
+/// the nodes in between, so they may be pushed up.
+///
+/// The walk carries the enclosing `A`-value, each `B`-parent union keeps
+/// only the entries whose `B`-union has the context value (binary search,
+/// so quasilinear overall) and splices the matched entry's kid subtrees in;
+/// the prune afterwards ([`Fusion::prune`]) cascades the removals upwards.
 struct AbsorbPass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     a: NodeId,
@@ -1483,11 +1561,11 @@ impl<'f, 'a> AbsorbPass<'f, 'a> {
 // Projection leaf removal on the overlay
 // ---------------------------------------------------------------------
 
-/// Overlay counterpart of the leaf-removal rewrite in
-/// [`crate::ops::project`]: every union over the removed leaf's parent loses
-/// the leaf's kid slot (the kept children are pure references — nothing
-/// below them changes), the leaf's unions become unreachable, and a root
-/// leaf simply drops out of the root list.
+/// Removal of one fully-projected leaf (step 2 of [`project_steps`]): every
+/// union over the removed leaf's parent loses the leaf's kid slot (the kept
+/// children are pure references — nothing below them changes), the leaf's
+/// unions become unreachable, and a root leaf simply drops out of the root
+/// list.
 struct RemoveLeafPass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     leaf: NodeId,
@@ -1555,7 +1633,7 @@ mod tests {
     use super::*;
     use crate::enumerate::materialize;
     use crate::node::{Entry, Union};
-    use crate::ops;
+    use crate::ops::{self, oracle};
     use fdb_common::AttrId;
     use fdb_ftree::DepEdge;
 
@@ -1563,51 +1641,39 @@ mod tests {
         ids.iter().map(|&i| AttrId(i)).collect()
     }
 
-    /// Applies the program step-wise through the PR 2 operators.
+    /// The reference: the thaw-path oracle, operator by operator.
     fn stepwise(rep: &mut FRep, steps: &[FusedOp]) {
         for op in steps {
-            match op {
-                FusedOp::PushUp(b) => ops::push_up(rep, *b).unwrap(),
-                FusedOp::Normalise => {
-                    ops::normalise(rep).unwrap();
-                }
-                FusedOp::Swap(b) => {
-                    ops::swap(rep, *b).unwrap();
-                }
-                FusedOp::Merge(a, b) => {
-                    ops::merge(rep, *a, *b).unwrap();
-                }
-                FusedOp::Absorb(a, b) => {
-                    ops::absorb(rep, *a, *b).unwrap();
-                }
-                FusedOp::SelectConst { attr, op, value } => {
-                    ops::select_const(rep, *attr, *op, *value).unwrap();
-                }
-                FusedOp::Project(keep) => ops::project(rep, keep).unwrap(),
-            }
+            oracle::apply(rep, op).unwrap();
         }
     }
 
-    /// Fused and step-wise execution must agree bit for bit on the arena.
+    /// Every way of running the program — in place through the executor's
+    /// selection, and on the overlay whatever the program — must agree with
+    /// the oracle bit for bit on the arena.
     fn check(rep: &FRep, steps: &[FusedOp], context: &str) {
-        let mut fused = rep.clone();
         let mut reference = rep.clone();
-        execute_fused(&mut fused, steps).unwrap_or_else(|e| panic!("{context}: fused: {e:?}"));
         stepwise(&mut reference, steps);
-        fused
-            .validate()
-            .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
-        assert!(
-            fused.store_identical(&reference),
-            "{context}: fused and step-wise stores diverge\nfused:\n{}\nstep-wise:\n{}",
-            fused.dump_store(),
-            reference.dump_store()
-        );
-        assert_eq!(
-            fused.tree().canonical_key(),
-            reference.tree().canonical_key(),
-            "{context}: trees diverge"
-        );
+        let mut routed = rep.clone();
+        execute_fused(&mut routed, steps).unwrap_or_else(|e| panic!("{context}: fused: {e:?}"));
+        let overlay = emit_overlay(rep, steps, &ExecCtx::unlimited())
+            .unwrap_or_else(|e| panic!("{context}: overlay: {e:?}"));
+        for (path, fused) in [("executor", &routed), ("overlay", &overlay)] {
+            fused
+                .validate()
+                .unwrap_or_else(|e| panic!("{context}: {path} result invalid: {e:?}"));
+            assert!(
+                fused.store_identical(&reference),
+                "{context}: {path} and oracle stores diverge\n{path}:\n{}\noracle:\n{}",
+                fused.dump_store(),
+                reference.dump_store()
+            );
+            assert_eq!(
+                fused.tree().canonical_key(),
+                reference.tree().canonical_key(),
+                "{context}: {path} tree diverges"
+            );
+        }
     }
 
     /// A{0} → B{1} → (C{2}, D{3}) with C dependent on A and D independent —

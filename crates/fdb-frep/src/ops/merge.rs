@@ -1,232 +1,24 @@
 //! The merge selection operator `µ_{A,B}`.
 //!
 //! Merge enforces an equality `A = B` between two *sibling* nodes of the
-//! f-tree: wherever the two sibling unions occur in a product, they are
-//! replaced by a single union over the merged node that keeps only the
-//! values present in both, combining their children (Figure 3(c)):
-//!
-//! ```text
-//! (⋃_a ⟨A:a⟩ × E_a) × (⋃_b ⟨B:b⟩ × F_b)  ⇒  ⋃_{a=b} ⟨A:a⟩⟨B:b⟩ × E_a × F_b
-//! ```
-//!
-//! The operator is **arena-native**: the output arena is emitted in one pass
-//! through a [`Rewriter`].  In every product context holding the two sibling
-//! unions their sorted value lists are sort-merge joined on the fly (time
-//! linear in the inputs, as in the paper) and the common entries emitted
-//! with both sides' kid subtrees copied record-by-record; a final
-//! [`Store::retain_and_prune`] pass removes the entries whose product became
-//! empty because some merged union lost all its values.  No thaw, no
-//! builder tree; the old implementation survives as [`crate::ops::oracle`].
+//! f-tree: the two sibling unions of every product context are replaced by
+//! one union over the merged node that keeps only the values present in
+//! both, and entries whose product became empty are pruned away.  It has no
+//! rewriter of its own — it **is** the one-operator overlay program
+//! `[FusedOp::Merge]`; the operator's definition (formula, sort-merge join,
+//! cost bound) is on `MergePass` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::{child_pos, debug_validate};
-use crate::store::{Rewriter, Store};
-use fdb_common::{FdbError, Result};
-use fdb_ftree::{FTree, NodeId};
-use std::collections::BTreeSet;
+use crate::ops::fuse::{execute_fused, FusedOp};
+use fdb_common::Result;
+use fdb_ftree::NodeId;
 
 /// Merge operator `µ_{A,B}` on sibling nodes: enforces `A = B`, fusing the
-/// two nodes (the surviving node is `a`).  Returns the surviving node id.
+/// two nodes.  Returns the surviving node id, `a`.  On error the
+/// representation is left exactly as it was.
 pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<NodeId> {
-    rep.tree().check_node(a)?;
-    rep.tree().check_node(b)?;
-    if !rep.tree().are_siblings(a, b) {
-        return Err(FdbError::InvalidOperator {
-            detail: format!("merge: {a} and {b} are not siblings"),
-        });
-    }
-    let parent = rep.tree().parent(a);
-    let mut new_tree = rep.tree().clone();
-    new_tree.merge_siblings(a, b)?;
-    let merged = merge_rewrite(rep.store(), rep.tree(), &new_tree, a, b, parent);
-    // Values present on one side only have disappeared; entries whose product
-    // became empty elsewhere must be pruned away.
-    let pruned = merged.retain_and_prune(&new_tree, |_, _| true);
-    rep.replace_parts(new_tree, pruned);
-    debug_validate(rep, "merge");
+    execute_fused(rep, &[FusedOp::Merge(a, b)])?;
     Ok(a)
-}
-
-/// Emits the merged (not yet pruned) arena.
-fn merge_rewrite(
-    src: &Store,
-    old_tree: &FTree,
-    new_tree: &FTree,
-    a: NodeId,
-    b: NodeId,
-    parent: Option<NodeId>,
-) -> Store {
-    let mut mg = MergeRewrite {
-        rw: Rewriter::new(src, old_tree),
-        a,
-        parent,
-        on_path: old_tree.ancestors(a).into_iter().collect(),
-        pos_a_in_p: parent.map(|p| child_pos(old_tree.children(p), a)),
-        pos_b_in_p: parent.map(|p| child_pos(old_tree.children(p), b)),
-        parent_slots: parent
-            .map(|p| {
-                new_tree
-                    .children(p)
-                    .iter()
-                    .map(|&c| child_pos(old_tree.children(p), c))
-                    .collect()
-            })
-            .unwrap_or_default(),
-        merged_slots: new_tree
-            .children(a)
-            .iter()
-            .map(|&c| {
-                if old_tree.children(b).contains(&c) {
-                    (true, child_pos(old_tree.children(b), c))
-                } else {
-                    (false, child_pos(old_tree.children(a), c))
-                }
-            })
-            .collect(),
-        pairs: Vec::new(),
-    };
-    let roots: Vec<u32> = match parent {
-        Some(_) => src.roots.iter().map(|&r| mg.emit(r)).collect(),
-        None => {
-            // Both unions sit in the root product: the merged union replaces
-            // them at the end of the root list, exactly where the thaw-path
-            // oracle re-pushes it.
-            let root_of = |node: NodeId| {
-                src.roots
-                    .iter()
-                    .copied()
-                    .find(|&r| src.unions[r as usize].node == node)
-                    .expect("validated representation: one root union per root node")
-            };
-            let (a_root, b_root) = (root_of(a), root_of(b));
-            let mut roots: Vec<u32> = src
-                .roots
-                .iter()
-                .filter(|&&r| r != a_root && r != b_root)
-                .map(|&r| mg.rw.copy_union(r))
-                .collect();
-            roots.push(mg.merge_unions(a_root, b_root));
-            roots
-        }
-    };
-    mg.rw.finish(roots)
-}
-
-struct MergeRewrite<'a> {
-    rw: Rewriter<'a>,
-    a: NodeId,
-    parent: Option<NodeId>,
-    /// Ancestors of `a` in the old tree (so including the parent).
-    on_path: BTreeSet<NodeId>,
-    /// Kid positions of the two siblings in the parent's old child list.
-    pos_a_in_p: Option<u32>,
-    pos_b_in_p: Option<u32>,
-    /// Old kid positions of the parent's remaining children, in new child
-    /// order (the merged union keeps `a`'s slot).
-    parent_slots: Vec<u32>,
-    /// For each kid slot of the merged union: `(comes_from_b, old kid
-    /// position)` — the merged node inherits `b`'s children after `a`'s.
-    merged_slots: Vec<(bool, u32)>,
-    /// Scratch for the sort-merge join: `(a entry index, b entry index)`.
-    pairs: Vec<(u32, u32)>,
-}
-
-impl MergeRewrite<'_> {
-    fn emit(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        if Some(rec.node) == self.parent {
-            return self.emit_parent(uid);
-        }
-        if !self.on_path.contains(&rec.node) {
-            return self.rw.copy_union(uid);
-        }
-        // A strict ancestor above the parent: child slots unchanged, the
-        // transform happens below.
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let kid_count = self.rw.src_kid_count(rec.node);
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for k in 0..kid_count {
-                let kid = self.emit(src.kid(uid, i, k));
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// The parent union: each entry's `A` and `B` kid slots fuse into one.
-    fn emit_parent(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let pos_a = self.pos_a_in_p.expect("parent knows a's slot");
-        let pos_b = self.pos_b_in_p.expect("parent knows b's slot");
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for s in 0..self.parent_slots.len() {
-                let pos = self.parent_slots[s];
-                let kid = if pos == pos_a {
-                    self.merge_unions(src.kid(uid, i, pos_a), src.kid(uid, i, pos_b))
-                } else {
-                    self.rw.copy_union(src.kid(uid, i, pos))
-                };
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// Sort-merge join of two sibling unions into one union over `a` (which
-    /// may come out empty; pruning handles the fallout).
-    fn merge_unions(&mut self, a_uid: u32, b_uid: u32) -> u32 {
-        let src = self.rw.src;
-        let a_values = src.value_slice(a_uid);
-        let b_values = src.value_slice(b_uid);
-        self.pairs.clear();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a_values.len() && j < b_values.len() {
-            match a_values[i].cmp(&b_values[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    self.pairs.push((i as u32, j as u32));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let out = {
-            let pairs = std::mem::take(&mut self.pairs);
-            let uid = self
-                .rw
-                .begin_union(self.a, pairs.iter().map(|&(ai, _)| a_values[ai as usize]));
-            self.pairs = pairs;
-            uid
-        };
-        for p in 0..self.pairs.len() {
-            let (ai, bi) = self.pairs[p];
-            let mark = self.rw.mark();
-            for s in 0..self.merged_slots.len() {
-                let (from_b, pos) = self.merged_slots[s];
-                let kid = if from_b {
-                    src.kid(b_uid, bi, pos)
-                } else {
-                    src.kid(a_uid, ai, pos)
-                };
-                let copied = self.rw.copy_union(kid);
-                self.rw.push_kid(copied);
-            }
-            self.rw.end_entry(out, p as u32, mark);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +29,8 @@ mod tests {
     use crate::ops::oracle;
     use crate::ops::product::product;
     use fdb_common::{AttrId, Value};
-    use fdb_ftree::DepEdge;
+    use fdb_ftree::{DepEdge, FTree};
+    use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()

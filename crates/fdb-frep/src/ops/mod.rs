@@ -3,53 +3,54 @@
 //! Each operator of the paper's Section 3 transforms an f-representation
 //! *and* its f-tree, keeping the two consistent:
 //!
-//! | operator | module | f-tree effect |
-//! |---|---|---|
-//! | Cartesian product `×` | [`mod@product`] | forests are concatenated |
-//! | push-up `ψ_B`, normalisation `η` | [`restructure`] | a subtree moves one level up |
-//! | swap `χ_{A,B}` | [`mod@swap`] | a child exchanges places with its parent |
-//! | merge `µ_{A,B}` | [`mod@merge`] | two sibling nodes fuse |
-//! | absorb `α_{A,B}` | [`mod@absorb`] | a node fuses into an ancestor |
-//! | selection with constant `σ_{AθC}` | [`select`] | the node may become constant-bound |
-//! | projection `π_Ā` | [`mod@project`] | projected leaves disappear |
+//! | operator | entry point | defined by | f-tree effect |
+//! |---|---|---|---|
+//! | Cartesian product `×` | [`product()`] | [`mod@product`] | forests are concatenated |
+//! | push-up `ψ_B`, normalisation `η` | [`push_up`], [`normalise`] | `PushUpPass`, `normalise_steps` | a subtree moves one level up |
+//! | swap `χ_{A,B}` | [`swap()`] | `SwapPass`, and [`mod@swap`] for the lone swap | a child exchanges places with its parent |
+//! | merge `µ_{A,B}` | [`merge()`] | `MergePass` | two sibling nodes fuse |
+//! | absorb `α_{A,B}` | [`absorb()`] | `AbsorbPass` | a node fuses into an ancestor |
+//! | selection with constant `σ_{AθC}` | [`select_const`] | `Fusion::filter` | the node may become constant-bound |
+//! | projection `π_Ā` | [`project()`] | `project_steps`, `RemoveLeafPass` | projected leaves disappear |
 //!
-//! # Every operator is arena-native
+//! # One implementation per operator
 //!
-//! Since the arena refactor ([`crate::store`]) the value-level operators —
-//! Cartesian product and pruning — run directly on the flat arenas (an
-//! index-offset concatenation, respectively a filtered rebuild); selection
-//! with a constant is the one-operator [`fuse`] program.  As of PR 2 the
-//! *structural* operators (swap, merge, absorb, push-up, projection) are
-//! arena-native too: each one clones the f-tree, applies the schema-level
-//! transformation to the clone, and then emits the output arena in a single
-//! pass through a [`crate::store::Rewriter`] — union headers in depth-first
-//! preorder, unchanged subtrees copied whole (as relocated blocks when the
-//! input is in the freeze layout), and the regrouped region assembled
-//! directly in the *new* tree's child order.  The old
-//! thaw-once/freeze-once design (thaw the arena into the owned
-//! [`crate::node`] builder form, splice pointers, freeze back) paid two full
-//! linear copies plus a heap allocation per union and entry around every
-//! rewrite; the arena-native operators pay one flat copy and no per-node
-//! allocation while keeping the same (quasi)linear operator cost bounds as
-//! the paper.  The builder-form implementations survive verbatim in
-//! [`oracle`] as the test and benchmark oracle — the rewriters reproduce the
-//! freeze layout exactly, so equivalence tests compare stores bit for bit.
+//! The Cartesian product runs directly on the flat arenas (an index-offset
+//! concatenation).  Every other operator is defined **once**, as a pass of
+//! [`fuse`] over an overlay of references into the input arena — the formula
+//! and cost bound of each are on its pass there — and a *whole f-plan*,
+//! structural operators, constant selections and projections alike, is one
+//! program: the f-tree transforms are simulated up front, each step rewrites
+//! the overlay (a selection is the liveness sweep with its comparison folded
+//! in, a projection replays leaf removals and swap-downs), and one final
+//! emission through a [`crate::store::Rewriter`] produces the freeze-layout
+//! output — union headers in depth-first preorder, unchanged subtrees copied
+//! whole (as relocated blocks when the input is in the freeze layout), the
+//! regrouped region assembled directly in the *new* tree's child order.  A
+//! k-step plan pays one full copy instead of k, and a single operator pays
+//! for what it touches plus a block copy of what it does not.  The public
+//! single-operator functions of this module are one-operator programs;
+//! `fdb-plan` hands every non-empty plan to [`emit_fused_ctx`] as it is.
 //!
-//! On top of the per-operator passes, [`fuse`] compiles a *whole f-plan* —
-//! structural operators, constant selections and projections alike — into a
-//! single arena pass: the f-tree transforms are simulated up front, each
-//! step rewrites a lightweight overlay of references into the input arena
-//! (a selection is the liveness sweep with its comparison folded in, a
-//! projection replays leaf removals and swap-downs), and one final emission
-//! produces the freeze-layout output — a k-step plan pays one full copy
-//! instead of k.  `fdb-plan` routes every multi-step plan through it, with
-//! no segmentation barriers left.
+//! [`emit_fused_ctx`] is also the one place that decides *how* a program
+//! runs, from the program alone: a lone swap takes the direct
+//! [`crate::store::Rewriter`] pass of [`mod@swap`] — the one case, a swap
+//! deep in a tree, where writing the regrouped region into the overlay and
+//! then into the arena costs 2–3× writing it once; that module's docs hold
+//! the measurement and what would retire the arm — and everything else, and
+//! every aggregate sink, runs the overlay.
+//!
+//! The builder-form implementations the engine started from (thaw the arena
+//! into the owned [`crate::node`] form, splice pointers, freeze back)
+//! survive in [`oracle`] as the independent test reference for all seven
+//! overlay operators: every path above reproduces the freeze layout exactly,
+//! so the equivalence tests compare stores bit for bit.
 //!
 //! All operators preserve the invariants of [`crate::FRep`]: values inside
 //! every union stay sorted and distinct, every entry carries one child union
 //! per f-tree child, the path constraint holds, and (where the paper
 //! promises it) normalisation is preserved.  Under `debug_assertions` every
-//! structural rewrite re-validates the full arena ([`crate::FRep::validate`])
+//! emitted result re-validates the full arena ([`crate::FRep::validate`])
 //! before it is installed.
 
 pub mod absorb;
@@ -78,10 +79,10 @@ pub use swap::swap;
 use crate::frep::FRep;
 use fdb_ftree::NodeId;
 
-/// Position of `node` in an f-tree child list.  The structural operators use
-/// this to translate between the kid-slot orders of the input and output
-/// trees; a miss means the representation disagrees with its tree, which
-/// validation would have rejected.
+/// Position of `node` in an f-tree child list.  The passes use this to
+/// translate between the kid-slot orders of the input and output trees; a
+/// miss means the representation disagrees with its tree, which validation
+/// would have rejected.
 pub(crate) fn child_pos(children: &[NodeId], node: NodeId) -> u32 {
     children
         .iter()
@@ -89,14 +90,14 @@ pub(crate) fn child_pos(children: &[NodeId], node: NodeId) -> u32 {
         .expect("validated representation: node present in the child list") as u32
 }
 
-/// Debug-only full-arena invariant check, run after every arena-native
-/// structural rewrite.  Release builds skip it: the rewriters maintain the
-/// invariants by construction.
+/// Debug-only full-arena invariant check, run on every emitted result.
+/// Release builds skip it: the passes maintain the invariants by
+/// construction.
 #[inline]
 pub(crate) fn debug_validate(rep: &FRep, op: &str) {
     if cfg!(debug_assertions) {
         if let Err(e) = rep.validate() {
-            panic!("{op}: arena-native rewrite broke an invariant: {e:?}");
+            panic!("{op}: the emitted arena breaks an invariant: {e:?}");
         }
     }
 }

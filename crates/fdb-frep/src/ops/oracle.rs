@@ -1,20 +1,22 @@
-//! The thaw-path **oracle** implementations of the structural operators.
+//! The thaw-path **oracle** implementations of the f-plan operators.
 //!
 //! Until PR 2 these builder-form rewrites *were* the structural operators:
-//! each one thawed the arena into the owned [`crate::node`] form, restructured
-//! the pointer tree, and froze the result back.  The production operators in
-//! the sibling modules now rewrite arena-to-arena and never thaw; this module
-//! keeps the original implementations verbatim so that the randomized
-//! equivalence tests can assert the arena-native operators produce
-//! bit-for-bit identical stores (`BENCH_PR2.json` holds the last timing of
-//! the arena-native operators against this code: 10.2× geometric mean).
+//! each one thaws the arena into the owned [`crate::node`] form, restructures
+//! the pointer tree, and freezes the result back.  Production executes every
+//! operator as an overlay pass of [`crate::ops::fuse`] (plus the lone-swap
+//! rewriter of [`mod@crate::ops::swap`]) and never thaws; this module keeps
+//! the original implementations — all seven operators, independent of the
+//! executor under test, no code shared with it — so the equivalence suites
+//! can assert bit-for-bit identical stores, one operator at a time
+//! ([`apply`]) or a whole plan applied step by step.
 //!
 //! Nothing here is API; the module is `#[doc(hidden)]` and must not be called
 //! from production paths.
 
 use crate::frep::FRep;
 use crate::node::{self, Entry, Union};
-use fdb_common::{AttrId, FdbError, Result, Value};
+use crate::ops::FusedOp;
+use fdb_common::{AttrId, ComparisonOp, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId, SwapOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,6 +84,44 @@ fn visit_contexts_of_node_mut<F: FnMut(&mut Vec<Union>)>(
             });
         }
     }
+}
+
+/// Applies one f-plan operator through its thaw-path implementation — the
+/// step of the "oracle applied operator by operator" reference.
+pub fn apply(rep: &mut FRep, op: &FusedOp) -> Result<()> {
+    match op {
+        FusedOp::PushUp(b) => push_up(rep, *b),
+        FusedOp::Normalise => normalise(rep).map(drop),
+        FusedOp::Swap(b) => swap(rep, *b).map(drop),
+        FusedOp::Merge(a, b) => merge(rep, *a, *b).map(drop),
+        FusedOp::Absorb(a, b) => absorb(rep, *a, *b).map(drop),
+        FusedOp::SelectConst { attr, op, value } => select_const(rep, *attr, *op, *value),
+        FusedOp::Project(keep) => project(rep, keep),
+    }
+}
+
+// ----------------------------------------------------------------------
+// Selection with a constant
+// ----------------------------------------------------------------------
+
+/// Thaw-path selection `σ_{attr θ value}`: filters the node's unions, prunes
+/// what became empty, and binds the node to the constant on equality.
+pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value) -> Result<()> {
+    let Some(node) = rep.tree().node_of_attr(attr) else {
+        return Err(FdbError::AttributeNotInQuery {
+            attr: format!("{attr}"),
+        });
+    };
+    let mut m = MutRep::thaw(rep);
+    visit_unions_of_node_mut(&mut m.roots, node, &mut |union: &mut Union| {
+        union.entries.retain(|entry| op.eval(entry.value, value));
+    });
+    m.prune_empty();
+    if op == ComparisonOp::Eq {
+        m.tree.bind_constant(node, value)?;
+    }
+    *rep = m.freeze();
+    Ok(())
 }
 
 // ----------------------------------------------------------------------

@@ -1,172 +1,23 @@
 //! The projection operator `π_Ā`.
 //!
 //! Projection replaces the singletons of every attribute outside the
-//! projection list with the nullary singleton `⟨⟩`.  On the structure this
-//! means:
-//!
-//! 1. the projected-away attributes are *marked* on their nodes (nodes are
-//!    not removed immediately — an inner node whose attributes are all
-//!    projected away still carries the correlation between its ancestors and
-//!    descendants, exactly the paper's `A — B — C` example);
-//! 2. leaves whose attributes are all marked are removed (their union of
-//!    singletons collapses to `⟨⟩`), merging the dependency edges that used
-//!    to meet in them so transitive dependencies survive;
-//! 3. remaining marked inner nodes are swapped downwards until they become
-//!    leaves, then removed as well.
-//!
-//! Every step is **arena-native**: the marking touches only the f-tree, each
-//! leaf removal is one [`Rewriter`] pass that drops the leaf's unions and
-//! kid slots, and the swap-down steps reuse the arena-native
-//! [`crate::ops::swap()`].  The old thaw-once/freeze-once implementation
-//! survives as [`crate::ops::oracle`].
-//!
-//! The represented relation afterwards is the projection (with set
-//! semantics — a factorised representation never stores duplicate tuples).
+//! projection list with the nullary singleton `⟨⟩`: projected-away
+//! attributes are marked on their nodes, fully-projected leaves are removed,
+//! and fully-projected inner nodes are swapped downwards until they are
+//! leaves.  It has no rewriter of its own — it **is** the one-operator
+//! overlay program `[FusedOp::Project]`; the operator's definition is on
+//! `project_steps` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::swap::swap;
-use crate::ops::{child_pos, debug_validate};
-use crate::store::{Rewriter, Store};
+use crate::ops::fuse::{execute_fused, FusedOp};
 use fdb_common::{AttrId, Result};
-use fdb_ftree::{FTree, NodeId};
 use std::collections::BTreeSet;
 
 /// Projection operator `π_keep`: projects the representation onto the given
 /// attributes.  Attributes in `keep` that do not occur in the representation
 /// are ignored.
 pub fn project(rep: &mut FRep, keep: &BTreeSet<AttrId>) -> Result<()> {
-    let all = rep.tree().all_attrs();
-    let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
-    if marked.is_empty() {
-        return Ok(());
-    }
-
-    // Marking is a schema-level change only; the data is untouched until a
-    // node actually disappears.
-    rep.tree_mut().mark_attrs_projected(&marked);
-
-    loop {
-        // Remove every leaf whose attributes have all been projected away.
-        let removable = rep.tree().removable_projected_leaves();
-        if !removable.is_empty() {
-            for leaf in removable {
-                remove_leaf(rep, leaf)?;
-            }
-            continue;
-        }
-        // Otherwise pick a fully-projected inner node and swap it one level
-        // down (each swap strictly shrinks its subtree, so this terminates).
-        let marked_inner = rep
-            .tree()
-            .node_ids()
-            .into_iter()
-            .find(|&n| rep.tree().visible_attrs(n).is_empty() && !rep.tree().is_leaf(n));
-        match marked_inner {
-            Some(node) => {
-                let child = rep.tree().children(node)[0];
-                swap(rep, child)?;
-            }
-            None => break,
-        }
-    }
-    debug_validate(rep, "project");
-    Ok(())
-}
-
-/// Removes one fully-projected leaf from both the tree and the arena: its
-/// unions vanish, its kid slot disappears from the parent's entries, and the
-/// dependency edges that met in it are merged.
-fn remove_leaf(rep: &mut FRep, leaf: NodeId) -> Result<()> {
-    let parent = rep.tree().parent(leaf);
-    let mut new_tree = rep.tree().clone();
-    new_tree.remove_projected_leaf(leaf)?;
-    let store = remove_leaf_rewrite(rep.store(), rep.tree(), leaf, parent);
-    rep.replace_parts(new_tree, store);
-    debug_validate(rep, "project: leaf removal");
-    Ok(())
-}
-
-/// Emits the arena without the leaf's unions.
-fn remove_leaf_rewrite(
-    src: &Store,
-    old_tree: &FTree,
-    leaf: NodeId,
-    parent: Option<NodeId>,
-) -> Store {
-    let mut rl = RemoveLeaf {
-        rw: Rewriter::new(src, old_tree),
-        parent,
-        on_path: old_tree.ancestors(leaf).into_iter().collect(),
-        kept_slots: parent
-            .map(|p| {
-                let pos_leaf = child_pos(old_tree.children(p), leaf);
-                (0..old_tree.children(p).len() as u32)
-                    .filter(|&k| k != pos_leaf)
-                    .collect()
-            })
-            .unwrap_or_default(),
-    };
-    let roots: Vec<u32> = match parent {
-        Some(_) => src.roots.iter().map(|&r| rl.emit(r)).collect(),
-        // A root leaf: its union simply drops out of the root product.
-        None => src
-            .roots
-            .iter()
-            .filter(|&&r| src.unions[r as usize].node != leaf)
-            .map(|&r| rl.rw.copy_union(r))
-            .collect(),
-    };
-    rl.rw.finish(roots)
-}
-
-struct RemoveLeaf<'a> {
-    rw: Rewriter<'a>,
-    parent: Option<NodeId>,
-    /// Ancestors of the leaf in the old tree (so including the parent).
-    on_path: BTreeSet<NodeId>,
-    /// The parent's kid positions that survive (everything but the leaf's).
-    kept_slots: Vec<u32>,
-}
-
-impl RemoveLeaf<'_> {
-    fn emit(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        if Some(rec.node) == self.parent {
-            // Drop the leaf's kid slot; everything below the others is
-            // unchanged.
-            let out = self
-                .rw
-                .begin_union(rec.node, src.value_slice(uid).iter().copied());
-            for i in 0..rec.entries_len {
-                let mark = self.rw.mark();
-                for s in 0..self.kept_slots.len() {
-                    let pos = self.kept_slots[s];
-                    let kid = self.rw.copy_union(src.kid(uid, i, pos));
-                    self.rw.push_kid(kid);
-                }
-                self.rw.end_entry(out, i, mark);
-            }
-            return out;
-        }
-        if !self.on_path.contains(&rec.node) {
-            return self.rw.copy_union(uid);
-        }
-        // A strict ancestor above the parent.
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let kid_count = self.rw.src_kid_count(rec.node);
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for k in 0..kid_count {
-                let kid = self.emit(src.kid(uid, i, k));
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
+    execute_fused(rep, &[FusedOp::Project(keep.clone())])
 }
 
 #[cfg(test)]
@@ -176,7 +27,7 @@ mod tests {
     use crate::frep::{Entry, Union};
     use crate::ops::oracle;
     use fdb_common::Value;
-    use fdb_ftree::DepEdge;
+    use fdb_ftree::{DepEdge, FTree};
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()

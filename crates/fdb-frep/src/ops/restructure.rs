@@ -1,215 +1,32 @@
 //! The push-up operator `ψ_B` and the normalisation operator `η`.
 //!
-//! Push-up factors a common subexpression out of a union: when a node `B` is
-//! a child of `A` but `A` does not depend on `B` or its descendants, every
-//! copy of the `B`-union under the different `A`-values is identical, so one
-//! copy can be lifted out of the `A`-union and multiplied with it
-//! (Figure 3(a)):
-//!
-//! ```text
-//! ⋃_a ⟨A:a⟩ × (⋃_b ⟨B:b⟩ × F_b) × E_a   ⇒   (⋃_b ⟨B:b⟩ × F_b) × ⋃_a ⟨A:a⟩ × E_a
-//! ```
-//!
-//! Normalisation applies push-ups bottom-up until no node can be lifted any
-//! further; the result is the unique normalised f-tree reachable this way,
-//! and the representation only ever shrinks.
-//!
-//! Both operators are **arena-native**: the output arena is emitted in one
-//! pass through a [`Rewriter`] — `A`-unions are re-emitted without their `B`
-//! slot, the lifted `B`-union is copied once from the first `A`-entry (all
-//! copies are equal by independence) into the surrounding product context,
-//! and everything else is copied record-by-record.  No thaw, no builder
-//! tree; the old implementation survives as [`crate::ops::oracle`].
+//! Push-up factors a common subexpression out of a union: a child `B` of `A`
+//! that `A` does not depend on is lifted, with its subtree, to be `A`'s
+//! sibling.  Normalisation applies push-ups bottom-up until no node can be
+//! lifted any further.  Neither has a rewriter of its own — they **are** the
+//! one-operator overlay programs `[FusedOp::PushUp]` and
+//! `[FusedOp::Normalise]`; the definitions are on `PushUpPass` and
+//! `normalise_steps` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::{child_pos, debug_validate};
-use crate::store::{Rewriter, Store};
-use fdb_common::{FdbError, Result};
-use fdb_ftree::{FTree, NodeId};
-use std::collections::BTreeSet;
+use crate::ops::fuse::{execute_fused, FusedOp};
+use fdb_common::Result;
+use fdb_ftree::NodeId;
 
 /// Push-up operator `ψ_B`: lifts node `b` (with its subtree) one level up in
-/// both the f-tree and the representation.
+/// both the f-tree and the representation.  On error the representation is
+/// left exactly as it was.
 pub fn push_up(rep: &mut FRep, b: NodeId) -> Result<()> {
-    check_push_up(rep.tree(), b)?;
-    let a = rep.tree().parent(b).expect("checked: b has a parent");
-    let mut new_tree = rep.tree().clone();
-    new_tree.push_up(b)?;
-    let store = push_up_rewrite(rep.store(), rep.tree(), &new_tree, a, b);
-    rep.replace_parts(new_tree, store);
-    debug_validate(rep, "push-up");
-    Ok(())
-}
-
-/// Validates push-up applicability without touching data.
-fn check_push_up(tree: &FTree, b: NodeId) -> Result<()> {
-    tree.check_node(b)?;
-    let Some(a) = tree.parent(b) else {
-        return Err(FdbError::InvalidOperator {
-            detail: format!("push-up: {b} is a root"),
-        });
-    };
-    if tree.depends_on_subtree(a, b) {
-        return Err(FdbError::InvalidOperator {
-            detail: format!("push-up: parent {a} depends on the subtree of {b}"),
-        });
-    }
-    Ok(())
-}
-
-/// Emits the lifted arena.
-fn push_up_rewrite(src: &Store, old_tree: &FTree, new_tree: &FTree, a: NodeId, b: NodeId) -> Store {
-    let grandparent = old_tree.parent(a);
-    let mut pu = PushUpRewrite {
-        rw: Rewriter::new(src, old_tree),
-        a,
-        b,
-        grandparent,
-        on_path: old_tree.ancestors(a).into_iter().collect(),
-        pos_a_in_g: grandparent.map(|g| child_pos(old_tree.children(g), a)),
-        pos_b_in_a: child_pos(old_tree.children(a), b),
-        a_slots: new_tree
-            .children(a)
-            .iter()
-            .map(|&c| child_pos(old_tree.children(a), c))
-            .collect(),
-    };
-    let mut roots: Vec<u32> = src.roots.iter().map(|&r| pu.emit(r)).collect();
-    if grandparent.is_none() {
-        // `B` became a root of the forest: lift its union out of the
-        // `A`-root union, appended after the existing roots exactly where
-        // the tree-level push-up attached the node.
-        let a_root = src
-            .roots
-            .iter()
-            .copied()
-            .find(|&r| src.unions[r as usize].node == a)
-            .expect("validated representation: one root union per root node");
-        let lifted = pu.emit_lifted(a_root);
-        roots.push(lifted);
-    }
-    pu.rw.finish(roots)
-}
-
-struct PushUpRewrite<'a> {
-    rw: Rewriter<'a>,
-    a: NodeId,
-    b: NodeId,
-    grandparent: Option<NodeId>,
-    /// Ancestors of `A` in the old tree (so including the grandparent).
-    on_path: BTreeSet<NodeId>,
-    /// Kid position of `A` in the grandparent's old child list.
-    pos_a_in_g: Option<u32>,
-    /// Kid position of `B` in `A`'s old child list.
-    pos_b_in_a: u32,
-    /// Old kid positions of `A`'s remaining children, in new child order.
-    a_slots: Vec<u32>,
-}
-
-impl PushUpRewrite<'_> {
-    fn emit(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        if rec.node == self.a {
-            return self.emit_a(uid);
-        }
-        if Some(rec.node) == self.grandparent {
-            return self.emit_grandparent(uid);
-        }
-        if !self.on_path.contains(&rec.node) {
-            return self.rw.copy_union(uid);
-        }
-        // A strict ancestor above the grandparent: child slots unchanged,
-        // but the transform happens somewhere below.
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let kid_count = self.rw.src_kid_count(rec.node);
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for k in 0..kid_count {
-                let kid = self.emit(src.kid(uid, i, k));
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// The grandparent union: each entry gains the lifted `B`-union as a new
-    /// last kid slot (the tree-level push-up appends `b` to its children).
-    fn emit_grandparent(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let kid_count = self.rw.src_kid_count(rec.node);
-        let pos_a = self.pos_a_in_g.expect("grandparent knows a's slot");
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for k in 0..kid_count {
-                let kid = self.emit(src.kid(uid, i, k));
-                self.rw.push_kid(kid);
-            }
-            let lifted = self.emit_lifted(src.kid(uid, i, pos_a));
-            self.rw.push_kid(lifted);
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// The `A`-union without its `B` slot.
-    fn emit_a(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        let out = self
-            .rw
-            .begin_union(self.a, src.value_slice(uid).iter().copied());
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for s in 0..self.a_slots.len() {
-                let pos = self.a_slots[s];
-                let kid = self.rw.copy_union(src.kid(uid, i, pos));
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// The lifted `B`-union of one `A`-union: the copy under the first
-    /// `A`-entry (all copies are equal because neither `B` nor its
-    /// descendants depend on `A`), or an empty `B`-union if the `A`-union
-    /// has no entries.
-    fn emit_lifted(&mut self, a_uid: u32) -> u32 {
-        let src = self.rw.src;
-        if src.union_len(a_uid) == 0 {
-            return self.rw.empty_union(self.b);
-        }
-        let b_uid = src.kid(a_uid, 0, self.pos_b_in_a);
-        self.rw.copy_union(b_uid)
-    }
+    execute_fused(rep, &[FusedOp::PushUp(b)])
 }
 
 /// Normalisation operator `η`: applies push-ups bottom-up until the f-tree is
-/// normalised.  Returns the nodes pushed up, in order.
+/// normalised.  Returns the nodes pushed up, in order (known from the tree
+/// alone).
 pub fn normalise(rep: &mut FRep) -> Result<Vec<NodeId>> {
-    let mut applied = Vec::new();
-    loop {
-        let mut changed = false;
-        for node in rep.tree().bottom_up() {
-            while rep.tree().can_push_up(node) {
-                push_up(rep, node)?;
-                applied.push(node);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(applied)
+    let pushed = rep.tree().clone().normalise();
+    execute_fused(rep, &[FusedOp::Normalise])?;
+    Ok(pushed)
 }
 
 #[cfg(test)]
@@ -219,7 +36,8 @@ mod tests {
     use crate::frep::{Entry, Union};
     use crate::ops::oracle;
     use fdb_common::{AttrId, Value};
-    use fdb_ftree::DepEdge;
+    use fdb_ftree::{DepEdge, FTree};
+    use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()

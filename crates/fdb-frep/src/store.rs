@@ -38,14 +38,14 @@
 //!   top-down passes are flat forward loops — no recursion, no hashing.
 //!
 //! The store is immutable in place; every operator rebuilds it with a flat
-//! arena-to-arena pass.  Value-level operators use the passes in this module
-//! directly ([`Store::retain_and_prune`], [`Store::append_remapped`]); the
-//! structural operators (swap, merge, absorb, push-up, projection) emit a
-//! fresh arena through a [`Rewriter`], which reproduces the exact layout
-//! [`Store::freeze`] would produce for the rewritten representation — so the
-//! arena-native operators are bit-for-bit interchangeable with the
-//! thaw/rewrite/freeze oracle in [`crate::ops::oracle`] while skipping both
-//! linear copies and every per-node allocation.
+//! arena-to-arena pass.  The Cartesian product uses
+//! [`Store::append_remapped`]; the plan executor ([`crate::ops::fuse`], and
+//! the lone-swap rewriter of [`mod@crate::ops::swap`]) emits a fresh arena
+//! through a [`Rewriter`], which reproduces the exact layout
+//! [`Store::freeze`] would produce for the rewritten representation — so its
+//! results are bit-for-bit interchangeable with the thaw/rewrite/freeze
+//! oracle in [`crate::ops::oracle`] while skipping both linear copies and
+//! every per-node allocation.
 //!
 //! # The freeze layout, and what it buys
 //!
@@ -90,7 +90,7 @@
 
 use crate::kernel;
 use crate::node::{Entry, Union};
-use fdb_common::{failpoint, ExecCtx, FdbError, Result, Value};
+use fdb_common::{FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use std::collections::BTreeMap;
 
@@ -456,80 +456,6 @@ impl Store {
         })
     }
 
-    /// The generic flat rebuild primitive: keeps the entries for which
-    /// `keep(node, value)` holds, then removes entries whose product became
-    /// empty (some kid union without entries), propagating upwards exactly
-    /// like the old recursive prune.  Unions that became unreachable are
-    /// dropped from the arena; root unions may end up empty.
-    ///
-    /// Runs in two passes with no per-node allocation: a flat bottom-up
-    /// liveness pass, then a depth-first re-emission of the survivors
-    /// through a [`Rewriter`] — which puts the output in the exact layout
-    /// [`Store::freeze`] would produce, so pruned stores stay bit-for-bit
-    /// comparable with the thaw-path oracle.
-    pub(crate) fn retain_and_prune<F>(&self, tree: &FTree, keep: F) -> Store
-    where
-        F: FnMut(NodeId, Value) -> bool,
-    {
-        self.retain_and_prune_ctx(tree, keep, &ExecCtx::unlimited())
-            .expect("an unlimited context never interrupts the rebuild")
-    }
-
-    /// [`Store::retain_and_prune`] under a governance context: both passes
-    /// charge the context per union record they touch, so a deadline,
-    /// budget or cancellation aborts the rebuild cooperatively.  The input
-    /// arena is read-only throughout and the output is returned by value,
-    /// so an abort leaves no partial state anywhere — the half-emitted
-    /// output store is simply dropped.
-    pub(crate) fn retain_and_prune_ctx<F>(
-        &self,
-        tree: &FTree,
-        mut keep: F,
-        ctx: &ExecCtx,
-    ) -> Result<Store>
-    where
-        F: FnMut(NodeId, Value) -> bool,
-    {
-        failpoint!(ctx, "store.rewrite");
-        let mut rw = Rewriter::new(self, tree);
-
-        // Pass 1 (bottom-up, reverse index order): decide per entry whether
-        // it survives, and per union whether it still has entries.
-        let mut entry_alive = vec![false; self.values.len()];
-        let mut union_empty = vec![true; self.unions.len()];
-        for uid in (0..self.unions.len()).rev() {
-            let rec = self.unions[uid];
-            ctx.charge(1 + rec.entries_len as u64)?;
-            let kid_count = rw.src_kid_count(rec.node);
-            let mut any_alive = false;
-            for e in rec.entries_start..rec.entries_start + rec.entries_len {
-                let mut alive = keep(rec.node, self.values[e as usize]);
-                if alive {
-                    let kids_start = self.kids_starts[e as usize];
-                    for k in 0..kid_count {
-                        let kid = self.kids[(kids_start + k) as usize];
-                        if union_empty[kid as usize] {
-                            alive = false;
-                            break;
-                        }
-                    }
-                }
-                entry_alive[e as usize] = alive;
-                any_alive |= alive;
-            }
-            union_empty[uid] = !any_alive;
-        }
-
-        // Pass 2 (top-down): re-emit the surviving structure.  Unions
-        // hanging off dead entries are never visited, which drops them.
-        let roots: Vec<u32> = self
-            .roots
-            .iter()
-            .map(|&r| emit_pruned(&mut rw, &entry_alive, r, ctx))
-            .collect::<Result<_>>()?;
-        Ok(rw.finish(roots))
-    }
-
     /// Appends another store (over disjoint f-tree nodes) to this one,
     /// remapping its node identifiers through `node_map` — the data half of
     /// the Cartesian product operator.  Runs in time linear in `other`.
@@ -552,45 +478,6 @@ impl Store {
         self.roots
             .extend(other.roots.iter().map(|&r| r + union_offset));
     }
-}
-
-/// Recursive emission phase of [`Store::retain_and_prune`]: copies union
-/// `uid` keeping only the entries marked alive.
-fn emit_pruned(
-    rw: &mut Rewriter<'_>,
-    entry_alive: &[bool],
-    uid: u32,
-    ctx: &ExecCtx,
-) -> Result<u32> {
-    let src = rw.src;
-    let rec = src.unions[uid as usize];
-    let start = rec.entries_start as usize;
-    let end = start + rec.entries_len as usize;
-    let survivors = (start..end).filter(|&e| entry_alive[e]).count() as u32;
-    ctx.charge(1 + survivors as u64)?;
-    let out = rw.begin_union_raw(rec.node, survivors);
-    for (e, &alive) in entry_alive.iter().enumerate().take(end).skip(start) {
-        if alive {
-            rw.push_value(src.values[e]);
-        }
-    }
-    let kid_count = rw.src_kid_count(rec.node);
-    let mut index = 0u32;
-    for e in start..end {
-        if !entry_alive[e] {
-            continue;
-        }
-        let mark = rw.mark();
-        let kids_start = src.kids_starts[e];
-        for k in 0..kid_count {
-            let kid = src.kids[kids_start as usize + k as usize];
-            let copied = emit_pruned(rw, entry_alive, kid, ctx)?;
-            rw.push_kid(copied);
-        }
-        rw.end_entry(out, index, mark);
-        index += 1;
-    }
-    Ok(out)
 }
 
 /// One value per node of `tree`, indexed by node index — the flat lookup
@@ -617,9 +504,9 @@ pub(crate) fn kid_count_table(tree: &FTree) -> Vec<u32> {
 /// [`Store::freeze`] produces: union headers in depth-first preorder, the
 /// entry records of one union pushed contiguously at the union's visit, and
 /// every entry's kid run pushed *after* the kid subtrees it points to.
-/// Reproducing the freeze layout makes an arena-native structural operator
-/// bit-for-bit identical to its thaw/rewrite/freeze oracle, which the
-/// randomized equivalence tests exploit.
+/// Reproducing the freeze layout makes every emitted result bit-for-bit
+/// identical to its thaw/rewrite/freeze oracle, which the randomized
+/// equivalence tests exploit.
 ///
 /// The per-entry kid lists are collected in a single scratch vector shared
 /// across recursion levels (each entry works in its own watermarked tail
@@ -708,11 +595,6 @@ impl<'a> Rewriter<'a> {
             self.push_value(value);
         }
         uid
-    }
-
-    /// Emits an empty union over `node`.
-    pub(crate) fn empty_union(&mut self, node: NodeId) -> u32 {
-        self.begin_union(node, std::iter::empty::<Value>())
     }
 
     /// Marks the start of one entry's kid collection; pass the mark to
@@ -949,7 +831,7 @@ mod tests {
     use crate::ops::{self, emit_fused_ctx, FusedOp};
     use crate::snapshot::{decode_frep, encode_frep};
     use crate::FRep;
-    use fdb_common::{AttrId, Catalog, ComparisonOp, Query};
+    use fdb_common::{AttrId, Catalog, ComparisonOp, ExecCtx, Query};
     use fdb_ftree::DepEdge;
     use fdb_relation::Database;
     use rand::rngs::StdRng;
@@ -1013,23 +895,6 @@ mod tests {
         assert!(store.validate(&tree).is_err());
     }
 
-    #[test]
-    fn retain_and_prune_filters_and_propagates() {
-        let (tree, roots) = sample();
-        let b = tree.node_of_attr(AttrId(1)).unwrap();
-        let store = Store::freeze(&tree, &roots);
-        // Keep only B > 15: the A=1 entry keeps B{20}, A=2 keeps B{20}.
-        let pruned = store.retain_and_prune(&tree, |n, v| n != b || v > Value::new(15));
-        pruned.validate(&tree).unwrap();
-        let thawed = pruned.thaw(&tree);
-        assert_eq!(thawed[0].len(), 2);
-        assert_eq!(thawed[0].entries[0].children[0].len(), 1);
-        // Keep only B > 25: nothing survives, the root union becomes empty.
-        let emptied = store.retain_and_prune(&tree, |n, v| n != b || v > Value::new(25));
-        emptied.validate(&tree).unwrap();
-        assert_eq!(emptied.thaw(&tree)[0].len(), 0);
-    }
-
     const COMPARISONS: [ComparisonOp; 6] = [
         ComparisonOp::Eq,
         ComparisonOp::Ne,
@@ -1040,10 +905,9 @@ mod tests {
     ];
 
     /// The selection path — the one-operator overlay program behind
-    /// [`ops::select_const`] — against the generic closure rebuild with the
-    /// equivalent predicate: not merely equivalent, the exact same arena
-    /// records.
-    fn assert_selection_matches_the_closure(
+    /// [`ops::select_const`] — against the thaw-path oracle's filter, prune
+    /// and re-freeze: not merely equivalent, the exact same arena records.
+    fn assert_selection_matches_the_oracle(
         tree: &FTree,
         store: &Store,
         attr: u32,
@@ -1051,19 +915,16 @@ mod tests {
         c: Value,
         context: &str,
     ) {
-        let ctx = ExecCtx::unlimited();
-        let node = tree.node_of_attr(AttrId(attr)).unwrap();
-        let generic = store
-            .retain_and_prune_ctx(tree, |n, v| n != node || op.eval(v, c), &ctx)
-            .unwrap();
+        let rep = FRep::from_store(tree.clone(), store.clone());
+        let mut reference = rep.clone();
+        ops::oracle::select_const(&mut reference, AttrId(attr), op, c).unwrap();
         let program = [FusedOp::SelectConst {
             attr: AttrId(attr),
             op,
             value: c,
         }];
-        let rep = FRep::from_store(tree.clone(), store.clone());
-        let selected = emit_fused_ctx(&rep, &program, &ctx).unwrap();
-        assert_eq!(selected.store(), &generic, "{context}");
+        let selected = emit_fused_ctx(&rep, &program, &ExecCtx::unlimited()).unwrap();
+        assert_eq!(selected.store(), reference.store(), "{context}");
         selected.store().validate(selected.tree()).unwrap();
     }
 
@@ -1074,7 +935,7 @@ mod tests {
         for attr in [0, 1] {
             for op in COMPARISONS {
                 for c in [0u64, 1, 2, 10, 15, 20, 25, 99] {
-                    assert_selection_matches_the_closure(
+                    assert_selection_matches_the_oracle(
                         &tree,
                         &store,
                         attr,
@@ -1091,7 +952,7 @@ mod tests {
     /// forest with random fan-outs (odd lengths exercise the kernels'
     /// unaligned tails; empty unions must take their parent entries with
     /// them although no predicate touches them) must select bit-for-bit like
-    /// the closure — every node, all six comparisons.
+    /// the oracle — every node, all six comparisons.
     #[test]
     fn cmp_prune_matches_on_random_forests() {
         let mut rng = StdRng::seed_from_u64(0x50A);
@@ -1137,7 +998,7 @@ mod tests {
             let cut = Value::new(rng.gen_range(0..next + 2));
             for attr in 0..3 {
                 for op in COMPARISONS {
-                    assert_selection_matches_the_closure(
+                    assert_selection_matches_the_oracle(
                         &tree,
                         &store,
                         attr,

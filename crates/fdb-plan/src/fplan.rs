@@ -20,22 +20,21 @@
 //!    fusion counters ([`FPlan::fuses`], [`FPlan::barrier_count`],
 //!    [`FPlan::arenas_skipped`]) are read off this list, so they describe
 //!    what really executes.
-//! 2. The simplified list runs into one of two sinks.  The **emitting**
-//!    sink ([`FPlan::execute_presimplified_ctx`]) compiles the *whole* plan —
-//!    selections with constants and projections included; they are overlay
-//!    transforms like every structural step (`fdb_frep::ops::fuse`: a
-//!    selection is a per-union entry filter composed with the liveness
-//!    sweep, a projection replays as leaf removals plus swap-downs) — into
-//!    one overlay program that pays a single arena emission no matter how
-//!    many operators it chains.  The **aggregate** sink
-//!    ([`FPlan::execute_aggregate_presimplified_ctx`]) folds the aggregate —
-//!    and the plan's trailing selections — directly over the overlay and
-//!    emits **no arena at all**.
+//! 2. The simplified list is handed, whole and as it is, to `fdb_frep`: this
+//!    crate translates operators into [`FusedOp`]s and decides nothing about
+//!    how they run.  The **emitting** sink
+//!    ([`FPlan::execute_presimplified_ctx`], [`FPlan::emit_presimplified_ctx`])
+//!    is `fdb_frep::ops::emit_fused_ctx`: one program — one operator or
+//!    twenty, selections with constants and projections included — pays a
+//!    single arena emission under the caller's governance context.  The
+//!    **aggregate** sink ([`FPlan::execute_aggregate_presimplified_ctx`])
+//!    folds the aggregate — and the plan's trailing selections — directly
+//!    over the overlay and emits **no arena at all**.
 //!
 //! [`FPlan::execute`] and [`FPlan::execute_aggregate`] are the two steps in
-//! one call, ungoverned.  One reference path survives as an oracle: the
-//! operator-at-a-time [`FPlan::execute_stepwise`], which the randomized
-//! equivalence suite compares the fused executor against bit for bit.
+//! one call, ungoverned.  The reference the equivalence suites compare them
+//! against lives outside this crate's API: the thaw-path oracle of
+//! `fdb_frep::ops::oracle`, applied operator by operator.
 
 use fdb_common::{AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_frep::ops::FusedOp;
@@ -135,22 +134,8 @@ impl FPlanOp {
         }
     }
 
-    /// Executes the operator on an f-representation (data level).
-    pub fn execute(&self, rep: &mut FRep) -> Result<()> {
-        match self {
-            FPlanOp::PushUp(n) => ops::push_up(rep, *n),
-            FPlanOp::Normalise => ops::normalise(rep).map(|_| ()),
-            FPlanOp::Swap(n) => ops::swap(rep, *n).map(|_| ()),
-            FPlanOp::Merge(a, b) => ops::merge(rep, *a, *b).map(|_| ()),
-            FPlanOp::Absorb(a, b) => ops::absorb(rep, *a, *b).map(|_| ()),
-            FPlanOp::SelectConst { attr, op, value } => ops::select_const(rep, *attr, *op, *value),
-            FPlanOp::Project(keep) => ops::project(rep, keep),
-        }
-    }
-
-    /// The fused-step form of this operator.  Total since PR 5: selections
-    /// and projections compile into overlay transforms like every structural
-    /// step.
+    /// The program-step form of this operator (total: selections and
+    /// projections are program steps like every structural operator).
     pub fn to_fused(&self) -> FusedOp {
         match self {
             FPlanOp::PushUp(n) => FusedOp::PushUp(*n),
@@ -168,9 +153,9 @@ impl FPlanOp {
     }
 
     /// Whether this operator was a *fusion barrier* before whole-plan fusion
-    /// (selections with constants and projections): step-wise each one is a
-    /// standalone arena pass.  The engine counts how many of them execute
-    /// inside a fused program (`barriers_fused`).
+    /// (selections with constants and projections: their data-level effect
+    /// is value-dependent).  The engine counts how many of them execute
+    /// inside a program (`barriers_fused`).
     pub fn is_barrier(&self) -> bool {
         matches!(self, FPlanOp::SelectConst { .. } | FPlanOp::Project(_))
     }
@@ -239,69 +224,42 @@ impl FPlan {
 
     /// Executes the plan on the representation, transforming it in place.
     ///
-    /// The plan is peephole-simplified ([`FPlan::simplified`]) and, whenever
-    /// the step-wise path would pay more than one arena pass
-    /// ([`FPlan::fuses`]), compiled **whole** — selections and projections
-    /// included — into a single overlay program that emits exactly one
-    /// arena.  The output is bit-for-bit identical to
-    /// [`FPlan::execute_stepwise`]; the only observable difference is on
-    /// error, where a failing program leaves the representation unmodified
-    /// instead of stopped at the failing operator.
+    /// The plan is peephole-simplified ([`FPlan::simplified`]) and what is
+    /// left runs **whole** — selections and projections included — as one
+    /// program that emits exactly one arena ([`FPlan::fuses`]).  The output
+    /// is bit-for-bit what the thaw-path oracle produces operator by
+    /// operator; a failing plan leaves the representation unmodified, and a
+    /// plan that simplifies to nothing leaves it as it is.
     pub fn execute(&self, rep: &mut FRep) -> Result<()> {
         self.simplified(rep.tree())
             .execute_presimplified_ctx(rep, &ExecCtx::unlimited())
     }
 
-    /// The compilation half of [`FPlan::execute`], without the peephole
-    /// pass — for callers that already hold a simplified plan — under a
+    /// The execution half of [`FPlan::execute`], without the peephole pass
+    /// — for callers that already hold a simplified plan — under a
     /// governance context: the `&mut` form of
     /// [`FPlan::emit_presimplified_ctx`].  An aborted plan leaves the
-    /// representation exactly as it was: the fused executor installs its
-    /// output only on success.
+    /// representation exactly as it was — the executor installs its output
+    /// only on success — and so does the empty plan.
     pub fn execute_presimplified_ctx(&self, rep: &mut FRep, ctx: &ExecCtx) -> Result<()> {
-        match self.program() {
-            Some(program) => ops::execute_fused_ctx(rep, &program, ctx),
-            None => self.ops.iter().try_for_each(|op| {
-                ctx.check_now()?;
-                op.execute(rep)
-            }),
-        }
+        ops::execute_fused_ctx(rep, &self.program(), ctx)
     }
 
     /// Executes an already simplified plan on a **borrowed** input and
     /// returns the result (the engine simplifies once, reads the fusion
-    /// counters off the plan for its stats, then executes it through this):
-    /// an overlay program reads the input in place, so nothing is cloned;
-    /// the context is threaded through every overlay sweep and the final
-    /// emission.  Only the rare plan without a program pays a copy of the
-    /// input for its direct rewriter to replace (with the context checked
-    /// before the operator), or to return as is.
+    /// counters off the plan for its stats, then executes it through this).
+    /// Every plan, of any length, is one program of
+    /// `fdb_frep::ops::emit_fused_ctx`: the input is read in place and never
+    /// cloned, every record read or written is charged to the context, and
+    /// an abort leaves nothing behind.  (The empty program emits its input
+    /// unchanged, in the freeze layout.)
     pub fn emit_presimplified_ctx(&self, rep: &FRep, ctx: &ExecCtx) -> Result<FRep> {
-        if let Some(program) = self.program() {
-            return ops::emit_fused_ctx(rep, &program, ctx);
-        }
-        let mut out = rep.clone();
-        self.execute_presimplified_ctx(&mut out, ctx)?;
-        Ok(out)
+        ops::emit_fused_ctx(rep, &self.program(), ctx)
     }
 
-    /// The overlay program the plan executes as: every plan that fuses
-    /// ([`FPlan::fuses`]), and a lone selection — which has no rewriter of
-    /// its own, it *is* the one-operator program.  `None` for the empty plan
-    /// and a lone swap, push-up or merge, which run their direct rewriter.
-    fn program(&self) -> Option<Vec<FusedOp>> {
-        (self.fuses() || matches!(self.ops[..], [FPlanOp::SelectConst { .. }]))
-            .then(|| self.ops.iter().map(FPlanOp::to_fused).collect())
-    }
-
-    /// Executes the plan operator by operator — the pre-fusion PR 2 path,
-    /// kept as the oracle for the fused executor's equivalence tests and
-    /// benchmarks.
-    pub fn execute_stepwise(&self, rep: &mut FRep) -> Result<()> {
-        for op in &self.ops {
-            op.execute(rep)?;
-        }
-        Ok(())
+    /// The program the plan executes as: one step per operator, in order.
+    fn program(&self) -> Vec<FusedOp> {
+        self.ops.iter().map(FPlanOp::to_fused).collect()
     }
 
     /// Executes the plan into an **aggregate sink**: the whole plan —
@@ -342,8 +300,7 @@ impl FPlan {
         if self.ops.is_empty() {
             return Ok((aggregate::evaluate_ctx(rep, kind, group_by, ctx)?, false));
         }
-        let program: Vec<FusedOp> = self.ops.iter().map(FPlanOp::to_fused).collect();
-        let result = ops::execute_fused_aggregate_ctx(rep, &program, kind, group_by, ctx)?;
+        let result = ops::execute_fused_aggregate_ctx(rep, &self.program(), kind, group_by, ctx)?;
         Ok((result, true))
     }
 
@@ -429,38 +386,27 @@ impl FPlan {
         FPlan { ops: out }
     }
 
-    /// Whole-plan fusion criterion: the plan compiles into one overlay
-    /// program when the step-wise path would pay more than one arena pass —
-    /// two or more operators, or a single internally multi-pass operator
-    /// (normalise, absorb, projection).  A lone single-pass operator is not
-    /// fusion: a swap, push-up or merge runs its direct rewriter, and a
-    /// selection — one pass either way — its one-operator program.
+    /// Whether the plan executes as a program: every plan with an operator
+    /// in it does, as exactly one.  How a program runs is `fdb_frep`'s
+    /// decision, not this crate's.
     pub fn fuses(&self) -> bool {
-        self.ops.len() >= 2
-            || matches!(
-                self.ops.first(),
-                Some(FPlanOp::Normalise | FPlanOp::Absorb(_, _) | FPlanOp::Project(_))
-            )
+        !self.is_empty()
     }
 
     /// Number of former fusion barriers (selections with constants,
-    /// projections) in the plan.  When the plan fuses, these execute inside
-    /// the overlay program instead of as standalone arena passes — the
-    /// engine reports the count as `barriers_fused`.
+    /// projections) in the plan.  They execute inside the plan's one program
+    /// instead of as standalone arena passes — the engine reports the count
+    /// as `barriers_fused`.
     pub fn barrier_count(&self) -> usize {
         self.ops.iter().filter(|op| op.is_barrier()).count()
     }
 
-    /// Lower bound on the intermediate arenas whole-plan fused execution
-    /// skips relative to the step-wise path: one per operator beyond the
-    /// single emission (internally multi-pass operators skip more).  Zero
-    /// when the plan does not fuse.
+    /// Lower bound on the intermediate arenas one-program execution skips
+    /// relative to running operator at a time: one per operator beyond the
+    /// single emission (normalise, absorb and projection are several steps
+    /// each and skip more).  Zero for the empty and the one-operator plan.
     pub fn arenas_skipped(&self) -> usize {
-        if self.fuses() {
-            self.ops.len() - 1
-        } else {
-            0
-        }
+        self.ops.len().saturating_sub(1)
     }
 }
 
@@ -488,6 +434,7 @@ impl fmt::Display for FPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdb_frep::ops::oracle;
     use fdb_frep::{Entry, Union};
     use fdb_ftree::DepEdge;
 
@@ -524,6 +471,13 @@ mod tests {
             vec![entry(1, &[10, 11], &[7]), entry(2, &[12], &[7, 8])],
         );
         FRep::from_parts(tree, vec![u]).unwrap()
+    }
+
+    /// The reference execution: the thaw-path oracle, operator by operator.
+    fn apply_oracle(plan: &FPlan, rep: &mut FRep) {
+        for op in &plan.ops {
+            oracle::apply(rep, &op.to_fused()).unwrap();
+        }
     }
 
     #[test]
@@ -606,7 +560,7 @@ mod tests {
         let mut fused = rep.clone();
         let mut stepwise = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
+        apply_oracle(&plan, &mut stepwise);
         fused.validate().unwrap();
         assert!(
             fused.store_identical(&stepwise),
@@ -648,7 +602,7 @@ mod tests {
         let mut fused = rep.clone();
         let mut stepwise = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
+        apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
         let _ = supplier_node;
     }
@@ -763,20 +717,116 @@ mod tests {
         assert!(plan.fuses());
         assert_eq!(plan.barrier_count(), 2);
         assert_eq!(plan.arenas_skipped(), 5, "six ops, one emission");
-        // Single single-pass operators do not fuse…
-        assert!(!FPlan::new(vec![FPlanOp::Swap(oid)]).fuses());
-        assert_eq!(FPlan::new(vec![FPlanOp::Swap(oid)]).arenas_skipped(), 0);
-        assert!(!FPlan::new(vec![FPlanOp::SelectConst {
-            attr: AttrId(3),
-            op: ComparisonOp::Eq,
-            value: Value::new(7),
-        }])
-        .fuses());
-        // …but single internally multi-pass operators do.
-        assert!(FPlan::new(vec![FPlanOp::Normalise]).fuses());
-        assert!(FPlan::new(vec![FPlanOp::Project(attrs(&[1]))]).fuses());
+        // Every one-operator plan is a program too: one emission, no
+        // intermediate arena to skip…
+        for op in [
+            FPlanOp::Swap(oid),
+            FPlanOp::Merge(oid, NodeId(2)),
+            FPlanOp::Normalise,
+            FPlanOp::Project(attrs(&[1])),
+            FPlanOp::SelectConst {
+                attr: AttrId(3),
+                op: ComparisonOp::Eq,
+                value: Value::new(7),
+            },
+        ] {
+            let plan = FPlan::new(vec![op]);
+            assert!(plan.fuses(), "{plan}");
+            assert_eq!(plan.arenas_skipped(), 0, "{plan}");
+        }
+        // …and only the empty plan executes nothing.
         assert!(!FPlan::empty().fuses());
         assert_eq!(FPlan::empty().arenas_skipped(), 0);
+    }
+
+    /// Example 3 of the paper over attributes `a → b`:
+    /// ⟨a:1⟩×(⟨b:1⟩ ∪ ⟨b:2⟩) ∪ ⟨a:2⟩×⟨b:2⟩ — 3 unions, 5 entries.  With
+    /// `independent`, every `a`-entry also carries the union ⟨c:9⟩ of a
+    /// relation that shares no attribute with the first.
+    fn example3(a: u32, b: u32, independent: Option<u32>) -> FRep {
+        let mut edges = vec![DepEdge::new("R", attrs(&[a, b]), 3)];
+        edges.extend(independent.map(|c| DepEdge::new("S", attrs(&[c]), 1)));
+        let mut tree = FTree::new(edges);
+        let na = tree.add_node(attrs(&[a]), None).unwrap();
+        let nb = tree.add_node(attrs(&[b]), Some(na)).unwrap();
+        let nc = independent.map(|c| tree.add_node(attrs(&[c]), Some(na)).unwrap());
+        let entry = |v: u64, bs: &[u64]| {
+            let mut children = vec![Union::new(
+                nb,
+                bs.iter().map(|&x| Entry::leaf(Value::new(x))).collect(),
+            )];
+            children.extend(nc.map(|nc| Union::new(nc, vec![Entry::leaf(Value::new(9))])));
+            Entry {
+                value: Value::new(v),
+                children,
+            }
+        };
+        let root = Union::new(na, vec![entry(1, &[1, 2]), entry(2, &[2])]);
+        FRep::from_parts(tree, vec![root]).unwrap()
+    }
+
+    /// A one-operator plan is governed like any other: its exact unit total
+    /// succeeds with nothing to spare, one unit less is a budget error, a
+    /// raised cancellation flag a deadline error — and whatever happens, the
+    /// borrowed input stays bit for bit as it was.
+    #[test]
+    fn one_operator_plans_are_governed_and_leave_the_input_untouched() {
+        use fdb_common::QueryLimits;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let node = |rep: &FRep, attr: u32| rep.tree().node_of_attr(AttrId(attr)).unwrap();
+        let chain = example3(0, 1, None);
+        let forest = ops::product(example3(0, 1, None), example3(2, 3, None)).unwrap();
+        let lifted = example3(0, 1, Some(2));
+        let cases = [
+            // The lone-swap arm charges its input up front: 3 unions + 5
+            // entries.
+            (&chain, FPlanOp::Swap(node(&chain, 1)), 8),
+            // The overlay reads both operands (16 records), prunes the
+            // merged root (1 + 2) and writes the result: 1 + 2 entries, each
+            // with its two leaf unions — 2 × (1 + 2) and 2 × (1 + 1).
+            (
+                &forest,
+                FPlanOp::Merge(node(&forest, 0), node(&forest, 2)),
+                16 + 3 + 13,
+            ),
+            // No sweep, no prune: only the emission of the 4 unions and 6
+            // entries the push-up leaves.
+            (&lifted, FPlanOp::PushUp(node(&lifted, 2)), 10),
+        ];
+        for (rep, op, units) in cases {
+            let input = rep.clone();
+            let plan = FPlan::new(vec![op]);
+            let run = |limits: &QueryLimits| {
+                let ctx = ExecCtx::new(limits);
+                let result = plan.emit_presimplified_ctx(rep, &ctx);
+                assert!(rep.store_identical(&input), "{plan}: the input moved");
+                (result, ctx.budget_remaining())
+            };
+            let ample = 1 << 20;
+            let (ungoverned, left) = run(&QueryLimits::unlimited().with_budget(ample));
+            let expected = ungoverned.unwrap();
+            assert_eq!(ample - left, units, "{plan}: units charged");
+            let mut reference = input.clone();
+            oracle::apply(&mut reference, &plan.ops[0].to_fused()).unwrap();
+            assert!(expected.store_identical(&reference), "{plan}");
+
+            let (exact, left) = run(&QueryLimits::unlimited().with_budget(units));
+            assert!(exact.unwrap().store_identical(&expected), "{plan}");
+            assert_eq!(left, 0, "{plan}");
+            let (short, _) = run(&QueryLimits::unlimited().with_budget(units - 1));
+            assert!(
+                matches!(short, Err(FdbError::BudgetExceeded { .. })),
+                "{plan}: {short:?}"
+            );
+            let cancel = Arc::new(AtomicBool::new(true));
+            let (cancelled, _) = run(&QueryLimits::unlimited().with_cancel(cancel));
+            assert_eq!(
+                cancelled.err(),
+                Some(FdbError::DeadlineExceeded { limit_ms: 0 }),
+                "{plan}"
+            );
+        }
     }
 
     #[test]
@@ -801,7 +851,7 @@ mod tests {
         let mut fused = rep.clone();
         let mut stepwise = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
+        apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
     }
 
@@ -820,7 +870,7 @@ mod tests {
         let mut fused = rep.clone();
         let mut stepwise = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
+        apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
     }
 
@@ -850,7 +900,7 @@ mod tests {
         let mut fused = rep.clone();
         let mut stepwise = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
+        apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
         assert!(fused.represents_empty());
     }

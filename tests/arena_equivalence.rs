@@ -4,12 +4,13 @@
 //! the representation statistics must be invariant under the builder-form
 //! round trip (`to_forest` / `from_parts`).
 //!
-//! Since PR 2 the structural operators rewrite arena-to-arena; the
-//! randomized property tests in the second half of this file assert that on
-//! generated f-representations every arena-native operator produces a store
-//! **bit-for-bit identical** (`FRep::store_identical`, checked after
-//! `validate()`) to the thaw-path oracle in `fdb::frep::ops::oracle`,
-//! including empty-union and single-entry edge cases.
+//! The randomized property tests in the second half of this file assert that
+//! on generated f-representations every operator — all seven, each a
+//! one-operator program of the plan executor — and every multi-operator plan
+//! produce a store **bit-for-bit identical** (`FRep::store_identical`,
+//! checked after `validate()`) to the thaw-path oracle in
+//! `fdb::frep::ops::oracle`, applied operator by operator, including
+//! empty-union and single-entry edge cases.
 
 mod common;
 
@@ -165,7 +166,7 @@ fn randomized_grocery_scale_workloads_agree_with_the_flat_path() {
 }
 
 // ---------------------------------------------------------------------
-// PR 2: arena-native structural operators vs the thaw-path oracle
+// One-operator programs vs the thaw-path oracle
 // ---------------------------------------------------------------------
 
 fn assert_identical(arena: &FRep, reference: &FRep, context: &str) {
@@ -181,11 +182,16 @@ fn assert_identical(arena: &FRep, reference: &FRep, context: &str) {
         arena.dump_store(),
         reference.dump_store()
     );
+    assert_eq!(
+        arena.tree().canonical_key(),
+        reference.tree().canonical_key(),
+        "{context}: trees diverge"
+    );
 }
 
-/// Applies every applicable structural operator to clones of `rep`, both
-/// arena-native and through the thaw-path oracle, and asserts the stores
-/// come out bit-for-bit identical.
+/// Applies every applicable operator to clones of `rep`, both through the
+/// executor (`fdb::frep::ops::*`) and through the thaw-path oracle, and
+/// asserts the stores come out bit-for-bit identical.
 fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &str) {
     // Canonicalise the input to the freeze layout first: an operator that
     // turns out to be a no-op (e.g. normalise on an already-normalised tree)
@@ -258,8 +264,29 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
         }
     }
 
-    // Projection π onto a random attribute subset (and the empty one).
+    // Selection σ with a constant: every attribute, a random comparison
+    // (equality binds the node) against a value from the data's range.
     let all: Vec<AttrId> = rep.visible_attrs();
+    for &attr in &all {
+        let op = [
+            ComparisonOp::Eq,
+            ComparisonOp::Ne,
+            ComparisonOp::Lt,
+            ComparisonOp::Ge,
+        ][rng.gen_range(0..4usize)];
+        let value = Value::new(rng.gen_range(0..8u64));
+        let mut arena = rep.clone();
+        let mut reference = rep.clone();
+        ops::select_const(&mut arena, attr, op, value).expect("arena selection applies");
+        oracle::select_const(&mut reference, attr, op, value).expect("oracle selection applies");
+        assert_identical(
+            &arena,
+            &reference,
+            &format!("{context}: select({attr} {op:?} {value})"),
+        );
+    }
+
+    // Projection π onto a random attribute subset (and the empty one).
     let mut keeps: Vec<BTreeSet<AttrId>> = vec![BTreeSet::new()];
     let random_keep: BTreeSet<AttrId> = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
     keeps.push(random_keep);
@@ -354,6 +381,38 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
     )
     .unwrap();
     check_structural_ops_against_oracle(&forest, &mut rng, "forest with an empty root");
+
+    // Query results arrive normalised, so nothing above offers a push-up:
+    // C{2} → A{0} → B{1} with B in a relation of its own lifts B twice.
+    let edges = vec![
+        DepEdge::new("RCA", attrs(&[2, 0]), 3),
+        DepEdge::new("SB", attrs(&[1]), 2),
+    ];
+    let mut nested = FTree::new(edges);
+    let c = nested.add_node(attrs(&[2]), None).unwrap();
+    let a = nested.add_node(attrs(&[0]), Some(c)).unwrap();
+    let b = nested.add_node(attrs(&[1]), Some(a)).unwrap();
+    let b_union = || Union::new(b, [8, 9].map(|v| Entry::leaf(Value::new(v))).to_vec());
+    let a_union = |vals: &[u64]| {
+        let entry = |&v: &u64| Entry {
+            value: Value::new(v),
+            children: vec![b_union()],
+        };
+        Union::new(a, vals.iter().map(entry).collect())
+    };
+    let c_entry = |v: u64, a_vals: &[u64]| Entry {
+        value: Value::new(v),
+        children: vec![a_union(a_vals)],
+    };
+    let unnormalised = FRep::from_parts(
+        nested,
+        vec![Union::new(
+            c,
+            vec![c_entry(1, &[10, 11]), c_entry(2, &[12])],
+        )],
+    )
+    .unwrap();
+    check_structural_ops_against_oracle(&unnormalised, &mut rng, "independent leaf to push up");
 }
 
 /// Builds `query` over `tree` with the sorted-range build and checks it
@@ -570,10 +629,10 @@ fn selections_preserve_the_equivalence() {
 }
 
 // ---------------------------------------------------------------------
-// Fused plan execution vs the step-wise path: the whole plan (selections
-// and projections included) compiles into one overlay program, so every
-// randomized plan below exercises whole-plan fusion against the
-// operator-at-a-time oracle.
+// Plan execution vs the oracle applied step by step: the whole plan
+// (selections and projections included) runs as one program, so every
+// randomized plan below exercises it against the operator-at-a-time
+// thaw-path reference.
 // ---------------------------------------------------------------------
 
 use fdb::plan::{FPlan, FPlanOp};
@@ -638,14 +697,19 @@ fn random_plan(rng: &mut StdRng, tree: &fdb::ftree::FTree, steps: usize, barrier
     FPlan::new(ops)
 }
 
-/// Executes the plan both ways — whole-plan fused and operator by operator
-/// — and asserts the arenas are bit-for-bit identical (store identity), the
-/// fused result validates, and the represented relations agree.
+/// Executes the plan both ways — as the one program `FPlan::execute` makes
+/// of it, and through the thaw-path oracle operator by operator (independent
+/// code: no executor runs on the reference side) — and asserts the arenas
+/// are bit-for-bit identical (store identity), the fused result validates,
+/// and the represented relations agree.
 fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     let mut fused = rep.clone();
     let mut stepwise = rep.clone();
     let fused_result = plan.execute(&mut fused);
-    let stepwise_result = plan.execute_stepwise(&mut stepwise);
+    let stepwise_result = plan
+        .ops
+        .iter()
+        .try_for_each(|op| oracle::apply(&mut stepwise, &op.to_fused()));
     assert_eq!(
         fused_result.is_ok(),
         stepwise_result.is_ok(),
@@ -657,12 +721,24 @@ fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     fused
         .validate()
         .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
-    assert!(
-        fused.store_identical(&stepwise),
-        "{context}: plan {plan} — fused and step-wise stores diverge\nfused:\n{}\nstep-wise:\n{}",
-        fused.dump_store(),
-        stepwise.dump_store()
-    );
+    if plan.simplified(rep.tree()).is_empty() {
+        // Nothing executes: the input comes back as it is, whatever its
+        // layout, while the oracle re-froze it at every data no-op — the
+        // same forest, not necessarily the same arena.
+        assert!(fused.store_identical(rep), "{context}: plan {plan} moved");
+        assert_eq!(
+            fused.to_forest(),
+            stepwise.to_forest(),
+            "{context}: plan {plan} — forests diverge"
+        );
+    } else {
+        assert!(
+            fused.store_identical(&stepwise),
+            "{context}: plan {plan} — fused and step-wise stores diverge\nfused:\n{}\nstep-wise:\n{}",
+            fused.dump_store(),
+            stepwise.dump_store()
+        );
+    }
     assert_eq!(
         fused.tree().canonical_key(),
         stepwise.tree().canonical_key(),

@@ -3,17 +3,16 @@
 //! to the same batch evaluated sequentially — store-identical result
 //! representations, value-equal aggregates, and identical error outcomes —
 //! because execution is a pure function of the `Arc`-shared frozen input and
-//! the query.  The second half pins `par_materialize` bit-for-bit against
-//! the sequential cursor on randomized representations.
+//! the query.
 
 mod common;
 
 use fdb::common::{AggregateHead, ComparisonOp, ConstSelection, RelId};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::{
-    FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase, ThreadPool,
+    FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase,
 };
-use fdb::frep::{materialize, par_materialize, FRep};
+use fdb::frep::FRep;
 use fdb::{AttrId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -236,24 +235,4 @@ fn fdb_threads_environment_variable_sizes_the_default_pool() {
     assert_eq!(server.threads(), 3);
     std::env::remove_var("FDB_THREADS");
     assert!(fdb::engine::default_threads() >= 1);
-}
-
-#[test]
-fn randomized_parallel_enumeration_is_bit_for_bit_sequential() {
-    // `par_materialize` concatenates root-range partitions in order, so the
-    // resulting relation must equal the sequential cursor's exactly — same
-    // rows in the same order — at every worker count.
-    for seed in 0..12u64 {
-        let mut rng = StdRng::seed_from_u64(0x00A6_6E93 ^ seed);
-        let rep = Arc::new(random_rep(&mut rng, seed));
-        let sequential = materialize(&rep).expect("sequential materialize");
-        for workers in [2usize, 4, 8] {
-            let pool = ThreadPool::new(workers);
-            let parallel = par_materialize(&rep, &pool).expect("parallel materialize");
-            assert!(
-                parallel == sequential,
-                "seed {seed}: parallel enumeration diverged at {workers} workers"
-            );
-        }
-    }
 }

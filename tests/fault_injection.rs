@@ -55,8 +55,8 @@ fn seeded_rep(seed: u64) -> FRep {
 }
 
 /// A server over one seeded representation, plus the request template the
-/// tests perturb: two constant selections, so the plan fuses and the
-/// overlay executor's `fuse.execute` failpoint is reachable.
+/// tests perturb: two constant selections on one attribute.  Every non-empty
+/// plan runs below the executor's `fuse.execute` failpoint.
 fn setup(threads: usize) -> (FdbServer, fdb::engine::RepId, FactorisedQuery) {
     let rep = seeded_rep(7);
     let attr = rep.visible_attrs()[0];
@@ -75,6 +75,31 @@ fn setup(threads: usize) -> (FdbServer, fdb::engine::RepId, FactorisedQuery) {
             value: Value::new(5),
         });
     (server, id, query)
+}
+
+/// A selection-free request over the served representation whose whole plan
+/// is one operator: the equality of two sibling nodes, i.e. a lone merge.
+fn one_operator_query(server: &FdbServer, id: fdb::engine::RepId) -> FactorisedQuery {
+    let rep = server.db().get(id).expect("registered representation");
+    let tree = rep.tree();
+    let first_attr = |n| *tree.class(n).iter().next().expect("non-empty class");
+    let nodes = tree.node_ids();
+    let (a, b) = nodes
+        .iter()
+        .flat_map(|&a| nodes.iter().map(move |&b| (a, b)))
+        .find(|&(a, b)| a < b && tree.are_siblings(a, b))
+        .expect("the seeded tree has a sibling pair");
+    let query = FactorisedQuery {
+        equalities: vec![(first_attr(a), first_attr(b))],
+        ..FactorisedQuery::default()
+    };
+    let plan = FdbEngine::new()
+        .evaluate_factorised(&rep, &query)
+        .expect("the equality evaluates")
+        .stats
+        .plan;
+    assert_eq!(plan.len(), 1, "one operator, no selection: {plan}");
+    query
 }
 
 /// Asserts a non-faulted outcome slot is store-identical to evaluating the
@@ -376,6 +401,11 @@ fn panics_at_deep_sites_leave_the_plan_cache_usable() {
         // arena fold, whose `aggregate.fold` failpoint panics mid-request.
         let deep_faults = vec![
             (ServeRequest::new(id, query.clone(), None), "fuse.execute"),
+            // A one-operator plan reaches the same site.
+            (
+                ServeRequest::new(id, one_operator_query(&server, id), None),
+                "fuse.execute",
+            ),
             (
                 ServeRequest::new(id, FactorisedQuery::default(), Some(AggregateHead::count())),
                 "aggregate.fold",

@@ -22,19 +22,18 @@
 //! 4. The ordered cursor's **layout rule** — sort-free emission when the
 //!    slots can follow ascending smallest-visible-attribute order, a run
 //!    sort otherwise — on hand-rolled forests whose attribute ids are
-//!    unrelated to tree position, sequentially and on pools of 1/2/4.
+//!    unrelated to tree position.
 
 mod common;
 
 use fdb::common::{AggregateFunc, AggregateHead, ComparisonOp, ConstSelection, RelId};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::{
-    FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase, ThreadPool,
+    FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase,
 };
 use fdb::frep::aggregate::{self, AggregateKind, AggregateResult, AggregateValue, AvgValue};
 use fdb::frep::{
-    materialize, materialize_ordered, materialize_then_sort, par_materialize_ordered, Entry, FRep,
-    OrderStrategy, Union,
+    materialize, materialize_ordered, materialize_then_sort, Entry, FRep, OrderStrategy, Union,
 };
 use fdb::ftree::{DepEdge, FTree, NodeId};
 use fdb::{AttrId, Value};
@@ -326,12 +325,11 @@ fn layout_order_bys(rng: &mut StdRng, rep: &FRep) -> Vec<Vec<AttrId>> {
 }
 
 #[test]
-fn randomized_layouts_match_the_sort_oracle_sequentially_and_on_every_pool() {
-    let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+fn randomized_layouts_match_the_sort_oracle_sequentially() {
     let mut strategies = BTreeSet::new();
     for seed in 24..224u64 {
         let mut rng = StdRng::seed_from_u64(0x1A_7007 ^ seed);
-        let rep = Arc::new(random_layout_rep(&mut rng));
+        let rep = random_layout_rep(&mut rng);
         if rep.visible_attrs().is_empty() {
             continue;
         }
@@ -343,16 +341,6 @@ fn randomized_layouts_match_the_sort_oracle_sequentially_and_on_every_pool() {
                 "seed {seed}: ORDER BY {order_by:?} diverged ({strategy:?})"
             );
             strategies.insert(format!("{strategy:?}"));
-            for pool in &pools {
-                let (par_rows, par_strategy) =
-                    par_materialize_ordered(&rep, &order_by, pool).unwrap();
-                let threads = pool.threads();
-                assert_eq!(par_strategy, strategy, "seed {seed}, {threads} threads");
-                assert_eq!(
-                    par_rows, oracle,
-                    "seed {seed}, {threads} threads: ORDER BY {order_by:?} diverged"
-                );
-            }
         }
     }
     assert!(
