@@ -197,14 +197,6 @@ impl Catalog {
         found
     }
 
-    /// Looks up a relation by name.
-    pub fn find_rel(&self, name: &str) -> Option<RelId> {
-        self.rels
-            .iter()
-            .position(|r| r.name == name)
-            .map(|i| RelId(i as u32))
-    }
-
     /// Returns a fully qualified, human readable name for an attribute.
     pub fn qualified_attr_name(&self, attr: AttrId) -> String {
         let rel = self.attr_relation(attr);
@@ -274,8 +266,6 @@ mod tests {
         assert_eq!(cat.find_attr("Orders.item"), Some(AttrId(1)));
         assert_eq!(cat.find_attr("Store.item"), Some(AttrId(3)));
         assert_eq!(cat.find_attr("oid"), Some(AttrId(0)));
-        assert_eq!(cat.find_rel("Disp"), Some(RelId(2)));
-        assert_eq!(cat.find_rel("Missing"), None);
     }
 
     #[test]

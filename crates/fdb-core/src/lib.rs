@@ -41,4 +41,4 @@ pub use serving::{
     default_threads, FdbServer, PlanCache, RepId, ServeRequest, ServerStats, SharedDatabase,
     ThreadPool,
 };
-pub use snapshot::{load_database, load_rep, save_database, save_rep};
+pub use snapshot::{load_rep, save_database};

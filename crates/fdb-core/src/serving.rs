@@ -160,14 +160,6 @@ impl SharedDatabase {
         self.slots.get(id.0).map(|slot| slot.read().rep)
     }
 
-    /// The current representation and its epoch, read atomically.
-    pub fn get_versioned(&self, id: RepId) -> Option<(Arc<FRep>, u64)> {
-        self.slots.get(id.0).map(|slot| {
-            let current = slot.read();
-            (current.rep, current.epoch)
-        })
-    }
-
     /// The slot's current epoch: 0 at registration, bumped by every
     /// [`SharedDatabase::replace`].
     pub fn epoch(&self, id: RepId) -> Option<u64> {
@@ -650,7 +642,7 @@ pub const DEFAULT_IN_FLIGHT_PER_THREAD: usize = 128;
 ///   batch completes, and the shared state stays usable (no lock is held
 ///   across evaluation);
 /// * admission control bounds the number of in-flight requests
-///   ([`FdbServer::with_max_in_flight`]); arrivals beyond the bound are shed
+///   ([`DEFAULT_IN_FLIGHT_PER_THREAD`] per worker); arrivals beyond the bound are shed
 ///   immediately with [`FdbError::Overloaded`] instead of queueing without
 ///   limit;
 /// * [`FdbServer::shutdown`] drains gracefully: in-flight requests finish,
@@ -689,13 +681,6 @@ impl FdbServer {
             shed: AtomicU64::new(0),
             panics: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Replaces the admission bound (clamped to at least one in-flight
-    /// request).
-    pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
-        self.max_in_flight = max_in_flight.max(1);
-        self
     }
 
     /// Creates a server sized by [`default_threads`] (the `FDB_THREADS`
@@ -1265,8 +1250,8 @@ mod tests {
 
         let mut shared = SharedDatabase::new();
         let id = shared.insert("base", rep.clone()).unwrap();
-        let (pinned, epoch) = shared.get_versioned(id).unwrap();
-        assert_eq!(epoch, 0);
+        let pinned = shared.get(id).unwrap();
+        assert_eq!(shared.epoch(id), Some(0));
 
         let old = shared.replace(id, new_rep.result.clone()).unwrap();
         assert!(old.store_identical(&rep), "replace returns the old arena");
@@ -1274,9 +1259,12 @@ mod tests {
             pinned.store_identical(&rep),
             "a reader that pinned the old epoch is unaffected by the swap"
         );
-        let (current, epoch) = shared.get_versioned(id).unwrap();
-        assert_eq!(epoch, 1, "each swap bumps the slot's epoch");
-        assert!(current.store_identical(&new_rep.result));
+        assert_eq!(
+            shared.epoch(id),
+            Some(1),
+            "each swap bumps the slot's epoch"
+        );
+        assert!(shared.get(id).unwrap().store_identical(&new_rep.result));
         assert_eq!(shared.find("base"), Some(id), "the name survives the swap");
 
         // Replacing an unknown id is a structured error, not a panic.

@@ -5,18 +5,19 @@
 //! by a word-wise 64-bit checksum, structurally re-verified on every load.
 //! This module adds the filesystem orchestration:
 //!
-//! * [`save_rep`]/[`load_rep`] persist one frozen [`FRep`] to a file.
+//! * [`save_rep_ctx`]/[`load_rep_ctx`] persist one frozen [`FRep`] to a file.
 //!   Writes are **atomic**: the bytes go to a `<name>.tmp` sibling, are
 //!   synced, and are renamed over the final path, so a crash mid-write
 //!   leaves either the old file or no file — never a torn one.  (A torn
 //!   write that slips through anyway — e.g. a dying disk — is caught at
 //!   load time by the framing and checksum verification.)
-//! * [`save_database`]/[`load_database`] persist every representation of a
-//!   [`SharedDatabase`] into a directory: one `rep-<index>.fdbs` file per
-//!   slot plus a `MANIFEST.fdbs` mapping registration names to files, in
-//!   the same checksummed section format (header kind
-//!   [`fdb_frep::snapshot::KIND_MANIFEST`]).  Loading rebuilds the database
-//!   with identical [`crate::RepId`]s, names and name-index semantics.
+//! * [`save_database_ctx`]/[`load_database_ctx`] persist every
+//!   representation of a [`SharedDatabase`] into a directory: one
+//!   `rep-<index>.fdbs` file per slot plus a `MANIFEST.fdbs` mapping
+//!   registration names to files, in the same checksummed section format
+//!   (header kind [`fdb_frep::snapshot::KIND_MANIFEST`]).  Loading rebuilds
+//!   the database with identical [`crate::RepId`]s, names and name-index
+//!   semantics.
 //!
 //! Failure vocabulary: OS-level failures (missing file, permissions, disk
 //! full) report [`FdbError::SnapshotIo`]; bytes that were read but fail
@@ -70,13 +71,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
 }
 
 /// Saves one frozen representation to `path` (atomic write; see the module
-/// docs).
-pub fn save_rep(rep: &FRep, path: &Path) -> Result<()> {
-    save_rep_ctx(rep, path, &ExecCtx::unlimited())
-}
-
-/// [`save_rep`] under an execution context: encoding charges the context
-/// per arena record and hosts the `snapshot.write` failpoint.
+/// docs).  Encoding charges the context per arena record and hosts the
+/// `snapshot.write` failpoint.
 pub fn save_rep_ctx(rep: &FRep, path: &Path, ctx: &ExecCtx) -> Result<()> {
     let bytes = encode_frep_ctx(rep, ctx)?;
     write_atomic(path, &bytes)
@@ -201,16 +197,11 @@ pub fn save_database_ctx(db: &SharedDatabase, dir: &Path, ctx: &ExecCtx) -> Resu
     write_atomic(&dir.join(MANIFEST_FILE), &encode_manifest(&entries))
 }
 
-/// Loads a database saved by [`save_database`]: reads and verifies the
+/// Loads a database saved by [`save_database_ctx`]: reads and verifies the
 /// manifest, then loads and re-verifies every representation file,
 /// registering them in manifest order so every [`crate::RepId`] — and the
-/// first-registration-wins name index — comes back identical.
-pub fn load_database(dir: &Path) -> Result<SharedDatabase> {
-    load_database_ctx(dir, &ExecCtx::unlimited())
-}
-
-/// [`load_database`] under an execution context, threaded through every
-/// per-representation decode.
+/// first-registration-wins name index — comes back identical.  The context
+/// is threaded through every per-representation decode.
 pub fn load_database_ctx(dir: &Path, ctx: &ExecCtx) -> Result<SharedDatabase> {
     let manifest_path = dir.join(MANIFEST_FILE);
     let bytes = fs::read(&manifest_path).map_err(|e| io_err("read", &manifest_path, e))?;
@@ -271,7 +262,7 @@ mod tests {
         let dir = scratch_dir("file");
         let path = dir.join("rep.fdbs");
         let rep = sample_rep();
-        save_rep(&rep, &path).unwrap();
+        save_rep_ctx(&rep, &path, &ExecCtx::unlimited()).unwrap();
         assert!(
             fs::read_dir(&dir)
                 .unwrap()
@@ -289,7 +280,7 @@ mod tests {
         let path = dir.join("rep.fdbs");
         assert!(matches!(load_rep(&path), Err(FdbError::SnapshotIo { .. })));
         let rep = sample_rep();
-        save_rep(&rep, &path).unwrap();
+        save_rep_ctx(&rep, &path, &ExecCtx::unlimited()).unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         assert!(matches!(
@@ -332,7 +323,7 @@ mod tests {
             skewed[4..8].copy_from_slice(&1u32.to_le_bytes());
             fs::write(&path, &skewed).unwrap();
             assert_eq!(
-                load_database(&dir).err(),
+                load_database_ctx(&dir, &ExecCtx::unlimited()).err(),
                 Some(FdbError::SnapshotVersionMismatch {
                     found: 1,
                     expected: 2
@@ -342,7 +333,7 @@ mod tests {
             );
             fs::write(&path, &good).unwrap();
         }
-        assert!(load_database(&dir).is_ok());
+        assert!(load_database_ctx(&dir, &ExecCtx::unlimited()).is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -356,7 +347,7 @@ mod tests {
         let third = db.insert("third", rep.clone()).unwrap();
 
         save_database(&db, &dir).unwrap();
-        let loaded = load_database(&dir).unwrap();
+        let loaded = load_database_ctx(&dir, &ExecCtx::unlimited()).unwrap();
         assert_eq!(loaded.len(), 3);
         assert_eq!(loaded.find("base"), Some(first));
         assert_eq!(loaded.find("other"), Some(second));
@@ -384,7 +375,7 @@ mod tests {
             let mut bad = good.clone();
             bad[at] ^= 0x40;
             fs::write(&manifest, &bad).unwrap();
-            match load_database(&dir) {
+            match load_database_ctx(&dir, &ExecCtx::unlimited()) {
                 Err(
                     FdbError::SnapshotCorrupt { .. } | FdbError::SnapshotVersionMismatch { .. },
                 ) => {}
@@ -398,7 +389,7 @@ mod tests {
             encode_manifest(&[("evil".into(), "../rep-0.fdbs".into())]),
         )
         .unwrap();
-        match load_database(&dir) {
+        match load_database_ctx(&dir, &ExecCtx::unlimited()) {
             Err(FdbError::SnapshotCorrupt { detail }) => {
                 assert!(detail.contains("escapes"), "unexpected detail: {detail}")
             }

@@ -16,7 +16,7 @@
 //! each as a **single bottom-up pass** over the arena's topological index
 //! order — the same shape as [`FRep::tuple_count`], with no recursion and no
 //! per-node allocation beyond one accumulator per union.  Group-by
-//! ([`aggregate_grouped`]) accepts any chain of attributes whose nodes form
+//! ([`evaluate_ctx`]) accepts any chain of attributes whose nodes form
 //! a prefix of a root-to-leaf path of the f-tree: the pass descends the
 //! chain, so groups are the value combinations along the path, emitted in
 //! lexicographic (nested ascending) key order.  Grouping on attributes that
@@ -79,13 +79,12 @@
 //!
 //! # Where this hooks into execution
 //!
-//! [`aggregate`] and [`aggregate_grouped`] read a frozen arena.  The fused
-//! executor offers a second entry point,
-//! [`crate::ops::execute_fused_aggregate`], that evaluates the same
-//! aggregates directly on the fused overlay — an aggregate is one more
+//! [`evaluate_ctx`] reads a frozen arena.  The plan executor offers a second
+//! entry point, [`crate::ops::execute_fused_aggregate_ctx`], that evaluates
+//! the same aggregates directly on the overlay — an aggregate is one more
 //! consumer of the overlay that never needs the final arena at all, so an
-//! aggregate query pays zero final-arena emission.  `fdb-plan` routes a
-//! plan's trailing structural segment through that entry point.
+//! aggregate query pays zero final-arena emission.  `fdb-plan` routes every
+//! non-empty aggregate plan through that entry point.
 
 use crate::frep::FRep;
 use crate::store::Store;
@@ -201,16 +200,6 @@ pub enum AggregateResult {
     /// omitted (as a flat `GROUP BY` over the enumerated tuples would omit
     /// them).
     Groups(Vec<(Vec<Value>, AggregateValue)>),
-}
-
-impl AggregateResult {
-    /// The scalar value, if this is an ungrouped result.
-    pub fn as_scalar(&self) -> Option<AggregateValue> {
-        match self {
-            AggregateResult::Scalar(v) => Some(*v),
-            AggregateResult::Groups(_) => None,
-        }
-    }
 }
 
 /// The algebra an aggregation pass folds with.  Two implementations: the
@@ -882,17 +871,16 @@ fn evaluate_typed<A: Accumulator>(
     )
 }
 
-/// Evaluates an aggregate (optionally grouped by a root-path attribute
-/// chain) over the representation in one flat bottom-up pass over the
-/// arena.  See the module docs for the numeric semantics.
-pub fn evaluate(rep: &FRep, kind: AggregateKind, group_by: &[AttrId]) -> Result<AggregateResult> {
-    evaluate_ctx(rep, kind, group_by, &ExecCtx::unlimited())
-}
-
-/// [`evaluate`] under a governance context: the flat bottom-up pass charges
-/// one unit per union record, so a deadline, budget or cancellation flag
-/// interrupts the fold between unions with no partial state (the aggregate
-/// never mutates the representation).
+/// Evaluates an aggregate over the representation in one flat bottom-up
+/// pass over the arena (see the module docs for the numeric semantics).
+/// With an empty `group_by` the result is a scalar; otherwise `group_by` is
+/// a root-path attribute chain and the result has one row per live
+/// combination of the chain's values (lexicographic ascending key order),
+/// each aggregated over the matching tuples, groups without tuples omitted.
+///
+/// The pass charges one unit per union record, so a deadline, budget or
+/// cancellation flag interrupts the fold between unions with no partial
+/// state (the aggregate never mutates the representation).
 pub fn evaluate_ctx(
     rep: &FRep,
     kind: AggregateKind,
@@ -907,39 +895,16 @@ pub fn evaluate_ctx(
     }
 }
 
-/// Evaluates an ungrouped aggregate — [`evaluate`] with no group-by.
-pub fn aggregate(rep: &FRep, kind: AggregateKind) -> Result<AggregateValue> {
-    match evaluate(rep, kind, &[])? {
-        AggregateResult::Scalar(v) => Ok(v),
-        AggregateResult::Groups(_) => unreachable!("ungrouped evaluation returns a scalar"),
-    }
-}
-
-/// Evaluates an aggregate grouped by a root-path attribute chain: one
-/// output row per live combination of the chain's values (lexicographic
-/// ascending key order), each aggregated over the matching tuples.  Groups
-/// without tuples are omitted.  [`evaluate`] with a non-empty group-by.
-pub fn aggregate_grouped(
-    rep: &FRep,
-    kind: AggregateKind,
-    group_by: &[AttrId],
-) -> Result<Vec<(Vec<Value>, AggregateValue)>> {
-    match evaluate(rep, kind, group_by)? {
-        AggregateResult::Groups(rows) => Ok(rows),
-        AggregateResult::Scalar(_) => unreachable!("grouped evaluation returns rows"),
-    }
-}
-
 /// The materialise-then-aggregate reference evaluator: enumerates the
 /// represented relation tuple by tuple with the constant-delay cursor and
 /// folds the aggregate with plain collections — the plan a flat engine
 /// would run.  Same wrapping 128-bit arithmetic as the one-pass evaluators
 /// (and a `BTreeSet` per group for the `DISTINCT` kinds), so the results
 /// agree bit for bit; the equivalence tests use it as the flat oracle and
-/// the benchmarks as the timed baseline.  Unlike [`evaluate`], grouping
+/// the benchmarks as the timed baseline.  Unlike [`evaluate_ctx`], grouping
 /// works on *any* visible attribute set in any order (the oracle pays the
 /// flat enumeration anyway), and groups come out sorted ascending by key
-/// vector with empty groups absent, matching [`aggregate_grouped`] whenever
+/// vector with empty groups absent, matching [`evaluate_ctx`] whenever
 /// the requested chain is evaluable there.
 pub fn by_enumeration(
     rep: &FRep,
@@ -1052,6 +1017,26 @@ mod tests {
         vs.iter().map(|&v| Value::new(v)).collect()
     }
 
+    /// The ungrouped aggregate's value.
+    fn scalar(rep: &FRep, kind: AggregateKind) -> Result<AggregateValue> {
+        match evaluate_ctx(rep, kind, &[], &ExecCtx::unlimited())? {
+            AggregateResult::Scalar(v) => Ok(v),
+            AggregateResult::Groups(_) => unreachable!("ungrouped evaluation returns a scalar"),
+        }
+    }
+
+    /// The grouped aggregate's rows.
+    fn grouped(
+        rep: &FRep,
+        kind: AggregateKind,
+        group_by: &[AttrId],
+    ) -> Result<Vec<(Vec<Value>, AggregateValue)>> {
+        match evaluate_ctx(rep, kind, group_by, &ExecCtx::unlimited())? {
+            AggregateResult::Groups(rows) => Ok(rows),
+            AggregateResult::Scalar(_) => unreachable!("grouped evaluation returns rows"),
+        }
+    }
+
     /// Example 3 of the paper: ⟨A:1⟩×(⟨B:1⟩ ∪ ⟨B:2⟩) ∪ ⟨A:2⟩×⟨B:2⟩,
     /// tuples {(1,1), (1,2), (2,2)}.
     fn example3() -> FRep {
@@ -1082,28 +1067,28 @@ mod tests {
     fn example3_aggregates() {
         let rep = example3();
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(3)
         );
         // A over {1, 1, 2}; B over {1, 2, 2}.
         assert_eq!(
-            aggregate(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
             AggregateValue::Sum(4)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Sum(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::Sum(AttrId(1))).unwrap(),
             AggregateValue::Sum(5)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Min(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::Min(AttrId(1))).unwrap(),
             AggregateValue::Min(Some(Value::new(1)))
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Max(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Max(AttrId(0))).unwrap(),
             AggregateValue::Max(Some(Value::new(2)))
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Avg(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::Avg(AttrId(1))).unwrap(),
             AggregateValue::Avg(Some(AvgValue { sum: 5, count: 3 }))
         );
     }
@@ -1113,15 +1098,15 @@ mod tests {
         let rep = example3();
         // Distinct A values {1, 2}; distinct B values {1, 2}.
         assert_eq!(
-            aggregate(&rep, AggregateKind::CountDistinct(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::CountDistinct(AttrId(1))).unwrap(),
             AggregateValue::Count(2)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::SumDistinct(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::SumDistinct(AttrId(1))).unwrap(),
             AggregateValue::Sum(3)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::AvgDistinct(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::AvgDistinct(AttrId(0))).unwrap(),
             AggregateValue::Avg(Some(AvgValue { sum: 3, count: 2 }))
         );
         // The flat hash-set oracle agrees bit for bit.
@@ -1131,7 +1116,7 @@ mod tests {
             AggregateKind::AvgDistinct(AttrId(1)),
         ] {
             assert_eq!(
-                evaluate(&rep, kind, &[]).unwrap(),
+                evaluate_ctx(&rep, kind, &[], &ExecCtx::unlimited()).unwrap(),
                 by_enumeration(&rep, kind, &[]).unwrap()
             );
         }
@@ -1140,7 +1125,7 @@ mod tests {
     #[test]
     fn example3_grouped_by_root() {
         let rep = example3();
-        let rows = aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(0)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Count, &[AttrId(0)]).unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1148,7 +1133,7 @@ mod tests {
                 (key(&[2]), AggregateValue::Count(1)),
             ]
         );
-        let rows = aggregate_grouped(&rep, AggregateKind::Sum(AttrId(1)), &[AttrId(0)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Sum(AttrId(1)), &[AttrId(0)]).unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1158,16 +1143,16 @@ mod tests {
         );
         // Grouping by a non-root attribute alone is rejected: the chain
         // must start at a root (the engine restructures first).
-        assert!(aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(1)]).is_err());
+        assert!(grouped(&rep, AggregateKind::Count, &[AttrId(1)]).is_err());
         // So is a chain in child-before-parent order.
-        assert!(aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(1), AttrId(0)]).is_err());
+        assert!(grouped(&rep, AggregateKind::Count, &[AttrId(1), AttrId(0)]).is_err());
     }
 
     #[test]
     fn example3_grouped_by_path() {
         let rep = example3();
         // Grouping by the full root-to-leaf path enumerates the tuples.
-        let rows = aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(0), AttrId(1)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Count, &[AttrId(0), AttrId(1)]).unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1177,8 +1162,7 @@ mod tests {
             ]
         );
         // Distinct grouped by the root: A=1 sees B∈{1,2}, A=2 sees {2}.
-        let rows =
-            aggregate_grouped(&rep, AggregateKind::CountDistinct(AttrId(1)), &[AttrId(0)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::CountDistinct(AttrId(1)), &[AttrId(0)]).unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1195,7 +1179,7 @@ mod tests {
             AggregateKind::SumDistinct(AttrId(0)),
         ] {
             assert_eq!(
-                evaluate(&rep, kind, &[AttrId(0), AttrId(1)]).unwrap(),
+                evaluate_ctx(&rep, kind, &[AttrId(0), AttrId(1)], &ExecCtx::unlimited()).unwrap(),
                 by_enumeration(&rep, kind, &[AttrId(0), AttrId(1)]).unwrap(),
                 "kind {kind}"
             );
@@ -1209,30 +1193,30 @@ mod tests {
         tree.add_node(attrs(&[0]), None).unwrap();
         let rep = FRep::empty(tree);
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(0)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
             AggregateValue::Sum(0)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Min(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Min(AttrId(0))).unwrap(),
             AggregateValue::Min(None)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
             AggregateValue::Avg(None)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::CountDistinct(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::CountDistinct(AttrId(0))).unwrap(),
             AggregateValue::Count(0)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::AvgDistinct(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::AvgDistinct(AttrId(0))).unwrap(),
             AggregateValue::Avg(None)
         );
-        assert!(aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(0)])
+        assert!(grouped(&rep, AggregateKind::Count, &[AttrId(0)])
             .unwrap()
             .is_empty());
     }
@@ -1241,22 +1225,22 @@ mod tests {
     fn nullary_forest_counts_one_tuple() {
         let rep = FRep::empty(FTree::new(vec![]));
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(1)
         );
         // No attribute exists to aggregate over.
-        assert!(aggregate(&rep, AggregateKind::Sum(AttrId(0))).is_err());
+        assert!(scalar(&rep, AggregateKind::Sum(AttrId(0))).is_err());
     }
 
     #[test]
     fn unknown_and_projected_attributes_are_rejected() {
         let rep = example3();
         assert!(matches!(
-            aggregate(&rep, AggregateKind::Sum(AttrId(9))),
+            scalar(&rep, AggregateKind::Sum(AttrId(9))),
             Err(FdbError::AttributeNotInQuery { .. })
         ));
         assert!(matches!(
-            aggregate(&rep, AggregateKind::CountDistinct(AttrId(9))),
+            scalar(&rep, AggregateKind::CountDistinct(AttrId(9))),
             Err(FdbError::AttributeNotInQuery { .. })
         ));
         // Projecting B away removes its exhausted leaf from the tree: the
@@ -1264,7 +1248,7 @@ mod tests {
         let mut projected = rep.clone();
         crate::ops::project(&mut projected, &attrs(&[0])).unwrap();
         assert!(matches!(
-            aggregate(&projected, AggregateKind::Min(AttrId(1))),
+            scalar(&projected, AggregateKind::Min(AttrId(1))),
             Err(FdbError::AttributeNotInQuery { .. })
         ));
     }
@@ -1291,26 +1275,26 @@ mod tests {
         );
         let rep = FRep::from_parts(tree, vec![union]).unwrap();
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(1)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Min(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Min(AttrId(0))).unwrap(),
             AggregateValue::Min(Some(Value::new(2)))
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Max(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::Max(AttrId(1))).unwrap(),
             AggregateValue::Max(Some(Value::new(7)))
         );
         // The dead branch contributes no distinct values either.
         assert_eq!(
-            aggregate(&rep, AggregateKind::CountDistinct(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::CountDistinct(AttrId(0))).unwrap(),
             AggregateValue::Count(1)
         );
         // The dead group is omitted entirely — from both group shapes.
-        let rows = aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(0)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Count, &[AttrId(0)]).unwrap();
         assert_eq!(rows, vec![(key(&[2]), AggregateValue::Count(1))]);
-        let rows = aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(0), AttrId(1)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Count, &[AttrId(0), AttrId(1)]).unwrap();
         assert_eq!(rows, vec![(key(&[2, 7]), AggregateValue::Count(1))]);
     }
 
@@ -1328,13 +1312,13 @@ mod tests {
         let rep = FRep::from_parts(tree, vec![u]).unwrap();
         for attr in [AttrId(0), AttrId(1)] {
             assert_eq!(
-                aggregate(&rep, AggregateKind::Sum(attr)).unwrap(),
+                scalar(&rep, AggregateKind::Sum(attr)).unwrap(),
                 AggregateValue::Sum(12)
             );
         }
         // Both class attributes share one key slot: the key repeats the
         // node value, once per requested attribute.
-        let rows = aggregate_grouped(&rep, AggregateKind::Count, &[AttrId(0), AttrId(1)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Count, &[AttrId(0), AttrId(1)]).unwrap();
         assert_eq!(
             rows,
             vec![
@@ -1368,31 +1352,31 @@ mod tests {
         );
         let rep = FRep::from_parts(tree, vec![ua, ub]).unwrap();
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(6)
         );
         // Each A value occurs 3 times: sum_A = (1+2)·3 = 9.
         assert_eq!(
-            aggregate(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
             AggregateValue::Sum(9)
         );
         // Each B value occurs twice: sum_B = (5+6+7)·2 = 36.
         assert_eq!(
-            aggregate(&rep, AggregateKind::Sum(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::Sum(AttrId(1))).unwrap(),
             AggregateValue::Sum(36)
         );
         // Multiplicities never enter the DISTINCT kinds: B∈{5,6,7} even
         // though every value occurs twice.
         assert_eq!(
-            aggregate(&rep, AggregateKind::CountDistinct(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::CountDistinct(AttrId(1))).unwrap(),
             AggregateValue::Count(3)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::SumDistinct(AttrId(1))).unwrap(),
+            scalar(&rep, AggregateKind::SumDistinct(AttrId(1))).unwrap(),
             AggregateValue::Sum(18)
         );
         // Group by B (a root attribute): every group has 2 tuples.
-        let rows = aggregate_grouped(&rep, AggregateKind::Avg(AttrId(0)), &[AttrId(1)]).unwrap();
+        let rows = grouped(&rep, AggregateKind::Avg(AttrId(0)), &[AttrId(1)]).unwrap();
         assert_eq!(rows.len(), 3);
         for (_, v) in rows {
             assert_eq!(v, AggregateValue::Avg(Some(AvgValue { sum: 3, count: 2 })));
@@ -1419,16 +1403,16 @@ mod tests {
         }
         let rep = FRep::from_parts(tree, unions).unwrap();
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(0)
         );
         assert!(matches!(
-            aggregate(&rep, AggregateKind::Avg(AttrId(0))),
+            scalar(&rep, AggregateKind::Avg(AttrId(0))),
             Err(FdbError::AggregateOverflow { .. })
         ));
         // The DISTINCT average never multiplies counts: still exact.
         assert_eq!(
-            aggregate(&rep, AggregateKind::AvgDistinct(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::AvgDistinct(AttrId(0))).unwrap(),
             AggregateValue::Avg(Some(AvgValue { sum: 3, count: 2 }))
         );
     }
@@ -1502,11 +1486,11 @@ mod tests {
         );
         let rep = FRep::from_parts(tree, vec![union]).unwrap();
         assert_eq!(
-            aggregate(&rep, AggregateKind::Count).unwrap(),
+            scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(1)
         );
         assert_eq!(
-            aggregate(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
+            scalar(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
             AggregateValue::Avg(Some(AvgValue { sum: 2, count: 1 }))
         );
     }

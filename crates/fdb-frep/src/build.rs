@@ -1,7 +1,7 @@
 //! Construction of factorised query results directly from flat databases.
 //!
 //! Given a select-project-join query `Q`, an input database `D` and an
-//! f-tree `T` of `Q`, [`build_frep`] computes the f-representation of the
+//! f-tree `T` of `Q`, [`build_frep_ctx`] computes the f-representation of the
 //! (unprojected) query result over `T` without ever materialising the flat
 //! result — the algorithm of the paper's prior work that FDB uses to answer
 //! queries on relational input.
@@ -253,16 +253,13 @@ fn gallop(keys: &[Value], from: usize, below: impl Fn(Value) -> bool) -> usize {
 /// applied afterwards with the projection operator, as FDB defers them to
 /// the end of the f-plan).  Constant selections of the query are pushed onto
 /// the base relations before the factorisation is built.
-pub fn build_frep(db: &Database, query: &Query, tree: &FTree) -> Result<FRep> {
-    build_frep_ctx(db, query, tree, &ExecCtx::unlimited())
-}
-
-/// [`build_frep`] under a governance context: the context is charged one
-/// unit per input row that passes the query's selections (before the rows
-/// are sorted) and one per candidate value the semi-join decides, so a
-/// deadline, budget or cancellation aborts the construction cooperatively.
-/// On abort the half-built arena is simply dropped — the watermark rollback
-/// already guarantees no candidate is ever half-recorded.
+///
+/// The context is charged one unit per input row that passes the query's
+/// selections (before the rows are sorted) and one per candidate value the
+/// semi-join decides, so a deadline, budget or cancellation aborts the
+/// construction cooperatively.  On abort the half-built arena is simply
+/// dropped — the watermark rollback already guarantees no candidate is ever
+/// half-recorded.
 pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<FRep> {
     let prepared = prepare(db, query, tree, ctx)?;
     failpoint!(ctx, "build.semi_join");
@@ -532,7 +529,7 @@ mod tests {
         let (db, rels) = grocery();
         let query = q1(&db, &rels);
         let tree = t1(&db, &query);
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         rep.validate().unwrap();
         let flat = materialize(&rep).unwrap();
         assert_eq!(flat.tuple_set(), rdb_result(&db, &query));
@@ -547,7 +544,7 @@ mod tests {
         let query = q1(&db, &rels);
         let tree =
             ftree_from_query_classes(db.catalog(), &query, |r| db.rel_len(r) as u64).unwrap();
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         let flat = materialize(&rep).unwrap();
         assert_eq!(flat.tuple_set(), rdb_result(&db, &query));
     }
@@ -559,7 +556,7 @@ mod tests {
         let oid = cat.find_attr("Orders.oid").unwrap();
         let query = q1(&db, &rels).with_const_selection(oid, ComparisonOp::Eq, Value::new(1));
         let tree = t1(&db, &query);
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         let flat = materialize(&rep).unwrap();
         assert_eq!(flat.tuple_set(), rdb_result(&db, &query));
         let oid_col = flat.col_index(oid).unwrap();
@@ -573,7 +570,7 @@ mod tests {
         db.insert_raw_rows(rels[1], &[]).unwrap();
         let query = q1(&db, &rels);
         let tree = t1(&db, &query);
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         assert!(rep.represents_empty());
         assert_eq!(rep.tuple_count(), 0);
         assert_eq!(materialize(&rep).unwrap().len(), 0);
@@ -610,7 +607,7 @@ mod tests {
             Some(b),
         )
         .unwrap();
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         assert_eq!(rep.tuple_count(), 1);
         assert_eq!(
             materialize(&rep).unwrap().tuple_set(),
@@ -658,7 +655,7 @@ mod tests {
         // first visit consume or narrow R's range for good would lose the
         // B = 6 branch.
         let (db, query, tree) = triangle();
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         assert_eq!(rep.tuple_count(), 5);
         assert_eq!(
             materialize(&rep).unwrap().tuple_set(),
@@ -679,7 +676,8 @@ mod tests {
         };
         let (rep, left) = governed(15 + 23).unwrap();
         assert_eq!(left, 0);
-        assert!(rep.store_identical(&build_frep(&db, &query, &tree).unwrap()));
+        assert!(rep
+            .store_identical(&build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap()));
         assert_eq!(
             governed(15 + 23 - 1).unwrap_err(),
             FdbError::BudgetExceeded { limit: 37 }
@@ -774,7 +772,7 @@ mod tests {
         )]);
         tree.add_node([AttrId(0)].into_iter().collect(), None)
             .unwrap();
-        assert!(build_frep(&db, &query, &tree).is_err());
+        assert!(build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).is_err());
     }
 
     #[test]
@@ -793,7 +791,7 @@ mod tests {
         let tree =
             fdb_ftree::flat_database_ftree(db.catalog(), &[r, s], |rel| db.rel_len(rel) as u64)
                 .unwrap();
-        let rep = build_frep(&db, &query, &tree).unwrap();
+        let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         assert_eq!(rep.size(), 50);
         assert_eq!(rep.tuple_count(), 600);
     }

@@ -14,8 +14,7 @@
 //!   and refills the slots after it — the classic odometer, with child
 //!   unions fetched by O(1) index thanks to the arena's fixed child order.
 //!
-//! [`for_each_tuple`] drives the cursor in callback form.  Both
-//! materialisers ([`materialize_ctx`], [`materialize_ordered_ctx`]) go
+//! Both materialisers ([`materialize_ctx`], [`materialize_ordered_ctx`]) go
 //! through one emission routine that writes rows
 //! straight into the row-major `Vec<Value>` that becomes the [`Relation`]:
 //! the buffer is sized once from [`FRep::tuple_count`], and the innermost
@@ -450,16 +449,11 @@ impl<'a> TupleCursor<'a> {
     }
 }
 
-/// Calls `f` once per tuple of the represented relation.  The buffer handed
+/// Calls `f` once per tuple of the represented relation, charging one unit
+/// per tuple before handing it to the callback, so a deadline, budget or
+/// cancellation flag interrupts the walk between tuples.  The buffer handed
 /// to the callback lists the values of the representation's *visible*
 /// attributes in ascending attribute-id order.
-pub fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, f: F) {
-    for_each_tuple_ctx(rep, &ExecCtx::unlimited(), f).expect("an unlimited context never trips");
-}
-
-/// [`for_each_tuple`] under a governance context: charges one unit per
-/// tuple before handing it to the callback, so a deadline, budget or
-/// cancellation flag interrupts the walk between tuples.
 pub(crate) fn for_each_tuple_ctx<F: FnMut(&[Value])>(
     rep: &FRep,
     ctx: &ExecCtx,
@@ -652,14 +646,21 @@ fn sort_rows(data: &mut [Value], width: usize, order_cols: &[usize], prefix_sort
     }
 }
 
-/// The shared body of the ordered materialisers: picks the layout, lets
-/// `emit` fill the flat buffer in that layout's order, and runs the
-/// fallback sort only when the layout is not canonical.
-fn materialize_ordered_with(
+/// Materialises the represented relation **in the canonical ordered-output
+/// order** for the given `ORDER BY` attributes.  Picks the chain strategy
+/// (ordered enumeration via [`CursorConfig::with_priority`]) when
+/// [`order_chain`] finds a root-path chain and the enumerate-then-sort
+/// fallback otherwise — the flat buffer is filled in the chosen layout's
+/// order and the fallback sort runs only when that layout is not canonical;
+/// both produce bit-for-bit identical rows, so the returned
+/// [`OrderStrategy`] is observability, not semantics.  Charges one unit per
+/// enumerated tuple, like [`materialize_ctx`].
+pub fn materialize_ordered_ctx(
     rep: &FRep,
     order_by: &[AttrId],
-    emit: impl FnOnce(CursorConfig) -> Result<Vec<Value>>,
+    ctx: &ExecCtx,
 ) -> Result<(Relation, OrderStrategy)> {
+    failpoint!(ctx, "enumerate.cursor");
     let attrs = rep.visible_attrs();
     let cols = order_cols(&attrs, order_by)?;
     let (config, strategy) = match order_chain(rep.tree(), order_by) {
@@ -669,57 +670,12 @@ fn materialize_ordered_with(
         ),
         None => (CursorConfig::new(rep), OrderStrategy::FlatSort),
     };
-    let canonical = config.canonical;
-    let mut data = emit(config)?;
-    if !canonical {
+    let mut data = emit_all(rep, &config, ctx)?;
+    if !config.canonical {
         let prefix_sorted = strategy == OrderStrategy::Chain;
         sort_rows(&mut data, attrs.len(), &cols, prefix_sorted);
     }
     Ok((Relation::from_flat(attrs, data)?, strategy))
-}
-
-/// Materialises the represented relation **in the canonical ordered-output
-/// order** for the given `ORDER BY` attributes.  Picks the chain strategy
-/// (ordered enumeration via [`CursorConfig::with_priority`]) when
-/// [`order_chain`] finds a root-path chain and the enumerate-then-sort
-/// fallback otherwise; both produce bit-for-bit identical rows, so the
-/// returned [`OrderStrategy`] is observability, not semantics.
-pub fn materialize_ordered(rep: &FRep, order_by: &[AttrId]) -> Result<(Relation, OrderStrategy)> {
-    materialize_ordered_ctx(rep, order_by, &ExecCtx::unlimited())
-}
-
-/// [`materialize_ordered`] under a governance context: charges one unit per
-/// enumerated tuple, like [`materialize_ctx`].
-pub fn materialize_ordered_ctx(
-    rep: &FRep,
-    order_by: &[AttrId],
-    ctx: &ExecCtx,
-) -> Result<(Relation, OrderStrategy)> {
-    failpoint!(ctx, "enumerate.cursor");
-    materialize_ordered_with(rep, order_by, |config| emit_all(rep, &config, ctx))
-}
-
-/// The materialise-then-sort reference: enumerates tuple by tuple in plain
-/// f-tree order and sorts owned rows with the canonical comparator — on
-/// purpose none of the machinery above (no block emission, no priority
-/// layout, no flat buffer).  The ordered paths are pinned bit-for-bit
-/// against this oracle, and the benchmarks time it as the flat-engine
-/// baseline.
-pub fn materialize_then_sort(rep: &FRep, order_by: &[AttrId]) -> Result<Relation> {
-    let attrs = rep.visible_attrs();
-    let cols = order_cols(&attrs, order_by)?;
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    for_each_tuple(rep, |tuple| rows.push(tuple.to_vec()));
-    rows.sort_unstable_by(|a, b| canonical_cmp(a, b, &cols));
-    Relation::from_rows(attrs, rows)
-}
-
-/// Counts tuples by enumeration (used by tests to cross-check
-/// [`FRep::tuple_count`]).
-pub fn count_by_enumeration(rep: &FRep) -> u128 {
-    let mut n: u128 = 0;
-    for_each_tuple(rep, |_| n += 1);
-    n
 }
 
 #[cfg(test)]
@@ -733,6 +689,29 @@ mod tests {
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
+    }
+
+    fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, f: F) {
+        for_each_tuple_ctx(rep, &ExecCtx::unlimited(), f).unwrap();
+    }
+
+    fn count_by_enumeration(rep: &FRep) -> u128 {
+        let mut n: u128 = 0;
+        for_each_tuple(rep, |_| n += 1);
+        n
+    }
+
+    /// The materialise-then-sort reference: enumerates tuple by tuple in
+    /// plain f-tree order and sorts owned rows with the canonical
+    /// comparator — on purpose none of the block emission, priority layout
+    /// or flat buffer the ordered paths are pinned against it for.
+    fn materialize_then_sort(rep: &FRep, order_by: &[AttrId]) -> Result<Relation> {
+        let attrs = rep.visible_attrs();
+        let cols = order_cols(&attrs, order_by)?;
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for_each_tuple(rep, |tuple| rows.push(tuple.to_vec()));
+        rows.sort_unstable_by(|a, b| canonical_cmp(a, b, &cols));
+        Relation::from_rows(attrs, rows)
     }
 
     /// ⟨A:1⟩×(⟨B:1⟩ ∪ ⟨B:2⟩) ∪ ⟨A:2⟩×⟨B:2⟩ over the f-tree A → B.
@@ -942,7 +921,8 @@ mod tests {
             }
             for order in &orders {
                 let oracle = materialize_then_sort(&rep, order).unwrap();
-                let (got, strategy) = materialize_ordered(&rep, order).unwrap();
+                let (got, strategy) =
+                    materialize_ordered_ctx(&rep, order, &ExecCtx::unlimited()).unwrap();
                 let oracle_rows: Vec<_> = oracle.rows().collect();
                 let got_rows: Vec<_> = got.rows().collect();
                 assert_eq!(
@@ -956,12 +936,13 @@ mod tests {
     #[test]
     fn chain_strategy_is_used_when_the_chain_exists() {
         let rep = runs_shape();
-        let (_, s) = materialize_ordered(&rep, &[AttrId(0)]).unwrap();
+        let (_, s) = materialize_ordered_ctx(&rep, &[AttrId(0)], &ExecCtx::unlimited()).unwrap();
         assert_eq!(s, OrderStrategy::Chain);
-        let (_, s) = materialize_ordered(&rep, &[AttrId(0), AttrId(1)]).unwrap();
+        let (_, s) =
+            materialize_ordered_ctx(&rep, &[AttrId(0), AttrId(1)], &ExecCtx::unlimited()).unwrap();
         assert_eq!(s, OrderStrategy::Chain);
         // B alone is not a root path: flat sort.
-        let (_, s) = materialize_ordered(&rep, &[AttrId(1)]).unwrap();
+        let (_, s) = materialize_ordered_ctx(&rep, &[AttrId(1)], &ExecCtx::unlimited()).unwrap();
         assert_eq!(s, OrderStrategy::FlatSort);
     }
 
@@ -970,7 +951,7 @@ mod tests {
         // Ordering by the *second* root's attribute: slot 0 must become
         // that root (root_entries and the odometer follow kid_index).
         let rep = product_forest();
-        let (rel, s) = materialize_ordered(&rep, &[AttrId(1)]).unwrap();
+        let (rel, s) = materialize_ordered_ctx(&rep, &[AttrId(1)], &ExecCtx::unlimited()).unwrap();
         assert_eq!(s, OrderStrategy::Chain);
         let oracle = materialize_then_sort(&rep, &[AttrId(1)]).unwrap();
         let got: Vec<_> = rel.rows().collect();
@@ -1025,7 +1006,7 @@ mod tests {
     fn ordered_comparisons(rep: &FRep, order: &[u32]) -> (OrderStrategy, u64) {
         let order: Vec<AttrId> = order.iter().map(|&a| AttrId(a)).collect();
         COMPARISONS.with(|c| c.set(0));
-        let (got, strategy) = materialize_ordered(rep, &order).unwrap();
+        let (got, strategy) = materialize_ordered_ctx(rep, &order, &ExecCtx::unlimited()).unwrap();
         let comparisons = COMPARISONS.with(|c| c.get());
         assert_eq!(got, materialize_then_sort(rep, &order).unwrap());
         (strategy, comparisons)
@@ -1260,7 +1241,7 @@ mod tests {
                 Err(FdbError::LimitExceeded { .. })
             ));
             assert!(matches!(
-                materialize_ordered(&rep, &[AttrId(0)]),
+                materialize_ordered_ctx(&rep, &[AttrId(0)], &ExecCtx::unlimited()),
                 Err(FdbError::LimitExceeded { .. })
             ));
         }

@@ -37,7 +37,7 @@ use crate::store::{kid_count_table, node_table, Store};
 pub use crate::node::{Entry, Union};
 pub use crate::store::{EntryRef, UnionRef};
 use fdb_common::{AttrId, Result};
-use fdb_ftree::{FTree, NodeId};
+use fdb_ftree::FTree;
 use std::fmt;
 
 /// A factorised representation over an f-tree.
@@ -143,29 +143,9 @@ impl FRep {
         })
     }
 
-    /// The first union over the given node found in the representation, if
-    /// any (unions of one node are never nested inside one another).
-    pub fn union_of_node(&self, node: NodeId) -> Option<UnionRef<'_>> {
-        self.store
-            .unions
-            .iter()
-            .position(|rec| rec.node == node)
-            .map(|id| UnionRef {
-                tree: &self.tree,
-                store: &self.store,
-                id: id as u32,
-            })
-    }
-
     /// Thaws the representation's data into the owned builder forest.
     pub fn to_forest(&self) -> Vec<Union> {
         self.store.thaw(&self.tree)
-    }
-
-    /// Decomposes the representation into its f-tree and builder forest.
-    pub fn into_parts(self) -> (FTree, Vec<Union>) {
-        let forest = self.store.thaw(&self.tree);
-        (self.tree, forest)
     }
 
     /// The visible (non-projected) attributes of the representation, sorted.
@@ -292,7 +272,7 @@ impl fmt::Display for FRep {
 mod tests {
     use super::*;
     use crate::node::Entry;
-    use fdb_common::{ComparisonOp, FdbError, Value};
+    use fdb_common::{ComparisonOp, ExecCtx, FdbError, Value};
     use fdb_ftree::DepEdge;
     use std::collections::BTreeSet;
 
@@ -342,7 +322,7 @@ mod tests {
     /// with `COUNT(*)` (either profile).
     #[test]
     fn tuple_count_wraps_like_count_star() {
-        use crate::aggregate::{evaluate, AggregateKind, AggregateValue};
+        use crate::aggregate::{evaluate_ctx, AggregateKind, AggregateResult, AggregateValue};
         let factor = |attr: u32| {
             let mut tree = FTree::new(vec![DepEdge::new(format!("R{attr}"), attrs(&[attr]), 33)]);
             let node = tree.add_node(attrs(&[attr]), None).unwrap();
@@ -355,8 +335,11 @@ mod tests {
         assert_eq!(rep.size(), 26 * 33);
         let wrapped = 307181632356614942603594048144429094721u128;
         assert_eq!(rep.tuple_count(), wrapped);
-        let count = evaluate(&rep, AggregateKind::Count, &[]).unwrap();
-        assert_eq!(count.as_scalar().unwrap(), AggregateValue::Count(wrapped));
+        let count = evaluate_ctx(&rep, AggregateKind::Count, &[], &ExecCtx::unlimited()).unwrap();
+        assert_eq!(
+            count,
+            AggregateResult::Scalar(AggregateValue::Count(wrapped))
+        );
     }
 
     #[test]
@@ -384,7 +367,7 @@ mod tests {
     #[test]
     fn validation_rejects_out_of_order_values() {
         let rep = example3();
-        let (tree, mut roots) = rep.into_parts();
+        let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
         roots[0].entries.swap(0, 1);
         assert!(matches!(
             FRep::from_parts(tree, roots),
@@ -395,7 +378,7 @@ mod tests {
     #[test]
     fn validation_rejects_missing_children() {
         let rep = example3();
-        let (tree, mut roots) = rep.into_parts();
+        let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
         roots[0].entries[0].children.clear();
         assert!(matches!(
             FRep::from_parts(tree, roots),
@@ -406,7 +389,7 @@ mod tests {
     #[test]
     fn validation_rejects_wrong_root_set() {
         let rep = example3();
-        let (tree, roots) = rep.into_parts();
+        let (tree, roots) = (rep.tree().clone(), rep.to_forest());
         let b = tree.node_of_attr(AttrId(1)).unwrap();
         let bogus = vec![Union::empty(b), roots.into_iter().next().unwrap()];
         assert!(FRep::from_parts(tree, bogus).is_err());
@@ -417,7 +400,7 @@ mod tests {
         // from_parts_unchecked freezes without checking; validate() must
         // still reject the malformation at the arena level.
         let rep = example3();
-        let (tree, mut roots) = rep.into_parts();
+        let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
         roots[0].entries[0].children.clear();
         let rep = FRep::from_parts_unchecked(tree, roots);
         assert!(matches!(
@@ -429,7 +412,7 @@ mod tests {
     #[test]
     fn prune_removes_entries_with_empty_children() {
         let rep = example3();
-        let (tree, mut roots) = rep.into_parts();
+        let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
         // Make the B-union under A=1 empty: the A=1 entry must disappear.
         roots[0].entries[0].children[0].entries.clear();
         let mut rep = FRep::from_parts_unchecked(tree, roots);
@@ -451,7 +434,6 @@ mod tests {
         let b = rep.tree().node_of_attr(AttrId(1)).unwrap();
         let entry = root.find_value(Value::new(1)).unwrap();
         assert_eq!(entry.child(b).unwrap().len(), 2);
-        assert_eq!(rep.union_of_node(root.node()).unwrap().len(), 2);
     }
 
     #[test]

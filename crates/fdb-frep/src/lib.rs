@@ -45,10 +45,10 @@
 //! Values and kid offsets are split into parallel arrays rather than
 //! interleaved records so that the value-only scans — predicate masks,
 //! probes, sortedness checks — read a dense `&[Value]`
-//! slice the vectorised kernels in [`kernel`] can stream through (the
-//! MonetDB/X100 argument: the hot loops touch half the bytes and take SIMD
-//! lanes).  The two entry arrays are sealed behind [`store`]'s accessor
-//! layer; nothing outside that module can push to one without the other.
+//! slice the scan kernels in [`kernel`] stream through (the MonetDB/X100
+//! argument: the hot loops touch half the bytes and auto-vectorise).  The
+//! two entry arrays are sealed behind [`store`]'s accessor layer; nothing
+//! outside that module can push to one without the other.
 //! Union indices are **topological** (every kid index exceeds its parent
 //! union's index), which is what turns whole-representation statistics into
 //! flat loops: [`FRep::tuple_count`] and the aggregation pass of
@@ -61,17 +61,19 @@
 //!
 //! # The single-pass execution contract
 //!
-//! The plan executor ([`ops::fuse`]) runs an entire f-plan — push-ups,
+//! The plan executor ([`ops::fuse`]) runs an entire f-plan — a slice of
+//! [`ops::FPlanOp`], the one operator type of the workspace: push-ups,
 //! normalisations, swaps, merges, absorbs, **and** constant selections and
 //! projections; one operator or twenty — as one overlay program over the
 //! input arena, emitting exactly one output arena in freeze layout,
-//! bit-for-bit identical to running the operators one at a time.  There are
-//! no fusion barriers: a selection is an entry filter folded into the
-//! liveness sweep (emptied subtrees retract exactly as the merge/absorb
-//! prune retracts them), and a projection replays its leaf removals and
-//! data-dependent swap-downs on the overlay.  [`ops::emit_fused_ctx`] is the
-//! one place that decides how a program runs (a lone swap takes the direct
-//! rewriter of [`mod@ops::swap`]); `fdb-plan` hands it every non-empty plan.
+//! bit-for-bit identical to running the operators one at a time.  No
+//! operator forces an intermediate arena: a selection is an entry filter
+//! folded into the liveness sweep (emptied subtrees retract exactly as the
+//! merge/absorb prune retracts them), and a projection replays its leaf
+//! removals and data-dependent swap-downs on the overlay.
+//! [`ops::emit_fused_ctx`] is the one place that decides how a program runs
+//! (a lone swap takes the direct rewriter of [`mod@ops::swap`]); `fdb-plan`
+//! hands it every non-empty plan's operator list as it is.
 //!
 //! # The sharing contract
 //!
@@ -96,25 +98,23 @@
 //!
 //! # Where aggregation hooks in
 //!
-//! [`aggregate::aggregate`] and [`aggregate::aggregate_grouped`] evaluate on
-//! a frozen arena in one reverse loop.  For aggregate *queries* the fused
-//! executor goes one step further: [`ops::execute_fused_aggregate`] applies
-//! the whole plan to the fused overlay and folds the aggregate over the
-//! overlay itself, with the plan's trailing selections folded into the
-//! accumulation as entry filters — **no arena is emitted at any point**, so
-//! a (selection-then-)aggregate query pays zero materialisation.  `fdb-plan`
-//! routes every non-empty aggregate plan through that entry point and
-//! `fdb-core` reports it as `aggregates_on_overlay` / `arenas_skipped`.
+//! [`aggregate::evaluate_ctx`] evaluates on a frozen arena in one reverse
+//! loop.  For aggregate *queries* the plan executor goes one step further:
+//! [`ops::execute_fused_aggregate_ctx`] applies the whole plan to the
+//! overlay and folds the aggregate over the overlay itself, with the plan's
+//! trailing selections folded into the accumulation as entry filters — **no
+//! arena is emitted at any point**, so a (selection-then-)aggregate query
+//! pays zero materialisation.  `fdb-plan` routes every non-empty aggregate
+//! plan through that entry point.
 //!
 //! # The cancellation and budget contract
 //!
-//! Every data-dependent loop in this crate has a `_ctx` variant
-//! ([`build_frep_ctx`], [`ops::emit_fused_ctx`], [`aggregate::evaluate_ctx`],
-//! [`enumerate::materialize_ctx`], …) threaded with an
-//! [`fdb_common::ExecCtx`]: the loop **charges** the context roughly one
-//! unit per arena record it processes or emits, and the context turns
-//! those charges into deadline, budget and cancellation checks (budget
-//! exactly per charge, clock and flag once per
+//! Every data-dependent loop in this crate takes an
+//! [`fdb_common::ExecCtx`] ([`build_frep_ctx`], [`ops::emit_fused_ctx`],
+//! [`aggregate::evaluate_ctx`], [`enumerate::materialize_ctx`], …): the loop
+//! **charges** the context roughly one unit per arena record it processes
+//! or emits, and the context turns those charges into deadline, budget and
+//! cancellation checks (budget exactly per charge, clock and flag once per
 //! `fdb_common::limits::CHECK_INTERVAL` units).  Two guarantees follow:
 //!
 //! * **No partial state.** An interrupting `Err` propagates without
@@ -123,11 +123,28 @@
 //!   swapped in on success, and aggregation/enumeration
 //!   never mutate their input.  A representation that was readable before
 //!   an aborted operation is bit-for-bit unchanged after it.
-//! * **Cheap when armed, free when not.** The ungoverned public APIs
-//!   delegate to their `_ctx` twin with [`fdb_common::ExecCtx::unlimited`],
-//!   a single-branch short-circuit; armed-but-never-tripping limits cost
-//!   a few percent at worst (`BENCH_PR7.json` records a 0.98 geometric
-//!   mean against a ≤ 1.03 bound).
+//! * **Cheap when armed, free when not.** A caller with nothing to limit
+//!   passes [`fdb_common::ExecCtx::unlimited`], a single-branch
+//!   short-circuit; armed-but-never-tripping limits cost a few percent at
+//!   worst (`BENCH_PR7.json` records a 0.98 geometric mean against a ≤ 1.03
+//!   bound).
+//!
+//! **One calling convention.**  The context-taking form is the only form of
+//! an operation; tests, examples and the one-operator functions of [`ops`]
+//! pass `&ExecCtx::unlimited()`.  The exceptions are the six operations
+//! whose short name the standing benchmark calls (`benchmark/README.md`,
+//! pinned by `tests/benchmark_contract.rs`) while the engine needs the
+//! governed form; each short name is the governed one under
+//! `ExecCtx::unlimited()` and nothing else:
+//!
+//! | pinned short name | governed form the engine calls |
+//! |---|---|
+//! | [`aggregate::by_enumeration`] | [`aggregate::by_enumeration_ctx`] |
+//! | [`materialize`] | [`materialize_ctx`] |
+//! | `fdb_core::save_database` | `fdb_core::snapshot::save_database_ctx` |
+//! | `fdb_core::load_rep` | `fdb_core::snapshot::load_rep_ctx` |
+//! | `fdb_core::FdbServer::replace` | `fdb_core::FdbServer::replace_ctx` |
+//! | `fdb_plan::ExhaustiveOptimizer::optimize` | `fdb_plan::ExhaustiveOptimizer::optimize_ctx` |
 //!
 //! Checks are **cooperative**: a loop that never charges cannot be
 //! interrupted, so any new loop whose trip count depends on data size
@@ -148,15 +165,11 @@
 //! structured errors, never a panic and never a silently-wrong arena.
 
 #![warn(missing_docs)]
-// Unchecked indexing and intrinsics live in `kernel` alone: another
-// `unsafe` block anywhere else needs a visible edit to the `allow` below.
-#![deny(unsafe_code)]
 
 pub mod aggregate;
 pub mod build;
 pub mod enumerate;
 pub mod frep;
-#[allow(unsafe_code)]
 pub mod kernel;
 pub mod node;
 pub mod ops;
@@ -164,15 +177,14 @@ pub mod snapshot;
 pub mod store;
 
 pub use aggregate::{AggregateKind, AggregateResult, AggregateValue, AvgValue};
-pub use build::{build_frep, build_frep_ctx};
+pub use build::build_frep_ctx;
 pub use enumerate::{
-    count_by_enumeration, for_each_tuple, materialize, materialize_ctx, materialize_ordered,
-    materialize_ordered_ctx, materialize_then_sort, order_chain, CursorConfig, OrderStrategy,
-    TupleCursor,
+    materialize, materialize_ctx, materialize_ordered_ctx, order_chain, CursorConfig,
+    OrderStrategy, TupleCursor,
 };
 pub use frep::FRep;
 pub use node::{Entry, Union};
-pub use snapshot::{decode_frep, decode_frep_ctx, encode_frep, encode_frep_ctx, SNAPSHOT_VERSION};
+pub use snapshot::{decode_frep_ctx, encode_frep_ctx, SNAPSHOT_VERSION};
 pub use store::{EntryRef, UnionRef};
 
 /// Compile-time pin of the sharing contract (see the crate docs): the

@@ -5,12 +5,12 @@
 //! restricted to that value and spliced out, emptied products are pruned
 //! away, and — as in the paper — the operator finishes with a normalisation
 //! step.  It has no rewriter of its own — it **is** the one-operator overlay
-//! program `[FusedOp::Absorb]`; the operator's definition is on `AbsorbPass`
+//! program `[FPlanOp::Absorb]`; the operator's definition is on `AbsorbPass`
 //! in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::fuse::{execute_fused, FusedOp};
-use fdb_common::Result;
+use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use fdb_common::{ExecCtx, Result};
 use fdb_ftree::NodeId;
 
 /// Absorb operator `α_{A,B}` where `a` is an ancestor of `b`: enforces
@@ -21,7 +21,7 @@ pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
     let mut tree = rep.tree().clone();
     tree.absorb_into_ancestor(a, b)?;
     let pushed = tree.normalise();
-    execute_fused(rep, &[FusedOp::Absorb(a, b)])?;
+    execute_fused_ctx(rep, &[FPlanOp::Absorb(a, b)], &ExecCtx::unlimited())?;
     Ok(pushed)
 }
 

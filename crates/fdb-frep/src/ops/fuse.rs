@@ -39,7 +39,7 @@
 //!   removable leaves.
 //!
 //! An entire f-plan — one operator or twenty — therefore compiles into
-//! **one** [`FusedOp`] program and executes as one pass:
+//! **one** [`FPlanOp`] program and executes as one pass:
 //!
 //! 1. The f-tree transforms are simulated up front, step by step, on clones
 //!    of the tree.  This also performs all operator validation before any
@@ -75,13 +75,13 @@
 //!
 //! Total data movement for a k-step program: the touched regions plus
 //! **one** full copy, instead of k.  Aggregate consumers skip even that one
-//! copy: [`execute_fused_aggregate`] folds the aggregate (and the program's
+//! copy: [`execute_fused_aggregate_ctx`] folds the aggregate (and the program's
 //! trailing selections, as entry filters) directly over the overlay.
 //!
 //! # The one selection
 //!
 //! [`emit_fused_ctx`] is the only place that decides *how* a program runs,
-//! and it decides from the program alone: `[FusedOp::Swap(b)]` — one swap
+//! and it decides from the program alone: `[FPlanOp::Swap(b)]` — one swap
 //! and nothing else — goes to the direct rewriter of [`mod@crate::ops::swap`]
 //! (whose module docs hold the measurement behind it), everything else, and
 //! every aggregate sink, runs the overlay.  Both arms read the borrowed
@@ -98,21 +98,25 @@ use crate::store::{kid_count_table, Rewriter, Store};
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId, SwapOutcome};
 use std::collections::BTreeSet;
+use std::fmt;
 
-/// One f-plan step.  This covers **every** f-plan operator — constant
-/// selections become per-union entry filters composed with the liveness
-/// sweep, and projections replay as leaf removals plus the data-dependent
-/// swap-downs — so a whole plan compiles into one overlay program (see the
-/// module docs).
+/// One f-plan operator — the paper's vocabulary (Section 3), defined once.
+/// A plan is a sequence of these (`fdb_plan::FPlan`); the same value is
+/// *simulated* on an f-tree alone ([`FPlanOp::apply_to_tree`], how the
+/// optimisers cost a plan without touching data) and *executed* as a step of
+/// an overlay program: constant selections become per-union entry filters
+/// composed with the liveness sweep, and projections replay as leaf removals
+/// plus the data-dependent swap-downs (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FusedOp {
+pub enum FPlanOp {
     /// Push-up `ψ_B`: lift `node` above its parent.
     PushUp(NodeId),
     /// Normalisation `η`: push up nodes until the tree is normalised.
     Normalise,
     /// Swap `χ`: exchange `node` with its parent.
     Swap(NodeId),
-    /// Merge `µ`: fuse the two sibling nodes (the first survives).
+    /// Merge `µ`: fuse the two sibling nodes (enforces equality of their
+    /// classes); the first node survives.
     Merge(NodeId, NodeId),
     /// Absorb `α`: fuse the descendant (second) node into the ancestor
     /// (first) node, then normalise.
@@ -134,20 +138,73 @@ pub enum FusedOp {
     Project(BTreeSet<AttrId>),
 }
 
-/// Executes a program of f-plan steps — structural operators, constant
-/// selections and projections alike — as one arena pass, in place.
-///
-/// Bit-for-bit on the output arena what applying the thaw-path
-/// [`crate::ops::oracle`] operator by operator produces; on error the
-/// representation is left unmodified.
-pub fn execute_fused(rep: &mut FRep, ops: &[FusedOp]) -> Result<()> {
-    execute_fused_ctx(rep, ops, &ExecCtx::unlimited())
+impl fmt::Display for FPlanOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FPlanOp::PushUp(n) => write!(f, "ψ({n})"),
+            FPlanOp::Normalise => write!(f, "η"),
+            FPlanOp::Swap(n) => write!(f, "χ({n})"),
+            FPlanOp::Merge(a, b) => write!(f, "µ({a},{b})"),
+            FPlanOp::Absorb(a, b) => write!(f, "α({a},{b})"),
+            FPlanOp::SelectConst { attr, op, value } => write!(f, "σ({attr} {op:?} {value})"),
+            FPlanOp::Project(attrs) => write!(f, "π({} attrs)", attrs.len()),
+        }
+    }
 }
 
-/// [`execute_fused`] under a governance context (see [`emit_fused_ctx`]);
-/// the output replaces `rep` only after the whole emission succeeded, and
-/// the empty program leaves it as it is.
-pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<()> {
+impl FPlanOp {
+    /// Applies the operator to an f-tree only (schema-level simulation).
+    pub fn apply_to_tree(&self, tree: &mut FTree) -> Result<()> {
+        match self {
+            FPlanOp::PushUp(n) => tree.push_up(*n),
+            FPlanOp::Normalise => {
+                tree.normalise();
+                Ok(())
+            }
+            FPlanOp::Swap(n) => tree.swap_with_parent(*n).map(|_| ()),
+            FPlanOp::Merge(a, b) => tree.merge_siblings(*a, *b).map(|_| ()),
+            FPlanOp::Absorb(a, b) => {
+                tree.absorb_into_ancestor(*a, *b)?;
+                tree.normalise();
+                Ok(())
+            }
+            FPlanOp::SelectConst { attr, op, value } => {
+                let node = select_node(tree, *attr)?;
+                if *op == ComparisonOp::Eq {
+                    tree.bind_constant(node, *value)?;
+                }
+                Ok(())
+            }
+            FPlanOp::Project(keep) => {
+                let all = tree.all_attrs();
+                let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
+                tree.mark_attrs_projected(&marked);
+                // Schema-level projection: repeatedly drop exhausted leaves;
+                // fully-projected inner nodes are kept (they would be swapped
+                // to leaves during execution, which does not change s(T) for
+                // the worse).
+                loop {
+                    let removable = tree.removable_projected_leaves();
+                    if removable.is_empty() {
+                        break;
+                    }
+                    for leaf in removable {
+                        tree.remove_projected_leaf(leaf)?;
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Executes a program of f-plan operators — structural operators, constant
+/// selections and projections alike — as one arena pass, in place: the
+/// `&mut` form of [`emit_fused_ctx`].  Bit-for-bit on the output arena what
+/// applying the thaw-path [`crate::ops::oracle`] operator by operator
+/// produces; the output replaces `rep` only after the whole emission
+/// succeeded, and the empty program leaves it as it is.
+pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<()> {
     if !ops.is_empty() {
         *rep = emit_fused_ctx(rep, ops, ctx)?;
     }
@@ -159,13 +216,13 @@ pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Resu
 /// is cloned and an abort leaves nothing behind; every program charges the
 /// context for the records it reads and writes, so a deadline, budget or
 /// cancellation aborts it cooperatively.
-pub fn emit_fused_ctx(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
+pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "fuse.execute");
     match ops {
         // A lone swap deep in a tree is the one program the overlay writes
         // twice (into `Mix` nodes, then into the arena); the direct rewriter
         // writes it once — see `ops/swap.rs` for the numbers.
-        [FusedOp::Swap(b)] => Ok(swap::emit_swap(rep, *b, ctx)?.0),
+        [FPlanOp::Swap(b)] => Ok(swap::emit_swap(rep, *b, ctx)?.0),
         _ => emit_overlay(rep, ops, ctx),
     }
 }
@@ -173,7 +230,7 @@ pub fn emit_fused_ctx(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep
 /// Runs the program on the overlay and emits the result (the body of
 /// [`emit_fused_ctx`] for everything but a lone swap): the liveness sweeps,
 /// the overlay prunes and the final emission all charge per record.
-fn emit_overlay(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
+fn emit_overlay(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
     let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
     let mut cur = rep.tree().clone();
     for op in ops {
@@ -185,14 +242,15 @@ fn emit_overlay(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
     Ok(out)
 }
 
-/// Executes a run of fusable steps on the overlay and evaluates an aggregate
-/// directly over the overlay — **no arena is ever emitted**, neither an
-/// intermediate one nor the final one.  The input representation is left
-/// untouched (an aggregate consumer has no use for the transformed arena),
-/// so an aggregate query pays zero materialisation.
+/// Executes a program on the overlay and evaluates an aggregate directly
+/// over the overlay — **no arena is ever emitted**, neither an intermediate
+/// one nor the final one.  The input is borrowed and never modified (an
+/// aggregate consumer has no use for the transformed arena), so an aggregate
+/// query pays zero materialisation and an abort leaves nothing to clean up;
+/// the overlay transforms and the fold charge the context per record.
 ///
 /// The *trailing* selections of the program — the maximal suffix of
-/// [`FusedOp::SelectConst`] steps — are not applied as overlay passes at
+/// [`FPlanOp::SelectConst`] steps — are not applied as overlay passes at
 /// all: their predicates fold into the [`Acc`] accumulation as a per-node
 /// entry filter ([`AggFilter`]), so a selection-then-aggregate plan is one
 /// filtered fold over the (possibly untouched) overlay.  Filtering instead
@@ -200,27 +258,15 @@ fn emit_overlay(rep: &FRep, ops: &[FusedOp], ctx: &ExecCtx) -> Result<FRep> {
 /// whose product is empty, contributes the additive identity to its union's
 /// accumulator.
 ///
-/// Returns exactly what [`crate::aggregate::evaluate`] would return on the
-/// arena [`execute_fused`] would have produced: the aggregate is resolved
-/// against the *final* simulated f-tree, every overlay union reachable at
-/// the end matches that tree's node set and child order (the passes rebuild
-/// every region whose shape changes), and `COUNT`/`SUM` use the same
-/// wrapping 128-bit arithmetic — so the two paths agree bit for bit.
-pub fn execute_fused_aggregate(
-    rep: &FRep,
-    ops: &[FusedOp],
-    kind: AggregateKind,
-    group_by: &[AttrId],
-) -> Result<AggregateResult> {
-    execute_fused_aggregate_ctx(rep, ops, kind, group_by, &ExecCtx::unlimited())
-}
-
-/// [`execute_fused_aggregate`] under a governance context: the overlay
-/// transforms and the aggregate fold charge per record.  The input is
-/// borrowed and never modified, so an abort leaves nothing to clean up.
+/// Returns exactly what [`crate::aggregate::evaluate_ctx`] would return on
+/// the arena [`emit_fused_ctx`] would have produced: the aggregate is
+/// resolved against the *final* simulated f-tree, every overlay union
+/// reachable at the end matches that tree's node set and child order (the
+/// passes rebuild every region whose shape changes), and `COUNT`/`SUM` use
+/// the same wrapping 128-bit arithmetic — so the two paths agree bit for bit.
 pub fn execute_fused_aggregate_ctx(
     rep: &FRep,
-    ops: &[FusedOp],
+    ops: &[FPlanOp],
     kind: AggregateKind,
     group_by: &[AttrId],
     ctx: &ExecCtx,
@@ -232,14 +278,14 @@ pub fn execute_fused_aggregate_ctx(
     // it transforms the overlay, the suffix becomes the fold's filter.
     let split = ops
         .iter()
-        .rposition(|op| !matches!(op, FusedOp::SelectConst { .. }))
+        .rposition(|op| !matches!(op, FPlanOp::SelectConst { .. }))
         .map_or(0, |i| i + 1);
     for op in &ops[..split] {
         apply_op(&mut fusion, &mut cur, op)?;
     }
     let mut filter = AggFilter::default();
     for op in &ops[split..] {
-        let FusedOp::SelectConst {
+        let FPlanOp::SelectConst {
             attr,
             op: cmp,
             value,
@@ -266,12 +312,12 @@ fn select_node(cur: &FTree, attr: AttrId) -> Result<NodeId> {
 
 /// Applies one fused step: advances the simulated tree and transforms the
 /// overlay accordingly.
-fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FusedOp) -> Result<()> {
+fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FPlanOp) -> Result<()> {
     match op {
-        FusedOp::PushUp(b) => push_up_step(fusion, cur, *b),
-        FusedOp::Normalise => normalise_steps(fusion, cur),
-        FusedOp::Swap(b) => swap_step(fusion, cur, *b),
-        FusedOp::Merge(a, b) => {
+        FPlanOp::PushUp(b) => push_up_step(fusion, cur, *b),
+        FPlanOp::Normalise => normalise_steps(fusion, cur),
+        FPlanOp::Swap(b) => swap_step(fusion, cur, *b),
+        FPlanOp::Merge(a, b) => {
             let (a, b) = (*a, *b);
             let parent = cur.parent(a);
             let mut next = cur.clone();
@@ -281,7 +327,7 @@ fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FusedOp) -> Result<()
             *cur = next;
             Ok(())
         }
-        FusedOp::Absorb(a, b) => {
+        FPlanOp::Absorb(a, b) => {
             let (a, b) = (*a, *b);
             cur.check_node(a)?;
             cur.check_node(b)?;
@@ -294,7 +340,7 @@ fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FusedOp) -> Result<()
             // The paper's absorb finishes with a normalisation step.
             normalise_steps(fusion, cur)
         }
-        FusedOp::SelectConst { attr, op, value } => {
+        FPlanOp::SelectConst { attr, op, value } => {
             let node = select_node(cur, *attr)?;
             fusion.filter(node, *op, *value)?;
             if *op == ComparisonOp::Eq {
@@ -302,7 +348,7 @@ fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FusedOp) -> Result<()
             }
             Ok(())
         }
-        FusedOp::Project(keep) => project_steps(fusion, cur, keep),
+        FPlanOp::Project(keep) => project_steps(fusion, cur, keep),
     }
 }
 
@@ -456,7 +502,7 @@ struct Liveness {
     subtree_dirty: Vec<bool>,
 }
 
-/// The fused-segment state: the immutable input arena plus the overlay
+/// The program's state: the immutable input arena plus the overlay
 /// forest the passes transform.
 struct Fusion<'a> {
     src: &'a Store,
@@ -465,8 +511,8 @@ struct Fusion<'a> {
     src_kid_counts: Vec<u32>,
     mixes: Vec<Mix>,
     roots: Vec<VId>,
-    /// Lazily computed, cached for the segment (the input arena is
-    /// immutable while the segment runs).
+    /// Lazily computed, cached for the program (the input arena is
+    /// immutable while the program runs).
     liveness: Option<Liveness>,
     /// Governance context: the sweeps, prunes and the final emission charge
     /// it per record touched.
@@ -797,7 +843,7 @@ struct OverlaySource<'f, 'a, A> {
     fu: &'f Fusion<'a>,
     /// Per-`Src`-union accumulator cache.
     memo: Vec<Option<A>>,
-    /// Folded trailing selections (see [`execute_fused_aggregate`]).
+    /// Folded trailing selections (see [`execute_fused_aggregate_ctx`]).
     filter: &'f AggFilter,
 }
 
@@ -1642,7 +1688,7 @@ mod tests {
     }
 
     /// The reference: the thaw-path oracle, operator by operator.
-    fn stepwise(rep: &mut FRep, steps: &[FusedOp]) {
+    fn stepwise(rep: &mut FRep, steps: &[FPlanOp]) {
         for op in steps {
             oracle::apply(rep, op).unwrap();
         }
@@ -1651,11 +1697,12 @@ mod tests {
     /// Every way of running the program — in place through the executor's
     /// selection, and on the overlay whatever the program — must agree with
     /// the oracle bit for bit on the arena.
-    fn check(rep: &FRep, steps: &[FusedOp], context: &str) {
+    fn check(rep: &FRep, steps: &[FPlanOp], context: &str) {
         let mut reference = rep.clone();
         stepwise(&mut reference, steps);
         let mut routed = rep.clone();
-        execute_fused(&mut routed, steps).unwrap_or_else(|e| panic!("{context}: fused: {e:?}"));
+        execute_fused_ctx(&mut routed, steps, &ExecCtx::unlimited())
+            .unwrap_or_else(|e| panic!("{context}: fused: {e:?}"));
         let overlay = emit_overlay(rep, steps, &ExecCtx::unlimited())
             .unwrap_or_else(|e| panic!("{context}: overlay: {e:?}"));
         for (path, fused) in [("executor", &routed), ("overlay", &overlay)] {
@@ -1752,7 +1799,7 @@ mod tests {
     #[test]
     fn fused_single_swap_matches_stepwise() {
         let (rep, _, b) = swap_shape();
-        check(&rep, &[FusedOp::Swap(b)], "single swap");
+        check(&rep, &[FPlanOp::Swap(b)], "single swap");
     }
 
     #[test]
@@ -1762,13 +1809,18 @@ mod tests {
         // regroupings whose intermediates the fusion never materialises.
         check(
             &rep,
-            &[FusedOp::Swap(b), FusedOp::Swap(a), FusedOp::Swap(b)],
+            &[FPlanOp::Swap(b), FPlanOp::Swap(a), FPlanOp::Swap(b)],
             "swap cycle",
         );
         // The relation is preserved.
         let mut fused = rep.clone();
         let before = materialize(&rep).unwrap().tuple_set();
-        execute_fused(&mut fused, &[FusedOp::Swap(b), FusedOp::Swap(a)]).unwrap();
+        execute_fused_ctx(
+            &mut fused,
+            &[FPlanOp::Swap(b), FPlanOp::Swap(a)],
+            &ExecCtx::unlimited(),
+        )
+        .unwrap();
         assert_eq!(materialize(&fused).unwrap().tuple_set(), before);
     }
 
@@ -1779,9 +1831,9 @@ mod tests {
         check(
             &rep,
             &[
-                FusedOp::Merge(a, b),
-                FusedOp::Swap(child),
-                FusedOp::Normalise,
+                FPlanOp::Merge(a, b),
+                FPlanOp::Swap(child),
+                FPlanOp::Normalise,
             ],
             "merge, swap, normalise",
         );
@@ -1820,10 +1872,10 @@ mod tests {
             ],
         );
         let rep = FRep::from_parts(tree, vec![a_union]).unwrap();
-        check(&rep, &[FusedOp::Absorb(a, c)], "absorb");
+        check(&rep, &[FPlanOp::Absorb(a, c)], "absorb");
         check(
             &rep,
-            &[FusedOp::Absorb(a, c), FusedOp::Normalise],
+            &[FPlanOp::Absorb(a, c), FPlanOp::Normalise],
             "absorb then redundant normalise",
         );
     }
@@ -1866,8 +1918,8 @@ mod tests {
             ],
         );
         let rep = FRep::from_parts(tree, vec![c_union]).unwrap();
-        check(&rep, &[FusedOp::PushUp(b)], "one push-up");
-        check(&rep, &[FusedOp::Normalise], "normalisation run");
+        check(&rep, &[FPlanOp::PushUp(b)], "one push-up");
+        check(&rep, &[FPlanOp::Normalise], "normalisation run");
     }
 
     #[test]
@@ -1893,9 +1945,9 @@ mod tests {
         let a = rep.tree().node_of_attr(AttrId(0)).unwrap();
         let b = rep.tree().node_of_attr(AttrId(2)).unwrap();
         // Disjoint value sets: the merged union is empty, everything prunes.
-        check(&rep, &[FusedOp::Merge(a, b)], "merge to empty");
+        check(&rep, &[FPlanOp::Merge(a, b)], "merge to empty");
         let mut fused = rep.clone();
-        execute_fused(&mut fused, &[FusedOp::Merge(a, b)]).unwrap();
+        execute_fused_ctx(&mut fused, &[FPlanOp::Merge(a, b)], &ExecCtx::unlimited()).unwrap();
         assert!(fused.represents_empty());
     }
 
@@ -1905,7 +1957,7 @@ mod tests {
         let mut fused = rep.clone();
         // Swapping a root is invalid; the error must surface before any data
         // is modified.
-        assert!(execute_fused(&mut fused, &[FusedOp::Swap(a)]).is_err());
+        assert!(execute_fused_ctx(&mut fused, &[FPlanOp::Swap(a)], &ExecCtx::unlimited()).is_err());
         assert!(fused.store_identical(&rep));
     }
 
@@ -1913,16 +1965,16 @@ mod tests {
     fn empty_segment_is_identity() {
         let (rep, _, _) = swap_shape();
         let mut fused = rep.clone();
-        execute_fused(&mut fused, &[]).unwrap();
+        execute_fused_ctx(&mut fused, &[], &ExecCtx::unlimited()).unwrap();
         assert!(fused.store_identical(&rep));
     }
 
     /// Overlay aggregation must equal emitting the arena and aggregating it,
     /// for every kind and both grouped and ungrouped — on the plan's result.
-    fn check_aggregates(rep: &FRep, steps: &[FusedOp], context: &str) {
-        use crate::aggregate::{evaluate, AggregateKind};
+    fn check_aggregates(rep: &FRep, steps: &[FPlanOp], context: &str) {
+        use crate::aggregate::{evaluate_ctx, AggregateKind};
         let mut emitted = rep.clone();
-        execute_fused(&mut emitted, steps).unwrap();
+        execute_fused_ctx(&mut emitted, steps, &ExecCtx::unlimited()).unwrap();
         let mut kinds = vec![AggregateKind::Count];
         for attr in emitted.visible_attrs() {
             kinds.extend([
@@ -1945,8 +1997,10 @@ mod tests {
                 .collect();
         for &kind in &kinds {
             for group in &group_sets {
-                let on_arena = evaluate(&emitted, kind, group).unwrap();
-                let on_overlay = execute_fused_aggregate(rep, steps, kind, group).unwrap();
+                let on_arena = evaluate_ctx(&emitted, kind, group, &ExecCtx::unlimited()).unwrap();
+                let on_overlay =
+                    execute_fused_aggregate_ctx(rep, steps, kind, group, &ExecCtx::unlimited())
+                        .unwrap();
                 assert_eq!(
                     on_overlay, on_arena,
                     "{context}: {kind} group_by {group:?} diverges between overlay and arena"
@@ -1959,10 +2013,10 @@ mod tests {
     fn overlay_aggregates_match_the_emitted_arena() {
         let (rep, a, b) = swap_shape();
         check_aggregates(&rep, &[], "no steps");
-        check_aggregates(&rep, &[FusedOp::Swap(b)], "single swap");
+        check_aggregates(&rep, &[FPlanOp::Swap(b)], "single swap");
         check_aggregates(
             &rep,
-            &[FusedOp::Swap(b), FusedOp::Swap(a), FusedOp::Swap(b)],
+            &[FPlanOp::Swap(b), FPlanOp::Swap(a), FPlanOp::Swap(b)],
             "swap cycle",
         );
         let (rep, a, b) = product_shape();
@@ -1970,9 +2024,9 @@ mod tests {
         check_aggregates(
             &rep,
             &[
-                FusedOp::Merge(a, b),
-                FusedOp::Swap(child),
-                FusedOp::Normalise,
+                FPlanOp::Merge(a, b),
+                FPlanOp::Swap(child),
+                FPlanOp::Normalise,
             ],
             "merge, swap, normalise",
         );
@@ -1981,7 +2035,7 @@ mod tests {
     #[test]
     fn overlay_aggregates_handle_mid_segment_emptying() {
         // Merge over disjoint value sets empties the representation inside
-        // the segment; the aggregate must see the empty result.
+        // the program; the aggregate must see the empty result.
         use crate::aggregate::AggregateValue;
         let side = |root_attr: u32, child_attr: u32, name: &str, v: u64| {
             let edges = vec![DepEdge::new(name, attrs(&[root_attr, child_attr]), 1)];
@@ -2003,20 +2057,25 @@ mod tests {
         let rep = ops::product(side(0, 1, "R", 1), side(2, 3, "S", 2)).unwrap();
         let a = rep.tree().node_of_attr(AttrId(0)).unwrap();
         let b = rep.tree().node_of_attr(AttrId(2)).unwrap();
-        let steps = [FusedOp::Merge(a, b)];
+        let steps = [FPlanOp::Merge(a, b)];
         check_aggregates(&rep, &steps, "merge to empty");
-        let count =
-            execute_fused_aggregate(&rep, &steps, crate::aggregate::AggregateKind::Count, &[])
-                .unwrap();
+        let count = execute_fused_aggregate_ctx(
+            &rep,
+            &steps,
+            crate::aggregate::AggregateKind::Count,
+            &[],
+            &ExecCtx::unlimited(),
+        )
+        .unwrap();
         assert_eq!(
-            count.as_scalar().unwrap(),
-            AggregateValue::Count(0),
-            "emptied segment counts zero tuples"
+            count,
+            AggregateResult::Scalar(AggregateValue::Count(0)),
+            "an emptied overlay counts zero tuples"
         );
     }
 
-    fn select(attr: u32, op: ComparisonOp, value: u64) -> FusedOp {
-        FusedOp::SelectConst {
+    fn select(attr: u32, op: ComparisonOp, value: u64) -> FPlanOp {
+        FPlanOp::SelectConst {
             attr: AttrId(attr),
             op,
             value: Value::new(value),
@@ -2034,12 +2093,12 @@ mod tests {
             vec![select(3, ComparisonOp::Le, 7)],
             vec![select(3, ComparisonOp::Gt, 99)],
             vec![select(0, ComparisonOp::Eq, 1)],
-            vec![FusedOp::Swap(b), select(1, ComparisonOp::Ne, 10)],
+            vec![FPlanOp::Swap(b), select(1, ComparisonOp::Ne, 10)],
             vec![
                 select(2, ComparisonOp::Ge, 100),
-                FusedOp::Swap(b),
+                FPlanOp::Swap(b),
                 select(0, ComparisonOp::Le, 1),
-                FusedOp::Normalise,
+                FPlanOp::Normalise,
             ],
         ] {
             check(&rep, &steps, &format!("selection program {steps:?}"));
@@ -2090,20 +2149,21 @@ mod tests {
     fn fused_projection_matches_stepwise() {
         let (rep, _, b) = swap_shape();
         // Leaf projection, inner-node projection (forcing the swap-down
-        // path), projection to nothing, and barrier-mixed programs.
+        // path), projection to nothing, and programs mixing projections
+        // with selections and swaps.
         for steps in [
-            vec![FusedOp::Project(attrs(&[0, 1, 2]))],
-            vec![FusedOp::Project(attrs(&[0, 2, 3]))],
-            vec![FusedOp::Project(attrs(&[2]))],
-            vec![FusedOp::Project(attrs(&[]))],
+            vec![FPlanOp::Project(attrs(&[0, 1, 2]))],
+            vec![FPlanOp::Project(attrs(&[0, 2, 3]))],
+            vec![FPlanOp::Project(attrs(&[2]))],
+            vec![FPlanOp::Project(attrs(&[]))],
             vec![
                 select(3, ComparisonOp::Le, 7),
-                FusedOp::Project(attrs(&[0, 1, 3])),
+                FPlanOp::Project(attrs(&[0, 1, 3])),
             ],
             vec![
-                FusedOp::Project(attrs(&[0, 1, 3])),
-                FusedOp::Swap(b),
-                FusedOp::Normalise,
+                FPlanOp::Project(attrs(&[0, 1, 3])),
+                FPlanOp::Swap(b),
+                FPlanOp::Normalise,
             ],
         ] {
             check(&rep, &steps, &format!("projection program {steps:?}"));
@@ -2114,38 +2174,51 @@ mod tests {
     fn fused_selection_on_missing_attribute_fails_cleanly() {
         let (rep, _, _) = swap_shape();
         let mut fused = rep.clone();
-        assert!(execute_fused(&mut fused, &[select(9, ComparisonOp::Eq, 1)]).is_err());
+        assert!(execute_fused_ctx(
+            &mut fused,
+            &[select(9, ComparisonOp::Eq, 1)],
+            &ExecCtx::unlimited()
+        )
+        .is_err());
         assert!(fused.store_identical(&rep));
     }
 
     #[test]
     fn trailing_selections_fold_into_the_aggregate_filter() {
-        use crate::aggregate::evaluate;
+        use crate::aggregate::evaluate_ctx;
         let (rep, a, b) = swap_shape();
         // Programs ending in selections: the fold must agree with emitting
         // the selected arena and aggregating it.
-        let programs: Vec<Vec<FusedOp>> = vec![
+        let programs: Vec<Vec<FPlanOp>> = vec![
             vec![select(0, ComparisonOp::Ge, 2)],
             vec![
                 select(3, ComparisonOp::Le, 7),
                 select(0, ComparisonOp::Ne, 2),
             ],
             vec![select(2, ComparisonOp::Gt, 99)],
-            vec![FusedOp::Swap(b), select(1, ComparisonOp::Ne, 10)],
+            vec![FPlanOp::Swap(b), select(1, ComparisonOp::Ne, 10)],
             vec![
-                FusedOp::Swap(b),
-                FusedOp::Swap(a),
+                FPlanOp::Swap(b),
+                FPlanOp::Swap(a),
                 select(0, ComparisonOp::Eq, 1),
                 select(3, ComparisonOp::Ge, 8),
             ],
         ];
         for steps in &programs {
             let mut emitted = rep.clone();
-            execute_fused(&mut emitted, steps).unwrap();
+            execute_fused_ctx(&mut emitted, steps, &ExecCtx::unlimited()).unwrap();
             check_aggregates(&rep, steps, &format!("trailing selections {steps:?}"));
             // And explicitly against the emitted arena for COUNT.
-            let on_arena = evaluate(&emitted, AggregateKind::Count, &[]).unwrap();
-            let folded = execute_fused_aggregate(&rep, steps, AggregateKind::Count, &[]).unwrap();
+            let on_arena =
+                evaluate_ctx(&emitted, AggregateKind::Count, &[], &ExecCtx::unlimited()).unwrap();
+            let folded = execute_fused_aggregate_ctx(
+                &rep,
+                steps,
+                AggregateKind::Count,
+                &[],
+                &ExecCtx::unlimited(),
+            )
+            .unwrap();
             assert_eq!(folded, on_arena, "{steps:?}");
         }
     }
@@ -2154,7 +2227,7 @@ mod tests {
     fn projection_then_aggregate_runs_on_the_overlay() {
         let (rep, _, _) = swap_shape();
         // Projection dedups: COUNT after π must be the distinct count.
-        let steps = vec![FusedOp::Project(attrs(&[0, 3]))];
+        let steps = vec![FPlanOp::Project(attrs(&[0, 3]))];
         check_aggregates(&rep, &steps, "projection then aggregate");
     }
 }

@@ -5,19 +5,19 @@
 //! one union over the merged node that keeps only the values present in
 //! both, and entries whose product became empty are pruned away.  It has no
 //! rewriter of its own — it **is** the one-operator overlay program
-//! `[FusedOp::Merge]`; the operator's definition (formula, sort-merge join,
+//! `[FPlanOp::Merge]`; the operator's definition (formula, sort-merge join,
 //! cost bound) is on `MergePass` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::fuse::{execute_fused, FusedOp};
-use fdb_common::Result;
+use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use fdb_common::{ExecCtx, Result};
 use fdb_ftree::NodeId;
 
 /// Merge operator `µ_{A,B}` on sibling nodes: enforces `A = B`, fusing the
 /// two nodes.  Returns the surviving node id, `a`.  On error the
 /// representation is left exactly as it was.
 pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<NodeId> {
-    execute_fused(rep, &[FusedOp::Merge(a, b)])?;
+    execute_fused_ctx(rep, &[FPlanOp::Merge(a, b)], &ExecCtx::unlimited())?;
     Ok(a)
 }
 

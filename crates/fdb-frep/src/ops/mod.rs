@@ -28,9 +28,14 @@
 //! whole (as relocated blocks when the input is in the freeze layout), the
 //! regrouped region assembled directly in the *new* tree's child order.  A
 //! k-step plan pays one full copy instead of k, and a single operator pays
-//! for what it touches plus a block copy of what it does not.  The public
-//! single-operator functions of this module are one-operator programs;
-//! `fdb-plan` hands every non-empty plan to [`emit_fused_ctx`] as it is.
+//! for what it touches plus a block copy of what it does not.
+//!
+//! The operator vocabulary is one type, [`FPlanOp`], defined in [`fuse`]
+//! next to the passes that execute it (and re-exported by `fdb-plan`, whose
+//! `FPlan` is a `Vec` of them): a program is a `&[FPlanOp]`.  `fdb-plan`
+//! hands every non-empty plan's operator list to [`emit_fused_ctx`] as it
+//! is; the public single-operator functions of this module are one-operator
+//! programs run under `ExecCtx::unlimited()`.
 //!
 //! [`emit_fused_ctx`] is also the one place that decides *how* a program
 //! runs, from the program alone: a lone swap takes the direct
@@ -65,10 +70,7 @@ pub mod select;
 pub mod swap;
 
 pub use absorb::absorb;
-pub use fuse::{
-    emit_fused_ctx, execute_fused, execute_fused_aggregate, execute_fused_aggregate_ctx,
-    execute_fused_ctx, FusedOp,
-};
+pub use fuse::{emit_fused_ctx, execute_fused_aggregate_ctx, execute_fused_ctx, FPlanOp};
 pub use merge::merge;
 pub use product::product;
 pub use project::project;

@@ -15,7 +15,7 @@
 
 use crate::frep::FRep;
 use crate::node::{self, Entry, Union};
-use crate::ops::FusedOp;
+use crate::ops::FPlanOp;
 use fdb_common::{AttrId, ComparisonOp, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId, SwapOutcome};
 use std::collections::{BTreeMap, BTreeSet};
@@ -88,15 +88,15 @@ fn visit_contexts_of_node_mut<F: FnMut(&mut Vec<Union>)>(
 
 /// Applies one f-plan operator through its thaw-path implementation — the
 /// step of the "oracle applied operator by operator" reference.
-pub fn apply(rep: &mut FRep, op: &FusedOp) -> Result<()> {
+pub fn apply(rep: &mut FRep, op: &FPlanOp) -> Result<()> {
     match op {
-        FusedOp::PushUp(b) => push_up(rep, *b),
-        FusedOp::Normalise => normalise(rep).map(drop),
-        FusedOp::Swap(b) => swap(rep, *b).map(drop),
-        FusedOp::Merge(a, b) => merge(rep, *a, *b).map(drop),
-        FusedOp::Absorb(a, b) => absorb(rep, *a, *b).map(drop),
-        FusedOp::SelectConst { attr, op, value } => select_const(rep, *attr, *op, *value),
-        FusedOp::Project(keep) => project(rep, keep),
+        FPlanOp::PushUp(b) => push_up(rep, *b),
+        FPlanOp::Normalise => normalise(rep).map(drop),
+        FPlanOp::Swap(b) => swap(rep, *b).map(drop),
+        FPlanOp::Merge(a, b) => merge(rep, *a, *b).map(drop),
+        FPlanOp::Absorb(a, b) => absorb(rep, *a, *b).map(drop),
+        FPlanOp::SelectConst { attr, op, value } => select_const(rep, *attr, *op, *value),
+        FPlanOp::Project(keep) => project(rep, keep),
     }
 }
 

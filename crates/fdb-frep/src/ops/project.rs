@@ -5,19 +5,23 @@
 //! attributes are marked on their nodes, fully-projected leaves are removed,
 //! and fully-projected inner nodes are swapped downwards until they are
 //! leaves.  It has no rewriter of its own — it **is** the one-operator
-//! overlay program `[FusedOp::Project]`; the operator's definition is on
+//! overlay program `[FPlanOp::Project]`; the operator's definition is on
 //! `project_steps` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::fuse::{execute_fused, FusedOp};
-use fdb_common::{AttrId, Result};
+use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use fdb_common::{AttrId, ExecCtx, Result};
 use std::collections::BTreeSet;
 
 /// Projection operator `π_keep`: projects the representation onto the given
 /// attributes.  Attributes in `keep` that do not occur in the representation
 /// are ignored.
 pub fn project(rep: &mut FRep, keep: &BTreeSet<AttrId>) -> Result<()> {
-    execute_fused(rep, &[FusedOp::Project(keep.clone())])
+    execute_fused_ctx(
+        rep,
+        &[FPlanOp::Project(keep.clone())],
+        &ExecCtx::unlimited(),
+    )
 }
 
 #[cfg(test)]

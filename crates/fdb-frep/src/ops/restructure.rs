@@ -4,20 +4,20 @@
 //! that `A` does not depend on is lifted, with its subtree, to be `A`'s
 //! sibling.  Normalisation applies push-ups bottom-up until no node can be
 //! lifted any further.  Neither has a rewriter of its own — they **are** the
-//! one-operator overlay programs `[FusedOp::PushUp]` and
-//! `[FusedOp::Normalise]`; the definitions are on `PushUpPass` and
+//! one-operator overlay programs `[FPlanOp::PushUp]` and
+//! `[FPlanOp::Normalise]`; the definitions are on `PushUpPass` and
 //! `normalise_steps` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::fuse::{execute_fused, FusedOp};
-use fdb_common::Result;
+use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use fdb_common::{ExecCtx, Result};
 use fdb_ftree::NodeId;
 
 /// Push-up operator `ψ_B`: lifts node `b` (with its subtree) one level up in
 /// both the f-tree and the representation.  On error the representation is
 /// left exactly as it was.
 pub fn push_up(rep: &mut FRep, b: NodeId) -> Result<()> {
-    execute_fused(rep, &[FusedOp::PushUp(b)])
+    execute_fused_ctx(rep, &[FPlanOp::PushUp(b)], &ExecCtx::unlimited())
 }
 
 /// Normalisation operator `η`: applies push-ups bottom-up until the f-tree is
@@ -25,7 +25,7 @@ pub fn push_up(rep: &mut FRep, b: NodeId) -> Result<()> {
 /// alone).
 pub fn normalise(rep: &mut FRep) -> Result<Vec<NodeId>> {
     let pushed = rep.tree().clone().normalise();
-    execute_fused(rep, &[FusedOp::Normalise])?;
+    execute_fused_ctx(rep, &[FPlanOp::Normalise], &ExecCtx::unlimited())?;
     Ok(pushed)
 }
 

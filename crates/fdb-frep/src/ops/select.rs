@@ -3,7 +3,7 @@
 //! The operator keeps only the entries of the `A`-node's unions whose value
 //! satisfies the comparison, and prunes: entries whose product became empty
 //! disappear, empty unions propagate upwards.  It has no rebuild of its own —
-//! it **is** the one-operator overlay program `[FusedOp::SelectConst]`
+//! it **is** the one-operator overlay program `[FPlanOp::SelectConst]`
 //! ([`crate::ops::fuse`]): one liveness sweep with the comparison evaluated
 //! per union block, a walk that rebuilds only the unions the selection
 //! dirtied, and an emission that copies every clean subtree whole.  For an
@@ -12,13 +12,17 @@
 //! contributes to the size bound `s(T)`.
 
 use crate::frep::FRep;
-use crate::ops::fuse::{execute_fused, FusedOp};
-use fdb_common::{AttrId, ComparisonOp, Result, Value};
+use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use fdb_common::{AttrId, ComparisonOp, ExecCtx, Result, Value};
 
 /// Selection with constant `σ_{attr θ value}` on the representation.  On
 /// error the representation is left exactly as it was.
 pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value) -> Result<()> {
-    execute_fused(rep, &[FusedOp::SelectConst { attr, op, value }])
+    execute_fused_ctx(
+        rep,
+        &[FPlanOp::SelectConst { attr, op, value }],
+        &ExecCtx::unlimited(),
+    )
 }
 
 #[cfg(test)]

@@ -572,13 +572,9 @@ fn get_array<T, const W: usize>(bytes: &[u8], from_le: impl Fn([u8; W]) -> T) ->
 // Public entry points
 // ---------------------------------------------------------------------
 
-/// Serialises a frozen f-representation into the snapshot byte format.
-pub fn encode_frep(rep: &FRep) -> Vec<u8> {
-    encode_frep_ctx(rep, &ExecCtx::unlimited()).expect("unlimited encode cannot fail")
-}
-
-/// [`encode_frep`] under a governance context: charges one unit per union,
-/// entry and kid slot and honours the `snapshot.write` failpoint.
+/// Serialises a frozen f-representation into the snapshot byte format:
+/// charges one unit per union, entry and kid slot and honours the
+/// `snapshot.write` failpoint.
 pub fn encode_frep_ctx(rep: &FRep, ctx: &ExecCtx) -> Result<Vec<u8>> {
     failpoint!(ctx, "snapshot.write");
     let tree = rep.tree();
@@ -623,14 +619,11 @@ pub fn encode_frep_ctx(rep: &FRep, ctx: &ExecCtx) -> Result<Vec<u8>> {
 /// Deserialises and **fully verifies** a snapshot: header, per-section
 /// checksums, the exact length of every array, and the complete structural
 /// validator.  Any failure is a structured error; nothing is loaded.
-pub fn decode_frep(bytes: &[u8]) -> Result<FRep> {
-    decode_frep_ctx(bytes, &ExecCtx::unlimited())
-}
-
-/// [`decode_frep`] under a governance context: honours the `snapshot.read`
-/// failpoint and charges one unit per union, entry and kid slot — read from
-/// the verified sections and charged **before** any array is allocated, so
-/// a load the budget cannot cover, or a cancelled one, holds no memory.
+///
+/// Honours the `snapshot.read` failpoint and charges one unit per union,
+/// entry and kid slot — read from the verified sections and charged
+/// **before** any array is allocated, so a load the budget cannot cover, or
+/// a cancelled one, holds no memory.
 pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "snapshot.read");
     let sections = read_sections(bytes, KIND_FREP)?;
@@ -745,7 +738,7 @@ mod tests {
     }
 
     fn assert_corrupt(bytes: &[u8], needle: &str, context: &str) {
-        match decode_frep(bytes) {
+        match decode_frep_ctx(bytes, &ExecCtx::unlimited()) {
             Err(FdbError::SnapshotCorrupt { detail }) => {
                 assert!(detail.contains(needle), "{context}: {detail}")
             }
@@ -756,13 +749,16 @@ mod tests {
     #[test]
     fn round_trip_is_store_identical() {
         let rep = example3();
-        let bytes = encode_frep(&rep);
-        let loaded = decode_frep(&bytes).unwrap();
+        let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
+        let loaded = decode_frep_ctx(&bytes, &ExecCtx::unlimited()).unwrap();
         assert!(loaded.store_identical(&rep));
         assert_eq!(loaded.tree().canonical_key(), rep.tree().canonical_key());
         assert_eq!(loaded.tree().edges(), rep.tree().edges());
         // Re-encoding the loaded representation is byte-identical.
-        assert_eq!(encode_frep(&loaded), bytes);
+        assert_eq!(
+            encode_frep_ctx(&loaded, &ExecCtx::unlimited()).unwrap(),
+            bytes
+        );
     }
 
     #[test]
@@ -781,7 +777,11 @@ mod tests {
         let keep: BTreeSet<AttrId> = attrs(&[0]);
         crate::ops::project(&mut rep, &keep).unwrap();
         rep.validate().unwrap();
-        let loaded = decode_frep(&encode_frep(&rep)).unwrap();
+        let loaded = decode_frep_ctx(
+            &encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap(),
+            &ExecCtx::unlimited(),
+        )
+        .unwrap();
         assert!(loaded.store_identical(&rep));
         for id in rep.tree().node_ids() {
             assert_eq!(
@@ -796,11 +796,11 @@ mod tests {
     #[test]
     fn every_flipped_byte_is_detected() {
         let rep = example3();
-        let bytes = encode_frep(&rep);
+        let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
         for (i, bit) in (0..bytes.len()).flat_map(|i| (0..8).map(move |bit| (i, bit))) {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 1 << bit;
-            match decode_frep(&corrupted) {
+            match decode_frep_ctx(&corrupted, &ExecCtx::unlimited()) {
                 Ok(loaded) => panic!(
                     "flipping bit {bit} of byte {i} went undetected (loaded {} unions)",
                     loaded.root_count()
@@ -817,9 +817,9 @@ mod tests {
     #[test]
     fn every_truncation_is_detected() {
         let rep = example3();
-        let bytes = encode_frep(&rep);
+        let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
         for len in 0..bytes.len() {
-            match decode_frep(&bytes[..len]) {
+            match decode_frep_ctx(&bytes[..len], &ExecCtx::unlimited()) {
                 Ok(_) => panic!("truncation to {len} bytes went undetected"),
                 Err(FdbError::SnapshotCorrupt { .. })
                 | Err(FdbError::SnapshotVersionMismatch { .. }) => {}
@@ -833,10 +833,10 @@ mod tests {
         // A newer build's file, and the previous format (there is one
         // codec: version 1 is a mismatch like any other).
         for skewed in [99u32, 1] {
-            let mut bytes = encode_frep(&example3());
+            let mut bytes = encode_frep_ctx(&example3(), &ExecCtx::unlimited()).unwrap();
             bytes[4..8].copy_from_slice(&skewed.to_le_bytes());
             assert_eq!(
-                decode_frep(&bytes).err(),
+                decode_frep_ctx(&bytes, &ExecCtx::unlimited()).err(),
                 Some(FdbError::SnapshotVersionMismatch {
                     found: skewed,
                     expected: 2
@@ -848,7 +848,7 @@ mod tests {
     #[test]
     fn section_boundaries_cover_the_whole_file() {
         let rep = example3();
-        let bytes = encode_frep(&rep);
+        let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
         let boundaries: Vec<usize> = std::iter::once(FRAME)
             .chain(
                 section_spans(&bytes)
@@ -940,7 +940,7 @@ mod tests {
 
     #[test]
     fn non_canonical_frames_are_corrupt_even_with_a_valid_checksum() {
-        let bytes = encode_frep(&example3());
+        let bytes = encode_frep_ctx(&example3(), &ExecCtx::unlimited()).unwrap();
         // Patches one byte of a section and reseals it.
         let resealed = |frame: usize, len: usize, at: usize| {
             let mut bad = bytes.clone();
@@ -971,7 +971,7 @@ mod tests {
 
     #[test]
     fn counts_must_match_the_payload_length_exactly() {
-        let bytes = encode_frep(&example3());
+        let bytes = encode_frep_ctx(&example3(), &ExecCtx::unlimited()).unwrap();
         for (tag, name, width) in [
             (TAG_TRTS, "TRTS", 4),
             (TAG_UNIO, "UNIO", 12),
@@ -1006,14 +1006,14 @@ mod tests {
     #[test]
     fn decode_charges_the_counts_before_it_allocates() {
         let rep = example3();
-        let bytes = encode_frep(&rep);
+        let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
         // One unit per union, entry and kid slot: 3 + 5 + 2.
         let units = 10;
         let budgeted = |budget| ExecCtx::new(&QueryLimits::unlimited().with_budget(budget));
         let ctx = budgeted(units);
         let loaded = decode_frep_ctx(&bytes, &ctx).unwrap();
         assert_eq!(ctx.budget_remaining(), 0);
-        assert!(loaded.store_identical(&decode_frep(&bytes).unwrap()));
+        assert!(loaded.store_identical(&decode_frep_ctx(&bytes, &ExecCtx::unlimited()).unwrap()));
         assert_eq!(
             decode_frep_ctx(&bytes, &budgeted(units - 1)).err(),
             Some(FdbError::BudgetExceeded { limit: units - 1 })

@@ -828,8 +828,8 @@ impl<'a> EntryRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{self, emit_fused_ctx, FusedOp};
-    use crate::snapshot::{decode_frep, encode_frep};
+    use crate::ops::{self, emit_fused_ctx, FPlanOp};
+    use crate::snapshot::{decode_frep_ctx, encode_frep_ctx};
     use crate::FRep;
     use fdb_common::{AttrId, Catalog, ComparisonOp, ExecCtx, Query};
     use fdb_ftree::DepEdge;
@@ -918,7 +918,7 @@ mod tests {
         let rep = FRep::from_store(tree.clone(), store.clone());
         let mut reference = rep.clone();
         ops::oracle::select_const(&mut reference, AttrId(attr), op, c).unwrap();
-        let program = [FusedOp::SelectConst {
+        let program = [FPlanOp::SelectConst {
             attr: AttrId(attr),
             op,
             value: c,
@@ -1119,7 +1119,7 @@ mod tests {
         assert!(deepest >= 3, "the sweep reaches four-level trees");
     }
 
-    /// `build_frep` of `R(names…) = rows` over the path f-tree of its columns.
+    /// `build_frep_ctx` of `R(names…) = rows` over the path f-tree of its columns.
     fn flat_built(names: &[&str], rows: &[Vec<u64>]) -> FRep {
         let mut catalog = Catalog::new();
         let (r, columns) = catalog.add_relation("R", names);
@@ -1132,7 +1132,7 @@ mod tests {
         for attr in columns {
             parent = Some(tree.add_node([attr].into_iter().collect(), parent).unwrap());
         }
-        crate::build_frep(&db, &query, &tree).unwrap()
+        crate::build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap()
     }
 
     #[test]
@@ -1203,7 +1203,11 @@ mod tests {
         for rep in [&frozen, &rewritten, &product] {
             let store = rep.store();
             assert!(store.freeze_layout && store.is_freeze_layout(&kid_count_table(rep.tree())));
-            let decoded = decode_frep(&encode_frep(rep)).unwrap();
+            let decoded = decode_frep_ctx(
+                &encode_frep_ctx(rep, &ExecCtx::unlimited()).unwrap(),
+                &ExecCtx::unlimited(),
+            )
+            .unwrap();
             assert!(decoded.store().freeze_layout);
             assert_eq!(decoded.store(), store);
         }
@@ -1214,7 +1218,11 @@ mod tests {
         // A one-union build result is trivially in the freeze layout: its
         // decoded copy finds that out, the original never claimed it.
         let built = flat_built(&["a"], &[vec![3], vec![1], vec![2]]);
-        let decoded = decode_frep(&encode_frep(&built)).unwrap();
+        let decoded = decode_frep_ctx(
+            &encode_frep_ctx(&built, &ExecCtx::unlimited()).unwrap(),
+            &ExecCtx::unlimited(),
+        )
+        .unwrap();
         assert!(!built.store().freeze_layout && decoded.store().freeze_layout);
         assert!(decoded.store_identical(&built));
     }

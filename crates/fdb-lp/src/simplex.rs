@@ -77,11 +77,6 @@ impl LinearProgram {
         self.num_vars
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Sets the objective coefficient vector (length must equal the number of
     /// variables; missing entries are treated as zero, extras are ignored).
     pub fn set_objective(&mut self, coeffs: Vec<f64>) {

@@ -82,21 +82,6 @@ pub(crate) fn plan_cost_memo(
     Ok(FPlanCost::from_steps(steps))
 }
 
-/// The cost model used by the optimisers.
-///
-/// [`CostModel::Asymptotic`] uses `s(T)` only; [`CostModel::Estimated`]
-/// additionally weighs candidate trees by the estimated size of their
-/// f-representations (given per-class distinct-value counts).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum CostModel {
-    /// The `s(T)`-based measure (the paper's default; also what its
-    /// experiments report).
-    #[default]
-    Asymptotic,
-    /// Cardinality-estimate-based measure.
-    Estimated,
-}
-
 /// Estimates the number of singletons of the f-representation of a query
 /// result over `tree`, from the cardinalities stored on the dependency edges
 /// and a per-node distinct-value estimate.

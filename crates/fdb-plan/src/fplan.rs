@@ -2,9 +2,12 @@
 //!
 //! Operators are described at the schema level (node identifiers of the
 //! input f-tree, attribute identifiers for selections and projections).  The
-//! same plan can be *simulated* on an f-tree alone (used by the optimisers
-//! to cost candidate plans without touching data) or *executed* on an
-//! f-representation (which transforms both the data and its tree).
+//! operator type itself, [`FPlanOp`], is defined in `fdb_frep::ops` next to
+//! the passes that execute it and re-exported here; an [`FPlan`] is a list
+//! of them.  The same plan can be *simulated* on an f-tree alone (used by
+//! the optimisers to cost candidate plans without touching data) or
+//! *executed* on an f-representation (which transforms both the data and
+//! its tree).
 //!
 //! # Execution: simplify once, then one of two sinks
 //!
@@ -16,150 +19,28 @@
 //!    the `Normalise` after an `Absorb`, which normalises internally),
 //!    identity projections, and selections made trivially total by an
 //!    earlier equality selection are data no-ops and are dropped, and
-//!    adjacent projections merge when the first only marks attributes.  The
-//!    fusion counters ([`FPlan::fuses`], [`FPlan::barrier_count`],
-//!    [`FPlan::arenas_skipped`]) are read off this list, so they describe
-//!    what really executes.
-//! 2. The simplified list is handed, whole and as it is, to `fdb_frep`: this
-//!    crate translates operators into [`FusedOp`]s and decides nothing about
-//!    how they run.  The **emitting** sink
-//!    ([`FPlan::execute_presimplified_ctx`], [`FPlan::emit_presimplified_ctx`])
-//!    is `fdb_frep::ops::emit_fused_ctx`: one program — one operator or
-//!    twenty, selections with constants and projections included — pays a
-//!    single arena emission under the caller's governance context.  The
-//!    **aggregate** sink ([`FPlan::execute_aggregate_presimplified_ctx`])
-//!    folds the aggregate — and the plan's trailing selections — directly
-//!    over the overlay and emits **no arena at all**.
+//!    adjacent projections merge when the first only marks attributes.
+//! 2. The simplified list is handed, whole and as it is (`&plan.ops`), to
+//!    `fdb_frep`: this crate decides nothing about how operators run.  The
+//!    **emitting** sink ([`FPlan::execute_presimplified_ctx`],
+//!    [`FPlan::emit_presimplified_ctx`]) is `fdb_frep::ops::emit_fused_ctx`:
+//!    one program — one operator or twenty, selections with constants and
+//!    projections included — pays a single arena emission under the
+//!    caller's governance context.  The **aggregate** sink
+//!    ([`FPlan::execute_aggregate_presimplified_ctx`]) folds the aggregate —
+//!    and the plan's trailing selections — directly over the overlay and
+//!    emits **no arena at all**.
 //!
-//! [`FPlan::execute`] and [`FPlan::execute_aggregate`] are the two steps in
-//! one call, ungoverned.  The reference the equivalence suites compare them
-//! against lives outside this crate's API: the thaw-path oracle of
-//! `fdb_frep::ops::oracle`, applied operator by operator.
+//! The reference the equivalence suites compare both sinks against lives
+//! outside this crate's API: the thaw-path oracle of `fdb_frep::ops::oracle`,
+//! applied operator by operator.
 
-use fdb_common::{AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
-use fdb_frep::ops::FusedOp;
+use fdb_common::{AttrId, ExecCtx, Result};
+pub use fdb_frep::ops::FPlanOp;
 use fdb_frep::{aggregate, ops, AggregateKind, AggregateResult, FRep};
-use fdb_ftree::{FTree, NodeId};
+use fdb_ftree::FTree;
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// One f-plan operator.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FPlanOp {
-    /// Push-up `ψ_B`: lift `node` above its parent.
-    PushUp(NodeId),
-    /// Normalisation `η`: push up nodes until the tree is normalised.
-    Normalise,
-    /// Swap `χ`: exchange `node` with its parent.
-    Swap(NodeId),
-    /// Merge `µ`: fuse the two sibling nodes (enforces equality of their
-    /// classes); the first node survives.
-    Merge(NodeId, NodeId),
-    /// Absorb `α`: fuse the descendant (second) node into the ancestor
-    /// (first) node, then normalise.
-    Absorb(NodeId, NodeId),
-    /// Selection with a constant `σ_{A θ c}`.
-    SelectConst {
-        /// Attribute compared against the constant.
-        attr: AttrId,
-        /// Comparison operator.
-        op: ComparisonOp,
-        /// The constant.
-        value: Value,
-    },
-    /// Projection `π` onto the given attributes.
-    Project(BTreeSet<AttrId>),
-}
-
-impl fmt::Display for FPlanOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FPlanOp::PushUp(n) => write!(f, "ψ({n})"),
-            FPlanOp::Normalise => write!(f, "η"),
-            FPlanOp::Swap(n) => write!(f, "χ({n})"),
-            FPlanOp::Merge(a, b) => write!(f, "µ({a},{b})"),
-            FPlanOp::Absorb(a, b) => write!(f, "α({a},{b})"),
-            FPlanOp::SelectConst { attr, op, value } => write!(f, "σ({attr} {op:?} {value})"),
-            FPlanOp::Project(attrs) => write!(f, "π({} attrs)", attrs.len()),
-        }
-    }
-}
-
-impl FPlanOp {
-    /// Applies the operator to an f-tree only (schema-level simulation).
-    pub fn apply_to_tree(&self, tree: &mut FTree) -> Result<()> {
-        match self {
-            FPlanOp::PushUp(n) => tree.push_up(*n),
-            FPlanOp::Normalise => {
-                tree.normalise();
-                Ok(())
-            }
-            FPlanOp::Swap(n) => tree.swap_with_parent(*n).map(|_| ()),
-            FPlanOp::Merge(a, b) => tree.merge_siblings(*a, *b).map(|_| ()),
-            FPlanOp::Absorb(a, b) => {
-                tree.absorb_into_ancestor(*a, *b)?;
-                tree.normalise();
-                Ok(())
-            }
-            FPlanOp::SelectConst { attr, op, value } => {
-                let Some(node) = tree.node_of_attr(*attr) else {
-                    return Err(FdbError::AttributeNotInQuery {
-                        attr: format!("{attr}"),
-                    });
-                };
-                if *op == ComparisonOp::Eq {
-                    tree.bind_constant(node, *value)?;
-                }
-                Ok(())
-            }
-            FPlanOp::Project(keep) => {
-                let all = tree.all_attrs();
-                let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
-                tree.mark_attrs_projected(&marked);
-                // Schema-level projection: repeatedly drop exhausted leaves;
-                // fully-projected inner nodes are kept (they would be swapped
-                // to leaves during execution, which does not change s(T) for
-                // the worse).
-                loop {
-                    let removable = tree.removable_projected_leaves();
-                    if removable.is_empty() {
-                        break;
-                    }
-                    for leaf in removable {
-                        tree.remove_projected_leaf(leaf)?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// The program-step form of this operator (total: selections and
-    /// projections are program steps like every structural operator).
-    pub fn to_fused(&self) -> FusedOp {
-        match self {
-            FPlanOp::PushUp(n) => FusedOp::PushUp(*n),
-            FPlanOp::Normalise => FusedOp::Normalise,
-            FPlanOp::Swap(n) => FusedOp::Swap(*n),
-            FPlanOp::Merge(a, b) => FusedOp::Merge(*a, *b),
-            FPlanOp::Absorb(a, b) => FusedOp::Absorb(*a, *b),
-            FPlanOp::SelectConst { attr, op, value } => FusedOp::SelectConst {
-                attr: *attr,
-                op: *op,
-                value: *value,
-            },
-            FPlanOp::Project(keep) => FusedOp::Project(keep.clone()),
-        }
-    }
-
-    /// Whether this operator was a *fusion barrier* before whole-plan fusion
-    /// (selections with constants and projections: their data-level effect
-    /// is value-dependent).  The engine counts how many of them execute
-    /// inside a program (`barriers_fused`).
-    pub fn is_barrier(&self) -> bool {
-        matches!(self, FPlanOp::SelectConst { .. } | FPlanOp::Project(_))
-    }
-}
 
 /// A sequence of f-plan operators.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -222,74 +103,41 @@ impl FPlan {
         Ok(current)
     }
 
-    /// Executes the plan on the representation, transforming it in place.
-    ///
-    /// The plan is peephole-simplified ([`FPlan::simplified`]) and what is
-    /// left runs **whole** — selections and projections included — as one
-    /// program that emits exactly one arena ([`FPlan::fuses`]).  The output
-    /// is bit-for-bit what the thaw-path oracle produces operator by
-    /// operator; a failing plan leaves the representation unmodified, and a
-    /// plan that simplifies to nothing leaves it as it is.
-    pub fn execute(&self, rep: &mut FRep) -> Result<()> {
-        self.simplified(rep.tree())
-            .execute_presimplified_ctx(rep, &ExecCtx::unlimited())
-    }
-
-    /// The execution half of [`FPlan::execute`], without the peephole pass
-    /// — for callers that already hold a simplified plan — under a
-    /// governance context: the `&mut` form of
-    /// [`FPlan::emit_presimplified_ctx`].  An aborted plan leaves the
-    /// representation exactly as it was — the executor installs its output
-    /// only on success — and so does the empty plan.
+    /// Executes an already simplified plan in place, under a governance
+    /// context: the `&mut` form of [`FPlan::emit_presimplified_ctx`].  An
+    /// aborted or failing plan leaves the representation exactly as it was —
+    /// the executor installs its output only on success — and so does the
+    /// empty plan.
     pub fn execute_presimplified_ctx(&self, rep: &mut FRep, ctx: &ExecCtx) -> Result<()> {
-        ops::execute_fused_ctx(rep, &self.program(), ctx)
+        ops::execute_fused_ctx(rep, &self.ops, ctx)
     }
 
     /// Executes an already simplified plan on a **borrowed** input and
-    /// returns the result (the engine simplifies once, reads the fusion
-    /// counters off the plan for its stats, then executes it through this).
-    /// Every plan, of any length, is one program of
-    /// `fdb_frep::ops::emit_fused_ctx`: the input is read in place and never
-    /// cloned, every record read or written is charged to the context, and
-    /// an abort leaves nothing behind.  (The empty program emits its input
-    /// unchanged, in the freeze layout.)
+    /// returns the result (the engine simplifies once, then executes through
+    /// this).  Every plan, of any length, is one program of
+    /// `fdb_frep::ops::emit_fused_ctx` — selections and projections
+    /// included, exactly one arena emitted, bit-for-bit what the thaw-path
+    /// oracle produces operator by operator: the input is read in place and
+    /// never cloned, every record read or written is charged to the context,
+    /// and an abort leaves nothing behind.  (The empty program emits its
+    /// input unchanged, in the freeze layout.)
     pub fn emit_presimplified_ctx(&self, rep: &FRep, ctx: &ExecCtx) -> Result<FRep> {
-        ops::emit_fused_ctx(rep, &self.program(), ctx)
+        ops::emit_fused_ctx(rep, &self.ops, ctx)
     }
 
-    /// The program the plan executes as: one step per operator, in order.
-    fn program(&self) -> Vec<FusedOp> {
-        self.ops.iter().map(FPlanOp::to_fused).collect()
-    }
-
-    /// Executes the plan into an **aggregate sink**: the whole plan —
-    /// barriers included — is applied only to the fused overlay and the
-    /// aggregate is folded over the overlay itself
-    /// ([`ops::execute_fused_aggregate`]), with the plan's trailing
-    /// selections folded into the accumulation as entry filters.  **No
-    /// arena is emitted at any point**: the input is borrowed, never cloned
-    /// and never modified, and an aggregate consumer has no use for the
-    /// transformed arena.
+    /// Executes an already simplified plan into an **aggregate sink**: the
+    /// whole plan is applied only to the overlay and the aggregate is folded
+    /// over the overlay itself (`fdb_frep::ops::execute_fused_aggregate_ctx`),
+    /// with the plan's trailing selections folded into the accumulation as
+    /// entry filters.  **No arena is emitted at any point**: the input is
+    /// borrowed, never cloned and never modified (an aggregate consumer has
+    /// no use for the transformed arena), so an abort has no partial state
+    /// to clean up; both the empty-plan flat fold and the overlay fold
+    /// charge the context per record.
     ///
     /// Returns the aggregate result and whether the sink ran on the overlay
     /// (`false` only for the empty plan, where the aggregate is a plain
     /// flat pass over the input arena).
-    pub fn execute_aggregate(
-        &self,
-        rep: &FRep,
-        kind: AggregateKind,
-        group_by: &[AttrId],
-    ) -> Result<(AggregateResult, bool)> {
-        self.simplified(rep.tree())
-            .execute_aggregate_presimplified_ctx(rep, kind, group_by, &ExecCtx::unlimited())
-    }
-
-    /// The sink half of [`FPlan::execute_aggregate`], without the peephole
-    /// pass — for callers that already hold a simplified plan (the engine
-    /// simplifies once, reads the fusion counters off it, then executes it
-    /// through this) — under a governance context: both the empty-plan flat
-    /// fold and the overlay fold charge per record, and the input is never
-    /// mutated, so an abort has no partial state to clean up.
     pub fn execute_aggregate_presimplified_ctx(
         &self,
         rep: &FRep,
@@ -300,7 +148,7 @@ impl FPlan {
         if self.ops.is_empty() {
             return Ok((aggregate::evaluate_ctx(rep, kind, group_by, ctx)?, false));
         }
-        let result = ops::execute_fused_aggregate_ctx(rep, &self.program(), kind, group_by, ctx)?;
+        let result = ops::execute_fused_aggregate_ctx(rep, &self.ops, kind, group_by, ctx)?;
         Ok((result, true))
     }
 
@@ -385,29 +233,6 @@ impl FPlan {
         }
         FPlan { ops: out }
     }
-
-    /// Whether the plan executes as a program: every plan with an operator
-    /// in it does, as exactly one.  How a program runs is `fdb_frep`'s
-    /// decision, not this crate's.
-    pub fn fuses(&self) -> bool {
-        !self.is_empty()
-    }
-
-    /// Number of former fusion barriers (selections with constants,
-    /// projections) in the plan.  They execute inside the plan's one program
-    /// instead of as standalone arena passes — the engine reports the count
-    /// as `barriers_fused`.
-    pub fn barrier_count(&self) -> usize {
-        self.ops.iter().filter(|op| op.is_barrier()).count()
-    }
-
-    /// Lower bound on the intermediate arenas one-program execution skips
-    /// relative to running operator at a time: one per operator beyond the
-    /// single emission (normalise, absorb and projection are several steps
-    /// each and skip more).  Zero for the empty and the one-operator plan.
-    pub fn arenas_skipped(&self) -> usize {
-        self.ops.len().saturating_sub(1)
-    }
 }
 
 /// Returns `true` when projecting onto `keep` only marks attributes on the
@@ -434,9 +259,10 @@ impl fmt::Display for FPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdb_common::{ComparisonOp, FdbError, Value};
     use fdb_frep::ops::oracle;
     use fdb_frep::{Entry, Union};
-    use fdb_ftree::DepEdge;
+    use fdb_ftree::{DepEdge, NodeId};
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
@@ -476,8 +302,29 @@ mod tests {
     /// The reference execution: the thaw-path oracle, operator by operator.
     fn apply_oracle(plan: &FPlan, rep: &mut FRep) {
         for op in &plan.ops {
-            oracle::apply(rep, &op.to_fused()).unwrap();
+            oracle::apply(rep, op).unwrap();
         }
+    }
+
+    /// Simplify, then the emitting sink, in place and ungoverned.
+    fn run(plan: &FPlan, rep: &mut FRep) -> Result<()> {
+        plan.simplified(rep.tree())
+            .execute_presimplified_ctx(rep, &ExecCtx::unlimited())
+    }
+
+    /// Simplify, then the aggregate sink, ungoverned.
+    fn run_aggregate(
+        plan: &FPlan,
+        rep: &FRep,
+        kind: AggregateKind,
+        group_by: &[AttrId],
+    ) -> Result<(AggregateResult, bool)> {
+        plan.simplified(rep.tree())
+            .execute_aggregate_presimplified_ctx(rep, kind, group_by, &ExecCtx::unlimited())
+    }
+
+    fn arena_aggregate(rep: &FRep, kind: AggregateKind, group_by: &[AttrId]) -> AggregateResult {
+        aggregate::evaluate_ctx(rep, kind, group_by, &ExecCtx::unlimited()).unwrap()
     }
 
     #[test]
@@ -503,7 +350,7 @@ mod tests {
         );
         // Data-level execution ends up over the same tree shape.
         let mut executed = rep.clone();
-        plan.execute(&mut executed).unwrap();
+        run(&plan, &mut executed).unwrap();
         executed.validate().unwrap();
         assert_eq!(
             executed.visible_attrs(),
@@ -528,7 +375,7 @@ mod tests {
         let plan = FPlan::new(vec![FPlanOp::Swap(item)]);
         assert!(plan.simulate(rep.tree()).is_err());
         let mut rep = rep;
-        assert!(plan.execute(&mut rep).is_err());
+        assert!(run(&plan, &mut rep).is_err());
     }
 
     #[test]
@@ -545,7 +392,7 @@ mod tests {
         let rep = sample_rep();
         let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
         let supplier = rep.tree().node_of_attr(AttrId(3)).unwrap();
-        // A multi-step structural segment followed by a barrier and another
+        // A multi-step structural run followed by a selection and another
         // structural step.
         let plan = FPlan::new(vec![
             FPlanOp::Swap(oid),
@@ -559,7 +406,7 @@ mod tests {
         ]);
         let mut fused = rep.clone();
         let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
+        run(&plan, &mut fused).unwrap();
         apply_oracle(&plan, &mut stepwise);
         fused.validate().unwrap();
         assert!(
@@ -601,7 +448,7 @@ mod tests {
         // Same result either way, bit for bit.
         let mut fused = rep.clone();
         let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
+        run(&plan, &mut fused).unwrap();
         apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
         let _ = supplier_node;
@@ -617,14 +464,14 @@ mod tests {
         let simplified = plan.simplified(rep.tree());
         assert_eq!(simplified.ops, plan.ops);
         let mut rep = rep;
-        assert!(plan.execute(&mut rep).is_err());
+        assert!(run(&plan, &mut rep).is_err());
     }
 
     #[test]
     fn aggregate_sink_matches_execute_then_aggregate() {
         let rep = sample_rep();
         let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
-        // Barrier in the middle, structural segment at the end: the sink
+        // Selection first, structural operators at the end: the sink
         // must run the tail on the overlay.
         let plan = FPlan::new(vec![
             FPlanOp::SelectConst {
@@ -636,18 +483,18 @@ mod tests {
             FPlanOp::Normalise,
         ]);
         let mut executed = rep.clone();
-        plan.execute(&mut executed).unwrap();
+        run(&plan, &mut executed).unwrap();
         for kind in [
             AggregateKind::Count,
             AggregateKind::Sum(AttrId(1)),
             AggregateKind::Min(AttrId(3)),
             AggregateKind::Avg(AttrId(0)),
         ] {
-            let expected = aggregate::evaluate(&executed, kind, &[]).unwrap();
-            let (got, on_overlay) = plan.execute_aggregate(&rep, kind, &[]).unwrap();
+            let expected = arena_aggregate(&executed, kind, &[]);
+            let (got, on_overlay) = run_aggregate(&plan, &rep, kind, &[]).unwrap();
             assert!(
                 on_overlay,
-                "trailing structural segment runs on the overlay"
+                "trailing structural operators run on the overlay"
             );
             assert_eq!(got, expected, "{kind}");
         }
@@ -659,10 +506,8 @@ mod tests {
             .iter()
             .next()
             .expect("root has a visible attribute");
-        let expected = aggregate::evaluate(&executed, AggregateKind::Count, &[group]).unwrap();
-        let (got, _) = plan
-            .execute_aggregate(&rep, AggregateKind::Count, &[group])
-            .unwrap();
+        let expected = arena_aggregate(&executed, AggregateKind::Count, &[group]);
+        let (got, _) = run_aggregate(&plan, &rep, AggregateKind::Count, &[group]).unwrap();
         assert_eq!(got, expected);
         // The borrowed input is untouched by the sink.
         assert!(rep.store_identical(&sample_rep()));
@@ -679,64 +524,23 @@ mod tests {
             value: Value::new(1),
         }]);
         let mut executed = rep.clone();
-        plan.execute(&mut executed).unwrap();
+        run(&plan, &mut executed).unwrap();
         for kind in [
             AggregateKind::Count,
             AggregateKind::Sum(AttrId(1)),
             AggregateKind::Min(AttrId(3)),
         ] {
-            let expected = aggregate::evaluate(&executed, kind, &[]).unwrap();
-            let (got, on_overlay) = plan.execute_aggregate(&rep, kind, &[]).unwrap();
+            let expected = arena_aggregate(&executed, kind, &[]);
+            let (got, on_overlay) = run_aggregate(&plan, &rep, kind, &[]).unwrap();
             assert!(on_overlay, "trailing selections fold into the sink");
             assert_eq!(got, expected, "{kind}");
         }
         // Only the empty plan falls back to the plain arena pass.
-        let (_, on_overlay) = FPlan::empty()
-            .execute_aggregate(&rep, AggregateKind::Count, &[])
-            .unwrap();
+        let (_, on_overlay) =
+            run_aggregate(&FPlan::empty(), &rep, AggregateKind::Count, &[]).unwrap();
         assert!(!on_overlay, "the empty plan aggregates on the arena");
         // The borrowed input is untouched.
         assert!(rep.store_identical(&sample_rep()));
-    }
-
-    #[test]
-    fn fusion_counters_reflect_the_whole_plan() {
-        let oid = NodeId(1);
-        let plan = FPlan::new(vec![
-            FPlanOp::Swap(oid),
-            FPlanOp::Normalise,
-            FPlanOp::SelectConst {
-                attr: AttrId(3),
-                op: ComparisonOp::Eq,
-                value: Value::new(7),
-            },
-            FPlanOp::Swap(oid),
-            FPlanOp::Project(attrs(&[1])),
-            FPlanOp::Normalise,
-        ]);
-        assert!(plan.fuses());
-        assert_eq!(plan.barrier_count(), 2);
-        assert_eq!(plan.arenas_skipped(), 5, "six ops, one emission");
-        // Every one-operator plan is a program too: one emission, no
-        // intermediate arena to skip…
-        for op in [
-            FPlanOp::Swap(oid),
-            FPlanOp::Merge(oid, NodeId(2)),
-            FPlanOp::Normalise,
-            FPlanOp::Project(attrs(&[1])),
-            FPlanOp::SelectConst {
-                attr: AttrId(3),
-                op: ComparisonOp::Eq,
-                value: Value::new(7),
-            },
-        ] {
-            let plan = FPlan::new(vec![op]);
-            assert!(plan.fuses(), "{plan}");
-            assert_eq!(plan.arenas_skipped(), 0, "{plan}");
-        }
-        // …and only the empty plan executes nothing.
-        assert!(!FPlan::empty().fuses());
-        assert_eq!(FPlan::empty().arenas_skipped(), 0);
     }
 
     /// Example 3 of the paper over attributes `a → b`:
@@ -808,7 +612,7 @@ mod tests {
             let expected = ungoverned.unwrap();
             assert_eq!(ample - left, units, "{plan}: units charged");
             let mut reference = input.clone();
-            oracle::apply(&mut reference, &plan.ops[0].to_fused()).unwrap();
+            oracle::apply(&mut reference, &plan.ops[0]).unwrap();
             assert!(expected.store_identical(&reference), "{plan}");
 
             let (exact, left) = run(&QueryLimits::unlimited().with_budget(units));
@@ -850,7 +654,7 @@ mod tests {
         // Bit-for-bit: merged execution equals the sequential step-wise run.
         let mut fused = rep.clone();
         let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
+        run(&plan, &mut fused).unwrap();
         apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
     }
@@ -869,7 +673,7 @@ mod tests {
         assert_eq!(simplified.ops.len(), 2, "node-removing projections stay");
         let mut fused = rep.clone();
         let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
+        run(&plan, &mut fused).unwrap();
         apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
     }
@@ -899,7 +703,7 @@ mod tests {
         );
         let mut fused = rep.clone();
         let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
+        run(&plan, &mut fused).unwrap();
         apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
         assert!(fused.represents_empty());

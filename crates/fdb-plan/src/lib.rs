@@ -5,9 +5,10 @@
 //! select-project-join query over a factorised representation.  This crate
 //! provides:
 //!
-//! * the [`FPlan`] / [`FPlanOp`] description of plans ([`fplan`]), their
-//!   schema-level simulation on f-trees and their data-level execution on
-//!   f-representations;
+//! * the [`FPlan`] description of plans ([`fplan`]) — a list of
+//!   [`FPlanOp`], the one operator type of the workspace, defined in
+//!   `fdb_frep::ops` and re-exported here — their schema-level simulation
+//!   on f-trees and their data-level execution on f-representations;
 //! * the two cost measures of the paper's Section 4.1 ([`cost`]): the
 //!   asymptotic measure based on the size-bound parameter `s(T)` of every
 //!   intermediate f-tree, and the estimate-based measure derived from
@@ -27,7 +28,7 @@ pub mod fplan;
 pub mod optimizer;
 pub mod ordering;
 
-pub use cost::{estimate_frep_size, CostModel, FPlanCost};
+pub use cost::{estimate_frep_size, FPlanCost};
 pub use fplan::{FPlan, FPlanOp};
 pub use optimizer::exhaustive::{ExhaustiveConfig, ExhaustiveOptimizer};
 pub use optimizer::ftree_search::{optimal_ftree, FTreeSearchResult};

@@ -351,9 +351,6 @@ impl ExhaustiveOptimizer {
     }
 }
 
-/// The cost of an optimised plan, re-exported for convenience.
-pub type PlanCost = FPlanCost;
-
 #[cfg(test)]
 mod tests {
     use super::*;

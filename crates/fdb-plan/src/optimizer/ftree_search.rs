@@ -21,7 +21,7 @@
 //!   orderings of same-signature classes.
 
 use fdb_common::{Catalog, FdbError, Query, RelId, Result};
-use fdb_ftree::{dep_edges_for_query, DepEdge, FTree, NodeId};
+use fdb_ftree::{dep_edges_for_query, FTree, NodeId};
 use fdb_lp::{fractional_edge_cover, CoverInstance};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -349,21 +349,6 @@ impl Search<'_> {
         }
         Ok(())
     }
-}
-
-/// Convenience wrapper: optimal f-tree plus dependency edges for a query
-/// whose relation sizes are all unknown (cardinality 1).
-pub fn optimal_ftree_unit_cardinalities(
-    catalog: &Catalog,
-    query: &Query,
-) -> Result<FTreeSearchResult> {
-    optimal_ftree(catalog, query, |_| 1)
-}
-
-/// Builds the dependency edges the search would use (exposed for tests and
-/// for callers that want to inspect the hypergraph).
-pub fn query_edges(catalog: &Catalog, query: &Query) -> Vec<DepEdge> {
-    dep_edges_for_query(catalog, query, |_| 1)
 }
 
 #[cfg(test)]

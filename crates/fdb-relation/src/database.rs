@@ -90,14 +90,6 @@ impl Database {
             .sum()
     }
 
-    /// Number of distinct values of an attribute in its stored relation.
-    pub fn distinct_count(&self, attr: AttrId) -> usize {
-        let rel = self.catalog.attr_relation(attr);
-        self.relations
-            .get(&rel)
-            .map_or(0, |r| r.distinct_values(attr).len())
-    }
-
     /// Sorted distinct values of an attribute in its stored relation.
     pub fn distinct_values(&self, attr: AttrId) -> Vec<Value> {
         let rel = self.catalog.attr_relation(attr);
@@ -154,7 +146,7 @@ mod tests {
         let (db, _, _) = setup();
         // Attribute B of R (AttrId 1) has values {2, 3}; attribute B of S
         // (AttrId 2) has values {2, 3} as well but is a different attribute.
-        assert_eq!(db.distinct_count(AttrId(1)), 2);
+        assert_eq!(db.distinct_values(AttrId(1)).len(), 2);
         let vals: Vec<u64> = db
             .distinct_values(AttrId(3))
             .iter()

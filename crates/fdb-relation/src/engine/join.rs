@@ -3,7 +3,6 @@
 use super::LimitChecker;
 use crate::relation::Relation;
 use fdb_common::{Result, Value};
-use std::collections::HashMap;
 
 /// How often (in produced tuples) the resource limits are re-checked.
 const CHECK_EVERY: usize = 4096;
@@ -28,68 +27,6 @@ pub(crate) fn cross_product(
             produced += 1;
             if produced.is_multiple_of(CHECK_EVERY) {
                 checker.check(produced)?;
-            }
-        }
-    }
-    checker.check(produced)?;
-    Ok(out)
-}
-
-/// Equi-join on the given `(left column, right column)` key pairs using a
-/// hash table built on the smaller input.
-pub fn hash_join(
-    left: &Relation,
-    right: &Relation,
-    keys: &[(usize, usize)],
-    checker: &LimitChecker,
-) -> Result<Relation> {
-    let mut out_attrs = left.attrs().to_vec();
-    out_attrs.extend_from_slice(right.attrs());
-    let mut out = Relation::new(out_attrs);
-
-    // Build on the smaller side; remember whether sides were flipped so the
-    // output column order stays `left ++ right`.
-    let (build, probe, flipped) = if left.len() <= right.len() {
-        (left, right, false)
-    } else {
-        (right, left, true)
-    };
-    let build_cols: Vec<usize> = keys
-        .iter()
-        .map(|&(l, r)| if flipped { r } else { l })
-        .collect();
-    let probe_cols: Vec<usize> = keys
-        .iter()
-        .map(|&(l, r)| if flipped { l } else { r })
-        .collect();
-
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
-    for (i, row) in build.rows().enumerate() {
-        let key: Vec<Value> = build_cols.iter().map(|&c| row[c]).collect();
-        table.entry(key).or_default().push(i);
-    }
-
-    let mut produced = 0usize;
-    let mut row_buf: Vec<Value> = Vec::with_capacity(left.arity() + right.arity());
-    for prow in probe.rows() {
-        let key: Vec<Value> = probe_cols.iter().map(|&c| prow[c]).collect();
-        if let Some(matches) = table.get(&key) {
-            for &bi in matches {
-                let brow = build.row(bi);
-                row_buf.clear();
-                if flipped {
-                    // build = right, probe = left
-                    row_buf.extend_from_slice(prow);
-                    row_buf.extend_from_slice(brow);
-                } else {
-                    row_buf.extend_from_slice(brow);
-                    row_buf.extend_from_slice(prow);
-                }
-                out.push_row(&row_buf)?;
-                produced += 1;
-                if produced.is_multiple_of(CHECK_EVERY) {
-                    checker.check(produced)?;
-                }
             }
         }
     }
@@ -181,7 +118,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_and_sort_merge_agree() {
+    fn runs_of_equal_keys_join_as_their_product() {
         let left = rel(
             &[0, 1],
             &[vec![1, 10], vec![2, 10], vec![3, 20], vec![4, 30]],
@@ -191,11 +128,20 @@ mod tests {
             &[vec![10, 7], vec![10, 8], vec![20, 9], vec![40, 1]],
         );
         let keys = [(1usize, 0usize)];
-        let h = hash_join(&left, &right, &keys, &checker()).unwrap();
         let s = sort_merge_join(&left, &right, &keys, &checker()).unwrap();
-        assert_eq!(h.tuple_set(), s.tuple_set());
         // (1,10)/(2,10) × (10,7)/(10,8) plus (3,20) × (20,9) = 5 rows.
-        assert_eq!(h.len(), 5);
+        let expected = rel(
+            &[0, 1, 2, 3],
+            &[
+                vec![1, 10, 10, 7],
+                vec![1, 10, 10, 8],
+                vec![2, 10, 10, 7],
+                vec![2, 10, 10, 8],
+                vec![3, 20, 20, 9],
+            ],
+        );
+        assert_eq!(s.tuple_set(), expected.tuple_set());
+        assert_eq!(s.len(), 5);
     }
 
     #[test]
@@ -204,10 +150,10 @@ mod tests {
         let right = rel(&[2, 3], &[vec![1, 1], vec![2, 2], vec![2, 3]]);
         // Join on both columns: (A,B) = (C,D).
         let keys = [(0usize, 0usize), (1usize, 1usize)];
-        let h = hash_join(&left, &right, &keys, &checker()).unwrap();
         let s = sort_merge_join(&left, &right, &keys, &checker()).unwrap();
-        assert_eq!(h.tuple_set(), s.tuple_set());
-        assert_eq!(h.len(), 2);
+        let expected = rel(&[0, 1, 2, 3], &[vec![1, 1, 1, 1], vec![2, 2, 2, 2]]);
+        assert_eq!(s.tuple_set(), expected.tuple_set());
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -215,9 +161,6 @@ mod tests {
         let left = rel(&[0], &[]);
         let right = rel(&[1], &[vec![1], vec![2]]);
         let keys = [(0usize, 0usize)];
-        assert!(hash_join(&left, &right, &keys, &checker())
-            .unwrap()
-            .is_empty());
         assert!(sort_merge_join(&left, &right, &keys, &checker())
             .unwrap()
             .is_empty());
@@ -225,17 +168,17 @@ mod tests {
 
     #[test]
     fn column_order_is_left_then_right_even_when_flipped() {
-        // Right is smaller, so the hash join builds on it; the output column
-        // order must still be left ++ right.
+        // Right is the smaller input: whichever side a kernel walks first,
+        // the output column order must be left ++ right.
         let left = rel(&[0, 1], &[vec![1, 5], vec![2, 5], vec![3, 6]]);
         let right = rel(&[2], &[vec![5]]);
         let keys = [(1usize, 0usize)];
-        let h = hash_join(&left, &right, &keys, &checker()).unwrap();
-        assert_eq!(h.attrs(), &[AttrId(0), AttrId(1), AttrId(2)]);
-        for row in h.rows() {
+        let s = sort_merge_join(&left, &right, &keys, &checker()).unwrap();
+        assert_eq!(s.attrs(), &[AttrId(0), AttrId(1), AttrId(2)]);
+        for row in s.rows() {
             assert_eq!(row[1], row[2]);
         }
-        assert_eq!(h.len(), 2);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -253,7 +196,6 @@ mod tests {
         let right = rel(&[1], &(0..200).map(|i| vec![i % 3]).collect::<Vec<_>>());
         let limited = LimitChecker::new(&EvalLimits::unlimited().with_max_tuples(10));
         let keys = [(0usize, 0usize)];
-        assert!(hash_join(&left, &right, &keys, &limited).is_err());
         assert!(sort_merge_join(&left, &right, &keys, &limited).is_err());
         assert!(cross_product(&left, &right, &limited).is_err());
     }

@@ -6,9 +6,9 @@
 //! 1. constant selections and intra-relation equality selections are pushed
 //!    onto the base relations;
 //! 2. relations are joined pairwise following a greedy plan that always picks
-//!    the pair with the smallest estimated intermediate result, using either
-//!    multi-way sort-merge joins (the paper's choice — the input relations
-//!    are given sorted) or hash joins;
+//!    the pair with the smallest estimated intermediate result, using
+//!    sort-merge joins (the paper's choice — the input relations are given
+//!    sorted);
 //! 3. remaining cross products are taken when no join condition links the
 //!    remaining intermediates;
 //! 4. the projection is applied last (with duplicate elimination, matching
@@ -21,7 +21,7 @@
 mod join;
 mod plan;
 
-pub use join::{hash_join, sort_merge_join};
+pub use join::sort_merge_join;
 pub use plan::{GreedyJoinPlanner, JoinStep};
 
 use crate::database::Database;
@@ -29,17 +29,6 @@ use crate::relation::Relation;
 use fdb_common::{AttrId, FdbError, Query, Result};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-/// Which pairwise join algorithm the RDB engine uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum JoinAlgorithm {
-    /// Sort both inputs on the join key and merge (the paper's RDB uses
-    /// sort-merge joins over pre-sorted relations).
-    #[default]
-    SortMerge,
-    /// Build a hash table on the smaller input and probe with the larger.
-    Hash,
-}
 
 /// Resource limits for a single query evaluation.
 #[derive(Clone, Copy, Debug, Default)]
@@ -124,23 +113,14 @@ pub struct RdbStats {
 /// The flat relational query engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RdbEngine {
-    /// Join algorithm used for every pairwise join.
-    pub algorithm: JoinAlgorithm,
     /// Resource limits applied to every evaluation.
     pub limits: EvalLimits,
 }
 
 impl RdbEngine {
-    /// Creates an engine with the default (sort-merge) join algorithm and no
-    /// resource limits.
+    /// Creates an engine with no resource limits.
     pub fn new() -> Self {
         RdbEngine::default()
-    }
-
-    /// Sets the join algorithm.
-    pub fn with_algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
     }
 
     /// Sets the resource limits.
@@ -200,10 +180,7 @@ impl RdbEngine {
             } else {
                 stats.joins += 1;
                 let keys = plan::key_columns(&left, &right, &class_of, &step.key_classes);
-                match self.algorithm {
-                    JoinAlgorithm::SortMerge => sort_merge_join(&left, &right, &keys, &checker)?,
-                    JoinAlgorithm::Hash => hash_join(&left, &right, &keys, &checker)?,
-                }
+                sort_merge_join(&left, &right, &keys, &checker)?
             };
             stats.max_intermediate_tuples = stats.max_intermediate_tuples.max(joined.len());
             pending.push(joined);
@@ -351,19 +328,16 @@ mod tests {
     }
 
     #[test]
-    fn chain_join_matches_brute_force_with_both_algorithms() {
+    fn chain_join_matches_brute_force() {
         let (db, rels, attrs) = chain_db();
         let query = chain_query(&rels, &attrs);
         let expected = brute_force_chain(&db, &query);
-        for algo in [JoinAlgorithm::SortMerge, JoinAlgorithm::Hash] {
-            let engine = RdbEngine::new().with_algorithm(algo);
-            let result = engine.evaluate(&db, &query).unwrap();
-            // Reorder the columns to ascending attribute id for comparison.
-            let mut sorted_attrs = result.attrs().to_vec();
-            sorted_attrs.sort_unstable();
-            let canon = result.reorder_columns(&sorted_attrs).unwrap();
-            assert_eq!(canon.tuple_set(), expected, "algorithm {algo:?}");
-        }
+        let result = RdbEngine::new().evaluate(&db, &query).unwrap();
+        // Reorder the columns to ascending attribute id for comparison.
+        let mut sorted_attrs = result.attrs().to_vec();
+        sorted_attrs.sort_unstable();
+        let canon = result.reorder_columns(&sorted_attrs).unwrap();
+        assert_eq!(canon.tuple_set(), expected);
     }
 
     #[test]

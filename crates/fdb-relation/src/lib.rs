@@ -10,7 +10,7 @@
 //!   selection and projection primitives;
 //! * [`Database`]: a catalog plus one [`Relation`] per catalog entry;
 //! * [`engine`]: the RDB query engine — join planning (greedy, smallest
-//!   intermediate first), hash and sort-merge join implementations,
+//!   intermediate first), the sort-merge join,
 //!   constant selections pushed below joins, projections, and resource
 //!   limits so that experiment sweeps can report timeouts the way the paper
 //!   does.
@@ -22,5 +22,5 @@ pub mod engine;
 pub mod relation;
 
 pub use database::Database;
-pub use engine::{EvalLimits, JoinAlgorithm, LimitChecker, RdbEngine, RdbStats};
+pub use engine::{EvalLimits, LimitChecker, RdbEngine, RdbStats};
 pub use relation::{Relation, Tuple};

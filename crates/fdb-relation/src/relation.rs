@@ -126,11 +126,6 @@ impl Relation {
         self.data.chunks_exact(a)
     }
 
-    /// Returns the rows materialised as owned tuples.
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.rows().map(|r| r.to_vec()).collect()
-    }
-
     /// Position of an attribute in the column order, if present.
     pub fn col_index(&self, attr: AttrId) -> Option<usize> {
         self.attrs.iter().position(|&a| a == attr)
@@ -144,17 +139,6 @@ impl Relation {
     /// Value of attribute `attr` in row `i`.
     pub fn value(&self, i: usize, attr: AttrId) -> Option<Value> {
         self.col_index(attr).map(|c| self.row(i)[c])
-    }
-
-    /// Sorts rows lexicographically by the given attributes (attributes not
-    /// mentioned do not participate in the ordering, ties keep their relative
-    /// order).
-    pub fn sort_by_attrs(&mut self, sort_attrs: &[AttrId]) {
-        let cols: Vec<usize> = sort_attrs
-            .iter()
-            .filter_map(|&a| self.col_index(a))
-            .collect();
-        self.sort_by_cols(&cols);
     }
 
     /// Sorts rows lexicographically by the given column indices.
@@ -354,7 +338,7 @@ mod tests {
     #[test]
     fn sorting_is_lexicographic_and_stable() {
         let mut r = rel(&[0, 1], &[vec![2, 1], vec![1, 9], vec![2, 0], vec![1, 3]]);
-        r.sort_by_attrs(&attrs(&[0, 1]));
+        r.sort_by_cols(&[0, 1]);
         let rows: Vec<Vec<u64>> = r
             .rows()
             .map(|row| row.iter().map(|v| v.raw()).collect())
@@ -365,7 +349,7 @@ mod tests {
     #[test]
     fn sort_by_single_column_keeps_other_columns_attached() {
         let mut r = rel(&[0, 1], &[vec![3, 30], vec![1, 10], vec![2, 20]]);
-        r.sort_by_attrs(&attrs(&[0]));
+        r.sort_by_cols(&[0]);
         assert_eq!(r.row(0), &[Value::new(1), Value::new(10)]);
         assert_eq!(r.row(2), &[Value::new(3), Value::new(30)]);
     }

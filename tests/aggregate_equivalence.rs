@@ -18,13 +18,13 @@
 
 mod common;
 
-use fdb::common::{AggregateFunc, AggregateHead, AttrId, ComparisonOp, RelId, Value};
+use fdb::common::{AggregateFunc, AggregateHead, AttrId, ComparisonOp, ExecCtx, RelId, Value};
 use fdb::datagen::{
     populate, random_followup_equalities, random_query, random_schema, ValueDistribution,
 };
 use fdb::engine::{FactorisedQuery, FdbEngine};
 use fdb::frep::aggregate::{self, AggregateKind, AggregateResult, AggregateValue, AvgValue};
-use fdb::frep::ops::{self, FusedOp};
+use fdb::frep::ops::{self, FPlanOp};
 use fdb::frep::{Entry, FRep, Union};
 use fdb::ftree::{DepEdge, FTree, NodeId};
 use rand::rngs::StdRng;
@@ -40,6 +40,14 @@ use std::collections::BTreeSet;
 /// the one-pass arena/overlay evaluators under test.
 fn flat_oracle(rep: &FRep, kind: AggregateKind, group_by: &[AttrId]) -> AggregateResult {
     aggregate::by_enumeration(rep, kind, group_by).expect("flat oracle evaluates")
+}
+
+/// The ungrouped aggregate over the arena.
+fn scalar(rep: &FRep, kind: AggregateKind) -> fdb::Result<AggregateValue> {
+    match aggregate::evaluate_ctx(rep, kind, &[], &ExecCtx::unlimited())? {
+        AggregateResult::Scalar(value) => Ok(value),
+        AggregateResult::Groups(_) => unreachable!("ungrouped evaluation returns a scalar"),
+    }
 }
 
 /// Every aggregate kind applicable to the representation, plus every legal
@@ -71,10 +79,11 @@ fn check_all_paths(rep: &FRep, context: &str) {
     let (kinds, groups) = kinds_and_groups(rep);
     for &kind in &kinds {
         for group in &groups {
-            let arena = aggregate::evaluate(rep, kind, group)
+            let arena = aggregate::evaluate_ctx(rep, kind, group, &ExecCtx::unlimited())
                 .unwrap_or_else(|e| panic!("{context}: {kind}: arena pass failed: {e:?}"));
-            let overlay = ops::execute_fused_aggregate(rep, &[], kind, group)
-                .unwrap_or_else(|e| panic!("{context}: {kind}: overlay pass failed: {e:?}"));
+            let overlay =
+                ops::execute_fused_aggregate_ctx(rep, &[], kind, group, &ExecCtx::unlimited())
+                    .unwrap_or_else(|e| panic!("{context}: {kind}: overlay pass failed: {e:?}"));
             let oracle = flat_oracle(rep, kind, group);
             assert_eq!(
                 arena, oracle,
@@ -97,27 +106,27 @@ fn random_fusable_steps(
     tree: &FTree,
     steps: usize,
     selections: bool,
-) -> Vec<FusedOp> {
+) -> Vec<FPlanOp> {
     let mut cur = tree.clone();
-    let mut ops_out: Vec<FusedOp> = Vec::new();
+    let mut ops_out: Vec<FPlanOp> = Vec::new();
     for _ in 0..steps {
         let nodes: Vec<NodeId> = cur.node_ids();
-        let mut candidates: Vec<FusedOp> = vec![FusedOp::Normalise];
+        let mut candidates: Vec<FPlanOp> = vec![FPlanOp::Normalise];
         for &n in &nodes {
             if cur.parent(n).is_some() {
-                candidates.push(FusedOp::Swap(n));
+                candidates.push(FPlanOp::Swap(n));
             }
             if cur.can_push_up(n) {
-                candidates.push(FusedOp::PushUp(n));
+                candidates.push(FPlanOp::PushUp(n));
             }
         }
         for &x in &nodes {
             for &y in &nodes {
                 if x != y && cur.are_siblings(x, y) {
-                    candidates.push(FusedOp::Merge(x, y));
+                    candidates.push(FPlanOp::Merge(x, y));
                 }
                 if cur.is_ancestor(x, y) {
-                    candidates.push(FusedOp::Absorb(x, y));
+                    candidates.push(FPlanOp::Absorb(x, y));
                 }
             }
         }
@@ -129,7 +138,7 @@ fn random_fusable_steps(
                     let attr = attrs[rng.gen_range(0..attrs.len())];
                     let op = [ComparisonOp::Ge, ComparisonOp::Ne, ComparisonOp::Le]
                         [rng.gen_range(0..3usize)];
-                    candidates.push(FusedOp::SelectConst {
+                    candidates.push(FPlanOp::SelectConst {
                         attr,
                         op,
                         value: Value::new(rng.gen_range(0..8u64)),
@@ -139,21 +148,21 @@ fn random_fusable_steps(
         }
         let op = candidates[rng.gen_range(0..candidates.len())].clone();
         let applies = match &op {
-            FusedOp::PushUp(n) => cur.push_up(*n).is_ok(),
-            FusedOp::Normalise => {
+            FPlanOp::PushUp(n) => cur.push_up(*n).is_ok(),
+            FPlanOp::Normalise => {
                 cur.normalise();
                 true
             }
-            FusedOp::Swap(n) => cur.swap_with_parent(*n).is_ok(),
-            FusedOp::Merge(a, b) => cur.merge_siblings(*a, *b).is_ok(),
-            FusedOp::Absorb(a, b) => {
+            FPlanOp::Swap(n) => cur.swap_with_parent(*n).is_ok(),
+            FPlanOp::Merge(a, b) => cur.merge_siblings(*a, *b).is_ok(),
+            FPlanOp::Absorb(a, b) => {
                 let ok = cur.absorb_into_ancestor(*a, *b).is_ok();
                 if ok {
                     cur.normalise();
                 }
                 ok
             }
-            FusedOp::SelectConst { attr, op, value } => match cur.node_of_attr(*attr) {
+            FPlanOp::SelectConst { attr, op, value } => match cur.node_of_attr(*attr) {
                 Some(node) => {
                     if *op == ComparisonOp::Eq {
                         cur.bind_constant(node, *value).expect("node exists");
@@ -162,7 +171,7 @@ fn random_fusable_steps(
                 }
                 None => false,
             },
-            FusedOp::Project(_) => unreachable!("the generator emits no projections"),
+            FPlanOp::Project(_) => unreachable!("the generator emits no projections"),
         };
         if applies {
             ops_out.push(op);
@@ -175,15 +184,16 @@ fn random_fusable_steps(
 /// the oracle evaluated on the plan's emitted result — restructuring changes
 /// the representation (merges/absorbs apply equality selections) but both
 /// consumers must see the same relation.
-fn check_overlay_after_plan(rep: &FRep, steps: &[FusedOp], context: &str) {
+fn check_overlay_after_plan(rep: &FRep, steps: &[FPlanOp], context: &str) {
     let mut emitted = rep.clone();
-    ops::execute_fused(&mut emitted, steps)
+    ops::execute_fused_ctx(&mut emitted, steps, &ExecCtx::unlimited())
         .unwrap_or_else(|e| panic!("{context}: fused execution failed: {e:?}"));
     let (kinds, groups) = kinds_and_groups(&emitted);
     for &kind in &kinds {
         for group in &groups {
-            let overlay = ops::execute_fused_aggregate(rep, steps, kind, group)
-                .unwrap_or_else(|e| panic!("{context}: {kind}: overlay pass failed: {e:?}"));
+            let overlay =
+                ops::execute_fused_aggregate_ctx(rep, steps, kind, group, &ExecCtx::unlimited())
+                    .unwrap_or_else(|e| panic!("{context}: {kind}: overlay pass failed: {e:?}"));
             let oracle = flat_oracle(&emitted, kind, group);
             assert_eq!(
                 overlay, oracle,
@@ -258,19 +268,19 @@ fn selection_folded_aggregates_match_the_flat_oracle() {
         let mut with_suffix = steps.clone();
         let attrs: Vec<AttrId> = rep.visible_attrs();
         if let Some(&attr) = attrs.first() {
-            with_suffix.push(FusedOp::SelectConst {
+            with_suffix.push(FPlanOp::SelectConst {
                 attr,
                 op: ComparisonOp::Ge,
                 value: Value::new(rng.gen_range(0..6u64)),
             });
-            with_suffix.push(FusedOp::SelectConst {
+            with_suffix.push(FPlanOp::SelectConst {
                 attr: attrs[attrs.len() - 1],
                 op: ComparisonOp::Ne,
                 value: Value::new(rng.gen_range(0..6u64)),
             });
             // Only valid if the attributes survived the structural steps.
             let mut probe = rep.clone();
-            if ops::execute_fused(&mut probe, &with_suffix).is_ok() {
+            if ops::execute_fused_ctx(&mut probe, &with_suffix, &ExecCtx::unlimited()).is_ok() {
                 check_overlay_after_plan(
                     &rep,
                     &with_suffix,
@@ -282,7 +292,7 @@ fn selection_folded_aggregates_match_the_flat_oracle() {
         // An unsatisfiable trailing selection: the filtered fold must see
         // the empty relation.
         if let Some(&attr) = attrs.first() {
-            let emptying = vec![FusedOp::SelectConst {
+            let emptying = vec![FPlanOp::SelectConst {
                 attr,
                 op: ComparisonOp::Gt,
                 value: Value::new(u64::MAX / 2),
@@ -396,11 +406,11 @@ fn edge_case_representations_agree_across_all_three_paths() {
     let singleton = singleton_chain();
     check_all_paths(&singleton, "singleton chain");
     assert_eq!(
-        aggregate::aggregate(&singleton, AggregateKind::Min(AttrId(1))).unwrap(),
+        scalar(&singleton, AggregateKind::Min(AttrId(1))).unwrap(),
         AggregateValue::Min(Some(Value::new(8)))
     );
     assert_eq!(
-        aggregate::aggregate(&singleton, AggregateKind::Max(AttrId(1))).unwrap(),
+        scalar(&singleton, AggregateKind::Max(AttrId(1))).unwrap(),
         AggregateValue::Max(Some(Value::new(8)))
     );
 
@@ -410,7 +420,7 @@ fn edge_case_representations_agree_across_all_three_paths() {
     assert!(empty.represents_empty());
     check_all_paths(&empty, "empty representation");
     assert_eq!(
-        aggregate::aggregate(&empty, AggregateKind::Avg(AttrId(0))).unwrap(),
+        scalar(&empty, AggregateKind::Avg(AttrId(0))).unwrap(),
         AggregateValue::Avg(None),
         "AVG of an empty group is None"
     );
@@ -448,7 +458,7 @@ fn edge_case_representations_agree_across_all_three_paths() {
     let product = ops::product(side(0, 1, "R", 1), side(2, 3, "S", 2)).unwrap();
     let a = product.tree().node_of_attr(AttrId(0)).unwrap();
     let b = product.tree().node_of_attr(AttrId(2)).unwrap();
-    check_overlay_after_plan(&product, &[FusedOp::Merge(a, b)], "merge to empty mid-plan");
+    check_overlay_after_plan(&product, &[FPlanOp::Merge(a, b)], "merge to empty mid-plan");
 }
 
 // ---------------------------------------------------------------------
@@ -477,7 +487,7 @@ fn sum_and_count_widen_past_u64_and_wrap_mod_2_pow_128() {
     let count = 1u128 << 80;
     assert_eq!(rep.tuple_count(), count);
     assert_eq!(
-        aggregate::aggregate(&rep, AggregateKind::Count).unwrap(),
+        scalar(&rep, AggregateKind::Count).unwrap(),
         AggregateValue::Count(count),
         "COUNT is exact past u64 (the arena pass computes in u128)"
     );
@@ -486,13 +496,13 @@ fn sum_and_count_widen_past_u64_and_wrap_mod_2_pow_128() {
     let per_root_sum = (WIDTH as u128) * (WIDTH as u128 - 1) / 2;
     let expected = per_root_sum * (1u128 << 64);
     assert_eq!(
-        aggregate::aggregate(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
+        scalar(&rep, AggregateKind::Sum(AttrId(0))).unwrap(),
         AggregateValue::Sum(expected),
         "SUM widens into u128 while the multiplicity exceeds u64"
     );
     // AVG carries the exact pair.
     assert_eq!(
-        aggregate::aggregate(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
+        scalar(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
         AggregateValue::Avg(Some(AvgValue {
             sum: expected,
             count,
@@ -520,18 +530,25 @@ fn sum_and_count_widen_past_u64_and_wrap_mod_2_pow_128() {
     let rep = FRep::from_parts(tree, roots).unwrap();
     let expected = (u64::MAX as u128).wrapping_mul(1u128 << 80);
     assert_eq!(
-        aggregate::aggregate(&rep, AggregateKind::Sum(AttrId(9))).unwrap(),
+        scalar(&rep, AggregateKind::Sum(AttrId(9))).unwrap(),
         AggregateValue::Sum(expected),
         "SUM wraps modulo 2^128 exactly as documented"
     );
     // MIN/MAX stay exact regardless of the wrapping count.
     assert_eq!(
-        aggregate::aggregate(&rep, AggregateKind::Max(AttrId(9))).unwrap(),
+        scalar(&rep, AggregateKind::Max(AttrId(9))).unwrap(),
         AggregateValue::Max(Some(Value::new(u64::MAX)))
     );
     // The overlay path wraps identically.
     assert_eq!(
-        ops::execute_fused_aggregate(&rep, &[], AggregateKind::Sum(AttrId(9)), &[]).unwrap(),
+        ops::execute_fused_aggregate_ctx(
+            &rep,
+            &[],
+            AggregateKind::Sum(AttrId(9)),
+            &[],
+            &ExecCtx::unlimited()
+        )
+        .unwrap(),
         AggregateResult::Scalar(AggregateValue::Sum(expected))
     );
 }

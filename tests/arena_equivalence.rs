@@ -14,11 +14,11 @@
 
 mod common;
 
-use fdb::common::{AttrId, ComparisonOp, Query, RelId, Value};
+use fdb::common::{AttrId, ComparisonOp, ExecCtx, Query, RelId, Value};
 use fdb::datagen::{grocery_database, populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
 use fdb::frep::ops::{self, oracle};
-use fdb::frep::{for_each_tuple, materialize, Entry, FRep, Union};
+use fdb::frep::{materialize, Entry, FRep, Union};
 use fdb::ftree::{DepEdge, FTree, NodeId};
 use fdb::relation::{Database, RdbEngine};
 use rand::rngs::StdRng;
@@ -43,7 +43,7 @@ fn rdb_tuple_counts(db: &Database, query: &Query) -> BTreeMap<Vec<Value>, usize>
 /// The tuple multiset the cursor enumerates.
 fn enumerated_tuple_counts(rep: &FRep) -> BTreeMap<Vec<Value>, usize> {
     let mut counts = BTreeMap::new();
-    for_each_tuple(rep, |t| {
+    common::for_each_tuple(rep, |t| {
         *counts.entry(t.to_vec()).or_insert(0usize) += 1;
     });
     counts
@@ -89,7 +89,7 @@ fn check_rep(db: &Database, query: &Query, rep: &FRep, context: &str) {
         "{context}: enumeration disagrees with the RDB result"
     );
 
-    // materialize is for_each_tuple collected: same cardinality, same set.
+    // materialize is the cursor's tuples collected: same cardinality, same set.
     let flat = materialize(rep).expect("materialisation succeeds");
     assert_eq!(
         flat.len() as u128,
@@ -420,7 +420,7 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
 /// differ, direct emission places entry blocks post-order — same size and
 /// count) and against the flat engine (same tuple set).
 fn check_build_over(db: &Database, query: &Query, tree: &FTree, context: &str) {
-    let direct = fdb::frep::build_frep(db, query, tree)
+    let direct = fdb::frep::build_frep_ctx(db, query, tree, &ExecCtx::unlimited())
         .unwrap_or_else(|e| panic!("{context}: direct build: {e:?}"));
     let forest = common::build_frep_via_forest(db, query, tree)
         .unwrap_or_else(|e| panic!("{context}: forest oracle: {e:?}"));
@@ -697,19 +697,25 @@ fn random_plan(rng: &mut StdRng, tree: &fdb::ftree::FTree, steps: usize, barrier
     FPlan::new(ops)
 }
 
-/// Executes the plan both ways — as the one program `FPlan::execute` makes
-/// of it, and through the thaw-path oracle operator by operator (independent
+/// Simplify, then the emitting sink, in place and ungoverned.
+fn execute(plan: &FPlan, rep: &mut FRep) -> fdb::Result<()> {
+    plan.simplified(rep.tree())
+        .execute_presimplified_ctx(rep, &ExecCtx::unlimited())
+}
+
+/// Executes the plan both ways — simplified and as the one program the
+/// emitting sink makes of it, and through the thaw-path oracle operator by operator (independent
 /// code: no executor runs on the reference side) — and asserts the arenas
 /// are bit-for-bit identical (store identity), the fused result validates,
 /// and the represented relations agree.
 fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     let mut fused = rep.clone();
     let mut stepwise = rep.clone();
-    let fused_result = plan.execute(&mut fused);
+    let fused_result = execute(plan, &mut fused);
     let stepwise_result = plan
         .ops
         .iter()
-        .try_for_each(|op| oracle::apply(&mut stepwise, &op.to_fused()));
+        .try_for_each(|op| oracle::apply(&mut stepwise, op));
     assert_eq!(
         fused_result.is_ok(),
         stepwise_result.is_ok(),
@@ -911,11 +917,10 @@ fn barrier_only_plans_fuse_into_one_program() {
         },
     ]);
     let simplified = plan.simplified(rep.tree());
-    assert!(simplified.fuses(), "barrier-only plans fuse whole");
     assert_eq!(
-        simplified.barrier_count(),
         simplified.len(),
-        "every operator of a barrier-only plan is a former barrier"
+        plan.len(),
+        "no operator of this plan simplifies away: all four reach the executor"
     );
     check_fused_against_stepwise(&rep, &plan, "barrier-only plan");
 
@@ -923,9 +928,14 @@ fn barrier_only_plans_fuse_into_one_program() {
     // overlay: passes for the leading barriers, a folded filter for the
     // trailing selection, and no arena anywhere.
     let mut executed = rep.clone();
-    plan.execute(&mut executed).unwrap();
-    let (got, on_overlay) = plan
-        .execute_aggregate(&rep, fdb::frep::AggregateKind::Count, &[])
+    execute(&plan, &mut executed).unwrap();
+    let (got, on_overlay) = simplified
+        .execute_aggregate_presimplified_ctx(
+            &rep,
+            fdb::frep::AggregateKind::Count,
+            &[],
+            &ExecCtx::unlimited(),
+        )
         .expect("aggregate sink runs");
     assert!(on_overlay, "barrier-only plans aggregate on the overlay");
     assert_eq!(
@@ -969,9 +979,7 @@ fn selection_emptying_a_mid_tree_union_matches_the_stepwise_path() {
         "unsatisfiable selection mid-program",
     );
     let mut emptied = rep.clone();
-    FPlan::new(vec![unsatisfiable])
-        .execute(&mut emptied)
-        .unwrap();
+    execute(&FPlan::new(vec![unsatisfiable]), &mut emptied).unwrap();
     assert!(emptied.represents_empty());
 }
 
@@ -1063,7 +1071,7 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
 #[test]
 fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
     use fdb::common::FdbError;
-    use fdb::frep::{decode_frep, encode_frep};
+    use fdb::frep::{decode_frep_ctx, encode_frep_ctx};
 
     const TAG_UNIO: u32 = u32::from_le_bytes(*b"UNIO");
     const TAG_ENTR: u32 = u32::from_le_bytes(*b"ENTR");
@@ -1076,13 +1084,15 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
         .evaluate_flat(&g.db, &g.q1())
         .expect("FDB evaluates")
         .result;
-    let bytes = encode_frep(&rep);
+    let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
 
     // Identity re-framing is the control: the helper itself preserves the
     // format bit-for-bit, so every rejection below is the mutation's doing.
     let reframed = reframe_section(&bytes, TAG_ENTR, |_| {});
     assert_eq!(reframed, bytes, "identity re-framing is byte-identical");
-    assert!(decode_frep(&reframed).unwrap().store_identical(&rep));
+    assert!(decode_frep_ctx(&reframed, &ExecCtx::unlimited())
+        .unwrap()
+        .store_identical(&rep));
 
     // The version 2 arena payloads are a u64 count and then whole arrays:
     //   UNIO  count | (node, entries_start, entries_len) u32×3 per union
@@ -1162,7 +1172,7 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
     ];
 
     for (context, corrupted) in cases {
-        match decode_frep(&corrupted) {
+        match decode_frep_ctx(&corrupted, &ExecCtx::unlimited()) {
             Err(FdbError::SnapshotCorrupt { detail }) => assert!(
                 detail.contains("structural validation failed"),
                 "{context}: refused before the validator: {detail}"
@@ -1179,10 +1189,11 @@ fn corrupt_arenas_cannot_enter_through_the_snapshot_path() {
 /// every array in the file starts at an offset divisible by 8.
 fn check_snapshot_round_trip(rep: &FRep, context: &str) {
     use fdb::frep::snapshot::{read_sections, KIND_FREP};
-    use fdb::frep::{decode_frep, encode_frep};
+    use fdb::frep::{decode_frep_ctx, encode_frep_ctx};
 
-    let bytes = encode_frep(rep);
-    let loaded = decode_frep(&bytes).unwrap_or_else(|e| panic!("{context}: {e}"));
+    let bytes = encode_frep_ctx(rep, &ExecCtx::unlimited()).unwrap();
+    let loaded =
+        decode_frep_ctx(&bytes, &ExecCtx::unlimited()).unwrap_or_else(|e| panic!("{context}: {e}"));
     loaded
         .validate()
         .unwrap_or_else(|e| panic!("{context}: loaded rep invalid: {e:?}"));
@@ -1191,7 +1202,7 @@ fn check_snapshot_round_trip(rep: &FRep, context: &str) {
         "{context}: snapshot round trip must be store-identical"
     );
     assert_eq!(
-        encode_frep(&loaded),
+        encode_frep_ctx(&loaded, &ExecCtx::unlimited()).unwrap(),
         bytes,
         "{context}: re-encoding is byte-identical"
     );

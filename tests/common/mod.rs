@@ -1,14 +1,14 @@
 //! Reference implementations shared by the integration suites: serial
 //! evaluation (one `FdbEngine::run` call with no server, no plan cache and
-//! no limits, typed by the head it was given) and the forest oracle of the
-//! flat-input build.
+//! no limits, typed by the head it was given), the tuple-by-tuple
+//! enumeration references, and the forest oracle of the flat-input build.
 #![allow(dead_code)]
 
 use fdb::common::AggregateHead;
 use fdb::engine::{
     AggregateOutput, FactorisedQuery, FdbEngine, Head, OrderedOutput, ServeOutcome, Source,
 };
-use fdb::frep::{Entry, FRep, Union};
+use fdb::frep::{Entry, FRep, TupleCursor, Union};
 use fdb::ftree::{FTree, NodeId};
 use fdb::relation::{Database, Relation};
 use fdb::{AttrId, FdbError, Query, Result, Value};
@@ -62,10 +62,42 @@ pub fn ordered_serial(
     }
 }
 
+/// Calls `f` once per tuple of the represented relation, in plain f-tree
+/// order; the buffer lists the visible attributes in ascending id order.
+pub fn for_each_tuple(rep: &FRep, mut f: impl FnMut(&[Value])) {
+    let mut cursor = TupleCursor::new(rep);
+    while cursor.advance() {
+        f(cursor.tuple());
+    }
+}
+
+/// The materialise-then-sort reference of ordered output: enumerates tuple
+/// by tuple and sorts owned rows by the ordering columns, then the full row
+/// — none of the block emission, priority layout or flat buffer of the
+/// ordered paths it is compared with.
+pub fn materialize_then_sort(rep: &FRep, order_by: &[AttrId]) -> Result<Relation> {
+    let attrs = rep.visible_attrs();
+    let cols = order_by
+        .iter()
+        .map(|a| {
+            attrs
+                .binary_search(a)
+                .map_err(|_| FdbError::AttributeNotInQuery {
+                    attr: format!("{a}"),
+                })
+        })
+        .collect::<Result<Vec<usize>>>()?;
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    for_each_tuple(rep, |tuple| rows.push(tuple.to_vec()));
+    let key = |row: &[Value]| cols.iter().map(|&c| row[c]).collect::<Vec<_>>();
+    rows.sort_unstable_by(|a, b| key(a).cmp(&key(b)).then_with(|| a.cmp(b)));
+    Relation::from_rows(attrs, rows)
+}
+
 /// Which relations have which columns in each f-tree node's class.
 type NodeCols = BTreeMap<NodeId, Vec<(usize, Vec<usize>)>>;
 
-/// The oracle of `fdb::frep::build_frep`: the same top-down semi-join
+/// The oracle of `fdb::frep::build_frep_ctx`: the same top-down semi-join
 /// written the slow, obvious way — cloned relations, a `BTreeMap` grouping
 /// of the surviving rows at every union, an owned builder forest frozen once
 /// at the end.  It shares no code with the sorted-range build it checks.

@@ -26,15 +26,13 @@
 
 mod common;
 
-use fdb::common::{AggregateFunc, AggregateHead, ComparisonOp, ConstSelection, RelId};
+use fdb::common::{AggregateFunc, AggregateHead, ComparisonOp, ConstSelection, ExecCtx, RelId};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::{
     FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase,
 };
 use fdb::frep::aggregate::{self, AggregateKind, AggregateResult, AggregateValue, AvgValue};
-use fdb::frep::{
-    materialize, materialize_ordered, materialize_then_sort, Entry, FRep, OrderStrategy, Union,
-};
+use fdb::frep::{materialize, materialize_ordered_ctx, Entry, FRep, OrderStrategy, Union};
 use fdb::ftree::{DepEdge, FTree, NodeId};
 use fdb::{AttrId, Value};
 use rand::rngs::StdRng;
@@ -131,7 +129,7 @@ fn randomized_ordered_evaluation_matches_the_sort_oracle() {
         // The oracle sorts the *unordered* engine result, so it exercises
         // none of the chain planner, the swaps or the priority cursor.
         let unordered = engine.evaluate_factorised(&rep, &body).unwrap();
-        let oracle = materialize_then_sort(&unordered.result, &order_by).unwrap();
+        let oracle = common::materialize_then_sort(&unordered.result, &order_by).unwrap();
         assert_eq!(
             ordered.rows, oracle,
             "seed {seed}: ORDER BY {order_by:?} diverged ({:?})",
@@ -334,8 +332,9 @@ fn randomized_layouts_match_the_sort_oracle_sequentially() {
             continue;
         }
         for order_by in layout_order_bys(&mut rng, &rep) {
-            let oracle = materialize_then_sort(&rep, &order_by).unwrap();
-            let (rows, strategy) = materialize_ordered(&rep, &order_by).unwrap();
+            let oracle = common::materialize_then_sort(&rep, &order_by).unwrap();
+            let (rows, strategy) =
+                materialize_ordered_ctx(&rep, &order_by, &ExecCtx::unlimited()).unwrap();
             assert_eq!(
                 rows, oracle,
                 "seed {seed}: ORDER BY {order_by:?} diverged ({strategy:?})"
@@ -375,19 +374,37 @@ fn distinct_aggregates_match_the_hash_set_oracle() {
             let count = values.len() as u128;
             let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
 
-            let got = aggregate::evaluate(&rep, AggregateKind::CountDistinct(attr), &[]).unwrap();
+            let got = aggregate::evaluate_ctx(
+                &rep,
+                AggregateKind::CountDistinct(attr),
+                &[],
+                &ExecCtx::unlimited(),
+            )
+            .unwrap();
             assert_eq!(
                 got,
                 AggregateResult::Scalar(AggregateValue::Count(count)),
                 "seed {seed}: COUNT(DISTINCT {attr})"
             );
-            let got = aggregate::evaluate(&rep, AggregateKind::SumDistinct(attr), &[]).unwrap();
+            let got = aggregate::evaluate_ctx(
+                &rep,
+                AggregateKind::SumDistinct(attr),
+                &[],
+                &ExecCtx::unlimited(),
+            )
+            .unwrap();
             assert_eq!(
                 got,
                 AggregateResult::Scalar(AggregateValue::Sum(sum)),
                 "seed {seed}: SUM(DISTINCT {attr})"
             );
-            let got = aggregate::evaluate(&rep, AggregateKind::AvgDistinct(attr), &[]).unwrap();
+            let got = aggregate::evaluate_ctx(
+                &rep,
+                AggregateKind::AvgDistinct(attr),
+                &[],
+                &ExecCtx::unlimited(),
+            )
+            .unwrap();
             let want = (count > 0).then_some(AvgValue { sum, count });
             assert_eq!(
                 got,

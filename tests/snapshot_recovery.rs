@@ -28,7 +28,7 @@ use fdb::common::{
     QueryLimits, RelId,
 };
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
-use fdb::engine::snapshot::{load_rep, load_rep_ctx, save_rep, save_rep_ctx};
+use fdb::engine::snapshot::{load_rep, load_rep_ctx, save_rep_ctx};
 use fdb::engine::{
     FactorisedQuery, FdbEngine, FdbServer, RepId, ServeOutcome, ServeRequest, SharedDatabase,
 };
@@ -93,7 +93,7 @@ fn every_section_survives_neither_flips_nor_boundary_truncation() {
     let good_path = dir.join("good.fdbs");
     let torn_path = dir.join("torn.fdbs");
     let rep = seeded_rep(3);
-    save_rep(&rep, &good_path).unwrap();
+    save_rep_ctx(&rep, &good_path, &ExecCtx::unlimited()).unwrap();
     let bytes = fs::read(&good_path).unwrap();
 
     // One flipped byte anywhere — swept exhaustively through the *file*
@@ -172,7 +172,7 @@ fn snapshot_write_faults_leave_no_file_and_read_faults_leave_state_untouched() {
 
     // A clean save, then a faulted load: the error is structured and the
     // file is untouched for the retry.
-    save_rep(&rep, &path).unwrap();
+    save_rep_ctx(&rep, &path, &ExecCtx::unlimited()).unwrap();
     let read_faulted =
         ExecCtx::new(&QueryLimits::unlimited().with_budget(50).with_faults(
             FaultPlan::new().on("snapshot.read", FaultAction::BudgetPressure(10_000)),
@@ -452,7 +452,7 @@ fn a_snapshot_round_trip_survives_a_hot_swap_cycle() {
         let path = dir.join("old.fdbs");
         let fixture = swap_fixture(threads);
         let server = &fixture.server;
-        save_rep(&fixture.old, &path).unwrap();
+        save_rep_ctx(&fixture.old, &path, &ExecCtx::unlimited()).unwrap();
 
         server
             .replace(fixture.id, fixture.new.clone())
