@@ -15,7 +15,6 @@
 //! bound to a constant by an equality selection are ignored (the only
 //! f-representation over such a node is a single singleton).
 
-use crate::edgeset::EdgeSet;
 use crate::ftree::{FTree, NodeId};
 use fdb_common::Result;
 use fdb_lp::{fractional_edge_cover, CoverInstance};
@@ -32,39 +31,37 @@ pub struct PathCost {
     pub cost: f64,
 }
 
-/// Builds the edge-cover instance of a single root-to-leaf path.
-///
-/// Vertices are the non-constant nodes of the path; an edge of the instance
-/// is added for every dependency edge that has at least one attribute in one
-/// of those nodes, covering the vertices whose classes it intersects.
-pub fn path_cover_instance(tree: &FTree, path_nodes: &[NodeId]) -> CoverInstance {
-    let path: Vec<EdgeSet> = path_nodes
-        .iter()
-        .map(|&n| tree.incidence(n).clone())
-        .collect();
-    cover_instance(&path)
+/// Appends the incidence set of `node` to `path` as `width` bitmap words.
+fn push_set(tree: &FTree, node: NodeId, width: usize, path: &mut Vec<u64>) {
+    let set = tree.incidence(node);
+    path.extend((0..width).map(|slot| set.word(slot)));
 }
 
-/// The edge-cover instance of a path given as its root-first incidence sets:
-/// one instance edge per dependency edge on the path, in edge order, covering
-/// the path positions it is incident to.
-fn cover_instance(path: &[EdgeSet]) -> CoverInstance {
-    let mut on_path = EdgeSet::default();
-    for set in path {
-        on_path.union_with(set);
-    }
-    let mut instance = CoverInstance::new(path.len());
-    for edge in on_path.iter() {
-        let covered = (0..path.len())
-            .filter(|&i| path[i].contains(edge))
-            .collect();
-        instance.add_edge(covered);
+/// The number of bitmap words that hold any incidence set of the tree.
+fn set_width(tree: &FTree) -> usize {
+    tree.edges().len().div_ceil(64).max(1)
+}
+
+/// The edge-cover instance of a path given as the incidence sets of its
+/// non-constant nodes, `width` words a set, in any order: one vertex per
+/// set, one instance edge per dependency edge on the path, in edge order,
+/// covering the positions it is incident to.
+fn cover_instance(path: &[u64], width: usize) -> CoverInstance {
+    let sets: Vec<&[u64]> = path.chunks(width).collect();
+    let mut instance = CoverInstance::new(sets.len());
+    for slot in 0..width {
+        let on_path = sets.iter().fold(0, |all, set| all | set[slot]);
+        for bit in (0..64).filter(|bit| on_path >> bit & 1 != 0) {
+            let covered = (0..sets.len()).filter(|&i| sets[i][slot] >> bit & 1 != 0);
+            instance.add_edge(covered.collect());
+        }
     }
     instance
 }
 
 /// Computes the cost of every root-to-leaf path of the tree.
 pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
+    let width = set_width(tree);
     let mut out = Vec::new();
     for leaf in tree.leaves() {
         let mut nodes: Vec<NodeId> = tree.ancestors(leaf);
@@ -72,20 +69,12 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
         nodes.push(leaf);
         // Constant-bound nodes do not contribute to the size bound: the only
         // f-representation over them is a single singleton.
-        let nodes: Vec<NodeId> = nodes
-            .into_iter()
-            .filter(|&n| tree.constant(n).is_none())
-            .collect();
-        if nodes.is_empty() {
-            out.push(PathCost {
-                leaf,
-                nodes,
-                cost: 0.0,
-            });
-            continue;
+        nodes.retain(|&n| tree.constant(n).is_none());
+        let mut path = Vec::new();
+        for &n in &nodes {
+            push_set(tree, n, width, &mut path);
         }
-        let instance = path_cover_instance(tree, &nodes);
-        let cost = fractional_edge_cover(&instance)?;
+        let cost = fractional_edge_cover(&cover_instance(&path, width))?;
         out.push(PathCost { leaf, nodes, cost });
     }
     Ok(out)
@@ -93,16 +82,20 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
 
 /// `s(T)` with the path covers remembered between calls.
 ///
-/// A path's covering LP is fixed by the root-first sequence of its nodes'
-/// incidence sets, and an optimiser costs thousands of trees that share
-/// most of their paths: the memo solves one LP per distinct sequence and
-/// hands every later occurrence the same `f64`.  A memo serves any number of
-/// trees, over the same edge list or not.
+/// A path's fractional edge cover depends on the *set* of its nodes'
+/// incidence sets — not on their order along the path, and a node whose set
+/// repeats another's adds a constraint the LP already has — and an optimiser
+/// costs thousands of trees whose paths carry the same nodes in different
+/// orders: the memo solves one LP per distinct sorted, de-duplicated list of
+/// sets and hands every later occurrence the same `f64`.  A memo serves any
+/// number of trees, over the same edge list or not.
 #[derive(Debug, Default)]
 pub struct SCostMemo {
-    covers: HashMap<Vec<EdgeSet>, f64>,
+    /// Keyed by a path's sets as bitmap words, then the words a set takes;
+    /// one entry per LP solved.
+    pub(crate) covers: HashMap<Vec<u64>, f64>,
     /// The path being looked up (kept for its allocation).
-    path: Vec<EdgeSet>,
+    path: Vec<u64>,
 }
 
 impl SCostMemo {
@@ -114,6 +107,7 @@ impl SCostMemo {
     /// Computes `s(T)`: the maximum fractional edge cover number over all
     /// root-to-leaf paths.  An empty forest has cost 0.
     pub fn s_cost(&mut self, tree: &FTree) -> Result<f64> {
+        let width = set_width(tree);
         let mut max = 0.0_f64;
         for leaf in tree.leaf_ids() {
             // Constant-bound nodes do not contribute to the size bound: the
@@ -122,16 +116,25 @@ impl SCostMemo {
             let mut cur = Some(leaf);
             while let Some(n) = cur {
                 if tree.constant(n).is_none() {
-                    self.path.push(tree.incidence(n).clone());
+                    push_set(tree, n, width, &mut self.path);
                 }
                 cur = tree.parent(n);
             }
-            self.path.reverse();
-            let cost = match self.covers.get(self.path.as_slice()) {
+            if width == 1 {
+                self.path.sort_unstable();
+                self.path.dedup();
+            } else {
+                let mut sets: Vec<&[u64]> = self.path.chunks(width).collect();
+                sets.sort_unstable();
+                sets.dedup();
+                self.path = sets.concat();
+            }
+            self.path.push(width as u64);
+            let cost = match self.covers.get(&self.path) {
                 Some(&cost) => cost,
-                None if self.path.is_empty() => 0.0,
                 None => {
-                    let cost = fractional_edge_cover(&cover_instance(&self.path))?;
+                    let sets = &self.path[..self.path.len() - 1];
+                    let cost = fractional_edge_cover(&cover_instance(sets, width))?;
                     self.covers.insert(self.path.clone(), cost);
                     cost
                 }
@@ -244,6 +247,45 @@ mod tests {
         let b = t.add_node(attrs(&[1]), Some(a)).unwrap();
         t.add_node(attrs(&[2]), Some(b)).unwrap();
         assert!(close(s_cost(&t).unwrap(), 1.5));
+    }
+
+    /// The triangle R{A,B}, S{B,C}, T{A,C} as a chain in the given node
+    /// order, its three relations behind `padding` single-attribute ones.
+    /// Attribute 5 is a second `C`: in `S` and `T` like attribute 2.
+    fn triangle_chain(order: &[u32], padding: u32) -> FTree {
+        let mut edges: Vec<DepEdge> = (0..padding)
+            .map(|i| DepEdge::new(format!("P{i}"), attrs(&[10 + i]), 1))
+            .collect();
+        edges.extend([
+            DepEdge::new("R", attrs(&[0, 1]), 1),
+            DepEdge::new("S", attrs(&[1, 2, 5]), 1),
+            DepEdge::new("T", attrs(&[0, 2, 5]), 1),
+        ]);
+        let mut t = FTree::new(edges);
+        let mut parent = None;
+        for &attr in order {
+            parent = Some(t.add_node(attrs(&[attr]), parent).unwrap());
+        }
+        t
+    }
+
+    #[test]
+    fn chains_of_the_same_nodes_in_any_order_share_one_lp() {
+        // With 70 relations in front the incidence sets spill past one word.
+        for padding in [0, 70] {
+            let mut memo = SCostMemo::new();
+            let first = memo.s_cost(&triangle_chain(&[0, 1, 2], padding)).unwrap();
+            assert!(close(first, 1.5));
+            // The last chain carries a node whose set repeats another's: a
+            // constraint the LP already has.
+            for order in [&[2, 0, 1][..], &[1, 2, 0], &[2, 1, 0], &[5, 0, 2, 1]] {
+                let tree = triangle_chain(order, padding);
+                assert_eq!(memo.s_cost(&tree).unwrap().to_bits(), first.to_bits());
+                let per_path = s_cost_details(&tree).unwrap();
+                assert_eq!(per_path[0].cost.to_bits(), first.to_bits());
+            }
+            assert_eq!(memo.covers.len(), 1);
+        }
     }
 
     #[test]

@@ -33,27 +33,13 @@ impl EdgeSet {
         self.spill[slot] |= 1 << (index % 64);
     }
 
-    /// Adds every edge of `other` to the set.
-    pub(crate) fn union_with(&mut self, other: &EdgeSet) {
-        self.word |= other.word;
-        if self.spill.len() < other.spill.len() {
-            let mut words = std::mem::take(&mut self.spill).into_vec();
-            words.resize(other.spill.len(), 0);
-            self.spill = words.into_boxed_slice();
+    /// Word `slot` of the set's bitmap (edges `64·slot .. 64·slot + 64`);
+    /// zero past the last edge.
+    pub(crate) fn word(&self, slot: usize) -> u64 {
+        match slot {
+            0 => self.word,
+            _ => self.spill.get(slot - 1).copied().unwrap_or(0),
         }
-        for (mine, theirs) in self.spill.iter_mut().zip(other.spill.iter()) {
-            *mine |= theirs;
-        }
-    }
-
-    /// Returns `true` if edge `index` is in the set.
-    pub(crate) fn contains(&self, index: usize) -> bool {
-        if index < 64 {
-            return self.word & (1 << index) != 0;
-        }
-        self.spill
-            .get(index / 64 - 1)
-            .is_some_and(|w| w & (1 << (index % 64)) != 0)
     }
 
     /// Returns `true` if the two sets share an edge.
@@ -89,53 +75,48 @@ impl EdgeSet {
 mod tests {
     use super::*;
 
+    fn set(indices: &[usize]) -> EdgeSet {
+        let mut set = EdgeSet::default();
+        for &i in indices {
+            set.insert(i);
+        }
+        set
+    }
+
     #[test]
     fn small_and_spilled_indices_round_trip() {
         let mut set = EdgeSet::default();
         let indices = [0, 3, 63, 64, 65, 127, 128, 199];
         for &i in &indices {
-            assert!(!set.contains(i));
+            assert!(!set.iter().any(|e| e == i));
             set.insert(i);
-            assert!(set.contains(i));
+            assert!(set.iter().any(|e| e == i));
         }
         assert_eq!(set.iter().collect::<Vec<_>>(), indices);
-        assert!(!set.contains(1) && !set.contains(200) && !set.contains(1000));
+        // The bitmap words are the same set, and zero past the last edge.
+        let words: Vec<u64> = (0..5).map(|slot| set.word(slot)).collect();
+        assert_eq!(
+            words,
+            [1 | 1 << 3 | 1 << 63, 1 | 1 << 1 | 1 << 63, 1, 1 << 7, 0]
+        );
     }
 
     #[test]
     fn equality_ignores_insertion_order_and_layout() {
-        let mut a = EdgeSet::default();
-        let mut b = EdgeSet::default();
-        for i in [2, 70, 130] {
-            a.insert(i);
-        }
-        for i in [130, 2, 70] {
-            b.insert(i);
-        }
-        assert_eq!(a, b);
-        let mut small = EdgeSet::default();
-        small.insert(2);
-        assert_ne!(a, small);
-        // A union with a smaller set must not leave a longer spill behind.
-        let mut c = small.clone();
-        c.union_with(&EdgeSet::default());
-        assert_eq!(c, small);
+        let a = set(&[2, 70, 130]);
+        assert_eq!(a, set(&[130, 2, 70]));
+        assert_ne!(a, set(&[2]));
+        assert_ne!(a, set(&[2, 70]));
     }
 
     #[test]
     fn intersection_and_union_cross_the_word_boundary() {
-        let mut low = EdgeSet::default();
-        low.insert(5);
-        let mut high = EdgeSet::default();
-        high.insert(150);
+        let low = set(&[5]);
+        let high = set(&[150]);
         assert!(!low.intersects(&high));
-        let mut both = low.clone();
-        both.union_with(&high);
+        let both = set(&[150, 5]);
         assert!(both.intersects(&low) && both.intersects(&high));
         assert_eq!(both.iter().collect::<Vec<_>>(), vec![5, 150]);
-        // Growing the shorter side keeps the longer side's bits.
-        let mut grown = high.clone();
-        grown.union_with(&low);
-        assert_eq!(grown, both);
+        assert!(!set(&[64]).intersects(&set(&[0, 128])));
     }
 }

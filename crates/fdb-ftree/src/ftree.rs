@@ -514,45 +514,69 @@ impl FTree {
     /// they are equal up to reordering of children/roots — exactly the
     /// equivalence the optimiser's search space is defined over.
     ///
-    /// The key is the pre-order walk of the forest with siblings visited by
-    /// ascending smallest class attribute (classes are disjoint, so that
-    /// order is total and does not depend on the stored child order).  Each
-    /// node writes its class, its constant and its child count as
-    /// self-delimiting varints, so distinct forests never share a key.
+    /// The key is flat: the live nodes by ascending smallest class attribute
+    /// (classes are disjoint, so that order is total and depends on neither
+    /// node ids nor the stored child order), each written as its class, its
+    /// constant and the smallest class attribute of its *parent* (plus one;
+    /// zero for a root) in self-delimiting varints.  The records name every
+    /// node and its parent, so distinct forests never share a key.
     pub fn canonical_key(&self) -> Vec<u8> {
-        let mut key = Vec::with_capacity(4 * self.nodes.len() + 1);
-        self.write_sibling_keys(&self.roots, &mut key);
-        key
+        self.key_with_parents(|_, node| node.parent)
     }
 
-    fn write_sibling_keys(&self, siblings: &[NodeId], key: &mut Vec<u8>) {
-        let first_attr = |id: NodeId| self.node(id).class.first().copied();
-        write_varint(siblings.len() as u64, key);
-        // Selection by "next larger first attribute": sibling lists are
-        // short and this needs no sorted copy.
-        let mut last = None;
-        for _ in siblings {
-            let next = siblings
-                .iter()
-                .copied()
-                .filter(|&id| first_attr(id) > last)
-                .min_by_key(|&id| first_attr(id))
-                .expect("sibling classes are disjoint and non-empty");
-            last = first_attr(next);
-            let node = self.node(next);
-            write_varint(node.class.len() as u64, key);
+    /// The key [`FTree::swap_with_parent`]`(b)` would leave behind, read off
+    /// this tree without copying or editing it: a swap changes no label, only
+    /// the parent of `b`, of `a = parent(b)` and of the children of `b` that
+    /// depend on `a`.  Fails where the swap would.
+    pub fn canonical_key_after_swap(&self, b: NodeId) -> Result<Vec<u8>> {
+        let swap = self.swap_outcome(b)?;
+        let a = swap.old_parent;
+        Ok(self.key_with_parents(|id, node| {
+            if id == b {
+                self.node(a).parent
+            } else if id == a {
+                Some(b)
+            } else if swap.moved_down.contains(&id) {
+                Some(a)
+            } else {
+                node.parent
+            }
+        }))
+    }
+
+    /// Writes the canonical key of the forest whose labels are this one's and
+    /// whose parent function is `parent_of`.
+    fn key_with_parents(&self, parent_of: impl Fn(NodeId, &Node) -> Option<NodeId>) -> Vec<u8> {
+        let first_attr = |node: &Node| node.class.first().expect("classes are non-empty").0;
+        // Exact when every varint is one byte and no node is constant-bound.
+        let mut size = 0;
+        let mut order: Vec<(u32, NodeId, &Node)> = self
+            .live()
+            .map(|(id, node)| {
+                size += 3 + node.class.len();
+                (first_attr(node), id, node)
+            })
+            .collect();
+        order.sort_unstable_by_key(|&(first, ..)| first);
+        let mut key = Vec::with_capacity(size);
+        for (_, id, node) in order {
+            write_varint(node.class.len() as u64, &mut key);
             for attr in node.class.iter() {
-                write_varint(u64::from(attr.0), key);
+                write_varint(u64::from(attr.0), &mut key);
             }
             match node.constant {
                 Some(v) => {
                     key.push(1);
-                    write_varint(v.raw(), key);
+                    write_varint(v.raw(), &mut key);
                 }
                 None => key.push(0),
             }
-            self.write_sibling_keys(&node.children, key);
+            let parent = parent_of(id, node).map_or(0, |p| u64::from(first_attr(self.node(p))) + 1);
+            write_varint(parent, &mut key);
         }
+        // Keys are kept by the thousand in a search's seen-set.
+        key.shrink_to_fit();
+        key
     }
 
     /// Renders the forest as indented ASCII, resolving attribute names via

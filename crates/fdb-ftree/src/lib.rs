@@ -43,8 +43,8 @@
 //!   move nodes and change no class, so they leave the sets alone.  Direct
 //!   mutable access to the edge list is crate-private for this reason.
 //! * **Who reads it.**  `nodes_dependent`, `depends_on_subtree`,
-//!   `edges_of_node`, [`path_cover_instance`] and [`SCostMemo`], whose
-//!   memo key is a path's root-first sequence of sets.
+//!   `edges_of_node`, [`s_cost_details`] and [`SCostMemo`], whose memo key
+//!   is a path's sorted, de-duplicated list of sets.
 //! * **Derived state.**  The sets are a function of classes and edges: they
 //!   are not part of [`FTree::snapshot_nodes`] (a decoded tree recomputes
 //!   them), not part of [`FTree::canonical_key`], and `FTree` has no
@@ -52,8 +52,10 @@
 //!
 //! The edge list sits behind an `Arc` and is copied only by the two edits
 //! above, and class labels are shared the same way, so cloning a tree — what
-//! the plan search does for every neighbour it generates — copies the
-//! parent/child links and little else.
+//! the plan search does for every new state it reaches — copies the
+//! parent/child links and little else.  (A swap neighbour the search has
+//! already seen costs no copy at all: [`FTree::canonical_key_after_swap`]
+//! reads its key off the tree it would be swapped from.)
 
 #![warn(missing_docs)]
 
@@ -68,7 +70,7 @@ pub mod transform;
 pub use builder::{
     dep_edges_for_query, flat_database_ftree, ftree_from_query_classes, single_path_ftree,
 };
-pub use cost::{path_cover_instance, s_cost, s_cost_details, PathCost, SCostMemo};
+pub use cost::{s_cost, s_cost_details, PathCost, SCostMemo};
 #[doc(hidden)]
 pub use ftree::NodeSnapshot;
 pub use ftree::{DepEdge, FTree, NodeId};

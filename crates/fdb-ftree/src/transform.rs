@@ -108,41 +108,48 @@ impl FTree {
     // Swap
     // ------------------------------------------------------------------
 
-    /// Swap operator `χ_{A,B}` where `b` is a child of `a = parent(b)`:
-    /// promotes `b` to `a`'s position and demotes `a` to a child of `b`.
-    /// Children of `b` that depend on `a` follow `a` down; the rest stay
-    /// under `b`.
-    pub fn swap_with_parent(&mut self, b: NodeId) -> Result<SwapOutcome> {
+    /// What the swap of `b` with `a = parent(b)` does, computed without doing
+    /// it: who trades places and how `b`'s children split by dependency on
+    /// `a`.  [`FTree::swap_with_parent`] applies exactly this outcome and
+    /// [`FTree::canonical_key_after_swap`] keys exactly this outcome.
+    pub(crate) fn swap_outcome(&self, b: NodeId) -> Result<SwapOutcome> {
         self.check_node(b)?;
         let Some(a) = self.parent(b) else {
             return Err(FdbError::InvalidOperator {
                 detail: format!("swap: {b} is a root"),
             });
         };
-        let grandparent = self.parent(a);
-
-        // Partition b's children by dependency on a.
-        let b_children: Vec<NodeId> = self.children(b).to_vec();
-        let (moved_down, kept): (Vec<NodeId>, Vec<NodeId>) = b_children
-            .into_iter()
-            .partition(|&c| self.depends_on_subtree(a, c));
-
-        // Detach b from a, re-root it where a was, and hang a under b.
-        self.detach(b);
-        self.detach(a);
-        self.attach(b, grandparent);
-        self.attach(a, Some(b));
-        // Children of b that depend on a move under a.
-        for c in &moved_down {
-            self.detach(*c);
-            self.attach(*c, Some(a));
-        }
+        let (moved_down, kept) = self
+            .children(b)
+            .iter()
+            .partition(|&&c| self.depends_on_subtree(a, c));
         Ok(SwapOutcome {
             old_parent: a,
             new_parent: b,
             moved_down,
             kept,
         })
+    }
+
+    /// Swap operator `χ_{A,B}` where `b` is a child of `a = parent(b)`:
+    /// promotes `b` to `a`'s position and demotes `a` to a child of `b`.
+    /// Children of `b` that depend on `a` follow `a` down; the rest stay
+    /// under `b`.
+    pub fn swap_with_parent(&mut self, b: NodeId) -> Result<SwapOutcome> {
+        let outcome = self.swap_outcome(b)?;
+        let a = outcome.old_parent;
+        let grandparent = self.parent(a);
+        // Detach b from a, re-root it where a was, and hang a under b.
+        self.detach(b);
+        self.detach(a);
+        self.attach(b, grandparent);
+        self.attach(a, Some(b));
+        // Children of b that depend on a move under a.
+        for c in &outcome.moved_down {
+            self.detach(*c);
+            self.attach(*c, Some(a));
+        }
+        Ok(outcome)
     }
 
     // ------------------------------------------------------------------
@@ -427,6 +434,68 @@ mod tests {
         let item = t.node_of_attr(AttrId(1)).unwrap();
         t.swap_with_parent(item).unwrap();
         assert_eq!(t.canonical_key(), key_before);
+    }
+
+    /// The read-only twin against the operator, for every node of random
+    /// trees — normalised and not, with merged classes, constant-bound
+    /// nodes, children that follow the old parent down, and forests of 70 and
+    /// 200 relations, whose incidence sets spill past one word.
+    #[test]
+    fn the_key_after_a_swap_is_the_key_of_the_swapped_tree() {
+        use crate::invariant_tests::{random_edit, relation_chains};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Swaps checked; of them on non-normalised trees, on trees with a
+        // constant, with a multi-attribute class involved, moving children.
+        let mut seen = [0usize; 5];
+        for (relations, seeds, steps) in [(3, 12, 16), (6, 12, 16), (70, 2, 8), (200, 1, 5)] {
+            for seed in 0..seeds {
+                let mut rng = StdRng::seed_from_u64(0x5A9 ^ (relations as u64) << 8 ^ seed);
+                let mut tree = relation_chains(&mut rng, relations, 0);
+                let mut next_attr = 3 * relations as u32;
+                // Join chains up, so classes span edges and nodes depend on
+                // each other across relations.
+                for _ in 0..relations / 2 {
+                    if let [a, .., b] = tree.roots().to_vec()[..] {
+                        tree.merge_siblings(a, b).unwrap();
+                    }
+                }
+                // Every other tree starts far from normalised: its roots
+                // hung below each other, relations that share nothing nested.
+                if seed % 2 == 0 {
+                    for pair in tree.roots().to_vec().windows(2) {
+                        tree.detach(pair[1]);
+                        tree.attach(pair[1], Some(pair[0]));
+                    }
+                }
+                for step in 0..steps {
+                    random_edit(&mut tree, &mut rng, &mut next_attr);
+                    let nodes = tree.node_ids();
+                    if step % 5 == 4 {
+                        let bound = nodes[rng.gen_range(0..nodes.len())];
+                        tree.bind_constant(bound, Value::new(step)).unwrap();
+                    }
+                    let constants = nodes.iter().any(|&n| tree.constant(n).is_some());
+                    for &b in &nodes {
+                        let mut swapped = tree.clone();
+                        let predicted = tree.canonical_key_after_swap(b);
+                        match swapped.swap_with_parent(b) {
+                            Ok(outcome) => {
+                                assert_eq!(predicted.unwrap(), swapped.canonical_key(), "{b}");
+                                let a = outcome.old_parent;
+                                seen[0] += 1;
+                                seen[1] += usize::from(!tree.is_normalised());
+                                seen[2] += usize::from(constants);
+                                seen[3] +=
+                                    usize::from(tree.class(a).len() + tree.class(b).len() > 2);
+                                seen[4] += usize::from(!outcome.moved_down.is_empty());
+                            }
+                            Err(e) => assert_eq!(predicted.unwrap_err(), e),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
     }
 
     #[test]

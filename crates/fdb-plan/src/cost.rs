@@ -1,21 +1,15 @@
-//! Cost measures for f-plans (Section 4.1 of the paper).
+//! The asymptotic cost measure for f-plans (Section 4.1 of the paper).
 //!
-//! Two measures are provided:
-//!
-//! * **Asymptotic bounds**: the cost of an f-plan `f : T₀ ↦ T₁ ↦ … ↦ T_k` is
-//!   `s(f) = max_i s(T_i)` — the evaluation time is `O(|D|^{s(f)} log |D|)`,
-//!   so the most expensive intermediate f-tree dominates.  Plans are compared
-//!   lexicographically: first by `s(f)`, then by the cost `s(T_k)` of the
-//!   result, then (as a tie-breaker) by plan length.
-//! * **Cardinality estimates**: the size of an f-representation over `T` is
-//!   `Σ_{A} |Q_anc(A)(D)|` over the attributes `A` of `T`, where `anc(A)` is
-//!   the set of attribute classes from the root to `A`'s node.  Each term is
-//!   estimated from the relation cardinalities and per-class distinct value
-//!   counts with the classic System-R style formula.
+//! The cost of an f-plan `f : T₀ ↦ T₁ ↦ … ↦ T_k` is `s(f) = max_i s(T_i)` —
+//! the evaluation time is `O(|D|^{s(f)} log |D|)`, so the most expensive
+//! intermediate f-tree dominates.  Plans are compared lexicographically:
+//! first by `s(f)`, then by the cost `s(T_k)` of the result, then (as a
+//! tie-breaker) by plan length.  (The paper's second, cardinality-estimate
+//! measure is not implemented: no optimiser here ranks plans by it.)
 
 use crate::fplan::FPlan;
 use fdb_common::Result;
-use fdb_ftree::{FTree, NodeId, SCostMemo};
+use fdb_ftree::{FTree, SCostMemo};
 
 /// The cost of an f-plan under the asymptotic measure.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,54 +74,6 @@ pub(crate) fn plan_cost_memo(
         steps.push(memo.s_cost(&tree)?);
     }
     Ok(FPlanCost::from_steps(steps))
-}
-
-/// Estimates the number of singletons of the f-representation of a query
-/// result over `tree`, from the cardinalities stored on the dependency edges
-/// and a per-node distinct-value estimate.
-///
-/// For each node `N`, the number of `N`-singletons equals the cardinality of
-/// `π_{anc(N)}(Q)`; it is estimated as
-///
-/// ```text
-/// min( Π_{M ∈ anc(N) ∪ {N}} ndv(M),
-///      Π_{edges e touching anc(N) ∪ {N}} |e|  /  Π_{M joined by >1 edge} ndv(M)^(cover(M)−1) )
-/// ```
-///
-/// i.e. the textbook join-size estimate capped by the product of distinct
-/// counts, summed over all nodes (weighted by class size, since a node
-/// labelled by `k` attributes contributes `k` singletons per combination).
-pub fn estimate_frep_size<F>(tree: &FTree, ndv: F) -> f64
-where
-    F: Fn(NodeId) -> f64,
-{
-    let mut total = 0.0;
-    for node in tree.node_ids() {
-        let mut path: Vec<NodeId> = tree.ancestors(node);
-        path.push(node);
-        // Product of distinct counts along the path.
-        let ndv_product: f64 = path.iter().map(|&n| ndv(n).max(1.0)).product();
-        // Join-size estimate over the edges touching the path.
-        let mut join_size = 1.0_f64;
-        let mut seen_edge = vec![false; tree.edges().len()];
-        for &n in &path {
-            for e in tree.edges_of_node(n) {
-                if !seen_edge[e] {
-                    seen_edge[e] = true;
-                    join_size *= tree.edges()[e].cardinality.max(1) as f64;
-                }
-            }
-        }
-        for &n in &path {
-            let covering = tree.edges_of_node(n).len();
-            if covering > 1 {
-                join_size /= ndv(n).max(1.0).powi(covering as i32 - 1);
-            }
-        }
-        let combinations = ndv_product.min(join_size).max(1.0);
-        total += combinations * tree.visible_attrs(node).len() as f64;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -207,41 +153,5 @@ mod tests {
             steps: vec![1.0, 1.0],
         };
         assert!(c.better_than(&a));
-    }
-
-    #[test]
-    fn size_estimate_prefers_shallower_trees() {
-        // Two independent unary relations of 100 tuples each: as a forest of
-        // two roots the estimate is 200 singletons; as a chain it is
-        // 100 + 100·100.
-        let edges = vec![
-            DepEdge::new("R", attrs(&[0]), 100),
-            DepEdge::new("S", attrs(&[1]), 100),
-        ];
-        let mut forest = FTree::new(edges.clone());
-        forest.add_node(attrs(&[0]), None).unwrap();
-        forest.add_node(attrs(&[1]), None).unwrap();
-        let mut chain = FTree::new(edges);
-        let r = chain.add_node(attrs(&[0]), None).unwrap();
-        chain.add_node(attrs(&[1]), Some(r)).unwrap();
-
-        let ndv = |_: NodeId| 100.0;
-        let forest_size = estimate_frep_size(&forest, ndv);
-        let chain_size = estimate_frep_size(&chain, ndv);
-        assert!((forest_size - 200.0).abs() < 1e-6);
-        assert!(chain_size > forest_size);
-    }
-
-    #[test]
-    fn size_estimate_caps_by_join_size() {
-        // A single relation {A,B} of 50 tuples with 100 distinct values per
-        // attribute: the number of B-singletons is bounded by the relation
-        // size (50), not by 100 × 100.
-        let edges = vec![DepEdge::new("R", attrs(&[0, 1]), 50)];
-        let mut chain = FTree::new(edges);
-        let a = chain.add_node(attrs(&[0]), None).unwrap();
-        chain.add_node(attrs(&[1]), Some(a)).unwrap();
-        let est = estimate_frep_size(&chain, |_| 100.0);
-        assert!(est <= 100.0 + 50.0 + 1e-6);
     }
 }

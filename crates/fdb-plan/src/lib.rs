@@ -9,10 +9,8 @@
 //!   [`FPlanOp`], the one operator type of the workspace, defined in
 //!   `fdb_frep::ops` and re-exported here — their schema-level simulation
 //!   on f-trees and their data-level execution on f-representations;
-//! * the two cost measures of the paper's Section 4.1 ([`cost`]): the
-//!   asymptotic measure based on the size-bound parameter `s(T)` of every
-//!   intermediate f-tree, and the estimate-based measure derived from
-//!   relation cardinalities;
+//! * the asymptotic cost measure of the paper's Section 4.1 ([`cost`]),
+//!   based on the size-bound parameter `s(T)` of every intermediate f-tree;
 //! * the optimisers ([`optimizer`]):
 //!   - [`optimizer::ftree_search`] finds an optimal (minimum `s(T)`) f-tree
 //!     of a query over flat input — Experiment 1 of the paper;
@@ -28,7 +26,7 @@ pub mod fplan;
 pub mod optimizer;
 pub mod ordering;
 
-pub use cost::{estimate_frep_size, FPlanCost};
+pub use cost::FPlanCost;
 pub use fplan::{FPlan, FPlanOp};
 pub use optimizer::exhaustive::{ExhaustiveConfig, ExhaustiveOptimizer};
 pub use optimizer::ftree_search::{optimal_ftree, FTreeSearchResult};

@@ -10,11 +10,18 @@
 //! the one with the smallest own cost `s(T_final)` (then the shortest plan)
 //! is chosen — the lexicographic order `<_max × <_{s(T)}` of the paper.
 //!
-//! A cache-missing request spends nearly all of its time here, so the loop
-//! keeps its per-neighbour work to one tree copy (links only: edges and
-//! class labels are shared), one byte key and one map probe: a tree seen
-//! before brings its `s(T)` with it, a new one is costed through a
-//! per-search [`SCostMemo`] that solves each distinct path's LP once.
+//! A cache-missing request spends nearly all of its time here, and seven in
+//! ten of the neighbours a state generates are trees the search has already
+//! seen, so the loop *probes before it builds*.  A swap neighbour — all but
+//! the one merge or absorb an unmet equality offers — is keyed straight off
+//! the popped tree ([`FTree::canonical_key_after_swap`]) and looked up; a
+//! tree seen before brings its `s(T)` with it, and the popped tree is copied
+//! (links only: edges and class labels are shared) and swapped only for a key
+//! not seen before or a strictly better way to an unsettled state.  A merge
+//! or an absorb is built first and keyed from the result.  A new tree is
+//! costed through a per-search [`SCostMemo`], which solves one LP per
+//! distinct *set* of nodes on a path.  Debug builds check every predicted
+//! key against the tree it stands for.
 //! States live in an arena and point at their predecessor, so plan and cost
 //! are read off the chosen goal's chain once, at the end.  Which states are
 //! pushed, popped and replaced, and in what order, is exactly what the
@@ -215,59 +222,79 @@ impl ExhaustiveOptimizer {
                 continue;
             }
 
+            // Lent to the expansion, which pushes states, and handed back
+            // after it: a stale queue entry of equal bottleneck pops (and
+            // expands) a state a second time, as in the textbook loop.
+            let from = std::mem::take(&mut states[current].tree);
             let plan_len = states[current].plan_len + 1;
-            for op in Self::moves(&states[current].tree, equalities) {
-                let mut tree = states[current].tree.clone();
-                op.apply_to_tree(&mut tree)?;
-                match best.entry(tree.canonical_key()) {
-                    Entry::Vacant(slot) => {
-                        let own_cost = memo.s_cost(&tree)?;
-                        let bottleneck = bottleneck.max(own_cost);
-                        slot.insert(states.len());
-                        heap.push(QueueItem {
-                            bottleneck: OrdF64(bottleneck),
-                            plan_len,
-                            state: states.len(),
-                        });
-                        states.push(State {
-                            tree,
-                            via: Some((current, op)),
-                            plan_len,
-                            own_cost,
-                            bottleneck,
-                            settled: false,
-                        });
+            for op in Self::moves(&from, equalities) {
+                let build = || -> Result<FTree> {
+                    let mut tree = from.clone();
+                    op.apply_to_tree(&mut tree)?;
+                    Ok(tree)
+                };
+                // A swap is keyed off the popped tree and built only if the
+                // probe finds its slot vacant or this way to it better; a
+                // merge or an absorb (at most one per unmet equality) is
+                // built first.
+                let (key, mut tree) = match op {
+                    FPlanOp::Swap(b) => (from.canonical_key_after_swap(b)?, None),
+                    _ => {
+                        let tree = build()?;
+                        (tree.canonical_key(), Some(tree))
                     }
-                    Entry::Occupied(slot) => {
-                        // Equal keys mean equal paths, hence equal `s(T)`.
-                        let existing = &mut states[*slot.get()];
-                        let bottleneck = bottleneck.max(existing.own_cost);
-                        let better = bottleneck + 1e-9 < existing.bottleneck
-                            || (bottleneck < existing.bottleneck + 1e-9
-                                && plan_len < existing.plan_len);
-                        // A settled state has handed its index to its
-                        // neighbours.  The queue order rules out a better way
-                        // to a settled state (every later candidate has at
-                        // least its bottleneck, and a longer plan when equal);
-                        // should float noise ever produce one, it is dropped
-                        // rather than rewriting plans that run through here.
-                        debug_assert!(!(better && existing.settled));
-                        if better && !existing.settled {
-                            // Equal keys do not mean equal node ids: the tree
-                            // goes with the operators that built it.
-                            existing.tree = tree;
-                            existing.via = Some((current, op));
-                            existing.plan_len = plan_len;
-                            existing.bottleneck = bottleneck;
-                            heap.push(QueueItem {
-                                bottleneck: OrdF64(bottleneck),
-                                plan_len,
-                                state: *slot.get(),
-                            });
-                        }
+                };
+                let slot = best.entry(key);
+                let (state, own_cost) = match &slot {
+                    // Equal keys mean equal paths, hence equal `s(T)`.
+                    Entry::Occupied(seen) => (*seen.get(), states[*seen.get()].own_cost),
+                    Entry::Vacant(_) => {
+                        let built = tree.take().map_or_else(build, Ok)?;
+                        (states.len(), memo.s_cost(tree.insert(built))?)
+                    }
+                };
+                let bottleneck = bottleneck.max(own_cost);
+                if let Some(existing) = states.get(state) {
+                    let better = bottleneck + 1e-9 < existing.bottleneck
+                        || (bottleneck < existing.bottleneck + 1e-9
+                            && plan_len < existing.plan_len);
+                    // A settled state has handed its index to its
+                    // neighbours.  The queue order rules out a better way
+                    // to a settled state (every later candidate has at
+                    // least its bottleneck, and a longer plan when equal);
+                    // should float noise ever produce one, it is dropped
+                    // rather than rewriting plans that run through here.
+                    debug_assert!(!(better && existing.settled));
+                    if !better || existing.settled {
+                        continue;
+                    }
+                }
+                // Equal keys do not mean equal node ids: the tree goes with
+                // the operators that built it.
+                let tree = tree.map_or_else(build, Ok)?;
+                debug_assert_eq!(&tree.canonical_key(), slot.key(), "the key of {op}");
+                heap.push(QueueItem {
+                    bottleneck: OrdF64(bottleneck),
+                    plan_len,
+                    state,
+                });
+                let reached = State {
+                    tree,
+                    via: Some((current, op)),
+                    plan_len,
+                    own_cost,
+                    bottleneck,
+                    settled: false,
+                };
+                match slot {
+                    Entry::Occupied(_) => states[state] = reached,
+                    Entry::Vacant(slot) => {
+                        slot.insert(state);
+                        states.push(reached);
                     }
                 }
             }
+            states[current].tree = from;
         }
 
         // Among the minimum-bottleneck goals pick the one with the smallest
@@ -482,6 +509,60 @@ mod tests {
             .unwrap();
         assert_eq!(governed.plan, free.plan);
         assert_eq!(broke.budget_remaining(), 0);
+    }
+
+    /// The `serve_cold` benchmark's 240 requests (the catalogue the reference
+    /// suite draws, from `K = 2`): greedy is a heuristic, not an equal.  The
+    /// benchmark's `plan.greedy_cost_ratio` of 1.000 compares
+    /// `max_intermediate` alone; the final trees differ.
+    #[test]
+    fn the_exhaustive_plan_is_never_worse_than_greedy_and_sometimes_better() {
+        use crate::optimizer::ftree_search::optimal_ftree;
+        use crate::optimizer::greedy::GreedyOptimizer;
+        use fdb_common::RelId;
+        use fdb_datagen::{
+            combinatorial_database, random_followup_equalities, random_query, ValueDistribution,
+        };
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0xFDB4);
+        let db = combinatorial_database(&mut StdRng::seed_from_u64(1), ValueDistribution::Uniform);
+        let catalog = db.catalog().clone();
+        let rels: Vec<RelId> = catalog.rels().collect();
+        let (mut cases, mut better) = (0, 0);
+        for k in 2..=6 {
+            for _ in 0..4 {
+                let base = random_query(&mut rng, &catalog, &rels, k);
+                let tree = optimal_ftree(&catalog, &base, |r| db.rel_len(r) as u64)
+                    .unwrap()
+                    .tree;
+                for l in 1..=3 {
+                    for _ in 0..4 {
+                        let follow = random_followup_equalities(&mut rng, &catalog, &base, l);
+                        let best = ExhaustiveOptimizer::new().optimize(&tree, &follow).unwrap();
+                        let reached = best.plan.final_tree(&tree).unwrap();
+                        assert!(
+                            ExhaustiveOptimizer::is_goal(&reached, &follow),
+                            "{follow:?}"
+                        );
+                        let greedy = GreedyOptimizer::new().optimize(&tree, &follow).unwrap();
+                        let order =
+                            |c: &FPlanCost| (OrdF64(c.max_intermediate), OrdF64(c.final_cost));
+                        assert!(
+                            order(&best.cost) <= order(&greedy.cost),
+                            "K={k} L={l} {follow:?}: {:?} vs greedy {:?}",
+                            best.cost,
+                            greedy.cost
+                        );
+                        better += usize::from(order(&best.cost) < order(&greedy.cost));
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 240);
+        // Today: 4 of the 240, each a final tree of cost 1 against greedy's 2.
+        assert!(better > 0, "greedy matched the optimum on all {cases}");
     }
 
     #[test]

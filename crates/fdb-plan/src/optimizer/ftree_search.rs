@@ -39,8 +39,7 @@ pub struct FTreeSearchResult {
 /// Finds an f-tree of the query with minimum cost `s(T)`.
 ///
 /// `cardinality_of` supplies relation sizes for the dependency edges (they do
-/// not influence the asymptotic cost but are carried along for the
-/// estimate-based cost measure and later stages).
+/// not influence the asymptotic cost but are carried along for later stages).
 pub fn optimal_ftree(
     catalog: &Catalog,
     query: &Query,
