@@ -114,7 +114,8 @@ pub struct EvalStats {
     pub result_tuples: u128,
     /// The executed f-plan (empty for direct construction on flat input).
     pub plan: FPlan,
-    /// Number of optimiser states explored.
+    /// Number of optimiser states explored (for the exhaustive search, the
+    /// states settled before its answer was proven).
     pub explored_states: usize,
     /// Queries this statistics record covers: 1 for a single evaluation;
     /// serving-layer reports that aggregate a batch sum the records and

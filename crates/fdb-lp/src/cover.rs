@@ -13,8 +13,7 @@
 //!
 //! The maximum of this number over all root-to-leaf paths is `s(T)`, the
 //! exponent of the tight size bound `O(|D|^{s(T)})` on f-representations
-//! over `T`.  The integral variant (weights restricted to `{0, 1}`) is also
-//! provided; it is used in tests and as a sanity upper bound.
+//! over `T`.
 
 use crate::simplex::{ConstraintSense, LinearProgram};
 use fdb_common::Result;
@@ -43,20 +42,6 @@ impl CoverInstance {
         self.edges.push(vertices);
         self.edges.len() - 1
     }
-
-    /// Returns `true` if every vertex is covered by at least one edge (a
-    /// prerequisite for any cover — fractional or integral — to exist).
-    pub fn is_coverable(&self) -> bool {
-        let mut covered = vec![false; self.num_vertices];
-        for edge in &self.edges {
-            for &v in edge {
-                if v < self.num_vertices {
-                    covered[v] = true;
-                }
-            }
-        }
-        covered.into_iter().all(|c| c)
-    }
 }
 
 /// Computes the fractional edge cover number of the instance by solving the
@@ -84,57 +69,6 @@ pub fn fractional_edge_cover(instance: &CoverInstance) -> Result<f64> {
     Ok(sol.objective)
 }
 
-/// Computes the (integral) edge cover number by exhaustive search over edge
-/// subsets, smallest subsets first.
-///
-/// This is exponential in the number of edges and intended for the tiny
-/// instances FDB produces (and for cross-checking the LP in tests).  Returns
-/// `None` if no cover exists.
-pub fn integral_edge_cover(instance: &CoverInstance) -> Option<usize> {
-    if instance.num_vertices == 0 {
-        return Some(0);
-    }
-    if !instance.is_coverable() {
-        return None;
-    }
-    let n = instance.edges.len();
-    // Represent vertex sets as bitmasks; instances here have < 64 vertices.
-    assert!(
-        instance.num_vertices <= 64,
-        "integral cover limited to 64 vertices"
-    );
-    let full: u64 = if instance.num_vertices == 64 {
-        u64::MAX
-    } else {
-        (1u64 << instance.num_vertices) - 1
-    };
-    let masks: Vec<u64> = instance
-        .edges
-        .iter()
-        .map(|e| {
-            e.iter()
-                .filter(|&&v| v < instance.num_vertices)
-                .fold(0u64, |m, &v| m | (1 << v))
-        })
-        .collect();
-    (1..=n).find(|&size| search_cover(&masks, full, 0, size, 0))
-}
-
-fn search_cover(masks: &[u64], full: u64, covered: u64, remaining: usize, start: usize) -> bool {
-    if covered == full {
-        return true;
-    }
-    if remaining == 0 || start >= masks.len() {
-        return false;
-    }
-    for i in start..masks.len() {
-        if search_cover(masks, full, covered | masks[i], remaining - 1, i + 1) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +81,6 @@ mod tests {
     fn empty_instance_has_zero_cover() {
         let inst = CoverInstance::new(0);
         assert!(close(fractional_edge_cover(&inst).unwrap(), 0.0));
-        assert_eq!(integral_edge_cover(&inst), Some(0));
     }
 
     #[test]
@@ -155,7 +88,6 @@ mod tests {
         let mut inst = CoverInstance::new(3);
         inst.add_edge(vec![0, 1, 2]);
         assert!(close(fractional_edge_cover(&inst).unwrap(), 1.0));
-        assert_eq!(integral_edge_cover(&inst), Some(1));
     }
 
     #[test]
@@ -168,7 +100,6 @@ mod tests {
         inst.add_edge(vec![0, 1]);
         inst.add_edge(vec![1, 2]);
         assert!(close(fractional_edge_cover(&inst).unwrap(), 2.0));
-        assert_eq!(integral_edge_cover(&inst), Some(2));
     }
 
     #[test]
@@ -179,21 +110,18 @@ mod tests {
         inst.add_edge(vec![1, 2]);
         inst.add_edge(vec![0, 2]);
         assert!(close(fractional_edge_cover(&inst).unwrap(), 1.5));
-        assert_eq!(integral_edge_cover(&inst), Some(2));
     }
 
     #[test]
     fn uncoverable_vertex_is_an_error() {
         let mut inst = CoverInstance::new(2);
         inst.add_edge(vec![0]);
-        assert!(!inst.is_coverable());
         assert!(fractional_edge_cover(&inst).is_err());
-        assert_eq!(integral_edge_cover(&inst), None);
     }
 
     #[test]
     fn fractional_never_exceeds_integral() {
-        // A few ad-hoc instances.
+        // A few ad-hoc instances, each with integral cover number 2.
         let instances = vec![
             {
                 let mut i = CoverInstance::new(4);
@@ -214,8 +142,7 @@ mod tests {
         ];
         for inst in instances {
             let frac = fractional_edge_cover(&inst).unwrap();
-            let int = integral_edge_cover(&inst).unwrap() as f64;
-            assert!(frac <= int + 1e-6, "fractional {frac} > integral {int}");
+            assert!(frac <= 2.0 + 1e-6, "fractional {frac} > integral 2");
         }
     }
 
@@ -226,6 +153,5 @@ mod tests {
         inst.add_edge(vec![0, 1]);
         inst.add_edge(vec![0, 1]);
         assert!(close(fractional_edge_cover(&inst).unwrap(), 1.0));
-        assert_eq!(integral_edge_cover(&inst), Some(1));
     }
 }

@@ -13,13 +13,13 @@
 //!
 //! * [`LinearProgram`] / [`Solution`]: a general `min cᵀx s.t. Ax {≥,≤,=} b,
 //!   x ≥ 0` solver, solved by the two-phase primal simplex in [`simplex`].
-//! * [`cover::fractional_edge_cover`] and [`cover::integral_edge_cover`]:
-//!   the specific hypergraph edge-cover numbers used for `s(T)`.
+//! * [`cover::fractional_edge_cover`]: the hypergraph edge-cover number
+//!   used for `s(T)`.
 
 #![warn(missing_docs)]
 
 pub mod cover;
 pub mod simplex;
 
-pub use cover::{fractional_edge_cover, integral_edge_cover, CoverInstance};
+pub use cover::{fractional_edge_cover, CoverInstance};
 pub use simplex::{ConstraintSense, LinearProgram, Solution};

@@ -6,8 +6,7 @@
 //! is kept as a dense tableau, pivots use Bland's rule to guarantee
 //! termination, and all arithmetic is `f64` with a small absolute tolerance.
 //!
-//! The entry point is [`LinearProgram::minimize`] (or
-//! [`LinearProgram::maximize`], which negates the objective).
+//! The entry point is [`LinearProgram::minimize`].
 
 use fdb_common::{FdbError, Result};
 
@@ -55,7 +54,7 @@ pub struct LinearProgram {
 /// An optimal solution to a [`LinearProgram`].
 #[derive(Clone, Debug)]
 pub struct Solution {
-    /// Optimal objective value (in the direction that was requested).
+    /// Optimal (minimal) objective value.
     pub objective: f64,
     /// Optimal assignment of the variables.
     pub values: Vec<f64>,
@@ -70,11 +69,6 @@ impl LinearProgram {
             objective: vec![0.0; num_vars],
             constraints: Vec::new(),
         }
-    }
-
-    /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     /// Sets the objective coefficient vector (length must equal the number of
@@ -99,19 +93,6 @@ impl LinearProgram {
     /// Minimises the objective.  Returns an error if the program is
     /// infeasible or unbounded.
     pub fn minimize(&self) -> Result<Solution> {
-        self.solve(false)
-    }
-
-    /// Maximises the objective.  Returns an error if the program is
-    /// infeasible or unbounded.
-    pub fn maximize(&self) -> Result<Solution> {
-        let mut sol = self.solve(true)?;
-        sol.objective = -sol.objective;
-        Ok(sol)
-    }
-
-    /// Core solver; `negate_objective` turns maximisation into minimisation.
-    fn solve(&self, negate_objective: bool) -> Result<Solution> {
         // Standard form: minimise cᵀx subject to Ax = b, x ≥ 0, b ≥ 0,
         // obtained by adding one slack/surplus variable per inequality and
         // one artificial variable per row that lacks an obvious basic column.
@@ -122,12 +103,7 @@ impl LinearProgram {
             // With no constraints and non-negative variables the optimum of a
             // minimisation is attained at x = 0 unless some objective
             // coefficient is negative (then the LP is unbounded below).
-            let c: Vec<f64> = self
-                .objective
-                .iter()
-                .map(|&v| if negate_objective { -v } else { v })
-                .collect();
-            if c.iter().any(|&ci| ci < -EPS) {
+            if self.objective.iter().any(|&ci| ci < -EPS) {
                 return Err(FdbError::UnboundedProgram);
             }
             return Ok(Solution {
@@ -225,13 +201,7 @@ impl LinearProgram {
 
         // Phase two: original objective, artificial columns forbidden.
         let mut cost = vec![0.0; total_cols];
-        for (j, cost_j) in cost.iter_mut().enumerate().take(n) {
-            *cost_j = if negate_objective {
-                -self.objective[j]
-            } else {
-                self.objective[j]
-            };
-        }
+        cost[..n].copy_from_slice(&self.objective);
         let status = run_simplex(&mut rows, &mut rhs, &mut basis, &cost, art_start);
         if status == SimplexStatus::Unbounded {
             return Err(FdbError::UnboundedProgram);
@@ -246,7 +216,7 @@ impl LinearProgram {
         let objective: f64 = values
             .iter()
             .zip(&self.objective)
-            .map(|(&x, &c)| x * if negate_objective { -c } else { c })
+            .map(|(&x, &c)| x * c)
             .sum();
         Ok(Solution { objective, values })
     }
@@ -374,19 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn maximization_with_upper_bounds() {
-        // max 3x + 2y s.t. x + y <= 4, x <= 2: optimum at (2, 2) = 10.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(vec![3.0, 2.0]);
-        lp.add_constraint(vec![1.0, 1.0], ConstraintSense::LessEq, 4.0);
-        lp.add_constraint(vec![1.0, 0.0], ConstraintSense::LessEq, 2.0);
-        let sol = lp.maximize().unwrap();
-        assert_close(sol.objective, 10.0);
-        assert_close(sol.values[0], 2.0);
-        assert_close(sol.values[1], 2.0);
-    }
-
-    #[test]
     fn equality_constraints_are_respected() {
         // min x + y s.t. x + y = 3, x - y = 1 → x = 2, y = 1.
         let mut lp = LinearProgram::new(2);
@@ -411,11 +368,11 @@ mod tests {
 
     #[test]
     fn unbounded_program_is_reported() {
-        // max x with only x >= 1: unbounded above.
+        // min -x with only x >= 1: unbounded below.
         let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![1.0]);
+        lp.set_objective(vec![-1.0]);
         lp.add_constraint(vec![1.0], ConstraintSense::GreaterEq, 1.0);
-        assert_eq!(lp.maximize().unwrap_err(), FdbError::UnboundedProgram);
+        assert_eq!(lp.minimize().unwrap_err(), FdbError::UnboundedProgram);
     }
 
     #[test]

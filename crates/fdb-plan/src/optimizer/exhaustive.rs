@@ -25,17 +25,55 @@
 //! States live in an arena and point at their predecessor, so plan and cost
 //! are read off the chosen goal's chain once, at the end.  Which states are
 //! pushed, popped and replaced, and in what order, is exactly what the
-//! textbook loop does (`exhaustive_reference.rs`, the test oracle) — the
-//! heap is not stable, so the plan returned depends on that sequence.
+//! textbook loop does (`exhaustive_reference.rs`, the test oracle) up to the
+//! stop below — the heap is not stable, so the plan returned depends on that
+//! sequence.
+//!
+//! # The stop
+//!
+//! The textbook loop settles the whole bottleneck plateau of its first goal,
+//! in case a goal of smaller `s(T_final)` lies on it; this one stops as soon
+//! as a goal is proven to be the answer.  Merges and absorbs fuse only the
+//! classes an equality names and carry constants across, so every goal has
+//! the same classes, bound to constants alike (debug builds check it).  A
+//! goal without its constant nodes keeps its path covers and the path
+//! constraint, so its `s(T)` is at least the least `s(T)` of any f-tree of
+//! the non-constant classes on the same edges.  That number is bounded from
+//! below by a free *floor* (1 if some class is not constant, else 0) and
+//! computed exactly by the f-tree search (`min_s_cost`, the *tight* bound).
+//! The loop breaks at a goal whose `s(T)` is below the bound plus
+//! `STOP_TOLERANCE`.  It computes the tight bound at most once, and only
+//! for a goal that misses the floor while the heap's top still lies on the
+//! goal's plateau; otherwise the next pop ends the loop anyway.
+//!
+//! Why the truncated sweep returns what the full one would.  Costs are LP
+//! optima with round-off far below `STOP_TOLERANCE`, and two different exact
+//! costs lie far more than 1e-9 apart: the model the 1e-9 comparisons already
+//! assume.  A goal `g` that meets the bound has the least exact `s(T)` any
+//! goal can have.  The selection below (smaller by more than 1e-9, or not
+//! larger with a strictly shorter plan) therefore keeps a goal of that least
+//! cost over any costlier one, earlier or later, and among the goals of
+//! least cost settled so far it holds one whose plan is no longer than
+//! `g`'s.  A later goal could still win on a shorter plan: the heap orders
+//! by the bits of the bottleneck before the plan length, so an entry of the
+//! same exact bottleneck, a few ulps larger and with a shorter plan, pops
+//! after `g`.  But every state first settled after `g` has a plan at least
+//! as long as the shortest plateau entry left in the heap (a settled state
+//! popped again pushes nothing new), so one scan of the heap settles it: the
+//! loop stops only if no entry on `g`'s plateau has a shorter plan than `g`,
+//! and otherwise goes on to the next goal.  A settled state's plan never
+//! changes, so plan and `FPlanCost` bits are the full sweep's; only
+//! `explored_states` falls.
 
 use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
+use crate::optimizer::ftree_search::min_s_cost;
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, ExecCtx, FdbError, Result};
 use fdb_ftree::{FTree, SCostMemo};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// Configuration of the exhaustive search.
 #[derive(Clone, Copy, Debug)]
@@ -63,6 +101,11 @@ pub struct ExhaustiveOptimizer {
 /// How many states the search settles between two looks at the deadline and
 /// the cancellation flag.
 const CHECK_EVERY: usize = 64;
+
+/// A goal whose `s(T)` is below the bound plus this stops the search:
+/// strictly inside the goal selection's 1e-9, so that round-off between the
+/// f-tree search's covers and the memo's cannot flip a choice.
+const STOP_TOLERANCE: f64 = 0.5e-9;
 
 /// An `f64` wrapper with a total order (no NaNs are ever produced here).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -156,6 +199,17 @@ impl ExhaustiveOptimizer {
         equalities: &[(AttrId, AttrId)],
         ctx: &ExecCtx,
     ) -> Result<OptimizedPlan> {
+        Ok(self.search(input_tree, equalities, ctx)?.0)
+    }
+
+    /// The search behind [`ExhaustiveOptimizer::optimize_ctx`], which also
+    /// returns the tight bound if it computed one.
+    fn search(
+        &self,
+        input_tree: &FTree,
+        equalities: &[(AttrId, AttrId)],
+        ctx: &ExecCtx,
+    ) -> Result<(OptimizedPlan, Option<f64>)> {
         for (a, b) in equalities {
             if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
                 return Err(FdbError::AttributeNotInQuery {
@@ -187,6 +241,7 @@ impl ExhaustiveOptimizer {
         let mut explored = 0usize;
         let mut goals: Vec<usize> = Vec::new();
         let mut goal_bottleneck: Option<f64> = None;
+        let mut tight: Option<f64> = None;
 
         while let Some(item) = heap.pop() {
             let current = item.state;
@@ -217,8 +272,15 @@ impl ExhaustiveOptimizer {
             states[current].settled = true;
 
             if Self::is_goal(&states[current].tree, equalities) {
-                goal_bottleneck.get_or_insert(bottleneck);
+                let plateau = *goal_bottleneck.get_or_insert(bottleneck);
                 goals.push(current);
+                debug_assert_eq!(
+                    Self::classes(&states[current].tree),
+                    Self::classes(&states[goals[0]].tree)
+                );
+                if Self::proven(&states[current], plateau, &heap, &mut tight)? {
+                    break;
+                }
                 continue;
             }
 
@@ -336,11 +398,51 @@ impl ExhaustiveOptimizer {
         }
         ops.reverse();
         steps.reverse();
-        Ok(OptimizedPlan {
+        let plan = OptimizedPlan {
             plan: FPlan::new(ops),
             cost: FPlanCost::from_steps(steps),
             explored_states: explored,
-        })
+        };
+        Ok((plan, tight))
+    }
+
+    /// Whether `goal`, just settled, is the goal the full sweep would choose
+    /// (the module docs give the argument).  `tight` keeps the tight bound
+    /// once computed.
+    fn proven(
+        goal: &State,
+        plateau: f64,
+        heap: &BinaryHeap<QueueItem>,
+        tight: &mut Option<f64>,
+    ) -> Result<bool> {
+        let on_plateau = |item: &QueueItem| item.bottleneck.0 <= plateau + 1e-9;
+        let tree = &goal.tree;
+        let free = tree
+            .node_ids()
+            .into_iter()
+            .any(|n| tree.constant(n).is_none());
+        let mut bound = tight.unwrap_or(if free { 1.0 } else { 0.0 });
+        if goal.own_cost >= bound + STOP_TOLERANCE
+            && tight.is_none()
+            && heap.peek().is_some_and(on_plateau)
+        {
+            bound = *tight.insert(s_cost_lower_bound(tree)?);
+        }
+        Ok(goal.own_cost < bound + STOP_TOLERANCE
+            && !heap
+                .iter()
+                .any(|item| on_plateau(item) && item.plan_len < goal.plan_len))
+    }
+
+    /// A goal's classes, each with whether it is bound to a constant, sorted.
+    fn classes(tree: &FTree) -> Vec<(&BTreeSet<AttrId>, bool)> {
+        let mut classes: Vec<_> = tree
+            .node_ids()
+            .into_iter()
+            .map(|n| (tree.class(n), tree.constant(n).is_some()))
+            .collect();
+        classes.sort_unstable();
+        classes
     }
 
     fn is_goal(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> bool {
@@ -376,6 +478,18 @@ impl ExhaustiveOptimizer {
         }
         out
     }
+}
+
+/// A lower bound on `s(T)` of every goal with `goal`'s classes: the least
+/// `s(T)` of any f-tree of its non-constant classes on its edges.
+pub(crate) fn s_cost_lower_bound(goal: &FTree) -> Result<f64> {
+    let classes: Vec<BTreeSet<AttrId>> = goal
+        .node_ids()
+        .into_iter()
+        .filter(|&n| goal.constant(n).is_none())
+        .map(|n| goal.class(n).clone())
+        .collect();
+    min_s_cost(goal.edges(), &classes)
 }
 
 #[cfg(test)]
@@ -545,6 +659,9 @@ mod tests {
                             ExhaustiveOptimizer::is_goal(&reached, &follow),
                             "{follow:?}"
                         );
+                        // The stop's bound is tight on every request.
+                        let bound = s_cost_lower_bound(&reached).unwrap();
+                        assert_eq!(bound.to_bits(), best.cost.final_cost.to_bits());
                         let greedy = GreedyOptimizer::new().optimize(&tree, &follow).unwrap();
                         let order =
                             |c: &FPlanCost| (OrdF64(c.max_intermediate), OrdF64(c.final_cost));
@@ -563,6 +680,92 @@ mod tests {
         assert_eq!(cases, 240);
         // Today: 4 of the 240, each a final tree of cost 1 against greedy's 2.
         assert!(better > 0, "greedy matched the optimum on all {cases}");
+    }
+
+    /// The search, the full sweep's plan and the bound of the chosen goal.
+    fn search_and_sweep(tree: &FTree, conditions: &[(AttrId, AttrId)]) -> (OptimizedPlan, f64) {
+        use crate::optimizer::exhaustive_reference::ReferenceOptimizer;
+        let (best, tight) = ExhaustiveOptimizer::new()
+            .search(tree, conditions, &ExecCtx::unlimited())
+            .unwrap();
+        let full = ReferenceOptimizer::default()
+            .optimize(tree, conditions)
+            .unwrap();
+        assert_eq!(best.plan, full.plan);
+        assert_eq!(best.cost.steps, full.cost.steps);
+        assert!(best.explored_states < full.explored_states);
+        assert_eq!(tight, None, "the floor decides");
+        let bound = s_cost_lower_bound(&best.plan.final_tree(tree).unwrap()).unwrap();
+        (best, bound)
+    }
+
+    #[test]
+    fn an_all_constant_goal_has_bound_zero_and_stops_the_search() {
+        use fdb_common::Value;
+        let mut tree = example11_tree();
+        for node in tree.node_ids() {
+            tree.bind_constant(node, Value::new(u64::from(node.0)))
+                .unwrap();
+        }
+        // Every tree costs 0, so the full sweep settles every reachable one.
+        // The search pops in plan-length order — the input, its four swaps,
+        // then trees two operators away — and stops at the first goal, a
+        // swap of F under A,D followed by the merge of B and F.
+        let (best, bound) = search_and_sweep(&tree, &[(AttrId(1), AttrId(5))]);
+        assert_eq!((bound, best.cost.max_intermediate), (0.0, 0.0));
+        assert_eq!((best.plan.len(), best.explored_states), (2, 8));
+    }
+
+    #[test]
+    fn a_constant_merged_with_a_free_node_stays_out_of_the_bound() {
+        use fdb_common::Value;
+        // A → B → C → D with R{A,B}, S{B,C,D}, T{A,C}: the path A, B, C is
+        // the triangle (1.5).  D is bound to a constant; absorbing it into C
+        // binds C, and the goal A → B → {C,D} costs 1 (R covers A and B).
+        // Counting {C,D} as free would bound it by the triangle's 1.5.
+        let edges = vec![
+            DepEdge::new("R", attrs(&[0, 1]), 10),
+            DepEdge::new("S", attrs(&[1, 2, 3]), 10),
+            DepEdge::new("T", attrs(&[0, 2]), 10),
+        ];
+        let mut tree = FTree::new(edges);
+        let mut parent = None;
+        for attr in 0..4 {
+            parent = Some(tree.add_node(attrs(&[attr]), parent).unwrap());
+        }
+        tree.bind_constant(parent.unwrap(), Value::new(7)).unwrap();
+        let (best, bound) = search_and_sweep(&tree, &[(AttrId(2), AttrId(3))]);
+        let reached = best.plan.final_tree(&tree).unwrap();
+        assert!(reached
+            .constant(reached.node_of_attr(AttrId(2)).unwrap())
+            .is_some());
+        assert_eq!((bound, best.cost.final_cost), (1.0, 1.0));
+    }
+
+    #[test]
+    fn a_floor_miss_off_the_plateau_computes_no_bound() {
+        // X with children P and Q, three independent unary relations: every
+        // path costs 2.  Merging P and Q reaches a goal of cost 2, which
+        // misses the floor; each swap puts three nodes on a path (cost 3), so
+        // the heap has left the goal's plateau and the tight bound (1: two
+        // independent roots) would be wasted work.
+        let edges = vec![
+            DepEdge::new("R", attrs(&[0]), 5),
+            DepEdge::new("S", attrs(&[1]), 5),
+            DepEdge::new("T", attrs(&[2]), 5),
+        ];
+        let mut tree = FTree::new(edges);
+        let x = tree.add_node(attrs(&[0]), None).unwrap();
+        let p = tree.add_node(attrs(&[1]), Some(x)).unwrap();
+        let q = tree.add_node(attrs(&[2]), Some(x)).unwrap();
+        let (best, tight) = ExhaustiveOptimizer::new()
+            .search(&tree, &[(AttrId(1), AttrId(2))], &ExecCtx::unlimited())
+            .unwrap();
+        assert_eq!(tight, None);
+        assert_eq!(best.plan.ops, vec![FPlanOp::Merge(p, q)]);
+        assert_eq!((best.cost.final_cost, best.explored_states), (2.0, 2));
+        let reached = best.plan.final_tree(&tree).unwrap();
+        assert_eq!(s_cost_lower_bound(&reached).unwrap(), 1.0);
     }
 
     #[test]

@@ -277,7 +277,7 @@ impl ReferenceOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::exhaustive::ExhaustiveOptimizer;
+    use crate::optimizer::exhaustive::{s_cost_lower_bound, ExhaustiveOptimizer};
     use crate::optimizer::ftree_search::optimal_ftree;
     use fdb_common::{RelId, Value};
     use fdb_datagen::{
@@ -288,24 +288,42 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Runs both searches on one case and demands the same outcome: the same
-    /// operators, bit-equal costs, the same number of explored states — or
-    /// the same error.  Also pins the satellite fix: the cost the search
-    /// assembles from its states is what `plan_cost` computes for the plan.
-    fn assert_same(tree: &FTree, equalities: &[(AttrId, AttrId)], max_states: usize, case: &str) {
+    /// operators and bit-equal costs from no more settled states, or the
+    /// same error.  Where the reference's full sweep runs out of the budget
+    /// and the new search stops inside it, the new plan must be the
+    /// reference's unbudgeted one.  Also pins that the cost the search
+    /// assembles from its states is what `plan_cost` computes for the plan,
+    /// and that the stop's bound never exceeds the chosen goal's `s(T)`.
+    /// Returns the settled-state counts of both (0 for an error).
+    fn assert_same(
+        tree: &FTree,
+        equalities: &[(AttrId, AttrId)],
+        max_states: usize,
+        case: &str,
+    ) -> (usize, usize) {
         let config = ExhaustiveConfig { max_states };
         let new = ExhaustiveOptimizer { config }.optimize(tree, equalities);
         let old = ReferenceOptimizer { config }.optimize(tree, equalities);
-        match (new, old) {
-            (Ok(new), Ok(old)) => {
-                assert_eq!(new.plan.ops, old.plan.ops, "{case}: plans differ");
-                assert_eq!(new.explored_states, old.explored_states, "{case}");
-                assert_cost_bits(&new.cost, &old.cost, case);
-                let recomputed = crate::cost::plan_cost(&new.plan, tree).unwrap();
-                assert_cost_bits(&new.cost, &recomputed, case);
+        let (new, old) = match (new, old) {
+            (Ok(new), Ok(old)) => (new, old),
+            (Ok(new), Err(FdbError::NoPlanFound { .. })) => {
+                let full = ReferenceOptimizer::default().optimize(tree, equalities);
+                (new, full.unwrap())
             }
-            (Err(new), Err(old)) => assert_eq!(new, old, "{case}"),
+            (Err(new), Err(old)) => {
+                assert_eq!(new, old, "{case}");
+                return (0, 0);
+            }
             (new, old) => panic!("{case}: new {new:?} vs reference {old:?}"),
-        }
+        };
+        assert_eq!(new.plan.ops, old.plan.ops, "{case}: plans differ");
+        assert!(new.explored_states <= old.explored_states, "{case}");
+        assert_cost_bits(&new.cost, &old.cost, case);
+        let recomputed = crate::cost::plan_cost(&new.plan, tree).unwrap();
+        assert_cost_bits(&new.cost, &recomputed, case);
+        let bound = s_cost_lower_bound(&new.plan.final_tree(tree).unwrap()).unwrap();
+        assert!(bound <= new.cost.final_cost, "{case}: bound {bound}");
+        (new.explored_states, old.explored_states)
     }
 
     fn assert_cost_bits(a: &FPlanCost, b: &FPlanCost, case: &str) {
@@ -325,7 +343,7 @@ mod tests {
         let db = combinatorial_database(&mut StdRng::seed_from_u64(1), ValueDistribution::Uniform);
         let catalog = db.catalog().clone();
         let rels: Vec<RelId> = catalog.rels().collect();
-        let mut cases = 0;
+        let (mut cases, mut settled, mut reference) = (0, 0, 0);
         for k in 1..=6 {
             for _ in 0..4 {
                 let base = random_query(&mut rng, &catalog, &rels, k);
@@ -335,13 +353,18 @@ mod tests {
                 for l in 1..=3 {
                     for _ in 0..4 {
                         let follow = random_followup_equalities(&mut rng, &catalog, &base, l);
-                        assert_same(&tree, &follow, 500_000, &format!("K={k} L={l} {follow:?}"));
+                        let case = format!("K={k} L={l} {follow:?}");
+                        let (new, old) = assert_same(&tree, &follow, 500_000, &case);
+                        (settled, reference) = (settled + new, reference + old);
                         cases += 1;
                     }
                 }
             }
         }
         assert_eq!(cases, 288);
+        // The full sweep settles 32 867 states; the stop leaves 9 001.
+        assert_eq!(settled, 9_001);
+        assert!(settled < reference, "{settled} vs {reference}");
     }
 
     /// Random schemas, queries and follow-ups; a third of the inputs carry a

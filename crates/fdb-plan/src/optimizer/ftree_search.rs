@@ -20,8 +20,8 @@
 //!   signature set of the ancestors), which collapses the exponentially many
 //!   orderings of same-signature classes.
 
-use fdb_common::{Catalog, FdbError, Query, RelId, Result};
-use fdb_ftree::{dep_edges_for_query, FTree, NodeId};
+use fdb_common::{AttrId, Catalog, FdbError, Query, RelId, Result};
+use fdb_ftree::{dep_edges_for_query, DepEdge, FTree, NodeId};
 use fdb_lp::{fractional_edge_cover, CoverInstance};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -48,76 +48,24 @@ pub fn optimal_ftree(
     query.validate(catalog)?;
     let classes = query.equivalence_classes(catalog);
     let edges = dep_edges_for_query(catalog, query, cardinality_of);
-    if classes.is_empty() {
-        return Ok(FTreeSearchResult {
-            tree: FTree::new(edges),
-            cost: 0.0,
-            explored_states: 0,
-        });
-    }
-
-    // Signature of a class: the set of relations (edge indices) with an
-    // attribute in it.
-    let mut sig_of_class: Vec<BTreeSet<usize>> = Vec::with_capacity(classes.len());
-    for class in &classes {
-        let sig: BTreeSet<usize> = edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.attrs.iter().any(|a| class.contains(a)))
-            .map(|(i, _)| i)
-            .collect();
-        if sig.is_empty() {
-            return Err(FdbError::InvalidInput {
-                detail: "query class not covered by any relation".into(),
-            });
-        }
-        sig_of_class.push(sig);
-    }
-    // Deduplicate signatures.
-    let mut unique_sigs: Vec<BTreeSet<usize>> = Vec::new();
-    let mut sig_id_of_class: Vec<usize> = Vec::with_capacity(classes.len());
-    for sig in &sig_of_class {
-        let id = match unique_sigs.iter().position(|s| s == sig) {
-            Some(i) => i,
-            None => {
-                unique_sigs.push(sig.clone());
-                unique_sigs.len() - 1
-            }
-        };
-        sig_id_of_class.push(id);
-    }
-
-    let mut search = Search {
-        unique_sigs: &unique_sigs,
-        num_edges: edges.len(),
-        memo: HashMap::new(),
-        cover_cache: HashMap::new(),
-    };
-
-    let all_classes: Vec<usize> = (0..classes.len()).collect();
-    let anc: BTreeSet<usize> = BTreeSet::new();
-    let cost = search
-        .best_forest(&all_classes, &sig_id_of_class, &anc)?
-        .max;
-
+    let mut search = Search::new(&edges, &classes)?;
+    let cost = search.cost()?;
     // Reconstruct an optimal tree from the memoised root choices.
     let mut tree = FTree::new(edges);
-    search.reconstruct_forest(
-        &all_classes,
-        &sig_id_of_class,
-        &anc,
-        None,
-        &classes,
-        &mut tree,
-    )?;
+    let all_classes: Vec<usize> = (0..classes.len()).collect();
+    search.reconstruct_forest(&all_classes, &BTreeSet::new(), None, &classes, &mut tree)?;
     tree.check_path_constraint()?;
-
-    let explored_states = search.memo.len();
     Ok(FTreeSearchResult {
         tree,
         cost,
-        explored_states,
+        explored_states: search.memo.len(),
     })
+}
+
+/// The least `s(T)` of any f-tree whose nodes are `classes` on `edges` — the
+/// cost [`optimal_ftree`] finds, without building the tree.
+pub(crate) fn min_s_cost(edges: &[DepEdge], classes: &[BTreeSet<AttrId>]) -> Result<f64> {
+    Search::new(edges, classes)?.cost()
 }
 
 type MultisetKey = Vec<(usize, usize)>;
@@ -162,8 +110,12 @@ impl SubCost {
     }
 }
 
-struct Search<'a> {
-    unique_sigs: &'a [BTreeSet<usize>],
+/// The memoised decomposition search over some classes on some edges.
+struct Search {
+    /// The distinct signatures: a class's signature is the set of edges
+    /// (relations) with an attribute in it.
+    unique_sigs: Vec<BTreeSet<usize>>,
+    sig_id_of_class: Vec<usize>,
     num_edges: usize,
     /// (component signature multiset, ancestor signature set) →
     /// (best cost, best root signature).
@@ -171,7 +123,46 @@ struct Search<'a> {
     cover_cache: HashMap<AncKey, f64>,
 }
 
-impl Search<'_> {
+impl Search {
+    fn new(edges: &[DepEdge], classes: &[BTreeSet<AttrId>]) -> Result<Search> {
+        let mut unique_sigs: Vec<BTreeSet<usize>> = Vec::new();
+        let mut sig_id_of_class: Vec<usize> = Vec::with_capacity(classes.len());
+        for class in classes {
+            let sig: BTreeSet<usize> = edges
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.attrs.iter().any(|a| class.contains(a)))
+                .map(|(i, _)| i)
+                .collect();
+            if sig.is_empty() {
+                return Err(FdbError::InvalidInput {
+                    detail: "query class not covered by any relation".into(),
+                });
+            }
+            let id = match unique_sigs.iter().position(|s| *s == sig) {
+                Some(i) => i,
+                None => {
+                    unique_sigs.push(sig);
+                    unique_sigs.len() - 1
+                }
+            };
+            sig_id_of_class.push(id);
+        }
+        Ok(Search {
+            unique_sigs,
+            sig_id_of_class,
+            num_edges: edges.len(),
+            memo: HashMap::new(),
+            cover_cache: HashMap::new(),
+        })
+    }
+
+    /// The least `s(T)` over every arrangement of all the classes.
+    fn cost(&mut self) -> Result<f64> {
+        let all_classes: Vec<usize> = (0..self.sig_id_of_class.len()).collect();
+        Ok(self.best_forest(&all_classes, &BTreeSet::new())?.max)
+    }
+
     /// Fractional edge cover of a set of signatures (a root-to-leaf path).
     fn cover(&mut self, sigs: &BTreeSet<usize>) -> Result<f64> {
         let key: AncKey = sigs.iter().copied().collect();
@@ -195,30 +186,28 @@ impl Search<'_> {
         Ok(cost)
     }
 
+    fn sig(&self, class: usize) -> &BTreeSet<usize> {
+        &self.unique_sigs[self.sig_id_of_class[class]]
+    }
+
     /// Splits the classes into connected components (two classes are
     /// connected when their signatures share a relation).
-    fn components(&self, classes: &[usize], sig_id_of_class: &[usize]) -> Vec<Vec<usize>> {
+    fn components(&self, classes: &[usize]) -> Vec<Vec<usize>> {
         let mut remaining: Vec<usize> = classes.to_vec();
         let mut components = Vec::new();
         while let Some(seed) = remaining.pop() {
             let mut component = vec![seed];
-            let mut frontier_rels: BTreeSet<usize> = self.unique_sigs[sig_id_of_class[seed]]
-                .iter()
-                .copied()
-                .collect();
+            let mut frontier_rels: BTreeSet<usize> = self.sig(seed).iter().copied().collect();
             loop {
-                let (connected, rest): (Vec<usize>, Vec<usize>) =
-                    remaining.into_iter().partition(|&c| {
-                        self.unique_sigs[sig_id_of_class[c]]
-                            .iter()
-                            .any(|r| frontier_rels.contains(r))
-                    });
+                let (connected, rest): (Vec<usize>, Vec<usize>) = remaining
+                    .into_iter()
+                    .partition(|&c| self.sig(c).iter().any(|r| frontier_rels.contains(r)));
                 remaining = rest;
                 if connected.is_empty() {
                     break;
                 }
                 for &c in &connected {
-                    frontier_rels.extend(self.unique_sigs[sig_id_of_class[c]].iter().copied());
+                    frontier_rels.extend(self.sig(c).iter().copied());
                 }
                 component.extend(connected);
             }
@@ -228,28 +217,23 @@ impl Search<'_> {
         components
     }
 
-    fn multiset_key(&self, classes: &[usize], sig_id_of_class: &[usize]) -> MultisetKey {
+    fn multiset_key(&self, classes: &[usize]) -> MultisetKey {
         let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
         for &c in classes {
-            *counts.entry(sig_id_of_class[c]).or_insert(0) += 1;
+            *counts.entry(self.sig_id_of_class[c]).or_insert(0) += 1;
         }
         counts.into_iter().collect()
     }
 
     /// Minimum achievable cost for arranging `classes` (a forest of
     /// independent components) below ancestors with signature set `anc`.
-    fn best_forest(
-        &mut self,
-        classes: &[usize],
-        sig_id_of_class: &[usize],
-        anc: &BTreeSet<usize>,
-    ) -> Result<SubCost> {
+    fn best_forest(&mut self, classes: &[usize], anc: &BTreeSet<usize>) -> Result<SubCost> {
         if classes.is_empty() {
             return Ok(SubCost::ZERO);
         }
         let mut total = SubCost::ZERO;
-        for component in self.components(classes, sig_id_of_class) {
-            let cost = self.best_tree(&component, sig_id_of_class, anc)?;
+        for component in self.components(classes) {
+            let cost = self.best_tree(&component, anc)?;
             total = total.combine_forest(cost);
         }
         Ok(total)
@@ -257,14 +241,9 @@ impl Search<'_> {
 
     /// Minimum achievable cost for arranging one connected component as a
     /// single subtree below ancestors `anc`.
-    fn best_tree(
-        &mut self,
-        component: &[usize],
-        sig_id_of_class: &[usize],
-        anc: &BTreeSet<usize>,
-    ) -> Result<SubCost> {
+    fn best_tree(&mut self, component: &[usize], anc: &BTreeSet<usize>) -> Result<SubCost> {
         let key = (
-            self.multiset_key(component, sig_id_of_class),
+            self.multiset_key(component),
             anc.iter().copied().collect::<AncKey>(),
         );
         if let Some(&(cost, _)) = self.memo.get(&key) {
@@ -278,7 +257,7 @@ impl Search<'_> {
         // Branch over distinct signatures present in the component.
         let mut tried: BTreeSet<usize> = BTreeSet::new();
         for &class in component {
-            let sig = sig_id_of_class[class];
+            let sig = self.sig_id_of_class[class];
             if !tried.insert(sig) {
                 continue;
             }
@@ -286,7 +265,7 @@ impl Search<'_> {
             let mut new_anc = anc.clone();
             new_anc.insert(sig);
             let node_cover = self.cover(&new_anc)?;
-            let sub = self.best_forest(&rest, sig_id_of_class, &new_anc)?;
+            let sub = self.best_forest(&rest, &new_anc)?;
             let cost = SubCost {
                 max: node_cover.max(sub.max),
                 size_proxy: NOMINAL_N.powf(node_cover) + sub.size_proxy,
@@ -305,29 +284,28 @@ impl Search<'_> {
     fn reconstruct_forest(
         &mut self,
         classes: &[usize],
-        sig_id_of_class: &[usize],
         anc: &BTreeSet<usize>,
         parent: Option<NodeId>,
-        class_attrs: &[BTreeSet<fdb_common::AttrId>],
+        class_attrs: &[BTreeSet<AttrId>],
         tree: &mut FTree,
     ) -> Result<()> {
         if classes.is_empty() {
             return Ok(());
         }
-        for component in self.components(classes, sig_id_of_class) {
+        for component in self.components(classes) {
             // Ensure the component's subproblem has been solved (it always
             // has been by the preceding best_forest call, but re-solving is
             // harmless and keeps this method self-contained).
-            self.best_tree(&component, sig_id_of_class, anc)?;
+            self.best_tree(&component, anc)?;
             let key = (
-                self.multiset_key(&component, sig_id_of_class),
+                self.multiset_key(&component),
                 anc.iter().copied().collect::<AncKey>(),
             );
             let (_, root_sig) = self.memo[&key];
             let root_class = component
                 .iter()
                 .copied()
-                .find(|&c| sig_id_of_class[c] == root_sig)
+                .find(|&c| self.sig_id_of_class[c] == root_sig)
                 .expect("memoised root signature occurs in the component");
             let node = tree.add_node(class_attrs[root_class].clone(), parent)?;
             let rest: Vec<usize> = component
@@ -337,14 +315,7 @@ impl Search<'_> {
                 .collect();
             let mut new_anc = anc.clone();
             new_anc.insert(root_sig);
-            self.reconstruct_forest(
-                &rest,
-                sig_id_of_class,
-                &new_anc,
-                Some(node),
-                class_attrs,
-                tree,
-            )?;
+            self.reconstruct_forest(&rest, &new_anc, Some(node), class_attrs, tree)?;
         }
         Ok(())
     }

@@ -27,6 +27,7 @@ pub struct OptimizedPlan {
     pub plan: FPlan,
     /// Cost of the chosen plan under the asymptotic measure.
     pub cost: FPlanCost,
-    /// Number of f-trees (states) examined by the optimiser.
+    /// Number of f-trees (states) examined by the optimiser; for the
+    /// exhaustive search, the states settled before its answer was proven.
     pub explored_states: usize,
 }

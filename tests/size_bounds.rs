@@ -6,7 +6,7 @@ use fdb::common::{Query, RelId};
 use fdb::datagen::{populate, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
 use fdb::ftree::s_cost;
-use fdb::lp::{fractional_edge_cover, integral_edge_cover, CoverInstance};
+use fdb::lp::{fractional_edge_cover, CoverInstance};
 use fdb::plan::optimal_ftree;
 use fdb::relation::RdbEngine;
 use rand::rngs::StdRng;
@@ -117,7 +117,7 @@ fn fractional_cover_is_consistent_with_integral_cover() {
             members.shuffle(&mut rng);
             instance.add_edge(members.into_iter().take(size).collect());
         }
-        if !instance.is_coverable() {
+        if !is_coverable(&instance) {
             assert!(fractional_edge_cover(&instance).is_err());
             assert_eq!(integral_edge_cover(&instance), None);
             continue;
@@ -133,4 +133,66 @@ fn fractional_cover_is_consistent_with_integral_cover() {
             "non-empty instances need at least weight 1"
         );
     }
+}
+
+/// Returns `true` if every vertex is covered by at least one edge (a
+/// prerequisite for any cover — fractional or integral — to exist).
+fn is_coverable(instance: &CoverInstance) -> bool {
+    let mut covered = vec![false; instance.num_vertices];
+    for edge in &instance.edges {
+        for &v in edge {
+            if v < instance.num_vertices {
+                covered[v] = true;
+            }
+        }
+    }
+    covered.into_iter().all(|c| c)
+}
+
+/// The (integral) edge cover number, by exhaustive search over edge subsets,
+/// smallest subsets first; `None` if no cover exists.  Exponential in the
+/// number of edges: the cross-check of the LP on tiny instances.
+fn integral_edge_cover(instance: &CoverInstance) -> Option<usize> {
+    if instance.num_vertices == 0 {
+        return Some(0);
+    }
+    if !is_coverable(instance) {
+        return None;
+    }
+    let n = instance.edges.len();
+    // Represent vertex sets as bitmasks; instances here have < 64 vertices.
+    assert!(
+        instance.num_vertices <= 64,
+        "integral cover limited to 64 vertices"
+    );
+    let full: u64 = if instance.num_vertices == 64 {
+        u64::MAX
+    } else {
+        (1u64 << instance.num_vertices) - 1
+    };
+    let masks: Vec<u64> = instance
+        .edges
+        .iter()
+        .map(|e| {
+            e.iter()
+                .filter(|&&v| v < instance.num_vertices)
+                .fold(0u64, |m, &v| m | (1 << v))
+        })
+        .collect();
+    (1..=n).find(|&size| search_cover(&masks, full, 0, size, 0))
+}
+
+fn search_cover(masks: &[u64], full: u64, covered: u64, remaining: usize, start: usize) -> bool {
+    if covered == full {
+        return true;
+    }
+    if remaining == 0 || start >= masks.len() {
+        return false;
+    }
+    for i in start..masks.len() {
+        if search_cover(masks, full, covered | masks[i], remaining - 1, i + 1) {
+            return true;
+        }
+    }
+    false
 }
