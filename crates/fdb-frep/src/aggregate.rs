@@ -13,9 +13,24 @@
 //! * [`AggregateKind::CountDistinct`]`(A)` / [`AggregateKind::SumDistinct`]`(A)`
 //!   / [`AggregateKind::AvgDistinct`]`(A)` — over the *set* of `A` values,
 //!
-//! each as a **single bottom-up pass** over the arena's topological index
-//! order — the same shape as [`FRep::tuple_count`], with no recursion and no
-//! per-node allocation beyond one accumulator per union.  Group-by
+//! each as a **single bottom-up pass** in which every subtree is replaced by
+//! its partial aggregate.  The pass costs what the answer needs:
+//!
+//! * **Leaf unions fold in closed form** ([`Accumulator::leaf`]): a union
+//!   whose node has no children is its value slice, so `COUNT` is its
+//!   length, `SUM`/`AVG` one slice sum, `MIN`/`MAX` its first and last
+//!   value and `DISTINCT` the (already strictly increasing) slice itself.
+//!   No entry loop runs and nothing is memoised for a leaf.
+//! * **The accumulator is as narrow as the kind**, chosen once per request:
+//!   [`CountAcc`] (a wrapping `u128` and an exact liveness bit) for `COUNT`,
+//!   [`SumAcc`] (count, sum, liveness, overflow) for `SUM`/`AVG`, [`Acc`]
+//!   (a `SumAcc` plus `MIN`/`MAX`) for `MIN`/`MAX`, [`DistinctAcc`] for the
+//!   `DISTINCT` kinds.
+//! * **There is one fold.**  A frozen arena is aggregated as the untouched
+//!   overlay of the empty program (see below), so [`evaluate_ctx`] and the
+//!   plan executor's aggregate sink run the same code.
+//!
+//! Group-by
 //! ([`evaluate_ctx`]) accepts any chain of attributes whose nodes form
 //! a prefix of a root-to-leaf path of the f-tree: the pass descends the
 //! chain, so groups are the value combinations along the path, emitted in
@@ -61,7 +76,7 @@
 //! * **`AVG` refuses to divide wrapped operands.**  A sticky overflow bit
 //!   rides along the accumulator; `COUNT`/`SUM` keep their documented
 //!   mod-`2^128` results, but an `AVG` whose sum or count wrapped would be
-//!   silently wrong, so [`Acc::finish`] reports
+//!   silently wrong, so [`SumAcc`]'s `finish` reports
 //!   [`FdbError::AggregateOverflow`] instead of a plausible-looking mean.
 //!   Dead branches (empty products) contribute zero and never taint the
 //!   flag.
@@ -79,18 +94,20 @@
 //!
 //! # Where this hooks into execution
 //!
-//! [`evaluate_ctx`] reads a frozen arena.  The plan executor offers a second
-//! entry point, [`crate::ops::execute_fused_aggregate_ctx`], that evaluates
-//! the same aggregates directly on the overlay — an aggregate is one more
-//! consumer of the overlay that never needs the final arena at all, so an
-//! aggregate query pays zero final-arena emission.  `fdb-plan` routes every
-//! non-empty aggregate plan through that entry point.
+//! The fold lives in [`crate::ops::fuse`]: an aggregate is one more consumer
+//! of the overlay that never needs the final arena, so
+//! [`crate::ops::execute_fused_aggregate_ctx`] runs a plan on the overlay
+//! and folds it there, with zero arena emission.  [`evaluate_ctx`] is the
+//! same fold over the overlay of the empty program, whose unions are all
+//! untouched references into the input arena.  `fdb-plan` routes the empty
+//! aggregate plan to [`evaluate_ctx`] and every other one to the overlay
+//! entry point.
 
 use crate::frep::FRep;
-use crate::store::Store;
-use fdb_common::limits::CHECK_INTERVAL;
+use crate::kernel;
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which aggregate to evaluate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,7 +147,7 @@ impl AggregateKind {
     }
 
     /// Whether this aggregate ranges over the distinct value *set* (and is
-    /// therefore evaluated with [`DistinctAcc`] instead of [`Acc`]).
+    /// therefore evaluated with [`DistinctAcc`]).
     pub fn is_distinct(self) -> bool {
         matches!(
             self,
@@ -202,20 +219,29 @@ pub enum AggregateResult {
     Groups(Vec<(Vec<Value>, AggregateValue)>),
 }
 
-/// The algebra an aggregation pass folds with.  Two implementations: the
-/// count-weighted semiring [`Acc`] (COUNT/SUM/MIN/MAX/AVG) and the sorted
-/// value-set algebra [`DistinctAcc`] (the `DISTINCT` kinds).  Every walk in
-/// this module and in the fused overlay is generic over this trait, so the
-/// two algebras cannot drift structurally.
-pub(crate) trait Accumulator: Clone {
-    /// The accumulator of a union with no entries (identity of `add`).
-    fn none() -> Self;
-    /// The accumulator of the nullary relation `{⟨⟩}` (identity of
-    /// `product`).
-    fn one() -> Self;
+/// The algebra an aggregation pass folds with.  Four implementations, one
+/// per kind family (the module docs list them).  The one fold, in the fused
+/// overlay, is generic over this trait, so the algebras cannot drift
+/// structurally.  `Default` is the accumulator of a union with no entries,
+/// the identity of `add`.
+pub(crate) trait Accumulator: Clone + Default {
     /// The accumulator of a single singleton `⟨A:v⟩`; `carries_attr` says
-    /// whether the singleton's node carries the target attribute.
+    /// whether the singleton's node carries the target attribute.  A
+    /// singleton that does not carry it counts one tuple and nothing else.
     fn singleton(value: Value, carries_attr: bool) -> Self;
+    /// The accumulator of the nullary relation `{⟨⟩}`, the identity of
+    /// `product`: a singleton that carries nothing.
+    fn one() -> Self {
+        Self::singleton(Value::new(0), false)
+    }
+    /// The accumulator of a leaf union: the sum of the singletons of its
+    /// strictly increasing `values`.  The default folds them one by one; an
+    /// algebra overrides it with its closed form.
+    fn leaf(values: &[Value], carries_attr: bool) -> Self {
+        values.iter().fold(Self::default(), |total, &v| {
+            total.add(Self::singleton(v, carries_attr))
+        })
+    }
     /// Combines the accumulators of two *independent* factors (a product).
     fn product(self, other: Self) -> Self;
     /// Combines the accumulators of two *disjoint* sub-relations (entries
@@ -229,173 +255,225 @@ pub(crate) trait Accumulator: Clone {
     fn finish(self, kind: AggregateKind) -> Result<AggregateValue>;
 }
 
-/// The per-union accumulator of the count-weighted semiring: every
-/// non-`DISTINCT` aggregate kind is computed from the same components, so
-/// one pass serves them all (and the overlay walk in `ops::fuse` reuses it
-/// unchanged).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Acc {
-    /// Number of tuples, modulo `2^128`.
-    pub(crate) count: u128,
-    /// Sum of the target attribute over the tuples, modulo `2^128`.
-    pub(crate) sum: u128,
-    /// Smallest target-attribute value among the tuples.
-    pub(crate) min: Option<Value>,
-    /// Largest target-attribute value among the tuples.
-    pub(crate) max: Option<Value>,
-    /// Exact emptiness, independent of the wrapping count.
-    pub(crate) empty: bool,
-    /// Sticky wrap indicator: some `count`/`sum` operation on a *live*
-    /// branch overflowed 128 bits.  Invariant: `empty ⟹ !overflow` (a dead
-    /// branch contributes exact zeros, so its history is irrelevant).
-    pub(crate) overflow: bool,
+/// The `COUNT` algebra: the number of tuples modulo `2^128` and an exact
+/// liveness bit.  A dead accumulator always has count 0: every dead branch
+/// is a product with a factor of count 0, or a sum of dead branches.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CountAcc {
+    count: u128,
+    live: bool,
 }
 
-impl Accumulator for Acc {
-    fn none() -> Acc {
-        Acc {
-            count: 0,
-            sum: 0,
-            min: None,
-            max: None,
-            empty: true,
+impl Accumulator for CountAcc {
+    fn singleton(_: Value, _: bool) -> CountAcc {
+        CountAcc::leaf(&[Value::new(0)], false)
+    }
+
+    fn leaf(values: &[Value], _: bool) -> CountAcc {
+        CountAcc {
+            count: values.len() as u128,
+            live: !values.is_empty(),
+        }
+    }
+
+    fn product(self, other: CountAcc) -> CountAcc {
+        CountAcc {
+            count: self.count.wrapping_mul(other.count),
+            live: self.live && other.live,
+        }
+    }
+
+    fn add(self, other: CountAcc) -> CountAcc {
+        CountAcc {
+            count: self.count.wrapping_add(other.count),
+            live: self.live || other.live,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        !self.live
+    }
+
+    fn finish(self, kind: AggregateKind) -> Result<AggregateValue> {
+        debug_assert_eq!(kind, AggregateKind::Count);
+        Ok(AggregateValue::Count(self.count))
+    }
+}
+
+/// The `SUM`/`AVG` algebra: count and sum of the target attribute, both
+/// modulo `2^128`, an exact liveness bit and a sticky overflow bit.  A dead
+/// accumulator has count and sum 0, like [`CountAcc`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SumAcc {
+    count: u128,
+    sum: u128,
+    live: bool,
+    /// Sticky wrap indicator: some `count`/`sum` operation on a *live*
+    /// branch overflowed 128 bits.  Invariant: `!live ⟹ !overflow` (a dead
+    /// branch contributes exact zeros, so its history is irrelevant).
+    overflow: bool,
+}
+
+impl Accumulator for SumAcc {
+    fn singleton(value: Value, carries_attr: bool) -> SumAcc {
+        SumAcc::leaf(&[value], carries_attr)
+    }
+
+    /// Fewer than `2^64` values below `2^64` each: the slice sum cannot wrap
+    /// 128 bits, so the overflow bit stays clear.
+    fn leaf(values: &[Value], carries_attr: bool) -> SumAcc {
+        SumAcc {
+            count: values.len() as u128,
+            sum: if carries_attr {
+                values.iter().map(|v| v.raw() as u128).sum()
+            } else {
+                0
+            },
+            live: !values.is_empty(),
             overflow: false,
         }
     }
 
-    fn one() -> Acc {
-        Acc {
-            count: 1,
-            sum: 0,
-            min: None,
-            max: None,
-            empty: false,
-            overflow: false,
-        }
-    }
-
-    fn singleton(value: Value, carries_attr: bool) -> Acc {
-        Acc {
-            count: 1,
-            sum: if carries_attr { value.raw() as u128 } else { 0 },
-            min: carries_attr.then_some(value),
-            max: carries_attr.then_some(value),
-            empty: false,
-            overflow: false,
-        }
-    }
-
-    /// The target attribute labels at most one of the two factors, so at
-    /// most one `min`/`max` side is `Some`.
-    fn product(self, other: Acc) -> Acc {
-        let empty = self.empty || other.empty;
+    fn product(self, other: SumAcc) -> SumAcc {
+        let live = self.live && other.live;
         let (count, oc) = self.count.overflowing_mul(other.count);
         let (lhs, ol) = self.sum.overflowing_mul(other.count);
         let (rhs, or_) = other.sum.overflowing_mul(self.count);
         let (sum, os) = lhs.overflowing_add(rhs);
-        Acc {
+        SumAcc {
             count,
             sum,
-            // At most one side ranges over the target attribute; an empty
-            // factor annihilates the whole product.
-            min: if empty { None } else { self.min.or(other.min) },
-            max: if empty { None } else { self.max.or(other.max) },
-            empty,
+            live,
             // An empty factor has count = sum = 0, so none of the four
             // operations above can wrap on a dead product: clearing the
-            // flag keeps the `empty ⟹ !overflow` invariant without losing
-            // a live wrap.
-            overflow: !empty && (self.overflow || other.overflow || oc || ol || or_ || os),
+            // flag keeps the invariant without losing a live wrap.
+            overflow: live && (self.overflow || other.overflow || oc || ol || or_ || os),
         }
     }
 
-    fn add(self, other: Acc) -> Acc {
-        fn fold(a: Option<Value>, b: Option<Value>, min: bool) -> Option<Value> {
-            match (a, b) {
-                (Some(x), Some(y)) => Some(if min { x.min(y) } else { x.max(y) }),
-                (x, y) => x.or(y),
-            }
-        }
+    fn add(self, other: SumAcc) -> SumAcc {
         let (count, oc) = self.count.overflowing_add(other.count);
         let (sum, os) = self.sum.overflowing_add(other.sum);
-        Acc {
+        SumAcc {
             count,
             sum,
-            min: fold(self.min, other.min, true),
-            max: fold(self.max, other.max, false),
-            empty: self.empty && other.empty,
+            live: self.live || other.live,
             overflow: self.overflow || other.overflow || oc || os,
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.empty
+        !self.live
     }
 
     fn finish(self, kind: AggregateKind) -> Result<AggregateValue> {
         match kind {
-            AggregateKind::Count => Ok(AggregateValue::Count(if self.empty {
-                0
-            } else {
-                self.count
-            })),
-            AggregateKind::Sum(_) => Ok(AggregateValue::Sum(if self.empty { 0 } else { self.sum })),
+            AggregateKind::Count => Ok(AggregateValue::Count(self.count)),
+            AggregateKind::Sum(_) => Ok(AggregateValue::Sum(self.sum)),
+            AggregateKind::Avg(_) if self.overflow => Err(FdbError::AggregateOverflow {
+                detail: format!("{kind}: 128-bit sum or count wrapped"),
+            }),
+            AggregateKind::Avg(_) => Ok(AggregateValue::Avg(self.live.then_some(AvgValue {
+                sum: self.sum,
+                count: self.count,
+            }))),
+            _ => unreachable!("{kind} is not folded by SumAcc"),
+        }
+    }
+}
+
+/// The `MIN`/`MAX` algebra (and the flat oracle's, for every non-`DISTINCT`
+/// kind): a [`SumAcc`] plus the smallest and largest target value.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Acc {
+    base: SumAcc,
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+impl Accumulator for Acc {
+    fn singleton(value: Value, carries_attr: bool) -> Acc {
+        Acc::leaf(&[value], carries_attr)
+    }
+
+    /// The values increase strictly: the first is the minimum, the last the
+    /// maximum.
+    fn leaf(values: &[Value], carries_attr: bool) -> Acc {
+        Acc {
+            base: SumAcc::leaf(values, carries_attr),
+            min: values.first().copied().filter(|_| carries_attr),
+            max: values.last().copied().filter(|_| carries_attr),
+        }
+    }
+
+    /// The target attribute labels at most one of the two factors, so at
+    /// most one `min`/`max` side is `Some`; an empty factor annihilates the
+    /// whole product.
+    fn product(self, other: Acc) -> Acc {
+        let base = self.base.product(other.base);
+        Acc {
+            base,
+            min: self.min.or(other.min).filter(|_| base.live),
+            max: self.max.or(other.max).filter(|_| base.live),
+        }
+    }
+
+    fn add(self, other: Acc) -> Acc {
+        let pick = |a: Option<Value>, b: Option<Value>, f: fn(Value, Value) -> Value| {
+            a.zip(b).map(|(x, y)| f(x, y)).or(a).or(b)
+        };
+        Acc {
+            base: self.base.add(other.base),
+            min: pick(self.min, other.min, Value::min),
+            max: pick(self.max, other.max, Value::max),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.base.is_empty()
+    }
+
+    fn finish(self, kind: AggregateKind) -> Result<AggregateValue> {
+        match kind {
             AggregateKind::Min(_) => Ok(AggregateValue::Min(self.min)),
             AggregateKind::Max(_) => Ok(AggregateValue::Max(self.max)),
-            AggregateKind::Avg(_) => {
-                if self.overflow && !self.empty {
-                    return Err(FdbError::AggregateOverflow {
-                        detail: format!("{kind}: 128-bit sum or count wrapped"),
-                    });
-                }
-                Ok(AggregateValue::Avg((!self.empty).then_some(AvgValue {
-                    sum: self.sum,
-                    count: self.count,
-                })))
-            }
-            AggregateKind::CountDistinct(_)
-            | AggregateKind::SumDistinct(_)
-            | AggregateKind::AvgDistinct(_) => {
-                unreachable!("DISTINCT kinds are dispatched to DistinctAcc")
-            }
+            _ => self.base.finish(kind),
         }
     }
 }
 
 /// The sorted value-set accumulator behind the `DISTINCT` aggregate kinds:
 /// tracks the set of target-attribute values among the represented tuples
-/// (and the exact emptiness of the sub-relation), ignoring multiplicities
+/// (and the exact liveness of the sub-relation), ignoring multiplicities
 /// entirely.  Unions and products both merge the sorted sets; an empty
 /// factor annihilates a product's set exactly as it zeroes a count.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct DistinctAcc {
     /// Distinct target-attribute values, sorted ascending, no duplicates.
-    /// Invariant: `empty ⟹ values.is_empty()`.
+    /// Invariant: `!live ⟹ values.is_empty()`.
     values: Vec<Value>,
-    /// Exact emptiness of the accumulated sub-relation.
-    empty: bool,
+    live: bool,
 }
 
-/// Sorted-merge union of two sorted deduplicated value runs.
-fn merge_distinct(a: &[Value], b: &[Value]) -> Vec<Value> {
+/// Sorted-merge union of two sorted deduplicated value runs.  Runs that do
+/// not interleave — the shape of a union's own strictly increasing entries —
+/// are concatenated in place, so folding a union over the target node costs
+/// its length, not its length squared.
+fn merge_distinct(mut a: Vec<Value>, mut b: Vec<Value>) -> Vec<Value> {
+    if b.last() < a.first() {
+        std::mem::swap(&mut a, &mut b);
+    }
+    if b.is_empty() || a.last() < b.first() {
+        a.extend_from_slice(&b);
+        return a;
+    }
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
@@ -403,72 +481,59 @@ fn merge_distinct(a: &[Value], b: &[Value]) -> Vec<Value> {
 }
 
 impl Accumulator for DistinctAcc {
-    fn none() -> DistinctAcc {
-        DistinctAcc {
-            values: Vec::new(),
-            empty: true,
-        }
-    }
-
-    fn one() -> DistinctAcc {
-        DistinctAcc {
-            values: Vec::new(),
-            empty: false,
-        }
-    }
-
     fn singleton(value: Value, carries_attr: bool) -> DistinctAcc {
+        DistinctAcc::leaf(&[value], carries_attr)
+    }
+
+    /// The values increase strictly, so they already are the set.
+    fn leaf(values: &[Value], carries_attr: bool) -> DistinctAcc {
         DistinctAcc {
             values: if carries_attr {
-                vec![value]
+                values.to_vec()
             } else {
                 Vec::new()
             },
-            empty: false,
+            live: !values.is_empty(),
         }
     }
 
     fn product(self, other: DistinctAcc) -> DistinctAcc {
-        let empty = self.empty || other.empty;
+        let live = self.live && other.live;
+        // The target attribute labels exactly one factor, but the general
+        // sorted merge is correct (and cheap) either way; an empty factor
+        // annihilates: no tuples, hence no values.
         DistinctAcc {
-            // The target attribute labels exactly one factor, but the
-            // general sorted merge is correct (and cheap) either way; an
-            // empty factor annihilates: no tuples, hence no values.
-            values: if empty {
-                Vec::new()
+            values: if live {
+                merge_distinct(self.values, other.values)
             } else {
-                merge_distinct(&self.values, &other.values)
+                Vec::new()
             },
-            empty,
+            live,
         }
     }
 
     fn add(self, other: DistinctAcc) -> DistinctAcc {
         DistinctAcc {
-            values: merge_distinct(&self.values, &other.values),
-            empty: self.empty && other.empty,
+            values: merge_distinct(self.values, other.values),
+            live: self.live || other.live,
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.empty
+        !self.live
     }
 
     fn finish(self, kind: AggregateKind) -> Result<AggregateValue> {
         // At most 2^64 distinct 64-bit values, each below 2^64: the exact
         // sum stays below 2^128, so no wrapping is possible here.
-        let sum = || self.values.iter().fold(0u128, |s, v| s + v.raw() as u128);
+        let sum = self.values.iter().map(|v| v.raw() as u128).sum();
+        let count = self.values.len() as u128;
         match kind {
-            AggregateKind::CountDistinct(_) => Ok(AggregateValue::Count(self.values.len() as u128)),
-            AggregateKind::SumDistinct(_) => Ok(AggregateValue::Sum(sum())),
-            AggregateKind::AvgDistinct(_) => {
-                Ok(AggregateValue::Avg((!self.values.is_empty()).then(|| {
-                    AvgValue {
-                        sum: sum(),
-                        count: self.values.len() as u128,
-                    }
-                })))
-            }
+            AggregateKind::CountDistinct(_) => Ok(AggregateValue::Count(count)),
+            AggregateKind::SumDistinct(_) => Ok(AggregateValue::Sum(sum)),
+            AggregateKind::AvgDistinct(_) => Ok(AggregateValue::Avg(
+                (count > 0).then_some(AvgValue { sum, count }),
+            )),
             _ => unreachable!("non-DISTINCT kinds are dispatched to Acc"),
         }
     }
@@ -590,6 +655,13 @@ impl AggFilter {
         self.preds.push((node, op, value));
     }
 
+    /// Whether some predicate names `node` (otherwise every entry of its
+    /// unions passes).
+    #[inline]
+    pub(crate) fn names(&self, node: NodeId) -> bool {
+        self.preds.iter().any(|&(n, ..)| n == node)
+    }
+
     /// Whether an entry with the given value of a union over `node` passes
     /// every predicate.
     #[inline]
@@ -598,289 +670,39 @@ impl AggFilter {
             .iter()
             .all(|&(n, op, c)| n != node || op.eval(value, c))
     }
-}
 
-/// Accessor surface the shared aggregation scaffold walks — implemented by
-/// the frozen arena ([`ArenaSource`]) and by the fused overlay (in
-/// [`crate::ops::fuse`]).  `acc_of` yields the accumulator of a whole
-/// (virtual) union; how it is produced — a precomputed flat pass or a
-/// memoized recursive walk — is the implementor's business.  A source with
-/// a non-trivial [`AggFilter`] must skip filtered-out entries in `acc_of`
-/// itself; the scaffold applies the filter only to the group-path unions,
-/// whose entries it folds directly.
-pub(crate) trait AggSource<A: Accumulator> {
-    /// A (virtual) union reference.
-    type Id: Copy + PartialEq;
-    /// The root unions, in root-list order.
-    fn roots(&self) -> Vec<Self::Id>;
-    /// The f-tree node a union ranges over.
-    fn node_of(&self, v: Self::Id) -> NodeId;
-    /// Number of entries.
-    fn len(&self, v: Self::Id) -> u32;
-    /// The `i`-th value (entries are sorted increasing).
-    fn value(&self, v: Self::Id, i: u32) -> Value;
-    /// Number of kid slots per entry.
-    fn kid_count(&self, v: Self::Id) -> u32;
-    /// The child reference of entry `i` at kid position `k`.
-    fn kid(&self, v: Self::Id, i: u32, k: u32) -> Self::Id;
-    /// The accumulator of the whole union.  Fallible so a source that folds
-    /// lazily (the overlay walk) can observe the governance context and
-    /// abort mid-fold; the precomputed arena source never errs.
-    fn acc_of(&mut self, v: Self::Id, target: AggTarget) -> Result<A>;
-}
-
-/// The recursive group-path descent behind grouped evaluation: walks the
-/// union over `path[depth]`, extending the group key with each live entry's
-/// value.  `prefix` carries the product of everything independent of the
-/// remaining path suffix: the ancestor singletons, their off-path children,
-/// and the other root unions.  Because each union's entries are sorted
-/// ascending and the recursion nests in path order, rows come out in
-/// lexicographic ascending key order — the same order a `BTreeMap` keyed by
-/// the key vector produces.
-#[allow(clippy::too_many_arguments)]
-fn grouped_descend<A: Accumulator, S: AggSource<A>>(
-    src: &mut S,
-    gp: &GroupPath,
-    depth: usize,
-    u: S::Id,
-    prefix: &A,
-    target: AggTarget,
-    kind: AggregateKind,
-    filter: &AggFilter,
-    key: &mut Vec<Value>,
-    rows: &mut Vec<(Vec<Value>, AggregateValue)>,
-    ctx: &ExecCtx,
-) -> Result<()> {
-    let node = gp.path[depth];
-    let len = src.len(u);
-    ctx.charge(1 + len as u64)?;
-    if len == 0 {
-        return Ok(());
-    }
-    let kid_count = src.kid_count(u);
-    // Which kid slot continues the chain (fixed per union: every entry's
-    // kid at a slot ranges over the same child node).
-    let next_slot = if depth + 1 < gp.path.len() {
-        let want = gp.path[depth + 1];
-        let slot = (0..kid_count).find(|&k| src.node_of(src.kid(u, 0, k)) == want);
-        match slot {
-            Some(k) => Some(k),
-            None => {
-                return Err(FdbError::MalformedRepresentation {
-                    detail: format!("no child union over node {want} under node {node}"),
-                })
-            }
+    /// Writes the values of a block over `node` that pass every predicate
+    /// into `kept`: one [`kernel::fill_keep_mask`] over the block per
+    /// predicate naming `node`, instead of a per-entry [`AggFilter::passes`].
+    pub(crate) fn keep(
+        &self,
+        node: NodeId,
+        values: &[Value],
+        kept: &mut Vec<Value>,
+        mask: &mut Vec<bool>,
+    ) {
+        kept.clear();
+        kept.extend_from_slice(values);
+        for &(_, op, c) in self.preds.iter().filter(|&&(n, ..)| n == node) {
+            mask.resize(kept.len(), false);
+            kernel::fill_keep_mask(kept, op, c, mask);
+            let mut keep = mask.iter();
+            kept.retain(|_| *keep.next().expect("one mask slot per value"));
         }
-    } else {
-        None
-    };
-    for i in 0..len {
-        let value = src.value(u, i);
-        // The scaffold folds the group-path entries itself, so the folded
-        // trailing selections apply here too: a filtered-out group is
-        // omitted exactly like a group whose product is empty.
-        if !filter.passes(node, value) {
-            continue;
-        }
-        let mut acc = prefix
-            .clone()
-            .product(A::singleton(value, target.carried_by(node)));
-        for k in 0..kid_count {
-            if Some(k) == next_slot {
-                continue;
-            }
-            acc = acc.product(src.acc_of(src.kid(u, i, k), target)?);
-        }
-        if acc.is_empty() {
-            // A dead off-path factor annihilates every tuple below this
-            // entry: no group under it can surface.
-            continue;
-        }
-        key[depth] = value;
-        match next_slot {
-            None => rows.push((
-                gp.key_slots.iter().map(|&s| key[s]).collect(),
-                acc.finish(kind)?,
-            )),
-            Some(k) => grouped_descend(
-                src,
-                gp,
-                depth + 1,
-                src.kid(u, i, k),
-                &acc,
-                target,
-                kind,
-                filter,
-                key,
-                rows,
-                ctx,
-            )?,
-        }
-    }
-    Ok(())
-}
-
-/// The shared evaluation scaffold over any [`AggSource`] — the one place
-/// that implements the aggregate semantics on top of the accumulators, so
-/// the arena pass and the overlay pass cannot drift apart:
-///
-/// * scalar: the product of the root accumulators;
-/// * grouped: one row per live combination of group-path values (see
-///   [`grouped_descend`]), each multiplied with the product of the *other*
-///   roots and the off-path factors, rows whose product is empty omitted.
-pub(crate) fn evaluate_source<A: Accumulator, S: AggSource<A>>(
-    src: &mut S,
-    tree: &FTree,
-    kind: AggregateKind,
-    group_by: &[AttrId],
-    filter: &AggFilter,
-    ctx: &ExecCtx,
-) -> Result<AggregateResult> {
-    let target = AggTarget::resolve(tree, kind)?;
-    let roots = src.roots();
-    if group_by.is_empty() {
-        let mut total = A::one();
-        for &r in &roots {
-            total = total.product(src.acc_of(r, target)?);
-        }
-        return Ok(AggregateResult::Scalar(total.finish(kind)?));
-    }
-    let gp = resolve_group_path(tree, group_by)?;
-    let group_root = roots
-        .iter()
-        .copied()
-        .find(|&r| src.node_of(r) == gp.path[0])
-        .expect("validated representation: one root union per root node");
-    // The independent context: the product of every other root union.
-    let mut context = A::one();
-    for &r in &roots {
-        if r != group_root {
-            context = context.product(src.acc_of(r, target)?);
-        }
-    }
-    let mut key = vec![Value::new(0); gp.path.len()];
-    let mut rows = Vec::new();
-    grouped_descend(
-        src, &gp, 0, group_root, &context, target, kind, filter, &mut key, &mut rows, ctx,
-    )?;
-    Ok(AggregateResult::Groups(rows))
-}
-
-/// The frozen arena as an aggregation source: accumulators come from one
-/// flat reverse loop over the union arena ([`union_accs`]), everything else
-/// is a plain arena read.
-struct ArenaSource<'a, A> {
-    store: &'a Store,
-    kid_counts: Vec<u32>,
-    accs: Vec<A>,
-}
-
-impl<A: Accumulator> AggSource<A> for ArenaSource<'_, A> {
-    type Id = u32;
-
-    fn roots(&self) -> Vec<u32> {
-        self.store.roots.clone()
-    }
-
-    fn node_of(&self, v: u32) -> NodeId {
-        self.store.unions[v as usize].node
-    }
-
-    fn len(&self, v: u32) -> u32 {
-        self.store.union_len(v)
-    }
-
-    fn value(&self, v: u32, i: u32) -> Value {
-        self.store.value_slice(v)[i as usize]
-    }
-
-    fn kid_count(&self, v: u32) -> u32 {
-        self.kid_counts[self.store.unions[v as usize].node.index()]
-    }
-
-    fn kid(&self, v: u32, i: u32, k: u32) -> u32 {
-        self.store.kid(v, i, k)
-    }
-
-    fn acc_of(&mut self, v: u32, _target: AggTarget) -> Result<A> {
-        Ok(self.accs[v as usize].clone())
     }
 }
 
-/// The single flat reverse loop: one accumulator per union, children before
-/// parents thanks to the arena's topological index order — the exact shape
-/// of [`FRep::tuple_count`].
-fn union_accs<A: Accumulator>(
-    store: &Store,
-    kid_counts: &[u32],
-    target: AggTarget,
-    ctx: &ExecCtx,
-) -> Result<Vec<A>> {
-    let mut accs = vec![A::none(); store.unions.len()];
-    // Batch the per-union charges up to the context's own check interval:
-    // the fold body is a handful of adds per record, so charging record by
-    // record would dominate it, while one flush per interval keeps the
-    // same cooperative granularity at negligible cost.
-    let mut pending = 0u64;
-    for uid in (0..store.unions.len()).rev() {
-        let rec = store.unions[uid];
-        pending += 1 + rec.entries_len as u64;
-        if pending >= CHECK_INTERVAL {
-            ctx.charge(pending)?;
-            pending = 0;
-        }
-        let carries = target.carried_by(rec.node);
-        let kid_count = kid_counts[rec.node.index()] as usize;
-        let mut total = A::none();
-        for e in rec.entries_start..rec.entries_start + rec.entries_len {
-            let mut acc = A::singleton(store.value_at(e), carries);
-            let kids_start = store.kids_start_at(e) as usize;
-            for k in 0..kid_count {
-                acc = acc.product(accs[store.kids[kids_start + k] as usize].clone());
-            }
-            total = total.add(acc);
-        }
-        accs[uid] = total;
-    }
-    ctx.charge(pending)?;
-    Ok(accs)
-}
-
-/// [`evaluate_ctx`] monomorphised over one accumulator algebra.
-fn evaluate_typed<A: Accumulator>(
-    rep: &FRep,
-    kind: AggregateKind,
-    group_by: &[AttrId],
-    ctx: &ExecCtx,
-) -> Result<AggregateResult> {
-    let target = AggTarget::resolve(rep.tree(), kind)?;
-    let kid_counts = crate::store::kid_count_table(rep.tree());
-    let accs = union_accs::<A>(rep.store(), &kid_counts, target, ctx)?;
-    let mut src = ArenaSource {
-        store: rep.store(),
-        kid_counts,
-        accs,
-    };
-    evaluate_source(
-        &mut src,
-        rep.tree(),
-        kind,
-        group_by,
-        &AggFilter::default(),
-        ctx,
-    )
-}
-
-/// Evaluates an aggregate over the representation in one flat bottom-up
-/// pass over the arena (see the module docs for the numeric semantics).
+/// Evaluates an aggregate over the representation in one bottom-up fold
+/// (see the module docs for the numeric semantics): the overlay fold of
+/// [`crate::ops::execute_fused_aggregate_ctx`] over the empty program.
 /// With an empty `group_by` the result is a scalar; otherwise `group_by` is
 /// a root-path attribute chain and the result has one row per live
 /// combination of the chain's values (lexicographic ascending key order),
 /// each aggregated over the matching tuples, groups without tuples omitted.
 ///
-/// The pass charges one unit per union record, so a deadline, budget or
-/// cancellation flag interrupts the fold between unions with no partial
-/// state (the aggregate never mutates the representation).
+/// The fold charges `1 + len` units per union it visits, so a deadline,
+/// budget or cancellation flag interrupts it with no partial state (the
+/// aggregate never mutates the representation).
 pub fn evaluate_ctx(
     rep: &FRep,
     kind: AggregateKind,
@@ -888,11 +710,7 @@ pub fn evaluate_ctx(
     ctx: &ExecCtx,
 ) -> Result<AggregateResult> {
     failpoint!(ctx, "aggregate.fold");
-    if kind.is_distinct() {
-        evaluate_typed::<DistinctAcc>(rep, kind, group_by, ctx)
-    } else {
-        evaluate_typed::<Acc>(rep, kind, group_by, ctx)
-    }
+    crate::ops::fuse::fold_aggregate(rep, &[], kind, group_by, ctx)
 }
 
 /// The materialise-then-aggregate reference evaluator: enumerates the
@@ -925,8 +743,6 @@ pub fn by_enumeration_ctx(
     group_by: &[AttrId],
     ctx: &ExecCtx,
 ) -> Result<AggregateResult> {
-    use crate::enumerate::for_each_tuple_ctx;
-    use std::collections::{BTreeMap, BTreeSet};
     let visible = rep.visible_attrs();
     let col_of = |attr: AttrId| {
         visible
@@ -935,71 +751,68 @@ pub fn by_enumeration_ctx(
                 attr: format!("{attr}"),
             })
     };
-    let col = match kind.attr() {
-        Some(attr) => Some(col_of(attr)?),
-        None => None,
-    };
+    let col = kind.attr().map(col_of).transpose()?;
     let gcols = group_by
         .iter()
         .map(|&g| col_of(g))
         .collect::<Result<Vec<_>>>()?;
     if kind.is_distinct() {
-        // The hash-set oracle: one value set per group plus an exact
-        // liveness bit (an empty relation has no groups anyway, but the
-        // scalar case needs to distinguish "no tuples" for AVG).
+        // The hash-set oracle: one value set per group, multiplicities
+        // ignored.
         let dcol = col.expect("DISTINCT kinds always carry an attribute");
-        let mut groups: BTreeMap<Vec<Value>, BTreeSet<Value>> = BTreeMap::new();
-        for_each_tuple_ctx(rep, ctx, |t| {
-            groups
-                .entry(gcols.iter().map(|&c| t[c]).collect())
-                .or_default()
-                .insert(t[dcol]);
-        })?;
-        let finish = |set: BTreeSet<Value>| {
-            DistinctAcc {
-                values: set.into_iter().collect(),
-                empty: false,
-            }
-            .finish(kind)
-        };
-        if group_by.is_empty() {
-            let set = groups.into_values().next().unwrap_or_default();
-            return Ok(AggregateResult::Scalar(finish(set)?));
-        }
-        return Ok(AggregateResult::Groups(
-            groups
-                .into_iter()
-                .map(|(k, set)| Ok((k, finish(set)?)))
-                .collect::<Result<Vec<_>>>()?,
-        ));
+        return hash_group(
+            rep,
+            &gcols,
+            ctx,
+            |set: &mut BTreeSet<Value>, t| {
+                set.insert(t[dcol]);
+            },
+            |set| {
+                let values = set.into_iter().collect();
+                DistinctAcc { values, live: true }.finish(kind)
+            },
+        );
     }
-    let fold = |acc: &mut Acc, t: &[Value]| {
-        let singleton = match col {
-            Some(c) => Acc::singleton(t[c], true),
-            None => Acc::one(),
-        };
-        *acc = acc.add(singleton);
-    };
-    if group_by.is_empty() {
-        let mut acc = Acc::none();
-        for_each_tuple_ctx(rep, ctx, |t| fold(&mut acc, t))?;
-        return Ok(AggregateResult::Scalar(acc.finish(kind)?));
-    }
-    let mut groups: BTreeMap<Vec<Value>, Acc> = BTreeMap::new();
-    for_each_tuple_ctx(rep, ctx, |t| {
+    hash_group(
+        rep,
+        &gcols,
+        ctx,
+        |acc: &mut Acc, t| {
+            let tuple = col.map_or_else(Acc::one, |c| Acc::singleton(t[c], true));
+            *acc = acc.add(tuple);
+        },
+        |acc| acc.finish(kind),
+    )
+}
+
+/// The tuple-at-a-time group fold of [`by_enumeration_ctx`]: one state per
+/// group key (the `gcols` columns of a tuple), groups sorted by key, and a
+/// scalar — the one key-less group, present even without tuples — when
+/// `gcols` is empty.
+fn hash_group<S: Default>(
+    rep: &FRep,
+    gcols: &[usize],
+    ctx: &ExecCtx,
+    mut fold: impl FnMut(&mut S, &[Value]),
+    finish: impl Fn(S) -> Result<AggregateValue>,
+) -> Result<AggregateResult> {
+    let mut groups: BTreeMap<Vec<Value>, S> = BTreeMap::new();
+    crate::enumerate::for_each_tuple_ctx(rep, ctx, |t| {
         fold(
             groups
                 .entry(gcols.iter().map(|&c| t[c]).collect())
-                .or_insert_with(Acc::none),
+                .or_default(),
             t,
         );
     })?;
-    Ok(AggregateResult::Groups(
-        groups
-            .into_iter()
-            .map(|(g, acc)| Ok((g, acc.finish(kind)?)))
-            .collect::<Result<Vec<_>>>()?,
-    ))
+    if gcols.is_empty() {
+        let scalar = groups.into_values().next().unwrap_or_default();
+        return Ok(AggregateResult::Scalar(finish(scalar)?));
+    }
+    let rows = groups
+        .into_iter()
+        .map(|(key, state)| Ok((key, finish(state)?)));
+    Ok(AggregateResult::Groups(rows.collect::<Result<_>>()?))
 }
 
 #[cfg(test)]
@@ -1492,6 +1305,125 @@ mod tests {
         assert_eq!(
             scalar(&rep, AggregateKind::Avg(AttrId(0))).unwrap(),
             AggregateValue::Avg(Some(AvgValue { sum: 2, count: 1 }))
+        );
+    }
+
+    /// A 10 000-value leaf: the `DISTINCT` kinds take its value slice as the
+    /// set, and a union of as many entries over an inner node merges its
+    /// singletons by concatenation — both linear, both exact.
+    #[test]
+    fn distinct_over_a_wide_union_agrees_with_enumeration() {
+        const N: u64 = 10_000;
+        let edges = vec![DepEdge::new("R", attrs(&[0, 1]), N)];
+        let mut tree = FTree::new(edges);
+        let a = tree.add_node(attrs(&[0]), None).unwrap();
+        let b = tree.add_node(attrs(&[1]), Some(a)).unwrap();
+        let leaf = |node, values: std::ops::Range<u64>| {
+            Union::new(
+                node,
+                values.map(|v| Entry::leaf(Value::new(v * 3))).collect(),
+            )
+        };
+        let wide_leaf = Union::new(
+            a,
+            vec![Entry {
+                value: Value::new(1),
+                children: vec![leaf(b, 0..N)],
+            }],
+        );
+        let wide_inner = Union::new(
+            a,
+            (0..N)
+                .map(|v| Entry {
+                    value: Value::new(v),
+                    children: vec![leaf(b, v % 7..v % 7 + 1)],
+                })
+                .collect(),
+        );
+        for root in [wide_leaf, wide_inner] {
+            let rep = FRep::from_parts(tree.clone(), vec![root]).unwrap();
+            for attr in [AttrId(0), AttrId(1)] {
+                for kind in [
+                    AggregateKind::CountDistinct(attr),
+                    AggregateKind::SumDistinct(attr),
+                    AggregateKind::AvgDistinct(attr),
+                ] {
+                    assert_eq!(
+                        evaluate_ctx(&rep, kind, &[], &ExecCtx::unlimited()).unwrap(),
+                        by_enumeration(&rep, kind, &[]).unwrap(),
+                        "{kind}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A chain A0 → … → A(depth−1) whose every union has the entries 1 and 2,
+    /// both pointing at the one union below: a valid arena (every union
+    /// reachable, indices topological) that shares unions, as a decoded
+    /// snapshot may.  It represents `2^depth` tuples.
+    fn shared_chain(depth: u32) -> FRep {
+        use crate::store::{Store, UnionRec};
+        let edges = (0..depth)
+            .map(|i| DepEdge::new(format!("R{i}"), attrs(&[i]), 2))
+            .collect();
+        let mut tree = FTree::new(edges);
+        let mut unions = Vec::new();
+        let mut parent = None;
+        for i in 0..depth {
+            let node = tree.add_node(attrs(&[i]), parent).unwrap();
+            parent = Some(node);
+            unions.push(UnionRec {
+                node,
+                entries_start: 2 * i,
+                entries_len: 2,
+            });
+        }
+        // Both entries of union i share kid slot i, which holds union i + 1;
+        // the leaf's entries carry the kid watermark, depth − 1.
+        let values = (0..depth).flat_map(|_| [Value::new(1), Value::new(2)]);
+        let kids_starts = (0..depth).flat_map(|i| [i, i]).collect();
+        let store = Store::from_arena_parts(
+            unions,
+            values.collect(),
+            kids_starts,
+            (1..depth).collect(),
+            vec![0],
+        );
+        store.validate(&tree).unwrap();
+        FRep::from_store(tree, store)
+    }
+
+    /// A union shared between entries is folded and charged once: the fold
+    /// stays linear in the arena, not in the tuples.
+    #[test]
+    fn an_arena_that_shares_unions_is_folded_once_per_union() {
+        let rep = shared_chain(4);
+        for kind in [
+            AggregateKind::Count,
+            AggregateKind::Sum(AttrId(3)),
+            AggregateKind::Min(AttrId(1)),
+            AggregateKind::CountDistinct(AttrId(2)),
+        ] {
+            for group in [&[][..], &[AttrId(0)], &[AttrId(0), AttrId(1)]] {
+                assert_eq!(
+                    evaluate_ctx(&rep, kind, group, &ExecCtx::unlimited()).unwrap(),
+                    by_enumeration(&rep, kind, group).unwrap(),
+                    "{kind} by {group:?}"
+                );
+            }
+        }
+        // 2^64 tuples; every union charged 1 + 2 units exactly once.
+        let rep = shared_chain(64);
+        let ctx = ExecCtx::new(&fdb_common::QueryLimits::unlimited().with_budget(64 * 3));
+        assert_eq!(
+            evaluate_ctx(&rep, AggregateKind::Sum(AttrId(63)), &[], &ctx).unwrap(),
+            AggregateResult::Scalar(AggregateValue::Sum(3 << 63))
+        );
+        assert_eq!(ctx.budget_remaining(), 0);
+        assert_eq!(
+            scalar(&rep, AggregateKind::Count).unwrap(),
+            AggregateValue::Count(1 << 64)
         );
     }
 }

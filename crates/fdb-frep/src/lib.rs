@@ -31,8 +31,8 @@
 //!   the representation and its f-tree, keeping the two consistent, and
 //!   runs in (quasi)linear time in the sizes of its input and output;
 //! * one-pass aggregation ([`aggregate`]): `COUNT`/`SUM`/`MIN`/`MAX`/`AVG`
-//!   (optionally grouped by a root attribute) over the factorised data,
-//!   without enumerating a single tuple.
+//!   and their `DISTINCT` forms (optionally grouped by a root-path chain)
+//!   over the factorised data, without enumerating a single tuple.
 //!
 //! # The arena layout contract
 //!
@@ -51,13 +51,12 @@
 //! outside that module can push to one without the other.
 //! Union indices are **topological** (every kid index exceeds its parent
 //! union's index), which is what turns whole-representation statistics into
-//! flat loops: [`FRep::tuple_count`] and the aggregation pass of
-//! [`aggregate`] are single *reverse* loops over the union array (children
-//! are finished before their parents are visited), and enumeration/emission
-//! are forward walks.  Operators never mutate an arena in place; they emit
-//! a fresh one in the exact freeze layout (the layout [`FRep::from_parts`]
-//! produces), which keeps every rewrite bit-for-bit comparable with the
-//! thaw-path oracle.
+//! flat loops: [`FRep::tuple_count`] is a single *reverse* loop over the
+//! union array (children are finished before their parents are visited),
+//! and enumeration/emission are forward walks.  Operators never mutate an
+//! arena in place; they emit a fresh one in the exact freeze layout (the
+//! layout [`FRep::from_parts`] produces), which keeps every rewrite
+//! bit-for-bit comparable with the thaw-path oracle.
 //!
 //! # The single-pass execution contract
 //!
@@ -98,14 +97,20 @@
 //!
 //! # Where aggregation hooks in
 //!
-//! [`aggregate::evaluate_ctx`] evaluates on a frozen arena in one reverse
-//! loop.  For aggregate *queries* the plan executor goes one step further:
+//! There is one aggregate fold, over the overlay of [`ops::fuse`].
 //! [`ops::execute_fused_aggregate_ctx`] applies the whole plan to the
 //! overlay and folds the aggregate over the overlay itself, with the plan's
 //! trailing selections folded into the accumulation as entry filters — **no
 //! arena is emitted at any point**, so a (selection-then-)aggregate query
-//! pays zero materialisation.  `fdb-plan` routes every non-empty aggregate
-//! plan through that entry point.
+//! pays zero materialisation.  [`aggregate::evaluate_ctx`] is the same fold
+//! over the untouched overlay of the empty program.  The fold costs what the
+//! answer needs: a leaf union is folded in closed form from its value slice
+//! (its length for `COUNT`, one slice sum for `SUM`/`AVG`, its ends for
+//! `MIN`/`MAX`, the slice itself for `DISTINCT`), over the narrowest
+//! accumulator the aggregate kind needs, and only an inner union visited
+//! twice is memoised.  `fdb-plan` routes the empty aggregate plan to
+//! [`aggregate::evaluate_ctx`] and every other one to the overlay entry
+//! point.
 //!
 //! # The cancellation and budget contract
 //!

@@ -89,15 +89,17 @@
 //! context, and emit the same bits.
 
 use crate::aggregate::{
-    self, Acc, Accumulator, AggFilter, AggTarget, AggregateKind, AggregateResult, DistinctAcc,
+    self, Acc, Accumulator, AggFilter, AggTarget, AggregateKind, AggregateResult, AggregateValue,
+    CountAcc, DistinctAcc, GroupPath, SumAcc,
 };
 use crate::frep::FRep;
 use crate::kernel;
 use crate::ops::{child_pos, debug_validate, swap};
 use crate::store::{kid_count_table, Rewriter, Store};
+use fdb_common::limits::CHECK_INTERVAL;
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId, SwapOutcome};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// One f-plan operator — the paper's vocabulary (Section 3), defined once.
@@ -251,8 +253,8 @@ fn emit_overlay(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
 ///
 /// The *trailing* selections of the program — the maximal suffix of
 /// [`FPlanOp::SelectConst`] steps — are not applied as overlay passes at
-/// all: their predicates fold into the [`Acc`] accumulation as a per-node
-/// entry filter ([`AggFilter`]), so a selection-then-aggregate plan is one
+/// all: their predicates fold into the accumulation as a per-node entry
+/// filter ([`AggFilter`]), so a selection-then-aggregate plan is one
 /// filtered fold over the (possibly untouched) overlay.  Filtering instead
 /// of pruning is exact: an entry that fails its predicate, like an entry
 /// whose product is empty, contributes the additive identity to its union's
@@ -272,6 +274,18 @@ pub fn execute_fused_aggregate_ctx(
     ctx: &ExecCtx,
 ) -> Result<AggregateResult> {
     failpoint!(ctx, "fuse.execute");
+    fold_aggregate(rep, ops, kind, group_by, ctx)
+}
+
+/// [`execute_fused_aggregate_ctx`] without its failpoint: the one aggregate
+/// fold, which [`crate::aggregate::evaluate_ctx`] runs on the empty program.
+pub(crate) fn fold_aggregate(
+    rep: &FRep,
+    ops: &[FPlanOp],
+    kind: AggregateKind,
+    group_by: &[AttrId],
+    ctx: &ExecCtx,
+) -> Result<AggregateResult> {
     let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
     let mut cur = rep.tree().clone();
     // Split off the maximal suffix of constant selections: everything before
@@ -795,15 +809,12 @@ impl<'a> Fusion<'a> {
     // -----------------------------------------------------------------
 
     /// Evaluates an aggregate over the overlay forest against the final
-    /// simulated tree, instead of emitting an output arena.  The aggregate
-    /// semantics live in the shared [`aggregate::evaluate_source`]
-    /// scaffold; the overlay only supplies accessors, with untouched `Src`
-    /// subtrees folded once and memoized by arena index (a shared subtree
-    /// referenced from several overlay entries — e.g. a lifted push-up copy
-    /// — is aggregated once), so the walk costs one visit per reachable
-    /// input union plus one per `Mix` entry.  Entries failing `filter` —
-    /// the folded trailing selections — contribute nothing, exactly as if a
-    /// selection pass had removed and pruned them.
+    /// simulated tree, instead of emitting an output arena: one recursive
+    /// fold ([`OverlaySource`]) over the narrowest accumulator the kind
+    /// needs, chosen here once per request.  Leaf unions fold in closed form;
+    /// only an inner `Src` union visited twice is memoised.  Entries failing
+    /// `filter` — the folded trailing selections — contribute nothing,
+    /// exactly as if a selection pass had removed and pruned them.
     fn aggregate(
         &self,
         final_tree: &FTree,
@@ -811,10 +822,17 @@ impl<'a> Fusion<'a> {
         group_by: &[AttrId],
         filter: &AggFilter,
     ) -> Result<AggregateResult> {
-        if kind.is_distinct() {
-            self.aggregate_typed::<DistinctAcc>(final_tree, kind, group_by, filter)
-        } else {
-            self.aggregate_typed::<Acc>(final_tree, kind, group_by, filter)
+        match kind {
+            AggregateKind::Count => {
+                self.aggregate_typed::<CountAcc>(final_tree, kind, group_by, filter)
+            }
+            AggregateKind::Sum(_) | AggregateKind::Avg(_) => {
+                self.aggregate_typed::<SumAcc>(final_tree, kind, group_by, filter)
+            }
+            AggregateKind::Min(_) | AggregateKind::Max(_) => {
+                self.aggregate_typed::<Acc>(final_tree, kind, group_by, filter)
+            }
+            _ => self.aggregate_typed::<DistinctAcc>(final_tree, kind, group_by, filter),
         }
     }
 
@@ -828,89 +846,260 @@ impl<'a> Fusion<'a> {
     ) -> Result<AggregateResult> {
         let mut src = OverlaySource::<A> {
             fu: self,
-            memo: vec![None; self.src.unions.len()],
+            memo: HashMap::new(),
+            seen: if self.src.is_tree() && self.mixes.is_empty() {
+                Vec::new()
+            } else {
+                vec![0; self.src.unions.len().div_ceil(64)]
+            },
             filter,
+            pending: 0,
+            kept: Vec::new(),
+            mask: Vec::new(),
         };
-        aggregate::evaluate_source(&mut src, final_tree, kind, group_by, filter, self.ctx)
+        src.evaluate(final_tree, kind, group_by)
     }
 }
 
-/// The fused overlay as an aggregation source (see [`Fusion::aggregate`]):
-/// supplies the overlay's accessor surface to the shared
-/// [`aggregate::evaluate_source`] scaffold, so arena and overlay aggregation
-/// semantics cannot drift apart.
+/// The aggregate fold over the fused overlay (see [`Fusion::aggregate`]).
+/// A frozen arena is folded as the overlay of the empty program.
+///
+/// The fold recurses over the overlay.  A leaf union — `Src` or `Mix` — is
+/// folded in closed form from its value slice ([`Accumulator::leaf`]), with
+/// a filter on its node applied as a keep mask.  Each `Src` union is charged
+/// `1 + len` units on its first visit only, `Mix` unions on every visit, in
+/// batches of [`CHECK_INTERVAL`].  A `Src` union visited again — a swap
+/// shares `Src` subtrees between regrouped entries, and a decoded snapshot
+/// may share unions between entries — is refolded uncharged: a leaf in
+/// closed form, an inner union once more and then memoised, which keeps the
+/// fold linear in the overlay.  A union visited once is never memoised.
 struct OverlaySource<'f, 'a, A> {
     fu: &'f Fusion<'a>,
-    /// Per-`Src`-union accumulator cache.
-    memo: Vec<Option<A>>,
+    /// Accumulators of the inner `Src` unions visited more than once.
+    memo: HashMap<u32, A>,
+    /// One bit per `Src` union, set once it has been charged; empty when no
+    /// union can be visited twice (a tree-shaped arena and no `Mix` node).
+    seen: Vec<u64>,
     /// Folded trailing selections (see [`execute_fused_aggregate_ctx`]).
     filter: &'f AggFilter,
+    /// Units folded but not yet charged.
+    pending: u64,
+    /// Scratch for a filtered leaf: its surviving values and keep mask.
+    kept: Vec<Value>,
+    mask: Vec<bool>,
 }
 
 impl<A: Accumulator> OverlaySource<'_, '_, A> {
-    /// Folds one virtual union into an accumulator (recursive over the
-    /// overlay, memoized per `Src` arena index).  Entries failing the
-    /// filter are skipped: their contribution is the additive identity, the
-    /// same as an entry a selection pass would have removed.
-    fn fold_union(&mut self, v: VId, target: AggTarget) -> Result<A> {
-        if let Some(uid) = v.as_src() {
-            if let Some(cached) = &self.memo[uid as usize] {
-                return Ok(cached.clone());
+    /// The evaluation scaffold, the one place that implements the aggregate
+    /// semantics on top of the accumulators:
+    ///
+    /// * scalar: the product of the root accumulators;
+    /// * grouped: one row per live combination of group-path values (see
+    ///   [`OverlaySource::grouped_descend`]), each multiplied with the product
+    ///   of the *other* roots and the off-path factors, rows whose product is
+    ///   empty omitted.
+    fn evaluate(
+        &mut self,
+        tree: &FTree,
+        kind: AggregateKind,
+        group_by: &[AttrId],
+    ) -> Result<AggregateResult> {
+        let target = AggTarget::resolve(tree, kind)?;
+        let roots = &self.fu.roots;
+        if group_by.is_empty() {
+            let mut total = A::one();
+            for &r in roots {
+                total = total.product(self.acc_of(r, target)?);
             }
+            return Ok(AggregateResult::Scalar(total.finish(kind)?));
         }
-        let node = self.fu.node_of(v);
-        let carries = target.carried_by(node);
-        let kid_count = self.fu.kid_count_of(v);
-        let len = self.fu.len(v);
-        self.fu.ctx.charge(1 + len as u64)?;
-        let mut total = A::none();
+        let gp = aggregate::resolve_group_path(tree, group_by)?;
+        let group_root = roots
+            .iter()
+            .copied()
+            .find(|&r| self.fu.node_of(r) == gp.path[0])
+            .expect("validated representation: one root union per root node");
+        // The independent context: the product of every other root union.
+        let mut context = A::one();
+        for &r in roots.iter().filter(|&&r| r != group_root) {
+            context = context.product(self.acc_of(r, target)?);
+        }
+        let mut key = vec![Value::new(0); gp.path.len()];
+        let mut rows = Vec::new();
+        self.grouped_descend(
+            &gp, 0, group_root, &context, target, kind, &mut key, &mut rows,
+        )?;
+        Ok(AggregateResult::Groups(rows))
+    }
+
+    /// The recursive group-path descent behind grouped evaluation: walks the
+    /// union over `path[depth]`, extending the group key with each live
+    /// entry's value.  `prefix` carries the product of everything independent
+    /// of the remaining path suffix: the ancestor singletons, their off-path
+    /// children, and the other root unions.  Because each union's entries are
+    /// sorted ascending and the recursion nests in path order, rows come out
+    /// in lexicographic ascending key order — the same order a `BTreeMap`
+    /// keyed by the key vector produces.
+    #[allow(clippy::too_many_arguments)]
+    fn grouped_descend(
+        &mut self,
+        gp: &GroupPath,
+        depth: usize,
+        u: VId,
+        prefix: &A,
+        target: AggTarget,
+        kind: AggregateKind,
+        key: &mut Vec<Value>,
+        rows: &mut Vec<(Vec<Value>, AggregateValue)>,
+    ) -> Result<()> {
+        let fu = self.fu;
+        let node = gp.path[depth];
+        let len = fu.len(u);
+        fu.ctx.charge(1 + len as u64)?;
+        if len == 0 {
+            return Ok(());
+        }
+        let kid_count = fu.kid_count_of(u);
+        // Which kid slot continues the chain (fixed per union: every entry's
+        // kid at a slot ranges over the same child node).
+        let next_slot = match gp.path.get(depth + 1) {
+            None => None,
+            Some(&want) => match (0..kid_count).find(|&k| fu.node_of(fu.kid(u, 0, k)) == want) {
+                Some(k) => Some(k),
+                None => {
+                    return Err(FdbError::MalformedRepresentation {
+                        detail: format!("no child union over node {want} under node {node}"),
+                    })
+                }
+            },
+        };
         for i in 0..len {
-            let value = self.fu.value(v, i);
+            let value = fu.value(u, i);
+            // The scaffold folds the group-path entries itself, so the folded
+            // trailing selections apply here too: a filtered-out group is
+            // omitted exactly like a group whose product is empty.
             if !self.filter.passes(node, value) {
                 continue;
             }
-            let mut acc = A::singleton(value, carries);
-            for k in 0..kid_count {
-                acc = acc.product(self.fold_union(self.fu.kid(v, i, k), target)?);
+            let mut acc = prefix
+                .clone()
+                .product(A::singleton(value, target.carried_by(node)));
+            for k in (0..kid_count).filter(|&k| Some(k) != next_slot) {
+                acc = acc.product(self.acc_of(fu.kid(u, i, k), target)?);
             }
-            total = total.add(acc);
+            if acc.is_empty() {
+                // A dead off-path factor annihilates every tuple below this
+                // entry: no group under it can surface.
+                continue;
+            }
+            key[depth] = value;
+            match next_slot {
+                None => rows.push((
+                    gp.key_slots.iter().map(|&s| key[s]).collect(),
+                    acc.finish(kind)?,
+                )),
+                Some(k) => {
+                    let kid = fu.kid(u, i, k);
+                    self.grouped_descend(gp, depth + 1, kid, &acc, target, kind, key, rows)?
+                }
+            }
         }
-        if let Some(uid) = v.as_src() {
-            self.memo[uid as usize] = Some(total.clone());
+        Ok(())
+    }
+
+    /// The accumulator of a whole union, every unit it folded charged.
+    fn acc_of(&mut self, v: VId, target: AggTarget) -> Result<A> {
+        let acc = self.fold_ref(v, target)?;
+        self.flush()?;
+        Ok(acc)
+    }
+
+    /// Records the `1 + len` units of one union folded.
+    fn charge(&mut self, len: usize) -> Result<()> {
+        self.pending += 1 + len as u64;
+        if self.pending >= CHECK_INTERVAL {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        let units = std::mem::take(&mut self.pending);
+        self.fu.ctx.charge(units)
+    }
+
+    /// Folds a union an overlay entry (or the scaffold) references.
+    fn fold_ref(&mut self, v: VId, target: AggTarget) -> Result<A> {
+        let Some(uid) = v.as_src() else {
+            let mix = &self.fu.mixes[v.mix_index()];
+            self.charge(mix.values.len())?;
+            let kc = mix.kid_count as usize;
+            return self.fold_union(mix.node, &mix.values, kc, target, |i, k| {
+                mix.kids[i * kc + k]
+            });
+        };
+        let (word, bit) = (uid as usize / 64, 1u64 << (uid % 64));
+        let revisit = self.seen.get_mut(word).is_some_and(|w| {
+            let seen = *w & bit != 0;
+            *w |= bit;
+            seen
+        });
+        let store = self.fu.src;
+        let rec = store.unions[uid as usize];
+        let values = store.value_slice(uid);
+        let kid_count = self.fu.src_kid_counts[rec.node.index()] as usize;
+        if !revisit {
+            self.charge(values.len())?;
+        } else if let Some(acc) = self.memo.get(&uid) {
+            return Ok(acc.clone());
+        }
+        let total = self.fold_union(rec.node, values, kid_count, target, |i, k| {
+            VId::src(store.kid(uid, i as u32, k as u32))
+        })?;
+        if revisit && kid_count > 0 {
+            self.memo.insert(uid, total.clone());
         }
         Ok(total)
     }
-}
 
-impl<A: Accumulator> aggregate::AggSource<A> for OverlaySource<'_, '_, A> {
-    type Id = VId;
-
-    fn roots(&self) -> Vec<VId> {
-        self.fu.roots.clone()
-    }
-
-    fn node_of(&self, v: VId) -> NodeId {
-        self.fu.node_of(v)
-    }
-
-    fn len(&self, v: VId) -> u32 {
-        self.fu.len(v)
-    }
-
-    fn value(&self, v: VId, i: u32) -> Value {
-        self.fu.value(v, i)
-    }
-
-    fn kid_count(&self, v: VId) -> u32 {
-        self.fu.kid_count_of(v)
-    }
-
-    fn kid(&self, v: VId, i: u32, k: u32) -> VId {
-        self.fu.kid(v, i, k)
-    }
-
-    fn acc_of(&mut self, v: VId, target: AggTarget) -> Result<A> {
-        self.fold_union(v, target)
+    /// Folds the entries of one union over `node`.  A leaf is its value
+    /// slice in closed form, filtered first when a selection names its node.
+    /// An inner union is the sum over its passing entries of the product of
+    /// their kids' accumulators, times the entry's singleton when it carries
+    /// the target (a non-carrying singleton is `one`).
+    fn fold_union(
+        &mut self,
+        node: NodeId,
+        values: &[Value],
+        kid_count: usize,
+        target: AggTarget,
+        kid: impl Fn(usize, usize) -> VId,
+    ) -> Result<A> {
+        let filtered = self.filter.names(node);
+        let carries = target.carried_by(node);
+        if kid_count == 0 {
+            if filtered {
+                self.filter
+                    .keep(node, values, &mut self.kept, &mut self.mask);
+                return Ok(A::leaf(&self.kept, carries));
+            }
+            return Ok(A::leaf(values, carries));
+        }
+        let mut total = A::default();
+        for (i, &value) in values.iter().enumerate() {
+            if filtered && !self.filter.passes(node, value) {
+                continue;
+            }
+            let mut acc = self.fold_ref(kid(i, 0), target)?;
+            for k in 1..kid_count {
+                acc = acc.product(self.fold_ref(kid(i, k), target)?);
+            }
+            if carries {
+                acc = acc.product(A::singleton(value, true));
+            }
+            total = total.add(acc);
+        }
+        Ok(total)
     }
 }
 
@@ -2229,5 +2418,72 @@ mod tests {
         // Projection dedups: COUNT after π must be the distinct count.
         let steps = vec![FPlanOp::Project(attrs(&[0, 3]))];
         check_aggregates(&rep, &steps, "projection then aggregate");
+    }
+
+    /// A{0} → B{1} → (C{2}, D{3}): A ∈ 0..4, B ∈ a..a+3 under A = a, one C
+    /// value and two D values under each B entry.
+    fn nested_shape() -> FRep {
+        let edges = vec![
+            DepEdge::new("RAB", attrs(&[0, 1]), 12),
+            DepEdge::new("RBC", attrs(&[1, 2]), 12),
+            DepEdge::new("RBD", attrs(&[1, 3]), 24),
+        ];
+        let mut tree = FTree::new(edges);
+        let a = tree.add_node(attrs(&[0]), None).unwrap();
+        let b = tree.add_node(attrs(&[1]), Some(a)).unwrap();
+        let c = tree.add_node(attrs(&[2]), Some(b)).unwrap();
+        let d = tree.add_node(attrs(&[3]), Some(b)).unwrap();
+        let leaf = |node, values: &[u64]| {
+            Union::new(
+                node,
+                values.iter().map(|&v| Entry::leaf(Value::new(v))).collect(),
+            )
+        };
+        let b_entry = |bv: u64| Entry {
+            value: Value::new(bv),
+            children: vec![leaf(c, &[bv % 2]), leaf(d, &[bv, bv + 1])],
+        };
+        let a_entry = |av: u64| Entry {
+            value: Value::new(av),
+            children: vec![Union::new(b, (av..av + 3).map(b_entry).collect())],
+        };
+        FRep::from_parts(tree, vec![Union::new(a, (0..4).map(a_entry).collect())]).unwrap()
+    }
+
+    /// The filtered fold is governed to the unit, `1 + len` per union it
+    /// visits: its exact total succeeds with nothing to spare, one unit less
+    /// is a budget error.
+    #[test]
+    fn filtered_aggregates_charge_one_plus_len_per_union_visited() {
+        use fdb_common::QueryLimits;
+        let rep = nested_shape();
+        // The root (1 + 4) and the four B-unions (4 · (1 + 3)) are visited
+        // whole; the C (1 + 1) and D (1 + 2) leaves only under the 9 B
+        // entries with B ≥ 2.
+        let total = 5 + 4 * 4 + 9 * (2 + 3);
+        let programs = [
+            (vec![select(1, ComparisonOp::Ge, 2)], AggregateKind::Count),
+            (
+                vec![
+                    select(1, ComparisonOp::Ge, 2),
+                    select(3, ComparisonOp::Le, 4),
+                ],
+                AggregateKind::Sum(AttrId(3)),
+            ),
+        ];
+        for (program, kind) in programs {
+            let mut emitted = rep.clone();
+            execute_fused_ctx(&mut emitted, &program, &ExecCtx::unlimited()).unwrap();
+            let expected = aggregate::by_enumeration(&emitted, kind, &[]).unwrap();
+            let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(total));
+            let folded = execute_fused_aggregate_ctx(&rep, &program, kind, &[], &ctx);
+            assert_eq!((folded.unwrap(), ctx.budget_remaining()), (expected, 0));
+            let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(total - 1));
+            let short = execute_fused_aggregate_ctx(&rep, &program, kind, &[], &ctx);
+            assert!(
+                matches!(short, Err(FdbError::BudgetExceeded { .. })),
+                "{kind}"
+            );
+        }
     }
 }

@@ -424,6 +424,12 @@ impl Store {
         self.freeze_layout = self.is_freeze_layout(&kid_count_table(tree));
     }
 
+    /// Whether the arena is known to be a tree, every union but a root the
+    /// kid of exactly one entry: the freeze layout implies it.
+    pub(crate) fn is_tree(&self) -> bool {
+        self.freeze_layout
+    }
+
     /// Re-walks a valid arena depth first, the way [`Store::freeze`] emits,
     /// and compares every header index, entry-block offset and kid-run
     /// offset with the position freeze would have written it at.  Linear: a

@@ -132,12 +132,12 @@ impl FPlan {
     /// entry filters.  **No arena is emitted at any point**: the input is
     /// borrowed, never cloned and never modified (an aggregate consumer has
     /// no use for the transformed arena), so an abort has no partial state
-    /// to clean up; both the empty-plan flat fold and the overlay fold
-    /// charge the context per record.
+    /// to clean up.  The empty plan goes to `fdb_frep::aggregate::evaluate_ctx`,
+    /// the same fold over the untouched overlay; either way the fold charges
+    /// the context `1 + len` units per union it visits.
     ///
-    /// Returns the aggregate result and whether the sink ran on the overlay
-    /// (`false` only for the empty plan, where the aggregate is a plain
-    /// flat pass over the input arena).
+    /// Returns the aggregate result and whether a non-empty program ran on
+    /// the overlay before the fold (`false` only for the empty plan).
     pub fn execute_aggregate_presimplified_ctx(
         &self,
         rep: &FRep,
@@ -535,10 +535,10 @@ mod tests {
             assert!(on_overlay, "trailing selections fold into the sink");
             assert_eq!(got, expected, "{kind}");
         }
-        // Only the empty plan falls back to the plain arena pass.
+        // Only the empty plan runs no program before the fold.
         let (_, on_overlay) =
             run_aggregate(&FPlan::empty(), &rep, AggregateKind::Count, &[]).unwrap();
-        assert!(!on_overlay, "the empty plan aggregates on the arena");
+        assert!(!on_overlay, "the empty plan runs no program");
         // The borrowed input is untouched.
         assert!(rep.store_identical(&sample_rep()));
     }

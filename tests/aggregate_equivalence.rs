@@ -1,20 +1,22 @@
-//! Aggregate equivalence: the three aggregate evaluation paths —
+//! Aggregate equivalence: the aggregate fold, through both of its entry
+//! points —
 //!
-//! 1. the **arena pass** (`fdb::frep::aggregate`, one flat reverse loop),
-//! 2. the **overlay pass** (`ops::execute_fused_aggregate`, folding the
-//!    aggregate over the fused overlay without emitting the final arena),
-//! 3. a **flat oracle** (materialise the tuples with the enumeration cursor
-//!    and aggregate with plain iterators)
+//! 1. `fdb::frep::aggregate::evaluate_ctx`, the fold over an arena as it is,
+//! 2. `ops::execute_fused_aggregate_ctx`, the fold over the fused overlay of
+//!    a program, without emitting the final arena —
 //!
-//! — must agree **bit for bit** for every aggregate kind, grouped and
-//! ungrouped, on randomized databases and on the edge cases: empty results,
-//! singleton representations, all-equal-value databases, and plans that
-//! empty the representation mid-segment.  Structural plan steps preserve the
-//! represented relation, so the overlay pass must also be invariant under
-//! random restructuring.  The numeric edge cases (`SUM`/`COUNT` beyond
-//! `u64`, 128-bit wrapping, `AVG` of an empty group, `MIN`/`MAX` of a
-//! one-entry union) pin down the semantics documented on
-//! `fdb::frep::aggregate`.
+//! and a **flat oracle** (materialise the tuples with the enumeration cursor
+//! and aggregate with plain iterators) must agree **bit for bit** for every
+//! aggregate kind, grouped and ungrouped, on randomized databases and on the
+//! edge cases: empty results, singleton representations, all-equal-value
+//! databases, and plans that empty the representation mid-segment.  The
+//! equivalence table crosses every kind with leaf and inner filters, the
+//! empty, a selection and a swap program, and scalar and grouped heads.
+//! Structural plan steps preserve the represented relation, so the overlay
+//! pass must also be invariant under random restructuring.  The numeric
+//! edge cases (`SUM`/`COUNT` beyond `u64`, 128-bit wrapping, `AVG` of an
+//! empty group, `MIN`/`MAX` of a one-entry union) pin down the semantics
+//! documented on `fdb::frep::aggregate`.
 
 mod common;
 
@@ -73,21 +75,22 @@ fn kinds_and_groups(rep: &FRep) -> (Vec<AggregateKind>, Vec<Vec<AttrId>>) {
     (kinds, groups)
 }
 
-/// Asserts arena pass, overlay pass (empty segment) and flat oracle agree on
-/// `rep` for every kind and grouping.
+/// Asserts both entry points of the fold (`evaluate_ctx` and the overlay
+/// entry point on the empty program) and the flat oracle agree on `rep` for
+/// every kind and grouping.
 fn check_all_paths(rep: &FRep, context: &str) {
     let (kinds, groups) = kinds_and_groups(rep);
     for &kind in &kinds {
         for group in &groups {
             let arena = aggregate::evaluate_ctx(rep, kind, group, &ExecCtx::unlimited())
-                .unwrap_or_else(|e| panic!("{context}: {kind}: arena pass failed: {e:?}"));
+                .unwrap_or_else(|e| panic!("{context}: {kind}: evaluate_ctx failed: {e:?}"));
             let overlay =
                 ops::execute_fused_aggregate_ctx(rep, &[], kind, group, &ExecCtx::unlimited())
                     .unwrap_or_else(|e| panic!("{context}: {kind}: overlay pass failed: {e:?}"));
             let oracle = flat_oracle(rep, kind, group);
             assert_eq!(
                 arena, oracle,
-                "{context}: {kind} group_by {group:?}: arena pass vs flat oracle"
+                "{context}: {kind} group_by {group:?}: evaluate_ctx vs flat oracle"
             );
             assert_eq!(
                 overlay, oracle,
@@ -489,7 +492,7 @@ fn sum_and_count_widen_past_u64_and_wrap_mod_2_pow_128() {
     assert_eq!(
         scalar(&rep, AggregateKind::Count).unwrap(),
         AggregateValue::Count(count),
-        "COUNT is exact past u64 (the arena pass computes in u128)"
+        "COUNT is exact past u64 (the fold computes in u128)"
     );
     // Each value of root 0 occurs (2^16)^4 = 2^64 times:
     // SUM = (2^16·(2^16−1)/2) · 2^64 — exact in u128.
@@ -551,4 +554,171 @@ fn sum_and_count_widen_past_u64_and_wrap_mod_2_pow_128() {
         .unwrap(),
         AggregateResult::Scalar(AggregateValue::Sum(expected))
     );
+}
+
+// ---------------------------------------------------------------------
+// The equivalence table: every kind × filter × program × head
+// ---------------------------------------------------------------------
+
+/// `A{0} → (B{1} → (C{2}, D{3}), E{4})`, with `C` and `D` functions of `B`
+/// and `E` of `A`, so swapping `B` over `A` is exact and shares every `E`
+/// leaf between the regrouped entries.  Every `D` leaf holds `u64::MAX`.
+/// `extra` independent two-entry roots multiply every multiplicity by
+/// `2^extra`.
+fn table_shape(extra: u32) -> FRep {
+    let mut edges = vec![
+        DepEdge::new("RAB", attr_set(&[0, 1]), 18),
+        DepEdge::new("RBC", attr_set(&[1, 2]), 8),
+        DepEdge::new("RBD", attr_set(&[1, 3]), 24),
+        DepEdge::new("RAE", attr_set(&[0, 4]), 12),
+    ];
+    edges.extend((0..extra).map(|i| DepEdge::new(format!("X{i}"), attr_set(&[10 + i]), 2)));
+    let mut tree = FTree::new(edges);
+    let a = tree.add_node(attr_set(&[0]), None).unwrap();
+    let b = tree.add_node(attr_set(&[1]), Some(a)).unwrap();
+    let c = tree.add_node(attr_set(&[2]), Some(b)).unwrap();
+    let d = tree.add_node(attr_set(&[3]), Some(b)).unwrap();
+    let e = tree.add_node(attr_set(&[4]), Some(a)).unwrap();
+    let leaf = |node, values: &[u64]| {
+        Union::new(
+            node,
+            values.iter().map(|&v| Entry::leaf(Value::new(v))).collect(),
+        )
+    };
+    let b_entry = |bv: u64| Entry {
+        value: Value::new(bv),
+        children: vec![
+            leaf(c, &[bv % 2]),
+            leaf(d, &[bv % 5, u64::MAX - 1 - bv % 2, u64::MAX]),
+        ],
+    };
+    let a_entry = |av: u64| Entry {
+        value: Value::new(av),
+        children: vec![
+            Union::new(b, (av..av + 3).map(b_entry).collect()),
+            leaf(e, &[av % 3, 7]),
+        ],
+    };
+    let mut roots = vec![Union::new(a, (0..6).map(a_entry).collect())];
+    for i in 0..extra {
+        let x = tree.add_node(attr_set(&[10 + i]), None).unwrap();
+        roots.push(leaf(x, &[1, 2]));
+    }
+    FRep::from_parts(tree, roots).unwrap()
+}
+
+/// The aggregate of a program's result, through the entry point the engine
+/// uses for it: the arena fold for the empty program, the overlay fold
+/// otherwise.
+fn fold(
+    rep: &FRep,
+    program: &[FPlanOp],
+    kind: AggregateKind,
+    group_by: &[AttrId],
+) -> fdb::Result<AggregateResult> {
+    let ctx = ExecCtx::unlimited();
+    match program {
+        [] => aggregate::evaluate_ctx(rep, kind, group_by, &ctx),
+        _ => ops::execute_fused_aggregate_ctx(rep, program, kind, group_by, &ctx),
+    }
+}
+
+/// The aggregate over `2^64` copies of every tuple: `COUNT` and `SUM`
+/// multiplied modulo `2^128`, `None` where `AVG` must report the wrap;
+/// `MIN`, `MAX` and the `DISTINCT` kinds see the same values.
+fn times_2_pow_64(result: AggregateResult, kind: AggregateKind) -> Option<AggregateResult> {
+    let scale = |value| match value {
+        _ if kind.is_distinct() => Some(value),
+        AggregateValue::Count(n) => Some(AggregateValue::Count(n << 64)),
+        AggregateValue::Sum(s) => Some(AggregateValue::Sum(s << 64)),
+        AggregateValue::Avg(Some(AvgValue { sum, count })) => (sum >> 64 == 0 && count >> 64 == 0)
+            .then_some(AggregateValue::Avg(Some(AvgValue {
+                sum: sum << 64,
+                count: count << 64,
+            }))),
+        _ => Some(value),
+    };
+    match result {
+        AggregateResult::Scalar(value) => scale(value).map(AggregateResult::Scalar),
+        AggregateResult::Groups(rows) => rows
+            .into_iter()
+            .map(|(key, value)| Some((key, scale(value)?)))
+            .collect::<Option<_>>()
+            .map(AggregateResult::Groups),
+    }
+}
+
+#[test]
+fn every_kind_agrees_with_enumeration_across_filters_programs_and_heads() {
+    let sel = |attr, op, value| FPlanOp::SelectConst {
+        attr: AttrId(attr),
+        op,
+        value: Value::new(value),
+    };
+    let leaf_filter = sel(3, ComparisonOp::Ne, u64::MAX - 1);
+    let inner_filter = sel(1, ComparisonOp::Ge, 3);
+    let filters = [
+        ("no filter", vec![]),
+        ("leaf filter", vec![leaf_filter.clone()]),
+        ("inner filter", vec![inner_filter.clone()]),
+        ("both filters", vec![inner_filter, leaf_filter]),
+    ];
+    let programs = [
+        ("empty program", vec![], [AttrId(0), AttrId(1)]),
+        (
+            "selection program",
+            vec![sel(0, ComparisonOp::Le, 4)],
+            [AttrId(0), AttrId(1)],
+        ),
+        (
+            "swap program",
+            vec![FPlanOp::Swap(NodeId(1))],
+            [AttrId(1), AttrId(0)],
+        ),
+    ];
+    let mut kinds = vec![AggregateKind::Count];
+    for attr in [AttrId(1), AttrId(3)] {
+        kinds.extend([
+            AggregateKind::Sum(attr),
+            AggregateKind::Min(attr),
+            AggregateKind::Max(attr),
+            AggregateKind::Avg(attr),
+            AggregateKind::CountDistinct(attr),
+            AggregateKind::SumDistinct(attr),
+            AggregateKind::AvgDistinct(attr),
+        ]);
+    }
+    let (small, wide) = (table_shape(0), table_shape(64));
+    let mut overflows = 0;
+    for (filter_name, filter) in &filters {
+        for (program_name, program, chain) in &programs {
+            // The filter is the program's trailing selections.
+            let program = [program.as_slice(), filter].concat();
+            let mut emitted = small.clone();
+            ops::execute_fused_ctx(&mut emitted, &program, &ExecCtx::unlimited()).unwrap();
+            for group_by in [&[][..], &chain[..]] {
+                for &kind in &kinds {
+                    let context = format!("{kind} by {group_by:?}, {program_name}, {filter_name}");
+                    let expected = flat_oracle(&emitted, kind, group_by);
+                    assert_eq!(
+                        fold(&small, &program, kind, group_by),
+                        Ok(expected.clone()),
+                        "{context}"
+                    );
+                    let wide_result = fold(&wide, &program, kind, group_by);
+                    match times_2_pow_64(expected, kind) {
+                        Some(scaled) => assert_eq!(wide_result, Ok(scaled), "{context}, ×2^64"),
+                        None => {
+                            overflows += 1;
+                            assert!(
+                                matches!(wide_result, Err(fdb::FdbError::AggregateOverflow { .. })),
+                                "{context}, ×2^64: {wide_result:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(overflows > 0, "some AVG over the u64::MAX leaf wraps");
 }
