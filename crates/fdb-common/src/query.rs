@@ -112,11 +112,10 @@ pub struct AggregateHead {
     /// instead of one contribution per tuple.  Requires `attr`; meaningless
     /// (and rejected) for `MIN`/`MAX`, which are insensitive to multiplicity.
     pub distinct: bool,
-    /// Grouping attributes, outermost first.  Empty means a scalar
-    /// aggregate.  At evaluation time the group attributes must label a
-    /// root-to-node path of the result's f-tree — the engine restructures
-    /// the tree to make that so (or falls back to hash grouping when the
-    /// restructuring is too costly).
+    /// Grouping attributes, in key order.  Empty means a scalar aggregate.
+    /// Any visible attributes of the result group, wherever their nodes sit
+    /// in its f-tree: the engine folds the groups bottom-up without
+    /// restructuring the tree.
     pub group_by: Vec<AttrId>,
 }
 

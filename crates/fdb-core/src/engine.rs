@@ -3,8 +3,8 @@
 //! The paper's engine is a single pipeline — optimise an f-plan, run it
 //! (constant selections first, restructuring and equality selections next,
 //! projection last; Section 4), read the result — and the follow-up paper's
-//! aggregation and ordering heads are extra restructuring appended to the
-//! *same* plan with a different consumer at the end.  [`FdbEngine::run`] is
+//! heads are a different consumer at the end of the *same* plan, after
+//! extra restructuring for an ordering head.  [`FdbEngine::run`] is
 //! that pipeline, and the only way a query executes.  Its five stages each
 //! exist once:
 //!
@@ -14,16 +14,16 @@
 //!    projection.  Factorised input: obtain the optimised plan for the
 //!    equality conditions — through the [`PlanCache`] when one is supplied —
 //!    and wrap it as constant selections + optimised plan + projection.
-//! 2. **Head planning** — a grouping or ordering head ([`Head`]) needs its
+//! 2. **Head planning** — an `ORDER BY` head ([`Head`]) wants its
 //!    attributes on a root path of the body plan's final f-tree; the costed
 //!    chain planner (`fdb_plan::plan_chain_restructure`) either appends the
-//!    lifting swaps to the plan or refuses, and the head falls back to a
-//!    flat strategy.
+//!    lifting swaps to the plan or refuses, and the rows are sorted flat.
+//!    An aggregate head, grouped or not, needs no planning.
 //! 3. **Simplify** — one peephole pass ([`FPlan::simplified`]).
 //! 4. **Sink** — emit one arena (the whole plan runs as one overlay
 //!    program), fold an aggregate on the overlay without emitting anything
-//!    (or hash-group over the enumerated tuples when the chain was refused),
-//!    or enumerate the emitted result in the canonical order.
+//!    (a grouped one as a keyed fold, wherever its attributes sit), or
+//!    enumerate the emitted result in the canonical order.
 //! 5. **Stats** — one [`EvalStats`] record for every kind of outcome.
 //!
 //! Every stage runs under the caller's [`ExecCtx`], so deadlines, budgets and
@@ -39,8 +39,7 @@ use fdb_common::{
 use fdb_frep::{build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy};
 use fdb_ftree::s_cost;
 use fdb_plan::{
-    plan_chain_restructure, ChainStrategy, ExhaustiveOptimizer, FPlan, FPlanOp, GreedyOptimizer,
-    OptimizedPlan,
+    plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, GreedyOptimizer, OptimizedPlan,
 };
 use fdb_relation::{Database, Relation};
 use std::borrow::Cow;
@@ -101,8 +100,7 @@ pub struct EvalStats {
     /// Time spent building or transforming the factorised representation.
     pub execution_time: Duration,
     /// The cost `s(T)` of the result's f-tree.  An aggregate builds no
-    /// result; it reports the tree its body plan ends on, before any
-    /// grouping lift.
+    /// result; it reports the tree its body plan ends on.
     pub result_tree_cost: f64,
     /// The f-plan cost `s(f)` (maximum intermediate cost); equals the result
     /// tree cost for evaluation on flat input.
@@ -131,13 +129,12 @@ pub struct EvalStats {
     /// published plan (the cache is bounded; see `serving::PlanCache`).
     /// 0 for uncached evaluation paths and for hits.
     pub plan_cache_evictions: u64,
-    /// Ordering/grouping heads satisfied on a root path of the f-tree —
-    /// either already there or brought there by a costed swap chain
-    /// (`fdb_plan::plan_chain_restructure`).  0 for queries without such a
-    /// head.
+    /// `ORDER BY` heads satisfied on a root path of the f-tree — either
+    /// already there or brought there by a costed swap chain
+    /// (`fdb_plan::plan_chain_restructure`).  0 for every other request: an
+    /// aggregate, grouped or not, is one fold wherever its attributes sit.
     pub chain_heads: u64,
-    /// Ordering/grouping heads that fell back to flat sorting (ordering) or
-    /// hash grouping over enumerated tuples (grouping) because no root-path
+    /// `ORDER BY` heads that fell back to a flat sort because no root-path
     /// restructuring exists at acceptable cost.
     pub flat_head_fallbacks: u64,
 }
@@ -337,16 +334,15 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
     }
 }
 
-/// Plans a root path for a grouping or ordering head: path grouping and
-/// ordered enumeration both need the head attributes on a root-to-node
-/// chain, the restructuring is the same costed swap lifting for both
-/// ([`plan_chain_restructure`]), and both fall back to a flat strategy when
-/// no chain exists at acceptable cost (`s(f) ≤ s(T_in)`).  Returns the
-/// swaps to append to the plan (empty when the attributes already form a
-/// chain, or when the lift is refused) and whether the head runs on a chain.
-fn plan_head_chain(tree: &fdb_ftree::FTree, attrs: &[AttrId]) -> Result<(FPlan, bool)> {
-    let decision = plan_chain_restructure(tree, attrs)?;
-    Ok((decision.plan, decision.strategy != ChainStrategy::FlatSort))
+/// Plans a root path for an `ORDER BY` head: ordered enumeration off the
+/// cursor needs the head attributes on a root-to-node chain, brought there
+/// by a costed swap lifting ([`plan_chain_restructure`]), and the rows are
+/// sorted flat when no chain exists at acceptable cost (`s(f) ≤ s(T_in)`).
+/// Returns the swaps to append to the plan: empty when the attributes
+/// already form a chain, or when the lift is refused.  Whether the rows come
+/// off a chain is the ordered cursor's verdict on the emitted tree.
+fn plan_head_chain(tree: &fdb_ftree::FTree, attrs: &[AttrId]) -> Result<FPlan> {
+    Ok(plan_chain_restructure(tree, attrs)?.plan)
 }
 
 /// The body plan of a request: constant selections first (they are cheap
@@ -542,22 +538,22 @@ impl FdbEngine {
     /// the module docs for the five stages).
     ///
     /// Whatever the source and head, the plan — body, then any chain swaps
-    /// the head needs — is simplified once and executes as **one**
+    /// an `ORDER BY` head needs — is simplified once and executes as **one**
     /// overlay program (`fdb_frep::ops::fuse`): a k-operator plan, selections
     /// and projections included, pays one arena emission instead of k, and
-    /// an aggregate head on a chain pays none (it folds over the overlay,
-    /// with the plan's trailing selections folded into the accumulation as
-    /// entry filters).
+    /// an aggregate head pays none: grouped or not, it folds over the
+    /// overlay, with the plan's trailing selections folded into the
+    /// accumulation as entry filters.
     /// Either way a factorised input is read in place, never cloned: the
     /// overlay references it and the emission writes a fresh arena.
     /// [`EvalStats`] reports what happened: the executed `plan`, and
-    /// `chain_heads` / `flat_head_fallbacks` for the head's strategy.
+    /// `chain_heads` / `flat_head_fallbacks` for an `ORDER BY` head's
+    /// strategy.
     ///
     /// Every data-dependent loop charges `ctx` — the flat build, the overlay
-    /// sweeps and emission, the aggregate fold, the hash-group fallback, the
-    /// ordered enumeration and sort — so a deadline, budget or cancellation
-    /// flag aborts the evaluation with a structured error and the input
-    /// untouched.
+    /// sweeps and emission, the aggregate fold, the ordered enumeration and
+    /// sort — so a deadline, budget or cancellation flag aborts the
+    /// evaluation with a structured error and the input untouched.
     pub fn run(&self, source: Source<'_>, head: Head<'_>, ctx: &ExecCtx) -> Result<ServeOutcome> {
         let kind = match head.aggregate {
             Some(aggregate) if !head.order_by.is_empty() => {
@@ -567,7 +563,7 @@ impl FdbEngine {
                     ),
                 });
             }
-            Some(aggregate) => Some(aggregate_kind(aggregate)?),
+            Some(aggregate) => Some((aggregate_kind(aggregate)?, &aggregate.group_by[..])),
             None => None,
         };
 
@@ -583,32 +579,26 @@ impl FdbEngine {
         } = self.resolve_source(source, head, ctx)?;
 
         // (2) Head planning.  The head's result tree is known from
-        // simulation — and it tells us which swaps bring the grouping or
+        // simulation — and for ORDER BY it tells us which swaps bring the
         // ordering attributes onto a root path, or that no acceptable swap
-        // chain exists and the head must run flat.
-        let head_attrs = head.aggregate.map_or(head.order_by, |a| &a.group_by);
-        let body_tree = if kind.is_some() || !head_attrs.is_empty() {
-            Some(plan.final_tree(rep.tree())?)
-        } else {
-            None
-        };
-        let mut head_on_chain = None;
-        if let Some(tree) = body_tree.as_ref().filter(|_| !head_attrs.is_empty()) {
-            let (swaps, on_chain) = plan_head_chain(tree, head_attrs)?;
-            plan.extend(swaps);
-            head_on_chain = Some(on_chain);
+        // chain exists and the rows are sorted flat.
+        let body_tree = (kind.is_some() || !head.order_by.is_empty())
+            .then(|| plan.final_tree(rep.tree()))
+            .transpose()?;
+        if let Some(tree) = body_tree.as_ref().filter(|_| !head.order_by.is_empty()) {
+            plan.extend(plan_head_chain(tree, head.order_by)?);
         }
 
         // (3) Simplify once.
         let simplified = plan.simplified(rep.tree());
-        let folds = kind.is_some() && head_on_chain != Some(false);
 
         // (4) Sink.
         let exec_start = Instant::now();
+        let mut head_on_chain = None;
         let sunk = match kind {
-            Some(kind) if folds => {
+            Some((kind, group_by)) => {
                 let (result, _) =
-                    simplified.execute_aggregate_presimplified_ctx(&rep, kind, head_attrs, ctx)?;
+                    simplified.execute_aggregate_presimplified_ctx(&rep, kind, group_by, ctx)?;
                 Sunk::Aggregate(result)
             }
             _ => {
@@ -619,13 +609,7 @@ impl FdbEngine {
                 } else {
                     simplified.emit_presimplified_ctx(&rep, ctx)?
                 };
-                if let Some(kind) = kind {
-                    // No root path for the grouping head at acceptable
-                    // cost: hash-group over the enumerated tuples.
-                    Sunk::Aggregate(fdb_frep::aggregate::by_enumeration_ctx(
-                        &result, kind, head_attrs, ctx,
-                    )?)
-                } else if head.order_by.is_empty() {
+                if head.order_by.is_empty() {
                     Sunk::Rep(result)
                 } else {
                     // Off the priority cursor when the attributes sit on a
@@ -1004,10 +988,10 @@ mod tests {
 
     #[test]
     fn flat_grouped_aggregate_works_for_any_group_attribute() {
-        // Root-attribute grouping must not depend on where the cost-driven
-        // f-tree search happens to put the group attribute: the engine lifts
-        // it to a root with swaps.  Check every attribute of the query
-        // against the enumeration oracle (which groups on anything).
+        // Grouping must not depend on where the cost-driven f-tree search
+        // happens to put the group attribute: the keyed fold groups in
+        // place.  Check every attribute of the query against the
+        // enumeration oracle.
         let (db, rels) = grocery();
         let base = FdbEngine::new()
             .evaluate_flat(&db, &q1(&db, &rels))
@@ -1191,8 +1175,8 @@ mod tests {
     /// f-tree `{a,a2} → {b,b2} → (c, e)` with `s(T) = 1`: lifting `b` over
     /// `a` keeps every root path inside one relation (the chain planner
     /// accepts), lifting `e` would put `c` and `e` — both relations — on one
-    /// path (it refuses).  6 · 4 · 6 · 8 = 1152 result tuples, more than one
-    /// `CHECK_INTERVAL`.
+    /// path (it refuses).  `outer` values of `a`, each with 4 of `b`, each
+    /// with 6 of `c` and 8 of `e`.
     struct Fork {
         db: Database,
         /// The join, nothing else.
@@ -1201,19 +1185,19 @@ mod tests {
         attrs: [AttrId; 4],
     }
 
-    fn fork() -> Fork {
+    fn fork(outer: u64) -> Fork {
         let mut catalog = Catalog::new();
         let (r, _) = catalog.add_relation("R", &["a", "b", "c"]);
         let (s, _) = catalog.add_relation("S", &["a2", "b2", "e"]);
         let mut db = Database::new(catalog);
         let (mut r_rows, mut s_rows) = (Vec::new(), Vec::new());
-        for a in 0..6u64 {
+        for a in 0..outer {
             for j in 0..4u64 {
                 // `b` values repeat across `a` parents, so grouping by `b`
                 // regroups for real.
                 let b = (a + j) % 5;
                 r_rows.extend((0..6).map(|c| vec![a, b, c]));
-                s_rows.extend((0..8).map(|k| vec![a, b, k * 6 + a]));
+                s_rows.extend((0..8).map(|k| vec![a, b, k * outer + a]));
             }
         }
         db.insert_raw_rows(r, &r_rows).unwrap();
@@ -1257,7 +1241,7 @@ mod tests {
             db,
             join,
             attrs: [a, b, c, e],
-        } = fork();
+        } = fork(6);
         let engine = FdbEngine::new();
         let ctx = ExecCtx::unlimited();
 
@@ -1297,12 +1281,13 @@ mod tests {
             order_by,
             ..Head::default()
         };
-        // (head, head counters — the same on either kind of source)
+        // (head, head counters — the same on either kind of source).  Only
+        // ORDER BY plans a chain; every GROUP BY is one keyed fold.
         let heads: [(&str, Head<'_>, [u64; 2]); 6] = [
             ("no head", Head::default(), [0, 0]),
             ("scalar aggregate", aggregate(&sum_c), [0, 0]),
-            ("chain GROUP BY", aggregate(&count_by_b), [1, 0]),
-            ("fallback GROUP BY", aggregate(&count_by_e), [0, 1]),
+            ("mid GROUP BY", aggregate(&count_by_b), [0, 0]),
+            ("far-branch GROUP BY", aggregate(&count_by_e), [0, 0]),
             ("chain ORDER BY", ordered(&by_b), [1, 0]),
             ("flat-sort ORDER BY", ordered(&by_e), [0, 1]),
         ];
@@ -1419,16 +1404,15 @@ mod tests {
         }
     }
 
-    /// `COUNT(*) GROUP BY e` over the unfiltered fork under `limits`: the
-    /// chain planner refuses the lift; with no equalities, selections or
-    /// projection the structural plan is empty, and a warm plan cache skips
-    /// the optimiser (which checks the context on entry) — nothing but the
-    /// hash-group fallback's enumeration charges the context.
-    fn fallback_group_by_under(limits: QueryLimits) -> (Result<ServeOutcome>, u64) {
-        let Fork { db, join, attrs } = fork();
+    /// `COUNT(*) GROUP BY e` — the far branch — over the unfiltered fork of
+    /// 20 `a` values under `limits`: the structural plan is empty and a warm
+    /// plan cache skips the optimiser (which checks the context on entry), so
+    /// nothing but the keyed fold charges the context.  Returns the outcome
+    /// and the units charged against the budget.
+    fn far_group_by_under(limits: QueryLimits) -> (Result<ServeOutcome>, u64) {
+        let Fork { db, join, attrs } = fork(20);
         let engine = FdbEngine::new();
         let input = engine.evaluate_flat(&db, &join).unwrap().result;
-        let tuples = u64::try_from(input.tuple_count()).unwrap();
         let head = AggregateHead::count().grouped_by(attrs[3]);
         let head = Head {
             aggregate: Some(&head),
@@ -1442,40 +1426,70 @@ mod tests {
             cache: Some(&cache),
         };
         engine.run(source, head, &ExecCtx::unlimited()).unwrap();
-        (engine.run(source, head, &ExecCtx::new(&limits)), tuples)
+        let ctx = ExecCtx::new(&limits);
+        let outcome = engine.run(source, head, &ctx);
+        let charged = limits.budget.map_or(0, |b| b - ctx.budget_remaining());
+        (outcome, charged)
     }
 
     #[test]
-    fn the_group_by_fallback_charges_one_unit_per_tuple() {
-        let (_, tuples) = fallback_group_by_under(QueryLimits::unlimited());
-        let (exact, _) = fallback_group_by_under(QueryLimits::unlimited().with_budget(tuples));
-        let exact = exact.expect("a budget of one unit per tuple suffices");
-        assert_eq!(exact.stats().flat_head_fallbacks, 1, "the head fell back");
+    fn the_keyed_group_by_charges_exactly_its_units() {
+        let (_, units) = far_group_by_under(QueryLimits::unlimited().with_budget(u64::MAX));
+        assert!(
+            units >= fdb_common::limits::CHECK_INTERVAL,
+            "the fold must reach a flag check: {units} units"
+        );
+        let (exact, charged) = far_group_by_under(QueryLimits::unlimited().with_budget(units));
+        let exact = exact.expect("a budget of the fold's units suffices");
+        assert_eq!(charged, units);
+        assert_eq!(
+            head_counters(exact.stats()),
+            [0, 0],
+            "no chain, no fallback"
+        );
         assert_eq!(
             exact.stats().plan_cache_hits,
             1,
             "the optimiser was skipped"
         );
         assert!(exact.stats().plan.is_empty(), "no operator ran");
-        let (short, _) = fallback_group_by_under(QueryLimits::unlimited().with_budget(tuples - 1));
+        let (short, _) = far_group_by_under(QueryLimits::unlimited().with_budget(units - 1));
         assert_eq!(
             short.unwrap_err(),
-            FdbError::BudgetExceeded { limit: tuples - 1 }
+            FdbError::BudgetExceeded { limit: units - 1 }
         );
     }
 
     #[test]
-    fn the_group_by_fallback_notices_a_raised_cancel_flag() {
+    fn the_keyed_group_by_notices_a_raised_cancel_flag() {
         let raised = Arc::new(AtomicBool::new(true));
-        let (outcome, tuples) =
-            fallback_group_by_under(QueryLimits::unlimited().with_cancel(raised));
-        assert!(
-            tuples >= fdb_common::limits::CHECK_INTERVAL,
-            "the walk must reach a flag check"
-        );
+        let (outcome, _) = far_group_by_under(QueryLimits::unlimited().with_cancel(raised));
         assert_eq!(
             outcome.unwrap_err(),
             FdbError::DeadlineExceeded { limit_ms: 0 }
         );
+    }
+
+    /// A GROUP BY on an attribute the result does not show — projected away
+    /// while its node stays (`S.a2` shares `a`'s node), or unknown — is the
+    /// same structured error the chain planner used to raise.
+    #[test]
+    fn grouping_by_a_projected_away_or_unknown_attribute_is_not_in_query() {
+        let Fork {
+            db,
+            join,
+            attrs: [a, b, c, e],
+        } = fork(6);
+        let input = FdbEngine::new().evaluate_flat(&db, &join).unwrap().result;
+        let a2 = db.catalog().find_attr("S.a2").unwrap();
+        let body = FactorisedQuery::default().with_projection(vec![a, b, c, e]);
+        for group in [a2, AttrId(99)] {
+            let head = AggregateHead::count().grouped_by(group);
+            let err = run_aggregate(factorised(&input, &body), &head).unwrap_err();
+            assert!(
+                matches!(err, FdbError::AttributeNotInQuery { .. }),
+                "group by {group}: {err:?}"
+            );
+        }
     }
 }

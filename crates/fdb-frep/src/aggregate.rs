@@ -30,13 +30,16 @@
 //!   overlay of the empty program (see below), so [`evaluate_ctx`] and the
 //!   plan executor's aggregate sink run the same code.
 //!
-//! Group-by
-//! ([`evaluate_ctx`]) accepts any chain of attributes whose nodes form
-//! a prefix of a root-to-leaf path of the f-tree: the pass descends the
-//! chain, so groups are the value combinations along the path, emitted in
-//! lexicographic (nested ascending) key order.  Grouping on attributes that
-//! do *not* form such a chain is rejected here; the engine restructures the
-//! tree first (or falls back to the flat oracle) — see `fdb-core`.
+//! **Group-by** ([`evaluate_ctx`]) accepts any visible attributes, wherever
+//! their nodes sit in the f-tree, and restructures nothing: the same pass
+//! runs in a keyed form of the semiring.  A union whose subtree holds no
+//! group node folds to its accumulator as above; one that holds a group node
+//! folds to a table of accumulators, one per group key: an entry's value
+//! sets its node's key slot, the keyed factors of a product combine by cross
+//! product (their key slots are disjoint) and a union adds its entries'
+//! tables by key.  Groups come out sorted ascending by key in request
+//! order, groups without tuples omitted — the answer a flat `GROUP BY`
+//! gives, at the cost of the groups rather than the tuples.
 //!
 //! The composition rules are those of a commutative semiring product:
 //! a union adds its entries' accumulators (the entries represent disjoint
@@ -50,6 +53,9 @@
 //! min_A(X × Y)  = min_A(X) ∪ min_A(Y)      (A labels exactly one factor)
 //! dist_A(X × Y) = dist_A(X) ∪ dist_A(Y)    (ditto; ∅ if either side is empty)
 //! ```
+//!
+//! Every algebra folds grouped as well: a keyed table holds one accumulator
+//! of the kind per key, so `DISTINCT` groups take no second path.
 //!
 //! `DISTINCT` aggregates replace the count-weighted semiring with a sorted
 //! value-set accumulator ([`DistinctAcc`]): unions take the sorted-merge
@@ -103,8 +109,10 @@
 //! aggregate plan to [`evaluate_ctx`] and every other one to the overlay
 //! entry point.
 
+use crate::enumerate::TupleCursor;
 use crate::frep::FRep;
 use crate::kernel;
+use crate::store::node_table;
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -574,67 +582,57 @@ impl AggTarget {
     }
 }
 
-/// A group-by attribute chain resolved against a concrete f-tree: the nodes
-/// of the attributes form a prefix of a root-to-leaf path.
+/// A group-by list resolved against a concrete f-tree: one key slot per
+/// distinct group node, numbered in request order, so comparing slot keys
+/// compares the requested keys.  Any visible attributes group, wherever
+/// their nodes sit.
 #[derive(Clone, Debug)]
-pub(crate) struct GroupPath {
-    /// The distinct nodes along the chain, outermost (a root) first; each
-    /// subsequent node is a child of its predecessor.
-    pub(crate) path: Vec<NodeId>,
-    /// For each requested group-by attribute (in request order), the index
-    /// into `path` of the node that carries it — attributes of one class
-    /// share a slot.
+pub(crate) struct GroupKey {
+    /// The distinct group nodes, in request order: a node's position is its
+    /// key slot, their number the slots per key.
+    pub(crate) nodes: Vec<NodeId>,
+    /// For each requested attribute, the slot of its node (attributes of
+    /// one class share a slot).
     pub(crate) key_slots: Vec<usize>,
+    /// Whether a node's subtree holds a group node, indexed by node index.
+    holds: Vec<bool>,
 }
 
-/// Resolves a group-by attribute chain: every attribute must be visible,
-/// the first attribute's node must be a **root** of the f-tree, and each
-/// subsequent attribute's node must be the same node as (class sibling) or
-/// a child of the previous one.  Chains that do not satisfy this are
-/// rejected with [`FdbError::InvalidOperator`]; the engine reacts by
-/// restructuring the f-tree so they do (or falling back to enumeration).
-pub(crate) fn resolve_group_path(tree: &FTree, group_by: &[AttrId]) -> Result<GroupPath> {
-    let mut path: Vec<NodeId> = Vec::new();
-    let mut key_slots = Vec::with_capacity(group_by.len());
-    for &attr in group_by {
-        let Some(node) = tree.node_of_attr(attr) else {
-            return Err(FdbError::AttributeNotInQuery {
-                attr: format!("{attr}"),
+impl GroupKey {
+    /// Resolves the group-by attributes: each must be a visible attribute
+    /// of the tree, else [`FdbError::AttributeNotInQuery`].
+    pub(crate) fn resolve(tree: &FTree, group_by: &[AttrId]) -> Result<GroupKey> {
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut key_slots = Vec::with_capacity(group_by.len());
+        for &attr in group_by {
+            let node = tree
+                .node_of_attr(attr)
+                .filter(|&n| tree.visible_attrs(n).contains(&attr))
+                .ok_or_else(|| FdbError::AttributeNotInQuery {
+                    attr: format!("{attr}"),
+                })?;
+            let slot = nodes.iter().position(|&n| n == node).unwrap_or_else(|| {
+                nodes.push(node);
+                nodes.len() - 1
             });
-        };
-        if !tree.visible_attrs(node).contains(&attr) {
-            return Err(FdbError::InvalidOperator {
-                detail: format!("group-by over projected-away attribute {attr}"),
-            });
+            key_slots.push(slot);
         }
-        match path.last() {
-            None => {
-                if tree.parent(node).is_some() {
-                    return Err(FdbError::InvalidOperator {
-                        detail: format!(
-                            "group-by attribute {attr} labels non-root node {node}; \
-                             the group-by chain must start at a root"
-                        ),
-                    });
-                }
-                path.push(node);
-            }
-            Some(&prev) if prev == node => {}
-            Some(&prev) => {
-                if tree.parent(node) != Some(prev) {
-                    return Err(FdbError::InvalidOperator {
-                        detail: format!(
-                            "group-by attribute {attr} (node {node}) does not extend the \
-                             root path chain ending at node {prev}"
-                        ),
-                    });
-                }
-                path.push(node);
-            }
-        }
-        key_slots.push(path.len() - 1);
+        let holds = node_table(tree, |n| {
+            nodes.iter().any(|&g| g == n || tree.is_ancestor(n, g))
+        });
+        Ok(GroupKey {
+            nodes,
+            key_slots,
+            holds,
+        })
     }
-    Ok(GroupPath { path, key_slots })
+
+    /// Whether the subtree under `node` holds a group node (its unions fold
+    /// to keyed rows, every other union to one accumulator).
+    #[inline]
+    pub(crate) fn holds(&self, node: NodeId) -> bool {
+        self.holds[node.index()]
+    }
 }
 
 /// A conjunction of constant-selection predicates folded into an aggregate
@@ -695,10 +693,11 @@ impl AggFilter {
 /// Evaluates an aggregate over the representation in one bottom-up fold
 /// (see the module docs for the numeric semantics): the overlay fold of
 /// [`crate::ops::execute_fused_aggregate_ctx`] over the empty program.
-/// With an empty `group_by` the result is a scalar; otherwise `group_by` is
-/// a root-path attribute chain and the result has one row per live
-/// combination of the chain's values (lexicographic ascending key order),
-/// each aggregated over the matching tuples, groups without tuples omitted.
+/// With an empty `group_by` the result is a scalar; otherwise the result
+/// has one row per live combination of the group attributes' values — any
+/// visible attributes, in any order — sorted ascending by key in request
+/// order, each aggregated over the matching tuples, groups without tuples
+/// omitted.
 ///
 /// The fold charges `1 + len` units per union it visits, so a deadline,
 /// budget or cancellation flag interrupts it with no partial state (the
@@ -716,32 +715,16 @@ pub fn evaluate_ctx(
 /// The materialise-then-aggregate reference evaluator: enumerates the
 /// represented relation tuple by tuple with the constant-delay cursor and
 /// folds the aggregate with plain collections — the plan a flat engine
-/// would run.  Same wrapping 128-bit arithmetic as the one-pass evaluators
-/// (and a `BTreeSet` per group for the `DISTINCT` kinds), so the results
-/// agree bit for bit; the equivalence tests use it as the flat oracle and
-/// the benchmarks as the timed baseline.  Unlike [`evaluate_ctx`], grouping
-/// works on *any* visible attribute set in any order (the oracle pays the
-/// flat enumeration anyway), and groups come out sorted ascending by key
-/// vector with empty groups absent, matching [`evaluate_ctx`] whenever
-/// the requested chain is evaluable there.
+/// would run.  Same wrapping 128-bit arithmetic as the one-pass fold (and a
+/// `BTreeSet` per group for the `DISTINCT` kinds), so the results agree bit
+/// for bit; the equivalence tests use it as the flat oracle and the
+/// benchmarks as the timed baseline.  Groups come out sorted ascending by
+/// key vector with empty groups absent, exactly as [`evaluate_ctx`] returns
+/// them.  Ungoverned: no request path runs it.
 pub fn by_enumeration(
     rep: &FRep,
     kind: AggregateKind,
     group_by: &[AttrId],
-) -> Result<AggregateResult> {
-    by_enumeration_ctx(rep, kind, group_by, &ExecCtx::unlimited())
-}
-
-/// [`by_enumeration`] under a governance context — the engine's hash-group
-/// fallback for grouping heads the chain planner refuses.  The tuple walk
-/// charges one unit per enumerated tuple (like
-/// [`crate::enumerate::materialize_ctx`]), so a request's deadline, budget
-/// or cancellation flag bounds the enumerate-and-hash phase too.
-pub fn by_enumeration_ctx(
-    rep: &FRep,
-    kind: AggregateKind,
-    group_by: &[AttrId],
-    ctx: &ExecCtx,
 ) -> Result<AggregateResult> {
     let visible = rep.visible_attrs();
     let col_of = |attr: AttrId| {
@@ -763,7 +746,6 @@ pub fn by_enumeration_ctx(
         return hash_group(
             rep,
             &gcols,
-            ctx,
             |set: &mut BTreeSet<Value>, t| {
                 set.insert(t[dcol]);
             },
@@ -776,7 +758,6 @@ pub fn by_enumeration_ctx(
     hash_group(
         rep,
         &gcols,
-        ctx,
         |acc: &mut Acc, t| {
             let tuple = col.map_or_else(Acc::one, |c| Acc::singleton(t[c], true));
             *acc = acc.add(tuple);
@@ -785,26 +766,27 @@ pub fn by_enumeration_ctx(
     )
 }
 
-/// The tuple-at-a-time group fold of [`by_enumeration_ctx`]: one state per
+/// The tuple-at-a-time group fold of [`by_enumeration`]: one state per
 /// group key (the `gcols` columns of a tuple), groups sorted by key, and a
 /// scalar — the one key-less group, present even without tuples — when
 /// `gcols` is empty.
 fn hash_group<S: Default>(
     rep: &FRep,
     gcols: &[usize],
-    ctx: &ExecCtx,
     mut fold: impl FnMut(&mut S, &[Value]),
     finish: impl Fn(S) -> Result<AggregateValue>,
 ) -> Result<AggregateResult> {
     let mut groups: BTreeMap<Vec<Value>, S> = BTreeMap::new();
-    crate::enumerate::for_each_tuple_ctx(rep, ctx, |t| {
+    let mut cursor = TupleCursor::new(rep);
+    while cursor.advance() {
+        let t = cursor.tuple();
         fold(
             groups
                 .entry(gcols.iter().map(|&c| t[c]).collect())
                 .or_default(),
             t,
         );
-    })?;
+    }
     if gcols.is_empty() {
         let scalar = groups.into_values().next().unwrap_or_default();
         return Ok(AggregateResult::Scalar(finish(scalar)?));
@@ -954,11 +936,28 @@ mod tests {
                 (key(&[2]), AggregateValue::Sum(2)),
             ]
         );
-        // Grouping by a non-root attribute alone is rejected: the chain
-        // must start at a root (the engine restructures first).
-        assert!(grouped(&rep, AggregateKind::Count, &[AttrId(1)]).is_err());
-        // So is a chain in child-before-parent order.
-        assert!(grouped(&rep, AggregateKind::Count, &[AttrId(1), AttrId(0)]).is_err());
+        // A non-root attribute alone, and a child-before-parent pair, group
+        // in place: B=1 has one tuple, B=2 two.
+        let rows = grouped(&rep, AggregateKind::Count, &[AttrId(1)]).unwrap();
+        assert_eq!(
+            rows,
+            vec![
+                (key(&[1]), AggregateValue::Count(1)),
+                (key(&[2]), AggregateValue::Count(2)),
+            ]
+        );
+        for group in [&[AttrId(1)][..], &[AttrId(1), AttrId(0)]] {
+            for kind in [
+                AggregateKind::Sum(AttrId(0)),
+                AggregateKind::CountDistinct(AttrId(0)),
+            ] {
+                assert_eq!(
+                    evaluate_ctx(&rep, kind, group, &ExecCtx::unlimited()).unwrap(),
+                    by_enumeration(&rep, kind, group).unwrap(),
+                    "{kind} by {group:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -449,24 +449,6 @@ impl<'a> TupleCursor<'a> {
     }
 }
 
-/// Calls `f` once per tuple of the represented relation, charging one unit
-/// per tuple before handing it to the callback, so a deadline, budget or
-/// cancellation flag interrupts the walk between tuples.  The buffer handed
-/// to the callback lists the values of the representation's *visible*
-/// attributes in ascending attribute-id order.
-pub(crate) fn for_each_tuple_ctx<F: FnMut(&[Value])>(
-    rep: &FRep,
-    ctx: &ExecCtx,
-    mut f: F,
-) -> Result<()> {
-    let mut cursor = TupleCursor::new(rep);
-    while cursor.advance() {
-        ctx.charge(1)?;
-        f(cursor.tuple());
-    }
-    Ok(())
-}
-
 /// The structured error for an output that cannot be held in memory.
 fn output_too_large(why: &dyn std::fmt::Display) -> FdbError {
     FdbError::LimitExceeded {
@@ -691,8 +673,11 @@ mod tests {
         ids.iter().map(|&i| AttrId(i)).collect()
     }
 
-    fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, f: F) {
-        for_each_tuple_ctx(rep, &ExecCtx::unlimited(), f).unwrap();
+    fn for_each_tuple<F: FnMut(&[Value])>(rep: &FRep, mut f: F) {
+        let mut cursor = TupleCursor::new(rep);
+        while cursor.advance() {
+            f(cursor.tuple());
+        }
     }
 
     fn count_by_enumeration(rep: &FRep) -> u128 {

@@ -31,8 +31,9 @@
 //!   the representation and its f-tree, keeping the two consistent, and
 //!   runs in (quasi)linear time in the sizes of its input and output;
 //! * one-pass aggregation ([`aggregate`]): `COUNT`/`SUM`/`MIN`/`MAX`/`AVG`
-//!   and their `DISTINCT` forms (optionally grouped by a root-path chain)
-//!   over the factorised data, without enumerating a single tuple.
+//!   and their `DISTINCT` forms (optionally grouped by any visible
+//!   attributes) over the factorised data, without enumerating a single
+//!   tuple.
 //!
 //! # The arena layout contract
 //!
@@ -136,7 +137,7 @@
 //!
 //! **One calling convention.**  The context-taking form is the only form of
 //! an operation; tests, examples and the one-operator functions of [`ops`]
-//! pass `&ExecCtx::unlimited()`.  The exceptions are the six operations
+//! pass `&ExecCtx::unlimited()`.  The exceptions are the five operations
 //! whose short name the standing benchmark calls (`benchmark/README.md`,
 //! pinned by `tests/benchmark_contract.rs`) while the engine needs the
 //! governed form; each short name is the governed one under
@@ -144,7 +145,6 @@
 //!
 //! | pinned short name | governed form the engine calls |
 //! |---|---|
-//! | [`aggregate::by_enumeration`] | [`aggregate::by_enumeration_ctx`] |
 //! | [`materialize`] | [`materialize_ctx`] |
 //! | `fdb_core::save_database` | `fdb_core::snapshot::save_database_ctx` |
 //! | `fdb_core::load_rep` | `fdb_core::snapshot::load_rep_ctx` |

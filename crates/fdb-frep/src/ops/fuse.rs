@@ -89,8 +89,8 @@
 //! context, and emit the same bits.
 
 use crate::aggregate::{
-    self, Acc, Accumulator, AggFilter, AggTarget, AggregateKind, AggregateResult, AggregateValue,
-    CountAcc, DistinctAcc, GroupPath, SumAcc,
+    Acc, Accumulator, AggFilter, AggTarget, AggregateKind, AggregateResult, CountAcc, DistinctAcc,
+    GroupKey, SumAcc,
 };
 use crate::frep::FRep;
 use crate::kernel;
@@ -561,18 +561,20 @@ impl<'a> Fusion<'a> {
 
     /// Number of entries.
     fn len(&self, v: VId) -> u32 {
+        self.values(v).len() as u32
+    }
+
+    /// The entry values, strictly increasing.
+    fn values(&self, v: VId) -> &[Value] {
         match v.as_src() {
-            Some(uid) => self.src.union_len(uid),
-            None => self.mixes[v.mix_index()].values.len() as u32,
+            Some(uid) => self.src.value_slice(uid),
+            None => &self.mixes[v.mix_index()].values,
         }
     }
 
-    /// The `i`-th value (entries are sorted increasing).
+    /// The `i`-th value.
     fn value(&self, v: VId, i: u32) -> Value {
-        match v.as_src() {
-            Some(uid) => self.src.value_slice(uid)[i as usize],
-            None => self.mixes[v.mix_index()].values[i as usize],
-        }
+        self.values(v)[i as usize]
     }
 
     /// The child reference of entry `i` at kid position `k`.
@@ -597,11 +599,7 @@ impl<'a> Fusion<'a> {
     /// Probes the sorted entry values for `value` — both arms go through
     /// the shared [`kernel::find_value`] probe over a dense value slice.
     fn find_value(&self, v: VId, value: Value) -> Option<u32> {
-        let values = match v.as_src() {
-            Some(uid) => self.src.value_slice(uid),
-            None => &self.mixes[v.mix_index()].values,
-        };
-        kernel::find_value(values, value).map(|i| i as u32)
+        kernel::find_value(self.values(v), value).map(|i| i as u32)
     }
 
     // -----------------------------------------------------------------
@@ -847,6 +845,8 @@ impl<'a> Fusion<'a> {
         let mut src = OverlaySource::<A> {
             fu: self,
             memo: HashMap::new(),
+            keyed_memo: HashMap::new(),
+            rows: Rows::default(),
             seen: if self.src.is_tree() && self.mixes.is_empty() {
                 Vec::new()
             } else {
@@ -873,10 +873,22 @@ impl<'a> Fusion<'a> {
 /// may share unions between entries — is refolded uncharged: a leaf in
 /// closed form, an inner union once more and then memoised, which keeps the
 /// fold linear in the overlay.  A union visited once is never memoised.
+///
+/// A grouped aggregate is the same fold over a keyed algebra.  A union whose
+/// subtree holds no group node folds to its accumulator as above; one that
+/// holds a group node folds to [`Rows`], one accumulator per group key of its
+/// subtree (the semiring view of Kimelfeld, Martens and Niewerth): an
+/// entry's value sets its node's key slot, an entry multiplies its scalar
+/// kids and crosses its keyed kids, and a union adds its entries' rows by
+/// key.  No union is restructured and no tuple is enumerated.
 struct OverlaySource<'f, 'a, A> {
     fu: &'f Fusion<'a>,
     /// Accumulators of the inner `Src` unions visited more than once.
     memo: HashMap<u32, A>,
+    /// The keyed twin of `memo`: the rows of such unions.
+    keyed_memo: HashMap<u32, (Vec<Value>, Vec<A>)>,
+    /// The row stack of a grouped fold: a keyed union appends its rows.
+    rows: Rows<A>,
     /// One bit per `Src` union, set once it has been charged; empty when no
     /// union can be visited twice (a tree-shaped arena and no `Mix` node).
     seen: Vec<u64>,
@@ -894,10 +906,10 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
     /// semantics on top of the accumulators:
     ///
     /// * scalar: the product of the root accumulators;
-    /// * grouped: one row per live combination of group-path values (see
-    ///   [`OverlaySource::grouped_descend`]), each multiplied with the product
-    ///   of the *other* roots and the off-path factors, rows whose product is
-    ///   empty omitted.
+    /// * grouped: the product of the roots that hold no group node, crossed
+    ///   with the rows of those that do ([`OverlaySource::fold_keyed`]); the
+    ///   rows are sorted once, by key in request order, and rows whose product
+    ///   is empty are dropped.
     fn evaluate(
         &mut self,
         tree: &FTree,
@@ -905,106 +917,38 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
         group_by: &[AttrId],
     ) -> Result<AggregateResult> {
         let target = AggTarget::resolve(tree, kind)?;
-        let roots = &self.fu.roots;
+        let fu = self.fu;
         if group_by.is_empty() {
             let mut total = A::one();
-            for &r in roots {
+            for &r in &fu.roots {
                 total = total.product(self.acc_of(r, target)?);
             }
             return Ok(AggregateResult::Scalar(total.finish(kind)?));
         }
-        let gp = aggregate::resolve_group_path(tree, group_by)?;
-        let group_root = roots
-            .iter()
-            .copied()
-            .find(|&r| self.fu.node_of(r) == gp.path[0])
-            .expect("validated representation: one root union per root node");
-        // The independent context: the product of every other root union.
+        let group = GroupKey::resolve(tree, group_by)?;
+        self.rows.stride = group.nodes.len();
         let mut context = A::one();
-        for &r in roots.iter().filter(|&&r| r != group_root) {
-            context = context.product(self.acc_of(r, target)?);
+        for &r in fu.roots.iter().filter(|&&r| !group.holds(fu.node_of(r))) {
+            context = context.product(self.fold_ref(r, target)?);
         }
-        let mut key = vec![Value::new(0); gp.path.len()];
-        let mut rows = Vec::new();
-        self.grouped_descend(
-            &gp, 0, group_root, &context, target, kind, &mut key, &mut rows,
-        )?;
-        Ok(AggregateResult::Groups(rows))
-    }
-
-    /// The recursive group-path descent behind grouped evaluation: walks the
-    /// union over `path[depth]`, extending the group key with each live
-    /// entry's value.  `prefix` carries the product of everything independent
-    /// of the remaining path suffix: the ancestor singletons, their off-path
-    /// children, and the other root unions.  Because each union's entries are
-    /// sorted ascending and the recursion nests in path order, rows come out
-    /// in lexicographic ascending key order — the same order a `BTreeMap`
-    /// keyed by the key vector produces.
-    #[allow(clippy::too_many_arguments)]
-    fn grouped_descend(
-        &mut self,
-        gp: &GroupPath,
-        depth: usize,
-        u: VId,
-        prefix: &A,
-        target: AggTarget,
-        kind: AggregateKind,
-        key: &mut Vec<Value>,
-        rows: &mut Vec<(Vec<Value>, AggregateValue)>,
-    ) -> Result<()> {
-        let fu = self.fu;
-        let node = gp.path[depth];
-        let len = fu.len(u);
-        fu.ctx.charge(1 + len as u64)?;
-        if len == 0 {
-            return Ok(());
+        self.rows.push(context);
+        for &r in fu.roots.iter().filter(|&&r| group.holds(fu.node_of(r))) {
+            let start = self.rows.len();
+            self.fold_keyed(r, target, &group)?;
+            self.rows.cross(0, start);
         }
-        let kid_count = fu.kid_count_of(u);
-        // Which kid slot continues the chain (fixed per union: every entry's
-        // kid at a slot ranges over the same child node).
-        let next_slot = match gp.path.get(depth + 1) {
-            None => None,
-            Some(&want) => match (0..kid_count).find(|&k| fu.node_of(fu.kid(u, 0, k)) == want) {
-                Some(k) => Some(k),
-                None => {
-                    return Err(FdbError::MalformedRepresentation {
-                        detail: format!("no child union over node {want} under node {node}"),
-                    })
-                }
-            },
-        };
-        for i in 0..len {
-            let value = fu.value(u, i);
-            // The scaffold folds the group-path entries itself, so the folded
-            // trailing selections apply here too: a filtered-out group is
-            // omitted exactly like a group whose product is empty.
-            if !self.filter.passes(node, value) {
-                continue;
-            }
-            let mut acc = prefix
-                .clone()
-                .product(A::singleton(value, target.carried_by(node)));
-            for k in (0..kid_count).filter(|&k| Some(k) != next_slot) {
-                acc = acc.product(self.acc_of(fu.kid(u, i, k), target)?);
-            }
-            if acc.is_empty() {
-                // A dead off-path factor annihilates every tuple below this
-                // entry: no group under it can surface.
-                continue;
-            }
-            key[depth] = value;
-            match next_slot {
-                None => rows.push((
-                    gp.key_slots.iter().map(|&s| key[s]).collect(),
-                    acc.finish(kind)?,
-                )),
-                Some(k) => {
-                    let kid = fu.kid(u, i, k);
-                    self.grouped_descend(gp, depth + 1, kid, &acc, target, kind, key, rows)?
-                }
-            }
-        }
-        Ok(())
+        self.flush()?;
+        self.rows.merge(0);
+        let Rows { stride, keys, accs } = std::mem::take(&mut self.rows);
+        let live = keys
+            .chunks_exact(stride)
+            .zip(accs)
+            .filter(|(_, acc)| !acc.is_empty());
+        let groups = live.map(|(key, acc)| {
+            let key = group.key_slots.iter().map(|&s| key[s]).collect();
+            Ok((key, acc.finish(kind)?))
+        });
+        Ok(AggregateResult::Groups(groups.collect::<Result<_>>()?))
     }
 
     /// The accumulator of a whole union, every unit it folded charged.
@@ -1028,55 +972,32 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
         self.fu.ctx.charge(units)
     }
 
-    /// Folds a union an overlay entry (or the scaffold) references.
-    fn fold_ref(&mut self, v: VId, target: AggTarget) -> Result<A> {
-        let Some(uid) = v.as_src() else {
-            let mix = &self.fu.mixes[v.mix_index()];
-            self.charge(mix.values.len())?;
-            let kc = mix.kid_count as usize;
-            return self.fold_union(mix.node, &mix.values, kc, target, |i, k| {
-                mix.kids[i * kc + k]
-            });
-        };
+    /// Marks a `Src` union visited; whether it had been visited before.
+    fn revisit(&mut self, uid: u32) -> bool {
         let (word, bit) = (uid as usize / 64, 1u64 << (uid % 64));
-        let revisit = self.seen.get_mut(word).is_some_and(|w| {
+        self.seen.get_mut(word).is_some_and(|w| {
             let seen = *w & bit != 0;
             *w |= bit;
             seen
-        });
-        let store = self.fu.src;
-        let rec = store.unions[uid as usize];
-        let values = store.value_slice(uid);
-        let kid_count = self.fu.src_kid_counts[rec.node.index()] as usize;
-        if !revisit {
-            self.charge(values.len())?;
-        } else if let Some(acc) = self.memo.get(&uid) {
-            return Ok(acc.clone());
-        }
-        let total = self.fold_union(rec.node, values, kid_count, target, |i, k| {
-            VId::src(store.kid(uid, i as u32, k as u32))
-        })?;
-        if revisit && kid_count > 0 {
-            self.memo.insert(uid, total.clone());
-        }
-        Ok(total)
+        })
     }
 
-    /// Folds the entries of one union over `node`.  A leaf is its value
-    /// slice in closed form, filtered first when a selection names its node.
-    /// An inner union is the sum over its passing entries of the product of
-    /// their kids' accumulators, times the entry's singleton when it carries
-    /// the target (a non-carrying singleton is `one`).
-    fn fold_union(
-        &mut self,
-        node: NodeId,
-        values: &[Value],
-        kid_count: usize,
-        target: AggTarget,
-        kid: impl Fn(usize, usize) -> VId,
-    ) -> Result<A> {
-        let filtered = self.filter.names(node);
-        let carries = target.carried_by(node);
+    /// Folds a union an overlay entry (or the scaffold) references.  A leaf
+    /// is its value slice in closed form, filtered first when a selection
+    /// names its node.  An inner union is the sum over its passing entries
+    /// of the product of their kids' accumulators, times the entry's
+    /// singleton when it carries the target (a non-carrying singleton is
+    /// `one`).
+    fn fold_ref(&mut self, v: VId, target: AggTarget) -> Result<A> {
+        let fu = self.fu;
+        let revisit = v.as_src().is_some_and(|uid| self.revisit(uid));
+        let (node, values, kid_count) = (fu.node_of(v), fu.values(v), fu.kid_count_of(v));
+        if !revisit {
+            self.charge(values.len())?;
+        } else if let Some(acc) = v.as_src().and_then(|uid| self.memo.get(&uid)) {
+            return Ok(acc.clone());
+        }
+        let (filtered, carries) = (self.filter.names(node), target.carried_by(node));
         if kid_count == 0 {
             if filtered {
                 self.filter
@@ -1090,16 +1011,155 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
             if filtered && !self.filter.passes(node, value) {
                 continue;
             }
-            let mut acc = self.fold_ref(kid(i, 0), target)?;
+            let mut acc = self.fold_ref(fu.kid(v, i as u32, 0), target)?;
             for k in 1..kid_count {
-                acc = acc.product(self.fold_ref(kid(i, k), target)?);
+                acc = acc.product(self.fold_ref(fu.kid(v, i as u32, k), target)?);
             }
             if carries {
                 acc = acc.product(A::singleton(value, true));
             }
             total = total.add(acc);
         }
+        if let Some(uid) = v.as_src().filter(|_| revisit) {
+            self.memo.insert(uid, total.clone());
+        }
         Ok(total)
+    }
+
+    /// Folds a union whose subtree holds a group node onto the row stack.
+    /// Each passing entry contributes the product of its singleton and its
+    /// scalar kids, with its value in the node's key slot when that is a
+    /// group node, crossed with the rows of each keyed kid.  Entries of a
+    /// union over a group node differ in that slot; any other union merges
+    /// its rows by key.  Charged, and memoised when a `Src` union is visited
+    /// again, exactly like [`OverlaySource::fold_ref`].
+    fn fold_keyed(&mut self, v: VId, target: AggTarget, group: &GroupKey) -> Result<()> {
+        let fu = self.fu;
+        let revisit = v.as_src().is_some_and(|uid| self.revisit(uid));
+        let (node, values, kid_count) = (fu.node_of(v), fu.values(v), fu.kid_count_of(v));
+        if !revisit {
+            self.charge(values.len())?;
+        } else if let Some((keys, accs)) = v.as_src().and_then(|uid| self.keyed_memo.get(&uid)) {
+            self.rows.keys.extend_from_slice(keys);
+            self.rows.accs.extend_from_slice(accs);
+            return Ok(());
+        }
+        let slot = group.nodes.iter().position(|&g| g == node);
+        let (filtered, carries) = (self.filter.names(node), target.carried_by(node));
+        let start = self.rows.len();
+        for (i, &value) in values.iter().enumerate() {
+            if filtered && !self.filter.passes(node, value) {
+                continue;
+            }
+            let kid = |k| fu.kid(v, i as u32, k);
+            let keyed = |k: &u32| group.holds(fu.node_of(kid(*k)));
+            let mut acc = A::singleton(value, carries);
+            for k in (0..kid_count).filter(|k| !keyed(k)) {
+                acc = acc.product(self.fold_ref(kid(k), target)?);
+            }
+            if acc.is_empty() {
+                continue;
+            }
+            let entry = self.rows.len();
+            self.rows.push(acc);
+            if let Some(s) = slot {
+                self.rows.keys[entry * self.rows.stride + s] = value;
+            }
+            for k in (0..kid_count).filter(keyed) {
+                let kid_start = self.rows.len();
+                self.fold_keyed(kid(k), target, group)?;
+                self.rows.cross(entry, kid_start);
+            }
+        }
+        if slot.is_none() {
+            self.rows.merge(start);
+        }
+        if let Some(uid) = v.as_src().filter(|_| revisit && kid_count > 0) {
+            let rows = &self.rows;
+            let tail = (
+                rows.keys[start * rows.stride..].to_vec(),
+                rows.accs[start..].to_vec(),
+            );
+            self.keyed_memo.insert(uid, tail);
+        }
+        Ok(())
+    }
+}
+
+/// The row stack of a grouped fold: one accumulator per group key, the keys
+/// in one flat buffer of `stride` values a row, so no row owns an
+/// allocation.  A slot whose group node lies outside the rows' subtree
+/// holds 0.
+#[derive(Default)]
+struct Rows<A> {
+    stride: usize,
+    keys: Vec<Value>,
+    accs: Vec<A>,
+}
+
+impl<A: Accumulator> Rows<A> {
+    fn len(&self) -> usize {
+        self.accs.len()
+    }
+
+    fn key(&self, i: usize) -> &[Value] {
+        &self.keys[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Pushes a row with no key slot set.
+    fn push(&mut self, acc: A) {
+        self.keys
+            .resize(self.keys.len() + self.stride, Value::new(0));
+        self.accs.push(acc);
+    }
+
+    /// Replaces the rows `left..right` and `right..` by their cross product.
+    /// The two sides set disjoint key slots and leave the rest 0, so the
+    /// slot-wise maximum is the combined key.
+    fn cross(&mut self, left: usize, right: usize) {
+        let (end, stride) = (self.len(), self.stride);
+        for l in left..right {
+            for r in right..end {
+                for s in 0..stride {
+                    let value = self.keys[l * stride + s].max(self.keys[r * stride + s]);
+                    self.keys.push(value);
+                }
+                let acc = self.accs[l].clone().product(self.accs[r].clone());
+                self.accs.push(acc);
+            }
+        }
+        self.keys.drain(left * stride..end * stride);
+        self.accs.drain(left..end);
+    }
+
+    /// Sorts the rows from `start` on by key and adds the rows of equal
+    /// keys; already strictly increasing rows are left as they are.
+    fn merge(&mut self, start: usize) {
+        if (start + 1..self.len()).all(|i| self.key(i - 1) < self.key(i)) {
+            return;
+        }
+        let mut order: Vec<usize> = (start..self.len()).collect();
+        order.sort_unstable_by(|&i, &j| self.key(i).cmp(self.key(j)));
+        let mut merged = Rows::<A> {
+            stride: self.stride,
+            ..Rows::default()
+        };
+        for i in order {
+            let acc = std::mem::take(&mut self.accs[i]);
+            match merged.accs.last_mut() {
+                Some(last) if merged.keys[merged.keys.len() - self.stride..] == *self.key(i) => {
+                    *last = std::mem::take(last).add(acc);
+                }
+                _ => {
+                    merged.keys.extend_from_slice(self.key(i));
+                    merged.accs.push(acc);
+                }
+            }
+        }
+        self.keys.truncate(start * self.stride);
+        self.accs.truncate(start);
+        self.keys.append(&mut merged.keys);
+        self.accs.append(&mut merged.accs);
     }
 }
 
@@ -2474,7 +2534,7 @@ mod tests {
         for (program, kind) in programs {
             let mut emitted = rep.clone();
             execute_fused_ctx(&mut emitted, &program, &ExecCtx::unlimited()).unwrap();
-            let expected = aggregate::by_enumeration(&emitted, kind, &[]).unwrap();
+            let expected = crate::aggregate::by_enumeration(&emitted, kind, &[]).unwrap();
             let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(total));
             let folded = execute_fused_aggregate_ctx(&rep, &program, kind, &[], &ctx);
             assert_eq!((folded.unwrap(), ctx.budget_remaining()), (expected, 0));

@@ -19,7 +19,7 @@
 //! swap inside a longer program and every swap-down of a projection).  What
 //! this module keeps is the **lone-swap arm** of
 //! [`crate::ops::emit_fused_ctx`]: the program `[Swap(b)]` and nothing else
-//! — the ORDER BY / GROUP BY chain swap of an analytics head — emits through
+//! — the ORDER BY chain swap of an analytics head — emits through
 //! the [`Rewriter`] below straight from the borrowed input.  The overlay
 //! writes the regrouped region twice (into `Mix` nodes, then into the arena),
 //! and for a swap deep in a tree that region is most of the arena.  Measured

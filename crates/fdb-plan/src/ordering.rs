@@ -1,11 +1,12 @@
-//! Restructure-to-root planning for `ORDER BY` and root-path `GROUP BY`.
+//! Restructure-to-root planning for `ORDER BY`.
 //!
-//! The 2013 follow-up paper evaluates ordering and grouping heads on a
-//! factorised representation by *restructuring* its f-tree so that the
-//! requested attributes form a root-to-node path: once `A₁ … Aₖ` sit on a
-//! chain starting at a root, ordered enumeration falls out of the cursor's
-//! slot priority ([`fdb_frep::enumerate`]) and grouped aggregation becomes
-//! one descent along the path ([`fdb_frep::aggregate`]).  Restructuring is
+//! The 2013 follow-up paper evaluates an ordering head on a factorised
+//! representation by *restructuring* its f-tree so that the requested
+//! attributes form a root-to-node path: once `A₁ … Aₖ` sit on a chain
+//! starting at a root, ordered enumeration falls out of the cursor's slot
+//! priority ([`fdb_frep::enumerate`]).  (Grouping needs no such path: the
+//! aggregate fold of [`fdb_frep::aggregate`] groups by any attributes in
+//! place, so the engine plans chains for `ORDER BY` only.)  Restructuring is
 //! a sequence of the paper's swap operators `χ`, so it is itself an f-plan
 //! and has an asymptotic cost under the `s(T)` measure — and sometimes that
 //! cost is *worse* than just materialising the result and sorting it flat.
@@ -23,8 +24,8 @@
 //! * no chain is achievable (the attributes span independent trees, a swap
 //!   is structurally impossible, or lifting one attribute drags another off
 //!   the path) **or** the plan blows up an intermediate tree →
-//!   [`ChainStrategy::FlatSort`]: the caller should materialise (or
-//!   hash-group) and sort flat instead.
+//!   [`ChainStrategy::FlatSort`]: the caller should materialise and sort
+//!   flat instead.
 //!
 //! The decision is purely schema-level — only f-trees are simulated, no
 //! data is touched — so the engine can make it per query at planning time
@@ -41,7 +42,7 @@ use crate::fplan::{FPlan, FPlanOp};
 /// epsilon in [`FPlanCost::better_than`]).
 const EPS: f64 = 1e-9;
 
-/// How the engine should satisfy an ordering / path-grouping head.
+/// How the engine should satisfy an ordering head.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChainStrategy {
     /// The attributes already form a root-to-node path in the input f-tree;
@@ -52,7 +53,7 @@ pub enum ChainStrategy {
     /// intermediate tree is asymptotically no worse than the input.
     Restructure,
     /// No root-path restructuring is achievable at acceptable cost:
-    /// materialise and sort (ordering) or hash-group (grouping) instead.
+    /// materialise and sort instead.
     FlatSort,
 }
 
@@ -88,7 +89,8 @@ impl ChainDecision {
 
 /// Plans how to bring `attrs` onto a root-to-node path of `tree`.
 ///
-/// `attrs` is the ordering (or grouping) head in request order: the first
+/// `attrs` is an attribute list in request order — the engine passes an
+/// `ORDER BY` head, but any list plans the same way: the first
 /// attribute must end up at a root, each following attribute on the same
 /// node or a direct child of the previous one.  Every attribute must exist
 /// in the tree and be visible (not projected away); unknown or invisible
@@ -286,7 +288,7 @@ mod tests {
         // GROUP BY E on Example 11: E does lift to the root in one swap,
         // but the lifted tree nests {A,D} (and everything below) under E —
         // the path E → {A,D} → B → C now touches both relations and costs
-        // s = 2 > s(T_in) = 1.  The honest answer is to hash-group flat.
+        // s = 2 > s(T_in) = 1, so the planner refuses the lift.
         let t = example11_tree();
         let d = plan_chain_restructure(&t, &[AttrId(4)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::FlatSort);

@@ -11,7 +11,9 @@
 //! edge cases: empty results, singleton representations, all-equal-value
 //! databases, and plans that empty the representation mid-segment.  The
 //! equivalence table crosses every kind with leaf and inner filters, the
-//! empty, a selection and a swap program, and scalar and grouped heads.
+//! empty, a selection and a swap program, and scalar, root-chain and
+//! off-chain grouped heads; the randomized suites group by every attribute
+//! and every ordered pair of attributes.
 //! Structural plan steps preserve the represented relation, so the overlay
 //! pass must also be invariant under random restructuring.  The numeric
 //! edge cases (`SUM`/`COUNT` beyond `u64`, 128-bit wrapping, `AVG` of an
@@ -52,26 +54,31 @@ fn scalar(rep: &FRep, kind: AggregateKind) -> fdb::Result<AggregateValue> {
     }
 }
 
-/// Every aggregate kind applicable to the representation, plus every legal
-/// (root-attribute) grouping including "ungrouped".
+/// Every aggregate kind applicable to the representation, and every
+/// grouping: "ungrouped", each visible attribute, and each ordered pair of
+/// visible attributes — duplicates, child before parent, two branches and
+/// two roots included.
 fn kinds_and_groups(rep: &FRep) -> (Vec<AggregateKind>, Vec<Vec<AttrId>>) {
+    let attrs = rep.visible_attrs();
     let mut kinds = vec![AggregateKind::Count];
-    for attr in rep.visible_attrs() {
+    for &attr in &attrs {
         kinds.extend([
             AggregateKind::Sum(attr),
             AggregateKind::Min(attr),
             AggregateKind::Max(attr),
             AggregateKind::Avg(attr),
+            AggregateKind::CountDistinct(attr),
+            AggregateKind::SumDistinct(attr),
+            AggregateKind::AvgDistinct(attr),
         ]);
     }
-    let groups: Vec<Vec<AttrId>> = std::iter::once(Vec::new())
-        .chain(
-            rep.tree()
-                .roots()
-                .iter()
-                .flat_map(|&r| rep.tree().visible_attrs(r).into_iter().map(|a| vec![a])),
-        )
-        .collect();
+    let mut groups = vec![Vec::new()];
+    groups.extend(attrs.iter().map(|&a| vec![a]));
+    groups.extend(
+        attrs
+            .iter()
+            .flat_map(|&a| attrs.iter().map(move |&b| vec![a, b])),
+    );
     (kinds, groups)
 }
 
@@ -696,7 +703,9 @@ fn every_kind_agrees_with_enumeration_across_filters_programs_and_heads() {
             let program = [program.as_slice(), filter].concat();
             let mut emitted = small.clone();
             ops::execute_fused_ctx(&mut emitted, &program, &ExecCtx::unlimited()).unwrap();
-            for group_by in [&[][..], &chain[..]] {
+            // Ungrouped, the root chain, and a grouping off it: `E` (a
+            // leaf under the root) then `D` (a leaf in the other branch).
+            for group_by in [&[][..], &chain[..], &[AttrId(4), AttrId(3)]] {
                 for &kind in &kinds {
                     let context = format!("{kind} by {group_by:?}, {program_name}, {filter_name}");
                     let expected = flat_oracle(&emitted, kind, group_by);

@@ -10,10 +10,9 @@
 //!    pools of 1/2/4/8 workers;
 //! 2. `DISTINCT` aggregates — the factorised value-set fold against a
 //!    hash-set built from the enumerated tuples;
-//! 3. multi-attribute (path) `GROUP BY` — the grouped factorised fold,
-//!    including groupings the optimiser must lift to the root with swaps or
-//!    hand to the hash-group fallback, against plain-iterator grouping over
-//!    the enumerated tuples.
+//! 3. multi-attribute `GROUP BY` — the keyed factorised fold, on attributes
+//!    wherever the optimiser's tree puts them, against plain-iterator
+//!    grouping over the enumerated tuples.
 //!
 //! Both ordering strategies produce the same canonical total order, so the
 //! suite also asserts the *strategy split is real*: across the random sweep
@@ -488,8 +487,7 @@ fn multi_attribute_group_by_matches_plain_iterator_grouping() {
         }
         let engine = FdbEngine::new();
         // Group on a random pair — wherever the optimiser's tree puts those
-        // nodes, the engine must lift them (or fall back to hash grouping)
-        // and still match the oracle.
+        // nodes, the keyed fold must match the oracle.
         let g1 = attrs[rng.gen_range(0..attrs.len())];
         let g2 = attrs[rng.gen_range(0..attrs.len())];
         let group_by: Vec<AttrId> = if g1 == g2 { vec![g1] } else { vec![g1, g2] };
@@ -513,10 +511,9 @@ fn multi_attribute_group_by_matches_plain_iterator_grouping() {
 }
 
 #[test]
-fn non_root_grouping_exercises_both_chain_and_fallback_paths() {
-    // Over the sweep, grouped heads must take both the lifted-chain path and
-    // the hash-group fallback — otherwise the costed planner is degenerate.
-    let mut saw = BTreeSet::new();
+fn grouping_anywhere_matches_the_oracle_without_chain_or_fallback() {
+    // Grouped heads on any attribute run as one keyed fold: neither head
+    // counter fires, and every result equals the enumeration oracle.
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(0x62B7_2014 ^ seed);
         let rep = random_rep(&mut rng, seed);
@@ -532,15 +529,15 @@ fn non_root_grouping_exercises_both_chain_and_fallback_paths() {
             &AggregateHead::count().grouped_by(g),
         )
         .unwrap();
-        if out.stats.chain_heads > 0 {
-            saw.insert("chain");
-        }
-        if out.stats.flat_head_fallbacks > 0 {
-            saw.insert("fallback");
-        }
+        assert_eq!(
+            out.result,
+            AggregateResult::Groups(hash_group_count(&rep, &[g])),
+            "seed {seed}: GROUP BY {g}"
+        );
+        assert_eq!(
+            (out.stats.chain_heads, out.stats.flat_head_fallbacks),
+            (0, 0),
+            "seed {seed}: GROUP BY {g}"
+        );
     }
-    assert!(
-        saw.contains("chain"),
-        "no grouped head ever ran on a chain: {saw:?}"
-    );
 }
