@@ -334,17 +334,6 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
     }
 }
 
-/// Plans a root path for an `ORDER BY` head: ordered enumeration off the
-/// cursor needs the head attributes on a root-to-node chain, brought there
-/// by a costed swap lifting ([`plan_chain_restructure`]), and the rows are
-/// sorted flat when no chain exists at acceptable cost (`s(f) ≤ s(T_in)`).
-/// Returns the swaps to append to the plan: empty when the attributes
-/// already form a chain, or when the lift is refused.  Whether the rows come
-/// off a chain is the ordered cursor's verdict on the emitted tree.
-fn plan_head_chain(tree: &fdb_ftree::FTree, attrs: &[AttrId]) -> Result<FPlan> {
-    Ok(plan_chain_restructure(tree, attrs)?.plan)
-}
-
 /// The body plan of a request: constant selections first (they are cheap
 /// and only shrink the representation), then the restructuring and equality
 /// selections, and the projection last — the operator ordering FDB uses
@@ -586,7 +575,7 @@ impl FdbEngine {
             .then(|| plan.final_tree(rep.tree()))
             .transpose()?;
         if let Some(tree) = body_tree.as_ref().filter(|_| !head.order_by.is_empty()) {
-            plan.extend(plan_head_chain(tree, head.order_by)?);
+            plan.extend(plan_chain_restructure(tree, head.order_by)?.plan);
         }
 
         // (3) Simplify once.
@@ -1404,16 +1393,24 @@ mod tests {
         }
     }
 
-    /// `COUNT(*) GROUP BY e` — the far branch — over the unfiltered fork of
-    /// 20 `a` values under `limits`: the structural plan is empty and a warm
-    /// plan cache skips the optimiser (which checks the context on entry), so
+    /// The far-branch groupings of the governance pins, as indices into
+    /// [`Fork::attrs`]: `e` alone, and `(c, e)` — two branches, whose rows
+    /// are a cross product of 6 × 8 per `(a, b)` entry, 3 840 rows built for
+    /// 960 groups.
+    const FAR_GROUPINGS: [&[usize]; 2] = [&[3], &[2, 3]];
+
+    /// `COUNT(*) GROUP BY grouping` over the unfiltered fork of 20 `a`
+    /// values under `limits`: the structural plan is empty and a warm plan
+    /// cache skips the optimiser (which checks the context on entry), so
     /// nothing but the keyed fold charges the context.  Returns the outcome
     /// and the units charged against the budget.
-    fn far_group_by_under(limits: QueryLimits) -> (Result<ServeOutcome>, u64) {
+    fn far_group_by_under(grouping: &[usize], limits: QueryLimits) -> (Result<ServeOutcome>, u64) {
         let Fork { db, join, attrs } = fork(20);
         let engine = FdbEngine::new();
         let input = engine.evaluate_flat(&db, &join).unwrap().result;
-        let head = AggregateHead::count().grouped_by(attrs[3]);
+        let head = grouping
+            .iter()
+            .fold(AggregateHead::count(), |head, &i| head.grouped_by(attrs[i]));
         let head = Head {
             aggregate: Some(&head),
             ..Head::default()
@@ -1434,40 +1431,56 @@ mod tests {
 
     #[test]
     fn the_keyed_group_by_charges_exactly_its_units() {
-        let (_, units) = far_group_by_under(QueryLimits::unlimited().with_budget(u64::MAX));
-        assert!(
-            units >= fdb_common::limits::CHECK_INTERVAL,
-            "the fold must reach a flag check: {units} units"
-        );
-        let (exact, charged) = far_group_by_under(QueryLimits::unlimited().with_budget(units));
-        let exact = exact.expect("a budget of the fold's units suffices");
-        assert_eq!(charged, units);
-        assert_eq!(
-            head_counters(exact.stats()),
-            [0, 0],
-            "no chain, no fallback"
-        );
-        assert_eq!(
-            exact.stats().plan_cache_hits,
-            1,
-            "the optimiser was skipped"
-        );
-        assert!(exact.stats().plan.is_empty(), "no operator ran");
-        let (short, _) = far_group_by_under(QueryLimits::unlimited().with_budget(units - 1));
-        assert_eq!(
-            short.unwrap_err(),
-            FdbError::BudgetExceeded { limit: units - 1 }
-        );
+        for grouping in FAR_GROUPINGS {
+            let budget = |units| QueryLimits::unlimited().with_budget(units);
+            let (_, units) = far_group_by_under(grouping, budget(u64::MAX));
+            assert!(
+                units >= fdb_common::limits::CHECK_INTERVAL,
+                "{grouping:?}: the fold must reach a flag check: {units} units"
+            );
+            if grouping.len() == 2 {
+                // Every row the crosses build is charged, not only the
+                // 1 401 units of the unions folded.
+                assert!(units >= 3840, "{grouping:?}: {units} units");
+            }
+            let (exact, charged) = far_group_by_under(grouping, budget(units));
+            let exact = exact.expect("a budget of the fold's units suffices");
+            assert_eq!(charged, units, "{grouping:?}");
+            assert_eq!(
+                head_counters(exact.stats()),
+                [0, 0],
+                "{grouping:?}: no chain, no fallback"
+            );
+            assert_eq!(
+                exact.stats().plan_cache_hits,
+                1,
+                "{grouping:?}: the optimiser was skipped"
+            );
+            assert!(
+                exact.stats().plan.is_empty(),
+                "{grouping:?}: no operator ran"
+            );
+            let (short, _) = far_group_by_under(grouping, budget(units - 1));
+            assert_eq!(
+                short.unwrap_err(),
+                FdbError::BudgetExceeded { limit: units - 1 },
+                "{grouping:?}"
+            );
+        }
     }
 
     #[test]
     fn the_keyed_group_by_notices_a_raised_cancel_flag() {
-        let raised = Arc::new(AtomicBool::new(true));
-        let (outcome, _) = far_group_by_under(QueryLimits::unlimited().with_cancel(raised));
-        assert_eq!(
-            outcome.unwrap_err(),
-            FdbError::DeadlineExceeded { limit_ms: 0 }
-        );
+        for grouping in FAR_GROUPINGS {
+            let raised = Arc::new(AtomicBool::new(true));
+            let limits = QueryLimits::unlimited().with_cancel(raised);
+            let (outcome, _) = far_group_by_under(grouping, limits);
+            assert_eq!(
+                outcome.unwrap_err(),
+                FdbError::DeadlineExceeded { limit_ms: 0 },
+                "{grouping:?}"
+            );
+        }
     }
 
     /// A GROUP BY on an attribute the result does not show — projected away

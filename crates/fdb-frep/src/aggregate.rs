@@ -699,9 +699,10 @@ impl AggFilter {
 /// order, each aggregated over the matching tuples, groups without tuples
 /// omitted.
 ///
-/// The fold charges `1 + len` units per union it visits, so a deadline,
-/// budget or cancellation flag interrupts it with no partial state (the
-/// aggregate never mutates the representation).
+/// The fold charges `1 + len` units per union it visits, and a grouped fold
+/// one more per row it builds, so a deadline, budget or cancellation flag
+/// interrupts it with no partial state (the aggregate never mutates the
+/// representation).
 pub fn evaluate_ctx(
     rep: &FRep,
     kind: AggregateKind,
@@ -1424,5 +1425,40 @@ mod tests {
             scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(1 << 64)
         );
+        // Grouped by the leaf, and by the root and the leaf, the keyed fold
+        // memoises a revisited union's rows: a union above the leaf is
+        // folded at most twice and then replayed.  On top of the 64 × 3
+        // units of the unions, union 0 builds 4 rows, unions 1 to 61 build
+        // 4 rows on each of their two folds and the second replays the union
+        // below twice (2 rows each), union 62 builds 4 + 4 rows, and the
+        // scaffold crosses the root's rows.  Refolding every revisit instead
+        // builds 2^64 rows.
+        let key = |values: &[u64]| values.iter().map(|&v| Value::new(v)).collect::<Vec<_>>();
+        for (group, groups, units) in [
+            (
+                vec![AttrId(63)],
+                vec![(key(&[1]), 1 << 63), (key(&[2]), 1 << 63)],
+                64 * 3 + 4 + 61 * 12 + 8 + 2,
+            ),
+            (
+                vec![AttrId(0), AttrId(63)],
+                [[1, 1], [1, 2], [2, 1], [2, 2]]
+                    .map(|k| (key(&k), 1 << 62))
+                    .to_vec(),
+                64 * 3 + 4 + 61 * 12 + 8 + 4,
+            ),
+        ] {
+            let ctx = ExecCtx::new(&fdb_common::QueryLimits::unlimited().with_budget(units));
+            let rows = groups
+                .into_iter()
+                .map(|(k, n)| (k, AggregateValue::Count(n)))
+                .collect();
+            assert_eq!(
+                evaluate_ctx(&rep, AggregateKind::Count, &group, &ctx).unwrap(),
+                AggregateResult::Groups(rows),
+                "by {group:?}"
+            );
+            assert_eq!(ctx.budget_remaining(), 0, "by {group:?}");
+        }
     }
 }

@@ -880,7 +880,8 @@ impl<'a> Fusion<'a> {
 /// subtree (the semiring view of Kimelfeld, Martens and Niewerth): an
 /// entry's value sets its node's key slot, an entry multiplies its scalar
 /// kids and crosses its keyed kids, and a union adds its entries' rows by
-/// key.  No union is restructured and no tuple is enumerated.
+/// key.  No union is restructured and no tuple is enumerated; every row built
+/// is charged one unit.
 struct OverlaySource<'f, 'a, A> {
     fu: &'f Fusion<'a>,
     /// Accumulators of the inner `Src` unions visited more than once.
@@ -935,7 +936,7 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
         for &r in fu.roots.iter().filter(|&&r| group.holds(fu.node_of(r))) {
             let start = self.rows.len();
             self.fold_keyed(r, target, &group)?;
-            self.rows.cross(0, start);
+            self.cross(0, start)?;
         }
         self.flush()?;
         self.rows.merge(0);
@@ -958,9 +959,9 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
         Ok(acc)
     }
 
-    /// Records the `1 + len` units of one union folded.
-    fn charge(&mut self, len: usize) -> Result<()> {
-        self.pending += 1 + len as u64;
+    /// Records `units` folded: `1 + len` for a union, one per row built.
+    fn charge(&mut self, units: usize) -> Result<()> {
+        self.pending += units as u64;
         if self.pending >= CHECK_INTERVAL {
             self.flush()?;
         }
@@ -993,7 +994,7 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
         let revisit = v.as_src().is_some_and(|uid| self.revisit(uid));
         let (node, values, kid_count) = (fu.node_of(v), fu.values(v), fu.kid_count_of(v));
         if !revisit {
-            self.charge(values.len())?;
+            self.charge(1 + values.len())?;
         } else if let Some(acc) = v.as_src().and_then(|uid| self.memo.get(&uid)) {
             return Ok(acc.clone());
         }
@@ -1032,17 +1033,21 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
     /// group node, crossed with the rows of each keyed kid.  Entries of a
     /// union over a group node differ in that slot; any other union merges
     /// its rows by key.  Charged, and memoised when a `Src` union is visited
-    /// again, exactly like [`OverlaySource::fold_ref`].
+    /// again, like [`OverlaySource::fold_ref`]; on top of that every row a
+    /// cross builds or a memo hit copies costs one unit, so the units bound
+    /// the rows even where the groups outnumber the unions.  A merge is not
+    /// charged: every row it sorts was charged when it was built.
     fn fold_keyed(&mut self, v: VId, target: AggTarget, group: &GroupKey) -> Result<()> {
         let fu = self.fu;
         let revisit = v.as_src().is_some_and(|uid| self.revisit(uid));
         let (node, values, kid_count) = (fu.node_of(v), fu.values(v), fu.kid_count_of(v));
         if !revisit {
-            self.charge(values.len())?;
+            self.charge(1 + values.len())?;
         } else if let Some((keys, accs)) = v.as_src().and_then(|uid| self.keyed_memo.get(&uid)) {
+            let copied = accs.len();
             self.rows.keys.extend_from_slice(keys);
             self.rows.accs.extend_from_slice(accs);
-            return Ok(());
+            return self.charge(copied);
         }
         let slot = group.nodes.iter().position(|&g| g == node);
         let (filtered, carries) = (self.filter.names(node), target.carried_by(node));
@@ -1068,7 +1073,7 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
             for k in (0..kid_count).filter(keyed) {
                 let kid_start = self.rows.len();
                 self.fold_keyed(kid(k), target, group)?;
-                self.rows.cross(entry, kid_start);
+                self.cross(entry, kid_start)?;
             }
         }
         if slot.is_none() {
@@ -1082,6 +1087,28 @@ impl<A: Accumulator> OverlaySource<'_, '_, A> {
             );
             self.keyed_memo.insert(uid, tail);
         }
+        Ok(())
+    }
+
+    /// Replaces the rows `left..right` and `right..` by their cross product.
+    /// The two sides set disjoint key slots and leave the rest 0, so the
+    /// slot-wise maximum is the combined key.  Each left row charges the rows
+    /// it is about to build, so a wide cross meets the budget, deadline and
+    /// cancellation checks while it grows.
+    fn cross(&mut self, left: usize, right: usize) -> Result<()> {
+        let (end, stride) = (self.rows.len(), self.rows.stride);
+        for l in left..right {
+            self.charge(end - right)?;
+            let Rows { keys, accs, .. } = &mut self.rows;
+            for r in right..end {
+                for s in 0..stride {
+                    keys.push(keys[l * stride + s].max(keys[r * stride + s]));
+                }
+                accs.push(accs[l].clone().product(accs[r].clone()));
+            }
+        }
+        self.rows.keys.drain(left * stride..end * stride);
+        self.rows.accs.drain(left..end);
         Ok(())
     }
 }
@@ -1111,25 +1138,6 @@ impl<A: Accumulator> Rows<A> {
         self.keys
             .resize(self.keys.len() + self.stride, Value::new(0));
         self.accs.push(acc);
-    }
-
-    /// Replaces the rows `left..right` and `right..` by their cross product.
-    /// The two sides set disjoint key slots and leave the rest 0, so the
-    /// slot-wise maximum is the combined key.
-    fn cross(&mut self, left: usize, right: usize) {
-        let (end, stride) = (self.len(), self.stride);
-        for l in left..right {
-            for r in right..end {
-                for s in 0..stride {
-                    let value = self.keys[l * stride + s].max(self.keys[r * stride + s]);
-                    self.keys.push(value);
-                }
-                let acc = self.accs[l].clone().product(self.accs[r].clone());
-                self.accs.push(acc);
-            }
-        }
-        self.keys.drain(left * stride..end * stride);
-        self.accs.drain(left..end);
     }
 
     /// Sorts the rows from `start` on by key and adds the rows of equal

@@ -134,7 +134,8 @@ impl FPlan {
     /// no use for the transformed arena), so an abort has no partial state
     /// to clean up.  The empty plan goes to `fdb_frep::aggregate::evaluate_ctx`,
     /// the same fold over the untouched overlay; either way the fold charges
-    /// the context `1 + len` units per union it visits.
+    /// the context `1 + len` units per union it visits, and a grouped fold
+    /// one more per row it builds.
     ///
     /// Returns the aggregate result and whether a non-empty program ran on
     /// the overlay before the fold (`false` only for the empty plan).
