@@ -16,19 +16,22 @@
 //! one root-to-leaf path, sibling subtrees never share a relation, so this
 //! local pruning yields exactly the join result.
 //!
-//! # Prepare: sort once
+//! # Prepare: sort once per database
 //!
 //! The algorithm presupposes relations sorted along their root-to-leaf
-//! path, so that order is established once, before the recursion.  Each
-//! query relation is borrowed from the database; the f-tree nodes holding
-//! one of its attributes, top-down, are its **levels**.  Rows failing a
-//! constant selection or disagreeing on two columns of one class can never
-//! reach the result (both are decided by the row alone) and are dropped;
-//! the context is charged one unit per surviving row before anything is
-//! allocated for them.  The survivors are sorted lexicographically by
-//! their level values, top level first — an LSD byte-radix sort of a row
-//! permutation that skips every byte position on which all rows agree —
-//! and kept as one sorted key column per level.
+//! path.  The f-tree nodes holding one of a query relation's attributes,
+//! top-down, are its **levels**.  A row disagreeing on two columns of one
+//! level's class can never reach the result, and the survivors of that test,
+//! as one key column per level sorted lexicographically, top level first,
+//! are [`Database::sorted_columns`]: the database sorts each relation once
+//! per level order and shares the result across requests and threads.
+//! Rows failing a constant selection are dropped per request; the context
+//! is charged one unit per surviving row before they are copied.  A
+//! relation that loses no row to a selection borrows the shared columns as
+//! they are, with no copy; otherwise one pass copies the survivors, which
+//! filtering leaves in sorted order.  The build reads nothing but the key
+//! columns, where rows with equal keys are indistinguishable, so the arena
+//! does not depend on how the sort breaks ties.
 //!
 //! # Ranges and leapfrog
 //!
@@ -72,28 +75,35 @@ use crate::frep::FRep;
 use crate::store::{Store, UnionRec};
 use fdb_common::{failpoint, AttrId, ExecCtx, FdbError, Query, Result, Value};
 use fdb_ftree::{FTree, NodeId};
-use fdb_relation::{Database, Relation};
+use fdb_relation::Database;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One level of a query relation: an f-tree node holding some of its
 /// attributes.  The levels of a relation are consecutive, top-down.
 struct Level {
-    /// The relation's values of the node's class, in its sorted row order.
-    keys: Vec<Value>,
+    /// The relation (its index in `Prepared::columns`) and the level's depth
+    /// in it, which indexes its sorted key column.
+    rel: usize,
+    depth: usize,
     /// Whether the next level belongs to the same relation.
     continues: bool,
 }
 
 /// The sorted input of the semi-join.
 struct Prepared {
+    /// Per query relation, one key column per level over its surviving
+    /// rows: the database's shared columns, or a filtered copy of them.
+    columns: Vec<Arc<[Vec<Value>]>>,
     levels: Vec<Level>,
     /// The levels at each f-tree node, indexed by `NodeId::index`.
     node_levels: Vec<Vec<usize>>,
 }
 
-/// Validates the query against the tree, filters and sorts every query
-/// relation along its path (see the module docs), charging `ctx` one unit
-/// per surviving row before allocating for it.
+/// Validates the query against the tree and fetches every query relation
+/// sorted along its path, dropping the rows a constant selection fails (see
+/// the module docs) and charging `ctx` one unit per surviving row before
+/// copying them.
 fn prepare(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<Prepared> {
     let catalog = db.catalog();
     query.validate(catalog)?;
@@ -118,6 +128,7 @@ fn prepare(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<
     }
     let node_slots = top_down.iter().map(|n| n.index() + 1).max().unwrap_or(0);
     let mut prepared = Prepared {
+        columns: Vec::new(),
         levels: Vec::new(),
         node_levels: vec![Vec::new(); node_slots],
     };
@@ -126,60 +137,50 @@ fn prepare(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<
         // Stored instances have exactly the catalog's columns, in order.
         let attrs = catalog.rel_attrs(rel_id);
         let col_of = |attr: AttrId| attrs.iter().position(|&a| a == attr);
-        let path: Vec<(NodeId, Vec<usize>)> = top_down
+        let (nodes, groups): (Vec<NodeId>, Vec<Vec<usize>>) = top_down
             .iter()
             .filter_map(|&node| {
                 let cols: Vec<usize> = tree.class(node).iter().filter_map(|&a| col_of(a)).collect();
                 (!cols.is_empty()).then_some((node, cols))
             })
-            .collect();
+            .unzip();
+        let mut columns = db.sorted_columns(rel_id, &groups);
+        // A selection reads the key column of the level holding its
+        // attribute.
         let selections: Vec<_> = query
             .const_selections
             .iter()
-            .filter_map(|sel| col_of(sel.attr).map(|col| (col, *sel)))
+            .filter_map(|sel| {
+                let col = col_of(sel.attr)?;
+                Some((groups.iter().position(|cols| cols.contains(&col))?, *sel))
+            })
             .collect();
-        let survives = |row: &&[Value]| {
-            selections
-                .iter()
-                .all(|(col, sel)| sel.op.eval(row[*col], sel.value))
-                && path
-                    .iter()
-                    .all(|(_, cols)| cols.iter().all(|&c| row[c] == row[cols[0]]))
+        let survives = |row: usize| {
+            (selections.iter()).all(|(level, sel)| sel.op.eval(columns[*level][row], sel.value))
         };
-        // An unpopulated relation is an empty one.
-        let rows = || {
-            db.relation_ref(rel_id)
-                .into_iter()
-                .flat_map(Relation::rows)
-                .filter(survives)
+        // A relation without levels keeps every stored row.
+        let rows = columns.first().map_or(db.rel_len(rel_id), Vec::len);
+        let survivors = if selections.is_empty() {
+            rows
+        } else {
+            (0..rows).filter(|&row| survives(row)).count()
         };
-
-        let survivors = rows().count();
-        if u32::try_from(survivors).is_err() {
-            return Err(FdbError::LimitExceeded {
-                detail: format!(
-                    "relation {} has {survivors} rows to join, more than the u32 row ids of the build can address",
-                    catalog.rel_name(rel_id)
-                ),
-            });
-        }
         ctx.charge(survivors as u64)?;
-
-        let mut keys: Vec<Vec<Value>> = vec![Vec::with_capacity(survivors); path.len()];
-        for row in rows() {
-            for (column, (_, cols)) in keys.iter_mut().zip(&path) {
-                column.push(row[cols[0]]);
-            }
+        if survivors < rows {
+            let kept: Vec<usize> = (0..rows).filter(|&row| survives(row)).collect();
+            columns = (columns.iter())
+                .map(|column| kept.iter().map(|&row| column[row]).collect())
+                .collect();
         }
-        sort_rows(&mut keys);
-
-        for (depth, ((node, _), keys)) in path.iter().zip(keys).enumerate() {
+        for (depth, node) in nodes.iter().enumerate() {
             prepared.node_levels[node.index()].push(prepared.levels.len());
             prepared.levels.push(Level {
-                keys,
-                continues: depth + 1 < path.len(),
+                rel: prepared.columns.len(),
+                depth,
+                continues: depth + 1 < nodes.len(),
             });
         }
+        prepared.columns.push(columns);
     }
 
     if let Some(node) = top_down
@@ -191,43 +192,6 @@ fn prepare(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<
         });
     }
     Ok(prepared)
-}
-
-/// Sorts rows held column-wise (`columns[c][row]`) lexicographically, first
-/// column most significant: an LSD byte-radix sort of a row permutation, one
-/// stable counting pass per key byte, skipping the bytes on which all rows
-/// agree (values from a small domain differ in one or two of their eight).
-fn sort_rows(columns: &mut [Vec<Value>]) {
-    let rows = columns.first().map_or(0, Vec::len);
-    let mut perm: Vec<u32> =
-        (0..u32::try_from(rows).expect("prepare bounds the row count")).collect();
-    let mut scattered = vec![0u32; rows];
-    for keys in columns.iter().rev() {
-        let varying = keys
-            .iter()
-            .fold(0, |bits, key| bits | (key.raw() ^ keys[0].raw()));
-        for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
-            let byte = |row: u32| (keys[row as usize].raw() >> shift) as usize & 0xff;
-            // `starts[b]` becomes the output position of the next row whose
-            // byte is `b`.
-            let mut starts = [0u32; 257];
-            for &row in &perm {
-                starts[byte(row) + 1] += 1;
-            }
-            for b in 1..256 {
-                starts[b] += starts[b - 1];
-            }
-            for &row in &perm {
-                let start = &mut starts[byte(row)];
-                scattered[*start as usize] = row;
-                *start += 1;
-            }
-            std::mem::swap(&mut perm, &mut scattered);
-        }
-    }
-    for keys in columns {
-        *keys = perm.iter().map(|&row| keys[row as usize]).collect();
-    }
 }
 
 /// First index at or after `from` whose key is not `below` the sought bound
@@ -255,24 +219,29 @@ fn gallop(keys: &[Value], from: usize, below: impl Fn(Value) -> bool) -> usize {
 /// the base relations before the factorisation is built.
 ///
 /// The context is charged one unit per input row that passes the query's
-/// selections (before the rows are sorted) and one per candidate value the
-/// semi-join decides, so a deadline, budget or cancellation aborts the
-/// construction cooperatively.  On abort the half-built arena is simply
-/// dropped — the watermark rollback already guarantees no candidate is ever
-/// half-recorded.
+/// selections (before the survivors are copied) and one per candidate value
+/// the semi-join decides, so a deadline, budget or cancellation aborts the
+/// construction cooperatively.  The first build over a relation in a given
+/// level order also sorts it, once per database
+/// ([`Database::sorted_columns`]), and that sort is not charged: it is the
+/// database's work, shared by every later request.  On abort the half-built
+/// arena is simply dropped — the watermark rollback already guarantees no
+/// candidate is ever half-recorded.
 pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<FRep> {
     let prepared = prepare(db, query, tree, ctx)?;
     failpoint!(ctx, "build.semi_join");
+    let keys: Vec<&[Value]> = prepared
+        .levels
+        .iter()
+        .map(|level| &prepared.columns[level.rel][level.depth][..])
+        .collect();
     let mut builder = Builder {
         tree,
         levels: &prepared.levels,
+        keys: &keys,
         node_levels: &prepared.node_levels,
         ctx,
-        ranges: prepared
-            .levels
-            .iter()
-            .map(|level| 0..level.keys.len())
-            .collect(),
+        ranges: keys.iter().map(|keys| 0..keys.len()).collect(),
         cursors: vec![0; prepared.levels.len()],
         store: Store::default(),
         scratch_values: Vec::new(),
@@ -298,6 +267,8 @@ pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx)
 struct Builder<'a> {
     tree: &'a FTree,
     levels: &'a [Level],
+    /// Per level, its sorted key column.
+    keys: &'a [&'a [Value]],
     node_levels: &'a [Vec<usize>],
     /// Governance context: charged once per candidate value decided.
     ctx: &'a ExecCtx,
@@ -322,11 +293,10 @@ impl Builder<'_> {
     /// Leapfrog step: moves the cursors of the levels at one node forward to
     /// the smallest value all of them hold, `None` once one range runs out.
     fn next_candidate(&mut self, here: &[usize]) -> Option<Value> {
-        let levels = self.levels;
         let mut target = Value::MIN;
         let mut agreeing = 0;
         for &level in here.iter().cycle() {
-            let keys = &levels[level].keys[..self.ranges[level].end];
+            let keys = &self.keys[level][..self.ranges[level].end];
             let cursor = gallop(keys, self.cursors[level], |key| key < target);
             self.cursors[level] = cursor;
             let &found = keys.get(cursor)?;
@@ -371,7 +341,7 @@ impl Builder<'_> {
             // Hand the candidate's run of every level to the level below it
             // and step over it.
             for &level in here {
-                let keys = &levels[level].keys[..self.ranges[level].end];
+                let keys = &self.keys[level][..self.ranges[level].end];
                 let start = self.cursors[level];
                 let end = gallop(keys, start, |key| key <= value);
                 if levels[level].continues {
@@ -564,6 +534,25 @@ mod tests {
     }
 
     #[test]
+    fn a_replaced_relation_is_sorted_afresh() {
+        // The first build leaves every relation sorted in the database;
+        // replacing one must drop that, or the next build would join the
+        // old rows.
+        let (mut db, rels) = grocery();
+        let query = q1(&db, &rels);
+        let tree = t1(&db, &query);
+        let before = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
+        db.insert_raw_rows(rels[1], &[vec![3, 1], vec![3, 3]])
+            .unwrap();
+        let after = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
+        assert_eq!(
+            materialize(&after).unwrap().tuple_set(),
+            rdb_result(&db, &query)
+        );
+        assert!(after.tuple_count() < before.tuple_count());
+    }
+
+    #[test]
     fn empty_join_yields_the_empty_representation() {
         let (mut db, rels) = grocery();
         // Empty the Store relation: the join is empty.
@@ -696,18 +685,21 @@ mod tests {
     }
 
     #[test]
-    fn a_raised_cancel_flag_aborts_before_the_rows_are_sorted() {
+    fn a_raised_cancel_flag_aborts_before_the_survivors_are_copied() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        // One charge of a relation's rows crosses the check interval, so the
-        // flag is seen in prepare.
+        // A selection drops one row of R, so its survivors are copied out
+        // of the shared sorted columns; their charge crosses the check
+        // interval, so the flag is seen before the copy.
         let mut catalog = Catalog::new();
         let (r, _) = catalog.add_relation("R", &["A"]);
         let mut db = Database::new(catalog);
         let rows = fdb_common::limits::CHECK_INTERVAL;
-        db.insert_raw_rows(r, &(0..rows).map(|i| vec![i]).collect::<Vec<_>>())
+        db.insert_raw_rows(r, &(0..=rows).map(|i| vec![i]).collect::<Vec<_>>())
             .unwrap();
-        let query = Query::product(vec![r]);
+        let a = db.catalog().find_attr("R.A").unwrap();
+        let query =
+            Query::product(vec![r]).with_const_selection(a, ComparisonOp::Ge, Value::new(1));
         let tree = fdb_ftree::flat_database_ftree(db.catalog(), &[r], |rel| db.rel_len(rel) as u64)
             .unwrap();
         let limits = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
@@ -716,30 +708,34 @@ mod tests {
             build_frep_ctx(&db, &query, &tree, &ctx).unwrap_err(),
             FdbError::DeadlineExceeded { limit_ms: 0 }
         );
-        assert_eq!(ctx.budget_remaining(), 0, "only the rows were charged");
+        assert_eq!(ctx.budget_remaining(), 0, "only the survivors were charged");
     }
 
     #[test]
     fn sort_rows_is_lexicographic_on_every_byte() {
-        // Keys differing in low, high and several bytes at once, duplicate
-        // rows, and a column all rows agree on.
+        // The build's sorted input: keys differing in low, high and several
+        // bytes at once, duplicate keys, a key all rows agree on, and the
+        // row number as the last key.
         let pick = |i: u64, salt: u64| {
             let x = (i * 0x9E37_79B9 + salt) % 7;
-            Value::new([0, 1, 255, 256, 1 << 32, (1 << 40) + 3, u64::MAX][x as usize])
+            [0, 1, 255, 256, 1 << 32, (1 << 40) + 3, u64::MAX][x as usize]
         };
-        let mut columns: Vec<Vec<Value>> = vec![
-            (0..200).map(|i| pick(i, 1)).collect(),
-            vec![Value::new(9); 200],
-            (0..200).map(|i| pick(i / 2, 5)).collect(),
-        ];
-        let mut expected: Vec<[Value; 3]> = (0..200)
-            .map(|row| [columns[0][row], columns[1][row], columns[2][row]])
+        let mut catalog = Catalog::new();
+        let (r, _) = catalog.add_relation("R", &["A", "N", "B", "C"]);
+        let mut db = Database::new(catalog);
+        let rows: Vec<Vec<u64>> = (0..200)
+            .map(|i| vec![pick(i, 1), i, 9, pick(i / 2, 5)])
+            .collect();
+        db.insert_raw_rows(r, &rows).unwrap();
+        let columns = db.sorted_columns(r, &[vec![3], vec![2], vec![0], vec![1]]);
+        let sorted: Vec<[u64; 4]> = (0..200)
+            .map(|row| [0, 1, 2, 3].map(|level| columns[level][row].raw()))
+            .collect();
+        let mut expected: Vec<[u64; 4]> = rows
+            .iter()
+            .map(|row| [row[3], row[2], row[0], row[1]])
             .collect();
         expected.sort_unstable();
-        sort_rows(&mut columns);
-        let sorted: Vec<[Value; 3]> = (0..200)
-            .map(|row| [columns[0][row], columns[1][row], columns[2][row]])
-            .collect();
         assert_eq!(sorted, expected);
     }
 

@@ -13,7 +13,9 @@
 //!   in [`ops::oracle`]);
 //! * construction of the factorised result of a select-project-join query
 //!   over a given f-tree directly from a flat database ([`build`]): every
-//!   relation is sorted once along its root-to-leaf path, then a top-down
+//!   relation is read sorted along its root-to-leaf path from
+//!   [`fdb_relation::Database::sorted_columns`], which sorts it once per
+//!   database and path order rather than once per request, then a top-down
 //!   semi-join narrows one row range per relation and path level, finds
 //!   each union's values by a leapfrog intersection of those ranges, and
 //!   emits arena records as it recurses, retracting dead candidates by

@@ -1,8 +1,9 @@
 //! A database: a catalog plus the stored instance of every relation.
 
 use crate::relation::Relation;
-use fdb_common::{AttrId, Catalog, FdbError, RelId, Result, Value};
-use std::collections::BTreeMap;
+use fdb_common::{Catalog, FdbError, RelId, Result, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// An in-memory database instance.
 ///
@@ -13,7 +14,15 @@ use std::collections::BTreeMap;
 pub struct Database {
     catalog: Catalog,
     relations: BTreeMap<RelId, Relation>,
+    sorted: SortedCache,
 }
+
+/// The [`Database::sorted_columns`] computed so far: one slot per
+/// `(relation, column groups)`, filled on first use outside the map lock, so
+/// concurrent first users of one order sort it once and users of other
+/// orders never wait for that sort.  Clones share it until one of them
+/// replaces a relation and starts afresh.
+type SortedCache = Arc<Mutex<HashMap<(RelId, Vec<Vec<usize>>), Arc<OnceLock<Arc<[Vec<Value>]>>>>>>;
 
 impl Database {
     /// Creates an empty database over the given catalog.
@@ -21,6 +30,7 @@ impl Database {
         Database {
             catalog,
             relations: BTreeMap::new(),
+            sorted: SortedCache::default(),
         }
     }
 
@@ -29,9 +39,9 @@ impl Database {
         &self.catalog
     }
 
-    /// Installs (or replaces) the instance of a relation.  The relation's
-    /// columns must be exactly the catalog attributes of `rel`, in catalog
-    /// order.
+    /// Installs (or replaces) the instance of a relation, dropping every
+    /// [`Database::sorted_columns`].  The relation's columns must be exactly
+    /// the catalog attributes of `rel`, in catalog order.
     pub fn insert_relation(&mut self, rel: RelId, instance: Relation) -> Result<()> {
         self.catalog.check_rel(rel)?;
         let expected = self.catalog.rel_attrs(rel);
@@ -46,6 +56,7 @@ impl Database {
             });
         }
         self.relations.insert(rel, instance);
+        self.sorted = SortedCache::default();
         Ok(())
     }
 
@@ -66,9 +77,23 @@ impl Database {
         }
     }
 
-    /// Returns a reference to the stored instance, if it was populated.
-    pub fn relation_ref(&self, rel: RelId) -> Option<&Relation> {
-        self.relations.get(&rel)
+    /// The rows of `rel` whose columns agree within each of `groups` (lists
+    /// of `rel`'s column indices), as one column per group holding that
+    /// common value, with the rows sorted lexicographically, first group
+    /// most significant.  The flat build reads a relation this way, one
+    /// group per f-tree level.  The sort runs on the first call per `(rel,
+    /// groups)`; every later call, from any thread, shares its result until
+    /// a relation is replaced.
+    pub fn sorted_columns(&self, rel: RelId, groups: &[Vec<usize>]) -> Arc<[Vec<Value>]> {
+        // The lock only guards inserting a whole empty slot (the sort runs
+        // outside it), so a poisoned map is still a valid one.
+        let mut slots = self.sorted.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = Arc::clone(slots.entry((rel, groups.to_vec())).or_default());
+        drop(slots);
+        Arc::clone(slot.get_or_init(|| match self.relations.get(&rel) {
+            Some(relation) => sort_columns(relation, groups).into(),
+            None => vec![Vec::new(); groups.len()].into(),
+        }))
     }
 
     /// Number of tuples stored in a relation.
@@ -89,19 +114,52 @@ impl Database {
             .map(Relation::data_element_count)
             .sum()
     }
+}
 
-    /// Sorted distinct values of an attribute in its stored relation.
-    pub fn distinct_values(&self, attr: AttrId) -> Vec<Value> {
-        let rel = self.catalog.attr_relation(attr);
-        self.relations
-            .get(&rel)
-            .map_or_else(Vec::new, |r| r.distinct_values(attr))
+/// [`Database::sorted_columns`] of a stored relation: the rows whose
+/// columns agree within each group, sorted by an LSD byte-radix sort of a
+/// row permutation, one stable counting pass per key byte, skipping the
+/// bytes on which all rows agree (values from a small domain differ in one
+/// or two of their eight).
+fn sort_columns(relation: &Relation, groups: &[Vec<usize>]) -> Vec<Vec<Value>> {
+    let value = |row: usize, col: usize| relation.row(row)[col].raw();
+    let agrees =
+        |row: usize| (groups.iter()).all(|g| g.iter().all(|&c| value(row, c) == value(row, g[0])));
+    let mut perm: Vec<usize> = (0..relation.len()).filter(|&row| agrees(row)).collect();
+    let mut scattered = perm.clone();
+    for col in groups.iter().rev().map(|group| group[0]) {
+        let varying = (perm.iter()).fold(0, |bits, &row| bits | (value(row, col) ^ value(0, col)));
+        for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+            let byte = |row: usize| (value(row, col) >> shift) as usize & 0xff;
+            // `starts[b]` becomes the output position of the next row whose
+            // byte is `b`.
+            let mut starts = [0usize; 257];
+            for &row in &perm {
+                starts[byte(row) + 1] += 1;
+            }
+            for b in 1..256 {
+                starts[b] += starts[b - 1];
+            }
+            for &row in &perm {
+                let start = &mut starts[byte(row)];
+                scattered[*start] = row;
+                *start += 1;
+            }
+            std::mem::swap(&mut perm, &mut scattered);
+        }
     }
+    let column = |group: &Vec<usize>| {
+        perm.iter()
+            .map(|&row| relation.row(row)[group[0]])
+            .collect()
+    };
+    groups.iter().map(column).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdb_common::AttrId;
 
     fn setup() -> (Database, RelId, RelId) {
         let mut catalog = Catalog::new();
@@ -130,7 +188,6 @@ mod tests {
         let db = Database::new(catalog);
         assert_eq!(db.rel_len(r), 0);
         assert!(db.relation(r).is_empty());
-        assert!(db.relation_ref(r).is_none());
     }
 
     #[test]
@@ -142,16 +199,45 @@ mod tests {
     }
 
     #[test]
-    fn distinct_values_look_in_the_owning_relation() {
-        let (db, _, _) = setup();
-        // Attribute B of R (AttrId 1) has values {2, 3}; attribute B of S
-        // (AttrId 2) has values {2, 3} as well but is a different attribute.
-        assert_eq!(db.distinct_values(AttrId(1)).len(), 2);
-        let vals: Vec<u64> = db
-            .distinct_values(AttrId(3))
-            .iter()
-            .map(|v| v.raw())
-            .collect();
-        assert_eq!(vals, vec![7, 8]);
+    fn sorted_columns_are_shared_until_a_relation_is_replaced() {
+        let (mut db, r, s) = setup();
+        let raw = |columns: &[Vec<Value>]| -> Vec<Vec<u64>> {
+            columns
+                .iter()
+                .map(|column| column.iter().map(|v| v.raw()).collect())
+                .collect()
+        };
+        let (b_then_a, by_c) = (vec![vec![1], vec![0]], vec![vec![1]]);
+        let by_b = db.sorted_columns(r, &b_then_a);
+        assert_eq!(raw(&by_b), vec![vec![2, 3, 3], vec![1, 1, 2]]);
+        // Every caller, on any thread, shares the one sort.
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| db.sorted_columns(r, &b_then_a)))
+                .collect();
+            for thread in threads {
+                assert!(Arc::ptr_eq(&thread.join().unwrap(), &by_b));
+            }
+        });
+        // A clone shares the sorts until it replaces a relation.
+        let of_s = db.sorted_columns(s, &by_c);
+        let copy = db.clone();
+        assert!(Arc::ptr_eq(&copy.sorted_columns(s, &by_c), &of_s));
+        db.insert_raw_rows(r, &[vec![5, 5], vec![4, 0], vec![4, 4]])
+            .unwrap();
+        assert_eq!(
+            raw(&db.sorted_columns(r, &b_then_a)),
+            vec![vec![0, 4, 5], vec![4, 4, 5]]
+        );
+        assert!(!Arc::ptr_eq(&db.sorted_columns(s, &by_c), &of_s));
+        assert_eq!(db.sorted_columns(s, &by_c), of_s);
+        assert!(Arc::ptr_eq(&copy.sorted_columns(r, &b_then_a), &by_b));
+        // A group keeps the rows whose columns agree, as one column.
+        assert_eq!(raw(&db.sorted_columns(r, &[vec![0, 1]])), vec![vec![4, 5]]);
+        // An unpopulated relation sorts to empty columns.
+        let mut catalog = Catalog::new();
+        let (t, _) = catalog.add_relation("T", &["A", "B"]);
+        let empty = Database::new(catalog).sorted_columns(t, &b_then_a);
+        assert_eq!(raw(&empty), vec![vec![]; 2]);
     }
 }

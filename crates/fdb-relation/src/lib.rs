@@ -8,7 +8,8 @@
 //!
 //! * [`Relation`]: an in-memory relation with row-major storage, sorting,
 //!   selection and projection primitives;
-//! * [`Database`]: a catalog plus one [`Relation`] per catalog entry;
+//! * [`Database`]: a catalog plus one [`Relation`] per catalog entry, each
+//!   sorted once per column order on demand and shared across threads;
 //! * [`engine`]: the RDB query engine — join planning (greedy, smallest
 //!   intermediate first), the sort-merge join,
 //!   constant selections pushed below joins, projections, and resource

@@ -191,18 +191,6 @@ impl Relation {
         self.data = new_data;
     }
 
-    /// Returns the sorted list of distinct values in the given column.
-    pub fn distinct_values(&self, attr: AttrId) -> Vec<Value> {
-        let Some(c) = self.col_index(attr) else {
-            return Vec::new();
-        };
-        let mut vals: BTreeSet<Value> = BTreeSet::new();
-        for row in self.rows() {
-            vals.insert(row[c]);
-        }
-        vals.into_iter().collect()
-    }
-
     /// Keeps only the rows satisfying the predicate.
     pub fn filter<F>(&self, mut pred: F) -> Relation
     where
@@ -362,18 +350,6 @@ mod tests {
         );
         r.sort_and_dedup();
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn distinct_values_are_sorted() {
-        let r = rel(&[0, 1], &[vec![5, 1], vec![3, 1], vec![5, 2], vec![1, 2]]);
-        let vals: Vec<u64> = r
-            .distinct_values(AttrId(0))
-            .iter()
-            .map(|v| v.raw())
-            .collect();
-        assert_eq!(vals, vec![1, 3, 5]);
-        assert!(r.distinct_values(AttrId(7)).is_empty());
     }
 
     #[test]

@@ -444,6 +444,19 @@ fn check_build_over(db: &Database, query: &Query, tree: &FTree, context: &str) {
         tuples,
         "{context}: tuple set"
     );
+    // The build reads the database's shared sorted columns: a second build
+    // borrows them as they are, and a copy holding every relation's rows in
+    // reverse sorts afresh.  Both arenas must equal the first record for
+    // record, so rows with equal keys carry no row identity into the arena.
+    let reversed = rewrite_rows(db, |_, rows| rows.into_iter().rev().collect());
+    for (again, how) in [(db, "a second build"), (&reversed, "reversed rows")] {
+        let rebuilt = fdb::frep::build_frep_ctx(again, query, tree, &ExecCtx::unlimited())
+            .unwrap_or_else(|e| panic!("{context}: {how}: {e:?}"));
+        assert!(
+            direct.store_identical(&rebuilt),
+            "{context}: {how} change the arena"
+        );
+    }
 }
 
 /// [`check_build_over`] on both f-trees the engine can hand the build: the
