@@ -37,25 +37,12 @@ use fdb_common::{
     AggregateFunc, AggregateHead, AttrId, ConstSelection, ExecCtx, FdbError, Query, Result,
 };
 use fdb_frep::{build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy};
-use fdb_ftree::s_cost;
-use fdb_plan::{
-    plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, GreedyOptimizer, OptimizedPlan,
-};
+use fdb_plan::{plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, OptimizedPlan};
 use fdb_relation::{Database, Relation};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which f-plan optimiser the engine uses for queries over factorised input.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OptimizerKind {
-    /// Exhaustive Dijkstra search over reachable f-trees (Section 4.2).
-    #[default]
-    Exhaustive,
-    /// Greedy heuristic (Section 4.3).
-    Greedy,
-}
 
 /// A query over a factorised input: a conjunction of equality conditions
 /// between attributes of the representation, optional selections with
@@ -99,11 +86,10 @@ pub struct EvalStats {
     pub optimisation_time: Duration,
     /// Time spent building or transforming the factorised representation.
     pub execution_time: Duration,
-    /// The cost `s(T)` of the result's f-tree.  An aggregate builds no
-    /// result; it reports the tree its body plan ends on.
-    pub result_tree_cost: f64,
-    /// The f-plan cost `s(f)` (maximum intermediate cost); equals the result
-    /// tree cost for evaluation on flat input.
+    /// The f-plan cost `s(f)` (maximum intermediate cost); for evaluation on
+    /// flat input, `s(T)` of the f-tree the result is built over.  The
+    /// engine costs no other tree: a caller who wants `s(T)` of the result's
+    /// f-tree asks `fdb_ftree::s_cost(result.tree())`.
     pub plan_cost: f64,
     /// Number of singletons in the result representation.
     pub result_size: usize,
@@ -272,9 +258,8 @@ pub enum Source<'a> {
         query: &'a Query,
     },
     /// A query over a factorised input (typically the result of a previous
-    /// query): the optimiser — exhaustive or greedy, per
-    /// [`FdbEngine::optimizer`] — produces the restructuring plan for the
-    /// equality conditions.
+    /// query): the exhaustive optimiser produces the restructuring plan for
+    /// the equality conditions.
     Factorised {
         /// The frozen input representation; never mutated.
         input: &'a FRep,
@@ -396,41 +381,16 @@ enum Sunk {
     },
 }
 
-/// The FDB query engine.
+/// The FDB query engine.  Queries over factorised input are planned by the
+/// exhaustive f-plan search (Section 4.2), which honours the context's
+/// deadline and cancellation flag.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FdbEngine {
-    /// Which optimiser to use for queries over factorised input.
-    pub optimizer: OptimizerKind,
-}
+pub struct FdbEngine;
 
 impl FdbEngine {
-    /// Creates an engine with the exhaustive optimiser.
+    /// Creates an engine.
     pub fn new() -> Self {
-        FdbEngine::default()
-    }
-
-    /// Creates an engine using the greedy optimiser.
-    pub fn greedy() -> Self {
-        FdbEngine {
-            optimizer: OptimizerKind::Greedy,
-        }
-    }
-
-    /// Runs the configured optimiser on the equality conditions.  The
-    /// exhaustive search honours the context's deadline and cancellation
-    /// flag; the greedy heuristic is polynomial and runs to completion.
-    fn optimise_equalities(
-        &self,
-        tree: &fdb_ftree::FTree,
-        equalities: &[(AttrId, AttrId)],
-        ctx: &ExecCtx,
-    ) -> Result<OptimizedPlan> {
-        match self.optimizer {
-            OptimizerKind::Exhaustive => {
-                ExhaustiveOptimizer::new().optimize_ctx(tree, equalities, ctx)
-            }
-            OptimizerKind::Greedy => GreedyOptimizer::new().optimize(tree, equalities),
-        }
+        FdbEngine
     }
 
     /// Obtains the optimised plan for a factorised query, through the plan
@@ -450,13 +410,14 @@ impl FdbEngine {
         ctx: &ExecCtx,
     ) -> Result<(Arc<OptimizedPlan>, CacheCounters)> {
         let optimise = || {
-            self.optimise_equalities(input.tree(), &query.equalities, ctx)
+            ExhaustiveOptimizer::new()
+                .optimize_ctx(input.tree(), &query.equalities, ctx)
                 .map(Arc::new)
         };
         let Some(cache) = cache else {
             return Ok((optimise()?, CacheCounters::default()));
         };
-        let key = crate::serving::plan_key(self, input.tree(), query, head);
+        let key = crate::serving::plan_key(input.tree(), query, head);
         if let Some(plan) = cache.lookup(&key) {
             let hit = CacheCounters {
                 hits: 1,
@@ -567,15 +528,13 @@ impl FdbEngine {
             cache,
         } = self.resolve_source(source, head, ctx)?;
 
-        // (2) Head planning.  The head's result tree is known from
-        // simulation — and for ORDER BY it tells us which swaps bring the
-        // ordering attributes onto a root path, or that no acceptable swap
-        // chain exists and the rows are sorted flat.
-        let body_tree = (kind.is_some() || !head.order_by.is_empty())
-            .then(|| plan.final_tree(rep.tree()))
-            .transpose()?;
-        if let Some(tree) = body_tree.as_ref().filter(|_| !head.order_by.is_empty()) {
-            plan.extend(plan_chain_restructure(tree, head.order_by)?.plan);
+        // (2) Head planning.  For ORDER BY, the body plan's final tree —
+        // known from simulation — tells us which swaps bring the ordering
+        // attributes onto a root path, or that no acceptable swap chain
+        // exists and the rows are sorted flat.
+        if !head.order_by.is_empty() {
+            let tree = plan.final_tree(rep.tree())?;
+            plan.extend(plan_chain_restructure(&tree, head.order_by)?.plan);
         }
 
         // (3) Simplify once.
@@ -622,14 +581,9 @@ impl FdbEngine {
             Sunk::Rep(result) | Sunk::Ordered { result, .. } => Some(result),
             Sunk::Aggregate(_) => None,
         };
-        let result_tree = emitted
-            .map(FRep::tree)
-            .or(body_tree.as_ref())
-            .expect("an aggregate head simulates its body plan's tree");
         let stats = EvalStats {
             optimisation_time,
             execution_time,
-            result_tree_cost: s_cost(result_tree)?,
             plan_cost,
             result_size: emitted.map_or(0, FRep::size),
             result_tuples: emitted.map_or(0, FRep::tuple_count),
@@ -934,14 +888,19 @@ mod tests {
         let a = FdbEngine::new()
             .evaluate_factorised(&base.result, &fq)
             .unwrap();
-        let b = FdbEngine::greedy()
-            .evaluate_factorised(&base.result, &fq)
+        let greedy = fdb_plan::GreedyOptimizer::new()
+            .optimize(base.result.tree(), &fq.equalities)
+            .unwrap();
+        let b = greedy
+            .plan
+            .simplified(base.result.tree())
+            .emit_presimplified_ctx(&base.result, &ExecCtx::unlimited())
             .unwrap();
         assert_eq!(
             materialize(&a.result).unwrap().tuple_set(),
-            materialize(&b.result).unwrap().tuple_set()
+            materialize(&b).unwrap().tuple_set()
         );
-        assert!(b.stats.plan_cost + 1e-6 >= a.stats.plan_cost);
+        assert!(greedy.cost.max_intermediate + 1e-6 >= a.stats.plan_cost);
     }
 
     #[test]
@@ -1028,7 +987,6 @@ mod tests {
         assert!(!agg.stats.plan.is_empty());
         assert_eq!(agg.stats.flat_head_fallbacks, 0);
         assert_eq!((agg.stats.result_size, agg.stats.result_tuples), (0, 0));
-        assert!((agg.stats.result_tree_cost - full.stats.result_tree_cost).abs() < 1e-9);
     }
 
     #[test]
@@ -1281,10 +1239,6 @@ mod tests {
             ("flat-sort ORDER BY", ordered(&by_e), [0, 1]),
         ];
 
-        // `result_tree_cost` of the headless cell, per source kind: what an
-        // aggregate over the same body reports (it builds no result of its
-        // own).
-        let mut body_tree_cost = [f64::NAN; 2];
         for (label, head, counters) in heads {
             let cache = PlanCache::with_capacity(1);
             let cached = |query| Source::Factorised {
@@ -1334,7 +1288,6 @@ mod tests {
                         );
                         assert_eq!(stats.result_size, out.result.size(), "{cell}");
                         assert_eq!(stats.result_tuples, out.result.tuple_count(), "{cell}");
-                        body_tree_cost[usize::from(is_flat)] = stats.result_tree_cost;
                     }
                     ServeOutcome::Aggregate(out) => {
                         let head = head.aggregate.expect("aggregate cell");
@@ -1343,11 +1296,6 @@ mod tests {
                             fdb_frep::aggregate::by_enumeration(&reference, kind, &head.group_by);
                         assert_eq!(out.result, oracle.unwrap(), "{cell}");
                         assert_eq!((stats.result_size, stats.result_tuples), (0, 0), "{cell}");
-                        assert_eq!(
-                            stats.result_tree_cost,
-                            body_tree_cost[usize::from(is_flat)],
-                            "{cell}: an aggregate reports its body plan's tree"
-                        );
                     }
                     ServeOutcome::Ordered(out) => {
                         let oracle = materialize_then_sort(&reference, head.order_by);
@@ -1371,11 +1319,6 @@ mod tests {
                 };
                 assert_eq!(stats.plan, first.stats().plan, "{cell}");
                 assert_eq!(stats.plan_cost, first.stats().plan_cost, "{cell}");
-                assert_eq!(
-                    stats.result_tree_cost,
-                    first.stats().result_tree_cost,
-                    "{cell}"
-                );
                 assert_eq!(stats.result_size, first.stats().result_size, "{cell}");
                 match (&outcome, first) {
                     (ServeOutcome::Rep(out), ServeOutcome::Rep(first)) => {

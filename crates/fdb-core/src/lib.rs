@@ -8,9 +8,9 @@
 //!   a [`Source`] — a query over a flat relational database, where the
 //!   optimiser picks an f-tree of minimal cost `s(T)` and the factorised
 //!   result is built directly over it (Experiments 1 and 3), or a query
-//!   over a factorised input, where the exhaustive Dijkstra search or the
-//!   greedy heuristic produces an f-plan of restructuring and selection
-//!   operators (Experiments 2 and 4) — an optional aggregate or `ORDER BY`
+//!   over a factorised input, where the exhaustive Dijkstra search
+//!   produces an f-plan of restructuring and selection operators
+//!   (Experiments 2 and 4) — an optional aggregate or `ORDER BY`
 //!   [`Head`], and the request's limits;
 //! * [`FdbEngine::evaluate_flat`] and [`FdbEngine::evaluate_factorised`]
 //!   are its headless, ungoverned forms, and
@@ -34,8 +34,8 @@ pub mod serving;
 pub mod snapshot;
 
 pub use engine::{
-    AggregateOutput, EvalOutput, EvalStats, FactorisedQuery, FdbEngine, Head, OptimizerKind,
-    OrderedOutput, ServeOutcome, Source,
+    AggregateOutput, EvalOutput, EvalStats, FactorisedQuery, FdbEngine, Head, OrderedOutput,
+    ServeOutcome, Source,
 };
 pub use serving::{
     default_threads, FdbServer, PlanCache, RepId, ServeRequest, ServerStats, SharedDatabase,

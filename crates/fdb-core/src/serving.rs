@@ -222,14 +222,14 @@ impl SharedDatabase {
 }
 
 /// The cache key: a fingerprint of the query **shape**.  It pins everything
-/// the optimiser's answer depends on — optimiser kind, the input f-tree's
-/// exact structure (node ids, parent links, classes, visible attributes,
-/// bound constants and edge cardinalities; the cached plan's operators
-/// reference node ids, so structural identity is required for validity) and
-/// the equality conditions — plus the operator skeleton around the cached
-/// plan: constant selections as `(attribute, operator)` pairs with the
-/// **constants abstracted away** (they never reach the optimiser; they are
-/// re-applied verbatim per request), and the projection list.
+/// the optimiser's answer depends on — the input f-tree's exact structure
+/// (node ids, parent links, classes, visible attributes, bound constants and
+/// edge cardinalities; the cached plan's operators reference node ids, so
+/// structural identity is required for validity) and the equality
+/// conditions — plus the operator skeleton around the cached plan: constant
+/// selections as `(attribute, operator)` pairs with the **constants
+/// abstracted away** (they never reach the optimiser; they are re-applied
+/// verbatim per request), and the projection list.
 ///
 /// The key also covers the request's **head**: the aggregate head (function,
 /// attribute, `DISTINCT`, grouping attributes) and the `ORDER BY` list.
@@ -240,15 +240,8 @@ impl SharedDatabase {
 /// hazard: a cached entry would make a `COUNT` and a
 /// `COUNT(DISTINCT…) GROUP BY…` of the same body indistinguishable to any
 /// future planner that specialises on the head.)
-pub(crate) fn plan_key(
-    engine: &FdbEngine,
-    tree: &FTree,
-    query: &FactorisedQuery,
-    head: Head<'_>,
-) -> String {
-    let mut key = String::new();
-    let _ = write!(key, "opt:{:?}|", engine.optimizer);
-    key.push_str(&tree_fingerprint(tree));
+pub(crate) fn plan_key(tree: &FTree, query: &FactorisedQuery, head: Head<'_>) -> String {
+    let mut key = tree_fingerprint(tree);
     key.push('|');
     for (a, b) in &query.equalities {
         let _ = write!(key, "q{}={};", a.0, b.0);
@@ -288,9 +281,9 @@ pub(crate) fn plan_key(
 /// The input-f-tree portion of a [`plan_key`]: the tree's exact structure —
 /// node ids, parent links, classes, projected attributes, bound constants —
 /// plus the dependency edges with their cardinalities.  Every cache key
-/// embeds this fingerprint verbatim right after the optimiser tag, which is
-/// what makes targeted invalidation possible: the plans keyed on a replaced
-/// representation's tree are exactly the keys carrying its fingerprint.
+/// starts with this fingerprint verbatim, which is what makes targeted
+/// invalidation possible: the plans keyed on a replaced representation's
+/// tree are exactly the keys carrying its fingerprint.
 pub(crate) fn tree_fingerprint(tree: &FTree) -> String {
     let mut key = String::new();
     for edge in tree.edges() {
@@ -323,16 +316,12 @@ pub(crate) fn tree_fingerprint(tree: &FTree) -> String {
 }
 
 /// Whether a cache key was built over the given input-tree fingerprint:
-/// the fingerprint sits between the first `|` (after the optimiser tag)
-/// and the `|` that opens the query skeleton, so the trailing delimiter
-/// keeps a tree whose fingerprint happens to be a prefix of another's from
-/// matching.
+/// the fingerprint opens the key and the `|` that opens the query skeleton
+/// follows it, so the trailing delimiter keeps a tree whose fingerprint
+/// happens to be a prefix of another's from matching.
 fn key_matches_tree(key: &str, fingerprint: &str) -> bool {
-    key.split_once('|').is_some_and(|(_, rest)| {
-        rest.len() > fingerprint.len()
-            && rest.starts_with(fingerprint)
-            && rest.as_bytes()[fingerprint.len()] == b'|'
-    })
+    key.strip_prefix(fingerprint)
+        .is_some_and(|rest| rest.starts_with('|'))
 }
 
 /// Default bound on the number of cached plans — generous for any realistic

@@ -1,4 +1,5 @@
-//! The size-bound parameter `s(T)` of an f-tree.
+//! The size-bound parameter `s(T)` of an f-tree, and the search for an
+//! f-tree that minimises it.
 //!
 //! For a root-to-leaf path `p` of an f-tree `T`, consider the hypergraph
 //! whose vertices are the attribute classes of the nodes on `p` and whose
@@ -14,11 +15,29 @@
 //! has size `O(|D|^{s(T)})`, and this bound is tight.  Nodes that have been
 //! bound to a constant by an equality selection are ignored (the only
 //! f-representation over such a node is a single singleton).
+//!
+//! Every path cover of the workspace is keyed and solved by [`SCostMemo`]:
+//! the `s(T)` of a given tree, and the least `s(T)` over every f-tree of
+//! some classes ([`optimal_ftree`] for a query over flat input — Experiment
+//! 1 of the paper — and [`SCostMemo::min_s_cost`] for the classes of a tree).
+//! The normalised f-trees of some classes have a recursive structure: pick a
+//! class as the root of a (sub)tree, and the remaining classes split into
+//! connected components — two classes are connected when some relation has
+//! attributes in both — each becoming an independent child subtree.
+//! (Sibling subtrees of a valid f-tree can never share a relation, because
+//! the path constraint would be violated; conversely every such recursive
+//! decomposition satisfies the path constraint.)  A path's cover depends
+//! only on the set of its classes' incidence sets, so classes with the same
+//! set are interchangeable: the search branches over distinct sets only and
+//! memoises subproblems on (the multiset of sets of the component, the set
+//! of sets of its ancestors), which collapses the exponentially many
+//! orderings of interchangeable classes.
 
+use crate::builder::dep_edges_for_query;
 use crate::ftree::{FTree, NodeId};
-use fdb_common::Result;
+use fdb_common::{Catalog, FdbError, Query, RelId, Result};
 use fdb_lp::{fractional_edge_cover, CoverInstance};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Cost details of one root-to-leaf path.
 #[derive(Clone, Debug)]
@@ -42,11 +61,11 @@ fn set_width(tree: &FTree) -> usize {
     tree.edges().len().div_ceil(64).max(1)
 }
 
-/// The edge-cover instance of a path given as the incidence sets of its
-/// non-constant nodes, `width` words a set, in any order: one vertex per
-/// set, one instance edge per dependency edge on the path, in edge order,
-/// covering the positions it is incident to.
-fn cover_instance(path: &[u64], width: usize) -> CoverInstance {
+/// The fractional edge cover number of a path given as the incidence sets of
+/// its non-constant nodes, `width` words a set, in any order: the LP has one
+/// vertex per set and one edge per dependency edge on the path, in edge
+/// order, covering the positions it is incident to.
+fn path_cover(path: &[u64], width: usize) -> Result<f64> {
     let sets: Vec<&[u64]> = path.chunks(width).collect();
     let mut instance = CoverInstance::new(sets.len());
     for slot in 0..width {
@@ -56,10 +75,11 @@ fn cover_instance(path: &[u64], width: usize) -> CoverInstance {
             instance.add_edge(covered.collect());
         }
     }
-    instance
+    fractional_edge_cover(&instance)
 }
 
-/// Computes the cost of every root-to-leaf path of the tree.
+/// Computes the cost of every root-to-leaf path of the tree, one LP per
+/// path and no memo.
 pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
     let width = set_width(tree);
     let mut out = Vec::new();
@@ -74,7 +94,7 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
         for &n in &nodes {
             push_set(tree, n, width, &mut path);
         }
-        let cost = fractional_edge_cover(&cover_instance(&path, width))?;
+        let cost = path_cover(&path, width)?;
         out.push(PathCost { leaf, nodes, cost });
     }
     Ok(out)
@@ -88,7 +108,8 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
 /// costs thousands of trees whose paths carry the same nodes in different
 /// orders: the memo solves one LP per distinct sorted, de-duplicated list of
 /// sets and hands every later occurrence the same `f64`.  A memo serves any
-/// number of trees, over the same edge list or not.
+/// number of trees, over the same edge list or not, and the f-tree search
+/// takes its covers from the same entries.
 #[derive(Debug, Default)]
 pub struct SCostMemo {
     /// Keyed by a path's sets as bitmap words, then the words a set takes;
@@ -107,41 +128,47 @@ impl SCostMemo {
     /// Computes `s(T)`: the maximum fractional edge cover number over all
     /// root-to-leaf paths.  An empty forest has cost 0.
     pub fn s_cost(&mut self, tree: &FTree) -> Result<f64> {
-        let width = set_width(tree);
         let mut max = 0.0_f64;
         for leaf in tree.leaf_ids() {
-            // Constant-bound nodes do not contribute to the size bound: the
-            // only f-representation over them is a single singleton.
-            self.path.clear();
-            let mut cur = Some(leaf);
-            while let Some(n) = cur {
-                if tree.constant(n).is_none() {
-                    push_set(tree, n, width, &mut self.path);
-                }
-                cur = tree.parent(n);
-            }
-            if width == 1 {
-                self.path.sort_unstable();
-                self.path.dedup();
-            } else {
-                let mut sets: Vec<&[u64]> = self.path.chunks(width).collect();
-                sets.sort_unstable();
-                sets.dedup();
-                self.path = sets.concat();
-            }
-            self.path.push(width as u64);
-            let cost = match self.covers.get(&self.path) {
-                Some(&cost) => cost,
-                None => {
-                    let sets = &self.path[..self.path.len() - 1];
-                    let cost = fractional_edge_cover(&cover_instance(sets, width))?;
-                    self.covers.insert(self.path.clone(), cost);
-                    cost
-                }
-            };
-            max = max.max(cost);
+            let path = std::iter::successors(Some(leaf), |&n| tree.parent(n));
+            max = max.max(self.cover(tree, path)?);
         }
         Ok(max)
+    }
+
+    /// The least `s(T)` of any f-tree whose nodes are the non-constant
+    /// classes of `tree`, on its edges — the cost [`optimal_ftree`] finds
+    /// for a query, without building the tree.
+    pub fn min_s_cost(&mut self, tree: &FTree) -> Result<f64> {
+        Search::new(tree, self)?.cost()
+    }
+
+    /// The fractional edge cover number of the non-constant nodes among
+    /// `nodes`: the one place a path is keyed and its LP solved.
+    fn cover(&mut self, tree: &FTree, nodes: impl Iterator<Item = NodeId>) -> Result<f64> {
+        // Constant-bound nodes do not contribute to the size bound: the only
+        // f-representation over them is a single singleton.
+        let width = set_width(tree);
+        self.path.clear();
+        for n in nodes.filter(|&n| tree.constant(n).is_none()) {
+            push_set(tree, n, width, &mut self.path);
+        }
+        if width == 1 {
+            self.path.sort_unstable();
+            self.path.dedup();
+        } else {
+            let mut sets: Vec<&[u64]> = self.path.chunks(width).collect();
+            sets.sort_unstable();
+            sets.dedup();
+            self.path = sets.concat();
+        }
+        self.path.push(width as u64);
+        if let Some(&cost) = self.covers.get(&self.path) {
+            return Ok(cost);
+        }
+        let cost = path_cover(&self.path[..self.path.len() - 1], width)?;
+        self.covers.insert(self.path.clone(), cost);
+        Ok(cost)
     }
 }
 
@@ -149,6 +176,261 @@ impl SCostMemo {
 /// costing many trees should hold on to instead).
 pub fn s_cost(tree: &FTree) -> Result<f64> {
     SCostMemo::new().s_cost(tree)
+}
+
+/// The result of the optimal f-tree search.
+#[derive(Clone, Debug)]
+pub struct FTreeSearchResult {
+    /// An f-tree of the query with minimum `s(T)`.
+    pub tree: FTree,
+    /// Its cost `s(T)`.
+    pub cost: f64,
+    /// Number of memoised subproblems solved.
+    pub explored_states: usize,
+}
+
+/// Finds an f-tree of the query with minimum cost `s(T)`.
+///
+/// `cardinality_of` supplies relation sizes for the dependency edges (they do
+/// not influence the asymptotic cost but are carried along for later stages).
+pub fn optimal_ftree(
+    catalog: &Catalog,
+    query: &Query,
+    cardinality_of: impl Fn(RelId) -> u64,
+) -> Result<FTreeSearchResult> {
+    optimal_ftree_memo(catalog, query, cardinality_of, &mut SCostMemo::new())
+}
+
+/// [`optimal_ftree`] taking every path cover from `memo`.
+fn optimal_ftree_memo(
+    catalog: &Catalog,
+    query: &Query,
+    cardinality_of: impl Fn(RelId) -> u64,
+    memo: &mut SCostMemo,
+) -> Result<FTreeSearchResult> {
+    query.validate(catalog)?;
+    // The classes as a forest of roots, for the incidence sets it computes.
+    let mut classes = FTree::new(dep_edges_for_query(catalog, query, cardinality_of));
+    for class in query.equivalence_classes(catalog) {
+        classes.add_node(class, None)?;
+    }
+    let mut search = Search::new(&classes, memo)?;
+    let cost = search.cost()?;
+    // Rebuild an optimal tree from the memoised root choices.
+    let mut tree = FTree::new(classes.edges().to_vec());
+    let all: Vec<usize> = (0..search.classes.len()).collect();
+    search.reconstruct_forest(&all, &[], None, &mut tree)?;
+    tree.check_path_constraint()?;
+    Ok(FTreeSearchResult {
+        tree,
+        cost,
+        explored_states: search.states.len(),
+    })
+}
+
+/// Nominal database size used by the size-proxy tie-breaker: among trees
+/// with the same `s(T)`, the search prefers the one whose estimated
+/// representation size `Σ_nodes N^{cover(path to node)}` is smallest.
+const NOMINAL_N: f64 = 100.0;
+
+/// Cost of a (sub)forest arrangement: the maximum path cover over its nodes
+/// (the primary objective — its overall maximum is `s(T)`) and the estimated
+/// representation size under a nominal database size (the tie-breaker that
+/// steers the search towards bushier, smaller factorisations).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct SubCost {
+    max: f64,
+    size_proxy: f64,
+}
+
+impl SubCost {
+    const ZERO: SubCost = SubCost {
+        max: 0.0,
+        size_proxy: 0.0,
+    };
+
+    fn combine_forest(self, other: SubCost) -> SubCost {
+        SubCost {
+            max: self.max.max(other.max),
+            size_proxy: self.size_proxy + other.size_proxy,
+        }
+    }
+
+    fn better_than(self, other: SubCost) -> bool {
+        if self.max + 1e-9 < other.max {
+            return true;
+        }
+        if self.max > other.max + 1e-9 {
+            return false;
+        }
+        self.size_proxy + 1e-6 < other.size_proxy
+    }
+}
+
+/// A component's classes as (kind, count) pairs, ascending.
+type MultisetKey = Vec<(usize, usize)>;
+
+/// The memoised decomposition search over the non-constant nodes of a forest
+/// (the classes to arrange), reading each class's incidence set off the
+/// forest and every path cover from the memo.  Classes are named by their
+/// position in `classes`, and a class's *kind* is the first class with the
+/// same incidence set; sets of ancestors are ascending lists of kinds.
+struct Search<'a> {
+    tree: &'a FTree,
+    memo: &'a mut SCostMemo,
+    classes: Vec<NodeId>,
+    kind: Vec<usize>,
+    /// (component kinds, ancestor kinds) → (best cost, best root kind).
+    states: HashMap<(MultisetKey, Vec<usize>), (SubCost, usize)>,
+}
+
+impl<'a> Search<'a> {
+    fn new(tree: &'a FTree, memo: &'a mut SCostMemo) -> Result<Search<'a>> {
+        let classes: Vec<NodeId> = tree
+            .node_ids()
+            .into_iter()
+            .filter(|&n| tree.constant(n).is_none())
+            .collect();
+        let mut kind = Vec::with_capacity(classes.len());
+        for (i, &class) in classes.iter().enumerate() {
+            let set = tree.incidence(class);
+            if set.iter().next().is_none() {
+                return Err(FdbError::InvalidInput {
+                    detail: "query class not covered by any relation".into(),
+                });
+            }
+            let first = (0..i).find(|&j| tree.incidence(classes[j]) == set);
+            kind.push(first.unwrap_or(i));
+        }
+        Ok(Search {
+            tree,
+            memo,
+            classes,
+            kind,
+            states: HashMap::new(),
+        })
+    }
+
+    /// The least `s(T)` over every arrangement of all the classes.
+    fn cost(&mut self) -> Result<f64> {
+        let all: Vec<usize> = (0..self.classes.len()).collect();
+        Ok(self.best_forest(&all, &[])?.max)
+    }
+
+    /// Whether two classes share a relation.
+    fn connected(&self, a: usize, b: usize) -> bool {
+        let set = |c: usize| self.tree.incidence(self.classes[c]);
+        set(a).intersects(set(b))
+    }
+
+    /// Splits the classes into connected components.
+    fn components(&self, classes: &[usize]) -> Vec<Vec<usize>> {
+        let mut remaining: Vec<usize> = classes.to_vec();
+        let mut components = Vec::new();
+        while let Some(seed) = remaining.pop() {
+            let mut component = vec![seed];
+            loop {
+                let (connected, rest): (Vec<usize>, Vec<usize>) = remaining
+                    .into_iter()
+                    .partition(|&c| component.iter().any(|&m| self.connected(m, c)));
+                remaining = rest;
+                if connected.is_empty() {
+                    break;
+                }
+                component.extend(connected);
+            }
+            component.sort_unstable();
+            components.push(component);
+        }
+        components
+    }
+
+    fn multiset_key(&self, classes: &[usize]) -> MultisetKey {
+        let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
+        for &c in classes {
+            *counts.entry(self.kind[c]).or_insert(0) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    /// Minimum achievable cost for arranging `classes` (a forest of
+    /// independent components) below ancestors of kinds `anc`.
+    fn best_forest(&mut self, classes: &[usize], anc: &[usize]) -> Result<SubCost> {
+        let mut total = SubCost::ZERO;
+        for component in self.components(classes) {
+            total = total.combine_forest(self.best_tree(&component, anc)?.0);
+        }
+        Ok(total)
+    }
+
+    /// Minimum achievable cost for arranging one connected component as a
+    /// single subtree below ancestors of kinds `anc`, and the kind of its
+    /// root.
+    fn best_tree(&mut self, component: &[usize], anc: &[usize]) -> Result<(SubCost, usize)> {
+        let key = (self.multiset_key(component), anc.to_vec());
+        if let Some(&best) = self.states.get(&key) {
+            return Ok(best);
+        }
+        let mut best = SubCost {
+            max: f64::INFINITY,
+            size_proxy: f64::INFINITY,
+        };
+        let mut best_root = usize::MAX;
+        for (i, &class) in component.iter().enumerate() {
+            // Classes of one kind are interchangeable: branch on the first.
+            let kind = self.kind[class];
+            if component[..i].iter().any(|&c| self.kind[c] == kind) {
+                continue;
+            }
+            let rest: Vec<usize> = component.iter().copied().filter(|&c| c != class).collect();
+            let anc = with_kind(anc, kind);
+            let path = anc.iter().map(|&k| self.classes[k]);
+            let node_cover = self.memo.cover(self.tree, path)?;
+            let sub = self.best_forest(&rest, &anc)?;
+            let cost = SubCost {
+                max: node_cover.max(sub.max),
+                size_proxy: NOMINAL_N.powf(node_cover) + sub.size_proxy,
+            };
+            if cost.better_than(best) {
+                best = cost;
+                best_root = kind;
+            }
+        }
+        self.states.insert(key, (best, best_root));
+        Ok((best, best_root))
+    }
+
+    /// Rebuilds an optimal forest below `parent` by replaying the memoised
+    /// root choices on the concrete classes.
+    fn reconstruct_forest(
+        &mut self,
+        classes: &[usize],
+        anc: &[usize],
+        parent: Option<NodeId>,
+        out: &mut FTree,
+    ) -> Result<()> {
+        for component in self.components(classes) {
+            let (_, root_kind) = self.best_tree(&component, anc)?;
+            let root = component
+                .iter()
+                .copied()
+                .find(|&c| self.kind[c] == root_kind)
+                .expect("the memoised root kind occurs in the component");
+            let node = out.add_node(self.tree.class(self.classes[root]).clone(), parent)?;
+            let rest: Vec<usize> = component.iter().copied().filter(|&c| c != root).collect();
+            self.reconstruct_forest(&rest, &with_kind(anc, root_kind), Some(node), out)?;
+        }
+        Ok(())
+    }
+}
+
+/// The ascending list of kinds `anc` with `kind` added.
+fn with_kind(anc: &[usize], kind: usize) -> Vec<usize> {
+    let mut out = anc.to_vec();
+    if let Err(at) = out.binary_search(&kind) {
+        out.insert(at, kind);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -336,5 +618,82 @@ mod tests {
         forest.add_node(attrs(&[1]), None).unwrap();
         forest.add_node(attrs(&[2]), None).unwrap();
         assert!(close(s_cost(&forest).unwrap(), 1.0));
+    }
+
+    /// The catalogue of `relations` (name, attribute names) and the query
+    /// joining them on the `joins` (`"R.A"` names).
+    fn join(relations: &[(&str, [&str; 2])], joins: &[(&str, &str)]) -> (Catalog, Query) {
+        let mut catalog = Catalog::new();
+        let rels = relations
+            .iter()
+            .map(|(name, attrs)| catalog.add_relation(name, attrs).0)
+            .collect();
+        let attr = |name: &str| catalog.find_attr(name).unwrap();
+        let query = joins.iter().fold(Query::product(rels), |q, (a, b)| {
+            q.with_equality(attr(a), attr(b))
+        });
+        (catalog, query)
+    }
+
+    #[test]
+    fn costing_the_searched_tree_solves_no_new_lp() {
+        let chain: Vec<(&str, [&str; 2])> = ["R0", "R1", "R2", "R3"]
+            .into_iter()
+            .map(|name| (name, ["A", "B"]))
+            .collect();
+        let cases = [
+            // Q1 of Example 5: Orders ⋈_item Store ⋈_location Disp.
+            (
+                join(
+                    &[
+                        ("Orders", ["oid", "item"]),
+                        ("Store", ["location", "item"]),
+                        ("Disp", ["dispatcher", "location"]),
+                    ],
+                    &[
+                        ("Orders.item", "Store.item"),
+                        ("Store.location", "Disp.location"),
+                    ],
+                ),
+                2.0,
+            ),
+            // Q2 of Example 5: Produce ⋈_supplier Serve.
+            (
+                join(
+                    &[
+                        ("Produce", ["supplier", "item"]),
+                        ("Serve", ["supplier", "location"]),
+                    ],
+                    &[("Produce.supplier", "Serve.supplier")],
+                ),
+                1.0,
+            ),
+            // The triangle R(A,B), S(B,C), T(C,A).
+            (
+                join(
+                    &[("R", ["A", "B"]), ("S", ["B", "C"]), ("T", ["C", "A"])],
+                    &[("R.A", "T.A"), ("R.B", "S.B"), ("S.C", "T.C")],
+                ),
+                1.5,
+            ),
+            // The 4-chain of Example 6: R0.B = R1.A, R1.B = R2.A, R2.B = R3.A.
+            (
+                join(
+                    &chain,
+                    &[("R0.B", "R1.A"), ("R1.B", "R2.A"), ("R2.B", "R3.A")],
+                ),
+                2.0,
+            ),
+        ];
+        for ((catalog, query), cost) in cases {
+            let mut memo = SCostMemo::new();
+            let found = optimal_ftree_memo(&catalog, &query, |_| 1, &mut memo).unwrap();
+            assert!(close(found.cost, cost), "{} vs {cost}", found.cost);
+            // Every root-to-leaf path of the arranged tree is a set of
+            // ancestors the search has already covered.
+            let solved = memo.covers.len();
+            assert!(close(memo.s_cost(&found.tree).unwrap(), cost));
+            assert_eq!(memo.covers.len(), solved, "{query:?}");
+        }
     }
 }

@@ -18,10 +18,11 @@
 //!   constant-selection marking, and leaf removal for projections;
 //! * the size-bound cost `s(T)` ([`cost`]): the maximum fractional edge
 //!   cover number over root-to-leaf paths, computed with the `fdb-lp`
-//!   simplex solver;
-//! * constructors of valid f-trees for a query ([`builder`]), including the
-//!   single-path fallback and the recursive enumeration of normalised
-//!   f-trees used by the optimiser.
+//!   simplex solver, and the search for an f-tree of a query that
+//!   minimises it ([`optimal_ftree`]);
+//! * constructors of valid f-trees for a query ([`builder`]): its dependency
+//!   edges, the single-path fallback and the forest a flat database already
+//!   is.
 //!
 //! # Incidence sets
 //!
@@ -43,8 +44,11 @@
 //!   move nodes and change no class, so they leave the sets alone.  Direct
 //!   mutable access to the edge list is crate-private for this reason.
 //! * **Who reads it.**  `nodes_dependent`, `depends_on_subtree`,
-//!   `edges_of_node`, [`s_cost_details`] and [`SCostMemo`], whose memo key
-//!   is a path's sorted, de-duplicated list of sets.
+//!   `edges_of_node`, [`s_cost_details`], [`SCostMemo`], whose memo key is
+//!   a path's sorted, de-duplicated list of sets, and the f-tree search
+//!   behind [`optimal_ftree`] and [`SCostMemo::min_s_cost`], which treats
+//!   classes with equal sets as interchangeable and takes every path cover
+//!   from the memo.
 //! * **Derived state.**  The sets are a function of classes and edges: they
 //!   are not part of [`FTree::snapshot_nodes`] (a decoded tree recomputes
 //!   them), not part of [`FTree::canonical_key`], and `FTree` has no
@@ -70,7 +74,7 @@ pub mod transform;
 pub use builder::{
     dep_edges_for_query, flat_database_ftree, ftree_from_query_classes, single_path_ftree,
 };
-pub use cost::{s_cost, s_cost_details, PathCost, SCostMemo};
+pub use cost::{optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCost, SCostMemo};
 #[doc(hidden)]
 pub use ftree::NodeSnapshot;
 pub use ftree::{DepEdge, FTree, NodeId};

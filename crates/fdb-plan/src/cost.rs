@@ -54,13 +54,9 @@ impl FPlanCost {
     }
 }
 
-/// Computes the asymptotic cost of a plan on the given input f-tree.
-pub fn plan_cost(plan: &FPlan, input: &FTree) -> Result<FPlanCost> {
-    plan_cost_memo(plan, input, &mut SCostMemo::new())
-}
-
-/// [`plan_cost`] against a caller-held memo, for callers that cost several
-/// plans over related trees.
+/// Computes the asymptotic cost of a plan on the given input f-tree, every
+/// tree costed through the caller's memo (callers cost several plans over
+/// related trees).
 pub(crate) fn plan_cost_memo(
     plan: &FPlan,
     input: &FTree,
@@ -114,7 +110,8 @@ mod tests {
         // Plan 1: swap B with {A,D} (B becomes root), then absorb F into B.
         // Its intermediate tree has cost 2.
         let plan1 = FPlan::new(vec![FPlanOp::Swap(b), FPlanOp::Absorb(b, f)]);
-        let cost1 = plan_cost(&plan1, &tree).unwrap();
+        let mut memo = SCostMemo::new();
+        let cost1 = plan_cost_memo(&plan1, &tree, &mut memo).unwrap();
         assert!(
             (cost1.max_intermediate - 2.0).abs() < 1e-6,
             "plan1 cost {cost1:?}"
@@ -123,7 +120,7 @@ mod tests {
 
         // Plan 2: swap F with E, then merge F with B — all trees have cost 1.
         let plan2 = FPlan::new(vec![FPlanOp::Swap(f), FPlanOp::Merge(b, f)]);
-        let cost2 = plan_cost(&plan2, &tree).unwrap();
+        let cost2 = plan_cost_memo(&plan2, &tree, &mut memo).unwrap();
         assert!(
             (cost2.max_intermediate - 1.0).abs() < 1e-6,
             "plan2 cost {cost2:?}"

@@ -12,8 +12,9 @@
 //! * the asymptotic cost measure of the paper's Section 4.1 ([`cost`]),
 //!   based on the size-bound parameter `s(T)` of every intermediate f-tree;
 //! * the optimisers ([`optimizer`]):
-//!   - [`optimizer::ftree_search`] finds an optimal (minimum `s(T)`) f-tree
-//!     of a query over flat input — Experiment 1 of the paper;
+//!   - [`optimal_ftree`] finds an optimal (minimum `s(T)`) f-tree of a
+//!     query over flat input — Experiment 1 of the paper (re-exported from
+//!     `fdb_ftree`, which keys and solves every path cover);
 //!   - [`optimizer::exhaustive`] runs Dijkstra over the space of normalised
 //!     f-trees reachable by f-plan operators to find an optimal f-plan for a
 //!     query over factorised input — Section 4.2;
@@ -27,9 +28,9 @@ pub mod optimizer;
 pub mod ordering;
 
 pub use cost::FPlanCost;
+pub use fdb_ftree::{optimal_ftree, FTreeSearchResult};
 pub use fplan::{FPlan, FPlanOp};
 pub use optimizer::exhaustive::{ExhaustiveConfig, ExhaustiveOptimizer};
-pub use optimizer::ftree_search::{optimal_ftree, FTreeSearchResult};
 pub use optimizer::greedy::GreedyOptimizer;
 pub use optimizer::OptimizedPlan;
 pub use ordering::{plan_chain_restructure, ChainDecision, ChainStrategy};

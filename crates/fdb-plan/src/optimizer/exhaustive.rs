@@ -40,7 +40,8 @@
 //! constraint, so its `s(T)` is at least the least `s(T)` of any f-tree of
 //! the non-constant classes on the same edges.  That number is bounded from
 //! below by a free *floor* (1 if some class is not constant, else 0) and
-//! computed exactly by the f-tree search (`min_s_cost`, the *tight* bound).
+//! computed exactly by the f-tree search, which takes its path covers from
+//! the search's own memo ([`SCostMemo::min_s_cost`], the *tight* bound).
 //! The loop breaks at a goal whose `s(T)` is below the bound plus
 //! `STOP_TOLERANCE`.  It computes the tight bound at most once, and only
 //! for a goal that misses the floor while the heap's top still lies on the
@@ -67,7 +68,6 @@
 
 use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
-use crate::optimizer::ftree_search::min_s_cost;
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, ExecCtx, FdbError, Result};
 use fdb_ftree::{FTree, SCostMemo};
@@ -103,8 +103,11 @@ pub struct ExhaustiveOptimizer {
 const CHECK_EVERY: usize = 64;
 
 /// A goal whose `s(T)` is below the bound plus this stops the search:
-/// strictly inside the goal selection's 1e-9, so that round-off between the
-/// f-tree search's covers and the memo's cannot flip a choice.
+/// strictly inside the goal selection's 1e-9.  Bound and goal cost come from
+/// one memo, but the bound is the `s(T)` of the best arrangement of the
+/// goal's classes, whose paths are in general other sets than the goal's,
+/// each its own LP: two equal exact optima may come out of the simplex a few
+/// ulps apart, and that round-off must not flip a choice.
 const STOP_TOLERANCE: f64 = 0.5e-9;
 
 /// An `f64` wrapper with a total order (no NaNs are ever produced here).
@@ -278,7 +281,7 @@ impl ExhaustiveOptimizer {
                     Self::classes(&states[current].tree),
                     Self::classes(&states[goals[0]].tree)
                 );
-                if Self::proven(&states[current], plateau, &heap, &mut tight)? {
+                if Self::proven(&states[current], plateau, &heap, &mut tight, &mut memo)? {
                     break;
                 }
                 continue;
@@ -408,12 +411,13 @@ impl ExhaustiveOptimizer {
 
     /// Whether `goal`, just settled, is the goal the full sweep would choose
     /// (the module docs give the argument).  `tight` keeps the tight bound
-    /// once computed.
+    /// once computed through `memo`.
     fn proven(
         goal: &State,
         plateau: f64,
         heap: &BinaryHeap<QueueItem>,
         tight: &mut Option<f64>,
+        memo: &mut SCostMemo,
     ) -> Result<bool> {
         let on_plateau = |item: &QueueItem| item.bottleneck.0 <= plateau + 1e-9;
         let tree = &goal.tree;
@@ -426,7 +430,7 @@ impl ExhaustiveOptimizer {
             && tight.is_none()
             && heap.peek().is_some_and(on_plateau)
         {
-            bound = *tight.insert(s_cost_lower_bound(tree)?);
+            bound = *tight.insert(memo.min_s_cost(tree)?);
         }
         Ok(goal.own_cost < bound + STOP_TOLERANCE
             && !heap
@@ -478,18 +482,6 @@ impl ExhaustiveOptimizer {
         }
         out
     }
-}
-
-/// A lower bound on `s(T)` of every goal with `goal`'s classes: the least
-/// `s(T)` of any f-tree of its non-constant classes on its edges.
-pub(crate) fn s_cost_lower_bound(goal: &FTree) -> Result<f64> {
-    let classes: Vec<BTreeSet<AttrId>> = goal
-        .node_ids()
-        .into_iter()
-        .filter(|&n| goal.constant(n).is_none())
-        .map(|n| goal.class(n).clone())
-        .collect();
-    min_s_cost(goal.edges(), &classes)
 }
 
 #[cfg(test)]
@@ -631,7 +623,7 @@ mod tests {
     /// `max_intermediate` alone; the final trees differ.
     #[test]
     fn the_exhaustive_plan_is_never_worse_than_greedy_and_sometimes_better() {
-        use crate::optimizer::ftree_search::optimal_ftree;
+        use crate::optimal_ftree;
         use crate::optimizer::greedy::GreedyOptimizer;
         use fdb_common::RelId;
         use fdb_datagen::{
@@ -660,7 +652,7 @@ mod tests {
                             "{follow:?}"
                         );
                         // The stop's bound is tight on every request.
-                        let bound = s_cost_lower_bound(&reached).unwrap();
+                        let bound = SCostMemo::new().min_s_cost(&reached).unwrap();
                         assert_eq!(bound.to_bits(), best.cost.final_cost.to_bits());
                         let greedy = GreedyOptimizer::new().optimize(&tree, &follow).unwrap();
                         let order =
@@ -695,7 +687,8 @@ mod tests {
         assert_eq!(best.cost.steps, full.cost.steps);
         assert!(best.explored_states < full.explored_states);
         assert_eq!(tight, None, "the floor decides");
-        let bound = s_cost_lower_bound(&best.plan.final_tree(tree).unwrap()).unwrap();
+        let reached = best.plan.final_tree(tree).unwrap();
+        let bound = SCostMemo::new().min_s_cost(&reached).unwrap();
         (best, bound)
     }
 
@@ -765,7 +758,7 @@ mod tests {
         assert_eq!(best.plan.ops, vec![FPlanOp::Merge(p, q)]);
         assert_eq!((best.cost.final_cost, best.explored_states), (2.0, 2));
         let reached = best.plan.final_tree(&tree).unwrap();
-        assert_eq!(s_cost_lower_bound(&reached).unwrap(), 1.0);
+        assert_eq!(SCostMemo::new().min_s_cost(&reached).unwrap(), 1.0);
     }
 
     #[test]

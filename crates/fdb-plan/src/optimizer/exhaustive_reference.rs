@@ -277,13 +277,15 @@ impl ReferenceOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::exhaustive::{s_cost_lower_bound, ExhaustiveOptimizer};
-    use crate::optimizer::ftree_search::optimal_ftree;
+    use crate::cost::plan_cost_memo;
+    use crate::optimal_ftree;
+    use crate::optimizer::exhaustive::ExhaustiveOptimizer;
     use fdb_common::{RelId, Value};
     use fdb_datagen::{
         combinatorial_database, random_followup_equalities, random_query, random_schema,
         ValueDistribution,
     };
+    use fdb_ftree::SCostMemo;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -292,8 +294,9 @@ mod tests {
     /// same error.  Where the reference's full sweep runs out of the budget
     /// and the new search stops inside it, the new plan must be the
     /// reference's unbudgeted one.  Also pins that the cost the search
-    /// assembles from its states is what `plan_cost` computes for the plan,
-    /// and that the stop's bound never exceeds the chosen goal's `s(T)`.
+    /// assembles from its states is what `plan_cost_memo` computes for the
+    /// plan, and that the stop's bound never exceeds the chosen goal's
+    /// `s(T)`.
     /// Returns the settled-state counts of both (0 for an error).
     fn assert_same(
         tree: &FTree,
@@ -319,9 +322,12 @@ mod tests {
         assert_eq!(new.plan.ops, old.plan.ops, "{case}: plans differ");
         assert!(new.explored_states <= old.explored_states, "{case}");
         assert_cost_bits(&new.cost, &old.cost, case);
-        let recomputed = crate::cost::plan_cost(&new.plan, tree).unwrap();
+        let mut memo = SCostMemo::new();
+        let recomputed = plan_cost_memo(&new.plan, tree, &mut memo).unwrap();
         assert_cost_bits(&new.cost, &recomputed, case);
-        let bound = s_cost_lower_bound(&new.plan.final_tree(tree).unwrap()).unwrap();
+        let bound = memo
+            .min_s_cost(&new.plan.final_tree(tree).unwrap())
+            .unwrap();
         assert!(bound <= new.cost.final_cost, "{case}: bound {bound}");
         (new.explored_states, old.explored_states)
     }

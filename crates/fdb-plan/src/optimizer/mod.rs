@@ -1,8 +1,10 @@
 //! Query optimisers for factorised data.
 //!
-//! * [`ftree_search`] — finds an optimal f-tree (minimum `s(T)`) for a query
-//!   over *flat* relational input, searching the space of normalised f-trees
-//!   by recursive decomposition with memoisation (Experiment 1).
+//! * [`crate::optimal_ftree`] (re-exported from `fdb_ftree`, where it sits
+//!   beside the `s(T)` memo it takes its path covers from) — finds an
+//!   optimal f-tree (minimum `s(T)`) for a query over *flat* relational
+//!   input, searching the space of normalised f-trees by recursive
+//!   decomposition with memoisation (Experiment 1).
 //! * [`exhaustive`] — finds an optimal f-plan for a conjunction of equality
 //!   selections over *factorised* input by running Dijkstra over the space
 //!   of f-trees reachable through f-plan operators (Section 4.2).
@@ -13,7 +15,8 @@
 pub mod exhaustive;
 #[cfg(test)]
 mod exhaustive_reference;
-pub mod ftree_search;
+#[cfg(test)]
+mod ftree_search;
 pub mod greedy;
 
 use crate::cost::FPlanCost;

@@ -6,19 +6,35 @@
 //! This example builds the combinatorial dataset of Experiment 3, factorises
 //! a first join, and then keeps applying follow-up equality selections on the
 //! factorised result, reporting the chosen f-plan, its cost, and the result
-//! size after every step — comparing the exhaustive and greedy optimisers.
+//! size after every step — comparing the engine's exhaustive optimiser with
+//! the greedy heuristic, whose plan the example runs by hand.
 //!
 //! ```bash
 //! cargo run --release --example factorised_pipeline
 //! ```
 
-use fdb::common::RelId;
+use fdb::common::{ExecCtx, RelId};
 use fdb::datagen::{
     combinatorial_database, random_followup_equalities, random_query, ValueDistribution,
 };
-use fdb::engine::{FactorisedQuery, FdbEngine, OptimizerKind};
+use fdb::engine::{FactorisedQuery, FdbEngine};
+use fdb::frep::FRep;
+use fdb::ftree::s_cost;
+use fdb::plan::{FPlan, GreedyOptimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
+
+/// Prints one optimiser's line of a pipeline step.
+fn report(name: &str, plan: &FPlan, plan_cost: f64, result: &FRep, times: [Duration; 2]) {
+    let [optimise, execute] = times;
+    println!(
+        "  {name:>10}: plan {plan} | s(f) = {plan_cost:.1}, result cost = {:.1}, {} singletons, {} tuples, optimise {optimise:?}, execute {execute:?}",
+        s_cost(result.tree()).expect("the result's f-tree is costed"),
+        result.size(),
+        result.tuple_count(),
+    );
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -39,7 +55,9 @@ fn main() {
     );
     println!(
         "  factorised result: {} singletons, {} tuples, f-tree cost {:.1}",
-        base.stats.result_size, base.stats.result_tuples, base.stats.result_tree_cost
+        base.stats.result_size,
+        base.stats.result_tuples,
+        s_cost(base.result.tree()).expect("the result's f-tree is costed")
     );
 
     // Steps 1..: follow-up equality selections, evaluated on the factorised
@@ -63,30 +81,42 @@ fn main() {
             current.size()
         );
 
-        let mut next_input = None;
-        for kind in [OptimizerKind::Exhaustive, OptimizerKind::Greedy] {
-            let engine = FdbEngine { optimizer: kind };
-            let out = engine
-                .evaluate_factorised(&current, &FactorisedQuery::equalities(vec![(a, b)]))
-                .expect("follow-up query evaluates");
-            println!(
-                "  {:>10?}: plan {} | s(f) = {:.1}, result cost = {:.1}, {} singletons, {} tuples, optimise {:?}, execute {:?}",
-                kind,
-                out.stats.plan,
-                out.stats.plan_cost,
-                out.stats.result_tree_cost,
-                out.stats.result_size,
-                out.stats.result_tuples,
-                out.stats.optimisation_time,
-                out.stats.execution_time,
-            );
-            // Keep the exhaustive optimiser's result as the next input (both
-            // optimisers are evaluated against the same factorised input).
-            if kind == OptimizerKind::Exhaustive {
-                next_input = Some(out.result);
-            }
-        }
-        current = next_input.expect("the exhaustive optimiser always runs");
+        let query = FactorisedQuery::equalities(vec![(a, b)]);
+        let out = engine
+            .evaluate_factorised(&current, &query)
+            .expect("follow-up query evaluates");
+        let times = [out.stats.optimisation_time, out.stats.execution_time];
+        report(
+            "exhaustive",
+            &out.stats.plan,
+            out.stats.plan_cost,
+            &out.result,
+            times,
+        );
+
+        // The greedy heuristic on the same input, planned and run by hand.
+        let start = Instant::now();
+        let greedy = GreedyOptimizer::new()
+            .optimize(current.tree(), &query.equalities)
+            .expect("follow-up query plans");
+        let optimise = start.elapsed();
+        let start = Instant::now();
+        let result = greedy
+            .plan
+            .simplified(current.tree())
+            .emit_presimplified_ctx(&current, &ExecCtx::unlimited())
+            .expect("greedy plan executes");
+        let times = [optimise, start.elapsed()];
+        report(
+            "greedy",
+            &greedy.plan,
+            greedy.cost.max_intermediate,
+            &result,
+            times,
+        );
+
+        // The exhaustive optimiser's result is the next input.
+        current = out.result;
         if current.represents_empty() {
             println!("the result became empty — stopping the pipeline");
             break;

@@ -12,6 +12,7 @@
 use fdb::datagen::grocery::{grocery_database, DISPATCHERS, ITEMS, LOCATIONS, SUPPLIERS};
 use fdb::engine::{FactorisedQuery, FdbEngine};
 use fdb::frep::{materialize, ops};
+use fdb::ftree::s_cost;
 
 fn main() {
     let grocery = grocery_database();
@@ -78,7 +79,8 @@ fn main() {
     println!("chosen f-plan: {}", joined.stats.plan);
     println!(
         "plan cost s(f) = {:.0}, result f-tree cost = {:.0}",
-        joined.stats.plan_cost, joined.stats.result_tree_cost
+        joined.stats.plan_cost,
+        s_cost(joined.result.tree()).expect("the result's f-tree is costed")
     );
     println!("result f-tree (T6 of Figure 2):");
     print!("{}", joined.result.tree().render(attr_name));

@@ -110,7 +110,7 @@ fn example2_join_of_factorised_results() {
     );
     // The result's f-tree satisfies the path constraint and is reasonably
     // factorised (cost ≤ 2, as for T6 in the paper).
-    assert!(joined.stats.result_tree_cost <= 2.0 + 1e-6);
+    assert!(s_cost(joined.result.tree()).unwrap() <= 2.0 + 1e-6);
 }
 
 /// A selection with a constant on the factorised Q1 result: items other than
