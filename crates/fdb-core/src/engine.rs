@@ -37,11 +37,12 @@ use fdb_common::{
     AggregateFunc, AggregateHead, AttrId, ConstSelection, ExecCtx, FdbError, Query, Result,
 };
 use fdb_frep::{build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy};
+use fdb_ftree::SCostMemo;
 use fdb_plan::{plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, OptimizedPlan};
 use fdb_relation::{Database, Relation};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A query over a factorised input: a conjunction of equality conditions
@@ -400,7 +401,9 @@ impl FdbEngine {
     /// [`crate::serving::PlanCache`]).  The key covers the request's head,
     /// so requests with the same structural body but different heads never
     /// share an entry.  An optimisation the context interrupts publishes
-    /// nothing.
+    /// nothing.  A miss searches through an idle path-cover memo of the
+    /// cache, which holds the covers earlier misses solved, and returns it to
+    /// the cache's pool whether or not the search succeeded.
     fn resolve_factorised_plan(
         &self,
         input: &FRep,
@@ -409,13 +412,13 @@ impl FdbEngine {
         head: Head<'_>,
         ctx: &ExecCtx,
     ) -> Result<(Arc<OptimizedPlan>, CacheCounters)> {
-        let optimise = || {
+        let optimise = |memo: &mut SCostMemo| {
             ExhaustiveOptimizer::new()
-                .optimize_ctx(input.tree(), &query.equalities, ctx)
+                .optimize_ctx(input.tree(), &query.equalities, ctx, memo)
                 .map(Arc::new)
         };
         let Some(cache) = cache else {
-            return Ok((optimise()?, CacheCounters::default()));
+            return Ok((optimise(&mut SCostMemo::new())?, CacheCounters::default()));
         };
         let key = crate::serving::plan_key(input.tree(), query, head);
         if let Some(plan) = cache.lookup(&key) {
@@ -425,7 +428,11 @@ impl FdbEngine {
             };
             return Ok((plan, hit));
         }
-        let plan = optimise()?;
+        let memos = || cache.memos.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut memo = memos().pop().unwrap_or_default();
+        let plan = optimise(&mut memo);
+        memos().push(memo);
+        let plan = plan?;
         let miss = CacheCounters {
             misses: 1,
             evictions: cache.insert(key, Arc::clone(&plan)),

@@ -37,7 +37,7 @@
 use crate::engine::{FactorisedQuery, FdbEngine, Head, ServeOutcome, Source};
 use fdb_common::{failpoint, AggregateHead, AttrId, ExecCtx, FdbError, QueryLimits, Result};
 use fdb_frep::FRep;
-use fdb_ftree::FTree;
+use fdb_ftree::{FTree, SCostMemo};
 use fdb_plan::OptimizedPlan;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -349,9 +349,20 @@ struct PlanCacheInner {
 /// (which only performs map and counter updates, so every intermediate
 /// state is valid) does not take the cache down with it — later requests
 /// recover the guard and keep serving.
+///
+/// Beside its plans the cache keeps a pool of idle path-cover memos
+/// ([`SCostMemo`]): a miss borrows one for its search and puts it back, so a
+/// cold request reads the covers its predecessors solved instead of solving
+/// them again.  The pool takes its lock twice a miss and never on a hit, and
+/// it never holds more memos than misses have run at once; each memo bounds
+/// itself.  Idle memos survive `invalidate_tree`, the invalidation of a hot
+/// swap ([`FdbServer::replace`]): a cover is a function of its incidence
+/// sets alone, never stale.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
+    /// Idle path-cover memos, lent to one miss at a time.
+    pub(crate) memos: Mutex<Vec<SCostMemo>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -376,6 +387,7 @@ impl PlanCache {
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
             inner: Mutex::new(PlanCacheInner::default()),
+            memos: Mutex::default(),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -390,11 +402,6 @@ impl PlanCache {
         self.inner
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    /// Maximum number of cached plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of cached plans.
@@ -1170,6 +1177,67 @@ mod tests {
         assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 12);
         assert!(stats.plan_cache_hits > 0, "repeated shapes hit the cache");
         assert!(stats.plan_cache_len >= 1);
+    }
+
+    /// A miss-heavy batch (`serve_cold`'s catalogue, cut down) served by
+    /// fresh servers at 1 and 4 workers: the pool lends its memos to
+    /// different misses in a different order, and every result and settled
+    /// state count is the same, and the same as an uncached request's, whose
+    /// search starts from an empty memo.
+    #[test]
+    fn pooled_memos_serve_misses_alike_at_any_pool_size() {
+        use fdb_common::RelId;
+        use fdb_datagen::{
+            combinatorial_database, random_followup_equalities, random_query, ValueDistribution,
+        };
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0xFDB4);
+        let flat =
+            combinatorial_database(&mut StdRng::seed_from_u64(1), ValueDistribution::Uniform);
+        let catalog = flat.catalog().clone();
+        let rels: Vec<RelId> = catalog.rels().collect();
+        let engine = FdbEngine::new();
+        let mut shared = SharedDatabase::new();
+        let mut requests = Vec::new();
+        for (i, k) in [2, 2, 3, 3].into_iter().enumerate() {
+            let base = random_query(&mut rng, &catalog, &rels, k);
+            let input = engine.evaluate_flat(&flat, &base).unwrap().result;
+            let id = shared.insert(format!("input-{i}"), input).unwrap();
+            for l in [1, 1, 2, 2, 3, 3] {
+                let follow = random_followup_equalities(&mut rng, &catalog, &base, l);
+                requests.push(ServeRequest::new(
+                    id,
+                    FactorisedQuery::equalities(follow),
+                    None,
+                ));
+            }
+        }
+        let shared = Arc::new(shared);
+        let serve = |threads: usize| -> Vec<crate::engine::EvalOutput> {
+            let server = FdbServer::new(engine, Arc::clone(&shared), threads);
+            let outcomes = server.serve_batch(requests.clone());
+            let stats = server.stats();
+            assert!(
+                stats.plan_cache_misses > 4 * stats.plan_cache_hits,
+                "{stats}"
+            );
+            let rep = |outcome: Result<ServeOutcome>| match outcome.unwrap() {
+                ServeOutcome::Rep(out) => out,
+                other => panic!("a headless request yields a representation, got {other:?}"),
+            };
+            outcomes.into_iter().map(rep).collect()
+        };
+        let (one, four) = (serve(1), serve(4));
+        assert_eq!((one.len(), four.len()), (requests.len(), requests.len()));
+        for ((one, four), request) in one.iter().zip(&four).zip(&requests) {
+            let input = shared.get(request.rep).unwrap();
+            let fresh = engine.evaluate_factorised(&input, &request.query).unwrap();
+            for served in [one, four] {
+                assert!(served.result.store_identical(&fresh.result));
+                assert_eq!(served.stats.explored_states, fresh.stats.explored_states);
+            }
+        }
     }
 
     #[test]

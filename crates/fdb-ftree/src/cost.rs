@@ -100,6 +100,9 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
     Ok(out)
 }
 
+/// The most covers a [`SCostMemo`] holds before it starts over.
+const MAX_COVERS: usize = 1 << 14;
+
 /// `s(T)` with the path covers remembered between calls.
 ///
 /// A path's fractional edge cover depends on the *set* of its nodes'
@@ -110,6 +113,13 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
 /// sets and hands every later occurrence the same `f64`.  A memo serves any
 /// number of trees, over the same edge list or not, and the f-tree search
 /// takes its covers from the same entries.
+///
+/// A cover is a pure function of its key — the LP is built from the sorted
+/// sets alone — so a memo outlives any one search: a plan cache lends the
+/// same memos to search after search, and a value read from an old entry is
+/// the `f64` a fresh solve would produce.  The memo is bounded: once it
+/// holds `MAX_COVERS` (16 384) entries, the next new cover clears it first,
+/// so a stream of one-off shapes cannot grow a long-lived memo without limit.
 #[derive(Debug, Default)]
 pub struct SCostMemo {
     /// Keyed by a path's sets as bitmap words, then the words a set takes;
@@ -167,6 +177,9 @@ impl SCostMemo {
             return Ok(cost);
         }
         let cost = path_cover(&self.path[..self.path.len() - 1], width)?;
+        if self.covers.len() >= MAX_COVERS {
+            self.covers.clear();
+        }
         self.covers.insert(self.path.clone(), cost);
         Ok(cost)
     }
@@ -568,6 +581,20 @@ mod tests {
             }
             assert_eq!(memo.covers.len(), 1);
         }
+    }
+
+    #[test]
+    fn a_full_memo_starts_over_and_solves_the_same_cover() {
+        let tree = triangle_chain(&[0, 1, 2], 0);
+        let fresh = SCostMemo::new().s_cost(&tree).unwrap();
+        // Keys no path produces: a path's last word is its set width.
+        let mut memo = SCostMemo::new();
+        memo.covers
+            .extend((0..MAX_COVERS as u64).map(|i| (vec![i, u64::MAX], 0.0)));
+        assert_eq!(memo.s_cost(&tree).unwrap().to_bits(), fresh.to_bits());
+        assert_eq!(memo.covers.len(), 1);
+        assert_eq!(memo.s_cost(&tree).unwrap().to_bits(), fresh.to_bits());
+        assert_eq!(memo.covers.len(), 1);
     }
 
     #[test]

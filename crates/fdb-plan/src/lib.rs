@@ -30,7 +30,7 @@ pub mod ordering;
 pub use cost::FPlanCost;
 pub use fdb_ftree::{optimal_ftree, FTreeSearchResult};
 pub use fplan::{FPlan, FPlanOp};
-pub use optimizer::exhaustive::{ExhaustiveConfig, ExhaustiveOptimizer};
+pub use optimizer::exhaustive::ExhaustiveOptimizer;
 pub use optimizer::greedy::GreedyOptimizer;
 pub use optimizer::OptimizedPlan;
 pub use ordering::{plan_chain_restructure, ChainDecision, ChainStrategy};

@@ -19,9 +19,11 @@
 //! (links only: edges and class labels are shared) and swapped only for a key
 //! not seen before or a strictly better way to an unsettled state.  A merge
 //! or an absorb is built first and keyed from the result.  A new tree is
-//! costed through a per-search [`SCostMemo`], which solves one LP per
-//! distinct *set* of nodes on a path.  Debug builds check every predicted
-//! key against the tree it stands for.
+//! costed through the [`SCostMemo`] the caller lends the search, which
+//! solves one LP per distinct *set* of nodes on a path; a memo kept across
+//! searches (a plan cache keeps a pool of them) hands a request the covers
+//! its predecessors solved.  Debug builds check every predicted key against
+//! the tree it stands for.
 //! States live in an arena and point at their predecessor, so plan and cost
 //! are read off the chosen goal's chain once, at the end.  Which states are
 //! pushed, popped and replaced, and in what order, is exactly what the
@@ -41,7 +43,7 @@
 //! the non-constant classes on the same edges.  That number is bounded from
 //! below by a free *floor* (1 if some class is not constant, else 0) and
 //! computed exactly by the f-tree search, which takes its path covers from
-//! the search's own memo ([`SCostMemo::min_s_cost`], the *tight* bound).
+//! the same memo ([`SCostMemo::min_s_cost`], the *tight* bound).
 //! The loop breaks at a goal whose `s(T)` is below the bound plus
 //! `STOP_TOLERANCE`.  It computes the tight bound at most once, and only
 //! for a goal that misses the floor while the heap's top still lies on the
@@ -75,28 +77,13 @@ use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-/// Configuration of the exhaustive search.
-#[derive(Clone, Copy, Debug)]
-pub struct ExhaustiveConfig {
-    /// Upper bound on the number of distinct f-trees the search may visit
-    /// before giving up (protects against pathological inputs).
-    pub max_states: usize,
-}
-
-impl Default for ExhaustiveConfig {
-    fn default() -> Self {
-        ExhaustiveConfig {
-            max_states: 500_000,
-        }
-    }
-}
-
 /// The exhaustive (Dijkstra) f-plan optimiser.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ExhaustiveOptimizer {
-    /// Search configuration.
-    pub config: ExhaustiveConfig,
-}
+pub struct ExhaustiveOptimizer;
+
+/// Upper bound on the number of states the search may settle before giving
+/// up (protects against pathological inputs).
+pub(crate) const MAX_STATES: usize = 500_000;
 
 /// How many states the search settles between two looks at the deadline and
 /// the cancellation flag.
@@ -172,9 +159,9 @@ impl Ord for QueueItem {
 }
 
 impl ExhaustiveOptimizer {
-    /// Creates an optimiser with the default configuration.
+    /// Creates an optimiser.
     pub fn new() -> Self {
-        ExhaustiveOptimizer::default()
+        ExhaustiveOptimizer
     }
 
     /// Finds an optimal f-plan enforcing the given equality conditions on an
@@ -188,30 +175,38 @@ impl ExhaustiveOptimizer {
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
     ) -> Result<OptimizedPlan> {
-        self.optimize_ctx(input_tree, equalities, &ExecCtx::unlimited())
+        let mut memo = SCostMemo::new();
+        self.optimize_ctx(input_tree, equalities, &ExecCtx::unlimited(), &mut memo)
     }
 
-    /// [`ExhaustiveOptimizer::optimize`] under a governance context: the
-    /// search looks at the deadline and the cancellation flag before its
-    /// first state and after every 64 it settles.  It charges no work
-    /// budget — the budget counts arena records, and the search touches
-    /// none.
+    /// [`ExhaustiveOptimizer::optimize`] under a governance context, with
+    /// every path cover taken from `memo` (any memo: a cover is the same
+    /// `f64` whoever solved it, so plan and cost do not depend on what the
+    /// memo already holds).  The search looks at the deadline and the
+    /// cancellation flag before its first state and after every 64 it
+    /// settles.  It charges no work budget — the budget counts arena
+    /// records, and the search touches none.
     pub fn optimize_ctx(
         &self,
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
         ctx: &ExecCtx,
+        memo: &mut SCostMemo,
     ) -> Result<OptimizedPlan> {
-        Ok(self.search(input_tree, equalities, ctx)?.0)
+        let (plan, _) = self.search(input_tree, equalities, ctx, memo, MAX_STATES)?;
+        Ok(plan)
     }
 
-    /// The search behind [`ExhaustiveOptimizer::optimize_ctx`], which also
-    /// returns the tight bound if it computed one.
-    fn search(
+    /// The search behind [`ExhaustiveOptimizer::optimize_ctx`], settling at
+    /// most `max_states` states, which also returns the tight bound if it
+    /// computed one.
+    pub(super) fn search(
         &self,
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
         ctx: &ExecCtx,
+        memo: &mut SCostMemo,
+        max_states: usize,
     ) -> Result<(OptimizedPlan, Option<f64>)> {
         for (a, b) in equalities {
             if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
@@ -221,7 +216,6 @@ impl ExhaustiveOptimizer {
             }
         }
 
-        let mut memo = SCostMemo::new();
         let initial_cost = memo.s_cost(input_tree)?;
         let mut states = vec![State {
             tree: input_tree.clone(),
@@ -264,12 +258,9 @@ impl ExhaustiveOptimizer {
                 ctx.check_now()?;
             }
             explored += 1;
-            if explored > self.config.max_states {
+            if explored > max_states {
                 return Err(FdbError::NoPlanFound {
-                    detail: format!(
-                        "exhaustive search exceeded its {}-state budget",
-                        self.config.max_states
-                    ),
+                    detail: format!("exhaustive search exceeded its {max_states}-state budget"),
                 });
             }
             states[current].settled = true;
@@ -281,7 +272,7 @@ impl ExhaustiveOptimizer {
                     Self::classes(&states[current].tree),
                     Self::classes(&states[goals[0]].tree)
                 );
-                if Self::proven(&states[current], plateau, &heap, &mut tight, &mut memo)? {
+                if Self::proven(&states[current], plateau, &heap, &mut tight, memo)? {
                     break;
                 }
                 continue;
@@ -600,7 +591,12 @@ mod tests {
         let cancelled = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
         assert_eq!(
             ExhaustiveOptimizer::new()
-                .optimize_ctx(&tree, &conditions, &ExecCtx::new(&cancelled))
+                .optimize_ctx(
+                    &tree,
+                    &conditions,
+                    &ExecCtx::new(&cancelled),
+                    &mut SCostMemo::new()
+                )
                 .unwrap_err(),
             FdbError::DeadlineExceeded { limit_ms: 0 }
         );
@@ -608,7 +604,7 @@ mod tests {
         // nothing here.
         let broke = ExecCtx::new(&QueryLimits::unlimited().with_budget(0));
         let governed = ExhaustiveOptimizer::new()
-            .optimize_ctx(&tree, &conditions, &broke)
+            .optimize_ctx(&tree, &conditions, &broke, &mut SCostMemo::new())
             .unwrap();
         let free = ExhaustiveOptimizer::new()
             .optimize(&tree, &conditions)
@@ -636,6 +632,9 @@ mod tests {
         let catalog = db.catalog().clone();
         let rels: Vec<RelId> = catalog.rels().collect();
         let (mut cases, mut better) = (0, 0);
+        // Every request also runs through one memo kept across all 240, as a
+        // plan cache's pooled memo is: a warm memo changes nothing.
+        let mut warm = SCostMemo::new();
         for k in 2..=6 {
             for _ in 0..4 {
                 let base = random_query(&mut rng, &catalog, &rels, k);
@@ -646,6 +645,15 @@ mod tests {
                     for _ in 0..4 {
                         let follow = random_followup_equalities(&mut rng, &catalog, &base, l);
                         let best = ExhaustiveOptimizer::new().optimize(&tree, &follow).unwrap();
+                        let pooled = ExhaustiveOptimizer::new()
+                            .optimize_ctx(&tree, &follow, &ExecCtx::unlimited(), &mut warm)
+                            .unwrap();
+                        let bits = |c: &FPlanCost| -> Vec<u64> {
+                            c.steps.iter().map(|s| s.to_bits()).collect()
+                        };
+                        assert_eq!(pooled.plan, best.plan, "{follow:?}");
+                        assert_eq!(bits(&pooled.cost), bits(&best.cost), "{follow:?}");
+                        assert_eq!(pooled.explored_states, best.explored_states);
                         let reached = best.plan.final_tree(&tree).unwrap();
                         assert!(
                             ExhaustiveOptimizer::is_goal(&reached, &follow),
@@ -677,12 +685,21 @@ mod tests {
     /// The search, the full sweep's plan and the bound of the chosen goal.
     fn search_and_sweep(tree: &FTree, conditions: &[(AttrId, AttrId)]) -> (OptimizedPlan, f64) {
         use crate::optimizer::exhaustive_reference::ReferenceOptimizer;
+        let unlimited = ExecCtx::unlimited();
         let (best, tight) = ExhaustiveOptimizer::new()
-            .search(tree, conditions, &ExecCtx::unlimited())
+            .search(
+                tree,
+                conditions,
+                &unlimited,
+                &mut SCostMemo::new(),
+                MAX_STATES,
+            )
             .unwrap();
-        let full = ReferenceOptimizer::default()
-            .optimize(tree, conditions)
-            .unwrap();
+        let full = ReferenceOptimizer {
+            max_states: MAX_STATES,
+        }
+        .optimize(tree, conditions)
+        .unwrap();
         assert_eq!(best.plan, full.plan);
         assert_eq!(best.cost.steps, full.cost.steps);
         assert!(best.explored_states < full.explored_states);
@@ -752,7 +769,13 @@ mod tests {
         let p = tree.add_node(attrs(&[1]), Some(x)).unwrap();
         let q = tree.add_node(attrs(&[2]), Some(x)).unwrap();
         let (best, tight) = ExhaustiveOptimizer::new()
-            .search(&tree, &[(AttrId(1), AttrId(2))], &ExecCtx::unlimited())
+            .search(
+                &tree,
+                &[(AttrId(1), AttrId(2))],
+                &ExecCtx::unlimited(),
+                &mut SCostMemo::new(),
+                MAX_STATES,
+            )
             .unwrap();
         assert_eq!(tight, None);
         assert_eq!(best.plan.ops, vec![FPlanOp::Merge(p, q)]);
@@ -764,11 +787,15 @@ mod tests {
     #[test]
     fn state_budget_is_respected() {
         let tree = example11_tree();
-        let tiny = ExhaustiveOptimizer {
-            config: ExhaustiveConfig { max_states: 1 },
-        };
         // With a one-state budget the search cannot finish unless the goal is
         // immediate; B = F is not, so it must fail gracefully.
-        assert!(tiny.optimize(&tree, &[(AttrId(1), AttrId(5))]).is_err());
+        let tiny = ExhaustiveOptimizer::new().search(
+            &tree,
+            &[(AttrId(1), AttrId(5))],
+            &ExecCtx::unlimited(),
+            &mut SCostMemo::new(),
+            1,
+        );
+        assert!(matches!(tiny, Err(FdbError::NoPlanFound { .. })));
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
-use crate::optimizer::exhaustive::ExhaustiveConfig;
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, FdbError, Result};
 use fdb_ftree::{s_cost_details, FTree};
@@ -38,10 +37,10 @@ pub(crate) fn plan_cost(plan: &FPlan, input: &FTree) -> Result<FPlanCost> {
     })
 }
 
-/// The reference optimiser.
-#[derive(Clone, Copy, Debug, Default)]
+/// The reference optimiser, settling at most `max_states` states.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct ReferenceOptimizer {
-    pub(crate) config: ExhaustiveConfig,
+    pub(crate) max_states: usize,
 }
 
 /// An `f64` wrapper with a total order (no NaNs are ever produced here).
@@ -151,11 +150,11 @@ impl ReferenceOptimizer {
                 }
             }
             explored += 1;
-            if explored > self.config.max_states {
+            if explored > self.max_states {
                 return Err(FdbError::NoPlanFound {
                     detail: format!(
                         "exhaustive search exceeded its {}-state budget",
-                        self.config.max_states
+                        self.max_states
                     ),
                 });
             }
@@ -279,8 +278,8 @@ mod tests {
     use super::*;
     use crate::cost::plan_cost_memo;
     use crate::optimal_ftree;
-    use crate::optimizer::exhaustive::ExhaustiveOptimizer;
-    use fdb_common::{RelId, Value};
+    use crate::optimizer::exhaustive::{ExhaustiveOptimizer, MAX_STATES};
+    use fdb_common::{ExecCtx, RelId, Value};
     use fdb_datagen::{
         combinatorial_database, random_followup_equalities, random_query, random_schema,
         ValueDistribution,
@@ -304,13 +303,18 @@ mod tests {
         max_states: usize,
         case: &str,
     ) -> (usize, usize) {
-        let config = ExhaustiveConfig { max_states };
-        let new = ExhaustiveOptimizer { config }.optimize(tree, equalities);
-        let old = ReferenceOptimizer { config }.optimize(tree, equalities);
+        let ctx = ExecCtx::unlimited();
+        let new = ExhaustiveOptimizer::new()
+            .search(tree, equalities, &ctx, &mut SCostMemo::new(), max_states)
+            .map(|(plan, _)| plan);
+        let old = ReferenceOptimizer { max_states }.optimize(tree, equalities);
         let (new, old) = match (new, old) {
             (Ok(new), Ok(old)) => (new, old),
             (Ok(new), Err(FdbError::NoPlanFound { .. })) => {
-                let full = ReferenceOptimizer::default().optimize(tree, equalities);
+                let full = ReferenceOptimizer {
+                    max_states: MAX_STATES,
+                }
+                .optimize(tree, equalities);
                 (new, full.unwrap())
             }
             (Err(new), Err(old)) => {
