@@ -233,10 +233,10 @@ impl SharedDatabase {
 ///
 /// The key also covers the request's **head**: the aggregate head (function,
 /// attribute, `DISTINCT`, grouping attributes) and the `ORDER BY` list.
-/// The head steers how the engine finishes the plan — grouping and ordering
-/// append chain-restructuring swaps, and the strategy choice is part of the
-/// shape — so two requests with the same structural body but different
-/// heads must not share an entry.  (Omitting the head was a correctness
+/// The head steers how the engine finishes the plan — ordering appends
+/// chain-restructuring swaps, and the strategy choice is part of the shape
+/// — so two requests with the same structural body but different heads
+/// must not share an entry.  (Omitting the head was a correctness
 /// hazard: a cached entry would make a `COUNT` and a
 /// `COUNT(DISTINCT…) GROUP BY…` of the same body indistinguishable to any
 /// future planner that specialises on the head.)
@@ -412,26 +412,6 @@ impl PlanCache {
     /// Whether the cache holds no plan.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::SeqCst)
-    }
-
-    /// Total lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::SeqCst)
-    }
-
-    /// Total entries evicted to make room so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::SeqCst)
-    }
-
-    /// Total entries dropped by targeted invalidation (hot swaps) so far.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::SeqCst)
     }
 
     /// Looks up a plan, bumping the hit/miss counters.
@@ -726,11 +706,11 @@ impl FdbServer {
         ServerStats {
             threads: self.threads(),
             queries_served: self.queries_served(),
-            plan_cache_hits: self.cache.hits(),
-            plan_cache_misses: self.cache.misses(),
+            plan_cache_hits: self.cache.hits.load(Ordering::SeqCst),
+            plan_cache_misses: self.cache.misses.load(Ordering::SeqCst),
             plan_cache_len: self.cache.len(),
-            plan_cache_evictions: self.cache.evictions(),
-            plan_cache_invalidations: self.cache.invalidations(),
+            plan_cache_evictions: self.cache.evictions.load(Ordering::SeqCst),
+            plan_cache_invalidations: self.cache.invalidations.load(Ordering::SeqCst),
             requests_shed: self.shed.load(Ordering::SeqCst),
             worker_panics: self.panics.load(Ordering::SeqCst),
         }
@@ -1017,7 +997,13 @@ mod tests {
             (1, 0)
         );
         assert_eq!(cache.len(), 1, "constants are abstracted from the key");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(
+            (
+                cache.hits.load(Ordering::SeqCst),
+                cache.misses.load(Ordering::SeqCst)
+            ),
+            (1, 1)
+        );
 
         // Cached results are store-identical to the uncached pipeline.
         for query in [&query1, &query2] {
@@ -1367,9 +1353,7 @@ mod tests {
             1,
             "only the swapped tree's plan is dropped"
         );
-        assert_eq!(server.cache().invalidations(), 1);
-        let stats = server.stats();
-        assert_eq!(stats.plan_cache_invalidations, 1);
+        assert_eq!(server.stats().plan_cache_invalidations, 1);
 
         // Serving the same shape again optimises fresh against the new
         // epoch and matches sequential evaluation on the new arena.

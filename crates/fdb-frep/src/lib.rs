@@ -73,9 +73,9 @@
 //! folded into the liveness sweep (emptied subtrees retract exactly as the
 //! merge/absorb prune retracts them), and a projection replays its leaf
 //! removals and data-dependent swap-downs on the overlay.
-//! [`ops::emit_fused_ctx`] is the one place that decides how a program runs
-//! (a lone swap takes the direct rewriter of [`mod@ops::swap`]); `fdb-plan`
-//! hands it every non-empty plan's operator list as it is.
+//! [`ops::emit_fused_ctx`] runs every program that way, a lone swap
+//! included; `fdb-plan` hands it every non-empty plan's operator list as it
+//! is.
 //!
 //! # The sharing contract
 //!

@@ -77,16 +77,6 @@
 //! **one** full copy, instead of k.  Aggregate consumers skip even that one
 //! copy: [`execute_fused_aggregate_ctx`] folds the aggregate (and the program's
 //! trailing selections, as entry filters) directly over the overlay.
-//!
-//! # The one selection
-//!
-//! [`emit_fused_ctx`] is the only place that decides *how* a program runs,
-//! and it decides from the program alone: `[FPlanOp::Swap(b)]` — one swap
-//! and nothing else — goes to the direct rewriter of [`mod@crate::ops::swap`]
-//! (whose module docs hold the measurement behind it), everything else, and
-//! every aggregate sink, runs the overlay.  Both arms read the borrowed
-//! input in place, sit below the `fuse.execute` failpoint, charge the
-//! context, and emit the same bits.
 
 use crate::aggregate::{
     Acc, Accumulator, AggFilter, AggTarget, AggregateKind, AggregateResult, CountAcc, DistinctAcc,
@@ -94,7 +84,7 @@ use crate::aggregate::{
 };
 use crate::frep::FRep;
 use crate::kernel;
-use crate::ops::{child_pos, debug_validate, swap};
+use crate::ops::{child_pos, debug_validate};
 use crate::store::{kid_count_table, Rewriter, Store};
 use fdb_common::limits::CHECK_INTERVAL;
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
@@ -213,26 +203,13 @@ pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Resu
     Ok(())
 }
 
-/// The plan executor proper, and the one place that selects how a program
-/// runs: over the **borrowed** input, returning the emitted result.  Nothing
-/// is cloned and an abort leaves nothing behind; every program charges the
-/// context for the records it reads and writes, so a deadline, budget or
-/// cancellation aborts it cooperatively.
+/// The plan executor proper: runs the program on the overlay over the
+/// **borrowed** input and emits the result.  Nothing is cloned and an abort
+/// leaves nothing behind; the liveness sweeps, the overlay prunes and the
+/// final emission charge the context per record they read and write, so a
+/// deadline, budget or cancellation aborts the program cooperatively.
 pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "fuse.execute");
-    match ops {
-        // A lone swap deep in a tree is the one program the overlay writes
-        // twice (into `Mix` nodes, then into the arena); the direct rewriter
-        // writes it once — see `ops/swap.rs` for the numbers.
-        [FPlanOp::Swap(b)] => Ok(swap::emit_swap(rep, *b, ctx)?.0),
-        _ => emit_overlay(rep, ops, ctx),
-    }
-}
-
-/// Runs the program on the overlay and emits the result (the body of
-/// [`emit_fused_ctx`] for everything but a lone swap): the liveness sweeps,
-/// the overlay prunes and the final emission all charge per record.
-fn emit_overlay(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
     let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
     let mut cur = rep.tree().clone();
     for op in ops {
@@ -494,14 +471,20 @@ impl VId {
     }
 }
 
-/// An overlay union materialising a transformed region: its values in
-/// increasing order and, per entry, `kid_count` child references in the
-/// (then-current) f-tree child order.
+/// An overlay union materialising a transformed region: `len` values in
+/// increasing order from `values_start` of `Fusion::mix_values` and, per
+/// entry, `kid_count` child references in the (then-current) f-tree child
+/// order from `kids_start` of `Fusion::mix_kids`.  A `Mix` owns no
+/// allocation: a program's overlay unions share those two vectors, so a
+/// pass that builds one small union per group (a swap's inner `A`-unions)
+/// pays no allocator call per union.
+#[derive(Clone, Copy)]
 struct Mix {
     node: NodeId,
     kid_count: u32,
-    values: Vec<Value>,
-    kids: Vec<VId>,
+    values_start: u32,
+    len: u32,
+    kids_start: u32,
 }
 
 /// Liveness of the input arena under a retain-and-prune with some entry
@@ -524,6 +507,10 @@ struct Fusion<'a> {
     /// every `Src` reference: untouched regions keep their tree shape).
     src_kid_counts: Vec<u32>,
     mixes: Vec<Mix>,
+    /// The value blocks of all `mixes`.
+    mix_values: Vec<Value>,
+    /// The kid slots of all `mixes`.
+    mix_kids: Vec<VId>,
     roots: Vec<VId>,
     /// Lazily computed, cached for the program (the input arena is
     /// immutable while the program runs).
@@ -539,16 +526,53 @@ impl<'a> Fusion<'a> {
             src,
             src_kid_counts: kid_count_table(tree),
             mixes: Vec::new(),
+            mix_values: Vec::new(),
+            mix_kids: Vec::new(),
             roots: src.roots.iter().map(|&r| VId::src(r)).collect(),
             liveness: None,
             ctx,
         }
     }
 
-    fn push_mix(&mut self, mix: Mix) -> VId {
+    /// Appends a `Mix` over `node` whose values are those pushed onto
+    /// `mix_values` from `values_start` on (no other `Mix` may start in
+    /// between), with `kid_count` kid slots per entry reserved for
+    /// [`Fusion::set_kid`] to fill.
+    fn push_mix(&mut self, node: NodeId, kid_count: u32, values_start: usize) -> VId {
+        let len = self.mix_values.len() - values_start;
+        let kids_start = self.mix_kids.len();
+        self.mix_kids
+            .resize(kids_start + len * kid_count as usize, VId(u32::MAX));
         let id = VId::mix(self.mixes.len());
-        self.mixes.push(mix);
+        self.mixes.push(Mix {
+            node,
+            kid_count,
+            values_start: values_start as u32,
+            len: len as u32,
+            kids_start: kids_start as u32,
+        });
         id
+    }
+
+    /// Pushes the values of `v` onto `mix_values`; returns where they start.
+    fn push_values_of(&mut self, v: VId) -> usize {
+        let start = self.mix_values.len();
+        match v.as_src() {
+            Some(uid) => self.mix_values.extend_from_slice(self.src.value_slice(uid)),
+            None => {
+                let mix = self.mixes[v.mix_index()];
+                let from = mix.values_start as usize;
+                self.mix_values
+                    .extend_from_within(from..from + mix.len as usize);
+            }
+        }
+        start
+    }
+
+    /// Fills kid slot `k` of entry `i` of the `Mix` `v`.
+    fn set_kid(&mut self, v: VId, i: u32, k: u32, kid: VId) {
+        let mix = self.mixes[v.mix_index()];
+        self.mix_kids[(mix.kids_start + i * mix.kid_count + k) as usize] = kid;
     }
 
     /// The f-tree node a virtual union ranges over.
@@ -568,7 +592,11 @@ impl<'a> Fusion<'a> {
     fn values(&self, v: VId) -> &[Value] {
         match v.as_src() {
             Some(uid) => self.src.value_slice(uid),
-            None => &self.mixes[v.mix_index()].values,
+            None => {
+                let mix = &self.mixes[v.mix_index()];
+                let start = mix.values_start as usize;
+                &self.mix_values[start..start + mix.len as usize]
+            }
         }
     }
 
@@ -583,7 +611,7 @@ impl<'a> Fusion<'a> {
             Some(uid) => VId::src(self.src.kid(uid, i, k)),
             None => {
                 let mix = &self.mixes[v.mix_index()];
-                mix.kids[(i * mix.kid_count + k) as usize]
+                self.mix_kids[(mix.kids_start + i * mix.kid_count + k) as usize]
             }
         }
     }
@@ -719,41 +747,38 @@ impl<'a> Fusion<'a> {
             let rec = self.src.unions[uidx];
             self.ctx.charge(1 + rec.entries_len as u64)?;
             let kid_count = self.src_kid_counts[rec.node.index()];
-            let mut values = Vec::with_capacity(rec.entries_len as usize);
-            let mut kids = Vec::with_capacity((rec.entries_len * kid_count) as usize);
-            for i in 0..rec.entries_len {
-                let e = (rec.entries_start + i) as usize;
-                if !live.entry_alive[e] {
-                    continue;
-                }
-                values.push(self.src.value_at(e as u32));
-                let kids_start = self.src.kids_start_at(e as u32);
+            let entries = rec.entries_start..rec.entries_start + rec.entries_len;
+            let alive = |e: &u32| live.entry_alive[*e as usize];
+            let values_start = self.mix_values.len();
+            for e in entries.clone().filter(alive) {
+                self.mix_values.push(self.src.value_at(e));
+            }
+            let out = self.push_mix(rec.node, kid_count, values_start);
+            let mut survivors = 0;
+            for e in entries.filter(alive) {
+                let kids_start = self.src.kids_start_at(e);
                 for k in 0..kid_count {
                     let kid_uid = self.src.kids[(kids_start + k) as usize];
                     let (kid, _) = self.prune_union(VId::src(kid_uid), live, keep)?;
-                    kids.push(kid);
+                    self.set_kid(out, survivors, k, kid);
                 }
+                survivors += 1;
             }
-            let empty = values.is_empty();
-            let out = self.push_mix(Mix {
-                node: rec.node,
-                kid_count,
-                values,
-                kids,
-            });
-            Ok((out, empty))
+            Ok((out, survivors == 0))
         } else {
-            let (node, kid_count, len) = {
-                let mix = &self.mixes[v.mix_index()];
-                (mix.node, mix.kid_count, mix.values.len() as u32)
-            };
+            let Mix {
+                node,
+                kid_count,
+                len,
+                ..
+            } = self.mixes[v.mix_index()];
             self.ctx.charge(1 + len as u64)?;
             let kc = kid_count as usize;
             let mut values = Vec::with_capacity(len as usize);
             let mut kids = Vec::with_capacity(len as usize * kc);
             let mut pruned = Vec::with_capacity(kc);
             for i in 0..len {
-                let value = self.mixes[v.mix_index()].values[i as usize];
+                let value = self.value(v, i);
                 // An entry failing the predicate dies outright; its subtrees
                 // are unreachable and need no rebuild.
                 if !keep(node, value) {
@@ -762,7 +787,7 @@ impl<'a> Fusion<'a> {
                 pruned.clear();
                 let mut alive = true;
                 for k in 0..kid_count {
-                    let kid = self.mixes[v.mix_index()].kids[(i * kid_count + k) as usize];
+                    let kid = self.kid(v, i, k);
                     let (pk, empty) = self.prune_union(kid, live, keep)?;
                     alive &= !empty;
                     pruned.push(pk);
@@ -772,14 +797,14 @@ impl<'a> Fusion<'a> {
                     kids.extend_from_slice(&pruned);
                 }
             }
-            let empty = values.is_empty();
-            let out = self.push_mix(Mix {
-                node,
-                kid_count,
-                values,
-                kids,
-            });
-            Ok((out, empty))
+            // The kids were pruned before their entry's fate was known, so
+            // the survivors are collected first and appended afterwards.
+            let values_start = self.mix_values.len();
+            self.mix_values.extend_from_slice(&values);
+            let out = self.push_mix(node, kid_count, values_start);
+            let kids_start = self.mixes[out.mix_index()].kids_start as usize;
+            self.mix_kids[kids_start..kids_start + kids.len()].copy_from_slice(&kids);
+            Ok((out, values.is_empty()))
         }
     }
 
@@ -797,7 +822,7 @@ impl<'a> Fusion<'a> {
         let roots: Vec<u32> = self
             .roots
             .iter()
-            .map(|&r| emit_union(&mut rw, &self.mixes, r, self.ctx))
+            .map(|&r| emit_union(&mut rw, &self, r))
             .collect::<Result<_>>()?;
         Ok(rw.finish(roots))
     }
@@ -1175,27 +1200,26 @@ impl<A: Accumulator> Rows<A> {
 /// Charges the governance context for every record written: `Mix` unions
 /// charge their own header and value block, opaque `Src` subtree copies
 /// charge the [`Rewriter::emitted_units`] delta they produce.
-fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Result<u32> {
+fn emit_union(rw: &mut Rewriter<'_>, fu: &Fusion<'_>, v: VId) -> Result<u32> {
     if let Some(uid) = v.as_src() {
         let before = rw.emitted_units();
         let out = rw.copy_union(uid);
-        ctx.charge(rw.emitted_units() - before)?;
+        fu.ctx.charge(rw.emitted_units() - before)?;
         return Ok(out);
     }
-    let mix = &mixes[v.mix_index()];
-    ctx.charge(1 + mix.values.len() as u64)?;
-    let out = rw.begin_union_raw(mix.node, mix.values.len() as u32);
-    for &value in &mix.values {
+    let mix = fu.mixes[v.mix_index()];
+    fu.ctx.charge(1 + mix.len as u64)?;
+    let out = rw.begin_union_raw(mix.node, mix.len);
+    for &value in fu.values(v) {
         rw.push_value(value);
     }
-    let kc = mix.kid_count as usize;
-    for i in 0..mix.values.len() {
+    for i in 0..mix.len {
         let mark = rw.mark();
-        for k in 0..kc {
-            let kid = emit_union(rw, mixes, mix.kids[i * kc + k], ctx)?;
+        for k in 0..mix.kid_count {
+            let kid = emit_union(rw, fu, fu.kid(v, i, k))?;
             rw.push_kid(kid);
         }
-        rw.end_entry(out, i as u32, mark);
+        rw.end_entry(out, i, mark);
     }
     Ok(out)
 }
@@ -1210,24 +1234,15 @@ macro_rules! rebuild_entries {
     ($pass:expr, $v:expr, $node:expr, $kid_count:expr, |$i:ident, $k:ident| $kid_out:expr) => {{
         let v = $v;
         let kid_count: u32 = $kid_count;
-        let len = ($pass).fu.len(v);
-        let mut values = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            values.push(($pass).fu.value(v, i));
-        }
-        let mut kids = Vec::with_capacity((len as usize) * (kid_count as usize));
-        for $i in 0..len {
+        let values_start = ($pass).fu.push_values_of(v);
+        let out = ($pass).fu.push_mix($node, kid_count, values_start);
+        for $i in 0..($pass).fu.len(v) {
             for $k in 0..kid_count {
                 let kid: VId = $kid_out;
-                kids.push(kid);
+                ($pass).fu.set_kid(out, $i, $k, kid);
             }
         }
-        ($pass).fu.push_mix(Mix {
-            node: $node,
-            kid_count,
-            values,
-            kids,
-        })
+        out
     }};
 }
 
@@ -1355,12 +1370,8 @@ impl<'f, 'a> PushUpPass<'f, 'a> {
     /// `A`-entry, or an empty `B`-union if the `A`-union has no entries.
     fn emit_lifted(&mut self, a_vid: VId) -> VId {
         if self.fu.len(a_vid) == 0 {
-            return self.fu.push_mix(Mix {
-                node: self.b,
-                kid_count: 0,
-                values: Vec::new(),
-                kids: Vec::new(),
-            });
+            let none = self.fu.mix_values.len();
+            return self.fu.push_mix(self.b, 0, none);
         }
         self.fu.kid(a_vid, 0, self.pos_b_in_a)
     }
@@ -1370,12 +1381,25 @@ impl<'f, 'a> PushUpPass<'f, 'a> {
 // Swap on the overlay
 // ---------------------------------------------------------------------
 
-/// The swap operator `χ_{A,B}` on the overlay (the formula is on
-/// [`mod@crate::ops::swap`], whose direct rewriter serves the lone swap):
-/// every `A`-union is regrouped by `B`-value with one flat sort of its
+/// The swap operator `χ_{A,B}`.
+///
+/// Swap exchanges a node `B` with its parent `A`: the representation grouped
+/// first by `A` then `B` is regrouped first by `B` then `A` (Figure 3(b)):
+///
+/// ```text
+/// ⋃_a ⟨A:a⟩ × E_a × ⋃_b (⟨B:b⟩ × F_b × G_ab)
+///     ⇒  ⋃_b ⟨B:b⟩ × F_b × ⋃_a (⟨A:a⟩ × E_a × G_ab)
+/// ```
+///
+/// where `E_a` are the subtrees under `A`, `F_b` the children of `B` that do
+/// not depend on `A` (they stay with `B`), and `G_ab` the children of `B`
+/// that do depend on `A` (they follow `A` down).
+///
+/// Every `A`-union is regrouped by `B`-value with one flat sort of its
 /// `(b, a)` pairs — the sort-merge equivalent of the paper's Figure 4
-/// priority-queue algorithm, the same `O(N log N)` bound; kept children of
-/// `B` and the inner `A`-entries' subtrees become references.
+/// priority-queue algorithm, the same `O(N log N)` bound; unions on the
+/// root-to-`A` path are rebuilt with their kid slots in the new tree's child
+/// order, and `E_a`, `F_b` and `G_ab` become references.
 struct SwapPass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     a: NodeId,
@@ -1481,8 +1505,8 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         let mut pairs: Vec<(Value, u32, VId, u32)> = Vec::new();
         for i in 0..a_len {
             let b_vid = self.fu.kid(a_vid, i, pos_b);
-            for j in 0..self.fu.len(b_vid) {
-                pairs.push((self.fu.value(b_vid, j), i, b_vid, j));
+            for (j, &value) in self.fu.values(b_vid).iter().enumerate() {
+                pairs.push((value, i, b_vid, j as u32));
             }
         }
         // (b value, a entry) is unique per pair: within one b value the
@@ -1490,41 +1514,35 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         // priority queue delivers them.
         pairs.sort_unstable_by_key(|p| (p.0, p.1));
 
-        let mut values = Vec::new();
+        let values_start = self.fu.mix_values.len();
         let mut group_starts: Vec<u32> = Vec::new();
         for (idx, p) in pairs.iter().enumerate() {
             if idx == 0 || p.0 != pairs[idx - 1].0 {
-                values.push(p.0);
+                self.fu.mix_values.push(p.0);
                 group_starts.push(idx as u32);
             }
         }
         group_starts.push(pairs.len() as u32);
 
-        let kid_count = self.b_slots.len() as u32;
-        let mut kids = Vec::with_capacity(values.len() * self.b_slots.len());
-        for g in 0..values.len() {
-            let (start, end) = (group_starts[g], group_starts[g + 1]);
+        let out = self
+            .fu
+            .push_mix(self.b, self.b_slots.len() as u32, values_start);
+        for g in 1..group_starts.len() {
+            let (start, end) = (group_starts[g - 1], group_starts[g]);
             let (_, _a0, b_vid0, j0) = pairs[start as usize];
             for slot in 0..self.b_slots.len() {
-                match self.b_slots[slot] {
+                let kid = match self.b_slots[slot] {
                     // A kept child of `B` (F_b): all copies under the
                     // different a values are equal by independence, keep the
                     // first pair's.
-                    Some(pos) => kids.push(self.fu.kid(b_vid0, j0, pos)),
+                    Some(pos) => self.fu.kid(b_vid0, j0, pos),
                     // The inner union over `A`.
-                    None => {
-                        let inner = self.emit_inner_a(a_vid, &pairs, start, end);
-                        kids.push(inner);
-                    }
-                }
+                    None => self.emit_inner_a(a_vid, &pairs, start, end),
+                };
+                self.fu.set_kid(out, g as u32 - 1, slot as u32, kid);
             }
         }
-        self.fu.push_mix(Mix {
-            node: self.b,
-            kid_count,
-            values,
-            kids,
-        })
+        out
     }
 
     /// The inner `A`-union of one `B`-value: one entry per `(a, b)` pair,
@@ -1537,28 +1555,27 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         start: u32,
         end: u32,
     ) -> VId {
-        let mut values = Vec::with_capacity((end - start) as usize);
-        for p in start..end {
-            values.push(self.fu.value(a_vid, pairs[p as usize].1));
+        let group = &pairs[start as usize..end as usize];
+        let values_start = self.fu.mix_values.len();
+        for &(_, i, _, _) in group {
+            let value = self.fu.value(a_vid, i);
+            self.fu.mix_values.push(value);
         }
-        let mut kids = Vec::with_capacity(values.len() * self.a_slots.len());
-        for p in start..end {
-            let (_, i, b_vid, j) = pairs[p as usize];
+        let out = self
+            .fu
+            .push_mix(self.a, self.a_slots.len() as u32, values_start);
+        for (e, &(_, i, b_vid, j)) in group.iter().enumerate() {
             for slot in 0..self.a_slots.len() {
                 let (from_b, pos) = self.a_slots[slot];
-                kids.push(if from_b {
+                let kid = if from_b {
                     self.fu.kid(b_vid, j, pos)
                 } else {
                     self.fu.kid(a_vid, i, pos)
-                });
+                };
+                self.fu.set_kid(out, e as u32, slot as u32, kid);
             }
         }
-        self.fu.push_mix(Mix {
-            node: self.a,
-            kid_count: self.a_slots.len() as u32,
-            values,
-            kids,
-        })
+        out
     }
 }
 
@@ -1708,27 +1725,26 @@ impl<'f, 'a> MergePass<'f, 'a> {
                 }
             }
         }
-        let mut values = Vec::with_capacity(pairs.len());
+        let values_start = self.fu.mix_values.len();
         for &(ai, _) in &pairs {
-            values.push(self.fu.value(a_vid, ai));
+            let value = self.fu.value(a_vid, ai);
+            self.fu.mix_values.push(value);
         }
-        let mut kids = Vec::with_capacity(pairs.len() * self.merged_slots.len());
-        for &(ai, bi) in &pairs {
+        let out = self
+            .fu
+            .push_mix(self.a, self.merged_slots.len() as u32, values_start);
+        for (e, &(ai, bi)) in pairs.iter().enumerate() {
             for s in 0..self.merged_slots.len() {
                 let (from_b, pos) = self.merged_slots[s];
-                kids.push(if from_b {
+                let kid = if from_b {
                     self.fu.kid(b_vid, bi, pos)
                 } else {
                     self.fu.kid(a_vid, ai, pos)
-                });
+                };
+                self.fu.set_kid(out, e as u32, s as u32, kid);
             }
         }
-        self.fu.push_mix(Mix {
-            node: self.a,
-            kid_count: self.merged_slots.len() as u32,
-            values,
-            kids,
-        })
+        out
     }
 }
 
@@ -1836,27 +1852,26 @@ impl<'f, 'a> AbsorbPass<'f, 'a> {
                 matches.push((i, b_vid, j));
             }
         }
-        let mut values = Vec::with_capacity(matches.len());
+        let values_start = self.fu.mix_values.len();
         for &(i, _, _) in &matches {
-            values.push(self.fu.value(v, i));
+            let value = self.fu.value(v, i);
+            self.fu.mix_values.push(value);
         }
-        let mut kids = Vec::with_capacity(matches.len() * self.spliced_slots.len());
-        for &(i, b_vid, j) in &matches {
+        let out = self
+            .fu
+            .push_mix(node, self.spliced_slots.len() as u32, values_start);
+        for (e, &(i, b_vid, j)) in matches.iter().enumerate() {
             for s in 0..self.spliced_slots.len() {
                 let (from_b, pos) = self.spliced_slots[s];
-                kids.push(if from_b {
+                let kid = if from_b {
                     self.fu.kid(b_vid, j, pos)
                 } else {
                     self.fu.kid(v, i, pos)
-                });
+                };
+                self.fu.set_kid(out, e as u32, s as u32, kid);
             }
         }
-        self.fu.push_mix(Mix {
-            node,
-            kid_count: self.spliced_slots.len() as u32,
-            values,
-            kids,
-        })
+        out
     }
 }
 
@@ -1951,18 +1966,17 @@ mod tests {
         }
     }
 
-    /// Every way of running the program — in place through the executor's
-    /// selection, and on the overlay whatever the program — must agree with
-    /// the oracle bit for bit on the arena.
+    /// The program, run in place and on the borrowed input, must agree
+    /// with the oracle bit for bit on the arena.
     fn check(rep: &FRep, steps: &[FPlanOp], context: &str) {
         let mut reference = rep.clone();
         stepwise(&mut reference, steps);
-        let mut routed = rep.clone();
-        execute_fused_ctx(&mut routed, steps, &ExecCtx::unlimited())
-            .unwrap_or_else(|e| panic!("{context}: fused: {e:?}"));
-        let overlay = emit_overlay(rep, steps, &ExecCtx::unlimited())
-            .unwrap_or_else(|e| panic!("{context}: overlay: {e:?}"));
-        for (path, fused) in [("executor", &routed), ("overlay", &overlay)] {
+        let mut in_place = rep.clone();
+        execute_fused_ctx(&mut in_place, steps, &ExecCtx::unlimited())
+            .unwrap_or_else(|e| panic!("{context}: in place: {e:?}"));
+        let borrowed = emit_fused_ctx(rep, steps, &ExecCtx::unlimited())
+            .unwrap_or_else(|e| panic!("{context}: borrowed: {e:?}"));
+        for (path, fused) in [("in-place", &in_place), ("borrowed", &borrowed)] {
             fused
                 .validate()
                 .unwrap_or_else(|e| panic!("{context}: {path} result invalid: {e:?}"));

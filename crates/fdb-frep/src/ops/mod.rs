@@ -7,7 +7,7 @@
 //! |---|---|---|---|
 //! | Cartesian product `×` | [`product()`] | [`mod@product`] | forests are concatenated |
 //! | push-up `ψ_B`, normalisation `η` | [`push_up`], [`normalise`] | `PushUpPass`, `normalise_steps` | a subtree moves one level up |
-//! | swap `χ_{A,B}` | [`swap()`] | `SwapPass`, and [`mod@swap`] for the lone swap | a child exchanges places with its parent |
+//! | swap `χ_{A,B}` | [`swap()`] | `SwapPass` | a child exchanges places with its parent |
 //! | merge `µ_{A,B}` | [`merge()`] | `MergePass` | two sibling nodes fuse |
 //! | absorb `α_{A,B}` | [`absorb()`] | `AbsorbPass` | a node fuses into an ancestor |
 //! | selection with constant `σ_{AθC}` | [`select_const`] | `Fusion::filter` | the node may become constant-bound |
@@ -35,15 +35,9 @@
 //! `FPlan` is a `Vec` of them): a program is a `&[FPlanOp]`.  `fdb-plan`
 //! hands every non-empty plan's operator list to [`emit_fused_ctx`] as it
 //! is; the public single-operator functions of this module are one-operator
-//! programs run under `ExecCtx::unlimited()`.
-//!
-//! [`emit_fused_ctx`] is also the one place that decides *how* a program
-//! runs, from the program alone: a lone swap takes the direct
-//! [`crate::store::Rewriter`] pass of [`mod@swap`] — the one case, a swap
-//! deep in a tree, where writing the regrouped region into the overlay and
-//! then into the arena costs 2–3× writing it once; that module's docs hold
-//! the measurement and what would retire the arm — and everything else, and
-//! every aggregate sink, runs the overlay.
+//! programs run under `ExecCtx::unlimited()`.  [`emit_fused_ctx`] runs
+//! every program the same way, on the overlay: a lone swap (an ORDER BY
+//! chain swap) as much as a twenty-step plan.
 //!
 //! The builder-form implementations the engine started from (thaw the arena
 //! into the owned [`crate::node`] form, splice pointers, freeze back)

@@ -3,12 +3,11 @@
 //! Until PR 2 these builder-form rewrites *were* the structural operators:
 //! each one thaws the arena into the owned [`crate::node`] form, restructures
 //! the pointer tree, and freezes the result back.  Production executes every
-//! operator as an overlay pass of [`crate::ops::fuse`] (plus the lone-swap
-//! rewriter of [`mod@crate::ops::swap`]) and never thaws; this module keeps
-//! the original implementations — all seven operators, independent of the
-//! executor under test, no code shared with it — so the equivalence suites
-//! can assert bit-for-bit identical stores, one operator at a time
-//! ([`apply`]) or a whole plan applied step by step.
+//! operator as an overlay pass of [`crate::ops::fuse`] and never thaws;
+//! this module keeps the original implementations — all seven operators,
+//! independent of the executor under test, no code shared with it — so the
+//! equivalence suites can assert bit-for-bit identical stores, one operator
+//! at a time ([`apply`]) or a whole plan applied step by step.
 //!
 //! Nothing here is API; the module is `#[doc(hidden)]` and must not be called
 //! from production paths.

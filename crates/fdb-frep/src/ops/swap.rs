@@ -1,308 +1,23 @@
 //! The swap operator `χ_{A,B}`.
 //!
-//! Swap exchanges a node `B` with its parent `A`: the representation grouped
-//! first by `A` then `B` is regrouped first by `B` then `A` (Figure 3(b)):
-//!
-//! ```text
-//! ⋃_a ⟨A:a⟩ × E_a × ⋃_b (⟨B:b⟩ × F_b × G_ab)
-//!     ⇒  ⋃_b ⟨B:b⟩ × F_b × ⋃_a (⟨A:a⟩ × E_a × G_ab)
-//! ```
-//!
-//! where `E_a` are the subtrees under `A`, `F_b` the children of `B` that do
-//! not depend on `A` (they stay with `B`), and `G_ab` the children of `B`
-//! that do depend on `A` (they follow `A` down).
-//!
-//! # Why this is the one direct rewriter left
-//!
-//! Every other operator exists once, as an overlay pass of
-//! [`crate::ops::fuse`]; swap exists there too ([`SwapPass`] serves every
-//! swap inside a longer program and every swap-down of a projection).  What
-//! this module keeps is the **lone-swap arm** of
-//! [`crate::ops::emit_fused_ctx`]: the program `[Swap(b)]` and nothing else
-//! — the ORDER BY chain swap of an analytics head — emits through
-//! the [`Rewriter`] below straight from the borrowed input.  The overlay
-//! writes the regrouped region twice (into `Mix` nodes, then into the arena),
-//! and for a swap deep in a tree that region is most of the arena.  Measured
-//! when the other four direct rewriters were deleted (one operator, ms per
-//! call, store-identical outputs):
-//!
-//! | program | direct | overlay |
-//! |---|---|---|
-//! | `path` shape, swap(mid) | 0.022 | 0.044 |
-//! | `nested` shape, swap(D) | 0.79 | 2.56 |
-//! | serving forest, lone merge | 0.67 | 0.18 |
-//!
-//! (still 1.9–2.2× for the two swaps with a bump allocator under both, so
-//! it is the second write, not `malloc`), and end to end routing the lone
-//! swap through the overlay cost `analytics_heads` 12 % of its `p50_ms` in
-//! five pairs of five while this arm leaves it unmoved.  What would retire
-//! the arm, and this module's rewriter with it: overlay `Mix` unions as
-//! ranges into one per-worker bump pair instead of two heap vectors each
-//! (ROADMAP item 4(b)) bringing a lone deep swap within ~1.2× of the table's
-//! left column.
-//!
-//! # The rewriter
-//!
-//! The output arena is emitted in one pass over the input arena.  Unions on
-//! the root-to-`A` path are re-emitted with their kid slots translated to
-//! the new tree's child order, every union over `A` is regrouped in place
-//! (the `(b, a)` pairs are gathered with one flat sort — the sort-merge
-//! equivalent of the paper's Figure 4 priority-queue algorithm, the same
-//! `O(N log N)` bound), and all unchanged subtrees are copied whole.  The
-//! result is the exact [`Store::freeze`] layout, bit for bit what
-//! [`SwapPass`] and the thaw-path [`crate::ops::oracle`] produce.
-//!
-//! [`SwapPass`]: crate::ops::fuse
+//! Swap exchanges a node `B` with its parent `A`, regrouping the
+//! representation first by `B` then by `A` (Figure 3(b)).  It has no
+//! rewriter of its own — it **is** the one-operator overlay program
+//! `[FPlanOp::Swap]`; the operator's definition (formula, sort-merge
+//! regrouping, cost bound) is on `SwapPass` in [`crate::ops::fuse`].
 
 use crate::frep::FRep;
-use crate::ops::{child_pos, debug_validate};
-use crate::store::{Rewriter, Store};
-use fdb_common::{ExecCtx, Result, Value};
-use fdb_ftree::{FTree, NodeId, SwapOutcome};
-use std::collections::BTreeSet;
+use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use fdb_common::{ExecCtx, Result};
+use fdb_ftree::{NodeId, SwapOutcome};
 
 /// Swap operator `χ_{A,B}` where `b`'s parent is `A`: regroups the
 /// representation by `B` before `A` and updates the f-tree accordingly.  On
 /// error the representation is left exactly as it was.
 pub fn swap(rep: &mut FRep, b: NodeId) -> Result<SwapOutcome> {
-    let (out, outcome) = emit_swap(rep, b, &ExecCtx::unlimited())?;
-    *rep = out;
+    let outcome = rep.tree().clone().swap_with_parent(b)?;
+    execute_fused_ctx(rep, &[FPlanOp::Swap(b)], &ExecCtx::unlimited())?;
     Ok(outcome)
-}
-
-/// The lone-swap arm of [`crate::ops::emit_fused_ctx`]: validates on the
-/// tree, charges the context, then emits the swapped representation from
-/// the borrowed input.  The rewriter has no interruption point of its own,
-/// so the input's record count (`unions + entries`) is charged up front and
-/// a tripped limit aborts before anything is written.
-pub(crate) fn emit_swap(rep: &FRep, b: NodeId, ctx: &ExecCtx) -> Result<(FRep, SwapOutcome)> {
-    let mut new_tree = rep.tree().clone();
-    let outcome = new_tree.swap_with_parent(b)?;
-    ctx.check_now()?;
-    let store = rep.store();
-    ctx.charge((store.unions.len() + store.entry_count()) as u64)?;
-    let swapped = swap_rewrite(store, rep.tree(), &new_tree, &outcome);
-    let out = FRep::from_store(new_tree, swapped);
-    debug_validate(&out, "swap");
-    Ok((out, outcome))
-}
-
-/// Emits the swapped arena.
-fn swap_rewrite(src: &Store, old_tree: &FTree, new_tree: &FTree, outcome: &SwapOutcome) -> Store {
-    let mut sw = SwapRewrite::new(src, old_tree, new_tree, outcome);
-    let roots: Vec<u32> = src.roots.iter().map(|&r| sw.emit(r)).collect();
-    sw.rw.finish(roots)
-}
-
-struct SwapRewrite<'a> {
-    rw: Rewriter<'a>,
-    a: NodeId,
-    b: NodeId,
-    /// Ancestors of `A` in the old tree: the unions that must be re-emitted
-    /// (rather than copied) because the regrouping happens below them.
-    on_path: BTreeSet<NodeId>,
-    /// `A`'s old child list (kid-slot order of the input `A`-unions).
-    old_a_children: Vec<NodeId>,
-    /// For each new child of `A`: `(comes_from_b_side, old kid position)` —
-    /// children of `B` that depend on `A` follow `A` down, the rest of `A`'s
-    /// children keep their slots.
-    a_slots: Vec<(bool, u32)>,
-    /// For each new child of `B`: the old kid position of a kept child, or
-    /// `None` for the slot of the new inner `A`-union.
-    b_slots: Vec<Option<u32>>,
-    /// For each ancestor on the path: the old kid position feeding each new
-    /// kid slot (only the grandparent's order actually changes: `A`'s slot
-    /// becomes `B`'s).
-    path_slots: Vec<(NodeId, Vec<u32>)>,
-    /// Scratch for the `(b value, a entry, b union, b entry)` pair sort.
-    pairs: Vec<(Value, u32, u32, u32)>,
-    /// Scratch: the distinct `B`-values of the union being regrouped.
-    values: Vec<Value>,
-    /// Scratch: start offset of each `B`-value's pair group in `pairs`.
-    group_starts: Vec<u32>,
-}
-
-impl<'a> SwapRewrite<'a> {
-    fn new(src: &'a Store, old_tree: &FTree, new_tree: &FTree, outcome: &SwapOutcome) -> Self {
-        let (a, b) = (outcome.old_parent, outcome.new_parent);
-        let moved_down: BTreeSet<NodeId> = outcome.moved_down.iter().copied().collect();
-        let old_a_children = old_tree.children(a).to_vec();
-        let old_b_children = old_tree.children(b).to_vec();
-
-        let a_slots = new_tree
-            .children(a)
-            .iter()
-            .map(|&d| {
-                if moved_down.contains(&d) {
-                    (true, child_pos(&old_b_children, d))
-                } else {
-                    (false, child_pos(&old_a_children, d))
-                }
-            })
-            .collect();
-        let b_slots = new_tree
-            .children(b)
-            .iter()
-            .map(|&c| {
-                if c == a {
-                    None
-                } else {
-                    Some(child_pos(&old_b_children, c))
-                }
-            })
-            .collect();
-
-        let path: Vec<NodeId> = old_tree.ancestors(a);
-        let path_slots = path
-            .iter()
-            .map(|&n| {
-                let old_children = old_tree.children(n);
-                let slots = new_tree
-                    .children(n)
-                    .iter()
-                    .map(|&c| child_pos(old_children, if c == b { a } else { c }))
-                    .collect();
-                (n, slots)
-            })
-            .collect();
-
-        SwapRewrite {
-            rw: Rewriter::new(src, old_tree),
-            a,
-            b,
-            on_path: path.into_iter().collect(),
-            old_a_children,
-            a_slots,
-            b_slots,
-            path_slots,
-            pairs: Vec::new(),
-            values: Vec::new(),
-            group_starts: Vec::new(),
-        }
-    }
-
-    fn emit(&mut self, uid: u32) -> u32 {
-        let src = self.rw.src;
-        let rec = src.unions[uid as usize];
-        if rec.node == self.a {
-            return self.regroup(uid);
-        }
-        if !self.on_path.contains(&rec.node) {
-            // Nothing below this union changes.
-            return self.rw.copy_union(uid);
-        }
-        // An ancestor of `A`: same entries, kid slots re-emitted in the new
-        // tree's child order.
-        let out = self
-            .rw
-            .begin_union(rec.node, src.value_slice(uid).iter().copied());
-        let pi = self
-            .path_slots
-            .iter()
-            .position(|(n, _)| *n == rec.node)
-            .expect("path nodes are precomputed");
-        let slot_count = self.path_slots[pi].1.len();
-        for i in 0..rec.entries_len {
-            let mark = self.rw.mark();
-            for k in 0..slot_count {
-                let pos = self.path_slots[pi].1[k];
-                let kid = self.emit(src.kid(uid, i, pos));
-                self.rw.push_kid(kid);
-            }
-            self.rw.end_entry(out, i, mark);
-        }
-        out
-    }
-
-    /// Regroups one `A`-union into the corresponding `B`-union.
-    fn regroup(&mut self, a_uid: u32) -> u32 {
-        let src = self.rw.src;
-        let a_rec = src.unions[a_uid as usize];
-        let pos_b = child_pos(&self.old_a_children, self.b);
-
-        // Gather every (b value, a entry) pair, then sort by b value with
-        // ties in a-entry order — within one b value the pairing a values
-        // then arrive in increasing order, as the paper's priority queue
-        // delivers them.
-        self.pairs.clear();
-        for i in 0..a_rec.entries_len {
-            let b_uid = src.kid(a_uid, i, pos_b);
-            for (j, &value) in src.value_slice(b_uid).iter().enumerate() {
-                self.pairs.push((value, i, b_uid, j as u32));
-            }
-        }
-        self.pairs.sort_unstable();
-
-        self.values.clear();
-        self.group_starts.clear();
-        for (idx, p) in self.pairs.iter().enumerate() {
-            if idx == 0 || p.0 != self.pairs[idx - 1].0 {
-                self.values.push(p.0);
-                self.group_starts.push(idx as u32);
-            }
-        }
-        self.group_starts.push(self.pairs.len() as u32);
-
-        let out_uid = {
-            let values = std::mem::take(&mut self.values);
-            let uid = self.rw.begin_union(self.b, values.iter().copied());
-            self.values = values;
-            uid
-        };
-        let group_count = self.group_starts.len() - 1;
-        for g in 0..group_count {
-            let (start, end) = (self.group_starts[g], self.group_starts[g + 1]);
-            let (_, _a0, b_uid0, j0) = self.pairs[start as usize];
-            let mark = self.rw.mark();
-            for slot in 0..self.b_slots.len() {
-                match self.b_slots[slot] {
-                    // A kept child of `B` (F_b): all copies under the
-                    // different a values are equal by independence, keep the
-                    // first pair's.
-                    Some(pos) => {
-                        let kid = self.rw.copy_union(src.kid(b_uid0, j0, pos));
-                        self.rw.push_kid(kid);
-                    }
-                    // The inner union over `A`.
-                    None => {
-                        let inner = self.emit_inner_a(a_uid, start, end);
-                        self.rw.push_kid(inner);
-                    }
-                }
-            }
-            self.rw.end_entry(out_uid, g as u32, mark);
-        }
-        out_uid
-    }
-
-    /// Emits the inner `A`-union of one `B`-value: one entry per `(a, b)`
-    /// pair, with `E_a` copied from the old `A`-entry and `G_ab` copied from
-    /// the pair's `B`-entry.
-    fn emit_inner_a(&mut self, a_uid: u32, start: u32, end: u32) -> u32 {
-        let src = self.rw.src;
-        let a_values = src.value_slice(a_uid);
-        let inner = self.rw.begin_union_raw(self.a, end - start);
-        for p in start..end {
-            let (_, i, _, _) = self.pairs[p as usize];
-            self.rw.push_value(a_values[i as usize]);
-        }
-        for k in 0..(end - start) {
-            let (_, i, b_uid, j) = self.pairs[(start + k) as usize];
-            let mark = self.rw.mark();
-            for slot in 0..self.a_slots.len() {
-                let (from_b, pos) = self.a_slots[slot];
-                let kid = if from_b {
-                    src.kid(b_uid, j, pos)
-                } else {
-                    src.kid(a_uid, i, pos)
-                };
-                let copied = self.rw.copy_union(kid);
-                self.rw.push_kid(copied);
-            }
-            self.rw.end_entry(inner, k, mark);
-        }
-        inner
-    }
 }
 
 #[cfg(test)]
@@ -311,8 +26,9 @@ mod tests {
     use crate::enumerate::materialize;
     use crate::node::{Entry, Union};
     use crate::ops::oracle;
-    use fdb_common::AttrId;
+    use fdb_common::{AttrId, Value};
     use fdb_ftree::{DepEdge, FTree};
+    use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()

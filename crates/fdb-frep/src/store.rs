@@ -39,13 +39,12 @@
 //!
 //! The store is immutable in place; every operator rebuilds it with a flat
 //! arena-to-arena pass.  The Cartesian product uses
-//! [`Store::append_remapped`]; the plan executor ([`crate::ops::fuse`], and
-//! the lone-swap rewriter of [`mod@crate::ops::swap`]) emits a fresh arena
-//! through a [`Rewriter`], which reproduces the exact layout
-//! [`Store::freeze`] would produce for the rewritten representation — so its
-//! results are bit-for-bit interchangeable with the thaw/rewrite/freeze
-//! oracle in [`crate::ops::oracle`] while skipping both linear copies and
-//! every per-node allocation.
+//! [`Store::append_remapped`]; the plan executor ([`crate::ops::fuse`])
+//! emits a fresh arena through a [`Rewriter`], which reproduces the exact
+//! layout [`Store::freeze`] would produce for the rewritten representation
+//! — so its results are bit-for-bit interchangeable with the
+//! thaw/rewrite/freeze oracle in [`crate::ops::oracle`] while skipping both
+//! linear copies and every per-node allocation.
 //!
 //! # The freeze layout, and what it buys
 //!
@@ -591,11 +590,7 @@ impl<'a> Rewriter<'a> {
     /// Starts a new output union: pushes its header and one value record per
     /// entry (kid runs are attached with [`Rewriter::end_entry`]).  Returns
     /// the new union's index.
-    pub(crate) fn begin_union(
-        &mut self,
-        node: NodeId,
-        values: impl ExactSizeIterator<Item = Value>,
-    ) -> u32 {
+    fn begin_union(&mut self, node: NodeId, values: impl ExactSizeIterator<Item = Value>) -> u32 {
         let uid = self.begin_union_raw(node, values.len() as u32);
         for value in values {
             self.push_value(value);

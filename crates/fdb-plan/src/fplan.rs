@@ -584,9 +584,13 @@ mod tests {
         let forest = ops::product(example3(0, 1, None), example3(2, 3, None)).unwrap();
         let lifted = example3(0, 1, Some(2));
         let cases = [
-            // The lone-swap arm charges its input up front: 3 unions + 5
-            // entries.
+            // No sweep, no prune: only the emission — the B-union (1 + 2)
+            // and its two inner A-unions (1 + 1 and 1 + 2).
             (&chain, FPlanOp::Swap(node(&chain, 1)), 8),
+            // The emission again, now of more records than the input's 12:
+            // the B-union (1 + 2), its inner A-unions (1 + 1 and 1 + 2) and
+            // a copied C-union (1 + 1) under each of the three A-entries.
+            (&lifted, FPlanOp::Swap(node(&lifted, 1)), 14),
             // The overlay reads both operands (16 records), prunes the
             // merged root (1 + 2) and writes the result: 1 + 2 entries, each
             // with its two leaf unions — 2 × (1 + 2) and 2 × (1 + 1).
