@@ -205,9 +205,11 @@ pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Resu
 
 /// The plan executor proper: runs the program on the overlay over the
 /// **borrowed** input and emits the result.  Nothing is cloned and an abort
-/// leaves nothing behind; the liveness sweeps, the overlay prunes and the
-/// final emission charge the context per record they read and write, so a
-/// deadline, budget or cancellation aborts the program cooperatively.
+/// leaves nothing behind.  The deadline and cancellation are checked before
+/// every operator; the liveness sweeps, the overlay prunes and the final
+/// emission charge the context per record they read and write.  The
+/// restructuring passes (swap, push-up, merge, absorb) charge nothing
+/// themselves: what they build is charged when it is emitted.
 pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "fuse.execute");
     let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
@@ -471,20 +473,14 @@ impl VId {
     }
 }
 
-/// An overlay union materialising a transformed region: `len` values in
-/// increasing order from `values_start` of `Fusion::mix_values` and, per
-/// entry, `kid_count` child references in the (then-current) f-tree child
-/// order from `kids_start` of `Fusion::mix_kids`.  A `Mix` owns no
-/// allocation: a program's overlay unions share those two vectors, so a
-/// pass that builds one small union per group (a swap's inner `A`-unions)
-/// pays no allocator call per union.
-#[derive(Clone, Copy)]
+/// An overlay union materialising a transformed region: its values in
+/// increasing order and, per entry, `kid_count` child references in the
+/// (then-current) f-tree child order.
 struct Mix {
     node: NodeId,
     kid_count: u32,
-    values_start: u32,
-    len: u32,
-    kids_start: u32,
+    values: Vec<Value>,
+    kids: Vec<VId>,
 }
 
 /// Liveness of the input arena under a retain-and-prune with some entry
@@ -507,10 +503,6 @@ struct Fusion<'a> {
     /// every `Src` reference: untouched regions keep their tree shape).
     src_kid_counts: Vec<u32>,
     mixes: Vec<Mix>,
-    /// The value blocks of all `mixes`.
-    mix_values: Vec<Value>,
-    /// The kid slots of all `mixes`.
-    mix_kids: Vec<VId>,
     roots: Vec<VId>,
     /// Lazily computed, cached for the program (the input arena is
     /// immutable while the program runs).
@@ -526,53 +518,16 @@ impl<'a> Fusion<'a> {
             src,
             src_kid_counts: kid_count_table(tree),
             mixes: Vec::new(),
-            mix_values: Vec::new(),
-            mix_kids: Vec::new(),
             roots: src.roots.iter().map(|&r| VId::src(r)).collect(),
             liveness: None,
             ctx,
         }
     }
 
-    /// Appends a `Mix` over `node` whose values are those pushed onto
-    /// `mix_values` from `values_start` on (no other `Mix` may start in
-    /// between), with `kid_count` kid slots per entry reserved for
-    /// [`Fusion::set_kid`] to fill.
-    fn push_mix(&mut self, node: NodeId, kid_count: u32, values_start: usize) -> VId {
-        let len = self.mix_values.len() - values_start;
-        let kids_start = self.mix_kids.len();
-        self.mix_kids
-            .resize(kids_start + len * kid_count as usize, VId(u32::MAX));
+    fn push_mix(&mut self, mix: Mix) -> VId {
         let id = VId::mix(self.mixes.len());
-        self.mixes.push(Mix {
-            node,
-            kid_count,
-            values_start: values_start as u32,
-            len: len as u32,
-            kids_start: kids_start as u32,
-        });
+        self.mixes.push(mix);
         id
-    }
-
-    /// Pushes the values of `v` onto `mix_values`; returns where they start.
-    fn push_values_of(&mut self, v: VId) -> usize {
-        let start = self.mix_values.len();
-        match v.as_src() {
-            Some(uid) => self.mix_values.extend_from_slice(self.src.value_slice(uid)),
-            None => {
-                let mix = self.mixes[v.mix_index()];
-                let from = mix.values_start as usize;
-                self.mix_values
-                    .extend_from_within(from..from + mix.len as usize);
-            }
-        }
-        start
-    }
-
-    /// Fills kid slot `k` of entry `i` of the `Mix` `v`.
-    fn set_kid(&mut self, v: VId, i: u32, k: u32, kid: VId) {
-        let mix = self.mixes[v.mix_index()];
-        self.mix_kids[(mix.kids_start + i * mix.kid_count + k) as usize] = kid;
     }
 
     /// The f-tree node a virtual union ranges over.
@@ -592,11 +547,7 @@ impl<'a> Fusion<'a> {
     fn values(&self, v: VId) -> &[Value] {
         match v.as_src() {
             Some(uid) => self.src.value_slice(uid),
-            None => {
-                let mix = &self.mixes[v.mix_index()];
-                let start = mix.values_start as usize;
-                &self.mix_values[start..start + mix.len as usize]
-            }
+            None => &self.mixes[v.mix_index()].values,
         }
     }
 
@@ -611,7 +562,7 @@ impl<'a> Fusion<'a> {
             Some(uid) => VId::src(self.src.kid(uid, i, k)),
             None => {
                 let mix = &self.mixes[v.mix_index()];
-                self.mix_kids[(mix.kids_start + i * mix.kid_count + k) as usize]
+                mix.kids[(i * mix.kid_count + k) as usize]
             }
         }
     }
@@ -747,38 +698,41 @@ impl<'a> Fusion<'a> {
             let rec = self.src.unions[uidx];
             self.ctx.charge(1 + rec.entries_len as u64)?;
             let kid_count = self.src_kid_counts[rec.node.index()];
-            let entries = rec.entries_start..rec.entries_start + rec.entries_len;
-            let alive = |e: &u32| live.entry_alive[*e as usize];
-            let values_start = self.mix_values.len();
-            for e in entries.clone().filter(alive) {
-                self.mix_values.push(self.src.value_at(e));
-            }
-            let out = self.push_mix(rec.node, kid_count, values_start);
-            let mut survivors = 0;
-            for e in entries.filter(alive) {
-                let kids_start = self.src.kids_start_at(e);
+            let mut values = Vec::with_capacity(rec.entries_len as usize);
+            let mut kids = Vec::with_capacity((rec.entries_len * kid_count) as usize);
+            for i in 0..rec.entries_len {
+                let e = (rec.entries_start + i) as usize;
+                if !live.entry_alive[e] {
+                    continue;
+                }
+                values.push(self.src.value_at(e as u32));
+                let kids_start = self.src.kids_start_at(e as u32);
                 for k in 0..kid_count {
                     let kid_uid = self.src.kids[(kids_start + k) as usize];
                     let (kid, _) = self.prune_union(VId::src(kid_uid), live, keep)?;
-                    self.set_kid(out, survivors, k, kid);
+                    kids.push(kid);
                 }
-                survivors += 1;
             }
-            Ok((out, survivors == 0))
-        } else {
-            let Mix {
-                node,
+            let empty = values.is_empty();
+            let out = self.push_mix(Mix {
+                node: rec.node,
                 kid_count,
-                len,
-                ..
-            } = self.mixes[v.mix_index()];
+                values,
+                kids,
+            });
+            Ok((out, empty))
+        } else {
+            let (node, kid_count, len) = {
+                let mix = &self.mixes[v.mix_index()];
+                (mix.node, mix.kid_count, mix.values.len() as u32)
+            };
             self.ctx.charge(1 + len as u64)?;
             let kc = kid_count as usize;
             let mut values = Vec::with_capacity(len as usize);
             let mut kids = Vec::with_capacity(len as usize * kc);
             let mut pruned = Vec::with_capacity(kc);
             for i in 0..len {
-                let value = self.value(v, i);
+                let value = self.mixes[v.mix_index()].values[i as usize];
                 // An entry failing the predicate dies outright; its subtrees
                 // are unreachable and need no rebuild.
                 if !keep(node, value) {
@@ -787,7 +741,7 @@ impl<'a> Fusion<'a> {
                 pruned.clear();
                 let mut alive = true;
                 for k in 0..kid_count {
-                    let kid = self.kid(v, i, k);
+                    let kid = self.mixes[v.mix_index()].kids[(i * kid_count + k) as usize];
                     let (pk, empty) = self.prune_union(kid, live, keep)?;
                     alive &= !empty;
                     pruned.push(pk);
@@ -797,14 +751,14 @@ impl<'a> Fusion<'a> {
                     kids.extend_from_slice(&pruned);
                 }
             }
-            // The kids were pruned before their entry's fate was known, so
-            // the survivors are collected first and appended afterwards.
-            let values_start = self.mix_values.len();
-            self.mix_values.extend_from_slice(&values);
-            let out = self.push_mix(node, kid_count, values_start);
-            let kids_start = self.mixes[out.mix_index()].kids_start as usize;
-            self.mix_kids[kids_start..kids_start + kids.len()].copy_from_slice(&kids);
-            Ok((out, values.is_empty()))
+            let empty = values.is_empty();
+            let out = self.push_mix(Mix {
+                node,
+                kid_count,
+                values,
+                kids,
+            });
+            Ok((out, empty))
         }
     }
 
@@ -822,7 +776,7 @@ impl<'a> Fusion<'a> {
         let roots: Vec<u32> = self
             .roots
             .iter()
-            .map(|&r| emit_union(&mut rw, &self, r))
+            .map(|&r| emit_union(&mut rw, &self.mixes, r, self.ctx))
             .collect::<Result<_>>()?;
         Ok(rw.finish(roots))
     }
@@ -1200,26 +1154,27 @@ impl<A: Accumulator> Rows<A> {
 /// Charges the governance context for every record written: `Mix` unions
 /// charge their own header and value block, opaque `Src` subtree copies
 /// charge the [`Rewriter::emitted_units`] delta they produce.
-fn emit_union(rw: &mut Rewriter<'_>, fu: &Fusion<'_>, v: VId) -> Result<u32> {
+fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Result<u32> {
     if let Some(uid) = v.as_src() {
         let before = rw.emitted_units();
         let out = rw.copy_union(uid);
-        fu.ctx.charge(rw.emitted_units() - before)?;
+        ctx.charge(rw.emitted_units() - before)?;
         return Ok(out);
     }
-    let mix = fu.mixes[v.mix_index()];
-    fu.ctx.charge(1 + mix.len as u64)?;
-    let out = rw.begin_union_raw(mix.node, mix.len);
-    for &value in fu.values(v) {
+    let mix = &mixes[v.mix_index()];
+    ctx.charge(1 + mix.values.len() as u64)?;
+    let out = rw.begin_union_raw(mix.node, mix.values.len() as u32);
+    for &value in &mix.values {
         rw.push_value(value);
     }
-    for i in 0..mix.len {
+    let kc = mix.kid_count as usize;
+    for i in 0..mix.values.len() {
         let mark = rw.mark();
-        for k in 0..mix.kid_count {
-            let kid = emit_union(rw, fu, fu.kid(v, i, k))?;
+        for k in 0..kc {
+            let kid = emit_union(rw, mixes, mix.kids[i * kc + k], ctx)?;
             rw.push_kid(kid);
         }
-        rw.end_entry(out, i, mark);
+        rw.end_entry(out, i as u32, mark);
     }
     Ok(out)
 }
@@ -1234,15 +1189,24 @@ macro_rules! rebuild_entries {
     ($pass:expr, $v:expr, $node:expr, $kid_count:expr, |$i:ident, $k:ident| $kid_out:expr) => {{
         let v = $v;
         let kid_count: u32 = $kid_count;
-        let values_start = ($pass).fu.push_values_of(v);
-        let out = ($pass).fu.push_mix($node, kid_count, values_start);
-        for $i in 0..($pass).fu.len(v) {
+        let len = ($pass).fu.len(v);
+        let mut values = Vec::with_capacity(len as usize);
+        for i in 0..len {
+            values.push(($pass).fu.value(v, i));
+        }
+        let mut kids = Vec::with_capacity((len as usize) * (kid_count as usize));
+        for $i in 0..len {
             for $k in 0..kid_count {
                 let kid: VId = $kid_out;
-                ($pass).fu.set_kid(out, $i, $k, kid);
+                kids.push(kid);
             }
         }
-        out
+        ($pass).fu.push_mix(Mix {
+            node: $node,
+            kid_count,
+            values,
+            kids,
+        })
     }};
 }
 
@@ -1370,8 +1334,12 @@ impl<'f, 'a> PushUpPass<'f, 'a> {
     /// `A`-entry, or an empty `B`-union if the `A`-union has no entries.
     fn emit_lifted(&mut self, a_vid: VId) -> VId {
         if self.fu.len(a_vid) == 0 {
-            let none = self.fu.mix_values.len();
-            return self.fu.push_mix(self.b, 0, none);
+            return self.fu.push_mix(Mix {
+                node: self.b,
+                kid_count: 0,
+                values: Vec::new(),
+                kids: Vec::new(),
+            });
         }
         self.fu.kid(a_vid, 0, self.pos_b_in_a)
     }
@@ -1399,7 +1367,9 @@ impl<'f, 'a> PushUpPass<'f, 'a> {
 /// `(b, a)` pairs — the sort-merge equivalent of the paper's Figure 4
 /// priority-queue algorithm, the same `O(N log N)` bound; unions on the
 /// root-to-`A` path are rebuilt with their kid slots in the new tree's child
-/// order, and `E_a`, `F_b` and `G_ab` become references.
+/// order, and `E_a`, `F_b` and `G_ab` become references.  The regroup
+/// charges nothing: the deadline is checked before the pass starts, and the
+/// unions it builds are charged when they are emitted.
 struct SwapPass<'f, 'a> {
     fu: &'f mut Fusion<'a>,
     a: NodeId,
@@ -1505,8 +1475,8 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         let mut pairs: Vec<(Value, u32, VId, u32)> = Vec::new();
         for i in 0..a_len {
             let b_vid = self.fu.kid(a_vid, i, pos_b);
-            for (j, &value) in self.fu.values(b_vid).iter().enumerate() {
-                pairs.push((value, i, b_vid, j as u32));
+            for j in 0..self.fu.len(b_vid) {
+                pairs.push((self.fu.value(b_vid, j), i, b_vid, j));
             }
         }
         // (b value, a entry) is unique per pair: within one b value the
@@ -1514,35 +1484,41 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         // priority queue delivers them.
         pairs.sort_unstable_by_key(|p| (p.0, p.1));
 
-        let values_start = self.fu.mix_values.len();
+        let mut values = Vec::new();
         let mut group_starts: Vec<u32> = Vec::new();
         for (idx, p) in pairs.iter().enumerate() {
             if idx == 0 || p.0 != pairs[idx - 1].0 {
-                self.fu.mix_values.push(p.0);
+                values.push(p.0);
                 group_starts.push(idx as u32);
             }
         }
         group_starts.push(pairs.len() as u32);
 
-        let out = self
-            .fu
-            .push_mix(self.b, self.b_slots.len() as u32, values_start);
-        for g in 1..group_starts.len() {
-            let (start, end) = (group_starts[g - 1], group_starts[g]);
+        let kid_count = self.b_slots.len() as u32;
+        let mut kids = Vec::with_capacity(values.len() * self.b_slots.len());
+        for g in 0..values.len() {
+            let (start, end) = (group_starts[g], group_starts[g + 1]);
             let (_, _a0, b_vid0, j0) = pairs[start as usize];
             for slot in 0..self.b_slots.len() {
-                let kid = match self.b_slots[slot] {
+                match self.b_slots[slot] {
                     // A kept child of `B` (F_b): all copies under the
                     // different a values are equal by independence, keep the
                     // first pair's.
-                    Some(pos) => self.fu.kid(b_vid0, j0, pos),
+                    Some(pos) => kids.push(self.fu.kid(b_vid0, j0, pos)),
                     // The inner union over `A`.
-                    None => self.emit_inner_a(a_vid, &pairs, start, end),
-                };
-                self.fu.set_kid(out, g as u32 - 1, slot as u32, kid);
+                    None => {
+                        let inner = self.emit_inner_a(a_vid, &pairs, start, end);
+                        kids.push(inner);
+                    }
+                }
             }
         }
-        out
+        self.fu.push_mix(Mix {
+            node: self.b,
+            kid_count,
+            values,
+            kids,
+        })
     }
 
     /// The inner `A`-union of one `B`-value: one entry per `(a, b)` pair,
@@ -1555,27 +1531,28 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         start: u32,
         end: u32,
     ) -> VId {
-        let group = &pairs[start as usize..end as usize];
-        let values_start = self.fu.mix_values.len();
-        for &(_, i, _, _) in group {
-            let value = self.fu.value(a_vid, i);
-            self.fu.mix_values.push(value);
+        let mut values = Vec::with_capacity((end - start) as usize);
+        for p in start..end {
+            values.push(self.fu.value(a_vid, pairs[p as usize].1));
         }
-        let out = self
-            .fu
-            .push_mix(self.a, self.a_slots.len() as u32, values_start);
-        for (e, &(_, i, b_vid, j)) in group.iter().enumerate() {
+        let mut kids = Vec::with_capacity(values.len() * self.a_slots.len());
+        for p in start..end {
+            let (_, i, b_vid, j) = pairs[p as usize];
             for slot in 0..self.a_slots.len() {
                 let (from_b, pos) = self.a_slots[slot];
-                let kid = if from_b {
+                kids.push(if from_b {
                     self.fu.kid(b_vid, j, pos)
                 } else {
                     self.fu.kid(a_vid, i, pos)
-                };
-                self.fu.set_kid(out, e as u32, slot as u32, kid);
+                });
             }
         }
-        out
+        self.fu.push_mix(Mix {
+            node: self.a,
+            kid_count: self.a_slots.len() as u32,
+            values,
+            kids,
+        })
     }
 }
 
@@ -1725,26 +1702,27 @@ impl<'f, 'a> MergePass<'f, 'a> {
                 }
             }
         }
-        let values_start = self.fu.mix_values.len();
+        let mut values = Vec::with_capacity(pairs.len());
         for &(ai, _) in &pairs {
-            let value = self.fu.value(a_vid, ai);
-            self.fu.mix_values.push(value);
+            values.push(self.fu.value(a_vid, ai));
         }
-        let out = self
-            .fu
-            .push_mix(self.a, self.merged_slots.len() as u32, values_start);
-        for (e, &(ai, bi)) in pairs.iter().enumerate() {
+        let mut kids = Vec::with_capacity(pairs.len() * self.merged_slots.len());
+        for &(ai, bi) in &pairs {
             for s in 0..self.merged_slots.len() {
                 let (from_b, pos) = self.merged_slots[s];
-                let kid = if from_b {
+                kids.push(if from_b {
                     self.fu.kid(b_vid, bi, pos)
                 } else {
                     self.fu.kid(a_vid, ai, pos)
-                };
-                self.fu.set_kid(out, e as u32, s as u32, kid);
+                });
             }
         }
-        out
+        self.fu.push_mix(Mix {
+            node: self.a,
+            kid_count: self.merged_slots.len() as u32,
+            values,
+            kids,
+        })
     }
 }
 
@@ -1852,26 +1830,27 @@ impl<'f, 'a> AbsorbPass<'f, 'a> {
                 matches.push((i, b_vid, j));
             }
         }
-        let values_start = self.fu.mix_values.len();
+        let mut values = Vec::with_capacity(matches.len());
         for &(i, _, _) in &matches {
-            let value = self.fu.value(v, i);
-            self.fu.mix_values.push(value);
+            values.push(self.fu.value(v, i));
         }
-        let out = self
-            .fu
-            .push_mix(node, self.spliced_slots.len() as u32, values_start);
-        for (e, &(i, b_vid, j)) in matches.iter().enumerate() {
+        let mut kids = Vec::with_capacity(matches.len() * self.spliced_slots.len());
+        for &(i, b_vid, j) in &matches {
             for s in 0..self.spliced_slots.len() {
                 let (from_b, pos) = self.spliced_slots[s];
-                let kid = if from_b {
+                kids.push(if from_b {
                     self.fu.kid(b_vid, j, pos)
                 } else {
                     self.fu.kid(v, i, pos)
-                };
-                self.fu.set_kid(out, e as u32, s as u32, kid);
+                });
             }
         }
-        out
+        self.fu.push_mix(Mix {
+            node,
+            kid_count: self.spliced_slots.len() as u32,
+            values,
+            kids,
+        })
     }
 }
 
