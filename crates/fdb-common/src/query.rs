@@ -165,16 +165,16 @@ pub struct Query {
     pub const_selections: Vec<ConstSelection>,
     /// Projection list.  `None` means "project onto all attributes".
     pub projection: Option<Vec<AttrId>>,
-    /// Optional aggregate head: the query returns this aggregate of the
-    /// result instead of the result relation itself.
+    /// Optional aggregate head: the aggregate asked for instead of the
+    /// result relation.  Only [`Query::validate`] reads it, to check it
+    /// against the catalogue: the engine takes a request's head from its
+    /// own `Head` argument, and a flat source does not consult this field.
     pub aggregate: Option<AggregateHead>,
-    /// `ORDER BY` head: the result tuples are returned sorted by these
-    /// attributes (outermost sort key first), ties broken by the remaining
-    /// output attributes in ascending id order — a total, deterministic
-    /// order.  Empty means unordered.  The engine restructures the f-tree so
-    /// the ordering attributes sit on the root path (ordered enumeration is
-    /// then free) when that is no costlier than the input tree, else it
-    /// materialises and sorts.
+    /// `ORDER BY` attributes, outermost sort key first; empty means
+    /// unordered.  Only [`Query::validate`] reads them, to check them
+    /// against the catalogue: the engine takes a request's ordering from
+    /// its own `Head` argument, and a flat source does not consult this
+    /// field.
     pub order_by: Vec<AttrId>,
 }
 

@@ -5,8 +5,9 @@
 //! restricted to that value and spliced out, emptied products are pruned
 //! away, and — as in the paper — the operator finishes with a normalisation
 //! step.  It has no rewriter of its own — it **is** the one-operator overlay
-//! program `[FPlanOp::Absorb]`; the operator's definition is on `AbsorbPass`
-//! in [`crate::ops::fuse`].
+//! program `[FPlanOp::Absorb]`; the operator's definition is on
+//! `absorb_step` in [`crate::ops::fuse`], an edit of the one restructuring
+//! walk there.
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};

@@ -2,14 +2,18 @@
 //! one overlay, and a whole plan as one arena emission.
 //!
 //! This module **is** the definition of the structural operators.  Each one
-//! exists once, as an overlay pass — [`PushUpPass`] (push-up `ψ`, and
-//! normalisation `η` as a replayed sequence of them), [`SwapPass`] (`χ`),
-//! [`MergePass`] (`µ`), [`AbsorbPass`] (`α`), [`RemoveLeafPass`] (the leaf
-//! removals of projection `π`), and [`Fusion::filter`] (selection with a
-//! constant `σ`); the paper formula and the cost bound of each operator are
-//! on its pass.  The public single-operator functions of [`crate::ops`] are
-//! one-operator programs, and the thaw-path [`crate::ops::oracle`] is the
-//! independent reference every pass is pinned against bit for bit.
+//! exists once, as a step over one overlay.  Push-up `ψ` ([`push_up_step`],
+//! and normalisation `η` as a replayed sequence of them), swap `χ`
+//! ([`swap_step`]), merge `µ` ([`merge_step`]), absorb `α`
+//! ([`absorb_step`]) and the leaf removals of projection `π`
+//! ([`remove_leaf_step`]) change only the unions over one node, so each is
+//! one *edit* of the single restructuring walk [`rewrite_below`], which
+//! rebuilds the path of unions above them.  Selection with a constant `σ`
+//! is [`Fusion::filter`].  The paper formula and the cost bound of each
+//! operator are on its step.  The public single-operator functions of
+//! [`crate::ops`] are one-operator programs, and the thaw-path
+//! [`crate::ops::oracle`] is the independent reference every step is pinned
+//! against bit for bit.
 //!
 //! # Why an overlay
 //!
@@ -32,10 +36,10 @@
 //!   liveness, emptied subtrees retract exactly as the merge/absorb prune
 //!   retracts them, and untouched (clean) subtrees stay `Src` references;
 //! * a **projection** replays the projection operator's loop on the overlay
-//!   ([`project_steps`]): fully-projected leaves drop via [`RemoveLeafPass`]
-//!   (the parent unions lose one kid slot — pure header remaps), and
-//!   fully-projected inner nodes swap downwards through the same
-//!   [`SwapPass`] that serves explicit swap steps, until they become
+//!   ([`project_steps`]): fully-projected leaves drop via
+//!   [`remove_leaf_step`] (the parent unions lose one kid slot — pure header
+//!   remaps), and fully-projected inner nodes swap downwards through the
+//!   same [`swap_step`] that serves explicit swap steps, until they become
 //!   removable leaves.
 //!
 //! An entire f-plan — one operator or twenty — therefore compiles into
@@ -88,7 +92,8 @@ use crate::ops::{child_pos, debug_validate};
 use crate::store::{kid_count_table, Rewriter, Store};
 use fdb_common::limits::CHECK_INTERVAL;
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
-use fdb_ftree::{FTree, NodeId, SwapOutcome};
+use fdb_ftree::{FTree, NodeId};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -126,7 +131,8 @@ pub enum FPlanOp {
         value: Value,
     },
     /// Projection `π` onto the given attributes: overlay leaf removals plus
-    /// swap-downs of fully-projected inner nodes through [`SwapPass`].
+    /// swap-downs of fully-projected inner nodes, both edits of the one
+    /// restructuring walk (see the module docs).
     Project(BTreeSet<AttrId>),
 }
 
@@ -208,8 +214,9 @@ pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Resu
 /// leaves nothing behind.  The deadline and cancellation are checked before
 /// every operator; the liveness sweeps, the overlay prunes and the final
 /// emission charge the context per record they read and write.  The
-/// restructuring passes (swap, push-up, merge, absorb) charge nothing
-/// themselves: what they build is charged when it is emitted.
+/// restructuring walk ([`rewrite_below`], under swap, push-up, merge,
+/// absorb and leaf removal) charges nothing itself: what it builds is
+/// charged when it is emitted.
 pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep> {
     failpoint!(ctx, "fuse.execute");
     let mut fusion = Fusion::new(rep.store(), rep.tree(), ctx);
@@ -243,7 +250,7 @@ pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep
 /// the arena [`emit_fused_ctx`] would have produced: the aggregate is
 /// resolved against the *final* simulated f-tree, every overlay union
 /// reachable at the end matches that tree's node set and child order (the
-/// passes rebuild every region whose shape changes), and `COUNT`/`SUM` use
+/// steps rebuild every region whose shape changes), and `COUNT`/`SUM` use
 /// the same wrapping 128-bit arithmetic — so the two paths agree bit for bit.
 pub fn execute_fused_aggregate_ctx(
     rep: &FRep,
@@ -310,29 +317,8 @@ fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FPlanOp) -> Result<()
         FPlanOp::PushUp(b) => push_up_step(fusion, cur, *b),
         FPlanOp::Normalise => normalise_steps(fusion, cur),
         FPlanOp::Swap(b) => swap_step(fusion, cur, *b),
-        FPlanOp::Merge(a, b) => {
-            let (a, b) = (*a, *b);
-            let parent = cur.parent(a);
-            let mut next = cur.clone();
-            next.merge_siblings(a, b)?;
-            MergePass::new(fusion, cur, &next, a, b, parent).apply(b);
-            fusion.prune()?;
-            *cur = next;
-            Ok(())
-        }
-        FPlanOp::Absorb(a, b) => {
-            let (a, b) = (*a, *b);
-            cur.check_node(a)?;
-            cur.check_node(b)?;
-            let mut next = cur.clone();
-            next.absorb_into_ancestor(a, b)?;
-            let b_parent = cur.parent(b).expect("b has an ancestor, so a parent");
-            AbsorbPass::new(fusion, cur, &next, a, b, b_parent).apply();
-            fusion.prune()?;
-            *cur = next;
-            // The paper's absorb finishes with a normalisation step.
-            normalise_steps(fusion, cur)
-        }
+        FPlanOp::Merge(a, b) => merge_step(fusion, cur, *a, *b),
+        FPlanOp::Absorb(a, b) => absorb_step(fusion, cur, *a, *b),
         FPlanOp::SelectConst { attr, op, value } => {
             let node = select_node(cur, *attr)?;
             fusion.filter(node, *op, *value)?;
@@ -345,15 +331,6 @@ fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FPlanOp) -> Result<()
     }
 }
 
-/// One swap, tree and overlay together.
-fn swap_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> {
-    let mut next = cur.clone();
-    let outcome = next.swap_with_parent(b)?;
-    SwapPass::new(fusion, cur, &next, &outcome).apply();
-    *cur = next;
-    Ok(())
-}
-
 /// The projection operator `π_Ā` on the overlay.
 ///
 /// Projection replaces the singletons of every attribute outside the
@@ -364,11 +341,11 @@ fn swap_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> 
 ///    attributes are all projected away still carries the correlation between
 ///    its ancestors and descendants, exactly the paper's `A — B — C` example);
 /// 2. leaves whose attributes are all marked are removed (their union of
-///    singletons collapses to `⟨⟩`; a [`RemoveLeafPass`] per leaf — pure
+///    singletons collapses to `⟨⟩`; a [`remove_leaf_step`] per leaf — pure
 ///    header remaps, nothing is copied), merging the dependency edges that
 ///    used to meet in them so transitive dependencies survive;
 /// 3. remaining marked inner nodes are swapped downwards (the data-dependent
-///    swap-downs drive the same [`SwapPass`] as an explicit swap step) until
+///    swap-downs run the same [`swap_step`] as an explicit swap step) until
 ///    they become leaves, then removed as well.
 ///
 /// The represented relation afterwards is the projection, with set
@@ -386,11 +363,7 @@ fn project_steps(fusion: &mut Fusion<'_>, cur: &mut FTree, keep: &BTreeSet<AttrI
         let removable = cur.removable_projected_leaves();
         if !removable.is_empty() {
             for leaf in removable {
-                let parent = cur.parent(leaf);
-                let mut next = cur.clone();
-                next.remove_projected_leaf(leaf)?;
-                RemoveLeafPass::new(fusion, cur, leaf, parent).apply();
-                *cur = next;
+                remove_leaf_step(fusion, cur, leaf)?;
             }
             continue;
         }
@@ -408,16 +381,6 @@ fn project_steps(fusion: &mut Fusion<'_>, cur: &mut FTree, keep: &BTreeSet<AttrI
             None => break,
         }
     }
-    Ok(())
-}
-
-/// One push-up, tree and overlay together.
-fn push_up_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> {
-    let mut next = cur.clone();
-    next.push_up(b)?;
-    let a = cur.parent(b).expect("push_up validated: b has a parent");
-    PushUpPass::new(fusion, cur, &next, a, b).apply();
-    *cur = next;
     Ok(())
 }
 
@@ -449,7 +412,7 @@ fn normalise_steps(fusion: &mut Fusion<'_>, cur: &mut FTree) -> Result<()> {
 const SRC_BIT: u32 = 1 << 31;
 
 /// A virtual union: either an untouched union of the input arena (`Src`) or
-/// an overlay [`Mix`] node built by one of the passes.
+/// an overlay [`Mix`] node built by one of the steps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct VId(u32);
 
@@ -496,7 +459,7 @@ struct Liveness {
 }
 
 /// The program's state: the immutable input arena plus the overlay
-/// forest the passes transform.
+/// forest the steps transform.
 struct Fusion<'a> {
     src: &'a Store,
     /// Child counts of the *input* f-tree, indexed by node index (valid for
@@ -1179,42 +1142,176 @@ fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Re
     Ok(out)
 }
 
-/// The shared shape of the passes' entry-preserving union rebuilds: keep
-/// every entry of virtual union `$v` and re-emit its `$kid_count` kid slots
-/// through the `|$i, $k| -> VId` body (entry index and kid slot in scope),
-/// collecting the result into a new [`Mix`] over `$node`.  A macro rather
-/// than a closure-taking helper because the body must re-borrow the calling
-/// pass (`self`) mutably to recurse.
-macro_rules! rebuild_entries {
-    ($pass:expr, $v:expr, $node:expr, $kid_count:expr, |$i:ident, $k:ident| $kid_out:expr) => {{
-        let v = $v;
-        let kid_count: u32 = $kid_count;
-        let len = ($pass).fu.len(v);
-        let mut values = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            values.push(($pass).fu.value(v, i));
+// ---------------------------------------------------------------------
+// The restructuring walk and its edits
+// ---------------------------------------------------------------------
+
+/// The old kid slots an edit reads: those of entry `i` of union `v`, or the
+/// root list.
+#[derive(Clone, Copy)]
+enum Old<'r> {
+    Entry(VId, u32),
+    Roots(&'r [VId]),
+}
+
+impl Old<'_> {
+    fn kid(self, fu: &Fusion<'_>, k: u32) -> VId {
+        match self {
+            Old::Entry(v, i) => fu.kid(v, i, k),
+            Old::Roots(roots) => roots[k as usize],
         }
-        let mut kids = Vec::with_capacity((len as usize) * (kid_count as usize));
-        for $i in 0..len {
-            for $k in 0..kid_count {
-                let kid: VId = $kid_out;
-                kids.push(kid);
+    }
+}
+
+/// The one walk every restructuring operator runs.  It rebuilds each union
+/// on the old tree's path from the roots down to `parent`: a union keeps its
+/// entries, its kid on the path is rebuilt, and everything off the path stays
+/// a reference.  For each entry of each union over `parent` — or once, for
+/// the root list, when `parent` is `None` — `edit` pushes the entry's new kid
+/// slots, or returns `false` to drop the entry.  The edit also receives the
+/// value of the enclosing entry over `ctx_node` (the entry's own value when
+/// `ctx_node` is `parent`).
+fn rewrite_below<'a, F>(
+    fu: &mut Fusion<'a>,
+    old_tree: &FTree,
+    new_tree: &FTree,
+    parent: Option<NodeId>,
+    ctx_node: Option<NodeId>,
+    mut edit: F,
+) where
+    F: FnMut(&mut Fusion<'a>, Old<'_>, Option<Value>, &mut Vec<VId>) -> bool,
+{
+    let mut roots = std::mem::take(&mut fu.roots);
+    let Some(parent) = parent else {
+        let mut out = Vec::with_capacity(roots.len() + 1);
+        edit(fu, Old::Roots(&roots), None, &mut out);
+        fu.roots = out;
+        return;
+    };
+    let mut path = old_tree.ancestors(parent);
+    path.reverse();
+    path.push(parent);
+    let mut walk = Walk {
+        slots: path
+            .windows(2)
+            .map(|w| child_pos(old_tree.children(w[0]), w[1]))
+            .collect(),
+        path,
+        ctx_node,
+        kid_count: new_tree.children(parent).len() as u32,
+        edit,
+    };
+    let r = roots
+        .iter()
+        .position(|&r| fu.node_of(r) == walk.path[0])
+        .expect("validated representation: one root union per root node");
+    roots[r] = walk.rebuild(fu, roots[r], 0, None);
+    fu.roots = roots;
+}
+
+/// The state of one [`rewrite_below`].
+struct Walk<F> {
+    /// The old tree's path from a root down to the edited node, and the kid
+    /// slot of each path node towards the next.
+    path: Vec<NodeId>,
+    slots: Vec<u32>,
+    ctx_node: Option<NodeId>,
+    /// Kid slots per entry of a rebuilt union over the edited node.
+    kid_count: u32,
+    edit: F,
+}
+
+impl<'a, F> Walk<F>
+where
+    F: FnMut(&mut Fusion<'a>, Old<'_>, Option<Value>, &mut Vec<VId>) -> bool,
+{
+    /// Rebuilds union `v` over `path[depth]`, `ctx` the enclosing context.
+    fn rebuild(&mut self, fu: &mut Fusion<'a>, v: VId, depth: usize, ctx: Option<Value>) -> VId {
+        let node = self.path[depth];
+        let edited = depth + 1 == self.path.len();
+        let kid_count = if edited {
+            self.kid_count
+        } else {
+            fu.kid_count_of(v)
+        };
+        let mut values = fu.values(v).to_vec();
+        let mut kids = Vec::with_capacity(values.len() * kid_count as usize);
+        let mut kept = 0;
+        for i in 0..values.len() {
+            let ctx = if Some(node) == self.ctx_node {
+                Some(values[i])
+            } else {
+                ctx
+            };
+            if edited {
+                let mark = kids.len();
+                if !(self.edit)(fu, Old::Entry(v, i as u32), ctx, &mut kids) {
+                    kids.truncate(mark);
+                    continue;
+                }
+            } else {
+                for k in 0..kid_count {
+                    let kid = fu.kid(v, i as u32, k);
+                    kids.push(if k == self.slots[depth] {
+                        self.rebuild(fu, kid, depth + 1, ctx)
+                    } else {
+                        kid
+                    });
+                }
             }
+            values[kept] = values[i];
+            kept += 1;
         }
-        ($pass).fu.push_mix(Mix {
-            node: $node,
+        values.truncate(kept);
+        fu.push_mix(Mix {
+            node,
             kid_count,
             values,
             kids,
         })
-    }};
+    }
 }
 
-// ---------------------------------------------------------------------
-// Push-up (and normalisation) on the overlay
-// ---------------------------------------------------------------------
+/// The nodes of the kid slots an edit reads: `parent`'s children in the old
+/// tree, or the nodes of the root unions in root-list order.
+fn slot_nodes(fu: &Fusion<'_>, old_tree: &FTree, parent: Option<NodeId>) -> Vec<NodeId> {
+    match parent {
+        Some(p) => old_tree.children(p).to_vec(),
+        None => fu.roots.iter().map(|&r| fu.node_of(r)).collect(),
+    }
+}
 
-/// The push-up operator `ψ_B`.
+/// The kid slots of a union whose node takes children from two old nodes:
+/// `(true, pos)` for the child at `pos` of `from`, `(false, pos)` for the
+/// child at `pos` of `own`.
+fn spliced_slots(new_children: &[NodeId], from: &[NodeId], own: &[NodeId]) -> Vec<(bool, u32)> {
+    let slot = |c| match from.iter().position(|&f| f == c) {
+        Some(pos) => (true, pos as u32),
+        None => (false, child_pos(own, c)),
+    };
+    new_children.iter().map(|&c| slot(c)).collect()
+}
+
+/// Pushes one entry's kids through `slots` (see [`spliced_slots`]): a
+/// `true` slot reads entry `j` of union `from`, a `false` slot reads `own`.
+fn splice(
+    fu: &Fusion<'_>,
+    slots: &[(bool, u32)],
+    own: Old<'_>,
+    from: VId,
+    j: u32,
+    out: &mut Vec<VId>,
+) {
+    for &(from_b, pos) in slots {
+        out.push(if from_b {
+            fu.kid(from, j, pos)
+        } else {
+            own.kid(fu, pos)
+        });
+    }
+}
+
+/// The push-up operator `ψ_B`, tree and overlay together.
 ///
 /// Push-up factors a common subexpression out of a union: when a node `B` is
 /// a child of `A` but `A` does not depend on `B` or its descendants, every
@@ -1227,129 +1324,60 @@ macro_rules! rebuild_entries {
 /// ```
 ///
 /// On the overlay the `A`-union loses its `B` slot and each grandparent
-/// entry gains the lifted `B`-union (the copy under the first `A`-entry — all
-/// copies are equal by independence) as a new last kid slot: pure header
-/// remaps, linear in the unions on the root-to-`A` path.
-struct PushUpPass<'f, 'a> {
-    fu: &'f mut Fusion<'a>,
-    a: NodeId,
-    b: NodeId,
-    grandparent: Option<NodeId>,
-    /// Ancestors of `A` in the old tree (so including the grandparent).
-    on_path: BTreeSet<NodeId>,
-    pos_a_in_g: Option<u32>,
-    pos_b_in_a: u32,
-    /// Old kid positions of `A`'s remaining children, in new child order.
-    a_slots: Vec<u32>,
-}
-
-impl<'f, 'a> PushUpPass<'f, 'a> {
-    fn new(
-        fu: &'f mut Fusion<'a>,
-        old_tree: &FTree,
-        new_tree: &FTree,
-        a: NodeId,
-        b: NodeId,
-    ) -> Self {
-        let grandparent = old_tree.parent(a);
-        PushUpPass {
-            fu,
-            a,
-            b,
-            grandparent,
-            on_path: old_tree.ancestors(a).into_iter().collect(),
-            pos_a_in_g: grandparent.map(|g| child_pos(old_tree.children(g), a)),
-            pos_b_in_a: child_pos(old_tree.children(a), b),
-            a_slots: new_tree
-                .children(a)
-                .iter()
-                .map(|&c| child_pos(old_tree.children(a), c))
-                .collect(),
-        }
-    }
-
-    fn apply(mut self) {
-        let old_roots = self.fu.roots.clone();
-        let mut roots: Vec<VId> = old_roots.iter().map(|&r| self.emit(r)).collect();
-        if self.grandparent.is_none() {
-            // `B` became a root of the forest: lift its union out of the
-            // pre-op `A`-root union, appended after the existing roots.
-            let a_root = old_roots
-                .iter()
-                .copied()
-                .find(|&r| self.fu.node_of(r) == self.a)
-                .expect("validated representation: one root union per root node");
-            let lifted = self.emit_lifted(a_root);
-            roots.push(lifted);
-        }
-        self.fu.roots = roots;
-    }
-
-    fn emit(&mut self, v: VId) -> VId {
-        let node = self.fu.node_of(v);
-        if node == self.a {
-            return self.emit_a(v);
-        }
-        if Some(node) == self.grandparent {
-            return self.emit_grandparent(v);
-        }
-        if !self.on_path.contains(&node) {
-            return v;
-        }
-        // A strict ancestor above the grandparent: child slots unchanged,
-        // the transform happens below.
-        let kid_count = self.fu.kid_count_of(v);
-        rebuild_entries!(self, v, node, kid_count, |i, k| {
-            let kid = self.fu.kid(v, i, k);
-            self.emit(kid)
-        })
-    }
-
-    /// The grandparent union: each entry gains the lifted `B`-union as a new
-    /// last kid slot.
-    fn emit_grandparent(&mut self, v: VId) -> VId {
-        let node = self.fu.node_of(v);
-        let old_kid_count = self.fu.kid_count_of(v);
-        let pos_a = self.pos_a_in_g.expect("grandparent knows a's slot");
-        rebuild_entries!(self, v, node, old_kid_count + 1, |i, k| {
-            if k < old_kid_count {
-                let kid = self.fu.kid(v, i, k);
-                self.emit(kid)
+/// entry (or the root list) gains the lifted `B`-union — the copy under the
+/// first `A`-entry, all copies being equal by independence — as a new last
+/// slot: pure header remaps, linear in the unions on the root-to-`A` path.
+fn push_up_step(fu: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> {
+    let mut next = cur.clone();
+    next.push_up(b)?;
+    let a = cur.parent(b).expect("push_up validated: b has a parent");
+    let g = cur.parent(a);
+    let slots = slot_nodes(fu, cur, g);
+    let (pos_a, pos_b) = (child_pos(&slots, a), child_pos(cur.children(a), b));
+    let a_slots: Vec<u32> = next
+        .children(a)
+        .iter()
+        .map(|&c| child_pos(cur.children(a), c))
+        .collect();
+    rewrite_below(fu, cur, &next, g, None, |fu, old, _, out| {
+        for k in 0..slots.len() as u32 {
+            let kid = old.kid(fu, k);
+            out.push(if k == pos_a {
+                // The A-union without its B slot.
+                let len = fu.len(kid);
+                let mut kids = Vec::with_capacity(len as usize * a_slots.len());
+                for i in 0..len {
+                    kids.extend(a_slots.iter().map(|&s| fu.kid(kid, i, s)));
+                }
+                let values = fu.values(kid).to_vec();
+                fu.push_mix(Mix {
+                    node: a,
+                    kid_count: a_slots.len() as u32,
+                    values,
+                    kids,
+                })
             } else {
-                let a_vid = self.fu.kid(v, i, pos_a);
-                self.emit_lifted(a_vid)
-            }
-        })
-    }
-
-    /// The `A`-union without its `B` slot (pure references — nothing below
-    /// the kept children changes).
-    fn emit_a(&mut self, v: VId) -> VId {
-        rebuild_entries!(self, v, self.a, self.a_slots.len() as u32, |i, k| self
-            .fu
-            .kid(v, i, self.a_slots[k as usize]))
-    }
-
-    /// The lifted `B`-union of one `A`-union: the copy under the first
-    /// `A`-entry, or an empty `B`-union if the `A`-union has no entries.
-    fn emit_lifted(&mut self, a_vid: VId) -> VId {
-        if self.fu.len(a_vid) == 0 {
-            return self.fu.push_mix(Mix {
-                node: self.b,
+                kid
+            });
+        }
+        let a_vid = old.kid(fu, pos_a);
+        out.push(if fu.len(a_vid) == 0 {
+            fu.push_mix(Mix {
+                node: b,
                 kid_count: 0,
                 values: Vec::new(),
                 kids: Vec::new(),
-            });
-        }
-        self.fu.kid(a_vid, 0, self.pos_b_in_a)
-    }
+            })
+        } else {
+            fu.kid(a_vid, 0, pos_b)
+        });
+        true
+    });
+    *cur = next;
+    Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Swap on the overlay
-// ---------------------------------------------------------------------
-
-/// The swap operator `χ_{A,B}`.
+/// The swap operator `χ_{A,B}`, tree and overlay together.
 ///
 /// Swap exchanges a node `B` with its parent `A`: the representation grouped
 /// first by `A` then `B` is regrouped first by `B` then `A` (Figure 3(b)):
@@ -1364,119 +1392,77 @@ impl<'f, 'a> PushUpPass<'f, 'a> {
 /// that do depend on `A` (they follow `A` down).
 ///
 /// Every `A`-union is regrouped by `B`-value with one flat sort of its
-/// `(b, a)` pairs — the sort-merge equivalent of the paper's Figure 4
-/// priority-queue algorithm, the same `O(N log N)` bound; unions on the
-/// root-to-`A` path are rebuilt with their kid slots in the new tree's child
-/// order, and `E_a`, `F_b` and `G_ab` become references.  The regroup
-/// charges nothing: the deadline is checked before the pass starts, and the
-/// unions it builds are charged when they are emitted.
-struct SwapPass<'f, 'a> {
-    fu: &'f mut Fusion<'a>,
-    a: NodeId,
-    b: NodeId,
-    on_path: BTreeSet<NodeId>,
-    old_a_children: Vec<NodeId>,
-    a_slots: Vec<(bool, u32)>,
-    b_slots: Vec<Option<u32>>,
-    path_slots: Vec<(NodeId, Vec<u32>)>,
-}
-
-impl<'f, 'a> SwapPass<'f, 'a> {
-    fn new(
-        fu: &'f mut Fusion<'a>,
-        old_tree: &FTree,
-        new_tree: &FTree,
-        outcome: &SwapOutcome,
-    ) -> Self {
-        let (a, b) = (outcome.old_parent, outcome.new_parent);
-        let moved_down: BTreeSet<NodeId> = outcome.moved_down.iter().copied().collect();
-        let old_a_children = old_tree.children(a).to_vec();
-        let old_b_children = old_tree.children(b).to_vec();
-
-        let a_slots = new_tree
-            .children(a)
+/// `(b, a)` pairs ([`Regroup`]) — the sort-merge equivalent of the paper's
+/// Figure 4 priority-queue algorithm, the same `O(N log N)` bound.  The
+/// regrouped union takes `A`'s slot among the roots and moves to the end of
+/// the parent's child order otherwise; `E_a`, `F_b` and `G_ab` become
+/// references.  The regroup charges nothing: the deadline is checked before
+/// the step starts, and the unions it builds are charged when they are
+/// emitted.
+fn swap_step(fu: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> {
+    let mut next = cur.clone();
+    let outcome = next.swap_with_parent(b)?;
+    let a = outcome.old_parent;
+    let p = cur.parent(a);
+    let slots = slot_nodes(fu, cur, p);
+    let pos_a = child_pos(&slots, a);
+    let order: Vec<u32> = match p {
+        Some(p) => next
+            .children(p)
             .iter()
-            .map(|&d| {
-                if moved_down.contains(&d) {
-                    (true, child_pos(&old_b_children, d))
-                } else {
-                    (false, child_pos(&old_a_children, d))
-                }
-            })
-            .collect();
-        let b_slots = new_tree
+            .map(|&c| child_pos(&slots, if c == b { a } else { c }))
+            .collect(),
+        None => (0..slots.len() as u32).collect(),
+    };
+    let regroup = Regroup {
+        a,
+        b,
+        pos_b: child_pos(cur.children(a), b),
+        a_slots: spliced_slots(next.children(a), cur.children(b), cur.children(a)),
+        b_slots: next
             .children(b)
             .iter()
-            .map(|&c| {
-                if c == a {
-                    None
-                } else {
-                    Some(child_pos(&old_b_children, c))
-                }
-            })
-            .collect();
-        let path: Vec<NodeId> = old_tree.ancestors(a);
-        let path_slots = path
-            .iter()
-            .map(|&n| {
-                let old_children = old_tree.children(n);
-                let slots = new_tree
-                    .children(n)
-                    .iter()
-                    .map(|&c| child_pos(old_children, if c == b { a } else { c }))
-                    .collect();
-                (n, slots)
-            })
-            .collect();
-
-        SwapPass {
-            fu,
-            a,
-            b,
-            on_path: path.into_iter().collect(),
-            old_a_children,
-            a_slots,
-            b_slots,
-            path_slots,
+            .map(|&c| (c != a).then(|| child_pos(cur.children(b), c)))
+            .collect(),
+    };
+    rewrite_below(fu, cur, &next, p, None, |fu, old, _, out| {
+        for &k in &order {
+            let kid = old.kid(fu, k);
+            out.push(if k == pos_a {
+                regroup.apply(fu, kid)
+            } else {
+                kid
+            });
         }
-    }
+        true
+    });
+    *cur = next;
+    Ok(())
+}
 
-    fn apply(mut self) {
-        let old_roots = self.fu.roots.clone();
-        self.fu.roots = old_roots.iter().map(|&r| self.emit(r)).collect();
-    }
+/// The slot tables of one swap (see [`swap_step`]).
+struct Regroup {
+    a: NodeId,
+    b: NodeId,
+    /// `B`'s slot in an old `A`-entry.
+    pos_b: u32,
+    /// The new `A`-children: `G_ab` from the pair's `B`-entry, `E_a` from
+    /// its `A`-entry.
+    a_slots: Vec<(bool, u32)>,
+    /// The new `B`-children: `F_b` from an old `B` slot, `None` for the
+    /// inner `A`-union.
+    b_slots: Vec<Option<u32>>,
+}
 
-    fn emit(&mut self, v: VId) -> VId {
-        let node = self.fu.node_of(v);
-        if node == self.a {
-            return self.regroup(v);
-        }
-        if !self.on_path.contains(&node) {
-            return v;
-        }
-        // An ancestor of `A`: same entries, kid slots re-emitted in the new
-        // tree's child order.
-        let pi = self
-            .path_slots
-            .iter()
-            .position(|(n, _)| *n == node)
-            .expect("path nodes are precomputed");
-        let slots = self.path_slots[pi].1.clone();
-        rebuild_entries!(self, v, node, slots.len() as u32, |i, k| {
-            let kid = self.fu.kid(v, i, slots[k as usize]);
-            self.emit(kid)
-        })
-    }
-
+impl Regroup {
     /// Regroups one `A`-union into the corresponding `B`-union.
-    fn regroup(&mut self, a_vid: VId) -> VId {
-        let pos_b = child_pos(&self.old_a_children, self.b);
-        let a_len = self.fu.len(a_vid);
+    fn apply(&self, fu: &mut Fusion<'_>, a_vid: VId) -> VId {
+        let a_len = fu.len(a_vid);
         let mut pairs: Vec<(Value, u32, VId, u32)> = Vec::new();
         for i in 0..a_len {
-            let b_vid = self.fu.kid(a_vid, i, pos_b);
-            for j in 0..self.fu.len(b_vid) {
-                pairs.push((self.fu.value(b_vid, j), i, b_vid, j));
+            let b_vid = fu.kid(a_vid, i, self.pos_b);
+            for j in 0..fu.len(b_vid) {
+                pairs.push((fu.value(b_vid, j), i, b_vid, j));
             }
         }
         // (b value, a entry) is unique per pair: within one b value the
@@ -1494,28 +1480,23 @@ impl<'f, 'a> SwapPass<'f, 'a> {
         }
         group_starts.push(pairs.len() as u32);
 
-        let kid_count = self.b_slots.len() as u32;
         let mut kids = Vec::with_capacity(values.len() * self.b_slots.len());
         for g in 0..values.len() {
-            let (start, end) = (group_starts[g], group_starts[g + 1]);
-            let (_, _a0, b_vid0, j0) = pairs[start as usize];
-            for slot in 0..self.b_slots.len() {
-                match self.b_slots[slot] {
+            let group = &pairs[group_starts[g] as usize..group_starts[g + 1] as usize];
+            let (_, _, b_vid0, j0) = group[0];
+            for slot in &self.b_slots {
+                kids.push(match *slot {
                     // A kept child of `B` (F_b): all copies under the
                     // different a values are equal by independence, keep the
                     // first pair's.
-                    Some(pos) => kids.push(self.fu.kid(b_vid0, j0, pos)),
-                    // The inner union over `A`.
-                    None => {
-                        let inner = self.emit_inner_a(a_vid, &pairs, start, end);
-                        kids.push(inner);
-                    }
-                }
+                    Some(pos) => fu.kid(b_vid0, j0, pos),
+                    None => self.inner_a(fu, a_vid, group),
+                });
             }
         }
-        self.fu.push_mix(Mix {
+        fu.push_mix(Mix {
             node: self.b,
-            kid_count,
+            kid_count: self.b_slots.len() as u32,
             values,
             kids,
         })
@@ -1524,30 +1505,13 @@ impl<'f, 'a> SwapPass<'f, 'a> {
     /// The inner `A`-union of one `B`-value: one entry per `(a, b)` pair,
     /// with `E_a` referenced from the old `A`-entry and `G_ab` from the
     /// pair's `B`-entry.
-    fn emit_inner_a(
-        &mut self,
-        a_vid: VId,
-        pairs: &[(Value, u32, VId, u32)],
-        start: u32,
-        end: u32,
-    ) -> VId {
-        let mut values = Vec::with_capacity((end - start) as usize);
-        for p in start..end {
-            values.push(self.fu.value(a_vid, pairs[p as usize].1));
+    fn inner_a(&self, fu: &mut Fusion<'_>, a_vid: VId, group: &[(Value, u32, VId, u32)]) -> VId {
+        let values = group.iter().map(|p| fu.value(a_vid, p.1)).collect();
+        let mut kids = Vec::with_capacity(group.len() * self.a_slots.len());
+        for &(_, i, b_vid, j) in group {
+            splice(fu, &self.a_slots, Old::Entry(a_vid, i), b_vid, j, &mut kids);
         }
-        let mut kids = Vec::with_capacity(values.len() * self.a_slots.len());
-        for p in start..end {
-            let (_, i, b_vid, j) = pairs[p as usize];
-            for slot in 0..self.a_slots.len() {
-                let (from_b, pos) = self.a_slots[slot];
-                kids.push(if from_b {
-                    self.fu.kid(b_vid, j, pos)
-                } else {
-                    self.fu.kid(a_vid, i, pos)
-                });
-            }
-        }
-        self.fu.push_mix(Mix {
+        fu.push_mix(Mix {
             node: self.a,
             kid_count: self.a_slots.len() as u32,
             values,
@@ -1556,11 +1520,7 @@ impl<'f, 'a> SwapPass<'f, 'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Merge on the overlay
-// ---------------------------------------------------------------------
-
-/// The merge selection operator `µ_{A,B}`.
+/// The merge selection operator `µ_{A,B}`, tree and overlay together.
 ///
 /// Merge enforces an equality `A = B` between two *sibling* nodes of the
 /// f-tree: wherever the two sibling unions occur in a product, they are
@@ -1573,164 +1533,81 @@ impl<'f, 'a> SwapPass<'f, 'a> {
 ///
 /// In every product context holding the two sibling unions their sorted
 /// value lists are sort-merge joined (time linear in the inputs, as in the
-/// paper) and the common entries reference both sides' kid subtrees; the
-/// prune afterwards ([`Fusion::prune`]) removes the entries whose product
-/// became empty because some merged union lost all its values.
-struct MergePass<'f, 'a> {
-    fu: &'f mut Fusion<'a>,
-    a: NodeId,
-    parent: Option<NodeId>,
-    on_path: BTreeSet<NodeId>,
-    pos_a_in_p: Option<u32>,
-    pos_b_in_p: Option<u32>,
-    parent_slots: Vec<u32>,
-    merged_slots: Vec<(bool, u32)>,
-}
-
-impl<'f, 'a> MergePass<'f, 'a> {
-    fn new(
-        fu: &'f mut Fusion<'a>,
-        old_tree: &FTree,
-        new_tree: &FTree,
-        a: NodeId,
-        b: NodeId,
-        parent: Option<NodeId>,
-    ) -> Self {
-        MergePass {
-            fu,
-            a,
-            parent,
-            on_path: old_tree.ancestors(a).into_iter().collect(),
-            pos_a_in_p: parent.map(|p| child_pos(old_tree.children(p), a)),
-            pos_b_in_p: parent.map(|p| child_pos(old_tree.children(p), b)),
-            parent_slots: parent
-                .map(|p| {
-                    new_tree
-                        .children(p)
-                        .iter()
-                        .map(|&c| child_pos(old_tree.children(p), c))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            merged_slots: new_tree
-                .children(a)
-                .iter()
-                .map(|&c| {
-                    if old_tree.children(b).contains(&c) {
-                        (true, child_pos(old_tree.children(b), c))
-                    } else {
-                        (false, child_pos(old_tree.children(a), c))
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn apply(mut self, b: NodeId) {
-        let old_roots = self.fu.roots.clone();
-        let roots: Vec<VId> = match self.parent {
-            Some(_) => old_roots.iter().map(|&r| self.emit(r)).collect(),
-            None => {
-                // Both unions sit in the root product: the merged union
-                // replaces them at the end of the root list.
-                let root_of = |fu: &Fusion<'_>, node: NodeId| {
-                    old_roots
-                        .iter()
-                        .copied()
-                        .find(|&r| fu.node_of(r) == node)
-                        .expect("validated representation: one root union per root node")
-                };
-                let a_root = root_of(self.fu, self.a);
-                let b_root = root_of(self.fu, b);
-                let mut roots: Vec<VId> = old_roots
-                    .iter()
-                    .copied()
-                    .filter(|&r| r != a_root && r != b_root)
-                    .collect();
-                roots.push(self.merge_unions(a_root, b_root));
-                roots
-            }
-        };
-        self.fu.roots = roots;
-    }
-
-    fn emit(&mut self, v: VId) -> VId {
-        let node = self.fu.node_of(v);
-        if Some(node) == self.parent {
-            return self.emit_parent(v);
-        }
-        if !self.on_path.contains(&node) {
-            return v;
-        }
-        // A strict ancestor above the parent.
-        let kid_count = self.fu.kid_count_of(v);
-        rebuild_entries!(self, v, node, kid_count, |i, k| {
-            let kid = self.fu.kid(v, i, k);
-            self.emit(kid)
-        })
-    }
-
-    /// The parent union: each entry's `A` and `B` kid slots fuse into one.
-    fn emit_parent(&mut self, v: VId) -> VId {
-        let node = self.fu.node_of(v);
-        let pos_a = self.pos_a_in_p.expect("parent knows a's slot");
-        let pos_b = self.pos_b_in_p.expect("parent knows b's slot");
-        rebuild_entries!(self, v, node, self.parent_slots.len() as u32, |i, k| {
-            let pos = self.parent_slots[k as usize];
-            if pos == pos_a {
-                let (av, bv) = (self.fu.kid(v, i, pos_a), self.fu.kid(v, i, pos_b));
-                self.merge_unions(av, bv)
+/// paper) and the common entries reference both sides' kid subtrees.  The
+/// merged union takes `A`'s slot in a parent entry and goes to the end of
+/// the root list.  The prune afterwards ([`Fusion::prune`]) removes the
+/// entries whose product became empty because some merged union lost all
+/// its values.
+fn merge_step(fu: &mut Fusion<'_>, cur: &mut FTree, a: NodeId, b: NodeId) -> Result<()> {
+    let mut next = cur.clone();
+    next.merge_siblings(a, b)?;
+    let p = cur.parent(a);
+    let slots = slot_nodes(fu, cur, p);
+    let (pos_a, pos_b) = (child_pos(&slots, a), child_pos(&slots, b));
+    let order: Vec<u32> = match p {
+        Some(p) => next
+            .children(p)
+            .iter()
+            .map(|&c| child_pos(&slots, c))
+            .collect(),
+        None => (0..slots.len() as u32)
+            .filter(|&k| k != pos_a && k != pos_b)
+            .chain([pos_a])
+            .collect(),
+    };
+    let merged = spliced_slots(next.children(a), cur.children(b), cur.children(a));
+    rewrite_below(fu, cur, &next, p, None, |fu, old, _, out| {
+        for &k in &order {
+            let kid = old.kid(fu, k);
+            out.push(if k == pos_a {
+                merge_unions(fu, a, &merged, kid, old.kid(fu, pos_b))
             } else {
-                self.fu.kid(v, i, pos)
-            }
-        })
-    }
-
-    /// Sort-merge join of two sibling unions into one union over `a`.
-    fn merge_unions(&mut self, a_vid: VId, b_vid: VId) -> VId {
-        let (a_len, b_len) = (self.fu.len(a_vid), self.fu.len(b_vid));
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let (mut i, mut j) = (0u32, 0u32);
-        while i < a_len && j < b_len {
-            match self.fu.value(a_vid, i).cmp(&self.fu.value(b_vid, j)) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    pairs.push((i, j));
-                    i += 1;
-                    j += 1;
-                }
-            }
+                kid
+            });
         }
-        let mut values = Vec::with_capacity(pairs.len());
-        for &(ai, _) in &pairs {
-            values.push(self.fu.value(a_vid, ai));
-        }
-        let mut kids = Vec::with_capacity(pairs.len() * self.merged_slots.len());
-        for &(ai, bi) in &pairs {
-            for s in 0..self.merged_slots.len() {
-                let (from_b, pos) = self.merged_slots[s];
-                kids.push(if from_b {
-                    self.fu.kid(b_vid, bi, pos)
-                } else {
-                    self.fu.kid(a_vid, ai, pos)
-                });
-            }
-        }
-        self.fu.push_mix(Mix {
-            node: self.a,
-            kid_count: self.merged_slots.len() as u32,
-            values,
-            kids,
-        })
-    }
+        true
+    });
+    fu.prune()?;
+    *cur = next;
+    Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Absorb on the overlay
-// ---------------------------------------------------------------------
+/// Sort-merge join of two sibling unions into one union over `a`.
+fn merge_unions(
+    fu: &mut Fusion<'_>,
+    a: NodeId,
+    slots: &[(bool, u32)],
+    a_vid: VId,
+    b_vid: VId,
+) -> VId {
+    let (av, bv) = (fu.values(a_vid), fu.values(b_vid));
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < av.len() && j < bv.len() {
+        match av[i].cmp(&bv[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                pairs.push((i as u32, j as u32));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    let values = pairs.iter().map(|&(i, _)| av[i as usize]).collect();
+    let mut kids = Vec::with_capacity(pairs.len() * slots.len());
+    for &(i, j) in &pairs {
+        splice(fu, slots, Old::Entry(a_vid, i), b_vid, j, &mut kids);
+    }
+    fu.push_mix(Mix {
+        node: a,
+        kid_count: slots.len() as u32,
+        values,
+        kids,
+    })
+}
 
-/// The absorb selection operator `α_{A,B}`.
+/// The absorb selection operator `α_{A,B}`, tree and overlay together.
 ///
 /// Absorb enforces an equality `A = B` when the node `B` is a *descendant*
 /// of the node `A`.  Inside the subtree of every `A`-value `a`, each union
@@ -1741,188 +1618,54 @@ impl<'f, 'a> MergePass<'f, 'a> {
 /// normalisation step: removing `B` can make nodes below it independent of
 /// the nodes in between, so they may be pushed up.
 ///
-/// The walk carries the enclosing `A`-value, each `B`-parent union keeps
-/// only the entries whose `B`-union has the context value (binary search,
-/// so quasilinear overall) and splices the matched entry's kid subtrees in;
-/// the prune afterwards ([`Fusion::prune`]) cascades the removals upwards.
-struct AbsorbPass<'f, 'a> {
-    fu: &'f mut Fusion<'a>,
-    a: NodeId,
-    b_parent: NodeId,
-    on_path: BTreeSet<NodeId>,
-    pos_b: u32,
-    spliced_slots: Vec<(bool, u32)>,
+/// The walk hands down the enclosing `A`-value; a `B`-parent entry is kept
+/// only when its `B`-union has that value (binary search, so quasilinear
+/// overall), with the matched entry's kid subtrees spliced in.  The prune
+/// afterwards ([`Fusion::prune`]) cascades the removals upwards.
+fn absorb_step(fu: &mut Fusion<'_>, cur: &mut FTree, a: NodeId, b: NodeId) -> Result<()> {
+    let mut next = cur.clone();
+    next.absorb_into_ancestor(a, b)?;
+    let p = cur.parent(b);
+    let b_parent = p.expect("b has an ancestor, so a parent");
+    let pos_b = child_pos(cur.children(b_parent), b);
+    let spliced = spliced_slots(
+        next.children(b_parent),
+        cur.children(b),
+        cur.children(b_parent),
+    );
+    rewrite_below(fu, cur, &next, p, Some(a), |fu, old, ctx, out| {
+        let b_vid = old.kid(fu, pos_b);
+        let a_value = ctx.expect("the B-parent lies inside an A-entry subtree");
+        let found = fu.find_value(b_vid, a_value);
+        if let Some(j) = found {
+            splice(fu, &spliced, old, b_vid, j, out);
+        }
+        found.is_some()
+    });
+    fu.prune()?;
+    *cur = next;
+    // The paper's absorb finishes with a normalisation step.
+    normalise_steps(fu, cur)
 }
-
-impl<'f, 'a> AbsorbPass<'f, 'a> {
-    fn new(
-        fu: &'f mut Fusion<'a>,
-        old_tree: &FTree,
-        new_tree: &FTree,
-        a: NodeId,
-        b: NodeId,
-        b_parent: NodeId,
-    ) -> Self {
-        let old_b_children = old_tree.children(b);
-        AbsorbPass {
-            fu,
-            a,
-            b_parent,
-            on_path: old_tree.ancestors(b).into_iter().collect(),
-            pos_b: child_pos(old_tree.children(b_parent), b),
-            spliced_slots: new_tree
-                .children(b_parent)
-                .iter()
-                .map(|&c| {
-                    if old_b_children.contains(&c) {
-                        (true, child_pos(old_b_children, c))
-                    } else {
-                        (false, child_pos(old_tree.children(b_parent), c))
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn apply(mut self) {
-        let old_roots = self.fu.roots.clone();
-        self.fu.roots = old_roots.iter().map(|&r| self.emit(r, None)).collect();
-    }
-
-    fn emit(&mut self, v: VId, ctx: Option<Value>) -> VId {
-        let node = self.fu.node_of(v);
-        if node == self.b_parent {
-            return self.emit_spliced(v, ctx);
-        }
-        if node != self.a && !self.on_path.contains(&node) {
-            return v;
-        }
-        // On the root-to-B path (possibly the A-union itself, which sets the
-        // context value for its subtree).
-        let sets_ctx = node == self.a;
-        let kid_count = self.fu.kid_count_of(v);
-        rebuild_entries!(self, v, node, kid_count, |i, k| {
-            let entry_ctx = if sets_ctx {
-                Some(self.fu.value(v, i))
-            } else {
-                ctx
-            };
-            let kid = self.fu.kid(v, i, k);
-            self.emit(kid, entry_ctx)
-        })
-    }
-
-    /// The `B`-parent union: entries restricted to those whose `B`-union
-    /// holds the context value, the matched entry's kid subtrees spliced in.
-    fn emit_spliced(&mut self, v: VId, ctx: Option<Value>) -> VId {
-        let node = self.fu.node_of(v);
-        let sets_ctx = node == self.a;
-        let len = self.fu.len(v);
-        let mut matches: Vec<(u32, VId, u32)> = Vec::new();
-        for i in 0..len {
-            let value = if sets_ctx {
-                self.fu.value(v, i)
-            } else {
-                ctx.expect("the B-parent lies inside an A-entry subtree")
-            };
-            let b_vid = self.fu.kid(v, i, self.pos_b);
-            if let Some(j) = self.fu.find_value(b_vid, value) {
-                matches.push((i, b_vid, j));
-            }
-        }
-        let mut values = Vec::with_capacity(matches.len());
-        for &(i, _, _) in &matches {
-            values.push(self.fu.value(v, i));
-        }
-        let mut kids = Vec::with_capacity(matches.len() * self.spliced_slots.len());
-        for &(i, b_vid, j) in &matches {
-            for s in 0..self.spliced_slots.len() {
-                let (from_b, pos) = self.spliced_slots[s];
-                kids.push(if from_b {
-                    self.fu.kid(b_vid, j, pos)
-                } else {
-                    self.fu.kid(v, i, pos)
-                });
-            }
-        }
-        self.fu.push_mix(Mix {
-            node,
-            kid_count: self.spliced_slots.len() as u32,
-            values,
-            kids,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Projection leaf removal on the overlay
-// ---------------------------------------------------------------------
 
 /// Removal of one fully-projected leaf (step 2 of [`project_steps`]): every
 /// union over the removed leaf's parent loses the leaf's kid slot (the kept
 /// children are pure references — nothing below them changes), the leaf's
 /// unions become unreachable, and a root leaf simply drops out of the root
 /// list.
-struct RemoveLeafPass<'f, 'a> {
-    fu: &'f mut Fusion<'a>,
-    leaf: NodeId,
-    parent: Option<NodeId>,
-    /// Ancestors of the leaf in the old tree (so including the parent).
-    on_path: BTreeSet<NodeId>,
-    /// The parent's kid positions that survive (everything but the leaf's).
-    kept_slots: Vec<u32>,
-}
-
-impl<'f, 'a> RemoveLeafPass<'f, 'a> {
-    fn new(fu: &'f mut Fusion<'a>, old_tree: &FTree, leaf: NodeId, parent: Option<NodeId>) -> Self {
-        RemoveLeafPass {
-            fu,
-            leaf,
-            parent,
-            on_path: old_tree.ancestors(leaf).into_iter().collect(),
-            kept_slots: parent
-                .map(|p| {
-                    let pos_leaf = child_pos(old_tree.children(p), leaf);
-                    (0..old_tree.children(p).len() as u32)
-                        .filter(|&k| k != pos_leaf)
-                        .collect()
-                })
-                .unwrap_or_default(),
-        }
-    }
-
-    fn apply(mut self) {
-        let old_roots = self.fu.roots.clone();
-        self.fu.roots = match self.parent {
-            Some(_) => old_roots.iter().map(|&r| self.emit(r)).collect(),
-            // A root leaf: its union simply drops out of the root product.
-            None => old_roots
-                .iter()
-                .copied()
-                .filter(|&r| self.fu.node_of(r) != self.leaf)
-                .collect(),
-        };
-    }
-
-    fn emit(&mut self, v: VId) -> VId {
-        let node = self.fu.node_of(v);
-        if Some(node) == self.parent {
-            // Drop the leaf's kid slot; everything below the others is
-            // unchanged.
-            return rebuild_entries!(self, v, node, self.kept_slots.len() as u32, |i, k| self
-                .fu
-                .kid(v, i, self.kept_slots[k as usize]));
-        }
-        if !self.on_path.contains(&node) {
-            return v;
-        }
-        // A strict ancestor above the parent.
-        let kid_count = self.fu.kid_count_of(v);
-        rebuild_entries!(self, v, node, kid_count, |i, k| {
-            let kid = self.fu.kid(v, i, k);
-            self.emit(kid)
-        })
-    }
+fn remove_leaf_step(fu: &mut Fusion<'_>, cur: &mut FTree, leaf: NodeId) -> Result<()> {
+    let mut next = cur.clone();
+    next.remove_projected_leaf(leaf)?;
+    let p = cur.parent(leaf);
+    let slots = slot_nodes(fu, cur, p);
+    let pos_leaf = child_pos(&slots, leaf);
+    rewrite_below(fu, cur, &next, p, None, |fu, old, _, out| {
+        let kept = (0..slots.len() as u32).filter(|&k| k != pos_leaf);
+        out.extend(kept.map(|k| old.kid(fu, k)));
+        true
+    });
+    *cur = next;
+    Ok(())
 }
 
 #[cfg(test)]

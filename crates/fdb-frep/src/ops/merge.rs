@@ -6,7 +6,8 @@
 //! both, and entries whose product became empty are pruned away.  It has no
 //! rewriter of its own — it **is** the one-operator overlay program
 //! `[FPlanOp::Merge]`; the operator's definition (formula, sort-merge join,
-//! cost bound) is on `MergePass` in [`crate::ops::fuse`].
+//! cost bound) is on `merge_step` in [`crate::ops::fuse`], an edit of the
+//! one restructuring walk there.
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};

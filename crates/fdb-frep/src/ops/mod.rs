@@ -6,19 +6,20 @@
 //! | operator | entry point | defined by | f-tree effect |
 //! |---|---|---|---|
 //! | Cartesian product `×` | [`product()`] | [`mod@product`] | forests are concatenated |
-//! | push-up `ψ_B`, normalisation `η` | [`push_up`], [`normalise`] | `PushUpPass`, `normalise_steps` | a subtree moves one level up |
-//! | swap `χ_{A,B}` | [`swap()`] | `SwapPass` | a child exchanges places with its parent |
-//! | merge `µ_{A,B}` | [`merge()`] | `MergePass` | two sibling nodes fuse |
-//! | absorb `α_{A,B}` | [`absorb()`] | `AbsorbPass` | a node fuses into an ancestor |
+//! | push-up `ψ_B`, normalisation `η` | [`push_up`], [`normalise`] | `push_up_step`, `normalise_steps` | a subtree moves one level up |
+//! | swap `χ_{A,B}` | [`swap()`] | `swap_step` | a child exchanges places with its parent |
+//! | merge `µ_{A,B}` | [`merge()`] | `merge_step` | two sibling nodes fuse |
+//! | absorb `α_{A,B}` | [`absorb()`] | `absorb_step` | a node fuses into an ancestor |
 //! | selection with constant `σ_{AθC}` | [`select_const`] | `Fusion::filter` | the node may become constant-bound |
-//! | projection `π_Ā` | [`project()`] | `project_steps`, `RemoveLeafPass` | projected leaves disappear |
+//! | projection `π_Ā` | [`project()`] | `project_steps`, `remove_leaf_step` | projected leaves disappear |
 //!
 //! # One implementation per operator
 //!
 //! The Cartesian product runs directly on the flat arenas (an index-offset
-//! concatenation).  Every other operator is defined **once**, as a pass of
+//! concatenation).  Every other operator is defined **once**, as a step of
 //! [`fuse`] over an overlay of references into the input arena — the formula
-//! and cost bound of each are on its pass there — and a *whole f-plan*,
+//! and cost bound of each are on its step there; the restructuring ones are
+//! edits of one root-to-parent rewrite — and a *whole f-plan*,
 //! structural operators, constant selections and projections alike, is one
 //! program: the f-tree transforms are simulated up front, each step rewrites
 //! the overlay (a selection is the liveness sweep with its comparison folded
@@ -31,7 +32,7 @@
 //! for what it touches plus a block copy of what it does not.
 //!
 //! The operator vocabulary is one type, [`FPlanOp`], defined in [`fuse`]
-//! next to the passes that execute it (and re-exported by `fdb-plan`, whose
+//! next to the steps that execute it (and re-exported by `fdb-plan`, whose
 //! `FPlan` is a `Vec` of them): a program is a `&[FPlanOp]`.  `fdb-plan`
 //! hands every non-empty plan's operator list to [`emit_fused_ctx`] as it
 //! is; the public single-operator functions of this module are one-operator

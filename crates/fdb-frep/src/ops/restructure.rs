@@ -5,8 +5,9 @@
 //! sibling.  Normalisation applies push-ups bottom-up until no node can be
 //! lifted any further.  Neither has a rewriter of its own — they **are** the
 //! one-operator overlay programs `[FPlanOp::PushUp]` and
-//! `[FPlanOp::Normalise]`; the definitions are on `PushUpPass` and
-//! `normalise_steps` in [`crate::ops::fuse`].
+//! `[FPlanOp::Normalise]`; the definitions are on `push_up_step` (an edit
+//! of the one restructuring walk) and `normalise_steps` in
+//! [`crate::ops::fuse`].
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};

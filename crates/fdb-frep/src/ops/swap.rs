@@ -4,7 +4,8 @@
 //! representation first by `B` then by `A` (Figure 3(b)).  It has no
 //! rewriter of its own — it **is** the one-operator overlay program
 //! `[FPlanOp::Swap]`; the operator's definition (formula, sort-merge
-//! regrouping, cost bound) is on `SwapPass` in [`crate::ops::fuse`].
+//! regrouping, cost bound) is on `swap_step` in [`crate::ops::fuse`], an
+//! edit of the one restructuring walk there.
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};

@@ -382,6 +382,34 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
     .unwrap();
     check_structural_ops_against_oracle(&forest, &mut rng, "forest with an empty root");
 
+    // Three leaf roots: a root merge leaves a third root behind, so the
+    // merged union's place in the root list is pinned.
+    let edges = vec![
+        DepEdge::new("R", attrs(&[0]), 2),
+        DepEdge::new("S", attrs(&[1]), 2),
+        DepEdge::new("T", attrs(&[2]), 1),
+    ];
+    let mut three_tree = FTree::new(edges);
+    let roots: Vec<NodeId> = (0..3)
+        .map(|i| three_tree.add_node(attrs(&[i]), None).unwrap())
+        .collect();
+    let leaves = |node, vals: &[u64]| {
+        Union::new(
+            node,
+            vals.iter().map(|&v| Entry::leaf(Value::new(v))).collect(),
+        )
+    };
+    let three_roots = FRep::from_parts(
+        three_tree,
+        vec![
+            leaves(roots[0], &[1, 2]),
+            leaves(roots[1], &[2, 3]),
+            leaves(roots[2], &[5]),
+        ],
+    )
+    .unwrap();
+    check_structural_ops_against_oracle(&three_roots, &mut rng, "three leaf roots");
+
     // Query results arrive normalised, so nothing above offers a push-up:
     // C{2} → A{0} → B{1} with B in a relation of its own lifts B twice.
     let edges = vec![
