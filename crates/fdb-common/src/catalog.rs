@@ -11,7 +11,6 @@
 //! and debugging output (e.g. rendering an f-tree) pleasant.
 
 use crate::error::{FdbError, Result};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of an attribute occurrence within a [`Catalog`].
@@ -65,9 +64,9 @@ struct RelMeta {
 /// Schema-level description of a database or query: which relations exist and
 /// which attributes each of them has.
 ///
-/// A catalog is immutable once built (via [`Catalog::builder`] or the
-/// convenience constructors); every other crate refers to attributes and
-/// relations exclusively through [`AttrId`] / [`RelId`] handles issued by it.
+/// A catalog is built by [`Catalog::new`] and [`Catalog::add_relation`];
+/// every other crate refers to attributes and relations exclusively through
+/// [`AttrId`] / [`RelId`] handles issued by it.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
     attrs: Vec<AttrMeta>,
@@ -78,13 +77,6 @@ impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
         Catalog::default()
-    }
-
-    /// Starts building a catalog.
-    pub fn builder() -> CatalogBuilder {
-        CatalogBuilder {
-            catalog: Catalog::new(),
-        }
     }
 
     /// Adds a relation with the given attribute names, returning the new
@@ -202,30 +194,6 @@ impl Catalog {
         let rel = self.attr_relation(attr);
         format!("{}.{}", self.rel_name(rel), self.attr_name(attr))
     }
-
-    /// Returns the set of relations having at least one attribute in `attrs`.
-    pub fn relations_of_attrs(&self, attrs: &BTreeSet<AttrId>) -> BTreeSet<RelId> {
-        attrs.iter().map(|&a| self.attr_relation(a)).collect()
-    }
-}
-
-/// Incremental builder for [`Catalog`].
-#[derive(Clone, Debug, Default)]
-pub struct CatalogBuilder {
-    catalog: Catalog,
-}
-
-impl CatalogBuilder {
-    /// Adds a relation, returning the builder for chaining.
-    pub fn relation<S: AsRef<str>>(mut self, name: &str, attr_names: &[S]) -> Self {
-        self.catalog.add_relation(name, attr_names);
-        self
-    }
-
-    /// Finishes building.
-    pub fn build(self) -> Catalog {
-        self.catalog
-    }
 }
 
 #[cfg(test)]
@@ -233,11 +201,11 @@ mod tests {
     use super::*;
 
     fn grocery_catalog() -> Catalog {
-        Catalog::builder()
-            .relation("Orders", &["oid", "item"])
-            .relation("Store", &["location", "item"])
-            .relation("Disp", &["dispatcher", "location"])
-            .build()
+        let mut cat = Catalog::new();
+        cat.add_relation("Orders", &["oid", "item"]);
+        cat.add_relation("Store", &["location", "item"]);
+        cat.add_relation("Disp", &["dispatcher", "location"]);
+        cat
     }
 
     #[test]
@@ -280,13 +248,5 @@ mod tests {
             cat.check_rel(RelId(9)),
             Err(FdbError::UnknownRelation { rel: 9 })
         );
-    }
-
-    #[test]
-    fn relations_of_attrs_collects_owners() {
-        let cat = grocery_catalog();
-        let attrs: BTreeSet<AttrId> = [AttrId(0), AttrId(3)].into_iter().collect();
-        let rels = cat.relations_of_attrs(&attrs);
-        assert_eq!(rels, [RelId(0), RelId(1)].into_iter().collect());
     }
 }

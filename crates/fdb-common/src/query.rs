@@ -428,11 +428,11 @@ mod tests {
     use super::*;
 
     fn catalog() -> Catalog {
-        Catalog::builder()
-            .relation("R", &["A", "B"])
-            .relation("S", &["B", "C"])
-            .relation("T", &["C", "D"])
-            .build()
+        let mut cat = Catalog::new();
+        cat.add_relation("R", &["A", "B"]);
+        cat.add_relation("S", &["B", "C"]);
+        cat.add_relation("T", &["C", "D"]);
+        cat
     }
 
     #[test]

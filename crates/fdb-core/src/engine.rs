@@ -19,7 +19,9 @@
 //!    chain planner (`fdb_plan::plan_chain_restructure`) either appends the
 //!    lifting swaps to the plan or refuses, and the rows are sorted flat.
 //!    An aggregate head, grouped or not, needs no planning.
-//! 3. **Simplify** — one peephole pass ([`FPlan::simplified`]).
+//! 3. **Simplify** — one peephole pass ([`FPlan::simplified`]) drops
+//!    identity projections and selections an earlier equality selection
+//!    made total.
 //! 4. **Sink** — emit one arena (the whole plan runs as one overlay
 //!    program), fold an aggregate on the overlay without emitting anything
 //!    (a grouped one as a keyed fold, wherever its attributes sit), or

@@ -36,7 +36,7 @@ use fdb_common::{ComparisonOp, Value};
 /// arena [`crate::UnionRef`], the fused overlay and the absorb operator all
 /// delegate here (directly, or via [`find_value`] for flat value slices).
 #[inline]
-pub fn find_by_key<T>(
+pub(crate) fn find_by_key<T>(
     items: &[T],
     mut key: impl FnMut(&T) -> Value,
     target: Value,
@@ -49,14 +49,14 @@ pub fn find_by_key<T>(
 /// (`partition_point`; see the module docs for why probes have no vector
 /// form).
 #[inline]
-pub fn lower_bound(values: &[Value], target: Value) -> usize {
+pub(crate) fn lower_bound(values: &[Value], target: Value) -> usize {
     values.partition_point(|&v| v < target)
 }
 
 /// Index of `target` in a strictly increasing value slice, if present —
 /// the flat-slice form of the probe contract.
 #[inline]
-pub fn find_value(values: &[Value], target: Value) -> Option<usize> {
+pub(crate) fn find_value(values: &[Value], target: Value) -> Option<usize> {
     let i = lower_bound(values, target);
     (i < values.len() && values[i] == target).then_some(i)
 }
@@ -70,7 +70,7 @@ pub fn find_value(values: &[Value], target: Value) -> Option<usize> {
 /// entry filters: one branch-free comparison per value.  `out.len()` must
 /// equal `values.len()`.
 #[inline]
-pub fn fill_keep_mask(values: &[Value], op: ComparisonOp, rhs: Value, out: &mut [bool]) {
+pub(crate) fn fill_keep_mask(values: &[Value], op: ComparisonOp, rhs: Value, out: &mut [bool]) {
     assert_eq!(values.len(), out.len(), "mask length mismatch");
     for (o, &v) in out.iter_mut().zip(values) {
         *o = op.eval(v, rhs);
@@ -85,7 +85,7 @@ pub fn fill_keep_mask(values: &[Value], op: ComparisonOp, rhs: Value, out: &mut 
 /// violation [`crate::store`]'s validator reports — or `None` when the
 /// slice is strictly increasing: a windowed pairwise scan.
 #[inline]
-pub fn first_unsorted(values: &[Value]) -> Option<usize> {
+pub(crate) fn first_unsorted(values: &[Value]) -> Option<usize> {
     values.windows(2).position(|w| w[1] <= w[0])
 }
 

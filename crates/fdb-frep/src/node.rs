@@ -41,7 +41,7 @@ impl Entry {
     }
 
     /// Removes and returns the child union over the given node.
-    pub fn take_child(&mut self, node: NodeId) -> Option<Union> {
+    pub(crate) fn take_child(&mut self, node: NodeId) -> Option<Union> {
         let idx = self.children.iter().position(|u| u.node == node)?;
         Some(self.children.remove(idx))
     }
@@ -91,7 +91,7 @@ impl Union {
 
     /// Binary-searches for the entry with the given value and removes it
     /// (the remaining entries keep their order).
-    pub fn take_value(&mut self, value: Value) -> Option<Entry> {
+    pub(crate) fn take_value(&mut self, value: Value) -> Option<Entry> {
         crate::kernel::find_by_key(&self.entries, |e| e.value, value)
             .map(|i| self.entries.remove(i))
     }

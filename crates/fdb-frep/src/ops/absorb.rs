@@ -11,6 +11,7 @@
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
+use crate::ops::restructure::pushed_by_normalise;
 use fdb_common::{ExecCtx, Result};
 use fdb_ftree::NodeId;
 
@@ -21,7 +22,7 @@ use fdb_ftree::NodeId;
 pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
     let mut tree = rep.tree().clone();
     tree.absorb_into_ancestor(a, b)?;
-    let pushed = tree.normalise();
+    let pushed = pushed_by_normalise(&mut tree)?;
     execute_fused_ctx(rep, &[FPlanOp::Absorb(a, b)], &ExecCtx::unlimited())?;
     Ok(pushed)
 }

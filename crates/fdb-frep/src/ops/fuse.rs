@@ -1,19 +1,22 @@
 //! F-plan execution: every operator of the paper's Section 3 as a pass over
 //! one overlay, and a whole plan as one arena emission.
 //!
-//! This module **is** the definition of the structural operators.  Each one
-//! exists once, as a step over one overlay.  Push-up `ψ` ([`push_up_step`],
-//! and normalisation `η` as a replayed sequence of them), swap `χ`
-//! ([`swap_step`]), merge `µ` ([`merge_step`]), absorb `α`
-//! ([`absorb_step`]) and the leaf removals of projection `π`
-//! ([`remove_leaf_step`]) change only the unions over one node, so each is
-//! one *edit* of the single restructuring walk [`rewrite_below`], which
-//! rebuilds the path of unions above them.  Selection with a constant `σ`
-//! is [`Fusion::filter`].  The paper formula and the cost bound of each
-//! operator are on its step.  The public single-operator functions of
-//! [`crate::ops`] are one-operator programs, and the thaw-path
-//! [`crate::ops::oracle`] is the independent reference every step is pinned
-//! against bit for bit.
+//! This module **is** the data-level definition of the structural
+//! operators.  Each one exists once, as a step over one overlay.  Push-up
+//! `ψ` ([`push_up_step`]), swap `χ` ([`swap_step`]), merge `µ`
+//! ([`merge_step`]), absorb `α` ([`absorb_step`]) and the leaf removals of
+//! projection `π` ([`remove_leaf_step`]) change only the unions over one
+//! node, so each is one *edit* of the single restructuring walk
+//! [`rewrite_below`], which rebuilds the path of unions above them.
+//! Normalisation `η` and projection `π` are composites: `fdb_ftree` decides
+//! their sequence of push-ups, swap-downs and leaf removals on the tree
+//! ([`FTree::normalise`], [`FTree::project`]) and [`edit_step`] mirrors each
+//! one here, so a plan's simulated trees are exactly the trees its
+//! execution yields.  Selection with a constant `σ` is [`Fusion::filter`].
+//! The paper formula and the cost bound of each operator are on its step.
+//! The public single-operator functions of [`crate::ops`] are one-operator
+//! programs, and the thaw-path [`crate::ops::oracle`] is the independent
+//! reference every step is pinned against bit for bit.
 //!
 //! # Why an overlay
 //!
@@ -35,8 +38,8 @@
 //!   sweep with the comparison folded into the per-entry predicate decides
 //!   liveness, emptied subtrees retract exactly as the merge/absorb prune
 //!   retracts them, and untouched (clean) subtrees stay `Src` references;
-//! * a **projection** replays the projection operator's loop on the overlay
-//!   ([`project_steps`]): fully-projected leaves drop via
+//! * a **projection** runs the edits [`FTree::project`] hands it on the
+//!   overlay ([`edit_step`]): fully-projected leaves drop via
 //!   [`remove_leaf_step`] (the parent unions lose one kid slot — pure header
 //!   remaps), and fully-projected inner nodes swap downwards through the
 //!   same [`swap_step`] that serves explicit swap steps, until they become
@@ -45,9 +48,10 @@
 //! An entire f-plan — one operator or twenty — therefore compiles into
 //! **one** [`FPlanOp`] program and executes as one pass:
 //!
-//! 1. The f-tree transforms are simulated up front, step by step, on clones
-//!    of the tree.  This also performs all operator validation before any
-//!    data is touched, so a failing program leaves its input unmodified.
+//! 1. Each step advances a copy of the input's f-tree through the
+//!    operator's tree definition, which validates the operator before its
+//!    overlay edit; the input is only borrowed, so a failing program leaves
+//!    it unmodified.
 //! 2. Each step is applied to an **overlay**: a forest of virtual unions
 //!    where a [`VId`] either points at an untouched union of the *input*
 //!    arena (a `Src` reference — O(1) to create, nothing is copied) or at a
@@ -62,10 +66,10 @@
 //!    kid to fold, so the sweep never loops over its entries: it is clean
 //!    and as empty as it was, or — on the selected node — its keep mask
 //!    alone decides.
-//! 4. Normalisation (and absorb's trailing normalisation) is replayed as
-//!    overlay push-ups: the push-up sequence is computable from the tree
-//!    alone, so the whole sequence collapses into pure header remaps on the
-//!    overlay — one emission applies all of them at once.
+//! 4. Normalisation (and absorb's trailing normalisation) runs the push-ups
+//!    [`FTree::normalise`] hands it as overlay push-ups: the sequence is
+//!    computable from the tree alone, so it collapses into pure header
+//!    remaps on the overlay — one emission applies all of them at once.
 //! 5. A single final [`Rewriter`] emission walks the overlay: `Mix` nodes
 //!    emit their own records, `Src` references emit through
 //!    [`Rewriter::copy_union`] — for an input in the freeze layout (every
@@ -92,7 +96,7 @@ use crate::ops::{child_pos, debug_validate};
 use crate::store::{kid_count_table, Rewriter, Store};
 use fdb_common::limits::CHECK_INTERVAL;
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
-use fdb_ftree::{FTree, NodeId};
+use fdb_ftree::{FTree, NodeId, TreeEdit};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -101,9 +105,10 @@ use std::fmt;
 /// A plan is a sequence of these (`fdb_plan::FPlan`); the same value is
 /// *simulated* on an f-tree alone ([`FPlanOp::apply_to_tree`], how the
 /// optimisers cost a plan without touching data) and *executed* as a step of
-/// an overlay program: constant selections become per-union entry filters
-/// composed with the liveness sweep, and projections replay as leaf removals
-/// plus the data-dependent swap-downs (see the module docs).
+/// an overlay program, both through the operator's one tree definition in
+/// `fdb_ftree`: constant selections become per-union entry filters composed
+/// with the liveness sweep, and projections run their leaf removals and
+/// data-dependent swap-downs on the overlay (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FPlanOp {
     /// Push-up `ψ_B`: lift `node` above its parent.
@@ -130,8 +135,9 @@ pub enum FPlanOp {
         /// The constant.
         value: Value,
     },
-    /// Projection `π` onto the given attributes: overlay leaf removals plus
-    /// swap-downs of fully-projected inner nodes, both edits of the one
+    /// Projection `π` onto the given attributes: the leaf removals and
+    /// swap-downs of fully-projected inner nodes that [`FTree::project`]
+    /// decides, both on the tree and, executed, as edits of the one
     /// restructuring walk (see the module docs).
     Project(BTreeSet<AttrId>),
 }
@@ -151,20 +157,20 @@ impl fmt::Display for FPlanOp {
 }
 
 impl FPlanOp {
-    /// Applies the operator to an f-tree only (schema-level simulation).
+    /// Applies the operator to an f-tree only (schema-level simulation):
+    /// exactly the tree its execution yields, because both run the one
+    /// definition of the operator's tree effect in `fdb_ftree` — the
+    /// composite ones ([`FTree::normalise`], [`FTree::project`]) with each
+    /// primitive edit applied by [`FTree::apply_edit`].
     pub fn apply_to_tree(&self, tree: &mut FTree) -> Result<()> {
         match self {
             FPlanOp::PushUp(n) => tree.push_up(*n),
-            FPlanOp::Normalise => {
-                tree.normalise();
-                Ok(())
-            }
-            FPlanOp::Swap(n) => tree.swap_with_parent(*n).map(|_| ()),
-            FPlanOp::Merge(a, b) => tree.merge_siblings(*a, *b).map(|_| ()),
+            FPlanOp::Normalise => tree.normalise(FTree::apply_edit),
+            FPlanOp::Swap(n) => tree.swap_with_parent(*n).map(drop),
+            FPlanOp::Merge(a, b) => tree.merge_siblings(*a, *b).map(drop),
             FPlanOp::Absorb(a, b) => {
                 tree.absorb_into_ancestor(*a, *b)?;
-                tree.normalise();
-                Ok(())
+                tree.normalise(FTree::apply_edit)
             }
             FPlanOp::SelectConst { attr, op, value } => {
                 let node = select_node(tree, *attr)?;
@@ -173,25 +179,7 @@ impl FPlanOp {
                 }
                 Ok(())
             }
-            FPlanOp::Project(keep) => {
-                let all = tree.all_attrs();
-                let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
-                tree.mark_attrs_projected(&marked);
-                // Schema-level projection: repeatedly drop exhausted leaves;
-                // fully-projected inner nodes are kept (they would be swapped
-                // to leaves during execution, which does not change s(T) for
-                // the worse).
-                loop {
-                    let removable = tree.removable_projected_leaves();
-                    if removable.is_empty() {
-                        break;
-                    }
-                    for leaf in removable {
-                        tree.remove_projected_leaf(leaf)?;
-                    }
-                }
-                Ok(())
-            }
+            FPlanOp::Project(keep) => tree.project(keep, FTree::apply_edit),
         }
     }
 }
@@ -293,11 +281,8 @@ pub(crate) fn fold_aggregate(
         else {
             unreachable!("the suffix holds only constant selections");
         };
-        let node = select_node(&cur, *attr)?;
-        filter.push(node, *cmp, *value);
-        if *cmp == ComparisonOp::Eq {
-            cur.bind_constant(node, *value)?;
-        }
+        filter.push(select_node(&cur, *attr)?, *cmp, *value);
+        op.apply_to_tree(&mut cur)?;
     }
     fusion.aggregate(&cur, kind, group_by, &filter)
 }
@@ -311,96 +296,46 @@ fn select_node(cur: &FTree, attr: AttrId) -> Result<NodeId> {
 }
 
 /// Applies one fused step: advances the simulated tree and transforms the
-/// overlay accordingly.
+/// overlay accordingly.  Normalisation and projection take their sequence of
+/// primitive edits from their one tree definition in `fdb_ftree`
+/// ([`FTree::normalise`], [`FTree::project`]); [`edit_step`] mirrors each
+/// edit on the overlay.
 fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FPlanOp) -> Result<()> {
     match op {
         FPlanOp::PushUp(b) => push_up_step(fusion, cur, *b),
-        FPlanOp::Normalise => normalise_steps(fusion, cur),
+        FPlanOp::Normalise => cur.normalise(|t, edit| edit_step(fusion, t, edit)),
         FPlanOp::Swap(b) => swap_step(fusion, cur, *b),
         FPlanOp::Merge(a, b) => merge_step(fusion, cur, *a, *b),
         FPlanOp::Absorb(a, b) => absorb_step(fusion, cur, *a, *b),
-        FPlanOp::SelectConst { attr, op, value } => {
-            let node = select_node(cur, *attr)?;
-            fusion.filter(node, *op, *value)?;
-            if *op == ComparisonOp::Eq {
-                cur.bind_constant(node, *value)?;
-            }
-            Ok(())
+        FPlanOp::SelectConst {
+            attr,
+            op: cmp,
+            value,
+        } => {
+            fusion.filter(select_node(cur, *attr)?, *cmp, *value)?;
+            op.apply_to_tree(cur)
         }
-        FPlanOp::Project(keep) => project_steps(fusion, cur, keep),
+        FPlanOp::Project(keep) => cur.project(keep, |t, edit| edit_step(fusion, t, edit)),
     }
 }
 
-/// The projection operator `π_Ā` on the overlay.
+/// One primitive edit of normalisation `η` or projection `π`, tree and
+/// overlay together.
 ///
-/// Projection replaces the singletons of every attribute outside the
-/// projection list with the nullary singleton `⟨⟩`.  On the structure:
-///
-/// 1. the projected-away attributes are *marked* on their nodes of the
-///    simulated tree (nodes are not removed immediately — an inner node whose
-///    attributes are all projected away still carries the correlation between
-///    its ancestors and descendants, exactly the paper's `A — B — C` example);
-/// 2. leaves whose attributes are all marked are removed (their union of
-///    singletons collapses to `⟨⟩`; a [`remove_leaf_step`] per leaf — pure
-///    header remaps, nothing is copied), merging the dependency edges that
-///    used to meet in them so transitive dependencies survive;
-/// 3. remaining marked inner nodes are swapped downwards (the data-dependent
-///    swap-downs run the same [`swap_step`] as an explicit swap step) until
-///    they become leaves, then removed as well.
-///
+/// Normalisation lifts with push-ups alone; the push-up sequence is known
+/// from the tree, so the whole sequence collapses into header remaps on the
+/// overlay.  Projection replaces the singletons of every attribute outside
+/// the projection list with the nullary singleton `⟨⟩`: a fully-projected
+/// leaf goes by a [`remove_leaf_step`] (pure header remaps, nothing is
+/// copied), and a fully-projected inner node swaps down, by the same
+/// data-dependent [`swap_step`] as an explicit swap, until it is a leaf.
 /// The represented relation afterwards is the projection, with set
 /// semantics — a factorised representation never stores duplicate tuples.
-/// Attributes in `keep` that do not occur in the representation are
-/// ignored.
-fn project_steps(fusion: &mut Fusion<'_>, cur: &mut FTree, keep: &BTreeSet<AttrId>) -> Result<()> {
-    let all = cur.all_attrs();
-    let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
-    if marked.is_empty() {
-        return Ok(());
-    }
-    cur.mark_attrs_projected(&marked);
-    loop {
-        let removable = cur.removable_projected_leaves();
-        if !removable.is_empty() {
-            for leaf in removable {
-                remove_leaf_step(fusion, cur, leaf)?;
-            }
-            continue;
-        }
-        // Otherwise pick a fully-projected inner node and swap it one level
-        // down (each swap strictly shrinks its subtree, so this terminates).
-        let marked_inner = cur
-            .node_ids()
-            .into_iter()
-            .find(|&n| cur.visible_attrs(n).is_empty() && !cur.is_leaf(n));
-        match marked_inner {
-            Some(node) => {
-                let child = cur.children(node)[0];
-                swap_step(fusion, cur, child)?;
-            }
-            None => break,
-        }
-    }
-    Ok(())
-}
-
-/// The normalisation operator `η`: push-ups bottom-up until no node can be
-/// lifted any further — the same loop, in the same order, as
-/// [`FTree::normalise`], so the push-up sequence is known from the tree
-/// alone.  The result is the unique normalised f-tree reachable this way,
-/// and the representation only ever shrinks.
-fn normalise_steps(fusion: &mut Fusion<'_>, cur: &mut FTree) -> Result<()> {
-    loop {
-        let mut changed = false;
-        for node in cur.bottom_up() {
-            while cur.can_push_up(node) {
-                push_up_step(fusion, cur, node)?;
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(());
-        }
+fn edit_step(fu: &mut Fusion<'_>, cur: &mut FTree, edit: TreeEdit) -> Result<()> {
+    match edit {
+        TreeEdit::PushUp(b) => push_up_step(fu, cur, b),
+        TreeEdit::Swap(b) => swap_step(fu, cur, b),
+        TreeEdit::RemoveLeaf(leaf) => remove_leaf_step(fu, cur, leaf),
     }
 }
 
@@ -1645,14 +1580,14 @@ fn absorb_step(fu: &mut Fusion<'_>, cur: &mut FTree, a: NodeId, b: NodeId) -> Re
     fu.prune()?;
     *cur = next;
     // The paper's absorb finishes with a normalisation step.
-    normalise_steps(fu, cur)
+    cur.normalise(|t, edit| edit_step(fu, t, edit))
 }
 
-/// Removal of one fully-projected leaf (step 2 of [`project_steps`]): every
-/// union over the removed leaf's parent loses the leaf's kid slot (the kept
-/// children are pure references — nothing below them changes), the leaf's
-/// unions become unreachable, and a root leaf simply drops out of the root
-/// list.
+/// Removal of one fully-projected leaf, an edit of projection `π` (see
+/// [`edit_step`] and [`FTree::project`]): every union over the removed
+/// leaf's parent loses the leaf's kid slot (the kept children are pure
+/// references — nothing below them changes), the leaf's unions become
+/// unreachable, and a root leaf simply drops out of the root list.
 fn remove_leaf_step(fu: &mut Fusion<'_>, cur: &mut FTree, leaf: NodeId) -> Result<()> {
     let mut next = cur.clone();
     next.remove_projected_leaf(leaf)?;
@@ -1689,10 +1624,16 @@ mod tests {
     }
 
     /// The program, run in place and on the borrowed input, must agree
-    /// with the oracle bit for bit on the arena.
+    /// with the oracle bit for bit on the arena, over the tree its
+    /// simulation yields.
     fn check(rep: &FRep, steps: &[FPlanOp], context: &str) {
         let mut reference = rep.clone();
         stepwise(&mut reference, steps);
+        let mut simulated = rep.tree().clone();
+        for op in steps {
+            op.apply_to_tree(&mut simulated)
+                .unwrap_or_else(|e| panic!("{context}: simulation: {e:?}"));
+        }
         let mut in_place = rep.clone();
         execute_fused_ctx(&mut in_place, steps, &ExecCtx::unlimited())
             .unwrap_or_else(|e| panic!("{context}: in place: {e:?}"));
@@ -1713,6 +1654,14 @@ mod tests {
                 reference.tree().canonical_key(),
                 "{context}: {path} tree diverges"
             );
+            let tree = fused.tree();
+            assert_eq!(
+                tree.snapshot_nodes(),
+                simulated.snapshot_nodes(),
+                "{context}: {path} nodes diverge from the simulation"
+            );
+            assert_eq!(tree.roots(), simulated.roots(), "{context}: {path} roots");
+            assert_eq!(tree.edges(), simulated.edges(), "{context}: {path} edges");
         }
     }
 

@@ -6,12 +6,12 @@
 //! | operator | entry point | defined by | f-tree effect |
 //! |---|---|---|---|
 //! | Cartesian product `×` | [`product()`] | [`mod@product`] | forests are concatenated |
-//! | push-up `ψ_B`, normalisation `η` | [`push_up`], [`normalise`] | `push_up_step`, `normalise_steps` | a subtree moves one level up |
+//! | push-up `ψ_B`, normalisation `η` | [`push_up`], [`normalise`] | `push_up_step`; `FTree::normalise` + `edit_step` | a subtree moves one level up |
 //! | swap `χ_{A,B}` | [`swap()`] | `swap_step` | a child exchanges places with its parent |
 //! | merge `µ_{A,B}` | [`merge()`] | `merge_step` | two sibling nodes fuse |
 //! | absorb `α_{A,B}` | [`absorb()`] | `absorb_step` | a node fuses into an ancestor |
 //! | selection with constant `σ_{AθC}` | [`select_const`] | `Fusion::filter` | the node may become constant-bound |
-//! | projection `π_Ā` | [`project()`] | `project_steps`, `remove_leaf_step` | projected leaves disappear |
+//! | projection `π_Ā` | [`project()`] | `FTree::project` + `edit_step` (`remove_leaf_step`, `swap_step`) | projected nodes swap down to leaves and disappear |
 //!
 //! # One implementation per operator
 //!
@@ -21,13 +21,15 @@
 //! and cost bound of each are on its step there; the restructuring ones are
 //! edits of one root-to-parent rewrite — and a *whole f-plan*,
 //! structural operators, constant selections and projections alike, is one
-//! program: the f-tree transforms are simulated up front, each step rewrites
-//! the overlay (a selection is the liveness sweep with its comparison folded
-//! in, a projection replays leaf removals and swap-downs), and one final
-//! emission through a [`crate::store::Rewriter`] produces the freeze-layout
-//! output — union headers in depth-first preorder, unchanged subtrees copied
-//! whole (as relocated blocks when the input is in the freeze layout), the
-//! regrouped region assembled directly in the *new* tree's child order.  A
+//! program: each step advances the f-tree through the operator's one tree
+//! definition in `fdb_ftree` and rewrites the overlay to match (a selection
+//! is the liveness sweep with its comparison folded in, normalisation and
+//! projection run the push-ups, swap-downs and leaf removals their tree
+//! definition decides), and one final emission through a
+//! [`crate::store::Rewriter`] produces the freeze-layout output — union
+//! headers in depth-first preorder, unchanged subtrees copied whole (as
+//! relocated blocks when the input is in the freeze layout), the regrouped
+//! region assembled directly in the *new* tree's child order.  A
 //! k-step plan pays one full copy instead of k, and a single operator pays
 //! for what it touches plus a block copy of what it does not.
 //!

@@ -5,8 +5,9 @@
 //! attributes are marked on their nodes, fully-projected leaves are removed,
 //! and fully-projected inner nodes are swapped downwards until they are
 //! leaves.  It has no rewriter of its own — it **is** the one-operator
-//! overlay program `[FPlanOp::Project]`; the operator's definition is on
-//! `project_steps` in [`crate::ops::fuse`].
+//! overlay program `[FPlanOp::Project]`.  The sequence of removals and
+//! swap-downs is defined once on the tree ([`fdb_ftree::FTree::project`]);
+//! `edit_step` in [`crate::ops::fuse`] runs each one on the overlay.
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};

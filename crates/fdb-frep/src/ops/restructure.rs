@@ -5,14 +5,15 @@
 //! sibling.  Normalisation applies push-ups bottom-up until no node can be
 //! lifted any further.  Neither has a rewriter of its own — they **are** the
 //! one-operator overlay programs `[FPlanOp::PushUp]` and
-//! `[FPlanOp::Normalise]`; the definitions are on `push_up_step` (an edit
-//! of the one restructuring walk) and `normalise_steps` in
+//! `[FPlanOp::Normalise]`.  Which nodes normalisation lifts, and in what
+//! order, is defined once on the tree ([`FTree::normalise`]); each push-up
+//! is `push_up_step`, an edit of the one restructuring walk in
 //! [`crate::ops::fuse`].
 
 use crate::frep::FRep;
 use crate::ops::fuse::{execute_fused_ctx, FPlanOp};
 use fdb_common::{ExecCtx, Result};
-use fdb_ftree::NodeId;
+use fdb_ftree::{FTree, NodeId, TreeEdit};
 
 /// Push-up operator `ψ_B`: lifts node `b` (with its subtree) one level up in
 /// both the f-tree and the representation.  On error the representation is
@@ -25,8 +26,20 @@ pub fn push_up(rep: &mut FRep, b: NodeId) -> Result<()> {
 /// normalised.  Returns the nodes pushed up, in order (known from the tree
 /// alone).
 pub fn normalise(rep: &mut FRep) -> Result<Vec<NodeId>> {
-    let pushed = rep.tree().clone().normalise();
+    let pushed = pushed_by_normalise(&mut rep.tree().clone())?;
     execute_fused_ctx(rep, &[FPlanOp::Normalise], &ExecCtx::unlimited())?;
+    Ok(pushed)
+}
+
+/// Normalises `tree` alone and returns the nodes it pushed up, in order.
+pub(crate) fn pushed_by_normalise(tree: &mut FTree) -> Result<Vec<NodeId>> {
+    let mut pushed = Vec::new();
+    tree.normalise(|t, edit| {
+        if let TreeEdit::PushUp(n) = edit {
+            pushed.push(n);
+        }
+        t.apply_edit(edit)
+    })?;
     Ok(pushed)
 }
 

@@ -62,7 +62,7 @@ pub fn ftree_from_query_classes(
     let classes = query.equivalence_classes(catalog);
     let edges = dep_edges_for_query(catalog, query, cardinality_of);
     let mut tree = single_path_ftree(&classes, edges)?;
-    tree.normalise();
+    tree.normalise(FTree::apply_edit)?;
     tree.check_path_constraint()?;
     Ok(tree)
 }

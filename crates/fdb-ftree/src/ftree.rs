@@ -373,7 +373,7 @@ impl FTree {
 
     /// The dependency edges that have at least one attribute in the node's
     /// class.
-    pub fn edges_of_node(&self, id: NodeId) -> Vec<usize> {
+    pub(crate) fn edges_of_node(&self, id: NodeId) -> Vec<usize> {
         self.node(id).incidence.iter().collect()
     }
 
@@ -720,7 +720,7 @@ impl FTree {
     }
 
     /// Builds an attribute → node map for the current tree.
-    pub fn attr_to_node(&self) -> BTreeMap<AttrId, NodeId> {
+    pub(crate) fn attr_to_node(&self) -> BTreeMap<AttrId, NodeId> {
         let mut map = BTreeMap::new();
         for id in self.node_ids() {
             for &a in self.class(id) {

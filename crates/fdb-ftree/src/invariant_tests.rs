@@ -98,11 +98,11 @@ pub(crate) fn random_edit(
             let b = pick(rng, &nodes)?;
             let a = pick(rng, &tree.ancestors(b))?;
             tree.absorb_into_ancestor(a, b).unwrap();
-            tree.normalise();
+            tree.normalise(FTree::apply_edit).unwrap();
             Some("absorb")
         }
         4 => {
-            tree.normalise();
+            tree.normalise(FTree::apply_edit).unwrap();
             Some("normalise")
         }
         5 => {

@@ -13,9 +13,10 @@
 //!   (which relation constrains which attributes), the *path constraint*
 //!   (all attributes of a relation lie on one root-to-leaf path), and
 //!   queries such as ancestorship and node dependency;
-//! * the schema-level transformations used by f-plan operators
-//!   ([`transform`]): push-up, normalisation, swap, merge, absorb,
-//!   constant-selection marking, and leaf removal for projections;
+//! * the schema-level effect of every f-plan operator ([`transform`]):
+//!   push-up, normalisation, swap, merge, absorb, constant-selection
+//!   marking and projection, the composite ones as a sequence of primitive
+//!   edits ([`TreeEdit`]) that data-level execution mirrors one by one;
 //! * the size-bound cost `s(T)` ([`cost`]): the maximum fractional edge
 //!   cover number over root-to-leaf paths, computed with the `fdb-lp`
 //!   simplex solver, and the search for an f-tree of a query that
@@ -78,4 +79,4 @@ pub use cost::{optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCos
 #[doc(hidden)]
 pub use ftree::NodeSnapshot;
 pub use ftree::{DepEdge, FTree, NodeId};
-pub use transform::SwapOutcome;
+pub use transform::{SwapOutcome, TreeEdit};

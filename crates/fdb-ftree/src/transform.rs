@@ -2,7 +2,9 @@
 //!
 //! Every f-plan operator of the paper has a schema-level effect (a
 //! transformation of the f-tree) and a data-level effect (a transformation
-//! of the f-representation).  This module implements the schema level:
+//! of the f-representation).  This module owns the schema level of every
+//! operator, composite ones included, so plan simulation and execution
+//! cannot disagree on the tree an operator yields:
 //!
 //! * **push-up** `ψ_B` — move a child above its parent when the parent does
 //!   not depend on it (Figure 3(a));
@@ -14,16 +16,32 @@
 //! * **merge** `µ_{A,B}` — fuse two sibling nodes (Figure 3(c));
 //! * **absorb** `α_{A,B}` — fuse a node into one of its ancestors
 //!   (Figure 3(d));
-//! * **constant selection** marking and **projection** bookkeeping (marking
-//!   attributes as projected away, removing exhausted leaves, merging
-//!   dependency edges to preserve transitive dependencies).
+//! * **constant selection** marking and **projection** `π` (marking
+//!   attributes as projected away, swapping fully-projected inner nodes
+//!   down, removing exhausted leaves, merging dependency edges to preserve
+//!   transitive dependencies).
 //!
-//! The data-level counterparts (in `fdb-frep`) call these methods on their
-//! own copy of the tree and mirror every structural change on the data.
+//! The two composite operators, [`FTree::normalise`] and [`FTree::project`],
+//! decide their sequence of primitive edits ([`TreeEdit`]) here, once, and
+//! hand each edit to a callback that applies it: [`FTree::apply_edit`] to
+//! simulate on the tree alone, or the data-level executor (in `fdb-frep`),
+//! which applies the same edit to the tree and mirrors it on the data.
 
 use crate::ftree::{DepEdge, FTree, NodeId};
 use fdb_common::{AttrId, FdbError, Result, Value};
 use std::collections::BTreeSet;
+
+/// One primitive edit of a composite operator: what [`FTree::normalise`] and
+/// [`FTree::project`] hand their callback to apply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TreeEdit {
+    /// Push-up `ψ` of the node ([`FTree::push_up`]).
+    PushUp(NodeId),
+    /// Swap `χ` of the node with its parent ([`FTree::swap_with_parent`]).
+    Swap(NodeId),
+    /// Removal of a fully-projected leaf ([`FTree::remove_projected_leaf`]).
+    RemoveLeaf(NodeId),
+}
 
 /// Description of what a swap did to the tree, needed by the data-level
 /// operator to rearrange the representation accordingly.
@@ -84,24 +102,34 @@ impl FTree {
     }
 
     /// Normalisation operator `η`: repeatedly pushes nodes up (bottom-up)
-    /// until the tree is normalised.  Returns the sequence of nodes pushed
-    /// up, in order, so a data-level caller can replay the same steps.
-    pub fn normalise(&mut self) -> Vec<NodeId> {
-        let mut applied = Vec::new();
+    /// until the tree is normalised.  Each push-up goes to `edit`, which
+    /// must apply it to the tree it is handed ([`FTree::apply_edit`] does,
+    /// on the tree alone); the first error `edit` returns stops the loop.
+    pub fn normalise(
+        &mut self,
+        mut edit: impl FnMut(&mut FTree, TreeEdit) -> Result<()>,
+    ) -> Result<()> {
         loop {
             let mut changed = false;
             for node in self.bottom_up() {
                 while self.can_push_up(node) {
-                    self.push_up(node).expect("checked by can_push_up");
-                    applied.push(node);
+                    edit(self, TreeEdit::PushUp(node))?;
                     changed = true;
                 }
             }
             if !changed {
-                break;
+                return Ok(());
             }
         }
-        applied
+    }
+
+    /// Applies one primitive edit to the tree alone.
+    pub fn apply_edit(&mut self, edit: TreeEdit) -> Result<()> {
+        match edit {
+            TreeEdit::PushUp(b) => self.push_up(b),
+            TreeEdit::Swap(b) => self.swap_with_parent(b).map(drop),
+            TreeEdit::RemoveLeaf(leaf) => self.remove_projected_leaf(leaf),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -194,7 +222,7 @@ impl FTree {
     /// fuses `b` into `a`.  `b`'s children are re-attached to `b`'s former
     /// parent.  The caller is expected to normalise afterwards (the paper's
     /// absorb finishes with a normalisation step); this method leaves that to
-    /// the caller so the data-level operator can replay the exact push-ups.
+    /// the caller, whose [`FTree::normalise`] callback applies the push-ups.
     pub fn absorb_into_ancestor(&mut self, a: NodeId, b: NodeId) -> Result<()> {
         self.check_node(a)?;
         self.check_node(b)?;
@@ -232,9 +260,55 @@ impl FTree {
         Ok(())
     }
 
+    /// Projection operator `π` onto `keep` (attributes of `keep` absent from
+    /// the tree are ignored):
+    ///
+    /// 1. every other attribute is *marked* projected on its node;
+    /// 2. leaves whose attributes are all marked are removed, merging the
+    ///    dependency edges that met in them so transitive dependencies
+    ///    survive;
+    /// 3. a marked inner node — it still carries the correlation between
+    ///    its ancestors and descendants, the paper's `A — B — C` example —
+    ///    swaps with its first child, one level down, and step 2 runs again
+    ///    until no marked node is left.
+    ///
+    /// Each swap and removal goes to `edit`, which must apply it to the
+    /// tree it is handed ([`FTree::apply_edit`] does, on the tree alone);
+    /// the first error `edit` returns stops the loop.
+    pub fn project(
+        &mut self,
+        keep: &BTreeSet<AttrId>,
+        mut edit: impl FnMut(&mut FTree, TreeEdit) -> Result<()>,
+    ) -> Result<()> {
+        let marked: BTreeSet<AttrId> = self.all_attrs().difference(keep).copied().collect();
+        if marked.is_empty() {
+            return Ok(());
+        }
+        self.mark_attrs_projected(&marked);
+        loop {
+            let removable = self.removable_projected_leaves();
+            if !removable.is_empty() {
+                for leaf in removable {
+                    edit(self, TreeEdit::RemoveLeaf(leaf))?;
+                }
+                continue;
+            }
+            // Each swap strictly shrinks the marked node's subtree, so this
+            // terminates.
+            let marked_inner = self
+                .node_ids()
+                .into_iter()
+                .find(|&n| self.visible_attrs(n).is_empty() && !self.is_leaf(n));
+            let Some(node) = marked_inner else {
+                return Ok(());
+            };
+            edit(self, TreeEdit::Swap(self.children(node)[0]))?;
+        }
+    }
+
     /// Marks the given attributes as projected away wherever they occur.
-    /// Nodes keep their labels (the projection operator removes nodes only
-    /// once they are leaves with no visible attribute left).
+    /// Nodes keep their labels ([`FTree::project`] removes nodes only once
+    /// they are leaves with no visible attribute left).
     pub fn mark_attrs_projected(&mut self, attrs: &BTreeSet<AttrId>) {
         for node in self.node_ids() {
             self.mark_projected(node, attrs);
@@ -338,7 +412,12 @@ mod tests {
         assert!(t.can_push_up(e));
         // {C,C'} cannot be pushed above {D,D'} (R3 = {C',D}).
         assert!(!t.can_push_up(cc));
-        let applied = t.normalise();
+        let mut applied = Vec::new();
+        t.normalise(|t, edit| {
+            applied.push(edit);
+            t.apply_edit(edit)
+        })
+        .unwrap();
         assert!(t.is_normalised());
         t.check_structure().unwrap();
         t.check_path_constraint().unwrap();
@@ -349,7 +428,7 @@ mod tests {
         assert_eq!(t.parent(cc), Some(dd));
         assert_eq!(t.parent(a), Some(bb));
         // Exactly the paper's two push-ups were needed (ψ_E then ψ_{D,D'}).
-        assert_eq!(applied, vec![e, dd]);
+        assert_eq!(applied, vec![TreeEdit::PushUp(e), TreeEdit::PushUp(dd)]);
     }
 
     #[test]
@@ -554,7 +633,7 @@ mod tests {
         assert_eq!(t.parent(d), Some(bb));
         assert_eq!(t.class(a), &attrs(&[0, 3, 4]));
         // Normalisation lifts D next to {B,B'} under the merged root.
-        t.normalise();
+        t.normalise(FTree::apply_edit).unwrap();
         t.check_path_constraint().unwrap();
         assert_eq!(t.parent(d), Some(a));
         assert_eq!(t.parent(bb), Some(a));
@@ -591,6 +670,28 @@ mod tests {
         // Removing a non-leaf or a still-visible leaf is rejected.
         assert!(t.remove_projected_leaf(item).is_err());
         assert!(t.remove_projected_leaf(oid).is_err());
+    }
+
+    #[test]
+    fn projection_swaps_a_marked_inner_node_down_and_removes_it() {
+        // A{0} → B{1} over R{0,1}, projected onto B: A is a marked inner
+        // node, so B swaps above it, and A, now a leaf, goes.
+        let mut t = FTree::new(vec![DepEdge::new("R", attrs(&[0, 1]), 1)]);
+        let a = t.add_node(attrs(&[0]), None).unwrap();
+        let b = t.add_node(attrs(&[1]), Some(a)).unwrap();
+        let mut applied = Vec::new();
+        t.project(&attrs(&[1]), |t, edit| {
+            applied.push(edit);
+            t.apply_edit(edit)
+        })
+        .unwrap();
+        t.check_structure().unwrap();
+        assert_eq!(applied, vec![TreeEdit::Swap(b), TreeEdit::RemoveLeaf(a)]);
+        assert_eq!(t.roots(), &[b]);
+        assert_eq!(t.node_count(), 1);
+        // Keeping every attribute edits nothing.
+        t.project(&attrs(&[1]), |_, edit| panic!("{edit:?}"))
+            .unwrap();
     }
 
     #[test]

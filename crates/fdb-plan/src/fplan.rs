@@ -7,7 +7,9 @@
 //! of them.  The same plan can be *simulated* on an f-tree alone (used by
 //! the optimisers to cost candidate plans without touching data) or
 //! *executed* on an f-representation (which transforms both the data and
-//! its tree).
+//! its tree).  Both take each operator's tree effect from its one
+//! definition in `fdb_ftree`, so the simulated trees are the trees
+//! execution yields.
 //!
 //! # Execution: simplify once, then one of two sinks
 //!
@@ -15,11 +17,9 @@
 //! pipeline (`fdb_core::FdbEngine::run`, stages 3 and 4) uses it:
 //!
 //! 1. [`FPlan::simplified`] peephole-simplifies the op list against a
-//!    simulated f-tree: normalisations of an already-normalised tree (e.g.
-//!    the `Normalise` after an `Absorb`, which normalises internally),
-//!    identity projections, and selections made trivially total by an
-//!    earlier equality selection are data no-ops and are dropped, and
-//!    adjacent projections merge when the first only marks attributes.
+//!    simulated f-tree: identity projections and selections made trivially
+//!    total by an earlier equality selection are data no-ops and are
+//!    dropped.
 //! 2. The simplified list is handed, whole and as it is (`&plan.ops`), to
 //!    `fdb_frep`: this crate decides nothing about how operators run.  The
 //!    **emitting** sink ([`FPlan::execute_presimplified_ctx`],
@@ -39,7 +39,6 @@ use fdb_common::{AttrId, ExecCtx, Result};
 pub use fdb_frep::ops::FPlanOp;
 use fdb_frep::{aggregate, ops, AggregateKind, AggregateResult, FRep};
 use fdb_ftree::FTree;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A sequence of f-plan operators.
@@ -153,101 +152,47 @@ impl FPlan {
         Ok((result, true))
     }
 
-    /// Peephole simplification against a simulated f-tree: drops or merges
+    /// Peephole simplification against a simulated f-tree: drops the
     /// operators whose data-level effect is the identity —
     ///
-    /// * `Normalise` when the tree is already normalised at that point of
-    ///   the plan (so consecutive normalisations, and the common
-    ///   `Absorb; Normalise` double normalisation, collapse);
     /// * projections that keep every attribute;
     /// * selections made trivially *total* by an earlier equality selection
     ///   (the node is bound to a constant the predicate accepts, so every
     ///   remaining entry passes); a selection an earlier binding makes
     ///   trivially *empty* is kept — emptying the representation is a data
-    ///   effect;
-    /// * adjacent projections, merged into one projection onto the
-    ///   intersection when the first projection only *marks* attributes
-    ///   (removes no node: every node keeps a visible attribute) — marking
-    ///   is cumulative, so the merged projection replays the identical
-    ///   data-level decisions.
+    ///   effect.
     ///
     /// If simulation fails at some operator, that operator and everything
     /// after it are kept verbatim so execution reports the error faithfully.
     pub fn simplified(&self, tree: &FTree) -> FPlan {
         let mut cur = tree.clone();
         let mut out: Vec<FPlanOp> = Vec::with_capacity(self.ops.len());
-        // Tree state *before* the most recently pushed op, when that op is a
-        // projection that only marked attributes — the merge window.
-        let mut mark_only_projection: Option<FTree> = None;
         for (i, op) in self.ops.iter().enumerate() {
-            let mut op = op.clone();
-            if let FPlanOp::Project(keep_attrs) = &op {
-                if let (Some(before), Some(FPlanOp::Project(prev_keep))) =
-                    (&mark_only_projection, out.last())
-                {
-                    // Merge π_{K1}; π_{K2} into π_{K1 ∩ K2}: the first
-                    // projection touched no data, and the marking it
-                    // performed is a subset of the merged projection's.
-                    let merged: BTreeSet<AttrId> =
-                        prev_keep.intersection(keep_attrs).copied().collect();
-                    cur = before.clone();
-                    out.pop();
-                    op = FPlanOp::Project(merged);
-                }
-            }
-            let keep = match &op {
-                FPlanOp::Normalise => {
-                    let mut probe = cur.clone();
-                    !probe.normalise().is_empty()
-                }
-                FPlanOp::Project(keep_attrs) => {
-                    cur.all_attrs().difference(keep_attrs).next().is_some()
-                }
+            let identity = match op {
+                FPlanOp::Project(keep) => cur.all_attrs().is_subset(keep),
                 FPlanOp::SelectConst {
                     attr,
                     op: cmp,
                     value,
-                } => !cur
+                } => cur
                     .node_of_attr(*attr)
                     .and_then(|node| cur.constant(node))
                     .is_some_and(|bound| cmp.eval(bound, *value)),
-                _ => true,
+                _ => false,
             };
-            if !keep {
+            if identity {
                 continue;
             }
-            let before = cur.clone();
             if op.apply_to_tree(&mut cur).is_err() {
                 // Simulation failed: stop simplifying here so execution
                 // surfaces the same error at the same operator.
-                out.push(op);
-                out.extend(self.ops[i + 1..].iter().cloned());
-                return FPlan { ops: out };
+                out.extend(self.ops[i..].iter().cloned());
+                break;
             }
-            mark_only_projection = match &op {
-                FPlanOp::Project(keep_attrs) if projection_only_marks(&before, keep_attrs) => {
-                    Some(before)
-                }
-                _ => None,
-            };
-            out.push(op);
+            out.push(op.clone());
         }
         FPlan { ops: out }
     }
-}
-
-/// Returns `true` when projecting onto `keep` only marks attributes on the
-/// tree without removing any node: after marking, every node still has at
-/// least one visible attribute, so the data-level projection loop performs
-/// zero leaf removals and zero swap-downs.
-fn projection_only_marks(tree: &FTree, keep: &BTreeSet<AttrId>) -> bool {
-    let mut probe = tree.clone();
-    let marked: BTreeSet<AttrId> = probe.all_attrs().difference(keep).copied().collect();
-    probe.mark_attrs_projected(&marked);
-    probe
-        .node_ids()
-        .into_iter()
-        .all(|n| !probe.visible_attrs(n).is_empty())
 }
 
 impl fmt::Display for FPlan {
@@ -264,6 +209,7 @@ mod tests {
     use fdb_frep::ops::oracle;
     use fdb_frep::{Entry, Union};
     use fdb_ftree::{DepEdge, NodeId};
+    use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
@@ -349,10 +295,16 @@ mod tests {
             trees.last().unwrap().canonical_key(),
             final_tree.canonical_key()
         );
-        // Data-level execution ends up over the same tree shape.
+        // Data-level execution ends up over the simulated tree.
         let mut executed = rep.clone();
         run(&plan, &mut executed).unwrap();
         executed.validate().unwrap();
+        assert_eq!(
+            executed.tree().snapshot_nodes(),
+            final_tree.snapshot_nodes()
+        );
+        assert_eq!(executed.tree().roots(), final_tree.roots());
+        assert_eq!(executed.tree().edges(), final_tree.edges());
         assert_eq!(
             executed.visible_attrs(),
             vec![AttrId(1), AttrId(3)],
@@ -419,18 +371,13 @@ mod tests {
     }
 
     #[test]
-    fn peephole_drops_redundant_normalise_and_identity_projection() {
+    fn peephole_drops_identity_projections() {
         let rep = sample_rep();
         let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
         let item = rep.tree().node_of_attr(AttrId(0)).unwrap();
-        let supplier_node = rep.tree().node_of_attr(AttrId(3)).unwrap();
         let plan = FPlan::new(vec![
-            // The sample tree is normalised: an immediate Normalise is a
-            // data no-op.
             FPlanOp::Normalise,
             FPlanOp::Swap(oid),
-            // Absorb normalises internally; the trailing Normalise is
-            // redundant.
             FPlanOp::Absorb(oid, item),
             FPlanOp::Normalise,
             // Identity projection keeps every attribute.
@@ -438,21 +385,15 @@ mod tests {
             FPlanOp::Project(attrs(&[1, 3])),
         ]);
         let simplified = plan.simplified(rep.tree());
-        assert_eq!(
-            simplified.ops,
-            vec![
-                FPlanOp::Swap(oid),
-                FPlanOp::Absorb(oid, item),
-                FPlanOp::Project(attrs(&[1, 3])),
-            ]
-        );
+        let mut expected = plan.ops.clone();
+        expected.remove(4);
+        assert_eq!(simplified.ops, expected);
         // Same result either way, bit for bit.
         let mut fused = rep.clone();
         let mut stepwise = rep;
         run(&plan, &mut fused).unwrap();
         apply_oracle(&plan, &mut stepwise);
         assert!(fused.store_identical(&stepwise));
-        let _ = supplier_node;
     }
 
     #[test]
@@ -639,24 +580,17 @@ mod tests {
     }
 
     #[test]
-    fn peephole_merges_adjacent_mark_only_projections() {
-        // sample_rep: item{0,2} → (oid{1}, supplier{3}); keeping {0,2,1}
-        // only marks supplier's attribute?  No — supplier{3} would lose its
-        // only attribute.  Keep {0,1,3} instead: item keeps 0, drops 2 —
-        // every node still has a visible attribute, so the projection is
-        // mark-only and merges with the next one.
+    fn peephole_keeps_mark_only_projection_chains() {
+        // sample_rep: item{0,2} → (oid{1}, supplier{3}); keeping {0,1,3}
+        // drops only item's 2 — every node keeps a visible attribute, so
+        // the first projection only marks, and both stay.
         let rep = sample_rep();
         let plan = FPlan::new(vec![
             FPlanOp::Project(attrs(&[0, 1, 3])),
             FPlanOp::Project(attrs(&[0, 1])),
         ]);
-        let simplified = plan.simplified(rep.tree());
-        assert_eq!(
-            simplified.ops,
-            vec![FPlanOp::Project(attrs(&[0, 1]))],
-            "adjacent projections merge into the intersection"
-        );
-        // Bit-for-bit: merged execution equals the sequential step-wise run.
+        assert_eq!(plan.simplified(rep.tree()).ops, plan.ops);
+        // Bit-for-bit: execution equals the sequential step-wise run.
         let mut fused = rep.clone();
         let mut stepwise = rep;
         run(&plan, &mut fused).unwrap();

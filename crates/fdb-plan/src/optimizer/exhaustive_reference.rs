@@ -260,12 +260,12 @@ impl ReferenceOptimizer {
             } else if tree.is_ancestor(na, nb) {
                 let mut next = tree.clone();
                 next.absorb_into_ancestor(na, nb)?;
-                next.normalise();
+                next.normalise(FTree::apply_edit)?;
                 out.push((FPlanOp::Absorb(na, nb), next));
             } else if tree.is_ancestor(nb, na) {
                 let mut next = tree.clone();
                 next.absorb_into_ancestor(nb, na)?;
-                next.normalise();
+                next.normalise(FTree::apply_edit)?;
                 out.push((FPlanOp::Absorb(nb, na), next));
             }
         }

@@ -36,7 +36,7 @@ pub(crate) fn cross_product(
 
 /// Equi-join on the given `(left column, right column)` key pairs by sorting
 /// both inputs on the key and merging.
-pub fn sort_merge_join(
+pub(crate) fn sort_merge_join(
     left: &Relation,
     right: &Relation,
     keys: &[(usize, usize)],

@@ -21,8 +21,8 @@
 mod join;
 mod plan;
 
-pub use join::sort_merge_join;
-pub use plan::{GreedyJoinPlanner, JoinStep};
+use join::sort_merge_join;
+use plan::GreedyJoinPlanner;
 
 use crate::database::Database;
 use crate::relation::Relation;

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `pending[right]` (indices into the current list of intermediates) on the
 /// listed equivalence classes (empty ⇒ cross product).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinStep {
+pub(crate) struct JoinStep {
     /// Index of the left input in the pending list.  Always greater than or
     /// equal to zero and strictly less than `right` so that callers can
     /// `swap_remove(right)` then `swap_remove(left)` safely.
@@ -28,14 +28,14 @@ pub struct JoinStep {
 
 /// Greedy smallest-intermediate-first join planner.
 #[derive(Clone, Debug)]
-pub struct GreedyJoinPlanner {
+pub(crate) struct GreedyJoinPlanner {
     class_of: BTreeMap<AttrId, usize>,
 }
 
 impl GreedyJoinPlanner {
     /// Creates a planner given the attribute → equivalence class mapping of
     /// the query.
-    pub fn new(class_of: &BTreeMap<AttrId, usize>) -> Self {
+    pub(crate) fn new(class_of: &BTreeMap<AttrId, usize>) -> Self {
         GreedyJoinPlanner {
             class_of: class_of.clone(),
         }
@@ -55,7 +55,7 @@ impl GreedyJoinPlanner {
     /// products; among candidates the pair with the smallest product of
     /// cardinalities wins, with index order as the tie-breaker for
     /// determinism.
-    pub fn next_step(&self, pending: &[Relation]) -> JoinStep {
+    pub(crate) fn next_step(&self, pending: &[Relation]) -> JoinStep {
         assert!(pending.len() >= 2, "need at least two intermediates");
         let classes: Vec<BTreeSet<usize>> = pending.iter().map(|r| self.classes_of(r)).collect();
 

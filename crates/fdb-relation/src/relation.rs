@@ -175,7 +175,7 @@ impl Relation {
 
     /// Removes adjacent duplicate rows (the relation must already be sorted
     /// for this to deduplicate globally).
-    pub fn dedup_sorted(&mut self) {
+    fn dedup_sorted(&mut self) {
         let a = self.arity();
         if a == 0 || self.len() <= 1 {
             return;

@@ -157,32 +157,9 @@ fn random_fusable_steps(
             }
         }
         let op = candidates[rng.gen_range(0..candidates.len())].clone();
-        let applies = match &op {
-            FPlanOp::PushUp(n) => cur.push_up(*n).is_ok(),
-            FPlanOp::Normalise => {
-                cur.normalise();
-                true
-            }
-            FPlanOp::Swap(n) => cur.swap_with_parent(*n).is_ok(),
-            FPlanOp::Merge(a, b) => cur.merge_siblings(*a, *b).is_ok(),
-            FPlanOp::Absorb(a, b) => {
-                let ok = cur.absorb_into_ancestor(*a, *b).is_ok();
-                if ok {
-                    cur.normalise();
-                }
-                ok
-            }
-            FPlanOp::SelectConst { attr, op, value } => match cur.node_of_attr(*attr) {
-                Some(node) => {
-                    if *op == ComparisonOp::Eq {
-                        cur.bind_constant(node, *value).expect("node exists");
-                    }
-                    true
-                }
-                None => false,
-            },
-            FPlanOp::Project(_) => unreachable!("the generator emits no projections"),
-        };
+        // Simulated by the operator's one f-tree definition; a failing
+        // operator leaves the tree as it was and is not emitted.
+        let applies = op.apply_to_tree(&mut cur).is_ok();
         if applies {
             ops_out.push(op);
         }

@@ -189,9 +189,26 @@ fn assert_identical(arena: &FRep, reference: &FRep, context: &str) {
     );
 }
 
+/// Asserts that simulating `ops` on `input`'s tree alone yields exactly the
+/// tree their execution emitted: the same nodes, roots and dependency edges.
+fn assert_simulated_tree(input: &FRep, ops: &[FPlanOp], emitted: &FRep, context: &str) {
+    let simulated = FPlan::new(ops.to_vec())
+        .final_tree(input.tree())
+        .unwrap_or_else(|e| panic!("{context}: simulation fails: {e:?}"));
+    let tree = emitted.tree();
+    assert_eq!(
+        simulated.snapshot_nodes(),
+        tree.snapshot_nodes(),
+        "{context}: simulated and emitted nodes diverge"
+    );
+    assert_eq!(simulated.roots(), tree.roots(), "{context}: roots diverge");
+    assert_eq!(simulated.edges(), tree.edges(), "{context}: edges diverge");
+}
+
 /// Applies every applicable operator to clones of `rep`, both through the
 /// executor (`fdb::frep::ops::*`) and through the thaw-path oracle, and
-/// asserts the stores come out bit-for-bit identical.
+/// asserts the stores come out bit-for-bit identical, over the tree the
+/// operator's simulation yields.
 fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &str) {
     // Canonicalise the input to the freeze layout first: an operator that
     // turns out to be a no-op (e.g. normalise on an already-normalised tree)
@@ -212,7 +229,9 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
         let got = ops::swap(&mut arena, node).expect("arena swap applies");
         let want = oracle::swap(&mut reference, node).expect("oracle swap applies");
         assert_eq!(got, want, "{context}: swap({node}) outcome");
-        assert_identical(&arena, &reference, &format!("{context}: swap({node})"));
+        let context = format!("{context}: swap({node})");
+        assert_identical(&arena, &reference, &context);
+        assert_simulated_tree(rep, &[FPlanOp::Swap(node)], &arena, &context);
     }
 
     // Push-up ψ / normalisation η wherever the tree allows it.
@@ -224,7 +243,9 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
         let mut reference = rep.clone();
         ops::push_up(&mut arena, node).expect("arena push-up applies");
         oracle::push_up(&mut reference, node).expect("oracle push-up applies");
-        assert_identical(&arena, &reference, &format!("{context}: push_up({node})"));
+        let context = format!("{context}: push_up({node})");
+        assert_identical(&arena, &reference, &context);
+        assert_simulated_tree(rep, &[FPlanOp::PushUp(node)], &arena, &context);
     }
     {
         let mut arena = rep.clone();
@@ -232,7 +253,9 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
         let got = ops::normalise(&mut arena).expect("arena normalise applies");
         let want = oracle::normalise(&mut reference).expect("oracle normalise applies");
         assert_eq!(got, want, "{context}: normalise sequence");
-        assert_identical(&arena, &reference, &format!("{context}: normalise"));
+        let context = format!("{context}: normalise");
+        assert_identical(&arena, &reference, &context);
+        assert_simulated_tree(rep, &[FPlanOp::Normalise], &arena, &context);
     }
 
     // Merge µ: every ordered sibling pair.
@@ -245,7 +268,9 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
             let mut reference = rep.clone();
             ops::merge(&mut arena, a, b).expect("arena merge applies");
             oracle::merge(&mut reference, a, b).expect("oracle merge applies");
-            assert_identical(&arena, &reference, &format!("{context}: merge({a},{b})"));
+            let context = format!("{context}: merge({a},{b})");
+            assert_identical(&arena, &reference, &context);
+            assert_simulated_tree(rep, &[FPlanOp::Merge(a, b)], &arena, &context);
         }
     }
 
@@ -260,7 +285,9 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
             let got = ops::absorb(&mut arena, a, b).expect("arena absorb applies");
             let want = oracle::absorb(&mut reference, a, b).expect("oracle absorb applies");
             assert_eq!(got, want, "{context}: absorb({a},{b}) push-ups");
-            assert_identical(&arena, &reference, &format!("{context}: absorb({a},{b})"));
+            let context = format!("{context}: absorb({a},{b})");
+            assert_identical(&arena, &reference, &context);
+            assert_simulated_tree(rep, &[FPlanOp::Absorb(a, b)], &arena, &context);
         }
     }
 
@@ -279,11 +306,10 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
         let mut reference = rep.clone();
         ops::select_const(&mut arena, attr, op, value).expect("arena selection applies");
         oracle::select_const(&mut reference, attr, op, value).expect("oracle selection applies");
-        assert_identical(
-            &arena,
-            &reference,
-            &format!("{context}: select({attr} {op:?} {value})"),
-        );
+        let context = format!("{context}: select({attr} {op:?} {value})");
+        assert_identical(&arena, &reference, &context);
+        let select = FPlanOp::SelectConst { attr, op, value };
+        assert_simulated_tree(rep, &[select], &arena, &context);
     }
 
     // Projection π onto a random attribute subset (and the empty one).
@@ -295,7 +321,9 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
         let mut reference = rep.clone();
         ops::project(&mut arena, &keep).expect("arena projection applies");
         oracle::project(&mut reference, &keep).expect("oracle projection applies");
-        assert_identical(&arena, &reference, &format!("{context}: project({keep:?})"));
+        let context = format!("{context}: project({keep:?})");
+        assert_identical(&arena, &reference, &context);
+        assert_simulated_tree(rep, &[FPlanOp::Project(keep)], &arena, &context);
     }
 }
 
@@ -747,8 +775,9 @@ fn execute(plan: &FPlan, rep: &mut FRep) -> fdb::Result<()> {
 /// Executes the plan both ways — simplified and as the one program the
 /// emitting sink makes of it, and through the thaw-path oracle operator by operator (independent
 /// code: no executor runs on the reference side) — and asserts the arenas
-/// are bit-for-bit identical (store identity), the fused result validates,
-/// and the represented relations agree.
+/// are bit-for-bit identical (store identity), the fused result validates
+/// over the tree the plan's simulation yields, and the represented relations
+/// agree.
 fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     let mut fused = rep.clone();
     let mut stepwise = rep.clone();
@@ -768,6 +797,7 @@ fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     fused
         .validate()
         .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
+    assert_simulated_tree(rep, &plan.ops, &fused, &format!("{context}: plan {plan}"));
     if plan.simplified(rep.tree()).is_empty() {
         // Nothing executes: the input comes back as it is, whatever its
         // layout, while the oracle re-froze it at every data no-op — the

@@ -33,6 +33,7 @@ use fdb::engine::{
 use fdb::frep::aggregate::{self, AggregateKind, AggregateResult, AggregateValue, AvgValue};
 use fdb::frep::{materialize, materialize_ordered_ctx, Entry, FRep, OrderStrategy, Union};
 use fdb::ftree::{DepEdge, FTree, NodeId};
+use fdb::relation::Relation;
 use fdb::{AttrId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,9 +62,10 @@ fn random_rep(rng: &mut StdRng, seed: u64) -> FRep {
 }
 
 /// A random query body over the representation's visible attributes:
-/// selections (occasionally unsatisfiable) and sometimes an equality.  No
-/// projection — the heads under test pick their own attributes.
-fn random_body(rng: &mut StdRng, rep: &FRep) -> FactorisedQuery {
+/// selections (occasionally unsatisfiable), sometimes an equality, and
+/// sometimes a projection that keeps `head`, the attributes of the head
+/// under test.
+fn random_body(rng: &mut StdRng, rep: &FRep, head: &[AttrId]) -> FactorisedQuery {
     let attrs = rep.visible_attrs();
     let mut query = FactorisedQuery::default();
     if attrs.is_empty() {
@@ -88,6 +90,14 @@ fn random_body(rng: &mut StdRng, rep: &FRep) -> FactorisedQuery {
         if a != b {
             query.equalities.push((a, b));
         }
+    }
+    if rng.gen_bool(0.4) {
+        let keep = attrs
+            .iter()
+            .copied()
+            .filter(|a| head.contains(a) || rng.gen_bool(0.3))
+            .collect();
+        query = query.with_projection(keep);
     }
     query
 }
@@ -118,8 +128,8 @@ fn randomized_ordered_evaluation_matches_the_sort_oracle() {
             continue;
         }
         let engine = FdbEngine::new();
-        let body = random_body(&mut rng, &rep);
         let order_by = random_order_by(&mut rng, &rep);
+        let body = random_body(&mut rng, &rep, &order_by);
 
         let ordered = common::ordered_serial(&engine, &rep, &body, &order_by)
             .unwrap_or_else(|e| panic!("seed {seed}: ordered evaluation failed: {e:?}"));
@@ -166,8 +176,8 @@ fn ordered_serving_is_identical_across_pool_sizes() {
     let requests: Vec<ServeRequest> = (0..24)
         .map(|i| {
             let (id, rep) = &reps[i % reps.len()];
-            let body = random_body(&mut rng, rep);
             let order_by = random_order_by(&mut rng, rep);
+            let body = random_body(&mut rng, rep, &order_by);
             ServeRequest::new(*id, body, None).with_order_by(order_by)
         })
         .collect();
@@ -195,6 +205,45 @@ fn ordered_serving_is_identical_across_pool_sizes() {
             }
         }
         assert_eq!(server.queries_served(), requests.len() as u64);
+    }
+}
+
+fn attr_set(ids: &[u32]) -> BTreeSet<AttrId> {
+    ids.iter().map(|&i| AttrId(i)).collect()
+}
+
+/// `SELECT B … ORDER BY B` over the chain A{0} → B{1} of R{0,1}: the
+/// projection swaps B above A and removes A, and the ORDER BY is planned on
+/// that projected tree — through the engine and through the server.
+#[test]
+fn order_by_after_a_projection_that_removes_an_inner_node() {
+    let mut tree = FTree::new(vec![DepEdge::new("R", attr_set(&[0, 1]), 4)]);
+    let a = tree.add_node(attr_set(&[0]), None).unwrap();
+    let b = tree.add_node(attr_set(&[1]), Some(a)).unwrap();
+    let entry = |value: u64, bs: &[u64]| Entry {
+        value: Value::new(value),
+        children: vec![Union::new(
+            b,
+            bs.iter().map(|&v| Entry::leaf(Value::new(v))).collect(),
+        )],
+    };
+    let root = Union::new(a, vec![entry(1, &[3, 5]), entry(2, &[4, 5])]);
+    let rep = FRep::from_parts(tree, vec![root]).unwrap();
+    let body = FactorisedQuery::default().with_projection(vec![AttrId(1)]);
+    let order_by = vec![AttrId(1)];
+    let expected = Relation::from_raw_rows(vec![AttrId(1)], &[vec![3], vec![4], vec![5]]).unwrap();
+
+    let ordered = common::ordered_serial(&FdbEngine::new(), &rep, &body, &order_by)
+        .unwrap_or_else(|e| panic!("engine: {e:?}"));
+    assert_eq!(ordered.rows, expected);
+
+    let mut shared = SharedDatabase::new();
+    let id = shared.insert("chain", rep).expect("unique name");
+    let server = FdbServer::new(FdbEngine::new(), Arc::new(shared), 1);
+    let request = ServeRequest::new(id, body, None).with_order_by(order_by);
+    match server.serve_one(&request) {
+        Ok(ServeOutcome::Ordered(got)) => assert_eq!(got.rows, expected),
+        other => panic!("server: expected ordered rows, got {other:?}"),
     }
 }
 
@@ -496,7 +545,7 @@ fn multi_attribute_group_by_matches_plain_iterator_grouping() {
         for &g in &group_by {
             head = head.grouped_by(g);
         }
-        let body = random_body(&mut rng, &rep);
+        let body = random_body(&mut rng, &rep, &group_by);
         let out = common::aggregate_serial(&engine, &rep, &body, &head)
             .unwrap_or_else(|e| panic!("seed {seed}: grouped head failed: {e:?}"));
 
