@@ -94,10 +94,14 @@ pub struct EvalStats {
     /// engine costs no other tree: a caller who wants `s(T)` of the result's
     /// f-tree asks `fdb_ftree::s_cost(result.tree())`.
     pub plan_cost: f64,
-    /// Number of singletons in the result representation.
+    /// Number of singletons in the result representation, as the writer of
+    /// the result recorded it ([`FRep::counts`]; [`FRep::size`] is the walk
+    /// it equals).
     pub result_size: usize,
     /// Number of tuples in the represented result, modulo 2¹²⁸ — the value
-    /// `COUNT(*)` returns ([`FRep::tuple_count`]); sums of it wrap the same.
+    /// `COUNT(*)` returns; sums of it wrap the same.  Recorded by the writer
+    /// of the result ([`FRep::counts`]; [`FRep::tuple_count`] is the walk it
+    /// equals).
     pub result_tuples: u128,
     /// The executed f-plan (empty for direct construction on flat input).
     pub plan: FPlan,
@@ -590,12 +594,13 @@ impl FdbEngine {
             Sunk::Rep(result) | Sunk::Ordered { result, .. } => Some(result),
             Sunk::Aggregate(_) => None,
         };
+        let (result_size, result_tuples) = emitted.map_or((0, 0), FRep::counts);
         let stats = EvalStats {
             optimisation_time,
             execution_time,
             plan_cost,
-            result_size: emitted.map_or(0, FRep::size),
-            result_tuples: emitted.map_or(0, FRep::tuple_count),
+            result_size,
+            result_tuples,
             plan,
             explored_states,
             queries_served: 1,

@@ -140,14 +140,10 @@ impl SharedDatabase {
     pub fn insert(&mut self, name: impl Into<String>, rep: FRep) -> Result<RepId> {
         let id = RepId(self.slots.len());
         let name = name.into();
-        match self.by_name.entry(name.clone()) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                return Err(FdbError::DuplicateName { name });
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(id);
-            }
+        if self.by_name.contains_key(&name) {
+            return Err(FdbError::DuplicateName { name });
         }
+        self.by_name.insert(name.clone(), id);
         self.names.push(name);
         self.slots.push(RepSlot::new(rep));
         Ok(id)

@@ -1391,7 +1391,7 @@ mod tests {
             vec![0],
         );
         store.validate(&tree).unwrap();
-        FRep::from_store(tree, store)
+        FRep::from_store(tree, store, None)
     }
 
     /// A union shared between entries is folded and charged once: the fold

@@ -66,12 +66,20 @@
 //! of their descendants — a valid layout the arena views never distinguish,
 //! just not the one [`crate::store::Store::freeze`] picks.)
 //!
+//! The build records the result's statistics ([`FRep::counts`]) as it
+//! writes: each union is returned with its tuple count (the sum over its
+//! surviving candidates of the product of their kid counts, wrapping), and
+//! the size — one singleton per visible attribute of a union's node per
+//! entry — is summed per union and rolled back with the arena, so a
+//! retracted candidate contributes nothing.
+//!
 //! The running time is `O(|Q| · |D|^{s(T̂)})` up to logarithmic factors — the
 //! tight bound of the paper — because the work done per node is proportional
 //! to the number of value combinations of its ancestors (and those are
 //! bounded by the path cover).
 
-use crate::frep::FRep;
+use crate::frep::{visible_table, FRep};
+use crate::ops::debug_validate;
 use crate::store::{Store, UnionRec};
 use fdb_common::{failpoint, AttrId, ExecCtx, FdbError, Query, Result, Value};
 use fdb_ftree::{FTree, NodeId};
@@ -246,21 +254,27 @@ pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx)
         store: Store::default(),
         scratch_values: Vec::new(),
         scratch_kids: Vec::new(),
+        visible: visible_table(tree),
+        size: 0,
     };
-    let roots: Vec<u32> = tree
-        .roots()
-        .iter()
-        .map(|&root| builder.build_union(root))
+    let mut tuples = 1u128;
+    let roots: Vec<u32> = (tree.roots().iter())
+        .map(|&root| {
+            let (uid, count) = builder.build_union(root)?;
+            tuples = tuples.wrapping_mul(count);
+            Ok(uid)
+        })
         .collect::<Result<_>>()?;
     let mut store = builder.store;
     store.roots = roots;
-    let mut rep = FRep::from_store(tree.clone(), store);
+    let mut rep = FRep::from_store(tree.clone(), store, Some((builder.size, tuples)));
     // A root union that came out empty empties the whole product; prune for
     // a canonical empty representation.
     if rep.represents_empty() {
         rep = FRep::empty(tree.clone());
     }
     rep.validate()?;
+    debug_validate(&rep, "flat build");
     Ok(rep)
 }
 
@@ -287,6 +301,10 @@ struct Builder<'a> {
     /// Scratch: kid union indices of the surviving candidates, `children`
     /// per value.
     scratch_kids: Vec<u32>,
+    /// Visible attribute counts of the f-tree, by node index.
+    visible: Vec<usize>,
+    /// Singletons in the arena, rolled back with it.
+    size: usize,
 }
 
 impl Builder<'_> {
@@ -313,8 +331,9 @@ impl Builder<'_> {
     }
 
     /// Builds the union over `node` inside the current ranges of its levels,
-    /// emitting its records into the arena, and returns its union index.
-    fn build_union(&mut self, node: NodeId) -> Result<u32> {
+    /// emitting its records into the arena, and returns its union index and
+    /// tuple count.
+    fn build_union(&mut self, node: NodeId) -> Result<(u32, u128)> {
         let (tree, levels, node_levels) = (self.tree, self.levels, self.node_levels);
         let here: &[usize] = &node_levels[node.index()];
         for &level in here {
@@ -332,6 +351,7 @@ impl Builder<'_> {
         let children: &[NodeId] = tree.children(node);
         let values_mark = self.scratch_values.len();
         let kids_mark = self.scratch_kids.len();
+        let mut tuples = 0u128;
         while let Some(value) = self.next_candidate(here) {
             // One candidate = one unit of semi-join work; an abort here
             // leaves only whole, reachable candidates in the arena (the
@@ -356,17 +376,20 @@ impl Builder<'_> {
             let entries_mark = self.store.entry_count();
             let arena_kids_mark = self.store.kids.len();
             let entry_kids_mark = self.scratch_kids.len();
-            let mut alive = true;
+            let size_mark = self.size;
+            let mut product = Some(1u128);
             for &child in children {
-                let kid = self.build_union(child)?;
+                let (kid, count) = self.build_union(child)?;
                 if self.store.unions[kid as usize].entries_len == 0 {
-                    alive = false;
+                    product = None;
                     break;
                 }
                 self.scratch_kids.push(kid);
+                product = product.map(|p| p.wrapping_mul(count));
             }
-            if alive {
+            if let Some(product) = product {
                 self.scratch_values.push(value);
+                tuples = tuples.wrapping_add(product);
             } else {
                 // Retract the candidate: truncate the arena back to the
                 // watermarks, deleting the half-built subtrees.
@@ -374,6 +397,7 @@ impl Builder<'_> {
                 self.store.truncate_entries(entries_mark);
                 self.store.kids.truncate(arena_kids_mark);
                 self.scratch_kids.truncate(entry_kids_mark);
+                self.size = size_mark;
             }
         }
 
@@ -393,9 +417,10 @@ impl Builder<'_> {
         let rec = &mut self.store.unions[uid as usize];
         rec.entries_start = entries_start;
         rec.entries_len = survivors;
+        self.size += self.visible[node.index()] * survivors as usize;
         self.scratch_values.truncate(values_mark);
         self.scratch_kids.truncate(kids_mark);
-        Ok(uid)
+        Ok((uid, tuples))
     }
 }
 
@@ -769,6 +794,72 @@ mod tests {
         tree.add_node([AttrId(0)].into_iter().collect(), None)
             .unwrap();
         assert!(build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).is_err());
+    }
+
+    #[test]
+    fn recorded_counts_equal_the_walks_on_every_build_shape() {
+        let built = |db: &Database, query: &Query, tree: &FTree| {
+            build_frep_ctx(db, query, tree, &ExecCtx::unlimited()).unwrap()
+        };
+        let walked = |rep: &FRep| (rep.size(), rep.tuple_count());
+
+        // A constant selection that drops rows: recorded as written.
+        let (db, rels) = grocery();
+        let oid = db.catalog().find_attr("Orders.oid").unwrap();
+        let query = q1(&db, &rels).with_const_selection(oid, ComparisonOp::Eq, Value::new(1));
+        let rep = built(&db, &query, &t1(&db, &query));
+        assert_eq!(rep.recorded_counts(), Some(walked(&rep)));
+
+        // A retracted candidate: over A → B → (D, C), B = 5 builds its
+        // D-union before its C-union comes up empty, so the rollback must
+        // take D's singletons back out of the size.
+        let mut catalog = Catalog::new();
+        let (r, _) = catalog.add_relation("R", &["A", "B"]);
+        let (s, _) = catalog.add_relation("S", &["B", "C"]);
+        let (t, _) = catalog.add_relation("T", &["A", "C"]);
+        let (u, _) = catalog.add_relation("U", &["B", "D"]);
+        let mut db = Database::new(catalog);
+        db.insert_raw_rows(r, &[vec![1, 5], vec![1, 6]]).unwrap();
+        db.insert_raw_rows(s, &[vec![5, 200], vec![6, 100]])
+            .unwrap();
+        db.insert_raw_rows(t, &[vec![1, 100]]).unwrap();
+        db.insert_raw_rows(u, &[vec![5, 7], vec![6, 8]]).unwrap();
+        let cat = db.catalog();
+        let attr = |name: &str| cat.find_attr(name).unwrap();
+        let class = |names: &[&str]| names.iter().map(|&n| attr(n)).collect::<BTreeSet<_>>();
+        let query = Query::product(vec![r, s, t, u])
+            .with_equality(attr("R.A"), attr("T.A"))
+            .with_equality(attr("R.B"), attr("S.B"))
+            .with_equality(attr("R.B"), attr("U.B"))
+            .with_equality(attr("S.C"), attr("T.C"));
+        let mut tree = FTree::new(fdb_ftree::dep_edges_for_query(cat, &query, |_| 2));
+        let a = tree.add_node(class(&["R.A", "T.A"]), None).unwrap();
+        let b = tree
+            .add_node(class(&["R.B", "S.B", "U.B"]), Some(a))
+            .unwrap();
+        tree.add_node(class(&["U.D"]), Some(b)).unwrap();
+        tree.add_node(class(&["S.C", "T.C"]), Some(b)).unwrap();
+        let rep = built(&db, &query, &tree);
+        // One tuple, A = 1, B = 6, D = 8, C = 100: 2 + 3 + 1 + 2 singletons.
+        assert_eq!(rep.recorded_counts(), Some((8, 1)));
+        assert_eq!(walked(&rep), (8, 1));
+
+        // An empty relation and an empty join both come back as the
+        // canonical empty representation, which walks on its first read.
+        let mut catalog = Catalog::new();
+        let (r, _) = catalog.add_relation("R", &["A"]);
+        let db = Database::new(catalog);
+        let tree = fdb_ftree::flat_database_ftree(db.catalog(), &[r], |_| 0).unwrap();
+        let rep = built(&db, &Query::product(vec![r]), &tree);
+        assert!(rep.represents_empty());
+        assert_eq!(rep.counts(), (0, 0));
+        let (mut db, rels) = grocery();
+        db.insert_raw_rows(rels[1], &[]).unwrap();
+        let query = q1(&db, &rels);
+        let rep = built(&db, &query, &t1(&db, &query));
+        assert!(rep.represents_empty());
+        assert_eq!(rep.counts(), walked(&rep));
+        assert_eq!(rep.counts(), (0, 0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Both materialisers ([`materialize_ctx`], [`materialize_ordered_ctx`]) go
 //! through one emission routine that writes rows
 //! straight into the row-major `Vec<Value>` that becomes the [`Relation`]:
-//! the buffer is sized once from [`FRep::tuple_count`], and the innermost
+//! the buffer is sized once from the recorded [`FRep::counts`], and the innermost
 //! wheel — a leaf union — is drained in a tight loop, one governance charge
 //! per union instead of one per row (the units charged stay one per tuple).
 //!
@@ -457,11 +457,12 @@ fn output_too_large(why: &dyn std::fmt::Display) -> FdbError {
 }
 
 /// Emits every tuple of `rep` in `config`'s slot order into one row-major
-/// buffer, under `ctx`.  The tuple count is known without enumerating
-/// ([`FRep::tuple_count`]), so an output the budget cannot cover is refused
-/// before anything is allocated, and the buffer is sized exactly once.
+/// buffer, under `ctx`.  The tuple count is known without enumerating — the
+/// writer of `rep` recorded it ([`FRep::counts`]) — so an output the budget
+/// cannot cover is refused before anything is allocated, and the buffer is
+/// sized exactly once.
 fn emit_all(rep: &FRep, config: &CursorConfig, ctx: &ExecCtx) -> Result<Vec<Value>> {
-    let tuples = rep.tuple_count();
+    let (_, tuples) = rep.counts();
     let tuples =
         u64::try_from(tuples).map_err(|_| output_too_large(&format_args!("{tuples} tuples")))?;
     if tuples > ctx.budget_remaining() {

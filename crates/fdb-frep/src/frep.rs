@@ -28,9 +28,23 @@
 //! The size of an f-representation is its number of singletons: every entry
 //! of a union over `N` contributes one singleton per *visible* (not
 //! projected-away) attribute of `N`'s class.
+//!
+//! # Recorded statistics
+//!
+//! Every writer visits each union it writes, so it records the result's
+//! size and tuple count as it goes ([`FRep::counts`]): the flat build
+//! returns each union's count with its index, the overlay emission counts
+//! what it assembles and reads a block-copied subtree's count from the
+//! input's per-union count table (filled once per input, shared by every
+//! request and thread on it), and the product adds sizes and multiplies
+//! counts.  Every other constructor ([`FRep::from_parts`], [`FRep::empty`],
+//! a decoded snapshot) fills the pair on its first read with the two
+//! walks.  Those walks, [`FRep::size`] and [`FRep::tuple_count`], recompute
+//! the numbers from the arena every time: they are the oracles that the
+//! recorded pair is tested against, and the request path never calls them.
 
 use crate::node;
-use crate::store::{kid_count_table, node_table, Store};
+use crate::store::{node_table, Store};
 
 // Convenience re-exports: the builder types and arena views travel with the
 // representation they construct and read.
@@ -39,12 +53,26 @@ pub use crate::store::{EntryRef, UnionRef};
 use fdb_common::{AttrId, Result};
 use fdb_ftree::FTree;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A factorised representation over an f-tree.
 #[derive(Clone, Debug)]
 pub struct FRep {
     tree: FTree,
     store: Store,
+    /// What is known about the arena beyond its records, shared by every
+    /// clone: no clone can change the arena it describes.
+    memo: Arc<Memo>,
+}
+
+/// Statistics of one arena, each set at most once.
+#[derive(Debug, Default)]
+struct Memo {
+    /// `(size, tuple_count)`, recorded by the writer or walked on first read.
+    counts: OnceLock<(usize, u128)>,
+    /// The tuple count of every union, by union index: filled on the first
+    /// block copy of an inner union out of this representation.
+    union_counts: OnceLock<Vec<u128>>,
 }
 
 impl FRep {
@@ -62,14 +90,25 @@ impl FRep {
     /// call [`FRep::validate`] afterwards.
     pub(crate) fn from_parts_unchecked(tree: FTree, roots: Vec<Union>) -> Self {
         let store = Store::freeze(&tree, &roots);
-        FRep { tree, store }
+        FRep::from_store(tree, store, None)
     }
 
-    /// Creates an f-representation directly from an arena store.  Used by
-    /// the plan executor and [`crate::build`], which maintain the invariants
-    /// themselves.
-    pub(crate) fn from_store(tree: FTree, store: Store) -> Self {
-        FRep { tree, store }
+    /// Creates an f-representation directly from an arena store, with the
+    /// `(size, tuple_count)` its writer recorded, if any.  Used by the
+    /// writers, which maintain the invariants themselves.
+    pub(crate) fn from_store(tree: FTree, store: Store, counts: Option<(usize, u128)>) -> Self {
+        let counts = counts.map_or_else(OnceLock::new, OnceLock::from);
+        let memo = Arc::new(Memo {
+            counts,
+            union_counts: OnceLock::new(),
+        });
+        FRep { tree, store, memo }
+    }
+
+    /// Takes the representation apart for an in-place rewrite of its arena
+    /// (the product); whatever it recorded about the old arena goes with it.
+    pub(crate) fn into_parts(self) -> (FTree, Store) {
+        (self.tree, self.store)
     }
 
     /// Returns `true` if the two representations have bit-for-bit identical
@@ -98,12 +137,6 @@ impl FRep {
         &self.tree
     }
 
-    /// Mutable access to the f-tree — reserved for the operator module,
-    /// which keeps tree and data in lockstep.
-    pub(crate) fn tree_mut(&mut self) -> &mut FTree {
-        &mut self.tree
-    }
-
     /// The arena store (crate-internal; operators rebuild it).
     pub(crate) fn store(&self) -> &Store {
         &self.store
@@ -113,16 +146,6 @@ impl FRep {
     /// once [`FRep::validate`] passed (see [`Store::verify_layout`]).
     pub(crate) fn verify_layout(&mut self) {
         self.store.verify_layout(&self.tree);
-    }
-
-    /// Mutable access to the arena store (crate-internal).
-    pub(crate) fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
-    }
-
-    /// Number of root unions (= number of f-tree roots).
-    pub fn root_count(&self) -> usize {
-        self.store.roots.len()
     }
 
     /// The `i`-th root union.
@@ -154,7 +177,7 @@ impl FRep {
             .tree
             .node_ids()
             .into_iter()
-            .flat_map(|n| self.tree.visible_attrs(n).into_iter().collect::<Vec<_>>())
+            .flat_map(|n| self.tree.visible_attrs(n))
             .collect();
         attrs.sort_unstable();
         attrs
@@ -171,12 +194,36 @@ impl FRep {
             .any(|&r| self.store.union_len(r) == 0)
     }
 
+    /// `(size, tuple_count)`: the size in singletons and the number of
+    /// tuples modulo 2¹²⁸, as the writer of the arena recorded them (see the
+    /// module docs).  A representation no writer counted walks itself once,
+    /// on the first call.
+    pub fn counts(&self) -> (usize, u128) {
+        *self
+            .memo
+            .counts
+            .get_or_init(|| (self.size(), self.tuple_count()))
+    }
+
+    /// The recorded pair, if a writer recorded it or it has been read.
+    pub(crate) fn recorded_counts(&self) -> Option<(usize, u128)> {
+        self.memo.counts.get().copied()
+    }
+
+    /// The tuple count of every union, by union index — filled once, on
+    /// the first call, and shared by every request on this representation.
+    pub(crate) fn union_counts(&self) -> &[u128] {
+        let table = || self.store.union_count_table(&self.tree);
+        self.memo.union_counts.get_or_init(table)
+    }
+
     /// The size of the representation: its number of singletons.  Every
     /// entry of a union over node `N` contributes one singleton per visible
     /// attribute of `N`.  A flat loop over the union arena (every stored
-    /// union is reachable).
+    /// union is reachable), recomputed on every call: the oracle for
+    /// [`FRep::counts`], which the request path reads instead.
     pub fn size(&self) -> usize {
-        let visible = node_table(&self.tree, |n| self.tree.visible_attrs(n).len());
+        let visible = visible_table(&self.tree);
         self.store
             .unions
             .iter()
@@ -189,27 +236,11 @@ impl FRep {
     /// ring [`crate::aggregate`] documents for `COUNT`, so this always
     /// equals `COUNT(*)` and never panics on an astronomically large
     /// product.  A flat bottom-up loop thanks to the arena's topological
-    /// index order; a leaf union's count is simply its length.
+    /// index order, recomputed on every call: the oracle for
+    /// [`FRep::counts`], which the request path reads instead.
     pub fn tuple_count(&self) -> u128 {
-        let store = &self.store;
-        let kid_counts = kid_count_table(&self.tree);
-        let mut counts = vec![0u128; store.unions.len()];
-        for uid in (0..store.unions.len()).rev() {
-            let rec = store.unions[uid];
-            let kid_count = kid_counts[rec.node.index()] as usize;
-            counts[uid] = if kid_count == 0 {
-                rec.entries_len as u128
-            } else {
-                (rec.entries_start..rec.entries_start + rec.entries_len).fold(0, |total, e| {
-                    let kids_start = store.kids_start_at(e) as usize;
-                    let product = store.kids[kids_start..kids_start + kid_count]
-                        .iter()
-                        .fold(1u128, |p, &kid| p.wrapping_mul(counts[kid as usize]));
-                    total.wrapping_add(product)
-                })
-            };
-        }
-        store
+        let counts = self.store.union_count_table(&self.tree);
+        self.store
             .roots
             .iter()
             .fold(1, |p, &r| p.wrapping_mul(counts[r as usize]))
@@ -260,6 +291,12 @@ impl FRep {
             }
         }
     }
+}
+
+/// Number of visible attributes of every node of `tree`, by node index —
+/// the singletons one entry of a union over the node contributes.
+pub(crate) fn visible_table(tree: &FTree) -> Vec<usize> {
+    node_table(tree, |n| tree.visible_attrs(n).len())
 }
 
 impl fmt::Display for FRep {
@@ -340,6 +377,35 @@ mod tests {
             count,
             AggregateResult::Scalar(AggregateValue::Count(wrapped))
         );
+
+        // An emitted result records the same wrapped count: the selection
+        // rebuilds the first factor and block-copies the other 25.
+        let ops = [crate::ops::FPlanOp::SelectConst {
+            attr: AttrId(0),
+            op: ComparisonOp::Ge,
+            value: Value::new(0),
+        }];
+        let emitted = crate::ops::emit_fused_ctx(&rep, &ops, &ExecCtx::unlimited()).unwrap();
+        assert!(emitted.store_identical(&rep));
+        assert_eq!(emitted.recorded_counts(), Some((26 * 33, wrapped)));
+
+        // So does a flat build of the same product: 26 unary relations of
+        // 33 rows each, one root per relation.
+        let mut catalog = fdb_common::Catalog::new();
+        let names: Vec<String> = (0..26).map(|r| format!("R{r}")).collect();
+        let rels: Vec<_> = (names.iter())
+            .map(|name| catalog.add_relation(name, &["A"]).0)
+            .collect();
+        let mut db = fdb_relation::Database::new(catalog);
+        for &rel in &rels {
+            let rows: Vec<Vec<u64>> = (0..33).map(|v| vec![v]).collect();
+            db.insert_raw_rows(rel, &rows).unwrap();
+        }
+        let tree = fdb_ftree::flat_database_ftree(db.catalog(), &rels, |_| 33).unwrap();
+        let query = fdb_common::Query::product(rels);
+        let built = crate::build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
+        assert_eq!(built.recorded_counts(), Some((26 * 33, wrapped)));
+        assert_eq!((built.size(), built.tuple_count()), (26 * 33, wrapped));
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep
         ctx.check_now()?;
         apply_op(&mut fusion, &mut cur, op)?;
     }
-    let out = FRep::from_store(cur, fusion.into_store(rep.tree())?);
+    let out = fusion.into_rep(rep, cur)?;
     debug_validate(&out, "overlay program");
     Ok(out)
 }
@@ -665,18 +665,24 @@ impl<'a> Fusion<'a> {
     // -----------------------------------------------------------------
 
     /// The single output pass: walks the overlay in root order and emits the
-    /// final arena in the exact `Store::freeze` layout through a
+    /// final arena over `tree` in the exact `Store::freeze` layout through a
     /// [`Rewriter`] — `Src` references become whole-subtree copies
     /// ([`Rewriter::copy_union`]), `Mix` nodes emit their own headers,
-    /// value blocks and kid runs.
-    fn into_store(self, src_tree: &FTree) -> Result<Store> {
-        let mut rw = Rewriter::new(self.src, src_tree);
-        let roots: Vec<u32> = self
-            .roots
-            .iter()
-            .map(|&r| emit_union(&mut rw, &self.mixes, r, self.ctx))
+    /// value blocks and kid runs — and records the result's size and tuple
+    /// count as it goes.
+    fn into_rep(self, input: &FRep, tree: FTree) -> Result<FRep> {
+        let mut rw = Rewriter::new(input, &tree);
+        let mut tuples = 1u128;
+        let roots: Vec<u32> = (self.roots.iter())
+            .map(|&r| {
+                let (out, count) = emit_union(&mut rw, &self.mixes, r, self.ctx)?;
+                tuples = tuples.wrapping_mul(count);
+                Ok(out)
+            })
             .collect::<Result<_>>()?;
-        Ok(rw.finish(roots))
+        let size = rw.emitted_size();
+        let store = rw.finish(roots);
+        Ok(FRep::from_store(tree, store, Some((size, tuples))))
     }
 
     // -----------------------------------------------------------------
@@ -1048,16 +1054,17 @@ impl<A: Accumulator> Rows<A> {
     }
 }
 
-/// Recursive emission of one virtual union (see [`Fusion::into_store`]).
-/// Charges the governance context for every record written: `Mix` unions
-/// charge their own header and value block, opaque `Src` subtree copies
-/// charge the [`Rewriter::emitted_units`] delta they produce.
-fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Result<u32> {
+/// Recursive emission of one virtual union (see [`Fusion::into_rep`]);
+/// returns its output index and tuple count.  Charges the governance
+/// context for every record written: `Mix` unions charge their own header
+/// and value block, opaque `Src` subtree copies charge the
+/// [`Rewriter::emitted_units`] delta they produce.
+fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Result<(u32, u128)> {
     if let Some(uid) = v.as_src() {
         let before = rw.emitted_units();
-        let out = rw.copy_union(uid);
+        let copied = rw.copy_union(uid);
         ctx.charge(rw.emitted_units() - before)?;
-        return Ok(out);
+        return Ok(copied);
     }
     let mix = &mixes[v.mix_index()];
     ctx.charge(1 + mix.values.len() as u64)?;
@@ -1066,15 +1073,19 @@ fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Re
         rw.push_value(value);
     }
     let kc = mix.kid_count as usize;
+    let mut tuples = 0u128;
     for i in 0..mix.values.len() {
         let mark = rw.mark();
+        let mut product = 1u128;
         for k in 0..kc {
-            let kid = emit_union(rw, mixes, mix.kids[i * kc + k], ctx)?;
+            let (kid, count) = emit_union(rw, mixes, mix.kids[i * kc + k], ctx)?;
             rw.push_kid(kid);
+            product = product.wrapping_mul(count);
         }
+        tuples = tuples.wrapping_add(product);
         rw.end_entry(out, i as u32, mark);
     }
-    Ok(out)
+    Ok((out, tuples))
 }
 
 // ---------------------------------------------------------------------
@@ -2085,6 +2096,55 @@ mod tests {
         let cancel = Arc::new(AtomicBool::new(true));
         let (cancelled, _) = run(&QueryLimits::unlimited().with_cancel(cancel));
         assert!(matches!(cancelled, Err(FdbError::DeadlineExceeded { .. })));
+    }
+
+    #[test]
+    fn a_block_copy_counts_the_singletons_its_output_tree_shows() {
+        // A{0} → B{1, 2} → C{3}.  Projecting 2 away hides one attribute of
+        // B's two-attribute class and removes no node; the selection on A
+        // rebuilds the root, so every B-subtree is block-copied, and its
+        // B-entries must count one singleton each, not the input's two.
+        let edges = vec![
+            DepEdge::new("R", attrs(&[0, 1, 2]), 4),
+            DepEdge::new("S", attrs(&[1, 2, 3]), 8),
+        ];
+        let mut tree = FTree::new(edges);
+        let a = tree.add_node(attrs(&[0]), None).unwrap();
+        let b = tree.add_node(attrs(&[1, 2]), Some(a)).unwrap();
+        let c = tree.add_node(attrs(&[3]), Some(b)).unwrap();
+        let b_union = |values: &[u64]| {
+            let entry = |v: u64| Entry {
+                value: Value::new(v),
+                children: vec![Union::new(c, vec![Entry::leaf(Value::new(v * 10))])],
+            };
+            Union::new(b, values.iter().map(|&v| entry(v)).collect())
+        };
+        let a_entry = |v: u64, bs: &[u64]| Entry {
+            value: Value::new(v),
+            children: vec![b_union(bs)],
+        };
+        let rep = FRep::from_parts(
+            tree,
+            vec![Union::new(
+                a,
+                vec![
+                    a_entry(1, &[1, 2]),
+                    a_entry(2, &[3]),
+                    a_entry(3, &[4, 5, 6]),
+                ],
+            )],
+        )
+        .unwrap();
+        assert_eq!(rep.counts(), (3 + 2 * 6 + 6, 6));
+        let ops = [
+            select(0, ComparisonOp::Ge, 2),
+            FPlanOp::Project(attrs(&[0, 1, 3])),
+        ];
+        let out = emit_fused_ctx(&rep, &ops, &ExecCtx::unlimited()).unwrap();
+        assert_eq!(out.tree().visible_attrs(b), attrs(&[1]));
+        assert_eq!(out.recorded_counts(), Some((2 + 4 + 4, 4)));
+        assert_eq!((out.size(), out.tuple_count()), (10, 4));
+        check(&rep, &ops, "projection inside block-copied subtrees");
     }
 
     #[test]

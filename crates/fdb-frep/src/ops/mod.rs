@@ -89,14 +89,21 @@ pub(crate) fn child_pos(children: &[NodeId], node: NodeId) -> u32 {
         .expect("validated representation: node present in the child list") as u32
 }
 
-/// Debug-only full-arena invariant check, run on every emitted result.
-/// Release builds skip it: the passes maintain the invariants by
-/// construction.
+/// Debug-only full-arena invariant check, run on every written result: the
+/// arena is valid and the statistics its writer recorded equal the walks.
+/// Release builds skip it: the writers maintain both by construction.
 #[inline]
 pub(crate) fn debug_validate(rep: &FRep, op: &str) {
     if cfg!(debug_assertions) {
         if let Err(e) = rep.validate() {
             panic!("{op}: the emitted arena breaks an invariant: {e:?}");
+        }
+        if let Some(recorded) = rep.recorded_counts() {
+            let walked = (rep.size(), rep.tuple_count());
+            assert_eq!(
+                recorded, walked,
+                "{op}: recorded counts differ from the walks"
+            );
         }
     }
 }

@@ -386,11 +386,7 @@ impl<'a> Cursor<'a> {
 
     fn take_attr_set(&mut self) -> Result<BTreeSet<AttrId>> {
         let count = self.take_count(4)?;
-        let mut set = BTreeSet::new();
-        for _ in 0..count {
-            set.insert(AttrId(self.take_u32()?));
-        }
-        Ok(set)
+        (0..count).map(|_| self.take_u32().map(AttrId)).collect()
     }
 
     fn finish(&self) -> Result<()> {
@@ -471,10 +467,9 @@ fn decode_nodes(payload: &[u8]) -> Result<Vec<Option<NodeSnapshot>>> {
                     p => Some(NodeId(p)),
                 };
                 let child_count = cur.take_count(4)?;
-                let mut children = Vec::with_capacity(child_count);
-                for _ in 0..child_count {
-                    children.push(NodeId(cur.take_u32()?));
-                }
+                let children = (0..child_count)
+                    .map(|_| cur.take_u32().map(NodeId))
+                    .collect::<Result<_>>()?;
                 let projected = cur.take_attr_set()?;
                 let constant = match cur.take_u8()? {
                     0 => None,
@@ -657,7 +652,7 @@ pub fn decode_frep_ctx(bytes: &[u8], ctx: &ExecCtx) -> Result<FRep> {
         get_array(tree_roots, |r| NodeId(u32::from_le_bytes(r)))?,
     )
     .map_err(|e| corrupt(format!("f-tree validation failed on load: {e}")))?;
-    let mut rep = FRep::from_store(tree, store);
+    let mut rep = FRep::from_store(tree, store, None);
     // The full structural validator is a mandatory load check — in release
     // builds too.  A snapshot that decodes but fails it was written by (or
     // corrupted into) something this engine must not serve from.
@@ -752,6 +747,11 @@ mod tests {
         let bytes = encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap();
         let loaded = decode_frep_ctx(&bytes, &ExecCtx::unlimited()).unwrap();
         assert!(loaded.store_identical(&rep));
+        // Nothing recorded travels in the file: the loaded arena walks
+        // itself on its first read.
+        assert_eq!(loaded.recorded_counts(), None);
+        assert_eq!(loaded.counts(), (5, 3));
+        assert_eq!(loaded.counts(), rep.counts());
         assert_eq!(loaded.tree().canonical_key(), rep.tree().canonical_key());
         assert_eq!(loaded.tree().edges(), rep.tree().edges());
         // Re-encoding the loaded representation is byte-identical.
@@ -803,7 +803,7 @@ mod tests {
             match decode_frep_ctx(&corrupted, &ExecCtx::unlimited()) {
                 Ok(loaded) => panic!(
                     "flipping bit {bit} of byte {i} went undetected (loaded {} unions)",
-                    loaded.root_count()
+                    loaded.roots().len()
                 ),
                 Err(FdbError::SnapshotCorrupt { .. })
                 | Err(FdbError::SnapshotVersionMismatch { .. }) => {}

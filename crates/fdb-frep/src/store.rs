@@ -87,6 +87,7 @@
 //! is not part of a store's identity (`==` compares the five arrays), and in
 //! debug builds every [`Rewriter::new`] re-checks a set flag.
 
+use crate::frep::{visible_table, FRep};
 use crate::kernel;
 use crate::node::{Entry, Union};
 use fdb_common::{FdbError, Result, Value};
@@ -483,6 +484,31 @@ impl Store {
         self.roots
             .extend(other.roots.iter().map(|&r| r + union_offset));
     }
+
+    /// The tuple count of every union, by union index: a leaf union's
+    /// length, an inner union's sum over its entries of the product of their
+    /// kid counts, wrapping mod 2¹²⁸ — one flat bottom-up loop, thanks to the
+    /// topological index order.
+    pub(crate) fn union_count_table(&self, tree: &FTree) -> Vec<u128> {
+        let kid_counts = kid_count_table(tree);
+        let mut counts = vec![0u128; self.unions.len()];
+        for uid in (0..self.unions.len()).rev() {
+            let rec = self.unions[uid];
+            let kid_count = kid_counts[rec.node.index()] as usize;
+            counts[uid] = if kid_count == 0 {
+                rec.entries_len as u128
+            } else {
+                (rec.entries_start..rec.entries_start + rec.entries_len).fold(0, |total, e| {
+                    let kids_start = self.kids_start_at(e) as usize;
+                    let product = self.kids[kids_start..kids_start + kid_count]
+                        .iter()
+                        .fold(1u128, |p, &kid| p.wrapping_mul(counts[kid as usize]));
+                    total.wrapping_add(product)
+                })
+            };
+        }
+        counts
+    }
 }
 
 /// One value per node of `tree`, indexed by node index — the flat lookup
@@ -517,25 +543,34 @@ pub(crate) fn kid_count_table(tree: &FTree) -> Vec<u32> {
 /// across recursion levels (each entry works in its own watermarked tail
 /// region), so a steady-state rewrite performs no allocation beyond the
 /// output arenas themselves.
+///
+/// The rewriter sums the output's size as it writes each header, and a
+/// copy returns the tuple count of what it copied, so the caller records
+/// both without walking the result (see [`crate::frep`]).
 pub(crate) struct Rewriter<'a> {
-    pub(crate) src: &'a Store,
+    input: &'a FRep,
     out: Store,
     /// Kid-id scratch shared across recursion levels (see the type docs).
     scratch: Vec<u32>,
     /// Child counts of the *input* f-tree, indexed by node index.
     kid_counts: Vec<u32>,
+    /// Visible attribute counts of the *output* f-tree, by node index.
+    visible: Vec<usize>,
+    /// Singletons written so far.
+    size: usize,
 }
 
 impl<'a> Rewriter<'a> {
-    /// Creates a rewriter reading from `src`, whose nesting structure is
-    /// described by `src_tree`.
+    /// Creates a rewriter reading from `input` and writing a representation
+    /// over `out_tree`.
     ///
     /// The output arenas are pre-reserved from the input arena's sizes: most
     /// rewrites shrink the representation or keep it the same size, so the
     /// input lengths are a good capacity hint (not a hard bound — a swap can
     /// grow the arena) and steady-state emission performs no re-allocation.
-    pub(crate) fn new(src: &'a Store, src_tree: &FTree) -> Rewriter<'a> {
-        let kid_counts = kid_count_table(src_tree);
+    pub(crate) fn new(input: &'a FRep, out_tree: &FTree) -> Rewriter<'a> {
+        let src = input.store();
+        let kid_counts = kid_count_table(input.tree());
         debug_assert!(
             !src.freeze_layout || src.is_freeze_layout(&kid_counts),
             "a store claims the freeze layout without being in it"
@@ -546,10 +581,12 @@ impl<'a> Rewriter<'a> {
         out.kids_starts.reserve(src.kids_starts.len());
         out.kids.reserve(src.kids.len());
         Rewriter {
-            src,
+            input,
             out,
             scratch: Vec::new(),
             kid_counts,
+            visible: visible_table(out_tree),
+            size: 0,
         }
     }
 
@@ -566,11 +603,18 @@ impl<'a> Rewriter<'a> {
         self.out.unions.len() as u64 + self.out.values.len() as u64
     }
 
+    /// Singletons emitted so far: every header written counts the visible
+    /// attributes of its node once per entry.
+    pub(crate) fn emitted_size(&self) -> usize {
+        self.size
+    }
+
     /// Starts a new output union: pushes its header, announcing
     /// `entries_len` entries whose value records follow via
     /// [`Rewriter::push_value`] (kid runs are attached with
     /// [`Rewriter::end_entry`]).  Returns the new union's index.
     pub(crate) fn begin_union_raw(&mut self, node: NodeId, entries_len: u32) -> u32 {
+        self.size += self.visible[node.index()] * entries_len as usize;
         let uid = self.out.unions.len() as u32;
         self.out.unions.push(UnionRec {
             node,
@@ -585,17 +629,6 @@ impl<'a> Rewriter<'a> {
     /// of the union is emitted, so the records stay contiguous.
     pub(crate) fn push_value(&mut self, value: Value) {
         self.out.push_entry(value, MISSING_KID);
-    }
-
-    /// Starts a new output union: pushes its header and one value record per
-    /// entry (kid runs are attached with [`Rewriter::end_entry`]).  Returns
-    /// the new union's index.
-    fn begin_union(&mut self, node: NodeId, values: impl ExactSizeIterator<Item = Value>) -> u32 {
-        let uid = self.begin_union_raw(node, values.len() as u32);
-        for value in values {
-            self.push_value(value);
-        }
-        uid
     }
 
     /// Marks the start of one entry's kid collection; pass the mark to
@@ -625,11 +658,27 @@ impl<'a> Rewriter<'a> {
     /// below it are unaffected by the rewrite in progress): as relocated
     /// blocks when the input is in the freeze layout, record by record
     /// otherwise — the same output either way (see the module docs).
-    pub(crate) fn copy_union(&mut self, uid: u32) -> u32 {
-        if !self.src.freeze_layout {
-            return self.copy_union_recursive(uid);
-        }
-        let src = self.src;
+    /// Returns the copy's index and tuple count: a leaf's length, or the
+    /// input's memoised count of an inner union ([`FRep::union_counts`]).
+    pub(crate) fn copy_union(&mut self, uid: u32) -> (u32, u128) {
+        let src = self.input.store();
+        let rec = src.unions[uid as usize];
+        let tuples = match self.src_kid_count(rec.node) {
+            0 => rec.entries_len as u128,
+            _ => self.input.union_counts()[uid as usize],
+        };
+        let out = if src.freeze_layout {
+            self.copy_blocks(uid)
+        } else {
+            self.copy_union_recursive(uid)
+        };
+        (out, tuples)
+    }
+
+    /// [`Rewriter::copy_union`] as relocated blocks, for a freeze-layout
+    /// input.
+    fn copy_blocks(&mut self, uid: u32) -> u32 {
+        let src = self.input.store();
         let first = src.unions[uid as usize];
         // The subtree's last union: follow last entry / last kid down.
         let mut last = uid;
@@ -668,6 +717,11 @@ impl<'a> Rewriter<'a> {
                 }),
         );
         out.values.extend_from_slice(&src.values[entries.clone()]);
+        // Summed apart from the relocation, which then stays a plain copy.
+        let visible = &self.visible;
+        self.size += (src.unions[uid as usize..=last as usize].iter())
+            .map(|rec| visible[rec.node.index()] * rec.entries_len as usize)
+            .sum::<usize>();
         out.kids_starts.extend(
             src.kids_starts[entries]
                 .iter()
@@ -683,9 +737,12 @@ impl<'a> Rewriter<'a> {
 
     /// [`Rewriter::copy_union`] record by record, for any input layout.
     fn copy_union_recursive(&mut self, uid: u32) -> u32 {
-        let src = self.src;
+        let src = self.input.store();
         let rec = src.unions[uid as usize];
-        let out_uid = self.begin_union(rec.node, src.value_slice(uid).iter().copied());
+        let out_uid = self.begin_union_raw(rec.node, rec.entries_len);
+        for &value in src.value_slice(uid) {
+            self.push_value(value);
+        }
         let kid_count = self.src_kid_count(rec.node);
         for i in 0..rec.entries_len {
             let mark = self.mark();
@@ -916,7 +973,7 @@ mod tests {
         c: Value,
         context: &str,
     ) {
-        let rep = FRep::from_store(tree.clone(), store.clone());
+        let rep = FRep::from_store(tree.clone(), store.clone(), None);
         let mut reference = rep.clone();
         ops::oracle::select_const(&mut reference, AttrId(attr), op, c).unwrap();
         let program = [FPlanOp::SelectConst {
@@ -1035,8 +1092,9 @@ mod tests {
     fn rewriter_copy_reproduces_the_freeze_layout() {
         let (tree, roots) = sample();
         let store = Store::freeze(&tree, &roots);
-        let mut rw = Rewriter::new(&store, &tree);
-        let new_roots: Vec<u32> = store.roots.iter().map(|&r| rw.copy_union(r)).collect();
+        let input = FRep::from_store(tree.clone(), store.clone(), None);
+        let mut rw = Rewriter::new(&input, &tree);
+        let new_roots: Vec<u32> = store.roots.iter().map(|&r| rw.copy_union(r).0).collect();
         let copy = rw.finish(new_roots);
         // Not merely equivalent: the exact same arena records.
         assert_eq!(copy, store);
@@ -1079,8 +1137,9 @@ mod tests {
 
     /// Copies every root of `store` through a [`Rewriter`].
     fn copy_all(store: &Store, tree: &FTree) -> Store {
-        let mut rw = Rewriter::new(store, tree);
-        let roots = store.roots.iter().map(|&r| rw.copy_union(r)).collect();
+        let input = FRep::from_store(tree.clone(), store.clone(), None);
+        let mut rw = Rewriter::new(&input, tree);
+        let roots = store.roots.iter().map(|&r| rw.copy_union(r).0).collect();
         rw.finish(roots)
     }
 
@@ -1100,20 +1159,29 @@ mod tests {
             let store = Store::freeze(&tree, &roots);
             store.validate(&tree).unwrap();
             assert!(store.freeze_layout && store.is_freeze_layout(&kid_count_table(&tree)));
+            let input = FRep::from_store(tree.clone(), store.clone(), None);
+            let union_counts = store.union_count_table(&tree);
             for uid in 0..store.unions.len() as u32 {
                 // Every other union is copied behind a first root copy, so
                 // the relocation deltas come out positive as well as negative.
                 let copy = |block: bool| {
-                    let mut rw = Rewriter::new(&store, &tree);
+                    let mut rw = Rewriter::new(&input, &tree);
                     let pad = (uid % 2 == 1).then(|| rw.copy_union_recursive(store.roots[0]));
                     let out = if block {
-                        rw.copy_union(uid)
+                        let (out, tuples) = rw.copy_union(uid);
+                        assert_eq!(tuples, union_counts[uid as usize]);
+                        out
                     } else {
                         rw.copy_union_recursive(uid)
                     };
-                    rw.finish(pad.into_iter().chain([out]).collect())
+                    let size = rw.emitted_size();
+                    (rw.finish(pad.into_iter().chain([out]).collect()), size)
                 };
-                assert_eq!(copy(true), copy(false), "round {round}, union {uid}");
+                let (block, size) = copy(true);
+                assert_eq!((block, size), copy(false), "round {round}, union {uid}");
+                // The size summed over the copied headers is the copy's size.
+                let copied = FRep::from_store(tree.clone(), copy(false).0, None);
+                assert_eq!(size, copied.size(), "round {round}, union {uid}");
             }
             assert_eq!(copy_all(&store, &tree), store, "round {round}");
         }

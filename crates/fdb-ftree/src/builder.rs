@@ -142,7 +142,7 @@ mod tests {
         tree.check_structure().unwrap();
         tree.check_path_constraint().unwrap();
         assert_eq!(tree.node_count(), classes.len());
-        assert_eq!(tree.leaves().len(), 1);
+        assert_eq!(tree.leaf_ids().count(), 1);
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn path_cover(path: &[u64], width: usize) -> Result<f64> {
 pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
     let width = set_width(tree);
     let mut out = Vec::new();
-    for leaf in tree.leaves() {
+    for leaf in tree.leaf_ids() {
         let mut nodes: Vec<NodeId> = tree.ancestors(leaf);
         nodes.reverse();
         nodes.push(leaf);

@@ -120,7 +120,7 @@ impl FTree {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Node {
-            incidence: self.incidence_of(&class),
+            incidence: incidence_of(&self.edges, &class),
             class: Arc::new(class),
             parent,
             children: Vec::new(),
@@ -149,31 +149,11 @@ impl FTree {
         index
     }
 
-    /// The edges with an attribute in `class`, by the set-scan definition.
-    fn incidence_of(&self, class: &BTreeSet<AttrId>) -> EdgeSet {
-        let mut set = EdgeSet::default();
-        for (index, edge) in self.edges.iter().enumerate() {
-            if edge.attrs.iter().any(|a| class.contains(a)) {
-                set.insert(index);
-            }
-        }
-        set
-    }
-
     /// Recomputes every node's incidence set from the classes and the edge
     /// list — for edits that renumber edges.
     pub(crate) fn rebuild_incidence(&mut self) {
-        let node_of = self.attr_to_node();
         for node in self.nodes.iter_mut().flatten() {
-            node.incidence = EdgeSet::default();
-        }
-        let edges = Arc::clone(&self.edges);
-        for (index, edge) in edges.iter().enumerate() {
-            for attr in &edge.attrs {
-                if let Some(&node) = node_of.get(attr) {
-                    self.node_mut(node).incidence.insert(index);
-                }
-            }
+            node.incidence = incidence_of(&self.edges, &node.class);
         }
     }
 
@@ -302,43 +282,17 @@ impl FTree {
 
     /// Ancestors of a node, nearest first (excluding the node itself).
     pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.parent(id);
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.parent(p);
-        }
-        out
+        self.up_from(id).collect()
+    }
+
+    /// The ancestors of `id`, nearest first, without collecting them.
+    fn up_from(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.parent(id), |&p| self.parent(p))
     }
 
     /// Returns `true` if `anc` is a strict ancestor of `desc`.
     pub fn is_ancestor(&self, anc: NodeId, desc: NodeId) -> bool {
-        let mut cur = self.parent(desc);
-        while let Some(p) = cur {
-            if p == anc {
-                return true;
-            }
-            cur = self.parent(p);
-        }
-        false
-    }
-
-    /// Nodes of the subtree rooted at `id` (including `id`), pre-order.
-    pub fn subtree(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = vec![id];
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            for &c in self.children(n) {
-                out.push(c);
-                stack.push(c);
-            }
-        }
-        out
-    }
-
-    /// Leaves of the forest.
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.leaf_ids().collect()
+        self.up_from(desc).any(|p| p == anc)
     }
 
     /// Leaves of the forest, in id order.
@@ -350,13 +304,7 @@ impl FTree {
 
     /// Depth of a node (roots have depth 0).
     pub fn depth(&self, id: NodeId) -> usize {
-        let mut depth = 0;
-        let mut cur = self.parent(id);
-        while let Some(p) = cur {
-            depth += 1;
-            cur = self.parent(p);
-        }
-        depth
+        self.up_from(id).count()
     }
 
     /// Nodes in bottom-up order (every node appears after all of its
@@ -439,7 +387,7 @@ impl FTree {
     pub fn check_structure(&self) -> Result<()> {
         self.check_links()?;
         for (id, node) in self.live() {
-            if node.incidence != self.incidence_of(&node.class) {
+            if node.incidence != incidence_of(&self.edges, &node.class) {
                 return Err(FdbError::InvalidInput {
                     detail: format!("node {id} carries a stale incidence set"),
                 });
@@ -646,13 +594,27 @@ impl FTree {
         self.nodes[id.index()] = None;
     }
 
-    /// Replaces the class of a node (used by merge/absorb), together with its
-    /// projected subset and constant marker.
-    pub(crate) fn set_class(&mut self, id: NodeId, class: BTreeSet<AttrId>) {
-        let incidence = self.incidence_of(&class);
-        let node = self.node_mut(id);
-        node.class = Arc::new(class);
+    /// Fuses node `b` into node `a` (merge and absorb): `b`'s children move
+    /// under `children_to`, its class, projected attributes and constant
+    /// join `a`'s, and `b` is removed.
+    pub(crate) fn fuse_nodes(&mut self, a: NodeId, b: NodeId, children_to: Option<NodeId>) {
+        for c in self.children(b).to_vec() {
+            self.detach(c);
+            self.attach(c, children_to);
+        }
+        self.detach(b);
+        let old = self.nodes[b.index()].take().expect("node was removed");
+        let mut new_class = BTreeSet::clone(self.class(a));
+        new_class.extend(old.class.iter().copied());
+        let incidence = incidence_of(&self.edges, &new_class);
+        let node = self.node_mut(a);
+        node.class = Arc::new(new_class);
         node.incidence = incidence;
+        node.projected.extend(old.projected);
+        // If both sides carry constants they must agree; the data-level
+        // operator will already have produced an empty representation
+        // otherwise, so preferring the existing constant is safe.
+        node.constant = node.constant.or(old.constant);
     }
 
     /// Adds attributes to the projected-away set of a node.
@@ -668,28 +630,6 @@ impl FTree {
     /// Marks a node as bound to a constant by an equality selection.
     pub(crate) fn set_constant(&mut self, id: NodeId, value: Value) {
         self.node_mut(id).constant = Some(value);
-    }
-
-    /// Merges the projected/constant bookkeeping of `src` into `dst` (used by
-    /// merge and absorb, which fuse two nodes).
-    pub(crate) fn merge_markers(
-        &mut self,
-        dst: NodeId,
-        src_projected: BTreeSet<AttrId>,
-        src_constant: Option<Value>,
-    ) {
-        {
-            let node = self.node_mut(dst);
-            node.projected.extend(src_projected);
-        }
-        if let Some(v) = src_constant {
-            // If both sides carry constants they must agree; the data-level
-            // operator will already have produced an empty representation
-            // otherwise, so preferring the existing constant is safe.
-            if self.node(dst).constant.is_none() {
-                self.node_mut(dst).constant = Some(v);
-            }
-        }
     }
 
     /// Imports another forest into this one (used by the Cartesian product
@@ -717,17 +657,6 @@ impl FTree {
             self.add_edge(edge.clone());
         }
         Ok(map)
-    }
-
-    /// Builds an attribute → node map for the current tree.
-    pub(crate) fn attr_to_node(&self) -> BTreeMap<AttrId, NodeId> {
-        let mut map = BTreeMap::new();
-        for id in self.node_ids() {
-            for &a in self.class(id) {
-                map.insert(a, id);
-            }
-        }
-        map
     }
 
     // ------------------------------------------------------------------
@@ -786,6 +715,17 @@ impl FTree {
         tree.rebuild_incidence();
         Ok(tree)
     }
+}
+
+/// The edges with an attribute in `class`, by the set-scan definition.
+fn incidence_of(edges: &[DepEdge], class: &BTreeSet<AttrId>) -> EdgeSet {
+    let mut set = EdgeSet::default();
+    for (index, edge) in edges.iter().enumerate() {
+        if edge.attrs.iter().any(|a| class.contains(a)) {
+            set.insert(index);
+        }
+    }
+    set
 }
 
 /// Appends `value` as a little-endian base-128 varint.
@@ -872,9 +812,7 @@ mod tests {
         assert_eq!(t.ancestors(dispatcher), vec![location, item]);
         assert!(t.is_ancestor(item, dispatcher));
         assert!(!t.is_ancestor(oid, dispatcher));
-        let sub: BTreeSet<NodeId> = t.subtree(item).into_iter().collect();
-        assert_eq!(sub.len(), 4);
-        let leaves: BTreeSet<NodeId> = t.leaves().into_iter().collect();
+        let leaves: BTreeSet<NodeId> = t.leaf_ids().collect();
         assert_eq!(leaves, [oid, dispatcher].into_iter().collect());
     }
 

@@ -116,7 +116,7 @@ pub(crate) fn random_edit(
         }
         6 => {
             // Prefer a leaf several edges meet in, so the removal merges them.
-            let leaves = tree.leaves();
+            let leaves: Vec<NodeId> = tree.leaf_ids().collect();
             let shared: Vec<NodeId> = leaves
                 .iter()
                 .copied()

@@ -70,10 +70,7 @@ impl FTree {
     /// violating the path constraint: it has a parent, and that parent does
     /// not depend on `b` or any of `b`'s descendants.
     pub fn can_push_up(&self, b: NodeId) -> bool {
-        match self.parent(b) {
-            Some(a) => !self.depends_on_subtree(a, b),
-            None => false,
-        }
+        (self.parent(b)).is_some_and(|a| !self.depends_on_subtree(a, b))
     }
 
     /// Push-up operator `ψ_B`: moves `b` (with its whole subtree) one level
@@ -201,20 +198,7 @@ impl FTree {
                 detail: format!("merge: {a} and {b} are not siblings"),
             });
         }
-        let b_children: Vec<NodeId> = self.children(b).to_vec();
-        let b_class = self.class(b).clone();
-        let b_projected = self.projected_attrs(b).clone();
-        let b_constant = self.constant(b);
-
-        for c in &b_children {
-            self.detach(*c);
-            self.attach(*c, Some(a));
-        }
-        let mut new_class = self.class(a).clone();
-        new_class.extend(b_class);
-        self.set_class(a, new_class);
-        self.merge_markers(a, b_projected, b_constant);
-        self.remove_childless(b);
+        self.fuse_nodes(a, b, Some(a));
         Ok(a)
     }
 
@@ -231,20 +215,7 @@ impl FTree {
                 detail: format!("absorb: {a} is not an ancestor of {b}"),
             });
         }
-        let b_parent = self.parent(b);
-        let b_children: Vec<NodeId> = self.children(b).to_vec();
-        let b_class = self.class(b).clone();
-        let b_projected = self.projected_attrs(b).clone();
-        let b_constant = self.constant(b);
-        for c in &b_children {
-            self.detach(*c);
-            self.attach(*c, b_parent);
-        }
-        let mut new_class = self.class(a).clone();
-        new_class.extend(b_class);
-        self.set_class(a, new_class);
-        self.merge_markers(a, b_projected, b_constant);
-        self.remove_childless(b);
+        self.fuse_nodes(a, b, self.parent(b));
         Ok(())
     }
 
@@ -318,8 +289,7 @@ impl FTree {
     /// Returns the leaves whose attributes have all been projected away;
     /// these can be removed without losing dependency information.
     pub fn removable_projected_leaves(&self) -> Vec<NodeId> {
-        self.leaves()
-            .into_iter()
+        self.leaf_ids()
             .filter(|&l| self.visible_attrs(l).is_empty())
             .collect()
     }

@@ -64,12 +64,23 @@ fn reference_size(rep: &FRep) -> usize {
     rep.to_forest().iter().map(|u| count(rep, u)).sum()
 }
 
+/// The size and tuple count the writer of `rep` recorded (`FRep::counts`)
+/// equal the two oracle walks, `FRep::size` and `FRep::tuple_count`.
+fn assert_recorded_counts(rep: &FRep, context: &str) {
+    assert_eq!(
+        rep.counts(),
+        (rep.size(), rep.tuple_count()),
+        "{context}: recorded counts vs the walks"
+    );
+}
+
 /// Every check bundled: multiset equality against RDB, ascending-attribute
 /// buffer order, tuple-count consistency, and size invariance under the
 /// builder round trip.
 fn check_rep(db: &Database, query: &Query, rep: &FRep, context: &str) {
     rep.validate()
         .unwrap_or_else(|e| panic!("{context}: invalid representation: {e:?}"));
+    assert_recorded_counts(rep, context);
 
     // Ascending-attribute order: the buffer columns are the visible
     // attributes sorted by id.
@@ -182,6 +193,7 @@ fn assert_identical(arena: &FRep, reference: &FRep, context: &str) {
         arena.dump_store(),
         reference.dump_store()
     );
+    assert_recorded_counts(arena, context);
     assert_eq!(
         arena.tree().canonical_key(),
         reference.tree().canonical_key(),
@@ -483,6 +495,7 @@ fn check_build_over(db: &Database, query: &Query, tree: &FTree, context: &str) {
     direct
         .validate()
         .unwrap_or_else(|e| panic!("{context}: invalid build: {e:?}"));
+    assert_recorded_counts(&direct, context);
     assert_eq!(
         direct.to_forest(),
         forest.to_forest(),
@@ -797,6 +810,7 @@ fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
     fused
         .validate()
         .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
+    assert_recorded_counts(&fused, context);
     assert_simulated_tree(rep, &plan.ops, &fused, &format!("{context}: plan {plan}"));
     if plan.simplified(rep.tree()).is_empty() {
         // Nothing executes: the input comes back as it is, whatever its
@@ -1272,6 +1286,8 @@ fn check_snapshot_round_trip(rep: &FRep, context: &str) {
         loaded.store_identical(rep),
         "{context}: snapshot round trip must be store-identical"
     );
+    assert_recorded_counts(&loaded, context);
+    assert_eq!(loaded.counts(), rep.counts(), "{context}: counts survive");
     assert_eq!(
         encode_frep_ctx(&loaded, &ExecCtx::unlimited()).unwrap(),
         bytes,
@@ -1338,7 +1354,7 @@ fn randomized_representations_round_trip_through_snapshots() {
     let leaves = vec![Entry::leaf(Value::new(4)), Entry::leaf(Value::new(7))];
     let other = FRep::from_parts(other_tree, vec![Union::new(z, leaves)]).unwrap();
     let forest = ops::product(frozen.clone(), other).expect("disjoint attributes");
-    assert!(forest.root_count() >= 2, "a multi-root forest");
+    assert!(forest.roots().len() >= 2, "a multi-root forest");
     check_snapshot_round_trip(&forest, "multi-root forest");
 
     let empty = FRep::empty(built.tree().clone());

@@ -12,7 +12,8 @@ use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::{
     FactorisedQuery, FdbEngine, FdbServer, ServeOutcome, ServeRequest, SharedDatabase,
 };
-use fdb::frep::FRep;
+use fdb::frep::{Entry, FRep, Union};
+use fdb::ftree::{DepEdge, FTree};
 use fdb::{AttrId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,6 +218,106 @@ fn unsatisfiable_selections_empty_identically_under_concurrency() {
             ServeOutcome::Aggregate(_) | ServeOutcome::Ordered(_) => {}
         }
     }
+}
+
+/// Two chains `A{0} → B{1}` and `C{2} → D{3}`, multiplied: a freeze-layout
+/// input whose inner unions a selection on the other chain block-copies.
+/// `shift` moves every value, so two inputs of one shape differ in data.
+fn two_chains(outer: u64, inner: u64, shift: u64) -> FRep {
+    let chain = |top: u32| {
+        let attrs = |ids: &[u32]| ids.iter().map(|&i| AttrId(i)).collect();
+        let mut tree = FTree::new(vec![DepEdge::new(
+            format!("R{top}"),
+            attrs(&[top, top + 1]),
+            outer * inner,
+        )]);
+        let root = tree.add_node(attrs(&[top]), None).unwrap();
+        let child = tree.add_node(attrs(&[top + 1]), Some(root)).unwrap();
+        let entries = (shift..shift + outer)
+            .map(|v| Entry {
+                value: Value::new(v),
+                children: vec![Union::new(
+                    child,
+                    (v..v + inner + v % 3)
+                        .map(|w| Entry::leaf(Value::new(w)))
+                        .collect(),
+                )],
+            })
+            .collect();
+        FRep::from_parts(tree, vec![Union::new(root, entries)]).unwrap()
+    };
+    fdb::frep::ops::product(chain(0), chain(2)).unwrap()
+}
+
+/// Selections on either chain (each block-copies the other one), one
+/// without any data effect, and a COUNT head.
+fn chain_requests(id: fdb::engine::RepId) -> Vec<ServeRequest> {
+    let select = |attr: u32, op: ComparisonOp, value: u64| {
+        FactorisedQuery::default().with_const_selection(ConstSelection {
+            attr: AttrId(attr),
+            op,
+            value: Value::new(value),
+        })
+    };
+    let mut requests: Vec<ServeRequest> = (0..12u64)
+        .map(|c| {
+            let (attr, op) = [(0, ComparisonOp::Ge), (3, ComparisonOp::Le)][c as usize % 2];
+            ServeRequest::new(id, select(attr, op, 2 * c + 3), None)
+        })
+        .collect();
+    requests.push(ServeRequest::new(id, select(1, ComparisonOp::Ge, 0), None));
+    requests.push(ServeRequest::new(
+        id,
+        select(2, ComparisonOp::Ge, 5),
+        Some(AggregateHead::count()),
+    ));
+    requests
+}
+
+/// `(result_size, result_tuples)` of every outcome, each checked against the
+/// walks of its result.
+fn recorded_stats(outcomes: Vec<fdb::Result<ServeOutcome>>) -> Vec<(usize, u128)> {
+    (outcomes.into_iter())
+        .map(|outcome| {
+            let outcome = outcome.expect("every request evaluates");
+            let stats = outcome.stats();
+            if let ServeOutcome::Rep(out) = &outcome {
+                let walked = (out.result.size(), out.result.tuple_count());
+                assert_eq!((stats.result_size, stats.result_tuples), walked);
+            }
+            (stats.result_size, stats.result_tuples)
+        })
+        .collect()
+}
+
+#[test]
+fn recorded_counts_survive_racing_first_requests_and_a_replace() {
+    // A freshly inserted input has not filled its per-union count table:
+    // the first requests of a 4-worker batch race to fill it.
+    let serve_fresh = |workers: usize, shift: u64| {
+        let mut shared = SharedDatabase::new();
+        let id = shared.insert("chains", two_chains(40, 6, shift)).unwrap();
+        let server = FdbServer::new(FdbEngine::new(), Arc::new(shared), workers);
+        recorded_stats(server.serve_batch(chain_requests(id)))
+    };
+    let serial = serve_fresh(1, 0);
+    for round in 0..4 {
+        assert_eq!(serve_fresh(4, 0), serial, "round {round}");
+    }
+
+    // A replaced input brings its own table: the served counts after the
+    // swap are the new data's, never the memo of the old representation.
+    let mut shared = SharedDatabase::new();
+    let id = shared.insert("chains", two_chains(40, 6, 0)).unwrap();
+    let server = FdbServer::new(FdbEngine::new(), Arc::new(shared), 4);
+    assert_eq!(
+        recorded_stats(server.serve_batch(chain_requests(id))),
+        serial
+    );
+    server.replace(id, two_chains(40, 6, 7)).unwrap();
+    let replaced = recorded_stats(server.serve_batch(chain_requests(id)));
+    assert_ne!(replaced, serial, "the new data counts differently");
+    assert_eq!(replaced, serve_fresh(1, 7));
 }
 
 #[test]
