@@ -39,7 +39,7 @@ use fdb_common::{
     AggregateFunc, AggregateHead, AttrId, ConstSelection, ExecCtx, FdbError, Query, Result,
 };
 use fdb_frep::{build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy};
-use fdb_ftree::SCostMemo;
+use fdb_ftree::{FTree, SCostMemo};
 use fdb_plan::{plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, OptimizedPlan};
 use fdb_relation::{Database, Relation};
 use std::borrow::Cow;
@@ -272,8 +272,8 @@ pub enum Source<'a> {
         input: &'a FRep,
         /// The query.
         query: &'a FactorisedQuery,
-        /// When supplied, the optimised plan is looked up by query shape
-        /// (f-tree + operator skeleton + head, constants abstracted) and the
+        /// When supplied, the optimised plan is looked up by the input
+        /// f-tree and the equalities (all the optimiser reads) and the
         /// optimiser is skipped on a hit; a miss publishes the fresh plan.
         /// An optimisation the context interrupts publishes nothing.
         cache: Option<&'a PlanCache>,
@@ -315,6 +315,8 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
         };
     }
     match (head.func, head.attr) {
+        // COUNT(A) counts what COUNT(*) counts; `check_count_attr` makes
+        // sure the result shows A.
         (AggregateFunc::Count, _) => Ok(AggregateKind::Count),
         (AggregateFunc::Sum, Some(a)) => Ok(AggregateKind::Sum(a)),
         (AggregateFunc::Min, Some(a)) => Ok(AggregateKind::Min(a)),
@@ -323,6 +325,21 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
         (func, None) => Err(FdbError::InvalidInput {
             detail: format!("aggregate {func:?} requires an attribute"),
         }),
+    }
+}
+
+/// The check `SUM(A)` makes of its attribute, made for `COUNT(A)`: `attr`
+/// must be a visible attribute of `tree`, the tree the request's plan
+/// yields, with `SUM`'s errors when it is not.
+fn check_count_attr(tree: &FTree, attr: AttrId) -> Result<()> {
+    match tree.node_of_attr(attr) {
+        None => Err(FdbError::AttributeNotInQuery {
+            attr: format!("{attr}"),
+        }),
+        Some(node) if !tree.visible_attrs(node).contains(&attr) => Err(FdbError::InvalidOperator {
+            detail: format!("aggregate over projected-away attribute {attr}"),
+        }),
+        Some(_) => Ok(()),
     }
 }
 
@@ -403,19 +420,19 @@ impl FdbEngine {
     /// Obtains the optimised plan for a factorised query, through the plan
     /// cache when one is supplied.  On a hit the optimiser is skipped
     /// entirely; on a miss the freshly optimised plan is published under
-    /// the query-shape key (constants abstracted — see
-    /// [`crate::serving::PlanCache`]).  The key covers the request's head,
-    /// so requests with the same structural body but different heads never
-    /// share an entry.  An optimisation the context interrupts publishes
-    /// nothing.  A miss searches through an idle path-cover memo of the
-    /// cache, which holds the covers earlier misses solved, and returns it to
-    /// the cache's pool whether or not the search succeeded.
+    /// the key of what the optimiser reads: the input f-tree and the
+    /// equalities (see [`crate::serving::PlanCache`]).  Selections,
+    /// projection and the head's chain swaps are added around the cached
+    /// plan per request, so every request over one tree with the same
+    /// equalities shares one entry.  An optimisation the context interrupts
+    /// publishes nothing.  A miss searches through an idle path-cover memo
+    /// of the cache, which holds the covers earlier misses solved, and
+    /// returns it to the cache's pool whether or not the search succeeded.
     fn resolve_factorised_plan(
         &self,
         input: &FRep,
         query: &FactorisedQuery,
         cache: Option<&PlanCache>,
-        head: Head<'_>,
         ctx: &ExecCtx,
     ) -> Result<(Arc<OptimizedPlan>, CacheCounters)> {
         let optimise = |memo: &mut SCostMemo| {
@@ -426,7 +443,7 @@ impl FdbEngine {
         let Some(cache) = cache else {
             return Ok((optimise(&mut SCostMemo::new())?, CacheCounters::default()));
         };
-        let key = crate::serving::plan_key(input.tree(), query, head);
+        let key = crate::serving::plan_key(input.tree(), &query.equalities);
         if let Some(plan) = cache.lookup(&key) {
             let hit = CacheCounters {
                 hits: 1,
@@ -449,12 +466,7 @@ impl FdbEngine {
 
     /// Stage 1 of [`FdbEngine::run`]: the representation to run on and the
     /// body plan for it.
-    fn resolve_source<'a>(
-        &self,
-        source: Source<'a>,
-        head: Head<'_>,
-        ctx: &ExecCtx,
-    ) -> Result<Sourced<'a>> {
+    fn resolve_source<'a>(&self, source: Source<'a>, ctx: &ExecCtx) -> Result<Sourced<'a>> {
         let opt_start = Instant::now();
         match source {
             Source::Flat { db, query } => {
@@ -478,8 +490,7 @@ impl FdbEngine {
                 query,
                 cache,
             } => {
-                let (optimised, cache) =
-                    self.resolve_factorised_plan(input, query, cache, head, ctx)?;
+                let (optimised, cache) = self.resolve_factorised_plan(input, query, cache, ctx)?;
                 Ok(Sourced {
                     rep: Cow::Borrowed(input),
                     plan: body_plan(
@@ -539,15 +550,25 @@ impl FdbEngine {
             plan_cost,
             explored_states,
             cache,
-        } = self.resolve_source(source, head, ctx)?;
+        } = self.resolve_source(source, ctx)?;
 
         // (2) Head planning.  For ORDER BY, the body plan's final tree —
         // known from simulation — tells us which swaps bring the ordering
         // attributes onto a root path, or that no acceptable swap chain
-        // exists and the rows are sorted flat.
+        // exists and the rows are sorted flat.  A COUNT(A) head checks
+        // there that the result shows A.
         if !head.order_by.is_empty() {
             let tree = plan.final_tree(rep.tree())?;
             plan.extend(plan_chain_restructure(&tree, head.order_by)?.plan);
+        }
+        if let Some(AggregateHead {
+            func: AggregateFunc::Count,
+            attr: Some(attr),
+            distinct: false,
+            ..
+        }) = head.aggregate
+        {
+            check_count_attr(&plan.final_tree(rep.tree())?, *attr)?;
         }
 
         // (3) Simplify once.
@@ -1221,8 +1242,9 @@ mod tests {
                 value: Value::new(1),
             })
             .with_projection(keep);
-        // Another shape, to fill each capacity-1 cache so every miss evicts.
-        let filler = FactorisedQuery::default().with_projection(vec![a]);
+        // Other equalities, to fill each capacity-1 cache so every miss
+        // evicts.
+        let filler = FactorisedQuery::equalities(vec![(c, e)]);
 
         // The oracles: the flat engine for the tuples; enumeration and a flat
         // sort over the (verified) headless result for the heads.
@@ -1460,6 +1482,40 @@ mod tests {
                 matches!(err, FdbError::AttributeNotInQuery { .. }),
                 "group by {group}: {err:?}"
             );
+        }
+    }
+
+    /// `COUNT(A)` makes the check `SUM(A)` makes: an attribute the result
+    /// does not show — its leaf projected away, projected away while its
+    /// node stays (`S.a2` shares `a`'s node), or unknown — is `SUM(A)`'s
+    /// error on either kind of source, and one it shows counts what
+    /// `COUNT(*)` counts.
+    #[test]
+    fn count_of_an_attribute_the_result_does_not_show_is_sums_error() {
+        let Fork {
+            db,
+            join,
+            attrs: [a, b, c, e],
+        } = fork(6);
+        let input = FdbEngine::new().evaluate_flat(&db, &join).unwrap().result;
+        let a2 = db.catalog().find_attr("S.a2").unwrap();
+        let keep = vec![a, b, e];
+        let body = FactorisedQuery::default().with_projection(keep.clone());
+        let flat_query = join.clone().with_projection(keep);
+        let flat = Source::Flat {
+            db: &db,
+            query: &flat_query,
+        };
+        for source in [flat, factorised(&input, &body)] {
+            for attr in [c, a2, AttrId(99)] {
+                let sum = run_aggregate(source, &AggregateHead::over(AggregateFunc::Sum, attr));
+                let count = run_aggregate(source, &AggregateHead::over(AggregateFunc::Count, attr));
+                let (sum, count) = (sum.unwrap_err(), count.unwrap_err());
+                assert_eq!(count, sum, "{source:?}: COUNT({attr})");
+            }
+            let star = run_aggregate(source, &AggregateHead::count()).unwrap();
+            let count_e = run_aggregate(source, &AggregateHead::over(AggregateFunc::Count, e));
+            assert_eq!(count_e.unwrap().result, star.result, "{source:?}");
         }
     }
 }

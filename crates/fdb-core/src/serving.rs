@@ -9,10 +9,12 @@
 //! * [`FdbServer`] executes batches of [`ServeRequest`]s on a vendored
 //!   work-stealing [`ThreadPool`], each request being one
 //!   [`FdbEngine::run`] call;
-//! * [`PlanCache`] memoises the optimiser's output per **query shape** —
-//!   the input f-tree plus the operator skeleton with selection constants
-//!   abstracted away — so repeated traffic (the common case under a skewed
-//!   query mix) skips optimisation entirely.  Hits and misses surface in
+//! * [`PlanCache`] memoises the optimiser's output per input f-tree and
+//!   equality list — all the optimiser reads; selections, projection and a
+//!   head's chain swaps are added per request — so repeated traffic (the
+//!   common case under a skewed query mix) skips optimisation entirely,
+//!   whatever constants, projection or head a request carries.  Hits and
+//!   misses surface in
 //!   [`EvalStats::counters_table`](crate::EvalStats::counters_table).
 //!
 //! Results are deterministic: execution is a pure function of the frozen
@@ -217,59 +219,22 @@ impl SharedDatabase {
     }
 }
 
-/// The cache key: a fingerprint of the query **shape**.  It pins everything
-/// the optimiser's answer depends on — the input f-tree's exact structure
-/// (node ids, parent links, classes, visible attributes, bound constants and
-/// edge cardinalities; the cached plan's operators reference node ids, so
+/// The cache key: everything the optimiser's answer depends on, and
+/// nothing else — the input f-tree's exact structure (node ids, parent
+/// links, classes, visible attributes, bound constants and edge
+/// cardinalities; the cached plan's operators reference node ids, so
 /// structural identity is required for validity) and the equality
-/// conditions — plus the operator skeleton around the cached plan: constant
-/// selections as `(attribute, operator)` pairs with the **constants
-/// abstracted away** (they never reach the optimiser; they are re-applied
-/// verbatim per request), and the projection list.
-///
-/// The key also covers the request's **head**: the aggregate head (function,
-/// attribute, `DISTINCT`, grouping attributes) and the `ORDER BY` list.
-/// The head steers how the engine finishes the plan — ordering appends
-/// chain-restructuring swaps, and the strategy choice is part of the shape
-/// — so two requests with the same structural body but different heads
-/// must not share an entry.  (Omitting the head was a correctness
-/// hazard: a cached entry would make a `COUNT` and a
-/// `COUNT(DISTINCT…) GROUP BY…` of the same body indistinguishable to any
-/// future planner that specialises on the head.)
-pub(crate) fn plan_key(tree: &FTree, query: &FactorisedQuery, head: Head<'_>) -> String {
+/// conditions.  The cached value is the optimiser's plan for exactly these
+/// two; a request's constant selections, its projection and its head's
+/// chain swaps are added around that plan per request, after the lookup.
+/// So every request over one tree with the same equalities — whatever its
+/// selection constants, selections, projection or head — shares one entry,
+/// and none replays a plan that lacks its own tail.
+pub(crate) fn plan_key(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> String {
     let mut key = tree_fingerprint(tree);
     key.push('|');
-    for (a, b) in &query.equalities {
+    for (a, b) in equalities {
         let _ = write!(key, "q{}={};", a.0, b.0);
-    }
-    key.push('|');
-    for sel in &query.const_selections {
-        // Constants abstracted: the skeleton is (attribute, operator).
-        let _ = write!(key, "s{}{:?};", sel.attr.0, sel.op);
-    }
-    key.push('|');
-    if let Some(projection) = &query.projection {
-        for attr in projection {
-            let _ = write!(key, "r{},", attr.0);
-        }
-    }
-    key.push('|');
-    if let Some(aggregate) = head.aggregate {
-        let _ = write!(key, "a{:?}", aggregate.func);
-        if let Some(attr) = aggregate.attr {
-            let _ = write!(key, ":{}", attr.0);
-        }
-        if aggregate.distinct {
-            key.push('d');
-        }
-        key.push('g');
-        for attr in &aggregate.group_by {
-            let _ = write!(key, "{},", attr.0);
-        }
-    }
-    key.push('|');
-    for attr in head.order_by {
-        let _ = write!(key, "o{},", attr.0);
     }
     key
 }
@@ -312,7 +277,7 @@ pub(crate) fn tree_fingerprint(tree: &FTree) -> String {
 }
 
 /// Whether a cache key was built over the given input-tree fingerprint:
-/// the fingerprint opens the key and the `|` that opens the query skeleton
+/// the fingerprint opens the key and the `|` that opens the equality list
 /// follows it, so the trailing delimiter keeps a tree whose fingerprint
 /// happens to be a prefix of another's from matching.
 fn key_matches_tree(key: &str, fingerprint: &str) -> bool {
@@ -333,8 +298,8 @@ struct PlanCacheInner {
     order: VecDeque<String>,
 }
 
-/// A concurrent, **bounded** cache of optimised f-plans, keyed on query
-/// shape.
+/// A concurrent, **bounded** cache of optimised f-plans, keyed on what the
+/// optimiser reads: the input f-tree and the equalities.
 ///
 /// The map is guarded by a plain mutex — entries are tiny `Arc`s and the
 /// critical section is one hash-map probe, negligible next to the
@@ -535,7 +500,7 @@ pub struct ServerStats {
     pub plan_cache_hits: u64,
     /// Plan-cache misses across all served requests.
     pub plan_cache_misses: u64,
-    /// Distinct query shapes currently cached.
+    /// Distinct (f-tree, equalities) keys currently cached.
     pub plan_cache_len: usize,
     /// Plan-cache entries evicted to stay within the capacity bound.
     pub plan_cache_evictions: u64,
@@ -1012,15 +977,21 @@ mod tests {
             );
         }
 
-        // A different shape (different operator) misses.
+        // A different selection, with no equalities either, hits too: the
+        // key holds only what the optimiser reads.
         let other = FactorisedQuery::default().with_const_selection(ConstSelection {
             attr: a,
             op: ComparisonOp::Ge,
             value: Value::new(1),
         });
         let out = run_rep_cached(&rep, &other, &cache);
-        assert_eq!(out.stats.plan_cache_misses, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            (out.stats.plan_cache_hits, out.stats.plan_cache_misses),
+            (1, 0)
+        );
+        assert_eq!(cache.len(), 1);
+        let plain = engine.evaluate_factorised(&rep, &other).unwrap();
+        assert!(out.result.store_identical(&plain.result));
     }
 
     #[test]
@@ -1063,49 +1034,68 @@ mod tests {
     }
 
     #[test]
-    fn plan_keys_distinguish_heads_over_the_same_query_body() {
-        // Regression: the cache key once covered only the query body, so a
-        // plain evaluation, a grouped aggregate and an ordered evaluation of
-        // the *same* body all resolved to one entry — and the later heads
-        // replayed a plan missing their restructure/ordering tail.  Each
-        // head must mint its own entry.
+    fn every_head_over_one_query_body_shares_one_plan_entry() {
+        // The cache key once covered only the query body, and then a cached
+        // plan lacking a head's restructure/ordering tail was a hazard.  The
+        // tail is added per request after the lookup, so every head over one
+        // body shares one entry — and must still return exactly what the
+        // uncached engine returns for that head.
         let (rep, a, b) = base_rep();
+        let c = *rep.visible_attrs().last().unwrap();
         let cache = PlanCache::new();
-        let body = select_a(a, 1);
-
-        run_cached(&rep, &body, Head::default(), &cache);
-        assert_eq!(cache.len(), 1);
+        // A body the optimiser must restructure for, so the entry holds a
+        // non-empty plan.
+        let body = FactorisedQuery::equalities(vec![(a, c)]);
         let count = AggregateHead::count();
+        let count_by_b = count.clone().grouped_by(b);
         let aggregate = |head| Head {
             aggregate: Some(head),
             ..Head::default()
         };
-        run_cached(&rep, &body, aggregate(&count), &cache);
-        assert_eq!(cache.len(), 2, "an aggregate head is part of the key");
-        run_cached(&rep, &body, aggregate(&count.clone().grouped_by(b)), &cache);
-        assert_eq!(
-            cache.len(),
-            3,
-            "the grouping attributes are part of the key"
-        );
-        let ordered = Head {
-            order_by: &[b],
-            ..Head::default()
-        };
-        run_cached(&rep, &body, ordered, &cache);
-        assert_eq!(
-            cache.len(),
-            4,
-            "the ordering attributes are part of the key"
-        );
-
-        // Re-serving each head shape hits its own entry instead of missing.
-        let out = run_cached(&rep, &body, ordered, &cache);
-        assert_eq!(
-            (out.stats().plan_cache_hits, out.stats().plan_cache_misses),
-            (1, 0)
-        );
-        assert_eq!(cache.len(), 4);
+        let heads = [
+            Head::default(),
+            aggregate(&count),
+            aggregate(&count_by_b),
+            Head {
+                order_by: &[b],
+                ..Head::default()
+            },
+        ];
+        for (i, head) in heads.into_iter().enumerate() {
+            let cached = run_cached(&rep, &body, head, &cache);
+            let misses = u64::from(i == 0);
+            assert_eq!(
+                (
+                    cached.stats().plan_cache_hits,
+                    cached.stats().plan_cache_misses
+                ),
+                (1 - misses, misses),
+                "head {i}"
+            );
+            assert_eq!(cache.len(), 1, "head {i}");
+            let uncached = Source::Factorised {
+                input: &rep,
+                query: &body,
+                cache: None,
+            };
+            let plain = FdbEngine::new()
+                .run(uncached, head, &ExecCtx::unlimited())
+                .unwrap();
+            assert_eq!(cached.stats().plan, plain.stats().plan, "head {i}");
+            match (cached, plain) {
+                (ServeOutcome::Rep(x), ServeOutcome::Rep(y)) => {
+                    assert!(x.result.store_identical(&y.result))
+                }
+                (ServeOutcome::Aggregate(x), ServeOutcome::Aggregate(y)) => {
+                    assert_eq!(x.result, y.result)
+                }
+                (ServeOutcome::Ordered(x), ServeOutcome::Ordered(y)) => {
+                    assert_eq!(x.rows, y.rows);
+                    assert_eq!(x.strategy, y.strategy);
+                }
+                (x, y) => panic!("head {i}: outcome kinds differ: {x:?} vs {y:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1058,8 +1058,8 @@ mod tests {
         ));
         // Projecting B away removes its exhausted leaf from the tree: the
         // attribute no longer occurs at all.
-        let mut projected = rep.clone();
-        crate::ops::project(&mut projected, &attrs(&[0])).unwrap();
+        let program = [crate::ops::FPlanOp::Project(attrs(&[0]))];
+        let projected = crate::ops::emit_fused_ctx(&rep, &program, &ExecCtx::unlimited()).unwrap();
         assert!(matches!(
             scalar(&projected, AggregateKind::Min(AttrId(1))),
             Err(FdbError::AttributeNotInQuery { .. })

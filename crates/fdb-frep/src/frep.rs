@@ -481,9 +481,14 @@ mod tests {
         let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
         // Make the B-union under A=1 empty: the A=1 entry must disappear.
         roots[0].entries[0].children[0].entries.clear();
-        let mut rep = FRep::from_parts_unchecked(tree, roots);
+        let rep = FRep::from_parts_unchecked(tree, roots);
         // A selection every value passes: what is left of it is the prune.
-        crate::ops::select_const(&mut rep, AttrId(0), ComparisonOp::Ge, Value::new(0)).unwrap();
+        let program = [crate::ops::FPlanOp::SelectConst {
+            attr: AttrId(0),
+            op: ComparisonOp::Ge,
+            value: Value::new(0),
+        }];
+        let rep = crate::ops::emit_fused_ctx(&rep, &program, &ExecCtx::unlimited()).unwrap();
         rep.validate().unwrap();
         assert_eq!(rep.tuple_count(), 1);
         assert_eq!(rep.root(0).len(), 1);

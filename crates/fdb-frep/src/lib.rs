@@ -138,8 +138,9 @@
 //!   bound).
 //!
 //! **One calling convention.**  The context-taking form is the only form of
-//! an operation; tests, examples and the one-operator functions of [`ops`]
-//! pass `&ExecCtx::unlimited()`.  The exceptions are the five operations
+//! an operation; tests and examples pass `&ExecCtx::unlimited()`, and run a
+//! single operator `op` as the one-operator program
+//! `ops::emit_fused_ctx(&rep, &[op], &ExecCtx::unlimited())`.  The exceptions are the five operations
 //! whose short name the standing benchmark calls (`benchmark/README.md`,
 //! pinned by `tests/benchmark_contract.rs`) while the engine needs the
 //! governed form; each short name is the governed one under

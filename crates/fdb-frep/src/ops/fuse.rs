@@ -14,9 +14,9 @@
 //! one here, so a plan's simulated trees are exactly the trees its
 //! execution yields.  Selection with a constant `σ` is [`Fusion::filter`].
 //! The paper formula and the cost bound of each operator are on its step.
-//! The public single-operator functions of [`crate::ops`] are one-operator
-//! programs, and the thaw-path [`crate::ops::oracle`] is the independent
-//! reference every step is pinned against bit for bit.
+//! A single operator is the one-operator program, and the thaw-path
+//! [`crate::ops::oracle`] is the independent reference every step is pinned
+//! against bit for bit.
 //!
 //! # Why an overlay
 //!
@@ -184,22 +184,12 @@ impl FPlanOp {
     }
 }
 
-/// Executes a program of f-plan operators — structural operators, constant
-/// selections and projections alike — as one arena pass, in place: the
-/// `&mut` form of [`emit_fused_ctx`].  Bit-for-bit on the output arena what
-/// applying the thaw-path [`crate::ops::oracle`] operator by operator
-/// produces; the output replaces `rep` only after the whole emission
-/// succeeded, and the empty program leaves it as it is.
-pub fn execute_fused_ctx(rep: &mut FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<()> {
-    if !ops.is_empty() {
-        *rep = emit_fused_ctx(rep, ops, ctx)?;
-    }
-    Ok(())
-}
-
-/// The plan executor proper: runs the program on the overlay over the
-/// **borrowed** input and emits the result.  Nothing is cloned and an abort
-/// leaves nothing behind.  The deadline and cancellation are checked before
+/// The plan executor: runs a program of f-plan operators — structural
+/// operators, constant selections and projections alike — on the overlay
+/// over the **borrowed** input and emits the result as one arena pass,
+/// bit for bit what applying the thaw-path [`crate::ops::oracle`] operator
+/// by operator produces.  Nothing is cloned and an abort leaves nothing
+/// behind.  The deadline and cancellation are checked before
 /// every operator; the liveness sweeps, the overlay prunes and the final
 /// emission charge the context per record they read and write.  The
 /// restructuring walk ([`rewrite_below`], under swap, push-up, merge,
@@ -1634,9 +1624,13 @@ mod tests {
         }
     }
 
-    /// The program, run in place and on the borrowed input, must agree
-    /// with the oracle bit for bit on the arena, over the tree its
-    /// simulation yields.
+    /// Runs the program ungoverned.
+    fn emit(rep: &FRep, steps: &[FPlanOp]) -> Result<FRep> {
+        emit_fused_ctx(rep, steps, &ExecCtx::unlimited())
+    }
+
+    /// The program must agree with the oracle bit for bit on the arena,
+    /// over the tree its simulation yields.
     fn check(rep: &FRep, steps: &[FPlanOp], context: &str) {
         let mut reference = rep.clone();
         stepwise(&mut reference, steps);
@@ -1645,35 +1639,29 @@ mod tests {
             op.apply_to_tree(&mut simulated)
                 .unwrap_or_else(|e| panic!("{context}: simulation: {e:?}"));
         }
-        let mut in_place = rep.clone();
-        execute_fused_ctx(&mut in_place, steps, &ExecCtx::unlimited())
-            .unwrap_or_else(|e| panic!("{context}: in place: {e:?}"));
-        let borrowed = emit_fused_ctx(rep, steps, &ExecCtx::unlimited())
-            .unwrap_or_else(|e| panic!("{context}: borrowed: {e:?}"));
-        for (path, fused) in [("in-place", &in_place), ("borrowed", &borrowed)] {
-            fused
-                .validate()
-                .unwrap_or_else(|e| panic!("{context}: {path} result invalid: {e:?}"));
-            assert!(
-                fused.store_identical(&reference),
-                "{context}: {path} and oracle stores diverge\n{path}:\n{}\noracle:\n{}",
-                fused.dump_store(),
-                reference.dump_store()
-            );
-            assert_eq!(
-                fused.tree().canonical_key(),
-                reference.tree().canonical_key(),
-                "{context}: {path} tree diverges"
-            );
-            let tree = fused.tree();
-            assert_eq!(
-                tree.snapshot_nodes(),
-                simulated.snapshot_nodes(),
-                "{context}: {path} nodes diverge from the simulation"
-            );
-            assert_eq!(tree.roots(), simulated.roots(), "{context}: {path} roots");
-            assert_eq!(tree.edges(), simulated.edges(), "{context}: {path} edges");
-        }
+        let fused = emit(rep, steps).unwrap_or_else(|e| panic!("{context}: {e:?}"));
+        fused
+            .validate()
+            .unwrap_or_else(|e| panic!("{context}: result invalid: {e:?}"));
+        assert!(
+            fused.store_identical(&reference),
+            "{context}: program and oracle stores diverge\nprogram:\n{}\noracle:\n{}",
+            fused.dump_store(),
+            reference.dump_store()
+        );
+        assert_eq!(
+            fused.tree().canonical_key(),
+            reference.tree().canonical_key(),
+            "{context}: tree diverges"
+        );
+        let tree = fused.tree();
+        assert_eq!(
+            tree.snapshot_nodes(),
+            simulated.snapshot_nodes(),
+            "{context}: nodes diverge from the simulation"
+        );
+        assert_eq!(tree.roots(), simulated.roots(), "{context}: roots");
+        assert_eq!(tree.edges(), simulated.edges(), "{context}: edges");
     }
 
     /// A{0} → B{1} → (C{2}, D{3}) with C dependent on A and D independent —
@@ -1766,14 +1754,8 @@ mod tests {
             "swap cycle",
         );
         // The relation is preserved.
-        let mut fused = rep.clone();
         let before = materialize(&rep).unwrap().tuple_set();
-        execute_fused_ctx(
-            &mut fused,
-            &[FPlanOp::Swap(b), FPlanOp::Swap(a)],
-            &ExecCtx::unlimited(),
-        )
-        .unwrap();
+        let fused = emit(&rep, &[FPlanOp::Swap(b), FPlanOp::Swap(a)]).unwrap();
         assert_eq!(materialize(&fused).unwrap().tuple_set(), before);
     }
 
@@ -1899,35 +1881,37 @@ mod tests {
         let b = rep.tree().node_of_attr(AttrId(2)).unwrap();
         // Disjoint value sets: the merged union is empty, everything prunes.
         check(&rep, &[FPlanOp::Merge(a, b)], "merge to empty");
-        let mut fused = rep.clone();
-        execute_fused_ctx(&mut fused, &[FPlanOp::Merge(a, b)], &ExecCtx::unlimited()).unwrap();
-        assert!(fused.represents_empty());
+        assert!(emit(&rep, &[FPlanOp::Merge(a, b)])
+            .unwrap()
+            .represents_empty());
     }
 
     #[test]
     fn failing_segment_leaves_the_representation_untouched() {
+        use fdb_common::QueryLimits;
         let (rep, a, _) = swap_shape();
-        let mut fused = rep.clone();
-        // Swapping a root is invalid; the error must surface before any data
-        // is modified.
-        assert!(execute_fused_ctx(&mut fused, &[FPlanOp::Swap(a)], &ExecCtx::unlimited()).is_err());
-        assert!(fused.store_identical(&rep));
+        let input = rep.clone();
+        // Swapping a root is invalid; the error must surface before the
+        // program reads a record (not one unit is charged), and the
+        // borrowed input stays as it was.
+        let ample = 1 << 20;
+        let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(ample));
+        assert!(emit_fused_ctx(&rep, &[FPlanOp::Swap(a)], &ctx).is_err());
+        assert_eq!(ctx.budget_remaining(), ample);
+        assert!(rep.store_identical(&input));
     }
 
     #[test]
     fn empty_segment_is_identity() {
         let (rep, _, _) = swap_shape();
-        let mut fused = rep.clone();
-        execute_fused_ctx(&mut fused, &[], &ExecCtx::unlimited()).unwrap();
-        assert!(fused.store_identical(&rep));
+        assert!(emit(&rep, &[]).unwrap().store_identical(&rep));
     }
 
     /// Overlay aggregation must equal emitting the arena and aggregating it,
     /// for every kind and both grouped and ungrouped — on the plan's result.
     fn check_aggregates(rep: &FRep, steps: &[FPlanOp], context: &str) {
         use crate::aggregate::{evaluate_ctx, AggregateKind};
-        let mut emitted = rep.clone();
-        execute_fused_ctx(&mut emitted, steps, &ExecCtx::unlimited()).unwrap();
+        let emitted = emit(rep, steps).unwrap();
         let mut kinds = vec![AggregateKind::Count];
         for attr in emitted.visible_attrs() {
             kinds.extend([
@@ -2175,14 +2159,7 @@ mod tests {
     #[test]
     fn fused_selection_on_missing_attribute_fails_cleanly() {
         let (rep, _, _) = swap_shape();
-        let mut fused = rep.clone();
-        assert!(execute_fused_ctx(
-            &mut fused,
-            &[select(9, ComparisonOp::Eq, 1)],
-            &ExecCtx::unlimited()
-        )
-        .is_err());
-        assert!(fused.store_identical(&rep));
+        assert!(emit(&rep, &[select(9, ComparisonOp::Eq, 1)]).is_err());
     }
 
     #[test]
@@ -2207,8 +2184,7 @@ mod tests {
             ],
         ];
         for steps in &programs {
-            let mut emitted = rep.clone();
-            execute_fused_ctx(&mut emitted, steps, &ExecCtx::unlimited()).unwrap();
+            let emitted = emit(&rep, steps).unwrap();
             check_aggregates(&rep, steps, &format!("trailing selections {steps:?}"));
             // And explicitly against the emitted arena for COUNT.
             let on_arena =
@@ -2285,8 +2261,7 @@ mod tests {
             ),
         ];
         for (program, kind) in programs {
-            let mut emitted = rep.clone();
-            execute_fused_ctx(&mut emitted, &program, &ExecCtx::unlimited()).unwrap();
+            let emitted = emit(&rep, &program).unwrap();
             let expected = crate::aggregate::by_enumeration(&emitted, kind, &[]).unwrap();
             let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(total));
             let folded = execute_fused_aggregate_ctx(&rep, &program, kind, &[], &ctx);

@@ -7,7 +7,8 @@
 //! this module keeps the original implementations — all seven operators,
 //! independent of the executor under test, no code shared with it — so the
 //! equivalence suites can assert bit-for-bit identical stores, one operator
-//! at a time ([`apply`]) or a whole plan applied step by step.
+//! at a time or a whole plan applied step by step.  [`apply`] is the one
+//! entry: it takes an [`FPlanOp`], the same value the executor runs.
 //!
 //! Nothing here is API; the module is `#[doc(hidden)]` and must not be called
 //! from production paths.
@@ -16,7 +17,7 @@ use crate::frep::FRep;
 use crate::node::{self, Entry, Union};
 use crate::ops::FPlanOp;
 use fdb_common::{AttrId, ComparisonOp, FdbError, Result, Value};
-use fdb_ftree::{FTree, NodeId, SwapOutcome};
+use fdb_ftree::{FTree, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A representation thawed into the owned builder form, as the oracle
@@ -86,17 +87,21 @@ fn visit_contexts_of_node_mut<F: FnMut(&mut Vec<Union>)>(
 }
 
 /// Applies one f-plan operator through its thaw-path implementation — the
-/// step of the "oracle applied operator by operator" reference.
+/// step of the "oracle applied operator by operator" reference: thaw,
+/// rewrite the builder form, freeze.  On error `rep` is left as it was.
 pub fn apply(rep: &mut FRep, op: &FPlanOp) -> Result<()> {
+    let mut m = MutRep::thaw(rep);
     match op {
-        FPlanOp::PushUp(b) => push_up(rep, *b),
-        FPlanOp::Normalise => normalise(rep).map(drop),
-        FPlanOp::Swap(b) => swap(rep, *b).map(drop),
-        FPlanOp::Merge(a, b) => merge(rep, *a, *b).map(drop),
-        FPlanOp::Absorb(a, b) => absorb(rep, *a, *b).map(drop),
-        FPlanOp::SelectConst { attr, op, value } => select_const(rep, *attr, *op, *value),
-        FPlanOp::Project(keep) => project(rep, keep),
+        FPlanOp::PushUp(b) => push_up(&mut m, *b)?,
+        FPlanOp::Normalise => normalise(&mut m)?,
+        FPlanOp::Swap(b) => swap(&mut m, *b)?,
+        FPlanOp::Merge(a, b) => merge(&mut m, *a, *b)?,
+        FPlanOp::Absorb(a, b) => absorb(&mut m, *a, *b)?,
+        FPlanOp::SelectConst { attr, op, value } => select_const(&mut m, *attr, *op, *value)?,
+        FPlanOp::Project(keep) => project(&mut m, keep)?,
     }
+    *rep = m.freeze();
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -105,13 +110,12 @@ pub fn apply(rep: &mut FRep, op: &FPlanOp) -> Result<()> {
 
 /// Thaw-path selection `σ_{attr θ value}`: filters the node's unions, prunes
 /// what became empty, and binds the node to the constant on equality.
-pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value) -> Result<()> {
-    let Some(node) = rep.tree().node_of_attr(attr) else {
+fn select_const(m: &mut MutRep, attr: AttrId, op: ComparisonOp, value: Value) -> Result<()> {
+    let Some(node) = m.tree.node_of_attr(attr) else {
         return Err(FdbError::AttributeNotInQuery {
             attr: format!("{attr}"),
         });
     };
-    let mut m = MutRep::thaw(rep);
     visit_unions_of_node_mut(&mut m.roots, node, &mut |union: &mut Union| {
         union.entries.retain(|entry| op.eval(entry.value, value));
     });
@@ -119,7 +123,6 @@ pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value
     if op == ComparisonOp::Eq {
         m.tree.bind_constant(node, value)?;
     }
-    *rep = m.freeze();
     Ok(())
 }
 
@@ -127,17 +130,9 @@ pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value
 // Swap
 // ----------------------------------------------------------------------
 
-/// Thaw-path swap operator `χ_{A,B}`.
-pub fn swap(rep: &mut FRep, b: NodeId) -> Result<SwapOutcome> {
-    let mut m = MutRep::thaw(rep);
-    let outcome = swap_impl(&mut m, b)?;
-    *rep = m.freeze();
-    Ok(outcome)
-}
-
-/// The builder-form swap, shared with the oracle projection operator (which
-/// swaps repeatedly and freezes only once).
-fn swap_impl(rep: &mut MutRep, b: NodeId) -> Result<SwapOutcome> {
+/// Thaw-path swap operator `χ_{A,B}`, also the swap-down of the oracle
+/// projection.
+fn swap(rep: &mut MutRep, b: NodeId) -> Result<()> {
     rep.tree.check_node(b)?;
     let Some(a) = rep.tree.parent(b) else {
         return Err(FdbError::InvalidOperator {
@@ -170,7 +165,7 @@ fn swap_impl(rep: &mut MutRep, b: NodeId) -> Result<SwapOutcome> {
         moved_down,
         "tree-level and data-level dependency splits must agree"
     );
-    Ok(outcome)
+    Ok(())
 }
 
 /// Regroups one `A`-union into the corresponding `B`-union.
@@ -234,18 +229,17 @@ fn regroup(a_union: Union, a: NodeId, b: NodeId, moved_down: &BTreeSet<NodeId>) 
 // ----------------------------------------------------------------------
 
 /// Thaw-path merge operator `µ_{A,B}` on sibling nodes.
-pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<NodeId> {
-    rep.tree().check_node(a)?;
-    rep.tree().check_node(b)?;
-    if !rep.tree().are_siblings(a, b) {
+fn merge(m: &mut MutRep, a: NodeId, b: NodeId) -> Result<()> {
+    m.tree.check_node(a)?;
+    m.tree.check_node(b)?;
+    if !m.tree.are_siblings(a, b) {
         return Err(FdbError::InvalidOperator {
             detail: format!("merge: {a} and {b} are not siblings"),
         });
     }
-    let parent = rep.tree().parent(a);
+    let parent = m.tree.parent(a);
 
-    let mut m = MutRep::thaw(rep);
-    visit_contexts_of_node_mut(&mut m, parent, &mut |context: &mut Vec<Union>| {
+    visit_contexts_of_node_mut(m, parent, &mut |context: &mut Vec<Union>| {
         let Some(pos_a) = context.iter().position(|u| u.node == a) else {
             return;
         };
@@ -268,8 +262,7 @@ pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<NodeId> {
     // Values present on one side only have disappeared; entries whose product
     // became empty elsewhere must be pruned away.
     m.prune_empty();
-    *rep = m.freeze();
-    Ok(a)
+    Ok(())
 }
 
 /// Sort-merge join of two sibling unions into one union over `node`.
@@ -299,16 +292,15 @@ fn merge_unions(node: NodeId, a_union: Union, b_union: Union) -> Union {
 // ----------------------------------------------------------------------
 
 /// Thaw-path absorb operator `α_{A,B}`.
-pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
-    rep.tree().check_node(a)?;
-    rep.tree().check_node(b)?;
-    if !rep.tree().is_ancestor(a, b) {
+fn absorb(m: &mut MutRep, a: NodeId, b: NodeId) -> Result<()> {
+    m.tree.check_node(a)?;
+    m.tree.check_node(b)?;
+    if !m.tree.is_ancestor(a, b) {
         return Err(FdbError::InvalidOperator {
             detail: format!("absorb: {a} is not an ancestor of {b}"),
         });
     }
 
-    let mut m = MutRep::thaw(rep);
     visit_unions_of_node_mut(&mut m.roots, a, &mut |a_union: &mut Union| {
         a_union
             .entries
@@ -317,9 +309,7 @@ pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
 
     m.tree.absorb_into_ancestor(a, b)?;
     m.prune_empty();
-    let pushed = normalise_impl(&mut m)?;
-    *rep = m.freeze();
-    Ok(pushed)
+    normalise(m)
 }
 
 /// Restricts every union over `b` among `children` (recursively) to the
@@ -358,36 +348,20 @@ fn restrict_children(children: &mut Vec<Union>, b: NodeId, value: Value) -> bool
 // Push-up and normalisation
 // ----------------------------------------------------------------------
 
-/// Thaw-path push-up operator `ψ_B`.
-pub fn push_up(rep: &mut FRep, b: NodeId) -> Result<()> {
-    check_push_up(rep.tree(), b)?;
-    let mut m = MutRep::thaw(rep);
-    push_up_impl(&mut m, b)?;
-    *rep = m.freeze();
-    Ok(())
-}
-
-/// Validates push-up applicability without touching data.
-fn check_push_up(tree: &FTree, b: NodeId) -> Result<()> {
-    tree.check_node(b)?;
-    let Some(a) = tree.parent(b) else {
+/// Thaw-path push-up operator `ψ_B`, also each step of the oracle
+/// normalisation.
+fn push_up(rep: &mut MutRep, b: NodeId) -> Result<()> {
+    rep.tree.check_node(b)?;
+    let Some(a) = rep.tree.parent(b) else {
         return Err(FdbError::InvalidOperator {
             detail: format!("push-up: {b} is a root"),
         });
     };
-    if tree.depends_on_subtree(a, b) {
+    if rep.tree.depends_on_subtree(a, b) {
         return Err(FdbError::InvalidOperator {
             detail: format!("push-up: parent {a} depends on the subtree of {b}"),
         });
     }
-    Ok(())
-}
-
-/// The builder-form push-up, shared with the oracle normalisation (so a
-/// chain of push-ups thaws only once).
-fn push_up_impl(rep: &mut MutRep, b: NodeId) -> Result<()> {
-    check_push_up(&rep.tree, b)?;
-    let a = rep.tree.parent(b).expect("checked: b has a parent");
     let grandparent = rep.tree.parent(a);
 
     // In every product context that holds the A-union, extract the (shared)
@@ -418,31 +392,20 @@ fn push_up_impl(rep: &mut MutRep, b: NodeId) -> Result<()> {
     Ok(())
 }
 
-/// Thaw-path normalisation operator `η`.
-pub fn normalise(rep: &mut FRep) -> Result<Vec<NodeId>> {
-    let mut m = MutRep::thaw(rep);
-    let applied = normalise_impl(&mut m)?;
-    *rep = m.freeze();
-    Ok(applied)
-}
-
-/// The builder-form normalisation loop.
-fn normalise_impl(rep: &mut MutRep) -> Result<Vec<NodeId>> {
-    let mut applied = Vec::new();
+/// Thaw-path normalisation operator `η`: push-ups until none applies.
+fn normalise(rep: &mut MutRep) -> Result<()> {
     loop {
         let mut changed = false;
         for node in rep.tree.bottom_up() {
             while rep.tree.can_push_up(node) {
-                push_up_impl(rep, node)?;
-                applied.push(node);
+                push_up(rep, node)?;
                 changed = true;
             }
         }
         if !changed {
-            break;
+            return Ok(());
         }
     }
-    Ok(applied)
 }
 
 // ----------------------------------------------------------------------
@@ -450,25 +413,16 @@ fn normalise_impl(rep: &mut MutRep) -> Result<Vec<NodeId>> {
 // ----------------------------------------------------------------------
 
 /// Thaw-path projection operator `π_keep`.
-pub fn project(rep: &mut FRep, keep: &BTreeSet<AttrId>) -> Result<()> {
-    let all = rep.tree().all_attrs();
-    let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
-    if marked.is_empty() {
-        return Ok(());
-    }
-
-    // The whole leaf-removal / swap-down loop runs on the thawed builder
-    // form; the arena is frozen exactly once at the end.
-    let mut m = MutRep::thaw(rep);
+fn project(m: &mut MutRep, keep: &BTreeSet<AttrId>) -> Result<()> {
+    let marked: BTreeSet<AttrId> = m.tree.all_attrs().difference(keep).copied().collect();
     m.tree.mark_attrs_projected(&marked);
-
     loop {
         // Remove every leaf whose attributes have all been projected away.
         let removable = m.tree.removable_projected_leaves();
         if !removable.is_empty() {
             for leaf in removable {
                 let parent = m.tree.parent(leaf);
-                visit_contexts_of_node_mut(&mut m, parent, &mut |context| {
+                visit_contexts_of_node_mut(m, parent, &mut |context| {
                     context.retain(|u| u.node != leaf);
                 });
                 m.tree.remove_projected_leaf(leaf)?;
@@ -485,11 +439,9 @@ pub fn project(rep: &mut FRep, keep: &BTreeSet<AttrId>) -> Result<()> {
         match marked_inner {
             Some(node) => {
                 let child = m.tree.children(node)[0];
-                swap_impl(&mut m, child)?;
+                swap(m, child)?;
             }
-            None => break,
+            None => return Ok(()),
         }
     }
-    *rep = m.freeze();
-    Ok(())
 }

@@ -763,19 +763,19 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_projections_constants_and_holes() {
-        let mut rep = example3();
+        use crate::ops::{emit_fused_ctx, FPlanOp};
         // Selecting a constant marks a node; projecting away attribute 1
         // exercises the projected-attribute bookkeeping (and, if the leaf is
         // removed, a hole in the node slot vector).
-        crate::ops::select_const(
-            &mut rep,
-            AttrId(0),
-            fdb_common::ComparisonOp::Eq,
-            Value::new(1),
-        )
-        .unwrap();
-        let keep: BTreeSet<AttrId> = attrs(&[0]);
-        crate::ops::project(&mut rep, &keep).unwrap();
+        let program = [
+            FPlanOp::SelectConst {
+                attr: AttrId(0),
+                op: fdb_common::ComparisonOp::Eq,
+                value: Value::new(1),
+            },
+            FPlanOp::Project(attrs(&[0])),
+        ];
+        let rep = emit_fused_ctx(&example3(), &program, &ExecCtx::unlimited()).unwrap();
         rep.validate().unwrap();
         let loaded = decode_frep_ctx(
             &encode_frep_ctx(&rep, &ExecCtx::unlimited()).unwrap(),

@@ -962,9 +962,10 @@ mod tests {
         ComparisonOp::Ge,
     ];
 
-    /// The selection path — the one-operator overlay program behind
-    /// [`ops::select_const`] — against the thaw-path oracle's filter, prune
-    /// and re-freeze: not merely equivalent, the exact same arena records.
+    /// The selection path — the one-operator overlay program
+    /// `[FPlanOp::SelectConst]` — against the thaw-path oracle's filter,
+    /// prune and re-freeze: not merely equivalent, the exact same arena
+    /// records.
     fn assert_selection_matches_the_oracle(
         tree: &FTree,
         store: &Store,
@@ -974,13 +975,13 @@ mod tests {
         context: &str,
     ) {
         let rep = FRep::from_store(tree.clone(), store.clone(), None);
-        let mut reference = rep.clone();
-        ops::oracle::select_const(&mut reference, AttrId(attr), op, c).unwrap();
         let program = [FPlanOp::SelectConst {
             attr: AttrId(attr),
             op,
             value: c,
         }];
+        let mut reference = rep.clone();
+        ops::oracle::apply(&mut reference, &program[0]).unwrap();
         let selected = emit_fused_ctx(&rep, &program, &ExecCtx::unlimited()).unwrap();
         assert_eq!(selected.store(), reference.store(), "{context}");
         selected.store().validate(selected.tree()).unwrap();
@@ -1262,8 +1263,12 @@ mod tests {
     fn layout_check_accepts_every_flagging_constructor_and_its_decoded_snapshot() {
         let (tree, roots) = sample();
         let frozen = FRep::from_parts(tree, roots).unwrap();
-        let mut rewritten = frozen.clone();
-        ops::select_const(&mut rewritten, AttrId(1), ComparisonOp::Gt, Value::new(15)).unwrap();
+        let gt_15 = FPlanOp::SelectConst {
+            attr: AttrId(1),
+            op: ComparisonOp::Gt,
+            value: Value::new(15),
+        };
+        let rewritten = emit_fused_ctx(&frozen, &[gt_15], &ExecCtx::unlimited()).unwrap();
         let mut other_tree = FTree::new(vec![DepEdge::new("S", attrs(&[2]), 1)]);
         let c = other_tree.add_node(attrs(&[2]), None).unwrap();
         let other = Union::new(c, vec![Entry::leaf(Value::new(9))]);

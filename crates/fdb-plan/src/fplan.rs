@@ -103,12 +103,16 @@ impl FPlan {
     }
 
     /// Executes an already simplified plan in place, under a governance
-    /// context: the `&mut` form of [`FPlan::emit_presimplified_ctx`].  An
-    /// aborted or failing plan leaves the representation exactly as it was —
-    /// the executor installs its output only on success — and so does the
-    /// empty plan.
+    /// context: the one in-place form of a program, which runs
+    /// [`FPlan::emit_presimplified_ctx`] on `rep` and installs the output
+    /// over it only on success.  An aborted or failing plan leaves the
+    /// representation exactly as it was, and the empty plan does not touch
+    /// it.
     pub fn execute_presimplified_ctx(&self, rep: &mut FRep, ctx: &ExecCtx) -> Result<()> {
-        ops::execute_fused_ctx(rep, &self.ops, ctx)
+        if !self.ops.is_empty() {
+            *rep = ops::emit_fused_ctx(rep, &self.ops, ctx)?;
+        }
+        Ok(())
     }
 
     /// Executes an already simplified plan on a **borrowed** input and
@@ -329,6 +333,35 @@ mod tests {
         assert!(plan.simulate(rep.tree()).is_err());
         let mut rep = rep;
         assert!(run(&plan, &mut rep).is_err());
+    }
+
+    #[test]
+    fn failing_segment_leaves_the_representation_untouched() {
+        // A plan whose first step runs and whose second fails — on the
+        // tree (swapping what the first swap made a root) or under
+        // governance (a budget of one unit) — installs nothing: the
+        // representation keeps its arena.
+        let rep = sample_rep();
+        let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
+        let ungoverned = ExecCtx::unlimited();
+        let limits = fdb_common::QueryLimits::unlimited().with_budget(1);
+        let starved = ExecCtx::new(&limits);
+        for (ops, ctx) in [
+            (vec![FPlanOp::Swap(oid), FPlanOp::Swap(oid)], &ungoverned),
+            (vec![FPlanOp::Swap(oid), FPlanOp::Normalise], &starved),
+        ] {
+            let mut fused = rep.clone();
+            assert!(FPlan::new(ops)
+                .execute_presimplified_ctx(&mut fused, ctx)
+                .is_err());
+            assert!(fused.store_identical(&rep));
+        }
+        // The empty plan leaves it as it is, too.
+        let mut fused = rep.clone();
+        FPlan::empty()
+            .execute_presimplified_ctx(&mut fused, &ungoverned)
+            .unwrap();
+        assert!(fused.store_identical(&rep));
     }
 
     #[test]

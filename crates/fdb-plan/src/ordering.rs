@@ -35,11 +35,11 @@ use fdb_common::{AttrId, FdbError, Result};
 use fdb_frep::order_chain;
 use fdb_ftree::{FTree, SCostMemo};
 
-use crate::cost::{plan_cost_memo, FPlanCost};
+use crate::cost::plan_cost_memo;
 use crate::fplan::{FPlan, FPlanOp};
 
 /// Tolerance for the cost comparison (matches the optimiser's tie-break
-/// epsilon in [`FPlanCost::better_than`]).
+/// epsilon in [`crate::cost::FPlanCost::better_than`]).
 const EPS: f64 = 1e-9;
 
 /// How the engine should satisfy an ordering head.
@@ -65,24 +65,13 @@ pub struct ChainDecision {
     /// The swap plan to run first ([`ChainStrategy::Restructure`] only;
     /// empty otherwise).
     pub plan: FPlan,
-    /// The f-tree after `plan` (the input tree itself for
-    /// [`ChainStrategy::AlreadyChain`] and [`ChainStrategy::FlatSort`]).
-    pub final_tree: FTree,
-    /// `s(T)` of the input tree.
-    pub input_cost: f64,
-    /// The candidate plan's cost, when a chain-achieving plan existed (also
-    /// populated when it lost to the flat sort, for observability).
-    pub restructure_cost: Option<FPlanCost>,
 }
 
 impl ChainDecision {
-    fn flat(tree: &FTree, input_cost: f64, restructure_cost: Option<FPlanCost>) -> ChainDecision {
+    fn no_plan(strategy: ChainStrategy) -> ChainDecision {
         ChainDecision {
-            strategy: ChainStrategy::FlatSort,
+            strategy,
             plan: FPlan::empty(),
-            final_tree: tree.clone(),
-            input_cost,
-            restructure_cost,
         }
     }
 }
@@ -106,8 +95,6 @@ impl ChainDecision {
 /// dragged off the path — so the chain property is re-verified on the
 /// simulated final tree rather than assumed.
 pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDecision> {
-    let mut memo = SCostMemo::new();
-    let input_cost = memo.s_cost(tree)?;
     for &attr in attrs {
         let node = tree
             .node_of_attr(attr)
@@ -121,13 +108,7 @@ pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDec
         }
     }
     if attrs.is_empty() || order_chain(tree, attrs).is_some() {
-        return Ok(ChainDecision {
-            strategy: ChainStrategy::AlreadyChain,
-            plan: FPlan::empty(),
-            final_tree: tree.clone(),
-            input_cost,
-            restructure_cost: None,
-        });
+        return Ok(ChainDecision::no_plan(ChainStrategy::AlreadyChain));
     }
 
     // Build the candidate plan by simulation: lift the last attribute's
@@ -144,7 +125,7 @@ pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDec
         while work.parent(node).is_some() {
             let op = FPlanOp::Swap(node);
             if op.apply_to_tree(&mut work).is_err() {
-                return Ok(ChainDecision::flat(tree, input_cost, None));
+                return Ok(ChainDecision::no_plan(ChainStrategy::FlatSort));
             }
             ops.push(op);
         }
@@ -153,32 +134,45 @@ pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDec
         // Lifting succeeded but dependent children were dragged between
         // the chain nodes (or the attrs span independent trees — their
         // roots can never stack).
-        return Ok(ChainDecision::flat(tree, input_cost, None));
+        return Ok(ChainDecision::no_plan(ChainStrategy::FlatSort));
     }
 
     let plan = FPlan::new(ops);
+    let mut memo = SCostMemo::new();
+    let input_cost = memo.s_cost(tree)?;
     let cost = plan_cost_memo(&plan, tree, &mut memo)?;
     if cost.max_intermediate <= input_cost + EPS {
         Ok(ChainDecision {
             strategy: ChainStrategy::Restructure,
             plan,
-            final_tree: work,
-            input_cost,
-            restructure_cost: Some(cost),
         })
     } else {
-        Ok(ChainDecision::flat(tree, input_cost, Some(cost)))
+        Ok(ChainDecision::no_plan(ChainStrategy::FlatSort))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::FPlanCost;
     use fdb_ftree::DepEdge;
     use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
+    }
+
+    /// `s(T)` of `tree` and the cost of `plan` on it.
+    fn costs(tree: &FTree, plan: &FPlan) -> (f64, FPlanCost) {
+        let mut memo = SCostMemo::new();
+        let input_cost = memo.s_cost(tree).unwrap();
+        (input_cost, plan_cost_memo(plan, tree, &mut memo).unwrap())
+    }
+
+    /// The plan that swaps the node of `attr` up `swaps` times.
+    fn lift(tree: &FTree, attr: u32, swaps: usize) -> FPlan {
+        let node = tree.node_of_attr(AttrId(attr)).unwrap();
+        FPlan::new(vec![FPlanOp::Swap(node); swaps])
     }
 
     /// A → B → C over one relation {A,B,C}: any of the three attributes can
@@ -225,28 +219,32 @@ mod tests {
         let d = plan_chain_restructure(&t, &[AttrId(1)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::Restructure);
         assert_eq!(d.plan.len(), 1);
-        assert!(order_chain(&d.final_tree, &[AttrId(1)]).is_some());
+        assert!(order_chain(&d.plan.final_tree(&t).unwrap(), &[AttrId(1)]).is_some());
         // ORDER BY (B, A): B to the root, A right under it.
         let d = plan_chain_restructure(&t, &[AttrId(1), AttrId(0)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::Restructure);
-        assert!(order_chain(&d.final_tree, &[AttrId(1), AttrId(0)]).is_some());
-        let cost = d.restructure_cost.unwrap();
-        assert!(cost.max_intermediate <= d.input_cost + EPS);
+        let lifted = d.plan.final_tree(&t).unwrap();
+        assert!(order_chain(&lifted, &[AttrId(1), AttrId(0)]).is_some());
+        let (input_cost, cost) = costs(&t, &d.plan);
+        assert!(cost.max_intermediate <= input_cost + EPS);
     }
 
     #[test]
     fn costly_lifts_fall_back_to_flat_sort() {
         // Lifting C above B in Example 11 breaks the A-D/B nesting: the
         // intermediate trees cost more than s(T_in) = 1, so the planner
-        // must refuse and report the rejected plan's cost.
+        // must refuse the candidate (C swapped past B, then past {A,D}).
         let t = example11_tree();
         let d = plan_chain_restructure(&t, &[AttrId(2)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::FlatSort);
         assert!(d.plan.is_empty());
-        let cost = d.restructure_cost.expect("candidate plan was costed");
-        assert!(cost.max_intermediate > d.input_cost + EPS);
-        // The reported final tree is the *input* tree: no plan runs.
-        assert_eq!(t.canonical_key(), d.final_tree.canonical_key());
+        let (input_cost, cost) = costs(&t, &lift(&t, 2, 2));
+        assert!(cost.max_intermediate > input_cost + EPS);
+        // The final tree is the *input* tree: no plan runs.
+        assert_eq!(
+            t.canonical_key(),
+            d.plan.final_tree(&t).unwrap().canonical_key()
+        );
     }
 
     #[test]
@@ -262,7 +260,7 @@ mod tests {
         t.add_node(attrs(&[1]), None).unwrap();
         let d = plan_chain_restructure(&t, &[AttrId(0), AttrId(1)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::FlatSort);
-        assert!(d.restructure_cost.is_none(), "no candidate plan exists");
+        assert!(d.plan.is_empty());
     }
 
     #[test]
@@ -292,14 +290,12 @@ mod tests {
         let t = example11_tree();
         let d = plan_chain_restructure(&t, &[AttrId(4)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::FlatSort);
-        let cost = d
-            .restructure_cost
-            .expect("the one-swap candidate is costed");
-        assert!(cost.max_intermediate > d.input_cost + EPS);
+        let (input_cost, cost) = costs(&t, &lift(&t, 4, 1));
+        assert!(cost.max_intermediate > input_cost + EPS);
         // GROUP BY B on the path tree: the same planner says yes there.
         let t = path_tree();
         let d = plan_chain_restructure(&t, &[AttrId(1)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::Restructure);
-        assert!(order_chain(&d.final_tree, &[AttrId(1)]).is_some());
+        assert!(order_chain(&d.plan.final_tree(&t).unwrap(), &[AttrId(1)]).is_some());
     }
 }

@@ -9,9 +9,11 @@
 //! cargo run --release --example grocery_retailer
 //! ```
 
+use fdb::common::ExecCtx;
 use fdb::datagen::grocery::{grocery_database, DISPATCHERS, ITEMS, LOCATIONS, SUPPLIERS};
 use fdb::engine::{FactorisedQuery, FdbEngine};
-use fdb::frep::{materialize, ops};
+use fdb::frep::materialize;
+use fdb::frep::ops::{self, FPlanOp};
 use fdb::ftree::s_cost;
 
 fn main() {
@@ -42,12 +44,14 @@ fn main() {
     // Example 1's second factorisation.
     println!();
     println!("=== Restructuring Q1 from T1 to T2 (swap item ↔ location) ===");
-    let mut regrouped = q1.result.clone();
-    let location_node = regrouped
+    let location_node = q1
+        .result
         .tree()
         .node_of_attr(grocery.attr("Store.location"))
         .expect("location labels a node");
-    ops::swap(&mut regrouped, location_node).expect("swap is valid");
+    let swap = [FPlanOp::Swap(location_node)];
+    let regrouped =
+        ops::emit_fused_ctx(&q1.result, &swap, &ExecCtx::unlimited()).expect("swap is valid");
     print!("{}", regrouped.tree().render(attr_name));
     println!("size after regrouping: {} singletons", regrouped.size());
 

@@ -172,8 +172,7 @@ fn random_fusable_steps(
 /// the representation (merges/absorbs apply equality selections) but both
 /// consumers must see the same relation.
 fn check_overlay_after_plan(rep: &FRep, steps: &[FPlanOp], context: &str) {
-    let mut emitted = rep.clone();
-    ops::execute_fused_ctx(&mut emitted, steps, &ExecCtx::unlimited())
+    let emitted = ops::emit_fused_ctx(rep, steps, &ExecCtx::unlimited())
         .unwrap_or_else(|e| panic!("{context}: fused execution failed: {e:?}"));
     let (kinds, groups) = kinds_and_groups(&emitted);
     for &kind in &kinds {
@@ -266,8 +265,7 @@ fn selection_folded_aggregates_match_the_flat_oracle() {
                 value: Value::new(rng.gen_range(0..6u64)),
             });
             // Only valid if the attributes survived the structural steps.
-            let mut probe = rep.clone();
-            if ops::execute_fused_ctx(&mut probe, &with_suffix, &ExecCtx::unlimited()).is_ok() {
+            if ops::emit_fused_ctx(&rep, &with_suffix, &ExecCtx::unlimited()).is_ok() {
                 check_overlay_after_plan(
                     &rep,
                     &with_suffix,
@@ -402,8 +400,12 @@ fn edge_case_representations_agree_across_all_three_paths() {
     );
 
     // Empty result: COUNT/SUM are 0, MIN/MAX/AVG are None on all paths.
-    let mut empty = singleton.clone();
-    ops::select_const(&mut empty, AttrId(0), ComparisonOp::Eq, Value::new(99)).unwrap();
+    let unsatisfiable = FPlanOp::SelectConst {
+        attr: AttrId(0),
+        op: ComparisonOp::Eq,
+        value: Value::new(99),
+    };
+    let empty = ops::emit_fused_ctx(&singleton, &[unsatisfiable], &ExecCtx::unlimited()).unwrap();
     assert!(empty.represents_empty());
     check_all_paths(&empty, "empty representation");
     assert_eq!(
@@ -678,8 +680,7 @@ fn every_kind_agrees_with_enumeration_across_filters_programs_and_heads() {
         for (program_name, program, chain) in &programs {
             // The filter is the program's trailing selections.
             let program = [program.as_slice(), filter].concat();
-            let mut emitted = small.clone();
-            ops::execute_fused_ctx(&mut emitted, &program, &ExecCtx::unlimited()).unwrap();
+            let emitted = ops::emit_fused_ctx(&small, &program, &ExecCtx::unlimited()).unwrap();
             // Ungrouped, the root chain, and a grouping off it: `E` (a
             // leaf under the root) then `D` (a leaf in the other branch).
             for group_by in [&[][..], &chain[..], &[AttrId(4), AttrId(3)]] {

@@ -8,9 +8,9 @@
 //! on generated f-representations every operator — all seven, each a
 //! one-operator program of the plan executor — and every multi-operator plan
 //! produce a store **bit-for-bit identical** (`FRep::store_identical`,
-//! checked after `validate()`) to the thaw-path oracle in
-//! `fdb::frep::ops::oracle`, applied operator by operator, including
-//! empty-union and single-entry edge cases.
+//! checked after `validate()`) to the thaw-path oracle
+//! (`fdb::frep::ops::oracle::apply`), applied operator by operator,
+//! including empty-union and single-entry edge cases.
 
 mod common;
 
@@ -217,92 +217,50 @@ fn assert_simulated_tree(input: &FRep, ops: &[FPlanOp], emitted: &FRep, context:
     assert_eq!(simulated.edges(), tree.edges(), "{context}: edges diverge");
 }
 
-/// Applies every applicable operator to clones of `rep`, both through the
-/// executor (`fdb::frep::ops::*`) and through the thaw-path oracle, and
-/// asserts the stores come out bit-for-bit identical, over the tree the
-/// operator's simulation yields.
+/// Runs every applicable operator on `rep` as a one-operator program and
+/// through the thaw-path oracle, and asserts the stores come out
+/// bit-for-bit identical, over the tree the operator's simulation yields.
 fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &str) {
-    // Canonicalise the input to the freeze layout first: an operator that
-    // turns out to be a no-op (e.g. normalise on an already-normalised tree)
-    // leaves the arena untouched, while the oracle always re-freezes — the
-    // two can only be bit-identical if the input already is.
+    // Canonicalise the input to the freeze layout first: the oracle always
+    // re-freezes, so an operator that turns out to be a no-op (e.g.
+    // normalise on an already-normalised tree) can only be bit-identical
+    // to it if the input already is in that layout.
     let rep = &FRep::from_parts(rep.tree().clone(), rep.to_forest())
         .unwrap_or_else(|e| panic!("{context}: canonicalisation rejected: {e:?}"));
     let tree = rep.tree();
     let nodes: Vec<NodeId> = tree.node_ids();
-
+    let mut candidates: Vec<FPlanOp> = Vec::new();
     // Swap χ: every non-root node.
-    for &node in &nodes {
-        if tree.parent(node).is_none() {
-            continue;
-        }
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        let got = ops::swap(&mut arena, node).expect("arena swap applies");
-        let want = oracle::swap(&mut reference, node).expect("oracle swap applies");
-        assert_eq!(got, want, "{context}: swap({node}) outcome");
-        let context = format!("{context}: swap({node})");
-        assert_identical(&arena, &reference, &context);
-        assert_simulated_tree(rep, &[FPlanOp::Swap(node)], &arena, &context);
-    }
-
-    // Push-up ψ / normalisation η wherever the tree allows it.
-    for &node in &nodes {
-        if !tree.can_push_up(node) {
-            continue;
-        }
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        ops::push_up(&mut arena, node).expect("arena push-up applies");
-        oracle::push_up(&mut reference, node).expect("oracle push-up applies");
-        let context = format!("{context}: push_up({node})");
-        assert_identical(&arena, &reference, &context);
-        assert_simulated_tree(rep, &[FPlanOp::PushUp(node)], &arena, &context);
-    }
-    {
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        let got = ops::normalise(&mut arena).expect("arena normalise applies");
-        let want = oracle::normalise(&mut reference).expect("oracle normalise applies");
-        assert_eq!(got, want, "{context}: normalise sequence");
-        let context = format!("{context}: normalise");
-        assert_identical(&arena, &reference, &context);
-        assert_simulated_tree(rep, &[FPlanOp::Normalise], &arena, &context);
-    }
-
-    // Merge µ: every ordered sibling pair.
+    candidates.extend(
+        nodes
+            .iter()
+            .filter(|&&n| tree.parent(n).is_some())
+            .map(|&n| FPlanOp::Swap(n)),
+    );
+    // Push-up ψ wherever the tree allows it, and normalisation η.
+    candidates.extend(
+        nodes
+            .iter()
+            .filter(|&&n| tree.can_push_up(n))
+            .map(|&n| FPlanOp::PushUp(n)),
+    );
+    candidates.push(FPlanOp::Normalise);
     for &a in &nodes {
         for &b in &nodes {
-            if a == b || !tree.are_siblings(a, b) {
-                continue;
+            // Merge µ: every ordered sibling pair.
+            if a != b && tree.are_siblings(a, b) {
+                candidates.push(FPlanOp::Merge(a, b));
             }
-            let mut arena = rep.clone();
-            let mut reference = rep.clone();
-            ops::merge(&mut arena, a, b).expect("arena merge applies");
-            oracle::merge(&mut reference, a, b).expect("oracle merge applies");
-            let context = format!("{context}: merge({a},{b})");
-            assert_identical(&arena, &reference, &context);
-            assert_simulated_tree(rep, &[FPlanOp::Merge(a, b)], &arena, &context);
         }
     }
-
-    // Absorb α: every ancestor/descendant pair.
     for &a in &nodes {
         for &b in &nodes {
-            if !tree.is_ancestor(a, b) {
-                continue;
+            // Absorb α: every ancestor/descendant pair.
+            if tree.is_ancestor(a, b) {
+                candidates.push(FPlanOp::Absorb(a, b));
             }
-            let mut arena = rep.clone();
-            let mut reference = rep.clone();
-            let got = ops::absorb(&mut arena, a, b).expect("arena absorb applies");
-            let want = oracle::absorb(&mut reference, a, b).expect("oracle absorb applies");
-            assert_eq!(got, want, "{context}: absorb({a},{b}) push-ups");
-            let context = format!("{context}: absorb({a},{b})");
-            assert_identical(&arena, &reference, &context);
-            assert_simulated_tree(rep, &[FPlanOp::Absorb(a, b)], &arena, &context);
         }
     }
-
     // Selection σ with a constant: every attribute, a random comparison
     // (equality binds the node) against a value from the data's range.
     let all: Vec<AttrId> = rep.visible_attrs();
@@ -314,28 +272,22 @@ fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &s
             ComparisonOp::Ge,
         ][rng.gen_range(0..4usize)];
         let value = Value::new(rng.gen_range(0..8u64));
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        ops::select_const(&mut arena, attr, op, value).expect("arena selection applies");
-        oracle::select_const(&mut reference, attr, op, value).expect("oracle selection applies");
-        let context = format!("{context}: select({attr} {op:?} {value})");
-        assert_identical(&arena, &reference, &context);
-        let select = FPlanOp::SelectConst { attr, op, value };
-        assert_simulated_tree(rep, &[select], &arena, &context);
+        candidates.push(FPlanOp::SelectConst { attr, op, value });
     }
-
-    // Projection π onto a random attribute subset (and the empty one).
-    let mut keeps: Vec<BTreeSet<AttrId>> = vec![BTreeSet::new()];
+    // Projection π onto the empty attribute set and a random subset.
     let random_keep: BTreeSet<AttrId> = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
-    keeps.push(random_keep);
-    for keep in keeps {
-        let mut arena = rep.clone();
+    candidates.push(FPlanOp::Project(BTreeSet::new()));
+    candidates.push(FPlanOp::Project(random_keep));
+
+    for op in candidates {
+        let context = format!("{context}: {op}");
+        let arena = ops::emit_fused_ctx(rep, std::slice::from_ref(&op), &ExecCtx::unlimited())
+            .unwrap_or_else(|e| panic!("{context}: the program fails: {e:?}"));
         let mut reference = rep.clone();
-        ops::project(&mut arena, &keep).expect("arena projection applies");
-        oracle::project(&mut reference, &keep).expect("oracle projection applies");
-        let context = format!("{context}: project({keep:?})");
+        oracle::apply(&mut reference, &op)
+            .unwrap_or_else(|e| panic!("{context}: the oracle fails: {e:?}"));
         assert_identical(&arena, &reference, &context);
-        assert_simulated_tree(rep, &[FPlanOp::Project(keep)], &arena, &context);
+        assert_simulated_tree(rep, &[op], &arena, &context);
     }
 }
 
@@ -361,6 +313,17 @@ fn randomized_structural_ops_match_the_thaw_path_oracle() {
             .result;
         check_structural_ops_against_oracle(&rep, &mut rng, &format!("seed {seed}"));
     }
+}
+
+/// `rep` under the selection `σ_{A0 = 99}`, which no value satisfies: the
+/// canonical empty representation over `rep`'s tree.
+fn unsatisfiable_selection(rep: &FRep) -> FRep {
+    let select = FPlanOp::SelectConst {
+        attr: AttrId(0),
+        op: ComparisonOp::Eq,
+        value: Value::new(99),
+    };
+    ops::emit_fused_ctx(rep, &[select], &ExecCtx::unlimited()).unwrap()
 }
 
 #[test]
@@ -398,8 +361,7 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
 
     // The same tree with empty root unions: the empty-union edge case.  An
     // unsatisfiable selection produces the canonical empty representation.
-    let mut empty = singleton.clone();
-    fdb::frep::ops::select_const(&mut empty, AttrId(0), ComparisonOp::Eq, Value::new(99)).unwrap();
+    let empty = unsatisfiable_selection(&singleton);
     assert!(empty.represents_empty());
     check_structural_ops_against_oracle(&empty, &mut rng, "empty representation");
 
@@ -923,8 +885,7 @@ fn fused_plans_match_the_stepwise_path_on_edge_case_representations() {
 
     // Empty-result representation: an unsatisfiable selection first, then
     // structural plans over the empty arena.
-    let mut empty = singleton.clone();
-    fdb::frep::ops::select_const(&mut empty, AttrId(0), ComparisonOp::Eq, Value::new(99)).unwrap();
+    let empty = unsatisfiable_selection(&singleton);
     assert!(empty.represents_empty());
     for trial in 0..8 {
         let plan = random_plan(&mut rng, empty.tree(), 4, trial % 2 == 1);
@@ -1101,8 +1062,8 @@ fn selection_then_projection_and_projection_then_structural_match() {
         .into_iter()
         .filter(|&a| a != dispatcher)
         .collect();
-    let mut projected = rep.clone();
-    fdb::frep::ops::project(&mut projected, &keep_most).unwrap();
+    let project = [FPlanOp::Project(keep_most.clone())];
+    let projected = ops::emit_fused_ctx(&rep, &project, &ExecCtx::unlimited()).unwrap();
     let swap_node = projected
         .tree()
         .node_ids()

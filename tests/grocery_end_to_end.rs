@@ -1,10 +1,11 @@
 //! End-to-end reproduction of the paper's running example (Examples 1–10 use
 //! the grocery retailer database of Figure 1).
 
-use fdb::common::Value;
+use fdb::common::{ExecCtx, Value};
 use fdb::datagen::grocery_database;
 use fdb::engine::{FactorisedQuery, FdbEngine};
-use fdb::frep::{materialize, ops};
+use fdb::frep::materialize;
+use fdb::frep::ops::{self, FPlanOp};
 use fdb::ftree::s_cost;
 use fdb::plan::optimal_ftree;
 use fdb::relation::RdbEngine;
@@ -65,7 +66,7 @@ fn example8_swap_regroups_by_location() {
     // down); every intermediate representation must stay equivalent.
     let mut guard = 0;
     while rep.tree().parent(location).is_some() {
-        ops::swap(&mut rep, location).unwrap();
+        rep = ops::emit_fused_ctx(&rep, &[FPlanOp::Swap(location)], &ExecCtx::unlimited()).unwrap();
         rep.validate().unwrap();
         assert_eq!(materialize(&rep).unwrap().tuple_set(), before);
         guard += 1;
@@ -121,14 +122,12 @@ fn constant_selection_on_factorised_q1() {
     let g = grocery_database();
     let engine = FdbEngine::new();
     let base = engine.evaluate_flat(&g.db, &g.q1()).unwrap();
-    let mut rep = base.result;
-    ops::select_const(
-        &mut rep,
-        g.attr("Orders.item"),
-        fdb::common::ComparisonOp::Eq,
-        Value::new(2), // Cheese
-    )
-    .unwrap();
+    let cheese = FPlanOp::SelectConst {
+        attr: g.attr("Orders.item"),
+        op: fdb::common::ComparisonOp::Eq,
+        value: Value::new(2), // Cheese
+    };
+    let rep = ops::emit_fused_ctx(&base.result, &[cheese], &ExecCtx::unlimited()).unwrap();
     rep.validate().unwrap();
     let flat = materialize(&rep).unwrap();
     let col = flat.col_index(g.attr("Orders.item")).unwrap();

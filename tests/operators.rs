@@ -2,16 +2,22 @@
 //! operator preserves the represented relation, and every selection operator
 //! computes exactly the selection it claims.
 
-use fdb::common::{ComparisonOp, Query, RelId, Value};
+use fdb::common::{ComparisonOp, ExecCtx, Query, RelId, Result, Value};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
-use fdb::frep::{materialize, ops, FRep};
+use fdb::frep::ops::{self, FPlanOp};
+use fdb::frep::{materialize, FRep};
 use fdb::relation::Database;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+
+/// Runs `op` as the one-operator program `&[op]`.
+fn run(rep: &FRep, op: FPlanOp) -> Result<FRep> {
+    ops::emit_fused_ctx(rep, &[op], &ExecCtx::unlimited())
+}
 
 /// Builds a random factorised query result to act as the operator input.
 fn random_frep(
@@ -63,16 +69,16 @@ proptest! {
             }
             let node = *non_roots.choose(&mut rng).expect("non-empty");
             if rng.gen_bool(0.5) {
-                ops::swap(&mut rep, node).expect("swap of a non-root always applies");
+                rep = run(&rep, FPlanOp::Swap(node)).expect("swap of a non-root always applies");
             } else if rep.tree().can_push_up(node) {
-                ops::push_up(&mut rep, node).expect("push-up applies when allowed");
+                rep = run(&rep, FPlanOp::PushUp(node)).expect("push-up applies when allowed");
             }
             rep.validate().expect("operators preserve the invariants");
             prop_assert_eq!(materialize(&rep).expect("enumerate").tuple_set(), reference.clone());
         }
 
         let size_before = rep.size();
-        ops::normalise(&mut rep).expect("normalisation succeeds");
+        let rep = run(&rep, FPlanOp::Normalise).expect("normalisation succeeds");
         rep.validate().expect("normalisation preserves the invariants");
         prop_assert!(rep.tree().is_normalised());
         prop_assert!(rep.size() <= size_before, "normalisation never grows the representation");
@@ -88,7 +94,7 @@ proptest! {
         constant in 1u64..7,
         op_choice in 0usize..6,
     ) {
-        let (_, _, mut rep) = random_frep(seed, 2, 5, tuples, 1);
+        let (_, _, rep) = random_frep(seed, 2, 5, tuples, 1);
         let attrs = rep.visible_attrs();
         let attr = attrs[seed as usize % attrs.len()];
         let op = [
@@ -107,7 +113,8 @@ proptest! {
             .map(|r| r.to_vec())
             .collect();
 
-        ops::select_const(&mut rep, attr, op, Value::new(constant)).expect("selection succeeds");
+        let value = Value::new(constant);
+        let rep = run(&rep, FPlanOp::SelectConst { attr, op, value }).expect("selection succeeds");
         rep.validate().expect("selection preserves the invariants");
         prop_assert_eq!(materialize(&rep).expect("enumerate").tuple_set(), expected);
     }
@@ -119,7 +126,7 @@ proptest! {
         tuples in 1usize..30,
         keep_mask in 1u32..63,
     ) {
-        let (_, _, mut rep) = random_frep(seed, 2, 5, tuples, 1);
+        let (_, _, rep) = random_frep(seed, 2, 5, tuples, 1);
         let attrs = rep.visible_attrs();
         let keep: BTreeSet<_> = attrs
             .iter()
@@ -132,7 +139,7 @@ proptest! {
         let keep_vec: Vec<_> = keep.iter().copied().collect();
         let expected = before.project_distinct(&keep_vec).expect("projection").tuple_set();
 
-        ops::project(&mut rep, &keep).expect("projection succeeds");
+        let rep = run(&rep, FPlanOp::Project(keep)).expect("projection succeeds");
         rep.validate().expect("projection preserves the invariants");
         prop_assert_eq!(rep.visible_attrs(), keep_vec);
         prop_assert_eq!(materialize(&rep).expect("enumerate").tuple_set(), expected);
@@ -171,11 +178,11 @@ proptest! {
         let a_attr = *left.tree().class(a).iter().next().expect("non-empty class");
         let b_attr = *right.tree().class(b).iter().next().expect("non-empty class");
 
-        let mut joined = product;
+        let joined = product;
         let a_node = joined.tree().node_of_attr(a_attr).expect("present");
         let b_node = joined.tree().node_of_attr(b_attr).expect("present");
         prop_assume!(joined.tree().are_siblings(a_node, b_node));
-        ops::merge(&mut joined, a_node, b_node).expect("merge of sibling roots");
+        let joined = run(&joined, FPlanOp::Merge(a_node, b_node)).expect("merge of sibling roots");
         joined.validate().expect("merge preserves the invariants");
 
         // Reference: nested-loop join of the two flat relations.
