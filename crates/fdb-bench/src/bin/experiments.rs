@@ -7,7 +7,14 @@
 //! ```
 //!
 //! Every experiment prints a plain-text table whose rows correspond to the
-//! series of the paper's figures.
+//! series of the paper's figures.  With `--check`, the run also checks the
+//! paper's claims that do not depend on host speed (so far Experiment 1's:
+//! `s(T)` ≤ 2 in every cell), reports its time claims without gating them,
+//! and exits with status 1 if a checked claim fails:
+//!
+//! ```bash
+//! cargo run --release -p fdb-bench --bin experiments -- exp1 --quick --check
+//! ```
 
 use fdb_bench::{exp1, exp2, exp3, exp4, report, Scale};
 use std::time::Instant;
@@ -22,6 +29,13 @@ fn main() {
         .filter(|a| !a.starts_with('-'))
         .collect();
     let run_all = which.is_empty() || which.contains(&"all");
+    let check = args.iter().any(|a| a == "--check");
+    let known = ["all", "exp1", "exp2", "exp3", "exp4"];
+    if let Some(unknown) = which.iter().find(|w| !known.contains(w)) {
+        eprintln!("unknown experiment {unknown:?}; expected one of {known:?}");
+        std::process::exit(2);
+    }
+    let mut broken = Vec::new();
 
     println!(
         "FDB experiment harness — scale: {:?} (use --quick for a fast run)\n",
@@ -38,6 +52,11 @@ fn main() {
         };
         let rows = exp1::run(scale, max_r, max_k);
         println!("{}", report::render_exp1(&rows));
+        if check {
+            let (lines, failed) = exp1::check(&rows);
+            lines.iter().for_each(|line| println!("{line}"));
+            broken.extend(failed);
+        }
         println!("(exp1 finished in {:?})\n", start.elapsed());
     }
 
@@ -64,5 +83,12 @@ fn main() {
         let rows = exp4::run(scale);
         println!("{}", report::render_exp4(&rows));
         println!("(exp4 finished in {:?})\n", start.elapsed());
+    }
+
+    for claim in &broken {
+        eprintln!("check failed: {claim}");
+    }
+    if !broken.is_empty() {
+        std::process::exit(1);
     }
 }

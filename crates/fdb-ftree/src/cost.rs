@@ -28,16 +28,32 @@
 //! the path constraint would be violated; conversely every such recursive
 //! decomposition satisfies the path constraint.)  A path's cover depends
 //! only on the set of its classes' incidence sets, so classes with the same
-//! set are interchangeable: the search branches over distinct sets only and
-//! memoises subproblems on (the multiset of sets of the component, the set
-//! of sets of its ancestors), which collapses the exponentially many
-//! orderings of interchangeable classes.
+//! set are interchangeable: the lowest of them names their *kind*, and the
+//! search branches over kinds only.
+//!
+//! The search is dynamic programming over sets of classes held as bitset
+//! words (one `u64` up to 64 classes, the incidence sets' spilling form
+//! beyond), the way Selinger's join enumeration keys relation subsets.  A
+//! subproblem's key is two words and nothing allocated: its component,
+//! each kind's classes replaced by the lowest classes of that kind (one
+//! word per multiset of sets), and the kinds of its ancestors.  That
+//! collapses the exponentially many orderings of interchangeable classes.
+//! Components come from a flood fill over per-class adjacency words (the
+//! classes that share a relation), the highest class's component first;
+//! and a per-search map from ancestor words to covers sits in front of the
+//! memo.
+//!
+//! The memo answers three path shapes without an LP: no non-constant node
+//! (cover 0), incidence sets that all share an edge (1), and non-empty,
+//! pairwise disjoint sets (one per set).  [`s_cost_details`] solves every
+//! path's LP, shapes included: it is the oracle the memo is tested against.
 
 use crate::builder::dep_edges_for_query;
+use crate::edgeset::{EdgeSet, IndexSet};
 use crate::ftree::{FTree, NodeId};
 use fdb_common::{Catalog, FdbError, Query, RelId, Result};
 use fdb_lp::{fractional_edge_cover, CoverInstance};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Cost details of one root-to-leaf path.
 #[derive(Clone, Debug)]
@@ -52,8 +68,7 @@ pub struct PathCost {
 
 /// Appends the incidence set of `node` to `path` as `width` bitmap words.
 fn push_set(tree: &FTree, node: NodeId, width: usize, path: &mut Vec<u64>) {
-    let set = tree.incidence(node);
-    path.extend((0..width).map(|slot| set.word(slot)));
+    path.extend((0..width).map(|slot| tree.incidence(node).word(slot)));
 }
 
 /// The number of bitmap words that hold any incidence set of the tree.
@@ -109,8 +124,10 @@ const MAX_COVERS: usize = 1 << 14;
 /// incidence sets — not on their order along the path, and a node whose set
 /// repeats another's adds a constraint the LP already has — and an optimiser
 /// costs thousands of trees whose paths carry the same nodes in different
-/// orders: the memo solves one LP per distinct sorted, de-duplicated list of
-/// sets and hands every later occurrence the same `f64`.  A memo serves any
+/// orders: the memo keys a path by its sorted, de-duplicated list of sets,
+/// answers the three shapes of the module docs (no set, a shared edge,
+/// pairwise disjoint sets) outright, solves one LP per other distinct list
+/// and hands every later occurrence the same `f64`.  A memo serves any
 /// number of trees, over the same edge list or not, and the f-tree search
 /// takes its covers from the same entries.
 ///
@@ -150,7 +167,7 @@ impl SCostMemo {
     /// classes of `tree`, on its edges — the cost [`optimal_ftree`] finds
     /// for a query, without building the tree.
     pub fn min_s_cost(&mut self, tree: &FTree) -> Result<f64> {
-        Search::new(tree, self)?.cost()
+        Ok(arrange(tree, self, None)?.0)
     }
 
     /// The fractional edge cover number of the non-constant nodes among
@@ -172,6 +189,9 @@ impl SCostMemo {
             sets.dedup();
             self.path = sets.concat();
         }
+        if let Some(cost) = closed_form(&self.path, width) {
+            return Ok(cost);
+        }
         self.path.push(width as u64);
         if let Some(&cost) = self.covers.get(&self.path) {
             return Ok(cost);
@@ -182,6 +202,32 @@ impl SCostMemo {
         }
         self.covers.insert(self.path.clone(), cost);
         Ok(cost)
+    }
+}
+
+/// The cover of a path of distinct sets, `width` words a set, in the three
+/// shapes that need no LP: no set (0); sets that share an edge (1, since
+/// that edge alone covers every vertex, and each vertex needs weight 1); and
+/// non-empty, pairwise disjoint sets (their number, since no edge covers two
+/// vertices).
+fn closed_form(path: &[u64], width: usize) -> Option<f64> {
+    let (mut shared, mut disjoint) = (false, true);
+    for slot in 0..width {
+        let (mut all, mut any, mut ones) = (u64::MAX, 0u64, 0);
+        for &w in path.iter().skip(slot).step_by(width) {
+            (all, any, ones) = (all & w, any | w, ones + w.count_ones());
+        }
+        shared |= all != 0;
+        disjoint &= ones == any.count_ones();
+    }
+    if path.is_empty() {
+        Some(0.0)
+    } else if shared {
+        Some(1.0)
+    } else if disjoint && path.chunks(width).all(|set| set.iter().any(|&w| w != 0)) {
+        Some((path.len() / width) as f64)
+    } else {
+        None
     }
 }
 
@@ -227,17 +273,13 @@ fn optimal_ftree_memo(
     for class in query.equivalence_classes(catalog) {
         classes.add_node(class, None)?;
     }
-    let mut search = Search::new(&classes, memo)?;
-    let cost = search.cost()?;
-    // Rebuild an optimal tree from the memoised root choices.
     let mut tree = FTree::new(classes.edges().to_vec());
-    let all: Vec<usize> = (0..search.classes.len()).collect();
-    search.reconstruct_forest(&all, &[], None, &mut tree)?;
+    let (cost, explored_states) = arrange(&classes, memo, Some(&mut tree))?;
     tree.check_path_constraint()?;
     Ok(FTreeSearchResult {
         tree,
         cost,
-        explored_states: search.states.len(),
+        explored_states,
     })
 }
 
@@ -280,97 +322,156 @@ impl SubCost {
     }
 }
 
-/// A component's classes as (kind, count) pairs, ascending.
-type MultisetKey = Vec<(usize, usize)>;
+/// A multiply-rotate hasher for the search's word keys.  SipHash's defence
+/// against keys crafted to collide buys nothing here: the keys are sets the
+/// search enumerates itself, and a query needs no collisions to make a
+/// search exponential in its classes.  On `flat_join`'s catalogue SipHash
+/// made the search about 1.6 times slower.
+#[derive(Default)]
+struct WordHasher(u64);
 
-/// The memoised decomposition search over the non-constant nodes of a forest
-/// (the classes to arrange), reading each class's incidence set off the
-/// forest and every path cover from the memo.  Classes are named by their
-/// position in `classes`, and a class's *kind* is the first class with the
-/// same incidence set; sets of ancestors are ascending lists of kinds.
-struct Search<'a> {
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
+
+/// The least `s(T)` over every arrangement of the non-constant nodes of
+/// `tree` (the classes), and the number of subproblems solved; an optimal
+/// arrangement is written into `out` if given.  Sets of classes are one
+/// word when the tree has at most 64 nodes.
+fn arrange(tree: &FTree, memo: &mut SCostMemo, out: Option<&mut FTree>) -> Result<(f64, usize)> {
+    match tree.node_count() {
+        0..=64 => Search::<u64>::run(tree, memo, out),
+        _ => Search::<EdgeSet>::run(tree, memo, out),
+    }
+}
+
+/// The memoised decomposition search over the classes of a forest, reading
+/// each class's incidence set off the forest and every path cover from the
+/// memo.  Classes are named by their position in `classes`, and a set of
+/// classes is a bitset `S` of positions.  A class's *kind* is the lowest
+/// class with the same incidence set, and ancestors are a bitset of kinds.
+struct Search<'a, S> {
     tree: &'a FTree,
     memo: &'a mut SCostMemo,
     classes: Vec<NodeId>,
     kind: Vec<usize>,
-    /// (component kinds, ancestor kinds) → (best cost, best root kind).
-    states: HashMap<(MultisetKey, Vec<usize>), (SubCost, usize)>,
+    /// The classes of each kind, ascending, indexed by the kind.
+    of_kind: Vec<Vec<usize>>,
+    /// The classes sharing a relation with each class, itself included.
+    adjacent: Vec<S>,
+    /// Ancestor kinds → their path cover.
+    covers: WordMap<S, f64>,
+    /// (canonical component, ancestor kinds) → (best cost, best root kind).
+    states: WordMap<(S, S), (SubCost, usize)>,
 }
 
-impl<'a> Search<'a> {
-    fn new(tree: &'a FTree, memo: &'a mut SCostMemo) -> Result<Search<'a>> {
+impl<S: IndexSet> Search<'_, S> {
+    /// See [`arrange`].
+    fn run(tree: &FTree, memo: &mut SCostMemo, out: Option<&mut FTree>) -> Result<(f64, usize)> {
         let classes: Vec<NodeId> = tree
             .node_ids()
             .into_iter()
             .filter(|&n| tree.constant(n).is_none())
             .collect();
+        let set = |c: usize| tree.incidence(classes[c]);
         let mut kind = Vec::with_capacity(classes.len());
-        for (i, &class) in classes.iter().enumerate() {
-            let set = tree.incidence(class);
-            if set.iter().next().is_none() {
+        let mut of_kind = vec![Vec::new(); classes.len()];
+        let (mut all, mut adjacent) = (S::default(), Vec::with_capacity(classes.len()));
+        for i in 0..classes.len() {
+            if set(i).iter().next().is_none() {
                 return Err(FdbError::InvalidInput {
                     detail: "query class not covered by any relation".into(),
                 });
             }
-            let first = (0..i).find(|&j| tree.incidence(classes[j]) == set);
-            kind.push(first.unwrap_or(i));
+            let first = (0..i).find(|&j| set(j) == set(i)).unwrap_or(i);
+            kind.push(first);
+            of_kind[first].push(i);
+            all.insert(i);
+            let mut near = S::default();
+            for j in (0..classes.len()).filter(|&j| set(i).intersects(set(j))) {
+                near.insert(j);
+            }
+            adjacent.push(near);
         }
-        Ok(Search {
+        let mut search = Search {
             tree,
             memo,
             classes,
             kind,
-            states: HashMap::new(),
-        })
+            of_kind,
+            adjacent,
+            covers: WordMap::default(),
+            states: WordMap::default(),
+        };
+        let cost = search.best_forest(&all, &S::default())?.max;
+        if let Some(out) = out {
+            // Rebuild an optimal forest from the memoised root choices.
+            search.reconstruct_forest(&all, &S::default(), None, out)?;
+        }
+        Ok((cost, search.states.len()))
     }
 
-    /// The least `s(T)` over every arrangement of all the classes.
-    fn cost(&mut self) -> Result<f64> {
-        let all: Vec<usize> = (0..self.classes.len()).collect();
-        Ok(self.best_forest(&all, &[])?.max)
+    /// Takes the connected component of the highest class out of
+    /// `remaining`.
+    fn next_component(&self, remaining: &mut S) -> Option<S> {
+        let mut grow = S::default();
+        grow.insert(remaining.last()?);
+        let mut component = S::default();
+        while let Some(c) = grow.last() {
+            grow.remove(c);
+            remaining.remove(c);
+            component.insert(c);
+            grow.insert_shared(&self.adjacent[c], remaining);
+        }
+        Some(component)
     }
 
-    /// Whether two classes share a relation.
-    fn connected(&self, a: usize, b: usize) -> bool {
-        let set = |c: usize| self.tree.incidence(self.classes[c]);
-        set(a).intersects(set(b))
-    }
-
-    /// Splits the classes into connected components.
-    fn components(&self, classes: &[usize]) -> Vec<Vec<usize>> {
-        let mut remaining: Vec<usize> = classes.to_vec();
-        let mut components = Vec::new();
-        while let Some(seed) = remaining.pop() {
-            let mut component = vec![seed];
-            loop {
-                let (connected, rest): (Vec<usize>, Vec<usize>) = remaining
-                    .into_iter()
-                    .partition(|&c| component.iter().any(|&m| self.connected(m, c)));
-                remaining = rest;
-                if connected.is_empty() {
-                    break;
-                }
-                component.extend(connected);
+    /// The component's memo key: for each kind, the lowest classes of that
+    /// kind, as many as the component holds.
+    fn canonical(&self, component: &S) -> S {
+        let (mut key, mut left) = (S::default(), component.clone());
+        while let Some(c) = left.last() {
+            let members = &self.of_kind[self.kind[c]];
+            let held = members.iter().filter(|&&m| left.contains(m)).count();
+            for &m in members {
+                left.remove(m);
             }
-            component.sort_unstable();
-            components.push(component);
+            for &m in &members[..held] {
+                key.insert(m);
+            }
         }
-        components
+        key
     }
 
-    fn multiset_key(&self, classes: &[usize]) -> MultisetKey {
-        let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for &c in classes {
-            *counts.entry(self.kind[c]).or_insert(0) += 1;
+    /// The cover of the path through the classes of the kinds `anc`.
+    fn cover(&mut self, anc: &S) -> Result<f64> {
+        if let Some(&cost) = self.covers.get(anc) {
+            return Ok(cost);
         }
-        counts.into_iter().collect()
+        let path = anc.iter().map(|k| self.classes[k]);
+        let cost = self.memo.cover(self.tree, path)?;
+        self.covers.insert(anc.clone(), cost);
+        Ok(cost)
     }
 
     /// Minimum achievable cost for arranging `classes` (a forest of
     /// independent components) below ancestors of kinds `anc`.
-    fn best_forest(&mut self, classes: &[usize], anc: &[usize]) -> Result<SubCost> {
+    fn best_forest(&mut self, classes: &S, anc: &S) -> Result<SubCost> {
         let mut total = SubCost::ZERO;
-        for component in self.components(classes) {
+        let mut remaining = classes.clone();
+        while let Some(component) = self.next_component(&mut remaining) {
             total = total.combine_forest(self.best_tree(&component, anc)?.0);
         }
         Ok(total)
@@ -379,8 +480,8 @@ impl<'a> Search<'a> {
     /// Minimum achievable cost for arranging one connected component as a
     /// single subtree below ancestors of kinds `anc`, and the kind of its
     /// root.
-    fn best_tree(&mut self, component: &[usize], anc: &[usize]) -> Result<(SubCost, usize)> {
-        let key = (self.multiset_key(component), anc.to_vec());
+    fn best_tree(&mut self, component: &S, anc: &S) -> Result<(SubCost, usize)> {
+        let key = (self.canonical(component), anc.clone());
         if let Some(&best) = self.states.get(&key) {
             return Ok(best);
         }
@@ -389,17 +490,20 @@ impl<'a> Search<'a> {
             size_proxy: f64::INFINITY,
         };
         let mut best_root = usize::MAX;
-        for (i, &class) in component.iter().enumerate() {
+        let mut tried = S::default();
+        for class in component.iter() {
             // Classes of one kind are interchangeable: branch on the first.
             let kind = self.kind[class];
-            if component[..i].iter().any(|&c| self.kind[c] == kind) {
+            if tried.contains(kind) {
                 continue;
             }
-            let rest: Vec<usize> = component.iter().copied().filter(|&c| c != class).collect();
-            let anc = with_kind(anc, kind);
-            let path = anc.iter().map(|&k| self.classes[k]);
-            let node_cover = self.memo.cover(self.tree, path)?;
-            let sub = self.best_forest(&rest, &anc)?;
+            tried.insert(kind);
+            let mut rest = component.clone();
+            rest.remove(class);
+            let mut below = anc.clone();
+            below.insert(kind);
+            let node_cover = self.cover(&below)?;
+            let sub = self.best_forest(&rest, &below)?;
             let cost = SubCost {
                 max: node_cover.max(sub.max),
                 size_proxy: NOMINAL_N.powf(node_cover) + sub.size_proxy,
@@ -417,33 +521,26 @@ impl<'a> Search<'a> {
     /// root choices on the concrete classes.
     fn reconstruct_forest(
         &mut self,
-        classes: &[usize],
-        anc: &[usize],
+        classes: &S,
+        anc: &S,
         parent: Option<NodeId>,
         out: &mut FTree,
     ) -> Result<()> {
-        for component in self.components(classes) {
+        let mut remaining = classes.clone();
+        while let Some(mut component) = self.next_component(&mut remaining) {
             let (_, root_kind) = self.best_tree(&component, anc)?;
             let root = component
                 .iter()
-                .copied()
                 .find(|&c| self.kind[c] == root_kind)
                 .expect("the memoised root kind occurs in the component");
             let node = out.add_node(self.tree.class(self.classes[root]).clone(), parent)?;
-            let rest: Vec<usize> = component.iter().copied().filter(|&c| c != root).collect();
-            self.reconstruct_forest(&rest, &with_kind(anc, root_kind), Some(node), out)?;
+            component.remove(root);
+            let mut below = anc.clone();
+            below.insert(root_kind);
+            self.reconstruct_forest(&component, &below, Some(node), out)?;
         }
         Ok(())
     }
-}
-
-/// The ascending list of kinds `anc` with `kind` added.
-fn with_kind(anc: &[usize], kind: usize) -> Vec<usize> {
-    let mut out = anc.to_vec();
-    if let Err(at) = out.binary_search(&kind) {
-        out.insert(at, kind);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -451,6 +548,9 @@ mod tests {
     use super::*;
     use crate::ftree::DepEdge;
     use fdb_common::{AttrId, Value};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
@@ -595,6 +695,70 @@ mod tests {
         assert_eq!(memo.covers.len(), 1);
         assert_eq!(memo.s_cost(&tree).unwrap().to_bits(), fresh.to_bits());
         assert_eq!(memo.covers.len(), 1);
+    }
+
+    /// A chain of `len` single-attribute nodes (attributes `0..len`), its
+    /// relations shuffled among `padding` relations on no node, so that
+    /// with 64 or more relations the incidence sets spill past one word.
+    /// `shared`: one relation holds every node and the others random
+    /// subsets, so the path's sets share an edge.  Otherwise every relation
+    /// holds one node (and an attribute on no node), so the sets are
+    /// pairwise disjoint.
+    fn shaped_chain(rng: &mut StdRng, shared: bool, len: u32, padding: u32) -> FTree {
+        let mut edges: Vec<DepEdge> = (0..padding)
+            .map(|i| DepEdge::new(format!("P{i}"), attrs(&[1000 + i]), 1))
+            .collect();
+        if shared {
+            edges.push(DepEdge::new("H", (0..len).map(AttrId).collect(), 1));
+            for i in 0..rng.gen_range(0..4u32) {
+                let subset = (0..len).filter(|_| rng.gen_bool(0.5)).map(AttrId);
+                edges.push(DepEdge::new(format!("S{i}"), subset.collect(), 1));
+            }
+        } else {
+            for node in 0..len {
+                for i in 0..rng.gen_range(1..=3u32) {
+                    let own = attrs(&[node, 500 + node * 4 + i]);
+                    edges.push(DepEdge::new(format!("D{node}.{i}"), own, 1));
+                }
+            }
+        }
+        edges.retain(|edge| !edge.attrs.is_empty());
+        edges.shuffle(rng);
+        let mut t = FTree::new(edges);
+        let mut parent = None;
+        for attr in 0..len {
+            parent = Some(t.add_node(attrs(&[attr]), parent).unwrap());
+        }
+        t
+    }
+
+    #[test]
+    fn closed_form_covers_equal_the_lp_bit_for_bit() {
+        // `s_cost_details` solves every path's LP; the memo answers these
+        // three shapes without one.
+        let mut rng = StdRng::seed_from_u64(0xC105ED);
+        let mut memo = SCostMemo::new();
+        for case in 0..240 {
+            let (len, padding) = (rng.gen_range(1..=6), [0, 40, 70][case % 3]);
+            let mut tree = shaped_chain(&mut rng, case % 2 == 0, len, padding);
+            if case % 8 == 1 {
+                // The empty path: every node bound to a constant.
+                for node in tree.node_ids() {
+                    tree.bind_constant(node, Value::new(7)).unwrap();
+                }
+            }
+            let per_path = s_cost_details(&tree).unwrap();
+            let expected = per_path.iter().map(|p| p.cost).fold(0.0, f64::max);
+            let shape = match case % 8 {
+                1 => 0.0,
+                _ if case % 2 == 0 => 1.0,
+                _ => f64::from(len),
+            };
+            assert_eq!(expected, shape, "case {case}");
+            let memoised = memo.s_cost(&tree).unwrap();
+            assert_eq!(memoised.to_bits(), expected.to_bits(), "case {case}");
+        }
+        assert!(memo.covers.is_empty());
     }
 
     #[test]

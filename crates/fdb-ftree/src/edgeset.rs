@@ -1,73 +1,130 @@
-//! A small bitset of dependency-edge indices.
+//! Small bitsets of indices.
 //!
 //! Every f-tree node carries the set of dependency edges that have an
 //! attribute in its class (its *incidence set*).  Queries carry a handful of
 //! relations, so the set is one inline word; hand-built forests in the test
 //! suites carry hundreds of edges, so the same type spills the indices from
-//! 64 upwards into a boxed slice instead of capping the edge count.
+//! 64 upwards into a boxed slice instead of capping the edge count.  The
+//! f-tree search keeps its sets of classes in a bare word while the tree has
+//! at most 64 nodes, and in the same spilling form beyond.
+
+use std::hash::Hash;
+
+/// A set of small indices, as bitmap words: word `slot` holds indices
+/// `64·slot .. 64·slot + 64`.
+pub(crate) trait IndexSet: Clone + Default + Eq + Hash {
+    /// The number of words the set spans.
+    fn words(&self) -> usize;
+
+    /// Word `slot` of the bitmap; zero past the last index.
+    fn word(&self, slot: usize) -> u64;
+
+    /// Replaces word `slot` of the bitmap.
+    fn set_word(&mut self, slot: usize, word: u64);
+
+    /// Adds `index` to the set.
+    fn insert(&mut self, index: usize) {
+        self.set_word(index / 64, self.word(index / 64) | 1 << (index % 64));
+    }
+
+    /// Removes `index` from the set.
+    fn remove(&mut self, index: usize) {
+        self.set_word(index / 64, self.word(index / 64) & !(1 << (index % 64)));
+    }
+
+    /// Returns `true` if `index` is in the set.
+    fn contains(&self, index: usize) -> bool {
+        self.word(index / 64) >> (index % 64) & 1 != 0
+    }
+
+    /// Returns `true` if the two sets share an index.
+    fn intersects(&self, other: &Self) -> bool {
+        (0..self.words()).any(|slot| self.word(slot) & other.word(slot) != 0)
+    }
+
+    /// Adds the indices that `a` and `b` share.
+    fn insert_shared(&mut self, a: &Self, b: &Self) {
+        for slot in 0..a.words().min(b.words()) {
+            self.set_word(slot, self.word(slot) | a.word(slot) & b.word(slot));
+        }
+    }
+
+    /// The highest index of the set.
+    fn last(&self) -> Option<usize> {
+        let slot = (0..self.words()).rev().find(|&slot| self.word(slot) != 0)?;
+        Some(64 * slot + self.word(slot).ilog2() as usize)
+    }
+
+    /// The indices of the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words()).flat_map(|slot| {
+            let mut rest = self.word(slot);
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(64 * slot + bit)
+            })
+        })
+    }
+}
+
+/// Indices `0..64` in one word.
+impl IndexSet for u64 {
+    fn words(&self) -> usize {
+        1
+    }
+
+    fn word(&self, slot: usize) -> u64 {
+        if slot == 0 {
+            *self
+        } else {
+            0
+        }
+    }
+
+    fn set_word(&mut self, slot: usize, word: u64) {
+        debug_assert!(slot == 0 || word == 0, "index past 64 in a one-word set");
+        if slot == 0 {
+            *self = word;
+        }
+    }
+}
 
 /// A set of dependency-edge indices: one inline word for edges `0..64`, a
 /// boxed slice for the rest.
 ///
-/// Bits are only ever added, and the spill never keeps a trailing zero word,
-/// so the derived `Eq`/`Hash` compare sets, not layouts.
+/// The spill never keeps a trailing zero word, so the derived `Eq`/`Hash`
+/// compare sets, not layouts.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub(crate) struct EdgeSet {
     word: u64,
     spill: Box<[u64]>,
 }
 
-impl EdgeSet {
-    /// Adds edge `index` to the set.
-    pub(crate) fn insert(&mut self, index: usize) {
-        if index < 64 {
-            self.word |= 1 << index;
-            return;
-        }
-        let slot = index / 64 - 1;
-        if self.spill.len() <= slot {
-            let mut words = std::mem::take(&mut self.spill).into_vec();
-            words.resize(slot + 1, 0);
-            self.spill = words.into_boxed_slice();
-        }
-        self.spill[slot] |= 1 << (index % 64);
+impl IndexSet for EdgeSet {
+    fn words(&self) -> usize {
+        1 + self.spill.len()
     }
 
-    /// Word `slot` of the set's bitmap (edges `64·slot .. 64·slot + 64`);
-    /// zero past the last edge.
-    pub(crate) fn word(&self, slot: usize) -> u64 {
+    fn word(&self, slot: usize) -> u64 {
         match slot {
             0 => self.word,
             _ => self.spill.get(slot - 1).copied().unwrap_or(0),
         }
     }
 
-    /// Returns `true` if the two sets share an edge.
-    pub(crate) fn intersects(&self, other: &EdgeSet) -> bool {
-        self.word & other.word != 0
-            || self
-                .spill
-                .iter()
-                .zip(other.spill.iter())
-                .any(|(a, b)| a & b != 0)
-    }
-
-    /// The edges of the set, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(self.word)
-            .chain(self.spill.iter().copied())
-            .enumerate()
-            .flat_map(|(slot, word)| {
-                let mut rest = word;
-                std::iter::from_fn(move || {
-                    if rest == 0 {
-                        return None;
-                    }
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    Some(slot * 64 + bit)
-                })
-            })
+    fn set_word(&mut self, slot: usize, word: u64) {
+        if slot == 0 {
+            self.word = word;
+            return;
+        }
+        let mut words = std::mem::take(&mut self.spill).into_vec();
+        words.resize(words.len().max(slot), 0);
+        words[slot - 1] = word;
+        while words.last() == Some(&0) {
+            words.pop();
+        }
+        self.spill = words.into_boxed_slice();
     }
 }
 
@@ -107,6 +164,17 @@ mod tests {
         assert_eq!(a, set(&[130, 2, 70]));
         assert_ne!(a, set(&[2]));
         assert_ne!(a, set(&[2, 70]));
+        // Removing the highest edges drops the spill words they leave empty.
+        let mut b = a.clone();
+        b.remove(130);
+        assert_eq!(b, set(&[2, 70]));
+        assert_eq!(
+            (b.last(), b.contains(70), b.contains(130)),
+            (Some(70), true, false)
+        );
+        b.remove(70);
+        b.remove(2);
+        assert_eq!((b.clone(), b.last()), (EdgeSet::default(), None));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Each node also carries the indices of the edges that touch its class (its
 //! incidence set, see the crate docs), which is what those queries read.
 
-use crate::edgeset::EdgeSet;
+use crate::edgeset::{EdgeSet, IndexSet};
 use fdb_common::{AttrId, FdbError, Result, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -355,15 +355,11 @@ impl FTree {
     /// Checks the path constraint: every dependency edge's attributes label
     /// nodes that all lie on a single root-to-leaf path.
     pub fn check_path_constraint(&self) -> Result<()> {
-        for edge in self.edges.iter() {
-            let mut nodes: Vec<NodeId> = Vec::new();
-            for &attr in &edge.attrs {
-                if let Some(n) = self.node_of_attr(attr) {
-                    if !nodes.contains(&n) {
-                        nodes.push(n);
-                    }
-                }
-            }
+        for (index, edge) in self.edges.iter().enumerate() {
+            let nodes: Vec<NodeId> = self
+                .live()
+                .filter_map(|(id, node)| node.incidence.contains(index).then_some(id))
+                .collect();
             for i in 0..nodes.len() {
                 for j in (i + 1)..nodes.len() {
                     let (a, b) = (nodes[i], nodes[j]);

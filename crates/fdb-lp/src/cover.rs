@@ -15,7 +15,7 @@
 //! exponent of the tight size bound `O(|D|^{s(T)})` on f-representations
 //! over `T`.
 
-use crate::simplex::{ConstraintSense, LinearProgram};
+use crate::simplex::LinearProgram;
 use fdb_common::Result;
 
 /// A hypergraph edge-cover instance: `num_vertices` vertices and a list of
@@ -55,15 +55,10 @@ pub fn fractional_edge_cover(instance: &CoverInstance) -> Result<f64> {
     }
     let n = instance.edges.len();
     let mut lp = LinearProgram::new(n);
-    lp.set_objective(vec![1.0; n]);
     for v in 0..instance.num_vertices {
-        let mut row = vec![0.0; n];
-        for (i, edge) in instance.edges.iter().enumerate() {
-            if edge.contains(&v) {
-                row[i] = 1.0;
-            }
-        }
-        lp.add_constraint(row, ConstraintSense::GreaterEq, 1.0);
+        // Coefficient 1 for each edge that covers `v`, 0 for the others.
+        let covers = instance.edges.iter().map(|edge| edge.contains(&v));
+        lp.add_constraint(covers.map(|c| f64::from(u8::from(c))).collect());
     }
     let sol = lp.minimize()?;
     Ok(sol.objective)

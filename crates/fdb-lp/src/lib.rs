@@ -11,8 +11,8 @@
 //!
 //! The crate exposes two layers:
 //!
-//! * [`LinearProgram`] / [`Solution`]: a general `min cᵀx s.t. Ax {≥,≤,=} b,
-//!   x ≥ 0` solver, solved by the two-phase primal simplex in [`simplex`].
+//! * [`LinearProgram`] / [`Solution`]: the covering program `min Σx s.t.
+//!   Ax ≥ 1, x ≥ 0`, solved by the two-phase primal simplex in [`simplex`].
 //! * [`cover::fractional_edge_cover`]: the hypergraph edge-cover number
 //!   used for `s(T)`.
 
@@ -22,4 +22,4 @@ pub mod cover;
 pub mod simplex;
 
 pub use cover::{fractional_edge_cover, CoverInstance};
-pub use simplex::{ConstraintSense, LinearProgram, Solution};
+pub use simplex::{LinearProgram, Solution};

@@ -1,10 +1,12 @@
-//! Dense two-phase primal simplex.
+//! Dense two-phase primal simplex for covering programs.
 //!
-//! The solver targets the tiny linear programs produced by FDB's cost model
-//! (fractional edge covers over root-to-leaf paths of an f-tree), so it
-//! favours clarity over sparse-matrix sophistication: the constraint system
-//! is kept as a dense tableau, pivots use Bland's rule to guarantee
-//! termination, and all arithmetic is `f64` with a small absolute tolerance.
+//! The only linear program FDB poses is the covering LP of a fractional edge
+//! cover (fractional edge covers over root-to-leaf paths of an f-tree):
+//! minimise `Σ x` subject to `A x ≥ 1` and `x ≥ 0`.  The programs are tiny,
+//! so the solver favours clarity over sparse-matrix sophistication: the
+//! constraint system is kept as a dense tableau, pivots use Bland's rule to
+//! guarantee termination, and all arithmetic is `f64` with a small absolute
+//! tolerance.
 //!
 //! The entry point is [`LinearProgram::minimize`].
 
@@ -13,42 +15,23 @@ use fdb_common::{FdbError, Result};
 /// Numerical tolerance used for pivoting and feasibility decisions.
 const EPS: f64 = 1e-9;
 
-/// The sense of a linear constraint `aᵀx {≥, ≤, =} b`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ConstraintSense {
-    /// `aᵀx ≥ b`
-    GreaterEq,
-    /// `aᵀx ≤ b`
-    LessEq,
-    /// `aᵀx = b`
-    Equal,
-}
-
-#[derive(Clone, Debug)]
-struct Constraint {
-    coeffs: Vec<f64>,
-    sense: ConstraintSense,
-    rhs: f64,
-}
-
-/// A linear program over non-negative variables.
+/// A covering program over non-negative variables: minimise their sum
+/// subject to constraints `aᵀx ≥ 1`.
 ///
 /// ```
-/// use fdb_lp::{LinearProgram, ConstraintSense};
+/// use fdb_lp::LinearProgram;
 ///
-/// // minimise x0 + x1  subject to  x0 + x1 >= 1, x0 >= 0.25
+/// // minimise x0 + x1  subject to  x0 + x1 >= 1, x0 >= 1
 /// let mut lp = LinearProgram::new(2);
-/// lp.set_objective(vec![1.0, 1.0]);
-/// lp.add_constraint(vec![1.0, 1.0], ConstraintSense::GreaterEq, 1.0);
-/// lp.add_constraint(vec![1.0, 0.0], ConstraintSense::GreaterEq, 0.25);
+/// lp.add_constraint(vec![1.0, 1.0]);
+/// lp.add_constraint(vec![1.0, 0.0]);
 /// let sol = lp.minimize().unwrap();
-/// assert!((sol.objective - 1.0).abs() < 1e-9);
+/// assert_eq!((sol.objective, sol.values), (1.0, vec![1.0, 0.0]));
 /// ```
 #[derive(Clone, Debug)]
 pub struct LinearProgram {
     num_vars: usize,
-    objective: Vec<f64>,
-    constraints: Vec<Constraint>,
+    constraints: Vec<Vec<f64>>,
 }
 
 /// An optimal solution to a [`LinearProgram`].
@@ -61,128 +44,55 @@ pub struct Solution {
 }
 
 impl LinearProgram {
-    /// Creates a program over `num_vars` non-negative variables with a zero
-    /// objective and no constraints.
+    /// Creates a program over `num_vars` non-negative variables with no
+    /// constraints.
     pub fn new(num_vars: usize) -> Self {
         LinearProgram {
             num_vars,
-            objective: vec![0.0; num_vars],
             constraints: Vec::new(),
         }
     }
 
-    /// Sets the objective coefficient vector (length must equal the number of
-    /// variables; missing entries are treated as zero, extras are ignored).
-    pub fn set_objective(&mut self, coeffs: Vec<f64>) {
-        let mut c = coeffs;
-        c.resize(self.num_vars, 0.0);
-        self.objective = c;
+    /// Adds the constraint `coeffs · x ≥ 1` (missing coefficients are zero,
+    /// extras are ignored).
+    pub fn add_constraint(&mut self, mut coeffs: Vec<f64>) {
+        coeffs.resize(self.num_vars, 0.0);
+        self.constraints.push(coeffs);
     }
 
-    /// Adds the constraint `coeffs · x  sense  rhs`.
-    pub fn add_constraint(&mut self, coeffs: Vec<f64>, sense: ConstraintSense, rhs: f64) {
-        let mut c = coeffs;
-        c.resize(self.num_vars, 0.0);
-        self.constraints.push(Constraint {
-            coeffs: c,
-            sense,
-            rhs,
-        });
-    }
-
-    /// Minimises the objective.  Returns an error if the program is
-    /// infeasible or unbounded.
+    /// Minimises the sum of the variables.  Returns an error if some
+    /// constraint cannot be met.
     pub fn minimize(&self) -> Result<Solution> {
-        // Standard form: minimise cᵀx subject to Ax = b, x ≥ 0, b ≥ 0,
-        // obtained by adding one slack/surplus variable per inequality and
-        // one artificial variable per row that lacks an obvious basic column.
-        let n = self.num_vars;
-        let m = self.constraints.len();
+        // Standard form: minimise 1ᵀx subject to Ax - s = 1, x, s ≥ 0, with
+        // one surplus and one artificial variable per row.
+        let (n, m) = (self.num_vars, self.constraints.len());
+        let total_cols = n + m + m; // decision + surplus + artificial
+        let art_start = n + m;
 
-        if m == 0 {
-            // With no constraints and non-negative variables the optimum of a
-            // minimisation is attained at x = 0 unless some objective
-            // coefficient is negative (then the LP is unbounded below).
-            if self.objective.iter().any(|&ci| ci < -EPS) {
-                return Err(FdbError::UnboundedProgram);
-            }
-            return Ok(Solution {
-                objective: 0.0,
-                values: vec![0.0; n],
-            });
-        }
-
-        // Count slack columns.
-        let num_slacks = self
-            .constraints
-            .iter()
-            .filter(|c| c.sense != ConstraintSense::Equal)
-            .count();
-        let total_cols = n + num_slacks + m; // decision + slack + artificial
-        let art_start = n + num_slacks;
-
-        // Build tableau rows: [A | S | I][x s a]ᵀ = b with b ≥ 0.
+        // Build tableau rows: [A | -I | I][x s a]ᵀ = 1.  Every row starts
+        // with its artificial variable basic; phase one drives them out.
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut rhs: Vec<f64> = Vec::with_capacity(m);
-        let mut basis: Vec<usize> = vec![0; m];
-        let mut slack_idx = 0usize;
-
-        for (i, con) in self.constraints.iter().enumerate() {
+        for (i, coeffs) in self.constraints.iter().enumerate() {
             let mut row = vec![0.0; total_cols];
-            let mut b = con.rhs;
-            let mut coeffs = con.coeffs.clone();
-            let mut sense = con.sense;
-            if b < 0.0 {
-                // Normalise to non-negative right-hand side.
-                b = -b;
-                for c in coeffs.iter_mut() {
-                    *c = -*c;
-                }
-                sense = match sense {
-                    ConstraintSense::GreaterEq => ConstraintSense::LessEq,
-                    ConstraintSense::LessEq => ConstraintSense::GreaterEq,
-                    ConstraintSense::Equal => ConstraintSense::Equal,
-                };
-            }
-            row[..n].copy_from_slice(&coeffs[..n]);
-            match sense {
-                ConstraintSense::LessEq => {
-                    row[n + slack_idx] = 1.0;
-                    slack_idx += 1;
-                }
-                ConstraintSense::GreaterEq => {
-                    row[n + slack_idx] = -1.0;
-                    slack_idx += 1;
-                }
-                ConstraintSense::Equal => {}
-            }
-            // Every row gets an artificial variable; phase one drives them
-            // out.  (Rows with a positive slack could reuse the slack as the
-            // initial basis, but always adding artificials keeps the code
-            // uniform and the programs here are tiny.)
-            row[art_start + i] = 1.0;
-            basis[i] = art_start + i;
+            row[..n].copy_from_slice(coeffs);
+            (row[n + i], row[art_start + i]) = (-1.0, 1.0);
             rows.push(row);
-            rhs.push(b);
         }
+        let mut rhs: Vec<f64> = vec![1.0; m];
+        let mut basis: Vec<usize> = (art_start..total_cols).collect();
 
-        // Phase one: minimise the sum of artificial variables.
+        // Phase one: minimise the sum of artificial variables.  It is never
+        // unbounded (its objective is bounded below by 0); an unbounded
+        // answer is treated defensively as infeasible.
         let mut phase1_cost = vec![0.0; total_cols];
-        for artificial_cost in phase1_cost.iter_mut().skip(art_start) {
-            *artificial_cost = 1.0;
-        }
-        let status = run_simplex(&mut rows, &mut rhs, &mut basis, &phase1_cost, total_cols);
-        if status == SimplexStatus::Unbounded {
-            // Phase one is never unbounded (objective bounded below by 0);
-            // treat defensively as infeasible.
-            return Err(FdbError::InfeasibleProgram);
-        }
+        phase1_cost[art_start..].fill(1.0);
+        let optimal = run_simplex(&mut rows, &mut rhs, &mut basis, &phase1_cost, total_cols);
         let phase1_obj: f64 = basis
             .iter()
             .enumerate()
             .map(|(i, &b)| if b >= art_start { rhs[i] } else { 0.0 })
             .sum();
-        if phase1_obj > 1e-7 {
+        if !optimal || phase1_obj > 1e-7 {
             return Err(FdbError::InfeasibleProgram);
         }
 
@@ -199,44 +109,32 @@ impl LinearProgram {
             }
         }
 
-        // Phase two: original objective, artificial columns forbidden.
+        // Phase two: the sum of the variables, artificial columns forbidden.
         let mut cost = vec![0.0; total_cols];
-        cost[..n].copy_from_slice(&self.objective);
-        let status = run_simplex(&mut rows, &mut rhs, &mut basis, &cost, art_start);
-        if status == SimplexStatus::Unbounded {
+        cost[..n].fill(1.0);
+        if !run_simplex(&mut rows, &mut rhs, &mut basis, &cost, art_start) {
             return Err(FdbError::UnboundedProgram);
         }
 
         let mut values = vec![0.0; n];
-        for (i, &b) in basis.iter().enumerate() {
-            if b < n {
-                values[b] = rhs[i];
-            }
+        for (&b, &x) in basis.iter().zip(&rhs).filter(|&(&b, _)| b < n) {
+            values[b] = x;
         }
-        let objective: f64 = values
-            .iter()
-            .zip(&self.objective)
-            .map(|(&x, &c)| x * c)
-            .sum();
+        let objective: f64 = values.iter().sum();
         Ok(Solution { objective, values })
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SimplexStatus {
-    Optimal,
-    Unbounded,
-}
-
 /// Runs the primal simplex on the tableau until optimality, considering only
-/// columns `< allowed_cols` as candidates for entering the basis.
+/// columns `< allowed_cols` as candidates for entering the basis; `false`
+/// if the program is unbounded.
 fn run_simplex(
     rows: &mut [Vec<f64>],
     rhs: &mut [f64],
     basis: &mut [usize],
     cost: &[f64],
     allowed_cols: usize,
-) -> SimplexStatus {
+) -> bool {
     let m = rows.len();
     loop {
         // Reduced costs: c_j - c_Bᵀ B⁻¹ A_j.  The tableau is kept in the
@@ -257,7 +155,7 @@ fn run_simplex(
             }
         }
         let Some(entering) = entering else {
-            return SimplexStatus::Optimal;
+            return true;
         };
 
         // Ratio test, Bland's rule on ties (smallest basis index).
@@ -276,7 +174,7 @@ fn run_simplex(
             }
         }
         let Some(leaving) = leaving else {
-            return SimplexStatus::Unbounded;
+            return false;
         };
         pivot(rows, rhs, basis, leaving, entering);
     }
@@ -292,6 +190,7 @@ fn pivot(rows: &mut [Vec<f64>], rhs: &mut [f64], basis: &mut [usize], row: usize
         *v *= inv;
     }
     rhs[row] *= inv;
+    let pivot_row = rows[row].clone();
     for i in 0..m {
         if i == row {
             continue;
@@ -300,7 +199,6 @@ fn pivot(rows: &mut [Vec<f64>], rhs: &mut [f64], basis: &mut [usize], row: usize
         if factor.abs() <= EPS {
             continue;
         }
-        let pivot_row = rows[row].clone();
         for (v, p) in rows[i].iter_mut().zip(pivot_row.iter()) {
             *v -= factor * p;
         }
@@ -317,13 +215,19 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
+    /// The covering program with one constraint per row of 0/1 `rows`.
+    fn program(num_vars: usize, rows: &[&[usize]]) -> LinearProgram {
+        let mut lp = LinearProgram::new(num_vars);
+        for row in rows {
+            lp.add_constraint(row.iter().map(|&a| a as f64).collect());
+        }
+        lp
+    }
+
     #[test]
     fn simple_cover_lp() {
         // min x0 + x1 s.t. x0 + x1 >= 1, x0 >= 0, x1 >= 0: optimum 1.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(vec![1.0, 1.0]);
-        lp.add_constraint(vec![1.0, 1.0], ConstraintSense::GreaterEq, 1.0);
-        let sol = lp.minimize().unwrap();
+        let sol = program(2, &[&[1, 1]]).minimize().unwrap();
         assert_close(sol.objective, 1.0);
     }
 
@@ -331,12 +235,9 @@ mod tests {
     fn triangle_fractional_cover_is_three_halves() {
         // The triangle query R(A,B), S(B,C), T(A,C): covering all three
         // attributes needs total weight 3/2 fractionally (1/2 each).
-        let mut lp = LinearProgram::new(3);
-        lp.set_objective(vec![1.0, 1.0, 1.0]);
-        lp.add_constraint(vec![1.0, 0.0, 1.0], ConstraintSense::GreaterEq, 1.0); // A
-        lp.add_constraint(vec![1.0, 1.0, 0.0], ConstraintSense::GreaterEq, 1.0); // B
-        lp.add_constraint(vec![0.0, 1.0, 1.0], ConstraintSense::GreaterEq, 1.0); // C
-        let sol = lp.minimize().unwrap();
+        let sol = program(3, &[&[1, 0, 1], &[1, 1, 0], &[0, 1, 1]])
+            .minimize()
+            .unwrap();
         assert_close(sol.objective, 1.5);
         for v in &sol.values {
             assert_close(*v, 0.5);
@@ -344,80 +245,48 @@ mod tests {
     }
 
     #[test]
-    fn equality_constraints_are_respected() {
-        // min x + y s.t. x + y = 3, x - y = 1 → x = 2, y = 1.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(vec![1.0, 1.0]);
-        lp.add_constraint(vec![1.0, 1.0], ConstraintSense::Equal, 3.0);
-        lp.add_constraint(vec![1.0, -1.0], ConstraintSense::Equal, 1.0);
-        let sol = lp.minimize().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.values[0], 2.0);
-        assert_close(sol.values[1], 1.0);
-    }
-
-    #[test]
     fn infeasible_program_is_reported() {
-        // x <= 1 and x >= 2 cannot both hold.
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![1.0]);
-        lp.add_constraint(vec![1.0], ConstraintSense::LessEq, 1.0);
-        lp.add_constraint(vec![1.0], ConstraintSense::GreaterEq, 2.0);
+        // A row no variable appears in: a vertex no edge covers.
+        let lp = program(2, &[&[1, 0], &[0, 0]]);
         assert_eq!(lp.minimize().unwrap_err(), FdbError::InfeasibleProgram);
     }
 
     #[test]
-    fn unbounded_program_is_reported() {
-        // min -x with only x >= 1: unbounded below.
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![-1.0]);
-        lp.add_constraint(vec![1.0], ConstraintSense::GreaterEq, 1.0);
-        assert_eq!(lp.minimize().unwrap_err(), FdbError::UnboundedProgram);
-    }
-
-    #[test]
     fn no_constraints_minimum_is_zero() {
-        let mut lp = LinearProgram::new(3);
-        lp.set_objective(vec![1.0, 2.0, 3.0]);
-        let sol = lp.minimize().unwrap();
+        let sol = LinearProgram::new(3).minimize().unwrap();
         assert_close(sol.objective, 0.0);
-        // And an unbounded no-constraint program is detected.
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![-1.0]);
-        assert_eq!(lp.minimize().unwrap_err(), FdbError::UnboundedProgram);
-    }
-
-    #[test]
-    fn negative_rhs_is_normalised() {
-        // min x s.t. -x <= -2  (i.e. x >= 2).
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![1.0]);
-        lp.add_constraint(vec![-1.0], ConstraintSense::LessEq, -2.0);
-        let sol = lp.minimize().unwrap();
-        assert_close(sol.objective, 2.0);
+        assert_eq!(sol.values, [0.0; 3]);
     }
 
     #[test]
     fn degenerate_program_terminates() {
-        // A classic degenerate instance; Bland's rule must avoid cycling.
-        let mut lp = LinearProgram::new(4);
-        lp.set_objective(vec![-0.75, 150.0, -0.02, 6.0]);
-        lp.add_constraint(vec![0.25, -60.0, -0.04, 9.0], ConstraintSense::LessEq, 0.0);
-        lp.add_constraint(vec![0.5, -90.0, -0.02, 3.0], ConstraintSense::LessEq, 0.0);
-        lp.add_constraint(vec![0.0, 0.0, 1.0, 0.0], ConstraintSense::LessEq, 1.0);
-        let sol = lp.minimize().unwrap();
-        assert_close(sol.objective, -0.05);
+        // The Fano plane: seven points, seven lines of three, every point on
+        // three lines.  Every basis of this program is degenerate (ratio
+        // ties everywhere); Bland's rule must avoid cycling and reach the
+        // fractional optimum 7/3 (1/3 on every line).
+        let lines: [[usize; 3]; 7] = [
+            [0, 1, 2],
+            [0, 3, 4],
+            [0, 5, 6],
+            [1, 3, 5],
+            [1, 4, 6],
+            [2, 3, 6],
+            [2, 4, 5],
+        ];
+        let rows: Vec<Vec<usize>> = (0..7)
+            .map(|point| lines.iter().map(|l| l.contains(&point) as usize).collect())
+            .collect();
+        let rows: Vec<&[usize]> = rows.iter().map(Vec::as_slice).collect();
+        let sol = program(7, &rows).minimize().unwrap();
+        assert_close(sol.objective, 7.0 / 3.0);
     }
 
     #[test]
-    fn redundant_equality_rows_are_handled() {
-        // Duplicate equality rows leave a zero row after phase one.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(vec![1.0, 2.0]);
-        lp.add_constraint(vec![1.0, 1.0], ConstraintSense::Equal, 2.0);
-        lp.add_constraint(vec![2.0, 2.0], ConstraintSense::Equal, 4.0);
-        let sol = lp.minimize().unwrap();
-        assert_close(sol.objective, 2.0);
-        assert_close(sol.values[0], 2.0);
+    fn redundant_rows_are_handled() {
+        // Repeated rows (vertices with the same edges) leave a zero row
+        // after phase one.
+        let sol = program(2, &[&[1, 1], &[1, 1], &[1, 1]]).minimize().unwrap();
+        assert_close(sol.objective, 1.0);
+        assert_close(sol.values[0] + sol.values[1], 1.0);
     }
 }

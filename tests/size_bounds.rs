@@ -100,6 +100,59 @@ fn chain_joins_show_the_exponential_gap() {
     );
 }
 
+/// A query of 68 classes, the triangle's past the 64 a word of classes
+/// holds: 67 unary relations `U0..U66` with `U0 = U1` and `U2 = U3` joined,
+/// beside the triangle `R(A,B)`, `S(B,C)`, `T(C,A)`.  The search must find
+/// the triangle's `s(T)` of 1.5, and the flat evaluation must return the
+/// product of the triangle's result with a two-value root per unary class.
+#[test]
+fn queries_with_more_than_64_classes_are_searched_and_evaluated() {
+    let mut catalog = fdb::common::Catalog::new();
+    let unary: Vec<RelId> = (0..67)
+        .map(|i| catalog.add_relation(&format!("U{i}"), &["A"]).0)
+        .collect();
+    let triangle: Vec<RelId> = [("R", ["A", "B"]), ("S", ["B", "C"]), ("T", ["C", "A"])]
+        .iter()
+        .map(|(name, attrs)| catalog.add_relation(name, attrs).0)
+        .collect();
+    let join = |query: Query, joins: &[(&str, &str)]| {
+        joins.iter().fold(query, |q, (a, b)| {
+            q.with_equality(catalog.find_attr(a).unwrap(), catalog.find_attr(b).unwrap())
+        })
+    };
+    let triangle_joins = [("R.A", "T.A"), ("R.B", "S.B"), ("S.C", "T.C")];
+    let triangle_query = join(Query::product(triangle.clone()), &triangle_joins);
+    let all = Query::product(unary.iter().chain(&triangle).copied().collect());
+    let query = join(
+        join(all, &triangle_joins),
+        &[("U0.A", "U1.A"), ("U2.A", "U3.A")],
+    );
+
+    let search = optimal_ftree(&catalog, &query, |_| 1).unwrap();
+    assert_eq!(search.tree.node_count(), 68);
+    search.tree.check_path_constraint().unwrap();
+    assert_eq!(search.cost, 1.5);
+    assert_eq!(s_cost(&search.tree).unwrap(), 1.5);
+
+    let mut db = fdb::relation::Database::new(catalog.clone());
+    for &u in &unary {
+        db.insert_raw_rows(u, &[vec![1], vec![2]]).unwrap();
+    }
+    for &r in &triangle {
+        db.insert_raw_rows(r, &[vec![1, 1], vec![1, 2], vec![2, 1], vec![2, 2]])
+            .unwrap();
+    }
+    let engine = FdbEngine::new();
+    let out = engine.evaluate_flat(&db, &query).unwrap();
+    let alone = engine.evaluate_flat(&db, &triangle_query).unwrap();
+    out.result.tree().check_path_constraint().unwrap();
+    assert_eq!(out.stats.plan_cost, 1.5);
+    // A singleton per attribute and value: two for each unary attribute.
+    assert_eq!(out.stats.result_size, alone.stats.result_size + 67 * 2);
+    assert_eq!(out.stats.result_tuples, alone.stats.result_tuples << 65);
+    assert_eq!(alone.stats.result_tuples, 8);
+}
+
 /// The fractional edge cover solver agrees with the integral one on small
 /// instances (and never exceeds it) — the foundation the cost model rests on.
 #[test]
