@@ -53,8 +53,6 @@ pub enum FdbError {
     },
     /// The linear program handed to the solver is infeasible.
     InfeasibleProgram,
-    /// The linear program handed to the solver is unbounded.
-    UnboundedProgram,
     /// The optimiser could not find any f-plan for the query.
     NoPlanFound {
         /// Explanation of why the search failed.
@@ -177,7 +175,6 @@ impl fmt::Display for FdbError {
                 write!(f, "malformed f-representation: {detail}")
             }
             FdbError::InfeasibleProgram => write!(f, "linear program is infeasible"),
-            FdbError::UnboundedProgram => write!(f, "linear program is unbounded"),
             FdbError::NoPlanFound { detail } => write!(f, "no f-plan found: {detail}"),
             FdbError::InvalidInput { detail } => write!(f, "invalid input: {detail}"),
             FdbError::LimitExceeded { detail } => write!(f, "resource limit exceeded: {detail}"),
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn error_trait_is_implemented() {
-        let e: Box<dyn std::error::Error> = Box::new(FdbError::UnboundedProgram);
-        assert!(e.to_string().contains("unbounded"));
+        let e: Box<dyn std::error::Error> = Box::new(FdbError::InfeasibleProgram);
+        assert!(e.to_string().contains("infeasible"));
     }
 }

@@ -349,7 +349,9 @@ type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
 /// The least `s(T)` over every arrangement of the non-constant nodes of
 /// `tree` (the classes), and the number of subproblems solved; an optimal
 /// arrangement is written into `out` if given.  Sets of classes are one
-/// word when the tree has at most 64 nodes.
+/// word when the tree has at most 64 nodes: an `EdgeSet`-only search
+/// (every spill empty) took 1.8 times as long on `flat_join`'s catalogue
+/// and made its `p50_ms` 1.18 times as high.
 fn arrange(tree: &FTree, memo: &mut SCostMemo, out: Option<&mut FTree>) -> Result<(f64, usize)> {
     match tree.node_count() {
         0..=64 => Search::<u64>::run(tree, memo, out),

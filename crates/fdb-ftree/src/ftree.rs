@@ -355,11 +355,15 @@ impl FTree {
     /// Checks the path constraint: every dependency edge's attributes label
     /// nodes that all lie on a single root-to-leaf path.
     pub fn check_path_constraint(&self) -> Result<()> {
-        for (index, edge) in self.edges.iter().enumerate() {
-            let nodes: Vec<NodeId> = self
-                .live()
-                .filter_map(|(id, node)| node.incidence.contains(index).then_some(id))
-                .collect();
+        for edge in self.edges.iter() {
+            let mut nodes: Vec<NodeId> = Vec::new();
+            for &attr in &edge.attrs {
+                if let Some(n) = self.node_of_attr(attr) {
+                    if !nodes.contains(&n) {
+                        nodes.push(n);
+                    }
+                }
+            }
             for i in 0..nodes.len() {
                 for j in (i + 1)..nodes.len() {
                     let (a, b) = (nodes[i], nodes[j]);

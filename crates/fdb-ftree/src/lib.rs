@@ -46,12 +46,11 @@
 //!   move nodes and change no class, so they leave the sets alone.  Direct
 //!   mutable access to the edge list is crate-private for this reason.
 //! * **Who reads it.**  `nodes_dependent`, `depends_on_subtree`,
-//!   `edges_of_node`, [`FTree::check_path_constraint`], [`s_cost_details`],
-//!   [`SCostMemo`], whose memo key is a path's sorted, de-duplicated list
-//!   of sets, and the f-tree search behind [`optimal_ftree`] and
-//!   [`SCostMemo::min_s_cost`], which treats classes with equal sets as
-//!   interchangeable, reads which classes share a relation off the sets,
-//!   and takes every path cover from the memo.
+//!   `edges_of_node`, [`s_cost_details`], [`SCostMemo`], whose memo key is
+//!   a path's sorted, de-duplicated list of sets, and the f-tree search
+//!   behind [`optimal_ftree`] and [`SCostMemo::min_s_cost`], which treats
+//!   classes with equal sets as interchangeable, reads which classes share
+//!   a relation off the sets, and takes every path cover from the memo.
 //! * **Derived state.**  The sets are a function of classes and edges: they
 //!   are not part of [`FTree::snapshot_nodes`] (a decoded tree recomputes
 //!   them), not part of [`FTree::canonical_key`], and `FTree` has no

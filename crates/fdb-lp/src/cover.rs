@@ -53,15 +53,13 @@ pub fn fractional_edge_cover(instance: &CoverInstance) -> Result<f64> {
     if instance.num_vertices == 0 {
         return Ok(0.0);
     }
-    let n = instance.edges.len();
-    let mut lp = LinearProgram::new(n);
+    let mut lp = LinearProgram::new(instance.edges.len());
     for v in 0..instance.num_vertices {
         // Coefficient 1 for each edge that covers `v`, 0 for the others.
         let covers = instance.edges.iter().map(|edge| edge.contains(&v));
         lp.add_constraint(covers.map(|c| f64::from(u8::from(c))).collect());
     }
-    let sol = lp.minimize()?;
-    Ok(sol.objective)
+    Ok(lp.minimize()?.objective)
 }
 
 #[cfg(test)]

@@ -81,18 +81,18 @@ impl LinearProgram {
         let mut rhs: Vec<f64> = vec![1.0; m];
         let mut basis: Vec<usize> = (art_start..total_cols).collect();
 
-        // Phase one: minimise the sum of artificial variables.  It is never
-        // unbounded (its objective is bounded below by 0); an unbounded
-        // answer is treated defensively as infeasible.
+        // Phase one: minimise the sum of artificial variables, which is
+        // bounded below by 0.
         let mut phase1_cost = vec![0.0; total_cols];
         phase1_cost[art_start..].fill(1.0);
         let optimal = run_simplex(&mut rows, &mut rhs, &mut basis, &phase1_cost, total_cols);
+        debug_assert!(optimal, "phase one is bounded below by 0");
         let phase1_obj: f64 = basis
             .iter()
             .enumerate()
             .map(|(i, &b)| if b >= art_start { rhs[i] } else { 0.0 })
             .sum();
-        if !optimal || phase1_obj > 1e-7 {
+        if phase1_obj > 1e-7 {
             return Err(FdbError::InfeasibleProgram);
         }
 
@@ -109,12 +109,12 @@ impl LinearProgram {
             }
         }
 
-        // Phase two: the sum of the variables, artificial columns forbidden.
+        // Phase two: the sum of the variables, artificial columns forbidden;
+        // bounded below by 0, since every variable is non-negative.
         let mut cost = vec![0.0; total_cols];
         cost[..n].fill(1.0);
-        if !run_simplex(&mut rows, &mut rhs, &mut basis, &cost, art_start) {
-            return Err(FdbError::UnboundedProgram);
-        }
+        let optimal = run_simplex(&mut rows, &mut rhs, &mut basis, &cost, art_start);
+        debug_assert!(optimal, "a covering program is bounded below by 0");
 
         let mut values = vec![0.0; n];
         for (&b, &x) in basis.iter().zip(&rhs).filter(|&(&b, _)| b < n) {
