@@ -614,13 +614,10 @@ mod tests {
     }
 
     /// The `serve_cold` benchmark's 240 requests (the catalogue the reference
-    /// suite draws, from `K = 2`): greedy is a heuristic, not an equal.  The
-    /// benchmark's `plan.greedy_cost_ratio` of 1.000 compares
-    /// `max_intermediate` alone; the final trees differ.
-    #[test]
-    fn the_exhaustive_plan_is_never_worse_than_greedy_and_sometimes_better() {
+    /// suite draws, from `K = 2`): `(K, L, input tree, equalities)`, five
+    /// `K`s of four base queries of twelve follow-ups each.
+    fn serve_cold_requests() -> Vec<(usize, usize, FTree, Vec<(AttrId, AttrId)>)> {
         use crate::optimal_ftree;
-        use crate::optimizer::greedy::GreedyOptimizer;
         use fdb_common::RelId;
         use fdb_datagen::{
             combinatorial_database, random_followup_equalities, random_query, ValueDistribution,
@@ -631,10 +628,7 @@ mod tests {
         let db = combinatorial_database(&mut StdRng::seed_from_u64(1), ValueDistribution::Uniform);
         let catalog = db.catalog().clone();
         let rels: Vec<RelId> = catalog.rels().collect();
-        let (mut cases, mut better) = (0, 0);
-        // Every request also runs through one memo kept across all 240, as a
-        // plan cache's pooled memo is: a warm memo changes nothing.
-        let mut warm = SCostMemo::new();
+        let mut requests = Vec::new();
         for k in 2..=6 {
             for _ in 0..4 {
                 let base = random_query(&mut rng, &catalog, &rels, k);
@@ -644,42 +638,109 @@ mod tests {
                 for l in 1..=3 {
                     for _ in 0..4 {
                         let follow = random_followup_equalities(&mut rng, &catalog, &base, l);
-                        let best = ExhaustiveOptimizer::new().optimize(&tree, &follow).unwrap();
-                        let pooled = ExhaustiveOptimizer::new()
-                            .optimize_ctx(&tree, &follow, &ExecCtx::unlimited(), &mut warm)
-                            .unwrap();
-                        let bits = |c: &FPlanCost| -> Vec<u64> {
-                            c.steps.iter().map(|s| s.to_bits()).collect()
-                        };
-                        assert_eq!(pooled.plan, best.plan, "{follow:?}");
-                        assert_eq!(bits(&pooled.cost), bits(&best.cost), "{follow:?}");
-                        assert_eq!(pooled.explored_states, best.explored_states);
-                        let reached = best.plan.final_tree(&tree).unwrap();
-                        assert!(
-                            ExhaustiveOptimizer::is_goal(&reached, &follow),
-                            "{follow:?}"
-                        );
-                        // The stop's bound is tight on every request.
-                        let bound = SCostMemo::new().min_s_cost(&reached).unwrap();
-                        assert_eq!(bound.to_bits(), best.cost.final_cost.to_bits());
-                        let greedy = GreedyOptimizer::new().optimize(&tree, &follow).unwrap();
-                        let order =
-                            |c: &FPlanCost| (OrdF64(c.max_intermediate), OrdF64(c.final_cost));
-                        assert!(
-                            order(&best.cost) <= order(&greedy.cost),
-                            "K={k} L={l} {follow:?}: {:?} vs greedy {:?}",
-                            best.cost,
-                            greedy.cost
-                        );
-                        better += usize::from(order(&best.cost) < order(&greedy.cost));
-                        cases += 1;
+                        requests.push((k, l, tree.clone(), follow));
                     }
                 }
             }
         }
+        requests
+    }
+
+    fn bits(cost: &FPlanCost) -> Vec<u64> {
+        cost.steps.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// Greedy is a heuristic, not an equal.  The benchmark's
+    /// `plan.greedy_cost_ratio` of 1.000 compares `max_intermediate` alone;
+    /// the final trees differ.
+    #[test]
+    fn the_exhaustive_plan_is_never_worse_than_greedy_and_sometimes_better() {
+        use crate::optimizer::greedy::GreedyOptimizer;
+        let (mut cases, mut better) = (0, 0);
+        // Every request also runs through one memo kept across all 240, as a
+        // plan cache's pooled memo is: a warm memo changes nothing.
+        let mut warm = SCostMemo::new();
+        for (k, l, tree, follow) in serve_cold_requests() {
+            let best = ExhaustiveOptimizer::new().optimize(&tree, &follow).unwrap();
+            let pooled = ExhaustiveOptimizer::new()
+                .optimize_ctx(&tree, &follow, &ExecCtx::unlimited(), &mut warm)
+                .unwrap();
+            assert_eq!(pooled.plan, best.plan, "{follow:?}");
+            assert_eq!(bits(&pooled.cost), bits(&best.cost), "{follow:?}");
+            assert_eq!(pooled.explored_states, best.explored_states);
+            let reached = best.plan.final_tree(&tree).unwrap();
+            assert!(
+                ExhaustiveOptimizer::is_goal(&reached, &follow),
+                "{follow:?}"
+            );
+            // The stop's bound is tight on every request.
+            let bound = SCostMemo::new().min_s_cost(&reached).unwrap();
+            assert_eq!(bound.to_bits(), best.cost.final_cost.to_bits());
+            let greedy = GreedyOptimizer::new().optimize(&tree, &follow).unwrap();
+            let order = |c: &FPlanCost| (OrdF64(c.max_intermediate), OrdF64(c.final_cost));
+            assert!(
+                order(&best.cost) <= order(&greedy.cost),
+                "K={k} L={l} {follow:?}: {:?} vs greedy {:?}",
+                best.cost,
+                greedy.cost
+            );
+            better += usize::from(order(&best.cost) < order(&greedy.cost));
+            cases += 1;
+        }
         assert_eq!(cases, 240);
         // Today: 4 of the 240, each a final tree of cost 1 against greedy's 2.
         assert!(better > 0, "greedy matched the optimum on all {cases}");
+    }
+
+    #[test]
+    fn serve_cold_requests_keep_their_plans_costs_and_states() {
+        // FNV-1a over each base query's twelve requests: the plan's
+        // operators, its cost-step bits and the states it settled.  Which
+        // of several equally good plans the search returns depends on the
+        // order it pushes and pops states in, so an expansion that probes,
+        // builds or numbers states in another order changes a digest here.
+        // One digest per base query, K = 2, 2, 2, 2, 3, …, 6.
+        let pins: [u64; 20] = [
+            0x7771_7ea1_64b7_f5a8,
+            0x4318_9846_f44b_eec7,
+            0x5028_a8f3_fc0d_3cf3,
+            0x46d4_4a74_9ee9_4f96,
+            0x1543_7a29_0ea4_b6fe,
+            0x3139_5bed_0cee_7826,
+            0x1bd8_d97a_a054_ba3d,
+            0xbeb2_3d72_4296_8dd8,
+            0xfc65_af6b_1772_56ba,
+            0x1351_456a_c660_9974,
+            0x724e_b34f_c6db_200d,
+            0x6600_50e7_901d_5d55,
+            0x78a1_d0fb_b1ec_13ad,
+            0xaf46_7228_0eca_0824,
+            0x446d_6bc0_b43f_33da,
+            0x41b4_1be2_fc2f_dc3d,
+            0x7eb9_0186_078c_5a09,
+            0x6e98_8845_50d8_254c,
+            0xd8f6_38a2_4e8c_42f4,
+            0x92c0_f3ac_8c93_cef4,
+        ];
+        let mut digests = [0xcbf2_9ce4_8422_2325_u64; 20];
+        let mut states = 0;
+        for (i, (_, _, tree, follow)) in serve_cold_requests().into_iter().enumerate() {
+            let best = ExhaustiveOptimizer::new().optimize(&tree, &follow).unwrap();
+            let mut bytes = format!("{:?}", best.plan.ops).into_bytes();
+            for word in bits(&best.cost)
+                .into_iter()
+                .chain([best.explored_states as u64])
+            {
+                bytes.extend(word.to_le_bytes());
+            }
+            let digest = &mut digests[i / 12];
+            for b in bytes {
+                *digest = (*digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            states += best.explored_states;
+        }
+        assert_eq!(digests, pins);
+        assert_eq!(states, 5431);
     }
 
     /// The search, the full sweep's plan and the bound of the chosen goal.
