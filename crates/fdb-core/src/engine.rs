@@ -38,8 +38,10 @@ use crate::serving::PlanCache;
 use fdb_common::{
     AggregateFunc, AggregateHead, AttrId, ConstSelection, ExecCtx, FdbError, Query, Result,
 };
-use fdb_frep::{build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy};
-use fdb_ftree::{FTree, SCostMemo};
+use fdb_frep::{
+    aggregate, build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy,
+};
+use fdb_ftree::SCostMemo;
 use fdb_plan::{plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, OptimizedPlan};
 use fdb_relation::{Database, Relation};
 use std::borrow::Cow;
@@ -315,7 +317,7 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
         };
     }
     match (head.func, head.attr) {
-        // COUNT(A) counts what COUNT(*) counts; `check_count_attr` makes
+        // COUNT(A) counts what COUNT(*) counts; `aggregate_node` makes
         // sure the result shows A.
         (AggregateFunc::Count, _) => Ok(AggregateKind::Count),
         (AggregateFunc::Sum, Some(a)) => Ok(AggregateKind::Sum(a)),
@@ -325,21 +327,6 @@ fn aggregate_kind(head: &AggregateHead) -> Result<AggregateKind> {
         (func, None) => Err(FdbError::InvalidInput {
             detail: format!("aggregate {func:?} requires an attribute"),
         }),
-    }
-}
-
-/// The check `SUM(A)` makes of its attribute, made for `COUNT(A)`: `attr`
-/// must be a visible attribute of `tree`, the tree the request's plan
-/// yields, with `SUM`'s errors when it is not.
-fn check_count_attr(tree: &FTree, attr: AttrId) -> Result<()> {
-    match tree.node_of_attr(attr) {
-        None => Err(FdbError::AttributeNotInQuery {
-            attr: format!("{attr}"),
-        }),
-        Some(node) if !tree.visible_attrs(node).contains(&attr) => Err(FdbError::InvalidOperator {
-            detail: format!("aggregate over projected-away attribute {attr}"),
-        }),
-        Some(_) => Ok(()),
     }
 }
 
@@ -568,7 +555,7 @@ impl FdbEngine {
             ..
         }) = head.aggregate
         {
-            check_count_attr(&plan.final_tree(rep.tree())?, *attr)?;
+            aggregate::aggregate_node(&plan.final_tree(rep.tree())?, *attr)?;
         }
 
         // (3) Simplify once.

@@ -547,6 +547,23 @@ impl Accumulator for DistinctAcc {
     }
 }
 
+/// The node of `attr` in `tree`, checked as an aggregate's attribute: it
+/// must label a node of the tree and be visible there (not projected away).
+/// `COUNT(A)` counts what `COUNT(*)` counts, and makes this check of `A`.
+pub fn aggregate_node(tree: &FTree, attr: AttrId) -> Result<NodeId> {
+    let Some(node) = tree.node_of_attr(attr) else {
+        return Err(FdbError::AttributeNotInQuery {
+            attr: format!("{attr}"),
+        });
+    };
+    if !tree.visible_attrs(node).contains(&attr) {
+        return Err(FdbError::InvalidOperator {
+            detail: format!("aggregate over projected-away attribute {attr}"),
+        });
+    }
+    Ok(node)
+}
+
 /// Resolved target of an aggregate on a concrete f-tree: the node whose
 /// entry values feed the aggregate (`None` for `COUNT`).
 #[derive(Clone, Copy, Debug)]
@@ -555,24 +572,11 @@ pub(crate) struct AggTarget {
 }
 
 impl AggTarget {
-    /// Resolves and validates the aggregate's attribute against the tree:
-    /// the attribute must exist in the tree and be visible (not projected
-    /// away).
+    /// Resolves and validates the aggregate's attribute against the tree
+    /// ([`aggregate_node`]).
     pub(crate) fn resolve(tree: &FTree, kind: AggregateKind) -> Result<AggTarget> {
-        let Some(attr) = kind.attr() else {
-            return Ok(AggTarget { node: None });
-        };
-        let Some(node) = tree.node_of_attr(attr) else {
-            return Err(FdbError::AttributeNotInQuery {
-                attr: format!("{attr}"),
-            });
-        };
-        if !tree.visible_attrs(node).contains(&attr) {
-            return Err(FdbError::InvalidOperator {
-                detail: format!("aggregate over projected-away attribute {attr}"),
-            });
-        }
-        Ok(AggTarget { node: Some(node) })
+        let node = kind.attr().map(|a| aggregate_node(tree, a)).transpose()?;
+        Ok(AggTarget { node })
     }
 
     /// Whether entry values of a union over `node` feed the aggregate.

@@ -141,7 +141,7 @@ const MAX_COVERS: usize = 1 << 14;
 pub struct SCostMemo {
     /// Keyed by a path's sets as bitmap words, then the words a set takes;
     /// one entry per LP solved.
-    pub(crate) covers: HashMap<Vec<u64>, f64>,
+    pub(crate) covers: WordMap<Vec<u64>, f64>,
     /// The path being looked up (kept for its allocation).
     path: Vec<u64>,
 }
@@ -155,9 +155,20 @@ impl SCostMemo {
     /// Computes `s(T)`: the maximum fractional edge cover number over all
     /// root-to-leaf paths.  An empty forest has cost 0.
     pub fn s_cost(&mut self, tree: &FTree) -> Result<f64> {
+        self.max_cover(tree, tree.leaf_ids(), |n| tree.parent(n))
+    }
+
+    /// The largest cover of the paths from `leaves` up the links `parent`
+    /// over the nodes of `tree`: `s(T)` of the tree with those links.
+    pub(crate) fn max_cover(
+        &mut self,
+        tree: &FTree,
+        leaves: impl Iterator<Item = NodeId>,
+        parent: impl Fn(NodeId) -> Option<NodeId>,
+    ) -> Result<f64> {
         let mut max = 0.0_f64;
-        for leaf in tree.leaf_ids() {
-            let path = std::iter::successors(Some(leaf), |&n| tree.parent(n));
+        for leaf in leaves {
+            let path = std::iter::successors(Some(leaf), |&n| parent(n));
             max = max.max(self.cover(tree, path)?);
         }
         Ok(max)
@@ -322,13 +333,15 @@ impl SubCost {
     }
 }
 
-/// A multiply-rotate hasher for the search's word keys.  SipHash's defence
-/// against keys crafted to collide buys nothing here: the keys are sets the
+/// A multiply-rotate hasher for the keys the searches make themselves: the
+/// f-tree search's class words, the memo's path covers and the plan
+/// search's tree keys, eight bytes a round.  SipHash's defence against keys
+/// crafted to collide buys nothing here: the keys are sets and trees a
 /// search enumerates itself, and a query needs no collisions to make a
 /// search exponential in its classes.  On `flat_join`'s catalogue SipHash
-/// made the search about 1.6 times slower.
+/// made the f-tree search about 1.6 times slower.
 #[derive(Default)]
-struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 impl std::hash::Hasher for WordHasher {
     fn finish(&self) -> u64 {
@@ -336,7 +349,11 @@ impl std::hash::Hasher for WordHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -344,7 +361,8 @@ impl std::hash::Hasher for WordHasher {
     }
 }
 
-type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
+/// A map keyed by [`WordHasher`].
+pub type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
 
 /// The least `s(T)` over every arrangement of the non-constant nodes of
 /// `tree` (the classes), and the number of subproblems solved; an optimal

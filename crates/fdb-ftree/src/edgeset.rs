@@ -42,6 +42,13 @@ pub(crate) trait IndexSet: Clone + Default + Eq + Hash {
         (0..self.words()).any(|slot| self.word(slot) & other.word(slot) != 0)
     }
 
+    /// Adds the indices of `other`.
+    fn insert_all(&mut self, other: &Self) {
+        for slot in 0..other.words() {
+            self.set_word(slot, self.word(slot) | other.word(slot));
+        }
+    }
+
     /// Adds the indices that `a` and `b` share.
     fn insert_shared(&mut self, a: &Self, b: &Self) {
         for slot in 0..a.words().min(b.words()) {

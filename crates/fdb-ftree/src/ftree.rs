@@ -10,6 +10,7 @@
 //! incidence set, see the crate docs), which is what those queries read.
 
 use crate::edgeset::{EdgeSet, IndexSet};
+use crate::frame::LinkFrame;
 use fdb_common::{AttrId, FdbError, Result, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -189,6 +190,12 @@ impl FTree {
         &self.roots
     }
 
+    /// The parent of every node slot (`None` for a root and for a removed
+    /// node), indexed by node id.
+    pub(crate) fn parents(&self) -> Vec<Option<NodeId>> {
+        self.nodes.iter().map(|n| n.as_ref()?.parent).collect()
+    }
+
     /// Live nodes, in id order.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.live().map(|(id, _)| id).collect()
@@ -311,7 +318,7 @@ impl FTree {
     /// descendants).
     pub fn bottom_up(&self) -> Vec<NodeId> {
         let mut order: Vec<NodeId> = self.node_ids();
-        order.sort_by_key(|&id| std::cmp::Reverse(self.depth(id)));
+        order.sort_by_cached_key(|&id| std::cmp::Reverse(self.depth(id)));
         order
     }
 
@@ -469,62 +476,7 @@ impl FTree {
     /// zero for a root) in self-delimiting varints.  The records name every
     /// node and its parent, so distinct forests never share a key.
     pub fn canonical_key(&self) -> Vec<u8> {
-        self.key_with_parents(|_, node| node.parent)
-    }
-
-    /// The key [`FTree::swap_with_parent`]`(b)` would leave behind, read off
-    /// this tree without copying or editing it: a swap changes no label, only
-    /// the parent of `b`, of `a = parent(b)` and of the children of `b` that
-    /// depend on `a`.  Fails where the swap would.
-    pub fn canonical_key_after_swap(&self, b: NodeId) -> Result<Vec<u8>> {
-        let swap = self.swap_outcome(b)?;
-        let a = swap.old_parent;
-        Ok(self.key_with_parents(|id, node| {
-            if id == b {
-                self.node(a).parent
-            } else if id == a {
-                Some(b)
-            } else if swap.moved_down.contains(&id) {
-                Some(a)
-            } else {
-                node.parent
-            }
-        }))
-    }
-
-    /// Writes the canonical key of the forest whose labels are this one's and
-    /// whose parent function is `parent_of`.
-    fn key_with_parents(&self, parent_of: impl Fn(NodeId, &Node) -> Option<NodeId>) -> Vec<u8> {
-        let first_attr = |node: &Node| node.class.first().expect("classes are non-empty").0;
-        // Exact when every varint is one byte and no node is constant-bound.
-        let mut size = 0;
-        let mut order: Vec<(u32, NodeId, &Node)> = self
-            .live()
-            .map(|(id, node)| {
-                size += 3 + node.class.len();
-                (first_attr(node), id, node)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(first, ..)| first);
-        let mut key = Vec::with_capacity(size);
-        for (_, id, node) in order {
-            write_varint(node.class.len() as u64, &mut key);
-            for attr in node.class.iter() {
-                write_varint(u64::from(attr.0), &mut key);
-            }
-            match node.constant {
-                Some(v) => {
-                    key.push(1);
-                    write_varint(v.raw(), &mut key);
-                }
-                None => key.push(0),
-            }
-            let parent = parent_of(id, node).map_or(0, |p| u64::from(first_attr(self.node(p))) + 1);
-            write_varint(parent, &mut key);
-        }
-        // Keys are kept by the thousand in a search's seen-set.
-        key.shrink_to_fit();
-        key
+        LinkFrame::new(self).into_key()
     }
 
     /// Renders the forest as indented ASCII, resolving attribute names via
@@ -606,10 +558,10 @@ impl FTree {
         let old = self.nodes[b.index()].take().expect("node was removed");
         let mut new_class = BTreeSet::clone(self.class(a));
         new_class.extend(old.class.iter().copied());
-        let incidence = incidence_of(&self.edges, &new_class);
         let node = self.node_mut(a);
         node.class = Arc::new(new_class);
-        node.incidence = incidence;
+        // An edge meets the union of two classes iff it meets one of them.
+        node.incidence.insert_all(&old.incidence);
         node.projected.extend(old.projected);
         // If both sides carry constants they must agree; the data-level
         // operator will already have produced an empty representation
@@ -726,15 +678,6 @@ fn incidence_of(edges: &[DepEdge], class: &BTreeSet<AttrId>) -> EdgeSet {
         }
     }
     set
-}
-
-/// Appends `value` as a little-endian base-128 varint.
-fn write_varint(mut value: u64, out: &mut Vec<u8>) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
 }
 
 /// One node slot of an f-tree in loss-free snapshot form (see

@@ -68,6 +68,7 @@
 pub mod builder;
 pub mod cost;
 mod edgeset;
+mod frame;
 pub mod ftree;
 #[cfg(test)]
 mod invariant_tests;
@@ -76,7 +77,10 @@ pub mod transform;
 pub use builder::{
     dep_edges_for_query, flat_database_ftree, ftree_from_query_classes, single_path_ftree,
 };
-pub use cost::{optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCost, SCostMemo};
+pub use cost::{
+    optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCost, SCostMemo, WordMap,
+};
+pub use frame::LinkFrame;
 #[doc(hidden)]
 pub use ftree::NodeSnapshot;
 pub use ftree::{DepEdge, FTree, NodeId};

@@ -98,26 +98,25 @@ impl FTree {
         self.node_ids().into_iter().all(|n| !self.can_push_up(n))
     }
 
-    /// Normalisation operator `η`: repeatedly pushes nodes up (bottom-up)
-    /// until the tree is normalised.  Each push-up goes to `edit`, which
-    /// must apply it to the tree it is handed ([`FTree::apply_edit`] does,
-    /// on the tree alone); the first error `edit` returns stops the loop.
+    /// Normalisation operator `η`: pushes each node up (bottom-up) as far as
+    /// it goes.  Each push-up goes to `edit`, which must apply it to the
+    /// tree it is handed ([`FTree::apply_edit`] does, on the tree alone);
+    /// the first error `edit` returns stops the pass.
+    ///
+    /// One pass leaves the tree normalised.  A push-up moves a subtree up,
+    /// so ancestor sets only shrink: once a node stops, its parent stays,
+    /// and so does its subtree — every node that could leave it lay deeper,
+    /// and so went before it.  The node depends on its parent as it did.
     pub fn normalise(
         &mut self,
         mut edit: impl FnMut(&mut FTree, TreeEdit) -> Result<()>,
     ) -> Result<()> {
-        loop {
-            let mut changed = false;
-            for node in self.bottom_up() {
-                while self.can_push_up(node) {
-                    edit(self, TreeEdit::PushUp(node))?;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return Ok(());
+        for node in self.bottom_up() {
+            while self.can_push_up(node) {
+                edit(self, TreeEdit::PushUp(node))?;
             }
         }
+        Ok(())
     }
 
     /// Applies one primitive edit to the tree alone.
@@ -133,17 +132,19 @@ impl FTree {
     // Swap
     // ------------------------------------------------------------------
 
+    /// The parent `b` swaps with, or the error the swap fails with.
+    pub(crate) fn swap_parent(&self, b: NodeId) -> Result<NodeId> {
+        self.check_node(b)?;
+        self.parent(b).ok_or_else(|| FdbError::InvalidOperator {
+            detail: format!("swap: {b} is a root"),
+        })
+    }
+
     /// What the swap of `b` with `a = parent(b)` does, computed without doing
     /// it: who trades places and how `b`'s children split by dependency on
-    /// `a`.  [`FTree::swap_with_parent`] applies exactly this outcome and
-    /// [`FTree::canonical_key_after_swap`] keys exactly this outcome.
-    pub(crate) fn swap_outcome(&self, b: NodeId) -> Result<SwapOutcome> {
-        self.check_node(b)?;
-        let Some(a) = self.parent(b) else {
-            return Err(FdbError::InvalidOperator {
-                detail: format!("swap: {b} is a root"),
-            });
-        };
+    /// `a`.  [`FTree::swap_with_parent`] applies exactly this outcome.
+    fn swap_outcome(&self, b: NodeId) -> Result<SwapOutcome> {
+        let a = self.swap_parent(b)?;
         let (moved_down, kept) = self
             .children(b)
             .iter()
@@ -485,18 +486,15 @@ mod tests {
         assert_eq!(t.canonical_key(), key_before);
     }
 
-    /// The read-only twin against the operator, for every node of random
-    /// trees — normalised and not, with merged classes, constant-bound
-    /// nodes, children that follow the old parent down, and forests of 70 and
-    /// 200 relations, whose incidence sets spill past one word.
-    #[test]
-    fn the_key_after_a_swap_is_the_key_of_the_swapped_tree() {
+    /// Random trees for the link frame to be checked against the operators:
+    /// normalised and not, with merged classes, constant-bound nodes, and
+    /// forests of 70 and 200 relations (up to `largest`), whose incidence
+    /// sets spill past one word.
+    fn random_forests(largest: usize, mut visit: impl FnMut(&FTree)) {
         use crate::invariant_tests::{random_edit, relation_chains};
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        // Swaps checked; of them on non-normalised trees, on trees with a
-        // constant, with a multi-attribute class involved, moving children.
-        let mut seen = [0usize; 5];
-        for (relations, seeds, steps) in [(3, 12, 16), (6, 12, 16), (70, 2, 8), (200, 1, 5)] {
+        let sizes = [(3, 12, 16), (6, 12, 16), (70, 2, 8), (200, 1, 5)];
+        for (relations, seeds, steps) in sizes.into_iter().filter(|s| s.0 <= largest) {
             for seed in 0..seeds {
                 let mut rng = StdRng::seed_from_u64(0x5A9 ^ (relations as u64) << 8 ^ seed);
                 let mut tree = relation_chains(&mut rng, relations, 0);
@@ -518,32 +516,114 @@ mod tests {
                 }
                 for step in 0..steps {
                     random_edit(&mut tree, &mut rng, &mut next_attr);
-                    let nodes = tree.node_ids();
                     if step % 5 == 4 {
+                        let nodes = tree.node_ids();
                         let bound = nodes[rng.gen_range(0..nodes.len())];
                         tree.bind_constant(bound, Value::new(step)).unwrap();
                     }
-                    let constants = nodes.iter().any(|&n| tree.constant(n).is_some());
-                    for &b in &nodes {
-                        let mut swapped = tree.clone();
-                        let predicted = tree.canonical_key_after_swap(b);
-                        match swapped.swap_with_parent(b) {
-                            Ok(outcome) => {
-                                assert_eq!(predicted.unwrap(), swapped.canonical_key(), "{b}");
-                                let a = outcome.old_parent;
-                                seen[0] += 1;
-                                seen[1] += usize::from(!tree.is_normalised());
-                                seen[2] += usize::from(constants);
-                                seen[3] +=
-                                    usize::from(tree.class(a).len() + tree.class(b).len() > 2);
-                                seen[4] += usize::from(!outcome.moved_down.is_empty());
-                            }
-                            Err(e) => assert_eq!(predicted.unwrap_err(), e),
-                        }
-                    }
+                    visit(&tree);
                 }
             }
         }
+    }
+
+    /// The link frame against the swap, for every node of random trees: one
+    /// frame per tree probes every swap, and each probe's key and `s(T)`
+    /// are the swapped tree's, bit for bit.
+    #[test]
+    fn the_key_after_a_swap_is_the_key_of_the_swapped_tree() {
+        use crate::cost::SCostMemo;
+        use crate::frame::LinkFrame;
+        // Swaps checked; of them on non-normalised trees, on trees with a
+        // constant, with a multi-attribute class involved, moving children,
+        // on trees of more than 64 edges; roots refused.
+        let mut seen = [0usize; 7];
+        let mut memo = SCostMemo::new();
+        random_forests(200, |tree| {
+            let nodes = tree.node_ids();
+            let constants = nodes.iter().any(|&n| tree.constant(n).is_some());
+            let mut frame = LinkFrame::new(tree);
+            let own = memo.s_cost(tree).unwrap();
+            assert_eq!(frame.s_cost(&mut memo).unwrap().to_bits(), own.to_bits());
+            for &b in &nodes {
+                let mut swapped = tree.clone();
+                match swapped.swap_with_parent(b) {
+                    Ok(outcome) => {
+                        let key = frame.swap(b).unwrap().to_vec();
+                        assert_eq!(key, swapped.canonical_key(), "{b}");
+                        let cost = memo.s_cost(&swapped).unwrap();
+                        let probed = frame.s_cost(&mut memo).unwrap();
+                        assert_eq!(probed.to_bits(), cost.to_bits(), "{b}");
+                        let a = outcome.old_parent;
+                        seen[0] += 1;
+                        seen[1] += usize::from(!tree.is_normalised());
+                        seen[2] += usize::from(constants);
+                        seen[3] += usize::from(tree.class(a).len() + tree.class(b).len() > 2);
+                        seen[4] += usize::from(!outcome.moved_down.is_empty());
+                        seen[5] += usize::from(tree.edges().len() > 64);
+                    }
+                    Err(e) => {
+                        assert_eq!(frame.swap(b).unwrap_err(), e);
+                        seen[6] += 1;
+                    }
+                }
+            }
+        });
+        assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
+        // A node the tree does not have fails as the swap does.
+        let (t, _) = grocery_t1();
+        let ghost = NodeId(9);
+        assert_eq!(
+            LinkFrame::new(&t).swap(ghost).unwrap_err(),
+            t.clone().swap_with_parent(ghost).unwrap_err()
+        );
+    }
+
+    /// The link frame against merge and absorb (with the normalisation
+    /// after it): for every pair of siblings and every node under an
+    /// ancestor of random trees, the probed key is the fused tree's.  A
+    /// frame probes swaps and fusions in turn, as the plan search does.
+    #[test]
+    fn the_key_after_a_fusion_is_the_key_of_the_fused_tree() {
+        use crate::frame::LinkFrame;
+        // Merges, absorbs, absorbs that push nodes up, fusions with a
+        // constant-bound node, on trees of more than 64 edges.
+        let mut seen = [0usize; 5];
+        random_forests(70, |tree| {
+            let nodes = tree.node_ids();
+            let mut frame = LinkFrame::new(tree);
+            // At most about 12 nodes `a` and `b` a tree.
+            let every = nodes.len().div_ceil(12);
+            for &a in nodes.iter().step_by(every) {
+                for &b in nodes.iter().step_by(every) {
+                    let mut fused = tree.clone();
+                    if tree.are_siblings(a, b) {
+                        fused.merge_siblings(a, b).unwrap();
+                        seen[0] += 1;
+                    } else if tree.is_ancestor(a, b) {
+                        fused.absorb_into_ancestor(a, b).unwrap();
+                        let mut pushed = false;
+                        fused
+                            .normalise(|t, edit| {
+                                pushed = true;
+                                t.apply_edit(edit)
+                            })
+                            .unwrap();
+                        seen[1] += 1;
+                        seen[2] += usize::from(pushed);
+                    } else {
+                        continue;
+                    }
+                    assert_eq!(frame.fuse(a, b), &fused.canonical_key()[..], "{a} {b}");
+                    let constant = tree.constant(a).or(tree.constant(b));
+                    seen[3] += usize::from(constant.is_some());
+                    seen[4] += usize::from(tree.edges().len() > 64);
+                    if let Some(&c) = tree.children(b).first() {
+                        frame.swap(c).unwrap();
+                    }
+                }
+            }
+        });
         assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
     }
 

@@ -72,10 +72,9 @@ use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, ExecCtx, FdbError, Result};
-use fdb_ftree::{FTree, SCostMemo};
+use fdb_ftree::{FTree, LinkFrame, SCostMemo, WordMap};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// The exhaustive (Dijkstra) f-plan optimiser.
 #[derive(Clone, Copy, Debug, Default)]
@@ -97,27 +96,13 @@ const CHECK_EVERY: usize = 64;
 /// ulps apart, and that round-off must not flip a choice.
 const STOP_TOLERANCE: f64 = 0.5e-9;
 
-/// An `f64` wrapper with a total order (no NaNs are ever produced here).
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// The best known way to reach one f-tree (up to child order).  States live
 /// in an arena and name their predecessor by index, so the plan of a state
 /// is the chain of `via` operators back to the input tree.
 struct State {
-    tree: FTree,
+    /// Built when the state is first popped, from its predecessor's tree; a
+    /// merge or an absorb neighbour keeps the tree it was keyed from.
+    tree: Option<FTree>,
     /// The state this one was reached from and the operator that did it
     /// (`None` for the input tree).
     via: Option<(usize, FPlanOp)>,
@@ -131,15 +116,17 @@ struct State {
     settled: bool,
 }
 
+/// A queue entry, ordered so that the smallest bottleneck (in `f64`'s total
+/// order; no NaN is ever produced), then the shortest plan, pops first.
 struct QueueItem {
-    bottleneck: OrdF64,
+    bottleneck: f64,
     plan_len: usize,
     state: usize,
 }
 
 impl PartialEq for QueueItem {
     fn eq(&self, other: &Self) -> bool {
-        self.bottleneck == other.bottleneck && self.plan_len == other.plan_len
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for QueueItem {}
@@ -151,10 +138,7 @@ impl PartialOrd for QueueItem {
 impl Ord for QueueItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the smallest cost pops first.
-        other
-            .bottleneck
-            .cmp(&self.bottleneck)
-            .then_with(|| other.plan_len.cmp(&self.plan_len))
+        (other.bottleneck.total_cmp(&self.bottleneck)).then(other.plan_len.cmp(&self.plan_len))
     }
 }
 
@@ -218,7 +202,7 @@ impl ExhaustiveOptimizer {
 
         let initial_cost = memo.s_cost(input_tree)?;
         let mut states = vec![State {
-            tree: input_tree.clone(),
+            tree: Some(input_tree.clone()),
             via: None,
             plan_len: 0,
             own_cost: initial_cost,
@@ -226,11 +210,11 @@ impl ExhaustiveOptimizer {
             settled: false,
         }];
         // Every tree seen so far (by canonical key) and its state.
-        let mut best: HashMap<Vec<u8>, usize> = HashMap::new();
+        let mut best: WordMap<Vec<u8>, usize> = WordMap::default();
         best.insert(input_tree.canonical_key(), 0);
         let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
         heap.push(QueueItem {
-            bottleneck: OrdF64(initial_cost),
+            bottleneck: initial_cost,
             plan_len: 0,
             state: 0,
         });
@@ -244,7 +228,7 @@ impl ExhaustiveOptimizer {
             let current = item.state;
             let bottleneck = states[current].bottleneck;
             // Skip stale queue entries.
-            if item.bottleneck.0 > bottleneck + 1e-9 {
+            if item.bottleneck > bottleneck + 1e-9 {
                 continue;
             }
             // Once a goal has been found, only states with the same bottleneck
@@ -264,13 +248,30 @@ impl ExhaustiveOptimizer {
                 });
             }
             states[current].settled = true;
-
-            if Self::is_goal(&states[current].tree, equalities) {
+            // Lent to the expansion, which pushes states, and handed back
+            // after it: a stale queue entry of equal bottleneck pops (and
+            // expands) a state a second time, as in the textbook loop.
+            let from = match states[current].tree.take() {
+                Some(tree) => tree,
+                // First popped: built from its predecessor's tree (settled,
+                // so built), with the key and cost bits it was probed with.
+                None => {
+                    let (previous, op) = states[current].via.clone().expect("the input is built");
+                    let mut tree = states[previous].tree.clone().expect("settled, so built");
+                    op.apply_to_tree(&mut tree)?;
+                    debug_assert_eq!(best.get(&tree.canonical_key()), Some(&current), "{op}");
+                    let own_cost = states[current].own_cost.to_bits();
+                    debug_assert_eq!(memo.s_cost(&tree)?.to_bits(), own_cost, "{op}");
+                    tree
+                }
+            };
+            if Self::is_goal(&from, equalities) {
+                states[current].tree = Some(from);
                 let plateau = *goal_bottleneck.get_or_insert(bottleneck);
                 goals.push(current);
                 debug_assert_eq!(
-                    Self::classes(&states[current].tree),
-                    Self::classes(&states[goals[0]].tree)
+                    Self::classes(&states[current]),
+                    Self::classes(&states[goals[0]])
                 );
                 if Self::proven(&states[current], plateau, &heap, &mut tight, memo)? {
                     break;
@@ -278,34 +279,31 @@ impl ExhaustiveOptimizer {
                 continue;
             }
 
-            // Lent to the expansion, which pushes states, and handed back
-            // after it: a stale queue entry of equal bottleneck pops (and
-            // expands) a state a second time, as in the textbook loop.
-            let from = std::mem::take(&mut states[current].tree);
             let plan_len = states[current].plan_len + 1;
-            for op in Self::moves(&from, equalities) {
-                let build = || -> Result<FTree> {
-                    let mut tree = from.clone();
-                    op.apply_to_tree(&mut tree)?;
-                    Ok(tree)
+            let mut frame = LinkFrame::new(&from);
+            let swaps = (from.node_ids().into_iter())
+                .filter(|&b| from.parent(b).is_some())
+                .map(FPlanOp::Swap);
+            for op in swaps.chain(Self::fusions(&from, equalities)) {
+                // Every neighbour is keyed off the frame, and a swap is
+                // costed there too; a new merge or absorb is built to be
+                // costed and keeps its tree, any other tree is built only
+                // if it is ever popped.
+                let key = match op {
+                    FPlanOp::Swap(b) => frame.swap(b)?,
+                    FPlanOp::Merge(a, b) | FPlanOp::Absorb(a, b) => frame.fuse(a, b),
+                    _ => unreachable!("the search applies swaps, merges and absorbs"),
                 };
-                // A swap is keyed off the popped tree and built only if the
-                // probe finds its slot vacant or this way to it better; a
-                // merge or an absorb (at most one per unmet equality) is
-                // built first.
-                let (key, mut tree) = match op {
-                    FPlanOp::Swap(b) => (from.canonical_key_after_swap(b)?, None),
-                    _ => {
-                        let tree = build()?;
-                        (tree.canonical_key(), Some(tree))
-                    }
-                };
-                let slot = best.entry(key);
-                let (state, own_cost) = match &slot {
+                let seen = best.get(key).copied();
+                let key = seen.is_none().then(|| key.to_vec());
+                let mut tree = None;
+                let (state, own_cost) = match seen {
                     // Equal keys mean equal paths, hence equal `s(T)`.
-                    Entry::Occupied(seen) => (*seen.get(), states[*seen.get()].own_cost),
-                    Entry::Vacant(_) => {
-                        let built = tree.take().map_or_else(build, Ok)?;
+                    Some(seen) => (seen, states[seen].own_cost),
+                    None if matches!(op, FPlanOp::Swap(_)) => (states.len(), frame.s_cost(memo)?),
+                    None => {
+                        let mut built = from.clone();
+                        op.apply_to_tree(&mut built)?;
                         (states.len(), memo.s_cost(tree.insert(built))?)
                     }
                 };
@@ -325,15 +323,13 @@ impl ExhaustiveOptimizer {
                         continue;
                     }
                 }
-                // Equal keys do not mean equal node ids: the tree goes with
-                // the operators that built it.
-                let tree = tree.map_or_else(build, Ok)?;
-                debug_assert_eq!(&tree.canonical_key(), slot.key(), "the key of {op}");
                 heap.push(QueueItem {
-                    bottleneck: OrdF64(bottleneck),
+                    bottleneck,
                     plan_len,
                     state,
                 });
+                // Equal keys do not mean equal node ids: the tree goes with
+                // the operators that reach it.
                 let reached = State {
                     tree,
                     via: Some((current, op)),
@@ -342,15 +338,15 @@ impl ExhaustiveOptimizer {
                     bottleneck,
                     settled: false,
                 };
-                match slot {
-                    Entry::Occupied(_) => states[state] = reached,
-                    Entry::Vacant(slot) => {
-                        slot.insert(state);
+                match key {
+                    None => states[state] = reached,
+                    Some(key) => {
+                        best.insert(key, state);
                         states.push(reached);
                     }
                 }
             }
-            states[current].tree = from;
+            states[current].tree = Some(from);
         }
 
         // Among the minimum-bottleneck goals pick the one with the smallest
@@ -410,8 +406,8 @@ impl ExhaustiveOptimizer {
         tight: &mut Option<f64>,
         memo: &mut SCostMemo,
     ) -> Result<bool> {
-        let on_plateau = |item: &QueueItem| item.bottleneck.0 <= plateau + 1e-9;
-        let tree = &goal.tree;
+        let on_plateau = |item: &QueueItem| item.bottleneck <= plateau + 1e-9;
+        let tree = goal.tree.as_ref().expect("a settled state is built");
         let free = tree
             .node_ids()
             .into_iter()
@@ -430,7 +426,8 @@ impl ExhaustiveOptimizer {
     }
 
     /// A goal's classes, each with whether it is bound to a constant, sorted.
-    fn classes(tree: &FTree) -> Vec<(&BTreeSet<AttrId>, bool)> {
+    fn classes(goal: &State) -> Vec<(&BTreeSet<AttrId>, bool)> {
+        let tree = goal.tree.as_ref().expect("a settled state is built");
         let mut classes: Vec<_> = tree
             .node_ids()
             .into_iter()
@@ -446,32 +443,25 @@ impl ExhaustiveOptimizer {
             .all(|(a, b)| tree.node_of_attr(*a) == tree.node_of_attr(*b))
     }
 
-    /// Enumerates the operator applications available from a state: every
-    /// swap, then the merge or absorb each unmet equality asks for.
-    fn moves(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> Vec<FPlanOp> {
-        let mut out: Vec<FPlanOp> = tree
-            .node_ids()
-            .into_iter()
-            .filter(|&node| tree.parent(node).is_some())
-            .map(FPlanOp::Swap)
-            .collect();
-        for (a_attr, b_attr) in equalities {
-            let (Some(na), Some(nb)) = (tree.node_of_attr(*a_attr), tree.node_of_attr(*b_attr))
-            else {
-                continue;
-            };
+    /// The merge or absorb each unmet equality asks for.
+    fn fusions<'a>(
+        tree: &'a FTree,
+        equalities: &'a [(AttrId, AttrId)],
+    ) -> impl Iterator<Item = FPlanOp> + 'a {
+        equalities.iter().filter_map(|(a_attr, b_attr)| {
+            let (na, nb) = (tree.node_of_attr(*a_attr)?, tree.node_of_attr(*b_attr)?);
             if na == nb {
-                continue;
-            }
-            if tree.are_siblings(na, nb) {
-                out.push(FPlanOp::Merge(na, nb));
+                None
+            } else if tree.are_siblings(na, nb) {
+                Some(FPlanOp::Merge(na, nb))
             } else if tree.is_ancestor(na, nb) {
-                out.push(FPlanOp::Absorb(na, nb));
+                Some(FPlanOp::Absorb(na, nb))
             } else if tree.is_ancestor(nb, na) {
-                out.push(FPlanOp::Absorb(nb, na));
+                Some(FPlanOp::Absorb(nb, na))
+            } else {
+                None
             }
-        }
-        out
+        })
     }
 }
 
@@ -613,10 +603,13 @@ mod tests {
         assert_eq!(broke.budget_remaining(), 0);
     }
 
+    /// A request: `(K, L, input tree, equalities)`.
+    type Request = (usize, usize, FTree, Vec<(AttrId, AttrId)>);
+
     /// The `serve_cold` benchmark's 240 requests (the catalogue the reference
-    /// suite draws, from `K = 2`): `(K, L, input tree, equalities)`, five
-    /// `K`s of four base queries of twelve follow-ups each.
-    fn serve_cold_requests() -> Vec<(usize, usize, FTree, Vec<(AttrId, AttrId)>)> {
+    /// suite draws, from `K = 2`): five `K`s of four base queries of twelve
+    /// follow-ups each.
+    fn serve_cold_requests() -> Vec<Request> {
         use crate::optimal_ftree;
         use fdb_common::RelId;
         use fdb_datagen::{
@@ -677,14 +670,17 @@ mod tests {
             let bound = SCostMemo::new().min_s_cost(&reached).unwrap();
             assert_eq!(bound.to_bits(), best.cost.final_cost.to_bits());
             let greedy = GreedyOptimizer::new().optimize(&tree, &follow).unwrap();
-            let order = |c: &FPlanCost| (OrdF64(c.max_intermediate), OrdF64(c.final_cost));
+            let order = |c: &FPlanCost, d: &FPlanCost| {
+                let key = |c: &FPlanCost| [c.max_intermediate, c.final_cost];
+                key(c).partial_cmp(&key(d)).unwrap()
+            };
             assert!(
-                order(&best.cost) <= order(&greedy.cost),
+                order(&best.cost, &greedy.cost).is_le(),
                 "K={k} L={l} {follow:?}: {:?} vs greedy {:?}",
                 best.cost,
                 greedy.cost
             );
-            better += usize::from(order(&best.cost) < order(&greedy.cost));
+            better += usize::from(order(&best.cost, &greedy.cost).is_lt());
             cases += 1;
         }
         assert_eq!(cases, 240);
