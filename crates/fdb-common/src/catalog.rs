@@ -149,7 +149,7 @@ impl Catalog {
     }
 
     /// Validates that an attribute id belongs to this catalog.
-    pub fn check_attr(&self, attr: AttrId) -> Result<()> {
+    pub(crate) fn check_attr(&self, attr: AttrId) -> Result<()> {
         if attr.index() < self.attrs.len() {
             Ok(())
         } else {

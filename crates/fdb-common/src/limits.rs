@@ -106,7 +106,7 @@ impl QueryLimits {
     }
 
     /// Whether these limits can ever interrupt an evaluation.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         let plain = self.deadline.is_none() && self.budget.is_none() && self.cancel.is_none();
         #[cfg(feature = "fault-injection")]
         {

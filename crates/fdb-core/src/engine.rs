@@ -161,13 +161,16 @@ impl EvalStats {
                 format!("{} / {}", self.chain_heads, self.flat_head_fallbacks),
             ),
         ];
-        let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, value) in rows {
-            out.push_str(&format!("{name:<width$}  {value}\n"));
-        }
-        out
+        aligned(&rows)
     }
+}
+
+/// `name value` rows, the names padded to one width.
+pub(crate) fn aligned(rows: &[(&str, String)]) -> String {
+    let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+    rows.iter()
+        .map(|(name, value)| format!("{name:<width$}  {value}\n"))
+        .collect()
 }
 
 impl fmt::Display for EvalStats {

@@ -540,12 +540,7 @@ impl ServerStats {
             ("requests shed", self.requests_shed.to_string()),
             ("worker panics", self.worker_panics.to_string()),
         ];
-        let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, value) in rows {
-            out.push_str(&format!("{name:<width$}  {value}\n"));
-        }
-        out
+        crate::engine::aligned(&rows)
     }
 }
 

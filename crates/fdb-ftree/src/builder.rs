@@ -41,7 +41,7 @@ pub fn dep_edges_for_query(
 /// Builds the f-tree that chains the given classes along a single path, in
 /// the given order (the first class becomes the root).  A single path always
 /// satisfies the path constraint.
-pub fn single_path_ftree(classes: &[BTreeSet<AttrId>], edges: Vec<DepEdge>) -> Result<FTree> {
+fn single_path_ftree(classes: &[BTreeSet<AttrId>], edges: Vec<DepEdge>) -> Result<FTree> {
     let mut tree = FTree::new(edges);
     let mut parent: Option<NodeId> = None;
     for class in classes {
@@ -76,16 +76,8 @@ pub fn flat_database_ftree(
     relations: &[RelId],
     cardinality_of: impl Fn(RelId) -> u64,
 ) -> Result<FTree> {
-    let mut edges = Vec::with_capacity(relations.len());
-    for &rel in relations {
-        let attrs: BTreeSet<AttrId> = catalog.rel_attrs(rel).iter().copied().collect();
-        edges.push(DepEdge::new(
-            catalog.rel_name(rel),
-            attrs,
-            cardinality_of(rel),
-        ));
-    }
-    let mut tree = FTree::new(edges);
+    let product = Query::product(relations.to_vec());
+    let mut tree = FTree::new(dep_edges_for_query(catalog, &product, cardinality_of));
     for &rel in relations {
         let mut parent: Option<NodeId> = None;
         for &attr in catalog.rel_attrs(rel) {

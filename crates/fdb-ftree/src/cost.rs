@@ -349,11 +349,11 @@ impl std::hash::Hasher for WordHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
+        // Eight bytes a word, little-endian, the last word zero-padded.
+        let word = |chunk: &[u8]| chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+        bytes
+            .chunks(8)
+            .for_each(|chunk| self.write_u64(word(chunk)));
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -361,8 +361,7 @@ impl std::hash::Hasher for WordHasher {
     }
 }
 
-/// A map keyed by [`WordHasher`].
-pub type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
+type WordMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
 
 /// The least `s(T)` over every arrangement of the non-constant nodes of
 /// `tree` (the classes), and the number of subproblems solved; an optimal

@@ -16,7 +16,7 @@
 //! one path walk behind [`SCostMemo::s_cost`].
 
 use crate::cost::SCostMemo;
-use crate::edgeset::{EdgeSet, IndexSet};
+use crate::edgeset::IndexSet;
 use crate::ftree::{FTree, NodeId};
 use fdb_common::{AttrId, Result, Value};
 use std::cmp::Reverse;
@@ -60,7 +60,12 @@ impl<'t> LinkFrame<'t> {
         for (first, n) in nodes {
             frame.first[n.index()] = first;
             let class = tree.class(n);
-            write_label(class.len(), class.iter(), tree.constant(n), &mut frame.labels);
+            write_label(
+                class.len(),
+                class.iter(),
+                tree.constant(n),
+                &mut frame.labels,
+            );
             frame.order.push((n, frame.labels.len()));
         }
         frame
@@ -70,7 +75,7 @@ impl<'t> LinkFrame<'t> {
     /// class attribute of its parent in the neighbour last probed plus one
     /// (zero for a root).  A fused node's record stands where the smaller
     /// first attribute of its two classes puts it.
-    fn write_key(&mut self) -> &[u8] {
+    pub(crate) fn write_key(&mut self) -> &[u8] {
         let (tree, fused, key) = (self.tree, self.fused, &mut self.key);
         let first = |n: NodeId| match fused {
             Some((a, b)) if n == a => self.first[a.index()].min(self.first[b.index()]),
@@ -106,12 +111,6 @@ impl<'t> LinkFrame<'t> {
         key
     }
 
-    /// The canonical key of the tree itself.
-    pub(crate) fn into_key(mut self) -> Vec<u8> {
-        self.write_key();
-        self.key
-    }
-
     /// Probes the swap of `b` with its parent: the key
     /// [`FTree::canonical_key`] gives the tree [`FTree::swap_with_parent`]
     /// leaves, and fails where the swap would.
@@ -137,7 +136,11 @@ impl<'t> LinkFrame<'t> {
     /// relations.
     pub fn fuse(&mut self, a: NodeId, b: NodeId) -> &[u8] {
         let merge = self.parent[a.index()] == self.parent[b.index()];
-        let heir = if merge { Some(a) } else { self.parent[b.index()] };
+        let heir = if merge {
+            Some(a)
+        } else {
+            self.parent[b.index()]
+        };
         self.swapped.clone_from(&self.parent);
         for up in self.swapped.iter_mut().filter(|up| **up == Some(b)) {
             *up = heir;
@@ -151,7 +154,8 @@ impl<'t> LinkFrame<'t> {
 
     /// Normalises the patched links as [`FTree::normalise`] does the tree
     /// with `b` fused into `a`: deepest node first (ties by id), each node
-    /// goes up while its parent's incidence set misses its subtree's.
+    /// goes up while its parent's incidence set misses every set in its
+    /// subtree.
     fn normalise(&mut self, a: NodeId, b: NodeId) {
         let (tree, links) = (self.tree, &mut self.swapped);
         let mut fused = tree.incidence(a).clone();
@@ -163,30 +167,13 @@ impl<'t> LinkFrame<'t> {
             .map(|n| (Reverse(up(links, n).count()), n))
             .collect();
         order.sort_unstable();
-        // The union of the incidence sets over each node's subtree.
-        let mut below = vec![EdgeSet::default(); links.len()];
-        let gather = |below: &mut Vec<EdgeSet>, n: NodeId, p: NodeId| {
-            let set = std::mem::take(&mut below[n.index()]);
-            below[p.index()].insert_all(&set);
-            below[n.index()] = set;
-        };
-        for &(_, n) in &order {
-            below[n.index()].insert_all(own(n));
-            if let Some(p) = links[n.index()] {
-                gather(&mut below, n, p);
-            }
-        }
         for &(_, n) in &order {
             while let Some(p) = links[n.index()] {
-                if below[n.index()].intersects(own(p)) {
+                let mut below = order.iter().filter(|(_, m)| up(links, *m).any(|m| m == n));
+                if below.any(|&(_, m)| own(m).intersects(own(p))) {
                     break;
                 }
-                // `n` leaves `p`'s subtree for its parent's.
                 links[n.index()] = links[p.index()];
-                below[p.index()] = own(p).clone();
-                for &(_, m) in order.iter().filter(|(_, m)| links[m.index()] == Some(p)) {
-                    gather(&mut below, m, p);
-                }
             }
         }
     }
@@ -196,12 +183,8 @@ impl<'t> LinkFrame<'t> {
     /// that tree.
     pub fn s_cost(&self, memo: &mut SCostMemo) -> Result<f64> {
         debug_assert!(self.fused.is_none(), "a fusion is costed on its tree");
-        let mut inner = vec![false; self.swapped.len()];
-        for p in self.swapped.iter().flatten() {
-            inner[p.index()] = true;
-        }
         let leaves = self.order.iter().map(|&(n, _)| n);
-        let leaves = leaves.filter(|n| !inner[n.index()]);
+        let leaves = leaves.filter(|&n| !self.swapped.contains(&Some(n)));
         memo.max_cover(self.tree, leaves, |n| self.swapped[n.index()])
     }
 }

@@ -108,16 +108,15 @@ impl FTree {
     /// `parent` is `None`).  Returns the new node's id.
     pub fn add_node(&mut self, class: BTreeSet<AttrId>, parent: Option<NodeId>) -> Result<NodeId> {
         if class.is_empty() {
-            return Err(FdbError::InvalidInput {
-                detail: "f-tree node class must be non-empty".into(),
-            });
+            return invalid("f-tree node class must be non-empty".into());
         }
-        for attr in &class {
-            if self.node_of_attr(*attr).is_some() {
-                return Err(FdbError::InvalidInput {
-                    detail: format!("attribute {attr} already labels another f-tree node"),
-                });
-            }
+        if let Some(attr) = class
+            .iter()
+            .find(|&&attr| self.node_of_attr(attr).is_some())
+        {
+            return invalid(format!(
+                "attribute {attr} already labels another f-tree node"
+            ));
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Node {
@@ -172,11 +171,9 @@ impl FTree {
 
     /// Returns an error if `id` does not refer to a live node.
     pub fn check_node(&self, id: NodeId) -> Result<()> {
-        match self.nodes.get(id.index()) {
-            Some(Some(_)) => Ok(()),
-            _ => Err(FdbError::InvalidInput {
-                detail: format!("no such f-tree node: {id}"),
-            }),
+        match self.contains(id) {
+            true => Ok(()),
+            false => invalid(format!("no such f-tree node: {id}")),
         }
     }
 
@@ -326,21 +323,9 @@ impl FTree {
     // Dependencies and the path constraint
     // ------------------------------------------------------------------
 
-    /// The dependency edges that have at least one attribute in the node's
-    /// class.
-    pub(crate) fn edges_of_node(&self, id: NodeId) -> Vec<usize> {
-        self.node(id).incidence.iter().collect()
-    }
-
     /// The node's incidence set itself, for the cost module.
     pub(crate) fn incidence(&self, id: NodeId) -> &EdgeSet {
         &self.node(id).incidence
-    }
-
-    /// Two nodes are *dependent* when some dependency edge has attributes in
-    /// both of their classes.
-    pub fn nodes_dependent(&self, a: NodeId, b: NodeId) -> bool {
-        self.node(a).incidence.intersects(&self.node(b).incidence)
     }
 
     /// Returns `true` if node `a` is dependent on node `b` or on any
@@ -395,9 +380,7 @@ impl FTree {
         self.check_links()?;
         for (id, node) in self.live() {
             if node.incidence != incidence_of(&self.edges, &node.class) {
-                return Err(FdbError::InvalidInput {
-                    detail: format!("node {id} carries a stale incidence set"),
-                });
+                return invalid(format!("node {id} carries a stale incidence set"));
             }
         }
         Ok(())
@@ -410,47 +393,34 @@ impl FTree {
         for id in self.node_ids() {
             let node = self.node(id);
             if node.class.is_empty() {
-                return Err(FdbError::InvalidInput {
-                    detail: format!("node {id} has an empty class"),
-                });
+                return invalid(format!("node {id} has an empty class"));
             }
             for attr in node.class.iter() {
                 if !seen_attrs.insert(*attr) {
-                    return Err(FdbError::InvalidInput {
-                        detail: format!("attribute {attr} labels two nodes"),
-                    });
+                    return invalid(format!("attribute {attr} labels two nodes"));
                 }
             }
             match node.parent {
                 Some(p) => {
                     self.check_node(p)?;
                     if !self.node(p).children.contains(&id) {
-                        return Err(FdbError::InvalidInput {
-                            detail: format!(
-                                "node {id} not listed among children of its parent {p}"
-                            ),
-                        });
+                        return invalid(format!(
+                            "node {id} not listed among children of its parent {p}"
+                        ));
                     }
                     if self.roots.contains(&id) {
-                        return Err(FdbError::InvalidInput {
-                            detail: format!("node {id} has a parent but is listed as a root"),
-                        });
+                        return invalid(format!("node {id} has a parent but is listed as a root"));
                     }
                 }
-                None => {
-                    if !self.roots.contains(&id) {
-                        return Err(FdbError::InvalidInput {
-                            detail: format!("parentless node {id} missing from the roots list"),
-                        });
-                    }
+                None if !self.roots.contains(&id) => {
+                    return invalid(format!("parentless node {id} missing from the roots list"));
                 }
+                None => {}
             }
             for &c in &node.children {
                 self.check_node(c)?;
                 if self.node(c).parent != Some(id) {
-                    return Err(FdbError::InvalidInput {
-                        detail: format!("child {c} of {id} does not point back to it"),
-                    });
+                    return invalid(format!("child {c} of {id} does not point back to it"));
                 }
             }
         }
@@ -476,7 +446,7 @@ impl FTree {
     /// zero for a root) in self-delimiting varints.  The records name every
     /// node and its parent, so distinct forests never share a key.
     pub fn canonical_key(&self) -> Vec<u8> {
-        LinkFrame::new(self).into_key()
+        LinkFrame::new(self).write_key().to_vec()
     }
 
     /// Renders the forest as indented ASCII, resolving attribute names via
@@ -498,15 +468,11 @@ impl FTree {
     {
         let node = self.node(id);
         let label: Vec<String> = node.class.iter().map(|&a| name(a)).collect();
-        let constant = match node.constant {
-            Some(v) => format!(" = {v}"),
-            None => String::new(),
-        };
+        let constant = node.constant.map_or(String::new(), |v| format!(" = {v}"));
         out.push_str(&format!(
-            "{}{}{}\n",
+            "{}{}{constant}\n",
             "  ".repeat(depth),
-            label.join(","),
-            constant
+            label.join(",")
         ));
         for &c in &node.children {
             self.render_node(c, depth + 1, name, out);
@@ -669,6 +635,11 @@ impl FTree {
     }
 }
 
+/// The error a malformed tree or a bad node reference fails with.
+fn invalid<T>(detail: String) -> Result<T> {
+    Err(FdbError::InvalidInput { detail })
+}
+
 /// The edges with an attribute in `class`, by the set-scan definition.
 fn incidence_of(edges: &[DepEdge], class: &BTreeSet<AttrId>) -> EdgeSet {
     let mut set = EdgeSet::default();
@@ -764,11 +735,11 @@ mod tests {
         let (t, item, oid, location, dispatcher) = t1();
         // Orders links item and oid; Store links item and location; Disp
         // links location and dispatcher.
-        assert!(t.nodes_dependent(item, oid));
-        assert!(t.nodes_dependent(item, location));
-        assert!(t.nodes_dependent(location, dispatcher));
-        assert!(!t.nodes_dependent(oid, dispatcher));
-        assert!(!t.nodes_dependent(item, dispatcher));
+        assert!(t.incidence(item).intersects(t.incidence(oid)));
+        assert!(t.incidence(item).intersects(t.incidence(location)));
+        assert!(t.incidence(location).intersects(t.incidence(dispatcher)));
+        assert!(!t.incidence(oid).intersects(t.incidence(dispatcher)));
+        assert!(!t.incidence(item).intersects(t.incidence(dispatcher)));
         // item depends on the subtree of location because of Store.
         assert!(t.depends_on_subtree(item, location));
         // oid's subtree does not constrain dispatcher.

@@ -4,6 +4,7 @@
 //! LPs.
 
 use crate::cost::{s_cost_details, SCostMemo};
+use crate::edgeset::IndexSet;
 use crate::ftree::{DepEdge, FTree, NodeId};
 use fdb_common::{AttrId, Value};
 use rand::rngs::StdRng;
@@ -56,11 +57,19 @@ fn assert_incidence_matches_scan(tree: &FTree, after: &str) {
     let nodes = tree.node_ids();
     let scanned: Vec<Vec<usize>> = nodes.iter().map(|&n| scanned_edges(tree, n)).collect();
     for (i, &n) in nodes.iter().enumerate() {
-        assert_eq!(tree.edges_of_node(n), scanned[i], "after {after}: {n}");
+        assert_eq!(
+            tree.incidence(n).iter().collect::<Vec<_>>(),
+            scanned[i],
+            "after {after}: {n}"
+        );
         // The dependency queries read the same sets.
         if let Some(&next) = nodes.get(i + 1) {
             let shared = scanned[i].iter().any(|e| scanned[i + 1].contains(e));
-            assert_eq!(tree.nodes_dependent(n, next), shared, "after {after}");
+            assert_eq!(
+                tree.incidence(n).intersects(tree.incidence(next)),
+                shared,
+                "after {after}"
+            );
         }
     }
 }
@@ -120,7 +129,7 @@ pub(crate) fn random_edit(
             let shared: Vec<NodeId> = leaves
                 .iter()
                 .copied()
-                .filter(|&l| tree.edges_of_node(l).len() > 1)
+                .filter(|&l| tree.incidence(l).iter().count() > 1)
                 .collect();
             let leaf = pick(rng, if shared.is_empty() { &leaves } else { &shared })?;
             let class = tree.class(leaf).clone();

@@ -45,8 +45,8 @@
 //!   `from_snapshot` rebuild every set.  Swap, push-up and normalisation
 //!   move nodes and change no class, so they leave the sets alone.  Direct
 //!   mutable access to the edge list is crate-private for this reason.
-//! * **Who reads it.**  `nodes_dependent`, `depends_on_subtree`,
-//!   `edges_of_node`, [`s_cost_details`], [`SCostMemo`], whose memo key is
+//! * **Who reads it.**  `depends_on_subtree`,
+//!   [`s_cost_details`], [`SCostMemo`], whose memo key is
 //!   a path's sorted, de-duplicated list of sets, and the f-tree search
 //!   behind [`optimal_ftree`] and [`SCostMemo::min_s_cost`], which treats
 //!   classes with equal sets as interchangeable, reads which classes share
@@ -74,11 +74,9 @@ pub mod ftree;
 mod invariant_tests;
 pub mod transform;
 
-pub use builder::{
-    dep_edges_for_query, flat_database_ftree, ftree_from_query_classes, single_path_ftree,
-};
+pub use builder::{dep_edges_for_query, flat_database_ftree, ftree_from_query_classes};
 pub use cost::{
-    optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCost, SCostMemo, WordMap,
+    optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCost, SCostMemo, WordHasher,
 };
 pub use frame::LinkFrame;
 #[doc(hidden)]

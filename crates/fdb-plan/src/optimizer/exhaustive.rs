@@ -72,9 +72,10 @@ use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, ExecCtx, FdbError, Result};
-use fdb_ftree::{FTree, LinkFrame, SCostMemo, WordMap};
+use fdb_ftree::{FTree, LinkFrame, SCostMemo, WordHasher};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// The exhaustive (Dijkstra) f-plan optimiser.
 #[derive(Clone, Copy, Debug, Default)]
@@ -192,13 +193,7 @@ impl ExhaustiveOptimizer {
         memo: &mut SCostMemo,
         max_states: usize,
     ) -> Result<(OptimizedPlan, Option<f64>)> {
-        for (a, b) in equalities {
-            if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
-                return Err(FdbError::AttributeNotInQuery {
-                    attr: format!("{a} = {b}"),
-                });
-            }
-        }
+        super::check_equalities(input_tree, equalities)?;
 
         let initial_cost = memo.s_cost(input_tree)?;
         let mut states = vec![State {
@@ -210,7 +205,7 @@ impl ExhaustiveOptimizer {
             settled: false,
         }];
         // Every tree seen so far (by canonical key) and its state.
-        let mut best: WordMap<Vec<u8>, usize> = WordMap::default();
+        let mut best: HashMap<Vec<u8>, usize, BuildHasherDefault<WordHasher>> = HashMap::default();
         best.insert(input_tree.canonical_key(), 0);
         let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
         heap.push(QueueItem {
@@ -265,7 +260,7 @@ impl ExhaustiveOptimizer {
                     tree
                 }
             };
-            if Self::is_goal(&from, equalities) {
+            if super::is_goal(&from, equalities) {
                 states[current].tree = Some(from);
                 let plateau = *goal_bottleneck.get_or_insert(bottleneck);
                 goals.push(current);
@@ -351,45 +346,27 @@ impl ExhaustiveOptimizer {
 
         // Among the minimum-bottleneck goals pick the one with the smallest
         // final cost, then the shortest plan.
-        let mut chosen: Option<usize> = None;
-        for goal in goals {
-            let better = match chosen {
-                None => true,
-                Some(existing) => {
-                    let (goal, existing) = (&states[goal], &states[existing]);
-                    goal.own_cost + 1e-9 < existing.own_cost
-                        || (goal.own_cost < existing.own_cost + 1e-9
-                            && goal.plan_len < existing.plan_len)
-                }
-            };
-            if better {
-                chosen = Some(goal);
-            }
-        }
-        let Some(goal) = chosen else {
+        let better = |g: &State, e: &State| {
+            g.own_cost + 1e-9 < e.own_cost
+                || (g.own_cost < e.own_cost + 1e-9 && g.plan_len < e.plan_len)
+        };
+        let pick = |e: usize, g: usize| if better(&states[g], &states[e]) { g } else { e };
+        let Some(goal) = goals.into_iter().reduce(pick) else {
             return Err(FdbError::NoPlanFound {
                 detail: "no sequence of operators satisfies all equality conditions".into(),
             });
         };
-
         // Walk the links back to the input: operators and per-tree costs.
-        let mut ops = Vec::with_capacity(states[goal].plan_len);
-        let mut steps = Vec::with_capacity(states[goal].plan_len + 1);
-        let mut cursor = goal;
-        loop {
-            steps.push(states[cursor].own_cost);
-            match states[cursor].via.take() {
-                Some((previous, op)) => {
-                    ops.push(op);
-                    cursor = previous;
-                }
-                None => break,
-            }
-        }
-        ops.reverse();
-        steps.reverse();
+        let chain: Vec<&State> =
+            std::iter::successors(Some(&states[goal]), |s| Some(&states[s.via.as_ref()?.0]))
+                .collect();
+        let steps = chain.iter().rev().map(|s| s.own_cost).collect();
+        let ops = chain
+            .iter()
+            .rev()
+            .filter_map(|s| Some(s.via.as_ref()?.1.clone()));
         let plan = OptimizedPlan {
-            plan: FPlan::new(ops),
+            plan: FPlan::new(ops.collect()),
             cost: FPlanCost::from_steps(steps),
             explored_states: explored,
         };
@@ -437,29 +414,19 @@ impl ExhaustiveOptimizer {
         classes
     }
 
-    fn is_goal(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> bool {
-        equalities
-            .iter()
-            .all(|(a, b)| tree.node_of_attr(*a) == tree.node_of_attr(*b))
-    }
-
     /// The merge or absorb each unmet equality asks for.
     fn fusions<'a>(
         tree: &'a FTree,
         equalities: &'a [(AttrId, AttrId)],
     ) -> impl Iterator<Item = FPlanOp> + 'a {
-        equalities.iter().filter_map(|(a_attr, b_attr)| {
-            let (na, nb) = (tree.node_of_attr(*a_attr)?, tree.node_of_attr(*b_attr)?);
-            if na == nb {
-                None
-            } else if tree.are_siblings(na, nb) {
-                Some(FPlanOp::Merge(na, nb))
-            } else if tree.is_ancestor(na, nb) {
-                Some(FPlanOp::Absorb(na, nb))
-            } else if tree.is_ancestor(nb, na) {
-                Some(FPlanOp::Absorb(nb, na))
+        equalities.iter().filter_map(|(a, b)| {
+            let (a, b) = (tree.node_of_attr(*a)?, tree.node_of_attr(*b)?);
+            if tree.are_siblings(a, b) {
+                Some(FPlanOp::Merge(a, b))
+            } else if tree.is_ancestor(a, b) {
+                Some(FPlanOp::Absorb(a, b))
             } else {
-                None
+                tree.is_ancestor(b, a).then_some(FPlanOp::Absorb(b, a))
             }
         })
     }
@@ -662,10 +629,7 @@ mod tests {
             assert_eq!(bits(&pooled.cost), bits(&best.cost), "{follow:?}");
             assert_eq!(pooled.explored_states, best.explored_states);
             let reached = best.plan.final_tree(&tree).unwrap();
-            assert!(
-                ExhaustiveOptimizer::is_goal(&reached, &follow),
-                "{follow:?}"
-            );
+            assert!(crate::optimizer::is_goal(&reached, &follow), "{follow:?}");
             // The stop's bound is tight on every request.
             let bound = SCostMemo::new().min_s_cost(&reached).unwrap();
             assert_eq!(bound.to_bits(), best.cost.final_cost.to_bits());

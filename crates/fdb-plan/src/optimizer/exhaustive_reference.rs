@@ -43,22 +43,6 @@ pub(crate) struct ReferenceOptimizer {
     pub(crate) max_states: usize,
 }
 
-/// An `f64` wrapper with a total order (no NaNs are ever produced here).
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[derive(Clone)]
 struct State {
     tree: FTree,
@@ -67,14 +51,14 @@ struct State {
 }
 
 struct QueueItem {
-    bottleneck: OrdF64,
+    bottleneck: f64,
     plan_len: usize,
     key: Vec<u8>,
 }
 
 impl PartialEq for QueueItem {
     fn eq(&self, other: &Self) -> bool {
-        self.bottleneck == other.bottleneck && self.plan_len == other.plan_len
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for QueueItem {}
@@ -85,11 +69,9 @@ impl PartialOrd for QueueItem {
 }
 impl Ord for QueueItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the smallest cost pops first.
-        other
-            .bottleneck
-            .cmp(&self.bottleneck)
-            .then_with(|| other.plan_len.cmp(&self.plan_len))
+        // BinaryHeap is a max-heap; reverse so the smallest cost pops first
+        // (in `f64`'s total order; no NaN is ever produced).
+        (other.bottleneck.total_cmp(&self.bottleneck)).then(other.plan_len.cmp(&self.plan_len))
     }
 }
 
@@ -105,13 +87,7 @@ impl ReferenceOptimizer {
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
     ) -> Result<OptimizedPlan> {
-        for (a, b) in equalities {
-            if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
-                return Err(FdbError::AttributeNotInQuery {
-                    attr: format!("{a} = {b}"),
-                });
-            }
-        }
+        super::check_equalities(input_tree, equalities)?;
 
         let initial_cost = s_cost(input_tree)?;
         let initial = State {
@@ -124,7 +100,7 @@ impl ReferenceOptimizer {
         let mut best: HashMap<Vec<u8>, State> = HashMap::new();
         let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
         heap.push(QueueItem {
-            bottleneck: OrdF64(initial.bottleneck),
+            bottleneck: initial.bottleneck,
             plan_len: 0,
             key: initial_key.clone(),
         });
@@ -139,7 +115,7 @@ impl ReferenceOptimizer {
                 continue;
             };
             // Skip stale queue entries.
-            if item.bottleneck.0 > state.bottleneck + 1e-9 {
+            if item.bottleneck > state.bottleneck + 1e-9 {
                 continue;
             }
             // Once a goal has been found, only states with the same bottleneck
@@ -159,7 +135,7 @@ impl ReferenceOptimizer {
                 });
             }
 
-            if Self::is_goal(&state.tree, equalities) {
+            if super::is_goal(&state.tree, equalities) {
                 goal_bottleneck.get_or_insert(state.bottleneck);
                 goals.push(state);
                 continue;
@@ -186,7 +162,7 @@ impl ReferenceOptimizer {
                 };
                 if replace {
                     heap.push(QueueItem {
-                        bottleneck: OrdF64(candidate.bottleneck),
+                        bottleneck: candidate.bottleneck,
                         plan_len: candidate.plan.len(),
                         key: key.clone(),
                     });
@@ -225,12 +201,6 @@ impl ReferenceOptimizer {
             cost,
             explored_states: explored,
         })
-    }
-
-    fn is_goal(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> bool {
-        equalities
-            .iter()
-            .all(|(a, b)| tree.node_of_attr(*a) == tree.node_of_attr(*b))
     }
 
     /// Enumerates the operator applications available from a state.

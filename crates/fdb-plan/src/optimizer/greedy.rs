@@ -38,13 +38,7 @@ impl GreedyOptimizer {
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
     ) -> Result<OptimizedPlan> {
-        for (a, b) in equalities {
-            if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
-                return Err(FdbError::AttributeNotInQuery {
-                    attr: format!("{a} = {b}"),
-                });
-            }
-        }
+        super::check_equalities(input_tree, equalities)?;
         let mut tree = input_tree.clone();
         let mut overall = FPlan::empty();
         let mut remaining: Vec<(AttrId, AttrId)> = equalities.to_vec();

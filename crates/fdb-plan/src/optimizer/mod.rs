@@ -21,6 +21,26 @@ pub mod greedy;
 
 use crate::cost::FPlanCost;
 use crate::fplan::FPlan;
+use fdb_common::{AttrId, FdbError, Result};
+use fdb_ftree::FTree;
+
+/// Whether `tree` satisfies every equality: both attributes label one node.
+fn is_goal(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> bool {
+    equalities
+        .iter()
+        .all(|(a, b)| tree.node_of_attr(*a) == tree.node_of_attr(*b))
+}
+
+/// Fails unless both attributes of every equality label a node of `tree`.
+fn check_equalities(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> Result<()> {
+    let missing = |a: &AttrId| tree.node_of_attr(*a).is_none();
+    match equalities.iter().find(|(a, b)| missing(a) || missing(b)) {
+        Some((a, b)) => Err(FdbError::AttributeNotInQuery {
+            attr: format!("{a} = {b}"),
+        }),
+        None => Ok(()),
+    }
+}
 
 /// The outcome of f-plan optimisation: the chosen plan, its cost, and how
 /// much of the search space was explored.

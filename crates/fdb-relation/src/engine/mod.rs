@@ -99,7 +99,7 @@ impl LimitChecker {
 
 /// Statistics of a single RDB evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RdbStats {
+pub(crate) struct RdbStats {
     /// Number of pairwise joins performed.
     pub joins: usize,
     /// Number of cross products performed (no join condition available).
@@ -135,7 +135,7 @@ impl RdbEngine {
     }
 
     /// Evaluates the query, also returning evaluation statistics.
-    pub fn evaluate_with_stats(
+    pub(crate) fn evaluate_with_stats(
         &self,
         db: &Database,
         query: &Query,

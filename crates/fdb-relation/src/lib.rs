@@ -23,5 +23,5 @@ pub mod engine;
 pub mod relation;
 
 pub use database::Database;
-pub use engine::{EvalLimits, LimitChecker, RdbEngine, RdbStats};
+pub use engine::{EvalLimits, LimitChecker, RdbEngine};
 pub use relation::{Relation, Tuple};
