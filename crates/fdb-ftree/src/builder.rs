@@ -5,11 +5,9 @@
 //!
 //! * [`dep_edges_for_query`]: the dependency edges of a query (one per
 //!   relation, carrying its cardinality for the cost-estimate metric);
-//! * [`single_path_ftree`]: the always-valid fallback f-tree that chains all
-//!   attribute classes along a single path (every relation's attributes then
-//!   trivially lie on one root-to-leaf path);
 //! * [`ftree_from_query_classes`]: the fallback f-tree of a query — a single
-//!   path over its equivalence classes, normalised;
+//!   path over its equivalence classes (always valid: every relation's
+//!   attributes then trivially lie on one root-to-leaf path), normalised;
 //! * [`flat_database_ftree`]: the f-tree under which a flat relational
 //!   database *is already* a factorised representation — a forest with one
 //!   path per relation, one singleton class per attribute.  This is the

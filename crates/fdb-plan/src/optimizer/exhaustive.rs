@@ -10,20 +10,24 @@
 //! the one with the smallest own cost `s(T_final)` (then the shortest plan)
 //! is chosen — the lexicographic order `<_max × <_{s(T)}` of the paper.
 //!
-//! A cache-missing request spends nearly all of its time here, and seven in
-//! ten of the neighbours a state generates are trees the search has already
-//! seen, so the loop *probes before it builds*.  A swap neighbour — all but
-//! the one merge or absorb an unmet equality offers — is keyed straight off
-//! the popped tree ([`FTree::canonical_key_after_swap`]) and looked up; a
-//! tree seen before brings its `s(T)` with it, and the popped tree is copied
-//! (links only: edges and class labels are shared) and swapped only for a key
-//! not seen before or a strictly better way to an unsettled state.  A merge
-//! or an absorb is built first and keyed from the result.  A new tree is
-//! costed through the [`SCostMemo`] the caller lends the search, which
-//! solves one LP per distinct *set* of nodes on a path; a memo kept across
-//! searches (a plan cache keeps a pool of them) hands a request the covers
-//! its predecessors solved.  Debug builds check every predicted key against
-//! the tree it stands for.
+//! A cache-missing request spends nearly all of its time here.  On
+//! `serve_cold`'s catalogue a pass over its 240 searches probes about 28.9k
+//! neighbours, 15.8k of them (55 %) trees the search has already seen, and
+//! of the 13.0k new ones only 5.4k are ever popped.  So the loop expands
+//! each popped tree through one [`LinkFrame`], read once: every neighbour —
+//! each swap, and the merge or absorb each unmet equality offers — is keyed
+//! off the frame's patched parent array, with no tree copied, and looked up;
+//! a tree seen before brings its `s(T)` with it.  A new swap neighbour is
+//! costed off the frame too; a new merge or absorb is built to be costed
+//! and keeps its tree.  Every other state holds only its predecessor and
+//! the operator that reaches it until it is popped, and its tree is built
+//! then, from the predecessor's tree (settled, so built).  A tree is costed
+//! through the [`SCostMemo`] the caller lends the search, which solves one
+//! LP per distinct *set* of nodes on a path; a memo kept across searches (a
+//! plan cache keeps a pool of them) hands a request the covers its
+//! predecessors solved.  Debug builds check every tree they build against
+//! the key it was probed with, and a tree built at pop against its probed
+//! cost bits too.
 //! States live in an arena and point at their predecessor, so plan and cost
 //! are read off the chosen goal's chain once, at the end.  Which states are
 //! pushed, popped and replaced, and in what order, is exactly what the
@@ -102,7 +106,7 @@ const STOP_TOLERANCE: f64 = 0.5e-9;
 /// is the chain of `via` operators back to the input tree.
 struct State {
     /// Built when the state is first popped, from its predecessor's tree; a
-    /// merge or an absorb neighbour keeps the tree it was keyed from.
+    /// new merge or absorb neighbour keeps the tree it was costed on.
     tree: Option<FTree>,
     /// The state this one was reached from and the operator that did it
     /// (`None` for the input tree).
@@ -299,6 +303,7 @@ impl ExhaustiveOptimizer {
                     None => {
                         let mut built = from.clone();
                         op.apply_to_tree(&mut built)?;
+                        debug_assert_eq!(key.as_deref(), Some(&built.canonical_key()[..]));
                         (states.len(), memo.s_cost(tree.insert(built))?)
                     }
                 };
