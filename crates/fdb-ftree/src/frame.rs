@@ -1,28 +1,27 @@
 //! The link frame of an f-tree: what the plan search reads off a tree it
-//! expands, once, to key each of its neighbours — and to cost each swap
-//! neighbour — without copying the tree.
+//! expands, once, to key and cost each of its swap neighbours without
+//! copying the tree.
 //!
 //! A swap changes no label, only the parent of `b`, of `a = parent(b)` and
 //! of the children of `b` whose subtree meets `a`'s incidence set (the split
 //! [`FTree::swap_with_parent`] applies, decided by the same
-//! [`FTree::depends_on_subtree`]).  A merge or an absorb fuses `b` into `a`
-//! and hands `b`'s children to `a` or to `b`'s parent; an absorb then
-//! normalises.  So the frame holds the parent array over node slots and the
-//! live nodes in canonical-key order with the bytes of their labels.  A
-//! neighbour is the parent array with its entries patched (and, for a
-//! fusion, `a`'s label rewritten and `b`'s dropped): its key is written by
-//! the one key writer, which [`FTree::canonical_key`] runs on the unpatched
-//! array, and a swap neighbour's `s(T)` walks the patched paths through the
-//! one path walk behind [`SCostMemo::s_cost`].
+//! [`FTree::depends_on_subtree`]).  So the frame holds the parent array over
+//! node slots, the leaves, and the live nodes in canonical-key order with
+//! the bytes of their labels.  A swap neighbour is the parent array with
+//! those entries patched: its key is written by the one key writer, which
+//! [`FTree::canonical_key`] runs on the unpatched array, and its `s(T)`
+//! walks the patched paths through the one path walk behind
+//! [`SCostMemo::s_cost`].  Its leaves are the tree's without `b`, which now
+//! has `a` below it, and with `a` if `b` was its only child and none of
+//! `b`'s children moved down.
 
 use crate::cost::SCostMemo;
-use crate::edgeset::IndexSet;
 use crate::ftree::{FTree, NodeId};
 use fdb_common::{AttrId, Result, Value};
-use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
-/// One f-tree's links and labels, read once, and the neighbour last probed
-/// (see the module docs).
+/// One f-tree's links and labels, read once, and the swap last probed (see
+/// the module docs).
 pub struct LinkFrame<'t> {
     tree: &'t FTree,
     /// The live nodes in key order (ascending smallest class attribute),
@@ -32,10 +31,13 @@ pub struct LinkFrame<'t> {
     /// Per node slot: the smallest class attribute and the parent.
     first: Vec<u32>,
     parent: Vec<Option<NodeId>>,
-    /// The neighbour last probed (the tree itself before any probe): its
-    /// parent array, the fusion of `b` into `a` if it is one, and its key.
+    leaves: Vec<NodeId>,
+    /// The swap last probed (the tree itself before any probe): its parent
+    /// array, the leaf it takes away (`b`) and the one it adds (`a`, if
+    /// any), and its key.
     swapped: Vec<Option<NodeId>>,
-    fused: Option<(NodeId, NodeId)>,
+    leaf_lost: Option<NodeId>,
+    leaf_gained: Option<NodeId>,
     key: Vec<u8>,
 }
 
@@ -54,59 +56,33 @@ impl<'t> LinkFrame<'t> {
             first: vec![0; parent.len()],
             swapped: parent.clone(),
             parent,
-            fused: None,
+            leaves: tree.leaf_ids().collect(),
+            leaf_lost: None,
+            leaf_gained: None,
             key: Vec::new(),
         };
         for (first, n) in nodes {
             frame.first[n.index()] = first;
-            let class = tree.class(n);
-            write_label(
-                class.len(),
-                class.iter(),
-                tree.constant(n),
-                &mut frame.labels,
-            );
+            write_label(tree.class(n), tree.constant(n), &mut frame.labels);
             frame.order.push((n, frame.labels.len()));
         }
         frame
     }
 
     /// The key writer: each node's label, in key order, then the smallest
-    /// class attribute of its parent in the neighbour last probed plus one
-    /// (zero for a root).  A fused node's record stands where the smaller
-    /// first attribute of its two classes puts it.
+    /// class attribute of its parent in the swap last probed plus one (zero
+    /// for a root).
     pub(crate) fn write_key(&mut self) -> &[u8] {
-        let (tree, fused, key) = (self.tree, self.fused, &mut self.key);
-        let first = |n: NodeId| match fused {
-            Some((a, b)) if n == a => self.first[a.index()].min(self.first[b.index()]),
-            _ => self.first[n.index()],
-        };
+        let key = &mut self.key;
         key.clear();
         // Exact when every parent varint is one byte.
         key.reserve(self.labels.len() + self.order.len());
         let mut start = 0;
-        for &(mut n, end) in &self.order {
-            let label = &self.labels[start..end];
+        for &(n, end) in &self.order {
+            key.extend_from_slice(&self.labels[start..end]);
             start = end;
-            match fused {
-                Some((a, b)) if n == a || n == b => {
-                    if self.first[n.index()] != first(a) {
-                        continue;
-                    }
-                    // The two classes are disjoint: merge them in order.
-                    let (mut x, mut y) = (tree.class(a).iter().peekable(), tree.class(b).iter());
-                    let class = std::iter::from_fn(|| match (x.peek(), y.clone().next()) {
-                        (Some(p), Some(q)) if q < *p => y.next(),
-                        _ => x.next().or_else(|| y.next()),
-                    });
-                    let len = tree.class(a).len() + tree.class(b).len();
-                    write_label(len, class, tree.constant(a).or(tree.constant(b)), key);
-                    n = a;
-                }
-                _ => key.extend_from_slice(label),
-            }
-            let up = self.swapped[n.index()].map(first);
-            write_varint(up.map_or(0, |first| u64::from(first) + 1), key);
+            let up = self.swapped[n.index()].map_or(0, |p| self.first[p.index()] as u64 + 1);
+            write_varint(up, key);
         }
         key
     }
@@ -119,91 +95,35 @@ impl<'t> LinkFrame<'t> {
         self.swapped.clone_from(&self.parent);
         self.swapped[b.index()] = self.parent[a.index()];
         self.swapped[a.index()] = Some(b);
+        let mut a_is_leaf = self.tree.children(a).len() == 1;
         for &c in self.tree.children(b) {
             if self.tree.depends_on_subtree(a, c) {
                 self.swapped[c.index()] = Some(a);
+                a_is_leaf = false;
             }
         }
-        self.fused = None;
+        self.leaf_lost = Some(b);
+        self.leaf_gained = a_is_leaf.then_some(a);
         Ok(self.write_key())
     }
 
-    /// Probes the fusion of `b` into `a`: their merge if they are siblings
-    /// ([`FTree::merge_siblings`]), else the absorb of `b` into its ancestor
-    /// `a` ([`FTree::absorb_into_ancestor`]) and the normalisation after it
-    /// ([`FTree::normalise`]) — the key [`FTree::canonical_key`] gives the
-    /// tree they leave.  The caller names live nodes in one of the two
-    /// relations.
-    pub fn fuse(&mut self, a: NodeId, b: NodeId) -> &[u8] {
-        let merge = self.parent[a.index()] == self.parent[b.index()];
-        let heir = if merge {
-            Some(a)
-        } else {
-            self.parent[b.index()]
-        };
-        self.swapped.clone_from(&self.parent);
-        for up in self.swapped.iter_mut().filter(|up| **up == Some(b)) {
-            *up = heir;
-        }
-        self.fused = Some((a, b));
-        if !merge {
-            self.normalise(a, b);
-        }
-        self.write_key()
-    }
-
-    /// Normalises the patched links as [`FTree::normalise`] does the tree
-    /// with `b` fused into `a`: deepest node first (ties by id), each node
-    /// goes up while its parent's incidence set misses every set in its
-    /// subtree.
-    fn normalise(&mut self, a: NodeId, b: NodeId) {
-        let (tree, links) = (self.tree, &mut self.swapped);
-        let mut fused = tree.incidence(a).clone();
-        fused.insert_all(tree.incidence(b));
-        let own = |n: NodeId| if n == a { &fused } else { tree.incidence(n) };
-        let mut order: Vec<(Reverse<usize>, NodeId)> = (0..links.len() as u32)
-            .map(NodeId)
-            .filter(|&n| n != b && tree.contains(n))
-            .map(|n| (Reverse(up(links, n).count()), n))
-            .collect();
-        order.sort_unstable();
-        for &(_, n) in &order {
-            while let Some(p) = links[n.index()] {
-                let mut below = order.iter().filter(|(_, m)| up(links, *m).any(|m| m == n));
-                if below.any(|&(_, m)| own(m).intersects(own(p))) {
-                    break;
-                }
-                links[n.index()] = links[p.index()];
-            }
-        }
-    }
-
-    /// `s(T)` of the swap neighbour last probed (of the tree before any
-    /// probe), through `memo`: bit for bit what [`SCostMemo::s_cost`] gives
-    /// that tree.
+    /// `s(T)` of the swap last probed (of the tree before any probe),
+    /// through `memo`: bit for bit what [`SCostMemo::s_cost`] gives that
+    /// tree.
     pub fn s_cost(&self, memo: &mut SCostMemo) -> Result<f64> {
-        debug_assert!(self.fused.is_none(), "a fusion is costed on its tree");
-        let leaves = self.order.iter().map(|&(n, _)| n);
-        let leaves = leaves.filter(|&n| !self.swapped.contains(&Some(n)));
+        let kept = self.leaves.iter().filter(|&&n| Some(n) != self.leaf_lost);
+        let leaves = kept.copied().chain(self.leaf_gained);
         memo.max_cover(self.tree, leaves, |n| self.swapped[n.index()])
     }
 }
 
-/// `n` and its ancestors under the links `links`, nearest first.
-fn up(links: &[Option<NodeId>], n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-    std::iter::successors(Some(n), |m| links[m.index()])
-}
-
-/// Appends a node's label: its class of `len` attributes, ascending, then
-/// its constant.
-fn write_label<'a>(
-    len: usize,
-    class: impl Iterator<Item = &'a AttrId>,
-    constant: Option<Value>,
-    out: &mut Vec<u8>,
-) {
-    write_varint(len as u64, out);
-    class.for_each(|attr| write_varint(attr.0.into(), out));
+/// Appends a node's label: its class (size, then attributes, ascending),
+/// then its constant.
+fn write_label(class: &BTreeSet<AttrId>, constant: Option<Value>, out: &mut Vec<u8>) {
+    write_varint(class.len() as u64, out);
+    for attr in class {
+        write_varint(attr.0.into(), out);
+    }
     match constant {
         Some(v) => {
             out.push(1);

@@ -108,15 +108,16 @@ impl FTree {
     /// `parent` is `None`).  Returns the new node's id.
     pub fn add_node(&mut self, class: BTreeSet<AttrId>, parent: Option<NodeId>) -> Result<NodeId> {
         if class.is_empty() {
-            return invalid("f-tree node class must be non-empty".into());
+            return Err(FdbError::InvalidInput {
+                detail: "f-tree node class must be non-empty".into(),
+            });
         }
-        if let Some(attr) = class
-            .iter()
-            .find(|&&attr| self.node_of_attr(attr).is_some())
-        {
-            return invalid(format!(
-                "attribute {attr} already labels another f-tree node"
-            ));
+        for attr in &class {
+            if self.node_of_attr(*attr).is_some() {
+                return Err(FdbError::InvalidInput {
+                    detail: format!("attribute {attr} already labels another f-tree node"),
+                });
+            }
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Node {
@@ -171,9 +172,11 @@ impl FTree {
 
     /// Returns an error if `id` does not refer to a live node.
     pub fn check_node(&self, id: NodeId) -> Result<()> {
-        match self.contains(id) {
-            true => Ok(()),
-            false => invalid(format!("no such f-tree node: {id}")),
+        match self.nodes.get(id.index()) {
+            Some(Some(_)) => Ok(()),
+            _ => Err(FdbError::InvalidInput {
+                detail: format!("no such f-tree node: {id}"),
+            }),
         }
     }
 
@@ -380,7 +383,9 @@ impl FTree {
         self.check_links()?;
         for (id, node) in self.live() {
             if node.incidence != incidence_of(&self.edges, &node.class) {
-                return invalid(format!("node {id} carries a stale incidence set"));
+                return Err(FdbError::InvalidInput {
+                    detail: format!("node {id} carries a stale incidence set"),
+                });
             }
         }
         Ok(())
@@ -393,34 +398,47 @@ impl FTree {
         for id in self.node_ids() {
             let node = self.node(id);
             if node.class.is_empty() {
-                return invalid(format!("node {id} has an empty class"));
+                return Err(FdbError::InvalidInput {
+                    detail: format!("node {id} has an empty class"),
+                });
             }
             for attr in node.class.iter() {
                 if !seen_attrs.insert(*attr) {
-                    return invalid(format!("attribute {attr} labels two nodes"));
+                    return Err(FdbError::InvalidInput {
+                        detail: format!("attribute {attr} labels two nodes"),
+                    });
                 }
             }
             match node.parent {
                 Some(p) => {
                     self.check_node(p)?;
                     if !self.node(p).children.contains(&id) {
-                        return invalid(format!(
-                            "node {id} not listed among children of its parent {p}"
-                        ));
+                        return Err(FdbError::InvalidInput {
+                            detail: format!(
+                                "node {id} not listed among children of its parent {p}"
+                            ),
+                        });
                     }
                     if self.roots.contains(&id) {
-                        return invalid(format!("node {id} has a parent but is listed as a root"));
+                        return Err(FdbError::InvalidInput {
+                            detail: format!("node {id} has a parent but is listed as a root"),
+                        });
                     }
                 }
-                None if !self.roots.contains(&id) => {
-                    return invalid(format!("parentless node {id} missing from the roots list"));
+                None => {
+                    if !self.roots.contains(&id) {
+                        return Err(FdbError::InvalidInput {
+                            detail: format!("parentless node {id} missing from the roots list"),
+                        });
+                    }
                 }
-                None => {}
             }
             for &c in &node.children {
                 self.check_node(c)?;
                 if self.node(c).parent != Some(id) {
-                    return invalid(format!("child {c} of {id} does not point back to it"));
+                    return Err(FdbError::InvalidInput {
+                        detail: format!("child {c} of {id} does not point back to it"),
+                    });
                 }
             }
         }
@@ -468,11 +486,15 @@ impl FTree {
     {
         let node = self.node(id);
         let label: Vec<String> = node.class.iter().map(|&a| name(a)).collect();
-        let constant = node.constant.map_or(String::new(), |v| format!(" = {v}"));
+        let constant = match node.constant {
+            Some(v) => format!(" = {v}"),
+            None => String::new(),
+        };
         out.push_str(&format!(
-            "{}{}{constant}\n",
+            "{}{}{}\n",
             "  ".repeat(depth),
-            label.join(",")
+            label.join(","),
+            constant
         ));
         for &c in &node.children {
             self.render_node(c, depth + 1, name, out);
@@ -633,11 +655,6 @@ impl FTree {
         tree.rebuild_incidence();
         Ok(tree)
     }
-}
-
-/// The error a malformed tree or a bad node reference fails with.
-fn invalid<T>(detail: String) -> Result<T> {
-    Err(FdbError::InvalidInput { detail })
 }
 
 /// The edges with an attribute in `class`, by the set-scan definition.

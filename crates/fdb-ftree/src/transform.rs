@@ -62,11 +62,6 @@ pub struct SwapOutcome {
     pub kept: Vec<NodeId>,
 }
 
-/// The error an operator fails with when its preconditions do not hold.
-fn refused<T>(detail: String) -> Result<T> {
-    Err(FdbError::InvalidOperator { detail })
-}
-
 impl FTree {
     // ------------------------------------------------------------------
     // Push-up and normalisation
@@ -84,10 +79,14 @@ impl FTree {
     pub fn push_up(&mut self, b: NodeId) -> Result<()> {
         self.check_node(b)?;
         let Some(a) = self.parent(b) else {
-            return refused(format!("push-up: {b} is a root"));
+            return Err(FdbError::InvalidOperator {
+                detail: format!("push-up: {b} is a root"),
+            });
         };
         if self.depends_on_subtree(a, b) {
-            return refused(format!("push-up: parent {a} depends on the subtree of {b}"));
+            return Err(FdbError::InvalidOperator {
+                detail: format!("push-up: parent {a} depends on the subtree of {b}"),
+            });
         }
         let grandparent = self.parent(a);
         self.detach(b);
@@ -186,7 +185,9 @@ impl FTree {
         self.check_node(a)?;
         self.check_node(b)?;
         if !self.are_siblings(a, b) {
-            return refused(format!("merge: {a} and {b} are not siblings"));
+            return Err(FdbError::InvalidOperator {
+                detail: format!("merge: {a} and {b} are not siblings"),
+            });
         }
         self.fuse_nodes(a, b, Some(a));
         Ok(a)
@@ -201,7 +202,9 @@ impl FTree {
         self.check_node(a)?;
         self.check_node(b)?;
         if !self.is_ancestor(a, b) {
-            return refused(format!("absorb: {a} is not an ancestor of {b}"));
+            return Err(FdbError::InvalidOperator {
+                detail: format!("absorb: {a} is not an ancestor of {b}"),
+            });
         }
         self.fuse_nodes(a, b, self.parent(b));
         Ok(())
@@ -291,10 +294,14 @@ impl FTree {
     pub fn remove_projected_leaf(&mut self, leaf: NodeId) -> Result<()> {
         self.check_node(leaf)?;
         if !self.is_leaf(leaf) {
-            return refused(format!("projection: {leaf} is not a leaf"));
+            return Err(FdbError::InvalidOperator {
+                detail: format!("projection: {leaf} is not a leaf"),
+            });
         }
         if !self.visible_attrs(leaf).is_empty() {
-            return refused(format!("projection: {leaf} still has visible attributes"));
+            return Err(FdbError::InvalidOperator {
+                detail: format!("projection: {leaf} still has visible attributes"),
+            });
         }
         self.merge_edges_touching(leaf);
         self.remove_childless(leaf);
@@ -469,15 +476,25 @@ mod tests {
         assert_eq!(t.canonical_key(), key_before);
     }
 
-    /// Random trees for the link frame to be checked against the operators:
-    /// normalised and not, with merged classes, constant-bound nodes, and
-    /// forests of 70 and 200 relations (up to `largest`), whose incidence
-    /// sets spill past one word.
-    fn random_forests(largest: usize, mut visit: impl FnMut(&FTree)) {
+    /// The link frame against the operator, for every node of random trees
+    /// — normalised and not, with merged classes, constant-bound nodes,
+    /// children that follow the old parent down, and forests of 70 and 200
+    /// relations, whose incidence sets spill past one word: one frame per
+    /// tree probes every swap, and each probe's key and `s(T)` are the
+    /// swapped tree's, bit for bit.
+    #[test]
+    fn the_key_after_a_swap_is_the_key_of_the_swapped_tree() {
+        use crate::cost::SCostMemo;
+        use crate::frame::LinkFrame;
         use crate::invariant_tests::{random_edit, relation_chains};
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let sizes = [(3, 12, 16), (6, 12, 16), (70, 2, 8), (200, 1, 5)];
-        for (relations, seeds, steps) in sizes.into_iter().filter(|s| s.0 <= largest) {
+        // Swaps checked; of them on non-normalised trees, on trees with a
+        // constant, with a multi-attribute class involved, moving children,
+        // leaving the old parent a leaf, on trees of more than 64 edges;
+        // roots refused.
+        let mut seen = [0usize; 8];
+        let mut memo = SCostMemo::new();
+        for (relations, seeds, steps) in [(3, 12, 16), (6, 12, 16), (70, 2, 8), (200, 1, 5)] {
             for seed in 0..seeds {
                 let mut rng = StdRng::seed_from_u64(0x5A9 ^ (relations as u64) << 8 ^ seed);
                 let mut tree = relation_chains(&mut rng, relations, 0);
@@ -499,59 +516,42 @@ mod tests {
                 }
                 for step in 0..steps {
                     random_edit(&mut tree, &mut rng, &mut next_attr);
+                    let nodes = tree.node_ids();
                     if step % 5 == 4 {
-                        let nodes = tree.node_ids();
                         let bound = nodes[rng.gen_range(0..nodes.len())];
                         tree.bind_constant(bound, Value::new(step)).unwrap();
                     }
-                    visit(&tree);
+                    let constants = nodes.iter().any(|&n| tree.constant(n).is_some());
+                    let mut frame = LinkFrame::new(&tree);
+                    let own = memo.s_cost(&tree).unwrap().to_bits();
+                    assert_eq!(frame.s_cost(&mut memo).unwrap().to_bits(), own);
+                    for &b in &nodes {
+                        let mut swapped = tree.clone();
+                        match swapped.swap_with_parent(b) {
+                            Ok(outcome) => {
+                                let key = frame.swap(b).unwrap();
+                                assert_eq!(key, &swapped.canonical_key()[..], "{b}");
+                                let cost = memo.s_cost(&swapped).unwrap().to_bits();
+                                assert_eq!(frame.s_cost(&mut memo).unwrap().to_bits(), cost);
+                                let a = outcome.old_parent;
+                                seen[0] += 1;
+                                seen[1] += usize::from(!tree.is_normalised());
+                                seen[2] += usize::from(constants);
+                                seen[3] +=
+                                    usize::from(tree.class(a).len() + tree.class(b).len() > 2);
+                                seen[4] += usize::from(!outcome.moved_down.is_empty());
+                                seen[5] += usize::from(swapped.children(a).is_empty());
+                                seen[6] += usize::from(tree.edges().len() > 64);
+                            }
+                            Err(e) => {
+                                assert_eq!(frame.swap(b).unwrap_err(), e);
+                                seen[7] += 1;
+                            }
+                        }
+                    }
                 }
             }
         }
-    }
-
-    /// The link frame against the swap, for every node of random trees: one
-    /// frame per tree probes every swap, and each probe's key and `s(T)`
-    /// are the swapped tree's, bit for bit.
-    #[test]
-    fn the_key_after_a_swap_is_the_key_of_the_swapped_tree() {
-        use crate::cost::SCostMemo;
-        use crate::frame::LinkFrame;
-        // Swaps checked; of them on non-normalised trees, on trees with a
-        // constant, with a multi-attribute class involved, moving children,
-        // on trees of more than 64 edges; roots refused.
-        let mut seen = [0usize; 7];
-        let mut memo = SCostMemo::new();
-        random_forests(200, |tree| {
-            let nodes = tree.node_ids();
-            let constants = nodes.iter().any(|&n| tree.constant(n).is_some());
-            let mut frame = LinkFrame::new(tree);
-            let own = memo.s_cost(tree).unwrap();
-            assert_eq!(frame.s_cost(&mut memo).unwrap().to_bits(), own.to_bits());
-            for &b in &nodes {
-                let mut swapped = tree.clone();
-                match swapped.swap_with_parent(b) {
-                    Ok(outcome) => {
-                        let key = frame.swap(b).unwrap().to_vec();
-                        assert_eq!(key, swapped.canonical_key(), "{b}");
-                        let cost = memo.s_cost(&swapped).unwrap();
-                        let probed = frame.s_cost(&mut memo).unwrap();
-                        assert_eq!(probed.to_bits(), cost.to_bits(), "{b}");
-                        let a = outcome.old_parent;
-                        seen[0] += 1;
-                        seen[1] += usize::from(!tree.is_normalised());
-                        seen[2] += usize::from(constants);
-                        seen[3] += usize::from(tree.class(a).len() + tree.class(b).len() > 2);
-                        seen[4] += usize::from(!outcome.moved_down.is_empty());
-                        seen[5] += usize::from(tree.edges().len() > 64);
-                    }
-                    Err(e) => {
-                        assert_eq!(frame.swap(b).unwrap_err(), e);
-                        seen[6] += 1;
-                    }
-                }
-            }
-        });
         assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
         // A node the tree does not have fails as the swap does.
         let (t, _) = grocery_t1();
@@ -560,54 +560,6 @@ mod tests {
             LinkFrame::new(&t).swap(ghost).unwrap_err(),
             t.clone().swap_with_parent(ghost).unwrap_err()
         );
-    }
-
-    /// The link frame against merge and absorb (with the normalisation
-    /// after it): for every pair of siblings and every node under an
-    /// ancestor of random trees, the probed key is the fused tree's.  A
-    /// frame probes swaps and fusions in turn, as the plan search does.
-    #[test]
-    fn the_key_after_a_fusion_is_the_key_of_the_fused_tree() {
-        use crate::frame::LinkFrame;
-        // Merges, absorbs, absorbs that push nodes up, fusions with a
-        // constant-bound node, on trees of more than 64 edges.
-        let mut seen = [0usize; 5];
-        random_forests(70, |tree| {
-            let nodes = tree.node_ids();
-            let mut frame = LinkFrame::new(tree);
-            // At most about 8 nodes `a` and `b` a tree.
-            let every = nodes.len().div_ceil(8);
-            for &a in nodes.iter().step_by(every) {
-                for &b in nodes.iter().step_by(every) {
-                    let mut fused = tree.clone();
-                    if tree.are_siblings(a, b) {
-                        fused.merge_siblings(a, b).unwrap();
-                        seen[0] += 1;
-                    } else if tree.is_ancestor(a, b) {
-                        fused.absorb_into_ancestor(a, b).unwrap();
-                        let mut pushed = false;
-                        fused
-                            .normalise(|t, edit| {
-                                pushed = true;
-                                t.apply_edit(edit)
-                            })
-                            .unwrap();
-                        seen[1] += 1;
-                        seen[2] += usize::from(pushed);
-                    } else {
-                        continue;
-                    }
-                    assert_eq!(frame.fuse(a, b), &fused.canonical_key()[..], "{a} {b}");
-                    let constant = tree.constant(a).or(tree.constant(b));
-                    seen[3] += usize::from(constant.is_some());
-                    seen[4] += usize::from(tree.edges().len() > 64);
-                    if let Some(&c) = tree.children(b).first() {
-                        frame.swap(c).unwrap();
-                    }
-                }
-            }
-        });
-        assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
     }
 
     #[test]

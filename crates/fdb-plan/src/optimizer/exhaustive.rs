@@ -14,20 +14,19 @@
 //! `serve_cold`'s catalogue a pass over its 240 searches probes about 28.9k
 //! neighbours, 15.8k of them (55 %) trees the search has already seen, and
 //! of the 13.0k new ones only 5.4k are ever popped.  So the loop expands
-//! each popped tree through one [`LinkFrame`], read once: every neighbour —
-//! each swap, and the merge or absorb each unmet equality offers — is keyed
-//! off the frame's patched parent array, with no tree copied, and looked up;
-//! a tree seen before brings its `s(T)` with it.  A new swap neighbour is
-//! costed off the frame too; a new merge or absorb is built to be costed
-//! and keeps its tree.  Every other state holds only its predecessor and
-//! the operator that reaches it until it is popped, and its tree is built
-//! then, from the predecessor's tree (settled, so built).  A tree is costed
+//! each popped tree through one [`LinkFrame`], read once: every swap
+//! neighbour is keyed off the frame's patched parent array, with no tree
+//! copied, and looked up; a tree seen before brings its `s(T)` with it, and
+//! a new one is costed off the frame too.  Its state holds only its
+//! predecessor and the swap that reaches it until it is popped, and its
+//! tree is built then, from the predecessor's tree (settled, so built).  The
+//! merge or absorb each unmet equality offers is built, keyed from its tree
+//! and, if new, costed on it, and keeps that tree.  A tree is costed
 //! through the [`SCostMemo`] the caller lends the search, which solves one
 //! LP per distinct *set* of nodes on a path; a memo kept across searches (a
 //! plan cache keeps a pool of them) hands a request the covers its
-//! predecessors solved.  Debug builds check every tree they build against
-//! the key it was probed with, and a tree built at pop against its probed
-//! cost bits too.
+//! predecessors solved.  Debug builds check every tree built at pop
+//! against the key and the cost bits it was probed with.
 //! States live in an arena and point at their predecessor, so plan and cost
 //! are read off the chosen goal's chain once, at the end.  Which states are
 //! pushed, popped and replaced, and in what order, is exactly what the
@@ -77,6 +76,7 @@ use crate::fplan::{FPlan, FPlanOp};
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, ExecCtx, FdbError, Result};
 use fdb_ftree::{FTree, LinkFrame, SCostMemo, WordHasher};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
@@ -106,7 +106,7 @@ const STOP_TOLERANCE: f64 = 0.5e-9;
 /// is the chain of `via` operators back to the input tree.
 struct State {
     /// Built when the state is first popped, from its predecessor's tree; a
-    /// new merge or absorb neighbour keeps the tree it was costed on.
+    /// merge or absorb neighbour keeps the tree it was keyed from.
     tree: Option<FTree>,
     /// The state this one was reached from and the operator that did it
     /// (`None` for the input tree).
@@ -284,28 +284,26 @@ impl ExhaustiveOptimizer {
                 .filter(|&b| from.parent(b).is_some())
                 .map(FPlanOp::Swap);
             for op in swaps.chain(Self::fusions(&from, equalities)) {
-                // Every neighbour is keyed off the frame, and a swap is
-                // costed there too; a new merge or absorb is built to be
-                // costed and keeps its tree, any other tree is built only
-                // if it is ever popped.
+                // A swap is keyed and costed off the frame, and its tree
+                // built only if it is ever popped; a merge or absorb is
+                // built, keyed and, if new, costed on its tree.
+                let mut tree = None;
                 let key = match op {
-                    FPlanOp::Swap(b) => frame.swap(b)?,
-                    FPlanOp::Merge(a, b) | FPlanOp::Absorb(a, b) => frame.fuse(a, b),
+                    FPlanOp::Swap(b) => Cow::Borrowed(frame.swap(b)?),
+                    FPlanOp::Merge(..) | FPlanOp::Absorb(..) => {
+                        let built = tree.insert(from.clone());
+                        op.apply_to_tree(built)?;
+                        Cow::Owned(built.canonical_key())
+                    }
                     _ => unreachable!("the search applies swaps, merges and absorbs"),
                 };
-                let seen = best.get(key).copied();
-                let key = seen.is_none().then(|| key.to_vec());
-                let mut tree = None;
-                let (state, own_cost) = match seen {
+                let seen = best.get(&key[..]).copied();
+                let key = seen.is_none().then(|| key.into_owned());
+                let (state, own_cost) = match (seen, &tree) {
                     // Equal keys mean equal paths, hence equal `s(T)`.
-                    Some(seen) => (seen, states[seen].own_cost),
-                    None if matches!(op, FPlanOp::Swap(_)) => (states.len(), frame.s_cost(memo)?),
-                    None => {
-                        let mut built = from.clone();
-                        op.apply_to_tree(&mut built)?;
-                        debug_assert_eq!(key.as_deref(), Some(&built.canonical_key()[..]));
-                        (states.len(), memo.s_cost(tree.insert(built))?)
-                    }
+                    (Some(seen), _) => (seen, states[seen].own_cost),
+                    (None, None) => (states.len(), frame.s_cost(memo)?),
+                    (None, Some(built)) => (states.len(), memo.s_cost(built)?),
                 };
                 let bottleneck = bottleneck.max(own_cost);
                 if let Some(existing) = states.get(state) {
@@ -351,27 +349,45 @@ impl ExhaustiveOptimizer {
 
         // Among the minimum-bottleneck goals pick the one with the smallest
         // final cost, then the shortest plan.
-        let better = |g: &State, e: &State| {
-            g.own_cost + 1e-9 < e.own_cost
-                || (g.own_cost < e.own_cost + 1e-9 && g.plan_len < e.plan_len)
-        };
-        let pick = |e: usize, g: usize| if better(&states[g], &states[e]) { g } else { e };
-        let Some(goal) = goals.into_iter().reduce(pick) else {
+        let mut chosen: Option<usize> = None;
+        for goal in goals {
+            let better = match chosen {
+                None => true,
+                Some(existing) => {
+                    let (goal, existing) = (&states[goal], &states[existing]);
+                    goal.own_cost + 1e-9 < existing.own_cost
+                        || (goal.own_cost < existing.own_cost + 1e-9
+                            && goal.plan_len < existing.plan_len)
+                }
+            };
+            if better {
+                chosen = Some(goal);
+            }
+        }
+        let Some(goal) = chosen else {
             return Err(FdbError::NoPlanFound {
                 detail: "no sequence of operators satisfies all equality conditions".into(),
             });
         };
+
         // Walk the links back to the input: operators and per-tree costs.
-        let chain: Vec<&State> =
-            std::iter::successors(Some(&states[goal]), |s| Some(&states[s.via.as_ref()?.0]))
-                .collect();
-        let steps = chain.iter().rev().map(|s| s.own_cost).collect();
-        let ops = chain
-            .iter()
-            .rev()
-            .filter_map(|s| Some(s.via.as_ref()?.1.clone()));
+        let mut ops = Vec::with_capacity(states[goal].plan_len);
+        let mut steps = Vec::with_capacity(states[goal].plan_len + 1);
+        let mut cursor = goal;
+        loop {
+            steps.push(states[cursor].own_cost);
+            match states[cursor].via.take() {
+                Some((previous, op)) => {
+                    ops.push(op);
+                    cursor = previous;
+                }
+                None => break,
+            }
+        }
+        ops.reverse();
+        steps.reverse();
         let plan = OptimizedPlan {
-            plan: FPlan::new(ops.collect()),
+            plan: FPlan::new(ops),
             cost: FPlanCost::from_steps(steps),
             explored_states: explored,
         };

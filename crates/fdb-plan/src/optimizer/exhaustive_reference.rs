@@ -87,7 +87,13 @@ impl ReferenceOptimizer {
         input_tree: &FTree,
         equalities: &[(AttrId, AttrId)],
     ) -> Result<OptimizedPlan> {
-        super::check_equalities(input_tree, equalities)?;
+        for (a, b) in equalities {
+            if input_tree.node_of_attr(*a).is_none() || input_tree.node_of_attr(*b).is_none() {
+                return Err(FdbError::AttributeNotInQuery {
+                    attr: format!("{a} = {b}"),
+                });
+            }
+        }
 
         let initial_cost = s_cost(input_tree)?;
         let initial = State {
@@ -135,7 +141,7 @@ impl ReferenceOptimizer {
                 });
             }
 
-            if super::is_goal(&state.tree, equalities) {
+            if Self::is_goal(&state.tree, equalities) {
                 goal_bottleneck.get_or_insert(state.bottleneck);
                 goals.push(state);
                 continue;
@@ -201,6 +207,12 @@ impl ReferenceOptimizer {
             cost,
             explored_states: explored,
         })
+    }
+
+    fn is_goal(tree: &FTree, equalities: &[(AttrId, AttrId)]) -> bool {
+        equalities
+            .iter()
+            .all(|(a, b)| tree.node_of_attr(*a) == tree.node_of_attr(*b))
     }
 
     /// Enumerates the operator applications available from a state.
