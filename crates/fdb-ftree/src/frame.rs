@@ -6,8 +6,8 @@
 //! of the children of `b` whose subtree meets `a`'s incidence set (the split
 //! [`FTree::swap_with_parent`] applies, decided by the same
 //! [`FTree::depends_on_subtree`]).  So the frame holds the parent array over
-//! node slots, the leaves, and the live nodes in canonical-key order with
-//! the bytes of their labels.  A swap neighbour is the parent array with
+//! node slots and the live nodes in canonical-key order with the bytes of
+//! their labels.  A swap neighbour is the parent array with
 //! those entries patched: its key is written by the one key writer, which
 //! [`FTree::canonical_key`] runs on the unpatched array, and its `s(T)`
 //! walks the patched paths through the one path walk behind
@@ -31,10 +31,9 @@ pub struct LinkFrame<'t> {
     /// Per node slot: the smallest class attribute and the parent.
     first: Vec<u32>,
     parent: Vec<Option<NodeId>>,
-    leaves: Vec<NodeId>,
-    /// The swap last probed (the tree itself before any probe): its parent
-    /// array, the leaf it takes away (`b`) and the one it adds (`a`, if
-    /// any), and its key.
+    /// The swap last probed: its parent array (empty before any probe, when
+    /// the tree's own stands for it), the leaf it takes away (`b`) and the
+    /// one it adds (`a`, if any), and its key.
     swapped: Vec<Option<NodeId>>,
     leaf_lost: Option<NodeId>,
     leaf_gained: Option<NodeId>,
@@ -54,9 +53,8 @@ impl<'t> LinkFrame<'t> {
             order: Vec::with_capacity(nodes.len()),
             labels: Vec::with_capacity(4 * nodes.len()),
             first: vec![0; parent.len()],
-            swapped: parent.clone(),
             parent,
-            leaves: tree.leaf_ids().collect(),
+            swapped: Vec::new(),
             leaf_lost: None,
             leaf_gained: None,
             key: Vec::new(),
@@ -69,22 +67,33 @@ impl<'t> LinkFrame<'t> {
         frame
     }
 
+    /// The parent array of the swap last probed (of the tree before any
+    /// probe).
+    fn links(&self) -> &[Option<NodeId>] {
+        match self.swapped.is_empty() {
+            true => &self.parent,
+            false => &self.swapped,
+        }
+    }
+
     /// The key writer: each node's label, in key order, then the smallest
     /// class attribute of its parent in the swap last probed plus one (zero
     /// for a root).
     pub(crate) fn write_key(&mut self) -> &[u8] {
-        let key = &mut self.key;
+        // Taken out for the writing, so the links can be read meanwhile.
+        let mut key = std::mem::take(&mut self.key);
         key.clear();
         // Exact when every parent varint is one byte.
         key.reserve(self.labels.len() + self.order.len());
-        let mut start = 0;
+        let (links, mut start) = (self.links(), 0);
         for &(n, end) in &self.order {
             key.extend_from_slice(&self.labels[start..end]);
             start = end;
-            let up = self.swapped[n.index()].map_or(0, |p| self.first[p.index()] as u64 + 1);
-            write_varint(up, key);
+            let up = links[n.index()].map_or(0, |p| self.first[p.index()] as u64 + 1);
+            write_varint(up, &mut key);
         }
-        key
+        self.key = key;
+        &self.key
     }
 
     /// Probes the swap of `b` with its parent: the key
@@ -111,9 +120,10 @@ impl<'t> LinkFrame<'t> {
     /// through `memo`: bit for bit what [`SCostMemo::s_cost`] gives that
     /// tree.
     pub fn s_cost(&self, memo: &mut SCostMemo) -> Result<f64> {
-        let kept = self.leaves.iter().filter(|&&n| Some(n) != self.leaf_lost);
-        let leaves = kept.copied().chain(self.leaf_gained);
-        memo.max_cover(self.tree, leaves, |n| self.swapped[n.index()])
+        let kept = self.order.iter().map(|&(n, _)| n);
+        let kept = kept.filter(|&n| self.tree.is_leaf(n) && Some(n) != self.leaf_lost);
+        let (links, leaves) = (self.links(), kept.chain(self.leaf_gained));
+        memo.max_cover(self.tree, leaves, |n| links[n.index()])
     }
 }
 

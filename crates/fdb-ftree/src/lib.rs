@@ -18,7 +18,7 @@
 //!   marking and projection, the composite ones as a sequence of primitive
 //!   edits ([`TreeEdit`]) that data-level execution mirrors one by one;
 //! * the link frame ([`LinkFrame`]) through which the plan search keys and
-//!   costs the neighbours of a tree without copying it;
+//!   costs the swap neighbours of a tree without copying it;
 //! * the size-bound cost `s(T)` ([`cost`]): the maximum fractional edge
 //!   cover number over root-to-leaf paths, in closed form for three path
 //!   shapes and otherwise computed with the `fdb-lp` simplex solver, and
@@ -61,13 +61,13 @@
 //! The edge list sits behind an `Arc` and is copied only by the two edits
 //! above, and class labels are shared the same way, so cloning a tree — what
 //! the plan search does for every state it pops — copies the parent/child
-//! links and little else.  A neighbour the search only probes costs no copy
-//! at all: a [`LinkFrame`], read once from the tree it expands, keys every
-//! swap, merge and absorb off a patched parent array, with the one key
-//! writer behind [`FTree::canonical_key`], and costs every swap through the
-//! one path walk behind [`SCostMemo::s_cost`].  Merge and absorb take the
-//! union of the two incidence sets as the fused node's set, which the
-//! definition above makes exact.
+//! links and little else.  A swap neighbour the search only probes costs no
+//! copy at all: a [`LinkFrame`], read once from the tree it expands, keys
+//! every swap off a patched parent array, with the one key writer behind
+//! [`FTree::canonical_key`], and costs it through the one path walk behind
+//! [`SCostMemo::s_cost`].  A merge or absorb neighbour is built and keyed
+//! from its tree; the fused node's incidence set is the union of the two,
+//! which the definition above makes exact.
 
 #![warn(missing_docs)]
 
