@@ -24,9 +24,10 @@ use std::collections::BTreeSet;
 /// the module docs).
 pub struct LinkFrame<'t> {
     tree: &'t FTree,
-    /// The live nodes in key order (ascending smallest class attribute),
-    /// each with the end of its label — class and constant — in `labels`.
-    order: Vec<(NodeId, usize)>,
+    /// The live nodes in key order (ascending smallest class attribute,
+    /// which comes first), each with the end of its label — class and
+    /// constant — in `labels`.
+    order: Vec<(u32, NodeId, usize)>,
     labels: Vec<u8>,
     /// Per node slot: the smallest class attribute and the parent.
     first: Vec<u32>,
@@ -43,28 +44,39 @@ pub struct LinkFrame<'t> {
 impl<'t> LinkFrame<'t> {
     /// Reads the frame of `tree`.
     pub fn new(tree: &'t FTree) -> LinkFrame<'t> {
-        let mut nodes: Vec<(u32, NodeId)> = (tree.node_ids().into_iter())
-            .map(|n| (tree.class(n).first().expect("classes are non-empty").0, n))
-            .collect();
-        nodes.sort_unstable();
         let parent = tree.parents();
-        let mut frame = LinkFrame {
+        let smallest = |n: NodeId| tree.class(n).first().expect("classes are non-empty").0;
+        let mut order: Vec<(u32, NodeId, usize)> = (0..parent.len() as u32)
+            .map(NodeId)
+            .filter(|&n| tree.contains(n))
+            .map(|n| (smallest(n), n, 0))
+            .collect();
+        order.sort_unstable();
+        let (mut labels, mut first) = (Vec::with_capacity(4 * order.len()), vec![0; parent.len()]);
+        for (attr, n, end) in &mut order {
+            first[n.index()] = *attr;
+            write_label(tree.class(*n), tree.constant(*n), &mut labels);
+            *end = labels.len();
+        }
+        LinkFrame {
             tree,
-            order: Vec::with_capacity(nodes.len()),
-            labels: Vec::with_capacity(4 * nodes.len()),
-            first: vec![0; parent.len()],
+            order,
+            labels,
+            first,
             parent,
             swapped: Vec::new(),
             leaf_lost: None,
             leaf_gained: None,
             key: Vec::new(),
-        };
-        for (first, n) in nodes {
-            frame.first[n.index()] = first;
-            write_label(tree.class(n), tree.constant(n), &mut frame.labels);
-            frame.order.push((n, frame.labels.len()));
         }
-        frame
+    }
+
+    /// The tree's own key: what [`FTree::canonical_key`] returns.
+    pub(crate) fn into_key(mut self) -> Vec<u8> {
+        self.write_key();
+        // Keys are kept by the thousand in a search's seen-set.
+        self.key.shrink_to_fit();
+        self.key
     }
 
     /// The parent array of the swap last probed (of the tree before any
@@ -79,14 +91,14 @@ impl<'t> LinkFrame<'t> {
     /// The key writer: each node's label, in key order, then the smallest
     /// class attribute of its parent in the swap last probed plus one (zero
     /// for a root).
-    pub(crate) fn write_key(&mut self) -> &[u8] {
+    fn write_key(&mut self) -> &[u8] {
         // Taken out for the writing, so the links can be read meanwhile.
         let mut key = std::mem::take(&mut self.key);
         key.clear();
         // Exact when every parent varint is one byte.
         key.reserve(self.labels.len() + self.order.len());
         let (links, mut start) = (self.links(), 0);
-        for &(n, end) in &self.order {
+        for &(_, n, end) in &self.order {
             key.extend_from_slice(&self.labels[start..end]);
             start = end;
             let up = links[n.index()].map_or(0, |p| self.first[p.index()] as u64 + 1);
@@ -120,7 +132,7 @@ impl<'t> LinkFrame<'t> {
     /// through `memo`: bit for bit what [`SCostMemo::s_cost`] gives that
     /// tree.
     pub fn s_cost(&self, memo: &mut SCostMemo) -> Result<f64> {
-        let kept = self.order.iter().map(|&(n, _)| n);
+        let kept = self.order.iter().map(|&(_, n, _)| n);
         let kept = kept.filter(|&n| self.tree.is_leaf(n) && Some(n) != self.leaf_lost);
         let (links, leaves) = (self.links(), kept.chain(self.leaf_gained));
         memo.max_cover(self.tree, leaves, |n| links[n.index()])
