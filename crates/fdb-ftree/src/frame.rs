@@ -32,9 +32,9 @@ pub struct LinkFrame<'t> {
     /// Per node slot: the smallest class attribute and the parent.
     first: Vec<u32>,
     parent: Vec<Option<NodeId>>,
-    /// The swap last probed: its parent array (empty before any probe, when
-    /// the tree's own stands for it), the leaf it takes away (`b`) and the
-    /// one it adds (`a`, if any), and its key.
+    /// The swap last probed (the tree itself before any probe): its parent
+    /// array, the leaf it takes away (`b`) and the one it adds (`a`, if
+    /// any), and its key.
     swapped: Vec<Option<NodeId>>,
     leaf_lost: Option<NodeId>,
     leaf_gained: Option<NodeId>,
@@ -46,9 +46,7 @@ impl<'t> LinkFrame<'t> {
     pub fn new(tree: &'t FTree) -> LinkFrame<'t> {
         let parent = tree.parents();
         let smallest = |n: NodeId| tree.class(n).first().expect("classes are non-empty").0;
-        let mut order: Vec<(u32, NodeId, usize)> = (0..parent.len() as u32)
-            .map(NodeId)
-            .filter(|&n| tree.contains(n))
+        let mut order: Vec<(u32, NodeId, usize)> = (tree.node_ids().into_iter())
             .map(|n| (smallest(n), n, 0))
             .collect();
         order.sort_unstable();
@@ -63,49 +61,30 @@ impl<'t> LinkFrame<'t> {
             order,
             labels,
             first,
+            swapped: parent.clone(),
             parent,
-            swapped: Vec::new(),
             leaf_lost: None,
             leaf_gained: None,
             key: Vec::new(),
         }
     }
 
-    /// The tree's own key: what [`FTree::canonical_key`] returns.
-    pub(crate) fn into_key(mut self) -> Vec<u8> {
-        self.write_key();
-        // Keys are kept by the thousand in a search's seen-set.
-        self.key.shrink_to_fit();
-        self.key
-    }
-
-    /// The parent array of the swap last probed (of the tree before any
-    /// probe).
-    fn links(&self) -> &[Option<NodeId>] {
-        match self.swapped.is_empty() {
-            true => &self.parent,
-            false => &self.swapped,
-        }
-    }
-
     /// The key writer: each node's label, in key order, then the smallest
     /// class attribute of its parent in the swap last probed plus one (zero
     /// for a root).
-    fn write_key(&mut self) -> &[u8] {
-        // Taken out for the writing, so the links can be read meanwhile.
-        let mut key = std::mem::take(&mut self.key);
+    pub(crate) fn write_key(&mut self) -> &[u8] {
+        let key = &mut self.key;
         key.clear();
         // Exact when every parent varint is one byte.
         key.reserve(self.labels.len() + self.order.len());
-        let (links, mut start) = (self.links(), 0);
+        let mut start = 0;
         for &(_, n, end) in &self.order {
             key.extend_from_slice(&self.labels[start..end]);
             start = end;
-            let up = links[n.index()].map_or(0, |p| self.first[p.index()] as u64 + 1);
-            write_varint(up, &mut key);
+            let up = self.swapped[n.index()].map_or(0, |p| self.first[p.index()] as u64 + 1);
+            write_varint(up, key);
         }
-        self.key = key;
-        &self.key
+        key
     }
 
     /// Probes the swap of `b` with its parent: the key
@@ -134,8 +113,8 @@ impl<'t> LinkFrame<'t> {
     pub fn s_cost(&self, memo: &mut SCostMemo) -> Result<f64> {
         let kept = self.order.iter().map(|&(_, n, _)| n);
         let kept = kept.filter(|&n| self.tree.is_leaf(n) && Some(n) != self.leaf_lost);
-        let (links, leaves) = (self.links(), kept.chain(self.leaf_gained));
-        memo.max_cover(self.tree, leaves, |n| links[n.index()])
+        let leaves = kept.chain(self.leaf_gained);
+        memo.max_cover(self.tree, leaves, |n| self.swapped[n.index()])
     }
 }
 

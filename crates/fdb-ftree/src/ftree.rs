@@ -464,7 +464,7 @@ impl FTree {
     /// zero for a root) in self-delimiting varints.  The records name every
     /// node and its parent, so distinct forests never share a key.
     pub fn canonical_key(&self) -> Vec<u8> {
-        LinkFrame::new(self).into_key()
+        LinkFrame::new(self).write_key().to_vec()
     }
 
     /// Renders the forest as indented ASCII, resolving attribute names via
