@@ -7,13 +7,15 @@
 //! [`FTree::swap_with_parent`] applies, decided by the same
 //! [`FTree::depends_on_subtree`]).  So the frame holds the parent array over
 //! node slots and the live nodes in canonical-key order with the bytes of
-//! their labels.  A swap neighbour is the parent array with
-//! those entries patched: its key is written by the one key writer, which
+//! their labels.  A swap neighbour is the parent array with those entries
+//! patched: its key is written by the one key writer, which
 //! [`FTree::canonical_key`] runs on the unpatched array, and its `s(T)`
 //! walks the patched paths through the one path walk behind
 //! [`SCostMemo::s_cost`].  Its leaves are the tree's without `b`, which now
 //! has `a` below it, and with `a` if `b` was its only child and none of
-//! `b`'s children moved down.
+//! `b`'s children moved down.  Merges and absorbs are not probed here: the
+//! search builds them and keys them from their trees, so node fusion and
+//! normalisation keep one implementation each.
 
 use crate::cost::SCostMemo;
 use crate::ftree::{FTree, NodeId};
