@@ -209,6 +209,64 @@ pub fn run(scale: Scale) -> Vec<Exp3Row> {
     rows
 }
 
+/// Checks the paper's size claims of Figure 7 in every cell where RDB
+/// finished: FDB finished too, with RDB's number of tuples and at most
+/// RDB's number of data elements as singletons; and wherever FDB finished,
+/// 0 tuples are 0 singletons.  Returns the report lines and the broken
+/// claims; the times are reported, not checked.
+pub fn check(rows: &[Exp3Row]) -> (Vec<String>, Vec<String>) {
+    let mut broken = Vec::new();
+    let mut finished = 0;
+    for row in rows {
+        let cell = format!("{} N = {}, K = {}", row.workload, row.n, row.equalities);
+        let (singletons, fdb_tuples) = match row.fdb {
+            Measurement::Finished { size, tuples, .. } => (size, tuples),
+            Measurement::TimedOut => {
+                broken.push(format!("exp3: FDB did not finish at {cell}"));
+                continue;
+            }
+        };
+        if fdb_tuples == 0 && singletons != 0 {
+            broken.push(format!(
+                "exp3: 0 tuples but {singletons} singletons at {cell}"
+            ));
+        }
+        let Measurement::Finished { size, tuples, .. } = row.rdb else {
+            continue;
+        };
+        finished += 1;
+        if fdb_tuples != tuples {
+            broken.push(format!(
+                "exp3: FDB has {fdb_tuples} tuples, RDB {tuples} at {cell}"
+            ));
+        }
+        if singletons > size {
+            broken.push(format!(
+                "exp3: {singletons} singletons > {size} data elements at {cell}"
+            ));
+        }
+    }
+    let mut report = vec![format!(
+        "exp3: RDB finished {finished} of {} cells; in each, FDB's tuples must equal RDB's and \
+         its singletons be at most RDB's data elements, and 0 tuples be 0 singletons (checked)",
+        rows.len()
+    )];
+    let faster = rows
+        .iter()
+        .filter(|row| match (row.fdb.time(), row.rdb.time()) {
+            (Some(fdb), Some(rdb)) => fdb < rdb,
+            (Some(_), None) => true,
+            _ => false,
+        });
+    report.push(format!(
+        "exp3: FDB faster than RDB in {} of {} cells (reported, not checked; the paper: FDB \
+         wins wherever the flat result is large)",
+        faster.count(),
+        rows.len()
+    ));
+    (report, broken)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +298,36 @@ mod tests {
             {
                 assert_eq!(ft, rt, "tuple counts diverge on {}", row.workload);
             }
+        }
+    }
+
+    #[test]
+    fn the_check_flags_each_broken_size_claim() {
+        let finished = |size, tuples| Measurement::Finished {
+            time: Duration::from_millis(1),
+            size,
+            tuples,
+        };
+        let row = |fdb, rdb| Exp3Row {
+            workload: "uniform".into(),
+            n: 1000,
+            equalities: 2,
+            fdb,
+            rdb,
+        };
+        let rows = vec![
+            row(finished(10, 4), finished(24, 4)),
+            row(finished(10, 4), Measurement::TimedOut),
+            row(finished(0, 0), finished(0, 0)),
+        ];
+        assert!(check(&rows).1.is_empty());
+        for bad in [
+            row(Measurement::TimedOut, finished(24, 4)),
+            row(finished(10, 5), finished(24, 4)),
+            row(finished(30, 4), finished(24, 4)),
+            row(finished(3, 0), Measurement::TimedOut),
+        ] {
+            assert_eq!(check(&[bad]).1.len(), 1);
         }
     }
 

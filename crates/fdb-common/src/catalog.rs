@@ -103,16 +103,6 @@ impl Catalog {
         (rel, attrs)
     }
 
-    /// Number of attributes across all relations.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Number of relations.
-    pub fn rel_count(&self) -> usize {
-        self.rels.len()
-    }
-
     /// Iterates over all attribute ids.
     pub fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
         (0..self.attrs.len() as u32).map(AttrId)
@@ -211,8 +201,8 @@ mod tests {
     #[test]
     fn ids_are_dense_and_ordered() {
         let cat = grocery_catalog();
-        assert_eq!(cat.rel_count(), 3);
-        assert_eq!(cat.attr_count(), 6);
+        assert_eq!(cat.rels().count(), 3);
+        assert_eq!(cat.attrs().count(), 6);
         assert_eq!(cat.rel_attrs(RelId(0)), &[AttrId(0), AttrId(1)]);
         assert_eq!(cat.rel_attrs(RelId(2)), &[AttrId(4), AttrId(5)]);
     }

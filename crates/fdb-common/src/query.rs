@@ -353,22 +353,6 @@ impl Query {
         }
         uf.classes()
     }
-
-    /// Number of *non-redundant* equality conditions: equalities that merge
-    /// two previously distinct equivalence classes.  The experiments in the
-    /// paper always use non-redundant conjunctions, and the optimisers use
-    /// this count for search-space bookkeeping.
-    pub fn non_redundant_equality_count(&self, catalog: &Catalog) -> usize {
-        let attrs = self.all_attrs(catalog);
-        let mut uf = UnionFind::new(&attrs);
-        let mut count = 0;
-        for eq in &self.equalities {
-            if uf.union(eq.left, eq.right) {
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 /// A small union-find over attribute ids, used to compute equivalence
@@ -483,7 +467,9 @@ mod tests {
             .with_equality(AttrId(1), AttrId(2))
             .with_equality(AttrId(2), AttrId(1)) // duplicate
             .with_equality(AttrId(1), AttrId(2)); // duplicate
-        assert_eq!(q.non_redundant_equality_count(&cat), 1);
+                                                  // Each non-redundant equality merges two classes.
+        let merged = q.all_attrs(&cat).len() - q.equivalence_classes(&cat).len();
+        assert_eq!(merged, 1);
     }
 
     #[test]

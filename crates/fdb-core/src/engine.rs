@@ -9,11 +9,13 @@
 //! exist once:
 //!
 //! 1. **Source** — the only stage that differs by input ([`Source`]).  Flat
-//!    input: find an f-tree of minimum `s(T)` (`fdb_plan::optimal_ftree`) and
-//!    build the factorised result directly over it; the body plan is the
-//!    projection.  Factorised input: obtain the optimised plan for the
-//!    equality conditions — through the [`PlanCache`] when one is supplied —
-//!    and wrap it as constant selections + optimised plan + projection.
+//!    input: find an f-tree of minimum `s(T)`
+//!    (`fdb_ftree::optimal_ftree_memo`, through the thread's path-cover
+//!    memo) and build the factorised result directly over it; the body plan
+//!    is the projection.  Factorised input: obtain the optimised plan for
+//!    the equality conditions — through the [`PlanCache`] when one is
+//!    supplied — and wrap it as constant selections + optimised plan +
+//!    projection.
 //! 2. **Head planning** — an `ORDER BY` head ([`Head`]) wants its
 //!    attributes on a root path of the body plan's final f-tree; the costed
 //!    chain planner (`fdb_plan::plan_chain_restructure`) either appends the
@@ -41,10 +43,11 @@ use fdb_common::{
 use fdb_frep::{
     aggregate, build_frep_ctx, ops, AggregateKind, AggregateResult, FRep, OrderStrategy,
 };
-use fdb_ftree::SCostMemo;
+use fdb_ftree::{optimal_ftree_memo, SCostMemo};
 use fdb_plan::{plan_chain_restructure, ExhaustiveOptimizer, FPlan, FPlanOp, OptimizedPlan};
 use fdb_relation::{Database, Relation};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
@@ -252,6 +255,12 @@ impl ServeOutcome {
     }
 }
 
+thread_local! {
+    /// The path covers flat requests on this thread solved: a cover is a
+    /// pure function of its key, and the memo bounds itself.
+    static FLAT_COVERS: RefCell<SCostMemo> = RefCell::new(SCostMemo::new());
+}
+
 /// Where a request's input comes from — stage 1 of [`FdbEngine::run`], the
 /// only stage that differs between the two.
 #[derive(Clone, Copy, Debug)]
@@ -259,9 +268,12 @@ pub enum Source<'a> {
     /// A select-project-join query over a flat relational database: the
     /// optimiser finds an f-tree of the query with minimum `s(T)` and the
     /// factorised result is built directly over it, without ever
-    /// materialising the flat result.  The head is [`FdbEngine::run`]'s
-    /// `head` argument; the query's own `aggregate`/`order_by` fields are
-    /// not consulted.
+    /// materialising the flat result.  The search takes its path covers
+    /// from a per-thread memo that keeps the covers of earlier flat
+    /// requests; a cover is a pure function of its key, so the tree, its
+    /// cost and the explored states are those a fresh memo gives.  The head
+    /// is [`FdbEngine::run`]'s `head` argument; the query's own
+    /// `aggregate`/`order_by` fields are not consulted.
     Flat {
         /// The database to read.
         db: &'a Database,
@@ -460,8 +472,9 @@ impl FdbEngine {
         let opt_start = Instant::now();
         match source {
             Source::Flat { db, query } => {
-                let search =
-                    fdb_plan::optimal_ftree(db.catalog(), query, |r| db.rel_len(r) as u64)?;
+                let search = FLAT_COVERS.with_borrow_mut(|memo| {
+                    optimal_ftree_memo(db.catalog(), query, |r| db.rel_len(r) as u64, memo)
+                })?;
                 let optimisation_time = opt_start.elapsed();
                 let build_start = Instant::now();
                 let rep = build_frep_ctx(db, query, &search.tree, ctx)?;
@@ -783,6 +796,35 @@ mod tests {
             input,
             query,
             cache: None,
+        }
+    }
+
+    #[test]
+    fn flat_requests_keeping_their_path_covers_return_what_fresh_searches_do() {
+        use fdb_datagen::{populate, random_query, random_schema, ValueDistribution};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(44);
+        let cases: Vec<(Database, Query)> = (0..12)
+            .map(|i| {
+                let catalog = random_schema(&mut rng, 2 + i % 4, 8 + i % 3);
+                let rels: Vec<RelId> = catalog.rels().collect();
+                let db = populate(&mut rng, &catalog, 40, 6, ValueDistribution::Uniform);
+                let query = random_query(&mut rng, &catalog, &rels, 1 + i % 5);
+                (db, query)
+            })
+            .collect();
+        // The second pass finds every cover in this thread's memo.
+        for _ in 0..2 {
+            for (db, query) in &cases {
+                let out = FdbEngine::new().evaluate_flat(db, query).unwrap();
+                let fresh =
+                    fdb_plan::optimal_ftree(db.catalog(), query, |r| db.rel_len(r) as u64).unwrap();
+                assert_eq!(out.stats.plan_cost.to_bits(), fresh.cost.to_bits());
+                assert_eq!(out.stats.explored_states, fresh.explored_states);
+                let built = build_frep_ctx(db, query, &fresh.tree, &ExecCtx::unlimited());
+                assert!(out.result.store_identical(&built.unwrap()), "{query:?}");
+            }
         }
     }
 

@@ -174,8 +174,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let db = combinatorial_database(&mut rng, ValueDistribution::Uniform);
         let catalog = db.catalog().clone();
-        assert_eq!(catalog.rel_count(), 4);
-        assert_eq!(catalog.attr_count(), 10);
+        assert_eq!(catalog.rels().count(), 4);
+        assert_eq!(catalog.attrs().count(), 10);
         let sizes: Vec<usize> = catalog.rels().map(|r| db.rel_len(r)).collect();
         assert_eq!(sizes, vec![64, 64, 512, 512]);
         for rel in catalog.rels() {

@@ -22,22 +22,7 @@ pub fn random_equalities<R: Rng + ?Sized>(
         .iter()
         .flat_map(|&r| catalog.rel_attrs(r).iter().copied())
         .collect();
-    let mut uf = UnionFind::new(&attrs);
-    let mut conditions = Vec::with_capacity(k);
-    let max_attempts = 50 * (k + 1) * attrs.len().max(1);
-    let mut attempts = 0;
-    while conditions.len() < k && attempts < max_attempts {
-        attempts += 1;
-        let a = *attrs.choose(rng).expect("non-empty attribute list");
-        let b = *attrs.choose(rng).expect("non-empty attribute list");
-        if a == b {
-            continue;
-        }
-        if uf.union(a, b) {
-            conditions.push((a.min(b), a.max(b)));
-        }
-    }
-    conditions
+    draw_equalities(rng, &attrs, UnionFind::new(&attrs), k)
 }
 
 /// Builds a random equi-join query over all the given relations with `k`
@@ -71,10 +56,21 @@ pub fn random_followup_equalities<R: Rng + ?Sized>(
     for eq in &base.equalities {
         uf.union(eq.left, eq.right);
     }
-    let mut conditions = Vec::with_capacity(l);
-    let max_attempts = 50 * (l + 1) * attrs.len().max(1);
+    draw_equalities(rng, &attrs, uf, l)
+}
+
+/// Draws pairs of `attrs` until `k` of them have each merged two classes of
+/// `uf` that were distinct, or `50 (k + 1)` draws per attribute are spent.
+fn draw_equalities<R: Rng + ?Sized>(
+    rng: &mut R,
+    attrs: &[AttrId],
+    mut uf: UnionFind,
+    k: usize,
+) -> Vec<(AttrId, AttrId)> {
+    let mut conditions = Vec::with_capacity(k);
+    let max_attempts = 50 * (k + 1) * attrs.len().max(1);
     let mut attempts = 0;
-    while conditions.len() < l && attempts < max_attempts {
+    while conditions.len() < k && attempts < max_attempts {
         attempts += 1;
         let a = *attrs.choose(rng).expect("non-empty attribute list");
         let b = *attrs.choose(rng).expect("non-empty attribute list");
@@ -95,6 +91,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Each non-redundant equality merges two classes.
+    fn merged_classes(query: &Query, catalog: &Catalog) -> usize {
+        query.all_attrs(catalog).len() - query.equivalence_classes(catalog).len()
+    }
+
     #[test]
     fn equalities_are_non_redundant() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -103,7 +104,7 @@ mod tests {
         for k in 1..=9 {
             let query = random_query(&mut rng, &catalog, &rels, k);
             assert_eq!(query.equalities.len(), k);
-            assert_eq!(query.non_redundant_equality_count(&catalog), k);
+            assert_eq!(merged_classes(&query, &catalog), k);
         }
     }
 
@@ -131,7 +132,7 @@ mod tests {
         for (a, b) in &follow {
             extended = extended.with_equality(*a, *b);
         }
-        assert_eq!(extended.non_redundant_equality_count(&catalog), 7);
+        assert_eq!(merged_classes(&extended, &catalog), 7);
     }
 
     #[test]

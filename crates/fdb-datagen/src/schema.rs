@@ -59,8 +59,8 @@ mod tests {
             let relations = rng.gen_range(1..=8);
             let attributes = rng.gen_range(relations..=40);
             let catalog = random_schema(&mut rng, relations, attributes);
-            assert_eq!(catalog.rel_count(), relations);
-            assert_eq!(catalog.attr_count(), attributes);
+            assert_eq!(catalog.rels().count(), relations);
+            assert_eq!(catalog.attrs().count(), attributes);
             for rel in catalog.rels() {
                 assert!(catalog.rel_arity(rel) >= 1);
             }

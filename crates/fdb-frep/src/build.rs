@@ -45,10 +45,12 @@
 //! are found by a leapfrog intersection of its levels' ranges: each cursor
 //! gallops (exponential, then binary search) to the largest value seen
 //! until all agree, the agreeing run of each level becomes the range of the
-//! level below it, and the cursors move past the run.  Candidates come out
-//! ascending and the context is charged one unit for each; the recursion
-//! allocates nothing beyond the amortised growth of the arena and of two
-//! watermarked scratch vectors.
+//! level below it, and the cursors move past the run.  A node over one
+//! level needs no intersection: its candidates are the runs of its range,
+//! each taken as the key at its cursor.  Candidates come out ascending and
+//! the context is charged one unit for each; the recursion allocates
+//! nothing beyond the growth of the arena, reserved up front at twice the
+//! longest key column, and of two watermarked scratch vectors.
 //!
 //! # Direct arena emission and rollback
 //!
@@ -65,6 +67,12 @@
 //! appended contiguously.  (Entry blocks therefore land *after* the blocks
 //! of their descendants — a valid layout the arena views never distinguish,
 //! just not the one [`crate::store::Store::freeze`] picks.)
+//!
+//! A leaf over one level has no candidate to retract: every distinct key of
+//! its range survives.  Its entries are written straight into the arena
+//! behind its header, with no watermark and no trip through the scratch
+//! vectors, and the context is charged their number at once — the units,
+//! records and indices of the general loop, in one pass over the range.
 //!
 //! The build records the result's statistics ([`FRep::counts`]) as it
 //! writes: each union is returned with its tuple count (the sum over its
@@ -127,13 +135,8 @@ fn prepare(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx) -> Result<
         });
     }
 
-    // Breadth-first: every node after its ancestors.
-    let mut top_down: Vec<NodeId> = tree.roots().to_vec();
-    let mut next = 0;
-    while next < top_down.len() {
-        top_down.extend_from_slice(tree.children(top_down[next]));
-        next += 1;
-    }
+    // Every node after its ancestors.
+    let top_down: Vec<NodeId> = tree.bottom_up().into_iter().rev().collect();
     let node_slots = top_down.iter().map(|n| n.index() + 1).max().unwrap_or(0);
     let mut prepared = Prepared {
         columns: Vec::new(),
@@ -243,6 +246,7 @@ pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx)
         .iter()
         .map(|level| &prepared.columns[level.rel][level.depth][..])
         .collect();
+    let longest = keys.iter().map(|keys| keys.len()).max().unwrap_or(0);
     let mut builder = Builder {
         tree,
         levels: &prepared.levels,
@@ -251,7 +255,7 @@ pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx)
         ctx,
         ranges: keys.iter().map(|keys| 0..keys.len()).collect(),
         cursors: vec![0; prepared.levels.len()],
-        store: Store::default(),
+        store: Store::with_capacity(2 * longest, 2 * longest, 2 * longest),
         scratch_values: Vec::new(),
         scratch_kids: Vec::new(),
         visible: visible_table(tree),
@@ -311,6 +315,11 @@ impl Builder<'_> {
     /// Leapfrog step: moves the cursors of the levels at one node forward to
     /// the smallest value all of them hold, `None` once one range runs out.
     fn next_candidate(&mut self, here: &[usize]) -> Option<Value> {
+        if let [level] = *here {
+            // One level: the next run is the next candidate.
+            let keys = &self.keys[level][..self.ranges[level].end];
+            return keys.get(self.cursors[level]).copied();
+        }
         let mut target = Value::MIN;
         let mut agreeing = 0;
         for &level in here.iter().cycle() {
@@ -334,12 +343,6 @@ impl Builder<'_> {
     /// emitting its records into the arena, and returns its union index and
     /// tuple count.
     fn build_union(&mut self, node: NodeId) -> Result<(u32, u128)> {
-        let (tree, levels, node_levels) = (self.tree, self.levels, self.node_levels);
-        let here: &[usize] = &node_levels[node.index()];
-        for &level in here {
-            self.cursors[level] = self.ranges[level].start;
-        }
-
         // Header first: the union's index must precede its subtrees'.
         let uid = self.store.unions.len() as u32;
         self.store.unions.push(UnionRec {
@@ -347,8 +350,42 @@ impl Builder<'_> {
             entries_start: 0,
             entries_len: 0,
         });
+        let (node_levels, tree) = (self.node_levels, self.tree);
+        let (entries_start, tuples) = match (&node_levels[node.index()][..], tree.children(node)) {
+            (&[level], []) => self.write_leaf(level)?,
+            (here, children) => self.decide_candidates(here, children)?,
+        };
+        let survivors = self.store.entry_count() as u32 - entries_start;
+        let rec = &mut self.store.unions[uid as usize];
+        rec.entries_start = entries_start;
+        rec.entries_len = survivors;
+        self.size += self.visible[node.index()] * survivors as usize;
+        Ok((uid, tuples))
+    }
 
-        let children: &[NodeId] = tree.children(node);
+    /// Writes a leaf over one level: its entries are the distinct keys of
+    /// the level's range, appended straight to the arena and charged at
+    /// once, with no candidate to retract.  Returns where they start and
+    /// their number, the leaf's tuple count.
+    fn write_leaf(&mut self, level: usize) -> Result<(u32, u128)> {
+        let entries_start = self.store.entry_count() as u32;
+        let kids_start = self.store.kids.len() as u32;
+        for run in self.keys[level][self.ranges[level].clone()].chunk_by(|a, b| a == b) {
+            self.store.push_entry(run[0], kids_start);
+        }
+        let survivors = self.store.entry_count() as u32 - entries_start;
+        self.ctx.charge(u64::from(survivors))?;
+        Ok((entries_start, u128::from(survivors)))
+    }
+
+    /// Decides the candidates at the levels `here` one by one, building the
+    /// kid unions of each and retracting it if one comes up empty, then
+    /// appends the survivors' entry block and kid runs.  Returns where the
+    /// block starts and the union's tuple count.
+    fn decide_candidates(&mut self, here: &[usize], children: &[NodeId]) -> Result<(u32, u128)> {
+        for &level in here {
+            self.cursors[level] = self.ranges[level].start;
+        }
         let values_mark = self.scratch_values.len();
         let kids_mark = self.scratch_kids.len();
         let mut tuples = 0u128;
@@ -364,7 +401,7 @@ impl Builder<'_> {
                 let keys = &self.keys[level][..self.ranges[level].end];
                 let start = self.cursors[level];
                 let end = gallop(keys, start, |key| key <= value);
-                if levels[level].continues {
+                if self.levels[level].continues {
                     self.ranges[level + 1] = start..end;
                 }
                 self.cursors[level] = end;
@@ -402,10 +439,9 @@ impl Builder<'_> {
         }
 
         // All candidates decided: append the entry block and kid runs
-        // contiguously and finish the header.
+        // contiguously.
         let entries_start = self.store.entry_count() as u32;
-        let survivors = (self.scratch_values.len() - values_mark) as u32;
-        for i in 0..survivors as usize {
+        for i in 0..self.scratch_values.len() - values_mark {
             let kids_start = self.store.kids.len() as u32;
             let run_start = kids_mark + i * children.len();
             self.store
@@ -414,13 +450,9 @@ impl Builder<'_> {
             self.store
                 .push_entry(self.scratch_values[values_mark + i], kids_start);
         }
-        let rec = &mut self.store.unions[uid as usize];
-        rec.entries_start = entries_start;
-        rec.entries_len = survivors;
-        self.size += self.visible[node.index()] * survivors as usize;
         self.scratch_values.truncate(values_mark);
         self.scratch_kids.truncate(kids_mark);
-        Ok((uid, tuples))
+        Ok((entries_start, tuples))
     }
 }
 
@@ -881,5 +913,132 @@ mod tests {
         let rep = build_frep_ctx(&db, &query, &tree, &ExecCtx::unlimited()).unwrap();
         assert_eq!(rep.size(), 50);
         assert_eq!(rep.tuple_count(), 600);
+    }
+
+    /// FNV-1a-64 of a byte string: a compact pin of an arena's records.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A catalogue shaped like the standing benchmark's `flat_join`: three
+    /// ternary relations of uniform and Zipf data joined by `K ∈ {2, 3, 4}`
+    /// equalities, and the combinatorial dataset with `K ∈ 1..6`, one query
+    /// per cell, each over its optimal and its fallback f-tree.
+    fn flat_join_catalogue() -> Vec<(Database, Query, FTree)> {
+        use fdb_datagen::{combinatorial_database, populate, random_query, ValueDistribution};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut data = StdRng::seed_from_u64(44);
+        let mut queries = StdRng::seed_from_u64(0xFDB3);
+        let mut catalog = Catalog::new();
+        for (name, attrs) in [
+            ("R0", ["a0", "a1", "a2"]),
+            ("R1", ["a3", "a4", "a5"]),
+            ("R2", ["a6", "a7", "a8"]),
+        ] {
+            catalog.add_relation(name, &attrs);
+        }
+        let mut cells = Vec::new();
+        for distribution in [ValueDistribution::Uniform, ValueDistribution::Zipf(1.0)] {
+            let db = populate(&mut data, &catalog, 120, 30, distribution);
+            for k in 2..=4 {
+                cells.push((db.clone(), k));
+            }
+            let db = combinatorial_database(&mut data, distribution);
+            for k in 1..=6 {
+                cells.push((db.clone(), k));
+            }
+        }
+        let mut builds = Vec::new();
+        for (db, k) in cells {
+            let rels: Vec<RelId> = db.catalog().rels().collect();
+            let query = random_query(&mut queries, db.catalog(), &rels, k);
+            let card = |r: RelId| db.rel_len(r) as u64;
+            let optimal = fdb_ftree::optimal_ftree(db.catalog(), &query, card)
+                .unwrap()
+                .tree;
+            let fallback = ftree_from_query_classes(db.catalog(), &query, card).unwrap();
+            builds.push((db.clone(), query.clone(), optimal));
+            builds.push((db, query, fallback));
+        }
+        builds
+    }
+
+    #[test]
+    fn flat_builds_keep_their_arenas_and_units() {
+        let builds = flat_join_catalogue();
+        // Every node shape the build distinguishes occurs: leaves and inner
+        // nodes, each over one level and over several.
+        let mut shapes = BTreeSet::new();
+        for (db, query, tree) in &builds {
+            let prepared = prepare(db, query, tree, &ExecCtx::unlimited()).unwrap();
+            for node in tree.node_ids() {
+                let levels = prepared.node_levels[node.index()].len();
+                shapes.insert((tree.children(node).is_empty(), levels > 1));
+            }
+        }
+        assert_eq!(shapes.len(), 4, "{shapes:?}");
+        let mut pins = Vec::new();
+        for (db, query, tree) in &builds {
+            let ctx = ExecCtx::new(&QueryLimits::unlimited().with_budget(u64::MAX / 2));
+            let rep = build_frep_ctx(db, query, tree, &ctx).unwrap();
+            let units = u64::MAX / 2 - ctx.budget_remaining();
+            let governed = |budget| {
+                build_frep_ctx(
+                    db,
+                    query,
+                    tree,
+                    &ExecCtx::new(&QueryLimits::unlimited().with_budget(budget)),
+                )
+            };
+            assert!(governed(units).unwrap().store_identical(&rep));
+            assert!(matches!(
+                governed(units - 1),
+                Err(FdbError::BudgetExceeded { .. })
+            ));
+            pins.push((fnv(rep.dump_store().as_bytes()), units));
+        }
+        // Measured on the build before one-level nodes had their own paths.
+        let expected: Vec<(u64, u64)> = vec![
+            (0x4065d664f5370630, 555),
+            (0xa582500bc9011223, 555),
+            (0xdf0a03fdc1da0539, 309),
+            (0x6493418f6a390899, 508),
+            (0xc06ce98e0ebbbd36, 256),
+            (0x5419e5e0f3f194eb, 256),
+            (0xf791510840f9d601, 2827),
+            (0xdbcd54d5cdcb1563, 2827),
+            (0xe7d8d5d6e367bc35, 4687),
+            (0xffed450a8dd31f2f, 4687),
+            (0x348b50458d911ba5, 1975),
+            (0x025a872ffce4be52, 2447),
+            (0x1d026865c496ba29, 914),
+            (0x3a388a1a12b8ef16, 914),
+            (0xb8a5bd2d7b9acdc4, 1380),
+            (0xe79c2f231e284418, 966),
+            (0xcd9ecfe0be8187b1, 206),
+            (0xa7e4d53a5863c8e5, 225),
+            (0xa9cdb34226481519, 661),
+            (0xdbd0bbe816205015, 2700),
+            (0xd5052a57574d6a01, 546),
+            (0xfc069ec3b121c72e, 1705),
+            (0xdd1a575df40bbebd, 256),
+            (0x5dccb93f7ba220e3, 551),
+            (0x59036ba1e9d5a556, 2731),
+            (0xd2e9ff7b90ebafa4, 6017),
+            (0x1ed48346801451aa, 1552),
+            (0xf68ddd4e91db0489, 4838),
+            (0x10f6f82c6190150b, 2260),
+            (0x00b6858c07c786ca, 22284),
+            (0xbe280809db1d7c4c, 2867),
+            (0xfbde985acdd6a058, 3514),
+            (0xb420b1db39ede60a, 888),
+            (0x4a84e51b73df6bef, 888),
+            (0x430bbc182dbe6506, 987),
+            (0x14b7a5c8a9b33dc5, 2439),
+        ];
+        assert_eq!(pins, expected);
     }
 }

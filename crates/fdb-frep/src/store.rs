@@ -148,6 +148,18 @@ impl PartialEq for Store {
 }
 
 impl Store {
+    /// An empty store with room for `unions` headers, `entries` entry
+    /// records and `kids` kid slots.
+    pub(crate) fn with_capacity(unions: usize, entries: usize, kids: usize) -> Store {
+        Store {
+            unions: Vec::with_capacity(unions),
+            values: Vec::with_capacity(entries),
+            kids_starts: Vec::with_capacity(entries),
+            kids: Vec::with_capacity(kids),
+            ..Store::default()
+        }
+    }
+
     // -----------------------------------------------------------------
     // The sealed entry accessors
     // -----------------------------------------------------------------
@@ -575,14 +587,9 @@ impl<'a> Rewriter<'a> {
             !src.freeze_layout || src.is_freeze_layout(&kid_counts),
             "a store claims the freeze layout without being in it"
         );
-        let mut out = Store::default();
-        out.unions.reserve(src.unions.len());
-        out.values.reserve(src.values.len());
-        out.kids_starts.reserve(src.kids_starts.len());
-        out.kids.reserve(src.kids.len());
         Rewriter {
             input,
-            out,
+            out: Store::with_capacity(src.unions.len(), src.values.len(), src.kids.len()),
             scratch: Vec::new(),
             kid_counts,
             visible: visible_table(out_tree),

@@ -271,8 +271,9 @@ pub fn optimal_ftree(
     optimal_ftree_memo(catalog, query, cardinality_of, &mut SCostMemo::new())
 }
 
-/// [`optimal_ftree`] taking every path cover from `memo`.
-fn optimal_ftree_memo(
+/// [`optimal_ftree`] taking every path cover from `memo`, which keeps them
+/// for later searches: the same tree, cost and states as a fresh memo gives.
+pub fn optimal_ftree_memo(
     catalog: &Catalog,
     query: &Query,
     cardinality_of: impl Fn(RelId) -> u64,

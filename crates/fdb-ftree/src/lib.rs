@@ -82,7 +82,8 @@ pub mod transform;
 
 pub use builder::{dep_edges_for_query, flat_database_ftree, ftree_from_query_classes};
 pub use cost::{
-    optimal_ftree, s_cost, s_cost_details, FTreeSearchResult, PathCost, SCostMemo, WordHasher,
+    optimal_ftree, optimal_ftree_memo, s_cost, s_cost_details, FTreeSearchResult, PathCost,
+    SCostMemo, WordHasher,
 };
 pub use frame::LinkFrame;
 #[doc(hidden)]

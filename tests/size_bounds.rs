@@ -48,7 +48,7 @@ fn factorised_sizes_respect_the_s_bound() {
         assert!((search.cost - out.stats.plan_cost).abs() < 1e-6);
 
         let d = db.total_data_elements() as f64;
-        let attrs = catalog.attr_count() as f64;
+        let attrs = catalog.attrs().count() as f64;
         let bound = attrs * d.powf(search.cost);
         assert!(
             (out.stats.result_size as f64) <= bound + 1e-6,
