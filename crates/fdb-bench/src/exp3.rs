@@ -18,17 +18,15 @@
 //! points from its plots).
 
 use crate::Scale;
-use fdb_common::{Query, RelId};
+use fdb_common::{Catalog, FdbError, Query, RelId, Result};
 use fdb_core::FdbEngine;
-use fdb_datagen::{
-    combinatorial_database, populate, random_query, random_schema, ValueDistribution,
-};
+use fdb_datagen::{combinatorial_database, populate, random_query, ValueDistribution};
 use fdb_relation::{Database, EvalLimits, RdbEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// Outcome of one engine run: either a measurement or a timeout.
+/// Outcome of one engine run: a measurement, a timeout or a failure.
 #[derive(Clone, Debug)]
 pub enum Measurement {
     /// The run finished within the limits.
@@ -42,14 +40,45 @@ pub enum Measurement {
     },
     /// The run exceeded the timeout or tuple budget.
     TimedOut,
+    /// The run failed for another reason: the error's text.
+    Failed(String),
 }
 
 impl Measurement {
+    /// The measurement of a run that took `time`: `counts` gives the size
+    /// and tuples of its result, and an error is
+    /// [`Measurement::of_error`].
+    pub fn of<T>(
+        outcome: Result<T>,
+        time: Duration,
+        counts: impl FnOnce(T) -> (u64, u128),
+    ) -> Measurement {
+        match outcome {
+            Ok(result) => {
+                let (size, tuples) = counts(result);
+                Measurement::Finished { time, size, tuples }
+            }
+            Err(error) => Measurement::of_error(&error),
+        }
+    }
+
+    /// The measurement of a failed run: a limit error (RDB's tuple or time
+    /// limit, FDB's deadline or budget) is a timeout, any other error a
+    /// failure.
+    pub fn of_error(error: &FdbError) -> Measurement {
+        match error {
+            FdbError::LimitExceeded { .. }
+            | FdbError::DeadlineExceeded { .. }
+            | FdbError::BudgetExceeded { .. } => Measurement::TimedOut,
+            other => Measurement::Failed(other.to_string()),
+        }
+    }
+
     /// The measured time, if the run finished.
     pub fn time(&self) -> Option<Duration> {
         match self {
             Measurement::Finished { time, .. } => Some(*time),
-            Measurement::TimedOut => None,
+            _ => None,
         }
     }
 
@@ -57,7 +86,7 @@ impl Measurement {
     pub fn size(&self) -> Option<u64> {
         match self {
             Measurement::Finished { size, .. } => Some(*size),
-            Measurement::TimedOut => None,
+            _ => None,
         }
     }
 }
@@ -119,14 +148,10 @@ impl Exp3Config {
 
 fn measure_fdb(db: &Database, query: &Query) -> Measurement {
     let start = Instant::now();
-    match FdbEngine::new().evaluate_flat(db, query) {
-        Ok(out) => Measurement::Finished {
-            time: start.elapsed(),
-            size: out.stats.result_size as u64,
-            tuples: out.stats.result_tuples,
-        },
-        Err(_) => Measurement::TimedOut,
-    }
+    let outcome = FdbEngine::new().evaluate_flat(db, query);
+    Measurement::of(outcome, start.elapsed(), |out| {
+        (out.stats.result_size as u64, out.stats.result_tuples)
+    })
 }
 
 fn measure_rdb(db: &Database, query: &Query, config: &Exp3Config) -> Measurement {
@@ -136,14 +161,20 @@ fn measure_rdb(db: &Database, query: &Query, config: &Exp3Config) -> Measurement
             .with_max_tuples(config.max_flat_tuples),
     );
     let start = Instant::now();
-    match engine.evaluate(db, query) {
-        Ok(rel) => Measurement::Finished {
-            time: start.elapsed(),
-            size: rel.data_element_count() as u64,
-            tuples: rel.len() as u128,
-        },
-        Err(_) => Measurement::TimedOut,
-    }
+    let outcome = engine.evaluate(db, query);
+    Measurement::of(outcome, start.elapsed(), |rel| {
+        (rel.data_element_count() as u64, rel.len() as u128)
+    })
+}
+
+/// The scaling workload's catalogue: three ternary relations over nine
+/// attributes, as in the paper's Figure 7.
+fn ternary_catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.add_relation("R0", &["a0", "a1", "a2"]);
+    catalog.add_relation("R1", &["a3", "a4", "a5"]);
+    catalog.add_relation("R2", &["a6", "a7", "a8"]);
+    catalog
 }
 
 /// Runs the scaling workload (left/middle columns of Figure 7).
@@ -155,7 +186,7 @@ pub fn run_scaling(config: &Exp3Config) -> Vec<Exp3Row> {
             ValueDistribution::Uniform => "uniform",
             ValueDistribution::Zipf(_) => "zipf",
         };
-        let catalog = random_schema(&mut rng, 3, 9);
+        let catalog = ternary_catalog();
         let rels: Vec<RelId> = catalog.rels().collect();
         for &n in &config.relation_sizes {
             let db = populate(&mut rng, &catalog, n, 100, distribution);
@@ -219,10 +250,14 @@ pub fn check(rows: &[Exp3Row]) -> (Vec<String>, Vec<String>) {
     let mut finished = 0;
     for row in rows {
         let cell = format!("{} N = {}, K = {}", row.workload, row.n, row.equalities);
-        let (singletons, fdb_tuples) = match row.fdb {
-            Measurement::Finished { size, tuples, .. } => (size, tuples),
+        let (singletons, fdb_tuples) = match &row.fdb {
+            Measurement::Finished { size, tuples, .. } => (*size, *tuples),
             Measurement::TimedOut => {
                 broken.push(format!("exp3: FDB did not finish at {cell}"));
+                continue;
+            }
+            Measurement::Failed(error) => {
+                broken.push(format!("exp3: FDB failed at {cell}: {error}"));
                 continue;
             }
         };
@@ -231,8 +266,13 @@ pub fn check(rows: &[Exp3Row]) -> (Vec<String>, Vec<String>) {
                 "exp3: 0 tuples but {singletons} singletons at {cell}"
             ));
         }
-        let Measurement::Finished { size, tuples, .. } = row.rdb else {
-            continue;
+        let (size, tuples) = match &row.rdb {
+            Measurement::Finished { size, tuples, .. } => (*size, *tuples),
+            Measurement::TimedOut => continue,
+            Measurement::Failed(error) => {
+                broken.push(format!("exp3: RDB failed at {cell}: {error}"));
+                continue;
+            }
         };
         finished += 1;
         if fdb_tuples != tuples {
@@ -270,6 +310,27 @@ pub fn check(rows: &[Exp3Row]) -> (Vec<String>, Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn limit_errors_are_timeouts_and_other_errors_failures() {
+        let limit = FdbError::BudgetExceeded { limit: 10 };
+        assert!(matches!(
+            Measurement::of_error(&limit),
+            Measurement::TimedOut
+        ));
+        let other = FdbError::InfeasibleProgram;
+        let Measurement::Failed(text) = Measurement::of_error(&other) else {
+            panic!("an infeasible program is not a timeout");
+        };
+        assert_eq!(text, other.to_string());
+    }
+
+    #[test]
+    fn the_scaling_workload_sweeps_three_ternary_relations() {
+        let catalog = ternary_catalog();
+        let arities: Vec<usize> = catalog.rels().map(|r| catalog.rel_arity(r)).collect();
+        assert_eq!(arities, [3, 3, 3]);
+    }
 
     #[test]
     fn factorised_results_are_never_larger_than_flat_ones() {
@@ -328,6 +389,15 @@ mod tests {
             row(finished(3, 0), Measurement::TimedOut),
         ] {
             assert_eq!(check(&[bad]).1.len(), 1);
+        }
+        // A failed run is reported with its error, on either side.
+        let failed = || Measurement::Failed("no plan found".into());
+        for bad in [
+            row(failed(), finished(24, 4)),
+            row(finished(10, 4), failed()),
+        ] {
+            let broken = check(&[bad]).1;
+            assert!(broken.len() == 1 && broken[0].ends_with("no plan found"));
         }
     }
 

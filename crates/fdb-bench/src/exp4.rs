@@ -129,7 +129,7 @@ pub fn run_with_config(config: &Exp4Config) -> Vec<Exp4Row> {
                 .with_timeout(config.timeout)
                 .with_max_tuples(config.max_flat_tuples),
         );
-        let flat_input = rdb_engine.evaluate(&db, &base_query).ok();
+        let flat_input = rdb_engine.evaluate(&db, &base_query);
 
         for &l in &config.query_equalities {
             let follow = random_followup_equalities(&mut rng, &catalog, &base_query, l);
@@ -140,36 +140,27 @@ pub fn run_with_config(config: &Exp4Config) -> Vec<Exp4Row> {
             // FDB: optimise and run the f-plan on the factorised input.
             let fdb = {
                 let start = Instant::now();
-                match engine.evaluate_factorised(
-                    &base_fdb.result,
-                    &FactorisedQuery::equalities(follow.clone()),
-                ) {
-                    Ok(out) => Measurement::Finished {
-                        time: start.elapsed(),
-                        size: out.stats.result_size as u64,
-                        tuples: out.stats.result_tuples,
-                    },
-                    Err(_) => Measurement::TimedOut,
-                }
+                let query = FactorisedQuery::equalities(follow.clone());
+                let outcome = engine.evaluate_factorised(&base_fdb.result, &query);
+                Measurement::of(outcome, start.elapsed(), |out| {
+                    (out.stats.result_size as u64, out.stats.result_tuples)
+                })
             };
 
             // RDB: a single selection scan over the flat input.
             let rdb = match &flat_input {
-                Some(input) => {
+                Ok(input) => {
                     let limits = EvalLimits::unlimited()
                         .with_timeout(config.timeout)
                         .with_max_tuples(config.max_flat_tuples);
                     let start = Instant::now();
-                    match rdb_select_scan(input, &follow, &limits) {
-                        Ok(result) => Measurement::Finished {
-                            time: start.elapsed(),
-                            size: result.data_element_count() as u64,
-                            tuples: result.len() as u128,
-                        },
-                        Err(_) => Measurement::TimedOut,
-                    }
+                    let outcome = rdb_select_scan(input, &follow, &limits);
+                    Measurement::of(outcome, start.elapsed(), |result| {
+                        (result.data_element_count() as u64, result.len() as u128)
+                    })
                 }
-                None => Measurement::TimedOut,
+                // The flat input itself hit a limit or failed.
+                Err(error) => Measurement::of_error(error),
             };
 
             rows.push(Exp4Row {

@@ -24,6 +24,7 @@ fn fmt_measurement(m: &Measurement) -> (String, String) {
     match m {
         Measurement::Finished { time, size, .. } => (size.to_string(), fmt_duration(*time)),
         Measurement::TimedOut => ("—".into(), "timeout".into()),
+        Measurement::Failed(_) => ("—".into(), "error".into()),
     }
 }
 

@@ -1072,7 +1072,8 @@ mod tests {
 
     #[test]
     fn entries_with_empty_children_contribute_nothing() {
-        // A=1 has an empty B-union (unpruned): only A=2's tuple counts.
+        // A=1 has an empty B-union (unpruned, so frozen unchecked:
+        // `from_parts` refuses it): only A=2's tuple counts.
         let edges = vec![DepEdge::new("R", attrs(&[0, 1]), 2)];
         let mut tree = FTree::new(edges);
         let a = tree.add_node(attrs(&[0]), None).unwrap();
@@ -1090,7 +1091,7 @@ mod tests {
                 },
             ],
         );
-        let rep = FRep::from_parts(tree, vec![union]).unwrap();
+        let rep = FRep::from_parts_unchecked(tree, vec![union]);
         assert_eq!(
             scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(1)
@@ -1240,7 +1241,8 @@ mod tests {
         // 128 children have two entries each — their product counts 2^128
         // tuples, which wraps the 128-bit count to 0 with the overflow bit
         // set — and the 129th child is an empty union that annihilates the
-        // whole branch.  Under A=2 every child is a single entry: one live
+        // whole branch (an unreduced arena, frozen unchecked: `from_parts`
+        // refuses it).  Under A=2 every child is a single entry: one live
         // tuple.  AVG must succeed even though the dead branch wrapped its
         // count before being annihilated.
         let mut edges = vec![DepEdge::new("R", attrs(&[0]), 2)];
@@ -1301,7 +1303,7 @@ mod tests {
                 },
             ],
         );
-        let rep = FRep::from_parts(tree, vec![union]).unwrap();
+        let rep = FRep::from_parts_unchecked(tree, vec![union]);
         assert_eq!(
             scalar(&rep, AggregateKind::Count).unwrap(),
             AggregateValue::Count(1)

@@ -819,8 +819,9 @@ mod tests {
 
     #[test]
     fn empty_inner_union_skips_only_its_branch() {
-        // A{0} → B{1}; A=1 has an empty B-union (unpruned), A=2 has B{7}.
-        // Only A=2's tuple must be produced.
+        // A{0} → B{1}; A=1 has an empty B-union (unpruned, so frozen
+        // unchecked: `from_parts` refuses it), A=2 has B{7}.  Only A=2's
+        // tuple must be produced.
         let edges = vec![DepEdge::new("R", attrs(&[0, 1]), 2)];
         let mut tree = FTree::new(edges);
         let a = tree.add_node(attrs(&[0]), None).unwrap();
@@ -838,7 +839,7 @@ mod tests {
                 },
             ],
         );
-        let rep = FRep::from_parts(tree, vec![union]).unwrap();
+        let rep = FRep::from_parts_unchecked(tree, vec![union]);
         let rel = materialize(&rep).unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.row(0), &[Value::new(2), Value::new(7)]);

@@ -252,7 +252,8 @@ impl FRep {
     /// * there is exactly one root union per f-tree root;
     /// * every union's entries are sorted strictly increasing by value;
     /// * every entry has exactly one child union per f-tree child of its
-    ///   node, laid out in f-tree child order;
+    ///   node, laid out in f-tree child order, and none of them is empty
+    ///   (only a root union may be);
     /// * the arena's index order is topological and every union reachable.
     pub fn validate(&self) -> Result<()> {
         self.tree.check_structure()?;
@@ -476,23 +477,25 @@ mod tests {
     }
 
     #[test]
-    fn prune_removes_entries_with_empty_children() {
+    fn from_parts_refuses_an_empty_union_below_a_root() {
         let rep = example3();
         let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
-        // Make the B-union under A=1 empty: the A=1 entry must disappear.
+        // An empty root union is the empty relation.
+        let a = roots[0].node;
+        assert!(FRep::from_parts(tree.clone(), vec![Union::empty(a)])
+            .unwrap()
+            .represents_empty());
+        // The B-union under A=1 emptied: neither the forest nor its arena is
+        // a representation (the reduced form every writer emits).
         roots[0].entries[0].children[0].entries.clear();
-        let rep = FRep::from_parts_unchecked(tree, roots);
-        // A selection every value passes: what is left of it is the prune.
-        let program = [crate::ops::FPlanOp::SelectConst {
-            attr: AttrId(0),
-            op: ComparisonOp::Ge,
-            value: Value::new(0),
-        }];
-        let rep = crate::ops::emit_fused_ctx(&rep, &program, &ExecCtx::unlimited()).unwrap();
-        rep.validate().unwrap();
-        assert_eq!(rep.tuple_count(), 1);
-        assert_eq!(rep.root(0).len(), 1);
-        assert_eq!(rep.root(0).entry(0).value(), Value::new(2));
+        assert!(matches!(
+            FRep::from_parts(tree.clone(), roots.clone()),
+            Err(FdbError::MalformedRepresentation { .. })
+        ));
+        assert!(matches!(
+            FRep::from_parts_unchecked(tree, roots).validate(),
+            Err(FdbError::MalformedRepresentation { .. })
+        ));
     }
 
     #[test]

@@ -69,9 +69,9 @@
 //! projections; one operator or twenty — as one overlay program over the
 //! input arena, emitting exactly one output arena in freeze layout,
 //! bit-for-bit identical to running the operators one at a time.  No
-//! operator forces an intermediate arena: a selection is an entry filter
-//! folded into the liveness sweep (emptied subtrees retract exactly as the
-//! merge/absorb prune retracts them), and a projection replays its leaf
+//! operator forces an intermediate arena: a selection is one walk down the
+//! selected node's path (an ancestor drops the entries whose path kid
+//! emptied), and a projection replays its leaf
 //! removals and data-dependent swap-downs on the overlay.
 //! [`ops::emit_fused_ctx`] runs every program that way, a lone swap
 //! included; `fdb-plan` hands it every non-empty plan's operator list as it

@@ -101,7 +101,8 @@ impl Union {
 ///
 /// * there is exactly one root union per f-tree root;
 /// * every union's entries are sorted strictly increasing by value;
-/// * every entry has exactly one child union per f-tree child of its node.
+/// * every entry has exactly one child union per f-tree child of its node,
+///   and none of them is empty (only a root union may be).
 pub(crate) fn validate_forest(tree: &FTree, roots: &[Union]) -> Result<()> {
     let tree_roots: BTreeSet<NodeId> = tree.roots().iter().copied().collect();
     let rep_roots: BTreeSet<NodeId> = roots.iter().map(|u| u.node).collect();
@@ -133,10 +134,13 @@ fn validate_union(tree: &FTree, union: &Union) -> Result<()> {
         }
         prev = Some(entry.value);
         let child_nodes: BTreeSet<NodeId> = entry.children.iter().map(|u| u.node).collect();
-        if child_nodes != expected_children || entry.children.len() != expected_children.len() {
+        if child_nodes != expected_children
+            || entry.children.len() != expected_children.len()
+            || entry.children.iter().any(Union::is_empty)
+        {
             return Err(FdbError::MalformedRepresentation {
                 detail: format!(
-                    "entry {} of union over {} has children {child_nodes:?}, expected {expected_children:?}",
+                    "entry {} of union over {} has children {child_nodes:?}, expected {expected_children:?}, none empty",
                     entry.value, union.node
                 ),
             });

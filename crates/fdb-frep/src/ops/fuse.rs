@@ -33,11 +33,10 @@
 //! Every operator is an overlay transform, the value-dependent ones
 //! included:
 //!
-//! * a **constant selection** is a per-union entry filter composed with the
-//!   cached liveness machinery ([`Fusion::filter`]): one fresh bottom-up
-//!   sweep with the comparison folded into the per-entry predicate decides
-//!   liveness, emptied subtrees retract exactly as the merge/absorb prune
-//!   retracts them, and untouched (clean) subtrees stay `Src` references;
+//! * a **constant selection** is one walk down the selected node's path
+//!   ([`Fusion::filter`]): the selected unions keep a contiguous range of
+//!   their entries, the ancestors drop the entries whose path kid emptied,
+//!   and everything off the path stays a `Src` reference;
 //! * a **projection** runs the edits [`FTree::project`] hands it on the
 //!   overlay ([`edit_step`]): fully-projected leaves drop via
 //!   [`remove_leaf_step`] (the parent unions lose one kid slot — pure header
@@ -56,30 +55,32 @@
 //!    where a [`VId`] either points at an untouched union of the *input*
 //!    arena (a `Src` reference — O(1) to create, nothing is copied) or at a
 //!    [`Mix`] node materialising just the regrouped/spliced/merged region.
-//! 3. The merge/absorb prune is a *liveness sweep over the overlay*
-//!    ([`Fusion::prune`]): one flat bottom-up pass over the input arena
-//!    (computed once per program, cached) decides per-entry liveness of
-//!    untouched regions, and a cheap walk over the Mix nodes propagates
-//!    emptiness — no intermediate re-emission.  A selection runs the same
-//!    sweep ([`Fusion::compute_liveness`], the only one) with its comparison
-//!    evaluated per union block on the selected node.  A leaf union has no
-//!    kid to fold, so the sweep never loops over its entries: it is clean
-//!    and as empty as it was, or — on the selected node — its keep mask
-//!    alone decides.
+//! 3. No union below a root of an input is empty: every writer emits the
+//!    reduced form and [`crate::store::Store::validate`] refuses any other,
+//!    so an untouched region never needs pruning.  The merge/absorb prune
+//!    ([`Fusion::prune`]) therefore visits the `Mix` nodes alone and
+//!    propagates their emptiness upwards — no intermediate re-emission.  A
+//!    selection ([`Fusion::filter`]) reads only the unions on the selected
+//!    node's path.  On the selected node a `≤ < ≥ > =` comparison keeps one
+//!    contiguous range of a sorted union, found by binary search: a range
+//!    of an input union becomes a [`Run`], its values with no kid
+//!    references (`≠` drops at most one entry and rebuilds the union).  Above it, an entry whose path
+//!    kid came back empty is dropped and a union is rebuilt only if
+//!    something changed, so a union emptied below a root needs no node.
 //! 4. Normalisation (and absorb's trailing normalisation) runs the push-ups
 //!    [`FTree::normalise`] hands it as overlay push-ups: the sequence is
 //!    computable from the tree alone, so it collapses into pure header
 //!    remaps on the overlay — one emission applies all of them at once.
 //! 5. A single final [`Rewriter`] emission walks the overlay: `Mix` nodes
-//!    emit their own records, `Src` references emit through
-//!    [`Rewriter::copy_union`] — for an input in the freeze layout (every
-//!    operator result and loaded snapshot; see [`crate::store`]) a relocating
-//!    block copy of the whole subtree, not a walk over its records, so
-//!    emission costs what the program changed plus a `memcpy` of what it did
-//!    not.  The output is the exact [`crate::store::Store::freeze`] layout,
-//!    so a program is **bit-for-bit identical** to applying the oracle
-//!    operator by operator — the randomized equivalence suite asserts store
-//!    identity.
+//!    emit their own records, `Src` and `Run` references emit through
+//!    [`Rewriter::copy_run`] — for an input in the freeze layout (every
+//!    operator result and loaded snapshot; see [`crate::store`]) one
+//!    relocating block copy of the run and all the subtrees below it, not a
+//!    walk over its records, so emission costs what the program changed
+//!    plus a `memcpy` of what it did not.  The output is the exact
+//!    [`crate::store::Store::freeze`] layout, so a program is **bit-for-bit
+//!    identical** to applying the oracle operator by operator — the
+//!    randomized equivalence suite asserts store identity.
 //!
 //! Total data movement for a k-step program: the touched regions plus
 //! **one** full copy, instead of k.  Aggregate consumers skip even that one
@@ -100,14 +101,15 @@ use fdb_ftree::{FTree, NodeId, TreeEdit};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Range;
 
 /// One f-plan operator — the paper's vocabulary (Section 3), defined once.
 /// A plan is a sequence of these (`fdb_plan::FPlan`); the same value is
 /// *simulated* on an f-tree alone ([`FPlanOp::apply_to_tree`], how the
 /// optimisers cost a plan without touching data) and *executed* as a step of
 /// an overlay program, both through the operator's one tree definition in
-/// `fdb_ftree`: constant selections become per-union entry filters composed
-/// with the liveness sweep, and projections run their leaf removals and
+/// `fdb_ftree`: constant selections become one walk down the selected node's
+/// path, and projections run their leaf removals and
 /// data-dependent swap-downs on the overlay (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FPlanOp {
@@ -125,8 +127,8 @@ pub enum FPlanOp {
     Absorb(NodeId, NodeId),
     /// Selection with a constant `σ_{A θ c}`: keeps the entries of the
     /// attribute's unions whose value satisfies the comparison, pruning
-    /// entries whose product became empty — on the overlay, a per-union
-    /// entry filter folded into the liveness sweep.
+    /// entries whose product became empty — on the overlay, one walk down
+    /// the attribute's path.
     SelectConst {
         /// Attribute compared against the constant.
         attr: AttrId,
@@ -190,7 +192,7 @@ impl FPlanOp {
 /// bit for bit what applying the thaw-path [`crate::ops::oracle`] operator
 /// by operator produces.  Nothing is cloned and an abort leaves nothing
 /// behind.  The deadline and cancellation are checked before
-/// every operator; the liveness sweeps, the overlay prunes and the final
+/// every operator; the selection walks, the overlay prunes and the final
 /// emission charge the context per record they read and write.  The
 /// restructuring walk ([`rewrite_below`], under swap, push-up, merge,
 /// absorb and leaf removal) charges nothing itself: what it builds is
@@ -302,7 +304,7 @@ fn apply_op(fusion: &mut Fusion<'_>, cur: &mut FTree, op: &FPlanOp) -> Result<()
             op: cmp,
             value,
         } => {
-            fusion.filter(select_node(cur, *attr)?, *cmp, *value)?;
+            fusion.filter(cur, select_node(cur, *attr)?, *cmp, *value)?;
             op.apply_to_tree(cur)
         }
         FPlanOp::Project(keep) => cur.project(keep, |t, edit| edit_step(fusion, t, edit)),
@@ -363,24 +365,24 @@ impl VId {
 
 /// An overlay union materialising a transformed region: its values in
 /// increasing order and, per entry, `kid_count` child references in the
-/// (then-current) f-tree child order.
+/// (then-current) f-tree child order — or, for a [`Run`], no kids: they are
+/// the input entries'.
 struct Mix {
     node: NodeId,
     kid_count: u32,
     values: Vec<Value>,
     kids: Vec<VId>,
+    run: Option<Run>,
 }
 
-/// Liveness of the input arena under a retain-and-prune with some entry
-/// predicate — which entries survive and which subtrees contain any dead
-/// entry at all (so clean subtrees stay `Src` references through a prune or
-/// a selection; a clean union is empty after pruning iff it was empty
-/// before).  The cached instance is computed for the keep-everything
-/// predicate (the merge/absorb prune); selections compute their own with
-/// the comparison folded in.
-struct Liveness {
-    entry_alive: Vec<bool>,
-    subtree_dirty: Vec<bool>,
+/// The entries `start..end` of input union `uid`, their kids untouched:
+/// what a selection keeps of a union.  A `Src` reference is the run of all
+/// its entries.
+#[derive(Clone, Copy)]
+struct Run {
+    uid: u32,
+    start: u32,
+    end: u32,
 }
 
 /// The program's state: the immutable input arena plus the overlay
@@ -392,11 +394,8 @@ struct Fusion<'a> {
     src_kid_counts: Vec<u32>,
     mixes: Vec<Mix>,
     roots: Vec<VId>,
-    /// Lazily computed, cached for the program (the input arena is
-    /// immutable while the program runs).
-    liveness: Option<Liveness>,
-    /// Governance context: the sweeps, prunes and the final emission charge
-    /// it per record touched.
+    /// Governance context: the selection walks, prunes and the final
+    /// emission charge it per record touched.
     ctx: &'a ExecCtx,
 }
 
@@ -407,15 +406,36 @@ impl<'a> Fusion<'a> {
             src_kid_counts: kid_count_table(tree),
             mixes: Vec::new(),
             roots: src.roots.iter().map(|&r| VId::src(r)).collect(),
-            liveness: None,
             ctx,
         }
     }
 
-    fn push_mix(&mut self, mix: Mix) -> VId {
+    /// Pushes a `Mix` node over `node` with `kid_count` kid slots an entry.
+    fn push_mix(
+        &mut self,
+        node: NodeId,
+        kid_count: u32,
+        values: Vec<Value>,
+        kids: Vec<VId>,
+    ) -> VId {
         let id = VId::mix(self.mixes.len());
-        self.mixes.push(mix);
+        self.mixes.push(Mix {
+            node,
+            kid_count,
+            values,
+            kids,
+            run: None,
+        });
         id
+    }
+
+    /// The input union and entry range behind a `Src` reference or a run.
+    fn run_of(&self, v: VId) -> Option<Run> {
+        let Some(uid) = v.as_src() else {
+            return self.mixes[v.mix_index()].run;
+        };
+        let end = self.src.union_len(uid);
+        Some(Run { uid, start: 0, end })
     }
 
     /// The f-tree node a virtual union ranges over.
@@ -448,10 +468,10 @@ impl<'a> Fusion<'a> {
     fn kid(&self, v: VId, i: u32, k: u32) -> VId {
         match v.as_src() {
             Some(uid) => VId::src(self.src.kid(uid, i, k)),
-            None => {
-                let mix = &self.mixes[v.mix_index()];
-                mix.kids[(i * mix.kid_count + k) as usize]
-            }
+            None => match &self.mixes[v.mix_index()] {
+                Mix { run: Some(run), .. } => VId::src(self.src.kid(run.uid, run.start + i, k)),
+                mix => mix.kids[(i * mix.kid_count + k) as usize],
+            },
         }
     }
 
@@ -469,185 +489,163 @@ impl<'a> Fusion<'a> {
         kernel::find_value(self.values(v), value).map(|i| i as u32)
     }
 
+    /// The position in the root list of the root union over `node`.
+    fn root_over(&self, node: NodeId) -> usize {
+        (self.roots.iter())
+            .position(|&r| self.node_of(r) == node)
+            .expect("validated representation: one root union per root node")
+    }
+
     // -----------------------------------------------------------------
-    // The folded prune (merge/absorb liveness sweep) and the folded
-    // selection (the same sweep with the comparison as entry predicate)
+    // The selection walk and the merge/absorb prune
     // -----------------------------------------------------------------
 
-    /// One flat bottom-up pass over the input arena: per-entry liveness
-    /// under a retain-and-prune that keeps everything (`select` = `None`,
-    /// the merge/absorb prune) or keeps `value cmp constant` on one node's
-    /// unions, per-union emptiness, and a per-union "subtree contains a dead
-    /// entry" flag.  The comparison runs **per block** through the batched
-    /// [`kernel::fill_keep_mask`] over the union's dense value slice.
-    fn compute_liveness(&self, select: Option<(NodeId, ComparisonOp, Value)>) -> Result<Liveness> {
-        let s = self.src;
-        let mut entry_alive = vec![true; s.entry_count()];
-        let mut union_empty = vec![false; s.unions.len()];
-        let mut subtree_dirty = vec![false; s.unions.len()];
-        for uid in (0..s.unions.len()).rev() {
-            let rec = s.unions[uid];
-            self.ctx.charge(1 + rec.entries_len as u64)?;
-            let start = rec.entries_start as usize;
-            let alive = &mut entry_alive[start..start + rec.entries_len as usize];
-            let selected = select.filter(|&(node, ..)| node == rec.node);
-            if let Some((_, cmp, value)) = selected {
-                kernel::fill_keep_mask(s.value_slice(uid as u32), cmp, value, alive);
-            }
-            let kid_count = self.src_kid_counts[rec.node.index()] as usize;
-            if kid_count == 0 && selected.is_none() {
-                // An untouched leaf: every entry alive, nothing dirty.
-                union_empty[uid] = alive.is_empty();
+    /// The selection operator `σ_{A θ c}` on `node` of the current tree:
+    /// one walk from the root down `node`'s path, charging `1 + len` per
+    /// union it reads.  A union off the path stays its reference.  On
+    /// `node` the kept entries are one contiguous range (for `≠`, all but at
+    /// most one): a union keeping everything stays its reference, a range of
+    /// an input union becomes a [`Run`], anything else is rebuilt.  Above
+    /// it, a union drops the entries whose path kid came back empty and is
+    /// rebuilt only if something changed.  An emptied union needs no node,
+    /// its parent just drops the entry; only an emptied root becomes an
+    /// empty union.
+    fn filter(&mut self, cur: &FTree, node: NodeId, cmp: ComparisonOp, value: Value) -> Result<()> {
+        let (path, slots) = path_to(cur, node);
+        let r = self.root_over(path[0]);
+        let kept = self.select_below(self.roots[r], &slots, cmp, value)?;
+        self.roots[r] = kept.unwrap_or_else(|| self.empty_like(self.roots[r]));
+        Ok(())
+    }
+
+    /// [`Fusion::filter`] at union `v`, `slots` the rest of the path: what
+    /// the union keeps, `None` if nothing.
+    fn select_below(
+        &mut self,
+        v: VId,
+        slots: &[u32],
+        cmp: ComparisonOp,
+        value: Value,
+    ) -> Result<Option<VId>> {
+        let (len, kid_count) = (self.len(v), self.kid_count_of(v));
+        self.ctx.charge(1 + len as u64)?;
+        let Some((&slot, rest)) = slots.split_first() else {
+            return Ok(self.select_entries(v, cmp, value));
+        };
+        // The rebuilt union's values and kids, from the first change on.
+        let mut rebuilt: Option<(Vec<Value>, Vec<VId>)> = None;
+        for i in 0..len {
+            let kid = self.kid(v, i, slot);
+            let selected = self.select_below(kid, rest, cmp, value)?;
+            if rebuilt.is_none() && selected == Some(kid) {
                 continue;
             }
-            let mut dirty = false;
-            if kid_count > 0 {
-                for (e, alive_slot) in alive.iter_mut().enumerate() {
-                    let kids_start = s.kids_start_at((start + e) as u32) as usize;
-                    for &kid in &s.kids[kids_start..kids_start + kid_count] {
-                        *alive_slot &= !union_empty[kid as usize];
-                        dirty |= subtree_dirty[kid as usize];
-                    }
-                }
+            let (values, kids) = rebuilt.get_or_insert_with(|| self.entries(v, 0..i as usize));
+            if let Some(selected) = selected {
+                values.push(self.value(v, i));
+                kids.extend((0..kid_count).map(|k| self.kid(v, i, k)));
+                kids[(values.len() - 1) * kid_count as usize + slot as usize] = selected;
             }
-            let survivors = alive.iter().filter(|&&a| a).count();
-            union_empty[uid] = survivors == 0;
-            subtree_dirty[uid] = dirty || survivors < alive.len();
         }
-        Ok(Liveness {
-            entry_alive,
-            subtree_dirty,
+        Ok(match rebuilt {
+            None => Some(v),
+            Some((values, kids)) => self.rebuilt(v, values, kids),
         })
     }
 
-    /// Computes and caches the keep-everything liveness.  The cache stays
-    /// valid for the whole program: the input arena is immutable, and every
-    /// `Src` reference still reachable after a folded selection lies in a
-    /// selection-clean subtree, which is keep-everything-clean a fortiori.
-    fn ensure_liveness(&mut self) -> Result<()> {
-        if self.liveness.is_none() {
-            self.liveness = Some(self.compute_liveness(None)?);
+    /// The selection on one union over the selected node.
+    fn select_entries(&mut self, v: VId, cmp: ComparisonOp, value: Value) -> Option<VId> {
+        let (range, hole) = selected_entries(self.values(v), cmp, value);
+        let kept = range.len() - usize::from(hole.is_some());
+        if kept == self.len(v) as usize {
+            return Some(v);
         }
-        Ok(())
+        if kept == 0 {
+            return None;
+        }
+        match (self.run_of(v), hole) {
+            (Some(run), None) => {
+                let (start, end) = (run.start + range.start as u32, run.start + range.end as u32);
+                let (node, kid_count) = (self.node_of(v), self.kid_count_of(v));
+                let values = self.values(v)[range].to_vec();
+                let kept = self.push_mix(node, kid_count, values, Vec::new());
+                self.mixes[kept.mix_index()].run = Some(Run { start, end, ..run });
+                Some(kept)
+            }
+            _ => {
+                let (mut values, mut kids) = self.entries(v, range);
+                if let Some(hole) = hole {
+                    let kid_count = self.kid_count_of(v) as usize;
+                    values.remove(hole);
+                    kids.drain(hole * kid_count..(hole + 1) * kid_count);
+                }
+                self.rebuilt(v, values, kids)
+            }
+        }
+    }
+
+    /// The values and kids of entries `range` of union `v`, with room for
+    /// all of its entries.
+    fn entries(&self, v: VId, range: Range<usize>) -> (Vec<Value>, Vec<VId>) {
+        let (len, kid_count) = (self.len(v) as usize, self.kid_count_of(v));
+        let mut values = Vec::with_capacity(len);
+        let mut kids = Vec::with_capacity(len * kid_count as usize);
+        values.extend_from_slice(&self.values(v)[range.clone()]);
+        for i in range {
+            kids.extend((0..kid_count).map(|k| self.kid(v, i as u32, k)));
+        }
+        (values, kids)
+    }
+
+    /// A `Mix` node over `v`'s node holding `values` and `kids`, `None` when
+    /// it would hold no entry.
+    fn rebuilt(&mut self, v: VId, values: Vec<Value>, kids: Vec<VId>) -> Option<VId> {
+        let (node, kid_count) = (self.node_of(v), self.kid_count_of(v));
+        (!values.is_empty()).then(|| self.push_mix(node, kid_count, values, kids))
+    }
+
+    /// An empty `Mix` over `v`'s node, with its kid slots: what is left of
+    /// an emptied root.
+    fn empty_like(&mut self, v: VId) -> VId {
+        let (node, kid_count) = (self.node_of(v), self.kid_count_of(v));
+        self.push_mix(node, kid_count, Vec::new(), Vec::new())
     }
 
     /// The prune that follows a merge or an absorb: drops entries whose
     /// product became empty (some kid union without entries), propagating
-    /// upwards; root unions may end up empty.  Clean `Src` subtrees pass
-    /// through untouched; only Mix nodes and dirty `Src` regions are
-    /// rebuilt.
+    /// upwards; root unions may end up empty.  No input union below a root
+    /// is empty (see [`crate::store`]), so only `Mix` nodes are visited and
+    /// rebuilt: `Src` and `Run` references pass through.
     fn prune(&mut self) -> Result<()> {
-        self.ensure_liveness()?;
-        let live = self.liveness.take().expect("liveness just ensured");
-        let result = self.apply_prune(&live, &|_, _| true);
-        self.liveness = Some(live);
-        result
-    }
-
-    /// The selection operator `σ_{A θ c}`: keeps the entries of `node`'s
-    /// unions whose value satisfies `cmp value`, and prunes entries whose
-    /// product became empty exactly as the merge/absorb prune does.  One
-    /// fresh liveness sweep (the predicate changes per selection) plus a
-    /// walk that rebuilds only dirty regions — subtrees the selection does
-    /// not touch stay `Src` references.  Linear in the input.
-    fn filter(&mut self, node: NodeId, cmp: ComparisonOp, value: Value) -> Result<()> {
-        let keep = move |n: NodeId, v: Value| n != node || cmp.eval(v, value);
-        let live = self.compute_liveness(Some((node, cmp, value)))?;
-        self.apply_prune(&live, &keep)
-    }
-
-    /// Rewrites every root through [`Fusion::prune_union`].
-    fn apply_prune<F: Fn(NodeId, Value) -> bool>(
-        &mut self,
-        live: &Liveness,
-        keep: &F,
-    ) -> Result<()> {
-        let roots = self.roots.clone();
-        self.roots = roots
-            .into_iter()
-            .map(|r| Ok(self.prune_union(r, live, keep)?.0))
-            .collect::<Result<_>>()?;
+        for r in 0..self.roots.len() {
+            let kept = self.prune_union(self.roots[r])?;
+            self.roots[r] = kept.unwrap_or_else(|| self.empty_like(self.roots[r]));
+        }
         Ok(())
     }
 
-    /// Prunes one virtual union under the given liveness/predicate; returns
-    /// the pruned reference and whether it came out empty.
-    fn prune_union<F: Fn(NodeId, Value) -> bool>(
-        &mut self,
-        v: VId,
-        live: &Liveness,
-        keep: &F,
-    ) -> Result<(VId, bool)> {
-        if let Some(uid) = v.as_src() {
-            let uidx = uid as usize;
-            if !live.subtree_dirty[uidx] {
-                return Ok((v, self.src.union_len(uid) == 0));
-            }
-            let rec = self.src.unions[uidx];
-            self.ctx.charge(1 + rec.entries_len as u64)?;
-            let kid_count = self.src_kid_counts[rec.node.index()];
-            let mut values = Vec::with_capacity(rec.entries_len as usize);
-            let mut kids = Vec::with_capacity((rec.entries_len * kid_count) as usize);
-            for i in 0..rec.entries_len {
-                let e = (rec.entries_start + i) as usize;
-                if !live.entry_alive[e] {
-                    continue;
-                }
-                values.push(self.src.value_at(e as u32));
-                let kids_start = self.src.kids_start_at(e as u32);
-                for k in 0..kid_count {
-                    let kid_uid = self.src.kids[(kids_start + k) as usize];
-                    let (kid, _) = self.prune_union(VId::src(kid_uid), live, keep)?;
-                    kids.push(kid);
-                }
-            }
-            let empty = values.is_empty();
-            let out = self.push_mix(Mix {
-                node: rec.node,
-                kid_count,
-                values,
-                kids,
-            });
-            Ok((out, empty))
-        } else {
-            let (node, kid_count, len) = {
-                let mix = &self.mixes[v.mix_index()];
-                (mix.node, mix.kid_count, mix.values.len() as u32)
-            };
-            self.ctx.charge(1 + len as u64)?;
-            let kc = kid_count as usize;
-            let mut values = Vec::with_capacity(len as usize);
-            let mut kids = Vec::with_capacity(len as usize * kc);
-            let mut pruned = Vec::with_capacity(kc);
-            for i in 0..len {
-                let value = self.mixes[v.mix_index()].values[i as usize];
-                // An entry failing the predicate dies outright; its subtrees
-                // are unreachable and need no rebuild.
-                if !keep(node, value) {
-                    continue;
-                }
-                pruned.clear();
-                let mut alive = true;
-                for k in 0..kid_count {
-                    let kid = self.mixes[v.mix_index()].kids[(i * kid_count + k) as usize];
-                    let (pk, empty) = self.prune_union(kid, live, keep)?;
-                    alive &= !empty;
-                    pruned.push(pk);
-                }
-                if alive {
-                    values.push(value);
-                    kids.extend_from_slice(&pruned);
-                }
-            }
-            let empty = values.is_empty();
-            let out = self.push_mix(Mix {
-                node,
-                kid_count,
-                values,
-                kids,
-            });
-            Ok((out, empty))
+    /// Prunes one virtual union: what it keeps, `None` if nothing.  An entry
+    /// is dropped at its first empty kid, so the kids after it are not
+    /// visited.
+    fn prune_union(&mut self, v: VId) -> Result<Option<VId>> {
+        let (len, kid_count) = (self.len(v), self.kid_count_of(v));
+        if self.run_of(v).is_some() {
+            return Ok((len > 0).then_some(v));
         }
+        self.ctx.charge(1 + len as u64)?;
+        let (mut values, mut kids) = (Vec::new(), Vec::new());
+        'entries: for i in 0..len {
+            let mark = kids.len();
+            for k in 0..kid_count {
+                let Some(kid) = self.prune_union(self.kid(v, i, k))? else {
+                    kids.truncate(mark);
+                    continue 'entries;
+                };
+                kids.push(kid);
+            }
+            values.push(self.value(v, i));
+        }
+        Ok(self.rebuilt(v, values, kids))
     }
 
     // -----------------------------------------------------------------
@@ -656,8 +654,8 @@ impl<'a> Fusion<'a> {
 
     /// The single output pass: walks the overlay in root order and emits the
     /// final arena over `tree` in the exact `Store::freeze` layout through a
-    /// [`Rewriter`] — `Src` references become whole-subtree copies
-    /// ([`Rewriter::copy_union`]), `Mix` nodes emit their own headers,
+    /// [`Rewriter`] — `Src` and `Run` references become block copies
+    /// ([`Rewriter::copy_run`]), `Mix` nodes emit their own headers,
     /// value blocks and kid runs — and records the result's size and tuple
     /// count as it goes.
     fn into_rep(self, input: &FRep, tree: FTree) -> Result<FRep> {
@@ -665,7 +663,7 @@ impl<'a> Fusion<'a> {
         let mut tuples = 1u128;
         let roots: Vec<u32> = (self.roots.iter())
             .map(|&r| {
-                let (out, count) = emit_union(&mut rw, &self.mixes, r, self.ctx)?;
+                let (out, count) = emit_union(&mut rw, &self, r)?;
                 tuples = tuples.wrapping_mul(count);
                 Ok(out)
             })
@@ -1047,17 +1045,17 @@ impl<A: Accumulator> Rows<A> {
 /// Recursive emission of one virtual union (see [`Fusion::into_rep`]);
 /// returns its output index and tuple count.  Charges the governance
 /// context for every record written: `Mix` unions charge their own header
-/// and value block, opaque `Src` subtree copies charge the
+/// and value block, `Src` and `Run` copies ([`Rewriter::copy_run`]) the
 /// [`Rewriter::emitted_units`] delta they produce.
-fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Result<(u32, u128)> {
-    if let Some(uid) = v.as_src() {
+fn emit_union(rw: &mut Rewriter<'_>, fu: &Fusion<'_>, v: VId) -> Result<(u32, u128)> {
+    if let Some(run) = fu.run_of(v) {
         let before = rw.emitted_units();
-        let copied = rw.copy_union(uid);
-        ctx.charge(rw.emitted_units() - before)?;
+        let copied = rw.copy_run(run.uid, run.start..run.end);
+        fu.ctx.charge(rw.emitted_units() - before)?;
         return Ok(copied);
     }
-    let mix = &mixes[v.mix_index()];
-    ctx.charge(1 + mix.values.len() as u64)?;
+    let mix = &fu.mixes[v.mix_index()];
+    fu.ctx.charge(1 + mix.values.len() as u64)?;
     let out = rw.begin_union_raw(mix.node, mix.values.len() as u32);
     for &value in &mix.values {
         rw.push_value(value);
@@ -1068,7 +1066,7 @@ fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Re
         let mark = rw.mark();
         let mut product = 1u128;
         for k in 0..kc {
-            let (kid, count) = emit_union(rw, mixes, mix.kids[i * kc + k], ctx)?;
+            let (kid, count) = emit_union(rw, fu, mix.kids[i * kc + k])?;
             rw.push_kid(kid);
             product = product.wrapping_mul(count);
         }
@@ -1076,6 +1074,38 @@ fn emit_union(rw: &mut Rewriter<'_>, mixes: &[Mix], v: VId, ctx: &ExecCtx) -> Re
         rw.end_entry(out, i as u32, mark);
     }
     Ok((out, tuples))
+}
+
+/// The entries of a strictly increasing value slice whose value `v`
+/// satisfies `v θ c`: one contiguous range, and for `≠` the whole slice
+/// with a hole at `c`'s entry, if it has one.
+fn selected_entries(
+    values: &[Value],
+    cmp: ComparisonOp,
+    c: Value,
+) -> (Range<usize>, Option<usize>) {
+    let below = kernel::lower_bound(values, c);
+    let through = below + usize::from(values.get(below) == Some(&c));
+    match cmp {
+        ComparisonOp::Lt => (0..below, None),
+        ComparisonOp::Le => (0..through, None),
+        ComparisonOp::Gt => (through..values.len(), None),
+        ComparisonOp::Ge => (below..values.len(), None),
+        ComparisonOp::Eq => (below..through, None),
+        ComparisonOp::Ne => (0..values.len(), (through > below).then_some(below)),
+    }
+}
+
+/// The path from a root of `tree` down to `node`, and the kid slot of each
+/// path node towards the next.
+fn path_to(tree: &FTree, node: NodeId) -> (Vec<NodeId>, Vec<u32>) {
+    let mut path = tree.ancestors(node);
+    path.reverse();
+    path.push(node);
+    let slots = (path.windows(2))
+        .map(|w| child_pos(tree.children(w[0]), w[1]))
+        .collect();
+    (path, slots)
 }
 
 // ---------------------------------------------------------------------
@@ -1117,32 +1147,24 @@ fn rewrite_below<'a, F>(
 ) where
     F: FnMut(&mut Fusion<'a>, Old<'_>, Option<Value>, &mut Vec<VId>) -> bool,
 {
-    let mut roots = std::mem::take(&mut fu.roots);
     let Some(parent) = parent else {
+        let roots = std::mem::take(&mut fu.roots);
         let mut out = Vec::with_capacity(roots.len() + 1);
         edit(fu, Old::Roots(&roots), None, &mut out);
         fu.roots = out;
         return;
     };
-    let mut path = old_tree.ancestors(parent);
-    path.reverse();
-    path.push(parent);
+    let (path, slots) = path_to(old_tree, parent);
+    let r = fu.root_over(path[0]);
     let mut walk = Walk {
-        slots: path
-            .windows(2)
-            .map(|w| child_pos(old_tree.children(w[0]), w[1]))
-            .collect(),
         path,
+        slots,
         ctx_node,
         kid_count: new_tree.children(parent).len() as u32,
         edit,
     };
-    let r = roots
-        .iter()
-        .position(|&r| fu.node_of(r) == walk.path[0])
-        .expect("validated representation: one root union per root node");
-    roots[r] = walk.rebuild(fu, roots[r], 0, None);
-    fu.roots = roots;
+    let root = fu.roots[r];
+    fu.roots[r] = walk.rebuild(fu, root, 0, None);
 }
 
 /// The state of one [`rewrite_below`].
@@ -1199,12 +1221,7 @@ where
             kept += 1;
         }
         values.truncate(kept);
-        fu.push_mix(Mix {
-            node,
-            kid_count,
-            values,
-            kids,
-        })
+        fu.push_mix(node, kid_count, values, kids)
     }
 }
 
@@ -1286,24 +1303,14 @@ fn push_up_step(fu: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> {
                     kids.extend(a_slots.iter().map(|&s| fu.kid(kid, i, s)));
                 }
                 let values = fu.values(kid).to_vec();
-                fu.push_mix(Mix {
-                    node: a,
-                    kid_count: a_slots.len() as u32,
-                    values,
-                    kids,
-                })
+                fu.push_mix(a, a_slots.len() as u32, values, kids)
             } else {
                 kid
             });
         }
         let a_vid = old.kid(fu, pos_a);
         out.push(if fu.len(a_vid) == 0 {
-            fu.push_mix(Mix {
-                node: b,
-                kid_count: 0,
-                values: Vec::new(),
-                kids: Vec::new(),
-            })
+            fu.push_mix(b, 0, Vec::new(), Vec::new())
         } else {
             fu.kid(a_vid, 0, pos_b)
         });
@@ -1430,12 +1437,7 @@ impl Regroup {
                 });
             }
         }
-        fu.push_mix(Mix {
-            node: self.b,
-            kid_count: self.b_slots.len() as u32,
-            values,
-            kids,
-        })
+        fu.push_mix(self.b, self.b_slots.len() as u32, values, kids)
     }
 
     /// The inner `A`-union of one `B`-value: one entry per `(a, b)` pair,
@@ -1447,12 +1449,7 @@ impl Regroup {
         for &(_, i, b_vid, j) in group {
             splice(fu, &self.a_slots, Old::Entry(a_vid, i), b_vid, j, &mut kids);
         }
-        fu.push_mix(Mix {
-            node: self.a,
-            kid_count: self.a_slots.len() as u32,
-            values,
-            kids,
-        })
+        fu.push_mix(self.a, self.a_slots.len() as u32, values, kids)
     }
 }
 
@@ -1535,12 +1532,7 @@ fn merge_unions(
     for &(i, j) in &pairs {
         splice(fu, slots, Old::Entry(a_vid, i), b_vid, j, &mut kids);
     }
-    fu.push_mix(Mix {
-        node: a,
-        kid_count: slots.len() as u32,
-        values,
-        kids,
-    })
+    fu.push_mix(a, slots.len() as u32, values, kids)
 }
 
 /// The absorb selection operator `α_{A,B}`, tree and overlay together.
@@ -2064,13 +2056,12 @@ mod tests {
         let (ungoverned, left) = run(&QueryLimits::unlimited().with_budget(ample));
         let expected = ungoverned.unwrap();
         let units = ample - left;
-        // The sweep reads every input record, the emission writes every
-        // output record, and in between the dirty-region walk rebuilds the
-        // two unions above the one dead entry: the root (1 + 2 entries) and
-        // the B-union under A=1 (1 + 2).
+        // The walk reads the unions on D's path — the root (1 + 2 entries),
+        // the two B-unions (1 + 2 and 1 + 1) and the three D-leaves under
+        // them (1 + 1 each) — and the emission writes every output record.
         let records = |r: &FRep| (r.store().unions.len() + r.store().entry_count()) as u64;
         assert_eq!((records(&rep), records(&expected)), (20, 15));
-        assert_eq!(units, 20 + 6 + 15);
+        assert_eq!(units, (3 + 3 + 2 + 3 * 2) + 15);
 
         let (exact, left) = run(&QueryLimits::unlimited().with_budget(units));
         assert!(exact.unwrap().store_identical(&expected));

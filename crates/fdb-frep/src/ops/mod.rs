@@ -26,7 +26,7 @@
 //! structural operators, constant selections and projections alike, is one
 //! program: each step advances the f-tree through the operator's one tree
 //! definition in `fdb_ftree` and rewrites the overlay to match (a selection
-//! is the liveness sweep with its comparison folded in, normalisation and
+//! is one walk down the selected node's path, normalisation and
 //! projection run the push-ups, swap-downs and leaf removals their tree
 //! definition decides), and one final emission through a
 //! [`crate::store::Rewriter`] produces the freeze-layout output — union

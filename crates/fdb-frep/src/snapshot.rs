@@ -83,7 +83,8 @@
 //! exact length of every array, and finally — mandatorily, in release builds
 //! too — the full structural validator ([`crate::FRep::validate`], i.e. the
 //! f-tree invariants, the path constraint and every arena invariant of
-//! `Store::validate`) followed by the freeze-layout check.  Truncated,
+//! `Store::validate`, among them that no union below a root is empty)
+//! followed by the freeze-layout check.  Truncated,
 //! bit-flipped, non-canonical or version-skewed input — a version 1 file
 //! included: there is one codec — yields a structured
 //! [`FdbError::SnapshotCorrupt`] / [`FdbError::SnapshotVersionMismatch`],
@@ -812,6 +813,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_empty_union_below_a_root_is_refused_on_load() {
+        // Written by hand: no writer emits the B-union under A=2 emptied, and
+        // the encoder does not validate what it is given.
+        let rep = example3();
+        let (tree, mut roots) = (rep.tree().clone(), rep.to_forest());
+        roots[0].entries[1].children[0].entries.clear();
+        let unreduced = FRep::from_parts_unchecked(tree, roots);
+        let bytes = encode_frep_ctx(&unreduced, &ExecCtx::unlimited()).unwrap();
+        assert_corrupt(&bytes, "empty child union", "empty union below a root");
     }
 
     #[test]

@@ -68,11 +68,28 @@
 //! `[entries_start(u), entries_start(last) + entries_len(last))`; and — one
 //! kid slot per union below `u`, all pushed during `u`'s visit — exactly
 //! `last − u` kid slots ending where the kid run of `u`'s last entry ends.
-//! [`Rewriter::copy_union`] therefore copies an untouched subtree as
-//! **relocated blocks**: each array extended once, a constant delta added to
-//! every `entries_start`, `kids_start` and kid index.  That is bit for bit
-//! what the record-by-record recursion writes, and the recursion remains the
-//! path for arenas not in this layout.
+//!
+//! *Run copies.*  The same holds for a contiguous run `i..j` of `u`'s
+//! entries: the kid subtrees of its entries are the union range from the
+//! first kid of entry `i` to the last union below entry `j − 1`, their
+//! entries one range, and their kid slots — one per union, the runs of
+//! `u`'s entries `i..j` among them — one range ending where entry `j − 1`'s
+//! kid run ends.  [`Rewriter::copy_run`] therefore copies a run as a new
+//! union — its header, the run's values and kid offsets — followed by the
+//! subtrees below it as **relocated blocks**: each array extended once, a
+//! constant delta added to every `entries_start`, `kids_start` and kid
+//! index.  A leaf run is a header, its values and one constant kid offset
+//! (the watermark), and an untouched subtree is the run of all of `u`'s
+//! entries.  That is bit for bit what the record-by-record recursion
+//! writes, and the recursion remains the path for arenas not in this
+//! layout.  A selection keeps one such run of each selected union (see
+//! [`crate::ops::fuse`]), so its result costs what it keeps.
+//!
+//! *Reduced.*  No union below a root is empty: an entry with an empty kid
+//! union represents nothing, and every writer drops it (the build never
+//! emits one, a selection and the merge/absorb prune drop it).
+//! [`Store::validate`] refuses such an entry, so a loaded snapshot and a
+//! hand-built forest keep the invariant too; a root union may be empty.
 //!
 //! *Who says so.*  A store carries the private fact `freeze_layout`.  It is
 //! set by construction by [`Store::freeze`], by [`Rewriter::finish`] (the
@@ -93,6 +110,7 @@ use crate::node::{Entry, Union};
 use fdb_common::{FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Sentinel kid index for a child union missing from a malformed builder
 /// forest; [`Store::validate`] reports it, nothing else may encounter it.
@@ -122,7 +140,7 @@ pub(crate) struct Store {
     pub(crate) kids: Vec<u32>,
     pub(crate) roots: Vec<u32>,
     /// The arenas are in the exact [`Store::freeze`] layout (see the module
-    /// docs): what lets [`Rewriter::copy_union`] copy subtrees as blocks.
+    /// docs): what lets [`Rewriter::copy_run`] copy subtrees as blocks.
     freeze_layout: bool,
 }
 
@@ -176,18 +194,6 @@ impl Store {
     pub(crate) fn value_slice(&self, uid: u32) -> &[Value] {
         let rec = self.unions[uid as usize];
         &self.values[rec.entries_start as usize..(rec.entries_start + rec.entries_len) as usize]
-    }
-
-    /// The value of the entry at flat index `e`.
-    #[inline]
-    pub(crate) fn value_at(&self, e: u32) -> Value {
-        self.values[e as usize]
-    }
-
-    /// The kid-run offset of the entry at flat index `e`.
-    #[inline]
-    pub(crate) fn kids_start_at(&self, e: u32) -> u32 {
-        self.kids_starts[e as usize]
     }
 
     /// Appends one entry record (both arrays in lockstep).
@@ -322,8 +328,8 @@ impl Store {
         self.kids[(kids_start + kid_index) as usize]
     }
 
-    /// Checks every arena invariant against the tree; used by
-    /// [`crate::FRep::validate`].  The per-union sortedness check runs
+    /// Checks every arena invariant against the tree, no empty union below
+    /// a root among them; used by [`crate::FRep::validate`].  The per-union sortedness check runs
     /// through the vectorised [`kernel::first_unsorted`] scan.
     pub(crate) fn validate(&self, tree: &FTree) -> Result<()> {
         use std::collections::BTreeSet;
@@ -408,6 +414,12 @@ impl Store {
                         return Err(malformed(format!(
                             "entry {} of union over {} has a child over {} where {child_node} was expected",
                             value, rec.node, kid_rec.node
+                        )));
+                    }
+                    if kid_rec.entries_len == 0 {
+                        return Err(malformed(format!(
+                            "entry {} of union over {} has an empty child union over {child_node}",
+                            value, rec.node
                         )));
                     }
                     if kid as usize <= uid {
@@ -511,7 +523,7 @@ impl Store {
                 rec.entries_len as u128
             } else {
                 (rec.entries_start..rec.entries_start + rec.entries_len).fold(0, |total, e| {
-                    let kids_start = self.kids_start_at(e) as usize;
+                    let kids_start = self.kids_starts[e as usize] as usize;
                     let product = self.kids[kids_start..kids_start + kid_count]
                         .iter()
                         .fold(1u128, |p, &kid| p.wrapping_mul(counts[kid as usize]));
@@ -605,7 +617,7 @@ impl<'a> Rewriter<'a> {
     /// Units of output emitted so far (union headers plus entry records) —
     /// governed emission loops charge their [`ExecCtx`] with the delta
     /// across each opaque emission call (e.g. a whole
-    /// [`Rewriter::copy_union`] subtree copy).
+    /// [`Rewriter::copy_run`] block copy).
     pub(crate) fn emitted_units(&self) -> u64 {
         self.out.unions.len() as u64 + self.out.values.len() as u64
     }
@@ -661,77 +673,90 @@ impl<'a> Rewriter<'a> {
         self.out.kids_starts[(entries_start + index) as usize] = kids_start;
     }
 
-    /// Copies the subtree rooted at input union `uid` verbatim (the nodes
-    /// below it are unaffected by the rewrite in progress): as relocated
-    /// blocks when the input is in the freeze layout, record by record
-    /// otherwise — the same output either way (see the module docs).
-    /// Returns the copy's index and tuple count: a leaf's length, or the
-    /// input's memoised count of an inner union ([`FRep::union_counts`]).
-    pub(crate) fn copy_union(&mut self, uid: u32) -> (u32, u128) {
-        let src = self.input.store();
-        let rec = src.unions[uid as usize];
-        let tuples = match self.src_kid_count(rec.node) {
-            0 => rec.entries_len as u128,
-            _ => self.input.union_counts()[uid as usize],
-        };
-        let out = if src.freeze_layout {
-            self.copy_blocks(uid)
+    /// Copies the entries `run` of input union `uid`, and the subtrees below
+    /// them, as one new union (nothing below them is affected by the rewrite
+    /// in progress): as relocated blocks when the input is in the freeze
+    /// layout, record by record otherwise — the same output either way (see
+    /// the module docs).  Returns the copy's index and tuple count.
+    pub(crate) fn copy_run(&mut self, uid: u32, run: Range<u32>) -> (u32, u128) {
+        let tuples = self.run_tuples(uid, run.clone());
+        let out = if self.input.store().freeze_layout {
+            self.copy_run_blocks(uid, run)
         } else {
-            self.copy_union_recursive(uid)
+            self.copy_run_recursive(uid, run)
         };
         (out, tuples)
     }
 
-    /// [`Rewriter::copy_union`] as relocated blocks, for a freeze-layout
-    /// input.
-    fn copy_blocks(&mut self, uid: u32) -> u32 {
+    /// The tuple count of entries `run` of input union `uid`: the count of
+    /// the whole union — a leaf's length or the input's memoised count
+    /// ([`FRep::union_counts`]) — or the sum over the run of its entries' kid
+    /// products, each kid counted so.
+    fn run_tuples(&self, uid: u32, run: Range<u32>) -> u128 {
         let src = self.input.store();
-        let first = src.unions[uid as usize];
-        // The subtree's last union: follow last entry / last kid down.
-        let mut last = uid;
-        let mut last_rec = first;
-        loop {
-            let kid_count = self.src_kid_count(last_rec.node);
-            if last_rec.entries_len == 0 || kid_count == 0 {
-                break;
-            }
-            last = src.kid(last, last_rec.entries_len - 1, kid_count - 1);
-            last_rec = src.unions[last as usize];
-        }
-        let entries =
-            first.entries_start as usize..(last_rec.entries_start + last_rec.entries_len) as usize;
-        // One kid slot per union below `uid`, ending with the run of its
-        // last entry (an empty `uid` has no union below it).
-        let kids_end = match first.entries_len {
-            0 => 0,
-            len => {
-                src.kids_starts[entries.start + len as usize - 1] + self.src_kid_count(first.node)
-            }
+        let count = |uid: u32| match self.src_kid_count(src.unions[uid as usize].node) {
+            0 => src.union_len(uid) as u128,
+            _ => self.input.union_counts()[uid as usize],
         };
-        let kids = (kids_end - (last - uid)) as usize..kids_end as usize;
+        if run.len() == src.union_len(uid) as usize {
+            return count(uid);
+        }
+        let kid_count = self.src_kid_count(src.unions[uid as usize].node);
+        run.fold(0u128, |total, i| {
+            let kids = (0..kid_count).map(|k| count(src.kid(uid, i, k)));
+            total.wrapping_add(kids.fold(1u128, u128::wrapping_mul))
+        })
+    }
 
-        let out = &mut self.out;
-        let out_uid = out.unions.len() as u32;
-        let union_delta = out_uid.wrapping_sub(uid);
-        let entry_delta = (out.values.len() as u32).wrapping_sub(first.entries_start);
-        let kid_delta = (out.kids.len() as u32).wrapping_sub(kids.start as u32);
-        out.unions.extend(
-            src.unions[uid as usize..=last as usize]
-                .iter()
-                .map(|rec| UnionRec {
-                    entries_start: rec.entries_start.wrapping_add(entry_delta),
-                    ..*rec
-                }),
-        );
+    /// [`Rewriter::copy_run`] as relocated blocks, for a freeze-layout input:
+    /// the header, the run's values and kid offsets, and then the kid
+    /// subtrees of its entries, which the layout keeps contiguous.
+    fn copy_run_blocks(&mut self, uid: u32, run: Range<u32>) -> u32 {
+        let src = self.input.store();
+        let rec = src.unions[uid as usize];
+        let out_uid = self.begin_union_raw(rec.node, run.len() as u32);
+        let (out, kid_counts) = (&mut self.out, &self.kid_counts);
+        let kid_count = |uid: u32| kid_counts[src.unions[uid as usize].node.index()];
+        let entries =
+            (rec.entries_start + run.start) as usize..(rec.entries_start + run.end) as usize;
         out.values.extend_from_slice(&src.values[entries.clone()]);
-        // Summed apart from the relocation, which then stays a plain copy.
-        let visible = &self.visible;
-        self.size += (src.unions[uid as usize..=last as usize].iter())
-            .map(|rec| visible[rec.node.index()] * rec.entries_len as usize)
-            .sum::<usize>();
+        if kid_count(uid) == 0 || run.is_empty() {
+            // Entries without kids carry the kid watermark.
+            out.kids_starts
+                .resize(out.values.len(), out.kids.len() as u32);
+            return out_uid;
+        }
+        // The unions below the run: from the first kid of its first entry
+        // down to the last union below its last entry, found by following
+        // last entry / last kid.
+        let first = src.kid(uid, run.start, 0);
+        let mut last = src.kid(uid, run.end - 1, kid_count(uid) - 1);
+        while src.union_len(last) > 0 && kid_count(last) > 0 {
+            last = src.kid(last, src.union_len(last) - 1, kid_count(last) - 1);
+        }
+        let (unions, last_rec) = (
+            &src.unions[first as usize..=last as usize],
+            src.unions[last as usize],
+        );
+        let below = unions[0].entries_start as usize
+            ..(last_rec.entries_start + last_rec.entries_len) as usize;
+        // One kid slot per union below the run, ending with the kid run of
+        // its last entry.
+        let kids_end = src.kids_starts[entries.end - 1] + kid_count(uid);
+        let kids = (kids_end - unions.len() as u32) as usize..kids_end as usize;
+
+        let union_delta = (out.unions.len() as u32).wrapping_sub(first);
+        let entry_delta = (out.values.len() as u32).wrapping_sub(below.start as u32);
+        let kid_delta = (out.kids.len() as u32).wrapping_sub(kids.start as u32);
+        out.unions.extend(unions.iter().map(|rec| UnionRec {
+            entries_start: rec.entries_start.wrapping_add(entry_delta),
+            ..*rec
+        }));
+        out.values.extend_from_slice(&src.values[below.clone()]);
+        // The run's own kid offsets, then those below it: one relocation.
         out.kids_starts.extend(
-            src.kids_starts[entries]
-                .iter()
+            (src.kids_starts[entries].iter())
+                .chain(&src.kids_starts[below])
                 .map(|ks| ks.wrapping_add(kid_delta)),
         );
         out.kids.extend(
@@ -739,25 +764,31 @@ impl<'a> Rewriter<'a> {
                 .iter()
                 .map(|kid| kid.wrapping_add(union_delta)),
         );
+        // Summed apart from the relocation, which then stays a plain copy.
+        let visible = &self.visible;
+        self.size += (unions.iter())
+            .map(|rec| visible[rec.node.index()] * rec.entries_len as usize)
+            .sum::<usize>();
         out_uid
     }
 
-    /// [`Rewriter::copy_union`] record by record, for any input layout.
-    fn copy_union_recursive(&mut self, uid: u32) -> u32 {
+    /// [`Rewriter::copy_run`] record by record, for any input layout.
+    fn copy_run_recursive(&mut self, uid: u32, run: Range<u32>) -> u32 {
         let src = self.input.store();
         let rec = src.unions[uid as usize];
-        let out_uid = self.begin_union_raw(rec.node, rec.entries_len);
-        for &value in src.value_slice(uid) {
+        let out_uid = self.begin_union_raw(rec.node, run.len() as u32);
+        for &value in &src.value_slice(uid)[run.start as usize..run.end as usize] {
             self.push_value(value);
         }
         let kid_count = self.src_kid_count(rec.node);
-        for i in 0..rec.entries_len {
+        for (index, i) in run.enumerate() {
             let mark = self.mark();
             for k in 0..kid_count {
-                let copied = self.copy_union_recursive(src.kid(uid, i, k));
+                let kid = src.kid(uid, i, k);
+                let copied = self.copy_run_recursive(kid, 0..src.union_len(kid));
                 self.push_kid(copied);
             }
-            self.end_entry(out_uid, i, mark);
+            self.end_entry(out_uid, index as u32, mark);
         }
         out_uid
     }
@@ -960,6 +991,22 @@ mod tests {
         assert!(store.validate(&tree).is_err());
     }
 
+    #[test]
+    fn validate_rejects_an_empty_union_below_a_root() {
+        let (tree, mut roots) = sample();
+        // An empty root union is valid: the empty relation.
+        let a = roots[0].node;
+        Store::freeze(&tree, &[Union::empty(a)])
+            .validate(&tree)
+            .unwrap();
+        roots[0].entries[1].children[0].entries.clear();
+        let store = Store::freeze(&tree, &roots);
+        assert!(matches!(
+            store.validate(&tree),
+            Err(FdbError::MalformedRepresentation { detail }) if detail.contains("empty child union")
+        ));
+    }
+
     const COMPARISONS: [ComparisonOp; 6] = [
         ComparisonOp::Eq,
         ComparisonOp::Ne,
@@ -1014,64 +1061,30 @@ mod tests {
         }
     }
 
-    /// Randomized store-identity sweep of the selection path: a three-level
-    /// forest with random fan-outs (odd lengths exercise the kernels'
-    /// unaligned tails; empty unions must take their parent entries with
-    /// them although no predicate touches them) must select bit-for-bit like
-    /// the oracle — every node, all six comparisons.
+    /// Randomized store-identity sweep of the selection path: random
+    /// forests ([`random_forest`]) must select bit-for-bit like the oracle —
+    /// every node, all six comparisons, cuts below, between, on and above
+    /// the values.
     #[test]
     fn cmp_prune_matches_on_random_forests() {
         let mut rng = StdRng::seed_from_u64(0x50A);
         for round in 0..40 {
-            let edges = vec![DepEdge::new("R", attrs(&[0, 1, 2]), 3)];
-            let mut tree = FTree::new(edges);
-            let a = tree.add_node(attrs(&[0]), None).unwrap();
-            let b = tree.add_node(attrs(&[1]), Some(a)).unwrap();
-            let c = tree.add_node(attrs(&[2]), Some(b)).unwrap();
-            let mut next = 0u64;
-            let mut distinct = |rng: &mut StdRng| {
-                next += rng.gen_range(1..4u64);
-                Value::new(next)
-            };
-            let leaf_union = |rng: &mut StdRng, next: &mut dyn FnMut(&mut StdRng) -> Value| {
-                let len = rng.gen_range(0..7usize);
-                Union::new(c, (0..len).map(|_| Entry::leaf(next(rng))).collect())
-            };
-            let b_union = |rng: &mut StdRng, next: &mut dyn FnMut(&mut StdRng) -> Value| {
-                let len = rng.gen_range(0..5usize);
-                Union::new(
-                    b,
-                    (0..len)
-                        .map(|_| Entry {
-                            value: next(rng),
-                            children: vec![leaf_union(rng, next)],
-                        })
-                        .collect(),
-                )
-            };
-            let root_len = rng.gen_range(1..5usize);
-            let root = Union::new(
-                a,
-                (0..root_len)
-                    .map(|_| Entry {
-                        value: distinct(&mut rng),
-                        children: vec![b_union(&mut rng, &mut distinct)],
-                    })
-                    .collect(),
-            );
-            let store = Store::freeze(&tree, &[root]);
+            let (tree, roots) = random_forest(&mut rng);
+            let store = Store::freeze(&tree, &roots);
             store.validate(&tree).unwrap();
-            let cut = Value::new(rng.gen_range(0..next + 2));
-            for attr in 0..3 {
-                for op in COMPARISONS {
-                    assert_selection_matches_the_oracle(
-                        &tree,
-                        &store,
-                        attr,
-                        op,
-                        cut,
-                        &format!("round {round} attr {attr} op {op:?}"),
-                    );
+            for _ in 0..3 {
+                let cut = Value::new(rng.gen_range(0..13));
+                for attr in 0..tree.node_ids().len() as u32 {
+                    for op in COMPARISONS {
+                        assert_selection_matches_the_oracle(
+                            &tree,
+                            &store,
+                            attr,
+                            op,
+                            cut,
+                            &format!("round {round} attr {attr} op {op:?} cut {cut}"),
+                        );
+                    }
                 }
             }
         }
@@ -1102,15 +1115,19 @@ mod tests {
         let store = Store::freeze(&tree, &roots);
         let input = FRep::from_store(tree.clone(), store.clone(), None);
         let mut rw = Rewriter::new(&input, &tree);
-        let new_roots: Vec<u32> = store.roots.iter().map(|&r| rw.copy_union(r).0).collect();
+        let new_roots: Vec<u32> = (store.roots.iter())
+            .map(|&r| rw.copy_run(r, 0..store.union_len(r)).0)
+            .collect();
         let copy = rw.finish(new_roots);
         // Not merely equivalent: the exact same arena records.
         assert_eq!(copy, store);
     }
 
     /// A random forest over a random f-tree: up to three roots of depth 1–4,
-    /// fan-out 0–2 per node, 0–5 entries per union — so empty inner unions,
-    /// single-entry unions, leaf-only roots and odd lengths all occur.
+    /// fan-out 0–2 per node, 0–5 entries per root union and 1–5 per union
+    /// below a root (which may not be empty, see [`Store::validate`]) — so
+    /// empty roots, single-entry unions, leaf-only roots and odd lengths all
+    /// occur.  Node `n` is labelled by attribute `n`.
     fn random_forest(rng: &mut StdRng) -> (FTree, Vec<Union>) {
         fn grow(tree: &mut FTree, rng: &mut StdRng, parent: Option<NodeId>, depth: u32) {
             let attr = tree.node_ids().len() as u32;
@@ -1121,14 +1138,14 @@ mod tests {
                 }
             }
         }
-        fn fill(tree: &FTree, rng: &mut StdRng, node: NodeId) -> Union {
-            let entries = (0..rng.gen_range(0..6u64))
+        fn fill(tree: &FTree, rng: &mut StdRng, node: NodeId, min_len: u64) -> Union {
+            let entries = (0..rng.gen_range(min_len..6))
                 .map(|i| Entry {
                     value: Value::new(2 * i + rng.gen_range(0..2u64)),
                     children: tree
                         .children(node)
                         .iter()
-                        .map(|&child| fill(tree, rng, child))
+                        .map(|&child| fill(tree, rng, child, 1))
                         .collect(),
                 })
                 .collect();
@@ -1139,15 +1156,51 @@ mod tests {
             let depth = rng.gen_range(1..5u32);
             grow(&mut tree, rng, None, depth);
         }
-        let roots = tree.roots().iter().map(|&r| fill(&tree, rng, r)).collect();
+        let roots = tree
+            .roots()
+            .iter()
+            .map(|&r| fill(&tree, rng, r, 0))
+            .collect();
         (tree, roots)
+    }
+
+    /// The arena of a forest with its unions in breadth-first order, each
+    /// union's entries and kid runs written at its visit: valid, and outside
+    /// the freeze layout once some entry has two kid unions.
+    fn breadth_first(tree: &FTree, roots: &[Union]) -> Store {
+        let mut queue: std::collections::VecDeque<&Union> = roots.iter().collect();
+        let (mut unions, mut values, mut kids_starts, mut kids) = (vec![], vec![], vec![], vec![]);
+        let mut next = roots.len() as u32;
+        while let Some(union) = queue.pop_front() {
+            unions.push(UnionRec {
+                node: union.node,
+                entries_start: values.len() as u32,
+                entries_len: union.len() as u32,
+            });
+            for entry in &union.entries {
+                values.push(entry.value);
+                kids_starts.push(kids.len() as u32);
+                for &child in tree.children(union.node) {
+                    kids.push(next);
+                    next += 1;
+                    queue.push_back(entry.child(child).unwrap());
+                }
+            }
+        }
+        let root_ids = (0..roots.len() as u32).collect();
+        let mut store = Store::from_arena_parts(unions, values, kids_starts, kids, root_ids);
+        store.validate(tree).unwrap();
+        store.verify_layout(tree);
+        store
     }
 
     /// Copies every root of `store` through a [`Rewriter`].
     fn copy_all(store: &Store, tree: &FTree) -> Store {
         let input = FRep::from_store(tree.clone(), store.clone(), None);
         let mut rw = Rewriter::new(&input, tree);
-        let roots = store.roots.iter().map(|&r| rw.copy_union(r).0).collect();
+        let roots = (store.roots.iter())
+            .map(|&r| rw.copy_run(r, 0..store.union_len(r)).0)
+            .collect();
         rw.finish(roots)
     }
 
@@ -1168,28 +1221,59 @@ mod tests {
             store.validate(&tree).unwrap();
             assert!(store.freeze_layout && store.is_freeze_layout(&kid_count_table(&tree)));
             let input = FRep::from_store(tree.clone(), store.clone(), None);
-            let union_counts = store.union_count_table(&tree);
+            let (kid_counts, union_counts) =
+                (kid_count_table(&tree), store.union_count_table(&tree));
             for uid in 0..store.unions.len() as u32 {
-                // Every other union is copied behind a first root copy, so
-                // the relocation deltas come out positive as well as negative.
-                let copy = |block: bool| {
-                    let mut rw = Rewriter::new(&input, &tree);
-                    let pad = (uid % 2 == 1).then(|| rw.copy_union_recursive(store.roots[0]));
-                    let out = if block {
-                        let (out, tuples) = rw.copy_union(uid);
-                        assert_eq!(tuples, union_counts[uid as usize]);
-                        out
-                    } else {
-                        rw.copy_union_recursive(uid)
+                let (len, kid_count) = (
+                    store.union_len(uid),
+                    kid_counts[store.unions[uid as usize].node.index()],
+                );
+                // Every non-empty run, and the whole union however long.
+                let runs = (0..len).flat_map(|lo| (lo + 1..=len).map(move |hi| lo..hi));
+                for run in runs.chain(std::iter::once(0..len)) {
+                    let tuples = match kid_count {
+                        0 => run.len() as u128,
+                        _ => run
+                            .clone()
+                            .map(|i| {
+                                (0..kid_count)
+                                    .map(|k| union_counts[store.kid(uid, i, k) as usize])
+                                    .product::<u128>()
+                            })
+                            .sum(),
                     };
-                    let size = rw.emitted_size();
-                    (rw.finish(pad.into_iter().chain([out]).collect()), size)
-                };
-                let (block, size) = copy(true);
-                assert_eq!((block, size), copy(false), "round {round}, union {uid}");
-                // The size summed over the copied headers is the copy's size.
-                let copied = FRep::from_store(tree.clone(), copy(false).0, None);
-                assert_eq!(size, copied.size(), "round {round}, union {uid}");
+                    // Every other run is copied behind a first root copy, so
+                    // the relocation deltas come out positive as well as
+                    // negative.
+                    let copy = |block: bool| {
+                        let mut rw = Rewriter::new(&input, &tree);
+                        let root = store.roots[0];
+                        let pad = ((uid + run.start) % 2 == 1)
+                            .then(|| rw.copy_run_recursive(root, 0..store.union_len(root)));
+                        let out = if block {
+                            let (out, copied) = rw.copy_run(uid, run.clone());
+                            assert_eq!(copied, tuples, "round {round}, union {uid}, run {run:?}");
+                            out
+                        } else {
+                            rw.copy_run_recursive(uid, run.clone())
+                        };
+                        let size = rw.emitted_size();
+                        (rw.finish(pad.into_iter().chain([out]).collect()), size)
+                    };
+                    let (block, size) = copy(true);
+                    assert_eq!(
+                        (block, size),
+                        copy(false),
+                        "round {round}, union {uid}, run {run:?}"
+                    );
+                    // The size summed over the copied headers is the copy's size.
+                    let copied = FRep::from_store(tree.clone(), copy(false).0, None);
+                    assert_eq!(
+                        size,
+                        copied.size(),
+                        "round {round}, union {uid}, run {run:?}"
+                    );
+                }
             }
             assert_eq!(copy_all(&store, &tree), store, "round {round}");
         }
@@ -1224,17 +1308,13 @@ mod tests {
         );
 
         // Three valid arenas, each breaking one property of the layout: two
-        // sibling B-unions in exchanged header order (emptied, so that their
-        // entry blocks cannot give the exchange away), their entry blocks in
-        // exchanged order, and a leaf entry not carrying the kid watermark.
+        // sibling B-unions in exchanged header order (their entry blocks
+        // where freeze puts them), their entry blocks in exchanged order,
+        // and a leaf entry not carrying the kid watermark.
         let (tree, roots) = sample();
         let frozen = Store::freeze(&tree, &roots);
-        let mut emptied = roots.clone();
-        for entry in &mut emptied[0].entries {
-            entry.children[0].entries.clear();
-        }
-        let emptied = Store::freeze(&tree, &emptied);
-        let mut headers = emptied.clone();
+        let mut headers = frozen.clone();
+        headers.unions.swap(1, 2);
         headers.kids.swap(0, 1);
         let mut blocks = frozen.clone();
         (
@@ -1247,7 +1327,7 @@ mod tests {
         assert_eq!(watermark.kids_starts[2..], [0, 0, 1]);
         watermark.kids_starts[3] = 1;
         for (what, store, same_forest) in [
-            ("headers", headers, &emptied),
+            ("headers", headers, &frozen),
             ("blocks", blocks, &frozen),
             ("watermark", watermark, &frozen),
         ] {
@@ -1264,6 +1344,28 @@ mod tests {
             assert_ne!(&store, same_forest, "{what}");
             assert_eq!(&copy_all(&store, &tree), same_forest, "{what}");
         }
+
+        // Random forests written breadth first: copies and selections take
+        // the record-by-record path and still write the freeze layout.
+        let mut rng = StdRng::seed_from_u64(0xBF5);
+        let mut outside = 0;
+        for round in 0..40 {
+            let (tree, roots) = random_forest(&mut rng);
+            let store = breadth_first(&tree, &roots);
+            outside += usize::from(!store.freeze_layout);
+            assert_eq!(copy_all(&store, &tree), Store::freeze(&tree, &roots));
+            let cut = Value::new(rng.gen_range(0..13));
+            for attr in 0..tree.node_ids().len() as u32 {
+                for op in COMPARISONS {
+                    let context = format!("round {round} attr {attr} op {op:?} cut {cut}");
+                    assert_selection_matches_the_oracle(&tree, &store, attr, op, cut, &context);
+                }
+            }
+        }
+        assert!(
+            outside >= 20,
+            "{outside} of 40 arenas outside the freeze layout"
+        );
     }
 
     #[test]

@@ -558,22 +558,22 @@ mod tests {
         let forest = ops::product(example3(0, 1, None), example3(2, 3, None)).unwrap();
         let lifted = example3(0, 1, Some(2));
         let cases = [
-            // No sweep, no prune: only the emission — the B-union (1 + 2)
+            // No prune: only the emission — the B-union (1 + 2)
             // and its two inner A-unions (1 + 1 and 1 + 2).
             (&chain, FPlanOp::Swap(node(&chain, 1)), 8),
             // The emission again, now of more records than the input's 12:
             // the B-union (1 + 2), its inner A-unions (1 + 1 and 1 + 2) and
             // a copied C-union (1 + 1) under each of the three A-entries.
             (&lifted, FPlanOp::Swap(node(&lifted, 1)), 14),
-            // The overlay reads both operands (16 records), prunes the
-            // merged root (1 + 2) and writes the result: 1 + 2 entries, each
-            // with its two leaf unions — 2 × (1 + 2) and 2 × (1 + 1).
+            // The overlay prunes the merged root (1 + 2), the one union the
+            // merge built, and writes the result: 1 + 2 entries, each with
+            // its two leaf unions — 2 × (1 + 2) and 2 × (1 + 1).
             (
                 &forest,
                 FPlanOp::Merge(node(&forest, 0), node(&forest, 2)),
-                16 + 3 + 13,
+                3 + 13,
             ),
-            // No sweep, no prune: only the emission of the 4 unions and 6
+            // No prune: only the emission of the 4 unions and 6
             // entries the push-up leaves.
             (&lifted, FPlanOp::PushUp(node(&lifted, 2)), 10),
         ];
