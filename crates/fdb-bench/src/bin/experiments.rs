@@ -10,16 +10,17 @@
 //! series of the paper's figures.  With `--check`, the run also checks the
 //! paper's claims that do not depend on host speed (Experiment 1's: `s(T)` ≤
 //! 2 in every cell; Experiment 2's, in every repetition: the full search is
-//! no worse than greedy and reaches a valid f-tree; Experiment 3's, in every
-//! cell RDB finished: FDB's tuples are RDB's and its singletons at most
-//! RDB's data elements, and 0 tuples are 0 singletons), reports their time
-//! claims without gating them, and exits with status 1 if a checked claim
-//! fails:
+//! no worse than greedy and reaches a valid f-tree; Experiments 3's and 4's,
+//! in every cell RDB finished: FDB's tuples are RDB's and its singletons at
+//! most RDB's data elements, and 0 tuples are 0 singletons), reports their
+//! time claims without gating them, and exits with status 1 if a checked
+//! claim fails:
 //!
 //! ```bash
 //! cargo run --release -p fdb-bench --bin experiments -- exp1 --quick --check
 //! cargo run --release -p fdb-bench --bin experiments -- exp2 --quick --check
 //! cargo run --release -p fdb-bench --bin experiments -- exp3 --quick --check
+//! cargo run --release -p fdb-bench --bin experiments -- exp4 --quick --check
 //! ```
 
 use fdb_bench::{exp1, exp2, exp3, exp4, report, Scale};
@@ -98,6 +99,11 @@ fn main() {
         let start = Instant::now();
         let rows = exp4::run(scale);
         println!("{}", report::render_exp4(&rows));
+        if check {
+            let (lines, failed) = exp4::check(&rows);
+            lines.iter().for_each(|line| println!("{line}"));
+            broken.extend(failed);
+        }
         println!("(exp4 finished in {:?})\n", start.elapsed());
     }
 

@@ -246,64 +246,80 @@ pub fn run(scale: Scale) -> Vec<Exp3Row> {
 /// 0 tuples are 0 singletons.  Returns the report lines and the broken
 /// claims; the times are reported, not checked.
 pub fn check(rows: &[Exp3Row]) -> (Vec<String>, Vec<String>) {
-    let mut broken = Vec::new();
-    let mut finished = 0;
-    for row in rows {
+    let cells = rows.iter().map(|row| {
         let cell = format!("{} N = {}, K = {}", row.workload, row.n, row.equalities);
-        let (singletons, fdb_tuples) = match &row.fdb {
+        (cell, &row.fdb, &row.rdb)
+    });
+    check_cells("exp3", "FDB wins wherever the flat result is large", cells)
+}
+
+/// The size claims of Experiments 3 and 4 over the cells `(name, FDB, RDB)`
+/// of experiment `exp`: FDB finished, with 0 singletons where it has 0
+/// tuples; and wherever RDB finished, FDB has RDB's number of tuples and at
+/// most RDB's number of data elements as singletons.  Returns the report
+/// lines, which also count the cells FDB was faster in against the paper's
+/// `time_claim`, and the broken claims.
+pub(crate) fn check_cells<'a>(
+    exp: &str,
+    time_claim: &str,
+    cells: impl IntoIterator<Item = (String, &'a Measurement, &'a Measurement)>,
+) -> (Vec<String>, Vec<String>) {
+    let mut broken = Vec::new();
+    let (mut cells_seen, mut finished, mut faster) = (0, 0, 0);
+    for (cell, fdb, rdb) in cells {
+        cells_seen += 1;
+        faster += usize::from(match (fdb.time(), rdb.time()) {
+            (Some(fdb), Some(rdb)) => fdb < rdb,
+            (Some(_), None) => true,
+            _ => false,
+        });
+        let (singletons, fdb_tuples) = match fdb {
             Measurement::Finished { size, tuples, .. } => (*size, *tuples),
             Measurement::TimedOut => {
-                broken.push(format!("exp3: FDB did not finish at {cell}"));
+                broken.push(format!("{exp}: FDB did not finish at {cell}"));
                 continue;
             }
             Measurement::Failed(error) => {
-                broken.push(format!("exp3: FDB failed at {cell}: {error}"));
+                broken.push(format!("{exp}: FDB failed at {cell}: {error}"));
                 continue;
             }
         };
         if fdb_tuples == 0 && singletons != 0 {
             broken.push(format!(
-                "exp3: 0 tuples but {singletons} singletons at {cell}"
+                "{exp}: 0 tuples but {singletons} singletons at {cell}"
             ));
         }
-        let (size, tuples) = match &row.rdb {
+        let (size, tuples) = match rdb {
             Measurement::Finished { size, tuples, .. } => (*size, *tuples),
             Measurement::TimedOut => continue,
             Measurement::Failed(error) => {
-                broken.push(format!("exp3: RDB failed at {cell}: {error}"));
+                broken.push(format!("{exp}: RDB failed at {cell}: {error}"));
                 continue;
             }
         };
         finished += 1;
         if fdb_tuples != tuples {
             broken.push(format!(
-                "exp3: FDB has {fdb_tuples} tuples, RDB {tuples} at {cell}"
+                "{exp}: FDB has {fdb_tuples} tuples, RDB {tuples} at {cell}"
             ));
         }
         if singletons > size {
             broken.push(format!(
-                "exp3: {singletons} singletons > {size} data elements at {cell}"
+                "{exp}: {singletons} singletons > {size} data elements at {cell}"
             ));
         }
     }
-    let mut report = vec![format!(
-        "exp3: RDB finished {finished} of {} cells; in each, FDB's tuples must equal RDB's and \
-         its singletons be at most RDB's data elements, and 0 tuples be 0 singletons (checked)",
-        rows.len()
-    )];
-    let faster = rows
-        .iter()
-        .filter(|row| match (row.fdb.time(), row.rdb.time()) {
-            (Some(fdb), Some(rdb)) => fdb < rdb,
-            (Some(_), None) => true,
-            _ => false,
-        });
-    report.push(format!(
-        "exp3: FDB faster than RDB in {} of {} cells (reported, not checked; the paper: FDB \
-         wins wherever the flat result is large)",
-        faster.count(),
-        rows.len()
-    ));
+    let report = vec![
+        format!(
+            "{exp}: RDB finished {finished} of {cells_seen} cells; in each, FDB's tuples must \
+             equal RDB's and its singletons be at most RDB's data elements, and 0 tuples be 0 \
+             singletons (checked)"
+        ),
+        format!(
+            "{exp}: FDB faster than RDB in {faster} of {cells_seen} cells (reported, not \
+             checked; the paper: {time_claim})"
+        ),
+    ];
     (report, broken)
 }
 

@@ -271,12 +271,7 @@ pub fn build_frep_ctx(db: &Database, query: &Query, tree: &FTree, ctx: &ExecCtx)
         .collect::<Result<_>>()?;
     let mut store = builder.store;
     store.roots = roots;
-    let mut rep = FRep::from_store(tree.clone(), store, Some((builder.size, tuples)));
-    // A root union that came out empty empties the whole product; prune for
-    // a canonical empty representation.
-    if rep.represents_empty() {
-        rep = FRep::empty(tree.clone());
-    }
+    let rep = FRep::from_store(tree.clone(), store, Some((builder.size, tuples))).canonical();
     rep.validate()?;
     debug_validate(&rep, "flat build");
     Ok(rep)

@@ -126,10 +126,25 @@ impl FRep {
         format!("{:#?}", self.store)
     }
 
-    /// The representation of the empty relation over the given f-tree.
+    /// The representation of the empty relation over the given f-tree: every
+    /// root union empty, no singletons and no tuples (a forest with no roots
+    /// holds the nullary tuple).
     pub fn empty(tree: FTree) -> Self {
         let roots: Vec<Union> = tree.roots().iter().map(|&r| Union::empty(r)).collect();
-        FRep::from_parts_unchecked(tree, roots)
+        let store = Store::freeze(&tree, &roots);
+        let tuples = u128::from(roots.is_empty());
+        FRep::from_store(tree, store, Some((0, tuples)))
+    }
+
+    /// The same relation, the empty one as [`FRep::empty`]: an emptied root
+    /// union empties the product, so the other roots' entries are dropped.
+    /// Every writer ends here, so the empty relation holds no singletons.
+    pub(crate) fn canonical(self) -> FRep {
+        if self.represents_empty() {
+            FRep::empty(self.tree)
+        } else {
+            self
+        }
     }
 
     /// The f-tree describing this representation's nesting structure.

@@ -205,7 +205,7 @@ pub fn emit_fused_ctx(rep: &FRep, ops: &[FPlanOp], ctx: &ExecCtx) -> Result<FRep
         ctx.check_now()?;
         apply_op(&mut fusion, &mut cur, op)?;
     }
-    let out = fusion.into_rep(rep, cur)?;
+    let out = fusion.into_rep(rep, cur)?.canonical();
     debug_validate(&out, "overlay program");
     Ok(out)
 }

@@ -100,7 +100,7 @@ pub fn apply(rep: &mut FRep, op: &FPlanOp) -> Result<()> {
         FPlanOp::SelectConst { attr, op, value } => select_const(&mut m, *attr, *op, *value)?,
         FPlanOp::Project(keep) => project(&mut m, keep)?,
     }
-    *rep = m.freeze();
+    *rep = m.freeze().canonical();
     Ok(())
 }
 

@@ -23,7 +23,7 @@ pub fn product(left: FRep, right: FRep) -> Result<FRep> {
     let (mut tree, mut store) = left.into_parts();
     let id_map = tree.import_forest(right.tree())?;
     store.append_remapped(right.store(), &id_map);
-    let rep = FRep::from_store(tree, store, counts);
+    let rep = FRep::from_store(tree, store, counts).canonical();
     debug_validate(&rep, "product");
     Ok(rep)
 }

@@ -21,9 +21,9 @@
 //!   costs the swap neighbours of a tree without copying it;
 //! * the size-bound cost `s(T)` ([`cost`]): the maximum fractional edge
 //!   cover number over root-to-leaf paths, in closed form for three path
-//!   shapes and otherwise computed with the `fdb-lp` simplex solver, and
-//!   the search for an f-tree of a query that minimises it
-//!   ([`optimal_ftree`]);
+//!   shapes and otherwise solved exactly (an integer simplex, the optimum
+//!   in lowest terms, so equal costs are equal `f64` bits), and the search
+//!   for an f-tree of a query that minimises it ([`optimal_ftree`]);
 //! * constructors of valid f-trees for a query ([`builder`]): its dependency
 //!   edges, the single-path fallback and the forest a flat database already
 //!   is.

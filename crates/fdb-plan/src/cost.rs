@@ -37,20 +37,8 @@ impl FPlanCost {
     /// `max_intermediate` first, then smaller `final_cost`, then fewer
     /// steps.
     pub fn better_than(&self, other: &FPlanCost) -> bool {
-        const EPS: f64 = 1e-9;
-        if self.max_intermediate + EPS < other.max_intermediate {
-            return true;
-        }
-        if self.max_intermediate > other.max_intermediate + EPS {
-            return false;
-        }
-        if self.final_cost + EPS < other.final_cost {
-            return true;
-        }
-        if self.final_cost > other.final_cost + EPS {
-            return false;
-        }
-        self.steps.len() < other.steps.len()
+        let key = |c: &FPlanCost| (c.max_intermediate, c.final_cost, c.steps.len());
+        key(self) < key(other)
     }
 }
 

@@ -47,29 +47,21 @@
 //! below by a free *floor* (1 if some class is not constant, else 0) and
 //! computed exactly by the f-tree search, which takes its path covers from
 //! the same memo ([`SCostMemo::min_s_cost`], the *tight* bound).
-//! The loop breaks at a goal whose `s(T)` is below the bound plus
-//! `STOP_TOLERANCE`.  It computes the tight bound at most once, and only
-//! for a goal that misses the floor while the heap's top still lies on the
-//! goal's plateau; otherwise the next pop ends the loop anyway.
+//! The loop breaks at a goal whose `s(T)` meets the bound.  It computes the
+//! tight bound at most once, and only for a goal that misses the floor while
+//! the heap's top still lies on the goal's plateau; otherwise the next pop
+//! ends the loop anyway.
 //!
-//! Why the truncated sweep returns what the full one would.  Costs are LP
-//! optima with round-off far below `STOP_TOLERANCE`, and two different exact
-//! costs lie far more than 1e-9 apart: the model the 1e-9 comparisons already
-//! assume.  A goal `g` that meets the bound has the least exact `s(T)` any
-//! goal can have.  The selection below (smaller by more than 1e-9, or not
-//! larger with a strictly shorter plan) therefore keeps a goal of that least
-//! cost over any costlier one, earlier or later, and among the goals of
-//! least cost settled so far it holds one whose plan is no longer than
-//! `g`'s.  A later goal could still win on a shorter plan: the heap orders
-//! by the bits of the bottleneck before the plan length, so an entry of the
-//! same exact bottleneck, a few ulps larger and with a shorter plan, pops
-//! after `g`.  But every state first settled after `g` has a plan at least
-//! as long as the shortest plateau entry left in the heap (a settled state
-//! popped again pushes nothing new), so one scan of the heap settles it: the
-//! loop stops only if no entry on `g`'s plateau has a shorter plan than `g`,
-//! and otherwise goes on to the next goal.  A settled state's plan never
-//! changes, so plan and `FPlanCost` bits are the full sweep's; only
-//! `explored_states` falls.
+//! Why the truncated sweep returns what the full one would.  Every cost is
+//! exact, a cover in lowest terms rounded once to `f64`, so equal costs are
+//! equal bits and every comparison here is exact.  A goal `g` that meets the
+//! bound has the least `s(T)` any goal can have.  The heap pops the least
+//! `(bottleneck, plan_len)`, and a push never has a smaller bottleneck than
+//! the state expanded, so every goal settled after `g` has a larger
+//! bottleneck or a plan at least as long as `g`'s.  The selection below
+//! (smaller `s(T)`, then a strictly shorter plan) therefore ends on the goal
+//! the full sweep ends on.  A settled state's plan never changes, so plan and
+//! `FPlanCost` bits are the full sweep's; only `explored_states` falls.
 
 use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
@@ -93,14 +85,6 @@ pub(crate) const MAX_STATES: usize = 500_000;
 /// the cancellation flag.
 const CHECK_EVERY: usize = 64;
 
-/// A goal whose `s(T)` is below the bound plus this stops the search:
-/// strictly inside the goal selection's 1e-9.  Bound and goal cost come from
-/// one memo, but the bound is the `s(T)` of the best arrangement of the
-/// goal's classes, whose paths are in general other sets than the goal's,
-/// each its own LP: two equal exact optima may come out of the simplex a few
-/// ulps apart, and that round-off must not flip a choice.
-const STOP_TOLERANCE: f64 = 0.5e-9;
-
 /// The best known way to reach one f-tree (up to child order).  States live
 /// in an arena and name their predecessor by index, so the plan of a state
 /// is the chain of `via` operators back to the input tree.
@@ -116,9 +100,6 @@ struct State {
     own_cost: f64,
     /// The largest `s(T)` along the plan, this tree included.
     bottleneck: f64,
-    /// Set when the state is first popped: its neighbours now point at it,
-    /// so it may no longer change.
-    settled: bool,
 }
 
 /// A queue entry, ordered so that the smallest bottleneck (in `f64`'s total
@@ -206,7 +187,6 @@ impl ExhaustiveOptimizer {
             plan_len: 0,
             own_cost: initial_cost,
             bottleneck: initial_cost,
-            settled: false,
         }];
         // Every tree seen so far (by canonical key) and its state.
         let mut best: HashMap<Vec<u8>, usize, BuildHasherDefault<WordHasher>> = HashMap::default();
@@ -227,13 +207,13 @@ impl ExhaustiveOptimizer {
             let current = item.state;
             let bottleneck = states[current].bottleneck;
             // Skip stale queue entries.
-            if item.bottleneck > bottleneck + 1e-9 {
+            if item.bottleneck > bottleneck {
                 continue;
             }
             // Once a goal has been found, only states with the same bottleneck
             // can still yield a better (lexicographically smaller) goal.
             if let Some(gb) = goal_bottleneck {
-                if bottleneck > gb + 1e-9 {
+                if bottleneck > gb {
                     break;
                 }
             }
@@ -246,7 +226,6 @@ impl ExhaustiveOptimizer {
                     detail: format!("exhaustive search exceeded its {max_states}-state budget"),
                 });
             }
-            states[current].settled = true;
             // Lent to the expansion, which pushes states, and handed back
             // after it: a stale queue entry of equal bottleneck pops (and
             // expands) a state a second time, as in the textbook loop.
@@ -306,18 +285,12 @@ impl ExhaustiveOptimizer {
                     (None, Some(built)) => (states.len(), memo.s_cost(built)?),
                 };
                 let bottleneck = bottleneck.max(own_cost);
+                // The queue order rules out a better way to a state already
+                // popped, whose index its neighbours hold: every later
+                // candidate has at least its bottleneck, and a longer plan
+                // when equal.
                 if let Some(existing) = states.get(state) {
-                    let better = bottleneck + 1e-9 < existing.bottleneck
-                        || (bottleneck < existing.bottleneck + 1e-9
-                            && plan_len < existing.plan_len);
-                    // A settled state has handed its index to its
-                    // neighbours.  The queue order rules out a better way
-                    // to a settled state (every later candidate has at
-                    // least its bottleneck, and a longer plan when equal);
-                    // should float noise ever produce one, it is dropped
-                    // rather than rewriting plans that run through here.
-                    debug_assert!(!(better && existing.settled));
-                    if !better || existing.settled {
+                    if (bottleneck, plan_len) >= (existing.bottleneck, existing.plan_len) {
                         continue;
                     }
                 }
@@ -334,7 +307,6 @@ impl ExhaustiveOptimizer {
                     plan_len,
                     own_cost,
                     bottleneck,
-                    settled: false,
                 };
                 match key {
                     None => states[state] = reached,
@@ -355,9 +327,7 @@ impl ExhaustiveOptimizer {
                 None => true,
                 Some(existing) => {
                     let (goal, existing) = (&states[goal], &states[existing]);
-                    goal.own_cost + 1e-9 < existing.own_cost
-                        || (goal.own_cost < existing.own_cost + 1e-9
-                            && goal.plan_len < existing.plan_len)
+                    (goal.own_cost, goal.plan_len) < (existing.own_cost, existing.plan_len)
                 }
             };
             if better {
@@ -404,23 +374,19 @@ impl ExhaustiveOptimizer {
         tight: &mut Option<f64>,
         memo: &mut SCostMemo,
     ) -> Result<bool> {
-        let on_plateau = |item: &QueueItem| item.bottleneck <= plateau + 1e-9;
         let tree = goal.tree.as_ref().expect("a settled state is built");
         let free = tree
             .node_ids()
             .into_iter()
             .any(|n| tree.constant(n).is_none());
         let mut bound = tight.unwrap_or(if free { 1.0 } else { 0.0 });
-        if goal.own_cost >= bound + STOP_TOLERANCE
+        if goal.own_cost > bound
             && tight.is_none()
-            && heap.peek().is_some_and(on_plateau)
+            && heap.peek().is_some_and(|item| item.bottleneck <= plateau)
         {
             bound = *tight.insert(memo.min_s_cost(tree)?);
         }
-        Ok(goal.own_cost < bound + STOP_TOLERANCE
-            && !heap
-                .iter()
-                .any(|item| on_plateau(item) && item.plan_len < goal.plan_len))
+        Ok(goal.own_cost <= bound)
     }
 
     /// A goal's classes, each with whether it is bound to a constant, sorted.

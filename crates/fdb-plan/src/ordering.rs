@@ -19,7 +19,7 @@
 //! * the attributes already form a root path → [`ChainStrategy::AlreadyChain`]
 //!   with an empty plan;
 //! * a swap plan exists whose every intermediate tree costs no more than the
-//!   input (`max_intermediate ≤ s(T_in) + ε`) → [`ChainStrategy::Restructure`]
+//!   input (`max_intermediate ≤ s(T_in)`) → [`ChainStrategy::Restructure`]
 //!   with the plan;
 //! * no chain is achievable (the attributes span independent trees, a swap
 //!   is structurally impossible, or lifting one attribute drags another off
@@ -37,10 +37,6 @@ use fdb_ftree::{FTree, SCostMemo};
 
 use crate::cost::plan_cost_memo;
 use crate::fplan::{FPlan, FPlanOp};
-
-/// Tolerance for the cost comparison (matches the optimiser's tie-break
-/// epsilon in [`crate::cost::FPlanCost::better_than`]).
-const EPS: f64 = 1e-9;
 
 /// How the engine should satisfy an ordering head.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,7 +137,7 @@ pub fn plan_chain_restructure(tree: &FTree, attrs: &[AttrId]) -> Result<ChainDec
     let mut memo = SCostMemo::new();
     let input_cost = memo.s_cost(tree)?;
     let cost = plan_cost_memo(&plan, tree, &mut memo)?;
-    if cost.max_intermediate <= input_cost + EPS {
+    if cost.max_intermediate <= input_cost {
         Ok(ChainDecision {
             strategy: ChainStrategy::Restructure,
             plan,
@@ -226,7 +222,7 @@ mod tests {
         let lifted = d.plan.final_tree(&t).unwrap();
         assert!(order_chain(&lifted, &[AttrId(1), AttrId(0)]).is_some());
         let (input_cost, cost) = costs(&t, &d.plan);
-        assert!(cost.max_intermediate <= input_cost + EPS);
+        assert!(cost.max_intermediate <= input_cost);
     }
 
     #[test]
@@ -239,7 +235,7 @@ mod tests {
         assert_eq!(d.strategy, ChainStrategy::FlatSort);
         assert!(d.plan.is_empty());
         let (input_cost, cost) = costs(&t, &lift(&t, 2, 2));
-        assert!(cost.max_intermediate > input_cost + EPS);
+        assert!(cost.max_intermediate > input_cost);
         // The final tree is the *input* tree: no plan runs.
         assert_eq!(
             t.canonical_key(),
@@ -291,7 +287,7 @@ mod tests {
         let d = plan_chain_restructure(&t, &[AttrId(4)]).unwrap();
         assert_eq!(d.strategy, ChainStrategy::FlatSort);
         let (input_cost, cost) = costs(&t, &lift(&t, 4, 1));
-        assert!(cost.max_intermediate > input_cost + EPS);
+        assert!(cost.max_intermediate > input_cost);
         // GROUP BY B on the path tree: the same planner says yes there.
         let t = path_tree();
         let d = plan_chain_restructure(&t, &[AttrId(1)]).unwrap();

@@ -12,7 +12,6 @@ pub use fdb_core as engine;
 pub use fdb_datagen as datagen;
 pub use fdb_frep as frep;
 pub use fdb_ftree as ftree;
-pub use fdb_lp as lp;
 pub use fdb_plan as plan;
 pub use fdb_relation as relation;
 

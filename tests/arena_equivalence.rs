@@ -65,12 +65,18 @@ fn reference_size(rep: &FRep) -> usize {
 }
 
 /// The size and tuple count the writer of `rep` recorded (`FRep::counts`)
-/// equal the two oracle walks, `FRep::size` and `FRep::tuple_count`.
+/// equal the two oracle walks, `FRep::size` and `FRep::tuple_count`, and
+/// the empty relation holds no singletons.
 fn assert_recorded_counts(rep: &FRep, context: &str) {
     assert_eq!(
         rep.counts(),
         (rep.size(), rep.tuple_count()),
         "{context}: recorded counts vs the walks"
+    );
+    let (size, tuples) = rep.counts();
+    assert!(
+        tuples != 0 || size == 0,
+        "{context}: {size} singletons, 0 tuples"
     );
 }
 

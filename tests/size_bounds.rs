@@ -2,11 +2,10 @@
 //! bound of the paper, and factorisation beats flat representation by the
 //! expected margins on the paper's characteristic workloads.
 
-use fdb::common::{Query, RelId};
+use fdb::common::{AttrId, Query, RelId};
 use fdb::datagen::{populate, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
-use fdb::ftree::s_cost;
-use fdb::lp::{fractional_edge_cover, CoverInstance};
+use fdb::ftree::{s_cost, DepEdge, FTree};
 use fdb::plan::optimal_ftree;
 use fdb::relation::RdbEngine;
 use rand::rngs::StdRng;
@@ -153,8 +152,10 @@ fn queries_with_more_than_64_classes_are_searched_and_evaluated() {
     assert_eq!(alone.stats.result_tuples, 8);
 }
 
-/// The fractional edge cover solver agrees with the integral one on small
-/// instances (and never exceeds it) — the foundation the cost model rests on.
+/// The fractional edge cover number — `s(T)` of a one-path f-tree whose
+/// nodes are the instance's vertices and whose relations are its edges —
+/// never exceeds the integral one on small instances, and an instance with a
+/// vertex no edge covers has neither: the foundation the cost model rests on.
 #[test]
 fn fractional_cover_is_consistent_with_integral_cover() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -162,77 +163,50 @@ fn fractional_cover_is_consistent_with_integral_cover() {
         use rand::Rng;
         let vertices = rng.gen_range(1..7usize);
         let edges = rng.gen_range(1..6usize);
-        let mut instance = CoverInstance::new(vertices);
+        // Each edge as the bitmask of the vertices it covers.
+        let mut masks = Vec::new();
         for _ in 0..edges {
             let size = rng.gen_range(1..=vertices);
             let mut members: Vec<usize> = (0..vertices).collect();
             use rand::seq::SliceRandom;
             members.shuffle(&mut rng);
-            instance.add_edge(members.into_iter().take(size).collect());
+            masks.push(members.into_iter().take(size).fold(0u64, |m, v| m | 1 << v));
         }
-        if !is_coverable(&instance) {
-            assert!(fractional_edge_cover(&instance).is_err());
-            assert_eq!(integral_edge_cover(&instance), None);
+        let fractional = s_cost(&one_path(vertices, &masks));
+        let Some(int) = integral_edge_cover(&masks, (1 << vertices) - 1) else {
+            assert_eq!(fractional.unwrap_err(), fdb::FdbError::InfeasibleProgram);
             continue;
-        }
-        let frac = fractional_edge_cover(&instance).unwrap();
-        let int = integral_edge_cover(&instance).unwrap() as f64;
+        };
+        let frac = fractional.unwrap();
         assert!(
-            frac <= int + 1e-6,
+            frac <= int as f64,
             "fractional {frac} must not exceed integral {int}"
         );
-        assert!(
-            frac >= 1.0 - 1e-6,
-            "non-empty instances need at least weight 1"
-        );
+        assert!(frac >= 1.0, "non-empty instances need at least weight 1");
     }
 }
 
-/// Returns `true` if every vertex is covered by at least one edge (a
-/// prerequisite for any cover — fractional or integral — to exist).
-fn is_coverable(instance: &CoverInstance) -> bool {
-    let mut covered = vec![false; instance.num_vertices];
-    for edge in &instance.edges {
-        for &v in edge {
-            if v < instance.num_vertices {
-                covered[v] = true;
-            }
-        }
+/// A chain of one single-attribute node per vertex (attribute `v` for
+/// vertex `v`), over one relation per edge mask.
+fn one_path(vertices: usize, masks: &[u64]) -> FTree {
+    let edges = masks.iter().enumerate().map(|(i, &mask)| {
+        let attrs = (0..vertices as u32).filter(|&v| mask >> v & 1 != 0);
+        DepEdge::new(format!("E{i}"), attrs.map(AttrId).collect(), 1)
+    });
+    let mut tree = FTree::new(edges.collect());
+    let mut parent = None;
+    for v in 0..vertices as u32 {
+        parent = Some(tree.add_node([AttrId(v)].into(), parent).unwrap());
     }
-    covered.into_iter().all(|c| c)
+    tree
 }
 
-/// The (integral) edge cover number, by exhaustive search over edge subsets,
-/// smallest subsets first; `None` if no cover exists.  Exponential in the
-/// number of edges: the cross-check of the LP on tiny instances.
-fn integral_edge_cover(instance: &CoverInstance) -> Option<usize> {
-    if instance.num_vertices == 0 {
-        return Some(0);
-    }
-    if !is_coverable(instance) {
-        return None;
-    }
-    let n = instance.edges.len();
-    // Represent vertex sets as bitmasks; instances here have < 64 vertices.
-    assert!(
-        instance.num_vertices <= 64,
-        "integral cover limited to 64 vertices"
-    );
-    let full: u64 = if instance.num_vertices == 64 {
-        u64::MAX
-    } else {
-        (1u64 << instance.num_vertices) - 1
-    };
-    let masks: Vec<u64> = instance
-        .edges
-        .iter()
-        .map(|e| {
-            e.iter()
-                .filter(|&&v| v < instance.num_vertices)
-                .fold(0u64, |m, &v| m | (1 << v))
-        })
-        .collect();
-    (1..=n).find(|&size| search_cover(&masks, full, 0, size, 0))
+/// The (integral) edge cover number of the vertices `full` by the edge
+/// `masks`, by exhaustive search over edge subsets, smallest subsets first;
+/// `None` if no cover exists.  Exponential in the number of edges: the
+/// cross-check of the LP on tiny instances.
+fn integral_edge_cover(masks: &[u64], full: u64) -> Option<usize> {
+    (0..=masks.len()).find(|&size| search_cover(masks, full, 0, size, 0))
 }
 
 fn search_cover(masks: &[u64], full: u64, covered: u64, remaining: usize, start: usize) -> bool {
