@@ -57,6 +57,7 @@
 //! compare with plain `<` and `==` here and in the plan optimisers.
 
 use crate::builder::dep_edges_for_query;
+use crate::cover::path_cover;
 use crate::edgeset::{EdgeSet, IndexSet};
 use crate::ftree::{FTree, NodeId};
 use fdb_common::{Catalog, FdbError, Query, RelId, Result};
@@ -81,122 +82,6 @@ fn push_set(tree: &FTree, node: NodeId, width: usize, path: &mut Vec<u64>) {
 /// The number of bitmap words that hold any incidence set of the tree.
 fn set_width(tree: &FTree) -> usize {
     tree.edges().len().div_ceil(64).max(1)
-}
-
-/// The fractional edge cover number of a path given as the incidence sets of
-/// its non-constant nodes, `width` words a set, in any order: the optimum of
-/// [`packing`] as `num / den` in lowest terms, so one optimum is one `f64`
-/// whatever the order of vertices, edges and pivots that reached it.
-fn path_cover(path: &[u64], width: usize) -> Result<f64> {
-    let packing = packing(path, width)?;
-    let (num, den) = (packing.objective()[packing.rhs()], packing.den);
-    let (mut a, mut b) = (num, den);
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    Ok((num / a) as f64 / (den / a) as f64)
-}
-
-/// The final simplex tableau of the packing LP dual to a path's cover LP:
-/// maximise `Σ y_v` over the vertices (the path's sets) subject to
-/// `Σ_{v ∈ e} y_v ≤ 1` for every edge on the path and `y ≥ 0`.  One row per
-/// edge, in edge order, then the objective row; one column per vertex, one
-/// slack per edge, then the right-hand side.  Every entry is its rational
-/// value times `den`, the determinant of the current basis.
-struct Packing {
-    cols: usize,
-    rows: Vec<i128>,
-    /// The column basic in each edge row.
-    basis: Vec<usize>,
-    den: i128,
-}
-
-impl Packing {
-    fn rhs(&self) -> usize {
-        self.cols - 1
-    }
-
-    fn row(&self, i: usize) -> &[i128] {
-        &self.rows[i * self.cols..][..self.cols]
-    }
-
-    fn objective(&self) -> &[i128] {
-        self.row(self.basis.len())
-    }
-}
-
-/// Solves the packing LP of a path (see [`Packing`]) exactly.  The origin is
-/// feasible, so there is one phase and no artificial variable; pivots are
-/// fraction-free (Bareiss: each entry `(a·p − b·c) / den`, an exact
-/// division) and chosen by Bland's rule, which terminates.  A vertex no edge
-/// covers makes the packing unbounded and the cover infeasible.  Entries are
-/// minors of a 0/1 matrix and checked: a path whose minors outgrow `i128` is
-/// refused, never answered wrong.
-fn packing(path: &[u64], width: usize) -> Result<Packing> {
-    let n = path.len() / width;
-    let vertices = |slot: usize| path.iter().skip(slot).step_by(width);
-    let edges: Vec<(usize, u32)> = (0..width)
-        .flat_map(|slot| {
-            let on_path = vertices(slot).fold(0, |all, w| all | w);
-            (0..64)
-                .filter(move |bit| on_path >> bit & 1 != 0)
-                .map(move |bit| (slot, bit))
-        })
-        .collect();
-    let (m, cols) = (edges.len(), n + edges.len() + 1);
-    let mut t = Packing {
-        cols,
-        rows: Vec::with_capacity((m + 1) * cols),
-        basis: (n..n + m).collect(),
-        den: 1,
-    };
-    for (e, &(slot, bit)) in edges.iter().enumerate() {
-        t.rows
-            .extend(vertices(slot).map(|w| i128::from(w >> bit & 1)));
-        t.rows.extend((0..m).map(|s| i128::from(s == e)));
-        t.rows.push(1);
-    }
-    t.rows.extend((0..cols).map(|j| -i128::from(j < n)));
-    let overflow = || FdbError::LimitExceeded {
-        detail: "a path cover outgrows exact 128-bit arithmetic".into(),
-    };
-    let mul = |a: i128, b: i128| a.checked_mul(b).ok_or_else(overflow);
-    let rhs = t.rhs();
-    while let Some(col) = t.objective()[..rhs].iter().position(|&c| c < 0) {
-        // The least ratio `rhs / entry` over the rows with a positive
-        // entry, ties to the lowest basic column.
-        let mut leave: Option<usize> = None;
-        for i in (0..m).filter(|&i| t.row(i)[col] > 0) {
-            let Some(l) = leave else {
-                leave = Some(i);
-                continue;
-            };
-            let (ratio, least) = (
-                mul(t.row(i)[rhs], t.row(l)[col])?,
-                mul(t.row(l)[rhs], t.row(i)[col])?,
-            );
-            if ratio < least || ratio == least && t.basis[i] < t.basis[l] {
-                leave = Some(i);
-            }
-        }
-        let row = leave.ok_or(FdbError::InfeasibleProgram)?;
-        let pivot = t.row(row).to_vec();
-        let (p, den) = (pivot[col], t.den);
-        for i in (0..=m).filter(|&i| i != row) {
-            let c = t.row(i)[col];
-            for (a, &b) in t.rows[i * cols..][..cols].iter_mut().zip(&pivot) {
-                let minor = mul(*a, p)?.checked_sub(mul(c, b)?);
-                *a = minor.ok_or_else(overflow)?;
-                // The first pivot divides by 1: skip it, as 128-bit
-                // division is most of a solve's time.
-                if den != 1 {
-                    *a /= den;
-                }
-            }
-        }
-        (t.basis[row], t.den) = (col, p);
-    }
-    Ok(t)
 }
 
 /// Computes the cost of every root-to-leaf path of the tree, one LP per
@@ -1009,158 +894,5 @@ mod tests {
             assert!(close(memo.s_cost(&found.tree).unwrap(), cost));
             assert_eq!(memo.covers.len(), solved, "{query:?}");
         }
-    }
-
-    /// A path of one-word sets, vertex `v` covered by the edges `edges[v]`.
-    fn sets(edges: &[&[u32]]) -> Vec<u64> {
-        edges
-            .iter()
-            .map(|e| e.iter().fold(0, |w, b| w | 1 << b))
-            .collect()
-    }
-
-    /// Solves `path`'s packing LP and checks that the final tableau
-    /// certifies its optimum exactly: the packing `y` (the basic vertex
-    /// columns) and the cover `x` (the slack columns' reduced costs) are
-    /// non-negative and feasible, `Aᵀy ≤ 1` and `Ax ≥ 1`, with equal sums.
-    /// Every entry is scaled by the tableau's denominator.  Returns the
-    /// cover as the memo sees it.
-    fn certified_cover(path: &[u64], width: usize) -> Result<f64> {
-        let t = packing(path, width)?;
-        let n = path.len() / width;
-        let m = t.basis.len();
-        let mut y = vec![0; n];
-        for (i, &b) in t.basis.iter().enumerate().filter(|&(_, &b)| b < n) {
-            y[b] = t.row(i)[t.rhs()];
-        }
-        let x = &t.objective()[n..n + m];
-        assert!(t.den > 0 && y.iter().chain(x).all(|&v| v >= 0));
-        // The edges in tableau row order: set bits, slot by slot.
-        let mut edges = Vec::new();
-        for slot in 0..width {
-            for bit in 0..64 {
-                let covered: Vec<usize> = (0..n)
-                    .filter(|&v| path[v * width + slot] >> bit & 1 != 0)
-                    .collect();
-                if !covered.is_empty() {
-                    edges.push(covered);
-                }
-            }
-        }
-        assert_eq!(edges.len(), m);
-        for edge in &edges {
-            assert!(edge.iter().map(|&v| y[v]).sum::<i128>() <= t.den);
-        }
-        for v in 0..n {
-            let weight: i128 = (0..m)
-                .filter(|&e| edges[e].contains(&v))
-                .map(|e| x[e])
-                .sum();
-            assert!(weight >= t.den, "vertex {v} uncovered");
-        }
-        let sum = t.objective()[t.rhs()];
-        assert_eq!((y.iter().sum::<i128>(), x.iter().sum::<i128>()), (sum, sum));
-        path_cover(path, width)
-    }
-
-    #[test]
-    fn small_instances_have_their_exact_covers() {
-        // The Fano plane: seven points on seven lines of three, every basis
-        // degenerate; Bland's rule reaches 1/3 on every line.
-        let fano: Vec<Vec<u32>> = (0..7)
-            .map(|point| {
-                let lines = [
-                    [0, 1, 2],
-                    [0, 3, 4],
-                    [0, 5, 6],
-                    [1, 3, 5],
-                    [1, 4, 6],
-                    [2, 3, 6],
-                    [2, 4, 5],
-                ];
-                (0..7)
-                    .filter(|&l| lines[l as usize].contains(&point))
-                    .collect()
-            })
-            .collect();
-        let fano: Vec<&[u32]> = fano.iter().map(Vec::as_slice).collect();
-        let cases: [(&str, &[&[u32]], f64); 9] = [
-            ("no vertex", &[], 0.0),
-            ("one edge covers all", &[&[0], &[0], &[0]], 1.0),
-            ("a chain of two edges", &[&[0], &[0, 1], &[1]], 2.0),
-            ("the triangle", &[&[0, 2], &[0, 1], &[1, 2]], 1.5),
-            ("duplicated edges", &[&[0, 1, 2], &[0, 1, 2]], 1.0),
-            ("repeated vertices", &[&[0, 1], &[0, 1], &[0, 1]], 1.0),
-            // Integral cover 2 each: the fractional one is no larger.
-            ("the 4-cycle", &[&[0, 3], &[0, 1], &[1, 2], &[2, 3]], 2.0),
-            (
-                "five vertices",
-                &[&[0, 3], &[0], &[0, 1], &[1, 2], &[2, 3]],
-                2.0,
-            ),
-            ("the Fano plane", &fano, 7.0 / 3.0),
-        ];
-        for (name, edges, cover) in cases {
-            let found = certified_cover(&sets(edges), 1).unwrap();
-            assert_eq!(found.to_bits(), cover.to_bits(), "{name}: {found}");
-        }
-    }
-
-    #[test]
-    fn an_uncovered_vertex_makes_the_cover_infeasible() {
-        for edges in [&[&[0][..], &[]][..], &[&[], &[0, 1], &[1]]] {
-            let found = path_cover(&sets(edges), 1);
-            assert_eq!(found.unwrap_err(), FdbError::InfeasibleProgram);
-        }
-    }
-
-    #[test]
-    fn random_covers_are_certified_and_one_bit_pattern_in_any_order() {
-        let mut rng = StdRng::seed_from_u64(0xB1A4D);
-        for case in 0..2000 {
-            let (n, m) = (rng.gen_range(1..=10usize), rng.gen_range(1..=8u32));
-            let path: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << m)).collect();
-            let Ok(cover) = certified_cover(&path, 1) else {
-                assert!(path.contains(&0), "case {case}: {path:?}");
-                continue;
-            };
-            // The same hypergraph with its vertices shuffled and its edges
-            // moved to random bits of two words.
-            let mut bits: Vec<u32> = (0..128).collect();
-            bits.shuffle(&mut rng);
-            let mut moved: Vec<u64> = path
-                .iter()
-                .flat_map(|&set| {
-                    let mut words = [0u64; 2];
-                    for e in (0..m).filter(|e| set >> e & 1 != 0) {
-                        let bit = bits[e as usize];
-                        words[bit as usize / 64] |= 1 << (bit % 64);
-                    }
-                    words
-                })
-                .collect();
-            let mut chunks: Vec<&[u64]> = moved.chunks(2).collect();
-            chunks.shuffle(&mut rng);
-            moved = chunks.concat();
-            let again = certified_cover(&moved, 2).unwrap();
-            assert_eq!(again.to_bits(), cover.to_bits(), "case {case}: {path:?}");
-        }
-    }
-
-    #[test]
-    fn a_cover_whose_minors_outgrow_128_bits_is_refused() {
-        // 80 vertices on 80 edges, each incidence drawn with probability ½:
-        // the tableau's minors pass 2^127 before the optimum is reached.
-        let mut rng = StdRng::seed_from_u64(0x0F10);
-        let mut path = vec![0u64; 160];
-        for v in 0..80 {
-            for e in (0..80).filter(|_| rng.gen_bool(0.5)) {
-                path[v * 2 + e / 64] |= 1 << (e % 64);
-            }
-        }
-        assert!(matches!(
-            path_cover(&path, 2),
-            Err(FdbError::LimitExceeded { .. })
-        ));
     }
 }

@@ -73,11 +73,13 @@
 
 pub mod builder;
 pub mod cost;
+mod cover;
 mod edgeset;
 mod frame;
 pub mod ftree;
 #[cfg(test)]
 mod invariant_tests;
+mod simplex;
 pub mod transform;
 
 pub use builder::{dep_edges_for_query, flat_database_ftree, ftree_from_query_classes};
